@@ -26,7 +26,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use crowdprompt_core::{Corpus, Engine, FailurePolicy, RunJournal};
+use crowdprompt_core::{Corpus, Engine, FailurePolicy, RunJournal, RunSpec};
 use crowdprompt_oracle::backend::{Backend, BackendRegistry, SimBackend};
 use crowdprompt_oracle::route::{BreakerConfig, RoutePolicy};
 use crowdprompt_oracle::task::TaskDescriptor;
@@ -152,7 +152,7 @@ fn bench_clean_batch(c: &mut Criterion) {
         b.iter_batched(
             || clean_engine(&world, &ids, true),
             |engine| {
-                let outcome = engine.run_many_outcome(tasks(&ids));
+                let outcome = engine.run_outcome(RunSpec::tasks(tasks(&ids))).unwrap();
                 assert!(outcome.is_complete());
                 outcome
             },
@@ -171,7 +171,7 @@ fn bench_outage_salvage(c: &mut Criterion) {
         b.iter_batched(
             || outage_engine(&world, &ids),
             |engine| {
-                let outcome = engine.run_many_outcome(tasks(&ids));
+                let outcome = engine.run_outcome(RunSpec::tasks(tasks(&ids))).unwrap();
                 assert!(
                     outcome.is_complete(),
                     "standby must absorb the outage: {} quarantined",
@@ -187,14 +187,15 @@ fn bench_outage_salvage(c: &mut Criterion) {
     // Maximal-salvage and money-conservation counters, recorded once on a
     // fresh fleet so the baseline file pins them alongside the timings.
     let engine = outage_engine(&world, &ids);
-    let outcome = engine.run_many_outcome(tasks(&ids));
+    let outcome = engine.run_outcome(RunSpec::tasks(tasks(&ids))).unwrap();
     record_ns(
         "resilience_outage/salvaged_of_64",
         outcome.ok_count() as u64,
     );
     let meter: f64 = outcome
-        .successes()
-        .map(|(_, r)| r.pricing.cost_usd(r.usage))
+        .responses
+        .iter()
+        .map(|r| r.pricing.cost_usd(r.usage))
         .sum();
     let ledger = engine.client().ledger().spend_usd();
     assert!(

@@ -1,79 +1,73 @@
 //! The execution engine: budget-guarded, pipelined, parallel unit-task
 //! dispatch.
 //!
-//! # Pipelined batch dispatch
+//! # One dispatch core
 //!
-//! Operators hand the engine unit tasks either as a materialized batch
-//! ([`Engine::run_many`], [`Engine::run_sampled_many`]) or as a lazy stream
-//! ([`Engine::run_stream`]). Either way the dispatch path is the same
-//! pipeline:
+//! Every entry point lowers to the same three steps, and the
+//! [`FailurePolicy`] is a value they consult, not a second implementation:
 //!
 //! ```text
-//!  tasks ──► shared feed ──► worker 1 ─ render ─ admit ─ gate ─ client ─┐
-//!            (bounded:       worker 2 ─ render ─ admit ─ gate ─ client ─┼─► ordered
-//!             claims ≤        ...                                       │   results
-//!             workers×batch)  worker W ─ render ─ admit ─ gate ─ client ─┘
+//!  RunSpec ─► prepare ─► pump ───────────────────────────────► BatchOutcome
+//!             render,    shared feed ──► worker 1 ─ execute ─┐
+//!             estimate,  (bounded:       worker 2 ─ execute ─┼─► per-item
+//!             pick the    claims ≤        ...                │   results,
+//!             admission   workers×batch) worker W ─ execute ─┘   input order
+//!             mode
 //! ```
 //!
-//! * Workers *pull* from the feed in small claims, so at most
-//!   `parallelism × max_batch` tasks are claimed-but-unfinished at any
-//!   moment — a bounded work queue, not an unbounded fan-out.
-//! * Claim size adapts per worker: after a claim that averaged faster than
-//!   [`PipelineConfig::fast_task_micros`] per task (typically cache or
-//!   coalesced hits), the worker doubles its next claim up to
-//!   [`PipelineConfig::max_batch`] to amortize feed synchronization; slow
-//!   claims shrink back toward [`PipelineConfig::min_batch`] to keep
-//!   stragglers from hoarding work.
-//! * An optional per-model concurrency gate
+//! * **prepare** renders each call once and stamps it with how it is
+//!   admitted against the budget: covered by a whole-batch cumulative
+//!   check (a per-item batch that cannot fit is refused before any call),
+//!   admitted per call at execution time against actual spend (sampled
+//!   votes and packs, whose retries cannot be known up front), or — when
+//!   the policy degrades — admitted only after a free local hit has been
+//!   ruled out.
+//! * **pump** is the one worker pool. Workers *pull* small claims from a
+//!   shared feed, so at most `parallelism × max_batch` items are
+//!   claimed-but-unfinished; claim size doubles after a claim that averaged
+//!   under [`PipelineConfig::fast_task_micros`] per item (cache or coalesced
+//!   hits) and halves after a slow one. An optional per-model gate
 //!   ([`PipelineConfig::model_concurrency`]) caps in-flight backend calls
-//!   *per model name, process-wide* — multiple engines over the same model
-//!   (e.g. cascade tiers) share one gate, mirroring provider rate limits.
+//!   per model name, process-wide.
+//! * **execute** is the one worker body: admit, probe local state (client
+//!   cache, then the run journal) once, dispatch with up to the policy's
+//!   attempt allowance, account. With one attempt it *is* the fail-fast
+//!   worker.
 //!
-//! Budget admission differs per entry point: [`Engine::run_many`]
-//! pre-admits the whole batch cumulatively (a batch that cannot fit is
-//! refused before any call), [`Engine::run_sampled_many`] admits each vote
-//! at execution time against actual spend (matching the sequential loops
-//! it replaces), and [`Engine::run_stream`] renders *and* admits inside
-//! the workers — on that path prompt construction for task `i+1` overlaps
-//! the model call for task `i`, and arbitrarily large task streams run in
-//! bounded memory instead of materializing whole rounds up front.
+//! The policy is read at three points in this file — the attempt
+//! allowance and stop-on-first-error in the pump, and
+//! salvage-before-admission in prepare — plus [`Settle`], the per-item
+//! helper operators hand their parse results to.
+//!
+//! [`Engine::run`], [`Engine::run_sampled`], [`Engine::run_many`] and
+//! [`Engine::run_sampled_many`] are always strict (callers pattern-match on
+//! their `Err`); [`Engine::run_outcome`] obeys the engine's policy.
 //!
 //! # Packed dispatch
 //!
-//! [`Engine::run_packed`] is the multi-item prompt path: point-wise tasks
+//! [`RunSpec::packed`] is the multi-item prompt path: point-wise tasks
 //! sharing one instruction are packed `width` to a prompt
-//! ([`TaskDescriptor::Packed`]), cutting the call count to ⌈n/width⌉ and
-//! amortizing the shared instruction prefix across items. Packs ride the
-//! same pipelined dispatcher; unparseable multi-answer responses are
-//! bisected and retried down to bare singletons, so packed execution
-//! degrades item-by-item into exactly the per-item path in the worst case.
+//! ([`TaskDescriptor::Packed`]), cutting the call count to ⌈n/width⌉. A pack
+//! whose prompt overflows the context window is split before dispatch; a
+//! pack whose response cannot be parsed into one answer per item — or, when
+//! the policy degrades, that fails outright — is bisected and retried, one
+//! pumped round per level, down to bare singletons that carry the same
+//! fingerprint the per-item path issues.
 //!
-//! # Failure policy, deadlines, and the run journal
+//! # Deadlines and the run journal
 //!
-//! By default the engine **fails fast**: the batch paths above stop on the
-//! first hard error, exactly as they always have. Three builder knobs add
-//! partial-execution semantics on top without touching that default:
-//!
-//! * [`Engine::with_failure_policy`] — under
-//!   [`FailurePolicy::Degrade`], the `*_outcome` entry points
-//!   ([`Engine::run_many_outcome`], [`Engine::run_sampled_many_outcome`],
-//!   [`Engine::run_packed_outcome`]) run every item to completion or
-//!   **quarantine**: an item whose error is non-retryable, or that stays
-//!   broken across the policy's per-item attempt allowance, is set aside
-//!   with its full error chain while the rest of the batch proceeds. One
-//!   poison task can no longer void a thousand healthy answers.
 //! * [`Engine::with_deadline_ms`] — a wall-clock allowance per run entry,
 //!   threaded onto every [`CompletionRequest`] so the client and router
-//!   clip retry backoff and hedge waits against it; in degrade mode,
-//!   work that has not been dispatched when the deadline passes is
-//!   quarantined as [`EngineError::DeadlineExceeded`] instead of started.
+//!   clip retry backoff and hedge waits against it; under
+//!   [`FailurePolicy::Degrade`], work not yet dispatched when the deadline
+//!   passes is quarantined as [`EngineError::DeadlineExceeded`].
 //! * [`Engine::with_journal`] / [`Engine::resume`] — an append-only
 //!   [`RunJournal`] records every paid completion; a resumed engine
 //!   replays journaled completions (charging budget and ledger exactly as
 //!   the original calls did) and re-dispatches only the gap.
-
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -89,6 +83,7 @@ use crate::budget::{Budget, BudgetTracker};
 use crate::corpus::Corpus;
 use crate::error::EngineError;
 use crate::journal::RunJournal;
+use crate::outcome::CostMeter;
 use crate::template::{render, RenderOptions};
 use crate::trace::{Trace, TraceEvent};
 
@@ -204,8 +199,8 @@ pub struct Engine {
     /// request so the dispatch stack clips sleeps against it.
     deadline_ms: Option<u64>,
     journal: Option<Arc<RunJournal>>,
-    /// Degraded-run notes operators leave for the plan layer (drained by
-    /// [`Engine::take_salvage`] after each plan node executes).
+    /// Degraded-run notes [`Settle::finish`] leaves for the plan layer
+    /// (drained by [`Engine::take_salvage`] after each plan node executes).
     salvage: Mutex<Vec<OpSalvage>>,
 }
 
@@ -315,11 +310,11 @@ impl Engine {
         self
     }
 
-    /// Set the failure policy (builder style). The default,
-    /// [`FailurePolicy::FailFast`], keeps the classic stop-on-first-error
-    /// batch semantics; [`FailurePolicy::Degrade`] makes the operators use
-    /// the `*_outcome` entry points, salvaging every completable item and
-    /// quarantining the rest.
+    /// Set the failure policy (builder style) that [`Engine::run_outcome`]
+    /// and, through [`Engine::settle`], the point-wise operators obey. The
+    /// default, [`FailurePolicy::FailFast`], stops a batch on its first
+    /// hard error; [`FailurePolicy::Degrade`] salvages every completable
+    /// item and quarantines the rest.
     #[must_use]
     pub fn with_failure_policy(mut self, policy: FailurePolicy) -> Self {
         self.failure_policy = policy;
@@ -414,18 +409,6 @@ impl Engine {
         self.journal.as_ref()
     }
 
-    /// Whether operators should take their degraded (salvaging) paths.
-    pub fn degrades(&self) -> bool {
-        !matches!(self.failure_policy, FailurePolicy::FailFast)
-    }
-
-    /// Leave a degraded-run note for the plan layer. Operators call this
-    /// when a [`FailurePolicy::Degrade`] run quarantined items, so step
-    /// reports and EXPLAIN output can attribute the loss.
-    pub fn note_salvage(&self, note: OpSalvage) {
-        self.salvage.lock().push(note);
-    }
-
     /// Drain the degraded-run notes accumulated since the last call. The
     /// plan executor drains after each node; direct engine users may
     /// inspect the notes themselves.
@@ -437,15 +420,6 @@ impl Engine {
     pub(crate) fn run_deadline(&self) -> Option<Instant> {
         self.deadline_ms
             .map(|ms| Instant::now() + Duration::from_millis(ms)) // lint: allow(clock) — run deadline anchor
-    }
-
-    /// Per-item dispatch attempts the engine makes in degrade mode before
-    /// quarantining (each attempt still carries the client's own retries).
-    fn degrade_attempts(&self) -> u32 {
-        match self.failure_policy {
-            FailurePolicy::FailFast => 1,
-            FailurePolicy::Degrade { max_attempts } => max_attempts.max(1),
-        }
     }
 
     /// Dollar cost of a usage under the engine's *reference* model pricing
@@ -542,17 +516,103 @@ impl Engine {
         Ok(())
     }
 
-    fn build_request(&self, task: TaskDescriptor) -> Result<CompletionRequest, EngineError> {
-        let (request, est_usd, est_tokens) = self.render_and_estimate(task)?;
-        // Budget admission on the estimate; actuals recorded after the call.
-        self.admit_estimate(est_usd, est_tokens)?;
-        Ok(request)
+    /// Execute one unit task at the engine's temperature (sample 0).
+    pub fn run(&self, task: TaskDescriptor) -> Result<CompletionResponse, EngineError> {
+        self.run_sampled(task, self.temperature, 0)
     }
 
-    /// Execute one unit task.
-    pub fn run(&self, task: TaskDescriptor) -> Result<CompletionResponse, EngineError> {
-        let gate = self.gate();
-        self.execute_one(task, self.run_deadline(), gate.as_deref())
+    /// Execute one unit task at an explicit sample index and temperature
+    /// (used by self-consistency voting).
+    pub fn run_sampled(
+        &self,
+        task: TaskDescriptor,
+        temperature: f64,
+        sample_index: u32,
+    ) -> Result<CompletionResponse, EngineError> {
+        let mut responses = self.run_sampled_many(vec![(task, temperature, sample_index)])?;
+        Ok(responses.pop().expect("one response per call")) // lint: allow(no-unwrap)
+    }
+
+    /// Execute a batch of unit tasks through the pipelined dispatcher,
+    /// preserving order. Always strict: the first hard error fails the
+    /// batch (transient errors are already retried inside the client), and
+    /// the whole batch is admitted against the budget *cumulatively* before
+    /// any call — the i-th task must fit after the estimated spend of tasks
+    /// 0..i, so a batch that would blow through the budget is refused whole.
+    pub fn run_many(
+        &self,
+        tasks: Vec<TaskDescriptor>,
+    ) -> Result<Vec<CompletionResponse>, EngineError> {
+        let calls = tasks
+            .into_iter()
+            .map(|task| (task, self.temperature, 0))
+            .collect();
+        self.dispatch_strict(calls, Admit::Batch)
+    }
+
+    /// Execute a batch of `(task, temperature, sample_index)` calls through
+    /// the pipelined dispatcher, preserving order; the batched form of
+    /// [`Engine::run_sampled`], and always strict like [`Engine::run_many`].
+    /// Voting strategies (self-consistency, cascades) stream their whole
+    /// vote fan-out through one dispatch. Budget admission is per call at
+    /// execution time — each vote admitted against *actual* spend so far —
+    /// not `run_many`'s stricter cumulative pre-admission.
+    pub fn run_sampled_many(
+        &self,
+        specs: Vec<(TaskDescriptor, f64, u32)>,
+    ) -> Result<Vec<CompletionResponse>, EngineError> {
+        self.dispatch_strict(specs, Admit::PerCall)
+    }
+
+    /// Execute `spec` under the engine's [`FailurePolicy`] and normalize to
+    /// a [`BatchOutcome`]: per-item answers in input order, the responses to
+    /// meter, and the quarantined remainder.
+    ///
+    /// Under [`FailurePolicy::FailFast`] the first hard error (lowest input
+    /// index among the failures observed) is returned as `Err`, with the
+    /// admission timing of the strict entry points: whole-batch cumulative
+    /// pre-admission for [`RunSpec::tasks`], per call at execution for
+    /// sampled and packed specs. Under [`FailurePolicy::Degrade`] every item
+    /// runs to completion or quarantine and `Err` is reserved for the caller
+    /// bug of packing incompatible tasks; cache and journal hits are
+    /// salvaged even after the budget or the deadline is exhausted, since
+    /// they cost nothing to serve.
+    pub fn run_outcome(&self, spec: RunSpec) -> Result<BatchOutcome, EngineError> {
+        let policy = self.failure_policy;
+        let (tasks, width, sampling) = match spec {
+            RunSpec::Many { tasks } => (tasks, 1, None),
+            RunSpec::Packed {
+                tasks,
+                width,
+                sampling,
+            } => (tasks, width, sampling),
+            RunSpec::Sampled { specs } => return self.run_items(specs, Admit::PerCall, policy),
+        };
+        let (temperature, sample_index) = sampling.unwrap_or((self.temperature, 0));
+        if width > 1 {
+            return self.run_packs(&tasks, width, temperature, sample_index, policy);
+        }
+        // Packed at width <= 1 *is* the per-item path (and per-item tasks
+        // need not be packable).
+        let admit = match sampling {
+            None => Admit::Batch,
+            Some(_) => Admit::PerCall,
+        };
+        let calls = tasks
+            .into_iter()
+            .map(|task| (task, temperature, sample_index))
+            .collect();
+        self.run_items(calls, admit, policy)
+    }
+
+    /// Begin settling one operator run's per-item parse results under the
+    /// engine's failure policy (see [`Settle`]).
+    pub fn settle(&self, op: &'static str) -> Settle<'_> {
+        Settle {
+            engine: self,
+            op,
+            lost: (self.failure_policy != FailurePolicy::FailFast).then(BTreeMap::new),
+        }
     }
 
     /// Record actual spend for a response; cache hits and coalesced joins
@@ -581,583 +641,302 @@ impl Engine {
         }
     }
 
-    /// Execute one unit task at an explicit sample index and temperature
-    /// (used by self-consistency voting).
-    pub fn run_sampled(
+    /// The strict entry points' shared tail: prepare, pump under
+    /// [`FailurePolicy::FailFast`], unwrap the (then all-`Ok`) items.
+    fn dispatch_strict(
         &self,
-        task: TaskDescriptor,
-        temperature: f64,
-        sample_index: u32,
-    ) -> Result<CompletionResponse, EngineError> {
-        let mut request = self.build_request(task)?;
-        request.temperature = temperature;
-        request.sample_index = sample_index;
-        request.deadline = self.run_deadline();
-        let gate = self.gate();
-        self.execute_request(&request, gate.as_deref())
+        calls: Vec<Call>,
+        admit: Admit,
+    ) -> Result<Vec<CompletionResponse>, EngineError> {
+        let policy = FailurePolicy::FailFast;
+        let work = self.prepare(calls, admit, self.run_deadline(), policy);
+        self.pump(work, policy)?
+            .into_iter()
+            .map(|item| item.map_err(|errors| condemning(&errors)))
+            .collect()
     }
 
-    /// Execute a batch of unit tasks through the pipelined dispatcher,
-    /// preserving order. Fails fast on the first hard error (transient
-    /// errors are already retried inside the client).
-    pub fn run_many(
+    /// One call per item: prepare, pump, normalize.
+    fn run_items(
         &self,
-        tasks: Vec<TaskDescriptor>,
-    ) -> Result<Vec<CompletionResponse>, EngineError> {
-        // Admit the whole batch against the budget *cumulatively*: the i-th
-        // task must fit after the estimated spend of tasks 0..i, so a batch
-        // cannot be fully admitted against a budget it would blow through.
-        let deadline = self.run_deadline();
-        let mut requests = Vec::with_capacity(tasks.len());
-        let (mut pending_usd, mut pending_tokens) = (0.0f64, 0u64);
-        for task in tasks {
-            let (mut request, est_usd, est_tokens) = self.render_and_estimate(task)?;
-            request.deadline = deadline;
-            let admit_usd = self.admission_usd(est_usd);
-            if !self
-                .budget
-                .admit(pending_usd + admit_usd, pending_tokens + est_tokens)
-            {
-                return Err(EngineError::BudgetExceeded {
-                    needed_usd: admit_usd,
-                    remaining_usd: self.budget.remaining_usd(),
-                });
+        calls: Vec<Call>,
+        admit: Admit,
+        policy: FailurePolicy,
+    ) -> Result<BatchOutcome, EngineError> {
+        let work = self.prepare(calls, admit, self.run_deadline(), policy);
+        let mut outcome = BatchOutcome::default();
+        for (index, item) in self.pump(work, policy)?.into_iter().enumerate() {
+            match item {
+                Ok(response) => {
+                    outcome.answers.push(Ok(response.text.clone()));
+                    outcome.responses.push(response);
+                }
+                Err(errors) => {
+                    outcome.answers.push(Err(condemning(&errors)));
+                    outcome.quarantined.push(Quarantine { index, errors });
+                }
             }
-            pending_usd += admit_usd;
-            pending_tokens += est_tokens;
-            requests.push(request);
         }
-        self.dispatch(requests)
+        Ok(outcome)
     }
 
-    /// Execute a batch of `(task, temperature, sample_index)` specs through
-    /// the pipelined dispatcher, preserving order.
-    ///
-    /// This is the batched form of [`Engine::run_sampled`]: voting
-    /// strategies (self-consistency, cascades, filter escalation) build
-    /// their whole vote fan-out and stream it through one dispatch instead
-    /// of looping sequential calls.
-    pub fn run_sampled_many(
+    /// The one pack → context-split → bisect loop. Each level is one pumped
+    /// round, so bisection costs O(log width) rounds, not O(n) sequential
+    /// calls. Render errors, dispatch failures and unparseable responses
+    /// all narrow the same way — a pack splits in half, an irreducible
+    /// single is quarantined — so every healthy item packed next to a broken
+    /// one still completes; a fail-fast pump returns its first error before
+    /// any of that is reached.
+    fn run_packs(
         &self,
-        specs: Vec<(TaskDescriptor, f64, u32)>,
-    ) -> Result<Vec<CompletionResponse>, EngineError> {
-        // Budget admission is per call at execution time — the same
-        // semantics as the sequential `run_sampled` loops this batches up
-        // (each vote admitted against *actual* spend so far, cache hits
-        // free), not `run_many`'s stricter cumulative pre-admission.
-        let deadline = self.run_deadline();
-        let mut work = Vec::with_capacity(specs.len());
-        for (index, (task, temperature, sample_index)) in specs.into_iter().enumerate() {
-            let (mut request, est_usd, est_tokens) = self.render_and_estimate(task)?;
-            request.temperature = temperature;
-            request.sample_index = sample_index;
-            request.deadline = deadline;
-            work.push((
-                index,
-                Work::AdmitRequest {
-                    request,
-                    est_usd,
-                    est_tokens,
-                },
-            ));
-        }
-        self.pump(work.into_iter())
-    }
-
-    /// Execute point-wise tasks as packed multi-item prompts at the engine's
-    /// temperature (sample 0): [`Engine::run_packed_sampled`] with defaults.
-    pub fn run_packed(
-        &self,
-        tasks: Vec<TaskDescriptor>,
-        width: usize,
-    ) -> Result<PackedRun, EngineError> {
-        self.run_packed_sampled(tasks, width, self.temperature, 0)
-    }
-
-    /// Execute point-wise tasks as packed multi-item prompts: chunk the
-    /// batch into packs of up to `width` tasks, dispatch the packs through
-    /// the pipelined dispatcher, and parse each numbered multi-answer
-    /// response back into per-task answers.
-    ///
-    /// All tasks must be [`TaskDescriptor::packable`] and mutually
-    /// [`TaskDescriptor::pack_compatible`] (one shared instruction per
-    /// batch). Robustness guarantees:
-    ///
-    /// * **Context fitting** — a pack whose rendered prompt exceeds the
-    ///   model's context window is split *before* dispatch (no wasted call).
-    /// * **Parse-failure bisection** — a pack whose response cannot be
-    ///   parsed into exactly one answer per item (dropped or duplicated
-    ///   lines) is split in half and both halves are retried, recursively
-    ///   down to singletons. A singleton is dispatched as the *bare*
-    ///   sub-task — the same request fingerprint the per-item path issues —
-    ///   so in the worst case packed execution degrades, item by item, into
-    ///   exactly the per-item path (shared cache entries included).
-    ///
-    /// Each retry level is dispatched as one pipelined round, so bisection
-    /// costs O(log width) rounds, not O(n) sequential calls. Budget
-    /// admission is per call at execution time (retries cannot be known up
-    /// front), matching [`Engine::run_sampled_many`].
-    pub fn run_packed_sampled(
-        &self,
-        tasks: Vec<TaskDescriptor>,
+        tasks: &[TaskDescriptor],
         width: usize,
         temperature: f64,
         sample_index: u32,
-    ) -> Result<PackedRun, EngineError> {
-        let n = tasks.len();
-        if n == 0 {
-            return Ok(PackedRun {
-                answers: Vec::new(),
-                responses: Vec::new(),
-            });
-        }
+        policy: FailurePolicy,
+    ) -> Result<BatchOutcome, EngineError> {
         if let Some(first) = tasks.first() {
             if tasks
                 .iter()
                 .any(|t| !t.packable() || !first.pack_compatible(t))
             {
                 return Err(EngineError::InvalidInput(
-                    "run_packed requires point-wise tasks sharing one instruction \
+                    "packed dispatch requires point-wise tasks sharing one instruction \
                      (same predicate / label set / attribute)"
                         .into(),
                 ));
             }
         }
-        let width = width.max(1);
-        let deadline = self.run_deadline();
-        let mut answers: Vec<Option<String>> = vec![None; n];
-        let mut responses: Vec<CompletionResponse> = Vec::new();
-        // Pending chunks as (start index in `tasks`, sub-task run).
-        let mut pending: Vec<(usize, Vec<TaskDescriptor>)> = Vec::new();
-        for (chunk_index, chunk) in tasks.chunks(width).enumerate() {
-            pending.push((chunk_index * width, chunk.to_vec()));
+        fn bisect(pack: &Range<usize>, next: &mut Vec<Range<usize>>) {
+            let mid = pack.start + pack.len() / 2;
+            next.push(pack.start..mid);
+            next.push(mid..pack.end);
         }
+        let n = tasks.len();
+        let deadline = self.run_deadline();
+        let window = self.client.model().context_window();
+        let mut answers: Vec<Option<Result<String, EngineError>>> = vec![None; n];
+        let mut outcome = BatchOutcome::default();
+        // Pending packs, as index ranges into `tasks`.
+        let mut pending: Vec<Range<usize>> = (0..n)
+            .step_by(width)
+            .map(|start| start..(start + width).min(n))
+            .collect();
         while !pending.is_empty() {
-            // Build this round's requests, splitting oversize packs without
-            // dispatching them.
-            let mut meta: Vec<(usize, Vec<TaskDescriptor>)> = Vec::new();
-            let mut work: Vec<(usize, Work)> = Vec::new();
-            let mut next: Vec<(usize, Vec<TaskDescriptor>)> = Vec::new();
-            for (start, chunk) in pending {
-                let len = chunk.len();
-                let task = if len == 1 {
-                    chunk[0].clone()
+            let calls = pending
+                .iter()
+                .map(|pack| {
+                    let task = match &tasks[pack.clone()] {
+                        [single] => single.clone(),
+                        many => TaskDescriptor::Packed {
+                            tasks: many.to_vec(),
+                        },
+                    };
+                    (task, temperature, sample_index)
+                })
+                .collect();
+            let prepared = self.prepare(calls, Admit::PerCall, deadline, policy);
+            let mut next: Vec<Range<usize>> = Vec::new();
+            let mut round: Vec<Range<usize>> = Vec::new();
+            let mut work = Vec::new();
+            for (pack, prepared) in pending.into_iter().zip(prepared) {
+                // Context fitting: a pack whose rendered prompt overflows
+                // the window splits without wasting a call on it.
+                let oversize = pack.len() > 1
+                    && prepared
+                        .as_ref()
+                        .is_ok_and(|w| count_tokens(&w.request.prompt) > window);
+                if oversize {
+                    bisect(&pack, &mut next);
                 } else {
-                    TaskDescriptor::Packed {
-                        tasks: chunk.clone(),
-                    }
-                };
-                let (mut request, est_usd, est_tokens) = self.render_and_estimate(task)?;
-                if len > 1 && count_tokens(&request.prompt) > self.client.model().context_window() {
-                    let mid = len / 2;
-                    next.push((start, chunk[..mid].to_vec()));
-                    next.push((start + mid, chunk[mid..].to_vec()));
-                    continue;
+                    round.push(pack);
+                    work.push(prepared);
                 }
+            }
+            for (pack, item) in round.into_iter().zip(self.pump(work, policy)?) {
+                match item {
+                    Ok(response) => {
+                        if pack.len() == 1 {
+                            answers[pack.start] = Some(Ok(response.text.clone()));
+                        } else {
+                            match crate::extract::packed_answers(&response.text, pack.len()) {
+                                Ok(lines) => {
+                                    for (slot, line) in answers[pack.clone()].iter_mut().zip(lines)
+                                    {
+                                        *slot = Some(Ok(line));
+                                    }
+                                }
+                                Err(_) => bisect(&pack, &mut next),
+                            }
+                        }
+                        outcome.responses.push(response);
+                    }
+                    Err(_) if pack.len() > 1 => bisect(&pack, &mut next),
+                    Err(errors) => {
+                        answers[pack.start] = Some(Err(condemning(&errors)));
+                        outcome.quarantined.push(Quarantine {
+                            index: pack.start,
+                            errors,
+                        });
+                    }
+                }
+            }
+            pending = next;
+        }
+        outcome.quarantined.sort_by_key(|q| q.index);
+        outcome.answers = answers
+            .into_iter()
+            .map(|a| a.expect("every slot answered, bisected, or quarantined")) // lint: allow(no-unwrap)
+            .collect();
+        Ok(outcome)
+    }
+
+    /// Render each call once into dispatcher work and stamp it with how it
+    /// is admitted against the budget. A call that does not render, or that
+    /// the cumulative batch check refuses, becomes a pre-failed item.
+    fn prepare(
+        &self,
+        calls: Vec<Call>,
+        admit: Admit,
+        deadline: Option<Instant>,
+        policy: FailurePolicy,
+    ) -> Vec<Result<Work, EngineError>> {
+        // Policy point: a degrading run serves free local hits *before* it
+        // asks for budget or checks the deadline, so its admission moves
+        // behind the probe, whatever the spec's strict timing would be.
+        let mode = match policy {
+            FailurePolicy::FailFast => admit,
+            FailurePolicy::Degrade { .. } => Admit::AfterSalvage,
+        };
+        let (mut pending_usd, mut pending_tokens) = (0.0f64, 0u64);
+        calls
+            .into_iter()
+            .map(|(task, temperature, sample_index)| {
+                let (mut request, est_usd, est_tokens) = self.render_and_estimate(task)?;
                 request.temperature = temperature;
                 request.sample_index = sample_index;
                 request.deadline = deadline;
-                work.push((
-                    meta.len(),
-                    Work::AdmitRequest {
-                        request,
+                if mode == Admit::Batch {
+                    let admit_usd = self.admission_usd(est_usd);
+                    if !self
+                        .budget
+                        .admit(pending_usd + admit_usd, pending_tokens + est_tokens)
+                    {
+                        return Err(EngineError::BudgetExceeded {
+                            needed_usd: admit_usd,
+                            remaining_usd: self.budget.remaining_usd(),
+                        });
+                    }
+                    pending_usd += admit_usd;
+                    pending_tokens += est_tokens;
+                }
+                Ok(Work {
+                    request,
+                    admission: Admission {
+                        mode,
                         est_usd,
                         est_tokens,
                     },
-                ));
-                meta.push((start, chunk));
-            }
-            // One pipelined round over every surviving pack.
-            let round_responses = self.pump(work.into_iter())?;
-            for ((start, chunk), response) in meta.into_iter().zip(round_responses) {
-                let len = chunk.len();
-                if len == 1 {
-                    answers[start] = Some(response.text.clone());
-                } else {
-                    match crate::extract::packed_answers(&response.text, len) {
-                        Ok(lines) => {
-                            for (k, line) in lines.into_iter().enumerate() {
-                                answers[start + k] = Some(line);
-                            }
-                        }
-                        Err(_) => {
-                            // Unparseable multi-answer response: bisect and
-                            // retry both halves next round.
-                            let mid = len / 2;
-                            next.push((start, chunk[..mid].to_vec()));
-                            next.push((start + mid, chunk[mid..].to_vec()));
-                        }
-                    }
-                }
-                responses.push(response);
-            }
-            pending = next;
-        }
-        Ok(PackedRun {
-            answers: answers
-                .into_iter()
-                .map(|a| a.expect("every slot answered or bisected to a singleton")) // lint: allow(no-unwrap)
-                .collect(),
-            responses,
-        })
-    }
-
-    /// Stream unit tasks through the pipelined dispatcher without
-    /// materializing them first, preserving input order in the output.
-    ///
-    /// Unlike [`Engine::run_many`], tasks are rendered and budget-admitted
-    /// *inside the worker pool* as they are pulled from the iterator, so
-    /// arbitrarily large task streams run in bounded memory and rendering
-    /// overlaps model calls. The trade-off is admission granularity: the
-    /// budget is checked per task at execution time, so earlier tasks may
-    /// already have spent budget when a later task is refused.
-    pub fn run_stream<I>(&self, tasks: I) -> Result<Vec<CompletionResponse>, EngineError>
-    where
-        I: IntoIterator<Item = TaskDescriptor>,
-        I::IntoIter: Send,
-    {
-        let deadline = self.run_deadline();
-        self.pump(
-            tasks
-                .into_iter()
-                .enumerate()
-                .map(move |(index, task)| (index, Work::Task(task, deadline))),
-        )
-    }
-
-    /// Execute a batch in degrade mode: every item runs to completion or
-    /// quarantine, and the batch as a whole never fails. See
-    /// [`FailurePolicy::Degrade`] for the retry/quarantine rules; cache
-    /// and journal hits are salvaged even after the budget or the
-    /// deadline is exhausted, since they cost nothing to serve.
-    pub fn run_many_outcome(&self, tasks: Vec<TaskDescriptor>) -> RunOutcome {
-        let specs = tasks
-            .into_iter()
-            .map(|task| (task, self.temperature, 0))
-            .collect();
-        self.run_sampled_many_outcome(specs)
-    }
-
-    /// Degrade-mode form of [`Engine::run_sampled_many`]: one
-    /// `(task, temperature, sample_index)` spec per item, every item
-    /// salvaged or quarantined independently.
-    pub fn run_sampled_many_outcome(&self, specs: Vec<(TaskDescriptor, f64, u32)>) -> RunOutcome {
-        let deadline = self.run_deadline();
-        let raw = self.outcome_round(specs, deadline, self.degrade_attempts());
-        RunOutcome::from_raw(raw)
-    }
-
-    /// Degrade-mode form of [`Engine::run_packed`]: packs that fail hard
-    /// are bisected exactly like unparseable packs — transport errors and
-    /// poison items alike narrow down to singletons, and only the
-    /// irreducible singles are quarantined, so every healthy item packed
-    /// next to a broken one still completes. `Err` is reserved for the
-    /// caller bug of packing incompatible tasks.
-    pub fn run_packed_outcome(
-        &self,
-        tasks: Vec<TaskDescriptor>,
-        width: usize,
-    ) -> Result<PackedOutcome, EngineError> {
-        let n = tasks.len();
-        if n == 0 {
-            return Ok(PackedOutcome::default());
-        }
-        if let Some(first) = tasks.first() {
-            if tasks
-                .iter()
-                .any(|t| !t.packable() || !first.pack_compatible(t))
-            {
-                return Err(EngineError::InvalidInput(
-                    "run_packed requires point-wise tasks sharing one instruction \
-                     (same predicate / label set / attribute)"
-                        .into(),
-                ));
-            }
-        }
-        let width = width.max(1);
-        let deadline = self.run_deadline();
-        let max_attempts = self.degrade_attempts();
-        let mut answers: Vec<Option<Result<String, EngineError>>> = vec![None; n];
-        let mut responses: Vec<CompletionResponse> = Vec::new();
-        let mut quarantined: Vec<Quarantine> = Vec::new();
-        let mut pending: Vec<(usize, Vec<TaskDescriptor>)> = Vec::new();
-        for (chunk_index, chunk) in tasks.chunks(width).enumerate() {
-            pending.push((chunk_index * width, chunk.to_vec()));
-        }
-        while !pending.is_empty() {
-            let mut meta: Vec<(usize, Vec<TaskDescriptor>)> = Vec::new();
-            let mut round: Vec<(TaskDescriptor, f64, u32)> = Vec::new();
-            let mut next: Vec<(usize, Vec<TaskDescriptor>)> = Vec::new();
-            for (start, chunk) in pending {
-                let len = chunk.len();
-                let task = if len == 1 {
-                    chunk[0].clone()
-                } else {
-                    TaskDescriptor::Packed {
-                        tasks: chunk.clone(),
-                    }
-                };
-                // Split oversize packs before dispatch, as the fail-fast
-                // packed path does; render errors follow the same degrade
-                // rule as dispatch errors (bisect packs, quarantine singles).
-                match self.render_and_estimate(task.clone()) {
-                    Ok((request, _, _))
-                        if len > 1
-                            && count_tokens(&request.prompt)
-                                > self.client.model().context_window() =>
-                    {
-                        let mid = len / 2;
-                        next.push((start, chunk[..mid].to_vec()));
-                        next.push((start + mid, chunk[mid..].to_vec()));
-                        continue;
-                    }
-                    Ok(_) => {}
-                    Err(e) => {
-                        if len > 1 {
-                            let mid = len / 2;
-                            next.push((start, chunk[..mid].to_vec()));
-                            next.push((start + mid, chunk[mid..].to_vec()));
-                        } else {
-                            answers[start] = Some(Err(e.clone()));
-                            quarantined.push(Quarantine {
-                                index: start,
-                                errors: vec![e],
-                            });
-                        }
-                        continue;
-                    }
-                }
-                round.push((task, self.temperature, 0));
-                meta.push((start, chunk));
-            }
-            let results = self.outcome_round(round, deadline, max_attempts);
-            for ((start, chunk), result) in meta.into_iter().zip(results) {
-                let len = chunk.len();
-                match result {
-                    Ok(response) => {
-                        if len == 1 {
-                            answers[start] = Some(Ok(response.text.clone()));
-                        } else {
-                            match crate::extract::packed_answers(&response.text, len) {
-                                Ok(lines) => {
-                                    for (k, line) in lines.into_iter().enumerate() {
-                                        answers[start + k] = Some(Ok(line));
-                                    }
-                                }
-                                Err(_) => {
-                                    let mid = len / 2;
-                                    next.push((start, chunk[..mid].to_vec()));
-                                    next.push((start + mid, chunk[mid..].to_vec()));
-                                }
-                            }
-                        }
-                        responses.push(response);
-                    }
-                    Err(errors) => {
-                        if len > 1 {
-                            // A pack-level failure may be transport-wide or
-                            // one poison item; bisecting isolates it so the
-                            // healthy half still completes.
-                            let mid = len / 2;
-                            next.push((start, chunk[..mid].to_vec()));
-                            next.push((start + mid, chunk[mid..].to_vec()));
-                        } else {
-                            let last = errors.last().cloned().expect("non-empty error chain"); // lint: allow(no-unwrap)
-                            answers[start] = Some(Err(last));
-                            quarantined.push(Quarantine {
-                                index: start,
-                                errors,
-                            });
-                        }
-                    }
-                }
-            }
-            pending = next;
-        }
-        quarantined.sort_by_key(|q| q.index);
-        Ok(PackedOutcome {
-            answers: answers
-                .into_iter()
-                .map(|a| a.expect("every slot answered, bisected, or quarantined")) // lint: allow(no-unwrap)
-                .collect(),
-            responses,
-            quarantined,
-        })
-    }
-
-    /// The unified degrade-mode batch entry point: execute `spec` and
-    /// normalize to a [`BatchOutcome`] — per-item answer strings in input
-    /// order, the responses to meter, and the quarantined remainder.
-    ///
-    /// This collapses the three historical entry points —
-    /// [`Engine::run_many_outcome`], [`Engine::run_sampled_many_outcome`],
-    /// and [`Engine::run_packed_outcome`] — behind one spec-driven call,
-    /// so operators no longer branch on pack width and sampling at every
-    /// call site. The named entry points remain supported and share the
-    /// same execution machinery; `run_outcome` is result-identical to
-    /// calling them directly.
-    ///
-    /// `Err` is reserved for the caller bug of packing incompatible tasks
-    /// (exactly as [`Engine::run_packed_outcome`]); per-item failures are
-    /// quarantined inside the outcome, never surfaced as `Err`.
-    pub fn run_outcome(&self, spec: RunSpec) -> Result<BatchOutcome, EngineError> {
-        match spec {
-            RunSpec::Many { tasks } => Ok(BatchOutcome::from_run(self.run_many_outcome(tasks))),
-            RunSpec::Sampled { specs } => {
-                Ok(BatchOutcome::from_run(self.run_sampled_many_outcome(specs)))
-            }
-            // Packed at width <= 1 *is* the per-item path (and per-item
-            // tasks need not be packable), so route it there directly.
-            RunSpec::Packed { tasks, width } if width <= 1 => {
-                Ok(BatchOutcome::from_run(self.run_many_outcome(tasks)))
-            }
-            RunSpec::Packed { tasks, width } => Ok(BatchOutcome::from_packed(
-                self.run_packed_outcome(tasks, width)?,
-            )),
-        }
-    }
-
-    /// One degrade-mode round: run every spec to success or an exhausted
-    /// error chain, in input order, sharing the worker pool and gate.
-    fn outcome_round(
-        &self,
-        specs: Vec<(TaskDescriptor, f64, u32)>,
-        deadline: Option<Instant>,
-        max_attempts: u32,
-    ) -> Vec<Result<CompletionResponse, Vec<EngineError>>> {
-        let n = specs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let gate = self.gate();
-        let workers = self.parallelism.clamp(1, n);
-        if workers == 1 {
-            return specs
-                .into_iter()
-                .map(|(task, temperature, sample_index)| {
-                    self.degrade_execute(
-                        task,
-                        temperature,
-                        sample_index,
-                        deadline,
-                        max_attempts,
-                        gate.as_deref(),
-                    )
                 })
-                .collect();
+            })
+            .collect()
+    }
+
+    /// The one worker pool: pull adaptive claims from the shared feed, run
+    /// each item through [`Engine::execute`], and return per-item results in
+    /// input order. `Err` — the failure with the lowest input index among
+    /// those observed — only when the policy stops on the first error; then
+    /// a pre-failed item fails the batch before anything is dispatched.
+    fn pump(
+        &self,
+        items: Vec<Result<Work, EngineError>>,
+        policy: FailurePolicy,
+    ) -> Result<Vec<ItemResult>, EngineError> {
+        // Policy points: how often one item is attempted, and whether one
+        // item's failure ends the batch.
+        let (attempts, stop_on_error) = match policy {
+            FailurePolicy::FailFast => (1, true),
+            FailurePolicy::Degrade { max_attempts } => (max_attempts.max(1), false),
+        };
+        if stop_on_error {
+            if let Some(e) = items.iter().find_map(|item| item.as_ref().err()) {
+                return Err(e.clone());
+            }
         }
-        let next = AtomicUsize::new(0);
-        type Raw = Vec<(usize, Result<CompletionResponse, Vec<EngineError>>)>;
-        let collected: Mutex<Raw> = Mutex::new(Vec::with_capacity(n));
+        let n = items.len();
+        let gate = self.gate();
+        let run = |item: Result<Work, EngineError>| -> ItemResult {
+            let work = item.map_err(|e| vec![e])?;
+            self.execute(&work.request, work.admission, attempts, gate.as_deref())
+        };
+        // Never spawn more workers than items: a 1-item dispatch runs inline.
+        let workers = self.parallelism.clamp(1, n.max(1));
+        if workers == 1 {
+            let mut out = Vec::with_capacity(n);
+            for item in items {
+                let result = run(item);
+                if let (true, Err(errors)) = (stop_on_error, &result) {
+                    return Err(condemning(errors));
+                }
+                out.push(result);
+            }
+            return Ok(out);
+        }
+        let feed = Mutex::new(items.into_iter().enumerate());
+        let collected: Mutex<Vec<(usize, ItemResult)>> = Mutex::new(Vec::with_capacity(n));
+        let stop = AtomicBool::new(false);
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
+                scope.spawn(|| {
+                    let mut claim = self.pipeline.min_batch;
+                    let mut local = Vec::new();
+                    loop {
+                        if stop.load(Ordering::Relaxed) {
+                            break;
+                        }
+                        local.extend(feed.lock().by_ref().take(claim));
+                        if local.is_empty() {
+                            break;
+                        }
+                        let started = Instant::now(); // lint: allow(clock) — dispatch latency sample
+                        let mut completed = 0usize;
+                        for (index, item) in local.drain(..) {
+                            if stop.load(Ordering::Relaxed) {
+                                break;
+                            }
+                            let result = run(item);
+                            if stop_on_error && result.is_err() {
+                                stop.store(true, Ordering::Relaxed);
+                            } else {
+                                completed += 1;
+                            }
+                            collected.lock().push((index, result));
+                        }
+                        claim = self.adapt_claim(claim, started, completed);
                     }
-                    let (task, temperature, sample_index) = specs[i].clone();
-                    let result = self.degrade_execute(
-                        task,
-                        temperature,
-                        sample_index,
-                        deadline,
-                        max_attempts,
-                        gate.as_deref(),
-                    );
-                    collected.lock().push((i, result));
                 });
             }
         });
         let mut results = collected.into_inner();
-        results.sort_unstable_by_key(|(i, _)| *i);
-        results.into_iter().map(|(_, result)| result).collect()
+        results.sort_unstable_by_key(|(index, _)| *index);
+        if stop_on_error {
+            if let Some(errors) = results.iter().find_map(|(_, item)| item.as_ref().err()) {
+                return Err(condemning(errors));
+            }
+        }
+        Ok(results.into_iter().map(|(_, item)| item).collect())
     }
 
-    /// Worker body of the degrade-mode executor: render, serve locally if
-    /// possible, admit, then dispatch with up to `max_attempts` engine-level
-    /// attempts. Returns the response or the full error chain (one entry
-    /// per failed attempt) that exhausted the item.
-    fn degrade_execute(
-        &self,
-        task: TaskDescriptor,
-        temperature: f64,
-        sample_index: u32,
-        deadline: Option<Instant>,
-        max_attempts: u32,
-        gate: Option<&Semaphore>,
-    ) -> Result<CompletionResponse, Vec<EngineError>> {
-        /// Cap on the pause between engine-level attempts, so one poison
-        /// item honoring a long server hint cannot stall its worker.
-        const MAX_ATTEMPT_PAUSE_MS: u64 = 250;
-        /// Floor on that pause: a zero/absent hint (e.g. `CircuitOpen`
-        /// with an already-admissible probe whose half-open slot another
-        /// worker just claimed) must not let the loop spin through its
-        /// whole attempt allowance before the fault has wall-clock time
-        /// to clear.
-        const MIN_ATTEMPT_PAUSE_MS: u64 = 5;
-        let (mut request, est_usd, est_tokens) = match self.render_and_estimate(task) {
-            Ok(rendered) => rendered,
-            Err(e) => return Err(vec![e]),
-        };
-        request.temperature = temperature;
-        request.sample_index = sample_index;
-        request.deadline = deadline;
-        // A cache or journal hit costs nothing to serve: salvage it even
-        // when the budget or the deadline is already exhausted.
-        if let Some(local) = self.serve_local(&request) {
-            return Ok(local);
+    /// Next claim size given how the last claim went.
+    fn adapt_claim(&self, claim: usize, started: Instant, completed: usize) -> usize {
+        if completed == 0 {
+            return self.pipeline.min_batch;
         }
-        if let Err(e) = self.admit_estimate(est_usd, est_tokens) {
-            return Err(vec![e]);
-        }
-        let mut errors: Vec<EngineError> = Vec::new();
-        let mut attempt = 0u32;
-        loop {
-            if let Some(d) = deadline {
-                // lint: allow(clock) — deadline check between attempts
-                if Instant::now() >= d {
-                    errors.push(EngineError::DeadlineExceeded);
-                    return Err(errors);
-                }
-            }
-            match self.execute_request(&request, gate) {
-                Ok(response) => return Ok(response),
-                Err(e) => {
-                    let (retryable, hint) = match &e {
-                        EngineError::Llm(le) => (
-                            le.is_retryable()
-                                || matches!(
-                                    le,
-                                    LlmError::CircuitOpen { .. }
-                                        | LlmError::RetriesExhausted { .. }
-                                ),
-                            le.retry_hint_ms(),
-                        ),
-                        _ => (false, None),
-                    };
-                    errors.push(e);
-                    attempt += 1;
-                    if !retryable || attempt >= max_attempts {
-                        return Err(errors);
-                    }
-                    // Honor server/breaker hints between attempts, bounded
-                    // below by the spin floor and above by both the pause
-                    // cap and the remaining deadline.
-                    let mut wait = Duration::from_millis(
-                        hint.unwrap_or(MIN_ATTEMPT_PAUSE_MS)
-                            .clamp(MIN_ATTEMPT_PAUSE_MS, MAX_ATTEMPT_PAUSE_MS),
-                    );
-                    if let Some(d) = deadline {
-                        // lint: allow(clock) — remaining-deadline clamp
-                        wait = wait.min(d.saturating_duration_since(Instant::now()));
-                    }
-                    if !wait.is_zero() {
-                        parking_lot::blocking_region("engine retry pause");
-                        std::thread::sleep(wait);
-                    }
-                }
-            }
+        let per_task_us = started.elapsed().as_micros() as u64 / completed as u64;
+        if per_task_us < self.pipeline.fast_task_micros {
+            (claim * 2).min(self.pipeline.max_batch)
+        } else {
+            (claim / 2).max(self.pipeline.min_batch)
         }
     }
 
@@ -1167,35 +946,116 @@ impl Engine {
             .then(|| model_gate(self.client.model().name(), self.pipeline.model_concurrency))
     }
 
-    /// Complete a request through the optional per-model gate.
-    ///
-    /// Cached responses are served before a permit is taken, so only
-    /// completions that may reach the backend consume gate capacity.
-    /// (A coalesced joiner does hold a permit while it waits — it
-    /// represents a pending backend call.)
-    fn gated_complete(
+    /// Dispatch one pre-rendered request that its caller has already
+    /// admitted (the serving layer charges tenant ledgers per batch), with
+    /// a single attempt.
+    pub(crate) fn execute_request(
         &self,
         request: &CompletionRequest,
         gate: Option<&Semaphore>,
-    ) -> Result<CompletionResponse, crowdprompt_oracle::LlmError> {
-        match gate {
-            Some(gate) => {
-                if let Some(hit) = self.client.peek_cached(request) {
-                    return Ok(hit);
-                }
-                let _permit = gate.acquire();
-                self.client.complete(request)
+    ) -> Result<CompletionResponse, EngineError> {
+        let admitted = Admission {
+            mode: Admit::Batch,
+            est_usd: 0.0,
+            est_tokens: 0,
+        };
+        self.execute(request, admitted, 1, gate)
+            .map_err(|errors| condemning(&errors))
+    }
+
+    /// The one worker body: admit, probe local state once, then dispatch
+    /// with up to `attempts` engine-level attempts (each still carries the
+    /// client's own retries). Returns the response or the full error chain,
+    /// one entry per failed attempt, that exhausted the item.
+    fn execute(
+        &self,
+        request: &CompletionRequest,
+        admission: Admission,
+        attempts: u32,
+        gate: Option<&Semaphore>,
+    ) -> ItemResult {
+        /// Cap on the pause between engine-level attempts, so one poison
+        /// item honoring a long server hint cannot stall its worker.
+        const MAX_ATTEMPT_PAUSE_MS: u64 = 250;
+        /// Floor on that pause: a zero/absent hint (e.g. `CircuitOpen`
+        /// with an already-admissible probe whose half-open slot another
+        /// worker just claimed) must not let the loop spin through its
+        /// whole attempt allowance before the fault has wall-clock time
+        /// to clear.
+        const MIN_ATTEMPT_PAUSE_MS: u64 = 5;
+        let admit = || {
+            self.admit_estimate(admission.est_usd, admission.est_tokens)
+                .map_err(|e| vec![e])
+        };
+        if admission.mode == Admit::PerCall {
+            admit()?;
+        }
+        // A cache or journal hit costs nothing to serve, so a salvaging run
+        // takes it even when the budget or the deadline is already spent.
+        let salvage = admission.mode == Admit::AfterSalvage;
+        // Local state is probed once per request, and only when someone
+        // needs the answer before the client is called: the journal (its
+        // replays re-charge), the gate (hits must not take a permit), or
+        // salvage. Otherwise the client's own cache lookup is the probe.
+        if salvage || self.journal.is_some() || gate.is_some() {
+            if let Some(local) = self.serve_local(request) {
+                return Ok(local);
             }
-            None => self.client.complete(request),
+        }
+        if salvage {
+            admit()?;
+        }
+        let mut errors: Vec<EngineError> = Vec::new();
+        loop {
+            if let (true, Some(deadline)) = (salvage, request.deadline) {
+                // lint: allow(clock) — deadline check between attempts
+                if Instant::now() >= deadline {
+                    errors.push(EngineError::DeadlineExceeded);
+                    return Err(errors);
+                }
+            }
+            let e = match self.dispatch(request, gate) {
+                Ok(response) => return Ok(response),
+                Err(e) => e,
+            };
+            let (retryable, hint) = match &e {
+                EngineError::Llm(le) => (
+                    le.is_retryable()
+                        || matches!(
+                            le,
+                            LlmError::CircuitOpen { .. } | LlmError::RetriesExhausted { .. }
+                        ),
+                    le.retry_hint_ms(),
+                ),
+                _ => (false, None),
+            };
+            errors.push(e);
+            if !retryable || errors.len() >= attempts as usize {
+                return Err(errors);
+            }
+            // Honor server/breaker hints between attempts, bounded below
+            // by the spin floor and above by both the pause cap and the
+            // remaining deadline.
+            let mut wait = Duration::from_millis(
+                hint.unwrap_or(MIN_ATTEMPT_PAUSE_MS)
+                    .clamp(MIN_ATTEMPT_PAUSE_MS, MAX_ATTEMPT_PAUSE_MS),
+            );
+            if let Some(deadline) = request.deadline {
+                // lint: allow(clock) — remaining-deadline clamp
+                wait = wait.min(deadline.saturating_duration_since(Instant::now()));
+            }
+            if !wait.is_zero() {
+                parking_lot::blocking_region("engine retry pause");
+                std::thread::sleep(wait);
+            }
         }
     }
 
-    /// Serve a request from local state when a journal is attached: the
-    /// client cache first (free, as always), then the journal. A journal
-    /// replay re-seeds the cache (so later duplicates are free), then is
-    /// charged to budget, ledger, and trace exactly as the original paid
-    /// call was — resumed accounting matches uninterrupted accounting
-    /// bit for bit.
+    /// Serve a request from local state: the client cache first (free, as
+    /// always), then the journal if one is attached. A journal replay
+    /// re-seeds the cache (so later duplicates are free), then is charged
+    /// to budget, ledger, and trace exactly as the original paid call was —
+    /// resumed accounting matches uninterrupted accounting bit for bit.
     fn serve_local(&self, request: &CompletionRequest) -> Option<CompletionResponse> {
         if let Some(hit) = self.client.peek_cached(request) {
             self.record_trace(request.task.kind(), &hit);
@@ -1212,18 +1072,20 @@ impl Engine {
         Some(replayed)
     }
 
-    /// Dispatch one pre-built request and account for it (worker body).
-    pub(crate) fn execute_request(
+    /// Complete a request through the optional per-model gate and account
+    /// for it. Only completions that may reach the backend consume gate
+    /// capacity — [`Engine::execute`] has already served local hits. (A
+    /// coalesced joiner does hold a permit while it waits: it represents a
+    /// pending backend call.)
+    fn dispatch(
         &self,
         request: &CompletionRequest,
         gate: Option<&Semaphore>,
     ) -> Result<CompletionResponse, EngineError> {
-        if self.journal.is_some() {
-            if let Some(local) = self.serve_local(request) {
-                return Ok(local);
-            }
-        }
-        let response = self.gated_complete(request, gate)?;
+        let response = {
+            let _permit = gate.map(Semaphore::acquire);
+            self.client.complete(request)?
+        };
         if let Some(journal) = &self.journal {
             if !response.cached {
                 journal.append(request.fingerprint(), &response);
@@ -1233,161 +1095,51 @@ impl Engine {
         self.record_trace(request.task.kind(), &response);
         Ok(response)
     }
-
-    /// Render, admit, gate, dispatch, and account one task (worker body of
-    /// the streaming path).
-    fn execute_one(
-        &self,
-        task: TaskDescriptor,
-        deadline: Option<Instant>,
-        gate: Option<&Semaphore>,
-    ) -> Result<CompletionResponse, EngineError> {
-        let mut request = self.build_request(task)?;
-        request.deadline = deadline;
-        self.execute_request(&request, gate)
-    }
-
-    /// Next claim size given how the last claim went.
-    fn adapt_claim(&self, claim: usize, started: Instant, completed: usize) -> usize {
-        if completed == 0 {
-            return self.pipeline.min_batch;
-        }
-        let per_task_us = started.elapsed().as_micros() as u64 / completed as u64;
-        if per_task_us < self.pipeline.fast_task_micros {
-            (claim * 2).min(self.pipeline.max_batch)
-        } else {
-            (claim / 2).max(self.pipeline.min_batch)
-        }
-    }
-
-    /// Pipelined dispatch of pre-admitted requests, preserving input order.
-    fn dispatch(
-        &self,
-        requests: Vec<CompletionRequest>,
-    ) -> Result<Vec<CompletionResponse>, EngineError> {
-        self.pump(
-            requests
-                .into_iter()
-                .enumerate()
-                .map(|(index, request)| (index, Work::Request(request))),
-        )
-    }
-
-    /// The shared worker core behind [`Engine::run_many`],
-    /// [`Engine::run_sampled_many`], and [`Engine::run_stream`]: pull
-    /// adaptive claims from the feed, execute each work item through the
-    /// per-model gate, collect `(index, response)` pairs, and return them
-    /// in input order. Fails fast: the first hard error stops all workers.
-    fn pump<I>(&self, items: I) -> Result<Vec<CompletionResponse>, EngineError>
-    where
-        I: Iterator<Item = (usize, Work)> + Send,
-    {
-        // Never spawn more workers than there can be items: batch paths
-        // have an exact size hint, and a 1-task dispatch runs inline.
-        let (size_lo, size_hi) = items.size_hint();
-        if size_hi == Some(0) {
-            return Ok(Vec::new());
-        }
-        let known_max = size_hi.unwrap_or(usize::MAX).max(size_lo).max(1);
-        let workers = self.parallelism.clamp(1, known_max);
-        let gate = self.gate();
-        if workers == 1 {
-            let mut out = Vec::new();
-            for (_, work) in items {
-                out.push(self.execute_work(work, gate.as_deref())?);
-            }
-            return Ok(out);
-        }
-        let feed = Mutex::new(items);
-        let collected: Mutex<Vec<(usize, CompletionResponse)>> = Mutex::new(Vec::new());
-        let first_error: Mutex<Option<EngineError>> = Mutex::new(None);
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut claim = self.pipeline.min_batch;
-                    let mut local: Vec<(usize, Work)> = Vec::new();
-                    loop {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        local.clear();
-                        {
-                            let mut feed = feed.lock();
-                            for _ in 0..claim {
-                                match feed.next() {
-                                    Some(item) => local.push(item),
-                                    None => break,
-                                }
-                            }
-                        }
-                        if local.is_empty() {
-                            break;
-                        }
-                        let started = Instant::now(); // lint: allow(clock) — dispatch latency sample
-                        let mut completed = 0usize;
-                        for (index, work) in local.drain(..) {
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            match self.execute_work(work, gate.as_deref()) {
-                                Ok(response) => {
-                                    collected.lock().push((index, response));
-                                    completed += 1;
-                                }
-                                Err(e) => {
-                                    first_error.lock().get_or_insert(e);
-                                    stop.store(true, Ordering::Relaxed);
-                                    break;
-                                }
-                            }
-                        }
-                        claim = self.adapt_claim(claim, started, completed);
-                    }
-                });
-            }
-        });
-        if let Some(e) = first_error.into_inner() {
-            return Err(e);
-        }
-        let mut results = collected.into_inner();
-        results.sort_unstable_by_key(|(index, _)| *index);
-        Ok(results.into_iter().map(|(_, response)| response).collect())
-    }
-
-    fn execute_work(
-        &self,
-        work: Work,
-        gate: Option<&Semaphore>,
-    ) -> Result<CompletionResponse, EngineError> {
-        match work {
-            Work::Request(request) => self.execute_request(&request, gate),
-            Work::AdmitRequest {
-                request,
-                est_usd,
-                est_tokens,
-            } => {
-                self.admit_estimate(est_usd, est_tokens)?;
-                self.execute_request(&request, gate)
-            }
-            Work::Task(task, deadline) => self.execute_one(task, deadline, gate),
-        }
-    }
 }
 
-/// The result of a packed dispatch ([`Engine::run_packed`]): per-task
-/// answers in input order plus every completion actually dispatched (packed
-/// prompts, bisection retries, singleton fallbacks) for cost attribution.
-#[derive(Debug, Clone)]
-pub struct PackedRun {
-    /// One answer string per input task, in input order (split out of the
-    /// numbered multi-answer responses; singleton fallbacks contribute
-    /// their whole response text).
-    pub answers: Vec<String>,
-    /// Every response received, in dispatch order — operators meter usage
-    /// and cost over these, exactly as the per-item path meters its
-    /// one-response-per-item list.
-    pub responses: Vec<CompletionResponse>,
+/// One `(task, temperature, sample_index)` call.
+type Call = (TaskDescriptor, f64, u32);
+
+/// One item's dispatch result: the response, or the error chain (one entry
+/// per failed attempt, oldest first) that exhausted it.
+type ItemResult = Result<CompletionResponse, Vec<EngineError>>;
+
+/// The error that finally condemned an item: the last of its chain.
+fn condemning(errors: &[EngineError]) -> EngineError {
+    errors.last().cloned().expect("non-empty error chain") // lint: allow(no-unwrap)
+}
+
+/// When a unit of work is admitted against the budget — admission timing
+/// carried as data on the work item.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Admit {
+    /// With its whole batch, before anything is dispatched: the cumulative
+    /// check in [`Engine::prepare`], or the caller's own ledger
+    /// ([`Engine::execute_request`]). Nothing left to do in the worker.
+    Batch,
+    /// Per call at execution time, against actual spend so far and
+    /// *before* any cache probe — a hit is refused too once the budget is
+    /// gone, as the sequential loops these batches replace did.
+    PerCall,
+    /// Per call, but only after a free local hit has been ruled out, and
+    /// together with the deadline: work still undispatched when either
+    /// runs out is quarantined instead of started.
+    AfterSalvage,
+}
+
+/// An admission mode with the estimate it admits.
+#[derive(Debug, Clone, Copy)]
+struct Admission {
+    mode: Admit,
+    est_usd: f64,
+    est_tokens: u64,
+}
+
+/// One unit of dispatcher work: a request rendered once, and how to admit
+/// it.
+struct Work {
+    request: CompletionRequest,
+    admission: Admission,
 }
 
 /// How the engine treats hard per-item failures in a batch.
@@ -1428,118 +1180,13 @@ pub struct Quarantine {
     pub errors: Vec<EngineError>,
 }
 
-/// The result of a degrade-mode batch ([`Engine::run_many_outcome`],
-/// [`Engine::run_sampled_many_outcome`]): per-item results in input order,
-/// with failed items quarantined rather than failing the batch.
-#[derive(Debug, Clone)]
-pub struct RunOutcome {
-    /// One result per input item, in input order. An `Err` holds the final
-    /// error that condemned the item; its full chain is in
-    /// [`RunOutcome::quarantined`] under the same index.
-    pub results: Vec<Result<CompletionResponse, EngineError>>,
-    /// Every quarantined item with its full error chain, in index order.
-    pub quarantined: Vec<Quarantine>,
-}
-
-impl RunOutcome {
-    /// Assemble an outcome from raw per-item results.
-    fn from_raw(raw: Vec<Result<CompletionResponse, Vec<EngineError>>>) -> RunOutcome {
-        let mut results = Vec::with_capacity(raw.len());
-        let mut quarantined = Vec::new();
-        for (index, item) in raw.into_iter().enumerate() {
-            match item {
-                Ok(response) => results.push(Ok(response)),
-                Err(errors) => {
-                    let last = errors.last().cloned().expect("non-empty error chain"); // lint: allow(no-unwrap)
-                    results.push(Err(last));
-                    quarantined.push(Quarantine { index, errors });
-                }
-            }
-        }
-        RunOutcome {
-            results,
-            quarantined,
-        }
-    }
-
-    /// Number of items that completed.
-    pub fn ok_count(&self) -> usize {
-        self.results.len() - self.quarantined.len()
-    }
-
-    /// Whether every item completed (nothing quarantined).
-    pub fn is_complete(&self) -> bool {
-        self.quarantined.is_empty()
-    }
-
-    /// The completed responses with their input indices, in input order.
-    pub fn successes(&self) -> impl Iterator<Item = (usize, &CompletionResponse)> {
-        self.results
-            .iter()
-            .enumerate()
-            .filter_map(|(index, result)| result.as_ref().ok().map(|r| (index, r)))
-    }
-
-    /// Summarize this outcome as an operator salvage note for the plan
-    /// layer (see [`Engine::note_salvage`]).
-    pub fn salvage_note(&self, op: &'static str) -> OpSalvage {
-        OpSalvage {
-            op,
-            salvaged: self.ok_count(),
-            quarantined: self
-                .quarantined
-                .iter()
-                .map(|q| {
-                    let last = q.errors.last().map(|e| e.to_string()).unwrap_or_default();
-                    (q.index, last)
-                })
-                .collect(),
-        }
-    }
-}
-
-/// The result of a degrade-mode packed dispatch
-/// ([`Engine::run_packed_outcome`]): like [`PackedRun`], but per-item
-/// answers are `Result`s and irreducibly broken items are quarantined.
-#[derive(Debug, Clone, Default)]
-pub struct PackedOutcome {
-    /// One answer per input task, in input order; `Err` for quarantined
-    /// items (their full chains are in [`PackedOutcome::quarantined`]).
-    pub answers: Vec<Result<String, EngineError>>,
-    /// Every response received, in dispatch order, for cost attribution.
-    pub responses: Vec<CompletionResponse>,
-    /// Quarantined input indices with their error chains, in index order.
-    pub quarantined: Vec<Quarantine>,
-}
-
-impl PackedOutcome {
-    /// Summarize this outcome as an operator salvage note for the plan
-    /// layer (see [`Engine::note_salvage`]).
-    pub fn salvage_note(&self, op: &'static str) -> OpSalvage {
-        OpSalvage {
-            op,
-            salvaged: self.answers.len() - self.quarantined.len(),
-            quarantined: self
-                .quarantined
-                .iter()
-                .map(|q| {
-                    let last = q.errors.last().map(|e| e.to_string()).unwrap_or_default();
-                    (q.index, last)
-                })
-                .collect(),
-        }
-    }
-}
-
-/// A batch execution specification for [`Engine::run_outcome`], the
-/// unified degrade-mode entry point.
+/// A batch execution specification for [`Engine::run_outcome`].
 ///
 /// Construct via [`RunSpec::tasks`] (one call per task),
 /// [`RunSpec::sampled`] (explicit temperature / sample index per call), or
-/// [`RunSpec::packed`] (multi-item prompts, falling back to per-item at
-/// width ≤ 1). Operators pass the spec straight through, so the
-/// per-item-vs-packed branch that used to be duplicated at every call site
-/// lives in the engine once.
+/// [`RunSpec::packed`] / [`RunSpec::packed_sampled`] (multi-item prompts,
+/// falling back to per-item at width ≤ 1). Operators pass the spec straight
+/// through, so the per-item-vs-packed branch lives in the engine once.
 #[derive(Debug, Clone)]
 pub enum RunSpec {
     /// One call per task at the engine's temperature (sample 0).
@@ -1562,6 +1209,9 @@ pub enum RunSpec {
         tasks: Vec<TaskDescriptor>,
         /// Maximum tasks per packed prompt.
         width: usize,
+        /// The `(temperature, sample_index)` every call is issued at —
+        /// one vote round; `None` is the engine's temperature, sample 0.
+        sampling: Option<(f64, u32)>,
     },
 }
 
@@ -1578,33 +1228,37 @@ impl RunSpec {
 
     /// Packed prompts of up to `width` tasks; per-item when `width <= 1`.
     pub fn packed(tasks: Vec<TaskDescriptor>, width: usize) -> Self {
-        RunSpec::Packed { tasks, width }
-    }
-
-    /// Number of per-item answers the outcome will contain.
-    pub fn len(&self) -> usize {
-        match self {
-            RunSpec::Many { tasks } => tasks.len(),
-            RunSpec::Sampled { specs } => specs.len(),
-            RunSpec::Packed { tasks, .. } => tasks.len(),
+        RunSpec::Packed {
+            tasks,
+            width,
+            sampling: None,
         }
     }
 
-    /// Whether the spec contains no work.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// [`RunSpec::packed`] with every call issued at an explicit
+    /// temperature and sample index (one packed vote round).
+    pub fn packed_sampled(
+        tasks: Vec<TaskDescriptor>,
+        width: usize,
+        temperature: f64,
+        sample_index: u32,
+    ) -> Self {
+        RunSpec::Packed {
+            tasks,
+            width,
+            sampling: Some((temperature, sample_index)),
+        }
     }
 }
 
-/// The normalized result of [`Engine::run_outcome`]: whatever the spec
-/// shape, one answer string (or condemning error) per input item, plus the
-/// responses to meter and the quarantined remainder.
+/// The result of [`Engine::run_outcome`]: whatever the spec shape, one
+/// answer string (or condemning error) per input item, plus the responses
+/// to meter and the quarantined remainder.
 ///
 /// `responses` carries exactly the completions an operator should meter:
-/// the successful per-item responses for `Many`/`Sampled` specs, or every
-/// dispatched completion (packs, bisection retries, singleton fallbacks)
-/// for `Packed` — the same metering convention each historical entry point
-/// had, now uniform behind one field.
+/// for per-item specs the successful responses in input order, for packed
+/// specs every dispatched completion (packs, bisection retries, singleton
+/// fallbacks) in dispatch order.
 #[derive(Debug, Clone, Default)]
 pub struct BatchOutcome {
     /// One answer per input item, in input order; `Err` holds the final
@@ -1618,39 +1272,6 @@ pub struct BatchOutcome {
 }
 
 impl BatchOutcome {
-    /// Normalize a per-item outcome: answers are the response texts,
-    /// metered responses are the successes in input order.
-    fn from_run(run: RunOutcome) -> Self {
-        let mut responses = Vec::with_capacity(run.ok_count());
-        let answers = run
-            .results
-            .into_iter()
-            .map(|result| match result {
-                Ok(response) => {
-                    let text = response.text.clone();
-                    responses.push(response);
-                    Ok(text)
-                }
-                Err(e) => Err(e),
-            })
-            .collect();
-        BatchOutcome {
-            answers,
-            responses,
-            quarantined: run.quarantined,
-        }
-    }
-
-    /// Normalize a packed outcome (field-for-field — the packed shape is
-    /// already answer-oriented).
-    fn from_packed(run: PackedOutcome) -> Self {
-        BatchOutcome {
-            answers: run.answers,
-            responses: run.responses,
-            quarantined: run.quarantined,
-        }
-    }
-
     /// Number of items that completed.
     pub fn ok_count(&self) -> usize {
         self.answers.len() - self.quarantined.len()
@@ -1661,20 +1282,26 @@ impl BatchOutcome {
         self.quarantined.is_empty()
     }
 
-    /// Summarize this outcome as an operator salvage note for the plan
-    /// layer (see [`Engine::note_salvage`]).
-    pub fn salvage_note(&self, op: &'static str) -> OpSalvage {
-        OpSalvage {
-            op,
-            salvaged: self.ok_count(),
-            quarantined: self
-                .quarantined
-                .iter()
-                .map(|q| {
-                    let last = q.errors.last().map(|e| e.to_string()).unwrap_or_default();
-                    (q.index, last)
-                })
-                .collect(),
+    /// Each item's own response (or condemning error), in input order —
+    /// for callers that need more than the answer text, such as a
+    /// confidence gate. Only a per-item spec ([`RunSpec::tasks`],
+    /// [`RunSpec::sampled`], packed at width ≤ 1) has one response per
+    /// completed item; an item answered out of a shared pack has none.
+    pub fn item_results(
+        &self,
+    ) -> impl Iterator<Item = Result<&CompletionResponse, &EngineError>> + '_ {
+        debug_assert_eq!(self.responses.len(), self.ok_count(), "per-item spec");
+        let mut responses = self.responses.iter();
+        self.answers.iter().map(move |answer| match answer {
+            Ok(_) => Ok(responses.next().expect("one response per completed item")), // lint: allow(no-unwrap)
+            Err(e) => Err(e),
+        })
+    }
+
+    /// Meter every completion this batch dispatched.
+    pub fn meter_into(&self, meter: &mut CostMeter) {
+        for response in &self.responses {
+            meter.add(response.usage, response.pricing.cost_usd(response.usage));
         }
     }
 }
@@ -1693,18 +1320,67 @@ pub struct OpSalvage {
     pub quarantined: Vec<(usize, String)>,
 }
 
-/// One unit of dispatcher work: a pre-admitted request (`run_many`), a
-/// rendered request still needing per-call budget admission
-/// (`run_sampled_many`), or a task to be rendered and admitted in the
-/// worker (`run_stream`).
-enum Work {
-    Request(CompletionRequest),
-    AdmitRequest {
-        request: CompletionRequest,
-        est_usd: f64,
-        est_tokens: u64,
-    },
-    Task(TaskDescriptor, Option<Instant>),
+/// Settles one operator run's per-item results under the engine's
+/// [`FailurePolicy`] — the single place outside the dispatch core that
+/// reads it, so operators are written once. Under
+/// [`FailurePolicy::FailFast`] the first `Err` handed in is returned and no
+/// note is left; under [`FailurePolicy::Degrade`] the item is recorded as
+/// lost, the operator carries on without it, and [`Settle::finish`] leaves
+/// the [`OpSalvage`] note for the plan layer.
+pub struct Settle<'e> {
+    engine: &'e Engine,
+    op: &'static str,
+    /// Lost items by index with the last error seen for each; `None` when
+    /// the policy fails fast.
+    lost: Option<BTreeMap<usize, String>>,
+}
+
+impl Settle<'_> {
+    /// Settle the item at `index`: its value, or `None` once it is lost.
+    pub fn item<T>(
+        &mut self,
+        index: usize,
+        result: Result<T, EngineError>,
+    ) -> Result<Option<T>, EngineError> {
+        self.span(index..index + 1, result)
+    }
+
+    /// Settle one result that stands for every item in `indices` (a batch
+    /// prompt): an `Err` loses them all.
+    pub fn span<T>(
+        &mut self,
+        indices: Range<usize>,
+        result: Result<T, EngineError>,
+    ) -> Result<Option<T>, EngineError> {
+        match (result, &mut self.lost) {
+            (Ok(value), _) => Ok(Some(value)),
+            (Err(e), None) => Err(e),
+            (Err(e), Some(lost)) => {
+                let message = e.to_string();
+                lost.extend(indices.map(|index| (index, message.clone())));
+                Ok(None)
+            }
+        }
+    }
+
+    /// A later pass (an escalation vote, a surviving sample) produced a
+    /// verdict for an item an earlier result lost.
+    pub fn recovered(&mut self, index: usize) {
+        if let Some(lost) = &mut self.lost {
+            lost.remove(&index);
+        }
+    }
+
+    /// Finish an operator run over `total` items.
+    pub fn finish(self, total: usize) {
+        if let Some(lost) = self.lost {
+            self.engine.salvage.lock().push(OpSalvage {
+                op: self.op,
+                salvaged: total - lost.len(),
+                quarantined: lost.into_iter().collect(),
+            });
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1986,29 +1662,6 @@ mod tests {
     }
 
     #[test]
-    fn run_stream_matches_run_many() {
-        let (engine, ids) = engine_with(40, Budget::Unlimited);
-        let tasks: Vec<_> = ids.iter().map(|id| check_task(*id)).collect();
-        let streamed = engine.run_stream(tasks.clone()).unwrap();
-        let batched = engine.run_many(tasks).unwrap();
-        assert_eq!(streamed.len(), 40);
-        for (s, b) in streamed.iter().zip(batched.iter()) {
-            assert_eq!(s.text, b.text, "order and content preserved");
-        }
-    }
-
-    #[test]
-    fn run_stream_stops_on_budget_exhaustion() {
-        let (engine, ids) = engine_with(30, Budget::usd(0.0002));
-        let tasks: Vec<_> = ids.iter().map(|id| check_task(*id)).collect();
-        let result = engine.run_stream(tasks);
-        assert!(
-            matches!(result, Err(EngineError::BudgetExceeded { .. })),
-            "expected exhaustion, got {result:?}"
-        );
-    }
-
-    #[test]
     fn run_sampled_many_matches_sequential_sampled() {
         let (engine, ids) = engine_with(4, Budget::Unlimited);
         let specs: Vec<_> = (0..16)
@@ -2067,12 +1720,12 @@ mod tests {
         let engine = Engine::new(Arc::new(LlmClient::new(llm)), corpus);
         let tasks: Vec<_> = ids.iter().map(|id| check_task(*id)).collect();
         let per_item = engine.run_many(tasks.clone()).unwrap();
-        let packed = engine.run_packed(tasks, 8).unwrap();
+        let packed = engine.run_outcome(RunSpec::packed(tasks, 8)).unwrap();
         assert_eq!(packed.answers.len(), 40);
         assert_eq!(packed.responses.len(), 5, "40 items at width 8 = 5 packs");
         for (answer, resp) in packed.answers.iter().zip(per_item.iter()) {
             assert_eq!(
-                crate::extract::yes_no(answer).unwrap(),
+                crate::extract::yes_no(answer.as_ref().unwrap()).unwrap(),
                 crate::extract::yes_no(&resp.text).unwrap(),
             );
         }
@@ -2082,7 +1735,7 @@ mod tests {
     fn run_packed_slashes_backend_calls() {
         let (engine, ids) = engine_with(64, Budget::Unlimited);
         let tasks: Vec<_> = ids.iter().map(|id| check_task(*id)).collect();
-        engine.run_packed(tasks, 16).unwrap();
+        engine.run_outcome(RunSpec::packed(tasks, 16)).unwrap();
         assert_eq!(engine.client().stats().calls(), 4, "64 items / width 16");
     }
 
@@ -2106,13 +1759,15 @@ mod tests {
         let llm = Arc::new(SimulatedLlm::new(profile, Arc::new(w), 7));
         let engine = Engine::new(Arc::new(LlmClient::new(llm)), corpus);
         let tasks: Vec<_> = ids.iter().map(|id| check_task(*id)).collect();
-        let run = engine.run_packed(tasks.clone(), 16).unwrap();
+        let run = engine
+            .run_outcome(RunSpec::packed(tasks.clone(), 16))
+            .unwrap();
         // Final answers come from singleton fallbacks and must match the
         // per-item path exactly (the singletons *are* per-item requests, so
         // they coalesce with a fresh per-item run through the cache).
         let per_item = engine.run_many(tasks).unwrap();
         for (answer, resp) in run.answers.iter().zip(per_item.iter()) {
-            assert_eq!(answer, &resp.text);
+            assert_eq!(answer.as_ref().unwrap(), &resp.text);
         }
         // Bisection tree over 16 items: 1 + 2 + 4 + 8 failed packs plus 16
         // singletons = 31 dispatches.
@@ -2137,7 +1792,7 @@ mod tests {
         let llm = Arc::new(SimulatedLlm::new(profile, Arc::new(w), 7));
         let engine = Engine::new(Arc::new(LlmClient::new(llm)), corpus);
         let tasks: Vec<_> = ids.iter().map(|id| check_task(*id)).collect();
-        let run = engine.run_packed(tasks, 8).unwrap();
+        let run = engine.run_outcome(RunSpec::packed(tasks, 8)).unwrap();
         assert_eq!(run.answers.len(), 8);
         assert!(
             run.responses.len() > 1,
@@ -2156,7 +1811,7 @@ mod tests {
             },
         ];
         assert!(matches!(
-            engine.run_packed(mixed, 2),
+            engine.run_outcome(RunSpec::packed(mixed, 2)),
             Err(EngineError::InvalidInput(_))
         ));
         let unpackable = vec![TaskDescriptor::Compare {
@@ -2165,10 +1820,14 @@ mod tests {
             criterion: crowdprompt_oracle::task::SortCriterion::LatentScore,
         }];
         assert!(matches!(
-            engine.run_packed(unpackable, 2),
+            engine.run_outcome(RunSpec::packed(unpackable, 2)),
             Err(EngineError::InvalidInput(_))
         ));
-        assert!(engine.run_packed(Vec::new(), 4).unwrap().answers.is_empty());
+        assert!(engine
+            .run_outcome(RunSpec::packed(Vec::new(), 4))
+            .unwrap()
+            .answers
+            .is_empty());
     }
 
     #[test]
@@ -2352,33 +2011,34 @@ mod tests {
     }
 
     #[test]
-    fn run_outcome_matches_named_entry_points() {
+    fn run_outcome_matches_strict_entry_points() {
         let (engine, ids) = engine_with(12, Budget::Unlimited);
         let tasks: Vec<_> = ids.iter().map(|id| check_task(*id)).collect();
 
-        // Per-item spec vs run_many_outcome.
+        // Per-item spec vs run_many: same answers, and the metered
+        // responses are exactly the per-item responses.
+        let strict = engine.run_many(tasks.clone()).unwrap();
         let unified = engine.run_outcome(RunSpec::tasks(tasks.clone())).unwrap();
-        let named = engine.run_many_outcome(tasks.clone());
         assert!(unified.is_complete());
-        assert_eq!(unified.ok_count(), named.ok_count());
-        for (answer, result) in unified.answers.iter().zip(&named.results) {
-            assert_eq!(
-                answer.as_ref().unwrap(),
-                &result.as_ref().unwrap().text // lint: allow(no-unwrap)
-            );
+        assert_eq!(unified.ok_count(), 12);
+        assert_eq!(unified.responses.len(), 12);
+        for ((answer, result), response) in unified
+            .answers
+            .iter()
+            .zip(unified.item_results())
+            .zip(&strict)
+        {
+            assert_eq!(answer.as_ref().unwrap(), &response.text);
+            assert_eq!(result.unwrap().text, response.text);
         }
-        // Metered responses are exactly the successes.
-        assert_eq!(unified.responses.len(), named.ok_count());
 
-        // Packed spec vs run_packed_outcome.
+        // Packed spec: one answer per item out of fewer calls.
         let packed = engine
             .run_outcome(RunSpec::packed(tasks.clone(), 4))
             .unwrap();
-        let named_packed = engine.run_packed_outcome(tasks.clone(), 4).unwrap();
-        assert_eq!(packed.answers.len(), named_packed.answers.len());
-        for (a, b) in packed.answers.iter().zip(&named_packed.answers) {
-            assert_eq!(a.as_ref().unwrap(), b.as_ref().unwrap()); // lint: allow(no-unwrap)
-        }
+        assert_eq!(packed.answers.len(), 12);
+        assert!(packed.is_complete());
+        assert!(packed.responses.len() < 12);
 
         // Width <= 1 routes through the per-item path even for tasks that
         // could not be packed.
@@ -2386,13 +2046,13 @@ mod tests {
         assert_eq!(single.answers.len(), 12);
         assert!(single.is_complete());
 
-        // Sampled spec shape.
-        let sampled = engine
-            .run_outcome(RunSpec::sampled(
-                ids.iter().map(|id| (check_task(*id), 0.0, 0)).collect(),
-            ))
-            .unwrap();
-        assert_eq!(sampled.answers.len(), 12);
+        // Sampled spec vs run_sampled_many.
+        let specs: Vec<_> = ids.iter().map(|id| (check_task(*id), 1.0, 3)).collect();
+        let strict = engine.run_sampled_many(specs.clone()).unwrap();
+        let sampled = engine.run_outcome(RunSpec::sampled(specs)).unwrap();
+        for (answer, response) in sampled.answers.iter().zip(&strict) {
+            assert_eq!(answer.as_ref().unwrap(), &response.text);
+        }
 
         // Incompatible packs stay a caller bug.
         let mixed = vec![

@@ -35,8 +35,6 @@
 //! * [`plan`] — the declarative front door: a logical-plan IR
 //!   ([`plan::Query`]), a cost-based planner with rule rewrites, EXPLAIN,
 //!   and a per-node-attributed executor.
-//! * [`workflow`] — multi-step pipelines under one budget (a thin wrapper
-//!   over verbatim plans).
 //! * [`session`] — the user-facing declarative API (operator methods are
 //!   thin wrappers over single-node plans).
 
@@ -61,16 +59,12 @@ pub mod serve;
 pub mod session;
 pub mod template;
 pub mod trace;
-pub mod workflow;
 
 pub use blocking::{BlockingHit, BlockingIndex};
 pub use budget::{Budget, BudgetTracker, LedgerBook, LedgerSnapshot};
 pub use corpus::Corpus;
 pub use error::EngineError;
-pub use exec::{
-    BatchOutcome, Engine, FailurePolicy, FairFeed, OpSalvage, PackedOutcome, Quarantine,
-    RunOutcome, RunSpec,
-};
+pub use exec::{BatchOutcome, Engine, FailurePolicy, FairFeed, OpSalvage, Quarantine, RunSpec};
 pub use journal::RunJournal;
 pub use outcome::Outcome;
 pub use plan::{Plan, PlanOptions, PlanOutput, PlanRun, Query};

@@ -4,7 +4,7 @@ use crowdprompt_oracle::task::TaskDescriptor;
 use crowdprompt_oracle::world::ItemId;
 
 use crate::error::EngineError;
-use crate::exec::{Engine, OpSalvage, RunSpec};
+use crate::exec::{Engine, RunSpec};
 use crate::extract;
 use crate::outcome::{CostMeter, Outcome};
 
@@ -20,6 +20,12 @@ pub fn categorize(
 }
 
 /// [`categorize`] at an explicit pack width (`1` = per-item dispatch).
+///
+/// Under a degrade policy, quarantined items get an empty-string label so
+/// the output stays aligned with the input (an empty string can never be a
+/// real label — empty label sets are rejected, and [`extract::choice`] only
+/// returns members of the set); the casualties land in the engine's
+/// salvage note.
 pub fn categorize_packed(
     engine: &Engine,
     items: &[ItemId],
@@ -31,73 +37,36 @@ pub fn categorize_packed(
             "categorize requires at least one label".into(),
         ));
     }
-    let tasks: Vec<TaskDescriptor> = items
+    classify(engine, "categorize", items, labels, pack)
+}
+
+/// One label per item under the salvage-note name `op`: the classification
+/// pass shared by [`categorize_packed`] and the plan layer's keep-label
+/// node.
+pub(crate) fn classify(
+    engine: &Engine,
+    op: &'static str,
+    items: &[ItemId],
+    labels: &[String],
+    pack: usize,
+) -> Result<Outcome<Vec<String>>, EngineError> {
+    let tasks = items
         .iter()
         .map(|id| TaskDescriptor::Classify {
             item: *id,
             labels: labels.to_vec(),
         })
         .collect();
-    if engine.degrades() {
-        return categorize_degraded(engine, tasks, labels, pack);
-    }
     let mut meter = CostMeter::new();
-    let mut out = Vec::with_capacity(items.len());
-    if pack > 1 {
-        let run = engine.run_packed(tasks, pack)?;
-        for resp in &run.responses {
-            meter.add(resp.usage, engine.cost_of_response(resp));
-        }
-        for answer in &run.answers {
-            out.push(extract::choice(answer, labels)?);
-        }
-        return Ok(meter.into_outcome(out));
-    }
-    let responses = engine.run_many(tasks)?;
-    for resp in &responses {
-        meter.add(resp.usage, engine.cost_of_response(resp));
-        out.push(extract::choice(&resp.text, labels)?);
-    }
-    Ok(meter.into_outcome(out))
-}
-
-/// Degrade-mode categorize: quarantined items get an empty-string label so
-/// the output stays aligned with the input (an empty string can never be a
-/// real label — [`categorize`] rejects empty label sets, and
-/// [`extract::choice`] only returns members of the set). The casualties
-/// land in the engine's salvage note.
-fn categorize_degraded(
-    engine: &Engine,
-    tasks: Vec<TaskDescriptor>,
-    labels: &[String],
-    pack: usize,
-) -> Result<Outcome<Vec<String>>, EngineError> {
-    let total = tasks.len();
-    let mut meter = CostMeter::new();
-    let mut out = Vec::with_capacity(total);
-    let mut lost: Vec<(usize, String)> = Vec::new();
+    let mut settle = engine.settle(op);
     let run = engine.run_outcome(RunSpec::packed(tasks, pack))?;
-    for resp in &run.responses {
-        meter.add(resp.usage, engine.cost_of_response(resp));
+    run.meter_into(&mut meter);
+    let mut out = Vec::with_capacity(items.len());
+    for (index, answer) in run.answers.into_iter().enumerate() {
+        let label = answer.and_then(|text| extract::choice(&text, labels));
+        out.push(settle.item(index, label)?.unwrap_or_default());
     }
-    for (index, answer) in run.answers.iter().enumerate() {
-        let label = match answer {
-            Ok(text) => extract::choice(text, labels),
-            Err(e) => Err(e.clone()),
-        };
-        match label {
-            Ok(label) => out.push(label),
-            Err(e) => {
-                lost.push((index, e.to_string()));
-                out.push(String::new());
-            }
-        }
-    }
-    engine.note_salvage(OpSalvage {
-        op: "categorize",
-        salvaged: total - lost.len(),
-        quarantined: lost,
-    });
+    settle.finish(items.len());
     Ok(meter.into_outcome(out))
 }
 

@@ -5,7 +5,7 @@ use crowdprompt_oracle::task::{CountMode, TaskDescriptor};
 use crowdprompt_oracle::world::ItemId;
 
 use crate::error::EngineError;
-use crate::exec::{Engine, OpSalvage, RunSpec};
+use crate::exec::{Engine, RunSpec};
 use crate::extract;
 use crate::outcome::{CostMeter, Outcome};
 
@@ -67,6 +67,11 @@ pub fn count(
 }
 
 /// [`count`] at an explicit pack width (`1` = per-item dispatch).
+///
+/// Under a degrade policy only items whose checks completed are counted;
+/// the rest are quarantined in the engine's salvage note (an eyeball batch
+/// that stays broken quarantines every item it covered), so the returned
+/// count is a *lower bound* when the note lists casualties.
 pub fn count_packed(
     engine: &Engine,
     items: &[ItemId],
@@ -74,81 +79,13 @@ pub fn count_packed(
     strategy: CountStrategy,
     pack: usize,
 ) -> Result<Outcome<u64>, EngineError> {
-    if engine.degrades() {
-        return count_degraded(engine, items, predicate, strategy, pack);
-    }
     let mut meter = CostMeter::new();
-    match strategy {
-        CountStrategy::Eyeball { batch_size } => {
-            let batch_size = batch_size.max(1);
-            let tasks: Vec<TaskDescriptor> = items
-                .chunks(batch_size)
-                .map(|chunk| TaskDescriptor::CountPredicate {
-                    items: chunk.to_vec(),
-                    predicate: predicate.to_owned(),
-                    mode: CountMode::Eyeball,
-                })
-                .collect();
-            let responses = engine.run_many(tasks)?;
-            let mut total = 0u64;
-            for (resp, chunk) in responses.iter().zip(items.chunks(batch_size)) {
-                meter.add(resp.usage, engine.cost_of_response(resp));
-                // Clamp implausible estimates to the batch size.
-                total += extract::count(&resp.text)?.min(chunk.len() as u64);
-            }
-            Ok(meter.into_outcome(total))
-        }
-        CountStrategy::PerItem => {
-            let tasks: Vec<TaskDescriptor> = items
-                .iter()
-                .map(|id| TaskDescriptor::CheckPredicate {
-                    item: *id,
-                    predicate: predicate.to_owned(),
-                })
-                .collect();
-            let mut total = 0u64;
-            if pack > 1 {
-                let run = engine.run_packed(tasks, pack)?;
-                for resp in &run.responses {
-                    meter.add(resp.usage, engine.cost_of_response(resp));
-                }
-                for answer in &run.answers {
-                    if extract::yes_no(answer)? {
-                        total += 1;
-                    }
-                }
-                return Ok(meter.into_outcome(total));
-            }
-            let responses = engine.run_many(tasks)?;
-            for resp in &responses {
-                meter.add(resp.usage, engine.cost_of_response(resp));
-                if extract::yes_no(&resp.text)? {
-                    total += 1;
-                }
-            }
-            Ok(meter.into_outcome(total))
-        }
-    }
-}
-
-/// Degrade-mode count: only items whose checks completed are counted; the
-/// rest are quarantined in the engine's salvage note (an eyeball batch
-/// that stays broken quarantines every item it covered). The returned
-/// count is therefore a *lower bound* when the note lists casualties.
-fn count_degraded(
-    engine: &Engine,
-    items: &[ItemId],
-    predicate: &str,
-    strategy: CountStrategy,
-    pack: usize,
-) -> Result<Outcome<u64>, EngineError> {
-    let mut meter = CostMeter::new();
+    let mut settle = engine.settle("count");
     let mut total = 0u64;
-    let mut lost: Vec<(usize, String)> = Vec::new();
     match strategy {
         CountStrategy::Eyeball { batch_size } => {
             let batch_size = batch_size.max(1);
-            let tasks: Vec<TaskDescriptor> = items
+            let tasks = items
                 .chunks(batch_size)
                 .map(|chunk| TaskDescriptor::CountPredicate {
                     items: chunk.to_vec(),
@@ -157,30 +94,20 @@ fn count_degraded(
                 })
                 .collect();
             let run = engine.run_outcome(RunSpec::tasks(tasks))?;
-            for resp in &run.responses {
-                meter.add(resp.usage, engine.cost_of_response(resp));
-            }
-            for (batch, answer) in run.answers.iter().enumerate() {
-                let chunk_len = items
-                    .chunks(batch_size)
-                    .nth(batch)
-                    .map_or(0, <[ItemId]>::len);
-                let estimate = match answer {
-                    Ok(text) => extract::count(text).map_err(|e| e.to_string()),
-                    Err(e) => Err(e.to_string()),
-                };
-                match estimate {
-                    Ok(n) => total += n.min(chunk_len as u64),
-                    Err(msg) => {
-                        for offset in 0..chunk_len {
-                            lost.push((batch * batch_size + offset, msg.clone()));
-                        }
-                    }
+            run.meter_into(&mut meter);
+            let mut start = 0;
+            for (answer, chunk) in run.answers.into_iter().zip(items.chunks(batch_size)) {
+                let covered = start..start + chunk.len();
+                start = covered.end;
+                let estimate = answer.and_then(|text| extract::count(&text));
+                // Clamp implausible estimates to the batch size.
+                if let Some(n) = settle.span(covered, estimate)? {
+                    total += n.min(chunk.len() as u64);
                 }
             }
         }
         CountStrategy::PerItem => {
-            let tasks: Vec<TaskDescriptor> = items
+            let tasks = items
                 .iter()
                 .map(|id| TaskDescriptor::CheckPredicate {
                     item: *id,
@@ -188,27 +115,14 @@ fn count_degraded(
                 })
                 .collect();
             let run = engine.run_outcome(RunSpec::packed(tasks, pack))?;
-            for resp in &run.responses {
-                meter.add(resp.usage, engine.cost_of_response(resp));
-            }
-            for (index, answer) in run.answers.iter().enumerate() {
-                let verdict = match answer {
-                    Ok(text) => extract::yes_no(text),
-                    Err(e) => Err(e.clone()),
-                };
-                match verdict {
-                    Ok(true) => total += 1,
-                    Ok(false) => {}
-                    Err(e) => lost.push((index, e.to_string())),
-                }
+            run.meter_into(&mut meter);
+            for (index, answer) in run.answers.into_iter().enumerate() {
+                let verdict = answer.and_then(|text| extract::yes_no(&text));
+                total += u64::from(settle.item(index, verdict)? == Some(true));
             }
         }
     }
-    engine.note_salvage(OpSalvage {
-        op: "count",
-        salvaged: items.len() - lost.len(),
-        quarantined: lost,
-    });
+    settle.finish(items.len());
     Ok(meter.into_outcome(total))
 }
 

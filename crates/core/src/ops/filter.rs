@@ -8,7 +8,7 @@ use crowdprompt_oracle::task::TaskDescriptor;
 use crowdprompt_oracle::world::ItemId;
 
 use crate::error::EngineError;
-use crate::exec::{Engine, OpSalvage, RunSpec};
+use crate::exec::{Engine, RunSpec, Settle};
 use crate::extract;
 use crate::outcome::{CostMeter, Outcome};
 
@@ -108,6 +108,10 @@ pub fn filter(
 
 /// [`filter`] at an explicit pack width (`1` = per-item dispatch). The plan
 /// executor calls this with the planner's per-node width choice.
+///
+/// Under a degrade policy, items whose checks stay broken are quarantined
+/// (dropped from the kept set) and noted for the plan layer instead of
+/// failing the batch; see [`Engine::settle`].
 pub fn filter_packed(
     engine: &Engine,
     items: &[ItemId],
@@ -116,38 +120,20 @@ pub fn filter_packed(
     pack: usize,
 ) -> Result<Outcome<Vec<ItemId>>, EngineError> {
     let pack = if strategy.packable() { pack.max(1) } else { 1 };
-    if engine.degrades() {
-        return filter_degraded(engine, items, predicate, strategy, pack);
-    }
     let mut meter = CostMeter::new();
-    let mut kept = Vec::new();
+    let mut settle = engine.settle("filter");
+    let mut verdict: Vec<Option<bool>> = vec![None; items.len()];
+    let check = |id: &ItemId| TaskDescriptor::CheckPredicate {
+        item: *id,
+        predicate: predicate.to_owned(),
+    };
     match strategy {
         FilterStrategy::Single => {
-            let tasks: Vec<TaskDescriptor> = items
-                .iter()
-                .map(|id| TaskDescriptor::CheckPredicate {
-                    item: *id,
-                    predicate: predicate.to_owned(),
-                })
-                .collect();
-            if pack > 1 {
-                let run = engine.run_packed(tasks, pack)?;
-                for resp in &run.responses {
-                    meter.add(resp.usage, engine.cost_of_response(resp));
-                }
-                for (answer, id) in run.answers.iter().zip(items) {
-                    if extract::yes_no(answer)? {
-                        kept.push(*id);
-                    }
-                }
-                return Ok(meter.into_outcome(kept));
-            }
-            let responses = engine.run_many(tasks)?;
-            for (resp, id) in responses.iter().zip(items) {
-                meter.add(resp.usage, engine.cost_of_response(resp));
-                if extract::yes_no(&resp.text)? {
-                    kept.push(*id);
-                }
+            let tasks = items.iter().map(check).collect();
+            let run = engine.run_outcome(RunSpec::packed(tasks, pack))?;
+            run.meter_into(&mut meter);
+            for (index, answer) in run.answers.into_iter().enumerate() {
+                verdict[index] = settle.item(index, answer.and_then(|t| extract::yes_no(&t)))?;
             }
         }
         FilterStrategy::ConfidenceGated {
@@ -157,59 +143,39 @@ pub fn filter_packed(
             let threshold = f64::from(min_confidence_pct) / 100.0;
             let votes = votes.max(1);
             // First pass: one call per item, keeping the confident answers.
-            let tasks: Vec<TaskDescriptor> = items
-                .iter()
-                .map(|id| TaskDescriptor::CheckPredicate {
-                    item: *id,
-                    predicate: predicate.to_owned(),
-                })
-                .collect();
-            let responses = engine.run_many(tasks)?;
-            let mut escalate: Vec<ItemId> = Vec::new();
-            let mut verdicts: Vec<(ItemId, bool)> = Vec::new();
-            for (resp, id) in responses.iter().zip(items) {
-                meter.add(resp.usage, engine.cost_of_response(resp));
-                let answer = extract::yes_no(&resp.text)?;
-                if resp.confidence.unwrap_or(1.0) >= threshold {
-                    verdicts.push((*id, answer));
-                } else {
-                    escalate.push(*id);
+            let tasks = items.iter().map(check).collect();
+            let run = engine.run_outcome(RunSpec::tasks(tasks))?;
+            run.meter_into(&mut meter);
+            let mut escalate: Vec<usize> = Vec::new();
+            for (index, result) in run.item_results().enumerate() {
+                let Some(resp) = settle.item(index, result.map_err(EngineError::clone))? else {
+                    continue;
+                };
+                // A confident, parseable answer settles the item; anything
+                // else the policy lets through (low confidence, or garbled
+                // text when it degrades) escalates to the vote, which can
+                // still save it.
+                match settle.item(index, extract::yes_no(&resp.text))? {
+                    Some(answer) if resp.confidence.unwrap_or(1.0) >= threshold => {
+                        verdict[index] = Some(answer);
+                    }
+                    _ => escalate.push(index),
                 }
             }
             // Escalation pass: majority vote at temperature 1 on the rest,
-            // with every vote for every escalated item streamed through one
-            // pipelined dispatch.
-            let specs: Vec<_> = escalate
+            // every vote for every escalated item in one pipelined dispatch.
+            let specs = escalate
                 .iter()
-                .flat_map(|id| {
-                    (0..votes).map(move |s| {
-                        (
-                            TaskDescriptor::CheckPredicate {
-                                item: *id,
-                                predicate: predicate.to_owned(),
-                            },
-                            1.0,
-                            s,
-                        )
-                    })
-                })
+                .flat_map(|&index| (0..votes).map(move |s| (check(&items[index]), 1.0, s)))
                 .collect();
-            let responses = engine.run_sampled_many(specs)?;
-            for (k, &id) in escalate.iter().enumerate() {
-                let mut yes = 0u32;
-                for resp in &responses[k * votes as usize..(k + 1) * votes as usize] {
-                    meter.add(resp.usage, engine.cost_of_response(resp));
-                    if extract::yes_no(&resp.text)? {
-                        yes += 1;
-                    }
-                }
-                verdicts.push((id, yes * 2 > votes));
+            let run = engine.run_outcome(RunSpec::sampled(specs))?;
+            run.meter_into(&mut meter);
+            let mut ballot = Ballot::new(items.len());
+            for (k, answer) in run.answers.into_iter().enumerate() {
+                ballot.cast(&mut settle, escalate[k / votes as usize], answer)?;
             }
-            let keep: std::collections::HashMap<ItemId, bool> = verdicts.into_iter().collect();
-            for &id in items {
-                if keep.get(&id).copied().unwrap_or(false) {
-                    kept.push(id);
-                }
+            for index in escalate {
+                verdict[index] = ballot.decide(&mut settle, index);
             }
         }
         FilterStrategy::MajorityVote {
@@ -218,214 +184,82 @@ pub fn filter_packed(
         } => {
             let votes = votes.max(1);
             let temperature = f64::from(temperature_pct) / 100.0;
+            let mut ballot = Ballot::new(items.len());
             if pack > 1 {
                 // One packed pass per vote round: every round packs the
                 // whole item set at this round's sample index, so a round
                 // costs ⌈n/pack⌉ calls instead of n.
-                let tasks: Vec<TaskDescriptor> = items
-                    .iter()
-                    .map(|id| TaskDescriptor::CheckPredicate {
-                        item: *id,
-                        predicate: predicate.to_owned(),
-                    })
-                    .collect();
-                let mut yes_counts = vec![0u32; items.len()];
+                let tasks: Vec<TaskDescriptor> = items.iter().map(check).collect();
                 for s in 0..votes {
-                    let run = engine.run_packed_sampled(tasks.clone(), pack, temperature, s)?;
-                    for resp in &run.responses {
-                        meter.add(resp.usage, engine.cost_of_response(resp));
-                    }
-                    for (count, answer) in yes_counts.iter_mut().zip(&run.answers) {
-                        if extract::yes_no(answer)? {
-                            *count += 1;
-                        }
+                    let round = RunSpec::packed_sampled(tasks.clone(), pack, temperature, s);
+                    let run = engine.run_outcome(round)?;
+                    run.meter_into(&mut meter);
+                    for (index, answer) in run.answers.into_iter().enumerate() {
+                        ballot.cast(&mut settle, index, answer)?;
                     }
                 }
-                for (&id, yes) in items.iter().zip(yes_counts) {
-                    if yes * 2 > votes {
-                        kept.push(id);
-                    }
+            } else {
+                // All votes for all items go through one pipelined dispatch.
+                let specs = items
+                    .iter()
+                    .flat_map(|id| (0..votes).map(move |s| (check(id), temperature, s)))
+                    .collect();
+                let run = engine.run_outcome(RunSpec::sampled(specs))?;
+                run.meter_into(&mut meter);
+                for (k, answer) in run.answers.into_iter().enumerate() {
+                    ballot.cast(&mut settle, k / votes as usize, answer)?;
                 }
-                return Ok(meter.into_outcome(kept));
             }
-            // All votes for all items go through one pipelined dispatch.
-            let specs: Vec<_> = items
-                .iter()
-                .flat_map(|id| {
-                    (0..votes).map(move |s| {
-                        (
-                            TaskDescriptor::CheckPredicate {
-                                item: *id,
-                                predicate: predicate.to_owned(),
-                            },
-                            temperature,
-                            s,
-                        )
-                    })
-                })
-                .collect();
-            let responses = engine.run_sampled_many(specs)?;
-            for (k, &id) in items.iter().enumerate() {
-                let mut yes = 0u32;
-                for resp in &responses[k * votes as usize..(k + 1) * votes as usize] {
-                    meter.add(resp.usage, engine.cost_of_response(resp));
-                    if extract::yes_no(&resp.text)? {
-                        yes += 1;
-                    }
-                }
-                if yes * 2 > votes {
-                    kept.push(id);
-                }
+            for (index, slot) in verdict.iter_mut().enumerate() {
+                *slot = ballot.decide(&mut settle, index);
             }
         }
     }
+    settle.finish(items.len());
+    let kept = items
+        .iter()
+        .zip(verdict)
+        .filter_map(|(id, verdict)| (verdict == Some(true)).then_some(*id))
+        .collect();
     Ok(meter.into_outcome(kept))
 }
 
-/// Degrade-mode filter: items whose checks stay broken after the engine's
-/// retry allowance are quarantined (dropped from the kept set) instead of
-/// failing the batch, and a salvage note is left on the engine for the
-/// plan layer. Majority voting dispatches per item in this mode so a
-/// broken vote harms only its own item; a packed single pass reuses the
-/// engine's bisecting packed dispatch.
-fn filter_degraded(
-    engine: &Engine,
-    items: &[ItemId],
-    predicate: &str,
-    strategy: FilterStrategy,
-    pack: usize,
-) -> Result<Outcome<Vec<ItemId>>, EngineError> {
-    let mut meter = CostMeter::new();
-    let mut kept = Vec::new();
-    let mut lost: Vec<(usize, String)> = Vec::new();
-    let check = |id: &ItemId| TaskDescriptor::CheckPredicate {
-        item: *id,
-        predicate: predicate.to_owned(),
-    };
-    match strategy {
-        FilterStrategy::Single => {
-            let tasks: Vec<TaskDescriptor> = items.iter().map(check).collect();
-            let run = engine.run_outcome(RunSpec::packed(tasks, pack))?;
-            for resp in &run.responses {
-                meter.add(resp.usage, engine.cost_of_response(resp));
-            }
-            for (index, (answer, id)) in run.answers.iter().zip(items).enumerate() {
-                let verdict = match answer {
-                    Ok(text) => extract::yes_no(text),
-                    Err(e) => Err(e.clone()),
-                };
-                match verdict {
-                    Ok(true) => kept.push(*id),
-                    Ok(false) => {}
-                    Err(e) => lost.push((index, e.to_string())),
-                }
-            }
-        }
-        FilterStrategy::ConfidenceGated {
-            min_confidence_pct,
-            votes,
-        } => {
-            let threshold = f64::from(min_confidence_pct) / 100.0;
-            let votes = votes.max(1);
-            let run = engine.run_many_outcome(items.iter().map(check).collect());
-            let mut verdict: Vec<Option<bool>> = vec![None; items.len()];
-            let mut escalate: Vec<usize> = Vec::new();
-            for (index, result) in run.results.iter().enumerate() {
-                match result {
-                    Ok(resp) => {
-                        meter.add(resp.usage, engine.cost_of_response(resp));
-                        // A confident, parseable answer settles the item;
-                        // anything else (low confidence OR garbled text)
-                        // escalates to the vote, which can still save it.
-                        match extract::yes_no(&resp.text) {
-                            Ok(answer) if resp.confidence.unwrap_or(1.0) >= threshold => {
-                                verdict[index] = Some(answer);
-                            }
-                            _ => escalate.push(index),
-                        }
-                    }
-                    Err(e) => lost.push((index, e.to_string())),
-                }
-            }
-            let specs: Vec<_> = escalate
-                .iter()
-                .flat_map(|&index| (0..votes).map(move |s| (check(&items[index]), 1.0, s)))
-                .collect();
-            let run = engine.run_sampled_many_outcome(specs);
-            for (k, &index) in escalate.iter().enumerate() {
-                let slice = &run.results[k * votes as usize..(k + 1) * votes as usize];
-                match majority_of_successes(slice, &mut meter, engine) {
-                    Ok(yes) => verdict[index] = Some(yes),
-                    Err(msg) => lost.push((index, msg)),
-                }
-            }
-            for (index, &id) in items.iter().enumerate() {
-                if verdict[index] == Some(true) {
-                    kept.push(id);
-                }
-            }
-        }
-        FilterStrategy::MajorityVote {
-            votes,
-            temperature_pct,
-        } => {
-            let votes = votes.max(1);
-            let temperature = f64::from(temperature_pct) / 100.0;
-            let specs: Vec<_> = items
-                .iter()
-                .flat_map(|id| (0..votes).map(move |s| (check(id), temperature, s)))
-                .collect();
-            let run = engine.run_sampled_many_outcome(specs);
-            for (k, &id) in items.iter().enumerate() {
-                let slice = &run.results[k * votes as usize..(k + 1) * votes as usize];
-                match majority_of_successes(slice, &mut meter, engine) {
-                    Ok(true) => kept.push(id),
-                    Ok(false) => {}
-                    Err(msg) => lost.push((k, msg)),
-                }
-            }
-        }
-    }
-    lost.sort_by_key(|(index, _)| *index);
-    engine.note_salvage(OpSalvage {
-        op: "filter",
-        salvaged: items.len() - lost.len(),
-        quarantined: lost,
-    });
-    Ok(meter.into_outcome(kept))
+/// Yes/no vote tallies by item index.
+struct Ballot {
+    yes: Vec<u32>,
+    counted: Vec<u32>,
 }
 
-/// Decide one item from its vote slice: the majority verdict over the
-/// *successful, parseable* votes (metering each), or an error message when
-/// not a single vote survived.
-fn majority_of_successes(
-    slice: &[Result<crowdprompt_oracle::CompletionResponse, EngineError>],
-    meter: &mut CostMeter,
-    engine: &Engine,
-) -> Result<bool, String> {
-    let mut yes = 0u32;
-    let mut counted = 0u32;
-    let mut last_err: Option<String> = None;
-    for result in slice {
-        match result {
-            Ok(resp) => {
-                meter.add(resp.usage, engine.cost_of_response(resp));
-                match extract::yes_no(&resp.text) {
-                    Ok(true) => {
-                        yes += 1;
-                        counted += 1;
-                    }
-                    Ok(false) => counted += 1,
-                    Err(e) => last_err = Some(e.to_string()),
-                }
-            }
-            Err(e) => last_err = Some(e.to_string()),
+impl Ballot {
+    fn new(items: usize) -> Self {
+        Ballot {
+            yes: vec![0; items],
+            counted: vec![0; items],
         }
     }
-    if counted == 0 {
-        Err(last_err.unwrap_or_else(|| "no votes completed".to_owned()))
-    } else {
-        Ok(yes * 2 > counted)
+
+    /// Count one vote for the item at `index`; a vote the policy lets fail
+    /// is simply not counted, so it harms only its own item.
+    fn cast(
+        &mut self,
+        settle: &mut Settle<'_>,
+        index: usize,
+        answer: Result<String, EngineError>,
+    ) -> Result<(), EngineError> {
+        if let Some(yes) = settle.item(index, answer.and_then(|t| extract::yes_no(&t)))? {
+            self.counted[index] += 1;
+            self.yes[index] += u32::from(yes);
+        }
+        Ok(())
+    }
+
+    /// The majority verdict over the votes that survived, or `None` (the
+    /// item stays lost under its last error) when not a single one did.
+    fn decide(&self, settle: &mut Settle<'_>, index: usize) -> Option<bool> {
+        (self.counted[index] > 0).then(|| {
+            settle.recovered(index);
+            self.yes[index] * 2 > self.counted[index]
+        })
     }
 }
 

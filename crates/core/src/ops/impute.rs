@@ -7,7 +7,7 @@ use crowdprompt_oracle::world::ItemId;
 
 use crate::blocking::BlockingIndex;
 use crate::error::EngineError;
-use crate::exec::{Engine, OpSalvage, RunSpec};
+use crate::exec::{Engine, RunSpec};
 use crate::extract;
 use crate::outcome::{CostMeter, Outcome};
 
@@ -134,6 +134,10 @@ pub fn impute(
 }
 
 /// [`impute`] at an explicit pack width (`1` = per-record dispatch).
+///
+/// Under a degrade policy, quarantined records get the empty-string "no
+/// answer" placeholder (the k-NN convention) so output stays aligned;
+/// casualties land in the engine's salvage note.
 pub fn impute_packed(
     engine: &Engine,
     records: &[ItemId],
@@ -142,151 +146,42 @@ pub fn impute_packed(
     strategy: &ImputeStrategy,
     pack: usize,
 ) -> Result<Outcome<Vec<String>>, EngineError> {
-    match strategy {
+    let (gate_k, shots) = match strategy {
         ImputeStrategy::KnnOnly { k } => {
             let values: Vec<String> = records
                 .iter()
                 .map(|id| knn_mode(engine, pool, *id, *k).0)
                 .collect();
-            Ok(Outcome::free(values))
+            return Ok(Outcome::free(values));
         }
-        ImputeStrategy::LlmOnly { shots } => {
-            let mut meter = CostMeter::new();
-            let tasks: Vec<TaskDescriptor> = records
-                .iter()
-                .map(|id| impute_task(engine, pool, *id, attribute, *shots))
-                .collect();
-            let mut values = Vec::with_capacity(records.len());
-            if engine.degrades() {
-                // Quarantined records get the empty-string "no answer"
-                // placeholder (the k-NN convention) so output stays
-                // aligned; casualties land in the salvage note.
-                let mut lost: Vec<(usize, String)> = Vec::new();
-                for (index, fetched) in degraded_values(engine, tasks, pack, &mut meter)?
-                    .into_iter()
-                    .enumerate()
-                {
-                    match fetched {
-                        Ok(v) => values.push(v),
-                        Err(msg) => {
-                            lost.push((index, msg));
-                            values.push(String::new());
-                        }
-                    }
-                }
-                engine.note_salvage(OpSalvage {
-                    op: "impute",
-                    salvaged: records.len() - lost.len(),
-                    quarantined: lost,
-                });
-                return Ok(meter.into_outcome(values));
-            }
-            if pack > 1 {
-                let run = engine.run_packed(tasks, pack)?;
-                for resp in &run.responses {
-                    meter.add(resp.usage, engine.cost_of_response(resp));
-                }
-                for answer in &run.answers {
-                    values.push(extract::value(answer)?);
-                }
-                return Ok(meter.into_outcome(values));
-            }
-            let responses = engine.run_many(tasks)?;
-            for resp in &responses {
-                meter.add(resp.usage, engine.cost_of_response(resp));
-                values.push(extract::value(&resp.text)?);
-            }
-            Ok(meter.into_outcome(values))
-        }
-        ImputeStrategy::Hybrid { k, shots } => {
-            let mut meter = CostMeter::new();
-            // Gate: unanimous k-NN answers are free; the rest go to the LLM.
-            let mut values: Vec<Option<String>> = Vec::with_capacity(records.len());
-            let mut llm_indices: Vec<usize> = Vec::new();
-            for (i, id) in records.iter().enumerate() {
-                let (mode, unanimous) = knn_mode(engine, pool, *id, *k);
-                if unanimous && !mode.is_empty() {
-                    values.push(Some(mode));
-                } else {
-                    values.push(None);
-                    llm_indices.push(i);
-                }
-            }
-            let tasks: Vec<TaskDescriptor> = llm_indices
-                .iter()
-                .map(|&i| impute_task(engine, pool, records[i], attribute, *shots))
-                .collect();
-            if engine.degrades() {
-                let mut lost: Vec<(usize, String)> = Vec::new();
-                for (fetched, &i) in degraded_values(engine, tasks, pack, &mut meter)?
-                    .into_iter()
-                    .zip(&llm_indices)
-                {
-                    match fetched {
-                        Ok(v) => values[i] = Some(v),
-                        Err(msg) => {
-                            lost.push((i, msg));
-                            values[i] = Some(String::new());
-                        }
-                    }
-                }
-                engine.note_salvage(OpSalvage {
-                    op: "impute",
-                    salvaged: records.len() - lost.len(),
-                    quarantined: lost,
-                });
-                return Ok(meter.into_outcome(
-                    values
-                        .into_iter()
-                        .map(|v| v.expect("every slot filled")) // lint: allow(no-unwrap)
-                        .collect(),
-                ));
-            }
-            if pack > 1 {
-                let run = engine.run_packed(tasks, pack)?;
-                for resp in &run.responses {
-                    meter.add(resp.usage, engine.cost_of_response(resp));
-                }
-                for (answer, &i) in run.answers.iter().zip(&llm_indices) {
-                    values[i] = Some(extract::value(answer)?);
-                }
-            } else {
-                let responses = engine.run_many(tasks)?;
-                for (resp, &i) in responses.iter().zip(&llm_indices) {
-                    meter.add(resp.usage, engine.cost_of_response(resp));
-                    values[i] = Some(extract::value(&resp.text)?);
-                }
-            }
-            Ok(meter.into_outcome(
-                values
-                    .into_iter()
-                    .map(|v| v.expect("every slot filled")) // lint: allow(no-unwrap)
-                    .collect(),
-            ))
-        }
-    }
-}
-
-/// Degrade-mode LLM value fetch: one `Ok(value)` or `Err(display message)`
-/// per task in input order, metering every completed response.
-fn degraded_values(
-    engine: &Engine,
-    tasks: Vec<TaskDescriptor>,
-    pack: usize,
-    meter: &mut CostMeter,
-) -> Result<Vec<Result<String, String>>, EngineError> {
-    let run = engine.run_outcome(RunSpec::packed(tasks, pack))?;
-    for resp in &run.responses {
-        meter.add(resp.usage, engine.cost_of_response(resp));
-    }
-    Ok(run
-        .answers
-        .into_iter()
-        .map(|answer| match answer {
-            Ok(text) => extract::value(&text).map_err(|e| e.to_string()),
-            Err(e) => Err(e.to_string()),
+        ImputeStrategy::LlmOnly { shots } => (None, *shots),
+        ImputeStrategy::Hybrid { k, shots } => (Some(*k), *shots),
+    };
+    // Gate: unanimous k-NN answers are free; the rest go to the LLM.
+    let mut values: Vec<Option<String>> = records
+        .iter()
+        .map(|id| {
+            let (mode, unanimous) = knn_mode(engine, pool, *id, gate_k?);
+            (unanimous && !mode.is_empty()).then_some(mode)
         })
-        .collect())
+        .collect();
+    let llm_indices: Vec<usize> = (0..records.len())
+        .filter(|&i| values[i].is_none())
+        .collect();
+    let tasks = llm_indices
+        .iter()
+        .map(|&i| impute_task(engine, pool, records[i], attribute, shots))
+        .collect();
+    let mut meter = CostMeter::new();
+    let mut settle = engine.settle("impute");
+    let run = engine.run_outcome(RunSpec::packed(tasks, pack))?;
+    run.meter_into(&mut meter);
+    for (answer, &i) in run.answers.into_iter().zip(&llm_indices) {
+        let value = answer.and_then(|text| extract::value(&text));
+        values[i] = Some(settle.item(i, value)?.unwrap_or_default());
+    }
+    settle.finish(records.len());
+    Ok(meter.into_outcome(values.into_iter().flatten().collect()))
 }
 
 /// k-NN imputation: `(mode of neighbor labels, whether all neighbors agree)`.

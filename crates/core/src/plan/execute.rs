@@ -1,26 +1,21 @@
 //! Physical plan execution with per-node cost attribution.
 //!
 //! Each node runs through the operator layer (and therefore the engine's
-//! pipelined dispatcher); the categorize-keep node streams its unit tasks
-//! through [`Engine::run_stream`] directly, so prompt rendering overlaps
-//! model calls without materializing the task batch. Every node's spend is
-//! recorded as a [`StepReport`], so a plan run can be audited node by node
-//! against the planner's estimates.
+//! pipelined dispatcher). Every node's spend is recorded as a
+//! [`StepReport`], so a plan run can be audited node by node against the
+//! planner's estimates.
 
-use crowdprompt_oracle::task::TaskDescriptor;
 use crowdprompt_oracle::world::ItemId;
 use crowdprompt_oracle::Usage;
 
 use crate::error::EngineError;
-use crate::exec::{Engine, OpSalvage, RunSpec};
-use crate::extract;
+use crate::exec::{Engine, OpSalvage};
 use crate::ops;
 use crate::ops::impute::LabeledPool;
 use crate::ops::join::JoinResult;
 use crate::ops::resolve::MentionIndex;
 use crate::ops::sort::SortResult;
-use crate::outcome::{CostMeter, Outcome};
-use crate::workflow::StepReport;
+use crate::outcome::Outcome;
 
 use super::{PhysicalNode, Plan};
 
@@ -111,6 +106,35 @@ impl PlanOutput {
             PlanOutput::Join(j) => Some(j),
             _ => None,
         }
+    }
+}
+
+/// Cost breakdown for one executed plan node.
+#[derive(Debug, Clone)]
+pub struct StepReport {
+    /// Node display name.
+    pub name: String,
+    /// Items entering the node.
+    pub items_in: usize,
+    /// Items leaving the node.
+    pub items_out: usize,
+    /// Token usage of the node.
+    pub usage: Usage,
+    /// Calls made by the node.
+    pub calls: u64,
+    /// Dollar cost of the node.
+    pub cost_usd: f64,
+    /// Salvage notes left by the operators this node ran, when the engine
+    /// executed under a degrade [`crate::exec::FailurePolicy`]: how many
+    /// items each operator salvaged and exactly which it quarantined.
+    /// Empty under fail-fast.
+    pub salvage: Vec<OpSalvage>,
+}
+
+impl StepReport {
+    /// Total items quarantined across this node's salvage notes.
+    pub fn quarantined_count(&self) -> usize {
+        self.salvage.iter().map(|n| n.quarantined.len()).sum()
     }
 }
 
@@ -242,77 +266,16 @@ pub(crate) fn execute(engine: &Engine, plan: &Plan) -> Result<PlanRun, EngineErr
                 output = Some(PlanOutput::Labels(out.value));
             }
             PhysicalNode::KeepLabel { labels, keep, pack } => {
-                let mut meter = CostMeter::new();
-                let mut kept = Vec::new();
-                if engine.degrades() {
-                    // Degrade mode: items whose classification stays broken
-                    // are quarantined (and therefore not kept) instead of
-                    // failing the plan.
-                    let tasks: Vec<TaskDescriptor> = items
-                        .iter()
-                        .map(|id| TaskDescriptor::Classify {
-                            item: *id,
-                            labels: labels.clone(),
-                        })
-                        .collect();
-                    let run = engine.run_outcome(RunSpec::packed(tasks, *pack))?;
-                    for resp in &run.responses {
-                        meter.add(resp.usage, engine.cost_of_response(resp));
-                    }
-                    let mut lost: Vec<(usize, String)> = Vec::new();
-                    for (index, (answer, id)) in run.answers.iter().zip(&items).enumerate() {
-                        let label = match answer {
-                            Ok(text) => extract::choice(text, labels),
-                            Err(e) => Err(e.clone()),
-                        };
-                        match label {
-                            Ok(label) if label == *keep => kept.push(*id),
-                            Ok(_) => {}
-                            Err(e) => lost.push((index, e.to_string())),
-                        }
-                    }
-                    engine.note_salvage(OpSalvage {
-                        op: "keep-label",
-                        salvaged: items.len() - lost.len(),
-                        quarantined: lost,
-                    });
-                } else if *pack > 1 {
-                    // Packed: B classifications per prompt.
-                    let run = engine.run_packed(
-                        items
-                            .iter()
-                            .map(|id| TaskDescriptor::Classify {
-                                item: *id,
-                                labels: labels.clone(),
-                            })
-                            .collect(),
-                        *pack,
-                    )?;
-                    for resp in &run.responses {
-                        meter.add(resp.usage, engine.cost_of_response(resp));
-                    }
-                    for (answer, id) in run.answers.iter().zip(&items) {
-                        if extract::choice(answer, labels)? == *keep {
-                            kept.push(*id);
-                        }
-                    }
-                } else {
-                    // Streamed: tasks are rendered and admitted inside the
-                    // worker pool as they are pulled, overlapping model
-                    // calls.
-                    let responses =
-                        engine.run_stream(items.iter().map(|id| TaskDescriptor::Classify {
-                            item: *id,
-                            labels: labels.clone(),
-                        }))?;
-                    for (resp, id) in responses.iter().zip(&items) {
-                        meter.add(resp.usage, engine.cost_of_response(resp));
-                        if extract::choice(&resp.text, labels)? == *keep {
-                            kept.push(*id);
-                        }
-                    }
-                }
-                let out = meter.into_outcome(kept);
+                // A quarantined item carries the empty placeholder label,
+                // which is never `keep`, so it is not kept.
+                let assigned =
+                    ops::categorize::classify(engine, "keep-label", &items, labels, *pack)?;
+                let out = assigned.map(|assigned| -> Vec<ItemId> {
+                    let labelled = items.iter().zip(assigned);
+                    labelled
+                        .filter_map(|(id, label)| (label == *keep).then_some(*id))
+                        .collect()
+                });
                 push_report(engine, &mut steps, name, items_in, out.value.len(), &out);
                 items = out.value;
             }

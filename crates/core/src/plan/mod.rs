@@ -27,7 +27,7 @@ pub mod execute;
 pub mod ir;
 pub mod planner;
 
-pub use execute::{PlanOutput, PlanRun};
+pub use execute::{PlanOutput, PlanRun, StepReport};
 pub use ir::{ClusterProbe, LogicalOp, Query, SortCalibration};
 pub use planner::PlanOptions;
 
@@ -147,7 +147,7 @@ pub enum PhysicalNode {
 }
 
 impl PhysicalNode {
-    /// Step/report display name (matches the workflow layer's step names).
+    /// Step/report display name.
     pub fn name(&self) -> String {
         match self {
             PhysicalNode::Filter { predicate, .. } => format!("filter[{predicate}]"),

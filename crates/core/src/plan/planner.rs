@@ -43,8 +43,8 @@ use super::ir::{ClusterProbe, LogicalOp, Query};
 use super::{NodeEstimate, PhysicalNode, Plan, PlannedNode};
 
 /// Which rewrites the planner may apply. [`PlanOptions::verbatim`] lowers
-/// the chain exactly as declared (the workflow layer uses it so pipelines
-/// keep their declared step order and strategies).
+/// the chain exactly as declared (declared step order and pinned strategies
+/// are kept).
 #[derive(Debug, Clone, Copy)]
 pub struct PlanOptions {
     /// Fuse unpinned `sort` + `take(k)` into a top-k node.
@@ -91,7 +91,7 @@ impl PlanOptions {
         }
     }
 
-    /// The session/workflow wrapper path: verbatim lowering with cost
+    /// The session wrapper path: verbatim lowering with cost
     /// estimation skipped — the wrappers discard the estimates, so the
     /// representative-prompt renders would be pure overhead per call.
     pub(crate) fn wrapper() -> Self {

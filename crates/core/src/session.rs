@@ -233,8 +233,7 @@ impl CacheConfig {
 /// Cross-cutting concerns are grouped: routing ([`SessionBuilder::routing`]),
 /// resilience ([`SessionBuilder::resilience`]), and caching
 /// ([`SessionBuilder::cache`]) each take a small config struct, so related
-/// knobs are set — and validated — together. The pre-grouping per-knob
-/// setters remain as deprecated delegating shims.
+/// knobs are set — and validated — together.
 pub struct SessionBuilder {
     client: Option<Arc<LlmClient>>,
     routing: RoutingConfig,
@@ -281,30 +280,6 @@ impl SessionBuilder {
     #[must_use]
     pub fn cache(mut self, config: CacheConfig) -> Self {
         self.cache = config;
-        self
-    }
-
-    /// Deprecated shim for [`RoutingConfig::backends`].
-    #[deprecated(note = "use SessionBuilder::routing(RoutingConfig::new().backends(...))")]
-    #[must_use]
-    pub fn backends(mut self, backends: Vec<Arc<dyn Backend>>) -> Self {
-        self.routing.backends = backends;
-        self
-    }
-
-    /// Deprecated shim for [`RoutingConfig::hedge_after`].
-    #[deprecated(note = "use SessionBuilder::routing(RoutingConfig::new().hedge_after(...))")]
-    #[must_use]
-    pub fn hedge_after(mut self, delay: Duration) -> Self {
-        self.routing.hedge_after = Some(delay);
-        self
-    }
-
-    /// Deprecated shim for [`RoutingConfig::max_retries`].
-    #[deprecated(note = "use SessionBuilder::routing(RoutingConfig::new().max_retries(...))")]
-    #[must_use]
-    pub fn max_retries(mut self, retries: u32) -> Self {
-        self.routing.max_retries = Some(retries);
         self
     }
 
@@ -380,50 +355,6 @@ impl SessionBuilder {
     #[must_use]
     pub fn tracing(mut self, enabled: bool) -> Self {
         self.trace = enabled;
-        self
-    }
-
-    /// Deprecated shim for [`ResilienceConfig::failure_policy`].
-    #[deprecated(
-        note = "use SessionBuilder::resilience(ResilienceConfig::new().failure_policy(...))"
-    )]
-    #[must_use]
-    pub fn failure_policy(mut self, policy: FailurePolicy) -> Self {
-        self.resilience.failure_policy = Some(policy);
-        self
-    }
-
-    /// Deprecated shim for [`ResilienceConfig::deadline_ms`].
-    #[deprecated(note = "use SessionBuilder::resilience(ResilienceConfig::new().deadline_ms(...))")]
-    #[must_use]
-    pub fn deadline_ms(mut self, ms: u64) -> Self {
-        self.resilience.deadline_ms = Some(ms);
-        self
-    }
-
-    /// Deprecated shim for [`ResilienceConfig::journal_path`].
-    #[deprecated(
-        note = "use SessionBuilder::resilience(ResilienceConfig::new().journal_path(...))"
-    )]
-    #[must_use]
-    pub fn journal_path(mut self, path: impl Into<std::path::PathBuf>) -> Self {
-        self.resilience.journal_path = Some(path.into());
-        self
-    }
-
-    /// Deprecated shim for [`CacheConfig::store_path`].
-    #[deprecated(note = "use SessionBuilder::cache(CacheConfig::new().store_path(...))")]
-    #[must_use]
-    pub fn store_path(mut self, path: impl Into<std::path::PathBuf>) -> Self {
-        self.cache.store_path = Some(path.into());
-        self
-    }
-
-    /// Deprecated shim for [`CacheConfig::semantic_cache`].
-    #[deprecated(note = "use SessionBuilder::cache(CacheConfig::new().semantic_cache(...))")]
-    #[must_use]
-    pub fn semantic_cache(mut self, threshold: f32) -> Self {
-        self.cache.semantic_threshold = Some(threshold);
         self
     }
 
@@ -865,7 +796,6 @@ impl Session {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // several tests deliberately exercise the pre-group shims
 mod tests {
     use super::*;
     use crowdprompt_oracle::model::ModelProfile;
@@ -973,7 +903,7 @@ mod tests {
         let llm = Arc::new(SimulatedLlm::new(ModelProfile::perfect(), Arc::new(w), 1));
         match Session::builder()
             .client(Arc::new(LlmClient::new(llm)))
-            .semantic_cache(0.5)
+            .cache(CacheConfig::new().semantic_cache(0.5))
             .try_build()
         {
             Err(EngineError::InvalidInput(msg)) => assert!(msg.contains("store_path")),
@@ -1018,40 +948,6 @@ mod tests {
             Ok(_) => panic!("clientless builder must not build"),
             Err(other) => panic!("expected routing group error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn deprecated_shims_and_config_groups_configure_identically() {
-        // The old per-knob surface must keep steering the same state the
-        // groups do: configure resilience both ways, observe via the engine.
-        let mk_client = || {
-            let w = WorldModel::new();
-            let llm = Arc::new(SimulatedLlm::new(ModelProfile::perfect(), Arc::new(w), 1));
-            Arc::new(LlmClient::new(llm))
-        };
-        let via_shims = Session::builder()
-            .client(mk_client())
-            .failure_policy(FailurePolicy::Degrade { max_attempts: 7 })
-            .deadline_ms(1234)
-            .try_build()
-            .expect("shim-configured session builds");
-        let via_groups = Session::builder()
-            .client(mk_client())
-            .resilience(
-                ResilienceConfig::new()
-                    .failure_policy(FailurePolicy::Degrade { max_attempts: 7 })
-                    .deadline_ms(1234),
-            )
-            .try_build()
-            .expect("group-configured session builds");
-        assert_eq!(
-            via_shims.engine().failure_policy(),
-            via_groups.engine().failure_policy()
-        );
-        assert_eq!(
-            via_shims.engine().deadline_ms(),
-            via_groups.engine().deadline_ms()
-        );
     }
 
     #[test]
@@ -1100,7 +996,7 @@ mod tests {
             let s = Session::builder()
                 .client(Arc::new(LlmClient::new(llm)))
                 .corpus(corpus)
-                .store_path(&path)
+                .cache(CacheConfig::new().store_path(&path))
                 .try_build()
                 .expect("store session builds");
             (s, ids)

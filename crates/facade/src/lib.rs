@@ -95,12 +95,11 @@ pub mod prelude {
     pub use crowdprompt_core::plan::{
         ClusterProbe, Plan, PlanOptions, PlanOutput, PlanRun, Query, SortCalibration,
     };
-    pub use crowdprompt_core::workflow::{Pipeline, PipelineResult};
     pub use crowdprompt_core::{
         BatchOutcome, BlockingHit, BlockingIndex, Budget, CacheConfig, Corpus, EngineError,
         FailurePolicy, OpSalvage, Outcome, Quarantine, ResilienceConfig, RoutingConfig, RunJournal,
-        RunOutcome, RunSpec, ServeError, Server, ServerBuilder, Session, SessionBuilder, TenantRun,
-        TenantSpec, TenantStats,
+        RunSpec, ServeError, Server, ServerBuilder, Session, SessionBuilder, TenantRun, TenantSpec,
+        TenantStats,
     };
     pub use crowdprompt_oracle::task::SortCriterion;
     pub use crowdprompt_oracle::{

@@ -18,10 +18,6 @@
 //! quarantine under a given schedule depends on scheduling races, and
 //! pinning it would make the tests flaky rather than strong.
 
-// The pre-PR10 per-knob builder methods stay exercised here on purpose:
-// they are deprecated delegating shims and must keep working unchanged.
-#![allow(deprecated)]
-
 use std::sync::Arc;
 
 use crowdprompt::oracle::model::NoiseProfile;
@@ -114,7 +110,7 @@ fn routed_session(
         .criterion("by index")
         .parallelism(1);
     if let Some(policy) = policy {
-        builder = builder.failure_policy(policy);
+        builder = builder.resilience(ResilienceConfig::new().failure_policy(policy));
     }
     builder.build()
 }
@@ -164,14 +160,17 @@ proptest! {
             vec![backend],
             Some(FailurePolicy::Degrade { max_attempts }),
         );
-        let outcome = session.engine().run_many_outcome(check_tasks(&items));
+        let outcome = session
+            .engine()
+            .run_outcome(RunSpec::tasks(check_tasks(&items)))
+            .expect("a degrading run never fails the batch");
 
         // Convergence: one result per task, and the quarantine list is
         // exactly the Err positions, in order, with evidence attached.
-        prop_assert_eq!(outcome.results.len(), n);
+        prop_assert_eq!(outcome.answers.len(), n);
         prop_assert_eq!(outcome.ok_count() + outcome.quarantined.len(), n);
         let err_indices: Vec<usize> = outcome
-            .results
+            .answers
             .iter()
             .enumerate()
             .filter_map(|(i, r)| r.is_err().then_some(i))
@@ -193,8 +192,9 @@ proptest! {
         // agree. Tasks are unique and failures are never cached, so each
         // success is exactly one paid call.
         let meter: f64 = outcome
-            .successes()
-            .map(|(_, r)| r.pricing.cost_usd(r.usage))
+            .responses
+            .iter()
+            .map(|r| r.pricing.cost_usd(r.usage))
             .sum();
         assert_money_conserved(&session, meter);
         let ledger = session.engine().client().ledger();

@@ -6,7 +6,6 @@ use std::sync::Arc;
 
 use crowdprompt::core::cascade::{CascadeTier, ModelCascade};
 use crowdprompt::core::ops::filter::FilterStrategy;
-use crowdprompt::core::workflow::Pipeline;
 use crowdprompt::core::{Corpus, Engine};
 use crowdprompt::data::ReviewsDataset;
 use crowdprompt::metrics::rank::kendall_tau_b_rankings;
@@ -70,26 +69,37 @@ fn workflow_pipeline_composes_and_audits() {
     )
     .with_criterion_label("by sentiment");
 
-    let result = Pipeline::new()
-        .filter("positive", FilterStrategy::Single)
-        .sort(SortCriterion::LatentScore, SortStrategy::SinglePrompt)
-        .truncate(5)
-        .run(&engine, &data.items)
+    // Lowered verbatim: declared order and pinned strategies, no rewrites.
+    let run = Query::over(&data.items)
+        .filter_with("positive", FilterStrategy::Single)
+        .sort_with(SortCriterion::LatentScore, SortStrategy::SinglePrompt)
+        .take(5)
+        .plan_with(&engine, PlanOptions::verbatim())
+        .unwrap()
+        .execute_on(&engine)
         .unwrap();
+    let survivors = run.output.items().expect("item plan");
 
-    assert_eq!(result.items.len(), 5.min(data.positive_count));
+    assert_eq!(survivors.len(), 5.min(data.positive_count));
     // With a perfect oracle, the survivors are the top positive snippets.
-    for id in &result.items {
+    for id in survivors {
         assert_eq!(data.world.flag(*id, "positive"), Some(true));
     }
     // Per-step audit is coherent.
-    assert_eq!(result.steps.len(), 3);
-    assert_eq!(result.steps[0].items_in, 50);
+    assert_eq!(run.steps.len(), 3);
+    assert_eq!(run.steps[0].items_in, 50);
     assert_eq!(
-        result.steps[0].items_out, data.positive_count,
+        run.steps[0].items_out, data.positive_count,
         "perfect filter keeps exactly the positives"
     );
-    assert!(result.total_cost_usd() >= 0.0);
+    assert_eq!(run.steps[0].items_out, run.steps[1].items_in);
+    assert_eq!(run.steps[2].items_out, survivors.len());
+    assert_eq!(run.steps[2].calls, 0, "truncate is free");
+    assert_eq!(
+        run.total_calls(),
+        run.steps.iter().map(|s| s.calls).sum::<u64>()
+    );
+    assert!(run.total_cost_usd() >= 0.0);
 }
 
 #[test]

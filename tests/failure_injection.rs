@@ -2,10 +2,6 @@
 //! responses, context overflows, and extraction hazards exercised through
 //! the full stack.
 
-// The pre-PR10 per-knob builder methods stay exercised here on purpose:
-// they are deprecated delegating shims and must keep working unchanged.
-#![allow(deprecated)]
-
 use std::sync::Arc;
 
 use crowdprompt::core::ops::filter::FilterStrategy;
@@ -251,7 +247,9 @@ fn breaker_opens_heals_and_degraded_batch_completes() {
         .client(client)
         .corpus(Corpus::from_world(&w, &items))
         .criterion("by index")
-        .failure_policy(FailurePolicy::Degrade { max_attempts: 60 })
+        .resilience(
+            ResilienceConfig::new().failure_policy(FailurePolicy::Degrade { max_attempts: 60 }),
+        )
         .build();
 
     let run = session

@@ -17,10 +17,6 @@
 //!   pure function of the request, so a re-dispatched gap task returns the
 //!   same bytes the lost original did.
 
-// The pre-PR10 per-knob builder methods stay exercised here on purpose:
-// they are deprecated delegating shims and must keep working unchanged.
-#![allow(deprecated)]
-
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -65,7 +61,7 @@ fn journaled_session(w: &WorldModel, items: &[ItemId], seed: u64, journal: &Path
         .corpus(Corpus::from_world(w, items))
         .criterion("by index")
         .parallelism(1)
-        .journal_path(journal)
+        .resilience(ResilienceConfig::new().journal_path(journal))
         .build()
 }
 

@@ -24,6 +24,7 @@ use crowdprompt::core::ops;
 use crowdprompt::core::ops::impute::LabeledPool;
 use crowdprompt::core::{Budget, Corpus, Engine};
 use crowdprompt::oracle::model::NoiseProfile;
+use crowdprompt::oracle::task::TaskDescriptor;
 use crowdprompt::oracle::world::{ItemId, WorldModel};
 use crowdprompt::oracle::{LlmClient, ModelProfile, SimulatedLlm};
 use crowdprompt::prelude::*;
@@ -308,4 +309,264 @@ fn packed_session_spends_less_for_the_same_answer() {
         packed.usage.prompt_tokens,
         per_item.usage.prompt_tokens
     );
+}
+
+/// A fresh priced engine (so `spend_usd` is non-trivial) over the healthy
+/// accuracy-1.0 world, under the given failure policy.
+fn policy_engine(n: usize, pack: usize, policy: FailurePolicy) -> (Engine, Vec<ItemId>) {
+    let (w, ids) = world(n);
+    let corpus = Corpus::from_world(&w, &ids);
+    let profile = ModelProfile::gpt35_like().with_noise(chatty_noise(0.0));
+    let llm = Arc::new(SimulatedLlm::new(profile, Arc::new(w), 42));
+    let engine = Engine::new(Arc::new(LlmClient::new(llm)), corpus)
+        .with_pack_width(pack)
+        .with_failure_policy(policy);
+    (engine, ids)
+}
+
+/// The failure policy is data, not a second implementation: on a healthy
+/// world every packable operator × strategy × width returns the same value
+/// from the same calls at the same spend, bit for bit, whether the engine
+/// fails fast or degrades.
+#[test]
+fn failure_policy_is_invisible_on_a_healthy_world() {
+    type Run = Box<dyn Fn(&Engine, &[ItemId]) -> String>;
+    type Case = (&'static str, Run);
+    let labels = vec!["bulk".to_owned(), "retail".to_owned()];
+    let vote = FilterStrategy::MajorityVote {
+        votes: 3,
+        temperature_pct: 70,
+    };
+    let gated = FilterStrategy::ConfidenceGated {
+        min_confidence_pct: 65,
+        votes: 3,
+    };
+    let filter_case = |strategy: FilterStrategy| -> Run {
+        Box::new(move |e, ids| {
+            format!(
+                "{:?}",
+                ops::filter::filter(e, ids, "rare", strategy).unwrap()
+            )
+        })
+    };
+    let count_case = |strategy: CountStrategy| -> Run {
+        Box::new(move |e, ids| {
+            format!("{:?}", ops::count::count(e, ids, "rare", strategy).unwrap())
+        })
+    };
+    let (categorize_labels, keep_labels) = (labels.clone(), labels);
+    let cases: Vec<Case> = vec![
+        ("filter/single", filter_case(FilterStrategy::Single)),
+        ("filter/majority-vote", filter_case(vote)),
+        ("filter/confidence-gated", filter_case(gated)),
+        ("count/per-item", count_case(CountStrategy::PerItem)),
+        (
+            "count/eyeball",
+            count_case(CountStrategy::Eyeball { batch_size: 10 }),
+        ),
+        (
+            "categorize",
+            Box::new(move |e, ids| {
+                format!(
+                    "{:?}",
+                    ops::categorize::categorize(e, ids, &categorize_labels).unwrap()
+                )
+            }),
+        ),
+        (
+            "keep-label",
+            Box::new(move |e, ids| {
+                let run = Query::over(ids)
+                    .keep_label(keep_labels.clone(), "bulk")
+                    .plan_on(e)
+                    .unwrap()
+                    .execute_on(e)
+                    .unwrap();
+                format!("{:?} in {} calls", run.output, run.total_calls())
+            }),
+        ),
+    ];
+    let policies = [
+        FailurePolicy::FailFast,
+        FailurePolicy::Degrade { max_attempts: 1 },
+        FailurePolicy::Degrade { max_attempts: 3 },
+    ];
+    for (name, case) in &cases {
+        for pack in [1, 8] {
+            let observed: Vec<(String, u64, u64)> = policies
+                .iter()
+                .map(|&policy| {
+                    let (engine, ids) = policy_engine(30, pack, policy);
+                    let value = case(&engine, &ids);
+                    let ledger = engine.client().ledger();
+                    (value, ledger.calls(), ledger.spend_usd().to_bits())
+                })
+                .collect();
+            assert_eq!(observed[0], observed[1], "{name} pack {pack}: degrade-1");
+            assert_eq!(observed[0], observed[2], "{name} pack {pack}: degrade-3");
+            if *name == "filter/majority-vote" && pack == 8 {
+                // Vote rounds pack under every policy: 3 rounds of ⌈30/8⌉.
+                assert_eq!(observed[0].1, 3 * 4, "{name} pack {pack}");
+            }
+        }
+    }
+
+    // Impute needs its own labeled world.
+    for strategy in [
+        ImputeStrategy::LlmOnly { shots: 2 },
+        ImputeStrategy::Hybrid { k: 3, shots: 2 },
+    ] {
+        for pack in [1, 8] {
+            let observed: Vec<(Vec<String>, u64, u64)> = policies
+                .iter()
+                .map(|&policy| {
+                    let (w, ids, labeled) = impute_world();
+                    let corpus = Corpus::from_world(&w, &ids);
+                    let profile = ModelProfile::gpt35_like().with_noise(chatty_noise(0.0));
+                    let llm = Arc::new(SimulatedLlm::new(profile, Arc::new(w), 13));
+                    let engine = Engine::new(Arc::new(LlmClient::new(llm)), corpus)
+                        .with_pack_width(pack)
+                        .with_failure_policy(policy);
+                    let pool = LabeledPool::build(&engine, &labeled).unwrap();
+                    let out = ops::impute::impute(&engine, &ids, "city", &pool, &strategy).unwrap();
+                    let ledger = engine.client().ledger();
+                    (out.value, ledger.calls(), ledger.spend_usd().to_bits())
+                })
+                .collect();
+            assert_eq!(observed[0], observed[1], "{strategy:?} pack {pack}");
+            assert_eq!(observed[0], observed[2], "{strategy:?} pack {pack}");
+        }
+    }
+}
+
+/// Eight check tasks over a world whose items 2 and 5 are too long for the
+/// model's context window (a hard, non-retryable dispatch failure).
+fn poisoned_engine(policy: FailurePolicy) -> (Engine, Vec<TaskDescriptor>) {
+    let mut w = WorldModel::new();
+    let ids: Vec<ItemId> = (0..8)
+        .map(|i| {
+            let text = if i == 2 || i == 5 {
+                format!("oversize record {i} {}", "lorem ipsum ".repeat(200))
+            } else {
+                format!("record {i}")
+            };
+            let id = w.add_item(text);
+            w.set_flag(id, "active", i % 2 == 0);
+            id
+        })
+        .collect();
+    let corpus = Corpus::from_world(&w, &ids);
+    let profile = ModelProfile::gpt35_like()
+        .with_noise(NoiseProfile::perfect())
+        .with_context_window(200);
+    let llm = Arc::new(SimulatedLlm::new(profile, Arc::new(w), 7));
+    let engine = Engine::new(Arc::new(LlmClient::new(llm)), corpus)
+        .with_parallelism(1)
+        .with_failure_policy(policy);
+    let tasks = ids
+        .iter()
+        .map(|&item| TaskDescriptor::CheckPredicate {
+            item,
+            predicate: "active".to_owned(),
+        })
+        .collect();
+    (engine, tasks)
+}
+
+#[test]
+fn run_outcome_fails_fast_or_quarantines_as_the_policy_says() {
+    use crowdprompt::oracle::LlmError;
+    let overflow_of = |e: &EngineError| match e {
+        EngineError::Llm(LlmError::ContextOverflow { prompt_tokens, .. }) => *prompt_tokens,
+        other => panic!("expected context overflow, got {other:?}"),
+    };
+
+    // FailFast: the first hard error in input order, exactly as run_many.
+    let (strict, tasks) = poisoned_engine(FailurePolicy::FailFast);
+    let via_run_many = strict.run_many(tasks.clone()).unwrap_err();
+    let (engine, tasks) = poisoned_engine(FailurePolicy::FailFast);
+    let via_outcome = engine.run_outcome(RunSpec::tasks(tasks)).unwrap_err();
+    assert_eq!(overflow_of(&via_outcome), overflow_of(&via_run_many));
+    assert_eq!(
+        engine.client().ledger().calls(),
+        2,
+        "items 0 and 1 ran, item 2 stopped the batch"
+    );
+    assert_eq!(
+        engine.budget().spent_usd().to_bits(),
+        strict.budget().spent_usd().to_bits()
+    );
+
+    // A task that does not render fails the batch before anything is
+    // dispatched, whatever the parallelism — and it is the *first* one.
+    let (engine, mut tasks) = poisoned_engine(FailurePolicy::FailFast);
+    let engine = engine.with_parallelism(8);
+    for (slot, ghost) in [(3, 9003), (6, 9006)] {
+        tasks[slot] = TaskDescriptor::CheckPredicate {
+            item: ItemId(ghost),
+            predicate: "active".to_owned(),
+        };
+    }
+    match engine.run_outcome(RunSpec::tasks(tasks)) {
+        Err(EngineError::UnknownItem(id)) => assert_eq!(id, ItemId(9003)),
+        other => panic!("expected the first unknown item, got {other:?}"),
+    }
+    assert_eq!(engine.client().ledger().calls(), 0);
+
+    // Degrade: the same faulty batch quarantines exactly the failing
+    // indices, each with its error chain, and completes the rest.
+    let (engine, tasks) = poisoned_engine(FailurePolicy::Degrade { max_attempts: 3 });
+    let outcome = engine.run_outcome(RunSpec::tasks(tasks)).unwrap();
+    let quarantined: Vec<usize> = outcome.quarantined.iter().map(|q| q.index).collect();
+    assert_eq!(quarantined, vec![2, 5]);
+    for q in &outcome.quarantined {
+        assert_eq!(q.errors.len(), 1, "an overflow is not retryable");
+        overflow_of(&q.errors[0]);
+        assert!(outcome.answers[q.index].is_err());
+    }
+    assert_eq!(outcome.ok_count(), 6);
+    assert_eq!(outcome.responses.len(), 6);
+    assert_eq!(engine.client().ledger().calls(), 6);
+}
+
+#[test]
+fn over_budget_task_batch_is_refused_whole_under_fail_fast() {
+    let tight = |policy: FailurePolicy| {
+        let (engine, ids) = policy_engine(30, 1, policy);
+        let tasks: Vec<TaskDescriptor> = ids
+            .iter()
+            .map(|&item| TaskDescriptor::CheckPredicate {
+                item,
+                predicate: "active".to_owned(),
+            })
+            .collect();
+        (engine.with_budget(Budget::usd(0.0002)), tasks)
+    };
+    // FailFast: the cumulative estimate cannot fit, so nothing is dispatched
+    // — by run_outcome exactly as by run_many.
+    for via_outcome in [false, true] {
+        let (engine, tasks) = tight(FailurePolicy::FailFast);
+        let result = if via_outcome {
+            engine.run_outcome(RunSpec::tasks(tasks)).map(|_| ())
+        } else {
+            engine.run_many(tasks).map(|_| ())
+        };
+        assert!(
+            matches!(result, Err(EngineError::BudgetExceeded { .. })),
+            "expected a whole-batch refusal, got {result:?}"
+        );
+        assert_eq!(engine.client().ledger().calls(), 0);
+        assert_eq!(engine.budget().spent_usd(), 0.0);
+    }
+    // Degrade: what fits runs; the rest is quarantined as over budget.
+    let (engine, tasks) = tight(FailurePolicy::Degrade { max_attempts: 2 });
+    let outcome = engine.run_outcome(RunSpec::tasks(tasks)).unwrap();
+    assert!(outcome.ok_count() > 0 && !outcome.is_complete());
+    for q in &outcome.quarantined {
+        assert!(matches!(
+            q.errors.last(),
+            Some(EngineError::BudgetExceeded { .. })
+        ));
+    }
+    assert_eq!(engine.client().ledger().calls(), outcome.ok_count() as u64);
 }

@@ -3,10 +3,6 @@
 //! circuit breaking through the session API, and cascade escalation over a
 //! dead tier.
 
-// The pre-PR10 per-knob builder methods stay exercised here on purpose:
-// they are deprecated delegating shims and must keep working unchanged.
-#![allow(deprecated)]
-
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -57,9 +53,11 @@ fn single_backend_routing_is_bit_identical_to_plain_client() {
         .criterion("by index")
         .build();
     let routed = Session::builder()
-        .backends(vec![
-            Arc::new(SimBackend::new("only", Arc::clone(&model))) as Arc<dyn Backend>
-        ])
+        .routing(
+            RoutingConfig::new().backends(vec![
+                Arc::new(SimBackend::new("only", Arc::clone(&model))) as Arc<dyn Backend>,
+            ]),
+        )
         .corpus(Corpus::from_world(&w, &items))
         .criterion("by index")
         .build();
@@ -161,8 +159,11 @@ fn retried_transient_failure_charges_exactly_one_call() {
         price_multiplier: 1.5,
     });
     let session = Session::builder()
-        .backends(vec![Arc::clone(&flaky) as Arc<dyn Backend>])
-        .max_retries(3)
+        .routing(
+            RoutingConfig::new()
+                .backends(vec![Arc::clone(&flaky) as Arc<dyn Backend>])
+                .max_retries(3),
+        )
         .corpus(Corpus::from_world(&w, &items))
         .budget(Budget::usd(1.0))
         .build();
@@ -243,11 +244,14 @@ fn hedged_loser_is_cancelled_without_spend() {
     });
     let fast = Arc::new(SimBackend::new("fast", Arc::clone(&model)).with_price_multiplier(2.0));
     let session = Session::builder()
-        .backends(vec![
-            Arc::clone(&slow) as Arc<dyn Backend>,
-            fast as Arc<dyn Backend>,
-        ])
-        .hedge_after(Duration::from_millis(2))
+        .routing(
+            RoutingConfig::new()
+                .backends(vec![
+                    Arc::clone(&slow) as Arc<dyn Backend>,
+                    fast as Arc<dyn Backend>,
+                ])
+                .hedge_after(Duration::from_millis(2)),
+        )
         .corpus(Corpus::from_world(&w, &items))
         .budget(Budget::usd(1.0))
         .build();
@@ -346,12 +350,12 @@ fn explain_notes_backend_roster_and_reference_pricing() {
     let (w, items) = flagged_world(12);
     let model = shared_model(&w, 3);
     let session = Session::builder()
-        .backends(vec![
+        .routing(RoutingConfig::new().backends(vec![
             Arc::new(SimBackend::new("pricey", Arc::clone(&model)).with_price_multiplier(2.0))
                 as Arc<dyn Backend>,
             Arc::new(SimBackend::new("bargain", Arc::clone(&model)).with_price_multiplier(0.25))
                 as Arc<dyn Backend>,
-        ])
+        ]))
         .corpus(Corpus::from_world(&w, &items))
         .build();
     let plan = session.plan(session.query(&items).filter("keep")).unwrap();
@@ -384,7 +388,7 @@ fn builder_rejects_conflicting_routing_configuration() {
     let backend: Arc<dyn Backend> = Arc::new(SimBackend::new("b", Arc::clone(&model)));
     match Session::builder()
         .client(Arc::new(LlmClient::new(Arc::clone(&model))))
-        .backends(vec![Arc::clone(&backend)])
+        .routing(RoutingConfig::new().backends(vec![Arc::clone(&backend)]))
         .try_build()
     {
         Err(EngineError::InvalidInput(msg)) => assert!(msg.contains("not both"), "{msg}"),
@@ -392,7 +396,7 @@ fn builder_rejects_conflicting_routing_configuration() {
     }
     match Session::builder()
         .client(Arc::new(LlmClient::new(model)))
-        .hedge_after(Duration::from_millis(1))
+        .routing(RoutingConfig::new().hedge_after(Duration::from_millis(1)))
         .try_build()
     {
         Err(EngineError::InvalidInput(msg)) => assert!(msg.contains("backends"), "{msg}"),

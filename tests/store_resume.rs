@@ -14,10 +14,6 @@
 //! read-only handles snapshot freely, and the writer lock is released on
 //! drop.
 
-// The pre-PR10 per-knob builder methods stay exercised here on purpose:
-// they are deprecated delegating shims and must keep working unchanged.
-#![allow(deprecated)]
-
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -70,7 +66,7 @@ fn store_session(w: &WorldModel, items: &[ItemId], seed: u64, store: &PathBuf) -
         .corpus(Corpus::from_world(w, items))
         .criterion("by index")
         .parallelism(1)
-        .store_path(store)
+        .cache(CacheConfig::new().store_path(store))
         .try_build()
         .expect("store session must build")
 }

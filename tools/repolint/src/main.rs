@@ -10,6 +10,7 @@
 //! | `clock`       | no `Instant::now` / `SystemTime::now` outside approved sites     |
 //! | `money-eq`    | money-valued f64s compare via bit-pattern helpers, never `==`    |
 //! | `bench-keys`  | every `BENCH_*.json` series key is guarded by the baseline script|
+//! | `no-deprecated`| no `#[deprecated]` items and no `allow(deprecated)`, tests included|
 //!
 //! Pure std, no crates.io: scanning is lexical but *mask-accurate* — a small
 //! lexer blanks out comments, strings, and char literals first, so a banned
@@ -53,6 +54,10 @@ const VENDORED: &[&str] = &[
 /// the interleaving explorer — a *scheduler* that implements model-checked
 /// locks on top of raw primitives, necessarily below the facade.
 const FACADE_PATHS: &[&str] = &["crates/shims/parking_lot/", "crates/shims/interleave/"];
+
+/// Stand-ins for published crates may mirror an upstream deprecation;
+/// first-party code deletes the old path instead of keeping a shim.
+const DEPRECATED_EXEMPT: &str = "crates/shims/";
 
 const BASELINE_GUARD: &str = "ci/check_bench_baselines.sh";
 
@@ -527,6 +532,19 @@ fn lint_rust_source(rel: &str, src: &str) -> Vec<Finding> {
         }
     }
 
+    // Unlike the rules above this one covers test, bench and example code
+    // too: a test that needs `allow(deprecated)` is a test of a shim.
+    if !rel.starts_with(DEPRECATED_EXEMPT) {
+        for offset in find_deprecated_attrs(&masked) {
+            push(
+                "no-deprecated",
+                "`#[deprecated]` / `allow(deprecated)` keeps a superseded path alive".to_string(),
+                "delete the old item and move its callers in the same change instead of keeping a shim",
+                offset,
+            );
+        }
+    }
+
     for offset in find_money_eq(&masked, &index) {
         if library_code(offset) {
             push(
@@ -647,6 +665,38 @@ fn find_token(masked: &[char], token: &str) -> Vec<usize> {
         if i < n && masked[i] == '(' {
             hits.push(pos);
         }
+    }
+    hits
+}
+
+/// Offsets of attributes (`#[..]` / `#![..]`) that mention the word
+/// `deprecated`: the marker itself, `allow(deprecated)`, or either wrapped
+/// in `cfg_attr`. Strings are already masked, so a `note = ".."` cannot
+/// match.
+fn find_deprecated_attrs(masked: &[char]) -> Vec<usize> {
+    let mut hits = Vec::new();
+    let n = masked.len();
+    let mut i = 0;
+    while i + 1 < n {
+        let open = match (masked[i], masked[i + 1]) {
+            ('#', '[') => i + 1,
+            ('#', '!') if i + 2 < n && masked[i + 2] == '[' => i + 2,
+            _ => {
+                i += 1;
+                continue;
+            }
+        };
+        let Some(close) = matching(masked, open, '[', ']') else {
+            break;
+        };
+        let attr: String = masked[open + 1..close].iter().collect();
+        if attr
+            .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+            .any(|word| word == "deprecated")
+        {
+            hits.push(i);
+        }
+        i = close + 1;
     }
     hits
 }
@@ -820,6 +870,30 @@ mod tests {
         assert!(lint_rust_source("crates/core/src/x.rs", ok).is_empty());
         let unrelated = "fn c(a: u64, b: u64) -> bool { a == b }\n";
         assert!(lint_rust_source("crates/core/src/x.rs", unrelated).is_empty());
+    }
+
+    #[test]
+    fn no_deprecated_flags_markers_and_allows_everywhere_but_shims() {
+        let src = concat!(
+            "#![allow(deprecated)]\n",
+            "#[deprecated(note = \"use new\")]\n",
+            "pub fn old() {}\n",
+            "#[cfg_attr(feature = \"x\", allow(unused, deprecated))]\n",
+            "pub fn new() {}\n",
+        );
+        let f = lint_rust_source("crates/core/src/x.rs", src);
+        assert_eq!(
+            codes(&f),
+            vec!["no-deprecated", "no-deprecated", "no-deprecated"]
+        );
+        assert_eq!((f[0].line, f[1].line, f[2].line), (1, 2, 4));
+        // Test trees are not exempt; vendored and first-party shims are.
+        assert_eq!(codes(&lint_rust_source("tests/t.rs", src)).len(), 3);
+        assert_eq!(codes(&lint_rust_source("examples/e.rs", src)).len(), 3);
+        assert!(lint_rust_source("crates/shims/parking_lot/src/lib.rs", src).is_empty());
+        // Only attributes count: prose, strings and identifiers do not.
+        let ok = "/// deprecated in prose\nfn deprecated() -> &'static str { \"#[deprecated]\" }\n";
+        assert!(lint_rust_source("crates/core/src/x.rs", ok).is_empty());
     }
 
     #[test]

@@ -61,6 +61,14 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         "pub fn same(spend_usd: f64, budget_usd: f64) -> bool { spend_usd == budget_usd }\n",
     );
     repo.write(
+        "tests/bad_shim.rs",
+        "#![allow(deprecated)]\n\n#[deprecated(note = \"old\")]\nfn old() {}\n",
+    );
+    repo.write(
+        "crates/shims/vendored/src/lib.rs",
+        "#[deprecated]\npub fn upstream_old() {}\n",
+    );
+    repo.write(
         "BENCH_seeded.json",
         "[{\"name\":\"group/unguarded\",\"ns\":1}]\n",
     );
@@ -75,6 +83,9 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         "error[clock]",
         "error[money-eq]",
         "error[bench-keys]",
+        "error[no-deprecated]",
+        "--> tests/bad_shim.rs:1:1",
+        "--> tests/bad_shim.rs:3:1",
         "--> crates/core/src/bad_sync.rs:1:16",
         "--> crates/core/src/bad_clock.rs:1:47",
         "--> BENCH_seeded.json:1:3",
@@ -82,10 +93,14 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
     ] {
         assert!(stderr.contains(needle), "missing {needle:?} in:\n{stderr}");
     }
-    // Three lock names across the two imports, two unwrap forms, one each of
-    // the rest: 3 + 2 + 1 + 1 + 1.
     assert!(
-        stderr.contains("8 finding(s)"),
+        !stderr.contains("crates/shims/vendored"),
+        "shims may mirror upstream deprecations:\n{stderr}"
+    );
+    // Three lock names across the two imports, two unwrap forms, two
+    // deprecation attributes, one each of the rest: 3 + 2 + 2 + 1 + 1 + 1.
+    assert!(
+        stderr.contains("10 finding(s)"),
         "unexpected total in:\n{stderr}"
     );
 }
@@ -124,7 +139,8 @@ fn this_repository_is_clean() {
     // the deny-by-default contract: adding an unjustified unwrap, raw clock
     // read, direct std::sync lock, raw money equality, or unguarded bench
     // series anywhere in the tree fails the test suite, not just the CI
-    // lint job.
+    // lint job. The same goes for a `#[deprecated]` shim or an
+    // `allow(deprecated)`, in tests and examples too.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let out = run_repolint(&root);
     let stderr = String::from_utf8_lossy(&out.stderr);
