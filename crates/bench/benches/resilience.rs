@@ -14,9 +14,9 @@
 //!   retries absorb the whole fault window, every item salvages, nothing
 //!   quarantines.
 //! * **What does resume buy?** A journaled batch replayed from a complete
-//!   journal vs journaled from scratch: replay serves from the journal's
-//!   in-memory map without touching the backend, so a resumed run should
-//!   beat the run that has to dispatch.
+//!   journal vs journaled from scratch: the client's replay slot serves
+//!   from the journal's in-memory index without touching the backend, so a
+//!   resumed run should beat the run that has to dispatch.
 //!
 //! Run with `CRITERION_JSON=BENCH_resilience.json cargo bench --bench
 //! resilience` to record the JSON baseline.
@@ -26,9 +26,10 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use crowdprompt_core::{Corpus, Engine, FailurePolicy, RunJournal, RunSpec};
+use crowdprompt_core::{Corpus, Engine, FailurePolicy, RunSpec};
 use crowdprompt_oracle::backend::{Backend, BackendRegistry, SimBackend};
 use crowdprompt_oracle::route::{BreakerConfig, RoutePolicy};
+use crowdprompt_oracle::store::{ResponseStore, StoreConfig};
 use crowdprompt_oracle::task::TaskDescriptor;
 use crowdprompt_oracle::types::LanguageModel;
 use crowdprompt_oracle::world::{ItemId, WorldModel};
@@ -208,28 +209,38 @@ fn bench_outage_salvage(c: &mut Criterion) {
     );
 }
 
+/// A fresh healthy engine (cold cache) with `journal` in its client's
+/// replay slot.
+fn journaled_engine(world: &Arc<WorldModel>, ids: &[ItemId], journal: ResponseStore) -> Engine {
+    let engine = clean_engine(world, ids, false);
+    assert!(engine.client().attach_journal(Arc::new(journal)));
+    engine
+}
+
 /// Journal replay vs journaled first run.
 fn bench_resume(c: &mut Criterion) {
     let (world, ids) = batch_world();
 
     // A complete journal recorded once; every replay iteration opens a
     // fresh handle on it through a cold client, exactly like a resumed
-    // process would.
+    // process would — read-only, because `iter_batched` keeps several
+    // handles alive and a journal has one writer.
     let warm_path = temp_journal("warm");
-    {
-        let engine = clean_engine(&world, &ids, false)
-            .with_journal(Arc::new(RunJournal::open(&warm_path).unwrap()));
-        engine.run_many(tasks(&ids)).unwrap();
-    }
+    journaled_engine(
+        &world,
+        &ids,
+        ResponseStore::open(&warm_path, StoreConfig::default()).unwrap(),
+    )
+    .run_many(tasks(&ids))
+    .unwrap();
 
     let mut group = c.benchmark_group("resilience_resume");
     group.bench_function("journal_write", |b| {
         b.iter_batched(
             || {
                 let path = temp_journal("write");
-                let engine = clean_engine(&world, &ids, false)
-                    .with_journal(Arc::new(RunJournal::open(&path).unwrap()));
-                (engine, path)
+                let journal = ResponseStore::open(&path, StoreConfig::default()).unwrap();
+                (journaled_engine(&world, &ids, journal), path)
             },
             |(engine, path)| {
                 let out = engine.run_many(tasks(&ids)).unwrap();
@@ -241,8 +252,9 @@ fn bench_resume(c: &mut Criterion) {
     group.bench_function("journal_replay", |b| {
         b.iter_batched(
             || {
-                clean_engine(&world, &ids, false)
-                    .resume(Arc::new(RunJournal::open(&warm_path).unwrap()))
+                let journal =
+                    ResponseStore::open_read_only(&warm_path, StoreConfig::default()).unwrap();
+                journaled_engine(&world, &ids, journal)
             },
             |engine| {
                 let out = engine.run_many(tasks(&ids)).unwrap();

@@ -29,10 +29,10 @@
 //!   hits) and halves after a slow one. An optional per-model gate
 //!   ([`PipelineConfig::model_concurrency`]) caps in-flight backend calls
 //!   per model name, process-wide.
-//! * **execute** is the one worker body: admit, probe local state (client
-//!   cache, then the run journal) once, dispatch with up to the policy's
-//!   attempt allowance, account. With one attempt it *is* the fail-fast
-//!   worker.
+//! * **execute** is the one worker body: admit, probe the client's cache
+//!   once when a free hit changes what happens next, dispatch with up to
+//!   the policy's attempt allowance, account. With one attempt it *is* the
+//!   fail-fast worker.
 //!
 //! The policy is read at three points in this file — the attempt
 //! allowance and stop-on-first-error in the pump, and
@@ -54,17 +54,18 @@
 //! pumped round per level, down to bare singletons that carry the same
 //! fingerprint the per-item path issues.
 //!
-//! # Deadlines and the run journal
+//! # Deadlines and resume
 //!
-//! * [`Engine::with_deadline_ms`] — a wall-clock allowance per run entry,
-//!   threaded onto every [`CompletionRequest`] so the client and router
-//!   clip retry backoff and hedge waits against it; under
-//!   [`FailurePolicy::Degrade`], work not yet dispatched when the deadline
-//!   passes is quarantined as [`EngineError::DeadlineExceeded`].
-//! * [`Engine::with_journal`] / [`Engine::resume`] — an append-only
-//!   [`RunJournal`] records every paid completion; a resumed engine
-//!   replays journaled completions (charging budget and ledger exactly as
-//!   the original calls did) and re-dispatches only the gap.
+//! [`Engine::with_deadline_ms`] is a wall-clock allowance per run entry,
+//! threaded onto every [`CompletionRequest`] so the client and router clip
+//! retry backoff and hedge waits against it; under
+//! [`FailurePolicy::Degrade`], work not yet dispatched when the deadline
+//! passes is quarantined as [`EngineError::DeadlineExceeded`].
+//!
+//! Crash resume is not the engine's business: a run journal attached to the
+//! client ([`LlmClient::attach_journal`]) answers a replayed call with
+//! `cached: false` and the original usage and pricing, so it is admitted,
+//! charged to the budget and traced by the same code as a paid call.
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -82,7 +83,6 @@ use parking_lot::{Condvar, Mutex};
 use crate::budget::{Budget, BudgetTracker};
 use crate::corpus::Corpus;
 use crate::error::EngineError;
-use crate::journal::RunJournal;
 use crate::outcome::CostMeter;
 use crate::template::{render, RenderOptions};
 use crate::trace::{Trace, TraceEvent};
@@ -198,7 +198,6 @@ pub struct Engine {
     /// Wall-clock allowance per run entry point; threaded onto every
     /// request so the dispatch stack clips sleeps against it.
     deadline_ms: Option<u64>,
-    journal: Option<Arc<RunJournal>>,
     /// Degraded-run notes [`Settle::finish`] leaves for the plan layer
     /// (drained by [`Engine::take_salvage`] after each plan node executes).
     salvage: Mutex<Vec<OpSalvage>>,
@@ -226,7 +225,6 @@ impl Engine {
             trace: None,
             failure_policy: FailurePolicy::FailFast,
             deadline_ms: None,
-            journal: None,
             salvage: Mutex::new(Vec::new()),
         }
     }
@@ -333,26 +331,6 @@ impl Engine {
         self
     }
 
-    /// Attach a run journal (builder style): every paid completion is
-    /// appended to it, and requests whose fingerprint is already journaled
-    /// are *replayed* — served without a backend call but charged to
-    /// budget and ledger exactly as the original call was, so a resumed
-    /// run's results and accounting are bit-identical to an uninterrupted
-    /// one.
-    #[must_use]
-    pub fn with_journal(mut self, journal: Arc<RunJournal>) -> Self {
-        self.journal = Some(journal);
-        self
-    }
-
-    /// Resume an interrupted run from its journal. Today this is
-    /// [`Engine::with_journal`] under the name that states the intent:
-    /// completed work replays from the journal, only the gap re-runs.
-    #[must_use]
-    pub fn resume(self, journal: Arc<RunJournal>) -> Self {
-        self.with_journal(journal)
-    }
-
     /// The engine's corpus.
     pub fn corpus(&self) -> &Corpus {
         &self.corpus
@@ -402,11 +380,6 @@ impl Engine {
     /// The per-run wall-clock allowance, if any.
     pub fn deadline_ms(&self) -> Option<u64> {
         self.deadline_ms
-    }
-
-    /// The attached run journal, if any.
-    pub fn journal(&self) -> Option<&Arc<RunJournal>> {
-        self.journal.as_ref()
     }
 
     /// Drain the degraded-run notes accumulated since the last call. The
@@ -574,9 +547,9 @@ impl Engine {
     /// pre-admission for [`RunSpec::tasks`], per call at execution for
     /// sampled and packed specs. Under [`FailurePolicy::Degrade`] every item
     /// runs to completion or quarantine and `Err` is reserved for the caller
-    /// bug of packing incompatible tasks; cache and journal hits are
-    /// salvaged even after the budget or the deadline is exhausted, since
-    /// they cost nothing to serve.
+    /// bug of packing incompatible tasks; cache hits are salvaged even
+    /// after the budget or the deadline is exhausted, since they cost
+    /// nothing to serve.
     pub fn run_outcome(&self, spec: RunSpec) -> Result<BatchOutcome, EngineError> {
         let policy = self.failure_policy;
         let (tasks, width, sampling) = match spec {
@@ -990,16 +963,17 @@ impl Engine {
         if admission.mode == Admit::PerCall {
             admit()?;
         }
-        // A cache or journal hit costs nothing to serve, so a salvaging run
-        // takes it even when the budget or the deadline is already spent.
+        // A cache hit costs nothing to serve, so a salvaging run takes it
+        // even when the budget or the deadline is already spent.
         let salvage = admission.mode == Admit::AfterSalvage;
-        // Local state is probed once per request, and only when someone
-        // needs the answer before the client is called: the journal (its
-        // replays re-charge), the gate (hits must not take a permit), or
-        // salvage. Otherwise the client's own cache lookup is the probe.
-        if salvage || self.journal.is_some() || gate.is_some() {
-            if let Some(local) = self.serve_local(request) {
-                return Ok(local);
+        // The cache is probed here once per request, and only when someone
+        // needs the answer before the client is called: the gate (hits must
+        // not take a permit) or salvage. Otherwise the client's own lookup
+        // is the probe.
+        if salvage || gate.is_some() {
+            if let Some(hit) = self.client.peek_cached(request) {
+                self.record_trace(request.task.kind(), &hit);
+                return Ok(hit);
             }
         }
         if salvage {
@@ -1051,30 +1025,9 @@ impl Engine {
         }
     }
 
-    /// Serve a request from local state: the client cache first (free, as
-    /// always), then the journal if one is attached. A journal replay
-    /// re-seeds the cache (so later duplicates are free), then is charged
-    /// to budget, ledger, and trace exactly as the original paid call was —
-    /// resumed accounting matches uninterrupted accounting bit for bit.
-    fn serve_local(&self, request: &CompletionRequest) -> Option<CompletionResponse> {
-        if let Some(hit) = self.client.peek_cached(request) {
-            self.record_trace(request.task.kind(), &hit);
-            return Some(hit);
-        }
-        let journal = self.journal.as_ref()?;
-        let replayed = journal.lookup(request.fingerprint())?;
-        self.client.seed_cache(request, &replayed);
-        self.client
-            .ledger()
-            .record(replayed.usage, replayed.pricing);
-        self.record_spend(&replayed);
-        self.record_trace(request.task.kind(), &replayed);
-        Some(replayed)
-    }
-
     /// Complete a request through the optional per-model gate and account
     /// for it. Only completions that may reach the backend consume gate
-    /// capacity — [`Engine::execute`] has already served local hits. (A
+    /// capacity — [`Engine::execute`] has already served cache hits. (A
     /// coalesced joiner does hold a permit while it waits: it represents a
     /// pending backend call.)
     fn dispatch(
@@ -1086,11 +1039,6 @@ impl Engine {
             let _permit = gate.map(Semaphore::acquire);
             self.client.complete(request)?
         };
-        if let Some(journal) = &self.journal {
-            if !response.cached {
-                journal.append(request.fingerprint(), &response);
-            }
-        }
         self.record_spend(&response);
         self.record_trace(request.task.kind(), &response);
         Ok(response)

@@ -18,8 +18,6 @@
 //!   execution over an [`crowdprompt_oracle::LlmClient`], with a
 //!   [`exec::FailurePolicy`] governing fail-fast vs. degraded partial
 //!   execution.
-//! * [`journal`] — append-only, checksummed run journal enabling
-//!   crash-safe resume of interrupted runs.
 //! * [`consistency`] — transitive closure and ranking repair (§3.3).
 //! * [`blocking`] — the shared embedding-blocking index all operators
 //!   route non-LLM candidate pruning through (§3.4).
@@ -48,7 +46,6 @@ pub mod corpus;
 pub mod error;
 pub mod exec;
 pub mod extract;
-pub mod journal;
 pub mod ops;
 pub mod optimize;
 pub mod outcome;
@@ -65,7 +62,6 @@ pub use budget::{Budget, BudgetTracker, LedgerBook, LedgerSnapshot};
 pub use corpus::Corpus;
 pub use error::EngineError;
 pub use exec::{BatchOutcome, Engine, FailurePolicy, FairFeed, OpSalvage, Quarantine, RunSpec};
-pub use journal::RunJournal;
 pub use outcome::Outcome;
 pub use plan::{Plan, PlanOptions, PlanOutput, PlanRun, Query};
 pub use serve::{ServeError, Server, ServerBuilder, TenantRun, TenantSpec, TenantStats};

@@ -623,7 +623,6 @@ mod tests {
         lock.push(".lock");
         let lock = std::path::PathBuf::from(lock);
         std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&lock).ok();
 
         let (engine, ids) = engine(12, budget::Budget::Unlimited);
         let store = ResponseStore::open(&path, StoreConfig::default()).unwrap();

@@ -19,7 +19,6 @@ use crate::budget::Budget;
 use crate::corpus::Corpus;
 use crate::error::EngineError;
 use crate::exec::{Engine, FailurePolicy};
-use crate::journal::RunJournal;
 use crate::ops;
 use crate::ops::impute::{ImputeStrategy, LabeledPool};
 use crate::ops::resolve::{MentionIndex, ResolveStrategy};
@@ -161,6 +160,15 @@ impl ResilienceConfig {
     /// completions already journaled there — attach the same path again
     /// after a crash and the session resumes where the last one stopped,
     /// with results and accounting bit-identical to an uninterrupted run.
+    ///
+    /// The journal is a [`ResponseStore`] the session opens as its single
+    /// writer and attaches to the client's replay slot
+    /// ([`LlmClient::attach_journal`]); it must be a different file from
+    /// [`CacheConfig::store_path`] (the writer lock refuses the second
+    /// open). The lock dies with its process, so a killed run leaves
+    /// nothing to clean up. The journal and its lock live until the
+    /// *client* drops, and a shared client takes one journal: a second
+    /// session over it with a `journal_path` of its own is refused.
     #[must_use]
     pub fn journal_path(mut self, path: impl Into<std::path::PathBuf>) -> Self {
         self.journal_path = Some(path.into());
@@ -424,6 +432,19 @@ impl SessionBuilder {
             }
             (None, None) => {}
         }
+        if let Some(path) = self.resilience.journal_path {
+            let journal = ResponseStore::open(&path, StoreConfig::default()).map_err(|e| {
+                EngineError::InvalidInput(format!(
+                    "resilience: cannot open journal at {}: {e}",
+                    path.display()
+                ))
+            })?;
+            if !client.attach_journal(Arc::new(journal)) {
+                return Err(EngineError::InvalidInput(
+                    "resilience: client already has a journal attached".into(),
+                ));
+            }
+        }
         let mut engine = Engine::new(client, self.corpus)
             .with_budget(self.budget)
             .with_parallelism(self.parallelism)
@@ -439,15 +460,6 @@ impl SessionBuilder {
         }
         if let Some(ms) = self.resilience.deadline_ms {
             engine = engine.with_deadline_ms(ms);
-        }
-        if let Some(path) = self.resilience.journal_path {
-            let journal = RunJournal::open(&path).map_err(|e| {
-                EngineError::InvalidInput(format!(
-                    "resilience: cannot open journal at {}: {e}",
-                    path.display()
-                ))
-            })?;
-            engine = engine.with_journal(Arc::new(journal));
         }
         let trace = if self.trace {
             let trace = Arc::new(Trace::new());
@@ -980,7 +992,6 @@ mod tests {
         lock.push(".lock");
         let lock = std::path::PathBuf::from(lock);
         std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&lock).ok();
 
         let build = || {
             let mut w = WorldModel::new();

@@ -97,8 +97,8 @@ pub mod prelude {
     };
     pub use crowdprompt_core::{
         BatchOutcome, BlockingHit, BlockingIndex, Budget, CacheConfig, Corpus, EngineError,
-        FailurePolicy, OpSalvage, Outcome, Quarantine, ResilienceConfig, RoutingConfig, RunJournal,
-        RunSpec, ServeError, Server, ServerBuilder, Session, SessionBuilder, TenantRun, TenantSpec,
+        FailurePolicy, OpSalvage, Outcome, Quarantine, ResilienceConfig, RoutingConfig, RunSpec,
+        ServeError, Server, ServerBuilder, Session, SessionBuilder, TenantRun, TenantSpec,
         TenantStats,
     };
     pub use crowdprompt_oracle::task::SortCriterion;

@@ -5,6 +5,21 @@
 //! This is the layer a production deployment would point at a network
 //! backend; the declarative engine only ever talks to an [`LlmClient`].
 //!
+//! # One tier hierarchy
+//!
+//! Everything that can answer a request without the backend hangs off this
+//! client, in one order (drawn in ARCHITECTURE.md, "Persistent cache"):
+//! shards → store exact tier → flight claim → store semantic tier →
+//! journal → backend. The first four are free and come back
+//! `cached: true`. The store ([`LlmClient::attach_store`]) and the journal
+//! ([`LlmClient::attach_journal`]) are both [`ResponseStore`]s; the slot
+//! decides the charge. A journal hit *replays* the paid call a previous
+//! process made: it charges the ledger what that call charged and comes
+//! back `cached: false`, so the caller's budget and trace account for it
+//! like any paid call. Because the journal sits behind the flight claim,
+//! only a flight leader replays; concurrent duplicates join it for free,
+//! as they did in the original run.
+//!
 //! # Concurrency design
 //!
 //! The paper's engine treats LLMs as noisy crowd workers, so every operator
@@ -12,11 +27,10 @@
 //! keep that hot path scalable:
 //!
 //! * **Sharded cache** — the temperature-0 response cache is split across
-//!   N shards (N a power of two, default [`DEFAULT_CACHE_SHARDS`]), each
-//!   behind its own mutex, so lookups of different keys contend on
-//!   different locks instead of serializing on one global mutex. The hit
-//!   path is deliberately lean: one lock acquisition performs both the
-//!   lookup and the hit accounting (a plain in-lock counter — a shared
+//!   16 shards, each behind its own mutex, so lookups of different keys
+//!   contend on different locks instead of serializing on one global mutex.
+//!   The hit path is deliberately lean: one lock acquisition performs both
+//!   the lookup and the hit accounting (a plain in-lock counter — a shared
 //!   atomic hit counter measurably dragged the hot-cache path), and the
 //!   whole miss/coalescing machinery is outlined behind a cold call.
 //! * **In-flight coalescing** — when two workers issue the *same*
@@ -25,14 +39,10 @@
 //!   waits for the leader's result. Coalesced joins are free — they are
 //!   never charged to the [`CostLedger`] and their responses are marked
 //!   [`CompletionResponse::cached`], so budget guards skip them too.
-//!
-//! Both mechanisms are transparent to callers: [`LlmClient::complete`] has
-//! the same signature and semantics as before, just with more throughput
-//! under contention (see `crates/bench/benches/exec.rs`).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Condvar, Mutex};
 
@@ -42,8 +52,9 @@ use crate::route::{RoutePolicy, Router};
 use crate::store::ResponseStore;
 use crate::types::{CompletionRequest, CompletionResponse, LanguageModel};
 
-/// Default number of cache shards (must be a power of two).
-pub const DEFAULT_CACHE_SHARDS: usize = 16;
+/// Number of cache shards (a power of two: the key's low bits pick one).
+const CACHE_SHARDS: usize = 16;
+const _: () = assert!(CACHE_SHARDS.is_power_of_two());
 
 /// Retry behaviour for transient (retryable) errors.
 #[derive(Debug, Clone, Copy)]
@@ -199,26 +210,23 @@ enum Claim {
     Lead(Arc<Flight>),
 }
 
-/// An N-way sharded temperature-0 response cache with per-key in-flight
-/// request coalescing.
+/// A sharded temperature-0 response cache with per-key in-flight request
+/// coalescing.
 struct ShardedCache {
-    shards: Box<[Shard]>,
-    mask: usize,
+    shards: [Shard; CACHE_SHARDS],
 }
 
 impl ShardedCache {
-    fn new(shards: usize) -> Self {
-        let n = shards.next_power_of_two().max(1);
+    fn new() -> Self {
         ShardedCache {
-            shards: (0..n).map(|_| Shard::new()).collect(),
-            mask: n - 1,
+            shards: std::array::from_fn(|_| Shard::new()),
         }
     }
 
     #[inline]
     fn shard(&self, key: u64) -> &Shard {
         // The key is already a fingerprint hash; its low bits pick the shard.
-        &self.shards[(key as usize) & self.mask]
+        &self.shards[(key as usize) & (CACHE_SHARDS - 1)]
     }
 
     /// Fast path: one lock acquisition does lookup *and* hit accounting.
@@ -298,10 +306,12 @@ pub struct LlmClient {
     ledger: CostLedger,
     stats: ClientStats,
     cache_enabled: bool,
-    coalesce_enabled: bool,
     /// Persistent tier below the shards; attach-once
     /// ([`LlmClient::attach_store`]).
-    store: std::sync::OnceLock<Arc<ResponseStore>>,
+    store: OnceLock<Arc<ResponseStore>>,
+    /// Replay tier in front of the backend; attach-once
+    /// ([`LlmClient::attach_journal`]).
+    journal: OnceLock<Arc<ResponseStore>>,
 }
 
 impl LlmClient {
@@ -312,12 +322,12 @@ impl LlmClient {
             model,
             router: None,
             retry: RetryPolicy::default(),
-            cache: ShardedCache::new(DEFAULT_CACHE_SHARDS),
+            cache: ShardedCache::new(),
             ledger: CostLedger::new(),
             stats: ClientStats::default(),
             cache_enabled: true,
-            coalesce_enabled: true,
-            store: std::sync::OnceLock::new(),
+            store: OnceLock::new(),
+            journal: OnceLock::new(),
         }
     }
 
@@ -351,24 +361,6 @@ impl LlmClient {
     #[must_use]
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
-    }
-
-    /// Set the cache shard count (builder style). Rounded up to a power of
-    /// two; `1` reproduces a single-lock cache, useful for benchmarking the
-    /// sharding win.
-    #[must_use]
-    pub fn with_cache_shards(mut self, shards: usize) -> Self {
-        self.cache = ShardedCache::new(shards);
-        self
-    }
-
-    /// Disable in-flight request coalescing (builder style). Used by
-    /// benchmarks to isolate the coalescing win; production callers should
-    /// leave it on.
-    #[must_use]
-    pub fn without_coalescing(mut self) -> Self {
-        self.coalesce_enabled = false;
         self
     }
 
@@ -408,6 +400,29 @@ impl LlmClient {
     /// The attached persistent store, if any.
     pub fn store(&self) -> Option<&Arc<ResponseStore>> {
         self.store.get()
+    }
+
+    /// Attach a run journal: a [`ResponseStore`] in the replay slot, in
+    /// front of the backend.
+    ///
+    /// Attach-once like [`LlmClient::attach_store`]. Every paid backend
+    /// response — sampled (`temperature > 0`) ones included — is recorded
+    /// under its request fingerprint, and a request whose fingerprint is
+    /// already recorded is *replayed* instead of dispatched: no backend
+    /// call (not counted in [`ClientStats::calls`]), but the ledger is
+    /// charged what the original call charged and the response comes back
+    /// `cached: false`. A process that reattaches the journal of a crashed
+    /// run therefore re-runs only the gap, with results and accounting
+    /// bit-identical to an uninterrupted run. A read-only handle replays
+    /// without recording. The journal and its writer lock stay with the
+    /// client until it drops; sessions sharing the client share it.
+    pub fn attach_journal(&self, journal: Arc<ResponseStore>) -> bool {
+        self.journal.set(journal).is_ok()
+    }
+
+    /// The attached run journal, if any.
+    pub fn journal(&self) -> Option<&Arc<ResponseStore>> {
+        self.journal.get()
     }
 
     /// The wrapped model.
@@ -506,12 +521,9 @@ impl LlmClient {
     }
 
     /// Seed the temperature-0 response cache with an externally produced
-    /// response — the journal-replay path: a resumed run re-injects
-    /// completions recorded by a previous process so identical requests
-    /// are served without re-dispatch.
+    /// response, so identical requests are served without dispatch.
     ///
-    /// No ledger or stats effect here (replay accounting is the caller's
-    /// job); a later lookup returns a copy marked
+    /// No ledger or stats effect here; a later lookup returns a copy marked
     /// [`CompletionResponse::cached`] like any other hit. No-op when the
     /// request is uncacheable (cache disabled, or temperature > 0).
     pub fn seed_cache(&self, request: &CompletionRequest, response: &CompletionResponse) {
@@ -564,18 +576,6 @@ impl LlmClient {
         // coalescing machinery runs.
         if let Some(hit) = self.probe_store_exact(key) {
             return Ok(hit);
-        }
-        if !self.coalesce_enabled {
-            if let Some(hit) = self.probe_store_semantic(request, key) {
-                return Ok(hit);
-            }
-            let result = self.call_backend(request);
-            if let Ok(response) = &result {
-                self.admit_to_store(request, response);
-                let body = Arc::new(response.clone());
-                self.cache.shard(key).responses.lock().map.insert(key, body);
-            }
-            return result;
         }
         match self.cache.claim(key) {
             Claim::Cached(arc) => {
@@ -637,8 +637,16 @@ impl LlmClient {
         }
     }
 
-    /// The raw backend path: retries, stats, and ledger accounting.
+    /// The paid path: journal replay, else the backend with retries;
+    /// stats and ledger accounting either way.
     fn call_backend(&self, request: &CompletionRequest) -> Result<CompletionResponse, LlmError> {
+        let journal = self.journal.get().map(|j| (j, request.fingerprint()));
+        if let Some(replayed) = journal.and_then(|(j, key)| j.lookup(key)) {
+            // Stands in for the call a previous process paid for: charged
+            // the same, dispatched nowhere.
+            self.ledger.record(replayed.usage, replayed.pricing);
+            return Ok((*replayed).clone());
+        }
         // Backend latency must never be spent under a shim lock (the
         // lock_diagnostics build enforces this marker).
         parking_lot::blocking_region("backend dispatch");
@@ -654,6 +662,10 @@ impl LlmClient {
                     // response carries it), not the model's reference
                     // pricing — with routing these can differ per call.
                     self.ledger.record(resp.usage, resp.pricing);
+                    if let Some((journal, key)) = journal {
+                        // Nothing reads a journal's prompts.
+                        journal.record(key, "", &resp);
+                    }
                     return Ok(resp);
                 }
                 Err(e) if e.is_retryable() => {
@@ -698,48 +710,6 @@ impl LlmClient {
             attempts: self.retry.max_attempts,
             last: Box::new(last_err.unwrap_or(LlmError::ServiceUnavailable)),
         })
-    }
-
-    /// Execute a batch of requests across `parallelism` worker threads,
-    /// preserving input order in the output.
-    ///
-    /// This models the fan-out a production orchestrator performs against a
-    /// rate-limited API; with the simulator it also meaningfully speeds up
-    /// the O(n²) pairwise experiments. Duplicate temperature-0 requests in
-    /// the same batch coalesce: only one backend call is made per distinct
-    /// fingerprint.
-    pub fn complete_many(
-        &self,
-        requests: &[CompletionRequest],
-        parallelism: usize,
-    ) -> Vec<Result<CompletionResponse, LlmError>> {
-        let n = requests.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let workers = parallelism.clamp(1, n);
-        if workers == 1 {
-            return requests.iter().map(|r| self.complete(r)).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let results: Vec<Mutex<Option<Result<CompletionResponse, LlmError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let out = self.complete(&requests[i]);
-                    *results[i].lock() = Some(out);
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every slot filled")) // lint: allow(no-unwrap)
-            .collect()
     }
 }
 
@@ -873,31 +843,6 @@ mod tests {
             }
             other => panic!("expected exhaustion, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn complete_many_preserves_order() {
-        let (world, ids) = world_and_ids(50);
-        let llm = Arc::new(SimulatedLlm::new(ModelProfile::perfect(), world, 1));
-        let client = LlmClient::new(llm);
-        let reqs: Vec<CompletionRequest> = ids.iter().map(|id| check_req(*id)).collect();
-        let parallel = client.complete_many(&reqs, 8);
-        let serial: Vec<_> = reqs.iter().map(|r| client.complete(r)).collect();
-        for (p, s) in parallel.iter().zip(serial.iter()) {
-            assert_eq!(p.as_ref().unwrap().text, s.as_ref().unwrap().text);
-        }
-    }
-
-    #[test]
-    fn complete_many_empty_and_single_worker() {
-        let (world, ids) = world_and_ids(3);
-        let llm = Arc::new(SimulatedLlm::new(ModelProfile::perfect(), world, 1));
-        let client = LlmClient::new(llm);
-        assert!(client.complete_many(&[], 4).is_empty());
-        let reqs: Vec<CompletionRequest> = ids.iter().map(|id| check_req(*id)).collect();
-        let out = client.complete_many(&reqs, 1);
-        assert_eq!(out.len(), 3);
-        assert!(out.iter().all(Result::is_ok));
     }
 
     /// A backend whose `complete` blocks until released, so tests can hold a
@@ -1088,20 +1033,6 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_still_correct() {
-        let (world, ids) = world_and_ids(8);
-        let llm = Arc::new(SimulatedLlm::new(ModelProfile::perfect(), world, 1));
-        let client = LlmClient::new(llm).with_cache_shards(1);
-        for _ in 0..3 {
-            for id in &ids {
-                client.complete(&check_req(*id)).unwrap();
-            }
-        }
-        assert_eq!(client.stats().calls(), 8);
-        assert_eq!(client.stats().cache_hits(), 16);
-    }
-
-    #[test]
     fn seeded_cache_serves_without_backend_calls() {
         let (world, ids) = world_and_ids(1);
         let llm = Arc::new(SimulatedLlm::new(ModelProfile::perfect(), world, 1));
@@ -1130,19 +1061,6 @@ mod tests {
         let hot = check_req(ids[0]).with_temperature(0.9);
         client.seed_cache(&hot, &canned);
         assert!(client.peek_cached(&hot).is_none());
-    }
-
-    #[test]
-    fn coalescing_disabled_still_caches() {
-        let (world, ids) = world_and_ids(1);
-        let llm = Arc::new(SimulatedLlm::new(ModelProfile::perfect(), world, 1));
-        let client = LlmClient::new(llm).without_coalescing();
-        let req = check_req(ids[0]);
-        client.complete(&req).unwrap();
-        let b = client.complete(&req).unwrap();
-        assert!(b.cached);
-        assert_eq!(client.stats().calls(), 1);
-        assert_eq!(client.stats().coalesced(), 0);
     }
 
     fn store_temp_path(tag: &str) -> std::path::PathBuf {
@@ -1328,5 +1246,41 @@ mod tests {
         assert!(Arc::ptr_eq(client.store().unwrap(), &first));
         store_cleanup(&path_a);
         store_cleanup(&path_b);
+    }
+
+    #[test]
+    fn journal_replays_charge_the_ledger_without_dispatch() {
+        use crate::store::{ResponseStore, StoreConfig};
+        let path = store_temp_path("journal");
+        let (world, ids) = world_and_ids(1);
+        // One cacheable call and one sampled call no cache tier keeps.
+        let requests = [check_req(ids[0]), check_req(ids[0]).with_temperature(0.7)];
+        let run = || {
+            let llm = SimulatedLlm::new(ModelProfile::perfect(), Arc::clone(&world), 1);
+            let client = LlmClient::new(Arc::new(llm));
+            let journal = Arc::new(ResponseStore::open(&path, StoreConfig::default()).unwrap());
+            assert!(client.attach_journal(Arc::clone(&journal)));
+            assert!(!client.attach_journal(journal), "attach-once");
+            let out = requests.each_ref().map(|r| client.complete(r).unwrap());
+            (client, out)
+        };
+        let (first, paid) = run();
+        assert_eq!(first.stats().calls(), 2);
+        assert_eq!(first.journal().unwrap().len(), 2, "sampled call recorded");
+        let spend = first.ledger().spend_usd().to_bits();
+        drop(first);
+
+        // A fresh process on the same journal: same responses, same
+        // charges, nothing dispatched.
+        let (resumed, replayed) = run();
+        assert_eq!(replayed, paid);
+        assert!(replayed.iter().all(|r| !r.cached), "replays are paid calls");
+        assert_eq!(resumed.stats().calls(), 0);
+        assert_eq!(resumed.ledger().spend_usd().to_bits(), spend);
+        // The replay seeded the shards, so a repeat is an ordinary free hit.
+        assert!(resumed.complete(&requests[0]).unwrap().cached);
+        assert_eq!(resumed.ledger().calls(), 2);
+        drop(resumed);
+        store_cleanup(&path);
     }
 }

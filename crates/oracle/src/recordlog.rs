@@ -1,20 +1,17 @@
 //! Shared checksummed line-record codec for append-only logs.
 //!
-//! Two durable artifacts use the same on-disk discipline: the engine's run
-//! journal (`core::journal`) and the persistent response store
-//! ([`crate::store::ResponseStore`]). Both are text files of single-line,
-//! tab-separated records where every line carries its own FNV-1a checksum,
-//! floats are stored as exact bit patterns, appends are single flushed
-//! `write_all` calls, and opening verifies the checksummed prefix and
-//! truncates a torn tail. This module is the single implementation of that
-//! discipline:
+//! The on-disk discipline of [`crate::store::ResponseStore`] — which is both
+//! the persistent response store and, in the client's replay slot, the run
+//! journal. A log is a text file of single-line, tab-separated records where
+//! every line carries its own FNV-1a checksum, floats are stored as exact
+//! bit patterns, appends are single flushed `write_all` calls, and opening
+//! verifies the checksummed prefix and truncates a torn tail:
 //!
 //! * [`escape`] / [`unescape`] — single-line framing of arbitrary text,
 //! * [`seal_line`] / [`open_line`] — per-line FNV-1a checksum framing,
 //! * [`encode_f64_bits`] / [`decode_f64_bits`] — exact float round-trips,
 //! * [`encode_response_fields`] / [`decode_response_fields`] — the
-//!   fingerprint-keyed [`CompletionResponse`] field codec shared verbatim by
-//!   journal and store records,
+//!   fingerprint-keyed [`CompletionResponse`] field codec,
 //! * [`LogFile`] — open-with-recovery, replay, and flushed append.
 //!
 //! # Crash safety
@@ -27,7 +24,7 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::hash::{fnv1a_str, hex64, parse_hex64};
 use crate::pricing::Pricing;
@@ -171,7 +168,6 @@ pub fn decode_response_fields(fields: &[&str]) -> Option<(u64, CompletionRespons
 /// record per line. Owns the append handle; consumers replay records through
 /// the `open` callback and append payloads (sealing is handled here).
 pub struct LogFile {
-    path: PathBuf,
     file: File,
 }
 
@@ -207,13 +203,13 @@ impl LogFile {
         header: &str,
         mut on_record: impl FnMut(&str) -> bool,
     ) -> std::io::Result<LogFile> {
-        let path = path.as_ref().to_path_buf();
+        let path = path.as_ref();
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
-            .open(&path)?;
+            .open(path)?;
         let contents = read_valid_utf8_prefix(&mut file)?;
 
         let valid_end = if contents.is_empty() {
@@ -222,14 +218,14 @@ impl LogFile {
             file.flush()?;
             line.len() as u64
         } else {
-            let end = Self::replay(&path, &contents, header, &mut on_record)?;
+            let end = Self::replay(path, &contents, header, &mut on_record)?;
             // Drop everything after the last valid record and position the
             // append cursor there.
             file.set_len(end)?;
             end
         };
         file.seek(SeekFrom::Start(valid_end))?;
-        Ok(LogFile { path, file })
+        Ok(LogFile { file })
     }
 
     /// Replay the records of the log at `path` without taking the append
@@ -241,13 +237,13 @@ impl LogFile {
         header: &str,
         mut on_record: impl FnMut(&str) -> bool,
     ) -> std::io::Result<()> {
-        let path = path.as_ref().to_path_buf();
-        let mut file = OpenOptions::new().read(true).open(&path)?;
+        let path = path.as_ref();
+        let mut file = OpenOptions::new().read(true).open(path)?;
         let contents = read_valid_utf8_prefix(&mut file)?;
         if contents.is_empty() {
             return Ok(());
         }
-        Self::replay(&path, &contents, header, &mut on_record)?;
+        Self::replay(path, &contents, header, &mut on_record)?;
         Ok(())
     }
 
@@ -290,18 +286,13 @@ impl LogFile {
         self.file.write_all(seal_line(payload).as_bytes())?;
         self.file.flush()
     }
-
-    /// The log's file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn temp_path(tag: &str) -> PathBuf {
+    fn temp_path(tag: &str) -> std::path::PathBuf {
         static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let n = COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         std::env::temp_dir().join(format!(
@@ -432,6 +423,32 @@ mod tests {
         })
         .unwrap();
         assert_eq!(all, vec!["good".to_string()], "rejected suffix truncated");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn corrupt_checksum_drops_the_suffix() {
+        let path = temp_path("corrupt");
+        {
+            let mut log = LogFile::open(&path, "test-log v1", |_| true).unwrap();
+            for payload in ["ok", "will corrupt", "after corruption"] {
+                log.append(payload).unwrap();
+            }
+        }
+        // Flip a byte inside the second record. Recovery is prefix-based:
+        // everything from the first bad line on is dropped, even the later
+        // well-formed record.
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, text.replace("will corrupt", "Xill corrupt")).unwrap();
+        let mut seen = Vec::new();
+        let on_record = |p: &str| {
+            seen.push(p.to_string());
+            true
+        };
+        drop(LogFile::open(&path, "test-log v1", on_record).unwrap());
+        assert_eq!(seen, ["ok"]);
+        let kept = format!("test-log v1\n{}", seal_line("ok"));
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), kept);
         std::fs::remove_file(&path).ok();
     }
 

@@ -39,14 +39,16 @@
 //!
 //! # Process discipline
 //!
-//! Single-writer, multi-reader: [`ResponseStore::open`] takes a sidecar
-//! `<path>.lock` file (removed on drop) and fails if another writer holds
-//! it; [`ResponseStore::open_read_only`] takes no lock, never truncates, and
+//! Single-writer, multi-reader: [`ResponseStore::open`] takes an advisory
+//! lock on a sidecar `<path>.lock` file and fails if another writer holds
+//! it; the kernel releases it when the handle drops or the process dies,
+//! so a killed writer never blocks the next open (the sidecar file stays).
+//! [`ResponseStore::open_read_only`] takes no lock, never truncates, and
 //! simply ignores a torn tail.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::fs::OpenOptions;
+use std::fs::{File, OpenOptions, TryLockError};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -221,10 +223,12 @@ impl SemanticTier {
     }
 }
 
-/// Sidecar lock file enforcing the single-writer discipline; removed when
-/// the owning store drops.
+/// The single-writer lock: a kernel advisory lock on the `<path>.lock`
+/// sidecar, released when the store drops *or its process dies*. The
+/// sidecar stays behind (unlinking it would let a racing `acquire` lock a
+/// different inode); it holds the writer's pid for the refusal message.
 struct WriterLock {
-    path: PathBuf,
+    _file: File,
 }
 
 /// The writer-lock path for a store file: `<path>.lock`.
@@ -237,32 +241,30 @@ fn lock_path(store_path: &Path) -> PathBuf {
 impl WriterLock {
     fn acquire(store_path: &Path) -> std::io::Result<WriterLock> {
         let path = lock_path(store_path);
-        match OpenOptions::new().write(true).create_new(true).open(&path) {
-            Ok(mut file) => {
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(&path)?;
+        match file.try_lock() {
+            Ok(()) => {
+                let _ = file.set_len(0);
                 let _ = writeln!(file, "{}", std::process::id());
-                Ok(WriterLock { path })
+                Ok(WriterLock { _file: file })
             }
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                let holder = std::fs::read_to_string(&path).unwrap_or_default();
-                Err(std::io::Error::new(
-                    std::io::ErrorKind::WouldBlock,
-                    format!(
-                        "response store '{}' already has a writer (lock '{}' held by pid {}); \
-                         open read-only, or remove the lock file if that process is dead",
-                        store_path.display(),
-                        path.display(),
-                        holder.trim(),
-                    ),
-                ))
-            }
-            Err(e) => Err(e),
+            Err(TryLockError::WouldBlock) => Err(std::io::Error::new(
+                std::io::ErrorKind::WouldBlock,
+                format!(
+                    "response store '{}' already has a writer (lock '{}' held by pid {}); \
+                     open read-only, or wait for that handle to drop",
+                    store_path.display(),
+                    path.display(),
+                    std::fs::read_to_string(&path).unwrap_or_default().trim(),
+                ),
+            )),
+            Err(TryLockError::Error(e)) => Err(e),
         }
-    }
-}
-
-impl Drop for WriterLock {
-    fn drop(&mut self) {
-        std::fs::remove_file(&self.path).ok();
     }
 }
 
@@ -286,9 +288,16 @@ impl StoreInner {
         }
     }
 
+    /// The live, unexpired entry for `fingerprint`, if any.
+    fn live(&self, fingerprint: u64, ttl: Option<u64>) -> Option<&StoredEntry> {
+        self.entries
+            .get(&fingerprint)
+            .filter(|e| !self.expired(e.generation, ttl))
+    }
+
     /// Apply one replayed record payload; `false` rejects (truncating the
     /// log there on a writer open).
-    fn apply_record(&mut self, payload: &str, semantic_enabled: bool) -> bool {
+    fn apply_record(&mut self, payload: &str) -> bool {
         let fields: Vec<&str> = payload.split('\t').collect();
         match fields.first() {
             Some(&"G") if fields.len() == 2 => {
@@ -338,10 +347,8 @@ impl StoreInner {
                     // superseded record is still on disk.
                     self.dead_records += 1;
                 }
-                if semantic_enabled {
-                    if let Some(tier) = &mut self.semantic {
-                        tier.insert(fingerprint, &prompt);
-                    }
+                if let Some(tier) = &mut self.semantic {
+                    tier.insert(fingerprint, &prompt);
                 }
                 true
             }
@@ -371,9 +378,10 @@ impl StoreInner {
 pub struct ResponseStore {
     path: PathBuf,
     config: StoreConfig,
-    /// `Some` while this handle holds the single-writer lock.
-    writer_lock: Option<WriterLock>,
     inner: Mutex<StoreInner>,
+    /// `Some` while this handle holds the single-writer lock (declared
+    /// last: the log closes before the lock is released).
+    writer_lock: Option<WriterLock>,
 }
 
 impl ResponseStore {
@@ -385,8 +393,25 @@ impl ResponseStore {
     /// from the valid prefix. Fails if another writer holds the sidecar
     /// lock, or if the file carries a foreign header.
     pub fn open(path: impl AsRef<Path>, config: StoreConfig) -> std::io::Result<ResponseStore> {
-        let path = path.as_ref().to_path_buf();
-        let writer_lock = WriterLock::acquire(&path)?;
+        Self::open_with(path.as_ref(), config, true)
+    }
+
+    /// Open the store at `path` as a reader: no writer lock, no truncation
+    /// (a torn tail is ignored, never repaired), and all mutating calls
+    /// ([`ResponseStore::admit`], [`ResponseStore::record`],
+    /// [`ResponseStore::advance_generation`], [`ResponseStore::compact`])
+    /// become no-ops. Errors if the file does not exist.
+    pub fn open_read_only(
+        path: impl AsRef<Path>,
+        config: StoreConfig,
+    ) -> std::io::Result<ResponseStore> {
+        Self::open_with(path.as_ref(), config, false)
+    }
+
+    /// The one constructor: a writer takes the sidecar lock and the append
+    /// handle (truncating a torn tail); a reader takes neither.
+    fn open_with(path: &Path, config: StoreConfig, writer: bool) -> std::io::Result<ResponseStore> {
+        let writer_lock = writer.then(|| WriterLock::acquire(path)).transpose()?;
         let mut inner = StoreInner {
             log: None,
             entries: HashMap::new(),
@@ -394,11 +419,13 @@ impl ResponseStore {
             dead_records: 0,
             semantic: config.semantic.as_ref().map(SemanticTier::new),
         };
-        let semantic_enabled = inner.semantic.is_some();
-        let log = LogFile::open(&path, HEADER, |payload| {
-            inner.apply_record(payload, semantic_enabled)
-        })?;
-        inner.log = Some(log);
+        let on_record = |payload: &str| inner.apply_record(payload);
+        inner.log = if writer {
+            Some(LogFile::open(path, HEADER, on_record)?)
+        } else {
+            LogFile::open_read_only(path, HEADER, on_record)?;
+            None
+        };
         if let Some(tier) = &mut inner.semantic {
             // Seal everything replayed from disk: warm-start queries hit
             // the index, not the brute tail.
@@ -408,44 +435,9 @@ impl ResponseStore {
             }
         }
         Ok(ResponseStore {
-            path,
+            path: path.to_path_buf(),
             config,
-            writer_lock: Some(writer_lock),
-            inner: Mutex::new(inner),
-        })
-    }
-
-    /// Open the store at `path` as a reader: no writer lock, no truncation
-    /// (a torn tail is ignored, never repaired), and all mutating calls
-    /// ([`ResponseStore::admit`], [`ResponseStore::advance_generation`],
-    /// [`ResponseStore::compact`]) become no-ops. Errors if the file does
-    /// not exist.
-    pub fn open_read_only(
-        path: impl AsRef<Path>,
-        config: StoreConfig,
-    ) -> std::io::Result<ResponseStore> {
-        let path = path.as_ref().to_path_buf();
-        let mut inner = StoreInner {
-            log: None,
-            entries: HashMap::new(),
-            generation: 0,
-            dead_records: 0,
-            semantic: config.semantic.as_ref().map(SemanticTier::new),
-        };
-        let semantic_enabled = inner.semantic.is_some();
-        LogFile::open_read_only(&path, HEADER, |payload| {
-            inner.apply_record(payload, semantic_enabled)
-        })?;
-        if let Some(tier) = &mut inner.semantic {
-            if !tier.vectors.is_empty() {
-                tier.sealed = Some(KnnIndex::auto(tier.vectors.clone(), Metric::L2));
-                tier.sealed_len = tier.vectors.len();
-            }
-        }
-        Ok(ResponseStore {
-            path,
-            config,
-            writer_lock: None,
+            writer_lock,
             inner: Mutex::new(inner),
         })
     }
@@ -520,11 +512,10 @@ impl ResponseStore {
     /// (in-memory index only); used by the cost estimator to predict
     /// store-hit rates.
     pub fn contains(&self, fingerprint: u64) -> bool {
-        let inner = self.inner.lock();
-        inner
-            .entries
-            .get(&fingerprint)
-            .is_some_and(|e| !inner.expired(e.generation, self.config.ttl_generations))
+        self.inner
+            .lock()
+            .live(fingerprint, self.config.ttl_generations)
+            .is_some()
     }
 
     /// Exact-tier lookup: the stored response for a request fingerprint,
@@ -532,11 +523,9 @@ impl ResponseStore {
     /// original process paid for (`cached` is `false` on disk; the serving
     /// client marks its copy `cached: true` so the hit charges nothing).
     pub fn lookup(&self, fingerprint: u64) -> Option<Arc<CompletionResponse>> {
-        let inner = self.inner.lock();
-        inner
-            .entries
-            .get(&fingerprint)
-            .filter(|e| !inner.expired(e.generation, self.config.ttl_generations))
+        self.inner
+            .lock()
+            .live(fingerprint, self.config.ttl_generations)
             .map(|e| Arc::clone(&e.response))
     }
 
@@ -555,12 +544,7 @@ impl ResponseStore {
         let inner = self.inner.lock();
         let tier = inner.semantic.as_ref()?;
         let ttl = self.config.ttl_generations;
-        let (fingerprint, distance) = tier.query(&vector, |fp| {
-            inner
-                .entries
-                .get(&fp)
-                .is_some_and(|e| !inner.expired(e.generation, ttl))
-        })?;
+        let (fingerprint, distance) = tier.query(&vector, |fp| inner.live(fp, ttl).is_some())?;
         let response = Arc::clone(&inner.entries[&fingerprint].response);
         Some(SemanticHit {
             fingerprint,
@@ -569,16 +553,15 @@ impl ResponseStore {
         })
     }
 
-    /// Admit one freshly paid completion (writer only).
+    /// Admit one freshly paid completion (writer only): the cache policy
+    /// in front of [`ResponseStore::record`].
     ///
     /// Refused — returning `false` — for readers, for non-deterministic
     /// requests (`temperature > 0`), for responses that were themselves
     /// cache hits, for fingerprints already live in the store, and, at
     /// capacity, for candidates cheaper than
     /// [`StoreConfig::admission_floor`] × the mean live cost-per-entry.
-    /// Admission at capacity evicts cheapest-first. Disk errors are
-    /// swallowed (the store is best-effort durability, like the run
-    /// journal); the in-memory indexes stay consistent with the log.
+    /// Admission at capacity evicts cheapest-first.
     pub fn admit(&self, request: &CompletionRequest, response: &CompletionResponse) -> bool {
         if self.is_read_only() || request.temperature > 0.0 || response.cached {
             return false;
@@ -586,15 +569,13 @@ impl ResponseStore {
         let fingerprint = request.fingerprint();
         let ttl = self.config.ttl_generations;
         let mut inner = self.inner.lock();
-        if let Some(existing) = inner.entries.get(&fingerprint) {
-            if !inner.expired(existing.generation, ttl) {
-                return false; // live duplicate: first write wins
-            }
+        if inner.live(fingerprint, ttl).is_some() {
+            return false; // live duplicate: first write wins
         }
-        let cost_usd = response.pricing.cost_usd(response.usage);
 
         // Capacity gate: cost-aware admission, cheapest-first eviction.
         if let Some(capacity) = self.config.capacity {
+            let cost_usd = response.pricing.cost_usd(response.usage);
             let live: Vec<(u64, f64)> = inner
                 .entries
                 .iter()
@@ -613,7 +594,7 @@ impl ResponseStore {
                     if excess == 0 {
                         break;
                     }
-                    // Journal the eviction so replay reproduces it.
+                    // Log the eviction so replay reproduces it.
                     let marker = format!("D\t{}", crate::hash::hex64(fp));
                     if let Some(log) = &mut inner.log {
                         let _ = log.append(&marker);
@@ -624,9 +605,38 @@ impl ResponseStore {
                 }
             }
         }
+        self.append_locked(&mut inner, fingerprint, &request.prompt, response)
+    }
 
+    /// Append `response` under `fingerprint` with no cacheability or
+    /// capacity policy (writer only; `false` for readers and for
+    /// fingerprints already live — first write wins). This is how the
+    /// client's replay slot ([`crate::LlmClient::attach_journal`]) logs
+    /// every paid call, sampled ones included; it passes an empty `prompt`,
+    /// which only the semantic tier and compaction rewrites read. Disk
+    /// errors are swallowed (the log is best-effort durability — a lost
+    /// record costs a re-run); the in-memory indexes stay consistent with
+    /// the log.
+    pub fn record(&self, fingerprint: u64, prompt: &str, response: &CompletionResponse) -> bool {
+        let mut inner = self.inner.lock();
+        let fresh = inner
+            .live(fingerprint, self.config.ttl_generations)
+            .is_none();
+        fresh && self.append_locked(&mut inner, fingerprint, prompt, response)
+    }
+
+    /// Log one record and index it; the caller has ruled out a live
+    /// duplicate.
+    fn append_locked(
+        &self,
+        inner: &mut StoreInner,
+        fingerprint: u64,
+        prompt: &str,
+        response: &CompletionResponse,
+    ) -> bool {
         let generation = inner.generation;
-        let payload = StoreInner::encode_record(generation, &request.prompt, fingerprint, response);
+        let payload = StoreInner::encode_record(generation, prompt, fingerprint, response);
+        // A reader holds no append handle.
         let Some(log) = &mut inner.log else {
             return false;
         };
@@ -635,6 +645,7 @@ impl ResponseStore {
         }
         let mut stored = response.clone();
         stored.cached = false;
+        let cost_usd = stored.pricing.cost_usd(stored.usage);
         if inner
             .entries
             .insert(
@@ -643,7 +654,7 @@ impl ResponseStore {
                     response: Arc::new(stored),
                     generation,
                     cost_usd,
-                    prompt: request.prompt.clone().into_boxed_str(),
+                    prompt: prompt.into(),
                 },
             )
             .is_some()
@@ -651,13 +662,13 @@ impl ResponseStore {
             inner.dead_records += 1; // replaced an expired record
         }
         if let Some(mut tier) = inner.semantic.take() {
-            tier.insert(fingerprint, &request.prompt);
+            tier.insert(fingerprint, prompt);
             tier.maybe_reseal(&inner.entries);
             inner.semantic = Some(tier);
         }
         // Opportunistic compaction once dead records dominate the file.
         if inner.dead_records > inner.entries.len().max(64) {
-            let _ = Self::compact_locked(&self.path, &self.config, &mut inner);
+            let _ = Self::compact_locked(&self.path, &self.config, inner);
         }
         true
     }
@@ -794,6 +805,31 @@ mod tests {
         hit.cached = true;
         assert!(!store.admit(&request("prompt"), &hit));
         assert!(store.is_empty());
+        cleanup(&path);
+    }
+
+    #[test]
+    fn record_skips_the_cache_policy_and_roundtrips_every_field() {
+        let path = temp_path("record");
+        // What `admit` refuses, `record` logs: a sampled call's response.
+        let sampled = request("prompt").with_temperature(0.7);
+        let weird = CompletionResponse {
+            finish_reason: FinishReason::Length,
+            confidence: Some(0.875),
+            ..response("line one\nline\ttwo \\ backslash\rcarriage", 3)
+        };
+        {
+            let store = ResponseStore::open(&path, StoreConfig::default()).unwrap();
+            assert!(!store.admit(&sampled, &weird));
+            assert!(store.record(sampled.fingerprint(), "", &weird));
+            assert!(store.record(42, "", &response("plain", 1)));
+            assert!(!store.record(42, "", &response("second", 1)), "first wins");
+        }
+        let reader = ResponseStore::open_read_only(&path, StoreConfig::default()).unwrap();
+        assert_eq!(reader.len(), 2);
+        assert_eq!(*reader.lookup(sampled.fingerprint()).unwrap(), weird);
+        assert_eq!(*reader.lookup(42).unwrap(), response("plain", 1));
+        assert!(!reader.record(7, "", &weird), "readers record nothing");
         cleanup(&path);
     }
 

@@ -13,7 +13,7 @@
 //! |-------|---------|
 //! | flight handoff        | `oracle::client` coalescing leader/joiner publish |
 //! | breaker half-open     | `oracle::route` probe claim vs concurrent callers |
-//! | journal torn tail     | `core::journal` append crash + truncate-at-open  |
+//! | journal torn tail     | `oracle::recordlog` append crash + truncate-at-open |
 //! | hedged cancel         | `oracle::route` first-success vs twin cancel     |
 //! | lease quota           | `oracle::route` reserve/confirm/release + expiry |
 
@@ -176,8 +176,9 @@ fn breaker_half_open_admits_exactly_one_probe() {
     );
 }
 
-/// Model 3 — journal append vs torn-tail truncate (`journal.rs`): appenders
-/// serialize whole-record writes (header + body) under the journal lock; a
+/// Model 3 — record-log append vs torn-tail truncate (`oracle::recordlog`,
+/// under the `ResponseStore` lock for store and journal alike): appenders
+/// serialize whole-record writes (header + body) under the log's lock; a
 /// crash (explored via `choice`) can stop the *process* between the two
 /// halves, leaving a torn tail. Recovery scans the buffer and truncates at
 /// the last complete record boundary.
