@@ -5,11 +5,11 @@
 //! tests:
 //!
 //! * **What does the front door cost?** A 64-task batch submitted through
-//!   a one-tenant [`Server`] (admission → fair feed → slot lease per item)
-//!   vs the same batch run directly on the engine. The serving overhead —
-//!   render-and-estimate at admission, DRR bookkeeping, lease
-//!   reserve/confirm/release — must stay within a small constant factor of
-//!   the bare dispatch.
+//!   a one-tenant [`Server`] (admission → the tenant's lane of the fair
+//!   feed → a slot lease per miss) vs the same batch run directly on the
+//!   engine. The serving overhead — the admission checks, DRR bookkeeping,
+//!   lease reserve/confirm/release — must stay within a small constant
+//!   factor of the bare dispatch.
 //! * **What do equal weights guarantee at scale?** A 64-tenant workload
 //!   drained through the deficit-round-robin feed, cut mid-round: the
 //!   p99-over-median ratio of per-tenant claims must stay ≤ 2× (DRR with
@@ -64,8 +64,9 @@ fn fresh_engine(world: &Arc<WorldModel>, ids: &[ItemId]) -> Engine {
         Arc::clone(world),
         11,
     ));
-    // Parallelism 1: the server drives from the submitting thread, so the
-    // direct-engine baseline must not get a worker-pool head start.
+    // Parallelism 1: both legs run the engine's one pump, and `submit`
+    // always runs it with the caller as the only worker, so the direct leg
+    // must too for the ratio to read as the cost of admission and leases.
     Engine::new(
         Arc::new(LlmClient::new(llm)),
         Corpus::from_world(world, ids),

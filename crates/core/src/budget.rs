@@ -105,7 +105,8 @@ impl BudgetTracker {
     }
 }
 
-/// A point-in-time spend snapshot for one ledger (see [`LedgerBook`]).
+/// A point-in-time spend snapshot for one tenant's ledger (see
+/// [`crate::serve::TenantStats`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LedgerSnapshot {
     /// USD spent so far.
@@ -114,78 +115,6 @@ pub struct LedgerSnapshot {
     pub spent_tokens: u64,
     /// The budget the ledger enforces.
     pub budget: Budget,
-}
-
-/// A keyed collection of per-tenant [`BudgetTracker`] ledgers.
-///
-/// The multi-tenant serving layer gives every tenant its own ledger so one
-/// tenant's spend can never consume another's budget: admission and spend
-/// recording both go through the tenant's tracker, while the engine-level
-/// tracker (if any) continues to cap the shared stack as a whole.
-///
-/// Keys are registered once (at tenant registration) and never removed;
-/// lookups on unknown keys return `None` rather than silently admitting.
-#[derive(Debug, Default)]
-pub struct LedgerBook {
-    ledgers: Mutex<Vec<(String, std::sync::Arc<BudgetTracker>)>>,
-}
-
-impl LedgerBook {
-    /// An empty book.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Open a ledger for `key` with the given budget. Returns `false` (and
-    /// leaves the existing ledger untouched) if the key is already present.
-    pub fn open(&self, key: &str, budget: Budget) -> bool {
-        let mut ledgers = self.ledgers.lock();
-        if ledgers.iter().any(|(k, _)| k == key) {
-            return false;
-        }
-        ledgers.push((
-            key.to_owned(),
-            std::sync::Arc::new(BudgetTracker::new(budget)),
-        ));
-        true
-    }
-
-    /// The ledger for `key`, if one was opened.
-    pub fn ledger(&self, key: &str) -> Option<std::sync::Arc<BudgetTracker>> {
-        self.ledgers
-            .lock()
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, t)| std::sync::Arc::clone(t))
-    }
-
-    /// Number of open ledgers.
-    pub fn len(&self) -> usize {
-        self.ledgers.lock().len()
-    }
-
-    /// Whether the book has no ledgers.
-    pub fn is_empty(&self) -> bool {
-        self.ledgers.lock().is_empty()
-    }
-
-    /// Snapshot every ledger's spend, in registration order.
-    pub fn snapshot(&self) -> Vec<(String, LedgerSnapshot)> {
-        self.ledgers
-            .lock()
-            .iter()
-            .map(|(k, t)| {
-                (
-                    k.clone(),
-                    LedgerSnapshot {
-                        spent_usd: t.spent_usd(),
-                        spent_tokens: t.spent_tokens(),
-                        budget: t.budget(),
-                    },
-                )
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -245,27 +174,5 @@ mod tests {
         let t = BudgetTracker::new(Budget::tokens(5));
         t.record(0.0, 10);
         assert_eq!(t.remaining_tokens(), 0);
-    }
-
-    #[test]
-    fn ledger_book_isolates_tenants() {
-        let book = LedgerBook::new();
-        assert!(book.open("a", Budget::usd(1.0)));
-        assert!(book.open("b", Budget::usd(2.0)));
-        assert!(!book.open("a", Budget::Unlimited), "no silent re-open");
-        assert_eq!(book.len(), 2);
-
-        let a = book.ledger("a").unwrap();
-        a.record(0.75, 100);
-        let b = book.ledger("b").unwrap();
-        assert!(b.admit(1.5, 0), "tenant b's budget is untouched by a");
-        assert!(!a.admit(0.5, 0));
-        assert!(book.ledger("missing").is_none());
-
-        let snap = book.snapshot();
-        assert_eq!(snap[0].0, "a");
-        assert!((snap[0].1.spent_usd - 0.75).abs() < 1e-12);
-        assert_eq!(snap[0].1.spent_tokens, 100);
-        assert_eq!(snap[1].1.budget, Budget::usd(2.0));
     }
 }

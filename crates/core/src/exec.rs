@@ -8,11 +8,11 @@
 //!
 //! ```text
 //!  RunSpec ─► prepare ─► pump ───────────────────────────────► BatchOutcome
-//!             render,    shared feed ──► worker 1 ─ execute ─┐
-//!             estimate,  (bounded:       worker 2 ─ execute ─┼─► per-item
-//!             pick the    claims ≤        ...                │   results,
-//!             admission   workers×batch) worker W ─ execute ─┘   input order
-//!             mode
+//!             render,    fair feed ───► caller ── execute ─┐
+//!             estimate,  (jobs carry    helper 2 ─ execute ─┼─► the job's
+//!             pick the    their batch;   ...                │   batch: slots
+//!             admission   claims ≤      helper W ─ execute ─┘   in input order
+//!             mode        workers×batch)
 //! ```
 //!
 //! * **prepare** renders each call once and stamps it with how it is
@@ -22,20 +22,28 @@
 //!   votes and packs, whose retries cannot be known up front), or — when
 //!   the policy degrades — admitted only after a free local hit has been
 //!   ruled out.
-//! * **pump** is the one worker pool. Workers *pull* small claims from a
-//!   shared feed, so at most `parallelism × max_batch` items are
-//!   claimed-but-unfinished; claim size doubles after a claim that averaged
-//!   under [`PipelineConfig::fast_task_micros`] per item (cache or coalesced
-//!   hits) and halves after a slow one. An optional per-model gate
-//!   ([`PipelineConfig::model_concurrency`]) caps in-flight backend calls
-//!   per model name, process-wide.
+//! * **pump** is the one worker loop in the crate. It queues the batch on
+//!   the engine's lane of a [`FairFeed`] — its own one-lane feed (one-lane
+//!   deficit round robin *is* FIFO) or, scoped to a tenant by
+//!   [`crate::serve::Server`], that tenant's lane of the server's feed —
+//!   and the calling thread works the feed beside up to `parallelism − 1`
+//!   helper threads scoped to the call. A job carries what *any* worker
+//!   needs to run it (request, admission, and its batch: result slots,
+//!   outstanding count, stop flag, attempt allowance, ledger, trace), so a
+//!   worker runs whichever batch's job it drew and a caller whose last
+//!   jobs are in flight elsewhere waits on its batch. Workers *pull* small
+//!   claims, at most `workers × max_batch` claimed-but-unfinished; claim
+//!   size doubles after a claim that averaged under
+//!   [`PipelineConfig::fast_task_micros`] per job and halves after a slow
+//!   one.
 //! * **execute** is the one worker body: admit, probe the client's cache
 //!   once when a free hit changes what happens next, dispatch with up to
-//!   the policy's attempt allowance, account. With one attempt it *is* the
-//!   fail-fast worker.
+//!   the batch's attempt allowance, account. With one attempt it *is* the
+//!   fail-fast worker. On a serving stack a call that may reach the
+//!   backend holds a slot lease; a local hit takes none.
 //!
 //! The policy is read at three points in this file — the attempt
-//! allowance and stop-on-first-error in the pump, and
+//! allowance and stop-on-first-error in `RunShape`, and
 //! salvage-before-admission in prepare — plus [`Settle`], the per-item
 //! helper operators hand their parse results to.
 //!
@@ -66,13 +74,14 @@
 //! client ([`LlmClient::attach_journal`]) answers a replayed call with
 //! `cached: false` and the original usage and pricing, so it is admitted,
 //! charged to the budget and traced by the same code as a paid call.
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, VecDeque};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crowdprompt_oracle::error::LlmError;
+use crowdprompt_oracle::route::{LeaseTable, SlotLease};
 use crowdprompt_oracle::task::TaskDescriptor;
 use crowdprompt_oracle::tokenizer::count_tokens;
 use crowdprompt_oracle::types::{CompletionRequest, CompletionResponse};
@@ -99,11 +108,6 @@ pub struct PipelineConfig {
     /// Per-task mean duration (µs) below which a worker's claim is deemed
     /// "fast" and its next claim doubles.
     pub fast_task_micros: u64,
-    /// Maximum concurrent cache-missing completions per model name, shared
-    /// process-wide across engines (cache hits are served before a permit
-    /// is taken; a coalesced joiner holds a permit while it waits, since it
-    /// represents a pending backend call). `0` disables the gate.
-    pub model_concurrency: usize,
 }
 
 impl Default for PipelineConfig {
@@ -112,62 +116,57 @@ impl Default for PipelineConfig {
             min_batch: 1,
             max_batch: 32,
             fast_task_micros: 200,
-            model_concurrency: 0,
         }
     }
 }
 
-/// A counting semaphore (std has none until `std::sync::Semaphore` lands).
-pub(crate) struct Semaphore {
-    permits: Mutex<usize>,
-    cv: Condvar,
+/// The gate of a serving stack: a backend-slot lease table, the generation
+/// clock its leases expire by, and their TTL. An engine scoped to a tenant
+/// holds a lease around every call that may reach the backend.
+pub(crate) struct LeaseGate {
+    pub(crate) table: LeaseTable,
+    pub(crate) generation: AtomicU64,
+    pub(crate) ttl: u64,
 }
 
-impl Semaphore {
-    fn new(permits: usize) -> Self {
-        Semaphore {
-            permits: Mutex::new(permits),
-            cv: Condvar::new(),
-        }
+impl LeaseGate {
+    /// The current generation.
+    pub(crate) fn now(&self) -> u64 {
+        self.generation.load(Ordering::Relaxed)
     }
 
-    fn acquire(&self) -> SemaphorePermit<'_> {
-        let mut permits = self.permits.lock();
-        while *permits == 0 {
-            self.cv.wait(&mut permits);
+    /// Reserve → confirm. With every slot validly held, yield until a
+    /// holder releases or a stalled lease expires; a reservation that
+    /// expired before its confirm is re-reserved, never used.
+    fn acquire(&self) -> HeldLease<'_> {
+        loop {
+            let Some(lease) = self.table.reserve(self.now(), self.ttl) else {
+                parking_lot::blocking_region("gate: waiting for a slot lease");
+                std::thread::yield_now();
+                continue;
+            };
+            let held = HeldLease {
+                table: &self.table,
+                lease,
+            };
+            if self.table.confirm(&held.lease, self.now(), self.ttl) {
+                return held;
+            }
         }
-        *permits -= 1;
-        SemaphorePermit { sem: self }
     }
 }
 
-/// RAII permit returned by [`Semaphore::acquire`].
-struct SemaphorePermit<'a> {
-    sem: &'a Semaphore,
+/// Releases a slot lease on drop, so no exit path of a dispatch (success,
+/// error, panic) strands a slot.
+struct HeldLease<'a> {
+    table: &'a LeaseTable,
+    lease: SlotLease,
 }
 
-impl Drop for SemaphorePermit<'_> {
+impl Drop for HeldLease<'_> {
     fn drop(&mut self) {
-        let mut permits = self.sem.permits.lock();
-        *permits += 1;
-        self.sem.cv.notify_one();
+        self.table.release(&self.lease);
     }
-}
-
-/// Gate registry: one semaphore per `(model name, limit)` pair.
-type GateMap = HashMap<(String, usize), Arc<Semaphore>>;
-
-/// Process-wide per-model gates, keyed by `(model name, limit)` so engines
-/// configured with different limits do not interfere.
-fn model_gate(model: &str, limit: usize) -> Arc<Semaphore> {
-    static GATES: OnceLock<Mutex<GateMap>> = OnceLock::new();
-    let gates = GATES.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut gates = gates.lock();
-    Arc::clone(
-        gates
-            .entry((model.to_owned(), limit))
-            .or_insert_with(|| Arc::new(Semaphore::new(limit))),
-    )
 }
 
 /// Executes unit tasks for the declarative operators.
@@ -180,12 +179,16 @@ fn model_gate(model: &str, limit: usize) -> Arc<Semaphore> {
 /// * record actual spend.
 pub struct Engine {
     client: Arc<LlmClient>,
-    corpus: Corpus,
+    corpus: Arc<Corpus>,
     /// Worst-case serving-price over reference-price ratio for a routed
     /// client (`1.0` otherwise): budget admission scales estimates by this
     /// so a USD cap holds even when a pricier backend serves the call.
     admission_price_factor: f64,
-    budget: BudgetTracker,
+    budget: Arc<BudgetTracker>,
+    /// Where the pump queues this engine's batches and claims jobs.
+    lane: Lane,
+    /// Held around every call that may reach the backend, when serving.
+    gate: Option<Arc<LeaseGate>>,
     parallelism: usize,
     pipeline: PipelineConfig,
     pack_width: usize,
@@ -212,9 +215,14 @@ impl Engine {
             .map_or(1.0, |router| router.admission_price_factor());
         Engine {
             client,
-            corpus,
+            corpus: Arc::new(corpus),
             admission_price_factor,
-            budget: BudgetTracker::new(Budget::Unlimited),
+            budget: Arc::new(BudgetTracker::new(Budget::Unlimited)),
+            lane: Lane {
+                feed: Arc::new(FairFeed::fifo()),
+                index: 0,
+            },
+            gate: None,
             parallelism: 8,
             pipeline: PipelineConfig::default(),
             pack_width: 1,
@@ -232,8 +240,41 @@ impl Engine {
     /// Set the budget (builder style).
     #[must_use]
     pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.budget = BudgetTracker::new(budget);
+        self.budget = Arc::new(BudgetTracker::new(budget));
         self
+    }
+
+    /// This engine scoped to one tenant of a serving stack: the tenant's
+    /// ledger as its budget, the tenant's lane of the server's feed as its
+    /// feed, the server's lease table as its gate.
+    pub(crate) fn scoped(
+        &self,
+        budget: Arc<BudgetTracker>,
+        lane: Lane,
+        gate: Arc<LeaseGate>,
+    ) -> Engine {
+        Engine {
+            budget,
+            lane,
+            gate: Some(gate),
+            ..self.fork()
+        }
+    }
+
+    /// A second handle onto the same stack: everything shared or copied,
+    /// except the salvage notes, which belong to one caller.
+    pub(crate) fn fork(&self) -> Engine {
+        Engine {
+            client: Arc::clone(&self.client),
+            corpus: Arc::clone(&self.corpus),
+            budget: Arc::clone(&self.budget),
+            lane: self.lane.clone(),
+            gate: self.gate.clone(),
+            render_opts: self.render_opts.clone(),
+            trace: self.trace.clone(),
+            salvage: Mutex::new(Vec::new()),
+            ..*self
+        }
     }
 
     /// Set worker parallelism for batch dispatch (builder style).
@@ -476,14 +517,19 @@ impl Engine {
         est_usd * self.admission_price_factor
     }
 
-    /// Admit one estimated call against the budget at its conservative
+    /// Admit one estimated call against `ledger` at its conservative
     /// admission price; `Err` carries the refused amount.
-    fn admit_estimate(&self, est_usd: f64, est_tokens: u64) -> Result<(), EngineError> {
+    fn admit_estimate(
+        &self,
+        ledger: &BudgetTracker,
+        est_usd: f64,
+        est_tokens: u64,
+    ) -> Result<(), EngineError> {
         let admit_usd = self.admission_usd(est_usd);
-        if !self.budget.admit(admit_usd, est_tokens) {
+        if !ledger.admit(admit_usd, est_tokens) {
             return Err(EngineError::BudgetExceeded {
                 needed_usd: admit_usd,
-                remaining_usd: self.budget.remaining_usd(),
+                remaining_usd: ledger.remaining_usd(),
             });
         }
         Ok(())
@@ -516,10 +562,7 @@ impl Engine {
         &self,
         tasks: Vec<TaskDescriptor>,
     ) -> Result<Vec<CompletionResponse>, EngineError> {
-        let calls = tasks
-            .into_iter()
-            .map(|task| (task, self.temperature, 0))
-            .collect();
+        let calls = tasks.into_iter().map(|task| self.unsampled(task)).collect();
         self.dispatch_strict(calls, Admit::Batch)
     }
 
@@ -588,32 +631,6 @@ impl Engine {
         }
     }
 
-    /// Record actual spend for a response; cache hits and coalesced joins
-    /// are free.
-    fn record_spend(&self, response: &CompletionResponse) {
-        if !response.cached {
-            self.budget.record(
-                self.cost_of_response(response),
-                u64::from(response.usage.total()),
-            );
-        }
-    }
-
-    fn record_trace(&self, kind: &'static str, response: &CompletionResponse) {
-        if let Some(trace) = &self.trace {
-            trace.record(TraceEvent {
-                kind,
-                usage: response.usage,
-                cost_usd: if response.cached {
-                    0.0
-                } else {
-                    self.cost_of_response(response)
-                },
-                cached: response.cached,
-            });
-        }
-    }
-
     /// The strict entry points' shared tail: prepare, pump under
     /// [`FailurePolicy::FailFast`], unwrap the (then all-`Ok`) items.
     fn dispatch_strict(
@@ -623,7 +640,7 @@ impl Engine {
     ) -> Result<Vec<CompletionResponse>, EngineError> {
         let policy = FailurePolicy::FailFast;
         let work = self.prepare(calls, admit, self.run_deadline(), policy);
-        self.pump(work, policy)?
+        self.pump(work, self.shape(policy))?
             .into_iter()
             .map(|item| item.map_err(|errors| condemning(&errors)))
             .collect()
@@ -638,7 +655,7 @@ impl Engine {
     ) -> Result<BatchOutcome, EngineError> {
         let work = self.prepare(calls, admit, self.run_deadline(), policy);
         let mut outcome = BatchOutcome::default();
-        for (index, item) in self.pump(work, policy)?.into_iter().enumerate() {
+        for (index, item) in self.pump(work, self.shape(policy))?.into_iter().enumerate() {
             match item {
                 Ok(response) => {
                     outcome.answers.push(Ok(response.text.clone()));
@@ -726,7 +743,7 @@ impl Engine {
                     work.push(prepared);
                 }
             }
-            for (pack, item) in round.into_iter().zip(self.pump(work, policy)?) {
+            for (pack, item) in round.into_iter().zip(self.pump(work, self.shape(policy))?) {
                 match item {
                     Ok(response) => {
                         if pack.len() == 1 {
@@ -764,6 +781,33 @@ impl Engine {
         Ok(outcome)
     }
 
+    /// Render one call into dispatcher work stamped with its admission
+    /// mode; nothing is checked against a budget here.
+    pub(crate) fn render_call(
+        &self,
+        (task, temperature, sample_index): Call,
+        mode: Admit,
+        deadline: Option<Instant>,
+    ) -> Result<Work, EngineError> {
+        let (mut request, est_usd, est_tokens) = self.render_and_estimate(task)?;
+        request.temperature = temperature;
+        request.sample_index = sample_index;
+        request.deadline = deadline;
+        Ok(Work {
+            request,
+            admission: Admission {
+                mode,
+                est_usd,
+                est_tokens,
+            },
+        })
+    }
+
+    /// `task` as a call at the engine's temperature, sample 0.
+    pub(crate) fn unsampled(&self, task: TaskDescriptor) -> Call {
+        (task, self.temperature, 0)
+    }
+
     /// Render each call once into dispatcher work and stamp it with how it
     /// is admitted against the budget. A call that does not render, or that
     /// the cumulative batch check refuses, becomes a pre-failed item.
@@ -784,13 +828,11 @@ impl Engine {
         let (mut pending_usd, mut pending_tokens) = (0.0f64, 0u64);
         calls
             .into_iter()
-            .map(|(task, temperature, sample_index)| {
-                let (mut request, est_usd, est_tokens) = self.render_and_estimate(task)?;
-                request.temperature = temperature;
-                request.sample_index = sample_index;
-                request.deadline = deadline;
+            .map(|call| {
+                let work = self.render_call(call, mode, deadline)?;
                 if mode == Admit::Batch {
-                    let admit_usd = self.admission_usd(est_usd);
+                    let admit_usd = self.admission_usd(work.admission.est_usd);
+                    let est_tokens = work.admission.est_tokens;
                     if !self
                         .budget
                         .admit(pending_usd + admit_usd, pending_tokens + est_tokens)
@@ -803,109 +845,123 @@ impl Engine {
                     pending_usd += admit_usd;
                     pending_tokens += est_tokens;
                 }
-                Ok(Work {
-                    request,
-                    admission: Admission {
-                        mode,
-                        est_usd,
-                        est_tokens,
-                    },
-                })
+                Ok(work)
             })
             .collect()
     }
 
-    /// The one worker pool: pull adaptive claims from the shared feed, run
-    /// each item through [`Engine::execute`], and return per-item results in
-    /// input order. `Err` — the failure with the lowest input index among
-    /// those observed — only when the policy stops on the first error; then
-    /// a pre-failed item fails the batch before anything is dispatched.
-    fn pump(
-        &self,
-        items: Vec<Result<Work, EngineError>>,
-        policy: FailurePolicy,
-    ) -> Result<Vec<ItemResult>, EngineError> {
-        // Policy points: how often one item is attempted, and whether one
-        // item's failure ends the batch.
+    /// The run shape a failure policy asks for — policy points: how often
+    /// one item is attempted, and whether one item's failure ends the batch.
+    fn shape(&self, policy: FailurePolicy) -> RunShape {
         let (attempts, stop_on_error) = match policy {
             FailurePolicy::FailFast => (1, true),
             FailurePolicy::Degrade { max_attempts } => (max_attempts.max(1), false),
         };
-        if stop_on_error {
+        RunShape {
+            attempts,
+            stop_on_error,
+            workers: self.parallelism,
+        }
+    }
+
+    /// The one worker loop: queue the batch on this engine's lane, work the
+    /// feed from the calling thread beside `shape.workers − 1` helpers until
+    /// the batch is done, and return per-item results in input order. `Err`
+    /// — the failure with the lowest input index among those observed —
+    /// only when the shape stops on the first error; then a pre-failed item
+    /// fails the batch before anything is queued.
+    pub(crate) fn pump(
+        &self,
+        items: Vec<Result<Work, EngineError>>,
+        shape: RunShape,
+    ) -> Result<Vec<ItemResult>, EngineError> {
+        if shape.stop_on_error {
             if let Some(e) = items.iter().find_map(|item| item.as_ref().err()) {
                 return Err(e.clone());
             }
         }
         let n = items.len();
-        let gate = self.gate();
-        let run = |item: Result<Work, EngineError>| -> ItemResult {
-            let work = item.map_err(|e| vec![e])?;
-            self.execute(&work.request, work.admission, attempts, gate.as_deref())
-        };
-        // Never spawn more workers than items: a 1-item dispatch runs inline.
-        let workers = self.parallelism.clamp(1, n.max(1));
-        if workers == 1 {
-            let mut out = Vec::with_capacity(n);
-            for item in items {
-                let result = run(item);
-                if let (true, Err(errors)) = (stop_on_error, &result) {
-                    return Err(condemning(errors));
-                }
-                out.push(result);
-            }
-            return Ok(out);
-        }
-        let feed = Mutex::new(items.into_iter().enumerate());
-        let collected: Mutex<Vec<(usize, ItemResult)>> = Mutex::new(Vec::with_capacity(n));
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut claim = self.pipeline.min_batch;
-                    let mut local = Vec::new();
-                    loop {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        local.extend(feed.lock().by_ref().take(claim));
-                        if local.is_empty() {
-                            break;
-                        }
-                        let started = Instant::now(); // lint: allow(clock) — dispatch latency sample
-                        let mut completed = 0usize;
-                        for (index, item) in local.drain(..) {
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let result = run(item);
-                            if stop_on_error && result.is_err() {
-                                stop.store(true, Ordering::Relaxed);
-                            } else {
-                                completed += 1;
-                            }
-                            collected.lock().push((index, result));
-                        }
-                        claim = self.adapt_claim(claim, started, completed);
-                    }
-                });
-            }
+        let batch = Arc::new(Batch {
+            slots: Mutex::new(Slots {
+                results: vec![None; n],
+                outstanding: n,
+            }),
+            done: Condvar::new(),
+            stopped: AtomicBool::new(false),
+            attempts: shape.attempts,
+            stop_on_error: shape.stop_on_error,
+            ledger: Arc::clone(&self.budget),
+            trace: self.trace.clone(),
         });
-        let mut results = collected.into_inner();
-        results.sort_unstable_by_key(|(index, _)| *index);
-        if stop_on_error {
-            if let Some(errors) = results.iter().find_map(|(_, item)| item.as_ref().err()) {
+        let mut jobs = Vec::with_capacity(n);
+        for (slot, item) in items.into_iter().enumerate() {
+            match item {
+                Ok(work) => jobs.push(Job {
+                    batch: Arc::clone(&batch),
+                    slot,
+                    work,
+                    recorded: false,
+                }),
+                Err(e) => batch.record(slot, Some(Err(vec![e]))),
+            }
+        }
+        self.lane.feed.push_lane(self.lane.index, jobs);
+        // Never spawn more workers than items: a 1-item dispatch runs on
+        // the calling thread alone.
+        let helpers = shape.workers.clamp(1, n.max(1)) - 1;
+        std::thread::scope(|scope| {
+            for _ in 0..helpers {
+                scope.spawn(|| self.work(&batch));
+            }
+            self.work(&batch);
+            // What is left of the batch is in flight on other workers.
+            batch.wait_done();
+        });
+        let results = std::mem::take(&mut batch.slots.lock().results);
+        if shape.stop_on_error {
+            if let Some(errors) = results.iter().find_map(|r| r.as_ref()?.as_ref().err()) {
                 return Err(condemning(errors));
             }
         }
-        Ok(results.into_iter().map(|(_, item)| item).collect())
+        Ok(results
+            .into_iter()
+            .map(|r| r.expect("a batch that was not stopped ran every job")) // lint: allow(no-unwrap)
+            .collect())
     }
 
-    /// Next claim size given how the last claim went.
-    fn adapt_claim(&self, claim: usize, started: Instant, completed: usize) -> usize {
-        if completed == 0 {
-            return self.pipeline.min_batch;
+    /// One worker of a pump call: claim jobs off the feed — any batch's —
+    /// and run each into the batch it carries, until `own` is done or the
+    /// feed is empty.
+    fn work(&self, own: &Batch) {
+        let mut claim = self.pipeline.min_batch;
+        let mut local = Vec::new();
+        while !own.is_done() {
+            self.lane.feed.claim_into(claim, &mut local);
+            if local.is_empty() {
+                return;
+            }
+            let started = Instant::now(); // lint: allow(clock) — dispatch latency sample
+            let claimed = local.len();
+            for job in local.drain(..) {
+                let batch = &job.batch;
+                // A stopped batch's queued jobs are drained as skipped by
+                // whoever claims them.
+                let result = (!batch.stopped.load(Ordering::Relaxed)).then(|| {
+                    let result = self.execute(&job);
+                    if batch.stop_on_error && result.is_err() {
+                        batch.stopped.store(true, Ordering::Relaxed);
+                    }
+                    result
+                });
+                job.finish(result);
+            }
+            claim = self.adapt_claim(claim, started, claimed);
         }
-        let per_task_us = started.elapsed().as_micros() as u64 / completed as u64;
+    }
+
+    /// Next claim size given how the last claim of `claimed` jobs went.
+    fn adapt_claim(&self, claim: usize, started: Instant, claimed: usize) -> usize {
+        let per_task_us = started.elapsed().as_micros() as u64 / claimed as u64;
         if per_task_us < self.pipeline.fast_task_micros {
             (claim * 2).min(self.pipeline.max_batch)
         } else {
@@ -913,40 +969,12 @@ impl Engine {
         }
     }
 
-    /// The per-model gate for this engine's client, if configured.
-    pub(crate) fn gate(&self) -> Option<Arc<Semaphore>> {
-        (self.pipeline.model_concurrency > 0)
-            .then(|| model_gate(self.client.model().name(), self.pipeline.model_concurrency))
-    }
-
-    /// Dispatch one pre-rendered request that its caller has already
-    /// admitted (the serving layer charges tenant ledgers per batch), with
-    /// a single attempt.
-    pub(crate) fn execute_request(
-        &self,
-        request: &CompletionRequest,
-        gate: Option<&Semaphore>,
-    ) -> Result<CompletionResponse, EngineError> {
-        let admitted = Admission {
-            mode: Admit::Batch,
-            est_usd: 0.0,
-            est_tokens: 0,
-        };
-        self.execute(request, admitted, 1, gate)
-            .map_err(|errors| condemning(&errors))
-    }
-
-    /// The one worker body: admit, probe local state once, then dispatch
-    /// with up to `attempts` engine-level attempts (each still carries the
-    /// client's own retries). Returns the response or the full error chain,
-    /// one entry per failed attempt, that exhausted the item.
-    fn execute(
-        &self,
-        request: &CompletionRequest,
-        admission: Admission,
-        attempts: u32,
-        gate: Option<&Semaphore>,
-    ) -> ItemResult {
+    /// The one worker body: admit against the job's ledger, probe local
+    /// state once, then dispatch with up to the batch's attempt allowance
+    /// (each attempt still carries the client's own retries). Returns the
+    /// response or the full error chain, one entry per failed attempt, that
+    /// exhausted the item.
+    fn execute(&self, job: &Job) -> ItemResult {
         /// Cap on the pause between engine-level attempts, so one poison
         /// item honoring a long server hint cannot stall its worker.
         const MAX_ATTEMPT_PAUSE_MS: u64 = 250;
@@ -956,8 +984,10 @@ impl Engine {
         /// whole attempt allowance before the fault has wall-clock time
         /// to clear.
         const MIN_ATTEMPT_PAUSE_MS: u64 = 5;
+        let Job { batch, work, .. } = job;
+        let Work { request, admission } = work;
         let admit = || {
-            self.admit_estimate(admission.est_usd, admission.est_tokens)
+            self.admit_estimate(&batch.ledger, admission.est_usd, admission.est_tokens)
                 .map_err(|e| vec![e])
         };
         if admission.mode == Admit::PerCall {
@@ -967,12 +997,12 @@ impl Engine {
         // even when the budget or the deadline is already spent.
         let salvage = admission.mode == Admit::AfterSalvage;
         // The cache is probed here once per request, and only when someone
-        // needs the answer before the client is called: the gate (hits must
-        // not take a permit) or salvage. Otherwise the client's own lookup
-        // is the probe.
-        if salvage || gate.is_some() {
+        // needs the answer before the client is called: the gate (a hit
+        // must not take a lease) or salvage. Otherwise the client's own
+        // lookup is the probe.
+        if salvage || self.gate.is_some() {
             if let Some(hit) = self.client.peek_cached(request) {
-                self.record_trace(request.task.kind(), &hit);
+                batch.account(request, &hit);
                 return Ok(hit);
             }
         }
@@ -988,23 +1018,21 @@ impl Engine {
                     return Err(errors);
                 }
             }
-            let e = match self.dispatch(request, gate) {
-                Ok(response) => return Ok(response),
+            let e = match self.dispatch(request) {
+                Ok(response) => {
+                    batch.account(request, &response);
+                    return Ok(response);
+                }
                 Err(e) => e,
             };
-            let (retryable, hint) = match &e {
-                EngineError::Llm(le) => (
-                    le.is_retryable()
-                        || matches!(
-                            le,
-                            LlmError::CircuitOpen { .. } | LlmError::RetriesExhausted { .. }
-                        ),
-                    le.retry_hint_ms(),
-                ),
-                _ => (false, None),
-            };
-            errors.push(e);
-            if !retryable || errors.len() >= attempts as usize {
+            let retryable = e.is_retryable()
+                || matches!(
+                    e,
+                    LlmError::CircuitOpen { .. } | LlmError::RetriesExhausted { .. }
+                );
+            let hint = e.retry_hint_ms();
+            errors.push(EngineError::Llm(e));
+            if !retryable || errors.len() >= batch.attempts as usize {
                 return Err(errors);
             }
             // Honor server/breaker hints between attempts, bounded below
@@ -1025,45 +1053,36 @@ impl Engine {
         }
     }
 
-    /// Complete a request through the optional per-model gate and account
-    /// for it. Only completions that may reach the backend consume gate
-    /// capacity — [`Engine::execute`] has already served cache hits. (A
-    /// coalesced joiner does hold a permit while it waits: it represents a
-    /// pending backend call.)
-    fn dispatch(
-        &self,
-        request: &CompletionRequest,
-        gate: Option<&Semaphore>,
-    ) -> Result<CompletionResponse, EngineError> {
-        let response = {
-            let _permit = gate.map(Semaphore::acquire);
-            self.client.complete(request)?
-        };
-        self.record_spend(&response);
-        self.record_trace(request.task.kind(), &response);
-        Ok(response)
+    /// Complete a request through the gate slot: a call that may reach the
+    /// backend holds a slot lease when the engine is serving —
+    /// [`Engine::execute`] has already served local hits, so they take
+    /// none. (A coalesced joiner does hold one while it waits: it
+    /// represents a pending backend call.)
+    fn dispatch(&self, request: &CompletionRequest) -> Result<CompletionResponse, LlmError> {
+        let _lease = self.gate.as_deref().map(LeaseGate::acquire);
+        self.client.complete(request)
     }
 }
 
 /// One `(task, temperature, sample_index)` call.
-type Call = (TaskDescriptor, f64, u32);
+pub(crate) type Call = (TaskDescriptor, f64, u32);
 
 /// One item's dispatch result: the response, or the error chain (one entry
 /// per failed attempt, oldest first) that exhausted it.
-type ItemResult = Result<CompletionResponse, Vec<EngineError>>;
+pub(crate) type ItemResult = Result<CompletionResponse, Vec<EngineError>>;
 
 /// The error that finally condemned an item: the last of its chain.
-fn condemning(errors: &[EngineError]) -> EngineError {
+pub(crate) fn condemning(errors: &[EngineError]) -> EngineError {
     errors.last().cloned().expect("non-empty error chain") // lint: allow(no-unwrap)
 }
 
 /// When a unit of work is admitted against the budget — admission timing
 /// carried as data on the work item.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Admit {
-    /// With its whole batch, before anything is dispatched: the cumulative
-    /// check in [`Engine::prepare`], or the caller's own ledger
-    /// ([`Engine::execute_request`]). Nothing left to do in the worker.
+pub(crate) enum Admit {
+    /// With its whole batch, before anything is queued: the cumulative
+    /// check in [`Engine::prepare`], or the serve door's check of the
+    /// tenant's ledger. Nothing left to do in the worker.
     Batch,
     /// Per call at execution time, against actual spend so far and
     /// *before* any cache probe — a hit is refused too once the budget is
@@ -1077,17 +1096,132 @@ enum Admit {
 
 /// An admission mode with the estimate it admits.
 #[derive(Debug, Clone, Copy)]
-struct Admission {
+pub(crate) struct Admission {
     mode: Admit,
-    est_usd: f64,
-    est_tokens: u64,
+    pub(crate) est_usd: f64,
+    pub(crate) est_tokens: u64,
 }
 
 /// One unit of dispatcher work: a request rendered once, and how to admit
 /// it.
-struct Work {
+pub(crate) struct Work {
     request: CompletionRequest,
-    admission: Admission,
+    pub(crate) admission: Admission,
+}
+
+/// How one pump call runs its batch.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RunShape {
+    /// Engine-level dispatch attempts per item.
+    pub(crate) attempts: u32,
+    /// Whether one item's failure ends the batch.
+    pub(crate) stop_on_error: bool,
+    /// Threads working the feed, the caller included.
+    pub(crate) workers: usize,
+}
+
+/// An engine's place in a feed: the lane the pump pushes its batches to.
+/// Claims come off the whole feed.
+#[derive(Clone)]
+pub(crate) struct Lane {
+    pub(crate) feed: Arc<FairFeed<Job>>,
+    pub(crate) index: usize,
+}
+
+/// One queued unit of work and the batch it reports to.
+pub(crate) struct Job {
+    batch: Arc<Batch>,
+    slot: usize,
+    work: Work,
+    recorded: bool,
+}
+
+impl Job {
+    fn finish(mut self, result: Option<ItemResult>) {
+        self.recorded = true;
+        self.batch.record(self.slot, result);
+    }
+}
+
+impl Drop for Job {
+    /// A job dropped unrecorded was claimed by a worker that then panicked
+    /// (a backend is caller-supplied code). Fail its slot — with the error
+    /// the client publishes to the joiners of a panicked leader — so a
+    /// caller waiting on the batch wakes instead of hanging.
+    fn drop(&mut self) {
+        if !self.recorded {
+            let abandoned = EngineError::Llm(LlmError::ServiceUnavailable);
+            self.batch.record(self.slot, Some(Err(vec![abandoned])));
+        }
+    }
+}
+
+/// What the jobs of one pump call share: the result slots and outstanding
+/// count their caller waits on, the run shape's per-item half, and the
+/// ledger and trace they bill.
+struct Batch {
+    slots: Mutex<Slots>,
+    done: Condvar,
+    /// Set by the first failure of a stop-on-error batch.
+    stopped: AtomicBool,
+    attempts: u32,
+    stop_on_error: bool,
+    ledger: Arc<BudgetTracker>,
+    trace: Option<Arc<Trace>>,
+}
+
+struct Slots {
+    /// One per item, in input order; `None` until recorded, and for good
+    /// when the job was skipped because its batch had stopped.
+    results: Vec<Option<ItemResult>>,
+    outstanding: usize,
+}
+
+impl Batch {
+    fn record(&self, slot: usize, result: Option<ItemResult>) {
+        let mut slots = self.slots.lock();
+        debug_assert!(slots.results[slot].is_none(), "slot recorded twice");
+        slots.results[slot] = result;
+        slots.outstanding -= 1;
+        if slots.outstanding == 0 {
+            self.done.notify_all();
+        }
+    }
+
+    fn is_done(&self) -> bool {
+        self.slots.lock().outstanding == 0
+    }
+
+    /// Block until every slot is recorded or skipped (the worker recording
+    /// the last one notifies).
+    fn wait_done(&self) {
+        let mut slots = self.slots.lock();
+        while slots.outstanding > 0 {
+            self.done.wait(&mut slots);
+        }
+    }
+
+    /// Bill a served response to the batch's ledger and trace; cache hits
+    /// and coalesced joins are free.
+    fn account(&self, request: &CompletionRequest, response: &CompletionResponse) {
+        let cost_usd = if response.cached {
+            0.0
+        } else {
+            response.pricing.cost_usd(response.usage)
+        };
+        if !response.cached {
+            self.ledger
+                .record(cost_usd, u64::from(response.usage.total()));
+        }
+        if let Some(trace) = &self.trace {
+            trace.record(TraceEvent {
+                kind: request.task.kind(),
+                usage: response.usage,
+                cost_usd,
+                cached: response.cached,
+            });
+        }
+    }
 }
 
 /// How the engine treats hard per-item failures in a batch.
@@ -1332,7 +1466,7 @@ impl Settle<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Weighted fair-share claim ordering (PR 10 serving layer)
+// Weighted fair-share claim ordering: the pump's feed
 // ---------------------------------------------------------------------------
 
 /// One tenant's queue and deficit counter inside a [`FairFeed`].
@@ -1341,7 +1475,7 @@ struct TenantQueue<T> {
     key: String,
     weight: f64,
     deficit: f64,
-    queue: std::collections::VecDeque<T>,
+    queue: VecDeque<T>,
 }
 
 #[derive(Debug)]
@@ -1358,8 +1492,7 @@ struct FeedState<T> {
 
 /// A pull-based dispatch feed with **weighted fair-share claim ordering**.
 ///
-/// The engine's single-batch feed is FIFO: workers pull claims from one
-/// iterator, which is exactly right when every task belongs to the same
+/// FIFO is exactly right when every queued item belongs to the same
 /// caller. A multi-tenant server cannot use FIFO — one tenant submitting a
 /// large batch first would monopolize every worker — so this feed keys
 /// queued work by tenant and orders claims by **deficit round robin**:
@@ -1373,9 +1506,12 @@ struct FeedState<T> {
 /// * a queue that runs empty forfeits its deficit — an idle tenant cannot
 ///   bank credit and later burst past its share.
 ///
-/// `claim` is non-blocking (the serving layer's workers interleave feed
-/// claims with batch-completion waits); all ordering state lives behind
-/// one mutex, held only for the queue manipulation itself.
+/// With one registered tenant the order *is* FIFO, which is how an
+/// [`Engine`] that serves a single caller uses it.
+///
+/// `claim` is non-blocking (the engine's workers interleave feed claims
+/// with batch-completion waits); all ordering state lives behind one
+/// mutex, held only for the queue manipulation itself.
 #[derive(Debug)]
 pub struct FairFeed<T> {
     state: Mutex<FeedState<T>>,
@@ -1387,13 +1523,52 @@ impl<T> Default for FairFeed<T> {
     }
 }
 
-impl<T> Default for FeedState<T> {
-    fn default() -> Self {
-        FeedState {
-            queues: Vec::new(),
-            cursor: 0,
-            topped_up: false,
-            len: 0,
+impl<T> FeedState<T> {
+    fn push(&mut self, lane: usize, items: impl IntoIterator<Item = T>) {
+        let queue = &mut self.queues[lane].queue;
+        let before = queue.len();
+        queue.extend(items);
+        self.len += queue.len() - before;
+    }
+
+    /// The next item in deficit-round-robin order.
+    fn next(&mut self) -> Option<T> {
+        if self.len == 0 {
+            return None;
+        }
+        let n = self.queues.len();
+        loop {
+            let q = &mut self.queues[self.cursor];
+            let claimed = if q.queue.is_empty() {
+                // Forfeit unused credit: fairness is over *busy* tenants.
+                q.deficit = 0.0;
+                None
+            } else {
+                if !self.topped_up {
+                    // Arrival top-up, once per visit. A tiny weight may
+                    // need several round-robin passes to afford an item;
+                    // the loop terminates because every pass adds
+                    // weight > 0 to some non-empty queue.
+                    q.deficit += q.weight;
+                }
+                if q.deficit >= 1.0 {
+                    q.deficit -= 1.0;
+                    q.queue.pop_front()
+                } else {
+                    None
+                }
+            };
+            self.topped_up = true;
+            match claimed {
+                Some(item) => {
+                    self.len -= 1;
+                    return Some(item);
+                }
+                None => {
+                    self.cursor = (self.cursor + 1) % n;
+                    self.topped_up = false;
+                }
+            }
         }
     }
 }
@@ -1402,17 +1577,35 @@ impl<T> FairFeed<T> {
     /// An empty feed with no tenants.
     pub fn new() -> Self {
         FairFeed {
-            state: Mutex::new(FeedState::default()),
+            state: Mutex::new(FeedState {
+                queues: Vec::new(),
+                cursor: 0,
+                topped_up: false,
+                len: 0,
+            }),
         }
+    }
+
+    /// A feed with one lane, index 0.
+    fn fifo() -> Self {
+        let feed = Self::new();
+        feed.register("", 1.0);
+        feed
     }
 
     /// Register a tenant queue with the given fair-share weight (clamped
     /// to at least `1e-3`). Returns `false` (leaving the existing queue
     /// untouched) if the key is already registered.
     pub fn register(&self, key: &str, weight: f64) -> bool {
+        self.register_lane(key, weight).is_some()
+    }
+
+    /// [`FairFeed::register`], returning the new queue's lane index for
+    /// [`FairFeed::push_lane`].
+    pub(crate) fn register_lane(&self, key: &str, weight: f64) -> Option<usize> {
         let mut state = self.state.lock();
         if state.queues.iter().any(|q| q.key == key) {
-            return false;
+            return None;
         }
         state.queues.push(TenantQueue {
             key: key.to_owned(),
@@ -1422,71 +1615,40 @@ impl<T> FairFeed<T> {
                 1.0
             },
             deficit: 0.0,
-            queue: std::collections::VecDeque::new(),
+            queue: VecDeque::new(),
         });
-        true
+        Some(state.queues.len() - 1)
     }
 
     /// Queue an item for `key`. Returns `false` if the key was never
     /// registered (the item is dropped — admission must precede push).
     pub fn push(&self, key: &str, item: T) -> bool {
         let mut state = self.state.lock();
-        match state.queues.iter_mut().find(|q| q.key == key) {
-            Some(q) => {
-                q.queue.push_back(item);
-                state.len += 1;
+        match state.queues.iter().position(|q| q.key == key) {
+            Some(lane) => {
+                state.push(lane, [item]);
                 true
             }
             None => false,
         }
     }
 
+    /// Queue a whole batch on a registered lane under one lock.
+    pub(crate) fn push_lane(&self, lane: usize, items: Vec<T>) {
+        self.state.lock().push(lane, items);
+    }
+
     /// Claim the next item in deficit-round-robin order, or `None` when
     /// every queue is empty.
     pub fn claim(&self) -> Option<T> {
+        self.state.lock().next()
+    }
+
+    /// Claim up to `max` items, in the order `max` calls of
+    /// [`FairFeed::claim`] would, under one lock.
+    pub(crate) fn claim_into(&self, max: usize, out: &mut Vec<T>) {
         let mut state = self.state.lock();
-        if state.len == 0 {
-            return None;
-        }
-        let n = state.queues.len();
-        loop {
-            let cursor = state.cursor;
-            let topped_up = state.topped_up;
-            let claimed = {
-                let q = &mut state.queues[cursor];
-                if q.queue.is_empty() {
-                    // Forfeit unused credit: fairness is over *busy*
-                    // tenants.
-                    q.deficit = 0.0;
-                    None
-                } else {
-                    if !topped_up {
-                        // Arrival top-up, once per visit. A tiny weight may
-                        // need several round-robin passes to afford an item;
-                        // the loop terminates because every pass adds
-                        // weight > 0 to some non-empty queue.
-                        q.deficit += q.weight;
-                    }
-                    if q.deficit >= 1.0 {
-                        q.deficit -= 1.0;
-                        q.queue.pop_front()
-                    } else {
-                        None
-                    }
-                }
-            };
-            state.topped_up = true;
-            match claimed {
-                Some(item) => {
-                    state.len -= 1;
-                    return Some(item);
-                }
-                None => {
-                    state.cursor = (cursor + 1) % n;
-                    state.topped_up = false;
-                }
-            }
-        }
+        out.extend(std::iter::from_fn(|| state.next()).take(max));
     }
 
     /// Total queued items across all tenants.
@@ -1779,94 +1941,50 @@ mod tests {
     }
 
     #[test]
-    fn model_gate_caps_concurrency() {
-        use crowdprompt_oracle::error::LlmError;
+    #[should_panic]
+    fn a_panicking_backend_fails_the_run_instead_of_hanging() {
         use crowdprompt_oracle::pricing::Pricing;
         use crowdprompt_oracle::types::LanguageModel;
-        use std::sync::atomic::AtomicU64;
 
-        /// Tracks the maximum number of threads simultaneously inside
-        /// `complete`.
-        struct ConcurrencyProbe {
-            inner: SimulatedLlm,
-            current: AtomicU64,
-            peak: AtomicU64,
-        }
-        impl LanguageModel for ConcurrencyProbe {
+        /// Panics on item 3; everything else answers.
+        struct Landmine(SimulatedLlm);
+        impl LanguageModel for Landmine {
             fn name(&self) -> &str {
-                "gated-probe-model"
+                self.0.name()
             }
             fn context_window(&self) -> u32 {
-                self.inner.context_window()
+                self.0.context_window()
             }
             fn pricing(&self) -> Pricing {
-                self.inner.pricing()
+                self.0.pricing()
             }
             fn complete(
                 &self,
                 request: &CompletionRequest,
             ) -> Result<CompletionResponse, LlmError> {
-                let now = self.current.fetch_add(1, Ordering::SeqCst) + 1;
-                self.peak.fetch_max(now, Ordering::SeqCst);
-                std::thread::sleep(std::time::Duration::from_millis(2));
-                let out = self.inner.complete(request);
-                self.current.fetch_sub(1, Ordering::SeqCst);
-                out
+                assert!(!request.prompt.contains("item number 3"), "landmine");
+                self.0.complete(request)
             }
         }
 
         let mut w = WorldModel::new();
-        let ids: Vec<_> = (0..24)
-            .map(|i| {
-                let id = w.add_item(format!("probe item {i}"));
-                w.set_flag(id, "p", i % 2 == 0);
-                id
-            })
+        let ids: Vec<_> = (0..8)
+            .map(|i| w.add_item(format!("item number {i}")))
             .collect();
         let corpus = Corpus::from_world(&w, &ids);
-        let probe = Arc::new(ConcurrencyProbe {
-            inner: SimulatedLlm::new(ModelProfile::gpt35_like(), Arc::new(w), 5),
-            current: AtomicU64::new(0),
-            peak: AtomicU64::new(0),
-        });
-        let client = Arc::new(LlmClient::new(Arc::clone(&probe) as Arc<dyn LanguageModel>));
-        let engine = Engine::new(client, corpus)
-            .with_parallelism(8)
-            .with_pipeline(PipelineConfig {
-                model_concurrency: 2,
-                ..PipelineConfig::default()
-            });
-        let tasks: Vec<_> = ids.iter().map(|id| check_task(*id)).collect();
-        engine.run_many(tasks).unwrap();
-        assert!(
-            probe.peak.load(Ordering::SeqCst) <= 2,
-            "gate must cap in-flight calls at 2, saw {}",
-            probe.peak.load(Ordering::SeqCst)
-        );
-
-        // The gate also binds single-task dispatch (`run`), not just the
-        // multi-worker batch path: 8 threads calling run() concurrently
-        // still never exceed 2 in-flight backend calls.
-        probe.peak.store(0, Ordering::SeqCst);
-        std::thread::scope(|scope| {
-            for chunk in ids.chunks(3) {
-                let engine = &engine;
-                scope.spawn(move || {
-                    for id in chunk {
-                        // Distinct per-thread sample indices defeat the
-                        // cache so every call reaches the backend.
-                        engine
-                            .run_sampled(check_task(*id), 0.8, id.0 as u32)
-                            .unwrap();
-                    }
-                });
-            }
-        });
-        assert!(
-            probe.peak.load(Ordering::SeqCst) <= 2,
-            "gate must cap single-task dispatch too, saw {}",
-            probe.peak.load(Ordering::SeqCst)
-        );
+        let llm = Landmine(SimulatedLlm::new(
+            ModelProfile::gpt35_like(),
+            Arc::new(w),
+            7,
+        ));
+        let engine =
+            Engine::new(Arc::new(LlmClient::new(Arc::new(llm))), corpus).with_parallelism(4);
+        // Whichever worker draws item 3 unwinds with its claim; the caller
+        // must come back (and re-raise) rather than wait on slots nobody
+        // will fill.
+        let _ = engine.run_outcome(RunSpec::tasks(
+            ids.iter().map(|id| check_task(*id)).collect(),
+        ));
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub mod template;
 pub mod trace;
 
 pub use blocking::{BlockingHit, BlockingIndex};
-pub use budget::{Budget, BudgetTracker, LedgerBook, LedgerSnapshot};
+pub use budget::{Budget, BudgetTracker, LedgerSnapshot};
 pub use corpus::Corpus;
 pub use error::EngineError;
 pub use exec::{BatchOutcome, Engine, FailurePolicy, FairFeed, OpSalvage, Quarantine, RunSpec};

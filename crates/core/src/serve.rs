@@ -3,21 +3,30 @@
 //!
 //! Every layer below this one optimizes a single session at a time. A
 //! [`Server`] runs many concurrent tenant workloads against one shared
-//! [`Engine`]/router stack, adding the three things a shared stack needs:
+//! [`Engine`]/router stack. It owns *admission* and nothing else; the work
+//! runs on the engine's one worker loop, through a handle that scopes the
+//! shared engine to a tenant:
 //!
 //! 1. **Admission control** — each submit is checked against the tenant's
 //!    token-bucket rate limit and USD/token budget *before* any work is
 //!    queued. A zero-budget tenant is rejected with no backend call billed;
 //!    a bucket overdraft sheds load with [`ServeError::RetryAfter`] and a
 //!    computed hint instead of queueing unboundedly.
-//! 2. **Weighted fair-share scheduling** — admitted work is queued per
-//!    tenant in a [`FairFeed`] and claimed in deficit-round-robin order, so
-//!    tenants complete work in proportion to their [`TenantSpec::weight`]s
-//!    regardless of who submitted first or most.
-//! 3. **Leased slot quotas** — every dispatch holds a backend-slot lease
-//!    from a [`LeaseTable`]: reserve → confirm (revalidated immediately
-//!    before the call) → release, with generation-based expiry, so a
-//!    crashed or stalled dispatch can never strand a slot.
+//! 2. **Weighted fair-share scheduling** — the handle's feed is the
+//!    tenant's lane of one [`FairFeed`], claimed in deficit-round-robin
+//!    order, so tenants complete work in proportion to their
+//!    [`TenantSpec::weight`]s regardless of who submitted first or most.
+//! 3. **Leased slot quotas** — the handle's gate is the server's
+//!    [`LeaseTable`]: a call that may reach the backend holds a slot lease,
+//!    reserve → confirm (revalidated immediately before the call) →
+//!    release, with generation-based expiry, so a crashed or stalled
+//!    dispatch can never strand a slot. A cache or store hit holds none.
+//!
+//! [`Server::submit`] takes unit tasks through the whole admission sequence
+//! (its docs give the order). [`Server::engine_for`] hands out the tenant
+//! handle itself, so a [`crate::plan::Query`] or an operator runs under the
+//! tenant's ledger, fair share and leases; the rate limit and the backlog
+//! bound are `submit`-door checks and do not apply to it.
 //!
 //! # Time
 //!
@@ -30,11 +39,15 @@
 //!
 //! # Threading model
 //!
-//! [`Server::submit`] is the only dispatch driver: after admission it
-//! enqueues the batch and the *calling thread* joins the worker pool,
-//! claiming feed items (any tenant's — that is what makes the claim
-//! ordering fair) until its own batch completes. N concurrently submitting
-//! tenants therefore yield N cooperating workers and no detached threads.
+//! The server has no threads and no loop of its own. An admitted
+//! [`Server::submit`] is one call of the engine's pump with the caller as
+//! the only worker: it queues the batch on the tenant's lane and works the
+//! shared feed — any tenant's jobs, which is what makes the claim ordering
+//! fair — until its own batch is done, waiting on the batch when the rest
+//! of it is in flight on other threads. N concurrently submitting tenants
+//! are N cooperating workers and nothing is spawned; an
+//! [`Server::engine_for`] handle adds the engine's usual helper threads,
+//! scoped to each pump call.
 //!
 //! ```no_run
 //! use crowdprompt_core::serve::{ServerBuilder, TenantSpec};
@@ -61,12 +74,12 @@ use std::sync::Arc;
 
 use crowdprompt_oracle::route::LeaseTable;
 use crowdprompt_oracle::task::TaskDescriptor;
-use crowdprompt_oracle::types::{CompletionRequest, CompletionResponse};
-use parking_lot::{Condvar, Mutex};
+use crowdprompt_oracle::types::CompletionResponse;
+use parking_lot::Mutex;
 
-use crate::budget::{Budget, BudgetTracker, LedgerBook, LedgerSnapshot};
+use crate::budget::{Budget, BudgetTracker, LedgerSnapshot};
 use crate::error::EngineError;
-use crate::exec::{Engine, FairFeed, Semaphore};
+use crate::exec::{condemning, Admit, Engine, FairFeed, Job, Lane, LeaseGate, RunShape};
 
 /// Default burst capacity of a tenant's token bucket, in requests.
 const DEFAULT_BUCKET_CAPACITY: f64 = 256.0;
@@ -155,8 +168,8 @@ impl TenantSpec {
         }
     }
 
-    /// Fair-share weight (relative service rate under contention; clamped
-    /// positive at build).
+    /// Fair-share weight (relative service rate under contention). Must be
+    /// positive and finite: [`Server::attach_tenant`] rejects anything else.
     pub fn with_weight(mut self, weight: f64) -> Self {
         self.weight = weight;
         self
@@ -212,9 +225,9 @@ impl TokenBucket {
         }
     }
 
-    /// Take `n` tokens at `now_gen`, refilling for the generations elapsed
-    /// since the last call. `Err` carries the number of generations after
-    /// which the same take would succeed.
+    /// Take `n <= capacity` tokens at `now_gen`, refilling for the
+    /// generations elapsed since the last call. `Err` carries the number of
+    /// generations after which the same take would succeed.
     fn try_take(&mut self, now_gen: u64, n: f64) -> Result<(), u64> {
         let elapsed = now_gen.saturating_sub(self.last_gen);
         self.level = (self.level + elapsed as f64 * self.refill).min(self.capacity);
@@ -223,20 +236,21 @@ impl TokenBucket {
             self.level -= n;
             return Ok(());
         }
-        let deficit = (n.min(self.capacity) - self.level).max(0.0);
-        Err(((deficit / self.refill).ceil() as u64).max(1))
+        Err((((n - self.level) / self.refill).ceil() as u64).max(1))
     }
 }
 
 /// Server-side state for one tenant.
-#[derive(Debug)]
 struct TenantState {
     spec: TenantSpec,
     bucket: Mutex<TokenBucket>,
     ledger: Arc<BudgetTracker>,
-    /// Work items completed successfully for this tenant.
+    /// The shared engine scoped to this tenant: `ledger` as its budget, the
+    /// tenant's lane as its feed, the server's lease table as its gate.
+    engine: Engine,
+    /// Tasks completed successfully through [`Server::submit`].
     completed: AtomicU64,
-    /// Submits refused at admission (rate limit, backlog, or budget).
+    /// Submits refused at admission.
     shed: AtomicU64,
 }
 
@@ -248,88 +262,13 @@ pub struct TenantStats {
     pub id: String,
     /// The tenant's fair-share weight.
     pub weight: f64,
-    /// Work items completed successfully.
+    /// Tasks completed successfully through [`Server::submit`] (work run
+    /// on an [`Server::engine_for`] handle shows in the ledger only).
     pub completed: u64,
     /// Submits refused at admission.
     pub shed: u64,
     /// The tenant's ledger: actual spend and budget.
     pub ledger: LedgerSnapshot,
-}
-
-/// One admitted work item queued in the fair feed.
-struct WorkItem {
-    tenant: Arc<TenantState>,
-    slot: usize,
-    request: CompletionRequest,
-    batch: Arc<BatchState>,
-}
-
-/// Shared completion state for one submitted batch.
-struct BatchState {
-    inner: Mutex<BatchInner>,
-    done: Condvar,
-}
-
-struct BatchInner {
-    results: Vec<Option<Result<CompletionResponse, EngineError>>>,
-    remaining: usize,
-}
-
-impl BatchState {
-    fn new(n: usize) -> Self {
-        BatchState {
-            inner: Mutex::new(BatchInner {
-                results: (0..n).map(|_| None).collect(),
-                remaining: n,
-            }),
-            done: Condvar::new(),
-        }
-    }
-
-    fn record(&self, slot: usize, result: Result<CompletionResponse, EngineError>) {
-        let mut inner = self.inner.lock();
-        debug_assert!(inner.results[slot].is_none(), "slot recorded twice");
-        inner.results[slot] = Some(result);
-        inner.remaining -= 1;
-        if inner.remaining == 0 {
-            self.done.notify_all();
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        self.inner.lock().remaining == 0
-    }
-
-    /// Block until every slot is recorded (in-flight items are held by
-    /// other cooperating workers, which notify on the last record).
-    fn wait_done(&self) {
-        let mut inner = self.inner.lock();
-        while inner.remaining > 0 {
-            self.done.wait(&mut inner);
-        }
-    }
-
-    fn into_results(self: Arc<Self>) -> Vec<Result<CompletionResponse, EngineError>> {
-        // Every worker has recorded and released the batch by the time the
-        // submitter collects, so the Arc is unique in the common case;
-        // fall back to cloning out of the lock otherwise.
-        match Arc::try_unwrap(self) {
-            Ok(state) => state
-                .inner
-                .into_inner()
-                .results
-                .into_iter()
-                .map(|r| r.expect("batch complete")) // lint: allow(no-unwrap)
-                .collect(),
-            Err(shared) => shared
-                .inner
-                .lock()
-                .results
-                .iter()
-                .map(|r| r.clone().expect("batch complete")) // lint: allow(no-unwrap)
-                .collect(),
-        }
-    }
 }
 
 /// The result of one admitted [`Server::submit`]: per-task results in
@@ -350,19 +289,6 @@ impl TenantRun {
     /// Whether every task completed.
     pub fn is_complete(&self) -> bool {
         self.results.iter().all(|r| r.is_ok())
-    }
-}
-
-/// Releases a slot lease on drop, so a panicking or early-returning
-/// dispatch can never strand roster capacity.
-struct LeaseGuard<'a> {
-    table: &'a LeaseTable,
-    lease: crowdprompt_oracle::route::SlotLease,
-}
-
-impl Drop for LeaseGuard<'_> {
-    fn drop(&mut self) {
-        self.table.release(&self.lease);
     }
 }
 
@@ -434,6 +360,15 @@ impl ServerBuilder {
                 "ServerBuilder requires at least one tenant".into(),
             ));
         }
+        // Served spend is billed to tenant ledgers only, so a cap on the
+        // shared engine would never be checked: refuse it instead.
+        if engine.budget().budget() != Budget::Unlimited {
+            return Err(ServeError::Invalid(
+                "serve: the engine's own budget is not enforced on the serve door; \
+                 give each tenant a budget"
+                    .into(),
+            ));
+        }
         // Default the slot quota to the routed roster's advertised
         // concurrency; unrouted (single-model) engines get a fixed default.
         let slots = self.slots.unwrap_or_else(|| {
@@ -443,13 +378,14 @@ impl ServerBuilder {
                 .map_or(DEFAULT_SLOTS, |r| r.total_slots())
         });
         let server = Server {
-            engine: Arc::new(engine),
+            engine,
             tenants: Mutex::new(Vec::new()),
-            ledgers: LedgerBook::new(),
-            feed: FairFeed::new(),
-            leases: LeaseTable::new(slots),
-            generation: AtomicU64::new(0),
-            lease_ttl: self.lease_ttl,
+            feed: Arc::new(FairFeed::new()),
+            gate: Arc::new(LeaseGate {
+                table: LeaseTable::new(slots),
+                generation: AtomicU64::new(0),
+                ttl: self.lease_ttl,
+            }),
             max_backlog: self
                 .max_backlog
                 .unwrap_or(slots.saturating_mul(DEFAULT_BACKLOG_FACTOR).max(1)),
@@ -463,16 +399,17 @@ impl ServerBuilder {
 
 /// A multi-tenant serving front end over one shared [`Engine`].
 ///
-/// Built by [`ServerBuilder`]; see the [module docs](self) for the
-/// admission → claim → lease flow and the threading model.
+/// Built by [`ServerBuilder`]; see the [module docs](self) for the two
+/// doors and the threading model.
 pub struct Server {
-    engine: Arc<Engine>,
+    engine: Engine,
     tenants: Mutex<Vec<Arc<TenantState>>>,
-    ledgers: LedgerBook,
-    feed: FairFeed<WorkItem>,
-    leases: LeaseTable,
-    generation: AtomicU64,
-    lease_ttl: u64,
+    /// One lane per tenant; every tenant handle's pump queues and claims
+    /// here.
+    feed: Arc<FairFeed<Job>>,
+    /// The lease table, the generation clock and the lease TTL; every
+    /// tenant handle's gate.
+    gate: Arc<LeaseGate>,
     max_backlog: usize,
 }
 
@@ -489,26 +426,25 @@ impl Server {
                 spec.id
             )));
         }
-        let mut tenants = self.tenants.lock();
-        if tenants.iter().any(|t| t.spec.id == spec.id) {
+        let Some(index) = self.feed.register_lane(&spec.id, spec.weight) else {
             return Err(ServeError::Invalid(format!(
                 "tenant {:?} is already registered",
                 spec.id
             )));
-        }
-        if !self.ledgers.open(&spec.id, spec.budget) {
-            return Err(ServeError::Invalid(format!(
-                "tenant {:?} already has a ledger",
-                spec.id
-            )));
-        }
-        let ledger = self.ledgers.ledger(&spec.id).expect("ledger just opened"); // lint: allow(no-unwrap)
-        self.feed.register(&spec.id, spec.weight);
-        tenants.push(Arc::new(TenantState {
+        };
+        let ledger = Arc::new(BudgetTracker::new(spec.budget));
+        let lane = Lane {
+            feed: Arc::clone(&self.feed),
+            index,
+        };
+        self.tenants.lock().push(Arc::new(TenantState {
             bucket: Mutex::new(TokenBucket::new(
                 spec.bucket_capacity,
                 spec.refill_per_generation,
             )),
+            engine: self
+                .engine
+                .scoped(Arc::clone(&ledger), lane, Arc::clone(&self.gate)),
             ledger,
             completed: AtomicU64::new(0),
             shed: AtomicU64::new(0),
@@ -517,30 +453,54 @@ impl Server {
         Ok(())
     }
 
-    /// The shared engine.
+    /// The shared engine, unscoped: a run on it bypasses admission, fair
+    /// share, leases and every tenant ledger.
     pub fn engine(&self) -> &Engine {
         &self.engine
     }
 
+    /// The shared engine scoped to `tenant_id`: whatever runs on it — a
+    /// plan, an operator, a batch — is admitted against the tenant's
+    /// ledger, claimed in the tenant's fair share beside every `submit`,
+    /// and holds a slot lease around each call that may reach the backend.
+    /// The tenant's rate limit and the backlog bound are checks of the
+    /// [`Server::submit`] door and do not apply here. Each call returns a
+    /// fresh handle (salvage notes are per handle) onto the one ledger.
+    ///
+    /// ```no_run
+    /// # use crowdprompt_core::{Query, Server};
+    /// # fn demo(server: &Server, tickets: &[crowdprompt_oracle::ItemId]) {
+    /// let acme = server.engine_for("acme").expect("registered tenant");
+    /// let plan = Query::over(tickets).filter("urgent").plan_on(&acme).expect("plans");
+    /// let run = plan.execute_on(&acme).expect("within acme's budget");
+    /// # let _ = run;
+    /// # }
+    /// ```
+    pub fn engine_for(&self, tenant_id: &str) -> Result<Engine, ServeError> {
+        self.tenant(tenant_id)
+            .map(|tenant| tenant.engine.fork())
+            .ok_or_else(|| ServeError::UnknownTenant(tenant_id.to_owned()))
+    }
+
     /// The current generation.
     pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Relaxed)
+        self.gate.now()
     }
 
     /// Advance the generation counter by `n`, refilling token buckets and
     /// aging leases. The server never advances this itself.
     pub fn advance_generation(&self, n: u64) -> u64 {
-        self.generation.fetch_add(n, Ordering::Relaxed) + n
+        self.gate.generation.fetch_add(n, Ordering::Relaxed) + n
     }
 
     /// Backend-slot leases currently held (reserved or confirmed).
     pub fn leases_in_use(&self) -> usize {
-        self.leases.in_use(self.generation())
+        self.gate.table.in_use(self.generation())
     }
 
     /// The lease table's slot capacity.
     pub fn slot_capacity(&self) -> usize {
-        self.leases.capacity()
+        self.gate.table.capacity()
     }
 
     /// Per-tenant serving counters and ledgers, in registration order.
@@ -564,7 +524,7 @@ impl Server {
 
     /// One tenant's ledger (actual spend + budget), if registered.
     pub fn ledger(&self, tenant_id: &str) -> Option<Arc<BudgetTracker>> {
-        self.ledgers.ledger(tenant_id)
+        self.tenant(tenant_id).map(|t| Arc::clone(&t.ledger))
     }
 
     fn tenant(&self, id: &str) -> Option<Arc<TenantState>> {
@@ -575,22 +535,29 @@ impl Server {
             .map(Arc::clone)
     }
 
-    /// Submit a batch for `tenant_id`: admit, enqueue, then drive the
-    /// shared feed from the calling thread until the batch completes.
+    /// Submit a batch for `tenant_id`: admit, then one pump call on the
+    /// tenant's engine handle with the calling thread as its only worker.
     ///
     /// Admission is all-or-nothing per batch, in this order:
     ///
     /// 1. unknown tenants are refused ([`ServeError::UnknownTenant`]);
     /// 2. tasks that fail to render are refused ([`ServeError::Invalid`])
     ///    — nothing is billed;
-    /// 3. the server backlog bound sheds load
-    ///    ([`ServeError::RetryAfter`] hinted by the earliest lease expiry);
+    /// 3. a batch larger than the backlog bound can never be queued
+    ///    ([`ServeError::Invalid`]); one that does not fit beside what is
+    ///    queued now sheds load ([`ServeError::RetryAfter`] hinted by the
+    ///    earliest lease expiry);
     /// 4. the tenant's ledger must cover the batch's estimated cost at
     ///    admission pricing ([`ServeError::BudgetExhausted`]);
-    /// 5. the tenant's token bucket is charged one token per task
-    ///    ([`ServeError::RetryAfter`] hinted by the bucket refill rate).
+    /// 5. a batch larger than the tenant's bucket capacity can never be
+    ///    taken ([`ServeError::Invalid`]); otherwise the bucket is charged
+    ///    one token per task ([`ServeError::RetryAfter`] hinted by the
+    ///    bucket refill rate).
     ///
-    /// A refused submit performs no backend call and records no spend.
+    /// A refused submit performs no backend call, records no spend, and
+    /// counts one shed. Once admitted, each task runs once (no engine-level
+    /// retry) and one task's failure does not stop the others: execution
+    /// failures come back as `Err` slots of the [`TenantRun`].
     pub fn submit(
         &self,
         tenant_id: &str,
@@ -605,151 +572,89 @@ impl Server {
                 results: Vec::new(),
             });
         }
+        let engine = &tenant.engine;
+        let refuse = |error: ServeError| {
+            tenant.shed.fetch_add(1, Ordering::Relaxed);
+            error
+        };
 
         // Render and estimate everything first: a batch with an unrenderable
         // task is refused whole, before any quota is consumed.
-        let deadline = self.engine.run_deadline();
-        let mut rendered = Vec::with_capacity(n);
+        let deadline = engine.run_deadline();
+        let mut work = Vec::with_capacity(n);
         let (mut batch_usd, mut batch_tokens) = (0.0f64, 0u64);
         for task in tasks {
-            let (mut request, est_usd, est_tokens) = self
-                .engine
-                .render_and_estimate(task)
-                .map_err(|e| self.shed(&tenant, ServeError::Invalid(e.to_string())))?;
-            request.deadline = deadline;
-            batch_usd += self.engine.admission_usd(est_usd);
-            batch_tokens += est_tokens;
-            rendered.push(request);
+            let item = engine
+                .render_call(engine.unsampled(task), Admit::Batch, deadline)
+                .map_err(|e| refuse(ServeError::Invalid(e.to_string())))?;
+            batch_usd += engine.admission_usd(item.admission.est_usd);
+            batch_tokens += item.admission.est_tokens;
+            work.push(Ok(item));
         }
 
         // Backlog bound: saturation sheds load instead of queueing without
         // limit. The hint is when the earliest held lease must release.
+        if n > self.max_backlog {
+            return Err(refuse(ServeError::Invalid(format!(
+                "a batch of {n} tasks can never fit max_backlog {}",
+                self.max_backlog
+            ))));
+        }
         if self.feed.len() + n > self.max_backlog {
             let hint = self
-                .leases
+                .gate
+                .table
                 .earliest_release_in(self.generation())
                 .unwrap_or(1);
-            return Err(self.shed(&tenant, ServeError::RetryAfter { generations: hint }));
+            return Err(refuse(ServeError::RetryAfter { generations: hint }));
         }
 
         // Budget admission against the tenant's private ledger, cumulative
         // over the batch (same discipline as `Engine::run_many`).
         if !tenant.ledger.admit(batch_usd, batch_tokens) {
-            return Err(self.shed(
-                &tenant,
-                ServeError::BudgetExhausted {
-                    needed_usd: batch_usd,
-                    remaining_usd: tenant.ledger.remaining_usd(),
-                },
-            ));
+            return Err(refuse(ServeError::BudgetExhausted {
+                needed_usd: batch_usd,
+                remaining_usd: tenant.ledger.remaining_usd(),
+            }));
         }
 
         // Rate limit: one bucket token per task, refilled per generation.
         {
             let mut bucket = tenant.bucket.lock();
+            if n as f64 > bucket.capacity {
+                let capacity = bucket.capacity;
+                drop(bucket);
+                return Err(refuse(ServeError::Invalid(format!(
+                    "a batch of {n} tasks can never fit tenant {tenant_id:?}'s \
+                     rate-limit capacity {capacity}"
+                ))));
+            }
             if let Err(generations) = bucket.try_take(self.generation(), n as f64) {
                 drop(bucket);
-                return Err(self.shed(&tenant, ServeError::RetryAfter { generations }));
+                return Err(refuse(ServeError::RetryAfter { generations }));
             }
         }
 
-        // Admitted: enqueue into the fair feed and drive.
-        let batch = Arc::new(BatchState::new(n));
-        for (slot, request) in rendered.into_iter().enumerate() {
-            self.feed.push(
-                &tenant.spec.id,
-                WorkItem {
-                    tenant: Arc::clone(&tenant),
-                    slot,
-                    request,
-                    batch: Arc::clone(&batch),
-                },
-            );
-        }
-        self.drive(&batch);
-        Ok(TenantRun {
-            results: batch.into_results(),
-        })
-    }
-
-    /// Count a shed admission for the tenant and pass the error through.
-    fn shed(&self, tenant: &TenantState, error: ServeError) -> ServeError {
-        tenant.shed.fetch_add(1, Ordering::Relaxed);
-        error
-    }
-
-    /// Worker loop: claim feed items in fair-share order — any tenant's —
-    /// until `batch` completes. When the feed is momentarily empty but the
-    /// batch still has in-flight items (held by other workers), block on
-    /// the batch's condvar instead of spinning.
-    fn drive(&self, batch: &Arc<BatchState>) {
-        let gate = self.engine.gate();
-        loop {
-            if batch.is_done() {
-                return;
-            }
-            match self.feed.claim() {
-                Some(item) => self.execute_item(item, gate.as_deref()),
-                None => {
-                    batch.wait_done();
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Execute one claimed item under a slot lease and record the result.
-    fn execute_item(&self, item: WorkItem, gate: Option<&Semaphore>) {
-        let result = self.dispatch_leased(&item.request, gate);
-        if let Ok(response) = &result {
-            // Charge the tenant's private ledger with the actual serving
-            // cost; cache and store hits are free, as everywhere else.
-            if !response.cached {
-                item.tenant.ledger.record(
-                    self.engine.cost_of_response(response),
-                    u64::from(response.usage.total()),
-                );
-            }
-            item.tenant.completed.fetch_add(1, Ordering::Relaxed);
-        }
-        item.batch.record(item.slot, result);
-    }
-
-    /// Reserve → confirm → dispatch → release. The lease is held through a
-    /// guard, so every exit path (success, error, panic) releases the
-    /// slot; a worker that stalls past the TTL loses the lease to the
-    /// table's expiry sweep instead of stranding it.
-    fn dispatch_leased(
-        &self,
-        request: &CompletionRequest,
-        gate: Option<&Semaphore>,
-    ) -> Result<CompletionResponse, EngineError> {
-        loop {
-            let now = self.generation();
-            let Some(lease) = self.leases.reserve(now, self.lease_ttl) else {
-                // Every slot is validly held by an in-flight dispatch.
-                // Admitted work is never dropped: yield until a worker
-                // releases (or a stalled lease expires).
-                parking_lot::blocking_region("serve: waiting for a slot lease");
-                std::thread::yield_now();
-                continue;
-            };
-            let guard = LeaseGuard {
-                table: &self.leases,
-                lease,
-            };
-            // Revalidate right before dispatch: if the reservation sat so
-            // long it expired (and may have been reclaimed), re-reserve
-            // instead of dispatching on someone else's slot.
-            if !self
-                .leases
-                .confirm(&guard.lease, self.generation(), self.lease_ttl)
-            {
-                continue;
-            }
-            return self.engine.execute_request(request, gate);
-            // `guard` drops here, releasing the slot.
-        }
+        // Admitted. Serve's run shape: concurrent submitters are each
+        // other's pool, so nothing is spawned per submit.
+        let shape = RunShape {
+            attempts: 1,
+            stop_on_error: false,
+            workers: 1,
+        };
+        let results: Vec<_> = engine
+            .pump(work, shape)
+            // A batch-level `Err` is the stop-on-error outcome, which this
+            // shape never asks for.
+            .map_err(|e| ServeError::Invalid(e.to_string()))?
+            .into_iter()
+            .map(|item| item.map_err(|errors| condemning(&errors)))
+            .collect();
+        let completed = results.iter().filter(|r| r.is_ok()).count();
+        tenant
+            .completed
+            .fetch_add(completed as u64, Ordering::Relaxed);
+        Ok(TenantRun { results })
     }
 }
 
@@ -757,8 +662,8 @@ impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
             .field("tenants", &self.tenants.lock().len())
-            .field("slots", &self.leases.capacity())
-            .field("lease_ttl", &self.lease_ttl)
+            .field("slots", &self.gate.table.capacity())
+            .field("lease_ttl", &self.gate.ttl)
             .field("max_backlog", &self.max_backlog)
             .field("generation", &self.generation())
             .finish_non_exhaustive()
@@ -769,12 +674,77 @@ impl std::fmt::Debug for Server {
 mod tests {
     use super::*;
     use crate::corpus::Corpus;
+    use crowdprompt_oracle::error::LlmError;
     use crowdprompt_oracle::model::ModelProfile;
+    use crowdprompt_oracle::pricing::Pricing;
     use crowdprompt_oracle::sim::SimulatedLlm;
+    use crowdprompt_oracle::types::{CompletionRequest, LanguageModel};
     use crowdprompt_oracle::world::WorldModel;
     use crowdprompt_oracle::{ItemId, LlmClient};
+    use proptest::prelude::*;
+    use std::sync::Barrier;
 
     fn engine(n: usize) -> (Engine, Vec<ItemId>) {
+        let (engine, ids, _) = probed_engine(n, None);
+        (engine, ids)
+    }
+
+    /// What a [`Probe`] does to the calls for item 0.
+    #[derive(Clone, Copy)]
+    enum OnItem0 {
+        /// Meet `entered`, then stay in the backend until `release`.
+        Park,
+        /// Meet `entered`, then fail with a non-retryable error.
+        Fail,
+    }
+
+    /// The simulator behind a counter of calls in flight, with one item's
+    /// calls parked or failed on cue.
+    struct Probe {
+        inner: SimulatedLlm,
+        current: AtomicU64,
+        peak: AtomicU64,
+        on_item0: Option<OnItem0>,
+        entered: Barrier,
+        release: Barrier,
+    }
+
+    impl LanguageModel for Probe {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn context_window(&self) -> u32 {
+            self.inner.context_window()
+        }
+        fn pricing(&self) -> Pricing {
+            self.inner.pricing()
+        }
+        fn complete(&self, request: &CompletionRequest) -> Result<CompletionResponse, LlmError> {
+            let now = self.current.fetch_add(1, Ordering::SeqCst) + 1;
+            self.peak.fetch_max(now, Ordering::SeqCst);
+            let out = match self.on_item0 {
+                Some(action) if request.prompt.contains("serve item 0") => {
+                    self.entered.wait();
+                    match action {
+                        OnItem0::Park => {
+                            self.release.wait();
+                            self.inner.complete(request)
+                        }
+                        OnItem0::Fail => Err(LlmError::InvalidRequest("poisoned".into())),
+                    }
+                }
+                _ => {
+                    // Long enough in flight for an unguarded overlap to show.
+                    std::thread::sleep(std::time::Duration::from_micros(200));
+                    self.inner.complete(request)
+                }
+            };
+            self.current.fetch_sub(1, Ordering::SeqCst);
+            out
+        }
+    }
+
+    fn probed_engine(n: usize, on_item0: Option<OnItem0>) -> (Engine, Vec<ItemId>, Arc<Probe>) {
         let mut w = WorldModel::new();
         let ids: Vec<_> = (0..n)
             .map(|i| {
@@ -784,13 +754,16 @@ mod tests {
             })
             .collect();
         let corpus = Corpus::from_world(&w, &ids);
-        let llm = Arc::new(SimulatedLlm::new(
-            ModelProfile::gpt35_like(),
-            Arc::new(w),
-            7,
-        ));
-        let client = Arc::new(LlmClient::new(llm));
-        (Engine::new(client, corpus).with_parallelism(4), ids)
+        let probe = Arc::new(Probe {
+            inner: SimulatedLlm::new(ModelProfile::gpt35_like(), Arc::new(w), 7),
+            current: AtomicU64::new(0),
+            peak: AtomicU64::new(0),
+            on_item0,
+            entered: Barrier::new(2),
+            release: Barrier::new(2),
+        });
+        let client = Arc::new(LlmClient::new(Arc::clone(&probe) as Arc<dyn LanguageModel>));
+        (Engine::new(client, corpus).with_parallelism(4), ids, probe)
     }
 
     fn check(id: ItemId) -> TaskDescriptor {
@@ -813,6 +786,18 @@ mod tests {
         let (eng, _) = engine(2);
         match ServerBuilder::new().engine(eng).try_build() {
             Err(ServeError::Invalid(msg)) => assert!(msg.contains("tenant"), "{msg}"),
+            other => panic!("expected Invalid, got {other:?}"),
+        }
+        // Tenant ledgers are the only budgets: a capped engine is refused.
+        let (eng, _) = engine(2);
+        match ServerBuilder::new()
+            .engine(eng.with_budget(Budget::usd(0.0)))
+            .tenant(TenantSpec::new("a"))
+            .try_build()
+        {
+            Err(ServeError::Invalid(msg)) => {
+                assert!(msg.contains("give each tenant a budget"), "{msg}")
+            }
             other => panic!("expected Invalid, got {other:?}"),
         }
     }
@@ -909,11 +894,19 @@ mod tests {
         server.advance_generation(2);
         let run = server.submit("bursty", distinct_checks(&ids[4..])).unwrap();
         assert!(run.is_complete());
+        // A batch over the bucket's capacity can never be taken, however
+        // long the caller waits: refused as invalid, not as "retry".
+        server.advance_generation(64);
+        match server.submit("bursty", distinct_checks(&ids)) {
+            Err(ServeError::Invalid(msg)) => assert!(msg.contains("capacity 4"), "{msg}"),
+            other => panic!("expected Invalid, got {other:?}"),
+        }
+        assert_eq!(server.stats()[0].shed, 2);
     }
 
     #[test]
     fn backlog_bound_sheds_load() {
-        let (eng, ids) = engine(4);
+        let (eng, ids, probe) = probed_engine(4, Some(OnItem0::Park));
         let server = ServerBuilder::new()
             .engine(eng)
             .tenant(TenantSpec::new("a"))
@@ -921,13 +914,136 @@ mod tests {
             .max_backlog(2)
             .try_build()
             .unwrap();
+        // A batch over the bound can never be queued: invalid, not "retry".
         match server.submit("a", distinct_checks(&ids)) {
-            Err(ServeError::RetryAfter { generations }) => assert!(generations >= 1),
-            other => panic!("expected RetryAfter, got {other:?}"),
+            Err(ServeError::Invalid(msg)) => assert!(msg.contains("max_backlog 2"), "{msg}"),
+            other => panic!("expected Invalid, got {other:?}"),
         }
-        // A batch within the bound is served.
-        let run = server.submit("a", distinct_checks(&ids[..2])).unwrap();
+        std::thread::scope(|scope| {
+            let first = scope.spawn(|| server.submit("a", distinct_checks(&ids[..2])));
+            // Item 0 is parked in the backend under the only lease and
+            // item 1 is queued behind it: a transient backlog of one.
+            probe.entered.wait();
+            assert_eq!(server.feed.len(), 1);
+            match server.submit("a", distinct_checks(&ids[2..])) {
+                Err(ServeError::RetryAfter { generations }) => {
+                    assert_eq!(generations, DEFAULT_LEASE_TTL, "the held lease's expiry")
+                }
+                other => panic!("expected RetryAfter, got {other:?}"),
+            }
+            probe.release.wait();
+            assert!(first.join().unwrap().unwrap().is_complete());
+        });
+        // The backlog drained: the same batch is admitted.
+        let run = server.submit("a", distinct_checks(&ids[2..])).unwrap();
         assert!(run.is_complete());
+        assert_eq!(server.stats()[0].shed, 2);
+    }
+
+    #[test]
+    fn leases_cap_calls_in_flight_across_both_doors() {
+        let (eng, ids, probe) = probed_engine(40, None);
+        let server = ServerBuilder::new()
+            .engine(eng.with_parallelism(8))
+            .tenant(TenantSpec::new("a"))
+            .tenant(TenantSpec::new("b"))
+            .slots(2)
+            .max_backlog(64)
+            .try_build()
+            .unwrap();
+        let server = &server;
+        std::thread::scope(|scope| {
+            for chunk in ids[..24].chunks(3) {
+                scope.spawn(move || {
+                    assert!(server
+                        .submit("a", distinct_checks(chunk))
+                        .unwrap()
+                        .is_complete())
+                });
+            }
+            let handle = server.engine_for("b").unwrap();
+            let tasks = distinct_checks(&ids[24..]);
+            scope.spawn(move || assert_eq!(handle.run_many(tasks).unwrap().len(), 16));
+        });
+        assert_eq!(server.engine().client().stats().calls(), 40);
+        assert!(
+            probe.peak.load(Ordering::SeqCst) <= 2,
+            "2 slots must cap in-flight calls at 2, saw {}",
+            probe.peak.load(Ordering::SeqCst)
+        );
+        assert_eq!(server.leases_in_use(), 0);
+    }
+
+    #[test]
+    fn a_hit_takes_no_lease() {
+        let (eng, ids, probe) = probed_engine(4, Some(OnItem0::Park));
+        let server = ServerBuilder::new()
+            .engine(eng)
+            .tenant(TenantSpec::new("a"))
+            .slots(1)
+            .try_build()
+            .unwrap();
+        let hot = distinct_checks(&ids[1..]);
+        assert!(server.submit("a", hot.clone()).unwrap().is_complete());
+        std::thread::scope(|scope| {
+            let miss = scope.spawn(|| server.submit("a", distinct_checks(&ids[..1])));
+            probe.entered.wait();
+            assert_eq!(
+                server.leases_in_use(),
+                1,
+                "the parked miss holds the only slot"
+            );
+            // Were a hit to wait for a lease, this would never return.
+            let run = server.submit("a", hot).unwrap();
+            assert!(run.results.iter().all(|r| r.as_ref().unwrap().cached));
+            probe.release.wait();
+            assert!(miss.join().unwrap().unwrap().is_complete());
+        });
+        assert_eq!(server.leases_in_use(), 0);
+    }
+
+    proptest! {
+        /// Batches sharing a feed stay isolated: a fail-fast error inside
+        /// one tenant's handle run stops that batch only — whatever of it
+        /// was still queued is drained, not left behind — while another
+        /// tenant's concurrent submit gets every slot back.
+        #[test]
+        fn a_stopped_batch_leaves_nothing_queued_and_stops_no_other(
+            n in 1usize..48,
+            at in 0usize..48,
+            m in 1usize..12,
+        ) {
+            let (eng, ids, probe) = probed_engine(n + m, Some(OnItem0::Fail));
+            let server = ServerBuilder::new()
+                .engine(eng)
+                .tenant(TenantSpec::new("a"))
+                .tenant(TenantSpec::new("b"))
+                .max_backlog(64)
+                .try_build()
+                .unwrap();
+            // Tenant a's batch, with the poisoned item 0 somewhere in it.
+            let mut a_tasks = distinct_checks(&ids[1..n]);
+            a_tasks.insert(at % n, check(ids[0]));
+            let b_tasks = distinct_checks(&ids[n..]);
+            let handle = server.engine_for("a").unwrap();
+            let (a_run, b_run) = std::thread::scope(|scope| {
+                let a = scope.spawn(|| handle.run_many(a_tasks));
+                // Submit once the poisoned call is in the backend.
+                probe.entered.wait();
+                let b_run = server.submit("b", b_tasks);
+                (a.join().unwrap(), b_run)
+            });
+            prop_assert!(
+                matches!(a_run, Err(EngineError::Llm(LlmError::InvalidRequest(_)))),
+                "expected the poison to fail the batch, got {a_run:?}"
+            );
+            let b_run = b_run.expect("b admitted");
+            prop_assert_eq!(b_run.results.len(), m);
+            prop_assert!(b_run.is_complete());
+            prop_assert_eq!(server.feed.queued_for("a"), 0);
+            prop_assert_eq!(server.feed.len(), 0);
+            prop_assert_eq!(server.leases_in_use(), 0);
+        }
     }
 
     #[test]

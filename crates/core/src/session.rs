@@ -540,9 +540,13 @@ impl Session {
     }
 
     /// Promote this session into a multi-tenant server: the session's
-    /// configured engine — client, corpus, budget, pack width, failure
-    /// policy, everything — becomes the shared serving stack, and tenants
-    /// are attached on the returned [`crate::serve::ServerBuilder`].
+    /// configured engine — client, corpus, pack width, failure policy,
+    /// everything but a budget — becomes the shared serving stack, and
+    /// tenants are attached on the returned [`crate::serve::ServerBuilder`].
+    /// Served spend is billed to tenant ledgers only, so a session built
+    /// with a [`SessionBuilder::budget`] is refused by
+    /// [`crate::serve::ServerBuilder::try_build`]: give each tenant its
+    /// budget ([`crate::serve::TenantSpec::with_budget`]) instead.
     ///
     /// Consumes the session: once serving, all access goes through
     /// admission control, so the single-user front door must close.
@@ -815,6 +819,10 @@ mod tests {
     use crowdprompt_oracle::world::WorldModel;
 
     fn session() -> (Session, Vec<ItemId>) {
+        session_with(Budget::usd(10.0))
+    }
+
+    fn session_with(budget: Budget) -> (Session, Vec<ItemId>) {
         let mut w = WorldModel::new();
         let ids: Vec<ItemId> = (0..10)
             .map(|i| {
@@ -831,7 +839,7 @@ mod tests {
         let s = Session::builder()
             .client(client)
             .corpus(corpus)
-            .budget(Budget::usd(10.0))
+            .budget(budget)
             .seed(5)
             .criterion("by size")
             .build();
@@ -964,7 +972,21 @@ mod tests {
 
     #[test]
     fn session_serve_promotes_the_engine_into_a_server() {
-        let (s, ids) = session();
+        // Tenant ledgers are the only budgets on the serve door: a session
+        // cap would be silently ignored there, so it is refused at build.
+        let (capped, _) = session_with(Budget::usd(0.0));
+        match capped
+            .serve()
+            .tenant(crate::serve::TenantSpec::new("alice"))
+            .try_build()
+        {
+            Err(crate::serve::ServeError::Invalid(msg)) => {
+                assert!(msg.starts_with("serve:"), "{msg}");
+                assert!(msg.contains("give each tenant a budget"), "{msg}");
+            }
+            other => panic!("a capped session must not promote, got {other:?}"),
+        }
+        let (s, ids) = session_with(Budget::Unlimited);
         let server = s
             .serve()
             .tenant(crate::serve::TenantSpec::new("alice"))

@@ -1,6 +1,6 @@
 //! Property tests for the multi-tenant serving layer (PR 10).
 //!
-//! Two contracts under test, over randomized tenants and workloads:
+//! Three contracts under test, over randomized tenants and workloads:
 //!
 //! * **Fair shares converge to weights.** The deficit-round-robin feed's
 //!   claim ordering, drained while every tenant stays backlogged, hands
@@ -12,10 +12,17 @@
 //!   ledger. Admitted work bills exactly the tenant that submitted it, and
 //!   the per-tenant ledgers partition the shared client ledger to the
 //!   cent: meter == ledger == budget.
+//! * **A tenant's engine handle is an engine.** A `Query` run through
+//!   `Server::engine_for` gives the answer a standalone session with the
+//!   tenant's budget gives, bit for bit, billed to the tenant's ledger and
+//!   with no lease left held; a zero-budget tenant's `Query` is refused
+//!   before any backend call.
 
 use std::sync::Arc;
 
-use crowdprompt::core::{Budget, Corpus, FairFeed, ServeError, Session, TenantSpec};
+use crowdprompt::core::{
+    Budget, Corpus, EngineError, FairFeed, Query, ServeError, Session, TenantSpec,
+};
 use crowdprompt::oracle::model::NoiseProfile;
 use crowdprompt::oracle::task::TaskDescriptor;
 use crowdprompt::oracle::world::{ItemId, WorldModel};
@@ -28,6 +35,8 @@ fn flag_world(n: usize) -> (WorldModel, Vec<ItemId>) {
         .map(|i| {
             let id = w.add_item(format!("serving record {i}"));
             w.set_flag(id, "hot", i % 2 == 0);
+            w.set_attr(id, "label", if i % 3 == 0 { "bulk" } else { "retail" });
+            w.set_attr(id, "city", if i % 4 < 2 { "oakland" } else { "fresno" });
             id
         })
         .collect();
@@ -43,20 +52,43 @@ fn server_over(
     seed: u64,
     tenants: Vec<TenantSpec>,
 ) -> crowdprompt::core::Server {
+    let mut builder = session_over(w, items, seed, Budget::Unlimited).serve();
+    for spec in tenants {
+        builder = builder.tenant(spec);
+    }
+    builder.try_build().expect("serving stack must build")
+}
+
+/// A session over a fresh client on the same priced, perfect-noise model.
+fn session_over(w: &WorldModel, items: &[ItemId], seed: u64, budget: Budget) -> Session {
     let llm = SimulatedLlm::new(
         ModelProfile::gpt35_like().with_noise(NoiseProfile::perfect()),
         Arc::new(w.clone()),
         seed,
     );
-    let mut builder = Session::builder()
+    Session::builder()
         .client(Arc::new(LlmClient::new(Arc::new(llm))))
         .corpus(Corpus::from_world(w, items))
+        .budget(budget)
         .build()
-        .serve();
-    for spec in tenants {
-        builder = builder.tenant(spec);
-    }
-    builder.try_build().expect("serving stack must build")
+}
+
+/// filter → categorize-and-keep → impute, the paper's multi-step pipeline.
+fn pipeline(items: &[ItemId]) -> Query {
+    let (pool, rest) = items.split_at(items.len() / 3);
+    let labeled = pool
+        .iter()
+        .map(|id| {
+            (
+                *id,
+                if id.0 % 4 < 2 { "oakland" } else { "fresno" }.to_owned(),
+            )
+        })
+        .collect();
+    Query::over(rest)
+        .filter("hot")
+        .keep_label(vec!["bulk".to_owned(), "retail".to_owned()], "retail")
+        .impute("city", labeled)
 }
 
 fn check_tasks(items: &[ItemId]) -> Vec<TaskDescriptor> {
@@ -199,5 +231,70 @@ proptest! {
             "tenant ledgers ({tenant_total}) must partition the client ledger ({client_total})"
         );
         prop_assert_eq!(server.leases_in_use(), 0, "every lease released after drain");
+    }
+
+    /// A `Query` through a tenant's engine handle is the `Query` on a
+    /// standalone session with the tenant's budget — same values, same
+    /// calls, same spend — billed to the tenant alone, with every lease
+    /// back in the table; and a zero-budget tenant's `Query` is refused
+    /// with no backend call made.
+    #[test]
+    fn a_query_through_engine_for_matches_a_standalone_session(
+        n in 12usize..40,
+        seed in 0u64..1_000_000,
+    ) {
+        let (w, items) = flag_world(n);
+        let budget = Budget::usd(0.5);
+        let server = server_over(
+            &w,
+            &items,
+            seed,
+            vec![
+                TenantSpec::new("a").with_budget(budget),
+                TenantSpec::new("broke").with_budget(Budget::usd(0.0)),
+            ],
+        );
+        let client = server.engine().client();
+
+        let broke = server.engine_for("broke").expect("registered tenant");
+        let refused = pipeline(&items)
+            .plan_on(&broke)
+            .and_then(|plan| plan.execute_on(&broke));
+        prop_assert!(
+            matches!(refused, Err(EngineError::BudgetExceeded { .. })),
+            "expected BudgetExceeded, got {refused:?}"
+        );
+        prop_assert_eq!(client.stats().calls(), 0, "refusal must precede any backend call");
+
+        let handle = server.engine_for("a").expect("registered tenant");
+        let served = pipeline(&items)
+            .plan_on(&handle)
+            .and_then(|plan| plan.execute_on(&handle))
+            .expect("within the tenant's budget");
+        let alone = session_over(&w, &items, seed, budget);
+        let direct = pipeline(&items)
+            .plan_on(alone.engine())
+            .and_then(|plan| plan.execute_on(alone.engine()))
+            .expect("within the session's budget");
+
+        prop_assert_eq!(
+            served.output.values().expect("impute yields values"),
+            direct.output.values().expect("impute yields values")
+        );
+        prop_assert!(served.total_calls() > 0, "the pipeline must reach the backend");
+        prop_assert_eq!(served.total_calls(), direct.total_calls());
+        prop_assert_eq!(served.total_usage(), direct.total_usage());
+        prop_assert!((served.total_cost_usd() - direct.total_cost_usd()).abs() < 1e-12);
+
+        let ledger = server.ledger("a").expect("registered tenant");
+        prop_assert!(
+            (ledger.spent_usd() - client.ledger().spend_usd()).abs() < 1e-9,
+            "tenant ledger ({}) must equal the client ledger's delta ({})",
+            ledger.spent_usd(),
+            client.ledger().spend_usd()
+        );
+        prop_assert!((ledger.spent_usd() - alone.spent_usd()).abs() < 1e-9);
+        prop_assert_eq!(server.ledger("broke").expect("registered").spent_usd(), 0.0);
+        prop_assert_eq!(server.leases_in_use(), 0, "every lease released after the run");
     }
 }

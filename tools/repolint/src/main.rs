@@ -11,6 +11,7 @@
 //! | `money-eq`    | money-valued f64s compare via bit-pattern helpers, never `==`    |
 //! | `bench-keys`  | every `BENCH_*.json` series key is guarded by the baseline script|
 //! | `no-deprecated`| no `#[deprecated]` items and no `allow(deprecated)`, tests included|
+//! | `one-pump`    | `crates/core/src` starts threads in `exec.rs`'s pump and nowhere else|
 //!
 //! Pure std, no crates.io: scanning is lexical but *mask-accurate* — a small
 //! lexer blanks out comments, strings, and char literals first, so a banned
@@ -58,6 +59,12 @@ const FACADE_PATHS: &[&str] = &["crates/shims/parking_lot/", "crates/shims/inter
 /// Stand-ins for published crates may mirror an upstream deprecation;
 /// first-party code deletes the old path instead of keeping a shim.
 const DEPRECATED_EXEMPT: &str = "crates/shims/";
+
+/// The one file under [`ONE_PUMP_SCOPE`] allowed to start threads: the
+/// engine's pump is the crate's only worker loop, and every other door
+/// (`core::serve` included) runs on it.
+const ONE_PUMP_SCOPE: &str = "crates/core/src/";
+const ONE_PUMP_HOME: &str = "crates/core/src/exec.rs";
 
 const BASELINE_GUARD: &str = "ci/check_bench_baselines.sh";
 
@@ -545,6 +552,21 @@ fn lint_rust_source(rel: &str, src: &str) -> Vec<Finding> {
         }
     }
 
+    if rel.starts_with(ONE_PUMP_SCOPE) && rel != ONE_PUMP_HOME {
+        for needle in ["thread::scope", "thread::spawn", "thread::Builder"] {
+            for offset in find_path(&masked, needle) {
+                if library_code(offset) {
+                    push(
+                        "one-pump",
+                        format!("`{needle}` starts a second worker loop beside the engine's pump"),
+                        "run the work on `Engine::pump` (a tenant-scoped handle shares its feed and gate) instead of a private thread",
+                        offset,
+                    );
+                }
+            }
+        }
+    }
+
     for offset in find_money_eq(&masked, &index) {
         if library_code(offset) {
             push(
@@ -645,24 +667,32 @@ fn find_method_call(masked: &[char], name: &str, require_empty_args: bool) -> Ve
 /// Boundary-checked occurrences of a path token like `Instant::now`,
 /// required to be followed by a call `(`.
 fn find_token(masked: &[char], token: &str) -> Vec<usize> {
+    let n = masked.len();
+    find_path(masked, token)
+        .into_iter()
+        .filter(|&pos| {
+            let mut i = pos + token.chars().count();
+            while i < n && masked[i].is_whitespace() {
+                i += 1;
+            }
+            i < n && masked[i] == '('
+        })
+        .collect()
+}
+
+/// Boundary-checked occurrences of a path token like `thread::Builder`,
+/// called or not.
+fn find_path(masked: &[char], token: &str) -> Vec<usize> {
     let mut hits = Vec::new();
     let needle: Vec<char> = token.chars().collect();
     let is_ident = |c: char| c.is_alphanumeric() || c == '_';
-    let n = masked.len();
     let mut from = 0;
     while let Some(pos) = find_chars_from(masked, &needle, from) {
         from = pos + 1;
-        if pos > 0 && is_ident(masked[pos - 1]) {
-            continue;
-        }
-        let mut i = pos + needle.len();
-        if i < n && is_ident(masked[i]) {
-            continue;
-        }
-        while i < n && masked[i].is_whitespace() {
-            i += 1;
-        }
-        if i < n && masked[i] == '(' {
+        let after = pos + needle.len();
+        let bounded_before = pos == 0 || !is_ident(masked[pos - 1]);
+        let bounded_after = after >= masked.len() || !is_ident(masked[after]);
+        if bounded_before && bounded_after {
             hits.push(pos);
         }
     }
@@ -894,6 +924,25 @@ mod tests {
         // Only attributes count: prose, strings and identifiers do not.
         let ok = "/// deprecated in prose\nfn deprecated() -> &'static str { \"#[deprecated]\" }\n";
         assert!(lint_rust_source("crates/core/src/x.rs", ok).is_empty());
+    }
+
+    #[test]
+    fn one_pump_flags_thread_starts_in_core_outside_exec() {
+        let src = concat!(
+            "fn drive() { std::thread::scope(|s| { s.spawn(|| ()); }); }\n",
+            "fn detach() { let _ = std::thread::spawn(|| ()); }\n",
+            "fn named() { let _ = std::thread::Builder::new(); }\n",
+            "fn fine() { std::thread::sleep(d); std::thread::yield_now(); }\n",
+            "#[cfg(test)]\n",
+            "mod tests { fn t() { std::thread::scope(|_| ()); } }\n",
+        );
+        let f = lint_rust_source("crates/core/src/serve.rs", src);
+        assert_eq!(codes(&f), vec!["one-pump", "one-pump", "one-pump"]);
+        assert_eq!((f[0].line, f[1].line, f[2].line), (1, 2, 3));
+        // The pump's home, other crates, and test trees are out of scope.
+        assert!(lint_rust_source("crates/core/src/exec.rs", src).is_empty());
+        assert!(lint_rust_source("crates/oracle/src/route.rs", src).is_empty());
+        assert!(lint_rust_source("crates/core/tests/prop.rs", src).is_empty());
     }
 
     #[test]

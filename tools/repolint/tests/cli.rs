@@ -61,6 +61,14 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         "pub fn same(spend_usd: f64, budget_usd: f64) -> bool { spend_usd == budget_usd }\n",
     );
     repo.write(
+        "crates/core/src/bad_loop.rs",
+        "pub fn drive() { std::thread::scope(|s| { s.spawn(|| ()); }); }\n",
+    );
+    repo.write(
+        "crates/core/src/exec.rs",
+        "pub fn pump() { std::thread::scope(|s| { s.spawn(|| ()); }); }\n",
+    );
+    repo.write(
         "tests/bad_shim.rs",
         "#![allow(deprecated)]\n\n#[deprecated(note = \"old\")]\nfn old() {}\n",
     );
@@ -84,6 +92,8 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         "error[money-eq]",
         "error[bench-keys]",
         "error[no-deprecated]",
+        "error[one-pump]",
+        "--> crates/core/src/bad_loop.rs:1:23",
         "--> tests/bad_shim.rs:1:1",
         "--> tests/bad_shim.rs:3:1",
         "--> crates/core/src/bad_sync.rs:1:16",
@@ -97,10 +107,14 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         !stderr.contains("crates/shims/vendored"),
         "shims may mirror upstream deprecations:\n{stderr}"
     );
-    // Three lock names across the two imports, two unwrap forms, two
-    // deprecation attributes, one each of the rest: 3 + 2 + 2 + 1 + 1 + 1.
     assert!(
-        stderr.contains("10 finding(s)"),
+        !stderr.contains("crates/core/src/exec.rs"),
+        "the pump's own scope is the one allowed:\n{stderr}"
+    );
+    // Three lock names across the two imports, two unwrap forms, two
+    // deprecation attributes, one each of the rest: 3 + 2 + 2 + 1 + 1 + 1 + 1.
+    assert!(
+        stderr.contains("11 finding(s)"),
         "unexpected total in:\n{stderr}"
     );
 }
@@ -140,7 +154,8 @@ fn this_repository_is_clean() {
     // read, direct std::sync lock, raw money equality, or unguarded bench
     // series anywhere in the tree fails the test suite, not just the CI
     // lint job. The same goes for a `#[deprecated]` shim or an
-    // `allow(deprecated)`, in tests and examples too.
+    // `allow(deprecated)`, in tests and examples too, and for a thread
+    // started in `crates/core/src` outside `exec.rs`'s pump.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let out = run_repolint(&root);
     let stderr = String::from_utf8_lossy(&out.stderr);
