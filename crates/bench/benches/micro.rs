@@ -4,9 +4,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use std::hint::black_box;
 
 use crowdprompt_core::consistency::{repair_ranking, UnionFind};
-use crowdprompt_embed::{
-    BruteForceIndex, Embedder, Metric, NearestNeighbors, NgramEmbedder, VpTreeIndex,
-};
+use crowdprompt_embed::{BruteForceIndex, Embedder, Metric, NearestNeighbors, NgramEmbedder};
 use crowdprompt_metrics::rank::{kendall_tau_b, kendall_tau_b_reference};
 use crowdprompt_oracle::sim::similarity::{levenshtein_similarity, trigram_jaccard};
 use crowdprompt_oracle::tokenizer::count_tokens;
@@ -40,13 +38,9 @@ fn bench_knn(c: &mut Criterion) {
         .map(|_| (0..dims).map(|_| rng.random_range(-1.0..1.0)).collect())
         .collect();
     let query: Vec<f32> = (0..dims).map(|_| rng.random_range(-1.0..1.0)).collect();
-    let brute = BruteForceIndex::new(vectors.clone(), Metric::L2);
-    let vp = VpTreeIndex::new(vectors, Metric::L2);
+    let brute = BruteForceIndex::new(vectors, Metric::L2);
     group.bench_function("brute_force_2000x64", |b| {
         b.iter(|| brute.nearest(black_box(&query), 5))
-    });
-    group.bench_function("vp_tree_2000x64", |b| {
-        b.iter(|| vp.nearest(black_box(&query), 5))
     });
     group.finish();
 }

@@ -17,8 +17,8 @@
 //! Besides the timed burst group, the bench measures the per-call latency
 //! distribution directly, records p50/p99 as extra JSON lines, and asserts
 //! in-bench that (a) hedged p99 beats unhedged p99 by ≥2×, (b) routed
-//! results — hedged or not — are bit-identical to the plain single-client
-//! path, and (c) the outcome meter, client ledger, and budget tracker agree
+//! results — hedged or not — are bit-identical to the one-backend
+//! `LlmClient::new`, and (c) the outcome meter, client ledger, and budget tracker agree
 //! on routed spend (the hedged-loser-never-billed invariant).
 //!
 //! Run with `CRITERION_JSON=BENCH_route.json cargo bench --bench route` to
@@ -149,7 +149,7 @@ fn bench_tail_latency(c: &mut Criterion) {
     let (world, ids) = burst_world();
     let model = shared_model(&world);
 
-    // Reference answers from the plain single-client path.
+    // Reference answers from the one-backend roster.
     let plain = LlmClient::new(Arc::clone(&model));
     let reference: Vec<String> = ids
         .iter()
@@ -170,7 +170,7 @@ fn bench_tail_latency(c: &mut Criterion) {
         }
         assert_eq!(
             texts, reference,
-            "routed results must be bit-identical to the single-client path"
+            "routed results must be bit-identical to the one-backend roster"
         );
         latencies.sort_unstable();
         let p50 = percentile_ns(&latencies, 0.50);

@@ -4,8 +4,8 @@
 //!
 //! A [`BlockingIndex`] embeds a corpus of items once, straight into the
 //! flat [`crowdprompt_embed::VectorStore`] layout (via the parallel
-//! [`Embedder::embed_all_flat`] — no nested-row intermediate), picks
-//! brute-force vs VP-tree per corpus shape, and serves *batched* neighbor
+//! [`Embedder::embed_all_flat`] — no nested-row intermediate), picks the
+//! exact scan or the IVF tier per corpus shape, and serves *batched* neighbor
 //! queries — operators hand it whole item collections instead of looping
 //! one record at a time. Neighbor lookups for indexed items are memoized
 //! (`(item, k)` → hits), and an indexed item's own stored vector is reused
@@ -65,7 +65,7 @@ impl BlockingIndex {
     /// [`Embedder::embed_all_flat`] (one corpus-sized buffer, no per-row
     /// allocations) and the index implementation is chosen by
     /// [`KnnIndex::auto_tuned_from_store`]:
-    /// small or low-dimensional corpora get the exact brute/VP paths
+    /// small or low-dimensional corpora get the exact brute-force scan
     /// regardless of the target, and a target of `None` (or `>= 1.0`)
     /// keeps even million-row corpora exact. A sub-1.0 target on a large
     /// high-dimensional corpus builds the approximate IVF + SQ8 tier
@@ -139,7 +139,7 @@ impl BlockingIndex {
     }
 
     /// Which k-NN implementation backs this index (`"brute_force"` /
-    /// `"vp_tree"` / `"ivf_sq8"`).
+    /// `"ivf_sq8"`).
     pub fn index_kind(&self) -> &'static str {
         self.index.kind()
     }

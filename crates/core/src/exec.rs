@@ -81,7 +81,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crowdprompt_oracle::error::LlmError;
-use crowdprompt_oracle::route::{LeaseTable, SlotLease};
+use crowdprompt_oracle::route::{LeaseTable, Router, SlotLease};
 use crowdprompt_oracle::task::TaskDescriptor;
 use crowdprompt_oracle::tokenizer::count_tokens;
 use crowdprompt_oracle::types::{CompletionRequest, CompletionResponse};
@@ -174,15 +174,17 @@ impl Drop for HeldLease<'_> {
 /// Responsibilities:
 /// * render tasks into prompts over the engine's [`Corpus`],
 /// * estimate and admit each call against the [`BudgetTracker`],
-/// * dispatch through the [`LlmClient`] (with its sharded cache, request
-///   coalescing, and retries), pipelining batches across worker threads,
+/// * dispatch through the [`LlmClient`] (its sharded cache and request
+///   coalescing, and the router's retries below them), pipelining batches
+///   across worker threads,
 /// * record actual spend.
 pub struct Engine {
     client: Arc<LlmClient>,
     corpus: Arc<Corpus>,
-    /// Worst-case serving-price over reference-price ratio for a routed
-    /// client (`1.0` otherwise): budget admission scales estimates by this
-    /// so a USD cap holds even when a pricier backend serves the call.
+    /// Worst-case serving-price over reference-price ratio across the
+    /// client's roster (`1.0` for one backend): budget admission scales
+    /// estimates by this so a USD cap holds even when a pricier backend
+    /// serves the call.
     admission_price_factor: f64,
     budget: Arc<BudgetTracker>,
     /// Where the pump queues this engine's batches and claims jobs.
@@ -206,13 +208,18 @@ pub struct Engine {
     salvage: Mutex<Vec<OpSalvage>>,
 }
 
+/// The router every client dispatches through ([`LlmClient::router`] keeps
+/// an `Option` only for the frozen benchmark harness).
+pub(crate) fn router_of(client: &LlmClient) -> &Router {
+    // lint: allow(no-unwrap) — invariant: every LlmClient constructor builds a router
+    client.router().expect("every client routes")
+}
+
 impl Engine {
     /// An engine over the given client and corpus with an unlimited budget,
     /// temperature 0, modest parallelism, and the default pipeline tuning.
     pub fn new(client: Arc<LlmClient>, corpus: Corpus) -> Self {
-        let admission_price_factor = client
-            .router()
-            .map_or(1.0, |router| router.admission_price_factor());
+        let admission_price_factor = router_of(&client).admission_price_factor();
         Engine {
             client,
             corpus: Arc::new(corpus),
@@ -437,7 +444,7 @@ impl Engine {
     }
 
     /// Dollar cost of a usage under the engine's *reference* model pricing
-    /// (for a routed client, the cheapest backend's schedule). Estimates
+    /// (the cheapest backend's schedule). Estimates
     /// price against this; actual responses are priced by
     /// [`Engine::cost_of_response`].
     pub fn cost_of(&self, usage: crowdprompt_oracle::Usage) -> f64 {

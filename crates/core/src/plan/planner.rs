@@ -29,7 +29,7 @@
 
 use crate::budget::Budget;
 use crate::error::EngineError;
-use crate::exec::{Engine, FailurePolicy};
+use crate::exec::{router_of, Engine, FailurePolicy};
 use crate::ops::count::CountStrategy;
 use crate::ops::filter::FilterStrategy;
 use crate::ops::join::JoinStrategy;
@@ -232,15 +232,16 @@ pub(crate) fn plan(
     options: PlanOptions,
 ) -> Result<Plan, EngineError> {
     let mut notes: Vec<String> = Vec::new();
-    // Per-backend pricing note: a routed client serves one tier from
-    // several backends with different price multipliers; estimates below
+    // Per-backend pricing note: a roster of more than one backend serves
+    // one tier at different price multipliers; estimates below
     // price calls at the router's *reference* (cheapest-eligible) schedule,
     // while execution records actual spend at whichever backend serves each
     // call. Recorded here so EXPLAIN shows which schedule the numbers mean.
     // Skipped on the wrapper fast path, like every other estimate cost.
     if options.estimate_costs {
-        if let Some(router) = engine.client().router() {
-            let registry = router.registry();
+        let router = router_of(engine.client());
+        let registry = router.registry();
+        if registry.len() > 1 {
             let roster: Vec<String> = registry
                 .backends()
                 .iter()

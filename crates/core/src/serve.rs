@@ -79,7 +79,7 @@ use parking_lot::Mutex;
 
 use crate::budget::{Budget, BudgetTracker, LedgerSnapshot};
 use crate::error::EngineError;
-use crate::exec::{condemning, Admit, Engine, FairFeed, Job, Lane, LeaseGate, RunShape};
+use crate::exec::{condemning, router_of, Admit, Engine, FairFeed, Job, Lane, LeaseGate, RunShape};
 
 /// Default burst capacity of a tenant's token bucket, in requests.
 const DEFAULT_BUCKET_CAPACITY: f64 = 256.0;
@@ -88,8 +88,6 @@ const DEFAULT_BUCKET_CAPACITY: f64 = 256.0;
 const DEFAULT_BUCKET_REFILL: f64 = 64.0;
 /// Default lease TTL, in generations.
 const DEFAULT_LEASE_TTL: u64 = 8;
-/// Default lease-table capacity when none is configured.
-const DEFAULT_SLOTS: usize = 16;
 /// Default backlog bound, as a multiple of the lease-table capacity.
 const DEFAULT_BACKLOG_FACTOR: usize = 8;
 
@@ -336,8 +334,9 @@ impl ServerBuilder {
         self
     }
 
-    /// Backend-slot quota (lease-table capacity). Default 16; size it
-    /// from `Router::total_slots()` when serving a routed roster.
+    /// Backend-slot quota (lease-table capacity). Default: the roster's
+    /// advertised concurrency, `Router::total_slots()` (16 for the
+    /// one-backend roster behind `LlmClient::new`).
     pub fn slots(mut self, slots: usize) -> Self {
         self.slots = Some(slots.max(1));
         self
@@ -369,14 +368,10 @@ impl ServerBuilder {
                     .into(),
             ));
         }
-        // Default the slot quota to the routed roster's advertised
-        // concurrency; unrouted (single-model) engines get a fixed default.
-        let slots = self.slots.unwrap_or_else(|| {
-            engine
-                .client()
-                .router()
-                .map_or(DEFAULT_SLOTS, |r| r.total_slots())
-        });
+        // Default the slot quota to the roster's advertised concurrency.
+        let slots = self
+            .slots
+            .unwrap_or_else(|| router_of(engine.client()).total_slots());
         let server = Server {
             engine,
             tenants: Mutex::new(Vec::new()),
@@ -873,7 +868,7 @@ mod tests {
     }
 
     #[test]
-    fn bucket_overdraft_sheds_with_retry_hint() {
+    fn bucket_overdraft_sheds_with_a_retry_hint() {
         let (eng, ids) = engine(8);
         let server = ServerBuilder::new()
             .engine(eng)

@@ -1,8 +1,8 @@
-//! Exact k-nearest-neighbor indexes: brute force, VP-tree, and the
+//! Exact k-nearest-neighbor search: the brute-force index and the
 //! auto-selecting [`KnnIndex`].
 //!
-//! Both indexes share the same substrate ([`VectorStore`]: one flat
-//! `Vec<f32>` plus stride, with precomputed squared norms) and the same
+//! The scan runs over one substrate ([`VectorStore`]: one flat
+//! `Vec<f32>` plus stride, with precomputed squared norms) and one
 //! *fused* distance path: every candidate costs exactly one
 //! [`dot_unrolled`] call, because with stored norms both metrics reduce to
 //! the dot product (`‖q − v‖² = ‖q‖² + ‖v‖² − 2⟨q,v⟩`;
@@ -16,9 +16,7 @@
 //! hits. Candidates whose distance is NaN are never ranked (the seed fed
 //! them to `partial_cmp(..).unwrap_or(Equal)`, scrambling the order):
 //! [`BruteForceIndex`] deterministically filters NaN *stored* rows out of
-//! its results, while [`VpTreeIndex`] requires finite stored vectors —
-//! NaN rows would poison its triangle-inequality pruning bounds (see
-//! [`VpTreeIndex::new`]).
+//! its results.
 
 use crate::store::VectorStore;
 use crate::vector::{cosine_similarity, dot_unrolled, dot_unrolled_many, l2_distance};
@@ -520,223 +518,17 @@ impl NearestNeighbors for BruteForceIndex {
 }
 
 // ---------------------------------------------------------------------------
-// VP-tree
-// ---------------------------------------------------------------------------
-
-/// A vantage-point tree: exact metric-space index with O(log n) expected
-/// query time on clustered low-dimensional data. Shares the flat
-/// [`VectorStore`] and fused distance path with [`BruteForceIndex`]; on
-/// high-dimensional embeddings (the 256-d hashed n-grams) pruning decays
-/// and the brute-force scan wins — see [`KnnIndex::auto`].
-#[derive(Debug, Clone)]
-pub struct VpTreeIndex {
-    store: VectorStore,
-    metric: Metric,
-    nodes: Vec<VpNode>,
-    root: Option<usize>,
-}
-
-#[derive(Debug, Clone)]
-struct VpNode {
-    /// Row index into the store.
-    point: usize,
-    /// Median distance from `point` to the points in its inside subtree.
-    radius: f32,
-    inside: Option<usize>,
-    outside: Option<usize>,
-}
-
-impl VpTreeIndex {
-    /// Build from vectors (all must share one dimensionality).
-    ///
-    /// Stored vectors must be finite: NaN coordinates would poison the
-    /// triangle-inequality pruning bounds.
-    ///
-    /// # Panics
-    /// Panics if vector dimensionalities differ.
-    pub fn new(vectors: Vec<Vec<f32>>, metric: Metric) -> Self {
-        VpTreeIndex::from_store(VectorStore::from_rows(vectors), metric)
-    }
-
-    /// Build directly from flat storage (e.g. the output of
-    /// [`crate::hashing::Embedder::embed_all_flat`] via
-    /// [`VectorStore::from_flat`]), skipping the nested-row intermediate.
-    pub fn from_store(store: VectorStore, metric: Metric) -> Self {
-        let mut tree = VpTreeIndex {
-            nodes: Vec::with_capacity(store.len()),
-            store,
-            metric,
-            root: None,
-        };
-        let mut ids: Vec<usize> = (0..tree.store.len()).collect();
-        tree.root = tree.build(&mut ids);
-        tree
-    }
-
-    /// The flat vector storage backing this index.
-    pub fn store(&self) -> &VectorStore {
-        &self.store
-    }
-
-    /// The metric this index ranks by.
-    pub fn metric(&self) -> Metric {
-        self.metric
-    }
-
-    /// Fused distance between two stored rows.
-    fn row_distance(&self, i: usize, j: usize) -> f32 {
-        let key = self.metric.rank_key(
-            dot_unrolled(self.store.row(i), self.store.row(j)),
-            self.store.norm_sq(i),
-            self.store.norm_sq(j),
-        );
-        self.metric.key_to_distance(key)
-    }
-
-    fn build(&mut self, ids: &mut [usize]) -> Option<usize> {
-        let (&vantage, rest) = ids.split_first()?;
-        if rest.is_empty() {
-            let node = VpNode {
-                point: vantage,
-                radius: 0.0,
-                inside: None,
-                outside: None,
-            };
-            self.nodes.push(node);
-            return Some(self.nodes.len() - 1);
-        }
-        // Partition the rest around the median distance to the vantage point.
-        let mut with_dist: Vec<(f32, usize)> = rest
-            .iter()
-            .map(|&i| (self.row_distance(vantage, i), i))
-            .collect();
-        with_dist.sort_by(|a, b| key_cmp((a.0, a.1), (b.0, b.1)));
-        let mid = with_dist.len() / 2;
-        let radius = with_dist[mid].0;
-        let mut inside_ids: Vec<usize> = with_dist[..mid].iter().map(|(_, i)| *i).collect();
-        let mut outside_ids: Vec<usize> = with_dist[mid..].iter().map(|(_, i)| *i).collect();
-        let inside = self.build(&mut inside_ids);
-        let outside = self.build(&mut outside_ids);
-        self.nodes.push(VpNode {
-            point: vantage,
-            radius,
-            inside,
-            outside,
-        });
-        Some(self.nodes.len() - 1)
-    }
-
-    fn search(
-        &self,
-        node: Option<usize>,
-        query: &[f32],
-        query_norm_sq: f32,
-        top: &mut Vec<Candidate>,
-        k: usize,
-    ) {
-        let Some(idx) = node else { return };
-        let n = &self.nodes[idx];
-        let key = self.metric.rank_key(
-            dot_unrolled(query, self.store.row(n.point)),
-            query_norm_sq,
-            self.store.norm_sq(n.point),
-        );
-        // NaN keys (NaN query coordinate) are filtered; the comparisons
-        // below then all evaluate false, deterministically walking the
-        // outside spine without ranking anything.
-        if !key.is_nan() {
-            push_candidate(
-                top,
-                Candidate {
-                    key,
-                    index: n.point,
-                },
-                k,
-            );
-        }
-        let d = self.metric.key_to_distance(key);
-        // Visit the more promising side first, prune the other with tau.
-        if d < n.radius {
-            self.search(n.inside, query, query_norm_sq, top, k);
-            let tau = self.current_tau(top, k);
-            if d + tau >= n.radius {
-                self.search(n.outside, query, query_norm_sq, top, k);
-            }
-        } else {
-            self.search(n.outside, query, query_norm_sq, top, k);
-            let tau = self.current_tau(top, k);
-            if d - tau <= n.radius {
-                self.search(n.inside, query, query_norm_sq, top, k);
-            }
-        }
-    }
-
-    /// Current pruning radius: the k-th best *distance* (keys are ranked,
-    /// but pruning bounds live in distance space).
-    fn current_tau(&self, top: &[Candidate], k: usize) -> f32 {
-        if top.len() < k {
-            f32::INFINITY
-        } else {
-            top.last()
-                .map_or(f32::INFINITY, |c| self.metric.key_to_distance(c.key))
-        }
-    }
-}
-
-/// Insert into a small sorted vec bounded at `k` (k is tiny in all our
-/// workloads, so linear insertion beats a heap here).
-fn push_candidate(top: &mut Vec<Candidate>, cand: Candidate, k: usize) {
-    let pos = top.binary_search_by(|c| c.cmp(&cand)).unwrap_or_else(|p| p);
-    top.insert(pos, cand);
-    if top.len() > k {
-        top.pop();
-    }
-}
-
-impl NearestNeighbors for VpTreeIndex {
-    fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    fn nearest(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        if k == 0 || self.store.is_empty() {
-            return Vec::new();
-        }
-        let qq = dot_unrolled(query, query);
-        let mut top: Vec<Candidate> = Vec::with_capacity(k + 1);
-        self.search(self.root, query, qq, &mut top, k);
-        top.into_iter()
-            .map(|c| Neighbor {
-                index: c.index,
-                distance: self.metric.key_to_distance(c.key),
-            })
-            .collect()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Auto selection
 // ---------------------------------------------------------------------------
-
-/// Corpus size below which [`KnnIndex::auto`] always picks brute force:
-/// under ~4k vectors the VP-tree's build cost and pointer-chasing search
-/// cannot beat one fused linear scan.
-pub const AUTO_VPTREE_MIN_LEN: usize = 4096;
-
-/// Dimensionality above which [`KnnIndex::auto`] always picks brute force:
-/// vantage-point pruning needs distance spread, which concentrates away in
-/// high dimensions (the 256-d hashed embeddings see almost no pruning), so
-/// the tree degenerates to a slower, cache-hostile linear scan.
-pub const AUTO_VPTREE_MAX_DIMS: usize = 24;
 
 /// Corpus size at which [`KnnIndex::auto_tuned`] starts considering the
 /// approximate IVF tier: below this, one fused exact scan is already
 /// cheap and the k-means build cost cannot pay for itself.
 pub const AUTO_IVF_MIN_LEN: usize = 65_536;
 
-/// Minimum dimensionality for the IVF tier: narrow corpora route to the
-/// VP-tree (exact *and* sublinear) instead, so approximation would only
-/// give up recall without buying speed.
+/// Minimum dimensionality for the IVF tier: on narrow corpora the exact
+/// scan is already cheap per row, so approximation would only give up
+/// recall without buying speed.
 pub const AUTO_IVF_MIN_DIMS: usize = 32;
 
 /// Recall@k the auto-tuned IVF parameters aim for when the caller does
@@ -745,26 +537,21 @@ pub const DEFAULT_RECALL_TARGET: f32 = 0.95;
 
 /// An index that picks its implementation per corpus ([`KnnIndex::auto`] /
 /// [`KnnIndex::auto_tuned`]), or wraps an explicit choice.
+// One index is built per corpus and held singly, never stored in bulk, so
+// the IVF variant's inline size costs nothing worth a pointer chase per query.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum KnnIndex {
-    /// Fused linear scan (the default for every high-dimensional corpus).
+    /// Fused linear scan (every exact corpus).
     BruteForce(BruteForceIndex),
-    /// Vantage-point tree (large, low-dimensional corpora).
-    VpTree(VpTreeIndex),
     /// Approximate IVF + SQ8 tier (very large, high-dimensional corpora
     /// with a sub-1.0 recall target).
     Ivf(crate::ivf::IvfIndex),
 }
 
 impl KnnIndex {
-    /// Build the exact index variant suited to the corpus shape: a
-    /// VP-tree for large low-dimensional L2 corpora
-    /// (`len >= `[`AUTO_VPTREE_MIN_LEN`]` && dims <=
-    /// `[`AUTO_VPTREE_MAX_DIMS`]), the fused brute-force scan otherwise.
-    /// Only [`Metric::L2`] corpora are ever routed to the tree: its
-    /// pruning relies on the triangle inequality, which `1 − cos` does
-    /// not satisfy, so a cosine VP-tree could silently drop true
-    /// neighbors. Never selects the approximate tier — use
+    /// Build the exact index: the fused brute-force scan, whatever the
+    /// corpus shape. Never selects the approximate tier — use
     /// [`KnnIndex::auto_tuned`] to opt in.
     ///
     /// # Panics
@@ -773,20 +560,13 @@ impl KnnIndex {
         KnnIndex::auto_from_store(VectorStore::from_rows(vectors), metric)
     }
 
-    /// [`KnnIndex::auto`] over flat storage: same shape-based routing,
-    /// but the corpus arrives as an already-built [`VectorStore`] (e.g.
+    /// [`KnnIndex::auto`] over flat storage: the corpus arrives as an
+    /// already-built [`VectorStore`] (e.g.
     /// from [`crate::hashing::Embedder::embed_all_flat`] +
     /// [`VectorStore::from_flat`]), so no nested-row intermediate is
     /// ever materialized. This is the production index-build path.
     pub fn auto_from_store(store: VectorStore, metric: Metric) -> Self {
-        if metric == Metric::L2
-            && store.len() >= AUTO_VPTREE_MIN_LEN
-            && store.dims() <= AUTO_VPTREE_MAX_DIMS
-        {
-            KnnIndex::VpTree(VpTreeIndex::from_store(store, metric))
-        } else {
-            KnnIndex::BruteForce(BruteForceIndex::from_store(store, metric))
-        }
+        KnnIndex::BruteForce(BruteForceIndex::from_store(store, metric))
     }
 
     /// Like [`KnnIndex::auto`], but with an explicit recall target that
@@ -818,19 +598,15 @@ impl KnnIndex {
     }
 
     /// Batched self-queries by stored row index (see
-    /// [`BruteForceIndex::nearest_rows`]); the VP-tree variant answers
-    /// row queries one at a time but still borrows each query vector
-    /// from the store.
+    /// [`BruteForceIndex::nearest_rows`]); the IVF variant answers row
+    /// queries one at a time but still borrows each query vector from
+    /// the store.
     ///
     /// # Panics
     /// Panics if any row index is out of bounds.
     pub fn nearest_rows(&self, rows: &[usize], k: usize) -> Vec<Vec<Neighbor>> {
         match self {
             KnnIndex::BruteForce(i) => i.nearest_rows(rows, k),
-            KnnIndex::VpTree(i) => rows
-                .iter()
-                .map(|&r| i.nearest_excluding(i.store().row(r), k, r))
-                .collect(),
             KnnIndex::Ivf(i) => rows
                 .iter()
                 .map(|&r| i.nearest_excluding(i.store().row(r), k, r))
@@ -839,11 +615,10 @@ impl KnnIndex {
     }
 
     /// Which implementation backs this index (`"brute_force"` /
-    /// `"vp_tree"` / `"ivf_sq8"`).
+    /// `"ivf_sq8"`).
     pub fn kind(&self) -> &'static str {
         match self {
             KnnIndex::BruteForce(_) => "brute_force",
-            KnnIndex::VpTree(_) => "vp_tree",
             KnnIndex::Ivf(_) => "ivf_sq8",
         }
     }
@@ -852,7 +627,6 @@ impl KnnIndex {
     pub fn store(&self) -> &VectorStore {
         match self {
             KnnIndex::BruteForce(i) => i.store(),
-            KnnIndex::VpTree(i) => i.store(),
             KnnIndex::Ivf(i) => i.store(),
         }
     }
@@ -861,7 +635,6 @@ impl KnnIndex {
     pub fn metric(&self) -> Metric {
         match self {
             KnnIndex::BruteForce(i) => i.metric(),
-            KnnIndex::VpTree(i) => i.metric(),
             KnnIndex::Ivf(i) => i.metric(),
         }
     }
@@ -869,7 +642,7 @@ impl KnnIndex {
 
 /// Which implementation [`KnnIndex::auto_tuned`] would pick for a corpus
 /// of this shape, without building anything (`"brute_force"` /
-/// `"vp_tree"` / `"ivf_sq8"`). The planner uses this to annotate plans
+/// `"ivf_sq8"`). The planner uses this to annotate plans
 /// and adjust call estimates for approximate blocking before any index
 /// exists.
 pub fn predict_auto_kind(
@@ -884,8 +657,6 @@ pub fn predict_auto_kind(
         && dims >= AUTO_IVF_MIN_DIMS
     {
         "ivf_sq8"
-    } else if metric == Metric::L2 && len >= AUTO_VPTREE_MIN_LEN && dims <= AUTO_VPTREE_MAX_DIMS {
-        "vp_tree"
     } else {
         "brute_force"
     }
@@ -895,7 +666,6 @@ impl NearestNeighbors for KnnIndex {
     fn len(&self) -> usize {
         match self {
             KnnIndex::BruteForce(i) => i.len(),
-            KnnIndex::VpTree(i) => i.len(),
             KnnIndex::Ivf(i) => i.len(),
         }
     }
@@ -903,7 +673,6 @@ impl NearestNeighbors for KnnIndex {
     fn nearest(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
         match self {
             KnnIndex::BruteForce(i) => i.nearest(query, k),
-            KnnIndex::VpTree(i) => i.nearest(query, k),
             KnnIndex::Ivf(i) => i.nearest(query, k),
         }
     }
@@ -911,7 +680,6 @@ impl NearestNeighbors for KnnIndex {
     fn nearest_excluding(&self, query: &[f32], k: usize, exclude: usize) -> Vec<Neighbor> {
         match self {
             KnnIndex::BruteForce(i) => i.nearest_excluding(query, k, exclude),
-            KnnIndex::VpTree(i) => i.nearest_excluding(query, k, exclude),
             KnnIndex::Ivf(i) => i.nearest_excluding(query, k, exclude),
         }
     }
@@ -922,7 +690,6 @@ impl NearestNeighbors for KnnIndex {
     fn nearest_many(&self, queries: &[Vec<f32>], k: usize) -> Vec<Vec<Neighbor>> {
         match self {
             KnnIndex::BruteForce(i) => i.nearest_many(queries, k),
-            KnnIndex::VpTree(i) => i.nearest_many(queries, k),
             KnnIndex::Ivf(i) => i.nearest_many(queries, k),
         }
     }
@@ -935,7 +702,6 @@ impl NearestNeighbors for KnnIndex {
     ) -> Vec<Vec<Neighbor>> {
         match self {
             KnnIndex::BruteForce(i) => i.nearest_many_excluding(queries, k, excludes),
-            KnnIndex::VpTree(i) => i.nearest_many_excluding(queries, k, excludes),
             KnnIndex::Ivf(i) => i.nearest_many_excluding(queries, k, excludes),
         }
     }
@@ -961,23 +727,6 @@ mod tests {
     }
 
     #[test]
-    fn vp_tree_matches_brute_force() {
-        let vectors = grid(60);
-        let brute = BruteForceIndex::new(vectors.clone(), Metric::L2);
-        let vp = VpTreeIndex::new(vectors, Metric::L2);
-        for q in 0..20 {
-            let query = vec![q as f32 + 0.3, (q * 3 % 11) as f32];
-            let b = brute.nearest(&query, 5);
-            let v = vp.nearest(&query, 5);
-            assert_eq!(b.len(), v.len());
-            for (bn, vn) in b.iter().zip(v.iter()) {
-                assert_eq!(bn.index, vn.index, "query {query:?}");
-                assert!((bn.distance - vn.distance).abs() < 1e-5);
-            }
-        }
-    }
-
-    #[test]
     fn cosine_metric_works() {
         let vectors = vec![vec![1.0, 0.0], vec![0.9, 0.1], vec![0.0, 1.0]];
         let idx = BruteForceIndex::new(vectors, Metric::Cosine);
@@ -990,8 +739,6 @@ mod tests {
     fn k_larger_than_index() {
         let idx = BruteForceIndex::new(grid(3), Metric::L2);
         assert_eq!(idx.nearest(&[0.0, 0.0], 10).len(), 3);
-        let vp = VpTreeIndex::new(grid(3), Metric::L2);
-        assert_eq!(vp.nearest(&[0.0, 0.0], 10).len(), 3);
     }
 
     #[test]
@@ -999,16 +746,12 @@ mod tests {
         let idx = BruteForceIndex::new(Vec::new(), Metric::L2);
         assert!(idx.is_empty());
         assert!(idx.nearest(&[1.0], 3).is_empty());
-        let vp = VpTreeIndex::new(Vec::new(), Metric::L2);
-        assert!(vp.nearest(&[1.0], 3).is_empty());
     }
 
     #[test]
     fn k_zero() {
         let idx = BruteForceIndex::new(grid(5), Metric::L2);
         assert!(idx.nearest(&[0.0, 0.0], 0).is_empty());
-        let vp = VpTreeIndex::new(grid(5), Metric::L2);
-        assert!(vp.nearest(&[0.0, 0.0], 0).is_empty());
     }
 
     #[test]
@@ -1040,8 +783,6 @@ mod tests {
     fn nan_query_returns_empty() {
         let idx = BruteForceIndex::new(grid(6), Metric::L2);
         assert!(idx.nearest(&[f32::NAN, 0.0], 3).is_empty());
-        let vp = VpTreeIndex::new(grid(6), Metric::L2);
-        assert!(vp.nearest(&[f32::NAN, 0.0], 3).is_empty());
     }
 
     #[test]
@@ -1105,21 +846,10 @@ mod tests {
     fn auto_picks_brute_force_for_high_dims_and_small_corpora() {
         let small = KnnIndex::auto(grid(100), Metric::L2);
         assert_eq!(small.kind(), "brute_force");
-        let wide: Vec<Vec<f32>> = (0..AUTO_VPTREE_MIN_LEN + 1)
+        let wide: Vec<Vec<f32>> = (0..4097)
             .map(|i| (0..64).map(|d| ((i * 31 + d * 7) % 97) as f32).collect())
             .collect();
         assert_eq!(KnnIndex::auto(wide, Metric::L2).kind(), "brute_force");
-    }
-
-    #[test]
-    fn auto_picks_vp_tree_for_large_low_dim_corpora() {
-        let tall = grid(AUTO_VPTREE_MIN_LEN);
-        let idx = KnnIndex::auto(tall.clone(), Metric::L2);
-        assert_eq!(idx.kind(), "vp_tree");
-        // And it still answers exactly like brute force.
-        let brute = BruteForceIndex::new(tall, Metric::L2);
-        let query = vec![17.3, 4.0];
-        assert_eq!(idx.nearest(&query, 5), brute.nearest(&query, 5));
     }
 
     #[test]
@@ -1128,7 +858,7 @@ mod tests {
         // corpus arrives as nested rows or as a flat store.
         for (vectors, metric) in [
             (grid(100), Metric::L2),
-            (grid(AUTO_VPTREE_MIN_LEN), Metric::L2),
+            (grid(4096), Metric::L2),
             (grid(100), Metric::Cosine),
         ] {
             let dims = vectors[0].len();
@@ -1147,14 +877,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_never_routes_cosine_to_vp_tree() {
-        // 1 − cos violates the triangle inequality, so VP pruning would
-        // be unsound; a cosine corpus must always take the brute scan.
-        let tall = grid(AUTO_VPTREE_MIN_LEN);
-        assert_eq!(KnnIndex::auto(tall, Metric::Cosine).kind(), "brute_force");
-    }
-
-    #[test]
     fn nearest_rows_matches_nearest_excluding() {
         let vectors = grid(30);
         let rows: Vec<usize> = (0..30).step_by(3).collect();
@@ -1164,15 +886,8 @@ mod tests {
             let expected = brute.nearest_excluding(brute.store().row(r), 4, r);
             assert_eq!(hits, &expected, "row {r}");
         }
-        // The enum forwards to the same answers for both variants.
-        for idx in [
-            KnnIndex::BruteForce(brute.clone()),
-            KnnIndex::VpTree(VpTreeIndex::new(vectors, Metric::L2)),
-        ] {
-            for (&r, hits) in rows.iter().zip(idx.nearest_rows(&rows, 4)) {
-                assert_eq!(&hits, &batch[rows.iter().position(|&x| x == r).unwrap()]);
-            }
-        }
+        // The enum forwards to the same answers.
+        assert_eq!(KnnIndex::BruteForce(brute).nearest_rows(&rows, 4), batch);
     }
 
     #[test]

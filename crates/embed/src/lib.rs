@@ -14,8 +14,8 @@
 //! flat contiguous storage ([`VectorStore`]), every candidate costs one
 //! fused dot product ([`knn`] module docs), top-k is a bounded heap, and
 //! batched queries ([`NearestNeighbors::nearest_many`]) partition across
-//! threads. [`KnnIndex::auto`] picks brute-force vs VP-tree per corpus
-//! shape.
+//! threads. [`KnnIndex::auto_tuned`] picks the exact scan or the
+//! approximate IVF tier per corpus shape and recall target.
 
 #![warn(missing_docs)]
 
@@ -30,9 +30,8 @@ pub mod vector;
 pub use hashing::{embed_all_flat_with_workers, embed_all_with_workers, Embedder, NgramEmbedder};
 pub use ivf::{IvfIndex, IvfParams};
 pub use knn::{
-    predict_auto_kind, BruteForceIndex, KnnIndex, Metric, NearestNeighbors, Neighbor, VpTreeIndex,
-    AUTO_IVF_MIN_DIMS, AUTO_IVF_MIN_LEN, AUTO_VPTREE_MAX_DIMS, AUTO_VPTREE_MIN_LEN,
-    DEFAULT_RECALL_TARGET,
+    predict_auto_kind, BruteForceIndex, KnnIndex, Metric, NearestNeighbors, Neighbor,
+    AUTO_IVF_MIN_DIMS, AUTO_IVF_MIN_LEN, DEFAULT_RECALL_TARGET,
 };
 pub use quant::{approx_l2_sq, quantize_into, QuantMeta, QuantizedBlock, ScanQuery, ScanTerms};
 pub use store::VectorStore;

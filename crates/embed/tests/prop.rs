@@ -3,14 +3,12 @@
 //! The `*_parity` properties pin the PR-2 rewrite to the seed semantics:
 //! the heap/flat-storage brute-force index must return **byte-identical**
 //! `Neighbor` lists to a replica of the seed's materialize-all-then-sort
-//! reference over random corpora, the VP-tree must agree exactly with
-//! brute force, and batched queries must equal their sequential forms
-//! bit-for-bit at any worker count.
+//! reference over random corpora, and batched queries must equal their
+//! sequential forms bit-for-bit at any worker count.
 
 use crowdprompt_embed::{
     cosine_similarity, dot_unrolled, embed_all_with_workers, knn::batch_nearest_with_workers,
     l2_distance, BruteForceIndex, Embedder, Metric, NearestNeighbors, Neighbor, NgramEmbedder,
-    VpTreeIndex,
 };
 use proptest::prelude::*;
 
@@ -117,17 +115,6 @@ proptest! {
     }
 
     #[test]
-    fn vp_tree_is_exactly_brute_force(
-        vs in vectors(60, 4),
-        query in prop::collection::vec(-10.0f32..10.0, 4..=4),
-        k in 1usize..9
-    ) {
-        let brute = BruteForceIndex::new(vs.clone(), Metric::L2);
-        let vp = VpTreeIndex::new(vs, Metric::L2);
-        assert_bit_identical(&vp.nearest(&query, k), &brute.nearest(&query, k));
-    }
-
-    #[test]
     fn batched_queries_match_sequential_at_any_worker_count(
         vs in vectors(30, 5),
         queries in prop::collection::vec(prop::collection::vec(-10.0f32..10.0, 5..=5), 1..20),
@@ -137,7 +124,7 @@ proptest! {
         let idx = BruteForceIndex::new(vs, Metric::L2);
         let sequential: Vec<Vec<Neighbor>> =
             queries.iter().map(|q| idx.nearest(q, k)).collect();
-        // The generic chunk-per-worker driver (what VP-tree batches use).
+        // The generic chunk-per-worker driver (what IVF batches use).
         let batched = batch_nearest_with_workers(&idx, &queries, k, None, workers);
         prop_assert_eq!(batched.len(), sequential.len());
         for (b, s) in batched.iter().zip(&sequential) {
@@ -193,24 +180,6 @@ proptest! {
             (fused - seed).abs() < 1e-2 + seed * 1e-4,
             "fused {fused} vs seed {seed}"
         );
-    }
-
-    #[test]
-    fn vp_tree_agrees_with_brute_force(
-        vs in vectors(40, 6),
-        query in prop::collection::vec(-10.0f32..10.0, 6..=6),
-        k in 1usize..8
-    ) {
-        let brute = BruteForceIndex::new(vs.clone(), Metric::L2);
-        let vp = VpTreeIndex::new(vs, Metric::L2);
-        let a = brute.nearest(&query, k);
-        let b = vp.nearest(&query, k);
-        prop_assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b.iter()) {
-            // Distances must agree; indexes may differ only on exact ties.
-            prop_assert!((x.distance - y.distance).abs() < 1e-4,
-                "distance mismatch {} vs {}", x.distance, y.distance);
-        }
     }
 
     #[test]

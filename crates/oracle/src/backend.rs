@@ -110,15 +110,15 @@ impl LatencyProfile {
     }
 
     /// Draw this profile's latency for one `(request, attempt)` coordinate.
-    fn draw(&self, rng: &mut ChaCha8Rng) -> Duration {
+    fn draw(&self, rng: &mut TransportRng) -> Duration {
         if self.base_us == 0 {
             return Duration::ZERO;
         }
         let mut us = self.base_us as f64;
         if self.jitter > 0.0 {
-            us *= 1.0 + self.jitter * (rng.random::<f64>() * 2.0 - 1.0);
+            us *= 1.0 + self.jitter * (rng.get().random::<f64>() * 2.0 - 1.0);
         }
-        if self.tail_prob > 0.0 && rng.random_bool(self.tail_prob.clamp(0.0, 1.0)) {
+        if rng.roll(self.tail_prob) {
             us *= self.tail_mult.max(1.0);
         }
         Duration::from_micros(us.max(0.0) as u64)
@@ -372,17 +372,49 @@ impl SimBackend {
         self.calls_seen.load(Ordering::Acquire)
     }
 
-    fn transport_rng(&self, request: &CompletionRequest, tag: &str) -> ChaCha8Rng {
-        // Folds the sample index in explicitly (temperature-0 fingerprints
-        // exclude it), so each routing attempt re-rolls its transport fate.
-        let key = hash::combine(
-            self.seed,
-            hash::combine(
-                request.fingerprint(),
-                hash::combine(hash::fnv1a_str(tag), u64::from(request.sample_index)),
-            ),
-        );
-        ChaCha8Rng::seed_from_u64(key)
+    fn transport_rng<'a>(&self, request: &'a CompletionRequest, tag: &'a str) -> TransportRng<'a> {
+        TransportRng {
+            seed: self.seed,
+            request,
+            tag,
+            rng: None,
+        }
+    }
+}
+
+/// One call's transport draws, seeded by the first draw that reads them: a
+/// transparent backend (fixed latency, perfect transport) reads none, and
+/// should not hash the whole prompt into a seed nothing consumes.
+struct TransportRng<'a> {
+    seed: u64,
+    request: &'a CompletionRequest,
+    tag: &'a str,
+    rng: Option<ChaCha8Rng>,
+}
+
+impl TransportRng<'_> {
+    fn get(&mut self) -> &mut ChaCha8Rng {
+        self.rng.get_or_insert_with(|| {
+            // Folds the sample index in explicitly (temperature-0
+            // fingerprints exclude it), so each routing attempt re-rolls
+            // its transport fate.
+            let key = hash::combine(
+                self.seed,
+                hash::combine(
+                    self.request.fingerprint(),
+                    hash::combine(
+                        hash::fnv1a_str(self.tag),
+                        u64::from(self.request.sample_index),
+                    ),
+                ),
+            );
+            ChaCha8Rng::seed_from_u64(key)
+        })
+    }
+
+    /// One Bernoulli draw; a non-positive probability draws nothing.
+    fn roll(&mut self, prob: f64) -> bool {
+        prob > 0.0 && self.get().random_bool(prob.clamp(0.0, 1.0))
     }
 }
 
@@ -454,9 +486,7 @@ impl Backend for SimBackend {
         // Timeouts hang for a full straggler duration (base × tail_mult,
         // or the drawn latency if that came out longer) before failing —
         // the expensive failure mode hedging is designed around.
-        if self.transport.timeout_prob > 0.0
-            && rng.random_bool(self.transport.timeout_prob.clamp(0.0, 1.0))
-        {
+        if rng.roll(self.transport.timeout_prob) {
             let straggler = Duration::from_micros(
                 (self.latency.base_us as f64 * self.latency.tail_mult.max(1.0)) as u64,
             );
@@ -469,14 +499,10 @@ impl Backend for SimBackend {
             });
         }
         // Fast-fail transient errors (the provider rejects before serving).
-        if self.transport.rate_limit_prob > 0.0
-            && rng.random_bool(self.transport.rate_limit_prob.clamp(0.0, 1.0))
-        {
+        if rng.roll(self.transport.rate_limit_prob) {
             return Err(LlmError::RateLimited { retry_after_ms: 50 });
         }
-        if self.transport.unavailable_prob > 0.0
-            && rng.random_bool(self.transport.unavailable_prob.clamp(0.0, 1.0))
-        {
+        if rng.roll(self.transport.unavailable_prob) {
             return Err(LlmError::ServiceUnavailable);
         }
 

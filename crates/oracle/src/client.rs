@@ -1,6 +1,7 @@
-//! Client-side wrapper over a [`LanguageModel`]: retries, a sharded response
-//! cache with in-flight request coalescing, cost accounting, and parallel
-//! dispatch.
+//! Client-side wrapper over a [`LanguageModel`]: a sharded response cache
+//! with in-flight request coalescing, cost accounting, and one transport
+//! path — every client dispatches through a [`Router`], which owns retries,
+//! backoff and deadlines.
 //!
 //! This is the layer a production deployment would point at a network
 //! backend; the declarative engine only ever talks to an [`LlmClient`].
@@ -43,12 +44,14 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
+use crate::backend::BackendRegistry;
 use crate::error::LlmError;
 use crate::pricing::CostLedger;
-use crate::route::{RoutePolicy, Router};
+use crate::route::{BreakerConfig, RoutePolicy, Router};
 use crate::store::ResponseStore;
 use crate::types::{CompletionRequest, CompletionResponse, LanguageModel};
 
@@ -56,24 +59,19 @@ use crate::types::{CompletionRequest, CompletionResponse, LanguageModel};
 const CACHE_SHARDS: usize = 16;
 const _: () = assert!(CACHE_SHARDS.is_power_of_two());
 
-/// Retry behaviour for transient (retryable) errors.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Maximum attempts per call (>= 1).
-    pub max_attempts: u32,
-    /// Base backoff per retry in milliseconds; `0` disables sleeping, which
-    /// keeps simulated experiments fast while preserving retry *logic*.
-    pub backoff_ms: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            backoff_ms: 0,
-        }
-    }
-}
+/// The policy behind [`LlmClient::new`]: what a client over one bare model
+/// has always done — three attempts, no sleeping, no hedging. The breaker
+/// never opens: a lone backend has nowhere to fail over to, so an open
+/// circuit could only turn a retryable failure into `CircuitOpen`.
+const SINGLE_MODEL_POLICY: RoutePolicy = RoutePolicy {
+    max_retries: 2,
+    backoff_ms: 0,
+    hedge: None,
+    breaker: BreakerConfig {
+        failure_threshold: u32::MAX,
+        cooldown: Duration::ZERO,
+    },
+};
 
 /// Counters describing client behaviour, for traces and tests.
 ///
@@ -110,7 +108,8 @@ impl ClientStats {
     pub fn coalesced(&self) -> u64 {
         self.coalesced.load(Ordering::Relaxed)
     }
-    /// Retry attempts performed (beyond first attempts).
+    /// Retry attempts the router performed (beyond first attempts); synced
+    /// from the router's counter by [`LlmClient::stats`].
     pub fn retries(&self) -> u64 {
         self.retries.load(Ordering::Relaxed)
     }
@@ -297,11 +296,12 @@ impl ShardedCache {
     }
 }
 
-/// A caching, coalescing, retrying client over any [`LanguageModel`].
+/// A caching, coalescing client over any [`LanguageModel`], dispatching
+/// through a [`Router`].
 pub struct LlmClient {
+    /// The router again, as the [`LanguageModel`] [`LlmClient::model`] hands out.
     model: Arc<dyn LanguageModel>,
-    router: Option<Arc<Router>>,
-    retry: RetryPolicy,
+    router: Arc<Router>,
     cache: ShardedCache,
     ledger: CostLedger,
     stats: ClientStats,
@@ -315,13 +315,28 @@ pub struct LlmClient {
 }
 
 impl LlmClient {
-    /// Wrap a model with the default retry policy, caching enabled, and the
-    /// default shard count.
+    /// Wrap one model, caching enabled: exactly
+    /// [`LlmClient::routed`] over [`BackendRegistry::single`] with a fixed
+    /// policy — three attempts, no sleeping, no hedging, and a breaker that
+    /// never opens (a lone backend has nowhere to fail over to). Responses
+    /// and pricing are bit-identical to calling `model` directly.
     pub fn new(model: Arc<dyn LanguageModel>) -> Self {
+        LlmClient::routed(BackendRegistry::single(model), SINGLE_MODEL_POLICY)
+    }
+
+    /// A client dispatching through a [`Router`] over `registry`.
+    ///
+    /// The router sits *below* this client's cache and coalescing: a
+    /// request that is retried across backends or hedged onto two backends
+    /// still surfaces exactly one response here, so the ledger charges
+    /// exactly one call — priced at the serving backend's schedule via
+    /// [`CompletionResponse::pricing`]. The router owns the retry policy;
+    /// its behaviour counters are reachable through [`LlmClient::router`].
+    pub fn routed(registry: BackendRegistry, policy: RoutePolicy) -> Self {
+        let router = Arc::new(Router::new(registry, policy));
         LlmClient {
-            model,
-            router: None,
-            retry: RetryPolicy::default(),
+            model: Arc::clone(&router) as Arc<dyn LanguageModel>,
+            router,
             cache: ShardedCache::new(),
             ledger: CostLedger::new(),
             stats: ClientStats::default(),
@@ -331,37 +346,13 @@ impl LlmClient {
         }
     }
 
-    /// A client dispatching through a multi-backend [`Router`] instead of a
-    /// single model.
-    ///
-    /// The router sits *below* this client's cache and coalescing: a
-    /// request that is retried across backends or hedged onto two backends
-    /// still surfaces exactly one response here, so the ledger charges
-    /// exactly one call — priced at the serving backend's schedule via
-    /// [`CompletionResponse::pricing`]. Client-level retries are disabled
-    /// (the router owns retry policy); router behaviour counters are
-    /// reachable through [`LlmClient::router`].
-    pub fn routed(registry: crate::backend::BackendRegistry, policy: RoutePolicy) -> Self {
-        let router = Arc::new(Router::new(registry, policy));
-        let mut client = LlmClient::new(Arc::clone(&router) as Arc<dyn LanguageModel>);
-        client.retry = RetryPolicy {
-            max_attempts: 1,
-            backoff_ms: 0,
-        };
-        client.router = Some(router);
-        client
-    }
-
-    /// The router behind this client, when built with [`LlmClient::routed`].
+    /// The router behind this client. Always `Some`: every client routes
+    /// ([`LlmClient::new`] over a one-backend roster). The `Option` is the
+    /// one leftover of the unrouted client, kept because the frozen
+    /// `benchmark/` harness matches on it; flip it to `&Arc<Router>` when
+    /// that directory next opens.
     pub fn router(&self) -> Option<&Arc<Router>> {
-        self.router.as_ref()
-    }
-
-    /// Override the retry policy (builder style).
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
+        Some(&self.router)
     }
 
     /// Disable the temperature-0 response cache (builder style). This also
@@ -425,7 +416,8 @@ impl LlmClient {
         self.journal.get()
     }
 
-    /// The wrapped model.
+    /// The model this client serves: the router's view of its tier (the
+    /// tier name, the smallest context window, the reference pricing).
     pub fn model(&self) -> &Arc<dyn LanguageModel> {
         &self.model
     }
@@ -436,12 +428,16 @@ impl LlmClient {
     }
 
     /// Behaviour counters. Folds the shard-local hit counters into
-    /// [`ClientStats::cache_hits`] before returning; read counters through
-    /// a fresh `stats()` call rather than a long-held reference.
+    /// [`ClientStats::cache_hits`] and the router's retry count into
+    /// [`ClientStats::retries`] before returning; read counters through a
+    /// fresh `stats()` call rather than a long-held reference.
     pub fn stats(&self) -> &ClientStats {
         self.stats
             .cache_hits
             .store(self.cache.total_hits(), Ordering::Relaxed);
+        self.stats
+            .retries
+            .store(self.router.retries(), Ordering::Relaxed);
         &self.stats
     }
 
@@ -535,7 +531,7 @@ impl LlmClient {
         self.cache.shard(key).responses.lock().map.insert(key, body);
     }
 
-    /// Execute one request with caching, coalescing, and retries.
+    /// Execute one request with caching and coalescing.
     ///
     /// Only temperature-0 requests are cached (they are deterministic), and
     /// only they are coalesced: if an identical temperature-0 request is
@@ -543,10 +539,8 @@ impl LlmClient {
     /// instead of dispatching a duplicate backend call. Coalesced responses
     /// are marked [`CompletionResponse::cached`] and incur no ledger spend.
     ///
-    /// Retryable errors are retried up to the policy's `max_attempts`, with
-    /// the request's `sample_index` bumped per attempt so the simulator's
-    /// transport-failure draw is re-rolled (matching how a real retry hits a
-    /// different server moment).
+    /// Retryable errors are retried by the [`Router`] under its
+    /// [`RoutePolicy`]; what surfaces here is its final answer.
     pub fn complete(&self, request: &CompletionRequest) -> Result<CompletionResponse, LlmError> {
         let cacheable = self.cache_enabled && request.temperature == 0.0;
         if !cacheable {
@@ -637,8 +631,8 @@ impl LlmClient {
         }
     }
 
-    /// The paid path: journal replay, else the backend with retries;
-    /// stats and ledger accounting either way.
+    /// The paid path: journal replay, else one dispatch through the router
+    /// (which retries); stats and ledger accounting either way.
     fn call_backend(&self, request: &CompletionRequest) -> Result<CompletionResponse, LlmError> {
         let journal = self.journal.get().map(|j| (j, request.fingerprint()));
         if let Some(replayed) = journal.and_then(|(j, key)| j.lookup(key)) {
@@ -650,66 +644,24 @@ impl LlmClient {
         // Backend latency must never be spent under a shim lock (the
         // lock_diagnostics build enforces this marker).
         parking_lot::blocking_region("backend dispatch");
-        let mut attempt = 0u32;
-        let mut last_err: Option<LlmError> = None;
-        while attempt < self.retry.max_attempts.max(1) {
-            let mut req = request.clone();
-            req.sample_index = request.sample_index.wrapping_add(attempt);
-            match self.model.complete(&req) {
-                Ok(resp) => {
-                    self.stats.calls.fetch_add(1, Ordering::Relaxed);
-                    // Priced at the serving backend's schedule (the
-                    // response carries it), not the model's reference
-                    // pricing — with routing these can differ per call.
-                    self.ledger.record(resp.usage, resp.pricing);
-                    if let Some((journal, key)) = journal {
-                        // Nothing reads a journal's prompts.
-                        journal.record(key, "", &resp);
-                    }
-                    return Ok(resp);
+        match self.router.complete(request) {
+            Ok(resp) => {
+                self.stats.calls.fetch_add(1, Ordering::Relaxed);
+                // Priced at the serving backend's schedule (the response
+                // carries it), not the tier's reference pricing — these
+                // can differ per call.
+                self.ledger.record(resp.usage, resp.pricing);
+                if let Some((journal, key)) = journal {
+                    // Nothing reads a journal's prompts.
+                    journal.record(key, "", &resp);
                 }
-                Err(e) if e.is_retryable() => {
-                    attempt += 1;
-                    self.stats.retries.fetch_add(1, Ordering::Relaxed);
-                    // Shared delay policy: linear ramp floored by the
-                    // server's Retry-After hint, seeded jitter, clipped to
-                    // the request deadline ([`crate::retry::retry_delay`]).
-                    match crate::retry::retry_delay(
-                        self.retry.backoff_ms,
-                        attempt,
-                        e.retry_hint_ms(),
-                        request.fingerprint(),
-                        request.deadline,
-                        std::time::Instant::now(), // lint: allow(clock) — retry backoff anchor
-                    ) {
-                        Some(delay) => {
-                            if !delay.is_zero() {
-                                parking_lot::blocking_region("retry backoff sleep");
-                                std::thread::sleep(delay);
-                            }
-                            last_err = Some(e);
-                        }
-                        // Deadline passed: stop chasing this call.
-                        None => {
-                            self.stats.failures.fetch_add(1, Ordering::Relaxed);
-                            return Err(LlmError::RetriesExhausted {
-                                attempts: attempt,
-                                last: Box::new(e),
-                            });
-                        }
-                    }
-                }
-                Err(e) => {
-                    self.stats.failures.fetch_add(1, Ordering::Relaxed);
-                    return Err(e);
-                }
+                Ok(resp)
+            }
+            Err(e) => {
+                self.stats.failures.fetch_add(1, Ordering::Relaxed);
+                Err(e)
             }
         }
-        self.stats.failures.fetch_add(1, Ordering::Relaxed);
-        Err(LlmError::RetriesExhausted {
-            attempts: self.retry.max_attempts,
-            last: Box::new(last_err.unwrap_or(LlmError::ServiceUnavailable)),
-        })
     }
 }
 
@@ -785,10 +737,13 @@ mod tests {
             ..NoiseProfile::perfect()
         });
         let llm = Arc::new(SimulatedLlm::new(profile, world, 42));
-        let client = LlmClient::new(llm).with_retry(RetryPolicy {
-            max_attempts: 10,
-            backoff_ms: 0,
-        });
+        let client = LlmClient::routed(
+            BackendRegistry::single(llm),
+            RoutePolicy {
+                max_retries: 9,
+                ..SINGLE_MODEL_POLICY
+            },
+        );
         let mut succeeded = 0;
         for i in 0..20 {
             let req = check_req(ids[0]).with_sample_index(i * 100);
@@ -832,16 +787,67 @@ mod tests {
             ..NoiseProfile::perfect()
         });
         let llm = Arc::new(SimulatedLlm::new(profile, world, 1));
-        let client = LlmClient::new(llm).with_retry(RetryPolicy {
-            max_attempts: 3,
-            backoff_ms: 0,
-        });
+        let client = LlmClient::routed(
+            BackendRegistry::single(llm),
+            RoutePolicy {
+                max_retries: 2,
+                ..SINGLE_MODEL_POLICY
+            },
+        );
         match client.complete(&check_req(ids[0])) {
             Err(LlmError::RetriesExhausted { attempts, last }) => {
                 assert_eq!(attempts, 3);
                 assert!(matches!(*last, LlmError::RateLimited { .. }));
             }
             other => panic!("expected exhaustion, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn new_is_the_one_backend_roster_and_its_breaker_never_opens() {
+        let (world, ids) = world_and_ids(64);
+        // A dead model: every call exhausts its three attempts, and no
+        // amount of consecutive failure turns that into `CircuitOpen`.
+        let dead = ModelProfile::perfect().with_noise(NoiseProfile {
+            rate_limit_prob: 1.0,
+            ..NoiseProfile::perfect()
+        });
+        let client = LlmClient::new(Arc::new(SimulatedLlm::new(dead, Arc::clone(&world), 1)));
+        for id in &ids {
+            match client.complete(&check_req(*id)) {
+                Err(LlmError::RetriesExhausted { attempts, last }) => {
+                    assert_eq!(attempts, 3);
+                    assert!(matches!(*last, LlmError::RateLimited { .. }));
+                }
+                other => panic!("expected exhaustion, got {other:?}"),
+            }
+        }
+        assert_eq!(client.stats().failures(), ids.len() as u64);
+        assert_eq!(client.stats().retries(), 2 * ids.len() as u64);
+
+        // A healthy model: `new` and the explicit spelling agree on every
+        // response, the ledger, and the tier they present.
+        let llm: Arc<dyn LanguageModel> =
+            Arc::new(SimulatedLlm::new(ModelProfile::gpt35_like(), world, 5));
+        let plain = LlmClient::new(Arc::clone(&llm));
+        let spelled = LlmClient::routed(
+            BackendRegistry::single(Arc::clone(&llm)),
+            RoutePolicy::default(),
+        );
+        for id in &ids {
+            let req = check_req(*id);
+            assert_eq!(plain.complete(&req), spelled.complete(&req));
+        }
+        assert_eq!(plain.ledger().calls(), spelled.ledger().calls());
+        assert_eq!(plain.ledger().usage(), spelled.ledger().usage());
+        assert_eq!(
+            plain.ledger().spend_usd().to_bits(),
+            spelled.ledger().spend_usd().to_bits()
+        );
+        for client in [&plain, &spelled] {
+            assert_eq!(client.model().name(), llm.name());
+            assert_eq!(client.model().pricing(), llm.pricing());
+            assert_eq!(client.model().context_window(), llm.context_window());
         }
     }
 

@@ -18,8 +18,9 @@
 //! * formatting-variant imputation answers, and
 //! * free-text chatter around answers (exercising downstream extraction).
 //!
-//! Client-side concerns — retries, caching, rate limiting, parallel dispatch,
-//! and cost accounting — live in [`LlmClient`].
+//! Client-side concerns — caching, coalescing, and cost accounting — live in
+//! [`LlmClient`]; transport concerns — backend selection, retries, backoff,
+//! hedging — live in the [`Router`] every client dispatches through.
 
 #![warn(missing_docs)]
 
@@ -44,7 +45,7 @@ pub use backend::{
     Backend, BackendRegistry, CancelToken, FaultKind, FaultSchedule, FaultWindow, LatencyProfile,
     SimBackend,
 };
-pub use client::{ClientStats, LlmClient, RetryPolicy};
+pub use client::{ClientStats, LlmClient};
 pub use error::LlmError;
 pub use model::{ModelProfile, NoiseProfile};
 pub use pricing::{CostLedger, Pricing};

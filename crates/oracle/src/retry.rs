@@ -1,8 +1,8 @@
-//! Retry-delay scheduling shared by the direct client and the router.
+//! Retry-delay scheduling for the router's retry loop.
 //!
-//! Both retry loops (the single-backend loop in [`crate::client::LlmClient`]
-//! and the multi-backend loop in [`crate::route::Router`]) need the same
-//! policy for *how long to sleep* before attempt `n + 1`:
+//! The one transport retry loop ([`crate::route::Router`]'s `complete`;
+//! every [`crate::client::LlmClient`] dispatches through it) asks this
+//! module *how long to sleep* before attempt `n + 1`:
 //!
 //! 1. **Server hints win.** A 429's `retry_after_ms` (or an open circuit's
 //!    earliest probe time) is the provider telling us when a retry can

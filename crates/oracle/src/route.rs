@@ -2,7 +2,9 @@
 //!
 //! The [`Router`] dispatches one model tier's traffic over a
 //! [`BackendRegistry`], below the [`crate::LlmClient`]'s cache/coalescing
-//! layer (the client sees the router as just another [`LanguageModel`]).
+//! layer. Every client owns one — [`crate::LlmClient::new`] over a
+//! one-backend roster — so the retry loop below is the only transport retry
+//! loop in the crate (repolint's `one-retry` rule keeps it that way).
 //! That layering is what makes the accounting invariants structural: a
 //! request that is retried across backends, or hedged onto two backends at
 //! once, still surfaces exactly one [`CompletionResponse`] to the client —
@@ -218,10 +220,16 @@ impl BackendState {
     fn on_transient_failure(&self, config: &BreakerConfig) {
         self.transient_failures.fetch_add(1, Ordering::Relaxed);
         let mut state = self.breaker.lock();
-        state.consecutive_failures += 1;
-        // A failed half-open probe re-opens immediately; otherwise open at
-        // the threshold.
-        if state.probing || state.consecutive_failures >= config.failure_threshold.max(1) {
+        state.consecutive_failures = state.consecutive_failures.saturating_add(1);
+        // Trip only on a transition: a failed half-open probe re-opens, a
+        // closed breaker opens at the threshold. A failure landing on an
+        // already-open breaker (a call in flight when it opened) is neither
+        // a new opening nor a reason to push the cooldown out.
+        let trips = match state.open_until {
+            Some(_) => state.probing,
+            None => state.consecutive_failures >= config.failure_threshold.max(1),
+        };
+        if trips {
             state.open_until = Some(Instant::now() + config.cooldown); // lint: allow(clock) — breaker cooldown anchor
             state.probing = false;
             self.breaker_trips.fetch_add(1, Ordering::Relaxed);
@@ -329,10 +337,10 @@ pub struct RouterStats {
 
 /// A failure-aware, optionally hedging dispatcher over a backend registry.
 ///
-/// Implements [`LanguageModel`], so an [`crate::LlmClient`] built over a
-/// router gains multi-backend routing transparently: the client's cache,
-/// coalescing, ledger, and budget accounting all operate on the single
-/// response the router returns per logical request.
+/// Implements [`LanguageModel`] — it is what [`crate::LlmClient::model`]
+/// hands out — and every [`crate::LlmClient`] dispatches through one: the
+/// client's cache, coalescing, ledger, and budget accounting all operate on
+/// the single response the router returns per logical request.
 pub struct Router {
     registry: BackendRegistry,
     policy: RoutePolicy,
@@ -403,11 +411,17 @@ impl Router {
             .fold(1.0, f64::max)
     }
 
+    /// Retry attempts so far: what [`crate::ClientStats::retries`] mirrors,
+    /// without building a whole [`RouterStats`] snapshot.
+    pub(crate) fn retries(&self) -> u64 {
+        self.retries.load(Ordering::Relaxed)
+    }
+
     /// Snapshot the router's behaviour counters.
     pub fn stats(&self) -> RouterStats {
         let now = Instant::now(); // lint: allow(clock) — stats snapshot anchor
         RouterStats {
-            retries: self.retries.load(Ordering::Relaxed),
+            retries: self.retries(),
             hedges_launched: self.hedges_launched.load(Ordering::Relaxed),
             hedges_won: self.hedges_won.load(Ordering::Relaxed),
             per_backend: self
@@ -676,8 +690,8 @@ impl LanguageModel for Router {
                     }
                 }
             };
-            // Re-roll the backend's transport fate per attempt (the same
-            // convention the client's own retry loop uses); temperature-0
+            // Re-roll the backend's transport fate per attempt, the way a
+            // real retry hits a different server moment; temperature-0
             // fingerprints ignore the sample index, so caching and answer
             // draws are unaffected.
             let mut attempt_request = request.clone();
@@ -1179,6 +1193,66 @@ mod tests {
             "after the trip, traffic no longer reaches the flaky backend"
         );
         assert_eq!(stats.per_backend[1].wins, ids.len() as u64);
+    }
+
+    #[test]
+    fn failures_landing_on_an_open_breaker_do_not_trip_it_again() {
+        const CALLS: usize = 8;
+        /// Fails every call, but only once all of them are in flight — so
+        /// most failures land after the breaker has already opened.
+        struct ParkedOutage {
+            parked: std::sync::Barrier,
+        }
+        impl Backend for ParkedOutage {
+            fn id(&self) -> &str {
+                "parked"
+            }
+            fn tier(&self) -> &str {
+                "sim-gpt-3.5-turbo"
+            }
+            fn context_window(&self) -> u32 {
+                4096
+            }
+            fn pricing(&self) -> Pricing {
+                Pricing::free()
+            }
+            fn slots(&self) -> usize {
+                0
+            }
+            fn complete(
+                &self,
+                _request: &CompletionRequest,
+                _cancel: &CancelToken,
+            ) -> Result<CompletionResponse, LlmError> {
+                self.parked.wait();
+                Err(LlmError::ServiceUnavailable)
+            }
+        }
+        let (_, ids) = shared_model(CALLS, 23);
+        let router = Router::new(
+            BackendRegistry::new(vec![Arc::new(ParkedOutage {
+                parked: std::sync::Barrier::new(CALLS),
+            }) as Arc<dyn Backend>])
+            .unwrap(),
+            RoutePolicy {
+                max_retries: 0,
+                breaker: BreakerConfig {
+                    failure_threshold: 5,
+                    cooldown: Duration::from_secs(3600),
+                },
+                ..RoutePolicy::default()
+            },
+        );
+        std::thread::scope(|scope| {
+            for id in &ids {
+                let router = &router;
+                scope.spawn(move || assert!(router.complete(&check(*id)).is_err()));
+            }
+        });
+        let stats = router.stats();
+        assert_eq!(stats.per_backend[0].transient_failures, CALLS as u64);
+        assert!(stats.per_backend[0].open);
+        assert_eq!(stats.per_backend[0].breaker_trips, 1, "one opening");
     }
 
     #[test]

@@ -279,6 +279,6 @@ fn auto_tuned_routes_by_shape_and_target() {
     let narrow = clustered_corpus(5000, 8, 4, 2);
     assert_eq!(
         KnnIndex::auto_tuned(narrow, Metric::L2, 1.0).kind(),
-        "vp_tree"
+        "brute_force"
     );
 }

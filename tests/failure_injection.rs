@@ -5,7 +5,6 @@
 use std::sync::Arc;
 
 use crowdprompt::core::ops::filter::FilterStrategy;
-use crowdprompt::oracle::client::RetryPolicy;
 use crowdprompt::oracle::model::NoiseProfile;
 use crowdprompt::oracle::world::{ItemId, WorldModel};
 use crowdprompt::oracle::LlmError;
@@ -24,23 +23,21 @@ fn flagged_world(n: usize) -> (WorldModel, Vec<ItemId>) {
     (w, items)
 }
 
-/// Which dispatch stack a scenario runs against: a plain single-backend
-/// client (retries in the client), or a routed registry of one or two
-/// backends (retries in the routing layer). Transport-failure scenarios run
-/// across all of them — their guarantees must not depend on the backend set.
+/// Which roster a scenario runs against: one backend or two. Transport-
+/// failure scenarios run across both — their guarantees must not depend on
+/// the backend set.
 #[derive(Debug, Clone, Copy)]
 enum Fleet {
-    Direct,
-    RoutedSingle,
-    RoutedPair,
+    Single,
+    Pair,
 }
 
-const ALL_FLEETS: [Fleet; 3] = [Fleet::Direct, Fleet::RoutedSingle, Fleet::RoutedPair];
+const ALL_FLEETS: [Fleet; 2] = [Fleet::Single, Fleet::Pair];
 
 /// Build a session over the given fleet with `attempts` total transport
-/// attempts per call (however the stack spreads them).
+/// attempts per call (however the router spreads them).
 ///
-/// The routed fleets pin an effectively-disabled circuit breaker: these
+/// Both fleets pin an effectively-disabled circuit breaker: these
 /// scenarios drive 100%-failure storms through parallel workers, and a
 /// default-threshold breaker would race the assertions (tripping turns
 /// `RetriesExhausted` into `CircuitOpen` depending on scheduling). The
@@ -74,14 +71,10 @@ fn fleet_session(
         .corpus(Corpus::from_world(&w, &items))
         .criterion("by index");
     let session = match fleet {
-        Fleet::Direct => builder.client(Arc::new(LlmClient::new(llm).with_retry(RetryPolicy {
-            max_attempts: attempts,
-            backoff_ms: 0,
-        }))),
-        Fleet::RoutedSingle => builder.client(routed(vec![
+        Fleet::Single => builder.client(routed(vec![
             Arc::new(SimBackend::new("solo", llm)) as Arc<dyn Backend>
         ])),
-        Fleet::RoutedPair => builder.client(routed(vec![
+        Fleet::Pair => builder.client(routed(vec![
             Arc::new(SimBackend::new("east", Arc::clone(&llm))) as Arc<dyn Backend>,
             Arc::new(SimBackend::new("west", llm)) as Arc<dyn Backend>,
         ])),
@@ -90,15 +83,13 @@ fn fleet_session(
     (session, items)
 }
 
-/// Transport retries performed anywhere in the stack: the client's own
-/// retry loop plus the routing layer's cross-backend retries.
+/// Transport retries the router performed.
 fn transport_retries(session: &Session) -> u64 {
-    let client = session.engine().client();
-    client.stats().retries() + client.router().map_or(0, |r| r.stats().retries)
+    session.engine().client().stats().retries()
 }
 
-fn session_with(noise: NoiseProfile, retry: RetryPolicy, seed: u64) -> (Session, Vec<ItemId>) {
-    fleet_session(noise, retry.max_attempts, seed, Fleet::Direct)
+fn session_with(noise: NoiseProfile, seed: u64) -> (Session, Vec<ItemId>) {
+    fleet_session(noise, 3, seed, Fleet::Single)
 }
 
 #[test]
@@ -111,8 +102,8 @@ fn flaky_transport_is_absorbed_by_retries() {
     for fleet in ALL_FLEETS {
         let (session, items) = fleet_session(noise.clone(), 8, 5, fleet);
         // A 30-item filter fires 30 calls; with 40% failure probability and
-        // 8 attempts, every call should eventually succeed — whichever
-        // layer owns the retry loop.
+        // 8 attempts, every call should eventually succeed — on either
+        // roster.
         let out = session
             .filter(&items, "keep", FilterStrategy::Single)
             .expect("retries should absorb transient failures");
@@ -155,7 +146,7 @@ fn malformed_contradictory_chatter_is_still_extracted() {
         chatter_level: 1.0,
         ..NoiseProfile::perfect()
     };
-    let (session, items) = session_with(noise, RetryPolicy::default(), 7);
+    let (session, items) = session_with(noise, 7);
     let out = session
         .filter(&items, "keep", FilterStrategy::Single)
         .expect("extraction should survive contradictory chatter");
@@ -284,7 +275,7 @@ fn breaker_opens_heals_and_degraded_batch_completes() {
 
 #[test]
 fn cache_prevents_double_billing_across_repeated_operations() {
-    let (session, items) = session_with(NoiseProfile::perfect(), RetryPolicy::default(), 10);
+    let (session, items) = session_with(NoiseProfile::perfect(), 10);
     session
         .filter(&items, "keep", FilterStrategy::Single)
         .unwrap();

@@ -12,6 +12,7 @@
 //! | `bench-keys`  | every `BENCH_*.json` series key is guarded by the baseline script|
 //! | `no-deprecated`| no `#[deprecated]` items and no `allow(deprecated)`, tests included|
 //! | `one-pump`    | `crates/core/src` starts threads in `exec.rs`'s pump and nowhere else|
+//! | `one-retry`   | `crates/oracle/src` calls `retry_delay` in `route.rs`'s loop and nowhere else|
 //!
 //! Pure std, no crates.io: scanning is lexical but *mask-accurate* — a small
 //! lexer blanks out comments, strings, and char literals first, so a banned
@@ -65,6 +66,12 @@ const DEPRECATED_EXEMPT: &str = "crates/shims/";
 /// (`core::serve` included) runs on it.
 const ONE_PUMP_SCOPE: &str = "crates/core/src/";
 const ONE_PUMP_HOME: &str = "crates/core/src/exec.rs";
+
+/// The one file under [`ONE_RETRY_SCOPE`] allowed to schedule a retry
+/// sleep: the router's loop is the crate's only transport retry loop, and
+/// every client dispatches through it.
+const ONE_RETRY_SCOPE: &str = "crates/oracle/src/";
+const ONE_RETRY_HOME: &str = "crates/oracle/src/route.rs";
 
 const BASELINE_GUARD: &str = "ci/check_bench_baselines.sh";
 
@@ -567,6 +574,26 @@ fn lint_rust_source(rel: &str, src: &str) -> Vec<Finding> {
         }
     }
 
+    if rel.starts_with(ONE_RETRY_SCOPE) && rel != ONE_RETRY_HOME {
+        for offset in find_token(&masked, "retry_delay") {
+            // A call, not the definition in `retry.rs`.
+            let defined_here = masked[..offset]
+                .iter()
+                .rev()
+                .skip_while(|c| c.is_whitespace())
+                .take(2)
+                .eq(['n', 'f'].iter());
+            if library_code(offset) && !defined_here {
+                push(
+                    "one-retry",
+                    "`retry_delay(..)` schedules a second transport retry loop beside the router's".to_string(),
+                    "dispatch through `Router::complete` (every `LlmClient` owns a router) instead of retrying here",
+                    offset,
+                );
+            }
+        }
+    }
+
     for offset in find_money_eq(&masked, &index) {
         if library_code(offset) {
             push(
@@ -943,6 +970,24 @@ mod tests {
         assert!(lint_rust_source("crates/core/src/exec.rs", src).is_empty());
         assert!(lint_rust_source("crates/oracle/src/route.rs", src).is_empty());
         assert!(lint_rust_source("crates/core/tests/prop.rs", src).is_empty());
+    }
+
+    #[test]
+    fn one_retry_flags_retry_delay_calls_in_oracle_outside_route() {
+        let src = concat!(
+            "fn again() { let _ = crate::retry::retry_delay(0, 1, None, 7, None, now); }\n",
+            "pub fn retry_delay(backoff_ms: u64) -> u64 { let retry_delay_ms = backoff_ms; retry_delay_ms }\n",
+            "#[cfg(test)]\n",
+            "mod tests { fn t() { let _ = retry_delay(0, 1, None, 7, None, now); } }\n",
+        );
+        let f = lint_rust_source("crates/oracle/src/client.rs", src);
+        assert_eq!(codes(&f), vec!["one-retry"]);
+        assert_eq!((f[0].line, f[0].col), (1, 36));
+        // The definition (line 2) is not a call; the loop's home, other
+        // crates, and test trees are out of scope.
+        assert!(lint_rust_source("crates/oracle/src/route.rs", src).is_empty());
+        assert!(lint_rust_source("crates/core/src/exec.rs", src).is_empty());
+        assert!(lint_rust_source("crates/oracle/tests/prop.rs", src).is_empty());
     }
 
     #[test]

@@ -69,6 +69,18 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         "pub fn pump() { std::thread::scope(|s| { s.spawn(|| ()); }); }\n",
     );
     repo.write(
+        "crates/oracle/src/bad_retry.rs",
+        "pub fn again(d: Option<std::time::Instant>) { let _ = crate::retry::retry_delay(0, 1, None, 7, d, d); }\n",
+    );
+    repo.write(
+        "crates/oracle/src/route.rs",
+        "pub fn complete(d: Option<std::time::Instant>) { let _ = crate::retry::retry_delay(0, 1, None, 7, d, d); }\n",
+    );
+    repo.write(
+        "crates/oracle/src/retry.rs",
+        "pub fn retry_delay(backoff_ms: u64) -> u64 { backoff_ms }\n",
+    );
+    repo.write(
         "tests/bad_shim.rs",
         "#![allow(deprecated)]\n\n#[deprecated(note = \"old\")]\nfn old() {}\n",
     );
@@ -93,7 +105,9 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         "error[bench-keys]",
         "error[no-deprecated]",
         "error[one-pump]",
+        "error[one-retry]",
         "--> crates/core/src/bad_loop.rs:1:23",
+        "--> crates/oracle/src/bad_retry.rs:1:69",
         "--> tests/bad_shim.rs:1:1",
         "--> tests/bad_shim.rs:3:1",
         "--> crates/core/src/bad_sync.rs:1:16",
@@ -111,10 +125,16 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         !stderr.contains("crates/core/src/exec.rs"),
         "the pump's own scope is the one allowed:\n{stderr}"
     );
+    for home in ["crates/oracle/src/route.rs", "crates/oracle/src/retry.rs"] {
+        assert!(
+            !stderr.contains(home),
+            "the router's loop and the definition are not findings:\n{stderr}"
+        );
+    }
     // Three lock names across the two imports, two unwrap forms, two
-    // deprecation attributes, one each of the rest: 3 + 2 + 2 + 1 + 1 + 1 + 1.
+    // deprecation attributes, one each of the rest: 3 + 2 + 2 + 1 + 1 + 1 + 1 + 1.
     assert!(
-        stderr.contains("11 finding(s)"),
+        stderr.contains("12 finding(s)"),
         "unexpected total in:\n{stderr}"
     );
 }
@@ -154,8 +174,9 @@ fn this_repository_is_clean() {
     // read, direct std::sync lock, raw money equality, or unguarded bench
     // series anywhere in the tree fails the test suite, not just the CI
     // lint job. The same goes for a `#[deprecated]` shim or an
-    // `allow(deprecated)`, in tests and examples too, and for a thread
-    // started in `crates/core/src` outside `exec.rs`'s pump.
+    // `allow(deprecated)`, in tests and examples too, for a thread
+    // started in `crates/core/src` outside `exec.rs`'s pump, and for a
+    // `retry_delay` call in `crates/oracle/src` outside `route.rs`'s loop.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let out = run_repolint(&root);
     let stderr = String::from_utf8_lossy(&out.stderr);
