@@ -124,7 +124,7 @@ fn ablation_chunks(seed: u64) {
 // ---------------------------------------------------------------------------
 
 fn ablation_proxy(seed: u64) {
-    use crowdprompt_core::proxy::{filter_with_proxy, train_proxy};
+    use crowdprompt_core::ops::filter::{filter, FilterStrategy};
     use crowdprompt_data::ReviewsDataset;
 
     let data = ReviewsDataset::generate(300, seed);
@@ -141,13 +141,9 @@ fn ablation_proxy(seed: u64) {
     ));
     let engine = Engine::new(Arc::new(LlmClient::new(llm)), corpus);
 
-    // Train on the first 60 snippets; evaluate on the rest.
-    let train = &data.items[..60];
-    let rest = &data.items[60..];
-    let proxy = train_proxy(&engine, train, "positive")
-        .expect("training sample has both classes")
-        .value;
-
+    // The LLM labels the first 60 snippets; evaluate on the rest.
+    const TRAIN: usize = 60;
+    let rest = &data.items[TRAIN..];
     let gold: Vec<bool> = rest
         .iter()
         .map(|id| data.world.flag(*id, "positive").unwrap())
@@ -162,24 +158,29 @@ fn ablation_proxy(seed: u64) {
             "Tokens",
         ],
     );
-    for threshold in [0.0f64, 0.02, 0.05, 0.1, 2.0] {
-        let out =
-            filter_with_proxy(&engine, rest, "positive", &proxy, threshold).expect("filter runs");
-        let kept: std::collections::HashSet<ItemId> = out.value.kept.iter().copied().collect();
+    for min_confidence_pct in [0u8, 2, 5, 10, 200] {
+        let strategy = FilterStrategy::ProxyGated {
+            train: TRAIN,
+            min_confidence_pct,
+        };
+        let out = filter(&engine, &data.items, "positive", strategy).expect("filter runs");
+        let kept: std::collections::HashSet<ItemId> = out.value.iter().copied().collect();
         let correct = rest
             .iter()
             .zip(&gold)
             .filter(|(id, g)| kept.contains(id) == **g)
             .count();
+        // Every call past the training labels is one referred item.
+        let llm_decisions = out.calls as usize - TRAIN;
         table.add_row(&[
-            if threshold > 1.0 {
+            if min_confidence_pct > 100 {
                 "LLM only".to_owned()
             } else {
-                format!("{threshold:.2}")
+                format!("{:.2}", f64::from(min_confidence_pct) / 100.0)
             },
             format!("{:.3}", correct as f64 / rest.len() as f64),
-            out.value.proxy_decisions.to_string(),
-            out.value.llm_decisions.to_string(),
+            (rest.len() - llm_decisions).to_string(),
+            llm_decisions.to_string(),
             out.usage.total().to_string(),
         ]);
     }

@@ -1,46 +1,46 @@
 //! Multi-model routing (§3.5): "determine which LLM to ask at each step, to
 //! ensure a given accuracy overall, while keeping costs low."
 //!
-//! Two strategies from the crowdsourcing literature, transplanted:
+//! [`run_cascade`] is FrugalGPT-style tiering: poll the cheapest model
+//! first and escalate to pricier tiers only the items whose vote margin is
+//! not confident. (The section's other strategy, CrowdScreen-style
+//! sequential asking, runs on one engine and is
+//! [`FilterStrategy::Sequential`](crate::ops::filter::FilterStrategy::Sequential).)
 //!
-//! * [`ModelCascade`] — FrugalGPT-style tiering: ask the cheapest model
-//!   first and escalate to pricier tiers only when the cheap answer is not
-//!   confident (vote margin below threshold).
-//! * [`sequential_ask`] — CrowdScreen-style sequential probability
-//!   ratio testing: keep collecting votes (cheapest available source first)
-//!   until the posterior log-odds of one answer clears a threshold, then
-//!   stop. Items with high disagreement soak up more budget — exactly the
-//!   paper's "data items for which there is more disagreement … are more
-//!   valuable to spend money on".
-
-use std::sync::Arc;
+//! The cascade is the one strategy that spans engines, which is why it is
+//! a function over borrowed engines and not a plan node: an [`Engine`] has
+//! one client, and a `Query` plans against one engine. Each tier is
+//! therefore an engine the caller already owns — a session's, or a
+//! tenant's handle from `Server::engine_for` — and its polls run under
+//! that engine's budget, failure policy, deadline, trace and leases.
+//! Escalating past a tier that is down is that policy at work, not a
+//! cascade feature: under [`FailurePolicy::Degrade`](crate::FailurePolicy)
+//! the tier's lost votes leave their items without a margin, so they
+//! escalate; under `FailFast` the tier's error is the cascade's.
 
 use crowdprompt_oracle::task::TaskDescriptor;
-use crowdprompt_oracle::{LlmClient, LlmError};
 
-use crate::corpus::Corpus;
 use crate::error::EngineError;
 use crate::exec::Engine;
-use crate::extract;
+use crate::ops::filter::{Ballot, Draw, Poll};
 use crate::outcome::{CostMeter, Outcome};
 
-/// One tier of a cascade: a client plus its (estimated) per-call accuracy on
-/// the task type, as measured on a validation set (§3.5).
-pub struct CascadeTier {
-    /// The model client for this tier.
-    pub client: Arc<LlmClient>,
-    /// Estimated probability this tier answers a unit task correctly.
-    pub accuracy: f64,
+/// One tier of a cascade: the engine to poll and how to poll it.
+#[derive(Clone, Copy)]
+pub struct CascadeTier<'e> {
+    /// The tier's engine (its client is the tier's model).
+    pub engine: &'e Engine,
     /// Votes to collect from this tier before judging confidence.
     pub votes: u32,
-    /// Sampling temperature for decorrelating those votes.
-    pub temperature: f64,
+    /// Sampling temperature for decorrelating those votes, in hundredths.
+    pub temperature_pct: u8,
 }
 
 /// Per-item result of a cascade run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CascadeVerdict {
-    /// The final answer.
+    /// The final answer ("no" for an item no tier could answer; its
+    /// `votes` is then 0 and the last tier's engine holds the salvage note).
     pub answer: bool,
     /// Index of the deepest tier consulted.
     pub deepest_tier: usize,
@@ -48,225 +48,79 @@ pub struct CascadeVerdict {
     pub votes: u32,
 }
 
-/// A tiered cascade over yes/no unit tasks.
-pub struct ModelCascade {
-    tiers: Vec<CascadeTier>,
-    corpus: Corpus,
-    /// Minimum |yes − no| / total vote margin to accept a tier's verdict
-    /// without escalating.
-    margin_threshold: f64,
-    seed: u64,
-}
-
-impl ModelCascade {
-    /// Build a cascade over the given tiers (cheapest first).
-    ///
-    /// # Panics
-    /// Panics if `tiers` is empty.
-    pub fn new(tiers: Vec<CascadeTier>, corpus: Corpus) -> Self {
-        assert!(!tiers.is_empty(), "cascade needs at least one tier");
-        ModelCascade {
-            tiers,
-            corpus,
-            margin_threshold: 0.6,
-            seed: 0,
-        }
-    }
-
-    /// Set the escalation margin in `[0, 1]` (builder style). `0.6` means a
-    /// 4-to-1 vote (margin 0.6) is confident enough to stop.
-    #[must_use]
-    pub fn with_margin(mut self, margin: f64) -> Self {
-        self.margin_threshold = margin.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Set the engine seed used for tier engines (builder style).
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Answer one yes/no task, escalating through tiers until confident.
-    pub fn ask(&self, task: TaskDescriptor) -> Result<Outcome<CascadeVerdict>, EngineError> {
-        let out = self.ask_many(vec![task])?;
-        let mut verdicts = out.value;
-        let verdict = verdicts.pop().expect("one verdict per task"); // lint: allow(no-unwrap)
-        Ok(Outcome {
-            value: verdict,
-            usage: out.usage,
-            calls: out.calls,
-            cost_usd: out.cost_usd,
-        })
-    }
-
-    /// Answer a batch of tasks, returning verdicts in order.
-    ///
-    /// The batch escalates *tier by tier*: every vote for every unresolved
-    /// task goes through the tier engine's pipelined dispatcher as one
-    /// fan-out, so a hundred items at tier 0 cost one dispatch rather than
-    /// a hundred sequential vote loops. Tasks whose vote margin clears the
-    /// threshold settle at that tier; the rest escalate together. Requests
-    /// are identical to the sequential formulation (same task, temperature,
-    /// and sample index), so verdicts match it call for call.
-    pub fn ask_many(
-        &self,
-        tasks: Vec<TaskDescriptor>,
-    ) -> Result<Outcome<Vec<CascadeVerdict>>, EngineError> {
-        let mut meter = CostMeter::new();
-        let total = tasks.len();
-        let mut verdicts: Vec<Option<CascadeVerdict>> = (0..total).map(|_| None).collect();
-        // (original index, task, votes consumed by earlier tiers)
-        let mut unresolved: Vec<(usize, TaskDescriptor, u32)> = tasks
-            .into_iter()
-            .enumerate()
-            .map(|(i, task)| (i, task, 0))
-            .collect();
-        for (t, tier) in self.tiers.iter().enumerate() {
-            if unresolved.is_empty() {
-                break;
-            }
-            let engine = Engine::new(Arc::clone(&tier.client), self.corpus.clone())
-                .with_seed(self.seed ^ (t as u64) << 32);
-            let votes = tier.votes.max(1);
-            let specs: Vec<(TaskDescriptor, f64, u32)> = unresolved
-                .iter()
-                .flat_map(|(_, task, _)| (0..votes).map(|s| (task.clone(), tier.temperature, s)))
-                .collect();
-            let is_last_tier = t + 1 == self.tiers.len();
-            // Snapshot the tier client's ledger: if the dispatch fails
-            // partway, the calls it completed before failing fast are
-            // already billed there, and the outcome meter must not lose
-            // them.
-            let ledger = tier.client.ledger();
-            let before = (ledger.calls(), ledger.usage(), ledger.spend_usd());
-            // A tier whose breakers are all mid-cooldown advertises its
-            // earliest half-open probe time in the error. When that probe is
-            // imminent, waiting it out and re-dispatching once is far
-            // cheaper than escalating the whole unresolved batch to a
-            // pricier tier; a longer cooldown escalates immediately.
-            const PROBE_WAIT_CAP_MS: u64 = 50;
-            let mut probed = false;
-            let dispatched = loop {
-                match engine.run_sampled_many(specs.clone()) {
-                    Err(EngineError::Llm(LlmError::CircuitOpen { retry_in_ms, .. }))
-                        if !probed && retry_in_ms <= PROBE_WAIT_CAP_MS =>
-                    {
-                        probed = true;
-                        parking_lot::blocking_region("breaker probe wait");
-                        std::thread::sleep(std::time::Duration::from_millis(retry_in_ms.max(1)));
-                    }
-                    other => break other,
-                }
-            };
-            let responses = match dispatched {
-                Ok(responses) => responses,
-                // Failure-aware escalation: a tier whose serving capacity is
-                // gone — every backend circuit-broken, or transient-failure
-                // retries exhausted — escalates the whole unresolved batch
-                // to the next tier instead of failing the cascade. Only the
-                // last tier's failures are terminal.
-                Err(EngineError::Llm(
-                    LlmError::CircuitOpen { .. } | LlmError::RetriesExhausted { .. },
-                )) if !is_last_tier => {
-                    // The failed dispatch's partial spend (successes billed
-                    // before the fail-fast stop; responses discarded) is
-                    // folded in from the ledger delta, keeping the outcome
-                    // meter consistent with ledger and budget. Cache hits
-                    // are free in the ledger and therefore absent here —
-                    // acceptable, since their responses were lost anyway.
-                    let usage = ledger.usage();
-                    meter.calls += ledger.calls() - before.0;
-                    meter.usage += crowdprompt_oracle::Usage {
-                        prompt_tokens: usage.prompt_tokens - before.1.prompt_tokens,
-                        completion_tokens: usage.completion_tokens - before.1.completion_tokens,
-                    };
-                    meter.cost_usd += ledger.spend_usd() - before.2;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            let mut escalating = Vec::new();
-            for (k, (index, task, prior_votes)) in unresolved.into_iter().enumerate() {
-                let mut yes = 0u32;
-                for resp in &responses[k * votes as usize..(k + 1) * votes as usize] {
-                    meter.add(resp.usage, engine.cost_of_response(resp));
-                    if extract::yes_no(&resp.text)? {
-                        yes += 1;
-                    }
-                }
-                let answer = yes * 2 > votes;
-                let margin = (2.0 * f64::from(yes) / f64::from(votes) - 1.0).abs();
-                let total_votes = prior_votes + votes;
-                if margin >= self.margin_threshold || is_last_tier {
-                    verdicts[index] = Some(CascadeVerdict {
-                        answer,
-                        deepest_tier: t,
-                        votes: total_votes,
-                    });
-                } else {
-                    escalating.push((index, task, total_votes));
-                }
-            }
-            unresolved = escalating;
-        }
-        Ok(meter.into_outcome(
-            verdicts
-                .into_iter()
-                .map(|v| v.expect("every task settles by the last tier")) // lint: allow(no-unwrap)
-                .collect(),
-        ))
-    }
-}
-
-/// CrowdScreen-style sequential asking on one engine: collect votes one at a
-/// time (at `temperature`), updating posterior log-odds under the engine
-/// model's assumed per-call `accuracy`, and stop as soon as
-/// `|log-odds| >= threshold_log_odds` or `max_votes` is reached.
+/// Answer a batch of yes/no tasks over `tiers` (cheapest first), returning
+/// verdicts in task order.
 ///
-/// Returns `(answer, votes_used)` with cost accounting. With
-/// `threshold_log_odds = ln(19)` the stopping rule targets ~95% posterior
-/// confidence under the accuracy model.
-pub fn sequential_ask(
-    engine: &Engine,
-    task: TaskDescriptor,
-    accuracy: f64,
-    threshold_log_odds: f64,
-    max_votes: u32,
-    temperature: f64,
-) -> Result<Outcome<(bool, u32)>, EngineError> {
-    if !(0.5..1.0).contains(&accuracy) {
-        return Err(EngineError::InvalidInput(format!(
-            "sequential_ask needs accuracy in [0.5, 1.0), got {accuracy}"
-        )));
-    }
-    let step = (accuracy / (1.0 - accuracy)).ln();
-    let mut log_odds = 0.0f64;
+/// The batch escalates *tier by tier*: every vote for every unresolved task
+/// goes through the tier engine's dispatcher as one fan-out. A task settles
+/// at the first tier where `|yes − no| / votes asked` reaches `margin` (in
+/// `[0, 1]`; `0.6` accepts a 4-to-1 vote) — a lost vote counts against the
+/// margin, so a task whose every vote was lost always escalates — and at
+/// the last tier regardless.
+pub fn run_cascade(
+    tiers: &[CascadeTier<'_>],
+    tasks: Vec<TaskDescriptor>,
+    margin: f64,
+) -> Result<Outcome<Vec<CascadeVerdict>>, EngineError> {
+    let Some(last) = tiers.len().checked_sub(1) else {
+        return Err(EngineError::InvalidInput(
+            "a cascade needs at least one tier".into(),
+        ));
+    };
+    let margin = margin.clamp(0.0, 1.0);
     let mut meter = CostMeter::new();
-    let mut votes = 0u32;
-    while votes < max_votes.max(1) {
-        let resp = engine.run_sampled(task.clone(), temperature, votes)?;
-        meter.add(resp.usage, engine.cost_of_response(&resp));
-        votes += 1;
-        if extract::yes_no(&resp.text)? {
-            log_odds += step;
-        } else {
-            log_odds -= step;
-        }
-        if log_odds.abs() >= threshold_log_odds {
+    let mut verdicts = vec![
+        CascadeVerdict {
+            answer: false,
+            deepest_tier: 0,
+            votes: 0,
+        };
+        tasks.len()
+    ];
+    let mut open: Vec<usize> = (0..tasks.len()).collect();
+    for (t, tier) in tiers.iter().enumerate() {
+        if open.is_empty() {
             break;
         }
+        let votes = tier.votes.max(1);
+        let draw = Draw::Sampled {
+            votes,
+            temperature_pct: tier.temperature_pct,
+            offset: 0,
+        };
+        let mut poll = Poll::new(tier.engine, "cascade", 1, meter);
+        let mut ballot = Ballot::new(tasks.len());
+        poll.round(&mut ballot, &open, |index| tasks[index].clone(), draw)?;
+        let asked = open.len();
+        open.retain(|&index| {
+            let (yes, counted) = ballot.votes(index);
+            let verdict = &mut verdicts[index];
+            verdict.deepest_tier = t;
+            verdict.votes += counted;
+            let confident = f64::from(yes.abs_diff(counted - yes)) / f64::from(votes) >= margin;
+            // Deciding also clears the tier's loss note for an item that
+            // kept at least one vote.
+            let decided = poll.decide(&ballot, index);
+            if confident || t == last {
+                verdict.answer = decided == Some(true);
+            }
+            !confident
+        });
+        meter = poll.finish(asked);
     }
-    Ok(meter.into_outcome((log_odds >= 0.0, votes)))
+    Ok(meter.into_outcome(verdicts))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus::Corpus;
+    use crate::ops::filter::{filter, FilterStrategy};
     use crowdprompt_oracle::model::{ModelProfile, NoiseProfile};
     use crowdprompt_oracle::sim::SimulatedLlm;
     use crowdprompt_oracle::world::{ItemId, WorldModel};
+    use crowdprompt_oracle::LlmClient;
+    use std::sync::Arc;
 
     fn world_with_flags(n: usize) -> (WorldModel, Vec<ItemId>) {
         let mut w = WorldModel::new();
@@ -280,12 +134,13 @@ mod tests {
         (w, ids)
     }
 
-    fn client_with_accuracy(
+    fn engine_with_accuracy(
         world: &WorldModel,
+        ids: &[ItemId],
         accuracy: f64,
         price_mult: f64,
         seed: u64,
-    ) -> Arc<LlmClient> {
+    ) -> Engine {
         let mut profile = ModelProfile::gpt35_like().with_noise(NoiseProfile {
             check_accuracy: accuracy,
             malformed_rate: 0.0,
@@ -295,76 +150,49 @@ mod tests {
             crowdprompt_oracle::Pricing::new(0.0002 * price_mult, 0.0004 * price_mult);
         profile.name = format!("tier-{price_mult}");
         let llm = SimulatedLlm::new(profile, Arc::new(world.clone()), seed);
-        Arc::new(LlmClient::new(Arc::new(llm)).without_cache())
+        Engine::new(
+            Arc::new(LlmClient::new(Arc::new(llm)).without_cache()),
+            Corpus::from_world(world, ids),
+        )
     }
 
-    fn check(id: ItemId) -> TaskDescriptor {
-        TaskDescriptor::CheckPredicate {
-            item: id,
-            predicate: "valid".into(),
+    fn checks(ids: &[ItemId]) -> Vec<TaskDescriptor> {
+        ids.iter()
+            .map(|id| TaskDescriptor::CheckPredicate {
+                item: *id,
+                predicate: "valid".into(),
+            })
+            .collect()
+    }
+
+    fn tier(engine: &Engine, votes: u32) -> CascadeTier<'_> {
+        CascadeTier {
+            engine,
+            votes,
+            temperature_pct: 100,
         }
     }
 
     #[test]
     fn confident_cheap_tier_never_escalates() {
         let (w, ids) = world_with_flags(10);
-        let cheap = client_with_accuracy(&w, 1.0, 1.0, 1);
-        let pricey = client_with_accuracy(&w, 1.0, 100.0, 2);
-        let corpus = Corpus::from_world(&w, &ids);
-        let cascade = ModelCascade::new(
-            vec![
-                CascadeTier {
-                    client: cheap,
-                    accuracy: 1.0,
-                    votes: 3,
-                    temperature: 1.0,
-                },
-                CascadeTier {
-                    client: pricey,
-                    accuracy: 1.0,
-                    votes: 3,
-                    temperature: 1.0,
-                },
-            ],
-            corpus,
-        );
-        let out = cascade
-            .ask_many(ids.iter().map(|id| check(*id)).collect())
-            .unwrap();
+        let cheap = engine_with_accuracy(&w, &ids, 1.0, 1.0, 1);
+        let pricey = engine_with_accuracy(&w, &ids, 1.0, 100.0, 2);
+        let out = run_cascade(&[tier(&cheap, 3), tier(&pricey, 3)], checks(&ids), 0.6).unwrap();
         for (v, (i, _)) in out.value.iter().zip(ids.iter().enumerate()) {
             assert_eq!(v.deepest_tier, 0, "perfect cheap tier suffices");
             assert_eq!(v.answer, i % 2 == 0);
         }
+        assert_eq!(out.calls, 30, "three cheap votes per item and nothing else");
     }
 
     #[test]
     fn unreliable_cheap_tier_escalates_and_recovers_accuracy() {
         let (w, ids) = world_with_flags(40);
         // A coin-flip cheap tier and an excellent expensive tier.
-        let cheap = client_with_accuracy(&w, 0.55, 1.0, 3);
-        let pricey = client_with_accuracy(&w, 0.98, 50.0, 4);
-        let corpus = Corpus::from_world(&w, &ids);
-        let cascade = ModelCascade::new(
-            vec![
-                CascadeTier {
-                    client: cheap,
-                    accuracy: 0.55,
-                    votes: 5,
-                    temperature: 1.0,
-                },
-                CascadeTier {
-                    client: Arc::clone(&pricey),
-                    accuracy: 0.98,
-                    votes: 3,
-                    temperature: 1.0,
-                },
-            ],
-            corpus,
-        )
-        .with_margin(0.8);
-        let out = cascade
-            .ask_many(ids.iter().map(|id| check(*id)).collect())
-            .unwrap();
+        let cheap = engine_with_accuracy(&w, &ids, 0.55, 1.0, 3);
+        let pricey = engine_with_accuracy(&w, &ids, 0.98, 50.0, 4);
+        let out = run_cascade(&[tier(&cheap, 5), tier(&pricey, 3)], checks(&ids), 0.8).unwrap();
         let escalated = out.value.iter().filter(|v| v.deepest_tier == 1).count();
         assert!(
             escalated > 10,
@@ -385,38 +213,16 @@ mod tests {
     #[test]
     fn cascade_cheaper_than_always_asking_expensive_tier() {
         let (w, ids) = world_with_flags(30);
-        let cheap = client_with_accuracy(&w, 0.9, 1.0, 5);
-        let pricey = client_with_accuracy(&w, 0.98, 50.0, 6);
-        let corpus = Corpus::from_world(&w, &ids);
-        let cascade = ModelCascade::new(
-            vec![
-                CascadeTier {
-                    client: cheap,
-                    accuracy: 0.9,
-                    votes: 3,
-                    temperature: 1.0,
-                },
-                CascadeTier {
-                    client: Arc::clone(&pricey),
-                    accuracy: 0.98,
-                    votes: 3,
-                    temperature: 1.0,
-                },
-            ],
-            Corpus::from_world(&w, &ids),
-        );
-        let cascade_out = cascade
-            .ask_many(ids.iter().map(|id| check(*id)).collect())
-            .unwrap();
-        // All-expensive comparison.
-        let engine = Engine::new(pricey, corpus);
-        let mut expensive_cost = 0.0;
-        for id in &ids {
-            for s in 0..3 {
-                let resp = engine.run_sampled(check(*id), 1.0, s).unwrap();
-                expensive_cost += engine.cost_of_response(&resp);
-            }
-        }
+        let cheap = engine_with_accuracy(&w, &ids, 0.9, 1.0, 5);
+        let pricey = engine_with_accuracy(&w, &ids, 0.98, 50.0, 6);
+        let cascade_out =
+            run_cascade(&[tier(&cheap, 3), tier(&pricey, 3)], checks(&ids), 0.6).unwrap();
+        // All-expensive comparison: the same three votes, every item.
+        let all_pricey = FilterStrategy::MajorityVote {
+            votes: 3,
+            temperature_pct: 100,
+        };
+        let expensive_cost = filter(&pricey, &ids, "valid", all_pricey).unwrap().cost_usd;
         assert!(
             cascade_out.cost_usd < expensive_cost * 0.6,
             "cascade ${:.4} should undercut all-expensive ${:.4}",
@@ -426,58 +232,11 @@ mod tests {
     }
 
     #[test]
-    fn sequential_ask_stops_early_on_agreement() {
-        let (w, ids) = world_with_flags(2);
-        let client = client_with_accuracy(&w, 0.95, 1.0, 7);
-        let engine = Engine::new(client, Corpus::from_world(&w, &ids));
-        let out = sequential_ask(&engine, check(ids[0]), 0.9, (19.0f64).ln(), 25, 1.0).unwrap();
-        let (answer, votes) = out.value;
-        assert!(answer, "item 0 is valid");
-        assert!(votes <= 4, "agreement should stop early, used {votes}");
-        assert_eq!(out.calls, u64::from(votes));
-    }
-
-    #[test]
-    fn sequential_ask_spends_more_on_disagreement() {
-        let (w, ids) = world_with_flags(2);
-        // Coin-flip oracle: votes disagree, log-odds random-walk slowly.
-        let flip = client_with_accuracy(&w, 0.5, 1.0, 8);
-        let engine = Engine::new(flip, Corpus::from_world(&w, &ids));
-        let mut total_votes = 0u32;
-        for trial in 0..10 {
-            let out = sequential_ask(
-                &engine,
-                TaskDescriptor::CheckPredicate {
-                    item: ids[trial % 2],
-                    predicate: "valid".into(),
-                },
-                0.75,
-                (19.0f64).ln(),
-                15,
-                1.0 + trial as f64 * 1e-9, // distinct fingerprints per trial
-            )
-            .unwrap();
-            total_votes += out.value.1;
-        }
-        assert!(
-            total_votes > 40,
-            "disagreement should consume votes: {total_votes}/150"
-        );
-    }
-
-    #[test]
-    fn sequential_ask_validates_accuracy() {
-        let (w, ids) = world_with_flags(1);
-        let client = client_with_accuracy(&w, 0.9, 1.0, 9);
-        let engine = Engine::new(client, Corpus::from_world(&w, &ids));
-        assert!(sequential_ask(&engine, check(ids[0]), 1.5, 1.0, 5, 0.0).is_err());
-        assert!(sequential_ask(&engine, check(ids[0]), 0.3, 1.0, 5, 0.0).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one tier")]
-    fn empty_cascade_panics() {
-        let (w, ids) = world_with_flags(1);
-        let _ = ModelCascade::new(Vec::new(), Corpus::from_world(&w, &ids));
+    fn empty_cascade_is_invalid_input() {
+        let (_, ids) = world_with_flags(1);
+        assert!(matches!(
+            run_cascade(&[], checks(&ids), 0.6),
+            Err(EngineError::InvalidInput(_))
+        ));
     }
 }

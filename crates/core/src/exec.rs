@@ -547,8 +547,7 @@ impl Engine {
         self.run_sampled(task, self.temperature, 0)
     }
 
-    /// Execute one unit task at an explicit sample index and temperature
-    /// (used by self-consistency voting).
+    /// Execute one unit task at an explicit sample index and temperature.
     pub fn run_sampled(
         &self,
         task: TaskDescriptor,
@@ -575,11 +574,11 @@ impl Engine {
 
     /// Execute a batch of `(task, temperature, sample_index)` calls through
     /// the pipelined dispatcher, preserving order; the batched form of
-    /// [`Engine::run_sampled`], and always strict like [`Engine::run_many`].
-    /// Voting strategies (self-consistency, cascades) stream their whole
-    /// vote fan-out through one dispatch. Budget admission is per call at
-    /// execution time — each vote admitted against *actual* spend so far —
-    /// not `run_many`'s stricter cumulative pre-admission.
+    /// [`Engine::run_sampled`], and always strict like [`Engine::run_many`]
+    /// (the voting strategies obey the failure policy instead, through
+    /// [`RunSpec::sampled`]). Budget admission is per call at execution
+    /// time — each call admitted against *actual* spend so far — not
+    /// `run_many`'s stricter cumulative pre-admission.
     pub fn run_sampled_many(
         &self,
         specs: Vec<(TaskDescriptor, f64, u32)>,
@@ -1284,7 +1283,7 @@ pub enum RunSpec {
         tasks: Vec<TaskDescriptor>,
     },
     /// One call per `(task, temperature, sample_index)` spec — the voting
-    /// fan-out shape (self-consistency, cascades, escalation).
+    /// fan-out shape of a per-item poll round (`ops::filter`).
     Sampled {
         /// The call specs, in output order.
         specs: Vec<(TaskDescriptor, f64, u32)>,

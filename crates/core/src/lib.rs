@@ -21,13 +21,16 @@
 //! * [`consistency`] — transitive closure and ranking repair (§3.3).
 //! * [`blocking`] — the shared embedding-blocking index all operators
 //!   route non-LLM candidate pruning through (§3.4).
-//! * [`ops`] — the operators, each with multiple strategies (§3.1–3.4).
-//! * [`quality`] — majority vote, self-consistency, Dawid–Skene EM,
-//!   self-verification (§3.5).
-//! * [`cascade`] — multi-model routing: FrugalGPT-style tiering and
-//!   CrowdScreen-style sequential asking (§3.5).
-//! * [`proxy`] — LLM-trained cheap proxy models with
-//!   escalate-on-uncertainty filtering (§3.4).
+//! * [`proxy`] — the LLM-trained nearest-centroid proxy classifier (§3.4).
+//! * [`ops`] — the operators, each with multiple strategies (§3.1–3.5).
+//!   [`mod@ops::filter`] holds the one vote loop: majority voting,
+//!   self-consistency, sequential asking, proxy gating and
+//!   self-verification are [`ops::filter::FilterStrategy`] variants, so a
+//!   `Query` runs them under a session's or a tenant's budget.
+//! * [`quality`] — the pure vote aggregators: Dawid–Skene EM and
+//!   decision-threshold calibration (§3.5).
+//! * [`cascade`] — multi-model routing: FrugalGPT-style tiering over
+//!   engines the caller owns (§3.5).
 //! * [`optimize`] — validation-set strategy trials, Pareto frontiers, and
 //!   budget-aware strategy selection (§4).
 //! * [`plan`] — the declarative front door: a logical-plan IR

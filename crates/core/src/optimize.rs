@@ -5,13 +5,17 @@
 //! sample, measures accuracy and per-item cost, then recommends the most
 //! accurate strategy whose extrapolated full-dataset cost fits the budget.
 
+use std::collections::HashSet;
+
 use crowdprompt_metrics::rank::kendall_tau_b_rankings;
 use crowdprompt_oracle::task::SortCriterion;
 use crowdprompt_oracle::world::ItemId;
 
 use crate::error::EngineError;
 use crate::exec::Engine;
+use crate::ops::filter::{filter, FilterStrategy};
 use crate::ops::sort::{sort, SortStrategy};
+use crate::outcome::Outcome;
 
 /// Measured performance of one strategy on the validation sample.
 #[derive(Debug, Clone)]
@@ -32,6 +36,18 @@ pub struct StrategyTrial {
 }
 
 impl StrategyTrial {
+    /// The trial record of one strategy's run on the sample.
+    fn of<T>(name: String, accuracy: f64, run: &Outcome<T>, cost_exponent: u32) -> Self {
+        StrategyTrial {
+            name,
+            accuracy,
+            sample_cost_usd: run.cost_usd,
+            sample_tokens: u64::from(run.usage.total()),
+            sample_calls: run.calls,
+            cost_exponent,
+        }
+    }
+
     /// Extrapolate the dollar cost from `sample_n` items to `full_n` items
     /// using the strategy's cost exponent.
     pub fn extrapolated_cost(&self, sample_n: usize, full_n: usize) -> f64 {
@@ -41,19 +57,6 @@ impl StrategyTrial {
         let ratio = full_n as f64 / sample_n as f64;
         self.sample_cost_usd * ratio.powi(self.cost_exponent as i32)
     }
-}
-
-/// Cost-growth exponent of a sort strategy (for extrapolation).
-///
-/// Thin alias for [`SortStrategy::cost_exponent`] — the metadata now lives
-/// with the strategy itself so the planner and optimizer share one source.
-pub fn sort_cost_exponent(strategy: &SortStrategy) -> u32 {
-    strategy.cost_exponent()
-}
-
-/// Human-readable strategy name (alias for [`SortStrategy::name`]).
-pub fn sort_strategy_name(strategy: &SortStrategy) -> String {
-    strategy.name()
 }
 
 /// Run every candidate sort strategy on a labelled validation sample and
@@ -74,14 +77,48 @@ pub fn evaluate_sort_strategies(
     for strategy in candidates {
         let out = sort(engine, sample, criterion, strategy)?;
         let tau = kendall_tau_b_rankings(&out.value.order, gold).unwrap_or(0.0);
-        trials.push(StrategyTrial {
-            name: sort_strategy_name(strategy),
-            accuracy: tau,
-            sample_cost_usd: out.cost_usd,
-            sample_tokens: u64::from(out.usage.total()),
-            sample_calls: out.calls,
-            cost_exponent: sort_cost_exponent(strategy),
-        });
+        trials.push(StrategyTrial::of(
+            strategy.name(),
+            tau,
+            &out,
+            strategy.cost_exponent(),
+        ));
+    }
+    Ok(trials)
+}
+
+/// Run every candidate filter strategy on a labelled validation sample
+/// (`gold[i]` says whether `sample[i]` satisfies `predicate`) and measure
+/// the share of keep/drop verdicts that match gold — with
+/// [`FilterStrategy::Single`] as the only candidate, the model's per-call
+/// accuracy on the predicate (§3.5's validation-set estimate).
+pub fn evaluate_filter_strategies(
+    engine: &Engine,
+    sample: &[ItemId],
+    gold: &[bool],
+    predicate: &str,
+    candidates: &[FilterStrategy],
+) -> Result<Vec<StrategyTrial>, EngineError> {
+    if sample.is_empty() || sample.len() != gold.len() {
+        return Err(EngineError::InvalidInput(format!(
+            "accuracy estimation needs a non-empty validation set with one gold label per \
+             item, got {} items and {} labels",
+            sample.len(),
+            gold.len()
+        )));
+    }
+    let mut trials = Vec::with_capacity(candidates.len());
+    for strategy in candidates {
+        let out = filter(engine, sample, predicate, *strategy)?;
+        let kept: HashSet<ItemId> = out.value.iter().copied().collect();
+        let correct = sample
+            .iter()
+            .zip(gold)
+            .filter(|(id, gold)| kept.contains(id) == **gold)
+            .count();
+        let accuracy = correct as f64 / sample.len() as f64;
+        // Every filter strategy's cost is linear in the item count.
+        trials.push(StrategyTrial::of(strategy.name(), accuracy, &out, 1));
     }
     Ok(trials)
 }
@@ -152,7 +189,7 @@ pub fn recommend(
 mod tests {
     use super::*;
     use crate::corpus::Corpus;
-    use crowdprompt_oracle::model::ModelProfile;
+    use crowdprompt_oracle::model::{ModelProfile, NoiseProfile};
     use crowdprompt_oracle::sim::SimulatedLlm;
     use crowdprompt_oracle::world::WorldModel;
     use crowdprompt_oracle::LlmClient;
@@ -266,6 +303,55 @@ mod tests {
                 SortCriterion::LatentScore,
                 &[SortStrategy::SinglePrompt]
             ),
+            Err(EngineError::InvalidInput(_))
+        ));
+    }
+
+    fn noisy_engine(check_accuracy: f64) -> (Engine, Vec<ItemId>) {
+        let mut w = WorldModel::new();
+        let ids: Vec<ItemId> = (0..20)
+            .map(|i| {
+                let id = w.add_item(format!("item {i}"));
+                w.set_flag(id, "p", i % 2 == 0);
+                id
+            })
+            .collect();
+        let corpus = Corpus::from_world(&w, &ids);
+        let profile = ModelProfile::gpt35_like().with_noise(NoiseProfile {
+            check_accuracy,
+            malformed_rate: 0.0,
+            ..NoiseProfile::perfect()
+        });
+        let llm = Arc::new(SimulatedLlm::new(profile, Arc::new(w), 61));
+        (Engine::new(Arc::new(LlmClient::new(llm)), corpus), ids)
+    }
+
+    #[test]
+    fn accuracy_estimation_tracks_noise() {
+        let (engine, ids) = noisy_engine(0.8);
+        let gold: Vec<bool> = (0..ids.len()).map(|i| i % 2 == 0).collect();
+        let trials =
+            evaluate_filter_strategies(&engine, &ids, &gold, "p", &[FilterStrategy::Single])
+                .unwrap();
+        let out = &trials[0];
+        assert!(
+            (0.55..=1.0).contains(&out.accuracy),
+            "estimated accuracy {}",
+            out.accuracy
+        );
+        assert_eq!(out.sample_calls as usize, ids.len());
+        assert_eq!(out.name, "single");
+    }
+
+    #[test]
+    fn accuracy_estimation_rejects_empty() {
+        let (engine, ids) = noisy_engine(1.0);
+        assert!(matches!(
+            evaluate_filter_strategies(&engine, &[], &[], "p", &[FilterStrategy::Single]),
+            Err(EngineError::InvalidInput(_))
+        ));
+        assert!(matches!(
+            evaluate_filter_strategies(&engine, &ids, &[true], "p", &[FilterStrategy::Single]),
             Err(EngineError::InvalidInput(_))
         ));
     }

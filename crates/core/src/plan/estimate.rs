@@ -342,14 +342,13 @@ impl<'a> Estimator<'a> {
                 pack,
                 ..
             } => {
-                if *pack > 1 && strategy.packable() {
-                    let calls = strategy.packed_calls(n, *pack);
-                    let per_pack = self.packed_pack_cost(node, (*pack).min(n.max(1)));
-                    (calls, calls as f64 * per_pack)
+                let calls = strategy.packed_calls(n, *pack);
+                let per_call = if *pack > 1 && strategy.packable() {
+                    self.packed_pack_cost(node, (*pack).min(n.max(1)))
                 } else {
-                    let calls = (n as f64 * strategy.calls_per_item()).ceil() as u64;
-                    (calls, calls as f64 * self.check_cost(predicate))
-                }
+                    self.check_cost(predicate)
+                };
+                (calls, calls as f64 * per_call)
             }
             PhysicalNode::Sort {
                 criterion,
@@ -522,5 +521,79 @@ pub(crate) fn rows_out(node: &PhysicalNode, n: usize) -> usize {
         | PhysicalNode::Cluster { .. }
         | PhysicalNode::Join { .. }
         | PhysicalNode::Impute { .. } => n,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use crowdprompt_oracle::model::{ModelProfile, NoiseProfile};
+    use crowdprompt_oracle::sim::SimulatedLlm;
+    use crowdprompt_oracle::world::{ItemId, WorldModel};
+    use crowdprompt_oracle::LlmClient;
+
+    use crate::corpus::Corpus;
+    use crate::exec::Engine;
+    use crate::ops::filter::FilterStrategy;
+    use crate::plan::Query;
+
+    /// Where a strategy leaves the estimator nothing to guess — a
+    /// sequential filter that cannot run past its lead, a proxy gate whose
+    /// zero threshold refers nothing — the estimated calls are the calls a
+    /// perfect model's ledger shows, per item and packed.
+    #[test]
+    fn filter_estimates_without_a_guess_match_a_perfect_models_ledger() {
+        let sequential = |max_votes| FilterStrategy::Sequential {
+            lead: 3,
+            max_votes,
+            temperature_pct: 100,
+        };
+        let proxy = FilterStrategy::ProxyGated {
+            train: 20,
+            min_confidence_pct: 0,
+        };
+        let n = 60usize;
+        for pack in [1usize, 8] {
+            // (strategy, ledger calls on a perfect model, estimate is exact)
+            for (strategy, expected, exact) in [
+                (sequential(3), 3 * n.div_ceil(pack), true),
+                (proxy, 20usize.div_ceil(pack), true),
+                // Headroom past the lead is priced; a perfect model leaves
+                // it unspent.
+                (sequential(9), 3 * n.div_ceil(pack), false),
+            ] {
+                let mut w = WorldModel::new();
+                let ids: Vec<ItemId> = (0..n)
+                    .map(|i| {
+                        let id = w.add_item(if i % 2 == 0 {
+                            format!("win a free prize now, claim your exclusive reward bonus {i}")
+                        } else {
+                            format!("quarterly maintenance report for facility section {i}")
+                        });
+                        w.set_flag(id, "spam", i % 2 == 0);
+                        id
+                    })
+                    .collect();
+                let corpus = Corpus::from_world(&w, &ids);
+                let profile = ModelProfile::gpt35_like().with_noise(NoiseProfile::perfect());
+                let llm = Arc::new(SimulatedLlm::new(profile, Arc::new(w), 5));
+                let engine =
+                    Engine::new(Arc::new(LlmClient::new(llm)), corpus).with_pack_width(pack);
+                let plan = Query::over(&ids)
+                    .filter_with("spam", strategy)
+                    .plan_on(&engine)
+                    .unwrap();
+                let name = strategy.name();
+                assert!(plan.explain().contains(&name), "{}", plan.explain());
+                let estimated = plan.estimated_calls();
+                assert_eq!(estimated, strategy.packed_calls(n, pack));
+                plan.execute_on(&engine).unwrap();
+                let observed = engine.client().ledger().calls();
+                assert_eq!(observed, expected as u64, "{name} pack {pack}");
+                assert!(estimated >= observed, "{name} pack {pack}");
+                assert_eq!(estimated == observed, exact, "{name} pack {pack}");
+            }
+        }
     }
 }

@@ -288,9 +288,10 @@ pub(crate) fn plan(
     }
     let (source, ops, calibration) = query.into_parts();
     let ops = &ops;
-    // Terminal ops (labels, counts, clusters, …) end the chain, and
-    // label-based nodes need at least one label — caught here, before any
-    // budget is spent.
+    // Terminal ops (labels, counts, clusters, …) end the chain, label-based
+    // nodes need at least one label, and a pinned filter strategy's fields
+    // must be ones a run can honour — caught here, before any budget is
+    // spent.
     for (i, op) in ops.iter().enumerate() {
         if i + 1 < ops.len() && !op.produces_items() {
             return Err(EngineError::InvalidInput(format!(
@@ -304,6 +305,13 @@ pub(crate) fn plan(
                     "categorize requires at least one label".into(),
                 ));
             }
+        }
+        if let LogicalOp::Filter {
+            strategy: Some(strategy),
+            ..
+        } = op
+        {
+            strategy.validate()?;
         }
     }
 

@@ -8,16 +8,11 @@
 //! labelling a *sample*, fit a free nearest-centroid classifier over hashed
 //! n-gram embeddings of those labels, then classify the remaining items
 //! with the proxy wherever its confidence clears a threshold — paying for
-//! the LLM only on the uncertain remainder.
+//! the LLM only on the uncertain remainder. This module is the classifier;
+//! the dispatching half is
+//! [`FilterStrategy::ProxyGated`](crate::ops::filter::FilterStrategy::ProxyGated).
 
 use crowdprompt_embed::{cosine_similarity, Embedder, NgramEmbedder};
-use crowdprompt_oracle::task::TaskDescriptor;
-use crowdprompt_oracle::world::ItemId;
-
-use crate::error::EngineError;
-use crate::exec::Engine;
-use crate::extract;
-use crate::outcome::{CostMeter, Outcome};
 
 /// A trained nearest-centroid text classifier with a confidence score.
 pub struct ProxyModel {
@@ -31,6 +26,43 @@ pub struct ProxyModel {
 }
 
 impl ProxyModel {
+    /// Fit the classifier to `(text, label)` pairs. `None` when the labels
+    /// are one-sided: there is no decision boundary to learn.
+    pub fn fit<'a>(labelled: impl IntoIterator<Item = (&'a str, bool)>) -> Option<Self> {
+        let embedder = NgramEmbedder::ada_like();
+        let dims = embedder.dimensions();
+        let mut positive_centroid = vec![0.0f32; dims];
+        let mut negative_centroid = vec![0.0f32; dims];
+        let (mut n_pos, mut n_neg) = (0usize, 0usize);
+        for (text, label) in labelled {
+            let (centroid, n) = if label {
+                (&mut positive_centroid, &mut n_pos)
+            } else {
+                (&mut negative_centroid, &mut n_neg)
+            };
+            for (c, x) in centroid.iter_mut().zip(&embedder.embed(text)) {
+                *c += x;
+            }
+            *n += 1;
+        }
+        if n_pos == 0 || n_neg == 0 {
+            return None;
+        }
+        for c in positive_centroid.iter_mut() {
+            *c /= n_pos as f32;
+        }
+        for c in negative_centroid.iter_mut() {
+            *c /= n_neg as f32;
+        }
+        Some(ProxyModel {
+            embedder,
+            positive_centroid,
+            negative_centroid,
+            positives_seen: n_pos,
+            negatives_seen: n_neg,
+        })
+    }
+
     /// Classify a text: `(prediction, confidence in [0, 1])`.
     ///
     /// Confidence is the absolute similarity margin between the two class
@@ -45,263 +77,40 @@ impl ProxyModel {
     }
 }
 
-/// Label `sample` with the LLM and fit a [`ProxyModel`] for `predicate`.
-///
-/// Fails with [`EngineError::InvalidInput`] when the LLM labels the whole
-/// sample with one class (no decision boundary to learn).
-pub fn train_proxy(
-    engine: &Engine,
-    sample: &[ItemId],
-    predicate: &str,
-) -> Result<Outcome<ProxyModel>, EngineError> {
-    if sample.len() < 2 {
-        return Err(EngineError::InvalidInput(
-            "proxy training needs at least two sample items".into(),
-        ));
-    }
-    let tasks: Vec<TaskDescriptor> = sample
-        .iter()
-        .map(|id| TaskDescriptor::CheckPredicate {
-            item: *id,
-            predicate: predicate.to_owned(),
-        })
-        .collect();
-    let responses = engine.run_many(tasks)?;
-    let embedder = NgramEmbedder::ada_like();
-    let dims = embedder.dimensions();
-    let mut meter = CostMeter::new();
-    let mut positive_centroid = vec![0.0f32; dims];
-    let mut negative_centroid = vec![0.0f32; dims];
-    let (mut n_pos, mut n_neg) = (0usize, 0usize);
-    for (resp, id) in responses.iter().zip(sample) {
-        meter.add(resp.usage, engine.cost_of_response(resp));
-        let label = extract::yes_no(&resp.text)?;
-        let text = engine
-            .corpus()
-            .text(*id)
-            .ok_or(EngineError::UnknownItem(*id))?;
-        let v = embedder.embed(text);
-        let (centroid, n) = if label {
-            (&mut positive_centroid, &mut n_pos)
-        } else {
-            (&mut negative_centroid, &mut n_neg)
-        };
-        for (c, x) in centroid.iter_mut().zip(&v) {
-            *c += x;
-        }
-        *n += 1;
-    }
-    if n_pos == 0 || n_neg == 0 {
-        return Err(EngineError::InvalidInput(format!(
-            "proxy training sample is one-sided ({n_pos} positive, {n_neg} negative)"
-        )));
-    }
-    for c in positive_centroid.iter_mut() {
-        *c /= n_pos as f32;
-    }
-    for c in negative_centroid.iter_mut() {
-        *c /= n_neg as f32;
-    }
-    Ok(meter.into_outcome(ProxyModel {
-        embedder,
-        positive_centroid,
-        negative_centroid,
-        positives_seen: n_pos,
-        negatives_seen: n_neg,
-    }))
-}
-
-/// Filter outcome with proxy-usage statistics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProxyFilterResult {
-    /// Items predicted to satisfy the predicate, in input order.
-    pub kept: Vec<ItemId>,
-    /// Items the proxy decided for free.
-    pub proxy_decisions: usize,
-    /// Items referred to the LLM (confidence below threshold).
-    pub llm_decisions: usize,
-}
-
-/// Filter `items` by `predicate` using the proxy by default and the LLM for
-/// low-confidence cases — §3.4's default-cheap / escalate-on-uncertainty
-/// split.
-pub fn filter_with_proxy(
-    engine: &Engine,
-    items: &[ItemId],
-    predicate: &str,
-    proxy: &ProxyModel,
-    confidence_threshold: f64,
-) -> Result<Outcome<ProxyFilterResult>, EngineError> {
-    let mut meter = CostMeter::new();
-    let mut kept = Vec::new();
-    let mut proxy_decisions = 0usize;
-    let mut uncertain: Vec<ItemId> = Vec::new();
-    let mut proxy_verdicts: Vec<(ItemId, bool)> = Vec::new();
-    for &id in items {
-        let text = engine
-            .corpus()
-            .text(id)
-            .ok_or(EngineError::UnknownItem(id))?;
-        let (prediction, confidence) = proxy.classify(text);
-        if confidence >= confidence_threshold {
-            proxy_decisions += 1;
-            proxy_verdicts.push((id, prediction));
-        } else {
-            uncertain.push(id);
-        }
-    }
-    // LLM pass over the uncertain remainder.
-    let tasks: Vec<TaskDescriptor> = uncertain
-        .iter()
-        .map(|id| TaskDescriptor::CheckPredicate {
-            item: *id,
-            predicate: predicate.to_owned(),
-        })
-        .collect();
-    let responses = engine.run_many(tasks)?;
-    let mut llm_verdicts: Vec<(ItemId, bool)> = Vec::with_capacity(uncertain.len());
-    for (resp, id) in responses.iter().zip(&uncertain) {
-        meter.add(resp.usage, engine.cost_of_response(resp));
-        llm_verdicts.push((*id, extract::yes_no(&resp.text)?));
-    }
-    // Reassemble in input order.
-    let verdict_of = |id: ItemId| -> bool {
-        proxy_verdicts
-            .iter()
-            .chain(llm_verdicts.iter())
-            .find(|(v, _)| *v == id)
-            .map(|(_, keep)| *keep)
-            .unwrap_or(false)
-    };
-    for &id in items {
-        if verdict_of(id) {
-            kept.push(id);
-        }
-    }
-    let llm_decisions = uncertain.len();
-    Ok(meter.into_outcome(ProxyFilterResult {
-        kept,
-        proxy_decisions,
-        llm_decisions,
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::Corpus;
-    use crowdprompt_oracle::model::{ModelProfile, NoiseProfile};
-    use crowdprompt_oracle::sim::SimulatedLlm;
-    use crowdprompt_oracle::world::WorldModel;
-    use crowdprompt_oracle::LlmClient;
-    use std::sync::Arc;
 
-    /// Textually separable classes: spam-like vs report-like snippets.
-    fn proxy_world(n: usize) -> (WorldModel, Vec<ItemId>, Vec<bool>) {
-        let mut w = WorldModel::new();
-        let mut ids = Vec::new();
-        let mut gold = Vec::new();
-        for i in 0..n {
-            let positive = i % 2 == 0;
-            let text = if positive {
+    #[test]
+    fn fitted_proxy_separates_classes() {
+        let text = |i: usize| {
+            if i.is_multiple_of(2) {
                 format!("win a free prize now, claim your exclusive reward bonus {i}")
             } else {
                 format!("quarterly maintenance report for facility section {i}")
-            };
-            let id = w.add_item(text);
-            w.set_flag(id, "spam", positive);
-            ids.push(id);
-            gold.push(positive);
-        }
-        (w, ids, gold)
-    }
-
-    fn engine_over(w: &WorldModel, ids: &[ItemId], acc: f64) -> Engine {
-        let profile = ModelProfile::gpt35_like().with_noise(NoiseProfile {
-            check_accuracy: acc,
-            malformed_rate: 0.0,
-            ..NoiseProfile::perfect()
-        });
-        let llm = Arc::new(SimulatedLlm::new(profile, Arc::new(w.clone()), 23));
-        Engine::new(Arc::new(LlmClient::new(llm)), Corpus::from_world(w, ids))
-    }
-
-    #[test]
-    fn trained_proxy_separates_classes() {
-        let (w, ids, gold) = proxy_world(60);
-        let engine = engine_over(&w, &ids, 1.0);
-        let out = train_proxy(&engine, &ids[..20], "spam").unwrap();
-        let proxy = out.value;
+            }
+        };
+        let texts: Vec<String> = (0..60).map(text).collect();
+        let proxy = ProxyModel::fit(
+            texts[..20]
+                .iter()
+                .enumerate()
+                .map(|(i, t)| (t.as_str(), i % 2 == 0)),
+        )
+        .expect("both classes labelled");
         assert_eq!(proxy.positives_seen, 10);
         assert_eq!(proxy.negatives_seen, 10);
-        assert!(out.calls == 20, "training pays one call per sample item");
         // The proxy classifies unseen items correctly and confidently.
-        let mut correct = 0;
-        for (id, g) in ids[20..].iter().zip(&gold[20..]) {
-            let (pred, conf) = proxy.classify(w.text(*id).unwrap());
-            if pred == *g {
-                correct += 1;
-            }
+        for (i, t) in texts.iter().enumerate().skip(20) {
+            let (pred, conf) = proxy.classify(t);
+            assert_eq!(pred, i % 2 == 0, "separable classes classify perfectly");
             assert!(conf > 0.0);
         }
-        assert_eq!(correct, 40, "separable classes should classify perfectly");
     }
 
     #[test]
-    fn proxy_filter_saves_llm_calls_without_losing_accuracy() {
-        let (w, ids, gold) = proxy_world(80);
-        let engine = engine_over(&w, &ids, 1.0);
-        let proxy = train_proxy(&engine, &ids[..20], "spam").unwrap().value;
-        let rest = &ids[20..];
-        let out = filter_with_proxy(&engine, rest, "spam", &proxy, 0.05).unwrap();
-        assert!(
-            out.value.proxy_decisions > out.value.llm_decisions,
-            "most items should be decided for free: {} vs {}",
-            out.value.proxy_decisions,
-            out.value.llm_decisions
-        );
-        // Correctness against gold.
-        let kept: std::collections::HashSet<ItemId> = out.value.kept.iter().copied().collect();
-        for (id, g) in rest.iter().zip(&gold[20..]) {
-            assert_eq!(kept.contains(id), *g);
-        }
-        assert_eq!(
-            out.calls as usize, out.value.llm_decisions,
-            "only uncertain items cost calls"
-        );
-    }
-
-    #[test]
-    fn impossible_threshold_degrades_to_pure_llm() {
-        let (w, ids, _) = proxy_world(30);
-        let engine = engine_over(&w, &ids, 1.0);
-        let proxy = train_proxy(&engine, &ids[..10], "spam").unwrap().value;
-        let out = filter_with_proxy(&engine, &ids[10..], "spam", &proxy, 2.0).unwrap();
-        assert_eq!(out.value.proxy_decisions, 0);
-        assert_eq!(out.value.llm_decisions, 20);
-    }
-
-    #[test]
-    fn one_sided_sample_is_rejected() {
-        let mut w = WorldModel::new();
-        let ids: Vec<ItemId> = (0..6)
-            .map(|i| {
-                let id = w.add_item(format!("identical snippet {i}"));
-                w.set_flag(id, "spam", true); // all positive
-                id
-            })
-            .collect();
-        let engine = engine_over(&w, &ids, 1.0);
-        assert!(matches!(
-            train_proxy(&engine, &ids, "spam"),
-            Err(EngineError::InvalidInput(_))
-        ));
-    }
-
-    #[test]
-    fn tiny_sample_is_rejected() {
-        let (w, ids, _) = proxy_world(4);
-        let engine = engine_over(&w, &ids, 1.0);
-        assert!(train_proxy(&engine, &ids[..1], "spam").is_err());
+    fn one_sided_labels_fit_nothing() {
+        assert!(ProxyModel::fit([("a", true), ("b", true)]).is_none());
+        assert!(ProxyModel::fit(std::iter::empty()).is_none());
     }
 }

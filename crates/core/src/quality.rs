@@ -1,133 +1,11 @@
-//! Quality control (paper §3.5): accuracy estimation on validation sets,
-//! self-consistency voting, Dawid–Skene EM across models, and
-//! self-verification.
-
-use std::collections::HashMap;
-
-use crowdprompt_oracle::task::TaskDescriptor;
-
-use crate::error::EngineError;
-use crate::exec::Engine;
-use crate::extract;
-use crate::outcome::{CostMeter, Outcome};
-
-/// Majority vote over extracted string answers (case-insensitive); `None`
-/// for an empty slate. Ties break toward the lexicographically smallest
-/// answer for determinism.
-pub fn majority_vote(answers: &[String]) -> Option<String> {
-    if answers.is_empty() {
-        return None;
-    }
-    let mut counts: HashMap<String, usize> = HashMap::new();
-    for a in answers {
-        *counts.entry(a.trim().to_lowercase()).or_default() += 1;
-    }
-    counts
-        .into_iter()
-        .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-        .map(|(a, _)| a)
-}
-
-/// Self-consistency (Wang et al., cited in §3.5): sample the same task
-/// `samples` times at `temperature`, extract yes/no answers, majority-vote.
-pub fn self_consistent_yes_no(
-    engine: &Engine,
-    task: TaskDescriptor,
-    samples: u32,
-    temperature: f64,
-) -> Result<Outcome<bool>, EngineError> {
-    let samples = samples.max(1);
-    let mut meter = CostMeter::new();
-    let mut yes = 0u32;
-    // One pipelined dispatch for the whole vote fan-out.
-    let specs: Vec<_> = (0..samples)
-        .map(|s| (task.clone(), temperature, s))
-        .collect();
-    for resp in engine.run_sampled_many(specs)? {
-        meter.add(resp.usage, engine.cost_of_response(&resp));
-        if extract::yes_no(&resp.text)? {
-            yes += 1;
-        }
-    }
-    Ok(meter.into_outcome(yes * 2 > samples))
-}
-
-/// Estimate a model's accuracy on a task type from a labelled validation
-/// set: run each task, compare the extracted yes/no answer to gold.
-pub fn estimate_accuracy_yes_no(
-    engine: &Engine,
-    tasks: &[(TaskDescriptor, bool)],
-) -> Result<Outcome<f64>, EngineError> {
-    if tasks.is_empty() {
-        return Err(EngineError::InvalidInput(
-            "accuracy estimation needs a non-empty validation set".into(),
-        ));
-    }
-    let mut meter = CostMeter::new();
-    let responses = engine.run_many(tasks.iter().map(|(t, _)| t.clone()).collect())?;
-    let mut correct = 0usize;
-    for (resp, (_, gold)) in responses.iter().zip(tasks) {
-        meter.add(resp.usage, engine.cost_of_response(resp));
-        if extract::yes_no(&resp.text)? == *gold {
-            correct += 1;
-        }
-    }
-    Ok(meter.into_outcome(correct as f64 / tasks.len() as f64))
-}
-
-/// Ask the model to verify a previously produced answer; `true` = endorsed.
-pub fn verify_answer(
-    engine: &Engine,
-    original: TaskDescriptor,
-    proposed_answer: &str,
-) -> Result<Outcome<bool>, EngineError> {
-    let mut meter = CostMeter::new();
-    let resp = engine.run(TaskDescriptor::Verify {
-        original: Box::new(original),
-        proposed_answer: proposed_answer.to_owned(),
-    })?;
-    meter.add(resp.usage, engine.cost_of_response(&resp));
-    let verdict = extract::yes_no(&resp.text)?;
-    Ok(meter.into_outcome(verdict))
-}
-
-/// Ask → verify → retry loop (§3.5's "have the LLM verify its own response
-/// as a followup", made into a repair mechanism): answer the yes/no task,
-/// ask the verifier whether the answer is right, and on rejection flip to a
-/// fresh sample — up to `max_rounds` rounds, keeping the last answer if the
-/// verifier never approves.
-///
-/// Returns `(answer, rounds_used)`.
-pub fn ask_with_verification(
-    engine: &Engine,
-    task: TaskDescriptor,
-    max_rounds: u32,
-) -> Result<Outcome<(bool, u32)>, EngineError> {
-    let mut meter = CostMeter::new();
-    let mut rounds = 0u32;
-    let mut answer = false;
-    while rounds < max_rounds.max(1) {
-        // Fresh sample each round (temperature 1 after the first).
-        let resp = if rounds == 0 {
-            engine.run(task.clone())?
-        } else {
-            engine.run_sampled(task.clone(), 1.0, rounds)?
-        };
-        meter.add(resp.usage, engine.cost_of_response(&resp));
-        answer = extract::yes_no(&resp.text)?;
-        rounds += 1;
-        // Verification pass.
-        let verdict = engine.run(TaskDescriptor::Verify {
-            original: Box::new(task.clone()),
-            proposed_answer: if answer { "yes".into() } else { "no".into() },
-        })?;
-        meter.add(verdict.usage, engine.cost_of_response(&verdict));
-        if extract::yes_no(&verdict.text)? {
-            break;
-        }
-    }
-    Ok(meter.into_outcome((answer, rounds)))
-}
+//! Quality control (paper §3.5), the aggregation half: Dawid–Skene EM
+//! across models of unknown accuracy, and decision-threshold calibration
+//! against validation gold. Both are pure functions of votes already
+//! collected — they dispatch nothing. The strategies that *collect* votes
+//! (majority voting, sequential asking, self-verification) are
+//! [`FilterStrategy`](crate::ops::filter::FilterStrategy) variants, and
+//! validation-set accuracy is
+//! [`optimize::evaluate_filter_strategies`](crate::optimize::evaluate_filter_strategies).
 
 // ---------------------------------------------------------------------------
 // Threshold calibration
@@ -310,168 +188,6 @@ pub fn dawid_skene(votes: &[Vec<Option<bool>>], max_iter: usize) -> DawidSkeneRe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::Corpus;
-    use crowdprompt_oracle::model::{ModelProfile, NoiseProfile};
-    use crowdprompt_oracle::sim::SimulatedLlm;
-    use crowdprompt_oracle::world::{ItemId, WorldModel};
-    use crowdprompt_oracle::LlmClient;
-    use std::sync::Arc;
-
-    #[test]
-    fn majority_vote_basics() {
-        assert_eq!(majority_vote(&[]), None);
-        let answers = vec!["Yes".to_owned(), "yes ".to_owned(), "No".to_owned()];
-        assert_eq!(majority_vote(&answers), Some("yes".to_owned()));
-        // Deterministic tie-break.
-        let tie = vec!["b".to_owned(), "a".to_owned()];
-        assert_eq!(majority_vote(&tie), Some("a".to_owned()));
-    }
-
-    fn noisy_engine(check_accuracy: f64) -> (Engine, Vec<ItemId>) {
-        let mut w = WorldModel::new();
-        let ids: Vec<ItemId> = (0..20)
-            .map(|i| {
-                let id = w.add_item(format!("item {i}"));
-                w.set_flag(id, "p", i % 2 == 0);
-                id
-            })
-            .collect();
-        let corpus = Corpus::from_world(&w, &ids);
-        let profile = ModelProfile::gpt35_like().with_noise(NoiseProfile {
-            check_accuracy,
-            malformed_rate: 0.0,
-            ..NoiseProfile::perfect()
-        });
-        let llm = Arc::new(SimulatedLlm::new(profile, Arc::new(w), 61));
-        (Engine::new(Arc::new(LlmClient::new(llm)), corpus), ids)
-    }
-
-    #[test]
-    fn accuracy_estimation_tracks_noise() {
-        let (engine, ids) = noisy_engine(0.8);
-        let tasks: Vec<(TaskDescriptor, bool)> = ids
-            .iter()
-            .enumerate()
-            .map(|(i, id)| {
-                (
-                    TaskDescriptor::CheckPredicate {
-                        item: *id,
-                        predicate: "p".into(),
-                    },
-                    i % 2 == 0,
-                )
-            })
-            .collect();
-        let out = estimate_accuracy_yes_no(&engine, &tasks).unwrap();
-        assert!(
-            (0.55..=1.0).contains(&out.value),
-            "estimated accuracy {}",
-            out.value
-        );
-        assert_eq!(out.calls as usize, ids.len());
-    }
-
-    #[test]
-    fn accuracy_estimation_rejects_empty() {
-        let (engine, _) = noisy_engine(1.0);
-        assert!(matches!(
-            estimate_accuracy_yes_no(&engine, &[]),
-            Err(EngineError::InvalidInput(_))
-        ));
-    }
-
-    #[test]
-    fn self_consistency_improves_over_single_sample() {
-        let (engine, ids) = noisy_engine(0.7);
-        let task = TaskDescriptor::CheckPredicate {
-            item: ids[0], // flag is true
-            predicate: "p".into(),
-        };
-        let out = self_consistent_yes_no(&engine, task, 9, 1.0).unwrap();
-        assert!(out.value, "9-vote majority should recover the true flag");
-        assert_eq!(out.calls, 9);
-    }
-
-    #[test]
-    fn verification_loop_repairs_wrong_answers() {
-        // Weak answerer, strong verifier: the loop should converge on truth
-        // far more often than a single call.
-        let mut w = WorldModel::new();
-        let ids: Vec<ItemId> = (0..40)
-            .map(|i| {
-                let id = w.add_item(format!("statement {i}"));
-                w.set_flag(id, "p", i % 2 == 0);
-                id
-            })
-            .collect();
-        let corpus = Corpus::from_world(&w, &ids);
-        let profile = ModelProfile::gpt35_like().with_noise(NoiseProfile {
-            check_accuracy: 0.6,
-            verify_accuracy: 0.95,
-            malformed_rate: 0.0,
-            ..NoiseProfile::perfect()
-        });
-        let llm = Arc::new(SimulatedLlm::new(profile, Arc::new(w), 71));
-        let engine = Engine::new(Arc::new(LlmClient::new(llm).without_cache()), corpus);
-        let mut single_correct = 0usize;
-        let mut verified_correct = 0usize;
-        let mut extra_rounds = 0u32;
-        for (i, id) in ids.iter().enumerate() {
-            let truth = i % 2 == 0;
-            let task = TaskDescriptor::CheckPredicate {
-                item: *id,
-                predicate: "p".into(),
-            };
-            let single = engine.run(task.clone()).unwrap();
-            if crate::extract::yes_no(&single.text).unwrap() == truth {
-                single_correct += 1;
-            }
-            let out = ask_with_verification(&engine, task, 4).unwrap();
-            if out.value.0 == truth {
-                verified_correct += 1;
-            }
-            extra_rounds += out.value.1 - 1;
-        }
-        assert!(
-            verified_correct > single_correct,
-            "verified {verified_correct} should beat single {single_correct}"
-        );
-        assert!(extra_rounds > 0, "some answers should get retried");
-    }
-
-    #[test]
-    fn verification_loop_stops_immediately_when_approved() {
-        let mut w = WorldModel::new();
-        let id = w.add_item("x");
-        w.set_flag(id, "p", true);
-        let corpus = Corpus::from_world(&w, &[id]);
-        let llm = Arc::new(SimulatedLlm::new(ModelProfile::perfect(), Arc::new(w), 3));
-        let engine = Engine::new(Arc::new(LlmClient::new(llm)), corpus);
-        let out = ask_with_verification(
-            &engine,
-            TaskDescriptor::CheckPredicate {
-                item: id,
-                predicate: "p".into(),
-            },
-            5,
-        )
-        .unwrap();
-        assert_eq!(out.value, (true, 1));
-        assert_eq!(out.calls, 2, "one ask + one verification");
-    }
-
-    #[test]
-    fn verify_answer_roundtrip() {
-        let (engine, ids) = noisy_engine(1.0);
-        let task = TaskDescriptor::CheckPredicate {
-            item: ids[0],
-            predicate: "p".into(),
-        };
-        let ok = verify_answer(&engine, task.clone(), "yes").unwrap();
-        assert!(ok.value);
-        let bad = verify_answer(&engine, task, "no").unwrap();
-        assert!(!bad.value);
-    }
 
     #[test]
     fn dawid_skene_recovers_truth_and_worker_quality() {

@@ -3,7 +3,7 @@
 use crowdprompt_core::budget::{Budget, BudgetTracker};
 use crowdprompt_core::consistency::{repair_ranking, violations, UnionFind};
 use crowdprompt_core::extract;
-use crowdprompt_core::quality::{calibrate_threshold, dawid_skene, majority_vote};
+use crowdprompt_core::quality::{calibrate_threshold, dawid_skene};
 use proptest::prelude::*;
 
 proptest! {
@@ -146,25 +146,6 @@ proptest! {
     }
 
     // -- quality ------------------------------------------------------------------
-
-    #[test]
-    fn majority_vote_matches_manual_count(
-        votes in prop::collection::vec(prop::bool::ANY, 1..30)
-    ) {
-        let answers: Vec<String> = votes
-            .iter()
-            .map(|v| if *v { "yes".to_owned() } else { "no".to_owned() })
-            .collect();
-        let yes = votes.iter().filter(|v| **v).count();
-        let no = votes.len() - yes;
-        let expected = match yes.cmp(&no) {
-            std::cmp::Ordering::Greater => "yes",
-            std::cmp::Ordering::Less => "no",
-            // Tie: lexicographically smallest wins ("no" < "yes").
-            std::cmp::Ordering::Equal => "no",
-        };
-        prop_assert_eq!(majority_vote(&answers).unwrap(), expected);
-    }
 
     #[test]
     fn dawid_skene_posteriors_in_unit_interval(

@@ -84,7 +84,7 @@ pub use crowdprompt_oracle as oracle;
 
 /// Convenience prelude: the types most programs need.
 pub mod prelude {
-    pub use crowdprompt_core::cascade::{CascadeTier, CascadeVerdict, ModelCascade};
+    pub use crowdprompt_core::cascade::{run_cascade, CascadeTier, CascadeVerdict};
     pub use crowdprompt_core::ops::count::CountStrategy;
     pub use crowdprompt_core::ops::filter::FilterStrategy;
     pub use crowdprompt_core::ops::impute::{ImputeStrategy, LabeledPool};

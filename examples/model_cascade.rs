@@ -6,8 +6,6 @@
 
 use std::sync::Arc;
 
-use crowdprompt::core::cascade::{sequential_ask, CascadeTier, ModelCascade};
-use crowdprompt::core::{Corpus, Engine};
 use crowdprompt::oracle::model::NoiseProfile;
 use crowdprompt::oracle::task::TaskDescriptor;
 use crowdprompt::oracle::world::{ItemId, WorldModel};
@@ -26,7 +24,9 @@ fn main() {
         .collect();
     let world = Arc::new(world);
 
-    let tier = |accuracy: f64, price_mult: f64, name: &str, seed: u64| -> Arc<LlmClient> {
+    // One session per model: a tier polls its session's engine, under that
+    // session's budget and failure policy.
+    let tier = |accuracy: f64, price_mult: f64, name: &str, seed: u64| -> Session {
         let mut profile = ModelProfile::gpt35_like()
             .with_name(name.to_owned())
             .with_noise(NoiseProfile {
@@ -36,33 +36,20 @@ fn main() {
             });
         profile.pricing = Pricing::new(0.0002 * price_mult, 0.0004 * price_mult);
         let llm = SimulatedLlm::new(profile, Arc::clone(&world), seed);
-        Arc::new(LlmClient::new(Arc::new(llm)).without_cache())
+        Session::builder()
+            .client(Arc::new(LlmClient::new(Arc::new(llm)).without_cache()))
+            .corpus(Corpus::from_world(&world, &items))
+            .build()
     };
-
     let cheap = tier(0.78, 1.0, "sim-small", 1);
     let strong = tier(0.97, 40.0, "sim-large", 2);
-    let corpus = Corpus::from_world(&world, &items);
 
     // --- FrugalGPT-style cascade --------------------------------------------
-    let cascade = ModelCascade::new(
-        vec![
-            CascadeTier {
-                client: Arc::clone(&cheap),
-                accuracy: 0.78,
-                votes: 3,
-                temperature: 1.0,
-            },
-            CascadeTier {
-                client: Arc::clone(&strong),
-                accuracy: 0.97,
-                votes: 3,
-                temperature: 1.0,
-            },
-        ],
-        corpus.clone(),
-    )
-    .with_margin(0.9); // escalate unless the cheap tier is unanimous
-
+    let tiers = [&cheap, &strong].map(|session| CascadeTier {
+        engine: session.engine(),
+        votes: 3,
+        temperature_pct: 100,
+    });
     let tasks: Vec<TaskDescriptor> = items
         .iter()
         .map(|id| TaskDescriptor::CheckPredicate {
@@ -70,7 +57,8 @@ fn main() {
             predicate: "acceptable".into(),
         })
         .collect();
-    let out = cascade.ask_many(tasks).expect("cascade runs");
+    // Margin 0.9: escalate unless the cheap tier is unanimous.
+    let out = run_cascade(&tiers, tasks, 0.9).expect("cascade runs");
 
     let escalated = out.value.iter().filter(|v| v.deepest_tier > 0).count();
     let correct = out
@@ -90,47 +78,34 @@ fn main() {
     );
     println!("  cost: ${:.4}", out.cost_usd);
 
-    // All-strong comparison.
-    let engine = Engine::new(Arc::clone(&strong), corpus.clone());
-    let mut all_strong_cost = 0.0;
-    for id in &items {
-        for s in 0..3 {
-            let resp = engine
-                .run_sampled(
-                    TaskDescriptor::CheckPredicate {
-                        item: *id,
-                        predicate: "acceptable".into(),
-                    },
-                    1.0,
-                    s,
-                )
-                .unwrap();
-            all_strong_cost += engine.cost_of_response(&resp);
-        }
-    }
-    println!("  (asking the strong model everything: ${all_strong_cost:.4})");
+    // All-strong comparison: the same three votes, every item.
+    let all_strong = FilterStrategy::MajorityVote {
+        votes: 3,
+        temperature_pct: 100,
+    };
+    let all_strong = strong
+        .filter(&items, "acceptable", all_strong)
+        .expect("vote runs");
+    println!(
+        "  (asking the strong model everything: ${:.4})",
+        all_strong.cost_usd
+    );
 
     // --- Sequential stopping rule --------------------------------------------
-    println!("\nsequential asking (stop at ~95% posterior confidence):");
-    let engine = Engine::new(cheap, corpus);
-    let mut total_votes = 0u32;
-    for &id in items.iter().take(10) {
-        let out = sequential_ask(
-            &engine,
-            TaskDescriptor::CheckPredicate {
-                item: id,
-                predicate: "acceptable".into(),
-            },
-            0.78,
-            (19.0f64).ln(),
-            15,
-            1.0,
-        )
-        .expect("sequential ask runs");
-        total_votes += out.value.1;
-    }
+    // ~95% posterior confidence (log-odds ln 19) at the cheap model's 0.78
+    // per-call accuracy is a vote lead of ⌈ln 19 / ln(0.78/0.22)⌉ = 3.
+    println!("\nsequential asking (stop at a 3-vote lead):");
+    let sequential = FilterStrategy::Sequential {
+        lead: 3,
+        max_votes: 15,
+        temperature_pct: 100,
+    };
+    let out = cheap
+        .filter(&items[..10], "acceptable", sequential)
+        .expect("sequential filter runs");
     println!(
-        "  10 items resolved with {total_votes} votes total \
-         (uniform 15-vote polling would use 150)"
+        "  10 items resolved with {} votes total \
+         (uniform 15-vote polling would use 150)",
+        out.calls
     );
 }

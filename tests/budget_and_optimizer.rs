@@ -3,9 +3,7 @@
 
 use std::sync::Arc;
 
-use crowdprompt::core::optimize::{
-    evaluate_sort_strategies, pareto_frontier, recommend, sort_cost_exponent,
-};
+use crowdprompt::core::optimize::{evaluate_sort_strategies, pareto_frontier, recommend};
 use crowdprompt::data::FlavorDataset;
 use crowdprompt::prelude::*;
 
@@ -106,8 +104,8 @@ fn optimizer_trials_reflect_cost_structure() {
     assert!(trials[2].sample_tokens > trials[1].sample_tokens);
     assert!(trials[1].sample_tokens > trials[0].sample_tokens);
     // Exponents drive extrapolation.
-    assert_eq!(sort_cost_exponent(&SortStrategy::Pairwise), 2);
-    assert_eq!(sort_cost_exponent(&SortStrategy::SinglePrompt), 1);
+    assert_eq!(SortStrategy::Pairwise.cost_exponent(), 2);
+    assert_eq!(SortStrategy::SinglePrompt.cost_exponent(), 1);
     let pairwise = &trials[2];
     let at_100 = pairwise.extrapolated_cost(10, 100);
     assert!(

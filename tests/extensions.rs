@@ -4,7 +4,6 @@
 
 use std::sync::Arc;
 
-use crowdprompt::core::cascade::{CascadeTier, ModelCascade};
 use crowdprompt::core::ops::filter::FilterStrategy;
 use crowdprompt::core::{Corpus, Engine};
 use crowdprompt::data::ReviewsDataset;
@@ -156,39 +155,31 @@ fn cascade_routes_hard_items_to_strong_model() {
         })
         .collect();
     let world = Arc::new(w);
-    let tier = |acc: f64, seed: u64| -> Arc<LlmClient> {
+    let tier = |acc: f64, seed: u64| -> Engine {
         let profile = ModelProfile::gpt35_like().with_noise(NoiseProfile {
             check_accuracy: acc,
             malformed_rate: 0.0,
             ..NoiseProfile::perfect()
         });
-        Arc::new(
-            LlmClient::new(Arc::new(SimulatedLlm::new(
-                profile,
-                Arc::clone(&world),
-                seed,
-            )))
-            .without_cache(),
+        let llm = SimulatedLlm::new(profile, Arc::clone(&world), seed);
+        Engine::new(
+            Arc::new(LlmClient::new(Arc::new(llm)).without_cache()),
+            Corpus::from_world(&world, &items),
         )
     };
-    let cascade = ModelCascade::new(
-        vec![
-            CascadeTier {
-                client: tier(0.6, 1),
-                accuracy: 0.6,
-                votes: 5,
-                temperature: 1.0,
-            },
-            CascadeTier {
-                client: tier(0.99, 2),
-                accuracy: 0.99,
-                votes: 3,
-                temperature: 1.0,
-            },
-        ],
-        Corpus::from_world(&world, &items),
-    )
-    .with_margin(0.9);
+    let (weak, strong) = (tier(0.6, 1), tier(0.99, 2));
+    let tiers = [
+        CascadeTier {
+            engine: &weak,
+            votes: 5,
+            temperature_pct: 100,
+        },
+        CascadeTier {
+            engine: &strong,
+            votes: 3,
+            temperature_pct: 100,
+        },
+    ];
     let tasks: Vec<TaskDescriptor> = items
         .iter()
         .map(|id| TaskDescriptor::CheckPredicate {
@@ -196,7 +187,7 @@ fn cascade_routes_hard_items_to_strong_model() {
             predicate: "urgent".into(),
         })
         .collect();
-    let out = cascade.ask_many(tasks).unwrap();
+    let out = run_cascade(&tiers, tasks, 0.9).unwrap();
     let escalated = out.value.iter().filter(|v| v.deepest_tier == 1).count();
     assert!(
         escalated > 5,

@@ -341,6 +341,16 @@ fn failure_policy_is_invisible_on_a_healthy_world() {
         min_confidence_pct: 65,
         votes: 3,
     };
+    let sequential = FilterStrategy::Sequential {
+        lead: 2,
+        max_votes: 5,
+        temperature_pct: 70,
+    };
+    let proxy = FilterStrategy::ProxyGated {
+        train: 10,
+        min_confidence_pct: 5,
+    };
+    let verified = FilterStrategy::Verified { max_rounds: 3 };
     let filter_case = |strategy: FilterStrategy| -> Run {
         Box::new(move |e, ids| {
             format!(
@@ -359,6 +369,9 @@ fn failure_policy_is_invisible_on_a_healthy_world() {
         ("filter/single", filter_case(FilterStrategy::Single)),
         ("filter/majority-vote", filter_case(vote)),
         ("filter/confidence-gated", filter_case(gated)),
+        ("filter/sequential", filter_case(sequential)),
+        ("filter/proxy-gated", filter_case(proxy)),
+        ("filter/verified", filter_case(verified)),
         ("count/per-item", count_case(CountStrategy::PerItem)),
         (
             "count/eyeball",

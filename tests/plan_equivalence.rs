@@ -127,6 +127,16 @@ fn filter_plan_matches_eager() {
             min_confidence_pct: 65,
             votes: 3,
         },
+        FilterStrategy::Sequential {
+            lead: 2,
+            max_votes: 5,
+            temperature_pct: 80,
+        },
+        FilterStrategy::ProxyGated {
+            train: 8,
+            min_confidence_pct: 5,
+        },
+        FilterStrategy::Verified { max_rounds: 3 },
     ] {
         let planned = engine(&w, &ids);
         let run = Query::over(&ids)

@@ -468,23 +468,6 @@ fn cascade_meter_keeps_partial_spend_of_a_failed_tier() {
         },
     ));
     let tier1_client = Arc::new(LlmClient::new(Arc::clone(&model)));
-    let cascade = ModelCascade::new(
-        vec![
-            CascadeTier {
-                client: Arc::clone(&tier0_client),
-                accuracy: 0.9,
-                votes: 1,
-                temperature: 0.0,
-            },
-            CascadeTier {
-                client: Arc::clone(&tier1_client),
-                accuracy: 0.98,
-                votes: 1,
-                temperature: 0.0,
-            },
-        ],
-        Corpus::from_world(&w, &items),
-    );
     let tasks: Vec<TaskDescriptor> = items
         .iter()
         .map(|id| TaskDescriptor::CheckPredicate {
@@ -492,13 +475,36 @@ fn cascade_meter_keeps_partial_spend_of_a_failed_tier() {
             predicate: "keep".into(),
         })
         .collect();
-    let out = cascade.ask_many(tasks).expect("tier 1 answers everything");
+    let engine_over = |client: &Arc<LlmClient>| {
+        crowdprompt::core::Engine::new(Arc::clone(client), Corpus::from_world(&w, &items))
+    };
+    // Six votes asked of a tier that answers three calls in all: no item
+    // can reach the 0.6 margin there, so every item escalates. Outliving
+    // the failed votes is the tier engine's degrade policy; under FailFast
+    // the tier's error is the cascade's.
+    let tier0 = engine_over(&tier0_client).with_failure_policy(FailurePolicy::degrade());
+    let tier1 = engine_over(&tier1_client);
+    let tiers = |tier0| {
+        [
+            CascadeTier {
+                engine: tier0,
+                votes: 6,
+                temperature_pct: 100,
+            },
+            CascadeTier {
+                engine: &tier1,
+                votes: 1,
+                temperature_pct: 0,
+            },
+        ]
+    };
+    let out = run_cascade(&tiers(&tier0), tasks.clone(), 0.6).expect("tier 1 answers everything");
     for (i, verdict) in out.value.iter().enumerate() {
         assert_eq!(verdict.deepest_tier, 1);
         assert_eq!(verdict.answer, i % 2 == 0);
     }
     // Tier 0 billed exactly its 3 pre-collapse successes; the meter must
-    // include them even though their responses were discarded.
+    // include them even though no item settled on them.
     assert_eq!(tier0_client.ledger().calls(), 3);
     assert_eq!(tier1_client.ledger().calls(), 10);
     assert_eq!(out.calls, 13, "meter counts both tiers' billed calls");
@@ -509,6 +515,13 @@ fn cascade_meter_keeps_partial_spend_of_a_failed_tier() {
         out.cost_usd,
         ledger_total
     );
+    // The backend is spent by now: the same cascade with a fail-fast tier 0
+    // returns that tier's error instead of escalating.
+    let strict = engine_over(&tier0_client);
+    assert!(matches!(
+        run_cascade(&tiers(&strict), tasks, 0.6),
+        Err(EngineError::Llm(_))
+    ));
 }
 
 /// A cascade whose cheap tier is completely down (breaker open after
@@ -541,24 +554,17 @@ fn cascade_escalates_over_a_dead_tier() {
         },
     ));
     let healthy_tier = Arc::new(LlmClient::new(Arc::clone(&model)));
-    let corpus = Corpus::from_world(&w, &items);
-    let cascade = ModelCascade::new(
-        vec![
-            CascadeTier {
-                client: dead_tier,
-                accuracy: 0.9,
-                votes: 1,
-                temperature: 0.0,
-            },
-            CascadeTier {
-                client: healthy_tier,
-                accuracy: 0.98,
-                votes: 1,
-                temperature: 0.0,
-            },
-        ],
-        corpus,
-    );
+    let engine_over = |client: Arc<LlmClient>| {
+        crowdprompt::core::Engine::new(client, Corpus::from_world(&w, &items))
+    };
+    // Escalating past the dead tier is its engine's degrade policy.
+    let dead = engine_over(dead_tier).with_failure_policy(FailurePolicy::degrade());
+    let healthy = engine_over(healthy_tier);
+    let tiers = [&dead, &healthy].map(|engine| CascadeTier {
+        engine,
+        votes: 1,
+        temperature_pct: 0,
+    });
     let tasks: Vec<TaskDescriptor> = items
         .iter()
         .map(|id| TaskDescriptor::CheckPredicate {
@@ -566,9 +572,7 @@ fn cascade_escalates_over_a_dead_tier() {
             predicate: "keep".into(),
         })
         .collect();
-    let out = cascade
-        .ask_many(tasks)
-        .expect("dead tier escalates, not errors");
+    let out = run_cascade(&tiers, tasks, 0.6).expect("dead tier escalates, not errors");
     for (i, verdict) in out.value.iter().enumerate() {
         assert_eq!(verdict.deepest_tier, 1, "answered by the healthy tier");
         assert_eq!(verdict.answer, i % 2 == 0);

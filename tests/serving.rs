@@ -16,7 +16,9 @@
 //!   `Server::engine_for` gives the answer a standalone session with the
 //!   tenant's budget gives, bit for bit, billed to the tenant's ledger and
 //!   with no lease left held; a zero-budget tenant's `Query` is refused
-//!   before any backend call.
+//!   before any backend call. That holds for the voted and proxy-gated
+//!   filter strategies too, and a cascade over two tenants' handles bills
+//!   each tier to its own tenant.
 
 use std::sync::Arc;
 
@@ -297,4 +299,142 @@ proptest! {
         prop_assert_eq!(server.ledger("broke").expect("registered").spent_usd(), 0.0);
         prop_assert_eq!(server.leases_in_use(), 0, "every lease released after the run");
     }
+}
+
+/// The voted and proxy-gated filter strategies are plan nodes like any
+/// other, so a tenant's engine handle runs them under the tenant's ledger:
+/// billed to that tenant alone, no lease left held, and refused before any
+/// backend call when the tenant has no budget.
+#[test]
+fn voted_and_proxy_filters_through_engine_for_bill_only_their_tenant() {
+    use crowdprompt::core::ops::filter::FilterStrategy;
+    let strategies = [
+        FilterStrategy::Sequential {
+            lead: 2,
+            max_votes: 5,
+            temperature_pct: 100,
+        },
+        FilterStrategy::ProxyGated {
+            train: 8,
+            min_confidence_pct: 5,
+        },
+    ];
+    for strategy in strategies {
+        let (w, items) = flag_world(24);
+        let server = server_over(
+            &w,
+            &items,
+            7,
+            vec![
+                TenantSpec::new("a").with_budget(Budget::usd(0.5)),
+                TenantSpec::new("b").with_budget(Budget::usd(0.5)),
+                TenantSpec::new("broke").with_budget(Budget::usd(0.0)),
+            ],
+        );
+        let client = server.engine().client();
+        let run_as = |tenant: &str| {
+            let handle = server.engine_for(tenant).expect("registered tenant");
+            Query::over(&items)
+                .filter_with("hot", strategy)
+                .plan_on(&handle)
+                .and_then(|plan| plan.execute_on(&handle))
+        };
+
+        let refused = run_as("broke");
+        assert!(
+            matches!(refused, Err(EngineError::BudgetExceeded { .. })),
+            "{strategy:?}: expected BudgetExceeded, got {refused:?}"
+        );
+        assert_eq!(client.stats().calls(), 0, "refusal precedes any call");
+
+        let served = run_as("a").expect("within the tenant's budget");
+        assert!(served.total_calls() > 0, "{strategy:?} reaches the backend");
+        let spent = |tenant: &str| server.ledger(tenant).expect("registered").spent_usd();
+        assert!(
+            (spent("a") - client.ledger().spend_usd()).abs() < 1e-9,
+            "{strategy:?}: tenant ledger ({}) must equal the client ledger's delta ({})",
+            spent("a"),
+            client.ledger().spend_usd()
+        );
+        assert!((spent("a") - served.total_cost_usd()).abs() < 1e-9);
+        assert_eq!(spent("b"), 0.0);
+        assert_eq!(spent("broke"), 0.0);
+        assert_eq!(server.leases_in_use(), 0, "every lease released");
+    }
+}
+
+/// A cascade polls engines its caller owns, so over two tenants' handles
+/// each tier's votes are billed to that tier's tenant — and a tier 0 whose
+/// tenant has no budget refuses the whole cascade before any call (the
+/// private per-tier engines this replaced spent freely past a $0 cap).
+#[test]
+fn a_cascade_over_two_tenants_bills_each_tier_to_its_own_tenant() {
+    use crowdprompt::core::cascade::{run_cascade, CascadeTier};
+    let (w, items) = flag_world(30);
+    // A noisy model, so a unanimity margin sends most items up a tier.
+    let noise = NoiseProfile {
+        check_accuracy: 0.6,
+        malformed_rate: 0.0,
+        ..NoiseProfile::perfect()
+    };
+    let session = || {
+        let profile = ModelProfile::gpt35_like().with_noise(noise.clone());
+        let llm = SimulatedLlm::new(profile, Arc::new(w.clone()), 11);
+        Session::builder()
+            .client(Arc::new(LlmClient::new(Arc::new(llm))))
+            .corpus(Corpus::from_world(&w, &items))
+            .build()
+    };
+    let server = session()
+        .serve()
+        .tenant(TenantSpec::new("cheap").with_budget(Budget::usd(0.5)))
+        .tenant(TenantSpec::new("strong").with_budget(Budget::usd(0.5)))
+        .tenant(TenantSpec::new("broke").with_budget(Budget::usd(0.0)))
+        .try_build()
+        .expect("serving stack must build");
+    let client = server.engine().client();
+    let handle = |tenant: &str| server.engine_for(tenant).expect("registered tenant");
+    let spent = |tenant: &str| server.ledger(tenant).expect("registered").spent_usd();
+    let tiers = |first, second| {
+        [
+            CascadeTier {
+                engine: first,
+                votes: 3,
+                temperature_pct: 100,
+            },
+            CascadeTier {
+                engine: second,
+                votes: 5,
+                temperature_pct: 90,
+            },
+        ]
+    };
+    let (cheap, strong, broke) = (handle("cheap"), handle("strong"), handle("broke"));
+
+    let refused = run_cascade(&tiers(&broke, &strong), check_tasks(&items), 1.0);
+    assert!(
+        matches!(refused, Err(EngineError::BudgetExceeded { .. })),
+        "expected BudgetExceeded, got {refused:?}"
+    );
+    assert_eq!(client.stats().calls(), 0, "refused whole, before any call");
+
+    let out = run_cascade(&tiers(&cheap, &strong), check_tasks(&items), 1.0)
+        .expect("within both tenants' budgets");
+    let escalated = out.value.iter().filter(|v| v.deepest_tier == 1).count();
+    assert!(escalated > 0 && escalated < items.len(), "{escalated}");
+    // Tier 0 polled everything, tier 1 only what escalated.
+    assert_eq!(out.calls as usize, 3 * items.len() + 5 * escalated);
+    // Tier 0's tenant paid for exactly its three votes per item — what a
+    // three-vote filter costs a standalone session on the same model.
+    let tier0_votes = crowdprompt::core::ops::filter::FilterStrategy::MajorityVote {
+        votes: 3,
+        temperature_pct: 100,
+    };
+    let alone = session().filter(&items, "hot", tier0_votes).unwrap();
+    assert!((spent("cheap") - alone.cost_usd).abs() < 1e-9);
+    assert!(spent("strong") > 0.0);
+    assert!((spent("cheap") + spent("strong") - out.cost_usd).abs() < 1e-9);
+    assert!((out.cost_usd - client.ledger().spend_usd()).abs() < 1e-9);
+    assert_eq!(spent("broke"), 0.0);
+    assert_eq!(server.leases_in_use(), 0, "every lease released");
 }

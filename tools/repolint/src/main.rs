@@ -13,6 +13,7 @@
 //! | `no-deprecated`| no `#[deprecated]` items and no `allow(deprecated)`, tests included|
 //! | `one-pump`    | `crates/core/src` starts threads in `exec.rs`'s pump and nowhere else|
 //! | `one-retry`   | `crates/oracle/src` calls `retry_delay` in `route.rs`'s loop and nowhere else|
+//! | `one-engine`  | `crates/core/src` calls `Engine::new` in `session.rs` (and `exec.rs`) and nowhere else|
 //!
 //! Pure std, no crates.io: scanning is lexical but *mask-accurate* — a small
 //! lexer blanks out comments, strings, and char literals first, so a banned
@@ -72,6 +73,13 @@ const ONE_PUMP_HOME: &str = "crates/core/src/exec.rs";
 /// every client dispatches through it.
 const ONE_RETRY_SCOPE: &str = "crates/oracle/src/";
 const ONE_RETRY_HOME: &str = "crates/oracle/src/route.rs";
+
+/// The files under [`ONE_ENGINE_SCOPE`] allowed to construct an engine: the
+/// type's own module and the session builder. A strategy that builds a
+/// private engine runs outside its caller's budget, failure policy, trace
+/// and leases; it borrows the caller's engine instead.
+const ONE_ENGINE_SCOPE: &str = "crates/core/src/";
+const ONE_ENGINE_HOMES: &[&str] = &["crates/core/src/exec.rs", "crates/core/src/session.rs"];
 
 const BASELINE_GUARD: &str = "ci/check_bench_baselines.sh";
 
@@ -594,6 +602,19 @@ fn lint_rust_source(rel: &str, src: &str) -> Vec<Finding> {
         }
     }
 
+    if rel.starts_with(ONE_ENGINE_SCOPE) && !ONE_ENGINE_HOMES.contains(&rel) {
+        for offset in find_token(&masked, "Engine::new") {
+            if library_code(offset) {
+                push(
+                    "one-engine",
+                    "`Engine::new(..)` builds a private engine beside the caller's".to_string(),
+                    "borrow the caller's `&Engine` (a session's, or a tenant handle from `Server::engine_for`) so its budget, policy, trace and leases apply",
+                    offset,
+                );
+            }
+        }
+    }
+
     for offset in find_money_eq(&masked, &index) {
         if library_code(offset) {
             push(
@@ -1040,6 +1061,25 @@ mod tests {
             codes(&lint_rust_source("crates/core/src/lib.rs", bad)),
             vec!["no-unwrap"]
         );
+    }
+
+    #[test]
+    fn one_engine_flags_engine_construction_in_core_outside_session() {
+        let src = concat!(
+            "fn tier(c: Arc<LlmClient>, corpus: Corpus) -> Engine { Engine::new(c, corpus) }\n",
+            "fn fine(e: &Engine) -> Engine { e.fork() } // Engine::new in a comment\n",
+            "#[cfg(test)]\n",
+            "mod tests { fn t() { let _ = Engine::new(client(), corpus()); } }\n",
+        );
+        let f = lint_rust_source("crates/core/src/cascade.rs", src);
+        assert_eq!(codes(&f), vec!["one-engine"]);
+        assert_eq!((f[0].line, f[0].col), (1, 56));
+        // The type's module, the session builder, other crates, and test
+        // trees are out of scope.
+        assert!(lint_rust_source("crates/core/src/exec.rs", src).is_empty());
+        assert!(lint_rust_source("crates/core/src/session.rs", src).is_empty());
+        assert!(lint_rust_source("crates/bench/src/lib.rs", src).is_empty());
+        assert!(lint_rust_source("crates/core/tests/prop.rs", src).is_empty());
     }
 
     #[test]

@@ -81,6 +81,14 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         "pub fn retry_delay(backoff_ms: u64) -> u64 { backoff_ms }\n",
     );
     repo.write(
+        "crates/core/src/bad_engine.rs",
+        "pub fn tier(c: Client, corpus: Corpus) -> Engine { Engine::new(c, corpus) }\n",
+    );
+    repo.write(
+        "crates/core/src/session.rs",
+        "pub fn build(c: Client, corpus: Corpus) -> Engine { Engine::new(c, corpus) }\n",
+    );
+    repo.write(
         "tests/bad_shim.rs",
         "#![allow(deprecated)]\n\n#[deprecated(note = \"old\")]\nfn old() {}\n",
     );
@@ -106,6 +114,8 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         "error[no-deprecated]",
         "error[one-pump]",
         "error[one-retry]",
+        "error[one-engine]",
+        "--> crates/core/src/bad_engine.rs:1:52",
         "--> crates/core/src/bad_loop.rs:1:23",
         "--> crates/oracle/src/bad_retry.rs:1:69",
         "--> tests/bad_shim.rs:1:1",
@@ -131,10 +141,14 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
             "the router's loop and the definition are not findings:\n{stderr}"
         );
     }
-    // Three lock names across the two imports, two unwrap forms, two
-    // deprecation attributes, one each of the rest: 3 + 2 + 2 + 1 + 1 + 1 + 1 + 1.
     assert!(
-        stderr.contains("12 finding(s)"),
+        !stderr.contains("crates/core/src/session.rs"),
+        "the session builder is where engines are made:\n{stderr}"
+    );
+    // Three lock names across the two imports, two unwrap forms, two
+    // deprecation attributes, one each of the rest: 3 + 2 + 2 + 1 + 1 + 1 + 1 + 1 + 1.
+    assert!(
+        stderr.contains("13 finding(s)"),
         "unexpected total in:\n{stderr}"
     );
 }
@@ -175,8 +189,9 @@ fn this_repository_is_clean() {
     // series anywhere in the tree fails the test suite, not just the CI
     // lint job. The same goes for a `#[deprecated]` shim or an
     // `allow(deprecated)`, in tests and examples too, for a thread
-    // started in `crates/core/src` outside `exec.rs`'s pump, and for a
-    // `retry_delay` call in `crates/oracle/src` outside `route.rs`'s loop.
+    // started in `crates/core/src` outside `exec.rs`'s pump, for a
+    // `retry_delay` call in `crates/oracle/src` outside `route.rs`'s loop,
+    // and for an `Engine::new` in `crates/core/src` outside `session.rs`.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let out = run_repolint(&root);
     let stderr = String::from_utf8_lossy(&out.stderr);
