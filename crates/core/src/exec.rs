@@ -47,9 +47,10 @@
 //! salvage-before-admission in prepare — plus [`Settle`], the per-item
 //! helper operators hand their parse results to.
 //!
-//! [`Engine::run`], [`Engine::run_sampled`], [`Engine::run_many`] and
-//! [`Engine::run_sampled_many`] are always strict (callers pattern-match on
-//! their `Err`); [`Engine::run_outcome`] obeys the engine's policy.
+//! [`Engine::run`] and [`Engine::run_many`] are always strict (callers
+//! pattern-match on their `Err`; the ranking and matching operators reach
+//! them through `ops::judge`); [`Engine::run_outcome`] obeys the engine's
+//! policy.
 //!
 //! # Packed dispatch
 //!
@@ -542,48 +543,29 @@ impl Engine {
         Ok(())
     }
 
-    /// Execute one unit task at the engine's temperature (sample 0).
+    /// Execute one unit task at the engine's temperature (sample 0): a
+    /// one-task [`Engine::run_many`].
     pub fn run(&self, task: TaskDescriptor) -> Result<CompletionResponse, EngineError> {
-        self.run_sampled(task, self.temperature, 0)
-    }
-
-    /// Execute one unit task at an explicit sample index and temperature.
-    pub fn run_sampled(
-        &self,
-        task: TaskDescriptor,
-        temperature: f64,
-        sample_index: u32,
-    ) -> Result<CompletionResponse, EngineError> {
-        let mut responses = self.run_sampled_many(vec![(task, temperature, sample_index)])?;
-        Ok(responses.pop().expect("one response per call")) // lint: allow(no-unwrap)
+        let mut responses = self.run_many(vec![task])?;
+        Ok(responses.pop().expect("one response per task")) // lint: allow(no-unwrap)
     }
 
     /// Execute a batch of unit tasks through the pipelined dispatcher,
-    /// preserving order. Always strict: the first hard error fails the
-    /// batch (transient errors are already retried inside the client), and
-    /// the whole batch is admitted against the budget *cumulatively* before
-    /// any call — the i-th task must fit after the estimated spend of tasks
-    /// 0..i, so a batch that would blow through the budget is refused whole.
+    /// preserving order. Always strict, whatever the engine's policy: the
+    /// first hard error fails the batch (transient errors are already
+    /// retried inside the client), and the whole batch is admitted against
+    /// the budget *cumulatively* before any call — the i-th task must fit
+    /// after the estimated spend of tasks 0..i, so a batch that would blow
+    /// through the budget is refused whole.
     pub fn run_many(
         &self,
         tasks: Vec<TaskDescriptor>,
     ) -> Result<Vec<CompletionResponse>, EngineError> {
         let calls = tasks.into_iter().map(|task| self.unsampled(task)).collect();
-        self.dispatch_strict(calls, Admit::Batch)
-    }
-
-    /// Execute a batch of `(task, temperature, sample_index)` calls through
-    /// the pipelined dispatcher, preserving order; the batched form of
-    /// [`Engine::run_sampled`], and always strict like [`Engine::run_many`]
-    /// (the voting strategies obey the failure policy instead, through
-    /// [`RunSpec::sampled`]). Budget admission is per call at execution
-    /// time — each call admitted against *actual* spend so far — not
-    /// `run_many`'s stricter cumulative pre-admission.
-    pub fn run_sampled_many(
-        &self,
-        specs: Vec<(TaskDescriptor, f64, u32)>,
-    ) -> Result<Vec<CompletionResponse>, EngineError> {
-        self.dispatch_strict(specs, Admit::PerCall)
+        // A stop-on-error pump returns `Err` before any item can be one.
+        Ok(self
+            .run_items(calls, Admit::Batch, FailurePolicy::FailFast)?
+            .responses)
     }
 
     /// Execute `spec` under the engine's [`FailurePolicy`] and normalize to
@@ -635,21 +617,6 @@ impl Engine {
             op,
             lost: (self.failure_policy != FailurePolicy::FailFast).then(BTreeMap::new),
         }
-    }
-
-    /// The strict entry points' shared tail: prepare, pump under
-    /// [`FailurePolicy::FailFast`], unwrap the (then all-`Ok`) items.
-    fn dispatch_strict(
-        &self,
-        calls: Vec<Call>,
-        admit: Admit,
-    ) -> Result<Vec<CompletionResponse>, EngineError> {
-        let policy = FailurePolicy::FailFast;
-        let work = self.prepare(calls, admit, self.run_deadline(), policy);
-        self.pump(work, self.shape(policy))?
-            .into_iter()
-            .map(|item| item.map_err(|errors| condemning(&errors)))
-            .collect()
     }
 
     /// One call per item: prepare, pump, normalize.
@@ -1762,6 +1729,14 @@ mod tests {
         );
     }
 
+    /// The responses of a sampled spec on a healthy engine.
+    fn sampled(engine: &Engine, specs: Vec<Call>) -> Vec<CompletionResponse> {
+        engine
+            .run_outcome(RunSpec::sampled(specs))
+            .unwrap()
+            .responses
+    }
+
     #[test]
     fn sampled_runs_decorrelate() {
         let (engine, ids) = engine_with(2, Budget::Unlimited);
@@ -1772,21 +1747,25 @@ mod tests {
             criterion: crowdprompt_oracle::task::SortCriterion::LatentScore,
         };
         let answers: std::collections::HashSet<String> = (0..32)
-            .map(|i| engine.run_sampled(task.clone(), 1.0, i).unwrap().text)
+            .map(|i| {
+                sampled(&engine, vec![(task.clone(), 1.0, i)])
+                    .remove(0)
+                    .text
+            })
             .collect();
         assert!(answers.len() > 1, "expected varied samples");
     }
 
     #[test]
-    fn run_sampled_many_matches_sequential_sampled() {
+    fn sampled_batch_matches_sequential_sampled() {
         let (engine, ids) = engine_with(4, Budget::Unlimited);
         let specs: Vec<_> = (0..16)
             .map(|s| (check_task(ids[(s % 4) as usize]), 1.0, s))
             .collect();
-        let batched = engine.run_sampled_many(specs.clone()).unwrap();
+        let batched = sampled(&engine, specs.clone());
         let sequential: Vec<_> = specs
             .into_iter()
-            .map(|(t, temp, s)| engine.run_sampled(t, temp, s).unwrap())
+            .map(|spec| sampled(&engine, vec![spec]).remove(0))
             .collect();
         for (b, s) in batched.iter().zip(sequential.iter()) {
             assert_eq!(b.text, s.text, "same request, same simulator draw");
@@ -2117,14 +2096,6 @@ mod tests {
         let single = engine.run_outcome(RunSpec::packed(tasks, 1)).unwrap();
         assert_eq!(single.answers.len(), 12);
         assert!(single.is_complete());
-
-        // Sampled spec vs run_sampled_many.
-        let specs: Vec<_> = ids.iter().map(|id| (check_task(*id), 1.0, 3)).collect();
-        let strict = engine.run_sampled_many(specs.clone()).unwrap();
-        let sampled = engine.run_outcome(RunSpec::sampled(specs)).unwrap();
-        for (answer, response) in sampled.answers.iter().zip(&strict) {
-            assert_eq!(answer.as_ref().unwrap(), &response.text);
-        }
 
         // Incompatible packs stay a caller bug.
         let mixed = vec![

@@ -71,7 +71,12 @@ fn first_integer(text: &str) -> Option<u64> {
     let mut current: Option<u64> = None;
     for ch in text.chars() {
         if let Some(d) = ch.to_digit(10) {
-            current = Some(current.unwrap_or(0).saturating_mul(10) + u64::from(d));
+            current = Some(
+                current
+                    .unwrap_or(0)
+                    .saturating_mul(10)
+                    .saturating_add(u64::from(d)),
+            );
         } else if current.is_some() {
             break;
         }
@@ -290,6 +295,21 @@ mod tests {
             count("Approximately 12 of the 40 items satisfy the condition."),
             Ok(12)
         );
+    }
+
+    #[test]
+    fn overlong_numbers_saturate_instead_of_overflowing() {
+        // 20 nines exceed u64: the accumulator saturates (it used to panic
+        // in debug builds and wrap to 8 in release).
+        let huge = "There are 99999999999999999999 of them.";
+        assert_eq!(count(huge), Ok(u64::MAX));
+        assert!(matches!(
+            rating(huge),
+            Err(EngineError::Extraction {
+                expected: "rating",
+                ..
+            })
+        ));
     }
 
     #[test]

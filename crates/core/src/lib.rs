@@ -27,6 +27,9 @@
 //!   self-consistency, sequential asking, proxy gating and
 //!   self-verification are [`ops::filter::FilterStrategy`] variants, so a
 //!   `Query` runs them under a session's or a tenant's budget.
+//!   `ops::judge` (crate-private) is its strict twin, the one step where
+//!   sort, max, top-k, resolve, join and cluster ask pairs or ratings,
+//!   meter the responses and parse the answers.
 //! * [`quality`] — the pure vote aggregators: Dawid–Skene EM and
 //!   decision-threshold calibration (§3.5).
 //! * [`cascade`] — multi-model routing: FrugalGPT-style tiering over

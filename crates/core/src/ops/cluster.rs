@@ -18,6 +18,7 @@ use crate::blocking::BlockingIndex;
 use crate::error::EngineError;
 use crate::exec::Engine;
 use crate::extract;
+use crate::ops::judge;
 use crate::outcome::{CostMeter, Outcome};
 
 /// Cluster `items` into duplicate groups.
@@ -128,12 +129,7 @@ fn cluster_impl(
         let mut placed = false;
         for (_, gi) in order {
             let representative = groups[gi][0];
-            let resp = engine.run(TaskDescriptor::SameEntity {
-                left: id,
-                right: representative,
-            })?;
-            meter.add(resp.usage, engine.cost_of_response(&resp));
-            if extract::yes_no(&resp.text)? {
+            if judge::same_entity(engine, &[(id, representative)], &mut meter)?[0] {
                 groups[gi].push(id);
                 placed = true;
                 break;

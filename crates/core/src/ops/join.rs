@@ -8,13 +8,12 @@
 //! floor), and asks the LLM about the survivors — the machine-prunes /
 //! humans-confirm split of the crowdsourcing literature.
 
-use crowdprompt_oracle::task::TaskDescriptor;
 use crowdprompt_oracle::world::ItemId;
 
 use crate::blocking::BlockingIndex;
 use crate::error::EngineError;
 use crate::exec::Engine;
-use crate::extract;
+use crate::ops::judge;
 use crate::outcome::{CostMeter, Outcome};
 
 /// How to join two collections.
@@ -96,22 +95,13 @@ pub fn fuzzy_join(
     };
     let pruned = total_pairs - candidate_pairs.len();
 
-    let tasks: Vec<TaskDescriptor> = candidate_pairs
-        .iter()
-        .map(|(l, r)| TaskDescriptor::SameEntity {
-            left: *l,
-            right: *r,
-        })
-        .collect();
-    let responses = engine.run_many(tasks)?;
     let mut meter = CostMeter::new();
-    let mut matches = Vec::new();
-    for (resp, pair) in responses.iter().zip(&candidate_pairs) {
-        meter.add(resp.usage, engine.cost_of_response(resp));
-        if extract::yes_no(&resp.text)? {
-            matches.push(*pair);
-        }
-    }
+    let same = judge::same_entity(engine, &candidate_pairs, &mut meter)?;
+    let matches = candidate_pairs
+        .iter()
+        .zip(same)
+        .filter_map(|(pair, same)| same.then_some(*pair))
+        .collect();
     Ok(meter.into_outcome(JoinResult {
         matches,
         candidate_pairs: candidate_pairs.len(),

@@ -1,12 +1,12 @@
 //! Max-finding (paper §3.2, after Khan et al.'s dynamic max discovery and
 //! Guo et al.'s "So who won?").
 
-use crowdprompt_oracle::task::{SortCriterion, TaskDescriptor};
+use crowdprompt_oracle::task::SortCriterion;
 use crowdprompt_oracle::world::ItemId;
 
 use crate::error::EngineError;
 use crate::exec::Engine;
-use crate::extract;
+use crate::ops::judge;
 use crate::outcome::{CostMeter, Outcome};
 
 /// How to find the maximum item under the criterion.
@@ -84,33 +84,15 @@ fn tournament(
     let mut meter = CostMeter::new();
     let mut round: Vec<ItemId> = items.to_vec();
     while round.len() > 1 {
-        let mut tasks = Vec::with_capacity(round.len() / 2);
-        for pair in round.chunks(2) {
-            if pair.len() == 2 {
-                tasks.push(TaskDescriptor::Compare {
-                    left: pair[0],
-                    right: pair[1],
-                    criterion,
-                });
-            }
-        }
-        let responses = engine.run_many(tasks)?;
-        let mut next: Vec<ItemId> = Vec::with_capacity(round.len().div_ceil(2));
-        let mut r = 0usize;
-        for pair in round.chunks(2) {
-            if pair.len() == 1 {
-                next.push(pair[0]); // bye
-                continue;
-            }
-            let resp = &responses[r];
-            r += 1;
-            meter.add(resp.usage, engine.cost_of_response(resp));
-            next.push(if extract::yes_no(&resp.text)? {
-                pair[0]
-            } else {
-                pair[1]
-            });
-        }
+        let pairs: Vec<(ItemId, ItemId)> = round.chunks_exact(2).map(|p| (p[0], p[1])).collect();
+        let left_wins = judge::compare(engine, &pairs, criterion, &mut meter)?;
+        let mut next: Vec<ItemId> = pairs
+            .iter()
+            .zip(left_wins)
+            .map(|(&(left, right), left_wins)| if left_wins { left } else { right })
+            .collect();
+        // An odd item out gets a bye.
+        next.extend(round.chunks_exact(2).remainder());
         round = next;
     }
     Ok(meter.into_outcome(round[0]))
@@ -123,60 +105,17 @@ fn rate_then_playoff(
     buckets: u8,
     playoff_size: usize,
 ) -> Result<Outcome<ItemId>, EngineError> {
-    let buckets = buckets.max(2);
-    let playoff_size = playoff_size.max(2);
     let mut meter = CostMeter::new();
     // Coarse: rate everything.
-    let tasks: Vec<TaskDescriptor> = items
-        .iter()
-        .map(|id| TaskDescriptor::Rate {
-            item: *id,
-            scale_min: 1,
-            scale_max: buckets,
-            criterion,
-        })
+    let rated = judge::rate(engine, items, 1, buckets.max(2), criterion, &mut meter)?;
+    let finalists: Vec<ItemId> = judge::best_first(rated, criterion)
+        .into_iter()
+        .take(playoff_size.max(2))
+        .map(|(_, id)| id)
         .collect();
-    let responses = engine.run_many(tasks)?;
-    let mut rated: Vec<(u8, ItemId)> = Vec::with_capacity(items.len());
-    for (resp, id) in responses.iter().zip(items) {
-        meter.add(resp.usage, engine.cost_of_response(resp));
-        rated.push((extract::rating(&resp.text)?, *id));
-    }
-    match criterion {
-        SortCriterion::LatentScore => rated.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1))),
-        SortCriterion::Lexicographic => rated.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1))),
-    }
-    let finalists: Vec<ItemId> = rated.iter().take(playoff_size).map(|(_, id)| *id).collect();
     // Fine: round-robin among finalists with consistency repair.
-    let m = finalists.len();
-    let mut tasks = Vec::with_capacity(m * (m - 1) / 2);
-    for i in 0..m {
-        for j in (i + 1)..m {
-            tasks.push(TaskDescriptor::Compare {
-                left: finalists[i],
-                right: finalists[j],
-                criterion,
-            });
-        }
-    }
-    let responses = engine.run_many(tasks)?;
-    let mut beats = vec![vec![false; m]; m];
-    let mut k = 0usize;
-    #[allow(clippy::needless_range_loop)]
-    for i in 0..m {
-        for j in (i + 1)..m {
-            let resp = &responses[k];
-            k += 1;
-            meter.add(resp.usage, engine.cost_of_response(resp));
-            if extract::yes_no(&resp.text)? {
-                beats[i][j] = true;
-            } else {
-                beats[j][i] = true;
-            }
-        }
-    }
-    let order = crate::consistency::repair_ranking(m, &|a, b| beats[a][b], 12);
-    Ok(meter.into_outcome(finalists[order[0]]))
+    let ranked = judge::rank_repaired(engine, &finalists, criterion, &mut meter)?;
+    Ok(meter.into_outcome(ranked[0]))
 }
 
 #[cfg(test)]

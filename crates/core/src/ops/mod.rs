@@ -7,6 +7,7 @@ pub mod count;
 pub mod filter;
 pub mod impute;
 pub mod join;
+pub(crate) mod judge;
 pub mod max;
 pub mod resolve;
 pub mod sort;

@@ -2,14 +2,13 @@
 
 use std::collections::HashMap;
 
-use crowdprompt_oracle::task::TaskDescriptor;
 use crowdprompt_oracle::world::ItemId;
 
 use crate::blocking::BlockingIndex;
 use crate::consistency::UnionFind;
 use crate::error::EngineError;
 use crate::exec::Engine;
-use crate::extract;
+use crate::ops::judge;
 use crate::outcome::{CostMeter, Outcome};
 
 /// How to answer a batch of "are A and B duplicates?" questions.
@@ -111,33 +110,12 @@ pub fn resolve_pairs(
     }
 }
 
-fn ask_same_entity_batch(
-    engine: &Engine,
-    pairs: &[(ItemId, ItemId)],
-    meter: &mut CostMeter,
-) -> Result<Vec<bool>, EngineError> {
-    let tasks: Vec<TaskDescriptor> = pairs
-        .iter()
-        .map(|(a, b)| TaskDescriptor::SameEntity {
-            left: *a,
-            right: *b,
-        })
-        .collect();
-    let responses = engine.run_many(tasks)?;
-    let mut out = Vec::with_capacity(pairs.len());
-    for resp in &responses {
-        meter.add(resp.usage, engine.cost_of_response(resp));
-        out.push(extract::yes_no(&resp.text)?);
-    }
-    Ok(out)
-}
-
 fn pairwise(
     engine: &Engine,
     pairs: &[(ItemId, ItemId)],
 ) -> Result<Outcome<Vec<bool>>, EngineError> {
     let mut meter = CostMeter::new();
-    let answers = ask_same_entity_batch(engine, pairs, &mut meter)?;
+    let answers = judge::same_entity(engine, pairs, &mut meter)?;
     Ok(meter.into_outcome(answers))
 }
 
@@ -172,7 +150,7 @@ fn transitivity_augmented(
     }
 
     // 2. Ask the model about every comparison.
-    let answers = ask_same_entity_batch(engine, &comparisons, &mut meter)?;
+    let answers = judge::same_entity(engine, &comparisons, &mut meter)?;
 
     // 3. Transitive closure over the "yes" edges.
     let mut node_ids: Vec<ItemId> = Vec::new();
@@ -238,7 +216,7 @@ pub fn dedup(
         }
     }
     // 2. Oracle confirmation.
-    let answers = ask_same_entity_batch(engine, &pairs, &mut meter)?;
+    let answers = judge::same_entity(engine, &pairs, &mut meter)?;
     // 3. Transitive closure into clusters.
     let pos: HashMap<ItemId, usize> = items.iter().enumerate().map(|(i, id)| (*id, i)).collect();
     let mut uf = UnionFind::new(items.len());

@@ -10,6 +10,7 @@ use rand_chacha::ChaCha8Rng;
 use crate::error::EngineError;
 use crate::exec::Engine;
 use crate::extract;
+use crate::ops::judge;
 use crate::outcome::{CostMeter, Outcome};
 
 /// How to sort.
@@ -19,7 +20,7 @@ pub enum SortStrategy {
     /// items are re-inserted at seeded-random positions, as in Table 2's
     /// baseline scoring; hallucinated entries are dropped.
     SinglePrompt,
-    /// All `n(n-2)/2` pairwise comparisons, ranked by Copeland score
+    /// All `n(n-1)/2` pairwise comparisons, ranked by Copeland score
     /// (number of wins), ties broken by id.
     Pairwise,
     /// Pairwise comparisons packed `batch_size` to a prompt (§4's batching
@@ -243,7 +244,8 @@ fn reinsert_missing(engine: &Engine, items: &[ItemId], mut order: Vec<ItemId>) -
 }
 
 // ---------------------------------------------------------------------------
-// Pairwise (Copeland)
+// Pairwise (Copeland), one comparison or `batch_size` to a prompt (§4's
+// batching hyper-parameter)
 // ---------------------------------------------------------------------------
 
 fn pairwise(
@@ -251,44 +253,11 @@ fn pairwise(
     items: &[ItemId],
     criterion: SortCriterion,
 ) -> Result<Outcome<SortResult>, EngineError> {
-    let n = items.len();
-    let mut tasks = Vec::with_capacity(n * (n - 1) / 2);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            tasks.push(TaskDescriptor::Compare {
-                left: items[i],
-                right: items[j],
-                criterion,
-            });
-        }
-    }
-    let responses = engine.run_many(tasks)?;
     let mut meter = CostMeter::new();
-    let mut wins: HashMap<ItemId, u32> = items.iter().map(|id| (*id, 0)).collect();
-    let mut k = 0usize;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let resp = &responses[k];
-            k += 1;
-            meter.add(resp.usage, engine.cost_of_response(resp));
-            let left_first = extract::yes_no(&resp.text)?;
-            let winner = if left_first { items[i] } else { items[j] };
-            *wins.get_mut(&winner).expect("seeded above") += 1; // lint: allow(no-unwrap)
-        }
-    }
-    let mut order: Vec<ItemId> = items.to_vec();
-    // Most wins first; ties broken arbitrarily (by id), as in the paper.
-    order.sort_by(|a, b| wins[b].cmp(&wins[a]).then(a.cmp(b)));
-    Ok(meter.into_outcome(SortResult {
-        order,
-        missing: 0,
-        hallucinated: 0,
-    }))
+    let pairs = judge::all_pairs(items);
+    let left_first = judge::compare(engine, &pairs, criterion, &mut meter)?;
+    Ok(meter.into_outcome(copeland(items, &pairs, &left_first)))
 }
-
-// ---------------------------------------------------------------------------
-// Pairwise, batched (§4 batching hyper-parameter)
-// ---------------------------------------------------------------------------
 
 fn pairwise_batched(
     engine: &Engine,
@@ -296,39 +265,27 @@ fn pairwise_batched(
     criterion: SortCriterion,
     batch_size: usize,
 ) -> Result<Outcome<SortResult>, EngineError> {
-    let batch_size = batch_size.max(1);
-    let n = items.len();
-    let mut all_pairs = Vec::with_capacity(n * (n - 1) / 2);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            all_pairs.push((items[i], items[j]));
-        }
-    }
-    let tasks: Vec<TaskDescriptor> = all_pairs
-        .chunks(batch_size)
-        .map(|chunk| TaskDescriptor::CompareBatch {
-            pairs: chunk.to_vec(),
-            criterion,
-        })
-        .collect();
-    let responses = engine.run_many(tasks)?;
     let mut meter = CostMeter::new();
+    let pairs = judge::all_pairs(items);
+    let left_first = judge::compare_batched(engine, &pairs, batch_size, criterion, &mut meter)?;
+    Ok(meter.into_outcome(copeland(items, &pairs, &left_first)))
+}
+
+/// Rank by Copeland score: most wins first; ties broken arbitrarily (by
+/// id), as in the paper.
+fn copeland(items: &[ItemId], pairs: &[(ItemId, ItemId)], left_first: &[bool]) -> SortResult {
     let mut wins: HashMap<ItemId, u32> = items.iter().map(|id| (*id, 0)).collect();
-    for (resp, chunk) in responses.iter().zip(all_pairs.chunks(batch_size)) {
-        meter.add(resp.usage, engine.cost_of_response(resp));
-        let answers = extract::yes_no_list(&resp.text, chunk.len())?;
-        for (yes, (l, r)) in answers.iter().zip(chunk) {
-            let winner = if *yes { *l } else { *r };
-            *wins.get_mut(&winner).expect("seeded above") += 1; // lint: allow(no-unwrap)
-        }
+    for (&(left, right), &left_first) in pairs.iter().zip(left_first) {
+        let winner = if left_first { left } else { right };
+        *wins.get_mut(&winner).expect("seeded above") += 1; // lint: allow(no-unwrap)
     }
     let mut order: Vec<ItemId> = items.to_vec();
     order.sort_by(|a, b| wins[b].cmp(&wins[a]).then(a.cmp(b)));
-    Ok(meter.into_outcome(SortResult {
+    SortResult {
         order,
         missing: 0,
         hallucinated: 0,
-    }))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -342,30 +299,13 @@ fn rating(
     scale_min: u8,
     scale_max: u8,
 ) -> Result<Outcome<SortResult>, EngineError> {
-    let tasks: Vec<TaskDescriptor> = items
-        .iter()
-        .map(|id| TaskDescriptor::Rate {
-            item: *id,
-            scale_min,
-            scale_max,
-            criterion,
-        })
-        .collect();
-    let responses = engine.run_many(tasks)?;
     let mut meter = CostMeter::new();
-    let mut rated: Vec<(u8, ItemId)> = Vec::with_capacity(items.len());
-    for (resp, id) in responses.iter().zip(items) {
-        meter.add(resp.usage, engine.cost_of_response(resp));
-        rated.push((extract::rating(&resp.text)?, *id));
-    }
-    match criterion {
-        // Most-X first.
-        SortCriterion::LatentScore => rated.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1))),
-        // Alphabetical: low ratings (early letters) first.
-        SortCriterion::Lexicographic => rated.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1))),
-    }
+    let rated = judge::rate(engine, items, scale_min, scale_max, criterion, &mut meter)?;
     Ok(meter.into_outcome(SortResult {
-        order: rated.into_iter().map(|(_, id)| id).collect(),
+        order: judge::best_first(rated, criterion)
+            .into_iter()
+            .map(|(_, id)| id)
+            .collect(),
         missing: 0,
         hallucinated: 0,
     }))
@@ -397,37 +337,14 @@ fn sort_then_insert(
         // Bidirectional comparisons: each missed word is compared against
         // every sorted word twice (once listed first, once second) to cancel
         // positional bias.
-        let mut tasks = Vec::with_capacity(order.len() * 2);
-        for &x in &order {
-            tasks.push(TaskDescriptor::Compare {
-                left: w,
-                right: x,
-                criterion,
-            });
-            tasks.push(TaskDescriptor::Compare {
-                left: x,
-                right: w,
-                criterion,
-            });
-        }
-        let responses = engine.run_many(tasks)?;
+        let pairs: Vec<(ItemId, ItemId)> = order.iter().flat_map(|&x| [(w, x), (x, w)]).collect();
+        let answers = judge::compare(engine, &pairs, criterion, &mut meter)?;
         // votes[j] in {0,1,2}: how many of the two asks said "w before
-        // order[j]".
-        let mut votes: Vec<u8> = Vec::with_capacity(order.len());
-        for (j, _) in order.iter().enumerate() {
-            let r1 = &responses[2 * j];
-            let r2 = &responses[2 * j + 1];
-            meter.add(r1.usage, engine.cost_of_response(r1));
-            meter.add(r2.usage, engine.cost_of_response(r2));
-            let mut v = 0u8;
-            if extract::yes_no(&r1.text)? {
-                v += 1; // "w before x" asked directly
-            }
-            if !extract::yes_no(&r2.text)? {
-                v += 1; // "x before w" denied ⇒ w before x
-            }
-            votes.push(v);
-        }
+        // order[j]" — asked directly, or "x before w" denied.
+        let votes: Vec<u8> = answers
+            .chunks(2)
+            .map(|ask| u8::from(ask[0]) + u8::from(!ask[1]))
+            .collect();
         // Alignment maximization: inserting at index i is consistent with
         // "x before w" (votes 2-v) for all j < i and "w before x" (votes v)
         // for all j >= i. Pick the i with the fewest inverted comparisons,
@@ -514,13 +431,7 @@ fn merge_runs(
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut ai, mut bi) = (0usize, 0usize);
     while ai < a.len() && bi < b.len() {
-        let resp = engine.run(TaskDescriptor::Compare {
-            left: a[ai],
-            right: b[bi],
-            criterion,
-        })?;
-        meter.add(resp.usage, engine.cost_of_response(&resp));
-        if extract::yes_no(&resp.text)? {
+        if judge::compare(engine, &[(a[ai], b[bi])], criterion, meter)?[0] {
             out.push(a[ai]);
             ai += 1;
         } else {
@@ -543,90 +454,34 @@ fn bucket_then_compare(
     criterion: SortCriterion,
     buckets: u8,
 ) -> Result<Outcome<SortResult>, EngineError> {
-    let buckets = buckets.max(2);
-    // Coarse pass: rate everything.
-    let rate_tasks: Vec<TaskDescriptor> = items
-        .iter()
-        .map(|id| TaskDescriptor::Rate {
-            item: *id,
-            scale_min: 1,
-            scale_max: buckets,
-            criterion,
-        })
-        .collect();
-    let responses = engine.run_many(rate_tasks)?;
     let mut meter = CostMeter::new();
-    let mut by_bucket: HashMap<u8, Vec<ItemId>> = HashMap::new();
-    for (resp, id) in responses.iter().zip(items) {
-        meter.add(resp.usage, engine.cost_of_response(resp));
-        by_bucket
-            .entry(extract::rating(&resp.text)?)
-            .or_default()
-            .push(*id);
-    }
-    // Fine pass: pairwise-repair within each bucket; concatenate buckets in
-    // criterion order.
-    let mut bucket_keys: Vec<u8> = by_bucket.keys().copied().collect();
-    match criterion {
-        SortCriterion::LatentScore => bucket_keys.sort_unstable_by(|a, b| b.cmp(a)),
-        SortCriterion::Lexicographic => bucket_keys.sort_unstable(),
-    }
+    // Coarse pass: rate everything.
+    let rated = judge::rate(engine, items, 1, buckets.max(2), criterion, &mut meter)?;
+    let mut levels: Vec<u8> = judge::best_first(rated.clone(), criterion)
+        .into_iter()
+        .map(|(rating, _)| rating)
+        .collect();
+    levels.dedup();
+    // Fine pass: pairwise-repair within each bucket (§3.3 applied to §3.2's
+    // fine stage); concatenate buckets best first. A bucket's members stay
+    // in presented order — which item a comparison lists first is part of
+    // the request.
     let mut order: Vec<ItemId> = Vec::with_capacity(items.len());
-    for key in bucket_keys {
-        let members = &by_bucket[&key];
-        if members.len() == 1 {
-            order.push(members[0]);
-            continue;
-        }
-        let sub = pairwise_repaired(engine, members, criterion, &mut meter)?;
-        order.extend(sub);
+    for level in levels {
+        let members: Vec<ItemId> = rated
+            .iter()
+            .filter(|(rating, _)| *rating == level)
+            .map(|(_, id)| *id)
+            .collect();
+        order.extend(judge::rank_repaired(
+            engine, &members, criterion, &mut meter,
+        )?);
     }
     Ok(meter.into_outcome(SortResult {
         order,
         missing: 0,
         hallucinated: 0,
     }))
-}
-
-/// Pairwise-compare a small group and return the minimum-violation order
-/// (exact repair for small groups, greedy beyond) — §3.3 applied to §3.2's
-/// fine-grained stage.
-fn pairwise_repaired(
-    engine: &Engine,
-    members: &[ItemId],
-    criterion: SortCriterion,
-    meter: &mut CostMeter,
-) -> Result<Vec<ItemId>, EngineError> {
-    let m = members.len();
-    let mut tasks = Vec::with_capacity(m * (m - 1) / 2);
-    for i in 0..m {
-        for j in (i + 1)..m {
-            tasks.push(TaskDescriptor::Compare {
-                left: members[i],
-                right: members[j],
-                criterion,
-            });
-        }
-    }
-    let responses = engine.run_many(tasks)?;
-    let mut beats = vec![vec![false; m]; m];
-    let mut k = 0usize;
-    #[allow(clippy::needless_range_loop)]
-    for i in 0..m {
-        for j in (i + 1)..m {
-            let resp = &responses[k];
-            k += 1;
-            meter.add(resp.usage, engine.cost_of_response(resp));
-            let left_first = extract::yes_no(&resp.text)?;
-            if left_first {
-                beats[i][j] = true;
-            } else {
-                beats[j][i] = true;
-            }
-        }
-    }
-    let order_idx = crate::consistency::repair_ranking(m, &|a, b| beats[a][b], 12);
-    Ok(order_idx.into_iter().map(|i| members[i]).collect())
 }
 
 #[cfg(test)]

@@ -1,19 +1,31 @@
 //! Top-k selection: a coarse rating shortlist followed by fine pairwise
 //! ranking of the shortlist (§3.2's coarse→fine pattern applied to top-k).
 
-use crowdprompt_oracle::task::{SortCriterion, TaskDescriptor};
+use crowdprompt_oracle::task::SortCriterion;
 use crowdprompt_oracle::world::ItemId;
 
 use crate::error::EngineError;
 use crate::exec::Engine;
-use crate::extract;
+use crate::ops::judge;
 use crate::outcome::{CostMeter, Outcome};
+
+/// The shortlist is rated on `1..=SHORTLIST_SCALE_MAX` (the paper's
+/// seven-point scale).
+pub(crate) const SHORTLIST_SCALE_MAX: u8 = 7;
+
+/// How many of `n` rated items enter the fine ranking for a top-`k` with
+/// the given `shortlist_factor` — the operator's and the estimator's one
+/// copy. Saturating: the factor is caller input.
+pub(crate) fn shortlist_len(k: usize, shortlist_factor: usize, n: usize) -> usize {
+    k.saturating_mul(shortlist_factor.max(1)).min(n)
+}
 
 /// Return the top `k` items under the criterion, best first.
 ///
 /// Ratings shortlist `shortlist_factor * k` candidates cheaply; the
 /// shortlist is then ranked exactly with pairwise comparisons and
-/// consistency repair.
+/// consistency repair. When everything qualifies (`items.len() <= k`) the
+/// items are ranked without a rating pass.
 pub fn top_k(
     engine: &Engine,
     items: &[ItemId],
@@ -24,84 +36,22 @@ pub fn top_k(
     if k == 0 {
         return Ok(Outcome::free(Vec::new()));
     }
-    if items.len() <= k {
-        // Everything qualifies; rank them all pairwise.
-        return rank_exactly(engine, items, criterion).map(|o| o.map(|v| v));
-    }
     let mut meter = CostMeter::new();
-    // Coarse shortlist by rating.
-    let tasks: Vec<TaskDescriptor> = items
-        .iter()
-        .map(|id| TaskDescriptor::Rate {
-            item: *id,
-            scale_min: 1,
-            scale_max: 7,
-            criterion,
-        })
-        .collect();
-    let responses = engine.run_many(tasks)?;
-    let mut rated: Vec<(u8, ItemId)> = Vec::with_capacity(items.len());
-    for (resp, id) in responses.iter().zip(items) {
-        meter.add(resp.usage, engine.cost_of_response(resp));
-        rated.push((extract::rating(&resp.text)?, *id));
-    }
-    match criterion {
-        SortCriterion::LatentScore => rated.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1))),
-        SortCriterion::Lexicographic => rated.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1))),
-    }
-    let shortlist_len = (k * shortlist_factor.max(1)).min(items.len());
-    let shortlist: Vec<ItemId> = rated
-        .iter()
-        .take(shortlist_len)
-        .map(|(_, id)| *id)
-        .collect();
-    // Fine ranking of the shortlist.
-    let ranked = rank_exactly(engine, &shortlist, criterion)?;
-    meter.usage += ranked.usage;
-    meter.calls += ranked.calls;
-    meter.cost_usd += ranked.cost_usd;
-    let top: Vec<ItemId> = ranked.value.into_iter().take(k).collect();
-    Ok(meter.into_outcome(top))
-}
-
-fn rank_exactly(
-    engine: &Engine,
-    items: &[ItemId],
-    criterion: SortCriterion,
-) -> Result<Outcome<Vec<ItemId>>, EngineError> {
-    let m = items.len();
-    if m <= 1 {
-        return Ok(Outcome::free(items.to_vec()));
-    }
-    let mut meter = CostMeter::new();
-    let mut tasks = Vec::with_capacity(m * (m - 1) / 2);
-    for i in 0..m {
-        for j in (i + 1)..m {
-            tasks.push(TaskDescriptor::Compare {
-                left: items[i],
-                right: items[j],
-                criterion,
-            });
-        }
-    }
-    let responses = engine.run_many(tasks)?;
-    let mut beats = vec![vec![false; m]; m];
-    let mut idx = 0usize;
-    #[allow(clippy::needless_range_loop)]
-    for i in 0..m {
-        for j in (i + 1)..m {
-            let resp = &responses[idx];
-            idx += 1;
-            meter.add(resp.usage, engine.cost_of_response(resp));
-            if extract::yes_no(&resp.text)? {
-                beats[i][j] = true;
-            } else {
-                beats[j][i] = true;
-            }
-        }
-    }
-    let order = crate::consistency::repair_ranking(m, &|a, b| beats[a][b], 12);
-    Ok(meter.into_outcome(order.into_iter().map(|i| items[i]).collect()))
+    let candidates: Vec<ItemId> = if items.len() <= k {
+        items.to_vec()
+    } else {
+        // Coarse shortlist by rating.
+        let rated = judge::rate(engine, items, 1, SHORTLIST_SCALE_MAX, criterion, &mut meter)?;
+        judge::best_first(rated, criterion)
+            .into_iter()
+            .take(shortlist_len(k, shortlist_factor, items.len()))
+            .map(|(_, id)| id)
+            .collect()
+    };
+    // Fine ranking of the candidates.
+    let mut ranked = judge::rank_repaired(engine, &candidates, criterion, &mut meter)?;
+    ranked.truncate(k);
+    Ok(meter.into_outcome(ranked))
 }
 
 #[cfg(test)]
@@ -163,5 +113,23 @@ mod tests {
         let wide = top_k(&engine, &ids, SortCriterion::LatentScore, 2, 6).unwrap();
         assert!(narrow.calls < wide.calls);
         assert_eq!(narrow.value, wide.value, "both find the same top-2 here");
+    }
+
+    #[test]
+    fn an_overflowing_shortlist_factor_ranks_everything() {
+        assert_eq!(shortlist_len(2, usize::MAX, 9), 9);
+        assert_eq!(shortlist_len(2, 0, 9), 2, "a zero factor means one");
+        let (engine, ids) = setup(9);
+        let plan = crate::plan::Query::over(&ids)
+            .top_k_with(SortCriterion::LatentScore, 2, usize::MAX)
+            .plan_on(&engine)
+            .unwrap();
+        let out = top_k(&engine, &ids, SortCriterion::LatentScore, 2, usize::MAX).unwrap();
+        assert_eq!(out.value, vec![ids[8], ids[7]]);
+        // Nine ratings, then all 36 pairs of the nine-item "shortlist" —
+        // and the estimator, on the same length, predicts exactly that.
+        assert_eq!(out.calls, 9 + 36);
+        assert_eq!(engine.client().ledger().calls(), out.calls);
+        assert_eq!(plan.estimated_calls(), out.calls);
     }
 }

@@ -22,6 +22,7 @@ use crate::ops::count::CountStrategy;
 use crate::ops::filter::FilterStrategy;
 use crate::ops::max::MaxStrategy;
 use crate::ops::sort::SortStrategy;
+use crate::ops::topk;
 use crate::ops::ImputeStrategy;
 
 use super::{NodeEstimate, PhysicalNode};
@@ -369,9 +370,9 @@ impl<'a> Estimator<'a> {
                     let pairs = (n * n.saturating_sub(1) / 2) as u64;
                     (pairs, pairs as f64 * self.compare_cost(*criterion))
                 } else {
-                    let shortlist = (k * (*shortlist_factor).max(1)).min(n);
+                    let shortlist = topk::shortlist_len(*k, *shortlist_factor, n);
                     let pairs = (shortlist * (shortlist - 1) / 2) as u64;
-                    let cost = n as f64 * self.rate_cost(*criterion, 7)
+                    let cost = n as f64 * self.rate_cost(*criterion, topk::SHORTLIST_SCALE_MAX)
                         + pairs as f64 * self.compare_cost(*criterion);
                     (n as u64 + pairs, cost)
                 }

@@ -14,6 +14,7 @@
 //! | `one-pump`    | `crates/core/src` starts threads in `exec.rs`'s pump and nowhere else|
 //! | `one-retry`   | `crates/oracle/src` calls `retry_delay` in `route.rs`'s loop and nowhere else|
 //! | `one-engine`  | `crates/core/src` calls `Engine::new` in `session.rs` (and `exec.rs`) and nowhere else|
+//! | `one-judge`   | `crates/core/src/ops` calls `run_many` in `judge.rs`'s strict step and nowhere else|
 //!
 //! Pure std, no crates.io: scanning is lexical but *mask-accurate* — a small
 //! lexer blanks out comments, strings, and char literals first, so a banned
@@ -80,6 +81,13 @@ const ONE_RETRY_HOME: &str = "crates/oracle/src/route.rs";
 /// and leases; it borrows the caller's engine instead.
 const ONE_ENGINE_SCOPE: &str = "crates/core/src/";
 const ONE_ENGINE_HOMES: &[&str] = &["crates/core/src/exec.rs", "crates/core/src/session.rs"];
+
+/// The one file under [`ONE_JUDGE_SCOPE`] allowed a strict batch dispatch:
+/// the ranking and matching operators ask, meter and parse through
+/// `ops::judge` (votes go through `Poll::round` on `run_outcome`; the two
+/// list prompts are single `Engine::run` calls).
+const ONE_JUDGE_SCOPE: &str = "crates/core/src/ops/";
+const ONE_JUDGE_HOME: &str = "crates/core/src/ops/judge.rs";
 
 const BASELINE_GUARD: &str = "ci/check_bench_baselines.sh";
 
@@ -615,6 +623,19 @@ fn lint_rust_source(rel: &str, src: &str) -> Vec<Finding> {
         }
     }
 
+    if rel.starts_with(ONE_JUDGE_SCOPE) && rel != ONE_JUDGE_HOME {
+        for offset in find_token(&masked, "run_many") {
+            if library_code(offset) {
+                push(
+                    "one-judge",
+                    "`run_many(..)` dispatches, meters and parses a strict batch beside `ops::judge`".to_string(),
+                    "hand the pairs or items to `judge::{compare, same_entity, rate, rank_repaired}` so orientation, metering and parsing stay in one place",
+                    offset,
+                );
+            }
+        }
+    }
+
     for offset in find_money_eq(&masked, &index) {
         if library_code(offset) {
             push(
@@ -1079,6 +1100,24 @@ mod tests {
         assert!(lint_rust_source("crates/core/src/exec.rs", src).is_empty());
         assert!(lint_rust_source("crates/core/src/session.rs", src).is_empty());
         assert!(lint_rust_source("crates/bench/src/lib.rs", src).is_empty());
+        assert!(lint_rust_source("crates/core/tests/prop.rs", src).is_empty());
+    }
+
+    #[test]
+    fn one_judge_flags_strict_batches_in_ops_outside_judge() {
+        let src = concat!(
+            "fn playoff(e: &Engine, tasks: Vec<Task>) -> R { let r = e.run_many(tasks)?; tally(r) }\n",
+            "fn list(e: &Engine, t: Task) -> R { e.run(t) } // run_many in a comment\n",
+            "#[cfg(test)]\n",
+            "mod tests { fn t() { let _ = engine().run_many(tasks()); } }\n",
+        );
+        let f = lint_rust_source("crates/core/src/ops/max.rs", src);
+        assert_eq!(codes(&f), vec!["one-judge"]);
+        assert_eq!((f[0].line, f[0].col), (1, 59));
+        // The judgement step itself, the rest of the crate, and test trees
+        // are out of scope.
+        assert!(lint_rust_source("crates/core/src/ops/judge.rs", src).is_empty());
+        assert!(lint_rust_source("crates/core/src/plan/execute.rs", src).is_empty());
         assert!(lint_rust_source("crates/core/tests/prop.rs", src).is_empty());
     }
 

@@ -89,6 +89,14 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         "pub fn build(c: Client, corpus: Corpus) -> Engine { Engine::new(c, corpus) }\n",
     );
     repo.write(
+        "crates/core/src/ops/bad_judge.rs",
+        "pub fn playoff(e: &Engine, tasks: Vec<Task>) -> R { e.run_many(tasks) }\n",
+    );
+    repo.write(
+        "crates/core/src/ops/judge.rs",
+        "pub fn ask(e: &Engine, tasks: Vec<Task>) -> R { e.run_many(tasks) }\n",
+    );
+    repo.write(
         "tests/bad_shim.rs",
         "#![allow(deprecated)]\n\n#[deprecated(note = \"old\")]\nfn old() {}\n",
     );
@@ -115,6 +123,8 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         "error[one-pump]",
         "error[one-retry]",
         "error[one-engine]",
+        "error[one-judge]",
+        "--> crates/core/src/ops/bad_judge.rs:1:55",
         "--> crates/core/src/bad_engine.rs:1:52",
         "--> crates/core/src/bad_loop.rs:1:23",
         "--> crates/oracle/src/bad_retry.rs:1:69",
@@ -145,10 +155,14 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         !stderr.contains("crates/core/src/session.rs"),
         "the session builder is where engines are made:\n{stderr}"
     );
-    // Three lock names across the two imports, two unwrap forms, two
-    // deprecation attributes, one each of the rest: 3 + 2 + 2 + 1 + 1 + 1 + 1 + 1 + 1.
     assert!(
-        stderr.contains("13 finding(s)"),
+        !stderr.contains("crates/core/src/ops/judge.rs"),
+        "the judgement step is where strict batches are dispatched:\n{stderr}"
+    );
+    // Three lock names across the two imports, two unwrap forms, two
+    // deprecation attributes, one each of the rest: 3 + 2 + 2 + 1 + 1 + 1 + 1 + 1 + 1 + 1.
+    assert!(
+        stderr.contains("14 finding(s)"),
         "unexpected total in:\n{stderr}"
     );
 }
@@ -191,7 +205,8 @@ fn this_repository_is_clean() {
     // `allow(deprecated)`, in tests and examples too, for a thread
     // started in `crates/core/src` outside `exec.rs`'s pump, for a
     // `retry_delay` call in `crates/oracle/src` outside `route.rs`'s loop,
-    // and for an `Engine::new` in `crates/core/src` outside `session.rs`.
+    // for an `Engine::new` in `crates/core/src` outside `session.rs`, and
+    // for a `run_many` in `crates/core/src/ops` outside `judge.rs`.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let out = run_repolint(&root);
     let stderr = String::from_utf8_lossy(&out.stderr);
