@@ -173,9 +173,10 @@ impl BlockingIndex {
     }
 
     /// Batched [`BlockingIndex::neighbors`] over many ids: uncached
-    /// queries are answered through one
-    /// [`NearestNeighbors::nearest_many_excluding`] call (partitioned
-    /// across threads), results land in the memo cache, and the output is
+    /// queries are answered through the tiled batch scans (indexed ids by
+    /// [`KnnIndex::nearest_rows`], the rest by
+    /// [`BlockingIndex::nearest_texts`], both partitioned across
+    /// threads), results land in the memo cache, and the output is
     /// position-aligned with `ids`.
     pub fn neighbors_many(
         &self,
@@ -207,14 +208,14 @@ impl BlockingIndex {
         }
         let mut member_rows: Vec<usize> = Vec::new();
         let mut member_pending: Vec<usize> = Vec::new();
-        let mut stranger_queries: Vec<Vec<f32>> = Vec::new();
+        let mut stranger_texts: Vec<&str> = Vec::new();
         let mut stranger_pending: Vec<usize> = Vec::new();
         for (p, (id, slots)) in pending.iter().enumerate() {
             if let Some(&row) = self.pos.get(id) {
                 member_rows.push(row);
                 member_pending.push(p);
             } else if let Some(text) = engine.corpus().text(*id) {
-                stranger_queries.push(self.embedder.embed(text));
+                stranger_texts.push(text);
                 stranger_pending.push(p);
             } else {
                 // Unknown item: record the empty result.
@@ -225,14 +226,15 @@ impl BlockingIndex {
             }
         }
         let member_raw = self.index.nearest_rows(&member_rows, k);
-        let stranger_raw = self.index.nearest_many(&stranger_queries, k);
+        // Strangers are embedded as one parallel batch and scanned as
+        // tiles, like any other batch of query texts.
+        let stranger_hits = self.nearest_texts(&stranger_texts, k);
         let mut cache = self.cache.lock();
         let answered = member_pending
             .iter()
-            .zip(member_raw)
-            .chain(stranger_pending.iter().zip(stranger_raw));
-        for (&p, raw_hits) in answered {
-            let hits = self.to_hits(raw_hits);
+            .zip(member_raw.into_iter().map(|raw| self.to_hits(raw)))
+            .chain(stranger_pending.iter().zip(stranger_hits));
+        for (&p, hits) in answered {
             let (id, slots) = &pending[p];
             cache.insert((*id, k), hits.clone());
             for &slot in slots {
@@ -246,7 +248,8 @@ impl BlockingIndex {
     }
 
     /// Batched nearest-indexed-items lookup for arbitrary query texts
-    /// (the join operator's probe side): texts are embedded in parallel
+    /// (the join operator's probe side, and the unindexed ids of
+    /// [`BlockingIndex::neighbors_many`]): texts are embedded in parallel
     /// and answered through one [`NearestNeighbors::nearest_many`] call.
     /// Not memoized (query texts are not indexed items).
     pub fn nearest_texts(&self, texts: &[&str], k: usize) -> Vec<Vec<BlockingHit>> {

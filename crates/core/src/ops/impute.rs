@@ -97,6 +97,15 @@ impl LabeledPool {
             .collect()
     }
 
+    /// [`LabeledPool::neighbors`] for a whole collection: one batched,
+    /// tiled scan instead of one scan per record.
+    fn neighbors_many(&self, engine: &Engine, ids: &[ItemId], k: usize) -> Vec<Vec<ItemId>> {
+        let hits = self.inner.neighbors_many(engine, ids, k);
+        hits.into_iter()
+            .map(|record| record.into_iter().map(|h| h.item).collect())
+            .collect()
+    }
+
     /// The label of a pool record.
     pub fn label(&self, id: ItemId) -> Option<&str> {
         self.labels.get(&id).map(String::as_str)
@@ -148,9 +157,10 @@ pub fn impute_packed(
 ) -> Result<Outcome<Vec<String>>, EngineError> {
     let (gate_k, shots) = match strategy {
         ImputeStrategy::KnnOnly { k } => {
-            let values: Vec<String> = records
+            let values = pool
+                .neighbors_many(engine, records, *k)
                 .iter()
-                .map(|id| knn_mode(engine, pool, *id, *k).0)
+                .map(|neighbors| knn_mode(pool, neighbors, *k).0)
                 .collect();
             return Ok(Outcome::free(values));
         }
@@ -158,19 +168,38 @@ pub fn impute_packed(
         ImputeStrategy::Hybrid { k, shots } => (Some(*k), *shots),
     };
     // Gate: unanimous k-NN answers are free; the rest go to the LLM.
-    let mut values: Vec<Option<String>> = records
-        .iter()
-        .map(|id| {
-            let (mode, unanimous) = knn_mode(engine, pool, *id, gate_k?);
-            (unanimous && !mode.is_empty()).then_some(mode)
-        })
-        .collect();
+    let mut values: Vec<Option<String>> = match gate_k {
+        Some(k) => pool
+            .neighbors_many(engine, records, k)
+            .iter()
+            .map(|neighbors| {
+                let (mode, unanimous) = knn_mode(pool, neighbors, k);
+                (unanimous && !mode.is_empty()).then_some(mode)
+            })
+            .collect(),
+        None => vec![None; records.len()],
+    };
     let llm_indices: Vec<usize> = (0..records.len())
         .filter(|&i| values[i].is_none())
         .collect();
-    let tasks = llm_indices
+    let llm_records: Vec<ItemId> = llm_indices.iter().map(|&i| records[i]).collect();
+    // Few-shot examples: each record's nearest labeled peers (served from
+    // the pool's memo when the gate already asked for the same `k`).
+    let examples = match shots {
+        0 => vec![Vec::new(); llm_records.len()],
+        _ => pool.neighbors_many(engine, &llm_records, shots),
+    };
+    let tasks = llm_records
         .iter()
-        .map(|&i| impute_task(engine, pool, records[i], attribute, shots))
+        .zip(examples)
+        .map(|(&item, peers)| TaskDescriptor::Impute {
+            item,
+            attribute: attribute.to_owned(),
+            examples: peers
+                .into_iter()
+                .filter_map(|n| pool.label(n).map(|l| (n, l.to_owned())))
+                .collect(),
+        })
         .collect();
     let mut meter = CostMeter::new();
     let mut settle = engine.settle("impute");
@@ -184,14 +213,14 @@ pub fn impute_packed(
     Ok(meter.into_outcome(values.into_iter().flatten().collect()))
 }
 
-/// k-NN imputation: `(mode of neighbor labels, whether all neighbors agree)`.
-fn knn_mode(engine: &Engine, pool: &LabeledPool, id: ItemId, k: usize) -> (String, bool) {
-    let neighbors = pool.neighbors(engine, id, k);
+/// k-NN imputation from a record's `k` nearest labeled `neighbors`:
+/// `(mode of their labels, whether all `k` agree)`.
+fn knn_mode(pool: &LabeledPool, neighbors: &[ItemId], k: usize) -> (String, bool) {
     if neighbors.is_empty() {
         return (String::new(), false);
     }
     let mut counts: HashMap<&str, usize> = HashMap::new();
-    for n in &neighbors {
+    for n in neighbors {
         if let Some(label) = pool.label(*n) {
             *counts.entry(label).or_default() += 1;
         }
@@ -206,28 +235,6 @@ fn knn_mode(engine: &Engine, pool: &LabeledPool, id: ItemId, k: usize) -> (Strin
         .map(|(v, _)| (*v).to_owned())
         .unwrap_or_default();
     (mode, unanimous)
-}
-
-fn impute_task(
-    engine: &Engine,
-    pool: &LabeledPool,
-    id: ItemId,
-    attribute: &str,
-    shots: usize,
-) -> TaskDescriptor {
-    let examples: Vec<(ItemId, String)> = if shots == 0 {
-        Vec::new()
-    } else {
-        pool.neighbors(engine, id, shots)
-            .into_iter()
-            .filter_map(|n| pool.label(n).map(|l| (n, l.to_owned())))
-            .collect()
-    };
-    TaskDescriptor::Impute {
-        item: id,
-        attribute: attribute.to_owned(),
-        examples,
-    }
 }
 
 #[cfg(test)]
@@ -410,6 +417,51 @@ mod tests {
         )
         .unwrap();
         assert!(three.usage.prompt_tokens > zero.usage.prompt_tokens);
+    }
+
+    #[test]
+    fn batched_lookups_match_one_record_at_a_time() {
+        // Pool members (leave-one-out) and strangers, duplicates in the
+        // input, gate and few-shot `k` equal and different, answers from a
+        // noisy model: one batched neighbour lookup per `k` must give the
+        // values, gate decisions (calls) and prompts (usage) that imputing
+        // each record on its own gives.
+        let (w, ids, gold) = impute_world(10, 8);
+        let pool_ids: Vec<ItemId> = ids.iter().copied().step_by(3).collect();
+        let mut records = ids.clone();
+        records.extend_from_slice(&ids[..5]);
+        for strategy in [
+            ImputeStrategy::KnnOnly { k: 3 },
+            ImputeStrategy::LlmOnly { shots: 2 },
+            ImputeStrategy::Hybrid { k: 3, shots: 3 },
+            ImputeStrategy::Hybrid { k: 3, shots: 1 },
+        ] {
+            let run = |batches: Vec<&[ItemId]>| {
+                let engine = engine_over(w.clone(), &ids, NoiseProfile::default());
+                let pool = LabeledPool::build(&engine, &labeled(&pool_ids, &gold)).unwrap();
+                let mut total = Outcome::free(Vec::new());
+                for batch in batches {
+                    let out = impute_packed(&engine, batch, "city", &pool, &strategy, 1).unwrap();
+                    total.value.extend(out.value);
+                    total.calls += out.calls;
+                    total.usage += out.usage;
+                }
+                total
+            };
+            let batched = run(vec![&records]);
+            let single = run(records.chunks(1).collect());
+            assert_eq!(batched.value, single.value, "{}", strategy.name());
+            assert_eq!(batched.usage, single.usage, "{}", strategy.name());
+            assert_eq!(batched.value.len(), records.len());
+            assert_eq!(batched.calls, single.calls, "{}", strategy.name());
+            if let ImputeStrategy::Hybrid { .. } = strategy {
+                assert!(
+                    0 < batched.calls && batched.calls < records.len() as u64,
+                    "the gate must stop some records and pass others: {}",
+                    batched.calls
+                );
+            }
+        }
     }
 
     #[test]

@@ -157,8 +157,8 @@ impl NgramEmbedder {
         self
     }
 
-    fn bucket(&self, feature: &str) -> (usize, f32) {
-        let h = fnv1a(feature.as_bytes());
+    fn bucket(&self, feature: &[u8]) -> (usize, f32) {
+        let h = fnv1a(feature);
         let idx = (h % self.dimensions as u64) as usize;
         // An independent bit decides the sign, which keeps hash collisions
         // from systematically inflating bucket magnitudes.
@@ -186,22 +186,20 @@ impl Embedder for NgramEmbedder {
         );
         v.fill(0.0);
         let lowered = text.to_lowercase();
-        let chars: Vec<char> = lowered.chars().collect();
-        if chars.len() >= self.ngram {
-            let mut buf = String::with_capacity(self.ngram * 4);
-            for w in chars.windows(self.ngram) {
-                buf.clear();
-                buf.extend(w.iter());
-                let (idx, sign) = self.bucket(&buf);
-                v[idx] += sign;
-            }
+        // Each n-gram is the bytes between two character boundaries
+        // `ngram` characters apart: `ends` runs that far ahead of `starts`.
+        let boundaries = || lowered.char_indices().map(|(at, _)| at);
+        let ends = boundaries().chain([lowered.len()]).skip(self.ngram);
+        for (start, end) in boundaries().zip(ends) {
+            let (idx, sign) = self.bucket(&lowered.as_bytes()[start..end]);
+            v[idx] += sign;
         }
         if self.include_words {
             for word in lowered.split(|c: char| !c.is_alphanumeric()) {
                 if word.is_empty() {
                     continue;
                 }
-                let (idx, sign) = self.bucket(word);
+                let (idx, sign) = self.bucket(word.as_bytes());
                 v[idx] += 2.0 * sign; // word features weigh more than char n-grams
             }
         }
@@ -256,6 +254,71 @@ mod tests {
         assert_eq!(v.len(), 256);
         // "ab" is shorter than the trigram window but is still a word feature.
         assert!(v.iter().any(|x| *x != 0.0));
+    }
+
+    #[test]
+    fn output_bits_match_the_recorded_vectors() {
+        // Recorded from the implementation that rebuilt a `String` per
+        // n-gram (before PR 18): ASCII, multi-byte, case-folding that
+        // changes byte length, shorter than the window, and empty.
+        let cases: [(usize, bool, &str, [u32; 8]); 10] = [
+            (
+                3,
+                true,
+                "Chocolate Fudge, 2 scoops",
+                [
+                    0xbf0e38e4, 0xbf471c72, 0x00000000, 0xbde38e39, 0x3de38e39, 0xbde38e39,
+                    0xbe638e39, 0x00000000,
+                ],
+            ),
+            (
+                3,
+                true,
+                "naïve café 東京",
+                [
+                    0x3e4511a3, 0x3f4511a3, 0x3e4511a3, 0x3ec511a3, 0xbe4511a3, 0x00000000,
+                    0x00000000, 0xbec511a3,
+                ],
+            ),
+            (3, true, "ab", [0, 0, 0xbf800000, 0, 0, 0, 0, 0]),
+            (3, true, "é", [0, 0xbf800000, 0, 0, 0, 0, 0, 0]),
+            (3, true, "", [0; 8]),
+            (
+                3,
+                true,
+                "İstanbul ǅ",
+                [
+                    0xbf279762, 0xbe5f7482, 0x3e5f7482, 0xbe5f7482, 0xbf279762, 0x00000000,
+                    0x00000000, 0x00000000,
+                ],
+            ),
+            (
+                2,
+                false,
+                "naïve café 東京",
+                [
+                    0xbeda514a, 0xbeda514a, 0x00000000, 0x3eda514a, 0xbeda514a, 0x3e5a514a,
+                    0xbeda514a, 0xbe5a514a,
+                ],
+            ),
+            (2, false, "ab", [0, 0, 0xbf800000, 0, 0, 0, 0, 0]),
+            (2, false, "é", [0; 8]),
+            (
+                5,
+                true,
+                "Chocolate Fudge, 2 scoops",
+                [
+                    0xbf4cf6cb, 0x00000000, 0x00000000, 0xbe23f8a3, 0x3e23f8a3, 0x3ea3f8a3,
+                    0xbea3f8a3, 0xbea3f8a3,
+                ],
+            ),
+        ];
+        for (ngram, words, text, expected) in cases {
+            let e = NgramEmbedder::new(8, ngram);
+            let e = if words { e } else { e.without_words() };
+            let got: Vec<u32> = e.embed(text).iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, expected, "ngram {ngram} words {words} text {text:?}");
+        }
     }
 
     #[test]

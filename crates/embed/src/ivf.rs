@@ -26,7 +26,7 @@
 //! across ISAs, and NaN rows are excluded from every list at build time
 //! (matching the exact scan's NaN filtering).
 
-use crate::knn::{key_cmp, BruteForceIndex, Candidate, Metric, NearestNeighbors, Neighbor, TopK};
+use crate::knn::{key_cmp, BruteForceIndex, Metric, NearestNeighbors, Neighbor, TopK};
 use crate::quant::{quantize_into, QuantizedBlock, ScanQuery};
 use crate::store::VectorStore;
 use crate::vector::{dot_u8_many, dot_unrolled, dot_unrolled_many};
@@ -267,18 +267,15 @@ impl IvfIndex {
         let qq = dot_unrolled(query, query);
 
         // Rank centroids exactly; probe the nprobe closest lists.
-        let mut centroid_top = TopK::new(self.params.nprobe);
+        let mut centroid_top = TopK::new(self.params.nprobe, nlist);
         for (c, (row, norm_sq)) in self.centroids.rows().enumerate() {
-            let key = metric.rank_key(dot_unrolled(query, row), qq, norm_sq);
-            if !key.is_nan() {
-                centroid_top.push(Candidate { key, index: c });
-            }
+            centroid_top.offer(metric.rank_key(dot_unrolled(query, row), qq, norm_sq), c);
         }
 
         // Approximate scan of the probed lists, tie-break by global row
         // id so the candidate pool is deterministic.
         let pool = self.params.rescore.max(4 * k);
-        let mut approx_top = TopK::new(pool);
+        let mut approx_top = TopK::new(pool, self.row_ids.len());
         let mut query_codes: Vec<u8> = Vec::with_capacity(dims);
         let mut residual = vec![0.0f32; dims];
         let mut dots: Vec<u64> = Vec::new();
@@ -305,35 +302,20 @@ impl IvfIndex {
                 }
                 // Bit-identical to `approx_l2_sq` with the query-side
                 // constants hoisted out of the loop.
-                let key = scan_query.key(y, dot);
-                if let Some(worst) = approx_top.threshold() {
-                    if key_cmp((key, row), (worst.key, worst.index)).is_ge() {
-                        continue;
-                    }
-                }
-                approx_top.push(Candidate { key, index: row });
+                approx_top.offer(scan_query.key(y, dot), row);
             }
         }
 
         // Exact rescore of the surviving pool through the fused path —
         // identical key computation to BruteForceIndex, so ordering and
         // distances match the oracle on every row both paths rank.
-        let mut top = TopK::new(k);
+        let mut top = TopK::new(k, pool);
         for cand in approx_top.into_sorted() {
             let row = cand.index;
             let key = metric.rank_key(dot_unrolled(query, store.row(row)), qq, store.norm_sq(row));
-            if key.is_nan() {
-                continue;
-            }
-            top.push(Candidate { key, index: row });
+            top.offer(key, row);
         }
-        top.into_sorted()
-            .into_iter()
-            .map(|c| Neighbor {
-                index: c.index,
-                distance: metric.key_to_distance(c.key),
-            })
-            .collect()
+        top.into_neighbors(metric)
     }
 }
 

@@ -10,6 +10,11 @@
 //! monotone *key* (squared distance for L2) in a bounded top-k structure,
 //! so a query is `O(n·d + n·log k)` with no per-query `O(n)` allocation —
 //! the seed implementation materialized and sorted all `n` distances.
+//! Once a ranking is full it caches its worst kept key as a `bound`, and
+//! a candidate whose key is *greater* is dropped on that one comparison
+//! (`k·ln(n/k)` of `n` candidates get further). The test is sufficient,
+//! not necessary: an equal key is a tie that the index decides, and a NaN
+//! key compares false, so both go on to the exact `(key, index)` order.
 //!
 //! Determinism contract (all entry points): results ascend by distance,
 //! ties broken by insertion index, and a query containing NaN returns no
@@ -111,7 +116,7 @@ pub trait NearestNeighbors: Send + Sync {
     /// Like [`NearestNeighbors::nearest`] but excluding one stored index
     /// (used for "neighbors of an item already in the index").
     fn nearest_excluding(&self, query: &[f32], k: usize, exclude: usize) -> Vec<Neighbor> {
-        let mut hits = self.nearest(query, k + 1);
+        let mut hits = self.nearest(query, k.saturating_add(1));
         hits.retain(|n| n.index != exclude);
         hits.truncate(k);
         hits
@@ -239,32 +244,47 @@ impl Ord for Candidate {
 pub(crate) struct TopK {
     heap: std::collections::BinaryHeap<Candidate>,
     k: usize,
+    /// The worst kept key once the heap is full, `+∞` before. A key
+    /// *greater* than this cannot be kept, which [`TopK::offer`] uses as
+    /// its first test: sufficient to reject, not necessary — a tie on the
+    /// key is decided by index, so it goes on to the exact comparison.
+    bound: f32,
 }
 
 impl TopK {
-    pub(crate) fn new(k: usize) -> Self {
+    /// A ranking of the best `k` of at most `candidates` offers. `k` is
+    /// caller input (`usize::MAX` is a legal "everything"), so the heap is
+    /// sized by what can actually be kept.
+    pub(crate) fn new(k: usize, candidates: usize) -> Self {
+        let k = k.min(candidates);
         TopK {
-            heap: std::collections::BinaryHeap::with_capacity(k + 1),
+            heap: std::collections::BinaryHeap::with_capacity(k),
             k,
+            bound: f32::INFINITY,
         }
     }
 
-    /// Current worst kept candidate, if the heap is full.
-    pub(crate) fn threshold(&self) -> Option<Candidate> {
-        self.heap
-            .peek()
-            .copied()
-            .filter(|_| self.heap.len() == self.k)
-    }
-
-    pub(crate) fn push(&mut self, cand: Candidate) {
-        debug_assert!(!cand.key.is_nan(), "NaN keys are filtered before ranking");
+    /// Rank one candidate. A NaN key is never kept. Once the heap has
+    /// warmed up nearly every candidate loses to the worst kept one
+    /// (`k·ln(n/k)` heap updates in `n` random offers), so the common
+    /// path is the single comparison against `bound`.
+    #[inline]
+    pub(crate) fn offer(&mut self, key: f32, index: usize) {
+        // False for NaN and for a tie, which fall through.
+        if key > self.bound || key.is_nan() {
+            return;
+        }
+        let cand = Candidate { key, index };
         if self.heap.len() < self.k {
             self.heap.push(cand);
         } else if let Some(mut worst) = self.heap.peek_mut() {
-            if cand < *worst {
-                *worst = cand; // sifts down on drop
+            if cand >= *worst {
+                return;
             }
+            *worst = cand; // sifts down on drop
+        }
+        if self.heap.len() == self.k {
+            self.bound = self.heap.peek().map_or(f32::INFINITY, |worst| worst.key);
         }
     }
 
@@ -273,6 +293,17 @@ impl TopK {
         let mut out = self.heap.into_vec();
         out.sort_unstable();
         out
+    }
+
+    /// Drain into hits ascending by distance, ties by index.
+    pub(crate) fn into_neighbors(self, metric: Metric) -> Vec<Neighbor> {
+        self.into_sorted()
+            .into_iter()
+            .map(|c| Neighbor {
+                index: c.index,
+                distance: metric.key_to_distance(c.key),
+            })
+            .collect()
     }
 }
 
@@ -324,31 +355,14 @@ impl BruteForceIndex {
             return Vec::new();
         }
         let qq = dot_unrolled(query, query);
-        let mut top = TopK::new(k);
+        let mut top = TopK::new(k, self.store.len());
         for (index, (row, norm_sq)) in self.store.rows().enumerate() {
-            if Some(index) == exclude {
-                continue;
+            if Some(index) != exclude {
+                let key = self.metric.rank_key(dot_unrolled(query, row), qq, norm_sq);
+                top.offer(key, index);
             }
-            let key = self.metric.rank_key(dot_unrolled(query, row), qq, norm_sq);
-            if key.is_nan() {
-                continue;
-            }
-            // Cheap reject before touching the heap: most candidates lose
-            // to the current threshold once the heap warms up.
-            if let Some(worst) = top.threshold() {
-                if key_cmp((key, index), (worst.key, worst.index)).is_ge() {
-                    continue;
-                }
-            }
-            top.push(Candidate { key, index });
         }
-        top.into_sorted()
-            .into_iter()
-            .map(|c| Neighbor {
-                index: c.index,
-                distance: self.metric.key_to_distance(c.key),
-            })
-            .collect()
+        top.into_neighbors(self.metric)
     }
 
     /// Tiled multi-query scan: each pass over the store answers up to
@@ -375,8 +389,17 @@ impl BruteForceIndex {
         let mut dots = [0.0f32; QUERY_TILE];
         for tile_start in (0..queries.len()).step_by(QUERY_TILE) {
             let tile = &queries[tile_start..(tile_start + QUERY_TILE).min(queries.len())];
+            // Per-tile state, one slot per query: its squared norm, its
+            // excluded row and its ranking. With these the loop below is
+            // a dot kernel call and, per candidate, a key and a compare.
             let qqs: Vec<f32> = tile.iter().map(|q| dot_unrolled(q, q)).collect();
-            let mut tops: Vec<TopK> = tile.iter().map(|_| TopK::new(k)).collect();
+            let skip: Vec<Option<usize>> = (0..tile.len())
+                .map(|t| excludes.and_then(|e| e[tile_start + t]))
+                .collect();
+            let mut tops: Vec<TopK> = tile
+                .iter()
+                .map(|_| TopK::new(k, self.store.len()))
+                .collect();
             let dots = &mut dots[..tile.len()];
             for (index, (row, norm_sq)) in self.store.rows().enumerate() {
                 // One multi-query kernel call per row: the row is loaded
@@ -384,30 +407,12 @@ impl BruteForceIndex {
                 // per row, not per candidate.
                 dot_unrolled_many(row, tile, dots);
                 for (t, &dot) in dots.iter().enumerate() {
-                    if excludes.and_then(|e| e[tile_start + t]) == Some(index) {
-                        continue;
+                    if skip[t] != Some(index) {
+                        tops[t].offer(self.metric.rank_key(dot, qqs[t], norm_sq), index);
                     }
-                    let key = self.metric.rank_key(dot, qqs[t], norm_sq);
-                    if key.is_nan() {
-                        continue;
-                    }
-                    if let Some(worst) = tops[t].threshold() {
-                        if key_cmp((key, index), (worst.key, worst.index)).is_ge() {
-                            continue;
-                        }
-                    }
-                    tops[t].push(Candidate { key, index });
                 }
             }
-            out.extend(tops.into_iter().map(|top| {
-                top.into_sorted()
-                    .into_iter()
-                    .map(|c| Neighbor {
-                        index: c.index,
-                        distance: self.metric.key_to_distance(c.key),
-                    })
-                    .collect::<Vec<_>>()
-            }));
+            out.extend(tops.into_iter().map(|top| top.into_neighbors(self.metric)));
         }
         out
     }
@@ -739,6 +744,96 @@ mod tests {
     fn k_larger_than_index() {
         let idx = BruteForceIndex::new(grid(3), Metric::L2);
         assert_eq!(idx.nearest(&[0.0, 0.0], 10).len(), 3);
+    }
+
+    /// An index that keeps the trait's default `nearest_excluding`.
+    struct DefaultExcluding(BruteForceIndex);
+
+    impl NearestNeighbors for DefaultExcluding {
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+        fn nearest(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
+            self.0.nearest(query, k)
+        }
+    }
+
+    #[test]
+    fn oversized_k_returns_every_row_ascending() {
+        // `k` is caller input: it must neither overflow `k + 1` nor size
+        // an allocation (`1 << 60` candidates is "capacity overflow").
+        let n = 40;
+        let brute = BruteForceIndex::new(grid(n), Metric::L2);
+        let ivf = crate::ivf::IvfIndex::build(
+            VectorStore::from_rows(grid(n)),
+            Metric::L2,
+            crate::ivf::IvfParams {
+                nlist: 4,
+                nprobe: 1,
+                ..crate::ivf::IvfParams::for_corpus(n, 0.9)
+            },
+        );
+        let defaulted = DefaultExcluding(brute.clone());
+        let query = vec![7.3, 2.0];
+        let everything = brute.nearest(&query, n);
+        assert_eq!(everything.len(), n);
+        for pair in everything.windows(2) {
+            assert!(key_cmp(
+                (pair[0].distance, pair[0].index),
+                (pair[1].distance, pair[1].index)
+            )
+            .is_lt());
+        }
+        let all_but_two: Vec<Neighbor> = everything
+            .iter()
+            .copied()
+            .filter(|h| h.index != 2)
+            .collect();
+        for k in [n, n + 1, 1 << 60, usize::MAX] {
+            assert_eq!(brute.nearest(&query, k), everything, "k = {k}");
+            assert_eq!(ivf.nearest(&query, k), everything, "ivf, k = {k}");
+            assert_eq!(
+                brute.nearest_excluding(&query, k, 2),
+                all_but_two,
+                "k = {k}"
+            );
+            assert_eq!(
+                ivf.nearest_excluding(&query, k, 2),
+                all_but_two,
+                "ivf, k = {k}"
+            );
+            assert_eq!(
+                defaulted.nearest_excluding(&query, k, 2),
+                all_but_two,
+                "default, k = {k}"
+            );
+            // A tile and a half of queries through the batched scan.
+            for hits in brute.nearest_many(&vec![query.clone(); QUERY_TILE + 8], k) {
+                assert_eq!(hits, everything, "batched, k = {k}");
+            }
+            let rows = brute.nearest_rows(&[2], k).remove(0);
+            assert_eq!(
+                rows,
+                brute.nearest_excluding(brute.store().row(2), k, 2),
+                "k = {k}"
+            );
+            assert_eq!(rows.len(), n - 1);
+        }
+    }
+
+    #[test]
+    fn a_tie_on_the_worst_kept_key_is_decided_by_index() {
+        // Every key equals the bound once the heap is full: the `bound`
+        // fast path must let ties through to the exact comparison, which
+        // keeps the lowest indices however the offers are ordered.
+        let mut top = TopK::new(3, 10);
+        for index in [5, 9, 7, 1, 8, 0, 6] {
+            top.offer(2.5, index);
+        }
+        top.offer(f32::NAN, 4);
+        top.offer(2.500_000_2, 2);
+        let kept: Vec<usize> = top.into_sorted().iter().map(|c| c.index).collect();
+        assert_eq!(kept, vec![0, 1, 5]);
     }
 
     #[test]

@@ -1,4 +1,36 @@
 //! Dense-vector primitives.
+//!
+//! # The lane contract
+//!
+//! [`dot_unrolled`] and [`dot_unrolled_many`] return the same bits on every
+//! CPU because every kernel behind them performs one arithmetic, defined by
+//! the portable `dot_lanes`:
+//!
+//! * element `i` of the first `len - len % 64` belongs to lane `i mod 64`;
+//!   each lane starts at `0.0` and, chunk by chunk in order, does
+//!   `acc = acc + a[i] * b[i]` — a rounded multiply, then a rounded add,
+//!   never a fused multiply-add;
+//! * the lanes reduce pairwise, `acc[l] += acc[l + w]` for
+//!   `w = 32, 16, 8, 4, 2, 1`;
+//! * the `len % 64` trailing elements are multiplied and summed in order
+//!   into a scalar `tail`, and the result is `acc[0] + tail`.
+//!
+//! On `x86_64` with AVX2 the kernels are explicit `core::arch` intrinsics.
+//! Recompiling `dot_lanes` under `#[target_feature(enable = "avx2")]` is
+//! not enough: LLVM vectorizes it but keeps the 64-lane accumulator *on
+//! the stack* — every 8-lane step an add from memory and a store back, a
+//! store-forward round trip per step — which costs 34–40 ns per
+//! 256-dimension pair where the arithmetic allows 15 (64 `ymm` multiplies
+//! and adds on two ports at 2.1 GHz). An explicit kernel must keep its
+//! accumulators in registers *and* keep at least eight independent add
+//! chains in flight: a pass with two chains is bound by add latency at
+//! about twice the cost. A future kernel (wider registers, another ISA) is
+//! correct when the `to_bits` tests in this module pass against
+//! `dot_lanes`; NaN results must be NaN, their payloads are not part of
+//! the contract.
+
+#[cfg(target_arch = "x86_64")]
+use core::arch::x86_64::*;
 
 /// Dot product of two equal-length vectors.
 ///
@@ -15,17 +47,18 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// dependency chain (float addition is not reassociable, so the compiler
 /// may not vectorize it). This variant accumulates each `i mod 64` lane
 /// separately and reduces pairwise at the end — the explicit reassociation
-/// lets the loop compile to wide SIMD with enough independent accumulator
-/// chains to hide add latency, and is several times faster on
-/// 256-dimension embeddings. The summation order *differs* from [`dot`],
-/// so results may differ in the last bits; the k-NN indexes use this
-/// function exclusively (for both stored norms and query scans), so all
-/// distances they report are internally consistent.
+/// gives wide SIMD enough independent accumulator chains to hide add
+/// latency, and is several times faster on 256-dimension embeddings. The
+/// summation order *differs* from [`dot`], so results may differ in the
+/// last bits; the k-NN indexes use this function exclusively (for both
+/// stored norms and query scans), so all distances they report are
+/// internally consistent.
 ///
-/// The result is identical on every CPU: on `x86_64` with AVX2 the same
-/// lane algorithm is compiled for the wider units (runtime-detected once),
-/// and because each lane performs the same mul-then-add sequence — Rust
-/// never contracts to FMA — the bits cannot differ between the paths.
+/// The result is identical on every CPU. The portable core is
+/// `dot_lanes`; on `x86_64` with AVX2 (runtime-detected once) explicit
+/// `core::arch` kernels perform *the same* lane arithmetic — see
+/// [the lane contract](self#the-lane-contract) — so the bits cannot differ
+/// between the paths.
 ///
 /// # Panics
 /// Panics if the vectors have different lengths.
@@ -43,8 +76,10 @@ pub fn dot_unrolled(a: &[f32], b: &[f32]) -> f32 {
 ///
 /// Bit-identical to calling [`dot_unrolled`] per pair (same lane
 /// arithmetic), but the AVX2 dispatch happens once per *call* instead of
-/// once per pair — the k-NN scans call this once per stored row per query
-/// tile, keeping the per-candidate cost to pure arithmetic.
+/// once per pair and the AVX2 kernel takes the `bs` two at a time, sharing
+/// every load of `a` between the two products — the k-NN scans call this
+/// once per stored row per query tile, keeping the per-candidate cost to
+/// pure arithmetic.
 ///
 /// # Panics
 /// Panics if any `bs[i]` length differs from `a`, or if
@@ -55,28 +90,18 @@ pub fn dot_unrolled_many(a: &[f32], bs: &[&[f32]], out: &mut [f32]) {
         out.len(),
         "dot_unrolled_many: output length mismatch"
     );
+    for b in bs {
+        assert_eq!(a.len(), b.len(), "dot_unrolled_many: dimension mismatch");
+    }
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
         // SAFETY: AVX2 support was verified at runtime.
         unsafe { dot_many_avx2(a, bs, out) };
         return;
     }
-    dot_many_core(a, bs, out);
-}
-
-#[inline(always)]
-fn dot_many_core(a: &[f32], bs: &[&[f32]], out: &mut [f32]) {
     for (slot, b) in out.iter_mut().zip(bs) {
-        assert_eq!(a.len(), b.len(), "dot_unrolled_many: dimension mismatch");
         *slot = dot_lanes(a, b);
     }
-}
-
-/// [`dot_many_core`] compiled with AVX2 enabled.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dot_many_avx2(a: &[f32], bs: &[&[f32]], out: &mut [f32]) {
-    dot_many_core(a, bs, out);
 }
 
 /// One-time runtime AVX2 detection, cached in an atomic.
@@ -96,11 +121,15 @@ fn avx2_available() -> bool {
     }
 }
 
-/// The lane-accumulation kernel behind [`dot_unrolled`]; ISA-independent
-/// arithmetic (64 independent lanes, pairwise reduction, scalar tail).
+/// Elements per accumulation step: element `i` belongs to lane `i mod 64`.
+const LANES: usize = 64;
+
+/// The lane-accumulation kernel behind [`dot_unrolled`]: the portable
+/// implementation and the definition of the
+/// [lane contract](self#the-lane-contract) the AVX2 kernels are tested
+/// against (64 independent lanes, pairwise reduction, scalar tail).
 #[inline(always)]
 fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
-    const LANES: usize = 64;
     let mut acc = [0.0f32; LANES];
     let mut chunks_a = a.chunks_exact(LANES);
     let mut chunks_b = b.chunks_exact(LANES);
@@ -109,12 +138,7 @@ fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
             acc[lane] += ca[lane] * cb[lane];
         }
     }
-    let tail: f32 = chunks_a
-        .remainder()
-        .iter()
-        .zip(chunks_b.remainder())
-        .map(|(x, y)| x * y)
-        .sum();
+    let tail = dot_tail(chunks_a.remainder(), chunks_b.remainder());
     let mut width = LANES / 2;
     while width > 0 {
         for lane in 0..width {
@@ -125,12 +149,135 @@ fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
     acc[0] + tail
 }
 
-/// [`dot_lanes`] compiled with AVX2 enabled (the build baseline is SSE2;
-/// this lets LLVM emit 8-wide `ymm` ops for the same lane arithmetic).
+/// The scalar tail of the lane contract: the `len mod 64` trailing
+/// elements, multiplied and summed in order.
+#[inline(always)]
+fn dot_tail(a: &[f32], b: &[f32]) -> f32 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+/// One lane group's step of the [lane contract](self#the-lane-contract):
+/// `acc + a[off..off + 8] * b[off..off + 8]`, a multiply then an add —
+/// two instructions, never an FMA. Lane group `g` (one `ymm` register)
+/// holds lanes `8g..8g + 8`.
+///
+/// # Safety
+/// `off + 8 <= a.len()` and `off + 8 <= b.len()`.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn lane_step(acc: __m256, a: &[f32], b: &[f32], off: usize) -> __m256 {
+    debug_assert!(off + 8 <= a.len() && off + 8 <= b.len());
+    // SAFETY: the caller guarantees eight readable floats at `off`.
+    let (va, vb) = unsafe {
+        (
+            _mm256_loadu_ps(a.as_ptr().add(off)),
+            _mm256_loadu_ps(b.as_ptr().add(off)),
+        )
+    };
+    _mm256_add_ps(acc, _mm256_mul_ps(va, vb))
+}
+
+/// The `32 → 16` tree steps for four lane groups two apart:
+/// `(g[h] + g[h+4]) + (g[h+2] + g[h+6])`, slot `s` holding group `h + 2s`.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2")]
+fn lane_fold(g: [__m256; 4]) -> __m256 {
+    _mm256_add_ps(_mm256_add_ps(g[0], g[2]), _mm256_add_ps(g[1], g[3]))
+}
+
+/// The rest of the tree for lane groups 0 and 1 as [`lane_fold`] left
+/// them — `8`, then `4 → 2 → 1` inside one register — and `acc[0] + tail`.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2")]
+fn lane_finish(g0: __m256, g1: __m256, tail: f32) -> f32 {
+    let w8 = _mm256_add_ps(g0, g1);
+    let w4 = _mm_add_ps(_mm256_castps256_ps128(w8), _mm256_extractf128_ps(w8, 1));
+    let w2 = _mm_add_ps(w4, _mm_movehl_ps(w4, w4));
+    let w1 = _mm_add_ss(w2, _mm_movehdup_ps(w2));
+    _mm_cvtss_f32(w1) + tail
+}
+
+/// The 1×1 AVX2 kernel behind [`dot_unrolled`]: [`dot_lanes`]' arithmetic
+/// with the eight lane groups in eight registers, one pass over the
+/// chunks. Its own kernel rather than [`dot_pair_avx2`] fed `b` twice,
+/// which would double the arithmetic of every single dot.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn dot_lanes_avx2(a: &[f32], b: &[f32]) -> f32 {
-    dot_lanes(a, b)
+fn dot_lanes_avx2(a: &[f32], b: &[f32]) -> f32 {
+    let mut even = [_mm256_setzero_ps(); 4];
+    let mut odd = even;
+    let mut chunks_a = a.chunks_exact(LANES);
+    let mut chunks_b = b.chunks_exact(LANES);
+    for (ca, cb) in (&mut chunks_a).zip(&mut chunks_b) {
+        for s in 0..4 {
+            // SAFETY: both chunks hold `LANES` floats and
+            // `16 * s + 8 + 8 <= LANES`.
+            unsafe {
+                even[s] = lane_step(even[s], ca, cb, 16 * s);
+                odd[s] = lane_step(odd[s], ca, cb, 16 * s + 8);
+            }
+        }
+    }
+    let tail = dot_tail(chunks_a.remainder(), chunks_b.remainder());
+    lane_finish(lane_fold(even), lane_fold(odd), tail)
+}
+
+/// The 1×2 AVX2 kernel behind [`dot_unrolled_many`]:
+/// `(dot_lanes(a, b0), dot_lanes(a, b1))` with each load of `a` shared by
+/// both products. Sixteen lane groups do not fit sixteen registers next
+/// to the loads, so the chunks are walked twice: pass `h ∈ {0, 1}`
+/// accumulates groups `{h, h+2, h+4, h+6}` of both products — eight
+/// independent add chains, the fewest that cover the add latency (two
+/// chains ran at twice the cost) — and [`lane_fold`]s them.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn dot_pair_avx2(a: &[f32], b0: &[f32], b1: &[f32]) -> (f32, f32) {
+    let zero = _mm256_setzero_ps();
+    let mut folded = [[zero; 2]; 2];
+    for (h, folded) in folded.iter_mut().enumerate() {
+        let mut g0 = [zero; 4];
+        let mut g1 = [zero; 4];
+        let chunks = a.chunks_exact(LANES);
+        for ((ca, c0), c1) in chunks
+            .zip(b0.chunks_exact(LANES))
+            .zip(b1.chunks_exact(LANES))
+        {
+            for s in 0..4 {
+                let off = 8 * h + 16 * s;
+                // SAFETY: the three chunks hold `LANES` floats and
+                // `off + 8 <= 8 + 48 + 8 = LANES`.
+                unsafe {
+                    g0[s] = lane_step(g0[s], ca, c0, off);
+                    g1[s] = lane_step(g1[s], ca, c1, off);
+                }
+            }
+        }
+        *folded = [lane_fold(g0), lane_fold(g1)];
+    }
+    let rest = a.len() - a.len() % LANES;
+    let ta = &a[rest..];
+    (
+        lane_finish(folded[0][0], folded[1][0], dot_tail(ta, &b0[rest..])),
+        lane_finish(folded[0][1], folded[1][1], dot_tail(ta, &b1[rest..])),
+    )
+}
+
+/// [`dot_unrolled_many`]'s AVX2 body: the `bs` two at a time through
+/// [`dot_pair_avx2`], an odd last one through [`dot_lanes_avx2`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn dot_many_avx2(a: &[f32], bs: &[&[f32]], out: &mut [f32]) {
+    let mut pairs = bs.chunks_exact(2);
+    let mut slots = out.chunks_exact_mut(2);
+    for (pair, slot) in (&mut pairs).zip(&mut slots) {
+        (slot[0], slot[1]) = dot_pair_avx2(a, pair[0], pair[1]);
+    }
+    for (b, slot) in pairs.remainder().iter().zip(slots.into_remainder()) {
+        *slot = dot_lanes_avx2(a, b);
+    }
 }
 
 /// Integer dot product of two equal-length `u8` code vectors — the fused
@@ -250,7 +397,6 @@ const U8_BLOCK: usize = 16 * 1024;
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn dot_u8_avx2(a: &[u8], b: &[u8]) -> u64 {
-    use core::arch::x86_64::*;
     debug_assert_eq!(a.len(), b.len());
     let n = a.len();
     let mut total = 0u64;
@@ -350,6 +496,110 @@ mod tests {
     #[should_panic(expected = "dimension mismatch")]
     fn dot_unrolled_dimension_mismatch_panics() {
         dot_unrolled(&[1.0], &[1.0, 2.0]);
+    }
+
+    /// Deterministic, sign-mixed, non-representable values (so a changed
+    /// summation order shows in the last bits).
+    fn wobble(n: usize, salt: u32) -> Vec<f32> {
+        (0..n)
+            .map(|i| {
+                ((i as u32).wrapping_mul(2_654_435_761).wrapping_add(salt) as f32 * 1e-9).sin()
+                    * 3.7
+            })
+            .collect()
+    }
+
+    /// `dot_unrolled` and `dot_unrolled_many` at every tile width in
+    /// `widths` against the portable core.
+    fn assert_kernels_match_lanes(
+        a: &[f32],
+        bs: &[Vec<f32>],
+        widths: std::ops::RangeInclusive<usize>,
+    ) {
+        let want: Vec<f32> = bs.iter().map(|b| dot_lanes(a, b)).collect();
+        let same = |got: f32, want: f32| {
+            got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan())
+        };
+        for (b, &w) in bs.iter().zip(&want) {
+            let got = dot_unrolled(a, b);
+            assert!(same(got, w), "1x1 len {}: {got:e} vs {w:e}", a.len());
+        }
+        let refs: Vec<&[f32]> = bs.iter().map(Vec::as_slice).collect();
+        for width in widths {
+            let mut out = vec![f32::NAN; width];
+            dot_unrolled_many(a, &refs[..width], &mut out);
+            for (t, (&got, &w)) in out.iter().zip(&want).enumerate() {
+                assert!(
+                    same(got, w),
+                    "len {} width {width} slot {t}: {got:e} vs {w:e}",
+                    a.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_match_the_portable_lanes_at_every_length() {
+        // Every tail length and 0..=16 chunks, at an even and an odd width.
+        for n in 0..=1030 {
+            let a = wobble(n, 1);
+            let bs: Vec<Vec<f32>> = (0..3).map(|t| wobble(n, 77 + t)).collect();
+            assert_kernels_match_lanes(&a, &bs, 2..=3);
+        }
+    }
+
+    #[test]
+    fn kernels_match_the_portable_lanes_at_every_tile_width() {
+        // Odd and even remainders of the 1×2 blocking, whole chunks and a tail.
+        for n in [256usize, 64 * 3 + 21] {
+            let a = wobble(n, 5);
+            let bs: Vec<Vec<f32>> = (0..17).map(|t| wobble(n, 1000 + t)).collect();
+            assert_kernels_match_lanes(&a, &bs, 0..=17);
+        }
+    }
+
+    #[test]
+    fn kernels_match_the_portable_lanes_on_special_values() {
+        let specials = [
+            0.0f32,
+            -0.0,
+            f32::MIN_POSITIVE / 4.0,
+            -f32::MIN_POSITIVE / 8.0,
+            f32::from_bits(1),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            1.0,
+            -1.5,
+            f32::NAN,
+        ];
+        // `pool` leaves NaN and the infinities out of half the vectors so
+        // that signed zeros, subnormals and overflow decide some results.
+        let vector = |n: usize, salt: usize, pool: usize| -> Vec<f32> {
+            (0..n)
+                .map(|i| specials[(i * 7 + salt * 13 + i / 5) % pool])
+                .collect()
+        };
+        for n in [0usize, 1, 5, 63, 64, 65, 130, 256, 300] {
+            for salt in 0..6 {
+                let pool = if salt % 2 == 0 { 5 } else { specials.len() };
+                let a = vector(n, salt, pool);
+                let bs: Vec<Vec<f32>> =
+                    (0..5).map(|t| vector(n, salt * 31 + t + 1, pool)).collect();
+                assert_kernels_match_lanes(&a, &bs, 0..=5);
+            }
+        }
+        // All products −0.0: the zero-initialised lanes make the sum +0.0
+        // or −0.0 exactly as the portable core does.
+        let neg = vec![-0.0f32; 130];
+        let pos = vec![1.0f32; 130];
+        assert_kernels_match_lanes(&neg, &[pos.clone(), pos], 0..=2);
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension mismatch")]
+    fn dot_unrolled_many_dimension_mismatch_panics() {
+        dot_unrolled_many(&[1.0, 2.0], &[&[1.0, 2.0], &[1.0]], &mut [0.0; 2]);
     }
 
     #[test]

@@ -151,6 +151,51 @@ proptest! {
     }
 
     #[test]
+    fn self_join_with_ties_and_nan_rows_matches_the_per_query_scan(
+        // Few distinct values in few dimensions: duplicate rows, equal
+        // keys at the worst kept rank (the `bound` fast path's tie case),
+        // zero vectors, and about one row in four containing a NaN.
+        cells in prop::collection::vec(prop::collection::vec(0u8..12, 3..=3), 2..60),
+        k in 1usize..7,
+        cosine in any::<bool>()
+    ) {
+        let vs: Vec<Vec<f32>> = cells
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .map(|&c| if c == 11 { f32::NAN } else { f32::from(c % 4) })
+                    .collect()
+            })
+            .collect();
+        let metric = if cosine { Metric::Cosine } else { Metric::L2 };
+        let idx = BruteForceIndex::new(vs.clone(), metric);
+        let rows: Vec<usize> = (0..vs.len()).collect();
+        let per_query: Vec<Vec<Neighbor>> = rows
+            .iter()
+            .map(|&i| idx.nearest_excluding(&vs[i], k, i))
+            .collect();
+        for (i, hits) in per_query.iter().enumerate() {
+            assert_bit_identical(hits, &seed_sort_reference(&vs, metric, &vs[i], k, Some(i)));
+        }
+        for (tiled, single) in idx.nearest_rows(&rows, k).iter().zip(&per_query) {
+            assert_bit_identical(tiled, single);
+        }
+        let excludes: Vec<Option<usize>> = rows.iter().copied().map(Some).collect();
+        for workers in 1..=3 {
+            let tiled = idx.nearest_many_with_workers(&vs, k, Some(&excludes), workers);
+            for (tiled, single) in tiled.iter().zip(&per_query) {
+                assert_bit_identical(tiled, single);
+            }
+            // Without the exclusion every finite row finds itself or an
+            // earlier duplicate first.
+            let tiled = idx.nearest_many_with_workers(&vs, k, None, workers);
+            for (tiled, query) in tiled.iter().zip(&vs) {
+                assert_bit_identical(tiled, &idx.nearest(query, k));
+            }
+        }
+    }
+
+    #[test]
     fn embed_all_matches_sequential_at_any_worker_count(
         texts in prop::collection::vec("[a-z ]{0,40}", 1..40),
         workers in 1usize..5
