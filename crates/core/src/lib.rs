@@ -38,9 +38,12 @@
 //!   budget-aware strategy selection (§4).
 //! * [`plan`] — the declarative front door: a logical-plan IR
 //!   ([`plan::Query`]), a cost-based planner with rule rewrites, EXPLAIN,
-//!   and a per-node-attributed executor.
-//! * [`session`] — the user-facing declarative API (operator methods are
-//!   thin wrappers over single-node plans).
+//!   and a per-node-attributed executor. Its cost model is bill → price →
+//!   fold: every strategy states what it asks as a crate-private `bill`
+//!   beside its run code in [`ops`], and [`plan::estimate`] prices each
+//!   prompt shape and folds the lines into calls and dollars.
+//! * [`session`] — the user-facing declarative API (each operator method
+//!   calls its operator in [`ops`] directly on the session's engine).
 
 #![warn(missing_docs)]
 

@@ -6,6 +6,7 @@ use crowdprompt_oracle::world::ItemId;
 use crate::error::EngineError;
 use crate::exec::{Engine, RunSpec};
 use crate::extract;
+use crate::ops::bill::{Ask, Line};
 use crate::outcome::{CostMeter, Outcome};
 
 /// Assign each item one of `labels`, returning labels in input order.
@@ -68,6 +69,15 @@ pub(crate) fn classify(
     }
     settle.finish(items.len());
     Ok(meter.into_outcome(out))
+}
+
+/// What labelling `n` items at pack width `pack` asks of the model (the
+/// categorize and keep-label nodes alike).
+pub(crate) fn bill(n: usize, labels: &[String], pack: usize) -> Vec<Line> {
+    let ask = Ask::Classify {
+        labels: labels.to_vec(),
+    };
+    vec![Line::new(n.div_ceil(pack.max(1)), ask).packed(pack, n)]
 }
 
 #[cfg(test)]

@@ -18,6 +18,7 @@ use crate::blocking::BlockingIndex;
 use crate::error::EngineError;
 use crate::exec::Engine;
 use crate::extract;
+use crate::ops::bill::{Ask, Line};
 use crate::ops::judge;
 use crate::outcome::{CostMeter, Outcome};
 
@@ -50,6 +51,22 @@ pub fn cluster_blocked(
     candidates: usize,
 ) -> Result<Outcome<Vec<Vec<ItemId>>>, EngineError> {
     cluster_impl(engine, items, seed_size, Some(candidates.max(1)))
+}
+
+/// What clustering `n` items asks of the model: one grouping prompt over
+/// the seed batch, then up to `probe_cap` representative probes (every
+/// other seed item's group, assumed pairs, when exhaustive) for each of the
+/// rest.
+pub(crate) fn bill(n: usize, seed_size: usize, probe_cap: Option<usize>) -> Vec<Line> {
+    if n == 0 {
+        return Vec::new();
+    }
+    let seed = seed_size.clamp(1, n);
+    let probes = probe_cap.unwrap_or_else(|| (seed / 2).max(1));
+    vec![
+        Line::new(1, Ask::Group { len: seed }),
+        Line::new((n - seed) * probes, Ask::SameEntity).blocked_on(n),
+    ]
 }
 
 fn cluster_impl(

@@ -7,6 +7,7 @@ use crowdprompt_oracle::world::ItemId;
 use crate::error::EngineError;
 use crate::exec::{Engine, RunSpec};
 use crate::extract;
+use crate::ops::bill::{Ask, Line};
 use crate::outcome::{CostMeter, Outcome};
 
 /// How to count.
@@ -31,14 +32,6 @@ impl CountStrategy {
         }
     }
 
-    /// Expected LLM calls to count `n` items (planner cost hint).
-    pub fn estimated_calls(&self, n: usize) -> u64 {
-        match self {
-            CountStrategy::Eyeball { batch_size } => n.div_ceil((*batch_size).max(1)) as u64,
-            CountStrategy::PerItem => n as u64,
-        }
-    }
-
     /// Whether this strategy's checks can ride packed multi-item prompts.
     /// Eyeball batches are already one-prompt-per-batch; only the per-item
     /// checks benefit from packing.
@@ -46,12 +39,22 @@ impl CountStrategy {
         matches!(self, CountStrategy::PerItem)
     }
 
-    /// Expected LLM calls to count `n` items at pack width `pack`.
-    pub fn packed_calls(&self, n: usize, pack: usize) -> u64 {
-        match self {
-            CountStrategy::PerItem => n.div_ceil(pack.max(1)) as u64,
-            CountStrategy::Eyeball { .. } => self.estimated_calls(n),
-        }
+    /// What counting `n` items at pack width `pack` asks of the model. An
+    /// eyeball prompt never lists more items than reach the node.
+    pub(crate) fn bill(&self, n: usize, predicate: &str, pack: usize) -> Vec<Line> {
+        vec![match *self {
+            CountStrategy::PerItem => {
+                Line::new(n.div_ceil(pack.max(1)), Ask::check(predicate)).packed(pack, n)
+            }
+            CountStrategy::Eyeball { batch_size } => {
+                let batch = batch_size.max(1);
+                let ask = Ask::EyeballCount {
+                    predicate: predicate.to_owned(),
+                    len: batch.min(n),
+                };
+                Line::new(n.div_ceil(batch), ask)
+            }
+        }]
     }
 }
 

@@ -17,6 +17,7 @@ use crowdprompt_oracle::world::ItemId;
 use crate::error::EngineError;
 use crate::exec::{Engine, RunSpec, Settle};
 use crate::extract;
+use crate::ops::bill::{Ask, Line};
 use crate::outcome::{CostMeter, Outcome};
 use crate::proxy::ProxyModel;
 
@@ -183,30 +184,31 @@ impl FilterStrategy {
         )
     }
 
-    /// Expected LLM calls to filter `n` items at pack width `pack`
-    /// (planner cost hint): packable strategies pay ⌈m/pack⌉ per pass over
-    /// `m` items.
-    pub fn packed_calls(&self, n: usize, pack: usize) -> u64 {
+    /// What filtering `n` items at pack width `pack` asks of the model:
+    /// packable strategies pay ⌈m/pack⌉ checks per pass over `m` items, the
+    /// rest [`FilterStrategy::calls_per_item`] per item.
+    pub(crate) fn bill(&self, n: usize, predicate: &str, pack: usize) -> Vec<Line> {
         let pack = if self.packable() { pack.max(1) } else { 1 };
-        let pass = |m: usize| m.div_ceil(pack) as u64;
+        let pass = |m: usize| m.div_ceil(pack);
         let pass_over = |share: f64, m: usize| pass((m as f64 * share).ceil() as usize);
-        match *self {
+        let calls = match *self {
             FilterStrategy::Single => pass(n),
-            FilterStrategy::MajorityVote { votes, .. } => pass(n) * u64::from(votes.max(1)),
+            FilterStrategy::MajorityVote { votes, .. } => pass(n) * votes.max(1) as usize,
             FilterStrategy::Sequential {
                 lead, max_votes, ..
             } => {
-                pass(n) * u64::from(lead)
-                    + pass_over(ESCALATE_SHARE, n) * u64::from(max_votes.saturating_sub(lead))
+                pass(n) * lead as usize
+                    + pass_over(ESCALATE_SHARE, n) * max_votes.saturating_sub(lead) as usize
             }
             FilterStrategy::ProxyGated { train, .. } => {
                 let train = train.min(n);
                 pass(train) + pass_over(self.calls_per_item(), n - train)
             }
             FilterStrategy::ConfidenceGated { .. } | FilterStrategy::Verified { .. } => {
-                (n as f64 * self.calls_per_item()).ceil() as u64
+                (n as f64 * self.calls_per_item()).ceil() as usize
             }
-        }
+        };
+        vec![Line::new(calls, Ask::check(predicate)).packed(pack, n)]
     }
 }
 

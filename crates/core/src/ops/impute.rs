@@ -9,6 +9,7 @@ use crate::blocking::BlockingIndex;
 use crate::error::EngineError;
 use crate::exec::{Engine, RunSpec};
 use crate::extract;
+use crate::ops::bill::{Ask, Line};
 use crate::outcome::{CostMeter, Outcome};
 
 /// How to impute.
@@ -46,25 +47,33 @@ impl ImputeStrategy {
         }
     }
 
-    /// Expected LLM calls to impute `n` records (planner cost hint; the
-    /// hybrid assumes the unanimity gate diverts roughly half the records).
-    pub fn estimated_calls(&self, n: usize) -> u64 {
-        match self {
-            ImputeStrategy::KnnOnly { .. } => 0,
-            ImputeStrategy::LlmOnly { .. } => n as u64,
-            ImputeStrategy::Hybrid { .. } => n.div_ceil(2) as u64,
-        }
-    }
-
     /// Whether this strategy's LLM calls can ride packed multi-item
     /// prompts (only the strategies that call the LLM at all).
     pub fn packable(&self) -> bool {
         !matches!(self, ImputeStrategy::KnnOnly { .. })
     }
 
-    /// Expected LLM calls to impute `n` records at pack width `pack`.
-    pub fn packed_calls(&self, n: usize, pack: usize) -> u64 {
-        self.estimated_calls(n).div_ceil(pack.max(1) as u64)
+    /// What imputing `n` records at pack width `pack` asks of the model,
+    /// the first `shots` of `labeled` standing in for each prompt's
+    /// examples (the hybrid assumes the unanimity gate diverts roughly half
+    /// the records).
+    pub(crate) fn bill(
+        &self,
+        n: usize,
+        attribute: &str,
+        labeled: &[(ItemId, String)],
+        pack: usize,
+    ) -> Vec<Line> {
+        let (asked, shots) = match *self {
+            ImputeStrategy::KnnOnly { .. } => return Vec::new(),
+            ImputeStrategy::LlmOnly { shots } => (n, shots),
+            ImputeStrategy::Hybrid { shots, .. } => (n.div_ceil(2), shots),
+        };
+        let ask = Ask::Impute {
+            attribute: attribute.to_owned(),
+            examples: labeled.iter().take(shots).cloned().collect(),
+        };
+        vec![Line::new(asked.div_ceil(pack.max(1)), ask).packed(pack, n)]
     }
 }
 

@@ -13,6 +13,7 @@ use crowdprompt_oracle::world::ItemId;
 use crate::blocking::BlockingIndex;
 use crate::error::EngineError;
 use crate::exec::Engine;
+use crate::ops::bill::{Ask, Line};
 use crate::ops::judge;
 use crate::outcome::{CostMeter, Outcome};
 
@@ -45,19 +46,17 @@ impl JoinStrategy {
         }
     }
 
-    /// Expected LLM calls to join `left` × `right` items (planner cost
-    /// hint; the blocked estimate is an upper bound — the distance ceiling
-    /// can only prune further).
-    pub fn estimated_calls(&self, left: usize, right: usize) -> u64 {
-        if right == 0 {
-            return 0;
-        }
-        match self {
-            JoinStrategy::AllPairs => (left * right) as u64,
+    /// What joining `left` × `right` items asks of the model (the blocked
+    /// count is an upper bound — the distance ceiling can only prune
+    /// further). Only a blocked join draws its pairs from the blocking
+    /// index, over the right side.
+    pub(crate) fn bill(&self, left: usize, right: usize) -> Vec<Line> {
+        vec![match self {
+            JoinStrategy::AllPairs => Line::new(left * right, Ask::SameEntity),
             JoinStrategy::Blocked { candidates, .. } => {
-                (left * (*candidates).max(1).min(right)) as u64
+                Line::new(left * (*candidates).max(1).min(right), Ask::SameEntity).blocked_on(right)
             }
-        }
+        }]
     }
 }
 

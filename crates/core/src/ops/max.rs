@@ -6,6 +6,7 @@ use crowdprompt_oracle::world::ItemId;
 
 use crate::error::EngineError;
 use crate::exec::Engine;
+use crate::ops::bill::{pair_count, Ask, Line};
 use crate::ops::judge;
 use crate::outcome::{CostMeter, Outcome};
 
@@ -39,16 +40,27 @@ impl MaxStrategy {
         }
     }
 
-    /// Expected LLM calls to find the max of `n` items (planner cost hint).
-    pub fn estimated_calls(&self, n: usize) -> u64 {
+    /// What finding the max of `n` items asks of the model (a degenerate
+    /// max is answered without it).
+    pub(crate) fn bill(&self, n: usize, criterion: SortCriterion) -> Vec<Line> {
         if n < 2 {
-            return 0;
+            return Vec::new();
         }
-        match self {
-            MaxStrategy::Tournament => (n - 1) as u64,
-            MaxStrategy::RateThenPlayoff { playoff_size, .. } => {
-                let p = (*playoff_size).max(2).min(n);
-                (n + p * (p - 1) / 2) as u64
+        let compare = Ask::Compare { criterion };
+        match *self {
+            MaxStrategy::Tournament => vec![Line::new(n - 1, compare)],
+            MaxStrategy::RateThenPlayoff {
+                buckets,
+                playoff_size,
+            } => {
+                let rate = Ask::Rate {
+                    criterion,
+                    scale_max: buckets.max(2),
+                };
+                vec![
+                    Line::new(n, rate),
+                    Line::new(pair_count(playoff_size.max(2).min(n)), compare),
+                ]
             }
         }
     }

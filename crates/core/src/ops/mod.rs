@@ -1,6 +1,7 @@
 //! Declarative operators, each with multiple strategies along the
 //! cost/accuracy trade-off (paper §3).
 
+pub(crate) mod bill;
 pub mod categorize;
 pub mod cluster;
 pub mod count;

@@ -8,6 +8,7 @@ use crate::blocking::BlockingIndex;
 use crate::consistency::UnionFind;
 use crate::error::EngineError;
 use crate::exec::Engine;
+use crate::ops::bill::{Ask, Line};
 use crate::ops::judge;
 use crate::outcome::{CostMeter, Outcome};
 
@@ -183,6 +184,14 @@ fn transitivity_augmented(
         })
         .collect();
     Ok(meter.into_outcome(verdicts))
+}
+
+/// What [`dedup`] over `n` records asks of the model: one confirmation per
+/// blocked candidate pair, symmetric neighborhoods roughly halving the
+/// `n × candidates` slots.
+pub(crate) fn dedup_bill(n: usize, candidates: usize) -> Vec<Line> {
+    let pairs = (n * candidates.max(1)).div_ceil(2);
+    vec![Line::new(pairs, Ask::SameEntity).blocked_on(n)]
 }
 
 /// Fully deduplicate a record collection (the paper's §1 motivating

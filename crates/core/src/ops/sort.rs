@@ -10,6 +10,7 @@ use rand_chacha::ChaCha8Rng;
 use crate::error::EngineError;
 use crate::exec::Engine;
 use crate::extract;
+use crate::ops::bill::{pair_count, Ask, Line};
 use crate::ops::judge;
 use crate::outcome::{CostMeter, Outcome};
 
@@ -96,31 +97,50 @@ impl SortStrategy {
         }
     }
 
-    /// Expected LLM calls to sort `n` items (planner cost hint).
-    pub fn estimated_calls(&self, n: usize) -> u64 {
+    /// What sorting `n` items asks of the model.
+    pub(crate) fn bill(&self, n: usize, criterion: SortCriterion) -> Vec<Line> {
         if n < 2 {
-            return 0;
+            return Vec::new();
         }
-        let all_pairs = (n * (n - 1) / 2) as u64;
+        let compare = Ask::Compare { criterion };
+        let rate = |scale_max| Ask::Rate {
+            criterion,
+            scale_max,
+        };
+        let sort_list = |len| Ask::SortList { criterion, len };
         match self {
-            SortStrategy::SinglePrompt | SortStrategy::SortThenInsert => 1,
-            SortStrategy::Pairwise => all_pairs,
-            SortStrategy::PairwiseBatched { batch_size } => {
-                all_pairs.div_ceil((*batch_size).max(1) as u64)
+            SortStrategy::SinglePrompt | SortStrategy::SortThenInsert => {
+                vec![Line::new(1, sort_list(n))]
             }
-            SortStrategy::Rating { .. } => n as u64,
+            SortStrategy::Pairwise => vec![Line::new(pair_count(n), compare)],
+            SortStrategy::PairwiseBatched { batch_size } => {
+                let (b, all) = ((*batch_size).max(1), pair_count(n));
+                let ask = Ask::CompareBatch {
+                    criterion,
+                    pairs: b.min(all),
+                };
+                vec![Line::new(all.div_ceil(b), ask)]
+            }
+            SortStrategy::Rating { scale_max, .. } => vec![Line::new(n, rate(*scale_max))],
             SortStrategy::BucketThenCompare { buckets } => {
                 // n ratings plus pairwise repair inside each (assumed
                 // evenly filled) bucket.
-                let b = usize::from((*buckets).max(2));
-                let per_bucket = n.div_ceil(b);
-                n as u64 + (b * (per_bucket * per_bucket.saturating_sub(1)) / 2) as u64
+                let b = (*buckets).max(2);
+                let per_bucket = n.div_ceil(usize::from(b));
+                vec![
+                    Line::new(n, rate(b)),
+                    Line::new(usize::from(b) * pair_count(per_bucket), compare),
+                ]
             }
             SortStrategy::ChunkedMerge { chunk_size } => {
                 // One prompt per chunk, then ≤ n comparisons per merge level.
-                let runs = n.div_ceil((*chunk_size).max(2));
+                let chunk = (*chunk_size).max(2);
+                let runs = n.div_ceil(chunk);
                 let levels = usize::BITS - runs.next_power_of_two().leading_zeros() - 1;
-                runs as u64 + (n as u64) * u64::from(levels)
+                vec![
+                    Line::new(runs, sort_list(chunk)),
+                    Line::new(n * levels as usize, compare),
+                ]
             }
         }
     }

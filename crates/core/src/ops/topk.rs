@@ -6,18 +6,46 @@ use crowdprompt_oracle::world::ItemId;
 
 use crate::error::EngineError;
 use crate::exec::Engine;
+use crate::ops::bill::{pair_count, Ask, Line};
 use crate::ops::judge;
 use crate::outcome::{CostMeter, Outcome};
 
 /// The shortlist is rated on `1..=SHORTLIST_SCALE_MAX` (the paper's
 /// seven-point scale).
-pub(crate) const SHORTLIST_SCALE_MAX: u8 = 7;
+const SHORTLIST_SCALE_MAX: u8 = 7;
 
 /// How many of `n` rated items enter the fine ranking for a top-`k` with
-/// the given `shortlist_factor` — the operator's and the estimator's one
-/// copy. Saturating: the factor is caller input.
-pub(crate) fn shortlist_len(k: usize, shortlist_factor: usize, n: usize) -> usize {
+/// the given `shortlist_factor` — the operator's and the bill's one copy.
+/// Saturating: the factor is caller input.
+fn shortlist_len(k: usize, shortlist_factor: usize, n: usize) -> usize {
     k.saturating_mul(shortlist_factor.max(1)).min(n)
+}
+
+/// What a top-`k` over `n` items asks of the model: nothing for an empty
+/// answer, every pair when everything qualifies, else `n` ratings and every
+/// pair of the shortlist.
+pub(crate) fn bill(
+    n: usize,
+    criterion: SortCriterion,
+    k: usize,
+    shortlist_factor: usize,
+) -> Vec<Line> {
+    let compare = Ask::Compare { criterion };
+    if k == 0 || n == 0 {
+        Vec::new()
+    } else if n <= k {
+        vec![Line::new(pair_count(n), compare)]
+    } else {
+        let rate = Ask::Rate {
+            criterion,
+            scale_max: SHORTLIST_SCALE_MAX,
+        };
+        let shortlist = shortlist_len(k, shortlist_factor, n);
+        vec![
+            Line::new(n, rate),
+            Line::new(pair_count(shortlist), compare),
+        ]
+    }
 }
 
 /// Return the top `k` items under the criterion, best first.
@@ -120,16 +148,12 @@ mod tests {
         assert_eq!(shortlist_len(2, usize::MAX, 9), 9);
         assert_eq!(shortlist_len(2, 0, 9), 2, "a zero factor means one");
         let (engine, ids) = setup(9);
-        let plan = crate::plan::Query::over(&ids)
-            .top_k_with(SortCriterion::LatentScore, 2, usize::MAX)
-            .plan_on(&engine)
-            .unwrap();
         let out = top_k(&engine, &ids, SortCriterion::LatentScore, 2, usize::MAX).unwrap();
         assert_eq!(out.value, vec![ids[8], ids[7]]);
-        // Nine ratings, then all 36 pairs of the nine-item "shortlist" —
-        // and the estimator, on the same length, predicts exactly that.
+        // Nine ratings, then all 36 pairs of the nine-item "shortlist" (the
+        // bill, on the same length, says exactly that: `plan::estimate`'s
+        // ledger table).
         assert_eq!(out.calls, 9 + 36);
         assert_eq!(engine.client().ledger().calls(), out.calls);
-        assert_eq!(plan.estimated_calls(), out.calls);
     }
 }

@@ -1,49 +1,49 @@
-//! The planner's cost model.
+//! The planner's cost model: bill → price → fold.
 //!
-//! Call counts come from strategy metadata ([`SortStrategy::estimated_calls`]
-//! and friends); per-call dollar costs come from *rendering* representative
-//! tasks over actual corpus items through [`Engine::estimate_task`] — the
-//! same render + token-count path budget admission uses — so estimates
-//! track real prompt sizes instead of a hard-coded constant. Row counts
-//! propagate through selectivity hints (filters default to keeping half).
+//! What a node asks of the model is stated once, by its strategy, beside
+//! the code that asks it: `PhysicalNode::bill` forwards to the strategy's
+//! `bill(rows, …)` in [`crate::ops`] and returns lines of "so many calls of
+//! such a prompt shape" (`ops::bill::Ask`). This module knows no strategy. It
+//! *prices* a shape by rendering a representative of it over actual corpus
+//! items through [`Engine::estimate_task`] — the same render + token-count
+//! path budget admission uses, so estimates track real prompt sizes instead
+//! of a hard-coded constant — and *folds* the lines: a node's calls are the
+//! sum of its lines' calls and its dollars the sum of calls × price, so the
+//! two cannot describe different work. Row counts propagate through
+//! selectivity hints (filters default to keeping half).
 //!
 //! Estimation never dispatches a model call and never touches the budget;
 //! render failures (e.g. an unknown item) degrade to a zero estimate and
 //! are surfaced at execution time instead.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 
-use crowdprompt_oracle::task::{CountMode, SortCriterion, TaskDescriptor};
+use crowdprompt_oracle::task::{CountMode, TaskDescriptor};
 use crowdprompt_oracle::world::ItemId;
 
 use crate::exec::Engine;
-use crate::ops::count::CountStrategy;
-use crate::ops::filter::FilterStrategy;
-use crate::ops::max::MaxStrategy;
-use crate::ops::sort::SortStrategy;
-use crate::ops::topk;
-use crate::ops::ImputeStrategy;
+use crate::ops::bill::Ask;
 
 use super::{NodeEstimate, PhysicalNode};
 
 /// How many representative items are rendered (and averaged) per per-item
-/// task shape.
+/// prompt shape.
 const SAMPLE_ITEMS: usize = 4;
 
 /// Costs physical nodes against an engine's corpus and pricing.
 pub(crate) struct Estimator<'a> {
     engine: &'a Engine,
-    source: Vec<ItemId>,
+    source: &'a [ItemId],
     samples: Vec<ItemId>,
-    /// Memoized per-call cost of predicate checks: the same predicate is
-    /// probed by the filter-reorder keys and again by the estimate pass,
-    /// and each probe renders sample prompts.
-    check_costs: RefCell<HashMap<String, f64>>,
+    /// Memoized price per prompt shape (and pack width): the same shape is
+    /// probed by the filter-reorder keys, the packing notes and again by
+    /// the estimate pass, and each probe renders sample prompts. A plan
+    /// asks a handful of shapes, so a scan beats hashing them.
+    prices: RefCell<Vec<(Ask, Option<usize>, f64)>>,
 }
 
 impl<'a> Estimator<'a> {
-    pub(crate) fn new(engine: &'a Engine, source: &[ItemId]) -> Self {
+    pub(crate) fn new(engine: &'a Engine, source: &'a [ItemId]) -> Self {
         let stride = (source.len() / SAMPLE_ITEMS).max(1);
         let samples: Vec<ItemId> = source
             .iter()
@@ -53,9 +53,9 @@ impl<'a> Estimator<'a> {
             .collect();
         Estimator {
             engine,
-            source: source.to_vec(),
+            source,
             samples,
-            check_costs: RefCell::new(HashMap::new()),
+            prices: RefCell::new(Vec::new()),
         }
     }
 
@@ -86,15 +86,6 @@ impl<'a> Estimator<'a> {
         self.engine.estimate_task(task).map_or(0.0, |(usd, _)| usd)
     }
 
-    /// Average estimated USD of a per-item task over the sample items.
-    fn per_item_cost(&self, make: impl Fn(ItemId) -> TaskDescriptor) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let total: f64 = self.samples.iter().map(|&id| self.cost_of(make(id))).sum();
-        total / self.samples.len() as f64
-    }
-
     /// A representative item pair (falls back to a self-pair on singleton
     /// sources — rendering still succeeds and prices the prompt shape).
     fn sample_pair(&self) -> Option<(ItemId, ItemId)> {
@@ -103,14 +94,12 @@ impl<'a> Estimator<'a> {
         Some((a, b))
     }
 
-    fn compare_cost(&self, criterion: SortCriterion) -> f64 {
-        self.sample_pair().map_or(0.0, |(left, right)| {
-            self.cost_of(TaskDescriptor::Compare {
-                left,
-                right,
-                criterion,
-            })
-        })
+    /// The first `len` source items (fewer when the source is shorter), if
+    /// that is at least `at_least` — the items of a representative list
+    /// prompt.
+    fn head(&self, len: usize, at_least: usize) -> Option<Vec<ItemId>> {
+        let take = len.min(self.source.len());
+        (take >= at_least).then(|| self.source[..take].to_vec())
     }
 
     /// Scale on blocking-driven candidate-verification call counts. Exact
@@ -135,357 +124,149 @@ impl<'a> Estimator<'a> {
         }
     }
 
-    fn same_entity_cost(&self) -> f64 {
-        self.sample_pair().map_or(0.0, |(left, right)| {
-            self.cost_of(TaskDescriptor::SameEntity { left, right })
+    /// The task asking a point-wise shape of one item; `None` for the pair
+    /// and list shapes, which no single item stands for.
+    fn point_task(ask: &Ask, item: ItemId) -> Option<TaskDescriptor> {
+        Some(match ask {
+            Ask::Rate {
+                criterion,
+                scale_max,
+            } => TaskDescriptor::Rate {
+                item,
+                scale_min: 1,
+                scale_max: *scale_max,
+                criterion: *criterion,
+            },
+            Ask::Check { predicate } => TaskDescriptor::CheckPredicate {
+                item,
+                predicate: predicate.clone(),
+            },
+            Ask::Classify { labels } => TaskDescriptor::Classify {
+                item,
+                labels: labels.clone(),
+            },
+            Ask::Impute {
+                attribute,
+                examples,
+            } => TaskDescriptor::Impute {
+                item,
+                attribute: attribute.clone(),
+                examples: examples.clone(),
+            },
+            _ => return None,
         })
     }
 
-    fn rate_cost(&self, criterion: SortCriterion, scale_max: u8) -> f64 {
-        self.per_item_cost(|item| TaskDescriptor::Rate {
-            item,
-            scale_min: 1,
-            scale_max,
-            criterion,
-        })
+    /// A representative packed prompt at width `b`: the point-wise ask over
+    /// the first `b` source items. Rendering it prices the *shared-prefix*
+    /// economics for real — the instruction is counted once and each extra
+    /// item adds only its text.
+    fn representative_pack(&self, ask: &Ask, b: usize) -> Option<TaskDescriptor> {
+        let items = self.head(b, 1)?.into_iter();
+        let tasks: Option<Vec<_>> = items.map(|item| Self::point_task(ask, item)).collect();
+        Some(TaskDescriptor::Packed { tasks: tasks? })
     }
 
-    /// Estimated per-call cost of a filter/count predicate check
-    /// (memoized per predicate).
-    pub(crate) fn check_cost(&self, predicate: &str) -> f64 {
-        if let Some(&cost) = self.check_costs.borrow().get(predicate) {
+    /// A representative unpacked prompt of a pair or list shape: the first
+    /// two sample items, or the head of the source.
+    fn representative(&self, ask: &Ask) -> Option<TaskDescriptor> {
+        let pair = self.sample_pair();
+        match ask {
+            Ask::Compare { criterion } => pair.map(|(left, right)| TaskDescriptor::Compare {
+                left,
+                right,
+                criterion: *criterion,
+            }),
+            Ask::CompareBatch { criterion, pairs } => pair.map(|p| TaskDescriptor::CompareBatch {
+                pairs: vec![p; *pairs],
+                criterion: *criterion,
+            }),
+            Ask::SameEntity => pair.map(|(left, right)| TaskDescriptor::SameEntity { left, right }),
+            Ask::SortList { criterion, len } => {
+                self.head((*len).max(2), 2)
+                    .map(|items| TaskDescriptor::SortList {
+                        items,
+                        criterion: *criterion,
+                    })
+            }
+            Ask::EyeballCount { predicate, len } => {
+                self.head(*len, 1)
+                    .map(|items| TaskDescriptor::CountPredicate {
+                        items,
+                        predicate: predicate.clone(),
+                        mode: CountMode::Eyeball,
+                    })
+            }
+            Ask::Group { len } => self
+                .head(*len, 2)
+                .map(|items| TaskDescriptor::GroupEntities { items }),
+            Ask::Rate { .. } | Ask::Check { .. } | Ask::Classify { .. } | Ask::Impute { .. } => {
+                None
+            }
+        }
+    }
+
+    /// Estimated USD of one call of `ask` (packed `packed` items to the
+    /// prompt, if any): a point-wise shape averages over the sample items,
+    /// every other shape renders one representative. Memoized per shape.
+    pub(crate) fn price(&self, ask: &Ask, packed: Option<usize>) -> f64 {
+        let known = |(a, p, _): &&(Ask, Option<usize>, f64)| a == ask && *p == packed;
+        if let Some(&(_, _, cost)) = self.prices.borrow().iter().find(known) {
             return cost;
         }
-        let cost = self.per_item_cost(|item| TaskDescriptor::CheckPredicate {
-            item,
-            predicate: predicate.to_owned(),
-        });
-        self.check_costs
-            .borrow_mut()
-            .insert(predicate.to_owned(), cost);
+        let cost_of = |task: Option<TaskDescriptor>| task.map_or(0.0, |t| self.cost_of(t));
+        let cost = match packed {
+            Some(width) => cost_of(self.representative_pack(ask, width)),
+            None => {
+                let samples = self.samples.iter();
+                let per_item: Vec<f64> = samples
+                    .filter_map(|&id| Self::point_task(ask, id))
+                    .map(|task| self.cost_of(task))
+                    .collect();
+                if per_item.is_empty() {
+                    cost_of(self.representative(ask))
+                } else {
+                    per_item.iter().sum::<f64>() / per_item.len() as f64
+                }
+            }
+        };
+        self.prices.borrow_mut().push((ask.clone(), packed, cost));
         cost
     }
 
-    /// Estimated per-item cost of one filter pass under `strategy` —
-    /// the planner's cheapest-first filter ordering key.
-    pub(crate) fn filter_item_cost(&self, predicate: &str, strategy: &FilterStrategy) -> f64 {
-        strategy.calls_per_item() * self.check_cost(predicate)
+    /// Prompt tokens of the representative packed prompt `node` dispatches
+    /// over `rows_in` rows at its pack width — the planner's
+    /// context-window fitting probe.
+    pub(crate) fn packed_prompt_tokens(&self, node: &PhysicalNode, rows_in: usize) -> Option<u32> {
+        let bill = node.bill(rows_in);
+        let mut packs = bill
+            .iter()
+            .filter_map(|line| self.representative_pack(&line.ask, line.packed?));
+        let prompt = crate::template::render(
+            &packs.next()?,
+            self.engine.corpus(),
+            self.engine.render_opts(),
+        );
+        Some(crowdprompt_oracle::tokenizer::count_tokens(&prompt.ok()?))
     }
 
-    /// A representative packed prompt task for a packable node at width
-    /// `b`: the node's point-wise task over the first `b` source items.
-    /// Rendering it prices the *shared-prefix* economics for real — the
-    /// instruction is counted once and each extra item adds only its text.
-    fn representative_pack(&self, node: &PhysicalNode, b: usize) -> Option<TaskDescriptor> {
-        let items = &self.source[..b.min(self.source.len())];
-        if items.is_empty() {
-            return None;
-        }
-        let tasks: Vec<TaskDescriptor> = match node {
-            PhysicalNode::Filter { predicate, .. } | PhysicalNode::Count { predicate, .. } => items
-                .iter()
-                .map(|&item| TaskDescriptor::CheckPredicate {
-                    item,
-                    predicate: predicate.clone(),
-                })
-                .collect(),
-            PhysicalNode::Categorize { labels, .. } | PhysicalNode::KeepLabel { labels, .. } => {
-                items
-                    .iter()
-                    .map(|&item| TaskDescriptor::Classify {
-                        item,
-                        labels: labels.clone(),
-                    })
-                    .collect()
-            }
-            PhysicalNode::Impute {
-                attribute,
-                labeled,
-                strategy,
-                ..
-            } => {
-                let shots = match strategy {
-                    ImputeStrategy::KnnOnly { .. } => return None,
-                    ImputeStrategy::LlmOnly { shots } | ImputeStrategy::Hybrid { shots, .. } => {
-                        *shots
-                    }
-                };
-                let examples: Vec<(ItemId, String)> = labeled.iter().take(shots).cloned().collect();
-                items
-                    .iter()
-                    .map(|&item| TaskDescriptor::Impute {
-                        item,
-                        attribute: attribute.clone(),
-                        examples: examples.clone(),
-                    })
-                    .collect()
-            }
-            _ => return None,
-        };
-        Some(TaskDescriptor::Packed { tasks })
-    }
-
-    /// Prompt tokens of a representative packed prompt at width `b` — the
-    /// planner's context-window fitting probe.
-    pub(crate) fn packed_prompt_tokens(&self, node: &PhysicalNode, b: usize) -> Option<u32> {
-        let task = self.representative_pack(node, b)?;
-        let prompt =
-            crate::template::render(&task, self.engine.corpus(), self.engine.render_opts()).ok()?;
-        Some(crowdprompt_oracle::tokenizer::count_tokens(&prompt))
-    }
-
-    /// Estimated USD of one packed prompt at width `b` for a packable node.
-    fn packed_pack_cost(&self, node: &PhysicalNode, b: usize) -> f64 {
-        self.representative_pack(node, b)
-            .map_or(0.0, |task| self.cost_of(task))
-    }
-
-    /// A sort-list prompt over the first `n` source items.
-    fn sort_list_cost(&self, n: usize, criterion: SortCriterion) -> f64 {
-        let take = n.clamp(2, self.source.len().max(2)).min(self.source.len());
-        if take < 2 {
-            return 0.0;
-        }
-        self.cost_of(TaskDescriptor::SortList {
-            items: self.source[..take].to_vec(),
-            criterion,
-        })
-    }
-
-    fn sort_cost(&self, strategy: &SortStrategy, n: usize, criterion: SortCriterion) -> f64 {
-        if n < 2 {
-            return 0.0;
-        }
-        let all_pairs = (n * (n - 1) / 2) as f64;
-        match strategy {
-            SortStrategy::SinglePrompt | SortStrategy::SortThenInsert => {
-                self.sort_list_cost(n, criterion)
-            }
-            SortStrategy::Pairwise => all_pairs * self.compare_cost(criterion),
-            SortStrategy::PairwiseBatched { batch_size } => {
-                let b = (*batch_size).max(1);
-                let Some((left, right)) = self.sample_pair() else {
-                    return 0.0;
-                };
-                let batch = self.cost_of(TaskDescriptor::CompareBatch {
-                    pairs: vec![(left, right); b.min(n * (n - 1) / 2).max(1)],
-                    criterion,
-                });
-                ((n * (n - 1) / 2).div_ceil(b)) as f64 * batch
-            }
-            SortStrategy::Rating { scale_max, .. } => {
-                n as f64 * self.rate_cost(criterion, *scale_max)
-            }
-            SortStrategy::BucketThenCompare { buckets } => {
-                let b = usize::from((*buckets).max(2));
-                let per_bucket = n.div_ceil(b);
-                let inner = (b * (per_bucket * per_bucket.saturating_sub(1)) / 2) as f64;
-                n as f64 * self.rate_cost(criterion, (*buckets).max(2))
-                    + inner * self.compare_cost(criterion)
-            }
-            SortStrategy::ChunkedMerge { chunk_size } => {
-                let chunk = (*chunk_size).max(2);
-                let runs = n.div_ceil(chunk);
-                let levels = usize::BITS - runs.next_power_of_two().leading_zeros() - 1;
-                runs as f64 * self.sort_list_cost(chunk, criterion)
-                    + (n as f64) * f64::from(levels) * self.compare_cost(criterion)
-            }
-        }
-    }
-
-    fn count_cost(&self, strategy: &CountStrategy, predicate: &str, n: usize) -> f64 {
-        match strategy {
-            CountStrategy::PerItem => n as f64 * self.check_cost(predicate),
-            CountStrategy::Eyeball { batch_size } => {
-                let b = (*batch_size).max(1);
-                let take = b.min(self.source.len());
-                if take == 0 {
-                    return 0.0;
-                }
-                let batch = self.cost_of(TaskDescriptor::CountPredicate {
-                    items: self.source[..take].to_vec(),
-                    predicate: predicate.to_owned(),
-                    mode: CountMode::Eyeball,
-                });
-                n.div_ceil(b) as f64 * batch
-            }
-        }
-    }
-
-    fn impute_cost(
-        &self,
-        strategy: &ImputeStrategy,
-        attribute: &str,
-        labeled: &[(ItemId, String)],
-        n: usize,
-    ) -> f64 {
-        let shots = match strategy {
-            ImputeStrategy::KnnOnly { .. } => return 0.0,
-            ImputeStrategy::LlmOnly { shots } | ImputeStrategy::Hybrid { shots, .. } => *shots,
-        };
-        let examples: Vec<(ItemId, String)> = labeled.iter().take(shots).cloned().collect();
-        let per = self.per_item_cost(|item| TaskDescriptor::Impute {
-            item,
-            attribute: attribute.to_owned(),
-            examples: examples.clone(),
-        });
-        strategy.estimated_calls(n) as f64 * per
-    }
-
-    /// Estimate one physical node at an assumed input row count.
+    /// Estimate one physical node at an assumed input row count: the fold
+    /// of its bill, blocked lines thinned by the blocking-recall discount.
     /// Allocation is filled in later by the planner.
     pub(crate) fn node(&self, node: &PhysicalNode, rows_in: usize) -> NodeEstimate {
-        let n = rows_in;
-        let (calls, cost_usd) = match node {
-            PhysicalNode::Filter {
-                predicate,
-                strategy,
-                pack,
-                ..
-            } => {
-                let calls = strategy.packed_calls(n, *pack);
-                let per_call = if *pack > 1 && strategy.packable() {
-                    self.packed_pack_cost(node, (*pack).min(n.max(1)))
-                } else {
-                    self.check_cost(predicate)
-                };
-                (calls, calls as f64 * per_call)
-            }
-            PhysicalNode::Sort {
-                criterion,
-                strategy,
-            } => (
-                strategy.estimated_calls(n),
-                self.sort_cost(strategy, n, *criterion),
-            ),
-            PhysicalNode::Take { .. } => (0, 0.0),
-            PhysicalNode::TopK {
-                criterion,
-                k,
-                shortlist_factor,
-            } => {
-                if *k == 0 || n == 0 {
-                    (0, 0.0)
-                } else if n <= *k {
-                    let pairs = (n * n.saturating_sub(1) / 2) as u64;
-                    (pairs, pairs as f64 * self.compare_cost(*criterion))
-                } else {
-                    let shortlist = topk::shortlist_len(*k, *shortlist_factor, n);
-                    let pairs = (shortlist * (shortlist - 1) / 2) as u64;
-                    let cost = n as f64 * self.rate_cost(*criterion, topk::SHORTLIST_SCALE_MAX)
-                        + pairs as f64 * self.compare_cost(*criterion);
-                    (n as u64 + pairs, cost)
+        let (mut calls, mut cost_usd) = (0u64, 0.0f64);
+        for line in node.bill(rows_in) {
+            let line_calls = match line.blocked_on {
+                Some(indexed) => {
+                    (line.calls as f64 * self.blocking_call_factor(indexed)).round() as u64
                 }
+                None => line.calls,
+            };
+            if line_calls > 0 {
+                calls += line_calls;
+                cost_usd += line_calls as f64 * self.price(&line.ask, line.packed);
             }
-            PhysicalNode::Categorize { labels, pack }
-            | PhysicalNode::KeepLabel { labels, pack, .. } => {
-                if *pack > 1 {
-                    let calls = n.div_ceil((*pack).max(1)) as u64;
-                    let per_pack = self.packed_pack_cost(node, (*pack).min(n.max(1)));
-                    (calls, calls as f64 * per_pack)
-                } else {
-                    let per = self.per_item_cost(|item| TaskDescriptor::Classify {
-                        item,
-                        labels: labels.clone(),
-                    });
-                    (n as u64, n as f64 * per)
-                }
-            }
-            PhysicalNode::Count {
-                predicate,
-                strategy,
-                pack,
-            } => {
-                if *pack > 1 && strategy.packable() {
-                    let calls = strategy.packed_calls(n, *pack);
-                    let per_pack = self.packed_pack_cost(node, (*pack).min(n.max(1)));
-                    (calls, calls as f64 * per_pack)
-                } else {
-                    (
-                        strategy.estimated_calls(n),
-                        self.count_cost(strategy, predicate, n),
-                    )
-                }
-            }
-            PhysicalNode::Max {
-                criterion,
-                strategy,
-            } => {
-                if n < 2 {
-                    (0, 0.0) // degenerate max is answered without the model
-                } else {
-                    let calls = strategy.estimated_calls(n);
-                    let cost = match strategy {
-                        MaxStrategy::Tournament => calls as f64 * self.compare_cost(*criterion),
-                        MaxStrategy::RateThenPlayoff {
-                            buckets,
-                            playoff_size,
-                        } => {
-                            let p = (*playoff_size).max(2).min(n);
-                            n as f64 * self.rate_cost(*criterion, (*buckets).max(2))
-                                + (p * (p - 1) / 2) as f64 * self.compare_cost(*criterion)
-                        }
-                    };
-                    (calls, cost)
-                }
-            }
-            PhysicalNode::Resolve { candidates, .. } => {
-                // Symmetric neighborhoods roughly halve the candidate pairs.
-                let pairs = (n * (*candidates).max(1)).div_ceil(2) as u64;
-                let pairs = (pairs as f64 * self.blocking_call_factor(n)).round() as u64;
-                (pairs, pairs as f64 * self.same_entity_cost())
-            }
-            PhysicalNode::Cluster {
-                seed_size,
-                probe_cap,
-            } if n > 0 => {
-                let seed = (*seed_size).clamp(1, n);
-                let probes = probe_cap.unwrap_or_else(|| (seed / 2).max(1));
-                let assign = (n.saturating_sub(seed) * probes) as u64;
-                let assign = (assign as f64 * self.blocking_call_factor(n)).round() as u64;
-                let take = seed.min(self.source.len());
-                let seed_cost = if take >= 2 {
-                    self.cost_of(TaskDescriptor::GroupEntities {
-                        items: self.source[..take].to_vec(),
-                    })
-                } else {
-                    0.0
-                };
-                (
-                    1 + assign,
-                    seed_cost + assign as f64 * self.same_entity_cost(),
-                )
-            }
-            PhysicalNode::Cluster { .. } => (0, 0.0), // empty input clusters free
-            PhysicalNode::Join { right, strategy } => {
-                let calls = strategy.estimated_calls(n, right.len());
-                // Only blocked joins route through the blocking index (an
-                // all-pairs join never touches it).
-                let calls = if matches!(strategy, crate::ops::join::JoinStrategy::Blocked { .. }) {
-                    (calls as f64 * self.blocking_call_factor(right.len())).round() as u64
-                } else {
-                    calls
-                };
-                (calls, calls as f64 * self.same_entity_cost())
-            }
-            PhysicalNode::Impute {
-                attribute,
-                labeled,
-                strategy,
-                pack,
-            } => {
-                if *pack > 1 && strategy.packable() {
-                    let calls = strategy.packed_calls(n, *pack);
-                    let per_pack = self.packed_pack_cost(node, (*pack).min(n.max(1)));
-                    (calls, calls as f64 * per_pack)
-                } else {
-                    (
-                        strategy.estimated_calls(n),
-                        self.impute_cost(strategy, attribute, labeled, n),
-                    )
-                }
-            }
-        };
+        }
         NodeEstimate {
             rows_in,
             rows_out: rows_out(node, rows_in),
@@ -531,20 +312,53 @@ mod tests {
 
     use crowdprompt_oracle::model::{ModelProfile, NoiseProfile};
     use crowdprompt_oracle::sim::SimulatedLlm;
+    use crowdprompt_oracle::task::SortCriterion;
     use crowdprompt_oracle::world::{ItemId, WorldModel};
     use crowdprompt_oracle::LlmClient;
 
     use crate::corpus::Corpus;
     use crate::exec::Engine;
+    use crate::ops::count::CountStrategy;
     use crate::ops::filter::FilterStrategy;
+    use crate::ops::join::JoinStrategy;
+    use crate::ops::max::MaxStrategy;
+    use crate::ops::sort::SortStrategy;
+    use crate::ops::ImputeStrategy;
     use crate::plan::Query;
 
-    /// Where a strategy leaves the estimator nothing to guess — a
-    /// sequential filter that cannot run past its lead, a proxy gate whose
-    /// zero threshold refers nothing — the estimated calls are the calls a
-    /// perfect model's ledger shows, per item and packed.
+    const LABELS: [&str; 2] = ["spam", "report"];
+
+    /// `n` source items (alternating spam / report, scored, in duplicate
+    /// clusters of two) plus six labelled extras — the join's right side
+    /// and the imputation pool.
+    fn world(n: usize) -> (WorldModel, Vec<ItemId>, Vec<(ItemId, String)>) {
+        let mut w = WorldModel::new();
+        let mut add = |i: usize| {
+            let id = w.add_item(if i.is_multiple_of(2) {
+                format!("win a free prize now, claim your exclusive reward bonus {i}")
+            } else {
+                format!("quarterly maintenance report for facility section {i}")
+            });
+            w.set_flag(id, "spam", i.is_multiple_of(2));
+            w.set_score(id, i as f64 / (n + 6) as f64);
+            w.set_attr(id, "label", LABELS[i % 2].to_owned());
+            w.set_cluster(id, (i / 2) as u64);
+            id
+        };
+        let ids: Vec<ItemId> = (0..n).map(&mut add).collect();
+        let extras = (n..n + 6).map(|i| (add(i), LABELS[i % 2].to_owned()));
+        let extras = extras.collect();
+        (w, ids, extras)
+    }
+
+    /// Where a strategy leaves the estimator nothing to guess — every pair,
+    /// every item, a sequential filter that cannot run past its lead, a
+    /// proxy gate whose zero threshold refers nothing — the calls on its
+    /// bill are the calls a perfect model's ledger shows, per item and
+    /// packed, from no rows to a few dozen.
     #[test]
-    fn filter_estimates_without_a_guess_match_a_perfect_models_ledger() {
+    fn bills_without_a_guess_match_a_perfect_models_ledger() {
+        let score = SortCriterion::LatentScore;
         let sequential = |max_votes| FilterStrategy::Sequential {
             lead: 3,
             max_votes,
@@ -554,46 +368,114 @@ mod tests {
             train: 20,
             min_confidence_pct: 0,
         };
-        let n = 60usize;
-        for pack in [1usize, 8] {
-            // (strategy, ledger calls on a perfect model, estimate is exact)
-            for (strategy, expected, exact) in [
-                (sequential(3), 3 * n.div_ceil(pack), true),
-                (proxy, 20usize.div_ceil(pack), true),
-                // Headroom past the lead is priced; a perfect model leaves
-                // it unspent.
-                (sequential(9), 3 * n.div_ceil(pack), false),
-            ] {
-                let mut w = WorldModel::new();
-                let ids: Vec<ItemId> = (0..n)
-                    .map(|i| {
-                        let id = w.add_item(if i % 2 == 0 {
-                            format!("win a free prize now, claim your exclusive reward bonus {i}")
-                        } else {
-                            format!("quarterly maintenance report for facility section {i}")
-                        });
-                        w.set_flag(id, "spam", i % 2 == 0);
-                        id
-                    })
-                    .collect();
-                let corpus = Corpus::from_world(&w, &ids);
-                let profile = ModelProfile::gpt35_like().with_noise(NoiseProfile::perfect());
-                let llm = Arc::new(SimulatedLlm::new(profile, Arc::new(w), 5));
-                let engine =
-                    Engine::new(Arc::new(LlmClient::new(llm)), corpus).with_pack_width(pack);
-                let plan = Query::over(&ids)
-                    .filter_with("spam", strategy)
-                    .plan_on(&engine)
-                    .unwrap();
-                let name = strategy.name();
-                assert!(plan.explain().contains(&name), "{}", plan.explain());
-                let estimated = plan.estimated_calls();
-                assert_eq!(estimated, strategy.packed_calls(n, pack));
-                plan.execute_on(&engine).unwrap();
-                let observed = engine.client().ledger().calls();
-                assert_eq!(observed, expected as u64, "{name} pack {pack}");
-                assert!(estimated >= observed, "{name} pack {pack}");
-                assert_eq!(estimated == observed, exact, "{name} pack {pack}");
+        type Build = Box<dyn Fn(Query, &[(ItemId, String)]) -> Query>;
+        let filter =
+            |s: FilterStrategy| -> Build { Box::new(move |q, _| q.filter_with("spam", s)) };
+        let sort =
+            |s: SortStrategy| -> Build { Box::new(move |q, _| q.sort_with(score, s.clone())) };
+        let max = |s: MaxStrategy| -> Build { Box::new(move |q, _| q.max_with(score, s)) };
+        let count = |s: CountStrategy| -> Build { Box::new(move |q, _| q.count_with("spam", s)) };
+        let labels = || LABELS.iter().map(|&l| l.to_owned()).collect::<Vec<_>>();
+        // (what, the one-node query, the bill is exact)
+        let table: Vec<(&str, Build, bool)> = vec![
+            ("filter/single", filter(FilterStrategy::Single), true),
+            ("filter/sequential-at-lead", filter(sequential(3)), true),
+            ("filter/proxy-refers-nothing", filter(proxy), true),
+            // Headroom past the lead is priced; a perfect model leaves it
+            // unspent.
+            ("filter/sequential-headroom", filter(sequential(9)), false),
+            ("sort/pairwise", sort(SortStrategy::Pairwise), true),
+            (
+                "sort/pairwise-batched",
+                sort(SortStrategy::PairwiseBatched { batch_size: 5 }),
+                true,
+            ),
+            (
+                "sort/rating",
+                sort(SortStrategy::Rating {
+                    scale_min: 1,
+                    scale_max: 7,
+                }),
+                true,
+            ),
+            ("max/tournament", max(MaxStrategy::Tournament), true),
+            (
+                "max/rate-then-playoff",
+                max(MaxStrategy::RateThenPlayoff {
+                    buckets: 7,
+                    playoff_size: 4,
+                }),
+                true,
+            ),
+            ("count/per-item", count(CountStrategy::PerItem), true),
+            (
+                "count/eyeball",
+                count(CountStrategy::Eyeball { batch_size: 10 }),
+                true,
+            ),
+            (
+                "impute/llm-only",
+                Box::new(|q, pool| {
+                    q.impute_with("label", pool.to_vec(), ImputeStrategy::LlmOnly { shots: 3 })
+                }),
+                true,
+            ),
+            (
+                "join/all-pairs",
+                Box::new(|q, pool| {
+                    let right: Vec<ItemId> = pool.iter().map(|(id, _)| *id).collect();
+                    q.join_with(&right, JoinStrategy::AllPairs)
+                }),
+                true,
+            ),
+            (
+                "top-k/shortlist",
+                Box::new(move |q, _| q.top_k_with(score, 3, 2)),
+                true,
+            ),
+            // An overflowing factor saturates: everything is shortlisted.
+            (
+                "top-k/everything-shortlisted",
+                Box::new(move |q, _| q.top_k_with(score, 2, usize::MAX)),
+                true,
+            ),
+            (
+                "categorize",
+                Box::new(move |q, _| q.categorize(labels())),
+                true,
+            ),
+        ];
+        for (what, build, exact) in &table {
+            for pack in [1usize, 8] {
+                for n in [0usize, 1, 2, 7, 33] {
+                    let (w, ids, pool) = world(n);
+                    let all: Vec<ItemId> = ids
+                        .iter()
+                        .chain(pool.iter().map(|(id, _)| id))
+                        .copied()
+                        .collect();
+                    let corpus = Corpus::from_world(&w, &all);
+                    let profile = ModelProfile::gpt35_like().with_noise(NoiseProfile::perfect());
+                    let llm = Arc::new(SimulatedLlm::new(profile, Arc::new(w), 5));
+                    let engine =
+                        Engine::new(Arc::new(LlmClient::new(llm)), corpus).with_pack_width(pack);
+                    let plan = build(Query::over(&ids), &pool).plan_on(&engine).unwrap();
+                    let at = format!("{what} pack {pack} n {n}");
+                    let node = &plan.nodes()[0].node;
+                    let billed: u64 = node.bill(n).iter().map(|line| line.calls).sum();
+                    assert_eq!(plan.estimated_calls(), billed, "{at}");
+                    // Only a max over no items has nothing to return.
+                    let run = plan.execute_on(&engine);
+                    assert!(run.is_ok() || n == 0, "{at}: {:?}", run.err());
+                    let observed = engine.client().ledger().calls();
+                    assert!(billed >= observed, "{at}: {billed} < {observed}");
+                    // Headroom goes unspent once there are rows to spend it on.
+                    assert_eq!(
+                        billed == observed,
+                        *exact || n == 0,
+                        "{at}: {billed} vs {observed}"
+                    );
+                }
             }
         }
     }

@@ -167,8 +167,8 @@ impl PlanRun {
         usage
     }
 
-    /// Collapse the run into a cost-annotated [`Outcome`] (the session
-    /// layer's single-node wrappers use this).
+    /// Collapse the run into a cost-annotated [`Outcome`] — the shape the
+    /// eager operator calls report the same work in.
     pub fn into_outcome<T>(self, value: impl FnOnce(PlanOutput) -> T) -> Outcome<T> {
         let usage = self.total_usage();
         let calls = self.total_calls();

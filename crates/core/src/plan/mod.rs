@@ -12,9 +12,11 @@
 //!   unpinned strategies are resolved (optionally via optimizer-style
 //!   validation trials), and expensive nodes are downgraded until the
 //!   estimate fits the budget.
-//! * [`estimate`] — per-node call/cost estimation from strategy metadata
-//!   plus *rendered* representative prompts (so token estimates track the
-//!   real corpus, not a constant).
+//! * [`estimate`] — per-node call/cost estimation: each node's strategy
+//!   states its bill (so many calls of such a prompt shape) beside its run
+//!   code, the estimator prices a shape by *rendering* a representative of
+//!   it (so token estimates track the real corpus, not a constant) and
+//!   folds the lines.
 //! * [`execute`] — runs the physical nodes through the operator layer and
 //!   the engine's pipelined dispatcher, attributing cost per node.
 //!
@@ -37,6 +39,8 @@ use crowdprompt_oracle::world::ItemId;
 use crate::budget::Budget;
 use crate::error::EngineError;
 use crate::exec::Engine;
+use crate::ops;
+use crate::ops::bill::Line;
 use crate::ops::count::CountStrategy;
 use crate::ops::filter::FilterStrategy;
 use crate::ops::join::JoinStrategy;
@@ -211,6 +215,56 @@ impl PhysicalNode {
                 Some(*pack)
             }
             _ => None,
+        }
+    }
+
+    /// What running this node over `rows_in` items asks of the model — the
+    /// node's strategy states it beside its run code in [`crate::ops`], and
+    /// the estimator reads calls and dollars from nothing else.
+    pub(crate) fn bill(&self, rows_in: usize) -> Vec<Line> {
+        let n = rows_in;
+        match self {
+            PhysicalNode::Filter {
+                predicate,
+                strategy,
+                pack,
+                ..
+            } => strategy.bill(n, predicate, *pack),
+            PhysicalNode::Sort {
+                criterion,
+                strategy,
+            } => strategy.bill(n, *criterion),
+            PhysicalNode::Take { .. } => Vec::new(),
+            PhysicalNode::TopK {
+                criterion,
+                k,
+                shortlist_factor,
+            } => ops::topk::bill(n, *criterion, *k, *shortlist_factor),
+            PhysicalNode::Categorize { labels, pack }
+            | PhysicalNode::KeepLabel { labels, pack, .. } => {
+                ops::categorize::bill(n, labels, *pack)
+            }
+            PhysicalNode::Count {
+                predicate,
+                strategy,
+                pack,
+            } => strategy.bill(n, predicate, *pack),
+            PhysicalNode::Max {
+                criterion,
+                strategy,
+            } => strategy.bill(n, *criterion),
+            PhysicalNode::Resolve { candidates, .. } => ops::resolve::dedup_bill(n, *candidates),
+            PhysicalNode::Cluster {
+                seed_size,
+                probe_cap,
+            } => ops::cluster::bill(n, *seed_size, *probe_cap),
+            PhysicalNode::Join { right, strategy } => strategy.bill(n, right.len()),
+            PhysicalNode::Impute {
+                attribute,
+                labeled,
+                strategy,
+                pack,
+            } => strategy.bill(n, attribute, labeled, *pack),
         }
     }
 

@@ -30,6 +30,7 @@
 use crate::budget::Budget;
 use crate::error::EngineError;
 use crate::exec::{router_of, Engine, FailurePolicy};
+use crate::ops::bill::Ask;
 use crate::ops::count::CountStrategy;
 use crate::ops::filter::FilterStrategy;
 use crate::ops::join::JoinStrategy;
@@ -59,10 +60,6 @@ pub struct PlanOptions {
     /// carries a [`super::SortCalibration`] (the trials spend real budget
     /// at plan time).
     pub run_calibration: bool,
-    /// Cost the physical nodes (rendered representative prompts) and
-    /// allocate the budget across them. Disabled only by the internal
-    /// wrapper path, where the estimates would be discarded.
-    pub estimate_costs: bool,
 }
 
 impl PlanOptions {
@@ -74,7 +71,6 @@ impl PlanOptions {
             push_blocking: true,
             fit_budget: true,
             run_calibration: true,
-            estimate_costs: true,
         }
     }
 
@@ -87,17 +83,6 @@ impl PlanOptions {
             push_blocking: false,
             fit_budget: false,
             run_calibration: false,
-            estimate_costs: true,
-        }
-    }
-
-    /// The session wrapper path: verbatim lowering with cost
-    /// estimation skipped — the wrappers discard the estimates, so the
-    /// representative-prompt renders would be pure overhead per call.
-    pub(crate) fn wrapper() -> Self {
-        PlanOptions {
-            estimate_costs: false,
-            ..PlanOptions::verbatim()
         }
     }
 }
@@ -237,41 +222,38 @@ pub(crate) fn plan(
     // price calls at the router's *reference* (cheapest-eligible) schedule,
     // while execution records actual spend at whichever backend serves each
     // call. Recorded here so EXPLAIN shows which schedule the numbers mean.
-    // Skipped on the wrapper fast path, like every other estimate cost.
-    if options.estimate_costs {
-        let router = router_of(engine.client());
-        let registry = router.registry();
-        if registry.len() > 1 {
-            let roster: Vec<String> = registry
-                .backends()
-                .iter()
-                .map(|b| format!("'{}'", b.id()))
-                .collect();
-            notes.push(format!(
-                "routing tier '{}' over {} backends ({}); estimates priced at cheapest '{}'",
-                registry.tier(),
-                registry.len(),
-                roster.join(", "),
-                router.reference_backend_id(),
-            ));
-        }
-        // Persistent-store note: with a response store attached, calls
-        // whose fingerprints are already on disk are served without a
-        // backend dispatch and charge nothing, and the estimator prices
-        // sampled store hits at $0 — EXPLAIN records the store so the
-        // discounted numbers are attributable.
-        if let Some(store) = engine.client().store() {
-            let semantic = match store.semantic_threshold() {
-                Some(t) => format!(", semantic tier at distance <= {t}"),
-                None => String::new(),
-            };
-            notes.push(format!(
-                "persistent response store '{}' ({} entries{semantic}); \
-                 estimates price sampled store hits at $0",
-                store.path().display(),
-                store.len(),
-            ));
-        }
+    let router = router_of(engine.client());
+    let registry = router.registry();
+    if registry.len() > 1 {
+        let roster: Vec<String> = registry
+            .backends()
+            .iter()
+            .map(|b| format!("'{}'", b.id()))
+            .collect();
+        notes.push(format!(
+            "routing tier '{}' over {} backends ({}); estimates priced at cheapest '{}'",
+            registry.tier(),
+            registry.len(),
+            roster.join(", "),
+            router.reference_backend_id(),
+        ));
+    }
+    // Persistent-store note: with a response store attached, calls
+    // whose fingerprints are already on disk are served without a
+    // backend dispatch and charge nothing, and the estimator prices
+    // sampled store hits at $0 — EXPLAIN records the store so the
+    // discounted numbers are attributable.
+    if let Some(store) = engine.client().store() {
+        let semantic = match store.semantic_threshold() {
+            Some(t) => format!(", semantic tier at distance <= {t}"),
+            None => String::new(),
+        };
+        notes.push(format!(
+            "persistent response store '{}' ({} entries{semantic}); \
+             estimates price sampled store hits at $0",
+            store.path().display(),
+            store.len(),
+        ));
     }
     // Execution-semantics notes: degrade mode means the plan can complete
     // with *partial* output (quarantined items land in each step's salvage
@@ -349,13 +331,7 @@ pub(crate) fn plan(
         fused.push(op.clone());
     }
 
-    // The estimator renders sample prompts; build it only when a
-    // consumer rewrite actually runs (the wrapper path never does).
-    let needs_estimator = options.estimate_costs
-        || options.reorder_filters
-        || options.fit_budget
-        || (options.run_calibration && calibration.is_some());
-    let lazy_estimator = needs_estimator.then(|| Estimator::new(engine, &source));
+    let estimator = Estimator::new(engine, &source);
 
     // Blocking-consumer annotation: when the engine carries a sub-1.0
     // recall target and the corpus shape would route the shared blocking
@@ -549,7 +525,6 @@ pub(crate) fn plan(
                 j += 1;
             }
             if j - i >= 2 {
-                let estimator = lazy_estimator.as_ref().expect("built when reordering"); // lint: allow(no-unwrap)
                 let before: Vec<String> = lowered[i..j].iter().map(|l| l.node.name()).collect();
                 // Rank = per-item cost / rows removed per dollar-relevant
                 // item, i.e. cost/(1 − selectivity): the classic predicate
@@ -566,7 +541,8 @@ pub(crate) fn plan(
                                 selectivity,
                                 ..
                             } => {
-                                estimator.filter_item_cost(predicate, strategy)
+                                strategy.calls_per_item()
+                                    * estimator.price(&Ask::check(predicate), None)
                                     / (1.0 - selectivity).max(1e-6)
                             }
                             _ => 0.0,
@@ -606,63 +582,46 @@ pub(crate) fn plan(
             if l.node.pack().is_none() {
                 continue;
             }
-            let mut width = knob.min(rows_in.max(1));
-            if let Some(estimator) = lazy_estimator.as_ref().filter(|_| options.estimate_costs) {
-                let window = engine.client().model().context_window();
-                let capped = width;
-                while width > 1 {
-                    match estimator.packed_prompt_tokens(&l.node, width) {
-                        Some(tokens) if tokens > window => width /= 2,
-                        _ => break,
-                    }
+            let per_item = estimator.node(&l.node, rows_in);
+            let capped = knob.min(rows_in.max(1));
+            let mut width = capped;
+            let window = engine.client().model().context_window();
+            while width > 1 {
+                l.node.set_pack(width);
+                match estimator.packed_prompt_tokens(&l.node, rows_in) {
+                    Some(tokens) if tokens > window => width /= 2,
+                    _ => break,
                 }
-                if width < capped {
-                    notes.push(format!(
-                        "pack width for {} capped at {width} (a {capped}-item prompt \
-                         overflows the {window}-token context window)",
-                        l.node.name(),
-                    ));
-                }
+            }
+            l.node.set_pack(width);
+            if width < capped {
+                notes.push(format!(
+                    "pack width for {} capped at {width} (a {capped}-item prompt \
+                     overflows the {window}-token context window)",
+                    l.node.name(),
+                ));
             }
             if width <= 1 {
                 continue;
             }
-            l.node.set_pack(width);
-            if let Some(estimator) = lazy_estimator.as_ref().filter(|_| options.estimate_costs) {
-                let packed = estimator.node(&l.node, rows_in);
-                let mut per_item = l.node.clone();
-                per_item.set_pack(1);
-                let unpacked = estimator.node(&per_item, rows_in);
-                notes.push(format!(
-                    "packed {} at width {width}: est {} calls ~${:.4} vs {} calls \
-                     ~${:.4} per-item",
-                    l.node.name(),
-                    packed.calls,
-                    packed.cost_usd,
-                    unpacked.calls,
-                    unpacked.cost_usd,
-                ));
-            }
+            let packed = estimator.node(&l.node, rows_in);
+            notes.push(format!(
+                "packed {} at width {width}: est {} calls ~${:.4} vs {} calls \
+                 ~${:.4} per-item",
+                l.node.name(),
+                packed.calls,
+                packed.cost_usd,
+                per_item.calls,
+                per_item.cost_usd,
+            ));
         }
     }
 
-    // Estimate pass. The wrapper path skips the rendered cost probes —
-    // rows still propagate (pure arithmetic) so reports stay meaningful.
+    // Estimate pass.
     let mut estimates: Vec<NodeEstimate> = Vec::with_capacity(lowered.len());
     let mut rows = source.len();
     for l in &lowered {
-        let est = if options.estimate_costs {
-            let estimator = lazy_estimator.as_ref().expect("built when estimating"); // lint: allow(no-unwrap)
-            estimator.node(&l.node, rows)
-        } else {
-            NodeEstimate {
-                rows_in: rows,
-                rows_out: super::estimate::rows_out(&l.node, rows),
-                calls: 0,
-                cost_usd: 0.0,
-                alloc_usd: None,
-            }
-        };
+        let est = estimator.node(&l.node, rows);
         rows = est.rows_out;
         estimates.push(est);
     }
@@ -671,7 +630,6 @@ pub(crate) fn plan(
     // Trials are memoized per candidate set: several unpinned sorts in one
     // chain share one trial run instead of re-spending on the same sample.
     if let Some(cal) = calibration.as_ref().filter(|_| options.run_calibration) {
-        let estimator = lazy_estimator.as_ref().expect("built when calibrating"); // lint: allow(no-unwrap)
         let mut trials_cache: std::collections::HashMap<String, Vec<optimize::StrategyTrial>> =
             std::collections::HashMap::new();
         for idx in 0..lowered.len() {
@@ -708,7 +666,7 @@ pub(crate) fn plan(
                 .filter(|(i, _)| *i != idx)
                 .map(|(_, e)| e.cost_usd)
                 .sum();
-            let node_budget = (remaining_usd_equivalent(engine, estimator) - others).max(0.0);
+            let node_budget = (remaining_usd_equivalent(engine, &estimator) - others).max(0.0);
             if let Some(pick) =
                 optimize::recommend(&trials, cal.sample.len(), rows_here, node_budget)
             {
@@ -737,8 +695,7 @@ pub(crate) fn plan(
     // node is frozen (a "cheaper" strategy class can cost more at this
     // row count, e.g. n ratings vs one chunked-merge level).
     if options.fit_budget {
-        let estimator = lazy_estimator.as_ref().expect("built when fitting"); // lint: allow(no-unwrap)
-        let remaining = remaining_usd_equivalent(engine, estimator);
+        let remaining = remaining_usd_equivalent(engine, &estimator);
         if remaining.is_finite() {
             let mut frozen = vec![false; lowered.len()];
             loop {
@@ -782,12 +739,7 @@ pub(crate) fn plan(
     // Budget allocation: split the remaining budget (USD, or the USD
     // equivalent of a token cap) across nodes proportionally to their
     // estimates.
-    let remaining = if options.estimate_costs {
-        let estimator = lazy_estimator.as_ref().expect("built when estimating"); // lint: allow(no-unwrap)
-        remaining_usd_equivalent(engine, estimator)
-    } else {
-        f64::INFINITY
-    };
+    let remaining = remaining_usd_equivalent(engine, &estimator);
     if remaining.is_finite() {
         let total: f64 = estimates.iter().map(|e| e.cost_usd).sum();
         for est in &mut estimates {

@@ -24,7 +24,7 @@ use crate::ops::impute::{ImputeStrategy, LabeledPool};
 use crate::ops::resolve::{MentionIndex, ResolveStrategy};
 use crate::ops::sort::{SortResult, SortStrategy};
 use crate::outcome::Outcome;
-use crate::plan::{Plan, PlanOptions, PlanOutput, Query};
+use crate::plan::{Plan, Query};
 use crate::trace::Trace;
 
 /// Routing-layer configuration: which backends serve the session and how
@@ -584,28 +584,16 @@ impl Session {
     }
 
     /// Sort items by the session criterion.
-    ///
-    /// Thin wrapper over a single-node plan with the strategy pinned.
     pub fn sort(
         &self,
         items: &[ItemId],
         criterion: SortCriterion,
         strategy: &SortStrategy,
     ) -> Result<Outcome<SortResult>, EngineError> {
-        let run = Query::over(items)
-            .sort_with(criterion, strategy.clone())
-            .plan_with(&self.engine, PlanOptions::wrapper())?
-            .execute_on(&self.engine)?;
-        Ok(run.into_outcome(|out| match out {
-            PlanOutput::Sorted(result) => result,
-            _ => unreachable!("single-node sort plan yields a sort result"),
-        }))
+        ops::sort::sort(&self.engine, items, criterion, strategy)
     }
 
     /// Answer duplicate questions over record pairs.
-    ///
-    /// Stays a direct operator call (not a plan wrapper): it consumes a
-    /// caller-owned pair list and index rather than an item set.
     pub fn resolve_pairs(
         &self,
         pairs: &[(ItemId, ItemId)],
@@ -625,11 +613,9 @@ impl Session {
         LabeledPool::build(&self.engine, labeled)
     }
 
-    /// Impute a missing attribute for each record.
-    ///
-    /// Stays a direct operator call (not a plan wrapper): the labelled
-    /// pool is caller-owned and reusable across calls; the plan-layer
-    /// [`Query::impute`] node owns and builds its own pool instead.
+    /// Impute a missing attribute for each record. The labelled pool is
+    /// caller-owned and reusable across calls; the plan-layer
+    /// [`Query::impute`] node builds its own.
     pub fn impute(
         &self,
         records: &[ItemId],
@@ -641,79 +627,45 @@ impl Session {
     }
 
     /// Keep the items satisfying a predicate.
-    ///
-    /// Thin wrapper over a single-node plan with the strategy pinned.
     pub fn filter(
         &self,
         items: &[ItemId],
         predicate: &str,
         strategy: ops::filter::FilterStrategy,
     ) -> Result<Outcome<Vec<ItemId>>, EngineError> {
-        let run = Query::over(items)
-            .filter_with(predicate, strategy)
-            .plan_with(&self.engine, PlanOptions::wrapper())?
-            .execute_on(&self.engine)?;
-        Ok(run.into_outcome(|out| {
-            out.into_items()
-                .expect("single-node filter plan yields items") // lint: allow(no-unwrap)
-        }))
+        ops::filter::filter(&self.engine, items, predicate, strategy)
     }
 
     /// Count the items satisfying a predicate.
-    ///
-    /// Thin wrapper over a single-node plan with the strategy pinned.
     pub fn count(
         &self,
         items: &[ItemId],
         predicate: &str,
         strategy: ops::count::CountStrategy,
     ) -> Result<Outcome<u64>, EngineError> {
-        let run = Query::over(items)
-            .count_with(predicate, strategy)
-            .plan_with(&self.engine, PlanOptions::wrapper())?
-            .execute_on(&self.engine)?;
-        // lint: allow(no-unwrap) — invariant: single-node plan output shape
-        Ok(run.into_outcome(|out| out.count().expect("single-node count plan yields a count")))
+        ops::count::count(&self.engine, items, predicate, strategy)
     }
 
     /// Assign each item one label from a fixed set.
-    ///
-    /// Thin wrapper over a single-node plan.
     pub fn categorize(
         &self,
         items: &[ItemId],
         labels: &[String],
     ) -> Result<Outcome<Vec<String>>, EngineError> {
-        let run = Query::over(items)
-            .categorize(labels.to_vec())
-            .plan_with(&self.engine, PlanOptions::wrapper())?
-            .execute_on(&self.engine)?;
-        Ok(run.into_outcome(|out| match out {
-            PlanOutput::Labels(labels) => labels,
-            _ => unreachable!("single-node categorize plan yields labels"),
-        }))
+        ops::categorize::categorize(&self.engine, items, labels)
     }
 
     /// Find the maximum item under the criterion.
-    ///
-    /// Thin wrapper over a single-node plan with the strategy pinned.
     pub fn max(
         &self,
         items: &[ItemId],
         criterion: SortCriterion,
         strategy: ops::max::MaxStrategy,
     ) -> Result<Outcome<ItemId>, EngineError> {
-        let run = Query::over(items)
-            .max_with(criterion, strategy)
-            .plan_with(&self.engine, PlanOptions::wrapper())?
-            .execute_on(&self.engine)?;
-        // lint: allow(no-unwrap) — invariant: single-node plan output shape
-        Ok(run.into_outcome(|out| out.max_item().expect("single-node max plan yields an item")))
+        ops::max::find_max(&self.engine, items, criterion, strategy)
     }
 
     /// Top-k items under the criterion, best first.
-    ///
-    /// Thin wrapper over a single-node plan.
     pub fn top_k(
         &self,
         items: &[ItemId],
@@ -721,41 +673,23 @@ impl Session {
         k: usize,
         shortlist_factor: usize,
     ) -> Result<Outcome<Vec<ItemId>>, EngineError> {
-        let run = Query::over(items)
-            .top_k_with(criterion, k, shortlist_factor)
-            .plan_with(&self.engine, PlanOptions::wrapper())?
-            .execute_on(&self.engine)?;
-        Ok(run.into_outcome(|out| {
-            out.into_items()
-                .expect("single-node top-k plan yields items") // lint: allow(no-unwrap)
-        }))
+        ops::topk::top_k(&self.engine, items, criterion, k, shortlist_factor)
     }
 
     /// Fuzzy-join two collections on entity identity.
-    ///
-    /// Thin wrapper over a single-node plan with the strategy pinned.
     pub fn fuzzy_join(
         &self,
         left: &[ItemId],
         right: &[ItemId],
         strategy: &ops::join::JoinStrategy,
     ) -> Result<Outcome<ops::join::JoinResult>, EngineError> {
-        let run = Query::over(left)
-            .join_with(right, strategy.clone())
-            .plan_with(&self.engine, PlanOptions::wrapper())?
-            .execute_on(&self.engine)?;
-        Ok(run.into_outcome(|out| match out {
-            PlanOutput::Join(result) => result,
-            _ => unreachable!("single-node join plan yields a join result"),
-        }))
+        ops::join::fuzzy_join(&self.engine, left, right, strategy)
     }
 
     /// Fully deduplicate records: embedding blocking, LLM confirmation,
-    /// transitive closure into clusters (the paper's §1 workload).
-    ///
-    /// Stays a direct operator call (not a plan wrapper): the mention
-    /// index is caller-owned and reusable; the plan-layer
-    /// [`Query::resolve`] node builds its own index instead.
+    /// transitive closure into clusters (the paper's §1 workload). The
+    /// mention index is caller-owned and reusable; the plan-layer
+    /// [`Query::resolve`] node builds its own.
     pub fn dedup(
         &self,
         items: &[ItemId],
@@ -766,42 +700,25 @@ impl Session {
         ops::resolve::dedup(&self.engine, items, index, candidates, max_distance)
     }
 
-    /// Cluster items into duplicate groups.
-    ///
-    /// Thin wrapper over a single-node plan (exhaustive probing pinned).
+    /// Cluster items into duplicate groups (every group representative
+    /// stays a probe candidate).
     pub fn cluster(
         &self,
         items: &[ItemId],
         seed_size: usize,
     ) -> Result<Outcome<Vec<Vec<ItemId>>>, EngineError> {
-        let run = Query::over(items)
-            .cluster_exhaustive(seed_size)
-            .plan_with(&self.engine, PlanOptions::wrapper())?
-            .execute_on(&self.engine)?;
-        Ok(run.into_outcome(|out| match out {
-            PlanOutput::Groups(groups) => groups,
-            _ => unreachable!("single-node cluster plan yields groups"),
-        }))
+        ops::cluster::cluster(&self.engine, items, seed_size)
     }
 
     /// Cluster with embedding blocking: stage-2 items are only compared
     /// against their `candidates` nearest group representatives.
-    ///
-    /// Thin wrapper over a single-node plan (probe cap pinned).
     pub fn cluster_blocked(
         &self,
         items: &[ItemId],
         seed_size: usize,
         candidates: usize,
     ) -> Result<Outcome<Vec<Vec<ItemId>>>, EngineError> {
-        let run = Query::over(items)
-            .cluster_blocked(seed_size, candidates)
-            .plan_with(&self.engine, PlanOptions::wrapper())?
-            .execute_on(&self.engine)?;
-        Ok(run.into_outcome(|out| match out {
-            PlanOutput::Groups(groups) => groups,
-            _ => unreachable!("single-node cluster plan yields groups"),
-        }))
+        ops::cluster::cluster_blocked(&self.engine, items, seed_size, candidates)
     }
 
     /// Build the shared embedding-blocking index over items (batched
@@ -887,6 +804,44 @@ mod tests {
             .unwrap();
         let top = s.top_k(&ids, SortCriterion::LatentScore, 3, 2).unwrap();
         assert_eq!(max.value, top.value[0]);
+    }
+
+    /// The eager API calls its operator directly, so a degraded run's
+    /// salvage note stays on the engine for the caller to read (a one-node
+    /// plan would have drained it into a step report nobody sees).
+    #[test]
+    fn degraded_filter_leaves_its_quarantine_note_on_the_engine() {
+        let mut w = WorldModel::new();
+        let ids: Vec<ItemId> = (0..6)
+            .map(|i| {
+                let id = w.add_item(if i == 4 {
+                    format!("oversize record {i} {}", "lorem ipsum ".repeat(200))
+                } else {
+                    format!("record {i}")
+                });
+                w.set_flag(id, "active", i % 2 == 0);
+                id
+            })
+            .collect();
+        let corpus = Corpus::from_world(&w, &ids);
+        // Item 4 overflows the context window: a hard dispatch failure.
+        let profile = ModelProfile::perfect().with_context_window(200);
+        let llm = Arc::new(SimulatedLlm::new(profile, Arc::new(w), 3));
+        let s = Session::builder()
+            .client(Arc::new(LlmClient::new(llm)))
+            .corpus(corpus)
+            .resilience(ResilienceConfig::new().failure_policy(FailurePolicy::degrade()))
+            .try_build()
+            .unwrap();
+        let kept = s
+            .filter(&ids, "active", ops::filter::FilterStrategy::Single)
+            .unwrap();
+        assert_eq!(kept.value, vec![ids[0], ids[2]], "item 4 is quarantined");
+        let notes = s.engine().take_salvage();
+        assert_eq!(notes.len(), 1, "{notes:?}");
+        assert_eq!((notes[0].op, notes[0].salvaged), ("filter", 5));
+        let lost: Vec<usize> = notes[0].quarantined.iter().map(|(i, _)| *i).collect();
+        assert_eq!(lost, vec![4]);
     }
 
     #[test]

@@ -47,8 +47,8 @@
 //! assert_eq!(run.output.items().unwrap().len(), 3);
 //! assert!(run.total_cost_usd() > 0.0);
 //!
-//! // Pinning a strategy: every Session operator method is a thin
-//! // wrapper over a single-node plan with the strategy pinned.
+//! // Pinning a strategy: every Session operator method calls its
+//! // operator directly, bit-identical to the one-node plan pinning it.
 //! let result = session
 //!     .sort(&data.items, SortCriterion::LatentScore, &SortStrategy::Pairwise)
 //!     .unwrap();

@@ -15,6 +15,7 @@
 //! | `one-retry`   | `crates/oracle/src` calls `retry_delay` in `route.rs`'s loop and nowhere else|
 //! | `one-engine`  | `crates/core/src` calls `Engine::new` in `session.rs` (and `exec.rs`) and nowhere else|
 //! | `one-judge`   | `crates/core/src/ops` calls `run_many` in `judge.rs`'s strict step and nowhere else|
+//! | `one-bill`    | `plan/estimate.rs` names no `*Strategy::` variant; `crates/core/src/ops` defines no `estimated_calls`/`packed_calls`|
 //!
 //! Pure std, no crates.io: scanning is lexical but *mask-accurate* — a small
 //! lexer blanks out comments, strings, and char literals first, so a banned
@@ -88,6 +89,15 @@ const ONE_ENGINE_HOMES: &[&str] = &["crates/core/src/exec.rs", "crates/core/src/
 /// list prompts are single `Engine::run` calls).
 const ONE_JUDGE_SCOPE: &str = "crates/core/src/ops/";
 const ONE_JUDGE_HOME: &str = "crates/core/src/ops/judge.rs";
+
+/// What a strategy asks is stated once, as its `bill(..)` beside its run
+/// code under [`ONE_BILL_OPS`]; the estimator in [`ONE_BILL_ESTIMATOR`]
+/// prices and folds bill lines and knows no strategy. A strategy variant
+/// named in the estimator, or a call-count function beside a bill, is the
+/// second copy of a cost formula coming back.
+const ONE_BILL_ESTIMATOR: &str = "crates/core/src/plan/estimate.rs";
+const ONE_BILL_OPS: &str = "crates/core/src/ops/";
+const ONE_BILL_COUNTERS: &[&str] = &["estimated_calls", "packed_calls"];
 
 const BASELINE_GUARD: &str = "ci/check_bench_baselines.sh";
 
@@ -593,13 +603,7 @@ fn lint_rust_source(rel: &str, src: &str) -> Vec<Finding> {
     if rel.starts_with(ONE_RETRY_SCOPE) && rel != ONE_RETRY_HOME {
         for offset in find_token(&masked, "retry_delay") {
             // A call, not the definition in `retry.rs`.
-            let defined_here = masked[..offset]
-                .iter()
-                .rev()
-                .skip_while(|c| c.is_whitespace())
-                .take(2)
-                .eq(['n', 'f'].iter());
-            if library_code(offset) && !defined_here {
+            if library_code(offset) && !follows_fn(&masked, offset) {
                 push(
                     "one-retry",
                     "`retry_delay(..)` schedules a second transport retry loop beside the router's".to_string(),
@@ -632,6 +636,34 @@ fn lint_rust_source(rel: &str, src: &str) -> Vec<Finding> {
                     "hand the pairs or items to `judge::{compare, same_entity, rate, rank_repaired}` so orientation, metering and parsing stay in one place",
                     offset,
                 );
+            }
+        }
+    }
+
+    if rel == ONE_BILL_ESTIMATOR {
+        for offset in find_strategy_variants(&masked) {
+            if library_code(offset) {
+                push(
+                    "one-bill",
+                    "a `*Strategy::` variant in the estimator restates what that strategy asks".to_string(),
+                    "state it in the strategy's `bill(..)` beside its run code; the estimator only prices `Ask` shapes and folds the lines",
+                    offset,
+                );
+            }
+        }
+    }
+
+    if rel.starts_with(ONE_BILL_OPS) {
+        for name in ONE_BILL_COUNTERS {
+            for offset in find_path(&masked, name) {
+                if library_code(offset) && follows_fn(&masked, offset) {
+                    push(
+                        "one-bill",
+                        format!("`fn {name}` counts a strategy's calls beside its `bill(..)`"),
+                        "a call count is the sum of the bill's lines; add or change a line there instead",
+                        offset,
+                    );
+                }
             }
         }
     }
@@ -764,6 +796,34 @@ fn find_path(masked: &[char], token: &str) -> Vec<usize> {
         if bounded_before && bounded_after {
             hits.push(pos);
         }
+    }
+    hits
+}
+
+/// Whether the identifier at `offset` is being defined (`fn name`), not
+/// called.
+fn follows_fn(masked: &[char], offset: usize) -> bool {
+    masked[..offset]
+        .iter()
+        .rev()
+        .skip_while(|c| c.is_whitespace())
+        .take(2)
+        .eq(['n', 'f'].iter())
+}
+
+/// Offsets of `<Something>Strategy::` paths (the start of the type name).
+fn find_strategy_variants(masked: &[char]) -> Vec<usize> {
+    let needle: Vec<char> = "Strategy::".chars().collect();
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut hits = Vec::new();
+    let mut from = 0;
+    while let Some(pos) = find_chars_from(masked, &needle, from) {
+        from = pos + 1;
+        let start = masked[..pos]
+            .iter()
+            .rposition(|&c| !is_ident(c))
+            .map_or(0, |i| i + 1);
+        hits.push(start);
     }
     hits
 }
@@ -1119,6 +1179,33 @@ mod tests {
         assert!(lint_rust_source("crates/core/src/ops/judge.rs", src).is_empty());
         assert!(lint_rust_source("crates/core/src/plan/execute.rs", src).is_empty());
         assert!(lint_rust_source("crates/core/tests/prop.rs", src).is_empty());
+    }
+
+    #[test]
+    fn one_bill_flags_strategy_variants_in_the_estimator_and_counters_in_ops() {
+        let estimator = concat!(
+            "fn cost(s: &SortStrategy, n: usize) -> u64 { match s { SortStrategy::Pairwise => 1, _ => 0 } }\n",
+            "fn fold(node: &PhysicalNode) -> u64 { node.bill(3).len() as u64 } // MaxStrategy::Tournament in a comment\n",
+            "#[cfg(test)]\n",
+            "mod tests { fn t() { let _ = FilterStrategy::Single; } }\n",
+        );
+        let f = lint_rust_source("crates/core/src/plan/estimate.rs", estimator);
+        assert_eq!(codes(&f), vec!["one-bill"]);
+        assert_eq!((f[0].line, f[0].col), (1, 56));
+        // The planner resolves strategies; only the estimator is barred.
+        assert!(lint_rust_source("crates/core/src/plan/planner.rs", estimator).is_empty());
+
+        let ops = concat!(
+            "impl MaxStrategy { pub fn estimated_calls(&self, n: usize) -> u64 { n as u64 } }\n",
+            "impl MaxStrategy { fn packed_calls(&self, n: usize) -> u64 { self.bill(n).len() as u64 } }\n",
+            "fn fine(plan: &Plan) -> u64 { plan.estimated_calls() }\n",
+        );
+        let f = lint_rust_source("crates/core/src/ops/max.rs", ops);
+        assert_eq!(codes(&f), vec!["one-bill", "one-bill"]);
+        assert_eq!((f[0].line, f[0].col), (1, 27));
+        assert_eq!(f[1].line, 2);
+        // `Plan::estimated_calls` lives outside `ops/`.
+        assert!(lint_rust_source("crates/core/src/plan/mod.rs", ops).is_empty());
     }
 
     #[test]

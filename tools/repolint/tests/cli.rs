@@ -97,6 +97,14 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         "pub fn ask(e: &Engine, tasks: Vec<Task>) -> R { e.run_many(tasks) }\n",
     );
     repo.write(
+        "crates/core/src/plan/estimate.rs",
+        "pub fn cost(s: &SortStrategy) -> u64 { match s { SortStrategy::Pairwise => 1, _ => 0 } }\n",
+    );
+    repo.write(
+        "crates/core/src/ops/bad_bill.rs",
+        "pub fn estimated_calls(n: usize) -> u64 { n as u64 }\n",
+    );
+    repo.write(
         "tests/bad_shim.rs",
         "#![allow(deprecated)]\n\n#[deprecated(note = \"old\")]\nfn old() {}\n",
     );
@@ -124,7 +132,10 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         "error[one-retry]",
         "error[one-engine]",
         "error[one-judge]",
+        "error[one-bill]",
         "--> crates/core/src/ops/bad_judge.rs:1:55",
+        "--> crates/core/src/plan/estimate.rs:1:50",
+        "--> crates/core/src/ops/bad_bill.rs:1:8",
         "--> crates/core/src/bad_engine.rs:1:52",
         "--> crates/core/src/bad_loop.rs:1:23",
         "--> crates/oracle/src/bad_retry.rs:1:69",
@@ -160,9 +171,10 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         "the judgement step is where strict batches are dispatched:\n{stderr}"
     );
     // Three lock names across the two imports, two unwrap forms, two
-    // deprecation attributes, one each of the rest: 3 + 2 + 2 + 1 + 1 + 1 + 1 + 1 + 1 + 1.
+    // deprecation attributes, two copies of a bill, one each of the rest:
+    // 3 + 2 + 2 + 2 + 1 + 1 + 1 + 1 + 1 + 1 + 1.
     assert!(
-        stderr.contains("14 finding(s)"),
+        stderr.contains("16 finding(s)"),
         "unexpected total in:\n{stderr}"
     );
 }
@@ -205,8 +217,10 @@ fn this_repository_is_clean() {
     // `allow(deprecated)`, in tests and examples too, for a thread
     // started in `crates/core/src` outside `exec.rs`'s pump, for a
     // `retry_delay` call in `crates/oracle/src` outside `route.rs`'s loop,
-    // for an `Engine::new` in `crates/core/src` outside `session.rs`, and
-    // for a `run_many` in `crates/core/src/ops` outside `judge.rs`.
+    // for an `Engine::new` in `crates/core/src` outside `session.rs`, for a
+    // `run_many` in `crates/core/src/ops` outside `judge.rs`, and for a
+    // `*Strategy::` variant in `plan/estimate.rs` or an `estimated_calls` /
+    // `packed_calls` definition in `crates/core/src/ops`.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let out = run_repolint(&root);
     let stderr = String::from_utf8_lossy(&out.stderr);
