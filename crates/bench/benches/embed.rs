@@ -1,10 +1,6 @@
-//! Micro-benchmarks for the blocking layer — the PR-2 tentpole.
-//!
-//! `seed_*` benches run against a faithful replica of the seed
-//! `BruteForceIndex` (nested `Vec<Vec<f32>>` storage, pairwise
-//! `l2_distance` per candidate, materialize-all-then-sort per query) so
-//! the flat-storage / fused-dot / bounded-top-k wins are measured against
-//! the real baseline, not a strawman.
+//! Micro-benchmarks for the blocking layer: index build, one query, and
+//! the batch-blocking shape through the one `search` entry point, plus the
+//! million-row IVF tier.
 //!
 //! The corpus is ~20k synthetic product records embedded with the
 //! ada-like 256-dimension hashed n-gram embedder — the shape every
@@ -20,54 +16,12 @@ use std::io::Write;
 use std::time::Instant;
 
 use crowdprompt_embed::{
-    BruteForceIndex, Embedder, IvfIndex, IvfParams, Metric, NearestNeighbors, Neighbor,
-    NgramEmbedder, VectorStore,
+    BruteForceIndex, Embedder, IvfIndex, IvfParams, Metric, NgramEmbedder, Queries, VectorStore,
 };
 
 const CORPUS: usize = 20_000;
 const QUERIES: usize = 256;
 const K: usize = 8;
-
-/// Replica of the seed `BruteForceIndex` hot path: one heap allocation
-/// per vector, `l2_distance`'s scalar zip-map-sum per candidate, and a
-/// freshly allocated, fully sorted `Vec` of all N distances per query.
-struct SeedBruteForceIndex {
-    vectors: Vec<Vec<f32>>,
-    metric: Metric,
-}
-
-impl SeedBruteForceIndex {
-    fn new(vectors: Vec<Vec<f32>>, metric: Metric) -> Self {
-        if let Some(first) = vectors.first() {
-            let d = first.len();
-            assert!(
-                vectors.iter().all(|v| v.len() == d),
-                "all vectors must share a dimensionality"
-            );
-        }
-        SeedBruteForceIndex { vectors, metric }
-    }
-
-    fn nearest(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        let mut hits: Vec<Neighbor> = self
-            .vectors
-            .iter()
-            .enumerate()
-            .map(|(index, v)| Neighbor {
-                index,
-                distance: self.metric.distance(query, v),
-            })
-            .collect();
-        hits.sort_by(|a, b| {
-            a.distance
-                .partial_cmp(&b.distance)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.index.cmp(&b.index))
-        });
-        hits.truncate(k);
-        hits
-    }
-}
 
 /// ~`n` synthetic product records with overlapping vocabulary, so the
 /// embedding space has realistic near-duplicate structure.
@@ -101,31 +55,25 @@ fn synthetic_corpus(n: usize) -> Vec<String> {
         .collect()
 }
 
-fn embedded_corpus() -> Vec<Vec<f32>> {
+/// The corpus as the embedding stage hands it off: one flat row-major
+/// buffer and its stride.
+fn embedded_corpus() -> (Vec<f32>, usize) {
     let embedder = NgramEmbedder::ada_like();
     let texts = synthetic_corpus(CORPUS);
     let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-    embedder.embed_all(&refs)
+    (embedder.embed_all_flat(&refs), embedder.dimensions())
 }
 
-/// Index construction from the embedding stage's output: the seed
-/// consumes nested per-row vectors, the rebuilt path consumes the flat
-/// row-major buffer `Embedder::embed_all_flat` now emits natively (one
-/// norms pass in `VectorStore::from_flat`, no repacking). Each side is
-/// timed on its own pipeline's hand-off format; `from_rows` survives as
-/// the compatibility entry point for callers holding nested rows.
+fn exact_index() -> BruteForceIndex {
+    let (flat, dims) = embedded_corpus();
+    BruteForceIndex::from_store(VectorStore::from_flat(flat, dims), Metric::L2)
+}
+
+/// Index construction from the embedding stage's output (one norms pass in
+/// `VectorStore::from_flat`, no repacking).
 fn bench_index_build(c: &mut Criterion) {
-    let vectors = embedded_corpus();
-    let dims = vectors[0].len();
-    let flat: Vec<f32> = vectors.iter().flatten().copied().collect();
+    let (flat, dims) = embedded_corpus();
     let mut group = c.benchmark_group("embed_index_build_20k");
-    group.bench_function("seed_nested", |b| {
-        b.iter_batched(
-            || vectors.clone(),
-            |vs| SeedBruteForceIndex::new(vs, Metric::L2),
-            BatchSize::LargeInput,
-        )
-    });
     group.bench_function("flat_store", |b| {
         b.iter_batched(
             || flat.clone(),
@@ -136,57 +84,42 @@ fn bench_index_build(c: &mut Criterion) {
     group.finish();
 }
 
-/// One k-NN query over the 20k corpus: the seed materialize-and-sort
-/// path vs the fused dot-product scan with a bounded top-k heap.
+/// One k-NN query over the 20k corpus: the fused dot-product scan with a
+/// bounded top-k heap.
 fn bench_single_query(c: &mut Criterion) {
-    let vectors = embedded_corpus();
-    let query = vectors[CORPUS / 2].clone();
-    let seed = SeedBruteForceIndex::new(vectors.clone(), Metric::L2);
-    let fused = BruteForceIndex::new(vectors, Metric::L2);
-
+    let fused = exact_index();
+    let query = fused.store().row(CORPUS / 2).to_vec();
     let mut group = c.benchmark_group("embed_single_query_20k");
-    group.bench_function("seed_sort", |b| {
-        b.iter(|| seed.nearest(black_box(&query), K))
-    });
     group.bench_function("fused_heap", |b| {
-        b.iter(|| fused.nearest(black_box(&query), K))
+        b.iter(|| fused.search(Queries::Flat(black_box(&query)), K))
     });
     group.finish();
 }
 
-/// Batch blocking — the headline tentpole number: answer `QUERIES`
-/// blocking queries over the 20k corpus (the dedup/join shape). The seed
-/// path loops one record at a time through the sort-per-query scan; the
-/// new path issues one `nearest_many` batch through the fused scan
-/// (partitioned across whatever cores exist — the fused + heap win alone
-/// carries the 1-core container).
+/// Batch blocking: answer `QUERIES` blocking queries over the 20k corpus
+/// (the dedup/join shape), as 256 one-row `search` calls and as one
+/// 256-row `search` — what the tiled scan buys over a per-record loop
+/// (partitioned across whatever cores exist; tiling alone carries the
+/// 1-core container).
 fn bench_batch_blocking(c: &mut Criterion) {
-    let vectors = embedded_corpus();
-    let queries: Vec<Vec<f32>> = (0..QUERIES)
-        .map(|i| vectors[i * (CORPUS / QUERIES)].clone())
+    let fused = exact_index();
+    let dims = fused.store().dims();
+    let queries: Vec<f32> = (0..QUERIES)
+        .flat_map(|i| fused.store().row(i * (CORPUS / QUERIES)))
+        .copied()
         .collect();
-    let seed = SeedBruteForceIndex::new(vectors.clone(), Metric::L2);
-    let fused = BruteForceIndex::new(vectors, Metric::L2);
 
     let mut group = c.benchmark_group("embed_batch_blocking_20kx256");
-    group.bench_function("seed_per_record_loop", |b| {
-        b.iter(|| -> usize {
-            queries
-                .iter()
-                .map(|q| seed.nearest(black_box(q), K).len())
-                .sum()
-        })
-    });
     group.bench_function("fused_sequential_loop", |b| {
         b.iter(|| -> usize {
             queries
-                .iter()
-                .map(|q| fused.nearest(black_box(q), K).len())
+                .chunks(dims)
+                .map(|q| fused.search(Queries::Flat(black_box(q)), K).len())
                 .sum()
         })
     });
     group.bench_function("batched_fused", |b| {
-        b.iter(|| fused.nearest_many(black_box(&queries), K).len())
+        b.iter(|| fused.search(Queries::Flat(black_box(&queries)), K).len())
     });
     group.finish();
 }
@@ -295,7 +228,7 @@ fn bench_million_row_tier(_c: &mut Criterion) {
     let mut truth: Vec<Vec<usize>> = Vec::with_capacity(QUERY_COUNT);
     for q in &queries {
         let t = Instant::now();
-        let hits = exact.nearest(black_box(q), K);
+        let hits = exact.search(Queries::Flat(black_box(q)), K).remove(0);
         exact_ns.push(t.elapsed().as_nanos() as u64);
         truth.push(hits.into_iter().map(|h| h.index).collect());
     }
@@ -307,7 +240,7 @@ fn bench_million_row_tier(_c: &mut Criterion) {
         let mut got: Vec<usize> = Vec::new();
         for _ in 0..ivf_reps {
             let t = Instant::now();
-            let hits = ivf.nearest(black_box(q), K);
+            let hits = ivf.search(Queries::Flat(black_box(q)), K).remove(0);
             ivf_ns.push(t.elapsed().as_nanos() as u64);
             got = hits.into_iter().map(|h| h.index).collect();
         }

@@ -12,7 +12,6 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crowdprompt_core::exec::PipelineConfig;
 use crowdprompt_core::{Budget, Corpus, Engine};
 use crowdprompt_oracle::task::TaskDescriptor;
 use crowdprompt_oracle::types::{CompletionRequest, CompletionResponse, LanguageModel};
@@ -238,8 +237,8 @@ fn burst<C: Sync>(
     });
 }
 
-/// Engine-level pipelined dispatch over a duplicate-heavy batch: adaptive
-/// claim sizing (default) vs fixed single-task claims.
+/// Engine-level pipelined dispatch over a duplicate-heavy batch (adaptive
+/// claim sizing).
 fn bench_engine_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_run_many_dup_heavy");
     let (world, ids) = world_with(KEYS);
@@ -251,31 +250,17 @@ fn bench_engine_pipeline(c: &mut Criterion) {
         })
         .collect();
 
-    let engine_with_pipeline = |config: PipelineConfig| {
-        let llm = Arc::new(SimulatedLlm::new(
-            ModelProfile::perfect(),
-            Arc::clone(&world),
-            7,
-        ));
-        let corpus = Corpus::from_world(&world, &ids);
-        Engine::new(Arc::new(LlmClient::new(llm)), corpus)
-            .with_budget(Budget::Unlimited)
-            .with_parallelism(16)
-            .with_pipeline(config)
-    };
-
-    let adaptive = engine_with_pipeline(PipelineConfig::default());
+    let llm = Arc::new(SimulatedLlm::new(
+        ModelProfile::perfect(),
+        Arc::clone(&world),
+        7,
+    ));
+    let corpus = Corpus::from_world(&world, &ids);
+    let adaptive = Engine::new(Arc::new(LlmClient::new(llm)), corpus)
+        .with_budget(Budget::Unlimited)
+        .with_parallelism(16);
     group.bench_function("adaptive_claims", |b| {
         b.iter(|| adaptive.run_many(tasks.clone()).unwrap())
-    });
-
-    let fixed = engine_with_pipeline(PipelineConfig {
-        min_batch: 1,
-        max_batch: 1,
-        ..PipelineConfig::default()
-    });
-    group.bench_function("fixed_claim_1", |b| {
-        b.iter(|| fixed.run_many(tasks.clone()).unwrap())
     });
     group.finish();
 }

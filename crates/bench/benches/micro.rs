@@ -4,7 +4,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use std::hint::black_box;
 
 use crowdprompt_core::consistency::{repair_ranking, UnionFind};
-use crowdprompt_embed::{BruteForceIndex, Embedder, Metric, NearestNeighbors, NgramEmbedder};
+use crowdprompt_embed::{BruteForceIndex, Embedder, Metric, NgramEmbedder, Queries, VectorStore};
 use crowdprompt_metrics::rank::{kendall_tau_b, kendall_tau_b_reference};
 use crowdprompt_oracle::sim::similarity::{levenshtein_similarity, trigram_jaccard};
 use crowdprompt_oracle::tokenizer::count_tokens;
@@ -34,13 +34,11 @@ fn bench_knn(c: &mut Criterion) {
     let mut rng = ChaCha8Rng::seed_from_u64(11);
     let n = 2000usize;
     let dims = 64usize;
-    let vectors: Vec<Vec<f32>> = (0..n)
-        .map(|_| (0..dims).map(|_| rng.random_range(-1.0..1.0)).collect())
-        .collect();
+    let vectors: Vec<f32> = (0..n * dims).map(|_| rng.random_range(-1.0..1.0)).collect();
     let query: Vec<f32> = (0..dims).map(|_| rng.random_range(-1.0..1.0)).collect();
-    let brute = BruteForceIndex::new(vectors, Metric::L2);
+    let brute = BruteForceIndex::from_store(VectorStore::from_flat(vectors, dims), Metric::L2);
     group.bench_function("brute_force_2000x64", |b| {
-        b.iter(|| brute.nearest(black_box(&query), 5))
+        b.iter(|| brute.search(Queries::Flat(black_box(&query)), 5))
     });
     group.finish();
 }

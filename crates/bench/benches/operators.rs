@@ -83,7 +83,7 @@ fn bench_resolve(c: &mut Criterion) {
                 .unwrap()
         })
     });
-    let index = session.mention_index(&data.mentions).unwrap();
+    let index = session.blocking_index(&data.mentions).unwrap();
     group.bench_function("transitivity_k1", |b| {
         b.iter(|| {
             session

@@ -44,7 +44,9 @@ fn main() {
     );
     let questions: Vec<(ItemId, ItemId)> = data.pairs.iter().map(|(a, b, _)| (*a, *b)).collect();
     let gold: Vec<bool> = data.pairs.iter().map(|(_, _, d)| *d).collect();
-    let index = session.mention_index(&data.mentions).expect("index builds");
+    let index = session
+        .blocking_index(&data.mentions)
+        .expect("index builds");
 
     let paper = [
         (0.658, 0.503, 0.952),

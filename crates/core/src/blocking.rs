@@ -3,20 +3,23 @@
 //! candidate pruning through.
 //!
 //! A [`BlockingIndex`] embeds a corpus of items once, straight into the
-//! flat [`crowdprompt_embed::VectorStore`] layout (via the parallel
-//! [`Embedder::embed_all_flat`] — no nested-row intermediate), picks the
-//! exact scan or the IVF tier per corpus shape, and serves *batched* neighbor
-//! queries — operators hand it whole item collections instead of looping
-//! one record at a time. Neighbor lookups for indexed items are memoized
-//! (`(item, k)` → hits), and an indexed item's own stored vector is reused
-//! as its query (no re-embedding) with the self-hit excluded inside the
-//! scan rather than ranked and discarded.
+//! flat [`crowdprompt_embed::VectorStore`] layout
+//! ([`Embedder::embed_all_flat`]), lets [`KnnIndex::build`] pick the exact
+//! scan or the IVF tier per corpus shape, and serves *batched* neighbor
+//! queries — operators hand it whole item collections, never one record at
+//! a time. A batch reaches the index as exactly one of two shapes, both
+//! through the one `search(queries, k)`: indexed items as
+//! [`Queries::Rows`] (the stored row *is* the query — no re-embedding, no
+//! copy — and is left out of its own answer inside the scan), everything
+//! else as texts embedded into one flat buffer and asked as
+//! [`Queries::Flat`]. Neighbor lookups for items are memoized (`(item, k)`
+//! → hits).
 
 use std::collections::HashMap;
 
 use crowdprompt_embed::{
-    dot_unrolled, predict_auto_kind, Embedder, KnnIndex, Metric, NearestNeighbors, Neighbor,
-    NgramEmbedder, VectorStore,
+    dot_unrolled, predict_auto_kind, Embedder, KnnIndex, Metric, Neighbor, NgramEmbedder, Queries,
+    VectorStore,
 };
 use crowdprompt_oracle::world::ItemId;
 
@@ -42,8 +45,6 @@ pub struct BlockingIndex {
     pos: HashMap<ItemId, usize>,
     index: KnnIndex,
     embedder: NgramEmbedder,
-    metric: Metric,
-    recall_target: Option<f32>,
     cache: parking_lot::Mutex<HashMap<(ItemId, usize), Vec<BlockingHit>>>,
 }
 
@@ -51,30 +52,18 @@ impl BlockingIndex {
     /// Build an index over the given items using the engine's corpus texts
     /// and the ada-like n-gram embedder (L2 distance, as in §3.3).
     ///
-    /// The recall target is inherited from the engine
-    /// ([`Engine::blocking_recall_target`]), so every blocking consumer —
-    /// dedup, join, cluster, impute-knn — picks up approximate blocking
-    /// from one engine knob. See [`BlockingIndex::build_with`].
-    pub fn build(engine: &Engine, items: &[ItemId]) -> Result<Self, EngineError> {
-        Self::build_with(engine, items, engine.blocking_recall_target())
-    }
-
-    /// Build with an explicit recall target, overriding the engine's.
-    ///
     /// Texts are embedded through the parallel
     /// [`Embedder::embed_all_flat`] (one corpus-sized buffer, no per-row
     /// allocations) and the index implementation is chosen by
-    /// [`KnnIndex::auto_tuned_from_store`]:
-    /// small or low-dimensional corpora get the exact brute-force scan
-    /// regardless of the target, and a target of `None` (or `>= 1.0`)
-    /// keeps even million-row corpora exact. A sub-1.0 target on a large
-    /// high-dimensional corpus builds the approximate IVF + SQ8 tier
-    /// tuned for that recall@k.
-    pub fn build_with(
-        engine: &Engine,
-        items: &[ItemId],
-        recall_target: Option<f32>,
-    ) -> Result<Self, EngineError> {
+    /// [`KnnIndex::build`] under the engine's recall target
+    /// ([`Engine::blocking_recall_target`]), so every blocking consumer —
+    /// dedup, join, cluster, impute-knn — picks up approximate blocking
+    /// from one engine knob: small or low-dimensional corpora get the exact
+    /// brute-force scan regardless of the target, and a target of `None`
+    /// (or `>= 1.0`) keeps even million-row corpora exact. A sub-1.0 target
+    /// on a large high-dimensional corpus builds the approximate IVF + SQ8
+    /// tier tuned for that recall@k.
+    pub fn build(engine: &Engine, items: &[ItemId]) -> Result<Self, EngineError> {
         let embedder = NgramEmbedder::ada_like();
         let mut texts = Vec::with_capacity(items.len());
         for &id in items {
@@ -88,32 +77,20 @@ impl BlockingIndex {
         // The embedder writes straight into the store's flat row-major
         // layout — no per-row vectors to allocate, repack, and free.
         let store = VectorStore::from_flat(embedder.embed_all_flat(&texts), embedder.dimensions());
-        let metric = Metric::L2;
         let mut pos = HashMap::with_capacity(items.len());
         for (i, &id) in items.iter().enumerate() {
             pos.entry(id).or_insert(i);
         }
-        let index = match recall_target {
-            Some(target) => KnnIndex::auto_tuned_from_store(store, metric, target),
-            None => KnnIndex::auto_from_store(store, metric),
-        };
         Ok(BlockingIndex {
             items: items.to_vec(),
             pos,
-            index,
+            index: KnnIndex::build(store, Metric::L2, engine.blocking_recall_target()),
             embedder,
-            metric,
-            recall_target,
             cache: parking_lot::Mutex::new(HashMap::new()),
         })
     }
 
-    /// The recall target this index was built with (`None` = exact).
-    pub fn recall_target(&self) -> Option<f32> {
-        self.recall_target
-    }
-
-    /// Which k-NN implementation [`BlockingIndex::build_with`] would pick
+    /// Which k-NN implementation [`BlockingIndex::build`] would pick
     /// for a corpus of `len` items at the given recall target, without
     /// embedding or building anything — the planner's cost model uses
     /// this to annotate plans and adjust neighbor-call economics. Mirrors
@@ -144,40 +121,15 @@ impl BlockingIndex {
         self.index.kind()
     }
 
-    /// The `k` nearest indexed items to `id` with their distances,
-    /// excluding `id` itself when indexed. Memoized per `(id, k)`.
+    /// The `k` nearest indexed items to each of `ids` with their
+    /// distances, position-aligned with `ids` and memoized per `(id, k)`.
     ///
-    /// An indexed `id` queries with its stored vector (no re-embedding);
-    /// an unindexed `id` is embedded from its corpus text, and an unknown
-    /// `id` yields no hits.
-    pub fn neighbors(&self, engine: &Engine, id: ItemId, k: usize) -> Vec<BlockingHit> {
-        if let Some(hit) = self.cache.lock().get(&(id, k)) {
-            return hit.clone();
-        }
-        let hits = if let Some(&p) = self.pos.get(&id) {
-            // Indexed item: query straight off its stored row (no
-            // re-embedding, no copy), excluding itself inside the scan.
-            let raw = self
-                .index
-                .nearest_rows(&[p], k)
-                .pop()
-                .expect("one row query"); // lint: allow(no-unwrap)
-            self.to_hits(raw)
-        } else if let Some(text) = engine.corpus().text(id) {
-            self.to_hits(self.index.nearest(&self.embedder.embed(text), k))
-        } else {
-            Vec::new()
-        };
-        self.cache.lock().insert((id, k), hits.clone());
-        hits
-    }
-
-    /// Batched [`BlockingIndex::neighbors`] over many ids: uncached
-    /// queries are answered through the tiled batch scans (indexed ids by
-    /// [`KnnIndex::nearest_rows`], the rest by
-    /// [`BlockingIndex::nearest_texts`], both partitioned across
-    /// threads), results land in the memo cache, and the output is
-    /// position-aligned with `ids`.
+    /// An indexed id queries with its stored row, itself left out of the
+    /// answer ([`Queries::Rows`]); an unindexed id is embedded from its
+    /// corpus text like any other query text
+    /// ([`BlockingIndex::nearest_texts`]); an id in neither yields no hits.
+    /// Repeated ids are scanned once, and both kinds of query go to the
+    /// index as one batch each.
     pub fn neighbors_many(
         &self,
         engine: &Engine,
@@ -225,9 +177,7 @@ impl BlockingIndex {
                 }
             }
         }
-        let member_raw = self.index.nearest_rows(&member_rows, k);
-        // Strangers are embedded as one parallel batch and scanned as
-        // tiles, like any other batch of query texts.
+        let member_raw = self.index.search(Queries::Rows(&member_rows), k);
         let stranger_hits = self.nearest_texts(&stranger_texts, k);
         let mut cache = self.cache.lock();
         let answered = member_pending
@@ -249,13 +199,13 @@ impl BlockingIndex {
 
     /// Batched nearest-indexed-items lookup for arbitrary query texts
     /// (the join operator's probe side, and the unindexed ids of
-    /// [`BlockingIndex::neighbors_many`]): texts are embedded in parallel
-    /// and answered through one [`NearestNeighbors::nearest_many`] call.
-    /// Not memoized (query texts are not indexed items).
+    /// [`BlockingIndex::neighbors_many`]): the texts are embedded in
+    /// parallel into one flat buffer and asked as one [`Queries::Flat`]
+    /// batch. Not memoized (query texts are not indexed items).
     pub fn nearest_texts(&self, texts: &[&str], k: usize) -> Vec<Vec<BlockingHit>> {
-        let queries = self.embedder.embed_all(texts);
+        let queries = self.embedder.embed_all_flat(texts);
         self.index
-            .nearest_many(&queries, k)
+            .search(Queries::Flat(&queries), k)
             .into_iter()
             .map(|raw| self.to_hits(raw))
             .collect()
@@ -267,13 +217,13 @@ impl BlockingIndex {
     pub fn distance_between(&self, a: ItemId, b: ItemId) -> Option<f32> {
         let &i = self.pos.get(&a)?;
         let &j = self.pos.get(&b)?;
-        let store = self.index.store();
-        let key = self.metric.rank_key(
+        let (store, metric) = (self.index.store(), self.index.metric());
+        let key = metric.rank_key(
             dot_unrolled(store.row(i), store.row(j)),
             store.norm_sq(i),
             store.norm_sq(j),
         );
-        Some(self.metric.key_to_distance(key))
+        Some(metric.key_to_distance(key))
     }
 
     fn to_hits(&self, raw: Vec<Neighbor>) -> Vec<BlockingHit> {
@@ -320,7 +270,7 @@ mod tests {
         let index = BlockingIndex::build(&engine, &ids).unwrap();
         assert_eq!(index.len(), 12);
         assert_eq!(index.index_kind(), "brute_force");
-        let hits = index.neighbors(&engine, ids[4], 5);
+        let hits = index.neighbors_many(&engine, &[ids[4]], 5).remove(0);
         assert_eq!(hits.len(), 5);
         assert!(hits.iter().all(|h| h.item != ids[4]));
         for w in hits.windows(2) {
@@ -338,7 +288,8 @@ mod tests {
         probe.extend_from_slice(&ids[..6]);
         let batch = batch_index.neighbors_many(&engine, &probe, 3);
         for (id, hits) in probe.iter().zip(&batch) {
-            assert_eq!(hits, &single_index.neighbors(&engine, *id, 3), "id {id:?}");
+            let single = single_index.neighbors_many(&engine, &[*id], 3).remove(0);
+            assert_eq!(hits, &single, "id {id:?}");
         }
     }
 
@@ -346,9 +297,9 @@ mod tests {
     fn neighbors_are_memoized() {
         let (engine, ids) = setup(8);
         let index = BlockingIndex::build(&engine, &ids).unwrap();
-        let first = index.neighbors(&engine, ids[0], 4);
+        let first = index.neighbors_many(&engine, &ids[..1], 4);
         assert_eq!(index.cache.lock().len(), 1);
-        let second = index.neighbors(&engine, ids[0], 4);
+        let second = index.neighbors_many(&engine, &ids[..1], 4);
         assert_eq!(first, second);
         assert_eq!(index.cache.lock().len(), 1);
     }
@@ -358,14 +309,14 @@ mod tests {
         let (engine, ids) = setup(5);
         let index = BlockingIndex::build(&engine, &ids[..4]).unwrap();
         // ids[4] is in the corpus but not indexed: embedded on the fly,
-        // and nothing is excluded from its hits.
-        assert_eq!(index.neighbors(&engine, ids[4], 2).len(), 2);
-        // An id in neither the index nor the corpus: deterministically empty.
+        // and nothing is excluded from its hits. An id in neither the index
+        // nor the corpus is deterministically empty.
         let ghost = ItemId(9_999);
-        assert!(index.neighbors(&engine, ghost, 2).is_empty());
-        let batch = index.neighbors_many(&engine, &[ids[0], ghost], 2);
-        assert_eq!(batch[0], index.neighbors(&engine, ids[0], 2));
-        assert!(batch[1].is_empty());
+        let batch = index.neighbors_many(&engine, &[ids[4], ids[0], ghost], 2);
+        assert_eq!(batch[0].len(), 2);
+        assert_eq!(batch[1].len(), 2);
+        assert!(batch[1].iter().all(|h| h.item != ids[0]));
+        assert!(batch[2].is_empty());
     }
 
     #[test]
@@ -390,15 +341,11 @@ mod tests {
     }
 
     #[test]
-    fn recall_target_is_inherited_from_the_engine() {
+    fn small_corpora_stay_exact_under_a_recall_target() {
         let (engine, ids) = setup(10);
         let engine = engine.with_blocking_recall_target(0.95);
         let index = BlockingIndex::build(&engine, &ids).unwrap();
-        assert_eq!(index.recall_target(), Some(0.95));
-        // Small corpora stay exact regardless of the target.
         assert_eq!(index.index_kind(), "brute_force");
-        let exact = BlockingIndex::build_with(&engine, &ids, None).unwrap();
-        assert_eq!(exact.recall_target(), None);
     }
 
     #[test]

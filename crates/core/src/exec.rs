@@ -32,10 +32,9 @@
 //!   outstanding count, stop flag, attempt allowance, ledger, trace), so a
 //!   worker runs whichever batch's job it drew and a caller whose last
 //!   jobs are in flight elsewhere waits on its batch. Workers *pull* small
-//!   claims, at most `workers × max_batch` claimed-but-unfinished; claim
-//!   size doubles after a claim that averaged under
-//!   [`PipelineConfig::fast_task_micros`] per job and halves after a slow
-//!   one.
+//!   claims, at most `workers × MAX_CLAIM` claimed-but-unfinished; claim
+//!   size doubles after a claim that averaged under `FAST_TASK_MICROS` per
+//!   job and halves after a slow one.
 //! * **execute** is the one worker body: admit, probe the client's cache
 //!   once when a free hit changes what happens next, dispatch with up to
 //!   the batch's attempt allowance, account. With one attempt it *is* the
@@ -97,27 +96,23 @@ use crate::outcome::CostMeter;
 use crate::template::{render, RenderOptions};
 use crate::trace::{Trace, TraceEvent};
 
-/// Tuning knobs for the engine's pipelined dispatcher.
-#[derive(Debug, Clone, Copy)]
-pub struct PipelineConfig {
-    /// Smallest number of tasks a worker claims from the feed at once.
-    pub min_batch: usize,
-    /// Largest number of tasks a worker claims from the feed at once; also
-    /// bounds the work queue: at most `parallelism × max_batch` tasks are
-    /// claimed ahead of completion.
-    pub max_batch: usize,
-    /// Per-task mean duration (µs) below which a worker's claim is deemed
-    /// "fast" and its next claim doubles.
-    pub fast_task_micros: u64,
-}
+/// Smallest number of jobs a worker claims from the feed at once.
+const MIN_CLAIM: usize = 1;
+/// Largest number of jobs a worker claims from the feed at once; also bounds
+/// the work queue: at most `parallelism × MAX_CLAIM` jobs are claimed ahead
+/// of completion.
+const MAX_CLAIM: usize = 32;
+/// Per-job mean duration (µs) below which a worker's claim is deemed "fast"
+/// (cache or coalesced hits) and its next claim doubles.
+const FAST_TASK_MICROS: u64 = 200;
 
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        PipelineConfig {
-            min_batch: 1,
-            max_batch: 32,
-            fast_task_micros: 200,
-        }
+/// Next claim size given how the last claim of `claimed` jobs went.
+fn adapt_claim(claim: usize, started: Instant, claimed: usize) -> usize {
+    let per_task_us = started.elapsed().as_micros() as u64 / claimed as u64;
+    if per_task_us < FAST_TASK_MICROS {
+        (claim * 2).min(MAX_CLAIM)
+    } else {
+        (claim / 2).max(MIN_CLAIM)
     }
 }
 
@@ -193,7 +188,6 @@ pub struct Engine {
     /// Held around every call that may reach the backend, when serving.
     gate: Option<Arc<LeaseGate>>,
     parallelism: usize,
-    pipeline: PipelineConfig,
     pack_width: usize,
     blocking_recall_target: Option<f32>,
     temperature: f64,
@@ -218,7 +212,7 @@ pub(crate) fn router_of(client: &LlmClient) -> &Router {
 
 impl Engine {
     /// An engine over the given client and corpus with an unlimited budget,
-    /// temperature 0, modest parallelism, and the default pipeline tuning.
+    /// temperature 0 and modest parallelism.
     pub fn new(client: Arc<LlmClient>, corpus: Corpus) -> Self {
         let admission_price_factor = router_of(&client).admission_price_factor();
         Engine {
@@ -232,7 +226,6 @@ impl Engine {
             },
             gate: None,
             parallelism: 8,
-            pipeline: PipelineConfig::default(),
             pack_width: 1,
             blocking_recall_target: None,
             temperature: 0.0,
@@ -289,17 +282,6 @@ impl Engine {
     #[must_use]
     pub fn with_parallelism(mut self, workers: usize) -> Self {
         self.parallelism = workers.max(1);
-        self
-    }
-
-    /// Set the pipelined-dispatch tuning (builder style).
-    #[must_use]
-    pub fn with_pipeline(mut self, config: PipelineConfig) -> Self {
-        self.pipeline = PipelineConfig {
-            min_batch: config.min_batch.max(1),
-            max_batch: config.max_batch.max(config.min_batch.max(1)),
-            ..config
-        };
         self
     }
 
@@ -403,11 +385,6 @@ impl Engine {
     /// Current render options.
     pub fn render_opts(&self) -> &RenderOptions {
         &self.render_opts
-    }
-
-    /// Current pipeline tuning.
-    pub fn pipeline(&self) -> &PipelineConfig {
-        &self.pipeline
     }
 
     /// The configured prompt pack width (`1` = packing disabled).
@@ -906,7 +883,7 @@ impl Engine {
     /// and run each into the batch it carries, until `own` is done or the
     /// feed is empty.
     fn work(&self, own: &Batch) {
-        let mut claim = self.pipeline.min_batch;
+        let mut claim = MIN_CLAIM;
         let mut local = Vec::new();
         while !own.is_done() {
             self.lane.feed.claim_into(claim, &mut local);
@@ -928,17 +905,7 @@ impl Engine {
                 });
                 job.finish(result);
             }
-            claim = self.adapt_claim(claim, started, claimed);
-        }
-    }
-
-    /// Next claim size given how the last claim of `claimed` jobs went.
-    fn adapt_claim(&self, claim: usize, started: Instant, claimed: usize) -> usize {
-        let per_task_us = started.elapsed().as_micros() as u64 / claimed as u64;
-        if per_task_us < self.pipeline.fast_task_micros {
-            (claim * 2).min(self.pipeline.max_batch)
-        } else {
-            (claim / 2).max(self.pipeline.min_batch)
+            claim = adapt_claim(claim, started, claimed);
         }
     }
 
@@ -1775,14 +1742,9 @@ mod tests {
     #[test]
     fn adaptive_claims_cover_duplicate_heavy_batches() {
         // 512 tasks over 4 distinct fingerprints: nearly all cache or
-        // coalesced hits, which drives claim sizes to max_batch; the result
-        // must still be complete and ordered.
+        // coalesced hits, which drives claim sizes to `MAX_CLAIM`; the
+        // result must still be complete and ordered.
         let (engine, ids) = engine_with(4, Budget::Unlimited);
-        let engine = engine.with_pipeline(PipelineConfig {
-            min_batch: 1,
-            max_batch: 64,
-            ..PipelineConfig::default()
-        });
         let tasks: Vec<_> = (0..512).map(|i| check_task(ids[i % 4])).collect();
         let out = engine.run_many(tasks).unwrap();
         assert_eq!(out.len(), 512);

@@ -96,18 +96,9 @@ impl LabeledPool {
         })
     }
 
-    /// The `k` nearest labeled records to `id` (excluding `id` itself when
-    /// it is part of the pool — leave-one-out). Memoized per `(id, k)`.
-    pub fn neighbors(&self, engine: &Engine, id: ItemId, k: usize) -> Vec<ItemId> {
-        self.inner
-            .neighbors(engine, id, k)
-            .into_iter()
-            .map(|h| h.item)
-            .collect()
-    }
-
-    /// [`LabeledPool::neighbors`] for a whole collection: one batched,
-    /// tiled scan instead of one scan per record.
+    /// The `k` nearest labeled records to each of `ids` (excluding the
+    /// record itself when it is part of the pool — leave-one-out), as one
+    /// batched, memoized index query.
     fn neighbors_many(&self, engine: &Engine, ids: &[ItemId], k: usize) -> Vec<Vec<ItemId>> {
         let hits = self.inner.neighbors_many(engine, ids, k);
         hits.into_iter()

@@ -21,6 +21,6 @@ pub use filter::{filter, FilterStrategy};
 pub use impute::{impute, ImputeStrategy, LabeledPool};
 pub use join::{fuzzy_join, JoinResult, JoinStrategy};
 pub use max::{find_max, MaxStrategy};
-pub use resolve::{resolve_pairs, MentionIndex, ResolveStrategy};
+pub use resolve::{resolve_pairs, ResolveStrategy};
 pub use sort::{sort, SortResult, SortStrategy};
 pub use topk::top_k;

@@ -27,84 +27,22 @@ pub enum ResolveStrategy {
     },
 }
 
-/// An embedding index over the mention corpus, for neighbor expansion.
-///
-/// A thin resolve-flavored wrapper over the shared [`BlockingIndex`]:
-/// neighbor lookups are memoized (the same record appears in many question
-/// pairs, so each `(record, k)` query is computed once), indexed mentions
-/// query with their stored vector, and the self-hit is excluded inside
-/// the scan rather than ranked and discarded.
-pub struct MentionIndex {
-    inner: BlockingIndex,
-}
-
-impl MentionIndex {
-    /// Build an index over the given mentions using the engine's corpus
-    /// texts and the ada-like n-gram embedder (L2 distance, as in §3.3).
-    pub fn build(engine: &Engine, mentions: &[ItemId]) -> Result<Self, EngineError> {
-        Ok(MentionIndex {
-            inner: BlockingIndex::build(engine, mentions)?,
-        })
-    }
-
-    /// The `k` nearest mentions within `max_distance` of `id` (excluding
-    /// itself). Memoized: the distance filter is applied on top of the
-    /// shared `(id, k)` neighbor cache, so dedup blocking never re-queries
-    /// a repeated record.
-    pub fn neighbors_within(
-        &self,
-        engine: &Engine,
-        id: ItemId,
-        k: usize,
-        max_distance: f32,
-    ) -> Vec<ItemId> {
-        self.inner
-            .neighbors(engine, id, k)
-            .into_iter()
-            .filter(|h| h.distance <= max_distance)
-            .map(|h| h.item)
-            .collect()
-    }
-
-    /// The `k` nearest mentions to `id` (excluding itself). Memoized.
-    pub fn neighbors(&self, engine: &Engine, id: ItemId, k: usize) -> Vec<ItemId> {
-        self.inner
-            .neighbors(engine, id, k)
-            .into_iter()
-            .map(|h| h.item)
-            .collect()
-    }
-
-    /// The shared blocking index (for batched queries and diagnostics).
-    pub fn blocking(&self) -> &BlockingIndex {
-        &self.inner
-    }
-
-    /// Number of indexed mentions.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-}
-
 /// Answer duplicate questions for the given pairs.
 ///
-/// Returns one boolean per input pair, in order.
+/// Returns one boolean per input pair, in order. `index` is the blocking
+/// index over the mention corpus that `TransitivityAugmented` expands
+/// neighborhoods from (`Pairwise` never reads it).
 pub fn resolve_pairs(
     engine: &Engine,
     pairs: &[(ItemId, ItemId)],
     strategy: &ResolveStrategy,
-    index: Option<&MentionIndex>,
+    index: Option<&BlockingIndex>,
 ) -> Result<Outcome<Vec<bool>>, EngineError> {
     match strategy {
         ResolveStrategy::Pairwise => pairwise(engine, pairs),
         ResolveStrategy::TransitivityAugmented { k } => {
             let index = index.ok_or_else(|| {
-                EngineError::InvalidInput("TransitivityAugmented requires a MentionIndex".into())
+                EngineError::InvalidInput("TransitivityAugmented requires a BlockingIndex".into())
             })?;
             transitivity_augmented(engine, pairs, *k, index)
         }
@@ -124,20 +62,23 @@ fn transitivity_augmented(
     engine: &Engine,
     pairs: &[(ItemId, ItemId)],
     k: usize,
-    index: &MentionIndex,
+    index: &BlockingIndex,
 ) -> Result<Outcome<Vec<bool>>, EngineError> {
     let mut meter = CostMeter::new();
 
     // 1. Build the expanded comparison workload: for each question (A, B),
     //    take S = {A, B} ∪ kNN(A) ∪ kNN(B) and compare all pairs within S.
+    //    The neighborhoods of every questioned record come from one batched
+    //    index query (the index scans each distinct record once).
     //    Deduplicate comparisons globally — the client cache would dedupe
     //    the LLM calls anyway, but deduping here keeps accounting honest.
+    let records: Vec<ItemId> = pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
+    let neighborhoods = index.neighbors_many(engine, &records, k);
     let mut comparisons: Vec<(ItemId, ItemId)> = Vec::new();
     let mut seen: std::collections::HashSet<(ItemId, ItemId)> = std::collections::HashSet::new();
-    for &(a, b) in pairs {
+    for (&(a, b), hits) in pairs.iter().zip(neighborhoods.chunks(2)) {
         let mut set: Vec<ItemId> = vec![a, b];
-        set.extend(index.neighbors(engine, a, k));
-        set.extend(index.neighbors(engine, b, k));
+        set.extend(hits.iter().flatten().map(|h| h.item));
         set.sort_unstable();
         set.dedup();
         for i in 0..set.len() {
@@ -205,7 +146,7 @@ pub(crate) fn dedup_bill(n: usize, candidates: usize) -> Vec<Line> {
 pub fn dedup(
     engine: &Engine,
     items: &[ItemId],
-    index: &MentionIndex,
+    index: &BlockingIndex,
     candidates: usize,
     max_distance: f32,
 ) -> Result<Outcome<Vec<Vec<ItemId>>>, EngineError> {
@@ -213,7 +154,7 @@ pub fn dedup(
     // 1. Blocking: candidate pairs from each record's neighborhood, via
     //    one batched query over the whole collection (partitioned across
     //    threads inside the index) instead of a per-record loop.
-    let neighborhoods = index.blocking().neighbors_many(engine, items, candidates);
+    let neighborhoods = index.neighbors_many(engine, items, candidates);
     let mut pairs: Vec<(ItemId, ItemId)> = Vec::new();
     let mut seen: std::collections::HashSet<(ItemId, ItemId)> = std::collections::HashSet::new();
     for (&id, hits) in items.iter().zip(&neighborhoods) {
@@ -369,7 +310,7 @@ mod tests {
             resolve_pairs(&engine, &questions, &ResolveStrategy::Pairwise, None).unwrap();
         let baseline_recall = recall(&baseline.value, &pairs);
 
-        let index = MentionIndex::build(&engine, &mentions).unwrap();
+        let index = BlockingIndex::build(&engine, &mentions).unwrap();
         let augmented = resolve_pairs(
             &engine,
             &questions,
@@ -408,24 +349,28 @@ mod tests {
     }
 
     #[test]
-    fn mention_index_finds_cluster_neighbors() {
+    fn blocking_index_finds_cluster_neighbors() {
         let (w, mentions, _) = er_world(8);
         let engine = engine_over(w, &mentions, NoiseProfile::perfect());
-        let index = MentionIndex::build(&engine, &mentions).unwrap();
+        let index = BlockingIndex::build(&engine, &mentions).unwrap();
         assert_eq!(index.len(), 24);
         // The bridge (light) mention must be reachable from both ends of a
         // hard question within a small neighbor budget — this is what the
         // transitivity expansion relies on.
+        let neighbors = |id: ItemId, k: usize| -> Vec<ItemId> {
+            let hits = index.neighbors_many(&engine, &[id], k).remove(0);
+            hits.into_iter().map(|h| h.item).collect()
+        };
         for c in 0..8 {
             let canonical = mentions[c * 3];
             let light = mentions[c * 3 + 1];
             let heavy = mentions[c * 3 + 2];
-            let nn_heavy = index.neighbors(&engine, heavy, 2);
+            let nn_heavy = neighbors(heavy, 2);
             assert!(
                 nn_heavy.contains(&light),
                 "cluster {c}: heavy's 2-NN {nn_heavy:?} should include light {light}"
             );
-            let nn_canon = index.neighbors(&engine, canonical, 3);
+            let nn_canon = neighbors(canonical, 3);
             assert!(
                 nn_canon.contains(&light),
                 "cluster {c}: canonical's 3-NN {nn_canon:?} should include light {light}"
@@ -451,7 +396,7 @@ mod tests {
     fn dedup_recovers_clusters_with_blocking() {
         let (w, mentions, _) = er_world(10);
         let engine = engine_over(w, &mentions, NoiseProfile::perfect());
-        let index = MentionIndex::build(&engine, &mentions).unwrap();
+        let index = BlockingIndex::build(&engine, &mentions).unwrap();
         let out = dedup(&engine, &mentions, &index, 4, 2.0).unwrap();
         // 10 clusters of 3 mentions each.
         assert_eq!(out.value.len(), 10);
@@ -469,7 +414,7 @@ mod tests {
     fn dedup_with_tight_blocking_over_segments() {
         let (w, mentions, _) = er_world(4);
         let engine = engine_over(w, &mentions, NoiseProfile::perfect());
-        let index = MentionIndex::build(&engine, &mentions).unwrap();
+        let index = BlockingIndex::build(&engine, &mentions).unwrap();
         // A blocking radius of 0 prunes everything: all singletons.
         let out = dedup(&engine, &mentions, &index, 4, 0.0).unwrap();
         assert_eq!(out.value.len(), mentions.len());

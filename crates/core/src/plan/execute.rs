@@ -8,12 +8,12 @@
 use crowdprompt_oracle::world::ItemId;
 use crowdprompt_oracle::Usage;
 
+use crate::blocking::BlockingIndex;
 use crate::error::EngineError;
 use crate::exec::{Engine, OpSalvage};
 use crate::ops;
 use crate::ops::impute::LabeledPool;
 use crate::ops::join::JoinResult;
-use crate::ops::resolve::MentionIndex;
 use crate::ops::sort::SortResult;
 use crate::outcome::Outcome;
 
@@ -300,7 +300,7 @@ pub(crate) fn execute(engine: &Engine, plan: &Plan) -> Result<PlanRun, EngineErr
                 candidates,
                 max_distance,
             } => {
-                let index = MentionIndex::build(engine, &items)?;
+                let index = BlockingIndex::build(engine, &items)?;
                 let out = ops::resolve::dedup(engine, &items, &index, *candidates, *max_distance)?;
                 push_report(engine, &mut steps, name, items_in, out.value.len(), &out);
                 output = Some(PlanOutput::Groups(out.value));

@@ -21,7 +21,7 @@ use crate::error::EngineError;
 use crate::exec::{Engine, FailurePolicy};
 use crate::ops;
 use crate::ops::impute::{ImputeStrategy, LabeledPool};
-use crate::ops::resolve::{MentionIndex, ResolveStrategy};
+use crate::ops::resolve::ResolveStrategy;
 use crate::ops::sort::{SortResult, SortStrategy};
 use crate::outcome::Outcome;
 use crate::plan::{Plan, Query};
@@ -593,19 +593,16 @@ impl Session {
         ops::sort::sort(&self.engine, items, criterion, strategy)
     }
 
-    /// Answer duplicate questions over record pairs.
+    /// Answer duplicate questions over record pairs (`index`: a
+    /// [`Session::blocking_index`] over the mentions, for the strategies
+    /// that expand neighborhoods).
     pub fn resolve_pairs(
         &self,
         pairs: &[(ItemId, ItemId)],
         strategy: &ResolveStrategy,
-        index: Option<&MentionIndex>,
+        index: Option<&crate::BlockingIndex>,
     ) -> Result<Outcome<Vec<bool>>, EngineError> {
         ops::resolve::resolve_pairs(&self.engine, pairs, strategy, index)
-    }
-
-    /// Build an embedding index over mentions for neighbor expansion.
-    pub fn mention_index(&self, mentions: &[ItemId]) -> Result<MentionIndex, EngineError> {
-        MentionIndex::build(&self.engine, mentions)
     }
 
     /// Build a labeled pool for imputation.
@@ -688,12 +685,12 @@ impl Session {
 
     /// Fully deduplicate records: embedding blocking, LLM confirmation,
     /// transitive closure into clusters (the paper's §1 workload). The
-    /// mention index is caller-owned and reusable; the plan-layer
+    /// blocking index is caller-owned and reusable; the plan-layer
     /// [`Query::resolve`] node builds its own.
     pub fn dedup(
         &self,
         items: &[ItemId],
-        index: &MentionIndex,
+        index: &crate::BlockingIndex,
         candidates: usize,
         max_distance: f32,
     ) -> Result<Outcome<Vec<Vec<ItemId>>>, EngineError> {
@@ -721,8 +718,10 @@ impl Session {
         ops::cluster::cluster_blocked(&self.engine, items, seed_size, candidates)
     }
 
-    /// Build the shared embedding-blocking index over items (batched
-    /// neighbor queries for custom blocking rules).
+    /// Build the shared embedding-blocking index over items: what
+    /// [`Session::resolve_pairs`] and [`Session::dedup`] expand
+    /// neighborhoods from, and batched neighbor queries for custom
+    /// blocking rules.
     pub fn blocking_index(&self, items: &[ItemId]) -> Result<crate::BlockingIndex, EngineError> {
         crate::BlockingIndex::build(&self.engine, items)
     }

@@ -29,29 +29,16 @@ pub trait Embedder: Send + Sync {
         out.copy_from_slice(&self.embed(text));
     }
 
-    /// Embed a batch of texts.
-    ///
-    /// The default implementation partitions the batch across
-    /// `std::thread::scope` workers (embedders are `Send + Sync`), one
-    /// contiguous chunk per worker, and reassembles results in input
-    /// order — output is identical to a sequential `map` over
-    /// [`Embedder::embed`]. Small batches run inline to skip thread spawn
-    /// cost.
-    fn embed_all(&self, texts: &[&str]) -> Vec<Vec<f32>> {
-        let workers = std::thread::available_parallelism().map_or(1, usize::from);
-        // Below ~16 texts per worker, spawn cost beats the win.
-        embed_all_with_workers(self, texts, workers.min(texts.len() / 16))
-    }
-
     /// Embed a batch of texts into one flat row-major buffer
     /// (`texts.len() * dimensions` elements), the native layout of
-    /// [`crate::VectorStore`].
+    /// [`crate::VectorStore`] and of [`crate::Queries::Flat`].
     ///
-    /// This is the index-build fast path: one corpus-sized allocation,
-    /// each worker filling a disjoint range in place via
-    /// [`Embedder::embed_into`] — no per-row `Vec`s to allocate, repack,
-    /// and free. Values are identical to flattening
-    /// [`Embedder::embed_all`].
+    /// One batch-sized allocation, split across `std::thread::scope`
+    /// workers (embedders are `Send + Sync`) that each fill a disjoint row
+    /// range in place via [`Embedder::embed_into`] — no per-row `Vec`s to
+    /// allocate, repack, and free. Values are identical to embedding the
+    /// texts one at a time in order; small batches run inline to skip
+    /// thread spawn cost.
     fn embed_all_flat(&self, texts: &[&str]) -> Vec<f32> {
         let workers = std::thread::available_parallelism().map_or(1, usize::from);
         // Below ~16 texts per worker, spawn cost beats the win.
@@ -59,28 +46,12 @@ pub trait Embedder: Send + Sync {
     }
 }
 
-/// The partitioning driver behind the default [`Embedder::embed_all`],
-/// with an explicit worker count: texts are split into `workers`
-/// contiguous chunks, each embedded on its own `std::thread::scope`
-/// worker, results reassembled in input order (identical to a sequential
-/// map over [`Embedder::embed`]). Exposed so the parallel path is
-/// testable deterministically on any machine.
-pub fn embed_all_with_workers<E: Embedder + ?Sized>(
-    embedder: &E,
-    texts: &[&str],
-    workers: usize,
-) -> Vec<Vec<f32>> {
-    crate::parallel::partition_chunks(texts.len(), workers, |range| {
-        texts[range].iter().map(|t| embedder.embed(t)).collect()
-    })
-}
-
 /// The partitioning driver behind the default
 /// [`Embedder::embed_all_flat`], with an explicit worker count: one flat
 /// row-major buffer is allocated up front and split into `workers`
 /// contiguous row ranges, each filled in place on its own
 /// `std::thread::scope` worker through [`Embedder::embed_into`]. Output
-/// is identical to flattening [`embed_all_with_workers`]. Exposed so the
+/// is identical to embedding the texts one at a time. Exposed so the
 /// parallel path is testable deterministically on any machine.
 pub fn embed_all_flat_with_workers<E: Embedder + ?Sized>(
     embedder: &E,
@@ -336,15 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn embed_all_matches_individual() {
-        let e = NgramEmbedder::ada_like();
-        let texts = ["alpha", "beta"];
-        let batch = e.embed_all(&texts);
-        assert_eq!(batch[0], e.embed("alpha"));
-        assert_eq!(batch[1], e.embed("beta"));
-    }
-
-    #[test]
     fn embed_into_matches_embed_and_overwrites() {
         let e = NgramEmbedder::ada_like();
         let mut out = vec![7.0f32; 256]; // stale garbage must be overwritten
@@ -359,11 +321,11 @@ mod tests {
     }
 
     #[test]
-    fn embed_all_flat_matches_embed_all_at_any_worker_count() {
+    fn embed_all_flat_matches_one_at_a_time_at_any_worker_count() {
         let e = NgramEmbedder::new(32, 3);
         let texts: Vec<String> = (0..37).map(|i| format!("record number {i}")).collect();
         let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        let expected: Vec<f32> = e.embed_all(&refs).into_iter().flatten().collect();
+        let expected: Vec<f32> = refs.iter().flat_map(|t| e.embed(t)).collect();
         for workers in [0usize, 1, 2, 3, 7, 64] {
             assert_eq!(
                 embed_all_flat_with_workers(&e, &refs, workers),

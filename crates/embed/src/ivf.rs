@@ -16,17 +16,23 @@
 //! pushed out of the rescore pool by quantization error) can be missed.
 //!
 //! Exact-path degradation is structural, not approximate: `nprobe >=
-//! nlist` and non-finite queries delegate to the embedded
-//! [`BruteForceIndex`] — the same code the oracle runs — so the
-//! degenerate configuration is bit-identical to exact search by
+//! nlist`, `k >=` the indexed row count and non-finite queries delegate to
+//! the embedded [`BruteForceIndex`] — the same tiled scan the oracle runs
+//! — so the degenerate configuration is bit-identical to exact search by
 //! construction.
+//!
+//! Queries arrive as a batch ([`Queries`]: rows of the store, each left
+//! out of its own answer, or free vectors in one flat buffer), are cut into
+//! one contiguous chunk per worker like the exact index's, and each query
+//! in a chunk is one probe–rescore: batching and threading never change an
+//! answer.
 //!
 //! Everything is deterministic: k-means uses a seeded SplitMix64 stream,
 //! ties break by row index, the integer scan kernel is bit-identical
 //! across ISAs, and NaN rows are excluded from every list at build time
 //! (matching the exact scan's NaN filtering).
 
-use crate::knn::{key_cmp, BruteForceIndex, Metric, NearestNeighbors, Neighbor, TopK};
+use crate::knn::{auto_workers, key_cmp, BruteForceIndex, Metric, Neighbor, Queries, TopK};
 use crate::quant::{quantize_into, QuantizedBlock, ScanQuery};
 use crate::store::VectorStore;
 use crate::vector::{dot_u8_many, dot_unrolled, dot_unrolled_many};
@@ -57,7 +63,7 @@ impl IvfParams {
     /// centroid scan amortizes well against list scans of that size), and
     /// the probed fraction grows with the recall target. A target `>=
     /// 1.0` is honored upstream by not building an IVF index at all
-    /// ([`crate::knn::KnnIndex::auto_tuned`]); here it just maps to the
+    /// ([`crate::knn::KnnIndex::build`]); here it just maps to the
     /// widest probe setting.
     pub fn for_corpus(len: usize, recall_target: f32) -> IvfParams {
         let nlist = (len / 4096).clamp(8, 4096);
@@ -103,7 +109,7 @@ fn splitmix_f64(state: &mut u64) -> f64 {
 }
 
 /// The IVF + SQ8 approximate index. Build with [`IvfIndex::build`];
-/// query through [`NearestNeighbors`].
+/// query with [`IvfIndex::search`].
 #[derive(Debug, Clone)]
 pub struct IvfIndex {
     /// Exact fallback over the full store — the recall oracle's own code
@@ -133,7 +139,7 @@ impl IvfIndex {
     ///
     /// # Panics
     /// Panics on [`Metric::Cosine`]: the quantized residual scan
-    /// approximates squared L2 only. (`KnnIndex::auto_tuned` never routes
+    /// approximates squared L2 only. (`KnnIndex::build` never routes
     /// cosine corpora here.)
     pub fn build(store: VectorStore, metric: Metric, params: IvfParams) -> Self {
         assert!(
@@ -166,7 +172,7 @@ impl IvfIndex {
         let assignments: Vec<u32> = finite
             .iter()
             .map(|&r| {
-                nearest_centroid(
+                closest_centroid(
                     store.row(r as usize),
                     store.norm_sq(r as usize),
                     &centroid_refs,
@@ -241,26 +247,66 @@ impl IvfIndex {
         self.centroids.len()
     }
 
-    /// The approximate probe-rescore search (or the exact delegate).
-    fn search(&self, query: &[f32], k: usize, exclude: Option<usize>) -> Vec<Neighbor> {
-        let nlist = self.centroids.len();
+    /// Number of indexed vectors.
+    pub fn len(&self) -> usize {
+        self.exact.len()
+    }
+
+    /// Whether the index is empty.
+    pub fn is_empty(&self) -> bool {
+        self.exact.is_empty()
+    }
+
+    /// The (approximately) `k` nearest stored vectors to each query,
+    /// position-aligned with the batch; same contract as
+    /// [`BruteForceIndex::search`], with every returned distance exact.
+    ///
+    /// # Panics
+    /// Panics if a row query is out of bounds or a flat buffer is not a
+    /// whole number of `dims`-wide rows.
+    pub fn search(&self, queries: Queries<'_>, k: usize) -> Vec<Vec<Neighbor>> {
+        let workers = auto_workers(queries.count(self.store().dims()), self.len());
+        self.search_with_workers(queries, k, workers)
+    }
+
+    /// [`IvfIndex::search`] over `workers` contiguous query chunks.
+    fn search_with_workers(
+        &self,
+        queries: Queries<'_>,
+        k: usize,
+        workers: usize,
+    ) -> Vec<Vec<Neighbor>> {
         // Structural exact-path degradation: same code as the oracle.
         // Oversized k (>= the indexed row count) must see every row, which
         // probing a subset of lists cannot, so it is exact-path territory
         // too — and the exact scan is no slower at that k anyway.
-        if nlist == 0
-            || self.params.nprobe >= nlist
-            || k >= self.row_ids.len()
-            || !query.iter().all(|x| x.is_finite())
-        {
-            return match exclude {
-                Some(x) => self.exact.nearest_excluding(query, k, x),
-                None => self.exact.nearest(query, k),
-            };
+        let nlist = self.centroids.len();
+        if nlist == 0 || self.params.nprobe >= nlist || k >= self.row_ids.len() {
+            return self.exact.search_with_workers(queries, k, workers);
         }
-        if k == 0 || self.exact.store().is_empty() {
+        let store = self.exact.store();
+        crate::parallel::partition_chunks(queries.count(store.dims()), workers, |range| {
+            range
+                .map(|i| {
+                    let (query, skip) = queries.get(store, i);
+                    self.probe(query, k, skip)
+                })
+                .collect()
+        })
+    }
+
+    /// One probe–rescore (`nprobe < nlist`, `k <` the indexed row count):
+    /// the `k` best of the probed lists, leaving out row `exclude`.
+    fn probe(&self, query: &[f32], k: usize, exclude: Option<usize>) -> Vec<Neighbor> {
+        // A non-finite query has no centroid ranking to probe by; the exact
+        // scan decides what it sees (nothing, for a NaN).
+        if !query.iter().all(|x| x.is_finite()) {
+            return self.exact.scan_block(&[query], &[exclude], k).remove(0);
+        }
+        if k == 0 {
             return Vec::new();
         }
+        let nlist = self.centroids.len();
         let store = self.exact.store();
         let metric = self.exact.metric();
         let dims = store.dims();
@@ -319,23 +365,9 @@ impl IvfIndex {
     }
 }
 
-impl NearestNeighbors for IvfIndex {
-    fn len(&self) -> usize {
-        self.exact.len()
-    }
-
-    fn nearest(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        self.search(query, k, None)
-    }
-
-    fn nearest_excluding(&self, query: &[f32], k: usize, exclude: usize) -> Vec<Neighbor> {
-        self.search(query, k, Some(exclude))
-    }
-}
-
 /// Index of the centroid closest to `row` (fused keys, ties by centroid
 /// index).
-fn nearest_centroid(
+fn closest_centroid(
     row: &[f32],
     row_norm_sq: f32,
     centroid_refs: &[&[f32]],
@@ -439,7 +471,7 @@ fn train_centroids(
         let mut counts = vec![0u64; nlist];
         for &s in &sample {
             let row = store.row(s as usize);
-            let c = nearest_centroid(row, store.norm_sq(s as usize), &refs, &norms);
+            let c = closest_centroid(row, store.norm_sq(s as usize), &refs, &norms);
             counts[c] += 1;
             let acc = &mut sums[c * dims..(c + 1) * dims];
             for (a, &x) in acc.iter_mut().zip(row) {
@@ -491,40 +523,47 @@ mod tests {
         }
     }
 
+    fn pair(vectors: Vec<Vec<f32>>, params: IvfParams) -> (BruteForceIndex, IvfIndex) {
+        let store = VectorStore::from_rows(vectors);
+        (
+            BruteForceIndex::from_store(store.clone(), Metric::L2),
+            IvfIndex::build(store, Metric::L2, params),
+        )
+    }
+
+    /// One free vector's answer.
+    fn one(ivf: &IvfIndex, query: &[f32], k: usize) -> Vec<Neighbor> {
+        ivf.search(Queries::Flat(query), k).remove(0)
+    }
+
     #[test]
     fn nprobe_full_is_bit_identical_to_exact() {
-        let vectors = clustered(600, 16, 8, 42);
-        let exact = BruteForceIndex::new(vectors.clone(), Metric::L2);
-        let ivf = IvfIndex::build(
-            VectorStore::from_rows(vectors),
-            Metric::L2,
-            params_small(8, 8),
+        let (exact, ivf) = pair(clustered(600, 16, 8, 42), params_small(8, 8));
+        let rows: Vec<usize> = (0..40).map(|q| q * 7).collect();
+        let flat: Vec<f32> = rows
+            .iter()
+            .flat_map(|&r| exact.store().row(r))
+            .copied()
+            .collect();
+        assert_eq!(
+            ivf.search(Queries::Flat(&flat), 5),
+            exact.search(Queries::Flat(&flat), 5)
         );
-        for q in 0..40 {
-            let query = exact.store().row(q * 7).to_vec();
-            assert_eq!(ivf.nearest(&query, 5), exact.nearest(&query, 5));
-            assert_eq!(
-                ivf.nearest_excluding(&query, 5, q * 7),
-                exact.nearest_excluding(&query, 5, q * 7)
-            );
-        }
+        assert_eq!(
+            ivf.search(Queries::Rows(&rows), 5),
+            exact.search(Queries::Rows(&rows), 5)
+        );
     }
 
     #[test]
     fn probed_search_has_high_recall_on_clustered_data() {
-        let vectors = clustered(2000, 24, 10, 9);
-        let exact = BruteForceIndex::new(vectors.clone(), Metric::L2);
-        let ivf = IvfIndex::build(
-            VectorStore::from_rows(vectors),
-            Metric::L2,
-            params_small(10, 3),
-        );
+        let (exact, ivf) = pair(clustered(2000, 24, 10, 9), params_small(10, 3));
         let mut hit = 0usize;
         let mut total = 0usize;
         for q in 0..50 {
-            let query = exact.store().row(q * 31).to_vec();
-            let truth: Vec<usize> = exact.nearest(&query, 10).iter().map(|n| n.index).collect();
-            let got: Vec<usize> = ivf.nearest(&query, 10).iter().map(|n| n.index).collect();
+            let query = Queries::Flat(exact.store().row(q * 31));
+            let truth: Vec<usize> = exact.search(query, 10)[0].iter().map(|n| n.index).collect();
+            let got: Vec<usize> = ivf.search(query, 10)[0].iter().map(|n| n.index).collect();
             total += truth.len();
             hit += truth.iter().filter(|i| got.contains(i)).count();
         }
@@ -534,15 +573,9 @@ mod tests {
 
     #[test]
     fn results_ascend_with_exact_distances() {
-        let vectors = clustered(1500, 16, 6, 3);
-        let exact = BruteForceIndex::new(vectors.clone(), Metric::L2);
-        let ivf = IvfIndex::build(
-            VectorStore::from_rows(vectors),
-            Metric::L2,
-            params_small(6, 2),
-        );
+        let (exact, ivf) = pair(clustered(1500, 16, 6, 3), params_small(6, 2));
         let query = exact.store().row(17).to_vec();
-        let hits = ivf.nearest(&query, 8);
+        let hits = one(&ivf, &query, 8);
         for pair in hits.windows(2) {
             assert!(key_cmp(
                 (pair[0].distance, pair[0].index),
@@ -564,60 +597,95 @@ mod tests {
     }
 
     #[test]
+    fn row_queries_match_one_at_a_time_at_any_worker_count() {
+        // The self-join through the partitioned driver: whatever the worker
+        // count, a batch of row queries is the per-row answers in order, and
+        // each is its vector's free-query answer minus the self hit.
+        let mut vectors = clustered(400, 12, 6, 21);
+        vectors[7] = vec![f32::NAN; 12];
+        let (_, ivf) = pair(vectors, params_small(6, 2));
+        assert!(ivf.params().nprobe < ivf.nlist());
+        let n = ivf.len();
+        let rows: Vec<usize> = (0..n).step_by(3).chain([7, 8, 8]).collect();
+        // `k = n` takes the exact delegate; the others probe.
+        for k in [1, 5, n] {
+            let per_row: Vec<Vec<Neighbor>> = rows
+                .iter()
+                .map(|&r| ivf.search_with_workers(Queries::Rows(&[r]), k, 1).remove(0))
+                .collect();
+            for workers in [1, 2, 3, 7] {
+                assert_eq!(
+                    ivf.search_with_workers(Queries::Rows(&rows), k, workers),
+                    per_row,
+                    "k = {k}, workers = {workers}"
+                );
+            }
+            let flat: Vec<f32> = rows
+                .iter()
+                .flat_map(|&r| ivf.store().row(r))
+                .copied()
+                .collect();
+            for workers in [1, 3] {
+                let free =
+                    ivf.search_with_workers(Queries::Flat(&flat), k.saturating_add(1), workers);
+                for ((&r, mut free), rows_hits) in rows.iter().zip(free).zip(&per_row) {
+                    free.retain(|h| h.index != r);
+                    free.truncate(k);
+                    assert_eq!(&free, rows_hits, "row {r}, k = {k}");
+                    assert!(
+                        free.iter().all(|h| h.index != 7),
+                        "the NaN row is unreachable"
+                    );
+                }
+            }
+            // The NaN row's own neighbourhood is empty on every path.
+            let nan_slot = rows.iter().position(|&r| r == 7).expect("row 7 is queried");
+            assert!(per_row[nan_slot].is_empty());
+        }
+    }
+
+    #[test]
     fn nan_rows_never_returned_and_nan_query_empty() {
         let mut vectors = clustered(300, 8, 4, 11);
         vectors[5] = vec![f32::NAN; 8];
         vectors[100][3] = f32::NAN;
-        let ivf = IvfIndex::build(
-            VectorStore::from_rows(vectors),
-            Metric::L2,
-            params_small(4, 2),
-        );
+        let (_, ivf) = pair(vectors, params_small(4, 2));
         let query = ivf.store().row(0).to_vec();
-        let hits = ivf.nearest(&query, 300);
+        let hits = one(&ivf, &query, 300);
         assert!(hits.iter().all(|n| n.index != 5 && n.index != 100));
         assert_eq!(hits.len(), 298);
-        assert!(ivf.nearest(&[f32::NAN; 8], 5).is_empty());
+        assert!(one(&ivf, &[f32::NAN; 8], 5).is_empty());
     }
 
     #[test]
     fn degenerate_shapes() {
         // Empty corpus.
+        let (_, empty) = pair(Vec::new(), params_small(4, 2));
+        assert!(empty.is_empty());
+        assert!(empty.search(Queries::Rows(&[]), 3).is_empty());
         let empty = IvfIndex::build(
-            VectorStore::from_rows(Vec::new()),
+            VectorStore::from_flat(Vec::new(), 1),
             Metric::L2,
             params_small(4, 2),
         );
-        assert!(empty.nearest(&[1.0], 3).is_empty());
+        assert!(one(&empty, &[1.0], 3).is_empty());
         // k = 0 and k > N.
-        let small = IvfIndex::build(
-            VectorStore::from_rows(clustered(10, 4, 2, 1)),
-            Metric::L2,
-            params_small(4, 2),
-        );
+        let (_, small) = pair(clustered(10, 4, 2, 1), params_small(4, 2));
         let q = small.store().row(0).to_vec();
-        assert!(small.nearest(&q, 0).is_empty());
-        assert_eq!(small.nearest(&q, 50).len(), 10);
+        assert!(one(&small, &q, 0).is_empty());
+        assert_eq!(one(&small, &q, 50).len(), 10);
         // All-identical vectors collapse to one centroid.
-        let dup = IvfIndex::build(
-            VectorStore::from_rows(vec![vec![2.0, 2.0]; 64]),
-            Metric::L2,
-            params_small(8, 2),
-        );
+        let (_, dup) = pair(vec![vec![2.0, 2.0]; 64], params_small(8, 2));
         assert_eq!(dup.nlist(), 1);
-        let hits = dup.nearest(&[2.0, 2.0], 3);
+        let hits = one(&dup, &[2.0, 2.0], 3);
         assert_eq!(
             hits.iter().map(|n| n.index).collect::<Vec<_>>(),
             vec![0, 1, 2]
         );
         // Corpus smaller than the requested centroid count.
-        let tiny = IvfIndex::build(
-            VectorStore::from_rows(clustered(3, 4, 2, 5)),
-            Metric::L2,
-            params_small(16, 4),
-        );
+        let (_, tiny) = pair(clustered(3, 4, 2, 5), params_small(16, 4));
         assert!(tiny.nlist() <= 3);
-        assert_eq!(tiny.nearest(tiny.store().row(1), 3).len(), 3);
+        assert_eq!(one(&tiny, tiny.store().row(1), 3).len(), 3);
     }
 
     #[test]

@@ -1,25 +1,36 @@
 //! Exact k-nearest-neighbor search: the brute-force index and the
 //! auto-selecting [`KnnIndex`].
 //!
-//! The scan runs over one substrate ([`VectorStore`]: one flat
-//! `Vec<f32>` plus stride, with precomputed squared norms) and one
-//! *fused* distance path: every candidate costs exactly one
-//! [`dot_unrolled`] call, because with stored norms both metrics reduce to
-//! the dot product (`‖q − v‖² = ‖q‖² + ‖v‖² − 2⟨q,v⟩`;
-//! `1 − cos = 1 − ⟨q,v⟩ / (‖q‖‖v‖)`). Candidates are ranked by a
-//! monotone *key* (squared distance for L2) in a bounded top-k structure,
-//! so a query is `O(n·d + n·log k)` with no per-query `O(n)` allocation —
-//! the seed implementation materialized and sorted all `n` distances.
-//! Once a ranking is full it caches its worst kept key as a `bound`, and
-//! a candidate whose key is *greater* is dropped on that one comparison
-//! (`k·ln(n/k)` of `n` candidates get further). The test is sufficient,
-//! not necessary: an equal key is a tie that the index decides, and a NaN
-//! key compares false, so both go on to the exact `(key, index)` order.
+//! One layout in, one question asked. Vectors live in a flat
+//! [`VectorStore`] (one `Vec<f32>` plus stride, with precomputed squared
+//! norms) and every index answers exactly one query method,
+//! `search(queries, k)`, over a batch that is either [`Queries::Rows`] —
+//! rows of the index's own store, each left out of its own answer (the
+//! self-join every blocking operator runs) — or [`Queries::Flat`] — `dims`
+//! floats per query in one row-major buffer, so a single vector is a
+//! one-row batch. The batch is cut into one contiguous chunk per worker;
+//! [`BruteForceIndex`] answers a chunk with the *tiled scan* (up to
+//! [`QUERY_TILE`] queries per pass over the store) and
+//! [`crate::ivf::IvfIndex`] with one probe–rescore per query. Neither the
+//! chunking nor the tiling changes a result, only wall-clock time.
 //!
-//! Determinism contract (all entry points): results ascend by distance,
-//! ties broken by insertion index, and a query containing NaN returns no
-//! hits. Candidates whose distance is NaN are never ranked (the seed fed
-//! them to `partial_cmp(..).unwrap_or(Equal)`, scrambling the order):
+//! The scan has one *fused* distance path: every candidate costs exactly
+//! one dot product, because with stored norms both metrics reduce to it
+//! (`‖q − v‖² = ‖q‖² + ‖v‖² − 2⟨q,v⟩`; `1 − cos = 1 − ⟨q,v⟩ / (‖q‖‖v‖)`).
+//! Candidates are ranked by a monotone *key* (squared distance for L2) in
+//! a bounded top-k structure, so a query is `O(n·d + n·log k)` with no
+//! per-query `O(n)` allocation — the seed implementation materialized and
+//! sorted all `n` distances. Once a ranking is full it caches its worst
+//! kept key as a `bound`, and a candidate whose key is *greater* is dropped
+//! on that one comparison (`k·ln(n/k)` of `n` candidates get further). The
+//! test is sufficient, not necessary: an equal key is a tie that the index
+//! decides, and a NaN key compares false, so both go on to the exact
+//! `(key, index)` order.
+//!
+//! Determinism contract: results ascend by distance, ties broken by
+//! insertion index, and a query containing NaN returns no hits. Candidates
+//! whose distance is NaN are never ranked (the seed fed them to
+//! `partial_cmp(..).unwrap_or(Equal)`, scrambling the order):
 //! [`BruteForceIndex`] deterministically filters NaN *stored* rows out of
 //! its results.
 
@@ -98,113 +109,64 @@ pub(crate) fn key_cmp(a: (f32, usize), b: (f32, usize)) -> std::cmp::Ordering {
     a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
 }
 
-/// A k-nearest-neighbor index over fixed-dimension vectors.
-pub trait NearestNeighbors: Send + Sync {
-    /// Number of indexed vectors.
-    fn len(&self) -> usize;
+/// A batch of queries for an index's `search`.
+#[derive(Debug, Clone, Copy)]
+pub enum Queries<'a> {
+    /// Rows of the index's own store. Each row is left out of its own
+    /// answer inside the scan ("the neighbours of a record already
+    /// indexed"), and no query vector is copied.
+    Rows(&'a [usize]),
+    /// `dims` floats per query in one row-major buffer (the layout
+    /// [`crate::hashing::Embedder::embed_all_flat`] writes); a single
+    /// vector is a one-row batch. Nothing is left out of an answer.
+    Flat(&'a [f32]),
+}
 
-    /// Whether the index is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The `k` nearest stored vectors to `query`, ascending by distance,
-    /// ties broken by insertion index for determinism. `k = 0`, an empty
-    /// index, or an all-NaN query yield an empty result.
-    fn nearest(&self, query: &[f32], k: usize) -> Vec<Neighbor>;
-
-    /// Like [`NearestNeighbors::nearest`] but excluding one stored index
-    /// (used for "neighbors of an item already in the index").
-    fn nearest_excluding(&self, query: &[f32], k: usize, exclude: usize) -> Vec<Neighbor> {
-        let mut hits = self.nearest(query, k.saturating_add(1));
-        hits.retain(|n| n.index != exclude);
-        hits.truncate(k);
-        hits
-    }
-
-    /// Answer a batch of queries, partitioning them across
-    /// `std::thread::scope` workers (one contiguous chunk per worker).
-    ///
-    /// Results are position-aligned with `queries` and bit-identical to
-    /// calling [`NearestNeighbors::nearest`] per query sequentially —
-    /// parallelism never changes a result, only wall-clock time. Small
-    /// batches (or small corpora) run inline to skip thread spawn cost.
-    fn nearest_many(&self, queries: &[Vec<f32>], k: usize) -> Vec<Vec<Neighbor>> {
-        batch_queries(self, queries, k, None)
-    }
-
-    /// Batched form of [`NearestNeighbors::nearest_excluding`]: per-query
-    /// optional stored index to omit (position-aligned with `queries`).
+impl<'a> Queries<'a> {
+    /// How many queries this is against a store of `dims` dimensions.
     ///
     /// # Panics
-    /// Panics if `excludes.len() != queries.len()`.
-    fn nearest_many_excluding(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        excludes: &[Option<usize>],
-    ) -> Vec<Vec<Neighbor>> {
-        assert_eq!(queries.len(), excludes.len(), "one exclude slot per query");
-        batch_queries(self, queries, k, Some(excludes))
+    /// Panics if a non-empty flat buffer is not a whole number of
+    /// `dims`-wide rows.
+    pub(crate) fn count(self, dims: usize) -> usize {
+        match self {
+            Queries::Rows(rows) => rows.len(),
+            Queries::Flat([]) => 0,
+            Queries::Flat(flat) => {
+                assert!(
+                    dims > 0 && flat.len().is_multiple_of(dims),
+                    "flat query buffer of {} floats is not a whole number of {dims}-dimension rows",
+                    flat.len()
+                );
+                flat.len() / dims
+            }
+        }
+    }
+
+    /// The `i`-th query vector and the stored row its answer leaves out.
+    ///
+    /// # Panics
+    /// Panics if a row query is out of the store's bounds.
+    pub(crate) fn get(self, store: &'a VectorStore, i: usize) -> (&'a [f32], Option<usize>) {
+        match self {
+            Queries::Rows(rows) => (store.row(rows[i]), Some(rows[i])),
+            Queries::Flat(flat) => {
+                let dims = store.dims();
+                (&flat[i * dims..(i + 1) * dims], None)
+            }
+        }
     }
 }
 
 /// Worker count for a batch: threading only pays off when the total scan
 /// volume dwarfs spawn cost; small workloads run inline (results are
 /// identical either way).
-fn auto_workers(queries: usize, corpus: usize) -> usize {
+pub(crate) fn auto_workers(queries: usize, corpus: usize) -> usize {
     if queries.saturating_mul(corpus) < 1 << 14 {
         1
     } else {
         std::thread::available_parallelism().map_or(1, usize::from)
     }
-}
-
-/// Shared batch driver for the trait's default `nearest_many*` methods.
-fn batch_queries<I: NearestNeighbors + ?Sized>(
-    index: &I,
-    queries: &[Vec<f32>],
-    k: usize,
-    excludes: Option<&[Option<usize>]>,
-) -> Vec<Vec<Neighbor>> {
-    batch_nearest_with_workers(
-        index,
-        queries,
-        k,
-        excludes,
-        auto_workers(queries.len(), index.len()),
-    )
-}
-
-/// The partitioning driver behind [`NearestNeighbors::nearest_many`] and
-/// [`NearestNeighbors::nearest_many_excluding`], with an explicit worker
-/// count: queries are split into `workers` contiguous chunks, each chunk
-/// answered on its own `std::thread::scope` worker, results reassembled
-/// in input order. Exposed so the parallel path is testable
-/// deterministically on any machine (the defaults size `workers` from
-/// `std::thread::available_parallelism`).
-///
-/// # Panics
-/// Panics if `excludes` is provided with a length differing from
-/// `queries`.
-pub fn batch_nearest_with_workers<I: NearestNeighbors + ?Sized>(
-    index: &I,
-    queries: &[Vec<f32>],
-    k: usize,
-    excludes: Option<&[Option<usize>]>,
-    workers: usize,
-) -> Vec<Vec<Neighbor>> {
-    if let Some(e) = excludes {
-        assert_eq!(queries.len(), e.len(), "one exclude slot per query");
-    }
-    crate::parallel::partition_chunks(queries.len(), workers, |range| {
-        range
-            .map(|qi| match excludes.and_then(|e| e[qi]) {
-                Some(x) => index.nearest_excluding(&queries[qi], k, x),
-                None => index.nearest(&queries[qi], k),
-            })
-            .collect()
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -320,18 +282,7 @@ pub struct BruteForceIndex {
 }
 
 impl BruteForceIndex {
-    /// Build from vectors (all must share one dimensionality).
-    ///
-    /// # Panics
-    /// Panics if vector dimensionalities differ.
-    pub fn new(vectors: Vec<Vec<f32>>, metric: Metric) -> Self {
-        BruteForceIndex {
-            store: VectorStore::from_rows(vectors),
-            metric,
-        }
-    }
-
-    /// Wrap an already-built [`VectorStore`] without copying — the IVF
+    /// Index an already-built [`VectorStore`] without copying — the IVF
     /// index shares one store between its exact fallback path and its
     /// quantized lists.
     pub fn from_store(store: VectorStore, metric: Metric) -> Self {
@@ -348,39 +299,70 @@ impl BruteForceIndex {
         self.metric
     }
 
-    /// The fused scan: one `dot_unrolled` per candidate, bounded top-k,
-    /// optional single excluded stored index (skipped without ranking).
-    fn scan(&self, query: &[f32], k: usize, exclude: Option<usize>) -> Vec<Neighbor> {
-        if k == 0 || self.store.is_empty() {
-            return Vec::new();
-        }
-        let qq = dot_unrolled(query, query);
-        let mut top = TopK::new(k, self.store.len());
-        for (index, (row, norm_sq)) in self.store.rows().enumerate() {
-            if Some(index) != exclude {
-                let key = self.metric.rank_key(dot_unrolled(query, row), qq, norm_sq);
-                top.offer(key, index);
-            }
-        }
-        top.into_neighbors(self.metric)
+    /// Number of indexed vectors.
+    pub fn len(&self) -> usize {
+        self.store.len()
+    }
+
+    /// Whether the index is empty.
+    pub fn is_empty(&self) -> bool {
+        self.store.is_empty()
+    }
+
+    /// The `k` nearest stored vectors to each query, position-aligned with
+    /// the batch: ascending by distance, ties broken by insertion index.
+    /// `k = 0`, an empty index, or a query containing NaN yield an empty
+    /// list. Large batches are partitioned across threads (see
+    /// [`BruteForceIndex::search_with_workers`]); the answers are
+    /// bit-identical to asking one query at a time.
+    ///
+    /// # Panics
+    /// Panics if a row query is out of bounds or a flat buffer is not a
+    /// whole number of `dims`-wide rows.
+    pub fn search(&self, queries: Queries<'_>, k: usize) -> Vec<Vec<Neighbor>> {
+        let workers = auto_workers(queries.count(self.store.dims()), self.len());
+        self.search_with_workers(queries, k, workers)
+    }
+
+    /// [`BruteForceIndex::search`] with an explicit worker count:
+    /// contiguous query chunks go to `std::thread::scope` workers, and each
+    /// worker runs the tiled scan ([`QUERY_TILE`] queries per pass over the
+    /// store). Exposed so the partitioned path is testable deterministically
+    /// on any machine; `search` sizes `workers` automatically.
+    ///
+    /// # Panics
+    /// As [`BruteForceIndex::search`].
+    pub fn search_with_workers(
+        &self,
+        queries: Queries<'_>,
+        k: usize,
+        workers: usize,
+    ) -> Vec<Vec<Neighbor>> {
+        let n = queries.count(self.store.dims());
+        crate::parallel::partition_chunks(n, workers, |range| {
+            let (vectors, skip): (Vec<&[f32]>, Vec<Option<usize>>) =
+                range.map(|i| queries.get(&self.store, i)).unzip();
+            self.scan_block(&vectors, &skip, k)
+        })
     }
 
     /// Tiled multi-query scan: each pass over the store answers up to
     /// [`QUERY_TILE`] queries, so a stored row is loaded once per *tile*
-    /// instead of once per query. The single-query scan is
+    /// instead of once per query. A one-query-per-pass scan is
     /// memory-bandwidth-bound on corpora that outgrow cache (a 20k × 256
     /// corpus streams 20 MB per query); tiling amortizes that traffic
     /// across the tile and is what makes batch blocking several times
     /// faster than a per-query loop even on one core.
     ///
-    /// Per-query results are bit-identical to [`BruteForceIndex::scan`]:
-    /// the per-candidate computation and top-k policy are unchanged,
-    /// queries never interact.
-    fn scan_block(
+    /// `skip[i]` is the stored row query `i` must not match (skipped without
+    /// ranking). The per-candidate computation and the top-k policy do not
+    /// depend on the tile, and queries never interact: a query's answer is
+    /// the same bits whatever batch it arrives in.
+    pub(crate) fn scan_block(
         &self,
         queries: &[&[f32]],
+        skip: &[Option<usize>],
         k: usize,
-        excludes: Option<&[Option<usize>]>,
     ) -> Vec<Vec<Neighbor>> {
         if k == 0 || self.store.is_empty() {
             return vec![Vec::new(); queries.len()];
@@ -388,14 +370,13 @@ impl BruteForceIndex {
         let mut out = Vec::with_capacity(queries.len());
         let mut dots = [0.0f32; QUERY_TILE];
         for tile_start in (0..queries.len()).step_by(QUERY_TILE) {
-            let tile = &queries[tile_start..(tile_start + QUERY_TILE).min(queries.len())];
+            let tile_end = (tile_start + QUERY_TILE).min(queries.len());
+            let tile = &queries[tile_start..tile_end];
             // Per-tile state, one slot per query: its squared norm, its
             // excluded row and its ranking. With these the loop below is
             // a dot kernel call and, per candidate, a key and a compare.
             let qqs: Vec<f32> = tile.iter().map(|q| dot_unrolled(q, q)).collect();
-            let skip: Vec<Option<usize>> = (0..tile.len())
-                .map(|t| excludes.and_then(|e| e[tile_start + t]))
-                .collect();
+            let skip = &skip[tile_start..tile_end];
             let mut tops: Vec<TopK> = tile
                 .iter()
                 .map(|_| TopK::new(k, self.store.len()))
@@ -418,115 +399,16 @@ impl BruteForceIndex {
     }
 }
 
-/// Queries answered per pass over the store in
-/// [`BruteForceIndex::nearest_many`]: large enough to amortize memory
-/// traffic on out-of-cache corpora, small enough that the tile's query
-/// vectors and heaps stay cache-resident.
+/// Queries answered per pass over the store by the tiled scan: large
+/// enough to amortize memory traffic on out-of-cache corpora, small enough
+/// that the tile's query vectors and heaps stay cache-resident.
 pub const QUERY_TILE: usize = 16;
-
-impl BruteForceIndex {
-    /// Batched queries with an explicit worker count: contiguous query
-    /// chunks go to `std::thread::scope` workers, and each worker runs
-    /// the tiled scan ([`QUERY_TILE`] queries per pass over the store).
-    /// Exposed so the tiled parallel path is testable deterministically
-    /// on any machine; [`NearestNeighbors::nearest_many`] sizes `workers`
-    /// automatically.
-    ///
-    /// # Panics
-    /// Panics if `excludes` is provided with a length differing from
-    /// `queries`.
-    pub fn nearest_many_with_workers(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        excludes: Option<&[Option<usize>]>,
-        workers: usize,
-    ) -> Vec<Vec<Neighbor>> {
-        let refs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
-        self.nearest_many_refs_with_workers(&refs, k, excludes, workers)
-    }
-
-    /// Borrowed-query form of
-    /// [`BruteForceIndex::nearest_many_with_workers`]: queries that
-    /// already live somewhere (the flat store itself, another corpus)
-    /// are scanned without being copied into owned vectors.
-    ///
-    /// # Panics
-    /// Panics if `excludes` is provided with a length differing from
-    /// `queries`.
-    pub fn nearest_many_refs_with_workers(
-        &self,
-        queries: &[&[f32]],
-        k: usize,
-        excludes: Option<&[Option<usize>]>,
-        workers: usize,
-    ) -> Vec<Vec<Neighbor>> {
-        if let Some(e) = excludes {
-            assert_eq!(queries.len(), e.len(), "one exclude slot per query");
-        }
-        crate::parallel::partition_chunks(queries.len(), workers, |range| {
-            self.scan_block(&queries[range.clone()], k, excludes.map(|e| &e[range]))
-        })
-    }
-
-    /// Batched self-queries: for each stored row index, the `k` nearest
-    /// *other* stored vectors. The dedup-blocking shape — every query
-    /// vector is borrowed straight from the flat store (zero copies) and
-    /// the row itself is excluded inside the scan.
-    ///
-    /// # Panics
-    /// Panics if any row index is out of bounds.
-    pub fn nearest_rows(&self, rows: &[usize], k: usize) -> Vec<Vec<Neighbor>> {
-        let queries: Vec<&[f32]> = rows.iter().map(|&i| self.store.row(i)).collect();
-        let excludes: Vec<Option<usize>> = rows.iter().map(|&i| Some(i)).collect();
-        self.nearest_many_refs_with_workers(
-            &queries,
-            k,
-            Some(&excludes),
-            auto_workers(rows.len(), self.len()),
-        )
-    }
-}
-
-impl NearestNeighbors for BruteForceIndex {
-    fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    fn nearest(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        self.scan(query, k, None)
-    }
-
-    fn nearest_excluding(&self, query: &[f32], k: usize, exclude: usize) -> Vec<Neighbor> {
-        // Skips the excluded row inside the scan instead of ranking k + 1
-        // hits and discarding the self-hit afterwards.
-        self.scan(query, k, Some(exclude))
-    }
-
-    fn nearest_many(&self, queries: &[Vec<f32>], k: usize) -> Vec<Vec<Neighbor>> {
-        self.nearest_many_with_workers(queries, k, None, auto_workers(queries.len(), self.len()))
-    }
-
-    fn nearest_many_excluding(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        excludes: &[Option<usize>],
-    ) -> Vec<Vec<Neighbor>> {
-        self.nearest_many_with_workers(
-            queries,
-            k,
-            Some(excludes),
-            auto_workers(queries.len(), self.len()),
-        )
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Auto selection
 // ---------------------------------------------------------------------------
 
-/// Corpus size at which [`KnnIndex::auto_tuned`] starts considering the
+/// Corpus size at which [`KnnIndex::build`] starts considering the
 /// approximate IVF tier: below this, one fused exact scan is already
 /// cheap and the k-means build cost cannot pay for itself.
 pub const AUTO_IVF_MIN_LEN: usize = 65_536;
@@ -540,8 +422,8 @@ pub const AUTO_IVF_MIN_DIMS: usize = 32;
 /// not specify a target (see [`crate::ivf::IvfParams::for_corpus`]).
 pub const DEFAULT_RECALL_TARGET: f32 = 0.95;
 
-/// An index that picks its implementation per corpus ([`KnnIndex::auto`] /
-/// [`KnnIndex::auto_tuned`]), or wraps an explicit choice.
+/// An index that picks its implementation per corpus
+/// ([`KnnIndex::build`]), or wraps an explicit choice.
 // One index is built per corpus and held singly, never stored in bulk, so
 // the IVF variant's inline size costs nothing worth a pointer chase per query.
 #[allow(clippy::large_enum_variant)]
@@ -555,68 +437,47 @@ pub enum KnnIndex {
 }
 
 impl KnnIndex {
-    /// Build the exact index: the fused brute-force scan, whatever the
-    /// corpus shape. Never selects the approximate tier — use
-    /// [`KnnIndex::auto_tuned`] to opt in.
-    ///
-    /// # Panics
-    /// Panics if vector dimensionalities differ.
-    pub fn auto(vectors: Vec<Vec<f32>>, metric: Metric) -> Self {
-        KnnIndex::auto_from_store(VectorStore::from_rows(vectors), metric)
-    }
-
-    /// [`KnnIndex::auto`] over flat storage: the corpus arrives as an
-    /// already-built [`VectorStore`] (e.g.
-    /// from [`crate::hashing::Embedder::embed_all_flat`] +
-    /// [`VectorStore::from_flat`]), so no nested-row intermediate is
-    /// ever materialized. This is the production index-build path.
-    pub fn auto_from_store(store: VectorStore, metric: Metric) -> Self {
-        KnnIndex::BruteForce(BruteForceIndex::from_store(store, metric))
-    }
-
-    /// Like [`KnnIndex::auto`], but with an explicit recall target that
-    /// unlocks the approximate IVF tier for corpora where an exact scan
-    /// is the bottleneck: [`Metric::L2`], `len >= `[`AUTO_IVF_MIN_LEN`],
-    /// `dims >= `[`AUTO_IVF_MIN_DIMS`]. A `recall_target >= 1.0` demands
-    /// exact results and always routes to the exact paths;
-    /// `recall_target < 1.0` on a qualifying corpus builds an
-    /// [`crate::ivf::IvfIndex`] with parameters tuned for that target
-    /// ([`crate::ivf::IvfParams::for_corpus`]). Small or narrow corpora
-    /// ignore the target and behave exactly like [`KnnIndex::auto`].
-    ///
-    /// # Panics
-    /// Panics if vector dimensionalities differ.
-    pub fn auto_tuned(vectors: Vec<Vec<f32>>, metric: Metric, recall_target: f32) -> Self {
-        KnnIndex::auto_tuned_from_store(VectorStore::from_rows(vectors), metric, recall_target)
-    }
-
-    /// [`KnnIndex::auto_tuned`] over flat storage (see
-    /// [`KnnIndex::auto_from_store`] for why the flat entry point
-    /// exists).
-    pub fn auto_tuned_from_store(store: VectorStore, metric: Metric, recall_target: f32) -> Self {
-        if predict_auto_kind(store.len(), store.dims(), metric, recall_target) == "ivf_sq8" {
-            let params = crate::ivf::IvfParams::for_corpus(store.len(), recall_target);
+    /// Index a store, choosing the implementation by corpus shape and
+    /// recall target ([`predict_auto_kind`]). `None` (or a target `>= 1.0`)
+    /// demands exact results: the fused brute-force scan, whatever the
+    /// shape. A sub-1.0 target unlocks the approximate IVF tier where an
+    /// exact scan is the bottleneck — [`Metric::L2`], `len >=
+    /// `[`AUTO_IVF_MIN_LEN`], `dims >= `[`AUTO_IVF_MIN_DIMS`] — built with
+    /// parameters tuned for that recall@k
+    /// ([`crate::ivf::IvfParams::for_corpus`]); small or narrow corpora
+    /// ignore the target and stay exact.
+    pub fn build(store: VectorStore, metric: Metric, recall_target: Option<f32>) -> Self {
+        let target = recall_target.unwrap_or(1.0);
+        if predict_auto_kind(store.len(), store.dims(), metric, target) == "ivf_sq8" {
+            let params = crate::ivf::IvfParams::for_corpus(store.len(), target);
             KnnIndex::Ivf(crate::ivf::IvfIndex::build(store, metric, params))
         } else {
-            KnnIndex::auto_from_store(store, metric)
+            KnnIndex::BruteForce(BruteForceIndex::from_store(store, metric))
         }
     }
 
-    /// Batched self-queries by stored row index (see
-    /// [`BruteForceIndex::nearest_rows`]); the IVF variant answers row
-    /// queries one at a time but still borrows each query vector from
-    /// the store.
+    /// The `k` nearest stored vectors to each query (see
+    /// [`BruteForceIndex::search`] for the contract; the IVF tier's answers
+    /// are approximate in *which* rows they hold, exact in every distance).
     ///
     /// # Panics
-    /// Panics if any row index is out of bounds.
-    pub fn nearest_rows(&self, rows: &[usize], k: usize) -> Vec<Vec<Neighbor>> {
+    /// Panics if a row query is out of bounds or a flat buffer is not a
+    /// whole number of `dims`-wide rows.
+    pub fn search(&self, queries: Queries<'_>, k: usize) -> Vec<Vec<Neighbor>> {
         match self {
-            KnnIndex::BruteForce(i) => i.nearest_rows(rows, k),
-            KnnIndex::Ivf(i) => rows
-                .iter()
-                .map(|&r| i.nearest_excluding(i.store().row(r), k, r))
-                .collect(),
+            KnnIndex::BruteForce(i) => i.search(queries, k),
+            KnnIndex::Ivf(i) => i.search(queries, k),
         }
+    }
+
+    /// Number of indexed vectors.
+    pub fn len(&self) -> usize {
+        self.store().len()
+    }
+
+    /// Whether the index is empty.
+    pub fn is_empty(&self) -> bool {
+        self.store().is_empty()
     }
 
     /// Which implementation backs this index (`"brute_force"` /
@@ -645,11 +506,10 @@ impl KnnIndex {
     }
 }
 
-/// Which implementation [`KnnIndex::auto_tuned`] would pick for a corpus
-/// of this shape, without building anything (`"brute_force"` /
-/// `"ivf_sq8"`). The planner uses this to annotate plans
-/// and adjust call estimates for approximate blocking before any index
-/// exists.
+/// Which implementation [`KnnIndex::build`] would pick for a corpus of
+/// this shape, without building anything (`"brute_force"` / `"ivf_sq8"`).
+/// The planner uses this to annotate plans and adjust call estimates for
+/// approximate blocking before any index exists.
 pub fn predict_auto_kind(
     len: usize,
     dims: usize,
@@ -667,51 +527,6 @@ pub fn predict_auto_kind(
     }
 }
 
-impl NearestNeighbors for KnnIndex {
-    fn len(&self) -> usize {
-        match self {
-            KnnIndex::BruteForce(i) => i.len(),
-            KnnIndex::Ivf(i) => i.len(),
-        }
-    }
-
-    fn nearest(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        match self {
-            KnnIndex::BruteForce(i) => i.nearest(query, k),
-            KnnIndex::Ivf(i) => i.nearest(query, k),
-        }
-    }
-
-    fn nearest_excluding(&self, query: &[f32], k: usize, exclude: usize) -> Vec<Neighbor> {
-        match self {
-            KnnIndex::BruteForce(i) => i.nearest_excluding(query, k, exclude),
-            KnnIndex::Ivf(i) => i.nearest_excluding(query, k, exclude),
-        }
-    }
-
-    // Forward the batch entry points so the brute-force tiled scan (and
-    // not just the generic per-query driver) serves production callers
-    // that hold a `KnnIndex`.
-    fn nearest_many(&self, queries: &[Vec<f32>], k: usize) -> Vec<Vec<Neighbor>> {
-        match self {
-            KnnIndex::BruteForce(i) => i.nearest_many(queries, k),
-            KnnIndex::Ivf(i) => i.nearest_many(queries, k),
-        }
-    }
-
-    fn nearest_many_excluding(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        excludes: &[Option<usize>],
-    ) -> Vec<Vec<Neighbor>> {
-        match self {
-            KnnIndex::BruteForce(i) => i.nearest_many_excluding(queries, k, excludes),
-            KnnIndex::Ivf(i) => i.nearest_many_excluding(queries, k, excludes),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -722,10 +537,23 @@ mod tests {
             .collect()
     }
 
+    fn index(rows: Vec<Vec<f32>>, metric: Metric) -> BruteForceIndex {
+        BruteForceIndex::from_store(VectorStore::from_rows(rows), metric)
+    }
+
+    /// One free vector's answer.
+    fn one(idx: &BruteForceIndex, query: &[f32], k: usize) -> Vec<Neighbor> {
+        idx.search(Queries::Flat(query), k).remove(0)
+    }
+
+    fn indices(hits: &[Neighbor]) -> Vec<usize> {
+        hits.iter().map(|n| n.index).collect()
+    }
+
     #[test]
     fn brute_force_finds_self_first() {
-        let idx = BruteForceIndex::new(grid(10), Metric::L2);
-        let hits = idx.nearest(&[3.0, 9.0], 3);
+        let idx = index(grid(10), Metric::L2);
+        let hits = one(&idx, &[3.0, 9.0], 3);
         assert_eq!(hits[0].index, 3);
         assert_eq!(hits[0].distance, 0.0);
         assert_eq!(hits.len(), 3);
@@ -734,36 +562,22 @@ mod tests {
     #[test]
     fn cosine_metric_works() {
         let vectors = vec![vec![1.0, 0.0], vec![0.9, 0.1], vec![0.0, 1.0]];
-        let idx = BruteForceIndex::new(vectors, Metric::Cosine);
-        let hits = idx.nearest(&[1.0, 0.0], 2);
-        assert_eq!(hits[0].index, 0);
-        assert_eq!(hits[1].index, 1);
+        let idx = index(vectors, Metric::Cosine);
+        assert_eq!(indices(&one(&idx, &[1.0, 0.0], 2)), vec![0, 1]);
     }
 
     #[test]
     fn k_larger_than_index() {
-        let idx = BruteForceIndex::new(grid(3), Metric::L2);
-        assert_eq!(idx.nearest(&[0.0, 0.0], 10).len(), 3);
-    }
-
-    /// An index that keeps the trait's default `nearest_excluding`.
-    struct DefaultExcluding(BruteForceIndex);
-
-    impl NearestNeighbors for DefaultExcluding {
-        fn len(&self) -> usize {
-            self.0.len()
-        }
-        fn nearest(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-            self.0.nearest(query, k)
-        }
+        let idx = index(grid(3), Metric::L2);
+        assert_eq!(one(&idx, &[0.0, 0.0], 10).len(), 3);
     }
 
     #[test]
     fn oversized_k_returns_every_row_ascending() {
-        // `k` is caller input: it must neither overflow `k + 1` nor size
-        // an allocation (`1 << 60` candidates is "capacity overflow").
+        // `k` is caller input: it must neither overflow nor size an
+        // allocation (`1 << 60` candidates is "capacity overflow").
         let n = 40;
-        let brute = BruteForceIndex::new(grid(n), Metric::L2);
+        let brute = index(grid(n), Metric::L2);
         let ivf = crate::ivf::IvfIndex::build(
             VectorStore::from_rows(grid(n)),
             Metric::L2,
@@ -773,9 +587,8 @@ mod tests {
                 ..crate::ivf::IvfParams::for_corpus(n, 0.9)
             },
         );
-        let defaulted = DefaultExcluding(brute.clone());
-        let query = vec![7.3, 2.0];
-        let everything = brute.nearest(&query, n);
+        let query = [7.3, 2.0];
+        let everything = one(&brute, &query, n);
         assert_eq!(everything.len(), n);
         for pair in everything.windows(2) {
             assert!(key_cmp(
@@ -784,40 +597,29 @@ mod tests {
             )
             .is_lt());
         }
-        let all_but_two: Vec<Neighbor> = everything
-            .iter()
-            .copied()
-            .filter(|h| h.index != 2)
-            .collect();
         for k in [n, n + 1, 1 << 60, usize::MAX] {
-            assert_eq!(brute.nearest(&query, k), everything, "k = {k}");
-            assert_eq!(ivf.nearest(&query, k), everything, "ivf, k = {k}");
+            assert_eq!(one(&brute, &query, k), everything, "k = {k}");
             assert_eq!(
-                brute.nearest_excluding(&query, k, 2),
-                all_but_two,
-                "k = {k}"
-            );
-            assert_eq!(
-                ivf.nearest_excluding(&query, k, 2),
-                all_but_two,
+                ivf.search(Queries::Flat(&query), k),
+                vec![everything.clone()],
                 "ivf, k = {k}"
             );
-            assert_eq!(
-                defaulted.nearest_excluding(&query, k, 2),
-                all_but_two,
-                "default, k = {k}"
-            );
             // A tile and a half of queries through the batched scan.
-            for hits in brute.nearest_many(&vec![query.clone(); QUERY_TILE + 8], k) {
+            let batch = query.repeat(QUERY_TILE + 8);
+            for hits in brute.search(Queries::Flat(&batch), k) {
                 assert_eq!(hits, everything, "batched, k = {k}");
             }
-            let rows = brute.nearest_rows(&[2], k).remove(0);
-            assert_eq!(
-                rows,
-                brute.nearest_excluding(brute.store().row(2), k, 2),
-                "k = {k}"
-            );
+            // A row query sees every row but itself, on both indexes.
+            let rows = brute.search(Queries::Rows(&[2]), k).remove(0);
+            let mut with_self = one(&brute, brute.store().row(2), k);
+            with_self.retain(|h| h.index != 2);
+            assert_eq!(rows, with_self, "k = {k}");
             assert_eq!(rows.len(), n - 1);
+            assert_eq!(
+                ivf.search(Queries::Rows(&[2]), k),
+                vec![rows],
+                "ivf, k = {k}"
+            );
         }
     }
 
@@ -837,47 +639,46 @@ mod tests {
     }
 
     #[test]
-    fn empty_index() {
-        let idx = BruteForceIndex::new(Vec::new(), Metric::L2);
+    fn empty_index_answers_every_query_with_nothing() {
+        let idx = BruteForceIndex::from_store(VectorStore::from_flat(Vec::new(), 1), Metric::L2);
         assert!(idx.is_empty());
-        assert!(idx.nearest(&[1.0], 3).is_empty());
+        assert_eq!(idx.search(Queries::Flat(&[1.0, 2.0]), 3), vec![vec![]; 2]);
+        assert!(idx.search(Queries::Flat(&[]), 3).is_empty());
+        assert!(idx.search(Queries::Rows(&[]), 3).is_empty());
     }
 
     #[test]
     fn k_zero() {
-        let idx = BruteForceIndex::new(grid(5), Metric::L2);
-        assert!(idx.nearest(&[0.0, 0.0], 0).is_empty());
+        let idx = index(grid(5), Metric::L2);
+        assert!(one(&idx, &[0.0, 0.0], 0).is_empty());
+        assert_eq!(idx.search(Queries::Rows(&[1, 2]), 0), vec![vec![]; 2]);
     }
 
     #[test]
-    fn nearest_excluding_skips_self() {
-        let idx = BruteForceIndex::new(grid(10), Metric::L2);
-        let hits = idx.nearest_excluding(&[3.0, 9.0], 2, 3);
-        assert!(hits.iter().all(|n| n.index != 3));
-        assert_eq!(hits.len(), 2);
+    #[should_panic(expected = "not a whole number of 2-dimension rows")]
+    fn ragged_flat_queries_panic() {
+        index(grid(4), Metric::L2).search(Queries::Flat(&[0.0, 0.0, 1.0]), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn out_of_bounds_row_query_panics() {
+        index(grid(4), Metric::L2).search(Queries::Rows(&[4]), 2);
     }
 
     #[test]
     fn duplicate_points_tie_break_by_index() {
-        let vectors = vec![vec![1.0, 1.0]; 4];
-        let idx = BruteForceIndex::new(vectors, Metric::L2);
-        let hits = idx.nearest(&[1.0, 1.0], 3);
-        assert_eq!(
-            hits.iter().map(|n| n.index).collect::<Vec<_>>(),
-            vec![0, 1, 2]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "share a dimensionality")]
-    fn mismatched_dims_panic() {
-        BruteForceIndex::new(vec![vec![1.0], vec![1.0, 2.0]], Metric::L2);
+        let idx = index(vec![vec![1.0, 1.0]; 4], Metric::L2);
+        assert_eq!(indices(&one(&idx, &[1.0, 1.0], 3)), vec![0, 1, 2]);
+        // A row query leaves out itself, not its duplicates.
+        let rows = idx.search(Queries::Rows(&[1]), 3).remove(0);
+        assert_eq!(indices(&rows), vec![0, 2, 3]);
     }
 
     #[test]
     fn nan_query_returns_empty() {
-        let idx = BruteForceIndex::new(grid(6), Metric::L2);
-        assert!(idx.nearest(&[f32::NAN, 0.0], 3).is_empty());
+        let idx = index(grid(6), Metric::L2);
+        assert!(one(&idx, &[f32::NAN, 0.0], 3).is_empty());
     }
 
     #[test]
@@ -888,10 +689,10 @@ mod tests {
             vec![2.0, 0.0],
             vec![3.0, 0.0],
         ];
-        let idx = BruteForceIndex::new(vectors, Metric::L2);
-        let hits = idx.nearest(&[0.0, 0.0], 4);
+        let idx = index(vectors, Metric::L2);
+        let hits = one(&idx, &[0.0, 0.0], 4);
         assert_eq!(
-            hits.iter().map(|n| n.index).collect::<Vec<_>>(),
+            indices(&hits),
             vec![0, 2, 3],
             "the NaN row must never be ranked"
         );
@@ -901,98 +702,70 @@ mod tests {
     }
 
     #[test]
-    fn nearest_many_matches_sequential() {
-        let idx = BruteForceIndex::new(grid(40), Metric::L2);
-        let queries: Vec<Vec<f32>> = (0..30)
-            .map(|i| vec![i as f32 * 0.7, (i % 13) as f32])
+    fn a_batch_matches_one_query_at_a_time() {
+        // Two tiles and a ragged third, against tiles of one.
+        let idx = index(grid(40), Metric::L2);
+        let flat: Vec<f32> = (0..2 * QUERY_TILE + 3)
+            .flat_map(|i| [i as f32 * 0.7, (i % 13) as f32])
             .collect();
-        let batch = idx.nearest_many(&queries, 4);
-        assert_eq!(batch.len(), queries.len());
-        for (q, hits) in queries.iter().zip(&batch) {
-            assert_eq!(hits, &idx.nearest(q, 4));
+        let batch = idx.search(Queries::Flat(&flat), 4);
+        assert_eq!(batch.len(), 2 * QUERY_TILE + 3);
+        for (q, hits) in flat.chunks(2).zip(&batch) {
+            assert_eq!(hits, &one(&idx, q, 4));
         }
     }
 
     #[test]
-    fn nearest_many_excluding_matches_sequential() {
-        let idx = BruteForceIndex::new(grid(25), Metric::L2);
-        let queries: Vec<Vec<f32>> = (0..25)
-            .map(|i| vec![i as f32, (i * i % 17) as f32])
-            .collect();
-        let excludes: Vec<Option<usize>> = (0..25).map(|i| (i % 3 == 0).then_some(i)).collect();
-        let batch = idx.nearest_many_excluding(&queries, 3, &excludes);
-        for i in 0..queries.len() {
-            let expected = match excludes[i] {
-                Some(x) => idx.nearest_excluding(&queries[i], 3, x),
-                None => idx.nearest(&queries[i], 3),
-            };
-            assert_eq!(batch[i], expected, "query {i}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "one exclude slot per query")]
-    fn nearest_many_excluding_length_mismatch_panics() {
-        let idx = BruteForceIndex::new(grid(4), Metric::L2);
-        idx.nearest_many_excluding(&[vec![0.0, 0.0]], 2, &[]);
-    }
-
-    #[test]
-    fn auto_picks_brute_force_for_high_dims_and_small_corpora() {
-        let small = KnnIndex::auto(grid(100), Metric::L2);
-        assert_eq!(small.kind(), "brute_force");
-        let wide: Vec<Vec<f32>> = (0..4097)
-            .map(|i| (0..64).map(|d| ((i * 31 + d * 7) % 97) as f32).collect())
-            .collect();
-        assert_eq!(KnnIndex::auto(wide, Metric::L2).kind(), "brute_force");
-    }
-
-    #[test]
-    fn auto_from_store_matches_auto_routing_and_answers() {
-        // Same routing decisions and identical answers whether the
-        // corpus arrives as nested rows or as a flat store.
-        for (vectors, metric) in [
-            (grid(100), Metric::L2),
-            (grid(4096), Metric::L2),
-            (grid(100), Metric::Cosine),
-        ] {
-            let dims = vectors[0].len();
-            let flat: Vec<f32> = vectors.iter().flatten().copied().collect();
-            let nested = KnnIndex::auto(vectors, metric);
-            let from_store =
-                KnnIndex::auto_from_store(VectorStore::from_flat(flat.clone(), dims), metric);
-            assert_eq!(nested.kind(), from_store.kind());
-            let query = vec![17.3, 4.0];
-            assert_eq!(nested.nearest(&query, 5), from_store.nearest(&query, 5));
-            let tuned =
-                KnnIndex::auto_tuned_from_store(VectorStore::from_flat(flat, dims), metric, 0.9);
-            // Too small for the IVF tier: the target is ignored.
-            assert_eq!(tuned.kind(), nested.kind());
-        }
-    }
-
-    #[test]
-    fn nearest_rows_matches_nearest_excluding() {
-        let vectors = grid(30);
-        let rows: Vec<usize> = (0..30).step_by(3).collect();
-        let brute = BruteForceIndex::new(vectors.clone(), Metric::L2);
-        let batch = brute.nearest_rows(&rows, 4);
+    fn row_queries_are_their_vectors_minus_the_self_hit() {
+        let idx = index(grid(30), Metric::L2);
+        let rows: Vec<usize> = (0..30).step_by(3).chain([4, 4]).collect();
+        let batch = idx.search(Queries::Rows(&rows), 4);
         for (&r, hits) in rows.iter().zip(&batch) {
-            let expected = brute.nearest_excluding(brute.store().row(r), 4, r);
-            assert_eq!(hits, &expected, "row {r}");
+            assert_eq!(hits.len(), 4);
+            assert_eq!(hits, &idx.search(Queries::Rows(&[r]), 4)[0], "row {r}");
+            let mut free = one(&idx, idx.store().row(r), 5);
+            free.retain(|h| h.index != r);
+            assert_eq!(hits, &free, "row {r}");
         }
         // The enum forwards to the same answers.
-        assert_eq!(KnnIndex::BruteForce(brute).nearest_rows(&rows, 4), batch);
+        assert_eq!(
+            KnnIndex::BruteForce(idx).search(Queries::Rows(&rows), 4),
+            batch
+        );
+    }
+
+    #[test]
+    fn build_stays_exact_for_small_narrow_or_exact_target_corpora() {
+        let flat = |n: usize| -> Vec<f32> { grid(n).into_iter().flatten().collect() };
+        for (n, metric, target) in [
+            (100, Metric::L2, None),
+            (100, Metric::L2, Some(0.9)),
+            (100, Metric::Cosine, Some(0.9)),
+            // Past the length floor, but two dimensions wide.
+            (AUTO_IVF_MIN_LEN, Metric::L2, Some(0.9)),
+        ] {
+            let built = KnnIndex::build(VectorStore::from_flat(flat(n), 2), metric, target);
+            assert_eq!(built.kind(), "brute_force", "n = {n}, target {target:?}");
+            assert_eq!(built.len(), n);
+            assert_eq!(built.metric(), metric);
+            let exact = index(grid(n), metric);
+            let query = [17.3, 4.0];
+            assert_eq!(
+                built.search(Queries::Flat(&query), 5),
+                vec![one(&exact, &query, 5)]
+            );
+        }
+        // Wide and long enough, but exactness demanded.
+        let wide: Vec<f32> = (0..4097 * 64).map(|i| (i % 97) as f32).collect();
+        let built = KnnIndex::build(VectorStore::from_flat(wide, 64), Metric::L2, Some(1.0));
+        assert_eq!(built.kind(), "brute_force");
     }
 
     #[test]
     fn zero_dimension_vectors_tie_break_by_index() {
-        let idx = BruteForceIndex::new(vec![vec![]; 5], Metric::L2);
-        let hits = idx.nearest(&[], 3);
-        assert_eq!(
-            hits.iter().map(|n| n.index).collect::<Vec<_>>(),
-            vec![0, 1, 2]
-        );
+        let idx = index(vec![vec![]; 5], Metric::L2);
+        let hits = idx.search(Queries::Rows(&[3]), 3).remove(0);
+        assert_eq!(indices(&hits), vec![0, 1, 2]);
         assert!(hits.iter().all(|n| n.distance == 0.0));
     }
 }

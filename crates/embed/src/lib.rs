@@ -13,9 +13,10 @@
 //! The search side is built for batch blocking workloads: vectors live in
 //! flat contiguous storage ([`VectorStore`]), every candidate costs one
 //! fused dot product ([`knn`] module docs), top-k is a bounded heap, and
-//! batched queries ([`NearestNeighbors::nearest_many`]) partition across
-//! threads. [`KnnIndex::auto_tuned`] picks the exact scan or the
-//! approximate IVF tier per corpus shape and recall target.
+//! every index answers one question — `search(queries, k)` over a batch of
+//! [`Queries`] (rows of its own store, or free vectors in one flat buffer)
+//! — partitioned across threads. [`KnnIndex::build`] picks the exact scan
+//! or the approximate IVF tier per corpus shape and recall target.
 
 #![warn(missing_docs)]
 
@@ -27,11 +28,11 @@ pub mod quant;
 pub mod store;
 pub mod vector;
 
-pub use hashing::{embed_all_flat_with_workers, embed_all_with_workers, Embedder, NgramEmbedder};
+pub use hashing::{embed_all_flat_with_workers, Embedder, NgramEmbedder};
 pub use ivf::{IvfIndex, IvfParams};
 pub use knn::{
-    predict_auto_kind, BruteForceIndex, KnnIndex, Metric, NearestNeighbors, Neighbor,
-    AUTO_IVF_MIN_DIMS, AUTO_IVF_MIN_LEN, DEFAULT_RECALL_TARGET,
+    predict_auto_kind, BruteForceIndex, KnnIndex, Metric, Neighbor, Queries, AUTO_IVF_MIN_DIMS,
+    AUTO_IVF_MIN_LEN, DEFAULT_RECALL_TARGET,
 };
 pub use quant::{approx_l2_sq, quantize_into, QuantMeta, QuantizedBlock, ScanQuery, ScanTerms};
 pub use store::VectorStore;

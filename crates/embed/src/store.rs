@@ -20,13 +20,17 @@ pub struct VectorStore {
 }
 
 impl VectorStore {
-    /// Pack row vectors into flat storage.
+    /// Pack nested row vectors into flat storage — the one validated
+    /// conversion from that layout, for a caller that genuinely holds
+    /// nested rows; everything else arrives flat
+    /// ([`VectorStore::from_flat`]).
     ///
     /// Dimensionality is taken from the first row; an empty input yields an
     /// empty zero-dimension store.
     ///
     /// # Panics
     /// Panics if rows have differing dimensionalities.
+    // lint: allow(one-layout) — the one validated conversion from nested rows
     pub fn from_rows(rows: Vec<Vec<f32>>) -> Self {
         let dims = rows.first().map_or(0, Vec::len);
         let len = rows.len();

@@ -3,12 +3,12 @@
 //! The `*_parity` properties pin the PR-2 rewrite to the seed semantics:
 //! the heap/flat-storage brute-force index must return **byte-identical**
 //! `Neighbor` lists to a replica of the seed's materialize-all-then-sort
-//! reference over random corpora, and batched queries must equal their
-//! sequential forms bit-for-bit at any worker count.
+//! reference over random corpora, and a batch of queries must equal its
+//! queries asked one at a time bit-for-bit at any worker count.
 
 use crowdprompt_embed::{
-    cosine_similarity, dot_unrolled, embed_all_with_workers, knn::batch_nearest_with_workers,
-    l2_distance, BruteForceIndex, Embedder, Metric, NearestNeighbors, Neighbor, NgramEmbedder,
+    cosine_similarity, dot_unrolled, embed_all_flat_with_workers, l2_distance, BruteForceIndex,
+    Embedder, Metric, Neighbor, NgramEmbedder, Queries, VectorStore,
 };
 use proptest::prelude::*;
 
@@ -16,7 +16,16 @@ fn vectors(n: usize, dims: usize) -> impl Strategy<Value = Vec<Vec<f32>>> {
     prop::collection::vec(prop::collection::vec(-10.0f32..10.0, dims..=dims), 1..n)
 }
 
-/// Replica of the seed `BruteForceIndex::nearest` *algorithm*: materialize
+fn index(vectors: &[Vec<f32>], metric: Metric) -> BruteForceIndex {
+    BruteForceIndex::from_store(VectorStore::from_rows(vectors.to_vec()), metric)
+}
+
+/// One free vector's answer.
+fn one(idx: &BruteForceIndex, query: &[f32], k: usize) -> Vec<Neighbor> {
+    idx.search(Queries::Flat(query), k).remove(0)
+}
+
+/// Replica of the seed brute-force *algorithm*: materialize
 /// one scored entry per stored vector, fully sort ascending with ties by
 /// insertion index, truncate to `k` — using the same canonical per-row
 /// computation as the new index (fused dot product + rank key), so any
@@ -80,17 +89,17 @@ proptest! {
         k in 0usize..12
     ) {
         for metric in [Metric::L2, Metric::Cosine] {
-            let idx = BruteForceIndex::new(vs.clone(), metric);
+            let idx = index(&vs, metric);
             assert_bit_identical(
-                &idx.nearest(&query, k),
+                &one(&idx, &query, k),
                 &seed_sort_reference(&vs, metric, &query, k, None),
             );
-            // Exclusion parity: the in-scan skip must equal filtering the
-            // reference.
-            let exclude = vs.len() / 2;
+            // Exclusion parity: a row query's in-scan skip must equal
+            // filtering the reference.
+            let row = vs.len() / 2;
             assert_bit_identical(
-                &idx.nearest_excluding(&query, k, exclude),
-                &seed_sort_reference(&vs, metric, &query, k, Some(exclude)),
+                &idx.search(Queries::Rows(&[row]), k)[0],
+                &seed_sort_reference(&vs, metric, &vs[row], k, Some(row)),
             );
         }
     }
@@ -107,51 +116,46 @@ proptest! {
         for v in &mut vs {
             crowdprompt_embed::normalize(v);
         }
-        let idx = BruteForceIndex::new(vs.clone(), Metric::L2);
+        let idx = index(&vs, Metric::L2);
         assert_bit_identical(
-            &idx.nearest(&query, k),
+            &one(&idx, &query, k),
             &seed_sort_reference(&vs, Metric::L2, &query, k, None),
         );
     }
 
     #[test]
-    fn batched_queries_match_sequential_at_any_worker_count(
+    fn batched_queries_match_the_reference_at_any_worker_count(
         vs in vectors(30, 5),
-        queries in prop::collection::vec(prop::collection::vec(-10.0f32..10.0, 5..=5), 1..20),
+        queries in prop::collection::vec(prop::collection::vec(-10.0f32..10.0, 5..=5), 1..40),
         k in 1usize..6,
         workers in 1usize..5
     ) {
-        let idx = BruteForceIndex::new(vs, Metric::L2);
-        let sequential: Vec<Vec<Neighbor>> =
-            queries.iter().map(|q| idx.nearest(q, k)).collect();
-        // The generic chunk-per-worker driver (what IVF batches use).
-        let batched = batch_nearest_with_workers(&idx, &queries, k, None, workers);
-        prop_assert_eq!(batched.len(), sequential.len());
-        for (b, s) in batched.iter().zip(&sequential) {
-            assert_bit_identical(b, s);
+        // Up to two and a half tiles of free queries, cut into `workers`
+        // chunks: each answer is the reference's, whatever tile and chunk
+        // it landed in.
+        let idx = index(&vs, Metric::L2);
+        let flat: Vec<f32> = queries.iter().flatten().copied().collect();
+        let tiled = idx.search_with_workers(Queries::Flat(&flat), k, workers);
+        prop_assert_eq!(tiled.len(), queries.len());
+        for (hits, query) in tiled.iter().zip(&queries) {
+            assert_bit_identical(hits, &seed_sort_reference(&vs, Metric::L2, query, k, None));
+            assert_bit_identical(hits, &one(&idx, query, k));
         }
-        // The brute-force tiled override (multiple queries per store pass).
-        let tiled = idx.nearest_many_with_workers(&queries, k, None, workers);
-        for (b, s) in tiled.iter().zip(&sequential) {
-            assert_bit_identical(b, s);
-        }
-        // The excluding forms against their sequential counterparts.
-        let excludes: Vec<Option<usize>> =
-            (0..queries.len()).map(|i| (i % 2 == 0).then_some(i % idx.len())).collect();
-        let batched = batch_nearest_with_workers(&idx, &queries, k, Some(&excludes), workers);
-        let tiled = idx.nearest_many_with_workers(&queries, k, Some(&excludes), workers);
-        for (i, (b, t)) in batched.iter().zip(&tiled).enumerate() {
-            let s = match excludes[i] {
-                Some(x) => idx.nearest_excluding(&queries[i], k, x),
-                None => idx.nearest(&queries[i], k),
-            };
-            assert_bit_identical(b, &s);
-            assert_bit_identical(t, &s);
+        // The auto-sized entry point is the same answers.
+        prop_assert_eq!(idx.search(Queries::Flat(&flat), k), tiled);
+        // Row queries, some repeated, against the reference's exclusion.
+        let rows: Vec<usize> = (0..queries.len()).map(|i| (i * 7) % idx.len()).collect();
+        let tiled = idx.search_with_workers(Queries::Rows(&rows), k, workers);
+        for (hits, &row) in tiled.iter().zip(&rows) {
+            assert_bit_identical(
+                hits,
+                &seed_sort_reference(&vs, Metric::L2, &vs[row], k, Some(row)),
+            );
         }
     }
 
     #[test]
-    fn self_join_with_ties_and_nan_rows_matches_the_per_query_scan(
+    fn self_join_with_ties_and_nan_rows_matches_the_reference(
         // Few distinct values in few dimensions: duplicate rows, equal
         // keys at the worst kept rank (the `bound` fast path's tie case),
         // zero vectors, and about one row in four containing a NaN.
@@ -168,42 +172,40 @@ proptest! {
             })
             .collect();
         let metric = if cosine { Metric::Cosine } else { Metric::L2 };
-        let idx = BruteForceIndex::new(vs.clone(), metric);
+        let idx = index(&vs, metric);
         let rows: Vec<usize> = (0..vs.len()).collect();
-        let per_query: Vec<Vec<Neighbor>> = rows
+        let flat: Vec<f32> = vs.iter().flatten().copied().collect();
+        let per_row: Vec<Vec<Neighbor>> = rows
             .iter()
-            .map(|&i| idx.nearest_excluding(&vs[i], k, i))
+            .map(|&i| seed_sort_reference(&vs, metric, &vs[i], k, Some(i)))
             .collect();
-        for (i, hits) in per_query.iter().enumerate() {
-            assert_bit_identical(hits, &seed_sort_reference(&vs, metric, &vs[i], k, Some(i)));
-        }
-        for (tiled, single) in idx.nearest_rows(&rows, k).iter().zip(&per_query) {
+        for (tiled, single) in idx.search(Queries::Rows(&rows), k).iter().zip(&per_row) {
             assert_bit_identical(tiled, single);
         }
-        let excludes: Vec<Option<usize>> = rows.iter().copied().map(Some).collect();
         for workers in 1..=3 {
-            let tiled = idx.nearest_many_with_workers(&vs, k, Some(&excludes), workers);
-            for (tiled, single) in tiled.iter().zip(&per_query) {
+            let tiled = idx.search_with_workers(Queries::Rows(&rows), k, workers);
+            for (i, (tiled, single)) in tiled.iter().zip(&per_row).enumerate() {
                 assert_bit_identical(tiled, single);
+                assert_bit_identical(tiled, &idx.search(Queries::Rows(&[i]), k)[0]);
             }
             // Without the exclusion every finite row finds itself or an
             // earlier duplicate first.
-            let tiled = idx.nearest_many_with_workers(&vs, k, None, workers);
+            let tiled = idx.search_with_workers(Queries::Flat(&flat), k, workers);
             for (tiled, query) in tiled.iter().zip(&vs) {
-                assert_bit_identical(tiled, &idx.nearest(query, k));
+                assert_bit_identical(tiled, &seed_sort_reference(&vs, metric, query, k, None));
             }
         }
     }
 
     #[test]
-    fn embed_all_matches_sequential_at_any_worker_count(
+    fn embed_all_flat_matches_sequential_at_any_worker_count(
         texts in prop::collection::vec("[a-z ]{0,40}", 1..40),
         workers in 1usize..5
     ) {
         let e = NgramEmbedder::ada_like();
         let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        let sequential: Vec<Vec<f32>> = refs.iter().map(|t| e.embed(t)).collect();
-        let parallel = embed_all_with_workers(&e, &refs, workers);
+        let sequential: Vec<f32> = refs.iter().flat_map(|t| e.embed(t)).collect();
+        let parallel = embed_all_flat_with_workers(&e, &refs, workers);
         prop_assert_eq!(parallel, sequential);
     }
 
@@ -232,8 +234,7 @@ proptest! {
         vs in vectors(30, 4),
         query in prop::collection::vec(-10.0f32..10.0, 4..=4)
     ) {
-        let idx = BruteForceIndex::new(vs, Metric::L2);
-        let hits = idx.nearest(&query, 10);
+        let hits = one(&index(&vs, Metric::L2), &query, 10);
         for w in hits.windows(2) {
             prop_assert!(w[0].distance <= w[1].distance + 1e-6);
         }

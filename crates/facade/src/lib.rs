@@ -90,7 +90,7 @@ pub mod prelude {
     pub use crowdprompt_core::ops::impute::{ImputeStrategy, LabeledPool};
     pub use crowdprompt_core::ops::join::{JoinResult, JoinStrategy};
     pub use crowdprompt_core::ops::max::MaxStrategy;
-    pub use crowdprompt_core::ops::resolve::{MentionIndex, ResolveStrategy};
+    pub use crowdprompt_core::ops::resolve::ResolveStrategy;
     pub use crowdprompt_core::ops::sort::{SortResult, SortStrategy};
     pub use crowdprompt_core::plan::{
         ClusterProbe, Plan, PlanOptions, PlanOutput, PlanRun, Query, SortCalibration,

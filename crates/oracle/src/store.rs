@@ -53,7 +53,9 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use crowdprompt_embed::{Embedder, KnnIndex, Metric, NearestNeighbors, NgramEmbedder};
+use crowdprompt_embed::{
+    dot_unrolled, Embedder, KnnIndex, Metric, NgramEmbedder, Queries, VectorStore,
+};
 
 use crate::recordlog::{
     decode_response_fields, encode_response_fields, escape, unescape, LogFile, RESPONSE_FIELDS,
@@ -131,33 +133,36 @@ struct StoredEntry {
 
 /// The embedding-keyed approximate tier: a sealed `KnnIndex` over the
 /// vectors known at the last (re)build plus a brute-scanned unsealed tail,
-/// so inserts stay cheap and queries stay exact over the full set.
+/// so inserts stay cheap and queries stay exact over the full set. Each
+/// vector is held once — in the sealed index's store or in the tail — and
+/// both are ranked by the one fused distance formula, so a row's distance
+/// to a query does not change when a reseal moves it.
 struct SemanticTier {
     threshold: f32,
     embedder: NgramEmbedder,
-    /// All prompt vectors, insertion order; rows `0..sealed_len` are also
-    /// in `sealed`.
-    vectors: Vec<Vec<f32>>,
-    /// Fingerprint of the entry each row answers for (parallel to
-    /// `vectors`). Rows whose entry has been evicted or replaced are
-    /// filtered at query time and dropped at the next reseal.
+    /// Rows `0..sealed.len()`.
+    sealed: KnnIndex,
+    /// The rows inserted since the last (re)build, row-major at the
+    /// embedder's dimensionality: row `sealed.len() + i` is the `i`-th.
+    tail: Vec<f32>,
+    /// Fingerprint of the entry each row answers for, sealed rows then tail
+    /// rows. Rows whose entry has been evicted or replaced are filtered at
+    /// query time and dropped at the next reseal.
     fingerprints: Vec<u64>,
     /// Row index of each member fingerprint (duplicate-push guard).
     members: HashMap<u64, usize>,
-    sealed: Option<KnnIndex>,
-    sealed_len: usize,
 }
 
 impl SemanticTier {
     fn new(config: &SemanticConfig) -> SemanticTier {
+        let empty = VectorStore::from_flat(Vec::new(), config.dimensions);
         SemanticTier {
             threshold: config.threshold,
             embedder: NgramEmbedder::new(config.dimensions, config.ngram),
-            vectors: Vec::new(),
+            sealed: KnnIndex::build(empty, Metric::L2, None),
+            tail: Vec::new(),
             fingerprints: Vec::new(),
             members: HashMap::new(),
-            sealed: None,
-            sealed_len: 0,
         }
     }
 
@@ -167,38 +172,52 @@ impl SemanticTier {
         if self.members.contains_key(&fingerprint) {
             return;
         }
-        self.members.insert(fingerprint, self.vectors.len());
-        self.vectors.push(self.embedder.embed(prompt));
+        self.members.insert(fingerprint, self.fingerprints.len());
         self.fingerprints.push(fingerprint);
+        let start = self.tail.len();
+        self.tail.resize(start + self.embedder.dimensions(), 0.0);
+        self.embedder.embed_into(prompt, &mut self.tail[start..]);
     }
 
     /// Rebuild the sealed index when the brute-scanned tail has outgrown
     /// it, dropping rows whose entries are no longer live.
     fn maybe_reseal(&mut self, entries: &HashMap<u64, StoredEntry>) {
-        let tail = self.vectors.len() - self.sealed_len;
-        if tail <= (self.sealed_len / 2).max(64) {
-            return;
+        let sealed = self.sealed.len();
+        if self.fingerprints.len() - sealed > (sealed / 2).max(64) {
+            self.reseal(|fp| entries.contains_key(&fp));
         }
-        let mut vectors = Vec::with_capacity(self.vectors.len());
+    }
+
+    /// Move every row whose fingerprint passes `keep` into a fresh sealed
+    /// index, in row order; the tail empties.
+    fn reseal(&mut self, keep: impl Fn(u64) -> bool) {
+        let dims = self.embedder.dimensions();
+        let sealed = self.sealed.store();
+        let rows = sealed
+            .as_flat()
+            .chunks_exact(dims)
+            .chain(self.tail.chunks_exact(dims));
+        let mut flat = Vec::with_capacity(self.fingerprints.len() * dims);
         let mut fingerprints = Vec::with_capacity(self.fingerprints.len());
-        let mut members = HashMap::new();
-        for (v, &fp) in self.vectors.iter().zip(&self.fingerprints) {
-            if entries.contains_key(&fp) && !members.contains_key(&fp) {
-                members.insert(fp, vectors.len());
+        for (row, &fp) in rows.zip(&self.fingerprints) {
+            if keep(fp) {
+                flat.extend_from_slice(row);
                 fingerprints.push(fp);
-                vectors.push(v.clone());
             }
         }
-        self.sealed = Some(KnnIndex::auto(vectors.clone(), Metric::L2));
-        self.sealed_len = vectors.len();
-        self.vectors = vectors;
+        self.members = fingerprints
+            .iter()
+            .enumerate()
+            .map(|(row, &fp)| (fp, row))
+            .collect();
         self.fingerprints = fingerprints;
-        self.members = members;
+        self.sealed = KnnIndex::build(VectorStore::from_flat(flat, dims), Metric::L2, None);
+        self.tail.clear();
     }
 
     /// Nearest live, unexpired neighbor within the threshold, if any.
     /// Exact over the full set: best of the sealed index and a brute scan
-    /// of the unsealed tail.
+    /// of the unsealed tail, both by the index's fused distance.
     fn query(&self, vector: &[f32], is_live: impl Fn(u64) -> bool) -> Option<(u64, f32)> {
         let mut best: Option<(u64, f32)> = None;
         let mut consider = |fp: u64, d: f32| {
@@ -206,18 +225,22 @@ impl SemanticTier {
                 best = Some((fp, d));
             }
         };
-        if let Some(sealed) = &self.sealed {
-            // A few extra candidates so a dead nearest row doesn't mask a
-            // live one just behind it.
-            for n in sealed.nearest(vector, 8) {
-                consider(self.fingerprints[n.index], n.distance);
-            }
-        }
-        for (v, &fp) in self.vectors[self.sealed_len..]
+        // A few extra candidates so a dead nearest row doesn't mask a
+        // live one just behind it.
+        for n in self
+            .sealed
+            .search(Queries::Flat(vector), 8)
             .iter()
-            .zip(&self.fingerprints[self.sealed_len..])
+            .flatten()
         {
-            consider(fp, Metric::L2.distance(vector, v));
+            consider(self.fingerprints[n.index], n.distance);
+        }
+        let metric = self.sealed.metric();
+        let norm_sq = dot_unrolled(vector, vector);
+        let tail = self.tail.chunks_exact(self.embedder.dimensions());
+        for (v, &fp) in tail.zip(&self.fingerprints[self.sealed.len()..]) {
+            let key = metric.rank_key(dot_unrolled(vector, v), norm_sq, dot_unrolled(v, v));
+            consider(fp, metric.key_to_distance(key));
         }
         best
     }
@@ -429,10 +452,7 @@ impl ResponseStore {
         if let Some(tier) = &mut inner.semantic {
             // Seal everything replayed from disk: warm-start queries hit
             // the index, not the brute tail.
-            if !tier.vectors.is_empty() {
-                tier.sealed = Some(KnnIndex::auto(tier.vectors.clone(), Metric::L2));
-                tier.sealed_len = tier.vectors.len();
-            }
+            tier.reseal(|_| true);
         }
         Ok(ResponseStore {
             path: path.to_path_buf(),
@@ -923,6 +943,57 @@ mod tests {
             .lookup_semantic("Is the item 'wireless keyboard model K379' electronics?")
             .expect("semantic hit after reopen");
         assert_eq!(hit.response.text, "yes");
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_reseal_does_not_change_a_rows_distance() {
+        // 195 entries leave rows 130.. in the brute-scanned tail (reseals at
+        // 65 and 130); five more trigger the reseal that moves them into the
+        // index. Prompts whose nearest rows sit on both sides of that line
+        // must get the same neighbour at the same distance, to the bit,
+        // before and after: the tail and the index rank by one formula.
+        let path = temp_path("reseal");
+        let config = StoreConfig {
+            semantic: Some(SemanticConfig::new(2.0)),
+            ..StoreConfig::default()
+        };
+        let store = ResponseStore::open(&path, config).unwrap();
+        let prompt = |i: usize| format!("Is gadget model {i:03} in stock at warehouse {}?", i % 7);
+        let sealed_rows = |store: &ResponseStore| {
+            let inner = store.inner.lock();
+            inner.semantic.as_ref().unwrap().sealed.len()
+        };
+        for i in 0..195 {
+            assert!(store.admit(&request(&prompt(i)), &response("yes", 2)));
+        }
+        assert_eq!(sealed_rows(&store), 130);
+        let probes: Vec<String> = [3, 100, 129, 130, 150, 194]
+            .iter()
+            .map(|&i| prompt(i).replace("in stock", "still in stock"))
+            .collect();
+        let ask = |store: &ResponseStore| -> Vec<(u64, u32)> {
+            probes
+                .iter()
+                .map(|p| {
+                    let hit = store
+                        .lookup_semantic(p)
+                        .expect("threshold admits everything");
+                    (hit.fingerprint, hit.distance.to_bits())
+                })
+                .collect()
+        };
+        let before = ask(&store);
+        for (probe, (fp, _)) in [3, 100, 129, 130, 150, 194].iter().zip(&before) {
+            assert_eq!(*fp, request(&prompt(*probe)).fingerprint());
+        }
+        for i in 0..5 {
+            let far = format!("unrelated weather question number {i}");
+            assert!(store.admit(&request(&far), &response("no", 2)));
+        }
+        assert_eq!(sealed_rows(&store), 196);
+        assert_eq!(ask(&store), before);
+        drop(store);
         cleanup(&path);
     }
 

@@ -29,12 +29,14 @@ fn main() {
         .build();
 
     let build_start = std::time::Instant::now();
-    let index = session.mention_index(&data.mentions).expect("index builds");
+    let index = session
+        .blocking_index(&data.mentions)
+        .expect("index builds");
     println!(
         "blocking index over {} mentions: {} backend, built in {:.2?} \
          (parallel embed + flat storage)",
         index.len(),
-        index.blocking().index_kind(),
+        index.index_kind(),
         build_start.elapsed(),
     );
 

@@ -38,9 +38,9 @@ fn main() {
     let questions: Vec<(ItemId, ItemId)> = data.pairs.iter().map(|(a, b, _)| (*a, *b)).collect();
     let gold: Vec<bool> = data.pairs.iter().map(|(_, _, d)| *d).collect();
 
-    // The embedding index over all mentions (the ada-002 stand-in).
+    // The blocking index over all mentions (the ada-002 stand-in).
     let index = session
-        .mention_index(&data.mentions)
+        .blocking_index(&data.mentions)
         .expect("index builds from corpus texts");
 
     println!(

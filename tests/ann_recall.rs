@@ -18,7 +18,7 @@
 //! these assertions are reproducible, never flaky.
 
 use crowdprompt::embed::{
-    quantize_into, BruteForceIndex, IvfIndex, IvfParams, KnnIndex, Metric, NearestNeighbors,
+    quantize_into, BruteForceIndex, IvfIndex, IvfParams, KnnIndex, Metric, Neighbor, Queries,
     VectorStore,
 };
 use proptest::prelude::*;
@@ -59,9 +59,10 @@ fn build_pair(
     nprobe: usize,
     seed: u64,
 ) -> (BruteForceIndex, IvfIndex) {
-    let exact = BruteForceIndex::new(vectors.clone(), Metric::L2);
+    let store = VectorStore::from_rows(vectors);
+    let exact = BruteForceIndex::from_store(store.clone(), Metric::L2);
     let ivf = IvfIndex::build(
-        VectorStore::from_rows(vectors),
+        store,
         Metric::L2,
         IvfParams {
             nlist,
@@ -73,6 +74,16 @@ fn build_pair(
         },
     );
     (exact, ivf)
+}
+
+/// One free vector's answer from the exact oracle.
+fn exact_one(exact: &BruteForceIndex, query: &[f32], k: usize) -> Vec<Neighbor> {
+    exact.search(Queries::Flat(query), k).remove(0)
+}
+
+/// One free vector's answer from the approximate tier.
+fn ivf_one(ivf: &IvfIndex, query: &[f32], k: usize) -> Vec<Neighbor> {
+    ivf.search(Queries::Flat(query), k).remove(0)
 }
 
 proptest! {
@@ -90,8 +101,8 @@ proptest! {
         let mut total = 0usize;
         for q in 0..20 {
             let query = exact.store().row((q * 53) % n).to_vec();
-            let truth: Vec<usize> = exact.nearest(&query, k).iter().map(|h| h.index).collect();
-            let got: Vec<usize> = ivf.nearest(&query, k).iter().map(|h| h.index).collect();
+            let truth: Vec<usize> = exact_one(&exact, &query, k).iter().map(|h| h.index).collect();
+            let got: Vec<usize> = ivf_one(&ivf, &query, k).iter().map(|h| h.index).collect();
             total += truth.len();
             hit += truth.iter().filter(|i| got.contains(i)).count();
         }
@@ -114,7 +125,7 @@ proptest! {
         let (exact, ivf) = build_pair(vectors, centers.max(2), 1, seed);
         for q in 0..8 {
             let query = exact.store().row((q * 97) % n).to_vec();
-            let hits = ivf.nearest(&query, k);
+            let hits = ivf_one(&ivf, &query, k);
             prop_assert!(hits.len() <= k);
             // Strictly ascending under (distance, index): no duplicates.
             for w in hits.windows(2) {
@@ -125,7 +136,7 @@ proptest! {
             // Distances are the oracle's own: querying for enough
             // neighbors to cover each returned row must reproduce the
             // exact (distance, index) pair bit-for-bit.
-            let oracle = exact.nearest(&query, n);
+            let oracle = exact_one(&exact, &query, n);
             for h in &hits {
                 let reference = oracle
                     .iter()
@@ -167,17 +178,19 @@ proptest! {
         let (exact, ivf) = build_pair(vectors, centers, centers, seed);
         for q in 0..10 {
             let query = exact.store().row((q * 41) % n).to_vec();
-            let a = ivf.nearest(&query, k);
-            let b = exact.nearest(&query, k);
+            let a = ivf_one(&ivf, &query, k);
+            let b = exact_one(&exact, &query, k);
             prop_assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(&b) {
                 prop_assert_eq!(x.index, y.index);
                 prop_assert_eq!(x.distance.to_bits(), y.distance.to_bits());
             }
-            // And the excluding form too.
-            let xa = ivf.nearest_excluding(&query, k, (q * 41) % n);
-            let xb = exact.nearest_excluding(&query, k, (q * 41) % n);
-            prop_assert_eq!(xa, xb);
+            // And the row form (the row itself left out) too.
+            let row = [(q * 41) % n];
+            prop_assert_eq!(
+                ivf.search(Queries::Rows(&row), k),
+                exact.search(Queries::Rows(&row), k)
+            );
         }
     }
 }
@@ -200,12 +213,13 @@ fn small_params(nlist: usize, nprobe: usize) -> IvfParams {
 #[test]
 fn empty_corpus_yields_no_hits() {
     let ivf = IvfIndex::build(
-        VectorStore::from_rows(Vec::new()),
+        VectorStore::from_flat(Vec::new(), 2),
         Metric::L2,
         small_params(4, 2),
     );
     assert!(ivf.is_empty());
-    assert!(ivf.nearest(&[1.0, 2.0], 5).is_empty());
+    assert!(ivf_one(&ivf, &[1.0, 2.0], 5).is_empty());
+    assert!(ivf.search(Queries::Rows(&[]), 5).is_empty());
 }
 
 #[test]
@@ -213,9 +227,9 @@ fn k_zero_and_k_beyond_corpus() {
     let vectors = clustered_corpus(40, 6, 3, 5);
     let (exact, ivf) = build_pair(vectors, 3, 1, 5);
     let query = exact.store().row(7).to_vec();
-    assert!(ivf.nearest(&query, 0).is_empty());
+    assert!(ivf_one(&ivf, &query, 0).is_empty());
     // k > N falls back to the exact path and returns every row, exactly.
-    assert_eq!(ivf.nearest(&query, 100), exact.nearest(&query, 100));
+    assert_eq!(ivf_one(&ivf, &query, 100), exact_one(&exact, &query, 100));
 }
 
 #[test]
@@ -226,7 +240,7 @@ fn all_identical_vectors_collapse_to_one_centroid() {
         small_params(8, 2),
     );
     assert_eq!(ivf.nlist(), 1, "duplicate corpus must train one centroid");
-    let hits = ivf.nearest(&[3.0, -1.0, 4.0], 4);
+    let hits = ivf_one(&ivf, &[3.0, -1.0, 4.0], 4);
     assert_eq!(
         hits.iter().map(|h| h.index).collect::<Vec<_>>(),
         vec![0, 1, 2, 3],
@@ -242,14 +256,14 @@ fn nan_rows_are_filtered_deterministically() {
     vectors[20][2] = f32::NAN;
     let (exact, ivf) = build_pair(vectors, 3, 3, 9);
     let query = exact.store().row(0).to_vec();
-    let hits = ivf.nearest(&query, 60);
+    let hits = ivf_one(&ivf, &query, 60);
     assert_eq!(hits.len(), 58, "the two NaN rows are unreachable");
     assert!(hits.iter().all(|h| ![10, 20].contains(&h.index)));
     assert!(hits.iter().all(|h| !h.distance.is_nan()));
     // Identical to the oracle's own filtering (full probe → exact path).
-    assert_eq!(hits, exact.nearest(&query, 60));
+    assert_eq!(hits, exact_one(&exact, &query, 60));
     // A NaN query returns no hits on either path.
-    assert!(ivf.nearest(&[f32::NAN; 5], 3).is_empty());
+    assert!(ivf_one(&ivf, &[f32::NAN; 5], 3).is_empty());
 }
 
 #[test]
@@ -261,9 +275,9 @@ fn corpus_smaller_than_centroid_count() {
         small_params(64, 16),
     );
     assert!(ivf.nlist() <= 5, "nlist must clamp to the corpus");
-    let exact = BruteForceIndex::new(vectors, Metric::L2);
+    let exact = BruteForceIndex::from_store(VectorStore::from_rows(vectors), Metric::L2);
     let query = exact.store().row(2).to_vec();
-    assert_eq!(ivf.nearest(&query, 3), exact.nearest(&query, 3));
+    assert_eq!(ivf_one(&ivf, &query, 3), exact_one(&exact, &query, 3));
 }
 
 #[test]
@@ -271,14 +285,14 @@ fn auto_tuned_routes_by_shape_and_target() {
     // Small corpus: recall target is ignored, exact scan chosen.
     let small = clustered_corpus(500, 40, 4, 1);
     assert_eq!(
-        KnnIndex::auto_tuned(small, Metric::L2, 0.95).kind(),
+        KnnIndex::build(VectorStore::from_rows(small), Metric::L2, Some(0.95)).kind(),
         "brute_force"
     );
     // A recall target >= 1.0 demands exact even at scale (narrow corpus
     // here so the build stays cheap; shape routing is covered in-crate).
     let narrow = clustered_corpus(5000, 8, 4, 2);
     assert_eq!(
-        KnnIndex::auto_tuned(narrow, Metric::L2, 1.0).kind(),
+        KnnIndex::build(VectorStore::from_rows(narrow), Metric::L2, Some(1.0)).kind(),
         "brute_force"
     );
 }

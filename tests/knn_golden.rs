@@ -31,7 +31,7 @@ fn self_join_neighbours_match_the_recorded_digest() {
     let rows: Vec<usize> = (0..texts.len()).collect();
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
     let mut hits = 0usize;
-    for list in index.nearest_rows(&rows, 2) {
+    for list in index.search(crowdprompt::embed::Queries::Rows(&rows), 2) {
         fnv(&mut digest, list.len() as u64);
         for n in list {
             fnv(&mut digest, n.index as u64);

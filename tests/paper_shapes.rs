@@ -140,7 +140,7 @@ fn table3_shape_transitivity_raises_recall_and_f1() {
     );
     let questions: Vec<(ItemId, ItemId)> = data.pairs.iter().map(|(a, b, _)| (*a, *b)).collect();
     let gold: Vec<bool> = data.pairs.iter().map(|(_, _, d)| *d).collect();
-    let index = session.mention_index(&data.mentions).unwrap();
+    let index = session.blocking_index(&data.mentions).unwrap();
 
     let score = |verdicts: &[bool]| {
         let c = BinaryConfusion::from_pairs(verdicts, &gold);

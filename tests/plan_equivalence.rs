@@ -12,7 +12,6 @@ use std::sync::Arc;
 use crowdprompt::core::ops;
 use crowdprompt::core::ops::cluster::{cluster, cluster_blocked};
 use crowdprompt::core::ops::impute::LabeledPool;
-use crowdprompt::core::ops::resolve::MentionIndex;
 use crowdprompt::core::{Corpus, Engine};
 use crowdprompt::oracle::world::{ItemId, WorldModel};
 use crowdprompt::prelude::*;
@@ -325,7 +324,7 @@ fn dedup_plan_matches_eager() {
         other => panic!("expected groups, got {other:?}"),
     });
     let eager = engine(&w, &ids);
-    let index = MentionIndex::build(&eager, &ids).unwrap();
+    let index = BlockingIndex::build(&eager, &ids).unwrap();
     let eager_out = ops::resolve::dedup(&eager, &ids, &index, 3, 1.5).unwrap();
     assert_accounting_match(&plan_out, &eager_out, "dedup");
     assert_ledgers_match(&planned, &eager, "dedup");

@@ -187,7 +187,7 @@ fn record() -> Vec<Produced> {
     r.case(
         "resolve/transitivity-2",
         |e, items| {
-            let index = MentionIndex::build(e, items)?;
+            let index = BlockingIndex::build(e, items)?;
             resolve_pairs(
                 e,
                 &questions(items),
@@ -200,7 +200,7 @@ fn record() -> Vec<Produced> {
     r.case(
         "dedup",
         |e, items| {
-            let index = MentionIndex::build(e, items)?;
+            let index = BlockingIndex::build(e, items)?;
             dedup(e, items, &index, 3, 1.5)
         },
         |g| groups_of(g),

@@ -16,6 +16,7 @@
 //! | `one-engine`  | `crates/core/src` calls `Engine::new` in `session.rs` (and `exec.rs`) and nowhere else|
 //! | `one-judge`   | `crates/core/src/ops` calls `run_many` in `judge.rs`'s strict step and nowhere else|
 //! | `one-bill`    | `plan/estimate.rs` names no `*Strategy::` variant; `crates/core/src/ops` defines no `estimated_calls`/`packed_calls`|
+//! | `one-layout`  | no nested `Vec<Vec<f32>>` / `[Vec<f32>]` in library code under `crates/{embed,core,oracle}/src` but `VectorStore::from_rows`; `crates/embed/src` defines no `fn nearest*`|
 //!
 //! Pure std, no crates.io: scanning is lexical but *mask-accurate* — a small
 //! lexer blanks out comments, strings, and char literals first, so a banned
@@ -98,6 +99,20 @@ const ONE_JUDGE_HOME: &str = "crates/core/src/ops/judge.rs";
 const ONE_BILL_ESTIMATOR: &str = "crates/core/src/plan/estimate.rs";
 const ONE_BILL_OPS: &str = "crates/core/src/ops/";
 const ONE_BILL_COUNTERS: &[&str] = &["estimated_calls", "packed_calls"];
+
+/// Vectors have one layout — the flat `VectorStore`, row-major `f32`s — and
+/// an index one query method, `search(Queries, k)`. A nested-rows spelling in
+/// a library signature under [`ONE_LAYOUT_SCOPES`] is the second layout
+/// coming back (`VectorStore::from_rows`, the one validated conversion from
+/// nested rows, carries the pragma); a `fn nearest*` under
+/// [`ONE_LAYOUT_INDEXES`], tests included, is a second way to ask an index.
+const ONE_LAYOUT_SCOPES: &[&str] = &[
+    "crates/embed/src/",
+    "crates/core/src/",
+    "crates/oracle/src/",
+];
+const ONE_LAYOUT_INDEXES: &str = "crates/embed/src/";
+const ONE_LAYOUT_NESTED: &[&str] = &["Vec<Vec<f32>>", "[Vec<f32>]"];
 
 const BASELINE_GUARD: &str = "ci/check_bench_baselines.sh";
 
@@ -668,6 +683,35 @@ fn lint_rust_source(rel: &str, src: &str) -> Vec<Finding> {
         }
     }
 
+    if ONE_LAYOUT_SCOPES.iter().any(|scope| rel.starts_with(scope)) {
+        for spelling in ONE_LAYOUT_NESTED {
+            let needle: Vec<char> = spelling.chars().collect();
+            let mut from = 0;
+            while let Some(offset) = find_chars_from(&masked, &needle, from) {
+                from = offset + 1;
+                if library_code(offset) {
+                    push(
+                        "one-layout",
+                        format!("`{spelling}` is a second vector layout beside the flat `VectorStore`"),
+                        "take or return flat row-major `f32`s (`Embedder::embed_all_flat`, `VectorStore::from_flat`, `Queries::Flat`); `VectorStore::from_rows` is the one conversion from nested rows",
+                        offset,
+                    );
+                }
+            }
+        }
+    }
+
+    if rel.starts_with(ONE_LAYOUT_INDEXES) {
+        for offset in find_fn_definitions(&masked, "nearest") {
+            push(
+                "one-layout",
+                "`fn nearest*` is a second way to ask an index for neighbours".to_string(),
+                "ask through `search(Queries::Rows(..) | Queries::Flat(..), k)`: a single vector is a one-row batch",
+                offset,
+            );
+        }
+    }
+
     for offset in find_money_eq(&masked, &index) {
         if library_code(offset) {
             push(
@@ -809,6 +853,22 @@ fn follows_fn(masked: &[char], offset: usize) -> bool {
         .skip_while(|c| c.is_whitespace())
         .take(2)
         .eq(['n', 'f'].iter())
+}
+
+/// Offsets of the names of `fn` items whose name starts with `prefix`.
+fn find_fn_definitions(masked: &[char], prefix: &str) -> Vec<usize> {
+    let needle: Vec<char> = prefix.chars().collect();
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut hits = Vec::new();
+    let mut from = 0;
+    while let Some(pos) = find_chars_from(masked, &needle, from) {
+        from = pos + 1;
+        let starts_ident = pos == 0 || !is_ident(masked[pos - 1]);
+        if starts_ident && pos > 0 && masked[pos - 1].is_whitespace() && follows_fn(masked, pos) {
+            hits.push(pos);
+        }
+    }
+    hits
 }
 
 /// Offsets of `<Something>Strategy::` paths (the start of the type name).
@@ -1206,6 +1266,47 @@ mod tests {
         assert_eq!(f[1].line, 2);
         // `Plan::estimated_calls` lives outside `ops/`.
         assert!(lint_rust_source("crates/core/src/plan/mod.rs", ops).is_empty());
+    }
+
+    #[test]
+    fn one_layout_flags_nested_rows_in_library_code_and_nearest_fns_in_embed() {
+        let src = concat!(
+            "pub fn embed_all(texts: &[&str]) -> Vec<Vec<f32>> { Vec::new() }\n",
+            "pub fn many(queries: &[Vec<f32>]) -> Vec<Vec<Neighbor>> { Vec::new() } // a Vec<Vec<f32>> in a comment\n",
+            "// lint: allow(one-layout) — the one validated conversion\n",
+            "pub fn from_rows(rows: Vec<Vec<f32>>) -> Store { pack(rows) }\n",
+            "pub fn flat(data: Vec<f32>, ids: &[Vec<u8>]) -> Store { Store(data) }\n",
+            "#[cfg(test)]\n",
+            "mod tests { fn grid() -> Vec<Vec<f32>> { Vec::new() } }\n",
+        );
+        for scope in [
+            "crates/embed/src/x.rs",
+            "crates/core/src/blocking.rs",
+            "crates/oracle/src/store.rs",
+        ] {
+            let f = lint_rust_source(scope, src);
+            assert_eq!(codes(&f), vec!["one-layout", "one-layout"], "{scope}");
+            assert_eq!((f[0].line, f[0].col), (1, 37));
+            assert_eq!((f[1].line, f[1].col), (2, 23));
+        }
+        // Other crates, and test trees of these ones, may hold nested rows.
+        assert!(lint_rust_source("crates/bench/src/lib.rs", src).is_empty());
+        assert!(lint_rust_source("crates/embed/tests/prop.rs", src).is_empty());
+
+        let asks = concat!(
+            "impl Index { pub fn nearest(&self, q: &[f32]) -> Hits { self.search(q) } }\n",
+            "fn nearest_many(i: &Index) -> Hits { i.search(&[]) }\n",
+            "fn closest(i: &Index) -> Hits { i.nearest_rows(&[]) } // a call, not a definition\n",
+            "#[cfg(test)]\n",
+            "mod tests { fn nearest_one() {} }\n",
+        );
+        let f = lint_rust_source("crates/embed/src/knn.rs", asks);
+        assert_eq!(codes(&f), vec!["one-layout"; 3]);
+        assert_eq!((f[0].line, f[0].col), (1, 21));
+        assert_eq!(f[1].line, 2);
+        assert_eq!(f[2].line, 5);
+        // `BlockingIndex::nearest_texts` lives outside the index crate.
+        assert!(lint_rust_source("crates/core/src/blocking.rs", asks).is_empty());
     }
 
     #[test]

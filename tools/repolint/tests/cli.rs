@@ -105,6 +105,14 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         "pub fn estimated_calls(n: usize) -> u64 { n as u64 }\n",
     );
     repo.write(
+        "crates/embed/src/bad_layout.rs",
+        "pub fn embed_all(texts: &[&str]) -> Vec<Vec<f32>> { Vec::new() }\npub fn nearest(q: &[f32]) {}\n",
+    );
+    repo.write(
+        "crates/embed/src/store.rs",
+        "// lint: allow(one-layout) — the one validated conversion from nested rows\npub fn from_rows(rows: Vec<Vec<f32>>) {}\n",
+    );
+    repo.write(
         "tests/bad_shim.rs",
         "#![allow(deprecated)]\n\n#[deprecated(note = \"old\")]\nfn old() {}\n",
     );
@@ -133,6 +141,9 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         "error[one-engine]",
         "error[one-judge]",
         "error[one-bill]",
+        "error[one-layout]",
+        "--> crates/embed/src/bad_layout.rs:1:37",
+        "--> crates/embed/src/bad_layout.rs:2:8",
         "--> crates/core/src/ops/bad_judge.rs:1:55",
         "--> crates/core/src/plan/estimate.rs:1:50",
         "--> crates/core/src/ops/bad_bill.rs:1:8",
@@ -170,11 +181,16 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         !stderr.contains("crates/core/src/ops/judge.rs"),
         "the judgement step is where strict batches are dispatched:\n{stderr}"
     );
-    // Three lock names across the two imports, two unwrap forms, two
-    // deprecation attributes, two copies of a bill, one each of the rest:
-    // 3 + 2 + 2 + 2 + 1 + 1 + 1 + 1 + 1 + 1 + 1.
     assert!(
-        stderr.contains("16 finding(s)"),
+        !stderr.contains("crates/embed/src/store.rs"),
+        "`from_rows` is the one conversion from nested rows:\n{stderr}"
+    );
+    // Three lock names across the two imports, two unwrap forms, two
+    // deprecation attributes, two copies of a bill, a second layout and a
+    // second query, one each of the rest:
+    // 3 + 2 + 2 + 2 + 2 + 1 + 1 + 1 + 1 + 1 + 1 + 1.
+    assert!(
+        stderr.contains("18 finding(s)"),
         "unexpected total in:\n{stderr}"
     );
 }
@@ -220,7 +236,9 @@ fn this_repository_is_clean() {
     // for an `Engine::new` in `crates/core/src` outside `session.rs`, for a
     // `run_many` in `crates/core/src/ops` outside `judge.rs`, and for a
     // `*Strategy::` variant in `plan/estimate.rs` or an `estimated_calls` /
-    // `packed_calls` definition in `crates/core/src/ops`.
+    // `packed_calls` definition in `crates/core/src/ops`, and for a nested
+    // `Vec<Vec<f32>>` in library code under `crates/{embed,core,oracle}/src`
+    // or a `fn nearest*` under `crates/embed/src`.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let out = run_repolint(&root);
     let stderr = String::from_utf8_lossy(&out.stderr);
