@@ -9,32 +9,40 @@
 //! ```text
 //!  RunSpec ─► prepare ─► pump ───────────────────────────────► BatchOutcome
 //!             render,    fair feed ───► caller ── execute ─┐
-//!             estimate,  (jobs carry    helper 2 ─ execute ─┼─► the job's
-//!             pick the    their batch;   ...                │   batch: slots
-//!             admission   claims ≤      helper W ─ execute ─┘   in input order
-//!             mode        workers×batch)
+//!             count,     (jobs point    helper 2 ─ execute ─┼─► the job's
+//!             estimate,   into their     ...                │   batch: slots
+//!             pick the    batch; claims helper W ─ execute ─┘   in input order
+//!             admission   ≤ workers×batch)
+//!             mode
 //! ```
 //!
-//! * **prepare** renders each call once and stamps it with how it is
-//!   admitted against the budget: covered by a whole-batch cumulative
-//!   check (a per-item batch that cannot fit is refused before any call),
-//!   admitted per call at execution time against actual spend (sampled
-//!   votes and packs, whose retries cannot be known up front), or — when
-//!   the policy degrades — admitted only after a free local hit has been
-//!   ruled out.
+//! * **prepare** renders each call once, counts its prompt's tokens once
+//!   (the count rides on the work item for whoever needs it later — the
+//!   estimate here, context fitting in the pack loop) and stamps it with
+//!   how it is admitted against the budget: covered by a whole-batch
+//!   cumulative check (a per-item batch that cannot fit is refused before
+//!   any call), admitted per call at execution time against actual spend
+//!   (sampled votes and packs, whose retries cannot be known up front), or
+//!   — when the policy degrades — admitted only after a free local hit has
+//!   been ruled out.
 //! * **pump** is the one worker loop in the crate. It queues the batch on
 //!   the engine's lane of a [`FairFeed`] — its own one-lane feed (one-lane
 //!   deficit round robin *is* FIFO) or, scoped to a tenant by
 //!   [`crate::serve::Server`], that tenant's lane of the server's feed —
 //!   and the calling thread works the feed beside up to `parallelism − 1`
-//!   helper threads scoped to the call. A job carries what *any* worker
-//!   needs to run it (request, admission, and its batch: result slots,
-//!   outstanding count, stop flag, attempt allowance, ledger, trace), so a
-//!   worker runs whichever batch's job it drew and a caller whose last
-//!   jobs are in flight elsewhere waits on its batch. Workers *pull* small
-//!   claims, at most `workers × MAX_CLAIM` claimed-but-unfinished; claim
-//!   size doubles after a claim that averaged under `FAST_TASK_MICROS` per
-//!   job and halves after a slow one.
+//!   helper threads scoped to the call. The batch holds what *any* worker
+//!   needs to run one of its jobs (the rendered requests with their
+//!   admission, result slots, outstanding count, stop flag, attempt
+//!   allowance, ledger, trace) and a job is a three-word handle on one of
+//!   its slots, so a worker runs whichever batch's job it drew and a caller
+//!   whose last jobs are in flight elsewhere waits on its batch. The
+//!   requests are freed with the batch, by the caller that rendered them
+//!   once its helpers are joined — not one at a time by whichever worker
+//!   drew each, which had helpers returning memory to the caller's
+//!   allocator arena while the caller allocated from it. Workers *pull*
+//!   small claims, at most `workers × MAX_CLAIM` claimed-but-unfinished;
+//!   claim size doubles after a claim that averaged under
+//!   `FAST_TASK_MICROS` per job and halves after a slow one.
 //! * **execute** is the one worker body: admit, probe the client's cache
 //!   once when a free hit changes what happens next, dispatch with up to
 //!   the batch's attempt allowance, account. With one attempt it *is* the
@@ -448,22 +456,23 @@ impl Engine {
         }
     }
 
-    /// Render a task and estimate its cost, without budget admission.
+    /// Render a task and estimate its usage — the prompt's token count, the
+    /// one place this file counts tokens, and a completion allowance — and
+    /// its cost, without budget admission.
     pub(crate) fn render_and_estimate(
         &self,
         task: TaskDescriptor,
-    ) -> Result<(CompletionRequest, f64, u64), EngineError> {
+    ) -> Result<(CompletionRequest, crowdprompt_oracle::Usage, f64), EngineError> {
         let prompt = render(&task, &self.corpus, &self.render_opts)?;
         let est_usage = crowdprompt_oracle::Usage {
             prompt_tokens: count_tokens(&prompt),
             completion_tokens: Self::estimate_completion_tokens(&task),
         };
         let est_usd = self.cost_of(est_usage);
-        let est_tokens = u64::from(est_usage.total());
         Ok((
             CompletionRequest::new(prompt, task).with_temperature(self.temperature),
+            est_usage,
             est_usd,
-            est_tokens,
         ))
     }
 
@@ -472,8 +481,8 @@ impl Engine {
     /// planner uses this to cost physical plan nodes from representative
     /// tasks before anything is dispatched.
     pub fn estimate_task(&self, task: TaskDescriptor) -> Result<(f64, u64), EngineError> {
-        let (_, est_usd, est_tokens) = self.render_and_estimate(task)?;
-        Ok((est_usd, est_tokens))
+        let (_, est_usage, est_usd) = self.render_and_estimate(task)?;
+        Ok((est_usd, u64::from(est_usage.total())))
     }
 
     /// Whether `task` would be answered by the attached persistent
@@ -681,11 +690,10 @@ impl Engine {
             let mut work = Vec::new();
             for (pack, prepared) in pending.into_iter().zip(prepared) {
                 // Context fitting: a pack whose rendered prompt overflows
-                // the window splits without wasting a call on it.
-                let oversize = pack.len() > 1
-                    && prepared
-                        .as_ref()
-                        .is_ok_and(|w| count_tokens(&w.request.prompt) > window);
+                // the window (by the count its render took) splits without
+                // wasting a call on it.
+                let oversize =
+                    pack.len() > 1 && prepared.as_ref().is_ok_and(|w| w.prompt_tokens > window);
                 if oversize {
                     bisect(&pack, &mut next);
                 } else {
@@ -739,16 +747,17 @@ impl Engine {
         mode: Admit,
         deadline: Option<Instant>,
     ) -> Result<Work, EngineError> {
-        let (mut request, est_usd, est_tokens) = self.render_and_estimate(task)?;
+        let (mut request, est_usage, est_usd) = self.render_and_estimate(task)?;
         request.temperature = temperature;
         request.sample_index = sample_index;
         request.deadline = deadline;
         Ok(Work {
             request,
+            prompt_tokens: est_usage.prompt_tokens,
             admission: Admission {
                 mode,
                 est_usd,
-                est_tokens,
+                est_tokens: u64::from(est_usage.total()),
             },
         })
     }
@@ -831,31 +840,7 @@ impl Engine {
             }
         }
         let n = items.len();
-        let batch = Arc::new(Batch {
-            slots: Mutex::new(Slots {
-                results: vec![None; n],
-                outstanding: n,
-            }),
-            done: Condvar::new(),
-            stopped: AtomicBool::new(false),
-            attempts: shape.attempts,
-            stop_on_error: shape.stop_on_error,
-            ledger: Arc::clone(&self.budget),
-            trace: self.trace.clone(),
-        });
-        let mut jobs = Vec::with_capacity(n);
-        for (slot, item) in items.into_iter().enumerate() {
-            match item {
-                Ok(work) => jobs.push(Job {
-                    batch: Arc::clone(&batch),
-                    slot,
-                    work,
-                    recorded: false,
-                }),
-                Err(e) => batch.record(slot, Some(Err(vec![e]))),
-            }
-        }
-        self.lane.feed.push_lane(self.lane.index, jobs);
+        let batch = self.enqueue(items, shape);
         // Never spawn more workers than items: a 1-item dispatch runs on
         // the calling thread alone.
         let helpers = shape.workers.clamp(1, n.max(1)) - 1;
@@ -867,6 +852,10 @@ impl Engine {
             // What is left of the batch is in flight on other workers.
             batch.wait_done();
         });
+        // Every helper has been joined and has dropped its handles: this
+        // thread, which rendered the requests, frees them when `batch` goes
+        // out of scope. (On a shared feed another engine's worker may still
+        // be letting go of the handle it recorded last; then it frees.)
         let results = std::mem::take(&mut batch.slots.lock().results);
         if shape.stop_on_error {
             if let Some(errors) = results.iter().find_map(|r| r.as_ref()?.as_ref().err()) {
@@ -879,8 +868,52 @@ impl Engine {
             .collect())
     }
 
+    /// Build the batch that owns `items`' requests — a pre-failed item is
+    /// recorded in its slot here, before anything is queued — and queue one
+    /// handle per request on this engine's lane.
+    fn enqueue(&self, items: Vec<Result<Work, EngineError>>, shape: RunShape) -> Arc<Batch> {
+        let mut results = Vec::with_capacity(items.len());
+        let work: Vec<Option<Work>> = items
+            .into_iter()
+            .map(|item| {
+                let (work, result) = match item {
+                    Ok(work) => (Some(work), None),
+                    Err(e) => (None, Some(Err(vec![e]))),
+                };
+                results.push(result);
+                work
+            })
+            .collect();
+        let batch = Arc::new(Batch {
+            slots: Mutex::new(Slots {
+                results,
+                outstanding: work.iter().flatten().count(),
+            }),
+            done: Condvar::new(),
+            stopped: AtomicBool::new(false),
+            attempts: shape.attempts,
+            stop_on_error: shape.stop_on_error,
+            ledger: Arc::clone(&self.budget),
+            trace: self.trace.clone(),
+            work,
+        });
+        let jobs = batch
+            .work
+            .iter()
+            .enumerate()
+            .filter(|(_, work)| work.is_some())
+            .map(|(slot, _)| Job {
+                batch: Arc::clone(&batch),
+                slot,
+                recorded: false,
+            })
+            .collect();
+        self.lane.feed.push_lane(self.lane.index, jobs);
+        batch
+    }
+
     /// One worker of a pump call: claim jobs off the feed — any batch's —
-    /// and run each into the batch it carries, until `own` is done or the
+    /// and run each into the batch it points to, until `own` is done or the
     /// feed is empty.
     fn work(&self, own: &Batch) {
         let mut claim = MIN_CLAIM;
@@ -924,8 +957,10 @@ impl Engine {
         /// whole attempt allowance before the fault has wall-clock time
         /// to clear.
         const MIN_ATTEMPT_PAUSE_MS: u64 = 5;
-        let Job { batch, work, .. } = job;
-        let Work { request, admission } = work;
+        let batch = &*job.batch;
+        let Work {
+            request, admission, ..
+        } = job.work();
         let admit = || {
             self.admit_estimate(&batch.ledger, admission.est_usd, admission.est_tokens)
                 .map_err(|e| vec![e])
@@ -1042,10 +1077,11 @@ pub(crate) struct Admission {
     pub(crate) est_tokens: u64,
 }
 
-/// One unit of dispatcher work: a request rendered once, and how to admit
-/// it.
+/// One unit of dispatcher work: a request rendered once, its prompt's token
+/// count as that render took it, and how to admit it.
 pub(crate) struct Work {
     request: CompletionRequest,
+    prompt_tokens: u32,
     pub(crate) admission: Admission,
 }
 
@@ -1068,15 +1104,22 @@ pub(crate) struct Lane {
     pub(crate) index: usize,
 }
 
-/// One queued unit of work and the batch it reports to.
+/// One queued unit of work: a handle on a slot of the batch that holds its
+/// request and takes its result. Three words, so the feed moves handles and
+/// a worker that drops one frees nothing it did not allocate.
 pub(crate) struct Job {
     batch: Arc<Batch>,
     slot: usize,
-    work: Work,
     recorded: bool,
 }
 
 impl Job {
+    /// The request this job runs, borrowed from its batch.
+    fn work(&self) -> &Work {
+        let work = self.batch.work[self.slot].as_ref();
+        work.expect("only slots holding work are queued") // lint: allow(no-unwrap)
+    }
+
     fn finish(mut self, result: Option<ItemResult>) {
         self.recorded = true;
         self.batch.record(self.slot, result);
@@ -1096,10 +1139,15 @@ impl Drop for Job {
     }
 }
 
-/// What the jobs of one pump call share: the result slots and outstanding
-/// count their caller waits on, the run shape's per-item half, and the
-/// ledger and trace they bill.
+/// What the jobs of one pump call share: the rendered requests they run
+/// (owned here, so they are freed together by whoever lets go of the batch
+/// last — the pump's caller, who rendered them), the result slots and
+/// outstanding count that caller waits on, the run shape's per-item half,
+/// and the ledger and trace they bill.
 struct Batch {
+    /// One per item, in input order; `None` where the item was pre-failed.
+    /// Read-only once queued: workers borrow `work[slot]`.
+    work: Vec<Option<Work>>,
     slots: Mutex<Slots>,
     done: Condvar,
     /// Set by the first failure of a stop-on-error batch.
@@ -1932,6 +1980,153 @@ mod tests {
         let _ = engine.run_outcome(RunSpec::tasks(
             ids.iter().map(|id| check_task(*id)).collect(),
         ));
+    }
+
+    /// A shape that runs every item whatever happens to its neighbours, on
+    /// the calling thread alone.
+    const EVERY_ITEM: RunShape = RunShape {
+        attempts: 1,
+        stop_on_error: false,
+        workers: 1,
+    };
+
+    /// `tasks` rendered for a per-call-admitted batch, unknown items
+    /// pre-failed.
+    fn rendered(engine: &Engine, tasks: Vec<TaskDescriptor>) -> Vec<Result<Work, EngineError>> {
+        let calls = tasks.into_iter().map(|t| engine.unsampled(t)).collect();
+        engine.prepare(calls, Admit::PerCall, None, FailurePolicy::FailFast)
+    }
+
+    #[test]
+    fn a_job_is_a_three_word_handle() {
+        assert!(std::mem::size_of::<Job>() <= 32);
+    }
+
+    #[test]
+    fn a_pre_failed_item_is_recorded_at_enqueue_and_stops_a_strict_batch_before_any_call() {
+        let (engine, ids) = engine_with(3, Budget::Unlimited);
+        let tasks = || {
+            vec![
+                check_task(ids[0]),
+                check_task(crowdprompt_oracle::ItemId(999)),
+                check_task(ids[2]),
+            ]
+        };
+        let batch = engine.enqueue(rendered(&engine, tasks()), EVERY_ITEM);
+        {
+            let slots = batch.slots.lock();
+            assert!(matches!(
+                slots.results[1].as_ref().unwrap().as_ref().unwrap_err()[..],
+                [EngineError::UnknownItem(_)]
+            ));
+            assert!(slots.results[0].is_none() && slots.results[2].is_none());
+            assert_eq!(
+                slots.outstanding, 2,
+                "only the rendered items are waited on"
+            );
+        }
+        assert_eq!(engine.lane.feed.len(), 2, "and only they are queued");
+        engine.work(&batch);
+        assert!(batch.is_done());
+
+        // A stop-on-error pump refuses the same batch whole: nothing
+        // queued, nothing called.
+        let (strict, _) = engine_with(3, Budget::Unlimited);
+        let shape = strict.shape(FailurePolicy::FailFast);
+        let refused = strict.pump(rendered(&strict, tasks()), shape);
+        assert!(matches!(refused, Err(EngineError::UnknownItem(_))));
+        assert!(strict.lane.feed.is_empty());
+        assert_eq!(strict.client().stats().calls(), 0);
+    }
+
+    #[test]
+    fn a_job_drawn_by_another_engines_worker_reads_its_own_batchs_request() {
+        // Every item's prompt has its own length, so the prompt tokens a
+        // response reports say which request was run.
+        let mut w = WorldModel::new();
+        let ids: Vec<_> = (0..8)
+            .map(|i| w.add_item("word ".repeat(3 * i + 1)))
+            .collect();
+        let corpus = Corpus::from_world(&w, &ids);
+        let llm = SimulatedLlm::new(ModelProfile::perfect(), Arc::new(w), 7);
+        let base = Engine::new(Arc::new(LlmClient::new(Arc::new(llm))), corpus);
+        let feed = Arc::new(FairFeed::new());
+        let on_lane = |key: &str| Engine {
+            lane: Lane {
+                feed: Arc::clone(&feed),
+                index: feed.register_lane(key, 1.0).unwrap(),
+            },
+            ..base.fork()
+        };
+        let (a, b) = (on_lane("a"), on_lane("b"));
+        let tasks =
+            |ids: &[crowdprompt_oracle::ItemId]| ids.iter().map(|id| check_task(*id)).collect();
+        let batch_a = a.enqueue(rendered(&a, tasks(&ids[..4])), EVERY_ITEM);
+        let batch_b = b.enqueue(rendered(&b, tasks(&ids[4..])), EVERY_ITEM);
+        // B's worker drains the round-robin feed until B's batch is done,
+        // running A's jobs — same slot numbers, other requests — on the way.
+        b.work(&batch_b);
+        assert!(batch_b.is_done());
+        assert!(
+            batch_a.slots.lock().outstanding < 4,
+            "b's worker ran some of a's jobs"
+        );
+        a.work(&batch_a);
+        for batch in [&batch_a, &batch_b] {
+            let slots = batch.slots.lock();
+            for (work, result) in batch.work.iter().zip(&slots.results) {
+                let work = work.as_ref().unwrap();
+                let response = result.as_ref().unwrap().as_ref().unwrap();
+                assert_eq!(response.usage.prompt_tokens, work.prompt_tokens);
+            }
+        }
+        let tokens_of = |batch: &Batch| -> Vec<u32> {
+            batch
+                .work
+                .iter()
+                .flatten()
+                .map(|w| w.prompt_tokens)
+                .collect()
+        };
+        assert!(tokens_of(&batch_a)
+            .iter()
+            .all(|t| !tokens_of(&batch_b).contains(t)));
+    }
+
+    #[test]
+    fn a_worker_that_dies_holding_a_job_fails_that_slot_and_the_batch_is_freed_once() {
+        let (engine, ids) = engine_with(4, Budget::Unlimited);
+        let tasks = ids.iter().map(|id| check_task(*id)).collect();
+        let batch = engine.enqueue(rendered(&engine, tasks), EVERY_ITEM);
+        let alive = Arc::downgrade(&batch);
+        let feed = Arc::clone(&engine.lane.feed);
+        let died = std::thread::spawn(move || {
+            let job = feed.claim().unwrap();
+            panic!("backend blew up under slot {}", job.slot);
+        })
+        .join();
+        assert!(died.is_err());
+        {
+            let slots = batch.slots.lock();
+            assert!(matches!(
+                slots.results[0].as_ref().unwrap().as_ref().unwrap_err()[..],
+                [EngineError::Llm(LlmError::ServiceUnavailable)]
+            ));
+            assert!(slots.results[1..].iter().all(Option::is_none));
+            assert_eq!(slots.outstanding, 3);
+        }
+        // The dead job's request is still the batch's, with the rest.
+        assert!(batch.work.iter().all(Option::is_some));
+        engine.work(&batch);
+        batch.wait_done();
+        assert!(batch.slots.lock().results[1..]
+            .iter()
+            .all(|r| matches!(r, Some(Ok(_)))));
+        // Every handle is gone; the caller's is the last, and letting go of
+        // it frees the requests.
+        assert_eq!(Arc::strong_count(&batch), 1);
+        drop(batch);
+        assert!(alive.upgrade().is_none());
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! processing operation. Templates are deterministic functions of
 //! `(task, corpus, criterion label)`, so token accounting is reproducible.
 
+use std::fmt::Write;
+
 use crowdprompt_oracle::task::{SortCriterion, TaskDescriptor};
 use crowdprompt_oracle::world::ItemId;
 
@@ -49,137 +51,181 @@ pub fn render(
     corpus: &Corpus,
     opts: &RenderOptions,
 ) -> Result<String, EngineError> {
+    // A single-item prompt fits without growing (as `format!`'s own size
+    // estimate had it); list and packed prompts double from here.
+    let mut out = String::with_capacity(512);
+    render_into(&mut out, task, corpus, opts)?;
+    Ok(out)
+}
+
+/// Append `task`'s prompt to `out`: every line is written straight into
+/// the one buffer (a [`TaskDescriptor::Verify`] renders the task it wraps
+/// in place). Writing to a `String` cannot fail, so the `fmt::Result` of
+/// each `write!` is dropped.
+fn render_into(
+    out: &mut String,
+    task: &TaskDescriptor,
+    corpus: &Corpus,
+    opts: &RenderOptions,
+) -> Result<(), EngineError> {
     let c = &opts.criterion_label;
     match task {
         TaskDescriptor::SortList { items, criterion } => {
-            let mut out = format!(
+            let _ = write!(
+                out,
                 "Sort the following {} items {}. Return the complete sorted list, \
                  one item per line, and nothing else.\n\n",
                 items.len(),
                 criterion_phrase(c, *criterion),
             );
-            for (i, id) in items.iter().enumerate() {
-                out.push_str(&format!("{}. {}\n", i + 1, text_of(corpus, *id)?));
-            }
-            Ok(out)
+            numbered_items(out, items, corpus)?;
         }
         TaskDescriptor::CompareBatch { pairs, criterion } => {
-            let mut out = format!(
+            let _ = write!(
+                out,
                 "For each numbered pair below, answer whether the first item \
                  should be ranked before the second {}. Respond with one line \
                  per pair, in order: \"N. Yes\" or \"N. No\".\n\n",
                 criterion_phrase(c, *criterion),
             );
             for (i, (l, r)) in pairs.iter().enumerate() {
-                out.push_str(&format!(
-                    "{}. First: {} | Second: {}\n",
+                let _ = writeln!(
+                    out,
+                    "{}. First: {} | Second: {}",
                     i + 1,
                     text_of(corpus, *l)?,
                     text_of(corpus, *r)?,
-                ));
+                );
             }
-            Ok(out)
         }
         TaskDescriptor::Compare {
             left,
             right,
             criterion,
-        } => Ok(format!(
-            "Consider two items.\nItem A: {}\nItem B: {}\n\
-             Should Item A be ranked before Item B {}? \
-             Start your response with Yes or No.",
-            text_of(corpus, *left)?,
-            text_of(corpus, *right)?,
-            criterion_phrase(c, *criterion),
-        )),
+        } => {
+            let _ = write!(
+                out,
+                "Consider two items.\nItem A: {}\nItem B: {}\n\
+                 Should Item A be ranked before Item B {}? \
+                 Start your response with Yes or No.",
+                text_of(corpus, *left)?,
+                text_of(corpus, *right)?,
+                criterion_phrase(c, *criterion),
+            );
+        }
         TaskDescriptor::Rate {
             item,
             scale_min,
             scale_max,
             ..
-        } => Ok(format!(
-            "On a scale from {scale_min} ({scale_min} = least) to {scale_max} \
-             ({scale_max} = most), rate the following item {c}.\n\
-             Item: {}\nRespond with a single number.",
-            text_of(corpus, *item)?,
-        )),
-        TaskDescriptor::SameEntity { left, right } => Ok(format!(
-            // Verbatim structure from §3.3 of the paper.
-            "Are Citation A and Citation B the same? Yes or No? \
-             Citation A is {}. Citation B is {}. \
-             Are Citation A and Citation B the same? Start your response with Yes or No.",
-            text_of(corpus, *left)?,
-            text_of(corpus, *right)?,
-        )),
+        } => {
+            let _ = write!(
+                out,
+                "On a scale from {scale_min} ({scale_min} = least) to {scale_max} \
+                 ({scale_max} = most), rate the following item {c}.\n\
+                 Item: {}\nRespond with a single number.",
+                text_of(corpus, *item)?,
+            );
+        }
+        TaskDescriptor::SameEntity { left, right } => {
+            let _ = write!(
+                out,
+                // Verbatim structure from §3.3 of the paper.
+                "Are Citation A and Citation B the same? Yes or No? \
+                 Citation A is {}. Citation B is {}. \
+                 Are Citation A and Citation B the same? Start your response with Yes or No.",
+                text_of(corpus, *left)?,
+                text_of(corpus, *right)?,
+            );
+        }
         TaskDescriptor::GroupEntities { items } => {
-            let mut out = format!(
+            let _ = write!(
+                out,
                 "The following {} records may contain duplicates referring to the \
                  same real-world entity. Group them into duplicate sets. \
                  Output one group per line as: Group N: record | record | ...\n\n",
                 items.len()
             );
-            for (i, id) in items.iter().enumerate() {
-                out.push_str(&format!("{}. {}\n", i + 1, text_of(corpus, *id)?));
-            }
-            Ok(out)
+            numbered_items(out, items, corpus)?;
         }
         TaskDescriptor::Impute {
             item,
             attribute,
             examples,
         } => {
-            let mut out = String::new();
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 "Fill in the missing \"{attribute}\" value for the final record.\n\n"
-            ));
+            );
             for (ex_id, value) in examples {
-                out.push_str(&format!(
+                let _ = write!(
+                    out,
                     "Record: {}\n{attribute}: {value}\n\n",
                     text_of(corpus, *ex_id)?
-                ));
+                );
             }
-            out.push_str(&format!(
-                "Record: {}\n{attribute}:",
-                text_of(corpus, *item)?
-            ));
-            Ok(out)
+            let _ = write!(out, "Record: {}\n{attribute}:", text_of(corpus, *item)?);
         }
         TaskDescriptor::CountPredicate {
             items, predicate, ..
         } => {
-            let mut out = format!(
+            let _ = write!(
+                out,
                 "Below are {} items. Estimate how many of them satisfy: {predicate}. \
                  Respond with a single number.\n\n",
                 items.len()
             );
-            for (i, id) in items.iter().enumerate() {
-                out.push_str(&format!("{}. {}\n", i + 1, text_of(corpus, *id)?));
-            }
-            Ok(out)
+            numbered_items(out, items, corpus)?;
         }
-        TaskDescriptor::CheckPredicate { item, predicate } => Ok(format!(
-            "Does the following item satisfy: {predicate}?\nItem: {}\n\
-             Start your response with Yes or No.",
-            text_of(corpus, *item)?,
-        )),
-        TaskDescriptor::Classify { item, labels } => Ok(format!(
-            "Classify the following item into exactly one of these categories: {}.\n\
-             Item: {}\nRespond with the category name only.",
-            labels.join(", "),
-            text_of(corpus, *item)?,
-        )),
+        TaskDescriptor::CheckPredicate { item, predicate } => {
+            let _ = write!(
+                out,
+                "Does the following item satisfy: {predicate}?\nItem: {}\n\
+                 Start your response with Yes or No.",
+                text_of(corpus, *item)?,
+            );
+        }
+        TaskDescriptor::Classify { item, labels } => {
+            out.push_str("Classify the following item into exactly one of these categories: ");
+            comma_separated(out, labels);
+            let _ = write!(
+                out,
+                ".\nItem: {}\nRespond with the category name only.",
+                text_of(corpus, *item)?,
+            );
+        }
         TaskDescriptor::Verify {
             original,
             proposed_answer,
         } => {
-            let inner = render(original, corpus, opts)?;
-            Ok(format!(
-                "A model was given the following task:\n---\n{inner}\n---\n\
-                 The model answered: \"{proposed_answer}\".\n\
+            out.push_str("A model was given the following task:\n---\n");
+            render_into(out, original, corpus, opts)?;
+            let _ = write!(
+                out,
+                "\n---\nThe model answered: \"{proposed_answer}\".\n\
                  Is that answer correct? Start your response with Yes or No.",
-            ))
+            );
         }
-        TaskDescriptor::Packed { tasks } => render_packed(tasks, corpus),
+        TaskDescriptor::Packed { tasks } => render_packed(out, tasks, corpus)?,
+    }
+    Ok(())
+}
+
+/// One `N. <item text>` line per item, numbered from 1.
+fn numbered_items(out: &mut String, items: &[ItemId], corpus: &Corpus) -> Result<(), EngineError> {
+    for (i, id) in items.iter().enumerate() {
+        let _ = writeln!(out, "{}. {}", i + 1, text_of(corpus, *id)?);
+    }
+    Ok(())
+}
+
+/// The labels, `", "` between them.
+fn comma_separated(out: &mut String, labels: &[String]) {
+    for (i, label) in labels.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(label);
     }
 }
 
@@ -187,71 +233,81 @@ pub fn render(
 /// the first sub-task) stated once, then one numbered line per item, with a
 /// numbered-answer output contract. This is where packing's token saving
 /// comes from — the per-item marginal cost is the item text alone.
-fn render_packed(tasks: &[TaskDescriptor], corpus: &Corpus) -> Result<String, EngineError> {
+fn render_packed(
+    out: &mut String,
+    tasks: &[TaskDescriptor],
+    corpus: &Corpus,
+) -> Result<(), EngineError> {
     let first = tasks
         .first()
         .ok_or_else(|| EngineError::InvalidInput("packed task with no sub-tasks".into()))?;
     let n = tasks.len();
-    let mut out = match first {
-        TaskDescriptor::CheckPredicate { predicate, .. } => format!(
-            "For each of the {n} numbered items below, answer whether it \
-             satisfies: {predicate}. Respond with one line per item, in \
-             order: \"N. Yes\" or \"N. No\", and nothing else.\n\n",
-        ),
-        TaskDescriptor::Classify { labels, .. } => format!(
-            "Classify each of the {n} numbered items below into exactly one \
-             of these categories: {}. Respond with one line per item, in \
-             order: \"N. <category>\", and nothing else.\n\n",
-            labels.join(", "),
-        ),
-        TaskDescriptor::Impute { attribute, .. } => format!(
-            "Fill in the missing \"{attribute}\" value for each of the {n} \
-             numbered records below. Respond with one line per record, in \
-             order: \"N. <value>\", and nothing else.\n\n",
-        ),
-        other => {
-            return Err(EngineError::InvalidInput(format!(
-                "task kind {:?} is not packable",
-                other.kind()
-            )))
-        }
+    let not_packable = |task: &TaskDescriptor| {
+        EngineError::InvalidInput(format!("task kind {:?} is not packable", task.kind()))
     };
+    match first {
+        TaskDescriptor::CheckPredicate { predicate, .. } => {
+            let _ = write!(
+                out,
+                "For each of the {n} numbered items below, answer whether it \
+                 satisfies: {predicate}. Respond with one line per item, in \
+                 order: \"N. Yes\" or \"N. No\", and nothing else.\n\n",
+            );
+        }
+        TaskDescriptor::Classify { labels, .. } => {
+            let _ = write!(
+                out,
+                "Classify each of the {n} numbered items below into exactly one \
+                 of these categories: ",
+            );
+            comma_separated(out, labels);
+            out.push_str(
+                ". Respond with one line per item, in \
+                 order: \"N. <category>\", and nothing else.\n\n",
+            );
+        }
+        TaskDescriptor::Impute { attribute, .. } => {
+            let _ = write!(
+                out,
+                "Fill in the missing \"{attribute}\" value for each of the {n} \
+                 numbered records below. Respond with one line per record, in \
+                 order: \"N. <value>\", and nothing else.\n\n",
+            );
+        }
+        other => return Err(not_packable(other)),
+    }
     for (i, task) in tasks.iter().enumerate() {
         match task {
             TaskDescriptor::CheckPredicate { item, .. } | TaskDescriptor::Classify { item, .. } => {
-                out.push_str(&format!("{}. {}\n", i + 1, text_of(corpus, *item)?));
+                let _ = writeln!(out, "{}. {}", i + 1, text_of(corpus, *item)?);
             }
             TaskDescriptor::Impute {
                 item,
                 attribute,
                 examples,
             } => {
-                out.push_str(&format!("{}. Record: {}\n", i + 1, text_of(corpus, *item)?));
+                let _ = writeln!(out, "{}. Record: {}", i + 1, text_of(corpus, *item)?);
                 // Few-shot examples are per record (each record's nearest
                 // labelled neighbors), so they render inline — packing
                 // amortizes the instruction, not the examples.
                 for (ex_id, value) in examples {
-                    out.push_str(&format!(
-                        "   (similar record: {} has {attribute}: {value})\n",
+                    let _ = writeln!(
+                        out,
+                        "   (similar record: {} has {attribute}: {value})",
                         text_of(corpus, *ex_id)?,
-                    ));
+                    );
                 }
             }
-            other => {
-                return Err(EngineError::InvalidInput(format!(
-                    "task kind {:?} is not packable",
-                    other.kind()
-                )))
-            }
+            other => return Err(not_packable(other)),
         }
     }
-    Ok(out)
+    Ok(())
 }
 
-fn criterion_phrase(label: &str, criterion: SortCriterion) -> String {
+fn criterion_phrase(label: &str, criterion: SortCriterion) -> &str {
     match criterion {
-        SortCriterion::Lexicographic => "in alphabetical order".to_owned(),
-        SortCriterion::LatentScore => label.to_owned(),
+        SortCriterion::Lexicographic => "in alphabetical order",
+        SortCriterion::LatentScore => label,
     }
 }
 

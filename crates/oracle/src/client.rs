@@ -508,11 +508,12 @@ impl LlmClient {
         Some(response)
     }
 
-    /// Offer a freshly paid completion to the attached store (no-op when
-    /// none is attached; the store applies its own admission policy).
-    fn admit_to_store(&self, request: &CompletionRequest, response: &CompletionResponse) {
+    /// Offer a freshly paid completion to the attached store under the
+    /// request's already-computed `key` (no-op when none is attached; the
+    /// store applies its own admission policy).
+    fn admit_to_store(&self, request: &CompletionRequest, key: u64, response: &CompletionResponse) {
         if let Some(store) = self.store.get() {
-            store.admit(request, response);
+            store.admit_keyed(request, key, response);
         }
     }
 
@@ -544,7 +545,7 @@ impl LlmClient {
     pub fn complete(&self, request: &CompletionRequest) -> Result<CompletionResponse, LlmError> {
         let cacheable = self.cache_enabled && request.temperature == 0.0;
         if !cacheable {
-            return self.call_backend(request);
+            return self.call_backend(request, None);
         }
         let key = request.fingerprint();
         if let Some(arc) = self.cache.get(key) {
@@ -620,10 +621,10 @@ impl LlmClient {
                     self.cache.publish(key, &flight, Ok(hit.clone()));
                     return Ok(hit);
                 }
-                let result = self.call_backend(request);
+                let result = self.call_backend(request, Some(key));
                 guard.armed = false;
                 if let Ok(response) = &result {
-                    self.admit_to_store(request, response);
+                    self.admit_to_store(request, key, response);
                 }
                 self.cache.publish(key, &flight, result.clone());
                 result
@@ -632,9 +633,19 @@ impl LlmClient {
     }
 
     /// The paid path: journal replay, else one dispatch through the router
-    /// (which retries); stats and ledger accounting either way.
-    fn call_backend(&self, request: &CompletionRequest) -> Result<CompletionResponse, LlmError> {
-        let journal = self.journal.get().map(|j| (j, request.fingerprint()));
+    /// (which retries); stats and ledger accounting either way. `key` is
+    /// the request's fingerprint when the caller has already computed it
+    /// (the cacheable miss path); an uncacheable request is hashed here,
+    /// and only when a journal wants the key.
+    fn call_backend(
+        &self,
+        request: &CompletionRequest,
+        key: Option<u64>,
+    ) -> Result<CompletionResponse, LlmError> {
+        let journal = self
+            .journal
+            .get()
+            .map(|j| (j, key.unwrap_or_else(|| request.fingerprint())));
         if let Some(replayed) = journal.and_then(|(j, key)| j.lookup(key)) {
             // Stands in for the call a previous process paid for: charged
             // the same, dispatched nowhere.

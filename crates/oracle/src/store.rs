@@ -353,6 +353,11 @@ impl StoreInner {
                     return false;
                 };
                 let cost_usd = response.pricing.cost_usd(response.usage);
+                // Index first: the tier borrows the prompt the entry then
+                // takes.
+                if let Some(tier) = &mut self.semantic {
+                    tier.insert(fingerprint, &prompt);
+                }
                 if self
                     .entries
                     .insert(
@@ -361,7 +366,7 @@ impl StoreInner {
                             response: Arc::new(response),
                             generation,
                             cost_usd,
-                            prompt: prompt.clone().into_boxed_str(),
+                            prompt: prompt.into_boxed_str(),
                         },
                     )
                     .is_some()
@@ -369,9 +374,6 @@ impl StoreInner {
                     // Replacement (re-admission after expiry): the
                     // superseded record is still on disk.
                     self.dead_records += 1;
-                }
-                if let Some(tier) = &mut self.semantic {
-                    tier.insert(fingerprint, &prompt);
                 }
                 true
             }
@@ -583,10 +585,22 @@ impl ResponseStore {
     /// [`StoreConfig::admission_floor`] × the mean live cost-per-entry.
     /// Admission at capacity evicts cheapest-first.
     pub fn admit(&self, request: &CompletionRequest, response: &CompletionResponse) -> bool {
+        self.admit_keyed(request, request.fingerprint(), response)
+    }
+
+    /// [`ResponseStore::admit`] for a caller that has already computed
+    /// `request.fingerprint()` (the client's miss path hashes a prompt
+    /// once).
+    pub(crate) fn admit_keyed(
+        &self,
+        request: &CompletionRequest,
+        fingerprint: u64,
+        response: &CompletionResponse,
+    ) -> bool {
+        debug_assert_eq!(fingerprint, request.fingerprint());
         if self.is_read_only() || request.temperature > 0.0 || response.cached {
             return false;
         }
-        let fingerprint = request.fingerprint();
         let ttl = self.config.ttl_generations;
         let mut inner = self.inner.lock();
         if inner.live(fingerprint, ttl).is_some() {

@@ -19,21 +19,39 @@ pub fn count_tokens(text: &str) -> u32 {
     let mut words: u32 = 0;
     let mut punct: u32 = 0;
     let mut in_word = false;
-    let mut chars: u32 = 0;
-    for c in text.chars() {
-        chars += 1;
-        if c.is_alphanumeric() {
-            if !in_word {
-                words += 1;
+    let chars = if text.is_ascii() {
+        // Rendered prompts are almost always ASCII: classify bytes, no
+        // UTF-8 decoding and no Unicode table lookups. Same classes as the
+        // `char` predicates below — note `char::is_whitespace` takes VT
+        // (0x0b), which `u8::is_ascii_whitespace` leaves out.
+        for &b in text.as_bytes() {
+            if b.is_ascii_alphanumeric() {
+                words += u32::from(!in_word);
                 in_word = true;
-            }
-        } else {
-            in_word = false;
-            if !c.is_whitespace() {
-                punct += 1;
+            } else {
+                in_word = false;
+                punct += u32::from(!matches!(b, b'\t'..=b'\r' | b' '));
             }
         }
-    }
+        text.len() as u32
+    } else {
+        let mut chars: u32 = 0;
+        for c in text.chars() {
+            chars += 1;
+            if c.is_alphanumeric() {
+                if !in_word {
+                    words += 1;
+                    in_word = true;
+                }
+            } else {
+                in_word = false;
+                if !c.is_whitespace() {
+                    punct += 1;
+                }
+            }
+        }
+        chars
+    };
     // Long words get split into multiple BPE pieces; approximate that with a
     // character-driven floor of one token per 4 characters.
     let char_floor = chars.div_ceil(4);

@@ -16,6 +16,8 @@
 //! | `one-engine`  | `crates/core/src` calls `Engine::new` in `session.rs` (and `exec.rs`) and nowhere else|
 //! | `one-judge`   | `crates/core/src/ops` calls `run_many` in `judge.rs`'s strict step and nowhere else|
 //! | `one-bill`    | `plan/estimate.rs` names no `*Strategy::` variant; `crates/core/src/ops` defines no `estimated_calls`/`packed_calls`|
+//! | `one-count`   | `crates/core/src/exec.rs` calls `count_tokens` in `render_and_estimate` and nowhere else|
+//! | `no-format-push`| no `push_str(&format!(..))` in `crates/core/src/template.rs`: a prompt is written into one buffer|
 //! | `one-layout`  | no nested `Vec<Vec<f32>>` / `[Vec<f32>]` in library code under `crates/{embed,core,oracle}/src` but `VectorStore::from_rows`; `crates/embed/src` defines no `fn nearest*`|
 //!
 //! Pure std, no crates.io: scanning is lexical but *mask-accurate* — a small
@@ -113,6 +115,17 @@ const ONE_LAYOUT_SCOPES: &[&str] = &[
 ];
 const ONE_LAYOUT_INDEXES: &str = "crates/embed/src/";
 const ONE_LAYOUT_NESTED: &[&str] = &["Vec<Vec<f32>>", "[Vec<f32>]"];
+
+/// A prompt's tokens are counted once, where it is rendered: the one
+/// function in [`ONE_COUNT_HOME`] allowed to call `count_tokens` carries the
+/// count on the work item, and whoever needs it later (context fitting)
+/// reads it there instead of tokenizing the prompt again.
+const ONE_COUNT_HOME: &str = "crates/core/src/exec.rs";
+const ONE_COUNT_FN: &str = "render_and_estimate";
+
+/// A prompt is written line by line into one `String` with `write!`; a
+/// `push_str(&format!(..))` in the renderer allocates a temporary per line.
+const NO_FORMAT_PUSH_HOME: &str = "crates/core/src/template.rs";
 
 const BASELINE_GUARD: &str = "ci/check_bench_baselines.sh";
 
@@ -683,6 +696,35 @@ fn lint_rust_source(rel: &str, src: &str) -> Vec<Finding> {
         }
     }
 
+    if rel == ONE_COUNT_HOME {
+        let home = find_fn_body(&masked, ONE_COUNT_FN);
+        for offset in find_token(&masked, "count_tokens") {
+            let at_home = home.is_some_and(|(open, close)| open < offset && offset < close);
+            if library_code(offset) && !at_home {
+                push(
+                    "one-count",
+                    format!("`count_tokens(..)` tokenizes a prompt again outside `{ONE_COUNT_FN}`"),
+                    "read the count the render took (`Work::prompt_tokens`) instead of counting the prompt a second time",
+                    offset,
+                );
+            }
+        }
+    }
+
+    if rel == NO_FORMAT_PUSH_HOME {
+        for offset in find_method_call(&masked, "push_str", false) {
+            if library_code(offset) && argument_is_format(&masked, offset) {
+                push(
+                    "no-format-push",
+                    "`push_str(&format!(..))` builds a temporary `String` for one line of a prompt"
+                        .to_string(),
+                    "`write!(out, ..)` the line straight into the prompt's buffer",
+                    offset,
+                );
+            }
+        }
+    }
+
     if ONE_LAYOUT_SCOPES.iter().any(|scope| rel.starts_with(scope)) {
         for spelling in ONE_LAYOUT_NESTED {
             let needle: Vec<char> = spelling.chars().collect();
@@ -869,6 +911,30 @@ fn find_fn_definitions(masked: &[char], prefix: &str) -> Vec<usize> {
         }
     }
     hits
+}
+
+/// The `{`..`}` offsets of the body of the first `fn` named exactly `name`.
+fn find_fn_body(masked: &[char], name: &str) -> Option<(usize, usize)> {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let after = name.chars().count();
+    let at = find_fn_definitions(masked, name)
+        .into_iter()
+        .find(|&pos| masked.get(pos + after).is_some_and(|&c| !is_ident(c)))?;
+    let open = at + masked[at..].iter().position(|&c| c == '{')?;
+    Some((open, matching(masked, open, '{', '}')?))
+}
+
+/// Whether the `.push_str` call at `offset` is handed `&format!(..)`.
+fn argument_is_format(masked: &[char], offset: usize) -> bool {
+    let Some(open) = masked[offset..].iter().position(|&c| c == '(') else {
+        return false;
+    };
+    let argument: String = masked[offset + open + 1..]
+        .iter()
+        .filter(|c| !c.is_whitespace())
+        .take("&format!".len())
+        .collect();
+    argument == "&format!"
 }
 
 /// Offsets of `<Something>Strategy::` paths (the start of the type name).
@@ -1307,6 +1373,48 @@ mod tests {
         assert_eq!(f[2].line, 5);
         // `BlockingIndex::nearest_texts` lives outside the index crate.
         assert!(lint_rust_source("crates/core/src/blocking.rs", asks).is_empty());
+    }
+
+    #[test]
+    fn one_count_flags_count_tokens_in_exec_outside_render_and_estimate() {
+        let src = concat!(
+            "use oracle::tokenizer::count_tokens;\n",
+            "fn render_and_estimate(&self, t: Task) -> Result<(Req, Usage), E> {\n",
+            "    let prompt = render(&t)?; if x { y } Ok((req, count_tokens(&prompt)))\n",
+            "}\n",
+            "fn render_and_estimate_twice(p: &str) -> u32 { count_tokens(p) }\n",
+            "fn fits(w: &Work, window: u32) -> bool { count_tokens(&w.request.prompt) <= window }\n",
+            "fn reads(w: &Work, window: u32) -> bool { w.prompt_tokens <= window } // count_tokens(..) in prose\n",
+            "#[cfg(test)]\n",
+            "mod tests { fn t() { count_tokens(\"x\"); } }\n",
+        );
+        let f = lint_rust_source("crates/core/src/exec.rs", src);
+        assert_eq!(codes(&f), vec!["one-count", "one-count"]);
+        assert_eq!((f[0].line, f[0].col), (5, 48));
+        assert_eq!((f[1].line, f[1].col), (6, 42));
+        // The planner's estimator and the simulator count what they like.
+        assert!(lint_rust_source("crates/core/src/plan/estimate.rs", src).is_empty());
+        assert!(lint_rust_source("crates/oracle/src/sim/mod.rs", src).is_empty());
+    }
+
+    #[test]
+    fn no_format_push_flags_formatted_temporaries_in_the_renderer() {
+        let src = concat!(
+            "fn lines(out: &mut String) {\n",
+            "    out.push_str(&format!(\"{}. {}\\n\", 1, \"x\"));\n",
+            "    out.push_str(\n        &format!(\"{}\", 2),\n    );\n",
+            "    out.push_str(\"push_str(&format!(..)) in a string\"); out.push_str(label);\n",
+            "    let _ = write!(out, \"{}\", 3);\n",
+            "}\n",
+            "#[cfg(test)]\n",
+            "mod tests { fn t(o: &mut String) { o.push_str(&format!(\"{}\", 4)); } }\n",
+        );
+        let f = lint_rust_source("crates/core/src/template.rs", src);
+        assert_eq!(codes(&f), vec!["no-format-push", "no-format-push"]);
+        assert_eq!((f[0].line, f[0].col), (2, 8));
+        assert_eq!(f[1].line, 3);
+        // Only the renderer is held to it.
+        assert!(lint_rust_source("crates/core/src/plan/explain.rs", src).is_empty());
     }
 
     #[test]

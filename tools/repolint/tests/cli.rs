@@ -66,7 +66,15 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
     );
     repo.write(
         "crates/core/src/exec.rs",
-        "pub fn pump() { std::thread::scope(|s| { s.spawn(|| ()); }); }\n",
+        concat!(
+            "pub fn pump() { std::thread::scope(|s| { s.spawn(|| ()); }); }\n",
+            "fn render_and_estimate(p: &str) -> u32 { count_tokens(p) }\n",
+            "fn fits(p: &str, window: u32) -> bool { count_tokens(p) <= window }\n",
+        ),
+    );
+    repo.write(
+        "crates/core/src/template.rs",
+        "pub fn line(out: &mut String, n: usize) { out.push_str(&format!(\"{n}.\\n\")); }\n",
     );
     repo.write(
         "crates/oracle/src/bad_retry.rs",
@@ -142,6 +150,10 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         "error[one-judge]",
         "error[one-bill]",
         "error[one-layout]",
+        "error[one-count]",
+        "error[no-format-push]",
+        "--> crates/core/src/exec.rs:3:41",
+        "--> crates/core/src/template.rs:1:46",
         "--> crates/embed/src/bad_layout.rs:1:37",
         "--> crates/embed/src/bad_layout.rs:2:8",
         "--> crates/core/src/ops/bad_judge.rs:1:55",
@@ -164,8 +176,12 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         "shims may mirror upstream deprecations:\n{stderr}"
     );
     assert!(
-        !stderr.contains("crates/core/src/exec.rs"),
+        !stderr.contains("crates/core/src/exec.rs:1:"),
         "the pump's own scope is the one allowed:\n{stderr}"
+    );
+    assert!(
+        !stderr.contains("crates/core/src/exec.rs:2:"),
+        "the render is where a prompt's tokens are counted:\n{stderr}"
     );
     for home in ["crates/oracle/src/route.rs", "crates/oracle/src/retry.rs"] {
         assert!(
@@ -187,10 +203,10 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
     );
     // Three lock names across the two imports, two unwrap forms, two
     // deprecation attributes, two copies of a bill, a second layout and a
-    // second query, one each of the rest:
-    // 3 + 2 + 2 + 2 + 2 + 1 + 1 + 1 + 1 + 1 + 1 + 1.
+    // second query, a second count, a formatted temporary, one each of the
+    // rest: 3 + 2 + 2 + 2 + 2 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1.
     assert!(
-        stderr.contains("18 finding(s)"),
+        stderr.contains("20 finding(s)"),
         "unexpected total in:\n{stderr}"
     );
 }
@@ -238,7 +254,9 @@ fn this_repository_is_clean() {
     // `*Strategy::` variant in `plan/estimate.rs` or an `estimated_calls` /
     // `packed_calls` definition in `crates/core/src/ops`, and for a nested
     // `Vec<Vec<f32>>` in library code under `crates/{embed,core,oracle}/src`
-    // or a `fn nearest*` under `crates/embed/src`.
+    // or a `fn nearest*` under `crates/embed/src`, for a `count_tokens`
+    // call in `exec.rs` outside `render_and_estimate`, and for a
+    // `push_str(&format!(..))` in `template.rs`.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let out = run_repolint(&root);
     let stderr = String::from_utf8_lossy(&out.stderr);
