@@ -17,7 +17,7 @@
 //!   tier, consumed by [`crate::route::Router`].
 //!
 //! Determinism: every latency and failure draw is a pure function of
-//! `(backend seed, request fingerprint, sample index)`, so reruns reproduce
+//! `(backend seed, request fingerprint, sample index + attempt)`, so reruns reproduce
 //! the same stragglers and the same transient failures — which is what makes
 //! the routing layer's behaviour testable.
 
@@ -25,6 +25,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use parking_lot::{Condvar, Mutex};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -38,10 +39,21 @@ use crate::types::{CompletionRequest, CompletionResponse, LanguageModel};
 ///
 /// Hedged dispatch hands every launched attempt its own token; when one
 /// attempt wins, the loser's token is cancelled and a well-behaved backend
-/// abandons its remaining work (the [`SimBackend`] latency sleep polls the
-/// token) and returns [`LlmError::Cancelled`].
+/// abandons its remaining work (the [`SimBackend`] latency sleep parks on
+/// the token and is woken by [`CancelToken::cancel`]) and returns
+/// [`LlmError::Cancelled`].
 #[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
+pub struct CancelToken(Arc<CancelState>);
+
+/// The flag is what [`CancelToken::is_cancelled`] reads; the lock and
+/// condvar exist so a sleeper can park until the flag is set instead of
+/// polling it.
+#[derive(Debug, Default)]
+struct CancelState {
+    cancelled: AtomicBool,
+    parked: Mutex<()>,
+    wake: Condvar,
+}
 
 impl CancelToken {
     /// A fresh, un-cancelled token.
@@ -49,14 +61,39 @@ impl CancelToken {
         Self::default()
     }
 
-    /// Signal cancellation to the call holding this token.
+    /// Signal cancellation to the call holding this token, waking it if it
+    /// is parked in a cancellable sleep.
     pub fn cancel(&self) {
-        self.0.store(true, Ordering::Release);
+        self.0.cancelled.store(true, Ordering::Release);
+        // Taking the lock orders this store against a sleeper's check: it
+        // either sees the flag before parking or is parked and notified.
+        let _parked = self.0.parked.lock();
+        self.0.wake.notify_all();
     }
 
     /// Whether cancellation has been signalled.
     pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Acquire)
+        self.0.cancelled.load(Ordering::Acquire)
+    }
+
+    /// Sleep for `total` or until cancelled, whichever is first; returns
+    /// `false` if cancelled.
+    fn sleep(&self, total: Duration) -> bool {
+        if total.is_zero() {
+            return !self.is_cancelled();
+        }
+        let deadline = Instant::now() + total; // lint: allow(clock) — sleep deadline anchor
+        let mut parked = self.0.parked.lock();
+        loop {
+            if self.is_cancelled() {
+                return false;
+            }
+            let now = Instant::now(); // lint: allow(clock) — remaining sleep after a wake-up
+            if now >= deadline {
+                return true;
+            }
+            self.0.wake.wait_for(&mut parked, deadline - now);
+        }
     }
 }
 
@@ -217,8 +254,8 @@ impl FaultSchedule {
 /// One serving backend for a model tier.
 ///
 /// Object safe; the router holds `Arc<dyn Backend>`. Implementations must
-/// be cheap to call concurrently — the router dispatches hedged duplicates
-/// from freshly spawned threads.
+/// be cheap to call concurrently — the router runs a call on its caller's
+/// thread and a hedged duplicate on a thread of its own.
 pub trait Backend: Send + Sync {
     /// Stable backend identifier, unique within a registry (e.g.
     /// `"us-east"`, `"provider-b"`).
@@ -245,30 +282,13 @@ pub trait Backend: Send + Sync {
     ) -> Result<CompletionResponse, LlmError>;
 }
 
-/// How often a cancellable sleep polls its token.
-const SLEEP_SLICE: Duration = Duration::from_micros(200);
-
-/// Sleep for `total`, polling `cancel`; returns `false` if cancelled early.
-fn cancellable_sleep(total: Duration, cancel: &CancelToken) -> bool {
-    let deadline = Instant::now() + total; // lint: allow(clock) — sleep deadline anchor
-    loop {
-        if cancel.is_cancelled() {
-            return false;
-        }
-        let now = Instant::now(); // lint: allow(clock) — cancellation poll tick
-        if now >= deadline {
-            return true;
-        }
-        std::thread::sleep((deadline - now).min(SLEEP_SLICE));
-    }
-}
-
 /// A simulated serving backend over any [`LanguageModel`].
 ///
 /// Layers transport behaviour on top of the wrapped model:
 ///
-/// * **Latency** — seeded draws from a [`LatencyProfile`], slept
-///   cooperatively so hedged losers can be cancelled mid-wait.
+/// * **Latency** — seeded draws from a [`LatencyProfile`], slept as one
+///   timed wait on the call's [`CancelToken`], so a hedged loser wakes the
+///   moment it is cancelled.
 /// * **Slots** — at most [`Backend::slots`] calls in flight; excess calls
 ///   fail immediately with [`LlmError::RateLimited`] (a provider 429).
 /// * **Transient failures** — `rate_limit_prob` / `unavailable_prob` /
@@ -396,16 +416,14 @@ impl TransportRng<'_> {
     fn get(&mut self) -> &mut ChaCha8Rng {
         self.rng.get_or_insert_with(|| {
             // Folds the sample index in explicitly (temperature-0
-            // fingerprints exclude it), so each routing attempt re-rolls
-            // its transport fate.
+            // fingerprints exclude it) advanced by the attempt (which no
+            // fingerprint includes), so each routing attempt re-rolls its
+            // transport fate and never its answer.
             let key = hash::combine(
                 self.seed,
                 hash::combine(
                     self.request.fingerprint(),
-                    hash::combine(
-                        hash::fnv1a_str(self.tag),
-                        u64::from(self.request.sample_index),
-                    ),
+                    hash::combine(hash::fnv1a_str(self.tag), self.request.transport_draw()),
                 ),
             );
             ChaCha8Rng::seed_from_u64(key)
@@ -491,7 +509,7 @@ impl Backend for SimBackend {
                 (self.latency.base_us as f64 * self.latency.tail_mult.max(1.0)) as u64,
             );
             let hang = latency.max(straggler);
-            if !cancellable_sleep(hang, cancel) {
+            if !cancel.sleep(hang) {
                 return Err(LlmError::Cancelled);
             }
             return Err(LlmError::Timeout {
@@ -506,7 +524,7 @@ impl Backend for SimBackend {
             return Err(LlmError::ServiceUnavailable);
         }
 
-        if !cancellable_sleep(latency, cancel) {
+        if !cancel.sleep(latency) {
             return Err(LlmError::Cancelled);
         }
         let mut response = self.inner.complete(request)?;

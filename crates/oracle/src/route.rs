@@ -14,12 +14,21 @@
 //! Policy, per call:
 //!
 //! 1. **Selection** — among backends whose circuit breaker admits traffic,
-//!    pick the least-loaded (in-flight ÷ advertised slots), tie-broken by
-//!    cheapest pricing, then registration order.
-//! 2. **Hedging** (optional) — if the primary has not answered within a
-//!    p9x-based delay (`max(hedge floor, observed p⟨percentile⟩ latency)`),
-//!    duplicate the request onto the next-best backend; first success wins
-//!    and the loser is cancelled through its [`CancelToken`].
+//!    pick by `(full, straggles, load, rate, registration order)`: a
+//!    backend with a free advertised slot before one at or over them, a
+//!    backend whose recent median latency is under the hedge floor before
+//!    one at or past it (hedging routers only: the floor is the operator's
+//!    one statement of what a straggler is), then least-loaded (in-flight ÷
+//!    slots), cheapest pricing, registration order. With hedging off the
+//!    first two never decide and the key is `(load, rate, order)`.
+//! 2. **Hedging** (optional) — the primary runs on the caller's thread
+//!    while the router's one helper thread holds a deadline for it: the
+//!    p9x-based delay `max(hedge floor, observed p⟨percentile⟩ latency)`.
+//!    A call that answers in time costs no thread. Only when the deadline
+//!    passes with the primary still out does the helper duplicate the
+//!    request onto the next-best backend, on a thread of the twin's own;
+//!    first success wins and the loser is cancelled through its
+//!    [`CancelToken`].
 //! 3. **Retry with backoff** — a transient failure (429 / 5xx / timeout)
 //!    marks the backend avoided for this request and retries on the next
 //!    best, up to `max_retries` extra attempts. The sleep between attempts
@@ -35,11 +44,12 @@
 //! affects latency, spend, and failure handling only. Single-backend
 //! registries are result-identical to calling the model directly.
 
-use parking_lot::Mutex;
-use std::collections::VecDeque;
+use parking_lot::{Condvar, Mutex};
+use std::collections::{BTreeMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::backend::{Backend, BackendRegistry, CancelToken};
@@ -255,14 +265,30 @@ impl BackendState {
     /// Observed latency percentile over the recent window, if enough
     /// samples have accumulated.
     fn latency_percentile(&self, percentile: f64) -> Option<Duration> {
-        let window = self.latencies_us.lock();
-        if window.len() < LATENCY_MIN_SAMPLES {
-            return None;
-        }
-        let mut sorted: Vec<u64> = window.iter().copied().collect();
+        let mut sorted = [0u64; LATENCY_WINDOW];
+        let len = {
+            let window = self.latencies_us.lock();
+            if window.len() < LATENCY_MIN_SAMPLES {
+                return None;
+            }
+            for (slot, us) in sorted.iter_mut().zip(window.iter()) {
+                *slot = *us;
+            }
+            window.len()
+        };
+        let sorted = &mut sorted[..len];
         sorted.sort_unstable();
-        let rank = ((sorted.len() - 1) as f64 * percentile.clamp(0.0, 1.0)).round() as usize;
+        let rank = ((len - 1) as f64 * percentile.clamp(0.0, 1.0)).round() as usize;
         Some(Duration::from_micros(sorted[rank]))
+    }
+
+    /// Whether this backend's typical call is a straggler by the router's
+    /// own definition: its window median is at or past the hedge floor.
+    /// Unknown (too few samples) is not straggling, so a cold router
+    /// explores every backend as the load key alone would.
+    fn straggles(&self, floor: Duration) -> bool {
+        self.latency_percentile(0.5)
+            .is_some_and(|median| median >= floor)
     }
 
     /// Execute one attempt on this backend, maintaining load, breaker, and
@@ -335,6 +361,280 @@ pub struct RouterStats {
     pub per_backend: Vec<BackendStats>,
 }
 
+/// `(full, straggles, load, rate)`: what [`Core::select`] minimises, ties
+/// going to the backend registered first.
+type SelectionKey = (bool, bool, f64, f64);
+
+/// What a router shares with its hedge helper and with the twins that
+/// helper launches: the policy, every backend's state, and the hedge
+/// counters.
+struct Core {
+    policy: RoutePolicy,
+    states: Vec<BackendState>,
+    hedges_launched: AtomicU64,
+    hedges_won: AtomicU64,
+}
+
+impl Core {
+    /// Best breaker-admitted backend not in `avoid`, by `(full, straggles,
+    /// load, rate, registration order)`.
+    ///
+    /// `full` — at or over its advertised slots — comes first because an
+    /// over-slot call is a 429 and five of those open the breaker; whatever
+    /// its class, a backend with a slot free is the better choice.
+    /// `straggles` is [`BackendState::straggles`] against the hedge floor
+    /// and always `false` on a router that does not hedge, where `full` is
+    /// implied by `load` and the key is `(load, rate, order)`.
+    ///
+    /// Eligibility checks are side-effect free; the half-open probe slot of
+    /// an open-but-cooled breaker is claimed only for the backend actually
+    /// chosen (a losing candidate keeps its probe available for later).
+    fn select(&self, avoid: &[bool]) -> Option<usize> {
+        let straggle_floor = self.policy.hedge.map(|hedge| hedge.after);
+        // Lost probe races are excluded locally and selection retried, so
+        // the loop terminates after at most `states.len()` rounds.
+        let mut race_lost = vec![false; self.states.len()];
+        loop {
+            let now = Instant::now(); // lint: allow(clock) — selection loop tick
+            let mut best: Option<(SelectionKey, usize, Eligibility)> = None;
+            for (i, state) in self.states.iter().enumerate() {
+                if avoid[i] || race_lost[i] {
+                    continue;
+                }
+                let eligibility = state.eligibility(now);
+                if eligibility == Eligibility::Blocked {
+                    continue;
+                }
+                let slots = state.backend.slots();
+                let capacity = if slots == 0 { 1_000_000 } else { slots };
+                let in_flight = state.in_flight.load(Ordering::Relaxed);
+                let pricing = state.backend.pricing();
+                let key = (
+                    slots > 0 && in_flight >= slots,
+                    straggle_floor.is_some_and(|floor| state.straggles(floor)),
+                    in_flight as f64 / capacity as f64,
+                    pricing.usd_per_1k_input + pricing.usd_per_1k_output,
+                );
+                if best.as_ref().is_none_or(|(best_key, _, _)| key < *best_key) {
+                    best = Some((key, i, eligibility));
+                }
+            }
+            let (_, index, eligibility) = best?;
+            if eligibility == Eligibility::Closed || self.states[index].try_claim_probe(now) {
+                return Some(index);
+            }
+            // Another thread won this backend's probe between the check and
+            // the claim; drop it from this round and re-select.
+            race_lost[index] = true;
+        }
+    }
+
+    /// The effective hedge delay for a primary backend: the adaptive p9x
+    /// trigger once history exists, floored by the configured delay.
+    fn hedge_delay(&self, primary: usize, config: &HedgeConfig) -> Duration {
+        match self.states[primary].latency_percentile(config.percentile) {
+            Some(observed) if observed > config.after => observed,
+            _ => config.after,
+        }
+    }
+
+    /// One attempt of a hedged dispatch on backend `index`. A backend that
+    /// panics is an unavailable one: the unwind stops here, so the caller's
+    /// thread survives its inline primary and a twin always has an outcome
+    /// to publish ([`BackendState::execute`]'s guard has already given back
+    /// the in-flight count and any probe).
+    fn attempt(
+        &self,
+        index: usize,
+        request: &CompletionRequest,
+        cancel: &CancelToken,
+    ) -> Result<CompletionResponse, LlmError> {
+        catch_unwind(AssertUnwindSafe(|| {
+            self.states[index].execute(&self.policy.breaker, request, cancel)
+        }))
+        .unwrap_or(Err(LlmError::ServiceUnavailable))
+    }
+}
+
+/// One hedged dispatch, shared by the three threads that can touch it: the
+/// caller, which runs the primary inline; the router's helper, which
+/// launches the twin if the deadline passes first; and the twin.
+struct HedgedCall {
+    request: CompletionRequest,
+    /// Backends a twin must not use: the retry loop's avoided set plus the
+    /// primary itself.
+    avoid: Vec<bool>,
+    cancel_primary: CancelToken,
+    slot: Mutex<HedgeSlot>,
+    /// Notified when the twin publishes its outcome into `slot`.
+    published: Condvar,
+}
+
+/// The hand-off state of a [`HedgedCall`], under its lock.
+#[derive(Default)]
+struct HedgeSlot {
+    /// The caller's primary has returned. From here on the helper launches
+    /// nothing, and a twin that succeeds has nobody left to cancel.
+    primary_reported: bool,
+    twin: Twin,
+}
+
+#[derive(Default)]
+enum Twin {
+    /// No twin (yet): the deadline has not passed, or no backend was left
+    /// to hedge onto, or the caller has already taken the outcome.
+    #[default]
+    NotLaunched,
+    Running {
+        cancel: CancelToken,
+    },
+    Done {
+        index: usize,
+        result: Result<CompletionResponse, LlmError>,
+    },
+}
+
+impl HedgedCall {
+    /// The helper's half: the deadline passed. If the primary is still out,
+    /// duplicate the request onto the next-best backend on a thread of its
+    /// own. The twin publishes its outcome into the slot and, if it
+    /// succeeded first, cancels the primary — which is what returns the
+    /// caller's inline call at once instead of at the straggler's leisure.
+    fn launch_twin(self: Arc<Self>, core: &Arc<Core>) {
+        let mut slot = self.slot.lock();
+        if slot.primary_reported {
+            return;
+        }
+        // No other backend to hedge onto: the caller just keeps waiting.
+        let Some(index) = core.select(&self.avoid) else {
+            return;
+        };
+        core.hedges_launched.fetch_add(1, Ordering::Relaxed);
+        let cancel = CancelToken::new();
+        let twin = {
+            let (core, call, cancel) = (Arc::clone(core), Arc::clone(&self), cancel.clone());
+            move || {
+                let result = core.attempt(index, &call.request, &cancel);
+                let mut slot = call.slot.lock();
+                if result.is_ok() && !slot.primary_reported {
+                    call.cancel_primary.cancel();
+                }
+                slot.twin = Twin::Done { index, result };
+                drop(slot);
+                call.published.notify_all();
+            }
+        };
+        // Detached: a losing twin keeps running until its token stops it,
+        // without holding up the winner's return. Marked running only once
+        // the thread exists, so a caller never waits on a twin that is not
+        // there; the twin itself cannot publish before this lock is let go.
+        std::thread::spawn(twin);
+        slot.twin = Twin::Running { cancel };
+    }
+}
+
+/// The deadlines of a router's in-flight hedged dispatches, and the one
+/// helper thread that sleeps until the earliest of them.
+///
+/// The helper is started by the first hedged dispatch (a router that never
+/// hedges never has one), parks while nothing is armed, never runs a
+/// backend call itself, and is stopped and joined when the router drops.
+#[derive(Default)]
+struct Hedger {
+    shared: Arc<HedgerShared>,
+}
+
+#[derive(Default)]
+struct HedgerShared {
+    state: Mutex<HedgerState>,
+    /// Wakes the helper: an earlier deadline was armed, or the router is
+    /// going away.
+    wake: Condvar,
+}
+
+#[derive(Default)]
+struct HedgerState {
+    /// Armed calls by `(deadline, arming order)`.
+    armed: BTreeMap<Ticket, Arc<HedgedCall>>,
+    next_ticket: u64,
+    /// The deadline the helper is sleeping towards; `None` while it is
+    /// parked with nothing armed. An arming thread skips the wake-up when
+    /// its own deadline is no earlier.
+    wake_at: Option<Instant>,
+    helper: Option<JoinHandle<()>>,
+    closed: bool,
+}
+
+type Ticket = (Instant, u64);
+
+impl Hedger {
+    /// Have the helper call [`HedgedCall::launch_twin`] at `deadline`
+    /// unless [`Hedger::disarm`]ed first.
+    fn arm(&self, core: &Arc<Core>, deadline: Instant, call: Arc<HedgedCall>) -> Ticket {
+        let mut state = self.shared.state.lock();
+        let ticket = (deadline, state.next_ticket);
+        state.next_ticket += 1;
+        state.armed.insert(ticket, call);
+        if state.helper.is_none() {
+            state.helper = Some(Self::start_helper(
+                Arc::clone(&self.shared),
+                Arc::clone(core),
+            ));
+        } else if state.wake_at.is_none_or(|at| deadline < at) {
+            self.shared.wake.notify_one();
+        }
+        ticket
+    }
+
+    fn disarm(&self, ticket: Ticket) {
+        self.shared.state.lock().armed.remove(&ticket);
+    }
+
+    fn start_helper(shared: Arc<HedgerShared>, core: Arc<Core>) -> JoinHandle<()> {
+        std::thread::spawn(move || loop {
+            let due = {
+                let mut state = shared.state.lock();
+                loop {
+                    if state.closed {
+                        return;
+                    }
+                    let now = Instant::now(); // lint: allow(clock) — hedge deadline check
+                    match state.armed.first_key_value().map(|(ticket, _)| ticket.0) {
+                        Some(deadline) if deadline <= now => break state.armed.pop_first(),
+                        Some(deadline) => {
+                            state.wake_at = Some(deadline);
+                            shared.wake.wait_for(&mut state, deadline - now);
+                        }
+                        None => {
+                            state.wake_at = None;
+                            shared.wake.wait(&mut state);
+                        }
+                    }
+                }
+            };
+            if let Some((_, call)) = due {
+                call.launch_twin(&core);
+            }
+        })
+    }
+}
+
+impl Drop for Hedger {
+    fn drop(&mut self) {
+        let helper = {
+            let mut state = self.shared.state.lock();
+            state.closed = true;
+            state.helper.take()
+        };
+        self.shared.wake.notify_one();
+        if let Some(helper) = helper {
+            // The helper runs no backend code, so this is prompt; a panic
+            // in it has already been reported by the panic hook.
+            let _ = helper.join();
+        }
+    }
+}
+
 /// A failure-aware, optionally hedging dispatcher over a backend registry.
 ///
 /// Implements [`LanguageModel`] — it is what [`crate::LlmClient::model`]
@@ -343,14 +643,12 @@ pub struct RouterStats {
 /// the single response the router returns per logical request.
 pub struct Router {
     registry: BackendRegistry,
-    policy: RoutePolicy,
-    states: Vec<Arc<BackendState>>,
+    core: Arc<Core>,
     tier: String,
     reference_pricing: Pricing,
     min_context: u32,
     retries: AtomicU64,
-    hedges_launched: AtomicU64,
-    hedges_won: AtomicU64,
+    hedger: Hedger,
 }
 
 impl Router {
@@ -359,7 +657,7 @@ impl Router {
         let states = registry
             .backends()
             .iter()
-            .map(|b| Arc::new(BackendState::new(Arc::clone(b))))
+            .map(|b| BackendState::new(Arc::clone(b)))
             .collect();
         let cheapest = registry.cheapest();
         Router {
@@ -367,11 +665,14 @@ impl Router {
             reference_pricing: registry.backends()[cheapest].pricing(),
             min_context: registry.min_context_window(),
             registry,
-            policy,
-            states,
+            core: Arc::new(Core {
+                policy,
+                states,
+                hedges_launched: AtomicU64::new(0),
+                hedges_won: AtomicU64::new(0),
+            }),
             retries: AtomicU64::new(0),
-            hedges_launched: AtomicU64::new(0),
-            hedges_won: AtomicU64::new(0),
+            hedger: Hedger::default(),
         }
     }
 
@@ -382,7 +683,7 @@ impl Router {
 
     /// The dispatch policy.
     pub fn policy(&self) -> &RoutePolicy {
-        &self.policy
+        &self.core.policy
     }
 
     /// The cheapest backend's id — the reference schedule behind
@@ -422,9 +723,10 @@ impl Router {
         let now = Instant::now(); // lint: allow(clock) — stats snapshot anchor
         RouterStats {
             retries: self.retries(),
-            hedges_launched: self.hedges_launched.load(Ordering::Relaxed),
-            hedges_won: self.hedges_won.load(Ordering::Relaxed),
+            hedges_launched: self.core.hedges_launched.load(Ordering::Relaxed),
+            hedges_won: self.core.hedges_won.load(Ordering::Relaxed),
             per_backend: self
+                .core
                 .states
                 .iter()
                 .map(|s| BackendStats {
@@ -439,81 +741,10 @@ impl Router {
         }
     }
 
-    /// Least-loaded / cheapest-eligible selection among breaker-admitted
-    /// backends not in `avoid`.
-    ///
-    /// Eligibility checks are side-effect free; the half-open probe slot of
-    /// an open-but-cooled breaker is claimed only for the backend actually
-    /// chosen (a losing candidate keeps its probe available for later).
-    fn select(&self, avoid: &[bool]) -> Option<usize> {
-        // Lost probe races are excluded locally and selection retried, so
-        // the loop terminates after at most `states.len()` rounds.
-        let mut race_lost = vec![false; self.states.len()];
-        loop {
-            let now = Instant::now(); // lint: allow(clock) — selection loop tick
-            let mut best: Option<(f64, f64, usize, Eligibility)> = None;
-            for (i, state) in self.states.iter().enumerate() {
-                if avoid[i] || race_lost[i] {
-                    continue;
-                }
-                let eligibility = state.eligibility(now);
-                if eligibility == Eligibility::Blocked {
-                    continue;
-                }
-                let slots = state.backend.slots();
-                let capacity = if slots == 0 { 1_000_000 } else { slots };
-                let load = state.in_flight.load(Ordering::Relaxed) as f64 / capacity as f64;
-                let pricing = state.backend.pricing();
-                let rate = pricing.usd_per_1k_input + pricing.usd_per_1k_output;
-                let better = match &best {
-                    None => true,
-                    Some((bl, br, _, _)) => load < *bl || (load == *bl && rate < *br),
-                };
-                if better {
-                    best = Some((load, rate, i, eligibility));
-                }
-            }
-            let (_, _, index, eligibility) = best?;
-            if eligibility == Eligibility::Closed || self.states[index].try_claim_probe(now) {
-                return Some(index);
-            }
-            // Another thread won this backend's probe between the check and
-            // the claim; drop it from this round and re-select.
-            race_lost[index] = true;
-        }
-    }
-
-    /// Spawn one attempt on backend `index`, reporting into `tx`. The
-    /// thread is detached: a hedge loser keeps running (until its cancel
-    /// token stops it) without blocking the winner's return, and its
-    /// breaker/latency bookkeeping still lands via [`BackendState`].
-    fn spawn_attempt(
-        &self,
-        index: usize,
-        request: CompletionRequest,
-        tx: mpsc::Sender<(usize, Result<CompletionResponse, LlmError>)>,
-        cancel: CancelToken,
-    ) {
-        let state = Arc::clone(&self.states[index]);
-        let breaker = self.policy.breaker;
-        std::thread::spawn(move || {
-            let result = state.execute(&breaker, &request, &cancel);
-            let _ = tx.send((index, result));
-        });
-    }
-
-    /// The effective hedge delay for a primary backend: the adaptive p9x
-    /// trigger once history exists, floored by the configured delay.
-    fn hedge_delay(&self, primary: usize, config: &HedgeConfig) -> Duration {
-        match self.states[primary].latency_percentile(config.percentile) {
-            Some(observed) if observed > config.after => observed,
-            _ => config.after,
-        }
-    }
-
-    /// Dispatch with hedging: launch the primary, duplicate onto the
-    /// next-best backend if the primary straggles past the hedge delay,
-    /// first success wins, loser cancelled.
+    /// Dispatch with hedging: run the primary here, on the caller's thread,
+    /// with a deadline armed on the helper; a primary that straggles past
+    /// it gets a twin on the next-best backend. First success wins, the
+    /// loser is cancelled, and exactly one outcome is returned.
     ///
     /// A secondary that *failed* is marked in `avoid`, so the caller's
     /// retry loop skips both halves of a fully-failed hedge rather than
@@ -521,97 +752,84 @@ impl Router {
     fn dispatch_hedged(
         &self,
         primary: usize,
-        request: &CompletionRequest,
+        request: CompletionRequest,
         config: &HedgeConfig,
         avoid: &mut [bool],
     ) -> Result<CompletionResponse, LlmError> {
-        let (tx, rx) = mpsc::channel();
-        let cancel_primary = CancelToken::new();
-        // Every wait below stalls for backend-scale time; no shim lock may
-        // span it (enforced by the lock_diagnostics build).
+        let core = &self.core;
+        let mut twin_avoid = avoid.to_vec();
+        twin_avoid[primary] = true;
+        let call = Arc::new(HedgedCall {
+            request,
+            avoid: twin_avoid,
+            cancel_primary: CancelToken::new(),
+            slot: Mutex::default(),
+            published: Condvar::new(),
+        });
+        let deadline = Instant::now() + core.hedge_delay(primary, config); // lint: allow(clock) — hedge deadline anchor
+        let ticket = self.hedger.arm(core, deadline, Arc::clone(&call));
+        // The primary, and below it the wait for a launched twin, stall for
+        // backend-scale time; no shim lock may span either (enforced by the
+        // lock_diagnostics build).
         parking_lot::blocking_region("hedged dispatch wait");
-        self.spawn_attempt(primary, request.clone(), tx.clone(), cancel_primary.clone());
-        match rx.recv_timeout(self.hedge_delay(primary, config)) {
-            Ok((index, result)) => {
-                if result.is_ok() {
-                    self.states[index].wins.fetch_add(1, Ordering::Relaxed);
-                }
-                return result;
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {
-                unreachable!("attempt thread always sends before exiting")
+        let primary_result = core.attempt(primary, &call.request, &call.cancel_primary);
+        self.hedger.disarm(ticket);
+
+        let mut slot = call.slot.lock();
+        slot.primary_reported = true;
+        if primary_result.is_err() {
+            // A twin that is out may still save the request. One that was
+            // never launched will not be: `primary_reported` stops the
+            // helper, so a primary failing inside the delay returns now.
+            while matches!(slot.twin, Twin::Running { .. }) {
+                call.published.wait(&mut slot);
             }
         }
-        // The primary is a straggler. Hedge onto the next-best distinct
-        // backend, if any; otherwise just keep waiting.
-        let mut avoid_primary = avoid.to_vec();
-        avoid_primary[primary] = true;
-        let Some(secondary) = self.select(&avoid_primary) else {
-            // Dropping our sender means a panicking custom backend (its
-            // thread dies without reporting) surfaces as a disconnect
-            // instead of deadlocking this recv forever.
-            drop(tx);
-            let Ok((index, result)) = rx.recv() else {
-                return Err(LlmError::ServiceUnavailable);
-            };
-            if result.is_ok() {
-                self.states[index].wins.fetch_add(1, Ordering::Relaxed);
-            }
-            return result;
+        let win = |index: usize, response| {
+            core.states[index].wins.fetch_add(1, Ordering::Relaxed);
+            Ok(response)
         };
-        self.hedges_launched.fetch_add(1, Ordering::Relaxed);
-        let cancel_secondary = CancelToken::new();
-        self.spawn_attempt(
-            secondary,
-            request.clone(),
-            tx.clone(),
-            cancel_secondary.clone(),
-        );
-        // As above: only the attempt threads hold senders now, so if every
-        // remaining attempt panics the recv below disconnects rather than
-        // hanging the caller.
-        drop(tx);
-        let mut first_error: Option<LlmError> = None;
-        for remaining in (0..2u32).rev() {
-            let Ok((index, result)) = rx.recv() else {
-                return Err(first_error.unwrap_or(LlmError::ServiceUnavailable));
-            };
-            match result {
-                Ok(response) => {
-                    // First success wins; the twin is cancelled and its
-                    // eventual (discarded) result never reaches the caller
-                    // — or the ledger.
-                    if index == primary {
-                        cancel_secondary.cancel();
-                    } else {
-                        cancel_primary.cancel();
-                        self.hedges_won.fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.states[index].wins.fetch_add(1, Ordering::Relaxed);
-                    return Ok(response);
-                }
-                Err(error) => {
-                    if index != primary {
-                        avoid[index] = true;
-                    }
-                    if remaining == 0 {
-                        // Both attempts failed. Prefer a non-retryable
-                        // error: it is request-level and deterministic, and
-                        // surfacing a transient twin instead would send the
-                        // caller's retry loop chasing a request that can
-                        // only hard-fail.
-                        return Err(match first_error {
-                            Some(first) if !error.is_retryable() && first.is_retryable() => error,
-                            Some(first) => first,
-                            None => error,
-                        });
-                    }
-                    first_error = Some(error);
-                }
+        match (primary_result, std::mem::take(&mut slot.twin)) {
+            // The twin published a success before the primary reported (and
+            // cancelled it): first success wins, whatever the primary then
+            // came back with. The discarded outcome never reaches the
+            // caller — or the ledger.
+            (
+                _,
+                Twin::Done {
+                    index,
+                    result: Ok(response),
+                },
+            ) => {
+                core.hedges_won.fetch_add(1, Ordering::Relaxed);
+                win(index, response)
             }
+            (Ok(response), twin) => {
+                if let Twin::Running { cancel } = twin {
+                    cancel.cancel();
+                }
+                win(primary, response)
+            }
+            // Both attempts failed. Prefer a non-retryable error: it is
+            // request-level and deterministic, and surfacing a transient
+            // twin instead would send the caller's retry loop chasing a
+            // request that can only hard-fail.
+            (
+                Err(error),
+                Twin::Done {
+                    index,
+                    result: Err(twin_error),
+                },
+            ) => {
+                avoid[index] = true;
+                Err(if error.is_retryable() && !twin_error.is_retryable() {
+                    twin_error
+                } else {
+                    error
+                })
+            }
+            (Err(error), _) => Err(error),
         }
-        unreachable!("loop returns on the second result")
     }
 
     /// Milliseconds until the earliest breaker would admit a half-open
@@ -620,7 +838,8 @@ impl Router {
     /// [`LlmError::CircuitOpen::retry_in_ms`] so callers can schedule a
     /// retry for when it can actually succeed.
     fn earliest_probe_in_ms(&self, now: Instant) -> u64 {
-        self.states
+        self.core
+            .states
             .iter()
             .map(|s| {
                 let state = s.breaker.lock();
@@ -639,8 +858,8 @@ impl Router {
         index: usize,
         request: &CompletionRequest,
     ) -> Result<CompletionResponse, LlmError> {
-        let state = &self.states[index];
-        let result = state.execute(&self.policy.breaker, request, &CancelToken::new());
+        let state = &self.core.states[index];
+        let result = state.execute(&self.core.policy.breaker, request, &CancelToken::new());
         if result.is_ok() {
             state.wins.fetch_add(1, Ordering::Relaxed);
         }
@@ -666,11 +885,12 @@ impl LanguageModel for Router {
     }
 
     fn complete(&self, request: &CompletionRequest) -> Result<CompletionResponse, LlmError> {
-        let max_attempts = self.policy.max_retries.saturating_add(1);
+        let core = &self.core;
+        let max_attempts = core.policy.max_retries.saturating_add(1);
         let mut attempt = 0u32;
-        let mut avoid = vec![false; self.states.len()];
+        let mut avoid = vec![false; core.states.len()];
         loop {
-            let primary = match self.select(&avoid) {
+            let primary = match core.select(&avoid) {
                 Some(index) => index,
                 None => {
                     // Everything admitted has already failed this request:
@@ -679,7 +899,7 @@ impl LanguageModel for Router {
                     if avoid.iter().any(|&a| a) {
                         avoid.iter_mut().for_each(|a| *a = false);
                     }
-                    match self.select(&avoid) {
+                    match core.select(&avoid) {
                         Some(index) => index,
                         None => {
                             return Err(LlmError::CircuitOpen {
@@ -691,13 +911,12 @@ impl LanguageModel for Router {
                 }
             };
             // Re-roll the backend's transport fate per attempt, the way a
-            // real retry hits a different server moment; temperature-0
-            // fingerprints ignore the sample index, so caching and answer
-            // draws are unaffected.
+            // real retry hits a different server moment. `attempt` is in no
+            // fingerprint, so caching and answer draws are unaffected.
             let mut attempt_request = request.clone();
-            attempt_request.sample_index = request.sample_index.wrapping_add(attempt);
-            let result = match &self.policy.hedge {
-                Some(config) => self.dispatch_hedged(primary, &attempt_request, config, &mut avoid),
+            attempt_request.attempt = attempt;
+            let result = match &core.policy.hedge {
+                Some(config) => self.dispatch_hedged(primary, attempt_request, config, &mut avoid),
                 None => self.dispatch_direct(primary, &attempt_request),
             };
             match result {
@@ -713,7 +932,7 @@ impl LanguageModel for Router {
                     self.retries.fetch_add(1, Ordering::Relaxed);
                     avoid[primary] = true;
                     match crate::retry::retry_delay(
-                        self.policy.backoff_ms,
+                        core.policy.backoff_ms,
                         attempt,
                         error.retry_hint_ms(),
                         request.fingerprint(),
@@ -1557,14 +1776,319 @@ mod tests {
         // the latency window fills with ~3 ms observations, the adaptive
         // p90 trigger takes over.
         let floor = HedgeConfig::after(Duration::from_micros(100));
-        assert_eq!(router.hedge_delay(0, &floor), Duration::from_micros(100));
+        assert_eq!(
+            router.core.hedge_delay(0, &floor),
+            Duration::from_micros(100)
+        );
         for id in &ids {
             router.complete(&check(*id)).unwrap();
         }
         assert!(
-            router.hedge_delay(0, &floor) >= Duration::from_millis(2),
+            router.core.hedge_delay(0, &floor) >= Duration::from_millis(2),
             "observed p90 must override the floor"
         );
+    }
+
+    // -- selection: the straggler class and free-slot-first ---------------
+
+    const FLOOR: Duration = Duration::from_millis(3);
+
+    fn hedged(backends: Vec<Arc<dyn Backend>>) -> Router {
+        Router::new(
+            BackendRegistry::new(backends).unwrap(),
+            RoutePolicy {
+                hedge: Some(HedgeConfig::after(FLOOR)),
+                ..RoutePolicy::default()
+            },
+        )
+    }
+
+    /// Feed backend `index`'s latency window as `n` answered calls would.
+    fn observe(router: &Router, index: usize, latency: Duration, n: usize) {
+        for _ in 0..n {
+            router.core.states[index].on_success(latency);
+        }
+    }
+
+    fn occupy(router: &Router, in_flight: [usize; 2]) {
+        for (state, n) in router.core.states.iter().zip(in_flight) {
+            state.in_flight.store(n, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn primaries_go_to_the_backend_under_the_hedge_floor() {
+        let (model, ids) = shared_model(80, 31);
+        // The slow backend is the cheaper one: load and price alone would
+        // make it every serial call's primary.
+        let router = hedged(vec![
+            Arc::new(
+                SimBackend::new("slow", Arc::clone(&model))
+                    .with_price_multiplier(0.5)
+                    .with_latency(LatencyProfile::fixed(6_000)),
+            ),
+            Arc::new(
+                SimBackend::new("fast", Arc::clone(&model))
+                    .with_latency(LatencyProfile::fixed(1_000)),
+            ),
+        ]);
+        assert_eq!(router.core.select(&[false; 2]), Some(0), "cold: cheapest");
+        observe(&router, 0, Duration::from_millis(6), LATENCY_MIN_SAMPLES);
+        observe(&router, 1, Duration::from_millis(1), LATENCY_MIN_SAMPLES);
+        assert_eq!(
+            router.core.select(&[false; 2]),
+            Some(1),
+            "warm: not the straggler"
+        );
+
+        let (serial, parallel) = ids.split_at(40);
+        for id in serial {
+            router.complete(&check(*id)).unwrap();
+        }
+        std::thread::scope(|scope| {
+            for chunk in parallel.chunks(10) {
+                let router = &router;
+                scope.spawn(move || {
+                    for id in chunk {
+                        router.complete(&check(*id)).unwrap();
+                    }
+                });
+            }
+        });
+        let stats = router.stats();
+        let [slow, fast] = &stats.per_backend[..] else {
+            panic!("two backends");
+        };
+        // Every primary went to the fast backend. The slow one is still in
+        // the roster — it is where a twin or a retry goes — and saw nothing
+        // else (a twin only launches here if the scheduler stalls a 1 ms
+        // call past the 3 ms deadline).
+        assert_eq!(fast.dispatches, ids.len() as u64 + stats.retries);
+        assert_eq!(slow.dispatches, stats.hedges_launched);
+        assert_eq!(fast.wins + slow.wins, ids.len() as u64);
+        assert_eq!(slow.breaker_trips + fast.breaker_trips, 0);
+    }
+
+    #[test]
+    fn a_backend_at_its_slots_ranks_behind_a_straggler_with_one_free() {
+        const SLOTS: usize = 3;
+        /// Holds every admitted call until the gate opens, and counts the
+        /// over-slot arrivals a real provider would answer with a 429.
+        struct Gated {
+            id: &'static str,
+            inner: Arc<dyn LanguageModel>,
+            open: Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>,
+            in_flight: AtomicUsize,
+            admitted: AtomicUsize,
+            over_slot: AtomicUsize,
+        }
+        impl Backend for Gated {
+            fn id(&self) -> &str {
+                self.id
+            }
+            fn tier(&self) -> &str {
+                self.inner.name()
+            }
+            fn context_window(&self) -> u32 {
+                self.inner.context_window()
+            }
+            fn pricing(&self) -> Pricing {
+                self.inner.pricing()
+            }
+            fn slots(&self) -> usize {
+                SLOTS
+            }
+            fn complete(
+                &self,
+                request: &CompletionRequest,
+                _cancel: &CancelToken,
+            ) -> Result<CompletionResponse, LlmError> {
+                let concurrent = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                let result = if concurrent > SLOTS {
+                    self.over_slot.fetch_add(1, Ordering::SeqCst);
+                    Err(LlmError::RateLimited { retry_after_ms: 10 })
+                } else {
+                    self.admitted.fetch_add(1, Ordering::SeqCst);
+                    let (lock, opened) = &*self.open;
+                    let mut open = lock.lock().unwrap();
+                    while !*open {
+                        open = opened.wait(open).unwrap();
+                    }
+                    drop(open);
+                    self.inner.complete(request)
+                };
+                self.in_flight.fetch_sub(1, Ordering::SeqCst);
+                result
+            }
+        }
+
+        let (model, ids) = shared_model(2 * SLOTS, 32);
+        let open = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
+        let gated = |id| {
+            Arc::new(Gated {
+                id,
+                inner: Arc::clone(&model),
+                open: Arc::clone(&open),
+                in_flight: AtomicUsize::new(0),
+                admitted: AtomicUsize::new(0),
+                over_slot: AtomicUsize::new(0),
+            })
+        };
+        let (fast, slow) = (gated("fast"), gated("slow"));
+        let router = hedged(vec![
+            Arc::clone(&fast) as Arc<dyn Backend>,
+            Arc::clone(&slow) as Arc<dyn Backend>,
+        ]);
+        // Classes without real sleeps: `fast` has a 1 ms median under the
+        // floor, `slow` a 10 s one past it — and both a 10 s p90, so no
+        // hedge deadline passes while the gate is shut.
+        let long = Duration::from_secs(10);
+        observe(&router, 0, Duration::from_millis(1), 6);
+        observe(&router, 0, long, 4);
+        observe(&router, 1, long, 10);
+        assert!(!router.core.states[0].straggles(FLOOR));
+        assert!(router.core.states[1].straggles(FLOOR));
+
+        // 2 x SLOTS calls in flight at once, arriving one at a time so each
+        // selection sees the ones before it. A call that is refused (or
+        // lost) stops the arrivals; the gate opens either way, so a failure
+        // is an assertion below and not a hang.
+        let parked = |backend: &Gated| backend.admitted.load(Ordering::SeqCst);
+        let refused = |backend: &Gated| backend.over_slot.load(Ordering::SeqCst);
+        std::thread::scope(|scope| {
+            let patience = Instant::now() + Duration::from_secs(20);
+            'arrivals: for (arrived, id) in ids.iter().enumerate() {
+                let router = &router;
+                scope.spawn(move || router.complete(&check(*id)).unwrap());
+                while parked(&fast) + parked(&slow) <= arrived {
+                    if refused(&fast) + refused(&slow) > 0 || Instant::now() > patience {
+                        break 'arrivals;
+                    }
+                    std::thread::yield_now();
+                }
+            }
+            *open.0.lock().unwrap() = true;
+            open.1.notify_all();
+        });
+        let stats = router.stats();
+        // The first SLOTS calls fill the fast backend; the rest go to the
+        // straggler, which has slots free, instead of a 429 on the fast one.
+        for (backend, stats) in [&fast, &slow].into_iter().zip(&stats.per_backend) {
+            assert_eq!(refused(backend), 0, "{}: over-slot arrivals", stats.id);
+            assert_eq!(parked(backend), SLOTS, "{}: calls admitted", stats.id);
+            assert_eq!(stats.wins, SLOTS as u64);
+            assert_eq!((stats.transient_failures, stats.breaker_trips), (0, 0));
+        }
+        assert_eq!((stats.retries, stats.hedges_launched), (0, 0));
+    }
+
+    #[test]
+    fn a_spiked_backend_rejoins_once_its_median_is_back_under_the_floor() {
+        use crate::backend::{FaultKind, FaultSchedule, FaultWindow};
+        const SPIKED_CALLS: u64 = 12;
+        // Far more requests than a quiet machine needs (about 25): a stalled
+        // 0.4 ms answer is one more slow sample to outnumber.
+        let (model, ids) = shared_model(400, 33);
+        // `spiky`: cheap, 0.4 ms — but its first twelve arrivals take 10 ms.
+        // `laggard`: a constant 20 ms, so it loses every race it is in and is
+        // never measured; it is only here to be hedged away from.
+        let router = hedged(vec![
+            Arc::new(
+                SimBackend::new("spiky", Arc::clone(&model))
+                    .with_price_multiplier(0.5)
+                    .with_latency(LatencyProfile::fixed(400))
+                    .with_fault_schedule(FaultSchedule::new(vec![FaultWindow::new(
+                        0,
+                        SPIKED_CALLS,
+                        FaultKind::LatencySpike { mult: 25.0 },
+                    )])),
+            ),
+            Arc::new(
+                SimBackend::new("laggard", Arc::clone(&model))
+                    .with_latency(LatencyProfile::fixed(20_000)),
+            ),
+        ]);
+        let preferred = || router.core.select(&[false; 2]);
+        let mut demoted_at = None;
+        let mut rejoined_at = None;
+        for (call, id) in ids.iter().enumerate() {
+            router.complete(&check(*id)).unwrap();
+            match (demoted_at, preferred()) {
+                (None, Some(1)) => demoted_at = Some(call),
+                (Some(_), Some(0)) => {
+                    rejoined_at = Some(call);
+                    break;
+                }
+                _ => {}
+            }
+        }
+        // Eight 10 ms answers put `spiky` in the straggler class; from then
+        // on it is measured only as the laggard's twin, and once those
+        // answers (0.4 ms after the window ends) outnumber the spiked ones
+        // its median is under the floor and it is the primary again.
+        let demoted_at = demoted_at.expect("the spiked backend was never demoted");
+        let rejoined_at = rejoined_at.expect("the recovered backend never rejoined");
+        assert!(
+            demoted_at + 1 >= LATENCY_MIN_SAMPLES,
+            "demoted on {demoted_at}"
+        );
+        assert!(rejoined_at > demoted_at + SPIKED_CALLS as usize - LATENCY_MIN_SAMPLES);
+        assert!(!router.core.states[0].straggles(FLOOR));
+    }
+
+    #[test]
+    fn where_the_class_cannot_decide_a_hedged_router_selects_as_an_unhedged_one() {
+        let (model, _) = shared_model(1, 34);
+        let roster = || -> Vec<Arc<dyn Backend>> {
+            vec![
+                Arc::new(SimBackend::new("first", Arc::clone(&model)).with_slots(2)),
+                Arc::new(
+                    SimBackend::new("cheaper", Arc::clone(&model))
+                        .with_slots(3)
+                        .with_price_multiplier(0.5),
+                ),
+            ]
+        };
+        let unhedged = Router::new(
+            BackendRegistry::new(roster()).unwrap(),
+            RoutePolicy::default(),
+        );
+        let slow = Duration::from_millis(50);
+        // Cold: one sample short of a class on either backend, however slow.
+        let cold = hedged(roster());
+        observe(&cold, 0, slow, LATENCY_MIN_SAMPLES - 1);
+        observe(&cold, 1, slow, LATENCY_MIN_SAMPLES - 1);
+        // Both past the floor: the class is a tie.
+        let both_straggle = hedged(roster());
+        observe(&both_straggle, 0, slow, LATENCY_WINDOW);
+        observe(&both_straggle, 1, slow * 2, LATENCY_WINDOW);
+        // An unhedged router has no floor: a slow window changes nothing.
+        observe(&unhedged, 0, slow, LATENCY_WINDOW);
+
+        for first in 0..=3 {
+            for cheaper in 0..=4 {
+                for avoid in [[false, false], [true, false], [false, true]] {
+                    occupy(&unhedged, [first, cheaper]);
+                    let expected = unhedged.core.select(&avoid);
+                    for (label, router) in [("cold", &cold), ("both straggle", &both_straggle)] {
+                        occupy(router, [first, cheaper]);
+                        assert_eq!(
+                            router.core.select(&avoid),
+                            expected,
+                            "{label}: in flight {first}/2 and {cheaper}/3, avoid {avoid:?}"
+                        );
+                    }
+                }
+            }
+        }
+
+        // A lone backend is selected whatever its class or load.
+        let lone = hedged(vec![Arc::new(
+            SimBackend::new("only", Arc::clone(&model)).with_slots(1),
+        )]);
+        observe(&lone, 0, slow, LATENCY_WINDOW);
+        lone.core.states[0].in_flight.store(1, Ordering::Relaxed);
+        assert_eq!(lone.core.select(&[false]), Some(0));
     }
 
     #[test]

@@ -358,20 +358,16 @@ impl LanguageModel for SimulatedLlm {
 
         // Transport failure injection (retryable errors). Keyed separately
         // from the task RNG so retries of flaky transport do not change the
-        // eventual answer. The attempt counter comes from `sample_index`
-        // only at temperature > 0; at temperature 0 the *first* draw decides
-        // and a retry will hit the same fate — callers model that by
-        // bumping `sample_index`, which is folded in here explicitly.
+        // eventual answer: the fingerprint (and with it the answer draw)
+        // never sees `attempt`, which the router bumps per retry and which
+        // is folded in here, beside the sample index, explicitly.
         let noise = &self.profile.noise;
         if noise.rate_limit_prob > 0.0 || noise.unavailable_prob > 0.0 || noise.timeout_prob > 0.0 {
             let key = hash::combine(
                 self.seed,
                 hash::combine(
                     request.fingerprint(),
-                    hash::combine(
-                        hash::fnv1a_str("transport"),
-                        u64::from(request.sample_index),
-                    ),
+                    hash::combine(hash::fnv1a_str("transport"), request.transport_draw()),
                 ),
             );
             let mut trng = ChaCha8Rng::seed_from_u64(key);

@@ -72,6 +72,12 @@ pub struct CompletionRequest {
     /// Excluded from [`CompletionRequest::fingerprint`]: a deadline changes
     /// scheduling, never the answer, so caching is unaffected.
     pub deadline: Option<std::time::Instant>,
+    /// Which transport attempt of this request a dispatcher is making (`0`
+    /// = the first). Like `deadline` it is excluded from
+    /// [`CompletionRequest::fingerprint`]: only a backend's *transport*
+    /// draws (latency, injected 429 / 5xx / timeout) read it, so a retry
+    /// meets a different server moment and the same answer.
+    pub attempt: u32,
 }
 
 impl CompletionRequest {
@@ -84,6 +90,7 @@ impl CompletionRequest {
             max_tokens: None,
             sample_index: 0,
             deadline: None,
+            attempt: 0,
         }
     }
 
@@ -119,6 +126,13 @@ impl CompletionRequest {
     /// the deadline has already passed.
     pub fn remaining(&self, now: std::time::Instant) -> Option<std::time::Duration> {
         self.deadline.map(|d| d.saturating_duration_since(now))
+    }
+
+    /// The coordinate a backend folds into its transport draws beside the
+    /// fingerprint: the sample index (which a temperature-0 fingerprint
+    /// leaves out) advanced by the attempt, so every attempt re-rolls.
+    pub(crate) fn transport_draw(&self) -> u64 {
+        u64::from(self.sample_index.wrapping_add(self.attempt))
     }
 
     /// Stable fingerprint of the request content, suitable as a cache key.
@@ -236,6 +250,17 @@ mod tests {
             Some(std::time::Duration::ZERO)
         );
         assert_eq!(r1.remaining(std::time::Instant::now()), None);
+    }
+
+    #[test]
+    fn fingerprint_ignores_attempt_which_only_moves_the_transport_draw() {
+        let first = CompletionRequest::new("p", dummy_task())
+            .with_temperature(0.7)
+            .with_sample_index(3);
+        let mut retry = first.clone();
+        retry.attempt = 2;
+        assert_eq!(first.fingerprint(), retry.fingerprint());
+        assert_eq!((first.transport_draw(), retry.transport_draw()), (3, 5));
     }
 
     #[test]

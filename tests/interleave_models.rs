@@ -14,7 +14,7 @@
 //! | flight handoff        | `oracle::client` coalescing leader/joiner publish |
 //! | breaker half-open     | `oracle::route` probe claim vs concurrent callers |
 //! | journal torn tail     | `oracle::recordlog` append crash + truncate-at-open |
-//! | hedged cancel         | `oracle::route` first-success vs twin cancel     |
+//! | hedged hand-off       | `oracle::route` caller / helper / twin over one slot |
 //! | lease quota           | `oracle::route` reserve/confirm/release + expiry |
 
 use std::sync::Arc;
@@ -265,73 +265,161 @@ fn journal_recovery_truncates_exactly_the_torn_tail() {
     );
 }
 
-/// Model 4 — hedged dispatch, first-success vs twin cancel (`route.rs`):
-/// two attempt threads race a request; each *always* reports its outcome
-/// (explored via `choice`) into the channel, cancelled or not — the real
-/// code's guarantee that the coordinator's `recv` can never hang. The
-/// coordinator takes the first success as the winner and cancels the twin;
-/// the twin's result is discarded, never surfaced.
+/// Model 4 — hedged dispatch over the shared slot (`route.rs`): the caller
+/// runs the primary inline; the router's helper, if the hedge deadline
+/// passes before the primary reports, launches a twin onto a secondary
+/// (when selection admits one: `choice`); the twin publishes its outcome
+/// (`choice`: success, error, or a panic caught and published as an error)
+/// into the slot, cancelling the primary if it succeeded first. The caller
+/// takes its own success, or waits for a twin that is out — never for one
+/// that was not launched — and surfaces exactly one outcome.
 ///
-/// Invariants: the coordinator always collects exactly two reports (no lost
-/// wakeup), at most one winner, a surfaced winner implies its attempt
-/// really succeeded, and the loser is cancelled whenever a winner exists.
+/// Invariants: no schedule hangs (a failed primary waits only while a twin
+/// is really running, and every launched twin publishes, panicking or not);
+/// no twin is launched once the primary has reported; the surfaced outcome
+/// is a success exactly when an attempt succeeded uncancelled, and names an
+/// attempt that did; whoever wins, its running twin is cancelled.
 #[test]
 fn hedged_dispatch_surfaces_exactly_one_result() {
-    struct Chan {
-        inbox: Mutex<ChanState>,
-        cv: Condvar,
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Twin {
+        NotLaunched,
+        Running,
+        Done { ok: bool },
     }
-    #[derive(Default)]
-    struct ChanState {
-        messages: Vec<(usize, bool)>,
-        cancel: [bool; 2],
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Surfaced {
+        Primary,
+        Twin,
+        Error,
+    }
+    struct Slot {
+        primary_reported: bool,
+        twin: Twin,
+        cancel_primary: bool,
+        cancel_twin: bool,
+        /// Bookkeeping for the invariants, not protocol state.
+        twin_handle: Option<interleave::JoinHandle>,
+        launched_after_report: bool,
+        twin_succeeded: bool,
+    }
+    struct Call {
+        slot: Mutex<Slot>,
+        published: Condvar,
     }
 
     let n = iterations();
     let report = interleave::explore(Config::random(0x4ed6, n), || {
-        let chan = Arc::new(Chan {
-            inbox: Mutex::new(ChanState::default()),
-            cv: Condvar::new(),
+        let call = Arc::new(Call {
+            slot: Mutex::new(Slot {
+                primary_reported: false,
+                twin: Twin::NotLaunched,
+                cancel_primary: false,
+                cancel_twin: false,
+                twin_handle: None,
+                launched_after_report: false,
+                twin_succeeded: false,
+            }),
+            published: Condvar::new(),
         });
-        let mut handles = Vec::new();
-        for attempt in 0..2usize {
-            let chan = Arc::clone(&chan);
-            handles.push(spawn(move || {
-                interleave::yield_now(); // the backend call
-                let outcome_ok = choice(2) == 0;
-                let mut inbox = chan.inbox.lock();
-                // A cancelled attempt still reports (as a failure): dropping
-                // the report instead is the lost-wakeup bug the real code
-                // guards against by moving senders into the attempt threads.
-                let report_ok = outcome_ok && !inbox.cancel[attempt];
-                inbox.messages.push((attempt, report_ok));
-                drop(inbox);
-                chan.cv.notify_one();
-            }));
-        }
-        // Coordinator: first success wins, twin gets cancelled.
-        let mut winner: Option<usize> = None;
-        let mut received = 0;
-        while received < 2 {
-            let mut inbox = chan.inbox.lock();
-            while inbox.messages.is_empty() {
-                inbox = chan.cv.wait(inbox);
+
+        // The helper: wakes at the deadline, hedges only a primary still out.
+        let helper = {
+            let call = Arc::clone(&call);
+            spawn(move || {
+                interleave::yield_now(); // the hedge delay
+                let mut slot = call.slot.lock();
+                if slot.primary_reported {
+                    return;
+                }
+                if choice(2) == 1 {
+                    return; // no secondary admitted: the caller keeps waiting
+                }
+                // The twin is started under the slot lock and marked running
+                // only once it exists; it cannot publish before the unlock.
+                let twin = {
+                    let call = Arc::clone(&call);
+                    spawn(move || {
+                        interleave::yield_now(); // the backend call
+                        let outcome = choice(3); // ok / error / caught panic
+                        let mut slot = call.slot.lock();
+                        let ok = outcome == 0 && !slot.cancel_twin;
+                        slot.twin_succeeded = ok;
+                        if ok && !slot.primary_reported {
+                            slot.cancel_primary = true;
+                        }
+                        slot.twin = Twin::Done { ok };
+                        drop(slot);
+                        call.published.notify_all();
+                    })
+                };
+                slot.launched_after_report = slot.primary_reported;
+                slot.twin = Twin::Running;
+                slot.twin_handle = Some(twin);
+            })
+        };
+
+        // The caller: the primary runs inline, then the slot decides.
+        interleave::yield_now(); // the backend call
+        let answered = choice(2) == 0;
+        let mut slot = call.slot.lock();
+        // A primary whose token fired comes back `Cancelled`.
+        let primary_ok = answered && !slot.cancel_primary;
+        slot.primary_reported = true;
+        if !primary_ok {
+            while slot.twin == Twin::Running {
+                slot = call.published.wait(slot);
             }
-            let (attempt, ok) = inbox.messages.remove(0);
-            received += 1;
-            if ok && winner.is_none() {
-                winner = Some(attempt);
-                inbox.cancel[1 - attempt] = true;
+        }
+        let twin_at_decision = slot.twin;
+        let surfaced = match (primary_ok, slot.twin) {
+            (_, Twin::Done { ok: true }) => Surfaced::Twin,
+            (true, twin) => {
+                if twin == Twin::Running {
+                    slot.cancel_twin = true;
+                }
+                Surfaced::Primary
             }
+            (false, _) => Surfaced::Error,
+        };
+        slot.twin = Twin::NotLaunched;
+        drop(slot);
+
+        helper.join();
+        let twin_handle = call.slot.lock().twin_handle.take();
+        if let Some(twin) = twin_handle {
+            twin.join();
         }
-        for h in handles {
-            h.join();
-        }
-        let inbox = chan.inbox.lock();
-        assert!(inbox.messages.is_empty(), "more reports than attempts");
-        if let Some(w) = winner {
-            assert!(inbox.cancel[1 - w], "winner exists but twin not cancelled");
-            assert!(!inbox.cancel[w], "the winner itself was cancelled");
+        let slot = call.slot.lock();
+        assert!(
+            !slot.launched_after_report,
+            "a twin was launched after the primary reported"
+        );
+        match surfaced {
+            Surfaced::Primary => {
+                assert!(primary_ok, "surfaced a primary that did not succeed");
+                if twin_at_decision == Twin::Running {
+                    assert!(slot.cancel_twin, "primary won but its twin runs on");
+                }
+            }
+            Surfaced::Twin => {
+                assert!(slot.twin_succeeded, "surfaced a twin that did not succeed");
+                assert!(
+                    slot.cancel_primary || !primary_ok,
+                    "twin won first but the primary was never cancelled"
+                );
+            }
+            Surfaced::Error => {
+                assert!(!primary_ok, "a successful primary was dropped");
+                assert!(
+                    twin_at_decision != Twin::Running,
+                    "gave up on a twin that was still out"
+                );
+                assert!(
+                    twin_at_decision != Twin::Done { ok: true },
+                    "a published success was dropped"
+                );
+            }
         }
     });
     assert!(

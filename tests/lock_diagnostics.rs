@@ -14,7 +14,7 @@
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 
-use parking_lot::diagnostics::{expect_violations, FindingKind};
+use parking_lot::diagnostics::{expect_violations, findings, FindingKind};
 use parking_lot::{blocking_region, Condvar, Mutex, RwLock};
 
 #[test]
@@ -162,4 +162,99 @@ fn well_ordered_nesting_stays_silent() {
         blocking_region("backend dispatch (clean)");
     });
     assert!(findings.is_empty(), "false positives: {findings:?}");
+}
+
+/// The hedged dispatch path under the detectors: the caller's inline primary
+/// (a marked blocking region), its wait on the slot for a twin that is out,
+/// the helper's park between deadlines and the cancellable sleeps all run
+/// with no other shim lock held, and the slot, queue, breaker and
+/// latency-window locks nest in one order on all three threads.
+#[test]
+fn hedged_dispatch_holds_no_lock_across_a_backend_call_or_a_slot_wait() {
+    use crowdprompt::oracle::model::NoiseProfile;
+    use crowdprompt::oracle::route::{BreakerConfig, HedgeConfig, Router};
+    use crowdprompt::oracle::{TaskDescriptor, WorldModel};
+    use crowdprompt::prelude::*;
+    use std::time::Duration;
+
+    let mut world = WorldModel::new();
+    let items: Vec<_> = (0..24)
+        .map(|i| {
+            let id = world.add_item(format!("hedged record {i}"));
+            world.set_flag(id, "keep", i % 2 == 0);
+            id
+        })
+        .collect();
+    let model: Arc<dyn LanguageModel> = Arc::new(SimulatedLlm::new(
+        ModelProfile::gpt35_like(),
+        Arc::new(world),
+        5,
+    ));
+    // Every call's deadline (1 ms) passes before its cheap primary reports
+    // (2 ms), so every call gets a twin (5 ms). Half the primaries then
+    // answer — and cancel a twin parked in its cancellable sleep — and half
+    // time out, leaving the caller waiting on the slot for the twin.
+    let backends: Vec<Arc<dyn Backend>> = vec![
+        Arc::new(
+            SimBackend::new("flaky", Arc::clone(&model))
+                .with_price_multiplier(0.5)
+                .with_latency(LatencyProfile::fixed(2_000))
+                .with_transport_noise(NoiseProfile {
+                    timeout_prob: 0.5,
+                    ..NoiseProfile::perfect()
+                })
+                .with_seed(1),
+        ),
+        Arc::new(
+            SimBackend::new("steady", Arc::clone(&model))
+                .with_latency(LatencyProfile::fixed(5_000)),
+        ),
+    ];
+    let (stats, on_this_thread) = expect_violations(|| {
+        let router = Router::new(
+            BackendRegistry::new(backends).unwrap(),
+            RoutePolicy {
+                hedge: Some(HedgeConfig::after(Duration::from_millis(1))),
+                // Never opens: the flaky backend stays every call's primary.
+                breaker: BreakerConfig {
+                    failure_threshold: u32::MAX,
+                    cooldown: Duration::ZERO,
+                },
+                ..RoutePolicy::default()
+            },
+        );
+        std::thread::scope(|scope| {
+            for chunk in items.chunks(8) {
+                let router = &router;
+                scope.spawn(move || {
+                    for item in chunk {
+                        let request = CompletionRequest::new(
+                            format!("Should record {} be kept?", item.0),
+                            TaskDescriptor::CheckPredicate {
+                                item: *item,
+                                predicate: "keep".into(),
+                            },
+                        );
+                        router.complete(&request).expect("the twin answers");
+                    }
+                });
+            }
+        });
+        router.stats()
+        // Dropping the router here joins the helper under the detectors too.
+    });
+    let flaky = &stats.per_backend[0];
+    assert!(
+        stats.hedges_won > 0 && flaky.wins > 0 && flaky.transient_failures > 0,
+        "both ways out of a hedged call were taken: {stats:?}"
+    );
+    assert!(on_this_thread.is_empty(), "findings: {on_this_thread:?}");
+    // Worker, helper and twin threads report into the process-wide list
+    // (which the negative tests beside this one fill with findings about
+    // their own locks, never the router's).
+    let elsewhere: Vec<_> = findings()
+        .into_iter()
+        .filter(|finding| finding.message.contains("crates/oracle/src"))
+        .collect();
+    assert!(elsewhere.is_empty(), "findings: {elsewhere:?}");
 }

@@ -189,6 +189,72 @@ fn retried_transient_failure_charges_exactly_one_call() {
     assert!((out.cost_usd - expected).abs() < 1e-9);
 }
 
+/// A retried sample is still that sample: the router re-rolls a retry's
+/// *transport* fate, never the answer draw. Every request here fails once on
+/// the always-down cheap backend and is retried on the healthy one, at
+/// temperature 0.9 where the sample index is part of the fingerprint — so a
+/// retry that moved the sample index would answer vote `k` as vote `k + 1`,
+/// correlating self-consistency votes.
+#[test]
+fn a_retried_sample_answers_as_the_sample_it_is() {
+    use crowdprompt::oracle::route::{BreakerConfig, Router};
+    use crowdprompt::oracle::TaskDescriptor;
+
+    let (w, items) = flagged_world(40);
+    let model = shared_model(&w, 13);
+    let down = SimBackend::new("down", Arc::clone(&model))
+        .with_price_multiplier(0.1)
+        .with_transport_noise(NoiseProfile {
+            unavailable_prob: 1.0,
+            ..NoiseProfile::perfect()
+        })
+        .with_seed(3);
+    let router = Router::new(
+        BackendRegistry::new(vec![
+            Arc::new(down) as Arc<dyn Backend>,
+            Arc::new(SimBackend::new("up", Arc::clone(&model))) as Arc<dyn Backend>,
+        ])
+        .unwrap(),
+        RoutePolicy {
+            max_retries: 2,
+            // Never opens: every request meets the dead backend first.
+            breaker: BreakerConfig {
+                failure_threshold: u32::MAX,
+                cooldown: Duration::ZERO,
+            },
+            ..RoutePolicy::default()
+        },
+    );
+    let mut moved = Vec::new();
+    for item in &items {
+        for sample in 0..3u32 {
+            let request = CompletionRequest::new(
+                format!("Should record {} be kept? Answer Yes or No.", item.0),
+                TaskDescriptor::CheckPredicate {
+                    item: *item,
+                    predicate: "keep".into(),
+                },
+            )
+            .with_temperature(0.9)
+            .with_sample_index(sample);
+            let direct = model.complete(&request).unwrap();
+            let routed = router.complete(&request).unwrap();
+            if routed.text != direct.text {
+                moved.push((item.0, sample));
+            }
+        }
+    }
+    assert_eq!(
+        router.stats().retries,
+        120,
+        "every request was retried once"
+    );
+    assert!(
+        moved.is_empty(),
+        "routed answers differ from the model's own at (item, sample) {moved:?}"
+    );
+}
+
 /// A slow backend that reports whether its cancel token fired.
 struct SlowProbe {
     id: String,

@@ -127,6 +127,14 @@ const ONE_COUNT_FN: &str = "render_and_estimate";
 /// `push_str(&format!(..))` in the renderer allocates a temporary per line.
 const NO_FORMAT_PUSH_HOME: &str = "crates/core/src/template.rs";
 
+/// A dispatch runs on its caller's thread. The two functions in
+/// [`NO_SPAWN_HOME`] allowed to start one are the hedge helper's start (one
+/// thread per router, on its first hedged dispatch) and the twin launch (one
+/// per straggler, after its deadline has passed); a thread started anywhere
+/// else in the router is a thread per call coming back.
+const NO_SPAWN_HOME: &str = "crates/oracle/src/route.rs";
+const NO_SPAWN_FNS: &[&str] = &["start_helper", "launch_twin"];
+
 const BASELINE_GUARD: &str = "ci/check_bench_baselines.sh";
 
 #[derive(Debug, Clone)]
@@ -725,6 +733,28 @@ fn lint_rust_source(rel: &str, src: &str) -> Vec<Finding> {
         }
     }
 
+    if rel == NO_SPAWN_HOME {
+        let homes: Vec<(usize, usize)> = NO_SPAWN_FNS
+            .iter()
+            .filter_map(|name| find_fn_body(&masked, name))
+            .collect();
+        for needle in ["thread::scope", "thread::spawn", "thread::Builder"] {
+            for offset in find_path(&masked, needle) {
+                let at_home = homes
+                    .iter()
+                    .any(|&(open, close)| open < offset && offset < close);
+                if library_code(offset) && !at_home {
+                    push(
+                        "no-spawn-per-call",
+                        format!("`{needle}` starts a thread on the router's dispatch path"),
+                        "run the attempt on the caller (`Core::attempt`); only `start_helper` (once per router) and `launch_twin` (once per straggler, after its deadline) start threads",
+                        offset,
+                    );
+                }
+            }
+        }
+    }
+
     if ONE_LAYOUT_SCOPES.iter().any(|scope| rel.starts_with(scope)) {
         for spelling in ONE_LAYOUT_NESTED {
             let needle: Vec<char> = spelling.chars().collect();
@@ -1196,7 +1226,7 @@ mod tests {
         assert_eq!((f[0].line, f[1].line, f[2].line), (1, 2, 3));
         // The pump's home, other crates, and test trees are out of scope.
         assert!(lint_rust_source("crates/core/src/exec.rs", src).is_empty());
-        assert!(lint_rust_source("crates/oracle/src/route.rs", src).is_empty());
+        assert!(lint_rust_source("crates/oracle/src/client.rs", src).is_empty());
         assert!(lint_rust_source("crates/core/tests/prop.rs", src).is_empty());
     }
 
@@ -1395,6 +1425,28 @@ mod tests {
         // The planner's estimator and the simulator count what they like.
         assert!(lint_rust_source("crates/core/src/plan/estimate.rs", src).is_empty());
         assert!(lint_rust_source("crates/oracle/src/sim/mod.rs", src).is_empty());
+    }
+
+    #[test]
+    fn no_spawn_per_call_flags_thread_starts_in_the_router_outside_its_two_homes() {
+        let src = concat!(
+            "fn spawn_attempt(&self, tx: Sender) { std::thread::spawn(move || { let _ = tx.send(1); }); }\n",
+            "fn start_helper(shared: Arc<Shared>) -> JoinHandle<()> { std::thread::spawn(move || shared.run()) }\n",
+            "impl HedgedCall { fn launch_twin(self: Arc<Self>) { if x { y } std::thread::spawn(move || self.run()); } }\n",
+            "fn launch_twin_early(call: Arc<Call>) { let _ = std::thread::Builder::new(); std::thread::scope(|_| ()); }\n",
+            "fn fine() { std::thread::sleep(d); } // thread::spawn in a comment\n",
+            "#[cfg(test)]\n",
+            "mod tests { fn t() { std::thread::spawn(|| ()); } }\n",
+        );
+        let f = lint_rust_source("crates/oracle/src/route.rs", src);
+        assert_eq!(codes(&f), vec!["no-spawn-per-call"; 3]);
+        let mut at: Vec<(usize, usize)> = f.iter().map(|f| (f.line, f.col)).collect();
+        at.sort_unstable();
+        assert_eq!(at, vec![(1, 44), (4, 54), (4, 83)]);
+        // The rest of the crate (and the engine's pump) start threads under
+        // their own rules.
+        assert!(lint_rust_source("crates/oracle/src/client.rs", src).is_empty());
+        assert!(lint_rust_source("crates/core/src/exec.rs", src).is_empty());
     }
 
     #[test]

@@ -82,7 +82,11 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
     );
     repo.write(
         "crates/oracle/src/route.rs",
-        "pub fn complete(d: Option<std::time::Instant>) { let _ = crate::retry::retry_delay(0, 1, None, 7, d, d); }\n",
+        concat!(
+            "pub fn complete(d: Option<std::time::Instant>) { let _ = crate::retry::retry_delay(0, 1, None, 7, d, d); }\n",
+            "fn start_helper() { let _ = std::thread::spawn(|| ()); }\n",
+            "fn spawn_attempt() { let _ = std::thread::spawn(|| ()); }\n",
+        ),
     );
     repo.write(
         "crates/oracle/src/retry.rs",
@@ -152,6 +156,8 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         "error[one-layout]",
         "error[one-count]",
         "error[no-format-push]",
+        "error[no-spawn-per-call]",
+        "--> crates/oracle/src/route.rs:3:35",
         "--> crates/core/src/exec.rs:3:41",
         "--> crates/core/src/template.rs:1:46",
         "--> crates/embed/src/bad_layout.rs:1:37",
@@ -183,12 +189,19 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         !stderr.contains("crates/core/src/exec.rs:2:"),
         "the render is where a prompt's tokens are counted:\n{stderr}"
     );
-    for home in ["crates/oracle/src/route.rs", "crates/oracle/src/retry.rs"] {
+    for home in [
+        "crates/oracle/src/route.rs:1:",
+        "crates/oracle/src/retry.rs",
+    ] {
         assert!(
             !stderr.contains(home),
             "the router's loop and the definition are not findings:\n{stderr}"
         );
     }
+    assert!(
+        !stderr.contains("crates/oracle/src/route.rs:2:"),
+        "the hedge helper's start is where the router starts a thread:\n{stderr}"
+    );
     assert!(
         !stderr.contains("crates/core/src/session.rs"),
         "the session builder is where engines are made:\n{stderr}"
@@ -203,10 +216,11 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
     );
     // Three lock names across the two imports, two unwrap forms, two
     // deprecation attributes, two copies of a bill, a second layout and a
-    // second query, a second count, a formatted temporary, one each of the
-    // rest: 3 + 2 + 2 + 2 + 2 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1.
+    // second query, a second count, a formatted temporary, a thread per
+    // call, one each of the rest:
+    // 3 + 2 + 2 + 2 + 2 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1.
     assert!(
-        stderr.contains("20 finding(s)"),
+        stderr.contains("21 finding(s)"),
         "unexpected total in:\n{stderr}"
     );
 }
@@ -255,8 +269,9 @@ fn this_repository_is_clean() {
     // `packed_calls` definition in `crates/core/src/ops`, and for a nested
     // `Vec<Vec<f32>>` in library code under `crates/{embed,core,oracle}/src`
     // or a `fn nearest*` under `crates/embed/src`, for a `count_tokens`
-    // call in `exec.rs` outside `render_and_estimate`, and for a
-    // `push_str(&format!(..))` in `template.rs`.
+    // call in `exec.rs` outside `render_and_estimate`, for a
+    // `push_str(&format!(..))` in `template.rs`, and for a thread started
+    // in `route.rs` outside the hedge helper's start and the twin launch.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let out = run_repolint(&root);
     let stderr = String::from_utf8_lossy(&out.stderr);
