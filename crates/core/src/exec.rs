@@ -42,12 +42,19 @@
 //!   allocator arena while the caller allocated from it. Workers *pull*
 //!   small claims, at most `workers × MAX_CLAIM` claimed-but-unfinished;
 //!   claim size doubles after a claim that averaged under
-//!   `FAST_TASK_MICROS` per job and halves after a slow one.
-//! * **execute** is the one worker body: admit, probe the client's cache
-//!   once when a free hit changes what happens next, dispatch with up to
-//!   the batch's attempt allowance, account. With one attempt it *is* the
-//!   fail-fast worker. On a serving stack a call that may reach the
-//!   backend holds a slot lease; a local hit takes none.
+//!   `FAST_TASK_MICROS` per job and halves after a slow one. On a serving
+//!   stack the feed orders only the work that needs a slot: a batch whose
+//!   admission is settled is probed by the thread that rendered it, its
+//!   hits are recorded and billed before it is shared, and only its misses
+//!   are queued, counted as outstanding and used to size the helpers — a
+//!   batch of hits never meets the feed, a job, a lease or the condvar.
+//! * **execute** is the one worker body: admit, probe the client once
+//!   ([`LlmClient::probe`], the request's one hashing; its key rides into
+//!   the call), dispatch with up to the batch's attempt allowance, account.
+//!   With one attempt it *is* the fail-fast worker. A job probed at
+//!   enqueue carries its key instead and is only re-checked by it. On a
+//!   serving stack a call that may reach the backend holds a slot lease; a
+//!   hit — at enqueue, at the probe, or at the re-check — takes none.
 //!
 //! The policy is read at three points in this file — the attempt
 //! allowance and stop-on-first-error in `RunShape`, and
@@ -93,7 +100,7 @@ use crowdprompt_oracle::route::{LeaseTable, Router, SlotLease};
 use crowdprompt_oracle::task::TaskDescriptor;
 use crowdprompt_oracle::tokenizer::count_tokens;
 use crowdprompt_oracle::types::{CompletionRequest, CompletionResponse};
-use crowdprompt_oracle::LlmClient;
+use crowdprompt_oracle::{LlmClient, Probe};
 
 use parking_lot::{Condvar, Mutex};
 
@@ -499,6 +506,7 @@ impl Engine {
             return false;
         };
         let request = CompletionRequest::new(prompt, task).with_temperature(self.temperature);
+        // lint: allow(one-fingerprint) — a plan-time estimate, no request in flight
         store.contains(request.fingerprint())
     }
 
@@ -754,6 +762,7 @@ impl Engine {
         Ok(Work {
             request,
             prompt_tokens: est_usage.prompt_tokens,
+            key: None,
             admission: Admission {
                 mode,
                 est_usd,
@@ -839,19 +848,21 @@ impl Engine {
                 return Err(e.clone());
             }
         }
-        let n = items.len();
-        let batch = self.enqueue(items, shape);
-        // Never spawn more workers than items: a 1-item dispatch runs on
-        // the calling thread alone.
-        let helpers = shape.workers.clamp(1, n.max(1)) - 1;
-        std::thread::scope(|scope| {
-            for _ in 0..helpers {
-                scope.spawn(|| self.work(&batch));
-            }
-            self.work(&batch);
-            // What is left of the batch is in flight on other workers.
-            batch.wait_done();
-        });
+        let (batch, queued) = self.enqueue(items, shape);
+        // Never spawn more workers than queued jobs: a 1-job dispatch runs
+        // on the calling thread alone, and a batch answered at enqueue is
+        // already done.
+        if queued > 0 {
+            let helpers = shape.workers.clamp(1, queued) - 1;
+            std::thread::scope(|scope| {
+                for _ in 0..helpers {
+                    scope.spawn(|| self.work(&batch));
+                }
+                self.work(&batch);
+                // What is left of the batch is in flight on other workers.
+                batch.wait_done();
+            });
+        }
         // Every helper has been joined and has dropped its handles: this
         // thread, which rendered the requests, frees them when `batch` goes
         // out of scope. (On a shared feed another engine's worker may still
@@ -868,16 +879,49 @@ impl Engine {
             .collect())
     }
 
-    /// Build the batch that owns `items`' requests — a pre-failed item is
-    /// recorded in its slot here, before anything is queued — and queue one
-    /// handle per request on this engine's lane.
-    fn enqueue(&self, items: Vec<Result<Work, EngineError>>, shape: RunShape) -> Arc<Batch> {
+    /// Build the batch that owns `items`' requests and queue one handle per
+    /// request that still needs a worker on this engine's lane; returns the
+    /// batch and how many were queued. A pre-failed item is recorded in its
+    /// slot here, and so — on a serving stack, for a request whose admission
+    /// is already settled — is a cache hit: the thread that rendered the
+    /// batch probes each such request once, bills and records the hits
+    /// while the batch is still its own (no lock), and leaves the key on
+    /// the misses for the worker that draws them.
+    fn enqueue(
+        &self,
+        items: Vec<Result<Work, EngineError>>,
+        shape: RunShape,
+    ) -> (Arc<Batch>, usize) {
+        let books = Books {
+            ledger: Arc::clone(&self.budget),
+            trace: self.trace.clone(),
+        };
+        let serving = self.gate.is_some();
         let mut results = Vec::with_capacity(items.len());
+        let mut queued = Vec::new();
         let work: Vec<Option<Work>> = items
             .into_iter()
-            .map(|item| {
+            .enumerate()
+            .map(|(slot, item)| {
                 let (work, result) = match item {
-                    Ok(work) => (Some(work), None),
+                    Ok(mut work) => {
+                        let settled = serving && work.admission.mode == Admit::Batch;
+                        let hit = match settled.then(|| self.client.probe(&work.request)) {
+                            Some(Probe::Hit(hit)) => {
+                                books.account(&work.request, &hit);
+                                Some(Ok(hit))
+                            }
+                            Some(Probe::Miss(key)) => {
+                                work.key = key;
+                                None
+                            }
+                            None => None,
+                        };
+                        if hit.is_none() {
+                            queued.push(slot);
+                        }
+                        (Some(work), hit)
+                    }
                     Err(e) => (None, Some(Err(vec![e]))),
                 };
                 results.push(result);
@@ -887,29 +931,28 @@ impl Engine {
         let batch = Arc::new(Batch {
             slots: Mutex::new(Slots {
                 results,
-                outstanding: work.iter().flatten().count(),
+                outstanding: queued.len(),
             }),
             done: Condvar::new(),
             stopped: AtomicBool::new(false),
             attempts: shape.attempts,
             stop_on_error: shape.stop_on_error,
-            ledger: Arc::clone(&self.budget),
-            trace: self.trace.clone(),
+            books,
             work,
         });
-        let jobs = batch
-            .work
-            .iter()
-            .enumerate()
-            .filter(|(_, work)| work.is_some())
-            .map(|(slot, _)| Job {
-                batch: Arc::clone(&batch),
-                slot,
-                recorded: false,
-            })
-            .collect();
-        self.lane.feed.push_lane(self.lane.index, jobs);
-        batch
+        let queued_jobs = queued.len();
+        if queued_jobs > 0 {
+            let jobs = queued
+                .into_iter()
+                .map(|slot| Job {
+                    batch: Arc::clone(&batch),
+                    slot,
+                    recorded: false,
+                })
+                .collect();
+            self.lane.feed.push_lane(self.lane.index, jobs);
+        }
+        (batch, queued_jobs)
     }
 
     /// One worker of a pump call: claim jobs off the feed — any batch's —
@@ -942,11 +985,11 @@ impl Engine {
         }
     }
 
-    /// The one worker body: admit against the job's ledger, probe local
-    /// state once, then dispatch with up to the batch's attempt allowance
-    /// (each attempt still carries the client's own retries). Returns the
-    /// response or the full error chain, one entry per failed attempt, that
-    /// exhausted the item.
+    /// The one worker body: admit against the job's ledger, probe the
+    /// client once, then dispatch under the probe's key with up to the
+    /// batch's attempt allowance (each attempt still carries the client's
+    /// own retries). Returns the response or the full error chain, one entry
+    /// per failed attempt, that exhausted the item.
     fn execute(&self, job: &Job) -> ItemResult {
         /// Cap on the pause between engine-level attempts, so one poison
         /// item honoring a long server hint cannot stall its worker.
@@ -959,31 +1002,49 @@ impl Engine {
         const MIN_ATTEMPT_PAUSE_MS: u64 = 5;
         let batch = &*job.batch;
         let Work {
-            request, admission, ..
+            request,
+            admission,
+            key,
+            ..
         } = job.work();
-        let admit = || {
-            self.admit_estimate(&batch.ledger, admission.est_usd, admission.est_tokens)
-                .map_err(|e| vec![e])
+        let served = |hit: CompletionResponse| {
+            batch.books.account(request, &hit);
+            Ok(hit)
         };
-        if admission.mode == Admit::PerCall {
-            admit()?;
-        }
         // A cache hit costs nothing to serve, so a salvaging run takes it
         // even when the budget or the deadline is already spent.
         let salvage = admission.mode == Admit::AfterSalvage;
-        // The cache is probed here once per request, and only when someone
-        // needs the answer before the client is called: the gate (a hit
-        // must not take a lease) or salvage. Otherwise the client's own
-        // lookup is the probe.
-        if salvage || self.gate.is_some() {
-            if let Some(hit) = self.client.peek_cached(request) {
-                batch.account(request, &hit);
-                return Ok(hit);
+        let key = match *key {
+            // Probed where the batch was rendered, and queued since: someone
+            // else's call may have answered the key meanwhile, and a hit
+            // must not take a lease. Whoever answered it filled the shard,
+            // so the key alone finds it; nothing is hashed again.
+            Some(key) => match self.client.probe_key(key) {
+                Some(hit) => return served(hit),
+                None => Some(key),
+            },
+            None => {
+                let admit = || {
+                    self.admit_estimate(
+                        &batch.books.ledger,
+                        admission.est_usd,
+                        admission.est_tokens,
+                    )
+                    .map_err(|e| vec![e])
+                };
+                if admission.mode == Admit::PerCall {
+                    admit()?;
+                }
+                let key = match self.client.probe(request) {
+                    Probe::Hit(hit) => return served(hit),
+                    Probe::Miss(key) => key,
+                };
+                if salvage {
+                    admit()?;
+                }
+                key
             }
-        }
-        if salvage {
-            admit()?;
-        }
+        };
         let mut errors: Vec<EngineError> = Vec::new();
         loop {
             if let (true, Some(deadline)) = (salvage, request.deadline) {
@@ -993,11 +1054,8 @@ impl Engine {
                     return Err(errors);
                 }
             }
-            let e = match self.dispatch(request) {
-                Ok(response) => {
-                    batch.account(request, &response);
-                    return Ok(response);
-                }
+            let e = match self.dispatch(request, key) {
+                Ok(response) => return served(response),
                 Err(e) => e,
             };
             let retryable = e.is_retryable()
@@ -1028,14 +1086,18 @@ impl Engine {
         }
     }
 
-    /// Complete a request through the gate slot: a call that may reach the
-    /// backend holds a slot lease when the engine is serving —
+    /// Complete a probed miss through the gate slot: a call that may reach
+    /// the backend holds a slot lease when the engine is serving —
     /// [`Engine::execute`] has already served local hits, so they take
     /// none. (A coalesced joiner does hold one while it waits: it
     /// represents a pending backend call.)
-    fn dispatch(&self, request: &CompletionRequest) -> Result<CompletionResponse, LlmError> {
+    fn dispatch(
+        &self,
+        request: &CompletionRequest,
+        key: Option<u64>,
+    ) -> Result<CompletionResponse, LlmError> {
         let _lease = self.gate.as_deref().map(LeaseGate::acquire);
-        self.client.complete(request)
+        self.client.complete_keyed(request, key)
     }
 }
 
@@ -1078,10 +1140,15 @@ pub(crate) struct Admission {
 }
 
 /// One unit of dispatcher work: a request rendered once, its prompt's token
-/// count as that render took it, and how to admit it.
+/// count as that render took it, the key it missed the cache under if it
+/// was probed at enqueue, and how to admit it.
 pub(crate) struct Work {
     request: CompletionRequest,
     prompt_tokens: u32,
+    /// `Some` once [`Engine::enqueue`] has probed the request and missed:
+    /// its fingerprint, which the worker re-checks and dispatches under
+    /// without hashing again. `None`: the worker probes.
+    key: Option<u64>,
     pub(crate) admission: Admission,
 }
 
@@ -1143,7 +1210,7 @@ impl Drop for Job {
 /// (owned here, so they are freed together by whoever lets go of the batch
 /// last — the pump's caller, who rendered them), the result slots and
 /// outstanding count that caller waits on, the run shape's per-item half,
-/// and the ledger and trace they bill.
+/// and the books they bill.
 struct Batch {
     /// One per item, in input order; `None` where the item was pre-failed.
     /// Read-only once queued: workers borrow `work[slot]`.
@@ -1154,15 +1221,23 @@ struct Batch {
     stopped: AtomicBool,
     attempts: u32,
     stop_on_error: bool,
-    ledger: Arc<BudgetTracker>,
-    trace: Option<Arc<Trace>>,
+    books: Books,
 }
 
 struct Slots {
     /// One per item, in input order; `None` until recorded, and for good
-    /// when the job was skipped because its batch had stopped.
+    /// when the job was skipped because its batch had stopped. Pre-failed
+    /// items and hits found at enqueue are recorded before any job exists.
     results: Vec<Option<ItemResult>>,
+    /// Queued jobs not yet recorded.
     outstanding: usize,
+}
+
+/// Where a batch's served responses are billed: the ledger and trace of the
+/// engine that rendered it, whichever engine's worker serves them.
+struct Books {
+    ledger: Arc<BudgetTracker>,
+    trace: Option<Arc<Trace>>,
 }
 
 impl Batch {
@@ -1188,9 +1263,11 @@ impl Batch {
             self.done.wait(&mut slots);
         }
     }
+}
 
-    /// Bill a served response to the batch's ledger and trace; cache hits
-    /// and coalesced joins are free.
+impl Books {
+    /// Bill a served response to the ledger and trace; cache hits and
+    /// coalesced joins are free.
     fn account(&self, request: &CompletionRequest, response: &CompletionResponse) {
         let cost_usd = if response.cached {
             0.0
@@ -2012,7 +2089,7 @@ mod tests {
                 check_task(ids[2]),
             ]
         };
-        let batch = engine.enqueue(rendered(&engine, tasks()), EVERY_ITEM);
+        let (batch, queued) = engine.enqueue(rendered(&engine, tasks()), EVERY_ITEM);
         {
             let slots = batch.slots.lock();
             assert!(matches!(
@@ -2025,6 +2102,7 @@ mod tests {
                 "only the rendered items are waited on"
             );
         }
+        assert_eq!(queued, 2);
         assert_eq!(engine.lane.feed.len(), 2, "and only they are queued");
         engine.work(&batch);
         assert!(batch.is_done());
@@ -2061,8 +2139,8 @@ mod tests {
         let (a, b) = (on_lane("a"), on_lane("b"));
         let tasks =
             |ids: &[crowdprompt_oracle::ItemId]| ids.iter().map(|id| check_task(*id)).collect();
-        let batch_a = a.enqueue(rendered(&a, tasks(&ids[..4])), EVERY_ITEM);
-        let batch_b = b.enqueue(rendered(&b, tasks(&ids[4..])), EVERY_ITEM);
+        let (batch_a, _) = a.enqueue(rendered(&a, tasks(&ids[..4])), EVERY_ITEM);
+        let (batch_b, _) = b.enqueue(rendered(&b, tasks(&ids[4..])), EVERY_ITEM);
         // B's worker drains the round-robin feed until B's batch is done,
         // running A's jobs — same slot numbers, other requests — on the way.
         b.work(&batch_b);
@@ -2097,7 +2175,7 @@ mod tests {
     fn a_worker_that_dies_holding_a_job_fails_that_slot_and_the_batch_is_freed_once() {
         let (engine, ids) = engine_with(4, Budget::Unlimited);
         let tasks = ids.iter().map(|id| check_task(*id)).collect();
-        let batch = engine.enqueue(rendered(&engine, tasks), EVERY_ITEM);
+        let (batch, _) = engine.enqueue(rendered(&engine, tasks), EVERY_ITEM);
         let alive = Arc::downgrade(&batch);
         let feed = Arc::clone(&engine.lane.feed);
         let died = std::thread::spawn(move || {

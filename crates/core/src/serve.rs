@@ -16,11 +16,17 @@
 //!    tenant's lane of one [`FairFeed`], claimed in deficit-round-robin
 //!    order, so tenants complete work in proportion to their
 //!    [`TenantSpec::weight`]s regardless of who submitted first or most.
+//!    The share is over the work that needs a backend slot: a task whose
+//!    answer is already cached is answered by the thread that submitted it,
+//!    before the batch is queued, and never enters the feed.
 //! 3. **Leased slot quotas** — the handle's gate is the server's
 //!    [`LeaseTable`]: a call that may reach the backend holds a slot lease,
 //!    reserve → confirm (revalidated immediately before the call) →
 //!    release, with generation-based expiry, so a crashed or stalled
-//!    dispatch can never strand a slot. A cache or store hit holds none.
+//!    dispatch can never strand a slot. A cache or store hit holds none —
+//!    whether it is found when the batch is queued or, for a key another
+//!    tenant's call filled while the task waited in the feed, by the worker
+//!    that draws it.
 //!
 //! [`Server::submit`] takes unit tasks through the whole admission sequence
 //! (its docs give the order). [`Server::engine_for`] hands out the tenant
@@ -41,13 +47,15 @@
 //!
 //! The server has no threads and no loop of its own. An admitted
 //! [`Server::submit`] is one call of the engine's pump with the caller as
-//! the only worker: it queues the batch on the tenant's lane and works the
-//! shared feed — any tenant's jobs, which is what makes the claim ordering
-//! fair — until its own batch is done, waiting on the batch when the rest
-//! of it is in flight on other threads. N concurrently submitting tenants
-//! are N cooperating workers and nothing is spawned; an
+//! the only worker: it answers the batch's cache hits where it stands,
+//! queues the misses on the tenant's lane and works the shared feed — any
+//! tenant's jobs, which is what makes the claim ordering fair — until its
+//! own batch is done, waiting on the batch when the rest of it is in
+//! flight on other threads. A submit with no miss is done before it would
+//! queue anything, and does not work the feed at all. N concurrently
+//! submitting tenants are N cooperating workers and nothing is spawned; an
 //! [`Server::engine_for`] handle adds the engine's usual helper threads,
-//! scoped to each pump call.
+//! scoped to each pump call and sized by its misses.
 //!
 //! ```no_run
 //! use crowdprompt_core::serve::{ServerBuilder, TenantSpec};
@@ -69,13 +77,14 @@
 //! # }
 //! ```
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crowdprompt_oracle::route::LeaseTable;
 use crowdprompt_oracle::task::TaskDescriptor;
 use crowdprompt_oracle::types::CompletionResponse;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 use crate::budget::{Budget, BudgetTracker, LedgerSnapshot};
 use crate::error::EngineError;
@@ -252,6 +261,14 @@ struct TenantState {
     shed: AtomicU64,
 }
 
+/// The server's tenants: found by id on every submit, listed in
+/// registration order.
+#[derive(Default)]
+struct Tenants {
+    by_id: HashMap<String, Arc<TenantState>>,
+    in_order: Vec<Arc<TenantState>>,
+}
+
 /// A point-in-time view of one tenant's serving counters (see
 /// [`Server::stats`]).
 #[derive(Debug, Clone)]
@@ -374,7 +391,7 @@ impl ServerBuilder {
             .unwrap_or_else(|| router_of(engine.client()).total_slots());
         let server = Server {
             engine,
-            tenants: Mutex::new(Vec::new()),
+            tenants: RwLock::new(Tenants::default()),
             feed: Arc::new(FairFeed::new()),
             gate: Arc::new(LeaseGate {
                 table: LeaseTable::new(slots),
@@ -398,7 +415,7 @@ impl ServerBuilder {
 /// doors and the threading model.
 pub struct Server {
     engine: Engine,
-    tenants: Mutex<Vec<Arc<TenantState>>>,
+    tenants: RwLock<Tenants>,
     /// One lane per tenant; every tenant handle's pump queues and claims
     /// here.
     feed: Arc<FairFeed<Job>>,
@@ -432,7 +449,7 @@ impl Server {
             feed: Arc::clone(&self.feed),
             index,
         };
-        self.tenants.lock().push(Arc::new(TenantState {
+        let tenant = Arc::new(TenantState {
             bucket: Mutex::new(TokenBucket::new(
                 spec.bucket_capacity,
                 spec.refill_per_generation,
@@ -444,7 +461,12 @@ impl Server {
             completed: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             spec,
-        }));
+        });
+        let mut tenants = self.tenants.write();
+        tenants
+            .by_id
+            .insert(tenant.spec.id.clone(), Arc::clone(&tenant));
+        tenants.in_order.push(tenant);
         Ok(())
     }
 
@@ -501,7 +523,8 @@ impl Server {
     /// Per-tenant serving counters and ledgers, in registration order.
     pub fn stats(&self) -> Vec<TenantStats> {
         self.tenants
-            .lock()
+            .read()
+            .in_order
             .iter()
             .map(|t| TenantStats {
                 id: t.spec.id.clone(),
@@ -523,15 +546,17 @@ impl Server {
     }
 
     fn tenant(&self, id: &str) -> Option<Arc<TenantState>> {
-        self.tenants
-            .lock()
-            .iter()
-            .find(|t| t.spec.id == id)
-            .map(Arc::clone)
+        self.tenants.read().by_id.get(id).map(Arc::clone)
     }
 
     /// Submit a batch for `tenant_id`: admit, then one pump call on the
     /// tenant's engine handle with the calling thread as its only worker.
+    /// That thread answers the batch's cache hits itself, before anything
+    /// is queued; only the misses enter the tenant's lane of the feed and
+    /// wait for a slot, so the tenant's fair share is a share of the work
+    /// that needs the backend, and a submit with no miss returns without
+    /// having queued, claimed or leased anything — whatever other tenants'
+    /// misses are waiting for.
     ///
     /// Admission is all-or-nothing per batch, in this order:
     ///
@@ -541,7 +566,8 @@ impl Server {
     /// 3. a batch larger than the backlog bound can never be queued
     ///    ([`ServeError::Invalid`]); one that does not fit beside what is
     ///    queued now sheds load ([`ServeError::RetryAfter`] hinted by the
-    ///    earliest lease expiry);
+    ///    earliest lease expiry). The bound counts the batch's tasks, hits
+    ///    included: admission runs before any cache is asked;
     /// 4. the tenant's ledger must cover the batch's estimated cost at
     ///    admission pricing ([`ServeError::BudgetExhausted`]);
     /// 5. a batch larger than the tenant's bucket capacity can never be
@@ -656,7 +682,7 @@ impl Server {
 impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
-            .field("tenants", &self.tenants.lock().len())
+            .field("tenants", &self.tenants.read().in_order.len())
             .field("slots", &self.gate.table.capacity())
             .field("lease_ttl", &self.gate.ttl)
             .field("max_backlog", &self.max_backlog)
@@ -702,6 +728,8 @@ mod tests {
         on_item0: Option<OnItem0>,
         entered: Barrier,
         release: Barrier,
+        /// The item whose calls panic; none while `u64::MAX`.
+        mined: AtomicU64,
     }
 
     impl LanguageModel for Probe {
@@ -717,6 +745,11 @@ mod tests {
         fn complete(&self, request: &CompletionRequest) -> Result<CompletionResponse, LlmError> {
             let now = self.current.fetch_add(1, Ordering::SeqCst) + 1;
             self.peak.fetch_max(now, Ordering::SeqCst);
+            let mined = ItemId(self.mined.load(Ordering::SeqCst));
+            assert!(
+                !matches!(&request.task, TaskDescriptor::CheckPredicate { item, .. } if *item == mined),
+                "the backend blew up under a mined item"
+            );
             let out = match self.on_item0 {
                 Some(action) if request.prompt.contains("serve item 0") => {
                     self.entered.wait();
@@ -756,6 +789,7 @@ mod tests {
             on_item0,
             entered: Barrier::new(2),
             release: Barrier::new(2),
+            mined: AtomicU64::new(u64::MAX),
         });
         let client = Arc::new(LlmClient::new(Arc::clone(&probe) as Arc<dyn LanguageModel>));
         (Engine::new(client, corpus).with_parallelism(4), ids, probe)
@@ -995,6 +1029,152 @@ mod tests {
             assert!(miss.join().unwrap().unwrap().is_complete());
         });
         assert_eq!(server.leases_in_use(), 0);
+    }
+
+    /// Tenant b's first miss parked in the backend under the only lease and
+    /// two more of b's misses queued behind it; `body` gets the server and
+    /// sixteen tasks tenant a has already warmed.
+    fn while_b_holds_the_only_slot(body: impl FnOnce(&Server, Vec<TaskDescriptor>)) {
+        let (eng, ids, probe) = probed_engine(19, Some(OnItem0::Park));
+        let server = ServerBuilder::new()
+            .engine(eng)
+            .tenant(TenantSpec::new("a"))
+            .tenant(TenantSpec::new("b"))
+            .slots(1)
+            .max_backlog(64)
+            .try_build()
+            .unwrap();
+        let hot = distinct_checks(&ids[3..]);
+        assert!(server.submit("a", hot.clone()).unwrap().is_complete());
+        std::thread::scope(|scope| {
+            let misses = scope.spawn(|| server.submit("b", distinct_checks(&ids[..3])));
+            probe.entered.wait();
+            assert_eq!(server.leases_in_use(), 1);
+            assert_eq!(server.feed.queued_for("b"), 2);
+            body(&server, hot);
+            probe.release.wait();
+            assert!(misses.join().unwrap().unwrap().is_complete());
+        });
+        assert_eq!(server.leases_in_use(), 0);
+    }
+
+    #[test]
+    fn a_submit_of_hits_returns_while_another_tenants_misses_wait_for_the_only_slot() {
+        while_b_holds_the_only_slot(|server, hot| {
+            // Were a's submitter to work the feed it would draw one of b's
+            // misses, wait for the slot b's parked call holds, and never
+            // get here.
+            let run = server.submit("a", hot).unwrap();
+            assert_eq!(run.results.len(), 16);
+            assert!(run.results.iter().all(|r| r.as_ref().unwrap().cached));
+        });
+    }
+
+    #[test]
+    fn a_submit_with_no_miss_leaves_the_feed_and_the_lease_table_untouched() {
+        while_b_holds_the_only_slot(|server, hot| {
+            let client = server.engine().client();
+            let (calls, hits) = (client.stats().calls(), client.stats().cache_hits());
+            assert!(server.submit("a", hot).unwrap().is_complete());
+            // Nothing of a's was queued and nothing of b's was claimed; the
+            // one lease is still b's.
+            assert_eq!(server.feed.queued_for("a"), 0);
+            assert_eq!(server.feed.queued_for("b"), 2);
+            assert_eq!(server.leases_in_use(), 1);
+            assert_eq!(client.stats().calls(), calls);
+            assert_eq!(client.stats().cache_hits(), hits + 16, "one probe a task");
+            assert_eq!(server.stats()[0].completed, 32);
+        });
+    }
+
+    #[test]
+    fn a_key_filled_between_probe_and_dispatch_is_served_without_a_lease() {
+        let (eng, ids, probe) = probed_engine(2, Some(OnItem0::Park));
+        let server = ServerBuilder::new()
+            .engine(eng)
+            .tenant(TenantSpec::new("a"))
+            .slots(1)
+            .try_build()
+            .unwrap();
+        // Item 1's request, as `submit` renders it.
+        let (filled, _, _) = server.engine().render_and_estimate(check(ids[1])).unwrap();
+        std::thread::scope(|scope| {
+            let run = scope.spawn(|| server.submit("a", distinct_checks(&ids)));
+            // Item 0 is parked under the only lease; item 1 was probed, missed
+            // and is queued behind it with its key.
+            probe.entered.wait();
+            assert_eq!(server.feed.len(), 1);
+            // Someone else's call answers item 1 meanwhile ...
+            let theirs = server.engine().client().complete(&filled).unwrap();
+            // ... and the slot goes away for good: the parked call's lease
+            // expires and is held here until the submit is back.
+            let now = server.advance_generation(DEFAULT_LEASE_TTL);
+            let held = server.gate.table.reserve(now, DEFAULT_LEASE_TTL).unwrap();
+            assert!(server.gate.table.confirm(&held, now, DEFAULT_LEASE_TTL));
+            probe.release.wait();
+            // A worker that took item 1 to the gate would wait there forever.
+            let run = run.join().unwrap().unwrap();
+            let served = run.results[1].as_ref().unwrap();
+            assert!(served.cached);
+            assert_eq!(served.text, theirs.text);
+            assert!(!run.results[0].as_ref().unwrap().cached);
+            server.gate.table.release(&held);
+        });
+        assert_eq!(server.engine().client().stats().calls(), 2);
+        assert_eq!(server.engine().client().stats().cache_hits(), 1);
+        assert_eq!(server.leases_in_use(), 0);
+    }
+
+    #[test]
+    fn a_worker_that_dies_on_a_miss_fails_that_slot_and_keeps_the_recorded_hits() {
+        let (eng, ids, probe) = probed_engine(6, Some(OnItem0::Park));
+        let server = ServerBuilder::new()
+            .engine(eng)
+            // Heavy enough that a's lane still has credit for its second
+            // miss when b's submitter comes to claim, wherever the warm-up
+            // left the round robin.
+            .tenant(TenantSpec::new("a").with_weight(8.0))
+            .tenant(TenantSpec::new("b"))
+            .slots(2)
+            .try_build()
+            .unwrap();
+        assert!(server
+            .submit("a", distinct_checks(&ids[3..]))
+            .unwrap()
+            .is_complete());
+        probe.mined.store(ids[1].0, Ordering::SeqCst);
+        // hit, parked miss, hit, mined miss, hit.
+        let tasks = [3, 0, 4, 1, 5].map(|i| check(ids[i])).to_vec();
+        let run = std::thread::scope(|scope| {
+            let run = scope.spawn(|| server.submit("a", tasks));
+            // a's submitter recorded the three hits, queued the two misses
+            // and is parked in the backend with the first.
+            probe.entered.wait();
+            assert_eq!(server.feed.queued_for("a"), 1);
+            // b's submitter draws a's queued miss before its own, and dies
+            // in the backend with it.
+            let died = scope
+                .spawn(|| server.submit("b", distinct_checks(&ids[2..3])))
+                .join();
+            assert!(died.is_err());
+            assert_eq!(server.feed.queued_for("a"), 0);
+            probe.release.wait();
+            run.join().unwrap().unwrap()
+        });
+        for hit in [0, 2, 4] {
+            assert!(run.results[hit].as_ref().unwrap().cached);
+        }
+        assert!(!run.results[1].as_ref().unwrap().cached);
+        assert!(matches!(
+            run.results[3],
+            Err(EngineError::Llm(LlmError::ServiceUnavailable))
+        ));
+        assert_eq!(server.stats()[0].completed, 3 + 4);
+        assert_eq!(
+            server.leases_in_use(),
+            0,
+            "the dead worker's lease came back"
+        );
     }
 
     proptest! {

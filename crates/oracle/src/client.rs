@@ -296,6 +296,26 @@ impl ShardedCache {
     }
 }
 
+/// A caller's own copy of a cached body, marked
+/// [`CompletionResponse::cached`]; made outside any shard lock.
+fn served_free(body: &CompletionResponse) -> CompletionResponse {
+    let mut hit = body.clone();
+    hit.cached = true;
+    hit
+}
+
+/// What [`LlmClient::probe`] found for a request.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Probe {
+    /// A free exact tier holds the answer; it comes back marked
+    /// [`CompletionResponse::cached`] and is already counted.
+    Hit(CompletionResponse),
+    /// No exact tier holds it. The fingerprint the request missed under —
+    /// hand it to [`LlmClient::complete_keyed`] — or `None` for a request
+    /// the cache does not apply to, which was not hashed.
+    Miss(Option<u64>),
+}
+
 /// A caching, coalescing client over any [`LanguageModel`], dispatching
 /// through a [`Router`].
 pub struct LlmClient {
@@ -441,35 +461,54 @@ impl LlmClient {
         &self.stats
     }
 
-    /// Fast-path cache probe: the response if this request is already
-    /// cached — in the in-memory shards or the attached store's exact
-    /// tier — `None` otherwise (including for uncacheable requests).
+    /// The one place a request in flight is hashed: look it up in the free
+    /// exact tiers — the in-memory shards, then the attached store's exact
+    /// tier — and come back with the hit or with the key it missed under.
     ///
-    /// A `Some` return is a real hit — counted in
+    /// A [`Probe::Hit`] is a real hit, counted in
     /// [`ClientStats::cache_hits`] (or [`ClientStats::store_hits`]) and
-    /// marked [`CompletionResponse::cached`] exactly as
-    /// [`LlmClient::complete`] would. Dispatchers use this to skip
-    /// concurrency gates for requests that need no backend call. The
-    /// semantic tier is *not* probed here (embedding a prompt is too heavy
-    /// for a peek); it is consulted on the full miss path.
-    pub fn peek_cached(&self, request: &CompletionRequest) -> Option<CompletionResponse> {
+    /// marked [`CompletionResponse::cached`]. A [`Probe::Miss`] carries the
+    /// request's fingerprint into [`LlmClient::complete_keyed`] (and
+    /// [`LlmClient::probe_key`]), so the probe and the call are one hashing;
+    /// it carries `None` for a request the cache does not apply to
+    /// (temperature above zero, or caching disabled), which is not hashed.
+    /// Dispatchers probe first to skip concurrency gates for requests that
+    /// need no backend call. The semantic tier is *not* probed here
+    /// (embedding a prompt is too heavy for a probe); the miss path
+    /// consults it.
+    #[inline]
+    pub fn probe(&self, request: &CompletionRequest) -> Probe {
         if !(self.cache_enabled && request.temperature == 0.0) {
-            return None;
+            return Probe::Miss(None);
         }
         let key = request.fingerprint();
-        if let Some(arc) = self.cache.get(key) {
-            let mut hit = (*arc).clone();
-            hit.cached = true;
-            return Some(hit);
+        match self.probe_key(key) {
+            Some(hit) => Probe::Hit(hit),
+            None => self.probe_store(key),
         }
-        self.probe_store_exact(key)
     }
 
-    /// Exact-tier store probe for a cacheable miss: on a hit the shared
-    /// body is seeded into the owning shard (so repeats stay in memory) and
-    /// a copy marked [`CompletionResponse::cached`] is returned.
-    fn probe_store_exact(&self, key: u64) -> Option<CompletionResponse> {
-        let arc = self.store.get()?.lookup(key)?;
+    /// The shards' answer for `key`, without hashing anything: the re-check
+    /// of a key an earlier [`LlmClient::probe`] missed under, for a caller
+    /// that held it a while (queued behind other work) and wants to know
+    /// whether someone else's call has answered it since. Whoever did also
+    /// filled the shard — a paid response is published there, and so is a
+    /// store or semantic hit — which is why the store is not asked again.
+    /// A hit counts and is marked exactly as [`LlmClient::probe`]'s.
+    #[inline]
+    pub fn probe_key(&self, key: u64) -> Option<CompletionResponse> {
+        self.cache.get(key).map(|body| served_free(&body))
+    }
+
+    /// The store half of [`LlmClient::probe`], outlined so the shard hit
+    /// stays a handful of instructions: on an exact-tier hit the shared body
+    /// is seeded into the owning shard (so repeats stay in memory) and a
+    /// copy marked [`CompletionResponse::cached`] is returned.
+    #[cold]
+    fn probe_store(&self, key: u64) -> Probe {
+        let Some(arc) = self.store.get().and_then(|store| store.lookup(key)) else {
+            return Probe::Miss(Some(key));
+        };
         self.cache
             .shard(key)
             .responses
@@ -477,9 +516,7 @@ impl LlmClient {
             .map
             .insert(key, Arc::clone(&arc));
         self.stats.store_hits.fetch_add(1, Ordering::Relaxed);
-        let mut hit = (*arc).clone();
-        hit.cached = true;
-        Some(hit)
+        Probe::Hit(served_free(&arc))
     }
 
     /// Semantic-tier store probe: answer a temperature-0 miss from the
@@ -503,9 +540,7 @@ impl LlmClient {
             .map
             .insert(key, Arc::clone(&hit.response));
         self.stats.semantic_hits.fetch_add(1, Ordering::Relaxed);
-        let mut response = (*hit.response).clone();
-        response.cached = true;
-        Some(response)
+        Some(served_free(&hit.response))
     }
 
     /// Offer a freshly paid completion to the attached store under the
@@ -527,12 +562,14 @@ impl LlmClient {
         if !(self.cache_enabled && request.temperature == 0.0) {
             return;
         }
+        // lint: allow(one-fingerprint) — seeding is not a request in flight
         let key = request.fingerprint();
         let body = Arc::new(response.clone());
         self.cache.shard(key).responses.lock().map.insert(key, body);
     }
 
-    /// Execute one request with caching and coalescing.
+    /// Execute one request with caching and coalescing:
+    /// [`LlmClient::probe`], then [`LlmClient::complete_keyed`] on a miss.
     ///
     /// Only temperature-0 requests are cached (they are deterministic), and
     /// only they are coalesced: if an identical temperature-0 request is
@@ -543,41 +580,31 @@ impl LlmClient {
     /// Retryable errors are retried by the [`Router`] under its
     /// [`RoutePolicy`]; what surfaces here is its final answer.
     pub fn complete(&self, request: &CompletionRequest) -> Result<CompletionResponse, LlmError> {
-        let cacheable = self.cache_enabled && request.temperature == 0.0;
-        if !cacheable {
-            return self.call_backend(request, None);
+        match self.probe(request) {
+            Probe::Hit(hit) => Ok(hit),
+            Probe::Miss(key) => self.complete_keyed(request, key),
         }
-        let key = request.fingerprint();
-        if let Some(arc) = self.cache.get(key) {
-            let mut hit = (*arc).clone();
-            hit.cached = true;
-            return Ok(hit);
-        }
-        self.complete_miss(request, key)
     }
 
-    /// The cache-miss path: coalescing claim, leader backend call, joiner
-    /// wait. Outlined (and marked cold) so the hit fast-lane above compiles
-    /// to a handful of instructions with no spill pressure from the claim
-    /// machinery — on a hot cache this function is never entered.
+    /// Complete a request [`LlmClient::probe`] missed, under the `key` that
+    /// probe returned (`None`: the cache does not apply, go straight to the
+    /// paid path). Nothing is hashed again and the exact tiers the probe
+    /// already asked are not asked again; a key someone else filled in the
+    /// meantime is still served free, by the flight claim's second look at
+    /// the shard. On a cache-hot client this function is never entered.
     #[cold]
-    fn complete_miss(
+    pub fn complete_keyed(
         &self,
         request: &CompletionRequest,
-        key: u64,
+        key: Option<u64>,
     ) -> Result<CompletionResponse, LlmError> {
-        // The persistent tier sits under the shards: an exact store hit is
-        // served (and re-seeded into its shard) before any backend or
-        // coalescing machinery runs.
-        if let Some(hit) = self.probe_store_exact(key) {
-            return Ok(hit);
-        }
+        let Some(key) = key else {
+            return self.call_backend(request, None);
+        };
+        // lint: allow(one-fingerprint) — debug builds check the key is the request's
+        debug_assert_eq!(key, request.fingerprint());
         match self.cache.claim(key) {
-            Claim::Cached(arc) => {
-                let mut hit = (*arc).clone();
-                hit.cached = true;
-                Ok(hit)
-            }
+            Claim::Cached(body) => Ok(served_free(&body)),
             Claim::Join(flight) => {
                 // Registered as a joiner: counted before waiting so tests
                 // (and metrics scrapes) can observe pending joins.
@@ -635,8 +662,8 @@ impl LlmClient {
     /// The paid path: journal replay, else one dispatch through the router
     /// (which retries); stats and ledger accounting either way. `key` is
     /// the request's fingerprint when the caller has already computed it
-    /// (the cacheable miss path); an uncacheable request is hashed here,
-    /// and only when a journal wants the key.
+    /// (the cacheable miss path); an uncacheable request is never probed, so
+    /// it is hashed here, once, and only when a journal wants the key.
     fn call_backend(
         &self,
         request: &CompletionRequest,
@@ -645,6 +672,7 @@ impl LlmClient {
         let journal = self
             .journal
             .get()
+            // lint: allow(one-fingerprint) — an unprobed request's one hash
             .map(|j| (j, key.unwrap_or_else(|| request.fingerprint())));
         if let Some(replayed) = journal.and_then(|(j, key)| j.lookup(key)) {
             // Stands in for the call a previous process paid for: charged
@@ -1055,7 +1083,7 @@ mod tests {
         let llm = Arc::new(SimulatedLlm::new(ModelProfile::perfect(), world, 1));
         let client = LlmClient::new(llm);
         let req = check_req(ids[0]);
-        assert!(client.peek_cached(&req).is_none());
+        assert_eq!(client.probe(&req), Probe::Miss(Some(req.fingerprint())));
         let canned = CompletionResponse {
             text: "yes.".into(),
             usage: crate::types::Usage {
@@ -1077,7 +1105,36 @@ mod tests {
         // Uncacheable requests are ignored.
         let hot = check_req(ids[0]).with_temperature(0.9);
         client.seed_cache(&hot, &canned);
-        assert!(client.peek_cached(&hot).is_none());
+        assert_eq!(client.probe(&hot), Probe::Miss(None), "not even hashed");
+    }
+
+    #[test]
+    fn a_probed_miss_completes_under_its_key_and_a_fill_in_between_is_served_free() {
+        let (world, ids) = world_and_ids(2);
+        let llm = Arc::new(SimulatedLlm::new(ModelProfile::perfect(), world, 1));
+        let client = LlmClient::new(llm);
+        let (filled, paid) = (check_req(ids[0]), check_req(ids[1]));
+        let Probe::Miss(key) = client.probe(&filled) else {
+            panic!("nothing is cached yet");
+        };
+        // Someone else's call answers the key between the probe and the call.
+        let theirs = client.complete(&filled).unwrap();
+        let served = client.complete_keyed(&filled, key).unwrap();
+        assert!(served.cached, "the flight claim's second look serves it");
+        assert_eq!(served.text, theirs.text);
+        assert_eq!(client.stats().calls(), 1, "their call, not a second one");
+
+        let Probe::Miss(key) = client.probe(&paid) else {
+            panic!("never asked");
+        };
+        let response = client.complete_keyed(&paid, key).unwrap();
+        assert!(!response.cached);
+        assert_eq!(client.stats().calls(), 2);
+        let again = client
+            .probe_key(key.unwrap())
+            .expect("published to its shard");
+        assert!(again.cached);
+        assert_eq!(again.text, response.text);
     }
 
     fn store_temp_path(tag: &str) -> std::path::PathBuf {
@@ -1152,7 +1209,7 @@ mod tests {
     }
 
     #[test]
-    fn peek_cached_consults_store_exact_tier() {
+    fn probe_consults_store_exact_tier() {
         use crate::store::{ResponseStore, StoreConfig};
         let path = store_temp_path("peek");
         let (world, ids) = world_and_ids(1);
@@ -1172,10 +1229,15 @@ mod tests {
         let client = LlmClient::new(llm).with_store(Arc::new(
             ResponseStore::open(&path, StoreConfig::default()).unwrap(),
         ));
-        let peeked = client.peek_cached(&req).expect("exact store hit via peek");
-        assert!(peeked.cached);
+        let Probe::Hit(probed) = client.probe(&req) else {
+            panic!("exact store hit via probe");
+        };
+        assert!(probed.cached);
         assert_eq!(client.stats().calls(), 0);
         assert_eq!(client.stats().store_hits(), 1);
+        // The store hit seeded the shard: the key alone finds it now.
+        assert_eq!(client.probe_key(req.fingerprint()), Some(probed));
+        assert_eq!(client.stats().cache_hits(), 1);
         store_cleanup(&path);
     }
 

@@ -45,7 +45,7 @@ pub use backend::{
     Backend, BackendRegistry, CancelToken, FaultKind, FaultSchedule, FaultWindow, LatencyProfile,
     SimBackend,
 };
-pub use client::{ClientStats, LlmClient};
+pub use client::{ClientStats, LlmClient, Probe};
 pub use error::LlmError;
 pub use model::{ModelProfile, NoiseProfile};
 pub use pricing::{CostLedger, Pricing};

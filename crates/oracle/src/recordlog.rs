@@ -30,38 +30,46 @@ use crate::hash::{fnv1a_str, hex64, parse_hex64};
 use crate::pricing::Pricing;
 use crate::types::{CompletionResponse, FinishReason, Usage};
 
-/// Escape a string for single-line storage (`\` `\t` `\n` `\r`).
+/// Escape a string for single-line storage (`\` `\t` `\n` `\r`). Text
+/// between special bytes is copied as one run, not char by char.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
+    let mut rest = s;
+    // All four specials are ASCII, so a byte offset is a char boundary.
+    while let Some(at) = rest
+        .bytes()
+        .position(|b| matches!(b, b'\\' | b'\t' | b'\n' | b'\r'))
+    {
+        out.push_str(&rest[..at]);
+        out.push_str(match rest.as_bytes()[at] {
+            b'\\' => "\\\\",
+            b'\t' => "\\t",
+            b'\n' => "\\n",
+            _ => "\\r",
+        });
+        rest = &rest[at + 1..];
     }
+    out.push_str(rest);
     out
 }
 
 /// Invert [`escape`]; `None` on a malformed escape sequence.
 pub fn unescape(s: &str) -> Option<String> {
     let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '\\' => out.push('\\'),
-            't' => out.push('\t'),
-            'n' => out.push('\n'),
-            'r' => out.push('\r'),
+    let mut rest = s;
+    while let Some(at) = rest.find('\\') {
+        out.push_str(&rest[..at]);
+        out.push(match rest.as_bytes().get(at + 1)? {
+            b'\\' => '\\',
+            b't' => '\t',
+            b'n' => '\n',
+            b'r' => '\r',
             _ => return None,
-        }
+        });
+        // Both bytes of a well-formed escape are ASCII.
+        rest = &rest[at + 2..];
     }
+    out.push_str(rest);
     Some(out)
 }
 
@@ -291,6 +299,7 @@ impl LogFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn temp_path(tag: &str) -> std::path::PathBuf {
         static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -323,6 +332,76 @@ mod tests {
         }
         assert!(unescape("bad \\x escape").is_none());
         assert!(unescape("trailing \\").is_none());
+    }
+
+    /// The char-by-char codec the run-copying one replaced, kept as the
+    /// reference it must agree with byte for byte.
+    fn escape_by_chars(s: &str) -> String {
+        let mut out = String::with_capacity(s.len());
+        for c in s.chars() {
+            match c {
+                '\\' => out.push_str("\\\\"),
+                '\t' => out.push_str("\\t"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    fn unescape_by_chars(s: &str) -> Option<String> {
+        let mut out = String::with_capacity(s.len());
+        let mut chars = s.chars();
+        while let Some(c) = chars.next() {
+            if c != '\\' {
+                out.push(c);
+                continue;
+            }
+            match chars.next()? {
+                '\\' => out.push('\\'),
+                't' => out.push('\t'),
+                'n' => out.push('\n'),
+                'r' => out.push('\r'),
+                _ => return None,
+            }
+        }
+        Some(out)
+    }
+
+    /// Pieces that make ASCII, multi-byte and escape-heavy strings, and —
+    /// read as stored text — well-formed and malformed escapes alike.
+    const PIECES: [&str; 16] = [
+        "a",
+        "plain run ",
+        "é",
+        "日本",
+        "🦀",
+        "\\",
+        "\\\\",
+        "\t",
+        "\n",
+        "\r",
+        "t",
+        "n",
+        "r",
+        "x",
+        "\\x",
+        "\\é",
+    ];
+
+    proptest! {
+        #[test]
+        fn run_copying_codec_matches_the_char_loop(
+            picks in prop::collection::vec(0usize..PIECES.len(), 0..48),
+        ) {
+            let s: String = picks.iter().map(|&p| PIECES[p]).collect();
+            let escaped = escape(&s);
+            prop_assert_eq!(&escaped, &escape_by_chars(&s));
+            prop_assert_eq!(unescape(&escaped), Some(s.clone()));
+            // As stored text `s` may hold `\x`, `\é` or a trailing backslash.
+            prop_assert_eq!(unescape(&s), unescape_by_chars(&s));
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Deterministic interleaving models of the repo's five hottest concurrency
+//! Deterministic interleaving models of the repo's six hottest concurrency
 //! protocols, driven by the `interleave` explorer (see its crate docs).
 //!
 //! Each model is a *closed* re-statement of the protocol as implemented in
@@ -16,6 +16,7 @@
 //! | journal torn tail     | `oracle::recordlog` append crash + truncate-at-open |
 //! | hedged hand-off       | `oracle::route` caller / helper / twin over one slot |
 //! | lease quota           | `oracle::route` reserve/confirm/release + expiry |
+//! | batch hand-off        | `core::exec` pre-recorded hits, feed claims, `Batch` record/wait |
 
 use std::sync::Arc;
 
@@ -578,6 +579,199 @@ fn lease_quota_regrants_only_across_expiry_and_strands_nothing() {
                 ),
             }
         }
+    });
+    assert!(
+        report.distinct >= required_distinct(n),
+        "coverage too low: {report:?}"
+    );
+}
+
+/// Model 6 — the pump's feed/batch hand-off with hits recorded at enqueue
+/// (`exec.rs` `enqueue`/`work`/`Batch::record`/`wait_done`). The owner's
+/// batch has four slots: two hits it records itself before the batch is
+/// shared, and zero, one or two misses (`choice`) that are the only thing
+/// it queues and counts as outstanding. A second submitter queues a miss of
+/// its own and works the shared feed until *its* batch is done, running the
+/// owner's jobs on the way; its helper — a foreign worker to the owner —
+/// does the same and may die (`choice`) holding a job, in which case the
+/// job's drop guard fails that slot.
+///
+/// Invariants: no schedule hangs (whoever records a batch's last
+/// outstanding slot notifies, so an owner whose last miss is in flight on a
+/// foreign worker wakes); a batch with nothing outstanding touches neither
+/// the feed nor the condvar; a batch is notified exactly once, by its last
+/// record, and never when it queued nothing; no slot is recorded twice and
+/// the pre-recorded hits are never overwritten; a dying worker fails the
+/// one slot it held and nothing else.
+#[test]
+fn prerecorded_batch_handoff_wakes_its_owner_once_and_records_each_slot_once() {
+    use std::collections::VecDeque;
+
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Outcome {
+        Hit,
+        Served,
+        Failed,
+    }
+    struct Slots {
+        results: Vec<Option<Outcome>>,
+        outstanding: usize,
+        /// Bookkeeping for the invariants, not protocol state.
+        notifies: u32,
+    }
+    struct Batch {
+        slots: Mutex<Slots>,
+        done: Condvar,
+    }
+    struct Stack {
+        /// `(batch, slot)` handles: the only way a worker reaches a batch.
+        feed: Mutex<VecDeque<(usize, usize)>>,
+        batches: [Batch; 2],
+    }
+    const OWNER: usize = 0;
+    const SECOND: usize = 1;
+
+    impl Batch {
+        /// `results` as recorded at enqueue; every `None` is a queued miss.
+        fn new(results: Vec<Option<Outcome>>) -> Batch {
+            let outstanding = results.iter().filter(|r| r.is_none()).count();
+            Batch {
+                slots: Mutex::new(Slots {
+                    results,
+                    outstanding,
+                    notifies: 0,
+                }),
+                done: Condvar::new(),
+            }
+        }
+
+        fn record(&self, slot: usize, outcome: Outcome) {
+            let mut s = self.slots.lock();
+            assert!(s.results[slot].is_none(), "slot {slot} recorded twice");
+            s.results[slot] = Some(outcome);
+            s.outstanding -= 1;
+            if s.outstanding == 0 {
+                s.notifies += 1;
+                self.done.notify_all();
+            }
+        }
+
+        fn is_done(&self) -> bool {
+            self.slots.lock().outstanding == 0
+        }
+
+        fn wait_done(&self) {
+            let mut s = self.slots.lock();
+            while s.outstanding > 0 {
+                s = self.done.wait(s);
+            }
+        }
+    }
+
+    /// One worker of batch `own`'s pump call; `true` if it died.
+    fn work(stack: &Stack, own: usize, may_die: bool) -> bool {
+        while !stack.batches[own].is_done() {
+            let Some((batch, slot)) = stack.feed.lock().pop_front() else {
+                return false;
+            };
+            interleave::yield_now(); // the backend call
+            if may_die && choice(2) == 1 {
+                // Unwinding drops the job it held, which fails its slot.
+                stack.batches[batch].record(slot, Outcome::Failed);
+                return true;
+            }
+            stack.batches[batch].record(slot, Outcome::Served);
+        }
+        false
+    }
+
+    /// Queue `batch`'s misses and work the feed until it is done.
+    fn pump(stack: &Stack, batch: usize) {
+        let misses: Vec<usize> = {
+            let s = stack.batches[batch].slots.lock();
+            (0..s.results.len())
+                .filter(|&slot| s.results[slot].is_none())
+                .collect()
+        };
+        if misses.is_empty() {
+            return; // answered at enqueue: no feed, no condvar
+        }
+        stack
+            .feed
+            .lock()
+            .extend(misses.into_iter().map(|slot| (batch, slot)));
+        work(stack, batch, false);
+        stack.batches[batch].wait_done();
+    }
+
+    let n = iterations();
+    let report = interleave::explore(Config::random(0xba7c4, n), || {
+        // Slots 0 and 2 are hits; 1 and 3 are hits too unless they miss.
+        let owner_misses = choice(3) as usize;
+        let is_hit = |slot: usize| slot.is_multiple_of(2) || slot / 2 >= owner_misses;
+        let owner_results = (0..4)
+            .map(|slot| is_hit(slot).then_some(Outcome::Hit))
+            .collect();
+        let stack = Arc::new(Stack {
+            feed: Mutex::new(VecDeque::new()),
+            batches: [Batch::new(owner_results), Batch::new(vec![None])],
+        });
+
+        let second = {
+            let stack = Arc::clone(&stack);
+            spawn(move || pump(&stack, SECOND))
+        };
+        let died = Arc::new(Mutex::new(false));
+        let foreign = {
+            let (stack, died) = (Arc::clone(&stack), Arc::clone(&died));
+            spawn(move || *died.lock() = work(&stack, SECOND, true))
+        };
+        pump(&stack, OWNER);
+        // The owner is back: every one of its slots is recorded.
+        {
+            let s = stack.batches[OWNER].slots.lock();
+            assert_eq!(s.outstanding, 0);
+            assert!(
+                s.results.iter().all(Option::is_some),
+                "the owner returned with a slot unrecorded: {:?}",
+                s.results
+            );
+        }
+        second.join();
+        foreign.join();
+
+        let died = *died.lock();
+        let mut failed = 0;
+        for (index, batch) in stack.batches.iter().enumerate() {
+            let s = batch.slots.lock();
+            let queued = if index == OWNER { owner_misses } else { 1 };
+            assert_eq!(
+                s.notifies,
+                u32::from(queued > 0),
+                "batch {index} queued {queued} and was notified {} times",
+                s.notifies
+            );
+            failed += s
+                .results
+                .iter()
+                .filter(|r| **r == Some(Outcome::Failed))
+                .count();
+        }
+        let owner = stack.batches[OWNER].slots.lock();
+        for slot in 0..4 {
+            assert_eq!(
+                owner.results[slot] == Some(Outcome::Hit),
+                is_hit(slot),
+                "slot {slot}: {:?}",
+                owner.results
+            );
+        }
+        assert_eq!(
+            failed,
+            usize::from(died),
+            "a dead worker fails its one slot"
+        );
+        assert!(stack.feed.lock().is_empty(), "work left behind");
     });
     assert!(
         report.distinct >= required_distinct(n),

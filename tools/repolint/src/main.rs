@@ -19,6 +19,8 @@
 //! | `one-count`   | `crates/core/src/exec.rs` calls `count_tokens` in `render_and_estimate` and nowhere else|
 //! | `no-format-push`| no `push_str(&format!(..))` in `crates/core/src/template.rs`: a prompt is written into one buffer|
 //! | `one-layout`  | no nested `Vec<Vec<f32>>` / `[Vec<f32>]` in library code under `crates/{embed,core,oracle}/src` but `VectorStore::from_rows`; `crates/embed/src` defines no `fn nearest*`|
+//! | `no-spawn-per-call`| `crates/oracle/src/route.rs` starts threads in `start_helper` and `launch_twin` and nowhere else|
+//! | `one-fingerprint`| `crates/oracle/src/client.rs` calls `.fingerprint()` in `probe` and nowhere else; `crates/core/src/{exec,serve}.rs` never do|
 //!
 //! Pure std, no crates.io: scanning is lexical but *mask-accurate* — a small
 //! lexer blanks out comments, strings, and char literals first, so a banned
@@ -134,6 +136,15 @@ const NO_FORMAT_PUSH_HOME: &str = "crates/core/src/template.rs";
 /// else in the router is a thread per call coming back.
 const NO_SPAWN_HOME: &str = "crates/oracle/src/route.rs";
 const NO_SPAWN_FNS: &[&str] = &["start_helper", "launch_twin"];
+
+/// A request in flight is hashed once: the client's probe, the one function
+/// in [`ONE_FINGERPRINT_HOME`] allowed to call `.fingerprint()`, returns the
+/// hit or the key, and the key rides with the work into the call. A second
+/// call in the client, or any in the dispatcher and the serve door
+/// ([`ONE_FINGERPRINT_CALLERS`]), hashes the same prompt again.
+const ONE_FINGERPRINT_HOME: &str = "crates/oracle/src/client.rs";
+const ONE_FINGERPRINT_FN: &str = "probe";
+const ONE_FINGERPRINT_CALLERS: &[&str] = &["crates/core/src/exec.rs", "crates/core/src/serve.rs"];
 
 const BASELINE_GUARD: &str = "ci/check_bench_baselines.sh";
 
@@ -751,6 +762,23 @@ fn lint_rust_source(rel: &str, src: &str) -> Vec<Finding> {
                         offset,
                     );
                 }
+            }
+        }
+    }
+
+    if rel == ONE_FINGERPRINT_HOME || ONE_FINGERPRINT_CALLERS.contains(&rel) {
+        let home = (rel == ONE_FINGERPRINT_HOME)
+            .then(|| find_fn_body(&masked, ONE_FINGERPRINT_FN))
+            .flatten();
+        for offset in find_method_call(&masked, "fingerprint", true) {
+            let at_home = home.is_some_and(|(open, close)| open < offset && offset < close);
+            if library_code(offset) && !at_home {
+                push(
+                    "one-fingerprint",
+                    format!("`.fingerprint()` hashes a request again outside `LlmClient::{ONE_FINGERPRINT_FN}`"),
+                    "probe once (`LlmClient::probe` returns the hit or the key) and carry the key: `Work::key`, `complete_keyed`, `probe_key`",
+                    offset,
+                );
             }
         }
     }
@@ -1447,6 +1475,33 @@ mod tests {
         // their own rules.
         assert!(lint_rust_source("crates/oracle/src/client.rs", src).is_empty());
         assert!(lint_rust_source("crates/core/src/exec.rs", src).is_empty());
+    }
+
+    #[test]
+    fn one_fingerprint_flags_a_second_hashing_in_the_client_and_any_in_the_dispatcher() {
+        let src = concat!(
+            "pub fn probe(&self, r: &Req) -> Probe { if x { y } let key = r.fingerprint(); self.look(key) }\n",
+            "pub fn probe_key(&self, r: &Req) -> Option<Resp> { self.shard(r.fingerprint()) }\n",
+            "pub fn complete(&self, r: &Req) -> Resp { self.call(r, r.fingerprint()) }\n",
+            "fn keyed(&self, r: &Req, key: u64) -> Resp { self.call(r, key) } // .fingerprint() in prose\n",
+            "// lint: allow(one-fingerprint) — seeding is not a request in flight\n",
+            "pub fn seed(&self, r: &Req) { self.insert(r.fingerprint()) }\n",
+            "#[cfg(test)]\n",
+            "mod tests { fn t(r: &Req) { r.fingerprint(); } }\n",
+        );
+        let f = lint_rust_source("crates/oracle/src/client.rs", src);
+        assert_eq!(codes(&f), vec!["one-fingerprint", "one-fingerprint"]);
+        assert_eq!((f[0].line, f[0].col), (2, 64));
+        assert_eq!((f[1].line, f[1].col), (3, 57));
+        // The dispatcher and the serve door have no home: every call fires.
+        for caller in ["crates/core/src/exec.rs", "crates/core/src/serve.rs"] {
+            let f = lint_rust_source(caller, src);
+            assert_eq!(codes(&f), vec!["one-fingerprint"; 3], "{caller}");
+            assert_eq!(f[0].line, 1);
+        }
+        // The store, the simulator and the planner hash what they like.
+        assert!(lint_rust_source("crates/oracle/src/store.rs", src).is_empty());
+        assert!(lint_rust_source("crates/core/src/plan/planner.rs", src).is_empty());
     }
 
     #[test]

@@ -70,6 +70,14 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
             "pub fn pump() { std::thread::scope(|s| { s.spawn(|| ()); }); }\n",
             "fn render_and_estimate(p: &str) -> u32 { count_tokens(p) }\n",
             "fn fits(p: &str, window: u32) -> bool { count_tokens(p) <= window }\n",
+            "fn execute(r: &Request) -> u64 { r.fingerprint() }\n",
+        ),
+    );
+    repo.write(
+        "crates/oracle/src/client.rs",
+        concat!(
+            "pub fn probe(r: &Request) -> u64 { r.fingerprint() }\n",
+            "pub fn complete(r: &Request) -> u64 { r.fingerprint() }\n",
         ),
     );
     repo.write(
@@ -157,6 +165,9 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         "error[one-count]",
         "error[no-format-push]",
         "error[no-spawn-per-call]",
+        "error[one-fingerprint]",
+        "--> crates/oracle/src/client.rs:2:40",
+        "--> crates/core/src/exec.rs:4:35",
         "--> crates/oracle/src/route.rs:3:35",
         "--> crates/core/src/exec.rs:3:41",
         "--> crates/core/src/template.rs:1:46",
@@ -203,6 +214,10 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         "the hedge helper's start is where the router starts a thread:\n{stderr}"
     );
     assert!(
+        !stderr.contains("crates/oracle/src/client.rs:1:"),
+        "the probe is where a request is hashed:\n{stderr}"
+    );
+    assert!(
         !stderr.contains("crates/core/src/session.rs"),
         "the session builder is where engines are made:\n{stderr}"
     );
@@ -217,10 +232,11 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
     // Three lock names across the two imports, two unwrap forms, two
     // deprecation attributes, two copies of a bill, a second layout and a
     // second query, a second count, a formatted temporary, a thread per
-    // call, one each of the rest:
-    // 3 + 2 + 2 + 2 + 2 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1.
+    // call, a second hashing in the client and one in the dispatcher, one
+    // each of the rest:
+    // 3 + 2 + 2 + 2 + 2 + 2 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1.
     assert!(
-        stderr.contains("21 finding(s)"),
+        stderr.contains("23 finding(s)"),
         "unexpected total in:\n{stderr}"
     );
 }
@@ -270,8 +286,10 @@ fn this_repository_is_clean() {
     // `Vec<Vec<f32>>` in library code under `crates/{embed,core,oracle}/src`
     // or a `fn nearest*` under `crates/embed/src`, for a `count_tokens`
     // call in `exec.rs` outside `render_and_estimate`, for a
-    // `push_str(&format!(..))` in `template.rs`, and for a thread started
-    // in `route.rs` outside the hedge helper's start and the twin launch.
+    // `push_str(&format!(..))` in `template.rs`, for a thread started in
+    // `route.rs` outside the hedge helper's start and the twin launch, and
+    // for a `.fingerprint()` in `client.rs` outside `probe` or anywhere in
+    // `exec.rs` and `serve.rs`.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let out = run_repolint(&root);
     let stderr = String::from_utf8_lossy(&out.stderr);
