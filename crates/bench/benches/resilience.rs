@@ -1,14 +1,8 @@
 //! Resilience benchmarks — the PR-7 tentpole's fault-tolerant execution.
 //!
-//! Three questions, each answered with a timed group plus in-bench
+//! Two questions, each answered with a timed group plus in-bench
 //! assertions on the invariants the chaos suite property-tests:
 //!
-//! * **What does degrade mode cost when nothing fails?** A healthy 64-task
-//!   batch through fail-fast vs degrade-mode execution. The degraded path
-//!   runs the outcome machinery (per-item attempt ledgers, quarantine
-//!   bookkeeping) and must stay within a small constant factor of the
-//!   fail-fast path — partial-failure insurance should be near-free when
-//!   nothing burns.
 //! * **What does salvage cost under fire?** The same batch dispatched into
 //!   a scripted outage with a healthy standby backend: cross-backend
 //!   retries absorb the whole fault window, every item salvages, nothing
@@ -84,19 +78,15 @@ fn routed(backends: Vec<Arc<dyn Backend>>) -> Arc<LlmClient> {
     ))
 }
 
-/// A fresh healthy single-backend engine (cold cache) for the clean group.
-fn clean_engine(world: &Arc<WorldModel>, ids: &[ItemId], degrade: bool) -> Engine {
-    let mut engine = Engine::new(
+/// A fresh healthy single-backend engine (cold cache).
+fn clean_engine(world: &Arc<WorldModel>, ids: &[ItemId]) -> Engine {
+    Engine::new(
         routed(vec![
             Arc::new(SimBackend::new("steady", model(world))) as Arc<dyn Backend>
         ]),
         Corpus::from_world(world, ids),
     )
-    .with_parallelism(8);
-    if degrade {
-        engine = engine.with_failure_policy(FailurePolicy::Degrade { max_attempts: 4 });
-    }
-    engine
+    .with_parallelism(8)
 }
 
 /// A fresh outage-vs-standby engine: the flaky backend hard-fails its
@@ -135,32 +125,6 @@ fn record_ns(name: &str, ns: u64) {
             .open(path)
             .and_then(|mut f| f.write_all(line.as_bytes()));
     }
-}
-
-/// Degrade-mode bookkeeping on a healthy batch vs the fail-fast path.
-fn bench_clean_batch(c: &mut Criterion) {
-    let (world, ids) = batch_world();
-
-    let mut group = c.benchmark_group("resilience_batch");
-    group.bench_function("failfast_clean", |b| {
-        b.iter_batched(
-            || clean_engine(&world, &ids, false),
-            |engine| engine.run_many(tasks(&ids)).unwrap(),
-            BatchSize::SmallInput,
-        )
-    });
-    group.bench_function("degrade_clean", |b| {
-        b.iter_batched(
-            || clean_engine(&world, &ids, true),
-            |engine| {
-                let outcome = engine.run_outcome(RunSpec::tasks(tasks(&ids))).unwrap();
-                assert!(outcome.is_complete());
-                outcome
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    group.finish();
 }
 
 /// Salvage through a scripted outage with a healthy standby.
@@ -212,7 +176,7 @@ fn bench_outage_salvage(c: &mut Criterion) {
 /// A fresh healthy engine (cold cache) with `journal` in its client's
 /// replay slot.
 fn journaled_engine(world: &Arc<WorldModel>, ids: &[ItemId], journal: ResponseStore) -> Engine {
-    let engine = clean_engine(world, ids, false);
+    let engine = clean_engine(world, ids);
     assert!(engine.client().attach_journal(Arc::new(journal)));
     engine
 }
@@ -282,10 +246,5 @@ fn bench_resume(c: &mut Criterion) {
     }
 }
 
-criterion_group!(
-    benches,
-    bench_clean_batch,
-    bench_outage_salvage,
-    bench_resume
-);
+criterion_group!(benches, bench_outage_salvage, bench_resume);
 criterion_main!(benches);

@@ -1,15 +1,9 @@
 //! Serving-layer benchmarks — the PR-10 multi-tenant front end.
 //!
-//! Four questions, each answered with a timed group or a recorded counter
+//! Three questions, each answered with a timed group or a recorded counter
 //! plus in-bench assertions on the invariants the serving property suite
 //! tests:
 //!
-//! * **What does the front door cost?** A 64-task batch submitted through
-//!   a one-tenant [`Server`] (admission → the tenant's lane of the fair
-//!   feed → a slot lease per miss) vs the same batch run directly on the
-//!   engine. The serving overhead — the admission checks, DRR bookkeeping,
-//!   lease reserve/confirm/release — must stay within a small constant
-//!   factor of the bare dispatch.
 //! * **What do equal weights guarantee at scale?** A 64-tenant workload
 //!   drained through the deficit-round-robin feed, cut mid-round: the
 //!   p99-over-median ratio of per-tenant claims must stay ≤ 2× (DRR with
@@ -37,8 +31,6 @@ use crowdprompt_oracle::types::CompletionResponse;
 use crowdprompt_oracle::world::{ItemId, WorldModel};
 use crowdprompt_oracle::{LlmClient, ModelProfile, SimulatedLlm};
 
-/// Tasks per submitted batch in the front-door comparison.
-const BATCH: usize = 64;
 /// Tenants in the fan-out workloads.
 const TENANTS: usize = 64;
 /// Tasks per tenant in the concurrent workload.
@@ -64,9 +56,8 @@ fn fresh_engine(world: &Arc<WorldModel>, ids: &[ItemId]) -> Engine {
         Arc::clone(world),
         11,
     ));
-    // Parallelism 1: both legs run the engine's one pump, and `submit`
-    // always runs it with the caller as the only worker, so the direct leg
-    // must too for the ratio to read as the cost of admission and leases.
+    // Parallelism 1: `submit` runs the engine's one pump with its caller as
+    // the only worker.
     Engine::new(
         Arc::new(LlmClient::new(llm)),
         Corpus::from_world(world, ids),
@@ -106,38 +97,6 @@ fn record_ns(name: &str, ns: u64) {
             .open(path)
             .and_then(|mut f| f.write_all(line.as_bytes()));
     }
-}
-
-/// Front-door overhead: a 64-task batch through the server vs the engine.
-fn bench_submit(c: &mut Criterion) {
-    let (world, ids) = serve_world(BATCH);
-
-    let mut group = c.benchmark_group("serve_submit");
-    group.bench_function("engine_direct_64", |b| {
-        b.iter_batched(
-            || fresh_engine(&world, &ids),
-            |engine| engine.run_many(check_tasks(&ids)).unwrap(),
-            BatchSize::SmallInput,
-        )
-    });
-    group.bench_function("server_submit_64", |b| {
-        b.iter_batched(
-            || {
-                ServerBuilder::new()
-                    .engine(fresh_engine(&world, &ids))
-                    .tenant(TenantSpec::new("solo"))
-                    .try_build()
-                    .expect("one-tenant server builds")
-            },
-            |server| {
-                let run = server.submit("solo", check_tasks(&ids)).unwrap();
-                assert!(run.is_complete(), "perfect noise: every task completes");
-                run
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    group.finish();
 }
 
 /// Build a 64-tenant equal-weight feed with `backlog` items per tenant.
@@ -352,5 +311,5 @@ fn bench_concurrent(c: &mut Criterion) {
     );
 }
 
-criterion_group!(benches, bench_submit, bench_fairness, bench_concurrent);
+criterion_group!(benches, bench_fairness, bench_concurrent);
 criterion_main!(benches);

@@ -95,7 +95,7 @@ impl BlockingIndex {
     /// embedding or building anything — the planner's cost model uses
     /// this to annotate plans and adjust neighbor-call economics. Mirrors
     /// the ada-like embedder shape (256 dims, L2).
-    pub fn predicted_index_kind(len: usize, recall_target: Option<f32>) -> &'static str {
+    pub(crate) fn predicted_index_kind(len: usize, recall_target: Option<f32>) -> &'static str {
         let dims = NgramEmbedder::ada_like().dimensions();
         predict_auto_kind(len, dims, Metric::L2, recall_target.unwrap_or(1.0))
     }

@@ -108,6 +108,7 @@ impl BudgetTracker {
 /// A point-in-time spend snapshot for one tenant's ledger (see
 /// [`crate::serve::TenantStats`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
+// lint: allow(pub-has-caller) — exposed by `TenantStats::ledger`
 pub struct LedgerSnapshot {
     /// USD spent so far.
     pub spent_usd: f64,

@@ -73,7 +73,7 @@ impl Corpus {
     ///
     /// Used to map list-sort response lines back to items; O(n), but list
     /// tasks are small by construction (context-window bound).
-    pub fn find_by_text(&self, text: &str) -> Option<ItemId> {
+    pub(crate) fn find_by_text(&self, text: &str) -> Option<ItemId> {
         let mut hit: Option<ItemId> = None;
         for (id, t) in &self.texts {
             if t == text {

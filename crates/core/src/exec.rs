@@ -58,7 +58,7 @@
 //!
 //! The policy is read at three points in this file — the attempt
 //! allowance and stop-on-first-error in `RunShape`, and
-//! salvage-before-admission in prepare — plus [`Settle`], the per-item
+//! salvage-before-admission in prepare — plus `Settle`, the per-item
 //! helper operators hand their parse results to.
 //!
 //! [`Engine::run`] and [`Engine::run_many`] are always strict (callers
@@ -79,7 +79,7 @@
 //!
 //! # Deadlines and resume
 //!
-//! [`Engine::with_deadline_ms`] is a wall-clock allowance per run entry,
+//! `Engine::with_deadline_ms` is a wall-clock allowance per run entry,
 //! threaded onto every [`CompletionRequest`] so the client and router clip
 //! retry backoff and hedge waits against it; under
 //! [`FailurePolicy::Degrade`], work not yet dispatched when the deadline
@@ -320,7 +320,7 @@ impl Engine {
     ///
     /// [`BlockingIndex`]: crate::blocking::BlockingIndex
     #[must_use]
-    pub fn with_blocking_recall_target(mut self, target: f32) -> Self {
+    pub(crate) fn with_blocking_recall_target(mut self, target: f32) -> Self {
         self.blocking_recall_target = Some(target);
         self
     }
@@ -349,13 +349,13 @@ impl Engine {
     /// Attach a trace recorder: every completed call is logged (builder
     /// style).
     #[must_use]
-    pub fn with_trace(mut self, trace: Arc<Trace>) -> Self {
+    pub(crate) fn with_trace(mut self, trace: Arc<Trace>) -> Self {
         self.trace = Some(trace);
         self
     }
 
     /// Set the failure policy (builder style) that [`Engine::run_outcome`]
-    /// and, through [`Engine::settle`], the point-wise operators obey. The
+    /// and, through `Engine::settle`, the point-wise operators obey. The
     /// default, [`FailurePolicy::FailFast`], stops a batch on its first
     /// hard error; [`FailurePolicy::Degrade`] salvages every completable
     /// item and quarantines the rest.
@@ -372,7 +372,7 @@ impl Engine {
     /// degrade mode, work still undispatched at the deadline is
     /// quarantined rather than started.
     #[must_use]
-    pub fn with_deadline_ms(mut self, deadline_ms: u64) -> Self {
+    pub(crate) fn with_deadline_ms(mut self, deadline_ms: u64) -> Self {
         self.deadline_ms = Some(deadline_ms);
         self
     }
@@ -408,7 +408,7 @@ impl Engine {
     }
 
     /// The blocking recall target (`None` = exact blocking; see
-    /// [`Engine::with_blocking_recall_target`]).
+    /// `Engine::with_blocking_recall_target`).
     pub fn blocking_recall_target(&self) -> Option<f32> {
         self.blocking_recall_target
     }
@@ -426,7 +426,7 @@ impl Engine {
     /// Drain the degraded-run notes accumulated since the last call. The
     /// plan executor drains after each node; direct engine users may
     /// inspect the notes themselves.
-    pub fn take_salvage(&self) -> Vec<OpSalvage> {
+    pub(crate) fn take_salvage(&self) -> Vec<OpSalvage> {
         std::mem::take(&mut *self.salvage.lock())
     }
 
@@ -440,7 +440,7 @@ impl Engine {
     /// (the cheapest backend's schedule). Estimates
     /// price against this; actual responses are priced by
     /// [`Engine::cost_of_response`].
-    pub fn cost_of(&self, usage: crowdprompt_oracle::Usage) -> f64 {
+    pub(crate) fn cost_of(&self, usage: crowdprompt_oracle::Usage) -> f64 {
         self.client.model().pricing().cost_usd(usage)
     }
 
@@ -449,7 +449,7 @@ impl Engine {
     /// multi-backend routing this is what keeps operator cost meters, the
     /// budget tracker, and the client ledger mutually consistent; for a
     /// single-backend client it equals `cost_of(response.usage)`.
-    pub fn cost_of_response(&self, response: &CompletionResponse) -> f64 {
+    pub(crate) fn cost_of_response(&self, response: &CompletionResponse) -> f64 {
         response.pricing.cost_usd(response.usage)
     }
 
@@ -498,7 +498,7 @@ impl Engine {
     /// when no store is attached or the task does not render. The
     /// planner's cost model uses this to price predicted store hits at
     /// zero — a store hit dispatches no backend call and charges nothing.
-    pub fn task_served_by_store(&self, task: TaskDescriptor) -> bool {
+    pub(crate) fn task_served_by_store(&self, task: TaskDescriptor) -> bool {
         let Some(store) = self.client.store() else {
             return false;
         };
@@ -605,7 +605,7 @@ impl Engine {
 
     /// Begin settling one operator run's per-item parse results under the
     /// engine's failure policy (see [`Settle`]).
-    pub fn settle(&self, op: &'static str) -> Settle<'_> {
+    pub(crate) fn settle(&self, op: &'static str) -> Settle<'_> {
         Settle {
             engine: self,
             op,
@@ -1331,7 +1331,7 @@ pub struct Quarantine {
 ///
 /// Construct via [`RunSpec::tasks`] (one call per task),
 /// [`RunSpec::sampled`] (explicit temperature / sample index per call), or
-/// [`RunSpec::packed`] / [`RunSpec::packed_sampled`] (multi-item prompts,
+/// [`RunSpec::packed`] (multi-item prompts,
 /// falling back to per-item at width ≤ 1). Operators pass the spec straight
 /// through, so the per-item-vs-packed branch lives in the engine once.
 #[derive(Debug, Clone)]
@@ -1384,7 +1384,7 @@ impl RunSpec {
 
     /// [`RunSpec::packed`] with every call issued at an explicit
     /// temperature and sample index (one packed vote round).
-    pub fn packed_sampled(
+    pub(crate) fn packed_sampled(
         tasks: Vec<TaskDescriptor>,
         width: usize,
         temperature: f64,
@@ -1434,7 +1434,7 @@ impl BatchOutcome {
     /// confidence gate. Only a per-item spec ([`RunSpec::tasks`],
     /// [`RunSpec::sampled`], packed at width ≤ 1) has one response per
     /// completed item; an item answered out of a shared pack has none.
-    pub fn item_results(
+    pub(crate) fn item_results(
         &self,
     ) -> impl Iterator<Item = Result<&CompletionResponse, &EngineError>> + '_ {
         debug_assert_eq!(self.responses.len(), self.ok_count(), "per-item spec");
@@ -1446,7 +1446,7 @@ impl BatchOutcome {
     }
 
     /// Meter every completion this batch dispatched.
-    pub fn meter_into(&self, meter: &mut CostMeter) {
+    pub(crate) fn meter_into(&self, meter: &mut CostMeter) {
         for response in &self.responses {
             meter.add(response.usage, response.pricing.cost_usd(response.usage));
         }
@@ -1474,7 +1474,7 @@ pub struct OpSalvage {
 /// note is left; under [`FailurePolicy::Degrade`] the item is recorded as
 /// lost, the operator carries on without it, and [`Settle::finish`] leaves
 /// the [`OpSalvage`] note for the plan layer.
-pub struct Settle<'e> {
+pub(crate) struct Settle<'e> {
     engine: &'e Engine,
     op: &'static str,
     /// Lost items by index with the last error seen for each; `None` when
@@ -1484,7 +1484,7 @@ pub struct Settle<'e> {
 
 impl Settle<'_> {
     /// Settle the item at `index`: its value, or `None` once it is lost.
-    pub fn item<T>(
+    pub(crate) fn item<T>(
         &mut self,
         index: usize,
         result: Result<T, EngineError>,
@@ -1494,7 +1494,7 @@ impl Settle<'_> {
 
     /// Settle one result that stands for every item in `indices` (a batch
     /// prompt): an `Err` loses them all.
-    pub fn span<T>(
+    pub(crate) fn span<T>(
         &mut self,
         indices: Range<usize>,
         result: Result<T, EngineError>,
@@ -1512,14 +1512,14 @@ impl Settle<'_> {
 
     /// A later pass (an escalation vote, a surviving sample) produced a
     /// verdict for an item an earlier result lost.
-    pub fn recovered(&mut self, index: usize) {
+    pub(crate) fn recovered(&mut self, index: usize) {
         if let Some(lost) = &mut self.lost {
             lost.remove(&index);
         }
     }
 
     /// Finish an operator run over `total` items.
-    pub fn finish(self, total: usize) {
+    pub(crate) fn finish(self, total: usize) {
         if let Some(lost) = self.lost {
             self.engine.salvage.lock().push(OpSalvage {
                 op: self.op,
@@ -1727,7 +1727,8 @@ impl<T> FairFeed<T> {
     }
 
     /// Items currently queued for `key` (0 for unknown keys).
-    pub fn queued_for(&self, key: &str) -> usize {
+    #[cfg(test)]
+    pub(crate) fn queued_for(&self, key: &str) -> usize {
         self.state
             .lock()
             .queues

@@ -111,7 +111,7 @@ fn strip_enumeration(line: &str) -> &str {
 
 /// Parse a batched yes/no response: one answer per (possibly numbered)
 /// line, `expected` answers required.
-pub fn yes_no_list(text: &str, expected: usize) -> Result<Vec<bool>, EngineError> {
+pub(crate) fn yes_no_list(text: &str, expected: usize) -> Result<Vec<bool>, EngineError> {
     let mut out = Vec::with_capacity(expected);
     for line in list_items(text) {
         if let Ok(answer) = yes_no(&line) {

@@ -21,7 +21,6 @@
 //! * [`consistency`] — transitive closure and ranking repair (§3.3).
 //! * [`blocking`] — the shared embedding-blocking index all operators
 //!   route non-LLM candidate pruning through (§3.4).
-//! * [`proxy`] — the LLM-trained nearest-centroid proxy classifier (§3.4).
 //! * [`ops`] — the operators, each with multiple strategies (§3.1–3.5).
 //!   [`mod@ops::filter`] holds the one vote loop: majority voting,
 //!   self-consistency, sequential asking, proxy gating and
@@ -40,7 +39,7 @@
 //!   ([`plan::Query`]), a cost-based planner with rule rewrites, EXPLAIN,
 //!   and a per-node-attributed executor. Its cost model is bill → price →
 //!   fold: every strategy states what it asks as a crate-private `bill`
-//!   beside its run code in [`ops`], and [`plan::estimate`] prices each
+//!   beside its run code in [`ops`], and the planner's estimator prices each
 //!   prompt shape and folds the lines into calls and dollars.
 //! * [`session`] — the user-facing declarative API (each operator method
 //!   calls its operator in [`ops`] directly on the session's engine).
@@ -59,7 +58,7 @@ pub mod ops;
 pub mod optimize;
 pub mod outcome;
 pub mod plan;
-pub mod proxy;
+mod proxy;
 pub mod quality;
 pub mod serve;
 pub mod session;

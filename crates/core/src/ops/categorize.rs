@@ -27,7 +27,7 @@ pub fn categorize(
 /// real label — empty label sets are rejected, and [`extract::choice`] only
 /// returns members of the set); the casualties land in the engine's
 /// salvage note.
-pub fn categorize_packed(
+pub(crate) fn categorize_packed(
     engine: &Engine,
     items: &[ItemId],
     labels: &[String],

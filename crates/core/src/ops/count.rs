@@ -75,7 +75,7 @@ pub fn count(
 /// the rest are quarantined in the engine's salvage note (an eyeball batch
 /// that stays broken quarantines every item it covered), so the returned
 /// count is a *lower bound* when the note lists casualties.
-pub fn count_packed(
+pub(crate) fn count_packed(
     engine: &Engine,
     items: &[ItemId],
     predicate: &str,

@@ -63,7 +63,7 @@ pub enum FilterStrategy {
     },
     /// §3.4's LLM-trained proxy: the LLM labels the first `train` items
     /// (those labels are their verdicts), a free nearest-centroid
-    /// [`ProxyModel`] is fitted to them and decides every remaining item it
+    /// proxy classifier is fitted to them and decides every remaining item it
     /// is confident about, and the LLM is asked only about the uncertain
     /// rest. A one-sided training sample fits no proxy, and the whole rest
     /// goes to the LLM.
@@ -98,7 +98,7 @@ fn fraction(pct: u8) -> f64 {
 impl FilterStrategy {
     /// Default planner selectivity assumption: without a hint, a predicate
     /// is assumed to keep half of its input.
-    pub const DEFAULT_SELECTIVITY: f64 = 0.5;
+    pub(crate) const DEFAULT_SELECTIVITY: f64 = 0.5;
 
     /// Human-readable strategy name (used by `EXPLAIN` and the optimizer).
     pub fn name(&self) -> String {
@@ -147,7 +147,7 @@ impl FilterStrategy {
     /// Expected LLM calls per additional input item (planner cost hint),
     /// with 30 % of the items assumed to take the expensive leg. The
     /// proxy's training sample is a fixed cost and not counted here.
-    pub fn calls_per_item(&self) -> f64 {
+    pub(crate) fn calls_per_item(&self) -> f64 {
         match *self {
             FilterStrategy::Single => 1.0,
             FilterStrategy::MajorityVote { votes, .. } => f64::from(votes.max(1)),
@@ -230,7 +230,7 @@ pub fn filter(
 /// Under a degrade policy, items whose checks stay broken are quarantined
 /// (dropped from the kept set) and noted for the plan layer instead of
 /// failing the batch; see [`Engine::settle`].
-pub fn filter_packed(
+pub(crate) fn filter_packed(
     engine: &Engine,
     items: &[ItemId],
     predicate: &str,

@@ -147,7 +147,7 @@ pub fn impute(
 /// Under a degrade policy, quarantined records get the empty-string "no
 /// answer" placeholder (the k-NN convention) so output stays aligned;
 /// casualties land in the engine's salvage note.
-pub fn impute_packed(
+pub(crate) fn impute_packed(
     engine: &Engine,
     records: &[ItemId],
     attribute: &str,

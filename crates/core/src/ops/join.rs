@@ -61,7 +61,7 @@ impl JoinStrategy {
 }
 
 /// A matched pair (left item, right item).
-pub type Match = (ItemId, ItemId);
+pub(crate) type Match = (ItemId, ItemId);
 
 /// Join statistics alongside the matches.
 #[derive(Debug, Clone, PartialEq)]

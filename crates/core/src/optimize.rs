@@ -19,6 +19,7 @@ use crate::outcome::Outcome;
 
 /// Measured performance of one strategy on the validation sample.
 #[derive(Debug, Clone)]
+// lint: allow(pub-has-caller) — exposed by `optimize::evaluate_filter_strategies`
 pub struct StrategyTrial {
     /// Strategy display name.
     pub name: String,

@@ -37,19 +37,11 @@ impl<T> Outcome<T> {
             cost_usd: self.cost_usd,
         }
     }
-
-    /// Fold another outcome's accounting into this one (for composite
-    /// operations), keeping this outcome's value.
-    pub fn absorb<U>(&mut self, other: &Outcome<U>) {
-        self.usage += other.usage;
-        self.calls += other.calls;
-        self.cost_usd += other.cost_usd;
-    }
 }
 
 /// Mutable accumulator used by operators while they issue calls.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct CostMeter {
+pub(crate) struct CostMeter {
     /// Accumulated usage.
     pub usage: Usage,
     /// Accumulated call count.
@@ -60,19 +52,19 @@ pub struct CostMeter {
 
 impl CostMeter {
     /// Start at zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Record one call.
-    pub fn add(&mut self, usage: Usage, cost_usd: f64) {
+    pub(crate) fn add(&mut self, usage: Usage, cost_usd: f64) {
         self.usage += usage;
         self.calls += 1;
         self.cost_usd += cost_usd;
     }
 
     /// Finish into an [`Outcome`].
-    pub fn into_outcome<T>(self, value: T) -> Outcome<T> {
+    pub(crate) fn into_outcome<T>(self, value: T) -> Outcome<T> {
         Outcome {
             value,
             usage: self.usage,
@@ -109,25 +101,6 @@ mod tests {
         assert_eq!(o.calls, 1);
         assert_eq!(o.usage.total(), 15);
         assert!((o.cost_usd - 0.01).abs() < 1e-12);
-    }
-
-    #[test]
-    fn absorb_sums_accounting() {
-        let mut meter = CostMeter::new();
-        meter.add(
-            Usage {
-                prompt_tokens: 1,
-                completion_tokens: 1,
-            },
-            0.5,
-        );
-        let mut a = meter.into_outcome(1);
-        let b = meter.into_outcome(2);
-        a.absorb(&b);
-        assert_eq!(a.calls, 2);
-        assert_eq!(a.usage.total(), 4);
-        assert!((a.cost_usd - 1.0).abs() < 1e-12);
-        assert_eq!(a.value, 1);
     }
 
     #[test]

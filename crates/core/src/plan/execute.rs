@@ -99,18 +99,11 @@ impl PlanOutput {
             _ => None,
         }
     }
-
-    /// The join result, for join plans.
-    pub fn join_result(&self) -> Option<&JoinResult> {
-        match self {
-            PlanOutput::Join(j) => Some(j),
-            _ => None,
-        }
-    }
 }
 
 /// Cost breakdown for one executed plan node.
 #[derive(Debug, Clone)]
+// lint: allow(pub-has-caller) — exposed by `PlanRun::steps`
 pub struct StepReport {
     /// Node display name.
     pub name: String,

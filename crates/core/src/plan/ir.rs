@@ -10,7 +10,6 @@
 use crowdprompt_oracle::task::SortCriterion;
 use crowdprompt_oracle::world::ItemId;
 
-use crate::corpus::Corpus;
 use crate::error::EngineError;
 use crate::exec::Engine;
 use crate::ops::count::CountStrategy;
@@ -50,6 +49,7 @@ pub struct SortCalibration {
 /// One logical operator. Strategies are `Option`s: `None` means "planner's
 /// choice", `Some` pins the node against rewrites.
 #[derive(Debug, Clone)]
+// lint: allow(pub-has-caller) — exposed by `Query::ops`
 pub enum LogicalOp {
     /// Keep items satisfying a predicate.
     Filter {
@@ -143,7 +143,7 @@ pub enum LogicalOp {
 impl LogicalOp {
     /// Whether the op consumes an item set and produces an item set (and
     /// may therefore be followed by further ops).
-    pub fn produces_items(&self) -> bool {
+    pub(crate) fn produces_items(&self) -> bool {
         matches!(
             self,
             LogicalOp::Filter { .. }
@@ -186,28 +186,9 @@ impl Query {
         }
     }
 
-    /// A query over every item of a corpus (id order, for determinism).
-    pub fn over_corpus(corpus: &Corpus) -> Self {
-        Query {
-            source: corpus.ids(),
-            ops: Vec::new(),
-            calibration: None,
-        }
-    }
-
-    /// The source item set.
-    pub fn source(&self) -> &[ItemId] {
-        &self.source
-    }
-
     /// The logical operator chain.
     pub fn ops(&self) -> &[LogicalOp] {
         &self.ops
-    }
-
-    /// The attached sort calibration, if any.
-    pub fn calibration(&self) -> Option<&SortCalibration> {
-        self.calibration.as_ref()
     }
 
     /// Decompose into `(source, ops, calibration)` — the planner consumes
@@ -453,6 +434,42 @@ impl Query {
     /// sort nodes by running every candidate strategy on the sample and
     /// recommending under the node's budget allocation (paper §4). The
     /// trials spend real budget at plan time.
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use crowdprompt_core::{Budget, Corpus, Session};
+    /// use crowdprompt_oracle::task::SortCriterion;
+    /// use crowdprompt_oracle::world::WorldModel;
+    /// use crowdprompt_oracle::{LlmClient, ModelProfile, SimulatedLlm};
+    ///
+    /// let mut world = WorldModel::new();
+    /// let items: Vec<_> = (0..12)
+    ///     .map(|i| {
+    ///         let id = world.add_item(format!("flavor {i}"));
+    ///         world.set_score(id, f64::from(i) / 12.0);
+    ///         id
+    ///     })
+    ///     .collect();
+    /// let corpus = Corpus::from_world(&world, &items);
+    /// let llm = SimulatedLlm::new(ModelProfile::perfect(), Arc::new(world), 1);
+    /// let session = Session::builder()
+    ///     .client(Arc::new(LlmClient::new(Arc::new(llm))))
+    ///     .corpus(corpus)
+    ///     .budget(Budget::usd(1.0))
+    ///     .build();
+    ///
+    /// // Four labelled items, best first: the planner tries each sort
+    /// // strategy on them before it commits the budget to all twelve.
+    /// let sample = &items[..4];
+    /// let gold: Vec<_> = sample.iter().rev().copied().collect();
+    /// let query = session
+    ///     .query(&items)
+    ///     .sort(SortCriterion::LatentScore)
+    ///     .calibrate_sort(sample, &gold);
+    /// let plan = session.plan(query).unwrap();
+    /// assert!(plan.notes().iter().any(|n| n.contains("validation trial")));
+    /// assert!(session.engine().budget().spent_tokens() > 0, "trials spend for real");
+    /// ```
     #[must_use]
     pub fn calibrate_sort(mut self, sample: &[ItemId], gold: &[ItemId]) -> Self {
         self.calibration = Some(SortCalibration {

@@ -12,7 +12,7 @@
 //!   unpinned strategies are resolved (optionally via optimizer-style
 //!   validation trials), and expensive nodes are downgraded until the
 //!   estimate fits the budget.
-//! * [`estimate`] — per-node call/cost estimation: each node's strategy
+//! * `estimate` — per-node call/cost estimation: each node's strategy
 //!   states its bill (so many calls of such a prompt shape) beside its run
 //!   code, the estimator prices a shape by *rendering* a representative of
 //!   it (so token estimates track the real corpus, not a constant) and
@@ -24,7 +24,7 @@
 //! strategy, row estimates, call/cost estimates, budget allocation, and
 //! the rewrites that fired — before a single LLM call is spent.
 
-pub mod estimate;
+mod estimate;
 pub mod execute;
 pub mod ir;
 pub mod planner;
@@ -50,6 +50,7 @@ use crate::ops::ImputeStrategy;
 
 /// One operator of the physical plan, every choice resolved.
 #[derive(Debug, Clone)]
+// lint: allow(pub-has-caller) — exposed by `PlannedNode::node`
 pub enum PhysicalNode {
     /// Keep items satisfying the predicate.
     Filter {
@@ -299,6 +300,7 @@ pub struct NodeEstimate {
 
 /// A physical node together with its estimate.
 #[derive(Debug, Clone)]
+// lint: allow(pub-has-caller) — exposed by `Plan::nodes`
 pub struct PlannedNode {
     /// The operator.
     pub node: PhysicalNode,
@@ -317,11 +319,6 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// The source item set.
-    pub fn source(&self) -> &[ItemId] {
-        &self.source
-    }
-
     /// The physical nodes with their estimates, in execution order.
     pub fn nodes(&self) -> &[PlannedNode] {
         &self.nodes

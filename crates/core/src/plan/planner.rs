@@ -64,7 +64,7 @@ pub struct PlanOptions {
 
 impl PlanOptions {
     /// All rewrites enabled (the default for [`Query::plan_on`]).
-    pub fn optimized() -> Self {
+    pub(crate) fn optimized() -> Self {
         PlanOptions {
             fuse_sort_take: true,
             reorder_filters: true,

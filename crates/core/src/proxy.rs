@@ -15,20 +15,16 @@
 use crowdprompt_embed::{cosine_similarity, Embedder, NgramEmbedder};
 
 /// A trained nearest-centroid text classifier with a confidence score.
-pub struct ProxyModel {
+pub(crate) struct ProxyModel {
     embedder: NgramEmbedder,
     positive_centroid: Vec<f32>,
     negative_centroid: Vec<f32>,
-    /// Training-set size per class (diagnostics).
-    pub positives_seen: usize,
-    /// Training-set size per class (diagnostics).
-    pub negatives_seen: usize,
 }
 
 impl ProxyModel {
     /// Fit the classifier to `(text, label)` pairs. `None` when the labels
     /// are one-sided: there is no decision boundary to learn.
-    pub fn fit<'a>(labelled: impl IntoIterator<Item = (&'a str, bool)>) -> Option<Self> {
+    pub(crate) fn fit<'a>(labelled: impl IntoIterator<Item = (&'a str, bool)>) -> Option<Self> {
         let embedder = NgramEmbedder::ada_like();
         let dims = embedder.dimensions();
         let mut positive_centroid = vec![0.0f32; dims];
@@ -58,8 +54,6 @@ impl ProxyModel {
             embedder,
             positive_centroid,
             negative_centroid,
-            positives_seen: n_pos,
-            negatives_seen: n_neg,
         })
     }
 
@@ -68,7 +62,7 @@ impl ProxyModel {
     /// Confidence is the absolute similarity margin between the two class
     /// centroids — 0 at the decision boundary, approaching 1 for texts that
     /// resemble exactly one class.
-    pub fn classify(&self, text: &str) -> (bool, f64) {
+    pub(crate) fn classify(&self, text: &str) -> (bool, f64) {
         let v = self.embedder.embed(text);
         let pos = cosine_similarity(&v, &self.positive_centroid);
         let neg = cosine_similarity(&v, &self.negative_centroid);
@@ -98,8 +92,6 @@ mod tests {
                 .map(|(i, t)| (t.as_str(), i % 2 == 0)),
         )
         .expect("both classes labelled");
-        assert_eq!(proxy.positives_seen, 10);
-        assert_eq!(proxy.negatives_seen, 10);
         // The proxy classifies unseen items correctly and confidently.
         for (i, t) in texts.iter().enumerate().skip(20) {
             let (pred, conf) = proxy.classify(t);

@@ -19,6 +19,15 @@
 /// Returns `(threshold, f1_at_threshold)`; `None` for empty or
 /// positives-free input. Candidate thresholds are the observed score values
 /// (sufficient: F1 only changes at observed scores).
+///
+/// ```
+/// use crowdprompt_core::quality::calibrate_threshold;
+///
+/// // Yes-vote fractions of five validation items, and their gold labels.
+/// let votes = [0.2, 0.4, 0.6, 0.8, 1.0];
+/// let gold = [false, false, true, true, true];
+/// assert_eq!(calibrate_threshold(&votes, &gold), Some((0.6, 1.0)));
+/// ```
 pub fn calibrate_threshold(scores: &[f64], gold: &[bool]) -> Option<(f64, f64)> {
     assert_eq!(scores.len(), gold.len(), "length mismatch");
     if scores.is_empty() || !gold.iter().any(|g| *g) {
@@ -59,6 +68,7 @@ pub fn calibrate_threshold(scores: &[f64], gold: &[bool]) -> Option<(f64, f64)> 
 
 /// Output of [`dawid_skene`]: per-item posteriors and per-worker accuracies.
 #[derive(Debug, Clone)]
+// lint: allow(pub-has-caller) — exposed by `quality::dawid_skene`
 pub struct DawidSkeneResult {
     /// P(true answer = yes) per item.
     pub posteriors: Vec<f64>,

@@ -95,7 +95,8 @@ const DEFAULT_BUCKET_CAPACITY: f64 = 256.0;
 /// Default refill rate of a tenant's token bucket, in requests per
 /// generation.
 const DEFAULT_BUCKET_REFILL: f64 = 64.0;
-/// Default lease TTL, in generations.
+/// Lease TTL, in generations: how long a reserved or confirmed slot
+/// survives without renewal before the table reclaims it.
 const DEFAULT_LEASE_TTL: u64 = 8;
 /// Default backlog bound, as a multiple of the lease-table capacity.
 const DEFAULT_BACKLOG_FACTOR: usize = 8;
@@ -176,7 +177,7 @@ impl TenantSpec {
     }
 
     /// Fair-share weight (relative service rate under contention). Must be
-    /// positive and finite: [`Server::attach_tenant`] rejects anything else.
+    /// positive and finite: registering the tenant fails on anything else.
     pub fn with_weight(mut self, weight: f64) -> Self {
         self.weight = weight;
         self
@@ -312,7 +313,6 @@ impl TenantRun {
 pub struct ServerBuilder {
     engine: Option<Engine>,
     tenants: Vec<TenantSpec>,
-    lease_ttl: u64,
     slots: Option<usize>,
     max_backlog: Option<usize>,
 }
@@ -323,7 +323,6 @@ impl ServerBuilder {
         ServerBuilder {
             engine: None,
             tenants: Vec::new(),
-            lease_ttl: DEFAULT_LEASE_TTL,
             slots: None,
             max_backlog: None,
         }
@@ -340,14 +339,6 @@ impl ServerBuilder {
     /// Register a tenant.
     pub fn tenant(mut self, spec: TenantSpec) -> Self {
         self.tenants.push(spec);
-        self
-    }
-
-    /// Lease TTL in generations (minimum 1; default 8): how long a
-    /// reserved or confirmed slot survives without renewal before the
-    /// table reclaims it.
-    pub fn lease_ttl(mut self, generations: u64) -> Self {
-        self.lease_ttl = generations.max(1);
         self
     }
 
@@ -396,7 +387,7 @@ impl ServerBuilder {
             gate: Arc::new(LeaseGate {
                 table: LeaseTable::new(slots),
                 generation: AtomicU64::new(0),
-                ttl: self.lease_ttl,
+                ttl: DEFAULT_LEASE_TTL,
             }),
             max_backlog: self
                 .max_backlog
@@ -428,7 +419,7 @@ pub struct Server {
 impl Server {
     /// Register a tenant after build (a `Session` attaching to a running
     /// server lands here). Fails on duplicate ids or non-positive weights.
-    pub fn attach_tenant(&self, spec: TenantSpec) -> Result<(), ServeError> {
+    pub(crate) fn attach_tenant(&self, spec: TenantSpec) -> Result<(), ServeError> {
         if spec.id.is_empty() {
             return Err(ServeError::Invalid("tenant id must be non-empty".into()));
         }
@@ -513,11 +504,6 @@ impl Server {
     /// Backend-slot leases currently held (reserved or confirmed).
     pub fn leases_in_use(&self) -> usize {
         self.gate.table.in_use(self.generation())
-    }
-
-    /// The lease table's slot capacity.
-    pub fn slot_capacity(&self) -> usize {
-        self.gate.table.capacity()
     }
 
     /// Per-tenant serving counters and ledgers, in registration order.

@@ -407,13 +407,6 @@ impl SessionBuilder {
                 ));
             }
             (Some(path), threshold) => {
-                if let Some(t) = threshold {
-                    if !(t.is_finite() && t > 0.0) {
-                        return Err(EngineError::InvalidInput(format!(
-                            "cache: semantic_cache threshold must be finite and positive, got {t}"
-                        )));
-                    }
-                }
                 let config = StoreConfig {
                     semantic: threshold.map(SemanticConfig::new),
                     ..StoreConfig::default()

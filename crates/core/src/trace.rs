@@ -3,7 +3,7 @@
 //! Production LLM workflows live or die by observability — when a 5742-pair
 //! resolve costs real money, you want to know afterwards which task kinds
 //! consumed it, what was cached, and what failed. The engine records one
-//! [`TraceEvent`] per completed call when tracing is enabled; a
+//! event per completed call when tracing is enabled; a
 //! [`TraceSummary`] aggregates them by task kind.
 
 use std::collections::BTreeMap;
@@ -13,7 +13,7 @@ use parking_lot::Mutex;
 
 /// One recorded model call.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
+pub(crate) struct TraceEvent {
     /// Task kind tag (e.g. `"compare"`, `"same_entity"`).
     pub kind: &'static str,
     /// Token usage of the call.
@@ -26,6 +26,7 @@ pub struct TraceEvent {
 
 /// Aggregated view of a trace, keyed by task kind.
 #[derive(Debug, Clone, Default, PartialEq)]
+// lint: allow(pub-has-caller) — exposed by `TraceSummary::by_kind`
 pub struct KindStats {
     /// Calls of this kind (including cached).
     pub calls: u64,
@@ -39,6 +40,7 @@ pub struct KindStats {
 
 /// Summary of an execution trace.
 #[derive(Debug, Clone, Default, PartialEq)]
+// lint: allow(pub-has-caller) — exposed by `Trace::summary`
 pub struct TraceSummary {
     /// Per-kind aggregates, sorted by kind name.
     pub by_kind: BTreeMap<&'static str, KindStats>,
@@ -76,34 +78,20 @@ impl TraceSummary {
 
 /// A thread-safe trace recorder.
 #[derive(Debug, Default)]
+// lint: allow(pub-has-caller) — exposed by `Session::trace`
 pub struct Trace {
     events: Mutex<Vec<TraceEvent>>,
 }
 
 impl Trace {
     /// An empty trace.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Record one event.
-    pub fn record(&self, event: TraceEvent) {
+    pub(crate) fn record(&self, event: TraceEvent) {
         self.events.lock().push(event);
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    /// Whether anything was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
-    }
-
-    /// Copy out all events (in recording order).
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.events.lock().clone()
     }
 
     /// Aggregate into a summary.
@@ -117,11 +105,6 @@ impl Trace {
             s.cost_usd += e.cost_usd;
         }
         TraceSummary { by_kind }
-    }
-
-    /// Clear all events.
-    pub fn clear(&self) {
-        self.events.lock().clear();
     }
 }
 
@@ -166,16 +149,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_and_len() {
-        let trace = Trace::new();
-        assert!(trace.is_empty());
-        trace.record(ev("rate", 1, false));
-        assert_eq!(trace.len(), 1);
-        trace.clear();
-        assert!(trace.is_empty());
-    }
-
-    #[test]
     fn concurrent_recording() {
         let trace = std::sync::Arc::new(Trace::new());
         let mut handles = Vec::new();
@@ -190,6 +163,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(trace.len(), 200);
+        assert_eq!(trace.summary().total_calls(), 200);
     }
 }

@@ -21,7 +21,7 @@ pub mod products;
 pub mod record;
 pub mod reviews;
 pub mod splits;
-pub mod wordlist;
+mod wordlist;
 pub mod words;
 
 pub use citations::{CitationDataset, CitationParams};

@@ -26,7 +26,7 @@ impl Value {
     }
 
     /// Whether the value is missing.
-    pub fn is_missing(&self) -> bool {
+    pub(crate) fn is_missing(&self) -> bool {
         matches!(self, Value::Missing)
     }
 }

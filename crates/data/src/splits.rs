@@ -7,6 +7,7 @@ use rand_chacha::ChaCha8Rng;
 
 /// A three-way split of items.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// lint: allow(pub-has-caller) — exposed by `splits::split`
 pub struct Split<T> {
     /// Training items (e.g. few-shot example pool).
     pub train: Vec<T>,

@@ -122,8 +122,9 @@ impl NgramEmbedder {
     }
 
     /// Disable word-unigram features (pure character n-grams).
+    #[cfg(test)]
     #[must_use]
-    pub fn without_words(mut self) -> Self {
+    fn without_words(mut self) -> Self {
         self.include_words = false;
         self
     }

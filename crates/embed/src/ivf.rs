@@ -7,7 +7,7 @@
 //! centroid`, quantized per-vector to 8 bits ([`crate::quant`]). A query
 //! ranks the centroids exactly (fused f32 path), probes the `nprobe`
 //! closest lists by scanning their codes with the integer
-//! [`crate::vector::dot_u8_many`] kernel, keeps the best `rescore`
+//! `vector::dot_u8_many` kernel, keeps the best `rescore`
 //! candidates by approximate key, then *rescores those exactly* through
 //! the same fused [`dot_unrolled`] path the brute-force index uses — so
 //! every returned distance is exact and the ascending-distance /
@@ -346,8 +346,8 @@ impl IvfIndex {
                 if Some(row) == exclude {
                     continue;
                 }
-                // Bit-identical to `approx_l2_sq` with the query-side
-                // constants hoisted out of the loop.
+                // The quantized distance decomposition (`quant` module
+                // docs) with the query-side constants hoisted out of the loop.
                 approx_top.offer(scan_query.key(y, dot), row);
             }
         }

@@ -10,7 +10,7 @@
 //! floats per query in one row-major buffer, so a single vector is a
 //! one-row batch. The batch is cut into one contiguous chunk per worker;
 //! [`BruteForceIndex`] answers a chunk with the *tiled scan* (up to
-//! [`QUERY_TILE`] queries per pass over the store) and
+//! `QUERY_TILE` queries per pass over the store) and
 //! [`crate::ivf::IvfIndex`] with one probe–rescore per query. Neither the
 //! chunking nor the tiling changes a result, only wall-clock time.
 //!
@@ -326,7 +326,7 @@ impl BruteForceIndex {
 
     /// [`BruteForceIndex::search`] with an explicit worker count:
     /// contiguous query chunks go to `std::thread::scope` workers, and each
-    /// worker runs the tiled scan ([`QUERY_TILE`] queries per pass over the
+    /// worker runs the tiled scan (`QUERY_TILE` queries per pass over the
     /// store). Exposed so the partitioned path is testable deterministically
     /// on any machine; `search` sizes `workers` automatically.
     ///
@@ -347,7 +347,7 @@ impl BruteForceIndex {
     }
 
     /// Tiled multi-query scan: each pass over the store answers up to
-    /// [`QUERY_TILE`] queries, so a stored row is loaded once per *tile*
+    /// `QUERY_TILE` queries, so a stored row is loaded once per *tile*
     /// instead of once per query. A one-query-per-pass scan is
     /// memory-bandwidth-bound on corpora that outgrow cache (a 20k × 256
     /// corpus streams 20 MB per query); tiling amortizes that traffic
@@ -402,7 +402,7 @@ impl BruteForceIndex {
 /// Queries answered per pass over the store by the tiled scan: large
 /// enough to amortize memory traffic on out-of-cache corpora, small enough
 /// that the tile's query vectors and heaps stay cache-resident.
-pub const QUERY_TILE: usize = 16;
+pub(crate) const QUERY_TILE: usize = 16;
 
 // ---------------------------------------------------------------------------
 // Auto selection
@@ -416,11 +416,7 @@ pub const AUTO_IVF_MIN_LEN: usize = 65_536;
 /// Minimum dimensionality for the IVF tier: on narrow corpora the exact
 /// scan is already cheap per row, so approximation would only give up
 /// recall without buying speed.
-pub const AUTO_IVF_MIN_DIMS: usize = 32;
-
-/// Recall@k the auto-tuned IVF parameters aim for when the caller does
-/// not specify a target (see [`crate::ivf::IvfParams::for_corpus`]).
-pub const DEFAULT_RECALL_TARGET: f32 = 0.95;
+pub(crate) const AUTO_IVF_MIN_DIMS: usize = 32;
 
 /// An index that picks its implementation per corpus
 /// ([`KnnIndex::build`]), or wraps an explicit choice.
@@ -442,7 +438,7 @@ impl KnnIndex {
     /// demands exact results: the fused brute-force scan, whatever the
     /// shape. A sub-1.0 target unlocks the approximate IVF tier where an
     /// exact scan is the bottleneck — [`Metric::L2`], `len >=
-    /// `[`AUTO_IVF_MIN_LEN`], `dims >= `[`AUTO_IVF_MIN_DIMS`] — built with
+    /// `[`AUTO_IVF_MIN_LEN`], `dims >= AUTO_IVF_MIN_DIMS` (32) — built with
     /// parameters tuned for that recall@k
     /// ([`crate::ivf::IvfParams::for_corpus`]); small or narrow corpora
     /// ignore the target and stay exact.

@@ -31,11 +31,8 @@ pub mod vector;
 pub use hashing::{embed_all_flat_with_workers, Embedder, NgramEmbedder};
 pub use ivf::{IvfIndex, IvfParams};
 pub use knn::{
-    predict_auto_kind, BruteForceIndex, KnnIndex, Metric, Neighbor, Queries, AUTO_IVF_MIN_DIMS,
-    AUTO_IVF_MIN_LEN, DEFAULT_RECALL_TARGET,
+    predict_auto_kind, BruteForceIndex, KnnIndex, Metric, Neighbor, Queries, AUTO_IVF_MIN_LEN,
 };
-pub use quant::{approx_l2_sq, quantize_into, QuantMeta, QuantizedBlock, ScanQuery, ScanTerms};
+pub use quant::{quantize_into, QuantMeta};
 pub use store::VectorStore;
-pub use vector::{
-    cosine_similarity, dot, dot_u8, dot_u8_many, dot_unrolled, l2_distance, normalize,
-};
+pub use vector::{cosine_similarity, dot_unrolled, l2_distance, normalize};

@@ -9,15 +9,24 @@
 //!
 //! The point of the affine form is that a squared L2 distance between two
 //! quantized vectors decomposes into *integer* sums that are precomputed
-//! per vector plus one `u8 × u8` dot product per pair
-//! ([`approx_l2_sq`]) — which is the fused [`crate::vector::dot_u8_many`]
-//! kernel, exact and bit-identical on every ISA. The float fix-up around
-//! the integer core is a fixed scalar expression evaluated in `f64`, so
-//! the approximate ranking keys are deterministic everywhere too.
+//! per vector plus one `u8 × u8` dot product per pair — which is the fused
+//! `vector::dot_u8_many` kernel, exact and bit-identical on every
+//! ISA. With `x̂[d] = oₓ + sₓ·X[d]` and `ŷ[d] = o_y + s_y·Y[d]`,
+//!
+//! ```text
+//! ‖x̂ − ŷ‖² = dims·Δo² + sₓ²·ΣX² + s_y²·ΣY²
+//!           + 2Δo·(sₓ·ΣX − s_y·ΣY) − 2·sₓ·s_y·ΣXY ,   Δo = oₓ − o_y
+//! ```
+//!
+//! where every `Σ` is an exact integer. The float fix-up around the
+//! integer core is a fixed scalar expression evaluated in `f64` and clamped
+//! at zero, so the approximate ranking keys are finite, non-negative and
+//! deterministic everywhere too.
 
 /// Per-vector dequantization parameters plus the precomputed integer code
 /// sums the fused distance fix-up needs.
 #[derive(Debug, Clone, Copy, PartialEq)]
+// lint: allow(pub-has-caller) — exposed by `quant::quantize_into`
 pub struct QuantMeta {
     /// Additive term of the affine dequantization (the vector's minimum).
     pub offset: f32,
@@ -45,7 +54,7 @@ impl QuantMeta {
 /// Quantize one finite vector into `codes`, returning its [`QuantMeta`].
 ///
 /// `codes` is cleared and refilled (callers reuse one scratch buffer or
-/// append into a flat store via [`QuantizedBlock::push`]).
+/// append into a flat store via the IVF index's quantized block).
 ///
 /// # Panics
 /// Panics (debug) if any coordinate is non-finite — the IVF build filters
@@ -84,40 +93,14 @@ pub fn quantize_into(row: &[f32], codes: &mut Vec<u8>) -> QuantMeta {
     }
 }
 
-/// Approximate squared L2 distance between two quantized vectors from
-/// their metadata and the integer dot product of their codes.
-///
-/// With `x̂[d] = oₓ + sₓ·X[d]` and `ŷ[d] = o_y + s_y·Y[d]`,
-///
-/// ```text
-/// ‖x̂ − ŷ‖² = dims·Δo² + sₓ²·ΣX² + s_y²·ΣY²
-///           + 2Δo·(sₓ·ΣX − s_y·ΣY) − 2·sₓ·s_y·ΣXY ,   Δo = oₓ − o_y
-/// ```
-///
-/// where every `Σ` is an exact integer (`ΣXY` is the fused
-/// [`crate::vector::dot_u8`]/[`crate::vector::dot_u8_many`] kernel
-/// output). The fix-up is
-/// evaluated in `f64` and clamped at zero, so ranking keys are finite,
-/// non-negative, and deterministic across ISAs.
-pub fn approx_l2_sq(dims: usize, x: &QuantMeta, y: &QuantMeta, dot_xy: u64) -> f32 {
-    let (sx, sy) = (f64::from(x.scale), f64::from(y.scale));
-    let delta = f64::from(x.offset) - f64::from(y.offset);
-    let d2 = dims as f64 * delta * delta
-        + sx * sx * x.code_sq_sum as f64
-        + sy * sy * y.code_sq_sum as f64
-        + 2.0 * delta * (sx * x.code_sum as f64 - sy * y.code_sum as f64)
-        - 2.0 * sx * sy * dot_xy as f64;
-    d2.max(0.0) as f32
-}
-
-/// Query-side constants of the [`approx_l2_sq`] decomposition, hoisted
-/// out of the per-row scan loop ([`ScanQuery::new`] once per probed
-/// list, [`ScanQuery::key`] per row). The expression is evaluated in the
-/// exact same f64 operation order as [`approx_l2_sq`], so the produced
-/// keys are bit-identical — only the per-row `u64 → f64` conversions and
+/// Query-side constants of the distance decomposition, hoisted out of the
+/// per-row scan loop ([`ScanQuery::new`] once per probed list,
+/// [`ScanQuery::key`] per row). The expression is evaluated in the exact
+/// f64 operation order of the module docs' formula, so the keys are
+/// bit-identical to it — only the per-row `u64 → f64` conversions and
 /// query-side multiplies are amortized.
 #[derive(Debug, Clone, Copy)]
-pub struct ScanQuery {
+pub(crate) struct ScanQuery {
     dims: f64,
     offset: f64,
     /// `sₓ²·ΣX²` — the query's own quadratic term.
@@ -131,7 +114,7 @@ pub struct ScanQuery {
 impl ScanQuery {
     /// Hoist the query residual's constants (`dims` is the vector
     /// dimensionality shared by both sides).
-    pub fn new(dims: usize, x: &QuantMeta) -> Self {
+    pub(crate) fn new(dims: usize, x: &QuantMeta) -> Self {
         let sx = f64::from(x.scale);
         ScanQuery {
             dims: dims as f64,
@@ -142,11 +125,10 @@ impl ScanQuery {
         }
     }
 
-    /// The approximate squared L2 key against one stored row — exactly
-    /// [`approx_l2_sq`]'s value, from the row's precomputed
-    /// [`ScanTerms`] and the integer code dot product.
+    /// The approximate squared L2 key against one stored row, from the
+    /// row's precomputed [`ScanTerms`] and the integer code dot product.
     #[inline(always)]
-    pub fn key(&self, y: &ScanTerms, dot_xy: u64) -> f32 {
+    pub(crate) fn key(&self, y: &ScanTerms, dot_xy: u64) -> f32 {
         let delta = self.offset - f64::from(y.offset);
         let d2 =
             self.dims * delta * delta + self.sq_s + y.sq_s + 2.0 * delta * (self.sum_s - y.sum_s)
@@ -155,24 +137,24 @@ impl ScanQuery {
     }
 }
 
-/// Row-side precomputed terms of the [`approx_l2_sq`] decomposition,
-/// derived once at build time ([`QuantizedBlock`] stores one per row,
-/// same 24 bytes as the [`QuantMeta`] it is derived from).
+/// Row-side precomputed terms of the distance decomposition, derived once
+/// at build time ([`QuantizedBlock`] stores one per row, same 24 bytes as
+/// the [`QuantMeta`] it is derived from).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScanTerms {
-    /// `s_y·ΣY` in f64 (the exact product [`approx_l2_sq`] forms).
-    pub sum_s: f64,
+pub(crate) struct ScanTerms {
+    /// `s_y·ΣY` in f64 (the exact product the decomposition forms).
+    sum_s: f64,
     /// `s_y²·ΣY²` in f64.
-    pub sq_s: f64,
+    sq_s: f64,
     /// The row's [`QuantMeta::offset`].
-    pub offset: f32,
+    offset: f32,
     /// The row's [`QuantMeta::scale`].
-    pub scale: f32,
+    scale: f32,
 }
 
 impl ScanTerms {
     /// Derive the scan terms from a row's quantization metadata.
-    pub fn from_meta(m: &QuantMeta) -> Self {
+    pub(crate) fn from_meta(m: &QuantMeta) -> Self {
         let sy = f64::from(m.scale);
         ScanTerms {
             sum_s: sy * m.code_sum as f64,
@@ -184,32 +166,29 @@ impl ScanTerms {
 }
 
 /// Flat storage for a set of equal-dimension quantized vectors: one
-/// contiguous `Vec<u8>` of codes (row-major) plus per-row [`QuantMeta`].
+/// contiguous `Vec<u8>` of codes (row-major) plus per-row [`ScanTerms`].
 /// The IVF index keeps one block for the whole corpus, rows appended in
 /// inverted-list order so each probed list is a contiguous code range.
 #[derive(Debug, Clone, Default)]
-pub struct QuantizedBlock {
+pub(crate) struct QuantizedBlock {
     dims: usize,
     codes: Vec<u8>,
-    meta: Vec<QuantMeta>,
     scan: Vec<ScanTerms>,
 }
 
 impl QuantizedBlock {
     /// An empty block for `dims`-dimensional vectors.
-    pub fn new(dims: usize) -> Self {
+    pub(crate) fn new(dims: usize) -> Self {
         QuantizedBlock {
             dims,
             codes: Vec::new(),
-            meta: Vec::new(),
             scan: Vec::new(),
         }
     }
 
     /// Reserve capacity for `rows` additional vectors.
-    pub fn reserve(&mut self, rows: usize) {
+    pub(crate) fn reserve(&mut self, rows: usize) {
         self.codes.reserve(rows * self.dims);
-        self.meta.reserve(rows);
         self.scan.reserve(rows);
     }
 
@@ -217,7 +196,7 @@ impl QuantizedBlock {
     ///
     /// # Panics
     /// Panics if `row.len() != dims`.
-    pub fn push(&mut self, row: &[f32]) {
+    pub(crate) fn push(&mut self, row: &[f32]) {
         assert_eq!(row.len(), self.dims, "quantized row dimension mismatch");
         let start = self.codes.len();
         // quantize_into clears its buffer, so stage through a scratch that
@@ -229,47 +208,15 @@ impl QuantizedBlock {
         scratch.extend_from_slice(&tail);
         self.codes = scratch;
         self.scan.push(ScanTerms::from_meta(&meta));
-        self.meta.push(meta);
-    }
-
-    /// Number of stored vectors.
-    pub fn len(&self) -> usize {
-        self.meta.len()
-    }
-
-    /// Whether the block holds no vectors.
-    pub fn is_empty(&self) -> bool {
-        self.meta.is_empty()
-    }
-
-    /// Dimensionality of the stored vectors.
-    pub fn dims(&self) -> usize {
-        self.dims
-    }
-
-    /// The `i`-th row's codes.
-    ///
-    /// # Panics
-    /// Panics if `i >= len()`.
-    pub fn codes(&self, i: usize) -> &[u8] {
-        &self.codes[i * self.dims..(i + 1) * self.dims]
     }
 
     /// Codes for the contiguous row range `[start, end)` — the shape one
-    /// probed inverted list hands to [`crate::vector::dot_u8_many`].
+    /// probed inverted list hands to `vector::dot_u8_many`.
     ///
     /// # Panics
     /// Panics if the range is out of bounds or reversed.
-    pub fn codes_range(&self, start: usize, end: usize) -> &[u8] {
+    pub(crate) fn codes_range(&self, start: usize, end: usize) -> &[u8] {
         &self.codes[start * self.dims..end * self.dims]
-    }
-
-    /// The `i`-th row's [`QuantMeta`].
-    ///
-    /// # Panics
-    /// Panics if `i >= len()`.
-    pub fn meta(&self, i: usize) -> &QuantMeta {
-        &self.meta[i]
     }
 
     /// Precomputed [`ScanTerms`] for the contiguous row range
@@ -277,20 +224,8 @@ impl QuantizedBlock {
     ///
     /// # Panics
     /// Panics if the range is out of bounds or reversed.
-    pub fn scan_range(&self, start: usize, end: usize) -> &[ScanTerms] {
+    pub(crate) fn scan_range(&self, start: usize, end: usize) -> &[ScanTerms] {
         &self.scan[start..end]
-    }
-
-    /// Reconstruct the `i`-th row (`offset + scale · code` per dimension).
-    ///
-    /// # Panics
-    /// Panics if `i >= len()`.
-    pub fn dequantize(&self, i: usize) -> Vec<f32> {
-        let m = self.meta[i];
-        self.codes(i)
-            .iter()
-            .map(|&c| m.offset + m.scale * f32::from(c))
-            .collect()
     }
 }
 
@@ -298,6 +233,19 @@ impl QuantizedBlock {
 mod tests {
     use super::*;
     use crate::vector::dot_u8;
+
+    /// The module docs' decomposition, written out from both sides'
+    /// metadata: the reference the hoisted scan key must match bit for bit.
+    fn approx_l2_sq(dims: usize, x: &QuantMeta, y: &QuantMeta, dot_xy: u64) -> f32 {
+        let (sx, sy) = (f64::from(x.scale), f64::from(y.scale));
+        let delta = f64::from(x.offset) - f64::from(y.offset);
+        let d2 = dims as f64 * delta * delta
+            + sx * sx * x.code_sq_sum as f64
+            + sy * sy * y.code_sq_sum as f64
+            + 2.0 * delta * (sx * x.code_sum as f64 - sy * y.code_sum as f64)
+            - 2.0 * sx * sy * dot_xy as f64;
+        d2.max(0.0) as f32
+    }
 
     #[test]
     fn round_trip_within_bound() {
@@ -388,15 +336,12 @@ mod tests {
         let mut block = QuantizedBlock::new(4);
         block.push(&[0.0, 1.0, 2.0, 3.0]);
         block.push(&[5.0, 5.0, 5.0, 5.0]);
-        assert_eq!(block.len(), 2);
-        assert_eq!(block.codes(0).len(), 4);
         assert_eq!(block.codes_range(0, 2).len(), 8);
-        assert_eq!(block.dequantize(1), vec![5.0; 4]);
-        let rt = block.dequantize(0);
-        let bound = block.meta(0).round_trip_bound();
-        for (got, want) in rt.iter().zip([0.0f32, 1.0, 2.0, 3.0]) {
-            assert!((got - want).abs() <= bound);
-        }
+        assert_eq!(block.codes_range(0, 1), &[0, 85, 170, 255]);
+        assert_eq!(block.codes_range(1, 2), &[0; 4]);
+        let terms = block.scan_range(0, 2);
+        assert_eq!(terms.len(), 2);
+        assert_eq!((terms[1].offset, terms[1].scale), (5.0, 0.0));
     }
 
     #[test]

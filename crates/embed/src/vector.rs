@@ -36,20 +36,20 @@ use core::arch::x86_64::*;
 ///
 /// # Panics
 /// Panics if the vectors have different lengths.
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
+pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot: dimension mismatch");
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
 /// Dot product accumulated in 64 independent lanes.
 ///
-/// [`dot`] folds into a single accumulator, which pins LLVM to a scalar
+/// `dot` folds into a single accumulator, which pins LLVM to a scalar
 /// dependency chain (float addition is not reassociable, so the compiler
 /// may not vectorize it). This variant accumulates each `i mod 64` lane
 /// separately and reduces pairwise at the end — the explicit reassociation
 /// gives wide SIMD enough independent accumulator chains to hide add
 /// latency, and is several times faster on 256-dimension embeddings. The
-/// summation order *differs* from [`dot`], so results may differ in the
+/// summation order *differs* from `dot`, so results may differ in the
 /// last bits; the k-NN indexes use this function exclusively (for both
 /// stored norms and query scans), so all distances they report are
 /// internally consistent.
@@ -292,7 +292,8 @@ fn dot_many_avx2(a: &[f32], bs: &[&[f32]], out: &mut [f32]) {
 ///
 /// # Panics
 /// Panics if the vectors have different lengths.
-pub fn dot_u8(a: &[u8], b: &[u8]) -> u64 {
+#[cfg(test)]
+pub(crate) fn dot_u8(a: &[u8], b: &[u8]) -> u64 {
     assert_eq!(a.len(), b.len(), "dot_u8: dimension mismatch");
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
@@ -311,7 +312,7 @@ pub fn dot_u8(a: &[u8], b: &[u8]) -> u64 {
 ///
 /// # Panics
 /// Panics if `flat.len() != a.len() * out.len()`.
-pub fn dot_u8_many(a: &[u8], flat: &[u8], out: &mut [u64]) {
+pub(crate) fn dot_u8_many(a: &[u8], flat: &[u8], out: &mut [u64]) {
     let dims = a.len();
     assert_eq!(
         flat.len(),

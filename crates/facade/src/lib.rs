@@ -82,6 +82,12 @@ pub use crowdprompt_embed as embed;
 pub use crowdprompt_metrics as metrics;
 pub use crowdprompt_oracle as oracle;
 
+/// `README.md`, compiled as this crate's doc-tests: its Quickstart runs, so
+/// the README cannot name an item the crates no longer export.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+struct ReadmeDoctests;
+
 /// Convenience prelude: the types most programs need.
 pub mod prelude {
     pub use crowdprompt_core::cascade::{run_cascade, CascadeTier, CascadeVerdict};

@@ -96,15 +96,6 @@ impl Table {
     }
 }
 
-/// Format a float with the given number of decimal places, rendering `None`
-/// as `"n/a"`. Convenience for metric cells.
-pub fn fmt_opt(value: Option<f64>, places: usize) -> String {
-    match value {
-        Some(v) => format!("{v:.places$}"),
-        None => "n/a".to_owned(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,12 +134,6 @@ mod tests {
         assert!(md.starts_with("### T1"));
         assert!(md.contains("| Method | Tau |"));
         assert!(md.contains("| baseline | 0.526 |"));
-    }
-
-    #[test]
-    fn fmt_opt_handles_none() {
-        assert_eq!(fmt_opt(Some(0.12345), 3), "0.123");
-        assert_eq!(fmt_opt(None, 3), "n/a");
     }
 
     #[test]

@@ -13,7 +13,7 @@ pub fn mean(values: &[f64]) -> f64 {
 }
 
 /// Sample standard deviation (n-1 denominator); 0 for fewer than 2 values.
-pub fn std_dev(values: &[f64]) -> f64 {
+pub(crate) fn std_dev(values: &[f64]) -> f64 {
     if values.len() < 2 {
         return 0.0;
     }
@@ -25,7 +25,18 @@ pub fn std_dev(values: &[f64]) -> f64 {
 /// Seeded bootstrap percentile confidence interval for the mean.
 ///
 /// Returns `(low, high)` at the given confidence level (e.g. `0.95`);
-/// degenerate inputs collapse to `(mean, mean)`.
+/// degenerate inputs collapse to `(mean, mean)`. The interval a
+/// multi-seed table row reports beside its mean:
+///
+/// ```
+/// use crowdprompt_metrics::stats::{bootstrap_ci, mean};
+///
+/// // Kendall tau-β of one strategy over seven seeds.
+/// let taus = [0.50, 0.52, 0.49, 0.51, 0.50, 0.52, 0.48];
+/// let (lo, hi) = bootstrap_ci(&taus, 0.95, 2000, 7);
+/// assert!(lo <= mean(&taus) && mean(&taus) <= hi);
+/// assert_eq!((lo, hi), bootstrap_ci(&taus, 0.95, 2000, 7), "seeded");
+/// ```
 pub fn bootstrap_ci(values: &[f64], confidence: f64, resamples: usize, seed: u64) -> (f64, f64) {
     if values.len() < 2 || resamples == 0 {
         let m = mean(values);

@@ -72,7 +72,7 @@ impl CancelToken {
     }
 
     /// Whether cancellation has been signalled.
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.0.cancelled.load(Ordering::Acquire)
     }
 
@@ -385,13 +385,6 @@ impl SimBackend {
         self
     }
 
-    /// Calls that have arrived at this backend so far (its fault-schedule
-    /// clock). Chaos and resume tests assert against this to prove work
-    /// did — or did not — reach the backend.
-    pub fn calls_seen(&self) -> u64 {
-        self.calls_seen.load(Ordering::Acquire)
-    }
-
     fn transport_rng<'a>(&self, request: &'a CompletionRequest, tag: &'a str) -> TransportRng<'a> {
         TransportRng {
             seed: self.seed,
@@ -606,7 +599,7 @@ impl BackendRegistry {
 
     /// The smallest context window across backends — the conservative
     /// window the engine plans prompts against.
-    pub fn min_context_window(&self) -> u32 {
+    pub(crate) fn min_context_window(&self) -> u32 {
         self.backends
             .iter()
             .map(|b| b.context_window())
@@ -616,7 +609,7 @@ impl BackendRegistry {
 
     /// Index of the cheapest backend (by summed per-1k rates) — the
     /// reference pricing for planner estimates.
-    pub fn cheapest(&self) -> usize {
+    pub(crate) fn cheapest(&self) -> usize {
         let rate = |p: Pricing| p.usd_per_1k_input + p.usd_per_1k_output;
         self.backends
             .iter()
@@ -810,7 +803,7 @@ mod tests {
             backend.complete(&req(), &cancel).is_ok(),
             "call 3 is past the window"
         );
-        assert_eq!(backend.calls_seen(), 4);
+        assert_eq!(backend.calls_seen.load(Ordering::Acquire), 4);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 /// Style knobs resolved from a per-response hash.
 #[derive(Debug, Clone, Copy)]
-pub struct ChatterStyle {
+pub(crate) struct ChatterStyle {
     /// Verbosity in `[0,1]` — 0 renders the bare answer.
     pub level: f64,
     /// Which phrasing family to use (derived from the response hash).
@@ -23,7 +23,7 @@ pub struct ChatterStyle {
 /// When `style.malformed` is set, the output leads with the *opposite*
 /// polarity before settling on the answer, reproducing the extraction hazard
 /// described in §4 of the paper.
-pub fn wrap_yes_no(answer: bool, style: ChatterStyle) -> String {
+pub(crate) fn wrap_yes_no(answer: bool, style: ChatterStyle) -> String {
     let word = if answer { "Yes" } else { "No" };
     let opposite = if answer { "No" } else { "Yes" };
     if style.malformed {
@@ -46,7 +46,7 @@ pub fn wrap_yes_no(answer: bool, style: ChatterStyle) -> String {
 }
 
 /// Wrap a numeric rating in chatter, e.g. `"I would rate this a 5 out of 7."`.
-pub fn wrap_rating(rating: u8, scale_max: u8, style: ChatterStyle) -> String {
+pub(crate) fn wrap_rating(rating: u8, scale_max: u8, style: ChatterStyle) -> String {
     if style.level < 0.2 {
         return rating.to_string();
     }
@@ -58,7 +58,7 @@ pub fn wrap_rating(rating: u8, scale_max: u8, style: ChatterStyle) -> String {
 }
 
 /// Wrap a chosen value (imputation / classification answer) in chatter.
-pub fn wrap_value(value: &str, style: ChatterStyle) -> String {
+pub(crate) fn wrap_value(value: &str, style: ChatterStyle) -> String {
     if style.level < 0.2 {
         return value.to_owned();
     }
@@ -72,7 +72,7 @@ pub fn wrap_value(value: &str, style: ChatterStyle) -> String {
 
 /// Render a sorted list as a numbered block, the way chat models answer
 /// "return the sorted list" prompts.
-pub fn wrap_list(items: &[&str], style: ChatterStyle) -> String {
+pub(crate) fn wrap_list(items: &[&str], style: ChatterStyle) -> String {
     let mut out = String::with_capacity(items.len() * 16 + 64);
     if style.level >= 0.2 && style.variant.is_multiple_of(2) {
         out.push_str("Here is the sorted list:\n");
@@ -84,7 +84,7 @@ pub fn wrap_list(items: &[&str], style: ChatterStyle) -> String {
 }
 
 /// Render duplicate groups, one group per line.
-pub fn wrap_groups(groups: &[Vec<&str>], style: ChatterStyle) -> String {
+pub(crate) fn wrap_groups(groups: &[Vec<&str>], style: ChatterStyle) -> String {
     let mut out = String::new();
     if style.level >= 0.2 {
         out.push_str("I grouped the records as follows:\n");
@@ -96,7 +96,7 @@ pub fn wrap_groups(groups: &[Vec<&str>], style: ChatterStyle) -> String {
 }
 
 /// Render a count estimate.
-pub fn wrap_count(count: usize, total: usize, style: ChatterStyle) -> String {
+pub(crate) fn wrap_count(count: usize, total: usize, style: ChatterStyle) -> String {
     if style.level < 0.2 {
         return count.to_string();
     }

@@ -83,6 +83,7 @@ const SINGLE_MODEL_POLICY: RoutePolicy = RoutePolicy {
 /// shard counters into `cache_hits` before returning, so reads through a
 /// freshly obtained reference are exact.
 #[derive(Debug, Default)]
+// lint: allow(pub-has-caller) — exposed by `LlmClient::stats`
 pub struct ClientStats {
     calls: AtomicU64,
     cache_hits: AtomicU64,
@@ -532,15 +533,15 @@ impl LlmClient {
     ) -> Option<CompletionResponse> {
         let store = self.store.get()?;
         store.semantic_threshold()?;
-        let hit = store.lookup_semantic(&request.prompt)?;
+        let (_, _, response) = store.lookup_semantic(&request.prompt)?;
         self.cache
             .shard(key)
             .responses
             .lock()
             .map
-            .insert(key, Arc::clone(&hit.response));
+            .insert(key, Arc::clone(&response));
         self.stats.semantic_hits.fetch_add(1, Ordering::Relaxed);
-        Some(served_free(&hit.response))
+        Some(served_free(&response))
     }
 
     /// Offer a freshly paid completion to the attached store under the

@@ -20,20 +20,20 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// FNV-1a over a string.
 #[inline]
-pub fn fnv1a_str(s: &str) -> u64 {
+pub(crate) fn fnv1a_str(s: &str) -> u64 {
     fnv1a(s.as_bytes())
 }
 
 /// Combine two hashes into one (order-sensitive).
 #[inline]
-pub fn combine(a: u64, b: u64) -> u64 {
+pub(crate) fn combine(a: u64, b: u64) -> u64 {
     // splitmix64 finalizer over the xor-rotated pair; cheap and well mixed.
     mix(a ^ b.rotate_left(32))
 }
 
 /// splitmix64 finalizer: turns a counter or weak hash into a well-mixed value.
 #[inline]
-pub fn mix(mut z: u64) -> u64 {
+pub(crate) fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e3779b97f4a7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
@@ -44,7 +44,7 @@ pub fn mix(mut z: u64) -> u64 {
 /// on-disk rendering of fingerprints, checksums, and `f64` bit patterns
 /// in the record logs ([`crate::recordlog`], [`crate::store`]).
 #[inline]
-pub fn hex64(v: u64) -> String {
+pub(crate) fn hex64(v: u64) -> String {
     format!("{v:016x}")
 }
 
@@ -53,7 +53,7 @@ pub fn hex64(v: u64) -> String {
 /// variance), so a corrupted or truncated log field never aliases a
 /// valid one.
 #[inline]
-pub fn parse_hex64(s: &str) -> Option<u64> {
+pub(crate) fn parse_hex64(s: &str) -> Option<u64> {
     if s.len() != 16 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
         return None;
     }
@@ -93,12 +93,12 @@ impl Fingerprint {
     }
 
     /// Fold a `u64` (little-endian bytes).
-    pub fn write_u64(&mut self, v: u64) -> &mut Self {
+    pub(crate) fn write_u64(&mut self, v: u64) -> &mut Self {
         self.write(&v.to_le_bytes())
     }
 
     /// Fold an `f64` (by bit pattern; NaN payloads are preserved).
-    pub fn write_f64(&mut self, v: f64) -> &mut Self {
+    pub(crate) fn write_f64(&mut self, v: f64) -> &mut Self {
         self.write_u64(v.to_bits())
     }
 

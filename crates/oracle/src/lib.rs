@@ -25,14 +25,14 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod chatter;
+mod chatter;
 pub mod client;
 pub mod error;
 pub mod hash;
 pub mod model;
 pub mod pricing;
-pub mod recordlog;
-pub mod retry;
+mod recordlog;
+mod retry;
 pub mod route;
 pub mod sim;
 pub mod store;
@@ -53,7 +53,7 @@ pub use route::{
     BreakerConfig, HedgeConfig, LeaseTable, RoutePolicy, Router, RouterStats, SlotLease,
 };
 pub use sim::SimulatedLlm;
-pub use store::{ResponseStore, SemanticConfig, SemanticHit, StoreConfig};
+pub use store::{ResponseStore, SemanticConfig, StoreConfig};
 pub use task::{CountMode, SortCriterion, TaskDescriptor};
 pub use tokenizer::count_tokens;
 pub use types::{CompletionRequest, CompletionResponse, FinishReason, LanguageModel, Usage};

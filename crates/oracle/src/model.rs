@@ -245,31 +245,6 @@ impl ModelProfile {
         }
     }
 
-    /// A small, cheap, noisier open model — the kind of low-cost proxy §3.4
-    /// suggests routing easy cases to.
-    pub fn small_proxy() -> Self {
-        ModelProfile {
-            name: "sim-small-proxy".into(),
-            context_window: 2048,
-            pricing: Pricing::new(0.0002, 0.0004),
-            default_max_tokens: 512,
-            noise: NoiseProfile {
-                compare_sigma: 0.35,
-                rate_sigma: 0.22,
-                er_recall_easy: 0.85,
-                er_recall_hard: 0.15,
-                er_fp_base: 0.03,
-                impute_base_acc: 0.6,
-                impute_max_acc: 0.75,
-                check_accuracy: 0.8,
-                classify_accuracy: 0.78,
-                verify_accuracy: 0.7,
-                malformed_rate: 0.04,
-                ..NoiseProfile::default()
-            },
-        }
-    }
-
     /// A perfect oracle for tests.
     pub fn perfect() -> Self {
         ModelProfile {
@@ -312,7 +287,6 @@ mod tests {
         let names = [
             ModelProfile::gpt35_like().name,
             ModelProfile::claude2_like().name,
-            ModelProfile::small_proxy().name,
             ModelProfile::perfect().name,
         ];
         let unique: std::collections::HashSet<_> = names.iter().collect();
@@ -343,12 +317,5 @@ mod tests {
             .with_context_window(123);
         assert_eq!(m.name, "custom");
         assert_eq!(m.context_window, 123);
-    }
-
-    #[test]
-    fn proxy_is_cheaper_than_gpt35() {
-        let proxy = ModelProfile::small_proxy();
-        let gpt = ModelProfile::gpt35_like();
-        assert!(proxy.pricing.usd_per_1k_input < gpt.pricing.usd_per_1k_input);
     }
 }

@@ -40,6 +40,7 @@ impl Pricing {
 /// Internally stores microdollars in an atomic so concurrent workers can
 /// record costs without a lock.
 #[derive(Debug, Default)]
+// lint: allow(pub-has-caller) — exposed by `LlmClient::ledger`
 pub struct CostLedger {
     calls: AtomicU64,
     prompt_tokens: AtomicU64,
@@ -97,14 +98,6 @@ impl CostLedger {
             completion_tokens: self.completion_tokens().min(u64::from(u32::MAX)) as u32,
         }
     }
-
-    /// Reset all counters to zero.
-    pub fn reset(&self) {
-        self.calls.store(0, Ordering::Relaxed);
-        self.prompt_tokens.store(0, Ordering::Relaxed);
-        self.completion_tokens.store(0, Ordering::Relaxed);
-        self.nanodollars.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -147,9 +140,6 @@ mod tests {
         assert_eq!(ledger.prompt_tokens(), 1000);
         assert_eq!(ledger.completion_tokens(), 500);
         assert!((ledger.spend_usd() - (0.001 + 0.001)).abs() < 1e-9);
-        ledger.reset();
-        assert_eq!(ledger.calls(), 0);
-        assert_eq!(ledger.spend_usd(), 0.0);
     }
 
     #[test]

@@ -32,7 +32,7 @@ use crate::types::{CompletionResponse, FinishReason, Usage};
 
 /// Escape a string for single-line storage (`\` `\t` `\n` `\r`). Text
 /// between special bytes is copied as one run, not char by char.
-pub fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     let mut rest = s;
     // All four specials are ASCII, so a byte offset is a char boundary.
@@ -54,7 +54,7 @@ pub fn escape(s: &str) -> String {
 }
 
 /// Invert [`escape`]; `None` on a malformed escape sequence.
-pub fn unescape(s: &str) -> Option<String> {
+pub(crate) fn unescape(s: &str) -> Option<String> {
     let mut out = String::with_capacity(s.len());
     let mut rest = s;
     while let Some(at) = rest.find('\\') {
@@ -75,13 +75,13 @@ pub fn unescape(s: &str) -> Option<String> {
 
 /// Frame a payload as one checksummed record line (trailing newline
 /// included): `payload \t fnv1a(payload) \n`.
-pub fn seal_line(payload: &str) -> String {
+pub(crate) fn seal_line(payload: &str) -> String {
     format!("{payload}\t{}\n", hex64(fnv1a_str(payload)))
 }
 
 /// Verify and strip a record line's checksum (the line must not include its
 /// newline); returns the payload, or `None` on any corruption.
-pub fn open_line(line: &str) -> Option<&str> {
+pub(crate) fn open_line(line: &str) -> Option<&str> {
     let (payload, checksum) = line.rsplit_once('\t')?;
     if parse_hex64(checksum)? != fnv1a_str(payload) {
         return None;
@@ -91,17 +91,17 @@ pub fn open_line(line: &str) -> Option<&str> {
 
 /// Render an `f64` as its exact bit pattern in hex — decodes bit-identically,
 /// so replayed pricing math reproduces the original run's.
-pub fn encode_f64_bits(v: f64) -> String {
+pub(crate) fn encode_f64_bits(v: f64) -> String {
     hex64(v.to_bits())
 }
 
 /// Invert [`encode_f64_bits`].
-pub fn decode_f64_bits(s: &str) -> Option<f64> {
+pub(crate) fn decode_f64_bits(s: &str) -> Option<f64> {
     Some(f64::from_bits(parse_hex64(s)?))
 }
 
 /// Number of fields produced by [`encode_response_fields`].
-pub const RESPONSE_FIELDS: usize = 9;
+pub(crate) const RESPONSE_FIELDS: usize = 9;
 
 /// Encode a fingerprint-keyed [`CompletionResponse`] as the shared
 /// tab-separated field sequence (no checksum, no newline):
@@ -114,7 +114,7 @@ pub const RESPONSE_FIELDS: usize = 9;
 /// (`-` for an absent confidence). The `cached` flag is deliberately not
 /// stored: a decoded record always starts `cached: false` and the consumer
 /// decides how to charge it.
-pub fn encode_response_fields(fingerprint: u64, response: &CompletionResponse) -> String {
+pub(crate) fn encode_response_fields(fingerprint: u64, response: &CompletionResponse) -> String {
     format!(
         "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
         hex64(fingerprint),
@@ -137,7 +137,7 @@ pub fn encode_response_fields(fingerprint: u64, response: &CompletionResponse) -
 
 /// Decode the field sequence produced by [`encode_response_fields`]. Expects
 /// exactly [`RESPONSE_FIELDS`] fields; `None` on any structural corruption.
-pub fn decode_response_fields(fields: &[&str]) -> Option<(u64, CompletionResponse)> {
+pub(crate) fn decode_response_fields(fields: &[&str]) -> Option<(u64, CompletionResponse)> {
     if fields.len() != RESPONSE_FIELDS {
         return None;
     }
@@ -175,7 +175,7 @@ pub fn decode_response_fields(fields: &[&str]) -> Option<(u64, CompletionRespons
 /// An append-only checksummed record log: one header line, then one sealed
 /// record per line. Owns the append handle; consumers replay records through
 /// the `open` callback and append payloads (sealing is handled here).
-pub struct LogFile {
+pub(crate) struct LogFile {
     file: File,
 }
 
@@ -206,7 +206,7 @@ impl LogFile {
     /// `false` (structural rejection by the consumer's own field codec).
     /// A file whose header is present but wrong (another format or version)
     /// is an error rather than silently clobbered.
-    pub fn open(
+    pub(crate) fn open(
         path: impl AsRef<Path>,
         header: &str,
         mut on_record: impl FnMut(&str) -> bool,
@@ -240,7 +240,7 @@ impl LogFile {
     /// handle and without truncating: the read-only counterpart of
     /// [`LogFile::open`]. Torn or corrupt tails are simply ignored. Errors
     /// if the file does not exist or carries a foreign header.
-    pub fn open_read_only(
+    pub(crate) fn open_read_only(
         path: impl AsRef<Path>,
         header: &str,
         mut on_record: impl FnMut(&str) -> bool,
@@ -290,7 +290,7 @@ impl LogFile {
 
     /// Append one record payload as a single sealed, flushed line. A crash
     /// can tear at most this final record.
-    pub fn append(&mut self, payload: &str) -> std::io::Result<()> {
+    pub(crate) fn append(&mut self, payload: &str) -> std::io::Result<()> {
         self.file.write_all(seal_line(payload).as_bytes())?;
         self.file.flush()
     }

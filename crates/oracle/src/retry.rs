@@ -35,7 +35,7 @@ use crate::hash;
 /// `hint_ms` is the failed attempt's [`crate::LlmError::retry_hint_ms`];
 /// `jitter_key` should be a stable per-request value (the request
 /// fingerprint) so that repeated runs sleep identically.
-pub fn retry_delay(
+pub(crate) fn retry_delay(
     backoff_ms: u64,
     attempt: u32,
     hint_ms: Option<u64>,

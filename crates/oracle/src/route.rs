@@ -32,7 +32,7 @@
 //! 3. **Retry with backoff** — a transient failure (429 / 5xx / timeout)
 //!    marks the backend avoided for this request and retries on the next
 //!    best, up to `max_retries` extra attempts. The sleep between attempts
-//!    comes from [`crate::retry::retry_delay`]: a linear ramp floored by
+//!    comes from `retry::retry_delay`: a linear ramp floored by
 //!    the server's `Retry-After` hint, de-synchronized by deterministic
 //!    seeded jitter, and clipped to the request's deadline (an expired
 //!    deadline stops retrying outright).
@@ -350,6 +350,7 @@ pub struct BackendStats {
 
 /// Router behaviour counters (snapshot; see [`Router::stats`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
+// lint: allow(pub-has-caller) — exposed by `Router::stats`
 pub struct RouterStats {
     /// Cross-backend retry attempts performed (beyond first attempts).
     pub retries: u64,
@@ -1122,25 +1123,6 @@ impl LeaseTable {
             })
             .min()
     }
-
-    /// Number of slots holding *confirmed* (dispatch-backed) leases at
-    /// `now_gen`.
-    pub fn confirmed_in_use(&self, now_gen: u64) -> usize {
-        self.slots
-            .lock()
-            .iter()
-            .filter(|s| {
-                matches!(
-                    s,
-                    SlotState::Held {
-                        expires_gen,
-                        confirmed: true,
-                        ..
-                    } if *expires_gen > now_gen
-                )
-            })
-            .count()
-    }
 }
 
 impl Router {
@@ -1366,7 +1348,10 @@ mod tests {
                 ..RoutePolicy::default()
             },
         );
-        let request = check(ids[0]).with_deadline(Some(Instant::now()));
+        let request = CompletionRequest {
+            deadline: Some(Instant::now()),
+            ..check(ids[0])
+        };
         match router.complete(&request) {
             Err(LlmError::RetriesExhausted { attempts, .. }) => {
                 assert_eq!(attempts, 1, "an expired deadline permits no retries");
@@ -2144,7 +2129,7 @@ mod tests {
         let next = table.reserve(0, 5).unwrap();
         table.release(&lease); // stale double-release must not evict `next`
         assert!(table.confirm(&next, 0, 5));
-        assert_eq!(table.confirmed_in_use(0), 1);
+        assert_eq!(table.in_use(0), 1);
     }
 
     #[test]

@@ -16,19 +16,10 @@ use crate::world::{ItemId, WorldModel};
 ///   pairs are deliberately hard, so average recall lands near 0.5.
 /// * For **non-duplicates**, P(yes) is a small base rate plus a bump for
 ///   deceptively similar strings, keeping precision high.
-pub fn simulate_same_entity<R: Rng>(
-    world: &WorldModel,
-    noise: &NoiseProfile,
-    left: ItemId,
-    right: ItemId,
-    rng: &mut R,
-) -> bool {
-    simulate_same_entity_with_confidence(world, noise, left, right, rng).0
-}
-
-/// Like [`simulate_same_entity`] but also returns the answer probability
-/// (the simulator's stand-in for answer-token logprobs).
-pub fn simulate_same_entity_with_confidence<R: Rng>(
+///
+/// Returns the answer and its probability (the simulator's stand-in for
+/// answer-token logprobs).
+pub(crate) fn simulate_same_entity_with_confidence<R: Rng>(
     world: &WorldModel,
     noise: &NoiseProfile,
     left: ItemId,
@@ -63,7 +54,7 @@ pub fn simulate_same_entity_with_confidence<R: Rng>(
 /// Starts from the true clustering restricted to the batch, then injects
 /// merge errors (two clusters fused) and split errors (one cluster broken)
 /// with the configured probabilities.
-pub fn simulate_group_entities<R: Rng>(
+pub(crate) fn simulate_group_entities<R: Rng>(
     world: &WorldModel,
     noise: &NoiseProfile,
     items: &[ItemId],
@@ -134,7 +125,7 @@ mod tests {
         let mut yes = 0;
         for seed in 0..500 {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            if simulate_same_entity(world, noise, l, r, &mut rng) {
+            if simulate_same_entity_with_confidence(world, noise, l, r, &mut rng).0 {
                 yes += 1;
             }
         }

@@ -85,7 +85,7 @@ pub fn gold_answer(world: &WorldModel, task: &TaskDescriptor) -> Option<String> 
 }
 
 /// Quantize a normalized score in `[0,1]` onto an inclusive integer scale.
-pub fn quantize(norm: f64, scale_min: u8, scale_max: u8) -> u8 {
+pub(crate) fn quantize(norm: f64, scale_min: u8, scale_max: u8) -> u8 {
     let lo = f64::from(scale_min);
     let hi = f64::from(scale_max);
     let raw = lo + norm.clamp(0.0, 1.0) * (hi - lo);
@@ -98,7 +98,7 @@ pub fn yes_no(b: bool) -> String {
 }
 
 /// Loose answer equality: case-insensitive, trimmed.
-pub fn answers_match(gold: &str, proposed: &str) -> bool {
+pub(crate) fn answers_match(gold: &str, proposed: &str) -> bool {
     gold.trim().eq_ignore_ascii_case(proposed.trim())
 }
 

@@ -14,7 +14,7 @@ use crate::world::{ItemId, WorldModel};
 /// paper notes LLM-only imputation was "unfairly penalized" by exact-match
 /// scoring for exactly this reason. Examples teach the output format, so the
 /// variant probability halves with each shot.
-pub fn simulate_impute<R: Rng>(
+pub(crate) fn simulate_impute<R: Rng>(
     world: &WorldModel,
     noise: &NoiseProfile,
     item: ItemId,
@@ -76,13 +76,18 @@ mod tests {
         (w, ids)
     }
 
-    fn accuracy(world: &WorldModel, noise: &NoiseProfile, shots: usize, runs: u64) -> f64 {
-        let ids = world.item_ids();
+    fn accuracy(
+        world: &WorldModel,
+        ids: &[ItemId],
+        noise: &NoiseProfile,
+        shots: usize,
+        runs: u64,
+    ) -> f64 {
         let mut correct = 0u32;
         let mut total = 0u32;
         for seed in 0..runs {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            for &id in &ids {
+            for &id in ids {
                 let gold = world.attr(id, "city").unwrap();
                 let ans = simulate_impute(world, noise, id, "city", shots, &mut rng);
                 if ans == gold {
@@ -109,10 +114,10 @@ mod tests {
 
     #[test]
     fn examples_improve_exact_match_accuracy() {
-        let (w, _) = city_world();
+        let (w, ids) = city_world();
         let noise = NoiseProfile::default();
-        let acc0 = accuracy(&w, &noise, 0, 20);
-        let acc3 = accuracy(&w, &noise, 3, 20);
+        let acc0 = accuracy(&w, &ids, &noise, 0, 20);
+        let acc3 = accuracy(&w, &ids, &noise, 3, 20);
         assert!(
             acc3 > acc0 + 0.03,
             "3-shot ({acc3:.3}) should beat 0-shot ({acc0:.3})"

@@ -13,7 +13,7 @@ use crate::world::{ItemId, WorldModel};
 ///
 /// The estimate is the true proportion plus Gaussian noise, scaled back to a
 /// count and clamped to `[0, n]` — modelling Marcus et al.'s coarse counting.
-pub fn simulate_count_eyeball<R: Rng>(
+pub(crate) fn simulate_count_eyeball<R: Rng>(
     world: &WorldModel,
     noise: &NoiseProfile,
     items: &[ItemId],
@@ -33,22 +33,11 @@ pub fn simulate_count_eyeball<R: Rng>(
     (noised * n as f64).round() as usize
 }
 
-/// Simulate a fine-grained per-item predicate check.
-pub fn simulate_check<R: Rng>(
-    world: &WorldModel,
-    noise: &NoiseProfile,
-    item: ItemId,
-    predicate: &str,
-    rng: &mut R,
-) -> bool {
-    simulate_check_with_confidence(world, noise, item, predicate, rng).0
-}
-
-/// Like [`simulate_check`] but also returns the answer probability (the
-/// simulator's stand-in for answer-token logprobs): the configured
-/// per-call accuracy when the answer matches truth, its complement when
-/// the call erred.
-pub fn simulate_check_with_confidence<R: Rng>(
+/// Simulate a fine-grained per-item predicate check, returning the answer
+/// and its probability (the simulator's stand-in for answer-token
+/// logprobs): the configured per-call accuracy when the answer matches
+/// truth, its complement when the call erred.
+pub(crate) fn simulate_check_with_confidence<R: Rng>(
     world: &WorldModel,
     noise: &NoiseProfile,
     item: ItemId,
@@ -67,7 +56,7 @@ pub fn simulate_check_with_confidence<R: Rng>(
 
 /// Simulate a classification task: correct with `classify_accuracy`, else a
 /// uniformly random *other* label.
-pub fn simulate_classify<R: Rng>(
+pub(crate) fn simulate_classify<R: Rng>(
     world: &WorldModel,
     noise: &NoiseProfile,
     item: ItemId,
@@ -93,7 +82,7 @@ pub fn simulate_classify<R: Rng>(
 /// Returns `Some(verdict)` or `None` when the inner task has no canonical
 /// gold answer (e.g. whole-list sorts), in which case the simulator
 /// abstains — mirroring a model that cannot check what it cannot re-derive.
-pub fn simulate_verify<R: Rng>(
+pub(crate) fn simulate_verify<R: Rng>(
     world: &WorldModel,
     noise: &NoiseProfile,
     original: &TaskDescriptor,
@@ -170,7 +159,7 @@ mod tests {
         let mut correct = 0;
         for seed in 0..1000 {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            if simulate_check(&w, &noise, ids[0], "positive", &mut rng) {
+            if simulate_check_with_confidence(&w, &noise, ids[0], "positive", &mut rng).0 {
                 correct += 1;
             }
         }

@@ -1,14 +1,14 @@
 //! The simulated LLM: executes [`TaskDescriptor`]s against a [`WorldModel`]
 //! with calibrated noise, and renders answers through the chatter layer.
 
-pub mod entity;
+mod entity;
 pub mod gold;
-pub mod impute;
-pub mod misc;
-pub mod mutate;
-pub mod randx;
+mod impute;
+mod misc;
+mod mutate;
+mod randx;
 pub mod similarity;
-pub mod sorting;
+mod sorting;
 
 use std::sync::Arc;
 
@@ -146,7 +146,7 @@ impl SimulatedLlm {
         match &request.task {
             TaskDescriptor::SortList { items, criterion } => {
                 let out = sorting::simulate_sort_list(world, noise, items, *criterion, &mut rng);
-                let refs: Vec<&str> = out.entries.iter().map(String::as_str).collect();
+                let refs: Vec<&str> = out.iter().map(String::as_str).collect();
                 (
                     chatter::wrap_list(&refs, self.chatter_style(request, false)),
                     None,

@@ -14,7 +14,7 @@ fn random_letter<R: Rng>(rng: &mut R) -> char {
 ///
 /// Mutations mirror observed LLM behaviour: prepend a letter, double a
 /// letter, drop a letter, or swap two adjacent letters.
-pub fn hallucinate<R: Rng>(text: &str, rng: &mut R) -> String {
+pub(crate) fn hallucinate<R: Rng>(text: &str, rng: &mut R) -> String {
     let chars: Vec<char> = text.chars().collect();
     if chars.is_empty() {
         return "ghost".to_owned();
@@ -74,13 +74,13 @@ pub fn hallucinate<R: Rng>(text: &str, rng: &mut R) -> String {
 /// camel-case boundaries). Values like `"berkeley"` are written one way by
 /// everyone, so LLM answers for them survive exact-match scoring; values
 /// like `"Tom Tom"` or `"san francisco"` do not.
-pub fn has_format_variants(value: &str) -> bool {
+pub(crate) fn has_format_variants(value: &str) -> bool {
     !variant_candidates(value).is_empty()
 }
 
 /// Produce a formatting variant of an attribute value that a strict
 /// exact-match scorer would reject ("TomTom" vs "Tom Tom", per §3.4).
-pub fn format_variant<R: Rng>(value: &str, rng: &mut R) -> String {
+pub(crate) fn format_variant<R: Rng>(value: &str, rng: &mut R) -> String {
     let candidates: Vec<String> = variant_candidates(value);
     if candidates.is_empty() {
         // Nothing structural to vary; change case instead.

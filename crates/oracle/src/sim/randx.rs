@@ -3,7 +3,7 @@
 use rand::Rng;
 
 /// Sample a standard normal via the Marsaglia polar method.
-pub fn gauss<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+pub(crate) fn gauss<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     loop {
         let u: f64 = rng.random_range(-1.0..1.0);
         let v: f64 = rng.random_range(-1.0..1.0);
@@ -15,7 +15,7 @@ pub fn gauss<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 }
 
 /// Sample a normal with the given mean and standard deviation.
-pub fn gauss_with<R: Rng + ?Sized>(rng: &mut R, mean: f64, sigma: f64) -> f64 {
+pub(crate) fn gauss_with<R: Rng + ?Sized>(rng: &mut R, mean: f64, sigma: f64) -> f64 {
     if sigma <= 0.0 {
         return mean;
     }

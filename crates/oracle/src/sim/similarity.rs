@@ -44,7 +44,7 @@ fn trigrams(s: &str) -> HashSet<[char; 3]> {
 
 /// Ratio of the common prefix length to the shorter string's length, in
 /// `[0, 1]`. `"chair"`/`"chalk"` share `"cha"` → 0.6.
-pub fn common_prefix_ratio(a: &str, b: &str) -> f64 {
+pub(crate) fn common_prefix_ratio(a: &str, b: &str) -> f64 {
     let ca: Vec<char> = a.chars().collect();
     let cb: Vec<char> = b.chars().collect();
     let min_len = ca.len().min(cb.len());

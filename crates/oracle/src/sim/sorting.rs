@@ -10,19 +10,9 @@ use crate::sim::similarity::common_prefix_ratio;
 use crate::task::SortCriterion;
 use crate::world::{ItemId, WorldModel};
 
-/// Outcome of a simulated whole-list sort, before rendering.
-#[derive(Debug, Clone)]
-pub struct SimulatedSort {
-    /// Returned entries, in the order the model "generated" them. Entries
-    /// are raw texts — hallucinated entries have no backing [`ItemId`].
-    pub entries: Vec<String>,
-    /// How many input items were omitted.
-    pub dropped: usize,
-    /// How many hallucinated entries were inserted.
-    pub hallucinated: usize,
-}
-
-/// Simulate a single-prompt "sort this whole list" task.
+/// Simulate a single-prompt "sort this whole list" task: the returned
+/// entries, in the order the model "generated" them, before rendering.
+/// Entries are raw texts — hallucinated entries have no backing [`ItemId`].
 ///
 /// Mechanisms, each mapping to a behaviour the paper reports:
 /// * **Confident placement of salient items.** Items whose surface text
@@ -33,13 +23,13 @@ pub struct SimulatedSort {
 /// * **Omissions.** Each item is dropped with probability scaled by list
 ///   length and boosted in the middle third ("lost in the middle").
 /// * **Hallucinations.** Mutated near-copies of real entries are inserted.
-pub fn simulate_sort_list<R: Rng>(
+pub(crate) fn simulate_sort_list<R: Rng>(
     world: &WorldModel,
     noise: &NoiseProfile,
     items: &[ItemId],
     criterion: SortCriterion,
     rng: &mut R,
-) -> SimulatedSort {
+) -> Vec<String> {
     let n = items.len();
     // True ranks under the criterion.
     let gold = match criterion {
@@ -79,7 +69,6 @@ pub fn simulate_sort_list<R: Rng>(
         .collect();
     let base_drop = noise.sort_drop_rate * n as f64 / noise.sort_drop_ref_len.max(1) as f64;
     let mut entries: Vec<String> = Vec::with_capacity(n);
-    let mut dropped = 0usize;
     for &(_, id) in &keyed {
         let pos = presentation_pos[&id];
         let in_middle = n >= 3 && pos >= n / 3 && pos < 2 * n / 3;
@@ -90,14 +79,12 @@ pub fn simulate_sort_list<R: Rng>(
         };
         let p_drop = (base_drop * mult).clamp(0.0, 0.9);
         if rng.random_bool(p_drop) {
-            dropped += 1;
             continue;
         }
         entries.push(world.text(id).unwrap_or("<unknown>").to_owned());
     }
 
     // Hallucinations: insert mutated near-copies at random positions.
-    let mut hallucinated = 0usize;
     if noise.sort_halluc_rate > 0.0 && !entries.is_empty() {
         let existing: std::collections::HashSet<String> = entries.iter().cloned().collect();
         let expected = noise.sort_halluc_rate * n as f64;
@@ -109,17 +96,12 @@ pub fn simulate_sort_list<R: Rng>(
                 if !existing.contains(&ghost) {
                     let at = rng.random_range(0..=entries.len());
                     entries.insert(at, ghost);
-                    hallucinated += 1;
                 }
             }
         }
     }
 
-    SimulatedSort {
-        entries,
-        dropped,
-        hallucinated,
-    }
+    entries
 }
 
 /// Simulate a pairwise comparison: does `left` rank before `right`?
@@ -130,7 +112,7 @@ pub fn simulate_sort_list<R: Rng>(
 ///   asking both orders.
 /// * Lexicographic criterion: a base error rate plus a penalty growing with
 ///   the keys' common-prefix ratio (near-identical words are confusable).
-pub fn simulate_compare<R: Rng>(
+pub(crate) fn simulate_compare<R: Rng>(
     world: &WorldModel,
     noise: &NoiseProfile,
     left: ItemId,
@@ -143,7 +125,7 @@ pub fn simulate_compare<R: Rng>(
 
 /// Like [`simulate_compare`] but also returns the model's answer
 /// probability — the simulator's stand-in for answer-token logprobs.
-pub fn simulate_compare_with_confidence<R: Rng>(
+pub(crate) fn simulate_compare_with_confidence<R: Rng>(
     world: &WorldModel,
     noise: &NoiseProfile,
     left: ItemId,
@@ -181,7 +163,7 @@ pub fn simulate_compare_with_confidence<R: Rng>(
 /// [`simulate_compare`] but with the noise scale inflated by
 /// `1 + compare_batch_penalty * (batch_size - 1)` — models attend less to
 /// each sub-question as prompts grow (§4's batching trade-off).
-pub fn simulate_compare_batch<R: Rng>(
+pub(crate) fn simulate_compare_batch<R: Rng>(
     world: &WorldModel,
     noise: &NoiseProfile,
     pairs: &[(ItemId, ItemId)],
@@ -202,7 +184,7 @@ pub fn simulate_compare_batch<R: Rng>(
 }
 
 /// Simulate a rating task: quantize the (noised) normalized score.
-pub fn simulate_rate<R: Rng>(
+pub(crate) fn simulate_rate<R: Rng>(
     world: &WorldModel,
     noise: &NoiseProfile,
     item: ItemId,
@@ -253,13 +235,11 @@ mod tests {
         let noise = NoiseProfile::perfect();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let out = simulate_sort_list(&w, &noise, &ids, SortCriterion::LatentScore, &mut rng);
-        assert_eq!(out.dropped, 0);
-        assert_eq!(out.hallucinated, 0);
         let expected: Vec<String> = ids
             .iter()
             .map(|id| w.text(*id).unwrap().to_owned())
             .collect();
-        assert_eq!(out.entries, expected);
+        assert_eq!(out, expected);
     }
 
     #[test]
@@ -275,7 +255,7 @@ mod tests {
         for seed in 0..50 {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let out = simulate_sort_list(&w, &noise, &ids, SortCriterion::LatentScore, &mut rng);
-            total += out.dropped;
+            total += ids.len() - out.len();
         }
         let avg = total as f64 / 50.0;
         // Middle-bias of 1.0 (perfect profile) -> expect ~5 drops per run.
@@ -293,13 +273,11 @@ mod tests {
         let out = simulate_sort_list(&w, &noise, &ids, SortCriterion::LatentScore, &mut rng);
         let originals: std::collections::HashSet<&str> =
             ids.iter().map(|id| w.text(*id).unwrap()).collect();
-        let ghosts: Vec<&String> = out
-            .entries
+        let ghosts = out
             .iter()
             .filter(|e| !originals.contains(e.as_str()))
-            .collect();
-        assert_eq!(ghosts.len(), out.hallucinated);
-        assert!(out.hallucinated > 0, "expected some hallucinations");
+            .count();
+        assert!(ghosts > 0, "expected some hallucinations");
     }
 
     #[test]

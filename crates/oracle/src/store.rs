@@ -5,7 +5,7 @@
 //! service absorbing heavy repeat traffic pays full cold-start cost on every
 //! restart. [`ResponseStore`] is the persistent tier layered *under* the
 //! in-memory shards: an append-only checksummed record log (the shared
-//! [`crate::recordlog`] discipline — fingerprint-keyed records, f64-as-bits,
+//! `recordlog` discipline — fingerprint-keyed records, f64-as-bits,
 //! flushed single-line appends, FNV-1a prefix verification with torn-tail
 //! truncation on open) plus an in-memory fingerprint index rebuilt on open.
 //!
@@ -19,7 +19,7 @@
 //! * **Semantic** (opt-in, [`StoreConfig::semantic`]) — temperature-0
 //!   prompts are embedded through `crowdprompt_embed` and near-duplicate
 //!   prompts within a distance threshold are answered from the nearest
-//!   stored neighbor ([`ResponseStore::lookup_semantic`]). Approximate by
+//!   stored neighbor (`ResponseStore::lookup_semantic`). Approximate by
 //!   construction; hits are counted separately
 //!   ([`crate::ClientStats::semantic_hits`]) and their accuracy cost is
 //!   measured in-bench through the outcome meter.
@@ -30,7 +30,8 @@
 //! monotone generation counter ([`ResponseStore::advance_generation`], e.g.
 //! once per deploy or per corpus refresh) and entries older than
 //! [`StoreConfig::ttl_generations`] stop being served and are dropped at the
-//! next [`ResponseStore::compact`]. Admission is *cost-aware*: each entry
+//! next compaction (the writer rewrites its log once dead records
+//! outnumber live ones). Admission is *cost-aware*: each entry
 //! carries the recompute cost observed at admission
 //! (`pricing.cost_usd(usage)` — the same number the ledger charged), and at
 //! capacity a candidate cheaper than [`StoreConfig::admission_floor`] × the
@@ -65,6 +66,14 @@ use crate::types::{CompletionRequest, CompletionResponse};
 /// The store's header line (also its format version gate).
 const HEADER: &str = "crowdprompt-store v1";
 
+/// An `InvalidInput` error naming the config field that is out of range.
+fn invalid_field(field: &str, rule: &str, value: impl std::fmt::Display) -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::InvalidInput,
+        format!("store config: {field} must be {rule}, got {value}"),
+    )
+}
+
 /// Semantic-tier configuration: embed temperature-0 prompts and answer
 /// near-duplicates within `threshold` of a stored neighbor.
 #[derive(Debug, Clone)]
@@ -92,7 +101,8 @@ impl SemanticConfig {
 
 /// Tuning knobs for a [`ResponseStore`]. The default is an unbounded,
 /// never-expiring, exact-only store — the safe configuration for a cache
-/// whose entries are deterministic temperature-0 completions.
+/// whose entries are deterministic temperature-0 completions. Opening a
+/// store checks every field and names the first one out of range.
 #[derive(Debug, Clone, Default)]
 pub struct StoreConfig {
     /// Maximum live entries; `None` = unbounded. At capacity, admission
@@ -109,16 +119,33 @@ pub struct StoreConfig {
     pub semantic: Option<SemanticConfig>,
 }
 
-/// A semantic-tier hit: the neighbor that answered, how far away it was,
-/// and its stored response.
-#[derive(Debug, Clone)]
-pub struct SemanticHit {
-    /// Fingerprint of the stored neighbor whose response is being reused.
-    pub fingerprint: u64,
-    /// Embedding distance between the query prompt and the neighbor's.
-    pub distance: f32,
-    /// The neighbor's stored response.
-    pub response: Arc<CompletionResponse>,
+impl StoreConfig {
+    /// Field-by-field range check: a zero capacity would keep one entry (the
+    /// floor compares against the mean of nothing), and a zero-width
+    /// embedder panics.
+    fn validate(&self) -> std::io::Result<()> {
+        if self.capacity == Some(0) {
+            return Err(invalid_field("capacity", "at least 1", 0));
+        }
+        let floor = self.admission_floor;
+        if !(floor.is_finite() && floor >= 0.0) {
+            return Err(invalid_field("admission_floor", "finite and >= 0", floor));
+        }
+        if let Some(semantic) = &self.semantic {
+            let threshold = semantic.threshold;
+            if !(threshold.is_finite() && threshold > 0.0) {
+                let rule = "finite and > 0";
+                return Err(invalid_field("semantic.threshold", rule, threshold));
+            }
+            if semantic.dimensions == 0 {
+                return Err(invalid_field("semantic.dimensions", "at least 1", 0));
+            }
+            if semantic.ngram == 0 {
+                return Err(invalid_field("semantic.ngram", "at least 1", 0));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// One live store entry: the response, its admission generation (for TTL),
@@ -424,8 +451,7 @@ impl ResponseStore {
     /// Open the store at `path` as a reader: no writer lock, no truncation
     /// (a torn tail is ignored, never repaired), and all mutating calls
     /// ([`ResponseStore::admit`], [`ResponseStore::record`],
-    /// [`ResponseStore::advance_generation`], [`ResponseStore::compact`])
-    /// become no-ops. Errors if the file does not exist.
+    /// [`ResponseStore::advance_generation`]) become no-ops. Errors if the file does not exist.
     pub fn open_read_only(
         path: impl AsRef<Path>,
         config: StoreConfig,
@@ -434,8 +460,10 @@ impl ResponseStore {
     }
 
     /// The one constructor: a writer takes the sidecar lock and the append
-    /// handle (truncating a torn tail); a reader takes neither.
+    /// handle (truncating a torn tail); a reader takes neither. The config
+    /// is checked first, so a bad one touches neither the lock nor the file.
     fn open_with(path: &Path, config: StoreConfig, writer: bool) -> std::io::Result<ResponseStore> {
+        config.validate()?;
         let writer_lock = writer.then(|| WriterLock::acquire(path)).transpose()?;
         let mut inner = StoreInner {
             log: None,
@@ -500,19 +528,6 @@ impl ResponseStore {
         self.inner.lock().generation
     }
 
-    /// Sum of the live entries' observed recompute costs — the backend
-    /// spend a full warm start avoids.
-    pub fn live_cost_usd(&self) -> f64 {
-        let inner = self.inner.lock();
-        let ttl = self.config.ttl_generations;
-        inner
-            .entries
-            .values()
-            .filter(|e| !inner.expired(e.generation, ttl))
-            .map(|e| e.cost_usd)
-            .sum()
-    }
-
     /// Advance the eviction generation (writer only; no-op for readers).
     /// Entries admitted more than [`StoreConfig::ttl_generations`]
     /// generations ago stop being served and are dropped at the next
@@ -552,10 +567,15 @@ impl ResponseStore {
     }
 
     /// Semantic-tier lookup: the nearest live stored neighbor of `prompt`
-    /// within the configured distance threshold, if the tier is enabled.
-    /// Callers should only consult this for temperature-0 requests and
-    /// after an exact miss; the hit is approximate by construction.
-    pub fn lookup_semantic(&self, prompt: &str) -> Option<SemanticHit> {
+    /// within the configured distance threshold, if the tier is enabled —
+    /// its fingerprint, its embedding distance from `prompt`, and its
+    /// stored response. Callers should only consult this for
+    /// temperature-0 requests and after an exact miss; the hit is
+    /// approximate by construction.
+    pub(crate) fn lookup_semantic(
+        &self,
+        prompt: &str,
+    ) -> Option<(u64, f32, Arc<CompletionResponse>)> {
         // Embed outside the lock: the embedder is immutable and hashing the
         // prompt is the expensive part.
         let embedder = {
@@ -568,11 +588,7 @@ impl ResponseStore {
         let ttl = self.config.ttl_generations;
         let (fingerprint, distance) = tier.query(&vector, |fp| inner.live(fp, ttl).is_some())?;
         let response = Arc::clone(&inner.entries[&fingerprint].response);
-        Some(SemanticHit {
-            fingerprint,
-            distance,
-            response,
-        })
+        Some((fingerprint, distance, response))
     }
 
     /// Admit one freshly paid completion (writer only): the cache policy
@@ -712,7 +728,8 @@ impl ResponseStore {
     /// replaced, and expired records; the rewrite goes to a sibling temp
     /// file and is renamed into place, so a crash mid-compaction leaves
     /// either the old or the new file, never a mix.
-    pub fn compact(&self) -> std::io::Result<()> {
+    #[cfg(test)]
+    fn compact(&self) -> std::io::Result<()> {
         if self.is_read_only() {
             return Ok(());
         }
@@ -938,12 +955,12 @@ mod tests {
         {
             let store = ResponseStore::open(&path, config.clone()).unwrap();
             assert!(store.admit(&req, &response("yes", 2)));
-            let hit = store
+            let (fingerprint, distance, response) = store
                 .lookup_semantic("Is the item 'wireless keyboard model K381' electronics?")
                 .expect("near-duplicate within threshold");
-            assert_eq!(hit.response.text, "yes");
-            assert_eq!(hit.fingerprint, req.fingerprint());
-            assert!(hit.distance > 0.0 && hit.distance <= 0.4);
+            assert_eq!(response.text, "yes");
+            assert_eq!(fingerprint, req.fingerprint());
+            assert!(distance > 0.0 && distance <= 0.4);
             assert!(
                 store
                     .lookup_semantic("completely unrelated question about the weather")
@@ -953,10 +970,10 @@ mod tests {
         }
         // The semantic index rebuilds from persisted prompts on reopen.
         let store = ResponseStore::open_read_only(&path, config).unwrap();
-        let hit = store
+        let (_, _, response) = store
             .lookup_semantic("Is the item 'wireless keyboard model K379' electronics?")
             .expect("semantic hit after reopen");
-        assert_eq!(hit.response.text, "yes");
+        assert_eq!(response.text, "yes");
         cleanup(&path);
     }
 
@@ -990,10 +1007,10 @@ mod tests {
             probes
                 .iter()
                 .map(|p| {
-                    let hit = store
+                    let (fingerprint, distance, _) = store
                         .lookup_semantic(p)
                         .expect("threshold admits everything");
-                    (hit.fingerprint, hit.distance.to_bits())
+                    (fingerprint, distance.to_bits())
                 })
                 .collect()
         };
@@ -1057,6 +1074,73 @@ mod tests {
         cleanup(&path);
     }
 
+    /// Opens `config` at a fresh path, expecting the refusal to name
+    /// `field` and to leave neither the store nor its lock sidecar behind.
+    fn refused(tag: &str, config: StoreConfig, field: &str) {
+        let path = temp_path(tag);
+        let err = ResponseStore::open(&path, config)
+            .err()
+            .unwrap_or_else(|| panic!("a bad {field} must not open"));
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        assert!(
+            err.to_string().contains(field),
+            "{field} not named in: {err}"
+        );
+        assert!(
+            !path.exists() && !lock_path(&path).exists(),
+            "{field}: files touched"
+        );
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_zero_capacity_store_is_refused_before_it_admits_anything() {
+        // The capacity gate would compare against the mean of an empty live
+        // set (NaN), refuse nothing, evict nothing and keep one entry.
+        let zero = StoreConfig {
+            capacity: Some(0),
+            ..StoreConfig::default()
+        };
+        refused("cap0", zero, "capacity");
+        for floor in [f64::NAN, f64::INFINITY, -0.5] {
+            let config = StoreConfig {
+                capacity: Some(4),
+                admission_floor: floor,
+                ..StoreConfig::default()
+            };
+            refused("floor", config, "admission_floor");
+        }
+    }
+
+    #[test]
+    fn a_degenerate_semantic_config_is_an_error_not_a_panic() {
+        let base = SemanticConfig::new(0.3);
+        for (semantic, field) in [
+            (
+                SemanticConfig {
+                    dimensions: 0,
+                    ..base.clone()
+                },
+                "semantic.dimensions",
+            ),
+            (
+                SemanticConfig {
+                    ngram: 0,
+                    ..base.clone()
+                },
+                "semantic.ngram",
+            ),
+            (SemanticConfig::new(0.0), "semantic.threshold"),
+            (SemanticConfig::new(f32::NAN), "semantic.threshold"),
+        ] {
+            let config = StoreConfig {
+                semantic: Some(semantic),
+                ..StoreConfig::default()
+            };
+            refused("semantic", config, field);
+        }
+    }
+
     #[test]
     fn compaction_reclaims_replaced_records() {
         let path = temp_path("compact");
@@ -1078,18 +1162,6 @@ mod tests {
         let store = ResponseStore::open(&path, config).unwrap();
         assert_eq!(store.len(), 4);
         assert!(store.contains(request("after compact").fingerprint()));
-        cleanup(&path);
-    }
-
-    #[test]
-    fn live_cost_tracks_admissions() {
-        let path = temp_path("livecost");
-        let store = ResponseStore::open(&path, StoreConfig::default()).unwrap();
-        let r = response("v", 1000);
-        let unit = r.pricing.cost_usd(r.usage);
-        store.admit(&request("one"), &r);
-        store.admit(&request("two"), &r);
-        assert!((store.live_cost_usd() - 2.0 * unit).abs() < 1e-12);
         cleanup(&path);
     }
 }

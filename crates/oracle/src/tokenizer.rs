@@ -59,11 +59,6 @@ pub fn count_tokens(text: &str) -> u32 {
     blended.max(char_floor).max(1)
 }
 
-/// Count tokens for a slice of texts (e.g. a rendered few-shot prompt).
-pub fn count_tokens_all<S: AsRef<str>>(texts: &[S]) -> u32 {
-    texts.iter().map(|t| count_tokens(t.as_ref())).sum()
-}
-
 /// Truncate `text` to approximately `max_tokens`, respecting char boundaries.
 ///
 /// Used by the simulator to emulate `max_tokens` cut-offs (finish reason
@@ -126,15 +121,6 @@ mod tests {
         let ab = format!("{a}{b}");
         assert!(count_tokens(&ab) >= count_tokens(a));
         assert!(count_tokens(&ab) >= count_tokens(b));
-    }
-
-    #[test]
-    fn count_all_sums() {
-        let parts = ["one two", "three"];
-        assert_eq!(
-            count_tokens_all(&parts),
-            count_tokens("one two") + count_tokens("three")
-        );
     }
 
     #[test]

@@ -115,13 +115,6 @@ impl CompletionRequest {
         self
     }
 
-    /// Set (or clear) the run deadline this call must respect.
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Option<std::time::Instant>) -> Self {
-        self.deadline = deadline;
-        self
-    }
-
     /// Time remaining until the deadline, if one is set. `Some(ZERO)` when
     /// the deadline has already passed.
     pub fn remaining(&self, now: std::time::Instant) -> Option<std::time::Duration> {
@@ -242,8 +235,10 @@ mod tests {
     #[test]
     fn fingerprint_ignores_deadline() {
         let r1 = CompletionRequest::new("p", dummy_task());
-        let r2 = CompletionRequest::new("p", dummy_task())
-            .with_deadline(Some(std::time::Instant::now()));
+        let r2 = CompletionRequest {
+            deadline: Some(std::time::Instant::now()),
+            ..CompletionRequest::new("p", dummy_task())
+        };
         assert_eq!(r1.fingerprint(), r2.fingerprint());
         assert_eq!(
             r2.remaining(std::time::Instant::now()),

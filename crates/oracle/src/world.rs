@@ -63,13 +63,6 @@ impl WorldModel {
         self.texts.is_empty()
     }
 
-    /// All registered item ids, in insertion (id) order.
-    pub fn item_ids(&self) -> Vec<ItemId> {
-        let mut ids: Vec<ItemId> = self.texts.keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
-
     // ------------------------------------------------------------------
     // Registration
     // ------------------------------------------------------------------
@@ -120,7 +113,7 @@ impl WorldModel {
     }
 
     /// Lexicographic sort key, if registered.
-    pub fn sort_key(&self, id: ItemId) -> Option<&str> {
+    pub(crate) fn sort_key(&self, id: ItemId) -> Option<&str> {
         self.sort_keys.get(&id).map(String::as_str)
     }
 
@@ -143,7 +136,7 @@ impl WorldModel {
     ///
     /// The simulator uses this as the answer pool when it imputes a value
     /// incorrectly (a wrong-but-plausible value, like a real model would).
-    pub fn values_of_attr(&self, attr: &str) -> Vec<&str> {
+    pub(crate) fn values_of_attr(&self, attr: &str) -> Vec<&str> {
         let mut vals: Vec<&str> = self
             .attrs
             .iter()
@@ -259,12 +252,5 @@ mod tests {
         assert_eq!(w.salience_of(a), 1.0);
         w.set_salience(a, -1.0);
         assert_eq!(w.salience_of(a), 0.0);
-    }
-
-    #[test]
-    fn item_ids_sorted() {
-        let mut w = WorldModel::new();
-        let ids: Vec<ItemId> = (0..10).map(|i| w.add_item(format!("item {i}"))).collect();
-        assert_eq!(w.item_ids(), ids);
     }
 }

@@ -21,6 +21,7 @@
 //! | `one-layout`  | no nested `Vec<Vec<f32>>` / `[Vec<f32>]` in library code under `crates/{embed,core,oracle}/src` but `VectorStore::from_rows`; `crates/embed/src` defines no `fn nearest*`|
 //! | `no-spawn-per-call`| `crates/oracle/src/route.rs` starts threads in `start_helper` and `launch_twin` and nowhere else|
 //! | `one-fingerprint`| `crates/oracle/src/client.rs` calls `.fingerprint()` in `probe` and nowhere else; `crates/core/src/{exec,serve}.rs` never do|
+//! | `pub-has-caller`| a `pub` item under `crates/{core,embed,oracle,metrics,data}/src` is named by some file outside its crate's `src/`, or by a doc-test|
 //!
 //! Pure std, no crates.io: scanning is lexical but *mask-accurate* — a small
 //! lexer blanks out comments, strings, and char literals first, so a banned
@@ -146,6 +147,22 @@ const ONE_FINGERPRINT_HOME: &str = "crates/oracle/src/client.rs";
 const ONE_FINGERPRINT_FN: &str = "probe";
 const ONE_FINGERPRINT_CALLERS: &[&str] = &["crates/core/src/exec.rs", "crates/core/src/serve.rs"];
 
+/// The library crates whose public items must each be named by a file
+/// outside the crate's own `src/` (another crate, a test, an example, a
+/// bench, `benchmark/`, the facade) or by a doc-test. A `pub` item nothing
+/// outside names is crate-private in all but spelling, and every one is
+/// surface the next reader must account for. A type a kept public signature
+/// exposes cannot be demoted (rustc's `private_interfaces`), so its pragma
+/// must say `exposed by `Item``, and `Item` must itself have a caller.
+const PUB_CALLER_CRATES: &[&str] = &[
+    "crates/core/src/",
+    "crates/embed/src/",
+    "crates/oracle/src/",
+    "crates/metrics/src/",
+    "crates/data/src/",
+];
+const PUB_CALLER_EXPOSED: &str = "exposed by `";
+
 const BASELINE_GUARD: &str = "ci/check_bench_baselines.sh";
 
 #[derive(Debug, Clone)]
@@ -197,6 +214,7 @@ fn run(root: &Path) -> Result<Vec<Finding>, String> {
     bench_jsons.sort();
 
     let mut findings = Vec::new();
+    let mut sources = Vec::new();
     for rel in &rust_files {
         let rel_str = unix_path(rel);
         if VENDORED.iter().any(|v| rel_str.starts_with(v)) {
@@ -204,7 +222,9 @@ fn run(root: &Path) -> Result<Vec<Finding>, String> {
         }
         let src = std::fs::read_to_string(root.join(rel)).map_err(|e| format!("{rel_str}: {e}"))?;
         findings.extend(lint_rust_source(&rel_str, &src));
+        sources.push((rel_str, src));
     }
+    findings.extend(lint_pub_callers(&sources));
     findings.extend(lint_bench_keys(root, &bench_jsons)?);
     Ok(findings)
 }
@@ -1095,6 +1115,172 @@ fn find_chars_from(hay: &[char], needle: &[char], from: usize) -> Option<usize> 
 }
 
 // ---------------------------------------------------------------------------
+// pub-has-caller
+// ---------------------------------------------------------------------------
+
+/// Every `pub` item of a [`PUB_CALLER_CRATES`] crate must be named outside
+/// that crate's `src/`: by code in any other file, or by a doc-test (which
+/// rustdoc compiles as a crate of its own). Matching is by identifier over
+/// masked code, so a name in another crate's comment or string is no caller,
+/// and a name shared with an unrelated item can only hide a finding.
+fn lint_pub_callers(sources: &[(String, String)]) -> Vec<Finding> {
+    const OUTSIDE: u8 = 1 << PUB_CALLER_CRATES.len();
+    let owner = |rel: &str| PUB_CALLER_CRATES.iter().position(|c| rel.starts_with(c));
+    let mut mentions: HashMap<String, u8> = HashMap::new();
+    let masked: Vec<Vec<char>> = sources.iter().map(|(_, src)| mask_source(src)).collect();
+    for ((rel, src), masked) in sources.iter().zip(&masked) {
+        let bit = owner(rel).map_or(OUTSIDE, |i| 1 << i);
+        for (_, ident) in identifiers(masked) {
+            *mentions.entry(ident).or_default() |= bit;
+        }
+        for (_, ident) in identifiers(&mask_source(&doc_test_code(src))) {
+            *mentions.entry(ident).or_default() |= OUTSIDE;
+        }
+    }
+    let called_outside =
+        |name: &str, own: u8| mentions.get(name).is_some_and(|&bits| bits & !own != 0);
+
+    let mut findings = Vec::new();
+    for ((rel, src), masked) in sources.iter().zip(&masked) {
+        let Some(crate_idx) = owner(rel) else {
+            continue;
+        };
+        if is_test_path(rel) {
+            continue;
+        }
+        let own = 1 << crate_idx;
+        let index = LineIndex::new(masked);
+        let regions = test_regions(masked);
+        let pragmas = collect_pragmas(src);
+        let lines: Vec<&str> = src.lines().collect();
+        for (offset, kind, name) in pub_items(masked) {
+            if in_regions(&regions, offset) || called_outside(&name, own) {
+                continue;
+            }
+            let (line, col) = index.locate(offset);
+            // A pragma on the item's line or the one before, naming an
+            // exposing item that itself has a caller.
+            let exposed = [line, line - 1].into_iter().any(|l| {
+                pragmas
+                    .get(&l)
+                    .is_some_and(|rules| rules.contains("pub-has-caller"))
+                    && exposer(lines[l - 1]).is_some_and(|item| called_outside(item, own))
+            });
+            if !exposed {
+                findings.push(Finding {
+                    rule: "pub-has-caller",
+                    message: format!("`pub {kind} {name}` is named by nothing outside its crate"),
+                    path: rel.clone(),
+                    line,
+                    col,
+                    help: "delete it, demote it to `pub(crate)`, or give it a doc-test; a type a kept public signature exposes takes `// lint: allow(pub-has-caller) — exposed by `Item``",
+                });
+            }
+        }
+    }
+    findings
+}
+
+/// The last path segment named after [`PUB_CALLER_EXPOSED`] in a pragma.
+fn exposer(pragma: &str) -> Option<&str> {
+    let rest = &pragma[pragma.find(PUB_CALLER_EXPOSED)? + PUB_CALLER_EXPOSED.len()..];
+    let path = &rest[..rest.find('`')?];
+    path.rsplit("::").next().map(|s| s.trim_end_matches("()"))
+}
+
+/// `(offset, ident)` for every identifier in masked source.
+fn identifiers(masked: &[char]) -> Vec<(usize, String)> {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < masked.len() {
+        if is_ident(masked[i]) {
+            let start = i;
+            while i < masked.len() && is_ident(masked[i]) {
+                i += 1;
+            }
+            if !masked[start].is_ascii_digit() {
+                out.push((start, masked[start..i].iter().collect()));
+            }
+        } else {
+            i += 1;
+        }
+    }
+    out
+}
+
+/// `(offset of the name, keyword, name)` for every `pub` fn, struct, enum,
+/// trait, type, const or static — not `pub(crate)`, `pub use`, `pub mod` or
+/// a field.
+fn pub_items(masked: &[char]) -> Vec<(usize, &'static str, String)> {
+    const KINDS: &[&str] = &["fn", "struct", "enum", "trait", "type", "const", "static"];
+    let idents = identifiers(masked);
+    let mut items = Vec::new();
+    for (at, (offset, word)) in idents.iter().enumerate() {
+        if word != "pub" || !masked.get(offset + 3).is_some_and(|c| c.is_whitespace()) {
+            continue;
+        }
+        let mut rest = idents[at + 1..].iter().map(|(o, w)| (*o, w.as_str()));
+        let mut token = rest.next();
+        // `pub const fn` and `pub unsafe fn` are fns; `pub const X` is a const.
+        while let Some((_, w)) = token {
+            let qualifier = w == "unsafe"
+                || (w == "const"
+                    && rest
+                        .clone()
+                        .next()
+                        .is_some_and(|(_, n)| n == "fn" || n == "unsafe"));
+            if !qualifier {
+                break;
+            }
+            token = rest.next();
+        }
+        let Some(kind) = token.and_then(|(_, w)| KINDS.iter().find(|&&k| k == w)) else {
+            continue;
+        };
+        let mut name = rest.next();
+        if *kind == "static" && name.is_some_and(|(_, w)| w == "mut") {
+            name = rest.next();
+        }
+        if let Some((name_at, name)) = name {
+            items.push((name_at, *kind, name.to_string()));
+        }
+    }
+    items
+}
+
+/// The code of every doc-test in `src`: fenced blocks in `///` and `//!`
+/// comments whose info string rustdoc compiles as Rust.
+fn doc_test_code(src: &str) -> String {
+    let mut code = String::new();
+    let mut fence: Option<bool> = None;
+    for line in src.lines() {
+        let trimmed = line.trim_start();
+        let Some(doc) = trimmed
+            .strip_prefix("///")
+            .or_else(|| trimmed.strip_prefix("//!"))
+        else {
+            fence = None;
+            continue;
+        };
+        let doc = doc.trim_start();
+        if let Some(info) = doc.strip_prefix("```") {
+            fence = match fence {
+                Some(_) => None,
+                None => Some(info.split(',').map(str::trim).all(|tag| {
+                    matches!(tag, "" | "rust" | "no_run" | "should_panic")
+                        || tag.starts_with("edition")
+                })),
+            };
+        } else if fence == Some(true) {
+            code.push_str(doc);
+            code.push('\n');
+        }
+    }
+    code
+}
+
+// ---------------------------------------------------------------------------
 // bench-keys
 // ---------------------------------------------------------------------------
 
@@ -1546,6 +1732,154 @@ mod tests {
         );
         assert_eq!(keys[0].1, 1);
         assert_eq!(keys[1].1, 2);
+    }
+
+    /// `(path, line, col)` of every `pub-has-caller` finding over `files`.
+    fn uncalled(files: &[(&str, &str)]) -> Vec<(String, usize, usize)> {
+        let sources: Vec<(String, String)> = files
+            .iter()
+            .map(|(rel, src)| (rel.to_string(), src.to_string()))
+            .collect();
+        lint_pub_callers(&sources)
+            .into_iter()
+            .map(|f| (f.path, f.line, f.col))
+            .collect()
+    }
+
+    fn at(path: &str, line: usize, col: usize) -> Vec<(String, usize, usize)> {
+        vec![(path.to_string(), line, col)]
+    }
+
+    #[test]
+    fn pub_has_caller_flags_a_pub_item_nothing_outside_its_crate_names() {
+        let lib = concat!(
+            "pub fn orphan() {}\n",
+            "pub fn called() {}\n",
+            "pub(crate) fn internal() {}\n",
+            "fn private() { orphan(); internal(); }\n",
+        );
+        let f = uncalled(&[
+            ("crates/core/src/x.rs", lib),
+            ("crates/core/src/y.rs", "fn same_crate() { orphan(); }\n"),
+            ("crates/oracle/src/z.rs", "fn other_crate() { called(); }\n"),
+        ]);
+        assert_eq!(f, at("crates/core/src/x.rs", 1, 8));
+        // Only the five library crates are held to it.
+        for rel in [
+            "crates/bench/src/lib.rs",
+            "tools/repolint/src/main.rs",
+            "tests/t.rs",
+        ] {
+            assert!(uncalled(&[(rel, lib)]).is_empty(), "{rel}");
+        }
+    }
+
+    #[test]
+    fn pub_has_caller_counts_tests_benches_benchmark_the_facade_and_doc_tests() {
+        let lib = "pub fn item() {}\n";
+        for caller in [
+            "tests/t.rs",
+            "examples/e.rs",
+            "crates/core/tests/prop.rs",
+            "crates/core/benches/b.rs",
+            "crates/bench/src/bin/table1.rs",
+            "benchmark/src/bin/e2e/main.rs",
+            "crates/facade/src/lib.rs",
+        ] {
+            let f = uncalled(&[
+                ("crates/core/src/x.rs", lib),
+                (caller, "fn use_it() { crowdprompt_core::x::item(); }\n"),
+            ]);
+            assert!(f.is_empty(), "{caller} is a caller: {f:?}");
+        }
+        let documented = "/// ```\n/// crowdprompt_core::x::item();\n/// ```\npub fn item() {}\n";
+        assert!(uncalled(&[("crates/core/src/x.rs", documented)]).is_empty());
+        // A block rustdoc does not compile is prose, not a caller.
+        for tag in ["text", "ignore", "rust,ignore", "sh"] {
+            let prose = format!("/// ```{tag}\n/// item();\n/// ```\npub fn item() {{}}\n");
+            let f = uncalled(&[("crates/core/src/x.rs", &prose)]);
+            assert_eq!(f, at("crates/core/src/x.rs", 4, 8), "{tag}");
+        }
+    }
+
+    #[test]
+    fn pub_has_caller_ignores_names_in_another_crates_comments_and_strings() {
+        let lib = "pub struct Lonely;\n";
+        let prose = "// Lonely, in a comment\nfn f() -> &'static str { \"Lonely\" }\n";
+        let f = uncalled(&[
+            ("crates/metrics/src/x.rs", lib),
+            ("crates/embed/src/y.rs", prose),
+            ("tests/t.rs", "/* Lonely */ fn t() {}\n"),
+        ]);
+        assert_eq!(f, at("crates/metrics/src/x.rs", 1, 12));
+    }
+
+    #[test]
+    fn pub_has_caller_pragma_names_an_exposing_item_that_has_a_caller() {
+        let caller = ("tests/t.rs", "fn t() { let _ = stats(); }\n");
+        let bare = "pub struct Stats;\npub fn stats() -> Stats { Stats }\n";
+        let f = uncalled(&[("crates/oracle/src/x.rs", bare), caller]);
+        assert_eq!(f, at("crates/oracle/src/x.rs", 1, 12));
+        let exposed = concat!(
+            "#[derive(Debug)]\n",
+            "// lint: allow(pub-has-caller) — exposed by `Client::stats`\n",
+            "pub struct Stats;\n",
+            "pub fn stats() -> Stats { Stats }\n",
+        );
+        assert!(uncalled(&[("crates/oracle/src/x.rs", exposed), caller]).is_empty());
+        // A pragma that names no exposer, or one nothing outside calls,
+        // holds nothing.
+        for pragma in [
+            "// lint: allow(pub-has-caller) — needed\n",
+            "// lint: allow(pub-has-caller) — exposed by `hidden`\n",
+        ] {
+            let src =
+                format!("{pragma}pub struct Stats;\npub(crate) fn hidden() -> Stats {{ Stats }}\n");
+            let f = uncalled(&[("crates/oracle/src/x.rs", &src), caller]);
+            assert_eq!(f, at("crates/oracle/src/x.rs", 2, 12), "{pragma}");
+        }
+    }
+
+    #[test]
+    fn pub_has_caller_never_fires_on_trait_impl_methods_or_test_code() {
+        let lib = concat!(
+            "pub struct Shown;\n",
+            "impl std::fmt::Display for Shown {\n",
+            "    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result { Ok(()) }\n",
+            "}\n",
+            "pub trait Render { fn render(&self) -> String; }\n",
+            "impl Render for Shown { fn render(&self) -> String { String::new() } }\n",
+            "#[cfg(test)]\n",
+            "mod tests { pub fn helper() {} }\n",
+        );
+        let caller = ("tests/t.rs", "fn t(r: &dyn Render) { let _ = Shown; }\n");
+        assert!(uncalled(&[("crates/core/src/x.rs", lib), caller]).is_empty());
+    }
+
+    #[test]
+    fn pub_items_reads_qualifiers_and_skips_restricted_visibility() {
+        let src = concat!(
+            "pub const fn a() {}\npub unsafe fn b() {}\npub const C: u8 = 1;\n",
+            "pub static mut D: u8 = 0;\npub(crate) fn e() {}\npub use x::F;\npub mod g;\n",
+            "struct H { pub field: u8 }\npub trait I {}\npub type J = u8;\npub enum K {}\n",
+        );
+        let items: Vec<(&str, String)> = pub_items(&mask_source(src))
+            .into_iter()
+            .map(|(_, kind, name)| (kind, name))
+            .collect();
+        let want = [
+            ("fn", "a"),
+            ("fn", "b"),
+            ("const", "C"),
+            ("static", "D"),
+            ("trait", "I"),
+            ("type", "J"),
+            ("enum", "K"),
+        ];
+        assert_eq!(
+            items,
+            want.map(|(kind, name)| (kind, name.to_string())).to_vec()
+        );
     }
 
     #[test]

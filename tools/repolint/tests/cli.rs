@@ -145,6 +145,42 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         "[{\"name\":\"group/unguarded\",\"ns\":1}]\n",
     );
     repo.write("ci/check_bench_baselines.sh", "# no require lines\n");
+    // Every public fixture above has a caller; the four below test the
+    // caller rule itself: one nothing names, one named only in another
+    // crate's comment and string, and an exposed type without and with the
+    // pragma that names what exposes it.
+    repo.write(
+        "tests/seeded_callers.rs",
+        concat!(
+            "fn call_them() {\n",
+            "    (f, g, t, same, drive, pump, probe, complete, line, again, retry_delay);\n",
+            "    (tier, build, playoff, ask, cost, estimated_calls, embed_all, nearest, from_rows);\n",
+            "    (mentions, bare, covered, documented);\n",
+            "}\n",
+        ),
+    );
+    repo.write("crates/data/src/orphan.rs", "pub fn orphan() {}\n");
+    repo.write("crates/metrics/src/lonely.rs", "pub struct Lonely;\n");
+    repo.write(
+        "crates/embed/src/mentions.rs",
+        "// Lonely\npub fn mentions() -> &'static str { \"Lonely\" }\n",
+    );
+    repo.write(
+        "crates/oracle/src/exposed.rs",
+        concat!(
+            "pub struct Bare;\n",
+            "pub fn bare() -> Bare { Bare }\n",
+            "// lint: allow(pub-has-caller) — exposed by `covered`\n",
+            "pub struct Covered;\n",
+            "pub fn covered() -> Covered { Covered }\n",
+        ),
+    );
+    repo.write(
+        "crates/core/src/documented.rs",
+        "/// ```\n/// crowdprompt_core::documented::documented();\n/// ```\npub fn documented() {}\n",
+    );
+    repo.write("crates/core/src/frozen.rs", "pub fn frozen_caller() {}\n");
+    repo.write("benchmark/src/main.rs", "fn main() { frozen_caller(); }\n");
 
     let out = run_repolint(&repo.root);
     assert_eq!(out.status.code(), Some(1), "seeded violations must exit 1");
@@ -166,6 +202,10 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         "error[no-format-push]",
         "error[no-spawn-per-call]",
         "error[one-fingerprint]",
+        "error[pub-has-caller]",
+        "--> crates/data/src/orphan.rs:1:8",
+        "--> crates/metrics/src/lonely.rs:1:12",
+        "--> crates/oracle/src/exposed.rs:1:12",
         "--> crates/oracle/src/client.rs:2:40",
         "--> crates/core/src/exec.rs:4:35",
         "--> crates/oracle/src/route.rs:3:35",
@@ -229,14 +269,25 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         !stderr.contains("crates/embed/src/store.rs"),
         "`from_rows` is the one conversion from nested rows:\n{stderr}"
     );
+    for called in [
+        "crates/oracle/src/exposed.rs:4:",
+        "crates/core/src/documented.rs",
+        "crates/core/src/frozen.rs",
+        "crates/embed/src/mentions.rs",
+    ] {
+        assert!(
+            !stderr.contains(called),
+            "a pragma'd exposure, a doc-test and `benchmark/` are callers:\n{stderr}"
+        );
+    }
     // Three lock names across the two imports, two unwrap forms, two
     // deprecation attributes, two copies of a bill, a second layout and a
     // second query, a second count, a formatted temporary, a thread per
-    // call, a second hashing in the client and one in the dispatcher, one
-    // each of the rest:
-    // 3 + 2 + 2 + 2 + 2 + 2 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1.
+    // call, a second hashing in the client and one in the dispatcher, three
+    // public items without a caller, one each of the rest:
+    // 3 + 2 + 2 + 2 + 2 + 2 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 3.
     assert!(
-        stderr.contains("23 finding(s)"),
+        stderr.contains("26 finding(s)"),
         "unexpected total in:\n{stderr}"
     );
 }
@@ -261,7 +312,7 @@ fn pragmas_suppress_and_clean_tree_exits_zero() {
     );
     repo.write(
         "crates/core/tests/integration.rs",
-        "fn t() { let _ = std::time::Instant::now(); Some(1).unwrap(); }\n",
+        "fn t() { let _ = std::time::Instant::now(); Some(1).unwrap(); f(None); }\n",
     );
     let out = run_repolint(&repo.root);
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -289,7 +340,8 @@ fn this_repository_is_clean() {
     // `push_str(&format!(..))` in `template.rs`, for a thread started in
     // `route.rs` outside the hedge helper's start and the twin launch, and
     // for a `.fingerprint()` in `client.rs` outside `probe` or anywhere in
-    // `exec.rs` and `serve.rs`.
+    // `exec.rs` and `serve.rs`, and for a `pub` item of a library crate
+    // that nothing outside the crate names.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let out = run_repolint(&root);
     let stderr = String::from_utf8_lossy(&out.stderr);
