@@ -289,7 +289,6 @@ fn bench_semantic(c: &mut Criterion) {
     // all 64).
     let config = StoreConfig {
         semantic: Some(SemanticConfig::new(0.39)),
-        ..StoreConfig::default()
     };
 
     let base: Vec<CompletionRequest> = ids

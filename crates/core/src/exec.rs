@@ -205,7 +205,6 @@ pub struct Engine {
     parallelism: usize,
     pack_width: usize,
     blocking_recall_target: Option<f32>,
-    temperature: f64,
     seed: u64,
     render_opts: RenderOptions,
     trace: Option<Arc<Trace>>,
@@ -226,8 +225,9 @@ pub(crate) fn router_of(client: &LlmClient) -> &Router {
 }
 
 impl Engine {
-    /// An engine over the given client and corpus with an unlimited budget,
-    /// temperature 0 and modest parallelism.
+    /// An engine over the given client and corpus with an unlimited budget
+    /// and modest parallelism. Calls run at temperature 0 unless a vote
+    /// round samples ([`RunSpec::sampled`]).
     pub fn new(client: Arc<LlmClient>, corpus: Corpus) -> Self {
         let admission_price_factor = router_of(&client).admission_price_factor();
         Engine {
@@ -243,7 +243,6 @@ impl Engine {
             parallelism: 8,
             pack_width: 1,
             blocking_recall_target: None,
-            temperature: 0.0,
             seed: 0,
             render_opts: RenderOptions::default(),
             trace: None,
@@ -322,13 +321,6 @@ impl Engine {
     #[must_use]
     pub(crate) fn with_blocking_recall_target(mut self, target: f32) -> Self {
         self.blocking_recall_target = Some(target);
-        self
-    }
-
-    /// Set the sampling temperature used for calls (builder style).
-    #[must_use]
-    pub fn with_temperature(mut self, t: f64) -> Self {
-        self.temperature = t;
         self
     }
 
@@ -476,11 +468,7 @@ impl Engine {
             completion_tokens: Self::estimate_completion_tokens(&task),
         };
         let est_usd = self.cost_of(est_usage);
-        Ok((
-            CompletionRequest::new(prompt, task).with_temperature(self.temperature),
-            est_usage,
-            est_usd,
-        ))
+        Ok((CompletionRequest::new(prompt, task), est_usage, est_usd))
     }
 
     /// Estimate one task's `(usd, total tokens)` cost by rendering its
@@ -505,7 +493,7 @@ impl Engine {
         let Ok(prompt) = render(&task, &self.corpus, &self.render_opts) else {
             return false;
         };
-        let request = CompletionRequest::new(prompt, task).with_temperature(self.temperature);
+        let request = CompletionRequest::new(prompt, task);
         // lint: allow(one-fingerprint) — a plan-time estimate, no request in flight
         store.contains(request.fingerprint())
     }
@@ -537,8 +525,8 @@ impl Engine {
         Ok(())
     }
 
-    /// Execute one unit task at the engine's temperature (sample 0): a
-    /// one-task [`Engine::run_many`].
+    /// Execute one unit task at temperature 0: a one-task
+    /// [`Engine::run_many`].
     pub fn run(&self, task: TaskDescriptor) -> Result<CompletionResponse, EngineError> {
         let mut responses = self.run_many(vec![task])?;
         Ok(responses.pop().expect("one response per task")) // lint: allow(no-unwrap)
@@ -555,7 +543,7 @@ impl Engine {
         &self,
         tasks: Vec<TaskDescriptor>,
     ) -> Result<Vec<CompletionResponse>, EngineError> {
-        let calls = tasks.into_iter().map(|task| self.unsampled(task)).collect();
+        let calls = tasks.into_iter().map(Engine::unsampled).collect();
         // A stop-on-error pump returns `Err` before any item can be one.
         Ok(self
             .run_items(calls, Admit::Batch, FailurePolicy::FailFast)?
@@ -586,7 +574,7 @@ impl Engine {
             } => (tasks, width, sampling),
             RunSpec::Sampled { specs } => return self.run_items(specs, Admit::PerCall, policy),
         };
-        let (temperature, sample_index) = sampling.unwrap_or((self.temperature, 0));
+        let (temperature, sample_index) = sampling.unwrap_or((0.0, 0));
         if width > 1 {
             return self.run_packs(&tasks, width, temperature, sample_index, policy);
         }
@@ -771,9 +759,9 @@ impl Engine {
         })
     }
 
-    /// `task` as a call at the engine's temperature, sample 0.
-    pub(crate) fn unsampled(&self, task: TaskDescriptor) -> Call {
-        (task, self.temperature, 0)
+    /// `task` as a call at temperature 0, sample 0.
+    pub(crate) fn unsampled(task: TaskDescriptor) -> Call {
+        (task, 0.0, 0)
     }
 
     /// Render each call once into dispatcher work and stamp it with how it
@@ -1336,7 +1324,7 @@ pub struct Quarantine {
 /// through, so the per-item-vs-packed branch lives in the engine once.
 #[derive(Debug, Clone)]
 pub enum RunSpec {
-    /// One call per task at the engine's temperature (sample 0).
+    /// One call per task at temperature 0 (sample 0).
     Many {
         /// The unit tasks, in output order.
         tasks: Vec<TaskDescriptor>,
@@ -1357,13 +1345,13 @@ pub enum RunSpec {
         /// Maximum tasks per packed prompt.
         width: usize,
         /// The `(temperature, sample_index)` every call is issued at —
-        /// one vote round; `None` is the engine's temperature, sample 0.
+        /// one vote round; `None` is temperature 0, sample 0.
         sampling: Option<(f64, u32)>,
     },
 }
 
 impl RunSpec {
-    /// One call per task at the engine's temperature.
+    /// One call per task at temperature 0.
     pub fn tasks(tasks: Vec<TaskDescriptor>) -> Self {
         RunSpec::Many { tasks }
     }
@@ -2071,7 +2059,7 @@ mod tests {
     /// `tasks` rendered for a per-call-admitted batch, unknown items
     /// pre-failed.
     fn rendered(engine: &Engine, tasks: Vec<TaskDescriptor>) -> Vec<Result<Work, EngineError>> {
-        let calls = tasks.into_iter().map(|t| engine.unsampled(t)).collect();
+        let calls = tasks.into_iter().map(Engine::unsampled).collect();
         engine.prepare(calls, Admit::PerCall, None, FailurePolicy::FailFast)
     }
 

@@ -38,10 +38,9 @@
 //!
 //! The server never reads a clock. Rate-limit refill and lease expiry are
 //! driven by an explicit **generation counter** ([`Server::generation`],
-//! [`Server::advance_generation`]) — the same discipline as the response
-//! store's epoch counter — so admission decisions are deterministic and
-//! testable: a test advances generations; a deployment wires the counter
-//! to whatever tick it likes.
+//! [`Server::advance_generation`]), so admission decisions are
+//! deterministic and testable: a test advances generations; a deployment
+//! wires the counter to whatever tick it likes.
 //!
 //! # Threading model
 //!
@@ -496,7 +495,15 @@ impl Server {
     }
 
     /// Advance the generation counter by `n`, refilling token buckets and
-    /// aging leases. The server never advances this itself.
+    /// aging leases, and return the new generation. The server never
+    /// advances this itself.
+    ///
+    /// ```no_run
+    /// # fn demo(server: &crowdprompt_core::Server) {
+    /// let now = server.generation();
+    /// assert_eq!(server.advance_generation(2), now + 2);
+    /// # }
+    /// ```
     pub fn advance_generation(&self, n: u64) -> u64 {
         self.gate.generation.fetch_add(n, Ordering::Relaxed) + n
     }
@@ -592,7 +599,7 @@ impl Server {
         let (mut batch_usd, mut batch_tokens) = (0.0f64, 0u64);
         for task in tasks {
             let item = engine
-                .render_call(engine.unsampled(task), Admit::Batch, deadline)
+                .render_call(Engine::unsampled(task), Admit::Batch, deadline)
                 .map_err(|e| refuse(ServeError::Invalid(e.to_string())))?;
             batch_usd += engine.admission_usd(item.admission.est_usd);
             batch_tokens += item.admission.est_tokens;

@@ -3,7 +3,9 @@
 //! A [`Session`] bundles a model client, a corpus, a budget, and execution
 //! settings, and exposes the paper's data processing primitives — sort,
 //! resolve, impute, filter, count, categorize, max, top-k, cluster — as
-//! methods returning cost-annotated [`Outcome`]s.
+//! methods returning cost-annotated [`Outcome`]s. Every call runs at
+//! temperature 0, as in the paper's case studies; only a voting
+//! [`ops::filter::FilterStrategy`] samples, at the temperature it names.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -250,7 +252,6 @@ pub struct SessionBuilder {
     parallelism: usize,
     pack_width: usize,
     blocking_recall_target: Option<f32>,
-    temperature: f64,
     seed: u64,
     criterion_label: String,
     trace: bool,
@@ -336,13 +337,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Set sampling temperature (default 0, as in all the paper's studies).
-    #[must_use]
-    pub fn temperature(mut self, t: f64) -> Self {
-        self.temperature = t;
-        self
-    }
-
     /// Set the seed driving operator tie-breaking.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
@@ -409,7 +403,6 @@ impl SessionBuilder {
             (Some(path), threshold) => {
                 let config = StoreConfig {
                     semantic: threshold.map(SemanticConfig::new),
-                    ..StoreConfig::default()
                 };
                 let store = ResponseStore::open(path, config).map_err(|e| {
                     EngineError::InvalidInput(format!(
@@ -442,7 +435,6 @@ impl SessionBuilder {
             .with_budget(self.budget)
             .with_parallelism(self.parallelism)
             .with_pack_width(self.pack_width)
-            .with_temperature(self.temperature)
             .with_seed(self.seed)
             .with_criterion_label(self.criterion_label);
         if let Some(target) = self.blocking_recall_target {
@@ -523,7 +515,6 @@ impl Session {
             parallelism: 8,
             pack_width: 1,
             blocking_recall_target: None,
-            temperature: 0.0,
             seed: 0,
             criterion_label: "by the given criterion".to_owned(),
             trace: false,

@@ -135,7 +135,7 @@ impl ClientStats {
 /// One in-flight temperature-0 request: the leader executes the backend
 /// call, joiners block on [`Flight::wait`] until the result is published.
 struct Flight {
-    state: Mutex<Option<Result<CompletionResponse, LlmError>>>,
+    state: Mutex<Option<Result<Arc<CompletionResponse>, LlmError>>>,
     cv: Condvar,
 }
 
@@ -147,13 +147,13 @@ impl Flight {
         }
     }
 
-    fn publish(&self, result: Result<CompletionResponse, LlmError>) {
+    fn publish(&self, result: Result<Arc<CompletionResponse>, LlmError>) {
         let mut state = self.state.lock();
         *state = Some(result);
         self.cv.notify_all();
     }
 
-    fn wait(&self) -> Result<CompletionResponse, LlmError> {
+    fn wait(&self) -> Result<Arc<CompletionResponse>, LlmError> {
         let mut state = self.state.lock();
         loop {
             if let Some(result) = state.as_ref() {
@@ -275,7 +275,7 @@ impl ShardedCache {
     }
 
     /// Leader path: store a successful result, retire the flight, and wake
-    /// all joiners.
+    /// all joiners. The shard and the flight hold the leader's one body.
     ///
     /// The cache insert happens before the flight is removed so that no
     /// window exists in which a new thread misses both the cache and the
@@ -284,13 +284,11 @@ impl ShardedCache {
         &self,
         key: u64,
         flight: &Arc<Flight>,
-        result: Result<CompletionResponse, LlmError>,
+        result: Result<Arc<CompletionResponse>, LlmError>,
     ) {
         let shard = self.shard(key);
-        if let Ok(response) = &result {
-            // The body is cloned (into its Arc) before the lock is taken.
-            let body = Arc::new(response.clone());
-            shard.responses.lock().map.insert(key, body);
+        if let Ok(body) = &result {
+            shard.responses.lock().map.insert(key, Arc::clone(body));
         }
         shard.flights.lock().remove(&key);
         flight.publish(result);
@@ -403,8 +401,8 @@ impl LlmClient {
     /// charge nothing to the ledger (exactly like in-memory cache hits, so
     /// meter == ledger == budget accounting is unchanged), and are counted
     /// in [`ClientStats::store_hits`] / [`ClientStats::semantic_hits`].
-    /// Freshly paid backend responses are admitted to the store subject to
-    /// its capacity and cost-aware admission policy.
+    /// Freshly paid temperature-0 backend responses are admitted to the
+    /// store.
     pub fn attach_store(&self, store: Arc<ResponseStore>) -> bool {
         self.store.set(store).is_ok()
     }
@@ -520,37 +518,18 @@ impl LlmClient {
         Probe::Hit(served_free(&arc))
     }
 
-    /// Semantic-tier store probe: answer a temperature-0 miss from the
-    /// nearest stored near-duplicate prompt within the configured distance
-    /// threshold. The hit is seeded into the shard cache under *this*
-    /// request's key, so repeats of the same near-duplicate are in-memory
-    /// hits; the store's exact tier is never polluted with approximate
-    /// answers.
-    fn probe_store_semantic(
-        &self,
-        request: &CompletionRequest,
-        key: u64,
-    ) -> Option<CompletionResponse> {
+    /// Semantic-tier store probe: the stored body of the nearest
+    /// near-duplicate prompt within the configured distance threshold, for
+    /// a temperature-0 miss. The leader publishes it to the shard under
+    /// *this* request's key, so repeats of the same near-duplicate are
+    /// in-memory hits; the store's exact tier is never polluted with
+    /// approximate answers.
+    fn probe_store_semantic(&self, request: &CompletionRequest) -> Option<Arc<CompletionResponse>> {
         let store = self.store.get()?;
         store.semantic_threshold()?;
-        let (_, _, response) = store.lookup_semantic(&request.prompt)?;
-        self.cache
-            .shard(key)
-            .responses
-            .lock()
-            .map
-            .insert(key, Arc::clone(&response));
+        let (_, _, body) = store.lookup_semantic(&request.prompt)?;
         self.stats.semantic_hits.fetch_add(1, Ordering::Relaxed);
-        Some(served_free(&response))
-    }
-
-    /// Offer a freshly paid completion to the attached store under the
-    /// request's already-computed `key` (no-op when none is attached; the
-    /// store applies its own admission policy).
-    fn admit_to_store(&self, request: &CompletionRequest, key: u64, response: &CompletionResponse) {
-        if let Some(store) = self.store.get() {
-            store.admit_keyed(request, key, response);
-        }
+        Some(body)
     }
 
     /// Seed the temperature-0 response cache with an externally produced
@@ -600,7 +579,9 @@ impl LlmClient {
         key: Option<u64>,
     ) -> Result<CompletionResponse, LlmError> {
         let Some(key) = key else {
-            return self.call_backend(request, None);
+            return self
+                .call_backend(request, None)
+                .map(|(response, _)| response);
         };
         // lint: allow(one-fingerprint) — debug builds check the key is the request's
         debug_assert_eq!(key, request.fingerprint());
@@ -610,9 +591,7 @@ impl LlmClient {
                 // Registered as a joiner: counted before waiting so tests
                 // (and metrics scrapes) can observe pending joins.
                 self.stats.coalesced.fetch_add(1, Ordering::Relaxed);
-                let mut result = flight.wait()?;
-                result.cached = true;
-                Ok(result)
+                flight.wait().map(|body| served_free(&body))
             }
             Claim::Lead(flight) => {
                 // If the backend panics, the drop guard publishes an error
@@ -644,18 +623,30 @@ impl LlmClient {
                 // Leader-side semantic probe: embedding the prompt is too
                 // heavy to do per-thread, so only the leader pays it, and a
                 // hit is published to joiners like any other result.
-                if let Some(hit) = self.probe_store_semantic(request, key) {
+                if let Some(body) = self.probe_store_semantic(request) {
                     guard.armed = false;
-                    self.cache.publish(key, &flight, Ok(hit.clone()));
+                    let hit = served_free(&body);
+                    self.cache.publish(key, &flight, Ok(body));
                     return Ok(hit);
                 }
                 let result = self.call_backend(request, Some(key));
                 guard.armed = false;
-                if let Ok(response) = &result {
-                    self.admit_to_store(request, key, response);
+                match result {
+                    Ok((response, journaled)) => {
+                        // One body for every tier that keeps this response:
+                        // the journal's, else a copy made here.
+                        let body = journaled.unwrap_or_else(|| Arc::new(response.clone()));
+                        if let Some(store) = self.store.get() {
+                            store.admit_keyed(request, key, &body);
+                        }
+                        self.cache.publish(key, &flight, Ok(body));
+                        Ok(response)
+                    }
+                    Err(e) => {
+                        self.cache.publish(key, &flight, Err(e.clone()));
+                        Err(e)
+                    }
                 }
-                self.cache.publish(key, &flight, result.clone());
-                result
             }
         }
     }
@@ -665,11 +656,13 @@ impl LlmClient {
     /// the request's fingerprint when the caller has already computed it
     /// (the cacheable miss path); an uncacheable request is never probed, so
     /// it is hashed here, once, and only when a journal wants the key.
+    /// Returns the caller's response and, when a journal is attached, the
+    /// shared body recorded in (or replayed from) it.
     fn call_backend(
         &self,
         request: &CompletionRequest,
         key: Option<u64>,
-    ) -> Result<CompletionResponse, LlmError> {
+    ) -> Result<(CompletionResponse, Option<Arc<CompletionResponse>>), LlmError> {
         let journal = self
             .journal
             .get()
@@ -679,7 +672,7 @@ impl LlmClient {
             // Stands in for the call a previous process paid for: charged
             // the same, dispatched nowhere.
             self.ledger.record(replayed.usage, replayed.pricing);
-            return Ok((*replayed).clone());
+            return Ok(((*replayed).clone(), Some(replayed)));
         }
         // Backend latency must never be spent under a shim lock (the
         // lock_diagnostics build enforces this marker).
@@ -691,11 +684,13 @@ impl LlmClient {
                 // carries it), not the tier's reference pricing — these
                 // can differ per call.
                 self.ledger.record(resp.usage, resp.pricing);
-                if let Some((journal, key)) = journal {
+                let journaled = journal.map(|(journal, key)| {
+                    let body = Arc::new(resp.clone());
                     // Nothing reads a journal's prompts.
-                    journal.record(key, "", &resp);
-                }
-                Ok(resp)
+                    journal.record(key, "", &body);
+                    body
+                });
+                Ok((resp, journaled))
             }
             Err(e) => {
                 self.stats.failures.fetch_add(1, Ordering::Relaxed);
@@ -1248,7 +1243,6 @@ mod tests {
         let path = store_temp_path("semantic");
         let config = StoreConfig {
             semantic: Some(SemanticConfig::new(0.4)),
-            ..StoreConfig::default()
         };
         let (world, ids) = world_and_ids(1);
         let base = check_req(ids[0]);
@@ -1296,7 +1290,6 @@ mod tests {
         let path = store_temp_path("fallthrough");
         let config = StoreConfig {
             semantic: Some(SemanticConfig::new(0.05)),
-            ..StoreConfig::default()
         };
         let (world, ids) = world_and_ids(2);
         let llm = Arc::new(SimulatedLlm::new(ModelProfile::perfect(), world, 1));
@@ -1362,5 +1355,32 @@ mod tests {
         assert_eq!(resumed.ledger().calls(), 2);
         drop(resumed);
         store_cleanup(&path);
+    }
+
+    #[test]
+    fn a_paid_miss_is_one_body_in_the_shard_the_store_and_the_journal() {
+        use crate::store::{ResponseStore, StoreConfig};
+        let (store_path, journal_path) = (store_temp_path("one-body"), store_temp_path("one-j"));
+        let (world, ids) = world_and_ids(1);
+        let llm = Arc::new(SimulatedLlm::new(ModelProfile::perfect(), world, 1));
+        let client = LlmClient::new(llm).with_store(Arc::new(
+            ResponseStore::open(&store_path, StoreConfig::default()).unwrap(),
+        ));
+        let journal = Arc::new(ResponseStore::open(&journal_path, StoreConfig::default()).unwrap());
+        assert!(client.attach_journal(Arc::clone(&journal)));
+        let req = check_req(ids[0]);
+        let key = req.fingerprint();
+        let paid = client.complete(&req).unwrap();
+        assert_eq!(client.stats().calls(), 1);
+
+        let shard = client.cache.get(key).expect("published to its shard");
+        let stored = client.store().unwrap().lookup(key).expect("admitted");
+        let journaled = journal.lookup(key).expect("recorded");
+        assert!(Arc::ptr_eq(&shard, &stored));
+        assert!(Arc::ptr_eq(&shard, &journaled));
+        assert_eq!(*shard, paid, "the caller's copy is the same response");
+        drop(client);
+        store_cleanup(&store_path);
+        store_cleanup(&journal_path);
     }
 }

@@ -23,7 +23,7 @@
 //!    first two never decide and the key is `(load, rate, order)`.
 //! 2. **Hedging** (optional) — the primary runs on the caller's thread
 //!    while the router's one helper thread holds a deadline for it: the
-//!    p9x-based delay `max(hedge floor, observed p⟨percentile⟩ latency)`.
+//!    delay `max(hedge floor, observed p90 latency)`.
 //!    A call that answers in time costs no thread. Only when the deadline
 //!    passes with the primary still out does the helper duplicate the
 //!    request onto the next-best backend, on a thread of the twin's own;
@@ -57,26 +57,23 @@ use crate::error::LlmError;
 use crate::pricing::Pricing;
 use crate::types::{CompletionRequest, CompletionResponse, LanguageModel};
 
-/// Hedged-request configuration.
+/// Hedged-request configuration: the effective hedge delay is
+/// `max(after, p90)` of the primary backend's recent calls.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HedgeConfig {
     /// Floor on the hedge delay: never duplicate a request earlier than
     /// this after dispatching the primary.
     pub after: Duration,
-    /// Latency percentile (in `[0, 1]`) of the primary backend's recent
-    /// calls used as the adaptive hedge trigger; the effective delay is
-    /// `max(after, p⟨percentile⟩)`.
-    pub percentile: f64,
 }
 
+/// The latency percentile of a primary backend's recent calls past which a
+/// hedging router launches a twin (the classic tail-taming choice).
+const HEDGE_PERCENTILE: f64 = 0.9;
+
 impl HedgeConfig {
-    /// Hedge after `max(after, observed p90)` — the classic tail-taming
-    /// configuration.
+    /// Hedge after `max(after, observed p90)`.
     pub fn after(after: Duration) -> Self {
-        HedgeConfig {
-            after,
-            percentile: 0.9,
-        }
+        HedgeConfig { after }
     }
 }
 
@@ -146,7 +143,7 @@ struct BreakerState {
     probing: bool,
 }
 
-/// How many recent call latencies feed the p9x hedge trigger.
+/// How many recent call latencies feed the p90 hedge trigger.
 const LATENCY_WINDOW: usize = 64;
 /// Minimum samples before the adaptive trigger overrides the floor.
 const LATENCY_MIN_SAMPLES: usize = 8;
@@ -430,10 +427,10 @@ impl Core {
         }
     }
 
-    /// The effective hedge delay for a primary backend: the adaptive p9x
+    /// The effective hedge delay for a primary backend: the adaptive p90
     /// trigger once history exists, floored by the configured delay.
     fn hedge_delay(&self, primary: usize, config: &HedgeConfig) -> Duration {
-        match self.states[primary].latency_percentile(config.percentile) {
+        match self.states[primary].latency_percentile(HEDGE_PERCENTILE) {
             Some(observed) if observed > config.after => observed,
             _ => config.after,
         }

@@ -20,104 +20,21 @@
 //!
 //! The journal is a `ResponseStore` in the client's replay slot, so the
 //! file format, torn-tail recovery and writer lock under test here are the
-//! store's own.
+//! store's own. A killed writer's resume is tested in `killed_writer.rs`,
+//! alone in its binary because it spawns a child process.
 
-use std::path::{Path, PathBuf};
+mod common;
+
 use std::sync::Arc;
 
 use crowdprompt::core::ops::filter::FilterStrategy;
 use crowdprompt::oracle::model::NoiseProfile;
 use crowdprompt::oracle::store::{ResponseStore, StoreConfig};
 use crowdprompt::oracle::task::TaskDescriptor;
-use crowdprompt::oracle::world::{ItemId, WorldModel};
 use crowdprompt::prelude::*;
 use proptest::prelude::*;
 
-fn temp_path(tag: &str) -> PathBuf {
-    static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let n = COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "crowdprompt-resume-test-{}-{tag}-{n}.log",
-        std::process::id()
-    ))
-}
-
-fn lock_path(path: &Path) -> PathBuf {
-    let mut lock = path.as_os_str().to_os_string();
-    lock.push(".lock");
-    PathBuf::from(lock)
-}
-
-fn cleanup(path: &Path) {
-    std::fs::remove_file(path).ok();
-    std::fs::remove_file(lock_path(path)).ok();
-}
-
-fn keep_world(n: usize) -> (WorldModel, Vec<ItemId>) {
-    let mut w = WorldModel::new();
-    let items = (0..n)
-        .map(|i| {
-            let id = w.add_item(format!("record number {i}"));
-            w.set_flag(id, "keep", i % 3 == 0);
-            id
-        })
-        .collect();
-    (w, items)
-}
-
-/// A fresh, fully independent session stack journaling to `journal`:
-/// new simulated model, new client (empty cache, zeroed ledger), new
-/// budget tracker. Only the journal file carries state between stacks.
-fn journaled_session(w: &WorldModel, items: &[ItemId], seed: u64, journal: &PathBuf) -> Session {
-    journaled_builder(w, items, seed, journal)
-        .parallelism(1)
-        .build()
-}
-
-fn journaled_builder(
-    w: &WorldModel,
-    items: &[ItemId],
-    seed: u64,
-    journal: &PathBuf,
-) -> SessionBuilder {
-    let llm = SimulatedLlm::new(
-        ModelProfile::gpt35_like().with_noise(NoiseProfile::perfect()),
-        Arc::new(w.clone()),
-        seed,
-    );
-    Session::builder()
-        .client(Arc::new(LlmClient::new(Arc::new(llm))))
-        .corpus(Corpus::from_world(w, items))
-        .criterion("by index")
-        .resilience(ResilienceConfig::new().journal_path(journal))
-}
-
-/// Everything the resume contract pins, captured after a run.
-#[derive(Debug, PartialEq)]
-struct Fingerprint {
-    kept: Vec<ItemId>,
-    budget_spend_bits: u64,
-    ledger_spend_bits: u64,
-    ledger_calls: u64,
-    ledger_prompt_tokens: u32,
-    ledger_completion_tokens: u32,
-}
-
-fn run_filter(session: &Session, items: &[ItemId], strategy: FilterStrategy) -> Fingerprint {
-    let out = session
-        .filter(items, "keep", strategy)
-        .expect("perfect-noise filter must succeed");
-    let ledger = session.engine().client().ledger();
-    let usage = ledger.usage();
-    Fingerprint {
-        kept: out.value,
-        budget_spend_bits: session.spent_usd().to_bits(),
-        ledger_spend_bits: ledger.spend_usd().to_bits(),
-        ledger_calls: ledger.calls(),
-        ledger_prompt_tokens: usage.prompt_tokens,
-        ledger_completion_tokens: usage.completion_tokens,
-    }
-}
+use common::*;
 
 proptest! {
     /// Kill the journal at an arbitrary byte and resume on a fresh stack:
@@ -204,63 +121,6 @@ fn full_journal_resume_dispatches_nothing() {
         "a complete journal must serve the whole run without dispatching"
     );
     cleanup(&path);
-}
-
-const KILLED_WRITER_ENV: &str = "CROWDPROMPT_KILLED_WRITER_JOURNAL";
-
-/// Child half of `resume_after_a_killed_writer_needs_no_cleanup` (a no-op
-/// in an ordinary run): journal a run to the path in the environment, then
-/// die holding the journal, without running any `Drop`.
-#[test]
-fn killed_writer_child() {
-    let Some(path) = std::env::var_os(KILLED_WRITER_ENV).map(PathBuf::from) else {
-        return;
-    };
-    let (w, items) = keep_world(20);
-    let session = journaled_session(&w, &items, 17, &path);
-    run_filter(&session, &items, FilterStrategy::Single);
-    std::process::abort();
-}
-
-#[test]
-fn resume_after_a_killed_writer_needs_no_cleanup() {
-    // SIGKILL, OOM, abort and power loss run no `Drop`, so the dead
-    // writer's `<journal>.lock` sidecar is still on disk. The lock proper
-    // is a kernel advisory lock that died with the process: the resume
-    // opens the same path unattended.
-    let (w, items) = keep_world(20);
-    let path = temp_path("killed");
-    let status = std::process::Command::new(std::env::current_exe().unwrap())
-        .args(["--exact", "killed_writer_child"])
-        .env(KILLED_WRITER_ENV, &path)
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .status()
-        .unwrap();
-    assert!(!status.success(), "the child must die, not exit: {status}");
-    assert!(lock_path(&path).exists(), "no Drop ran; the sidecar stays");
-
-    let reference_path = temp_path("killed-reference");
-    let reference = run_filter(
-        &journaled_session(&w, &items, 17, &reference_path),
-        &items,
-        FilterStrategy::Single,
-    );
-    let resumed = journaled_session(&w, &items, 17, &path);
-    assert_eq!(
-        run_filter(&resumed, &items, FilterStrategy::Single),
-        reference
-    );
-    assert_eq!(resumed.engine().client().stats().calls(), 0);
-
-    // While the resumed session lives, the lock is held for real.
-    let err = journaled_builder(&w, &items, 17, &path)
-        .try_build()
-        .err()
-        .expect("a live writer must refuse a second one");
-    assert!(err.to_string().contains("already has a writer"), "{err}");
-    cleanup(&path);
-    cleanup(&reference_path);
 }
 
 #[test]

@@ -1,0 +1,258 @@
+//! Golden for the two on-disk logs, recorded at the commit before the
+//! response store lost its generation TTLs, capacity, cost-aware eviction
+//! and compaction, and passing unedited on it: the exact bytes (length +
+//! FNV-1a) a fixed sequence of paid misses, a sampled call, a semantic hit
+//! and direct admits writes to a store file and to a journal file, and what
+//! a writer reopen and a reader reopen of each then serve.
+//!
+//! The on-disk format is shared with every store and journal a user already
+//! has, so a failure here means a byte of a record or a reopened answer
+//! moved: fix `store.rs` or the client's miss path, do not re-record.
+
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+use crowdprompt::oracle::hash::fnv1a;
+use crowdprompt::oracle::store::{ResponseStore, SemanticConfig, StoreConfig};
+use crowdprompt::oracle::{
+    CompletionRequest, CompletionResponse, FinishReason, ItemId, LlmClient, ModelProfile, Pricing,
+    SimulatedLlm, TaskDescriptor, Usage, WorldModel,
+};
+
+/// `(length, FNV-1a)` of the store file after the first session.
+const STORE_BYTES: (usize, u64) = (1427, 0x48bd7f37dc8f4ad5);
+/// `(length, FNV-1a)` of the journal file after the first session.
+const JOURNAL_BYTES: (usize, u64) = (867, 0xc1d752d53e17ddcb);
+/// `(length, FNV-1a)` of the store file after a writer reopen admits one more.
+const STORE_BYTES_REOPENED: (usize, u64) = (1710, 0xa01aa0efd9a29274);
+/// `(entries, FNV-1a of every key's lookup)` served by each reopen.
+const STORE_WRITER_SERVES: (usize, u64) = (5, 0x40428d78b1cb11ea);
+const STORE_READER_SERVES: (usize, u64) = (6, 0x297035ab3dd1b08b);
+const JOURNAL_SERVES: (usize, u64) = (5, 0xb4961d64a20b8bbf);
+
+/// Item texts: distinct enough that no two check prompts are near
+/// duplicates under [`THRESHOLD`], with tabs, newlines and multi-byte text
+/// for the prompt escaping.
+const TEXTS: [&str; 5] = [
+    "name: Chez Panisse;\taddress: 1517 Shattuck Ave;\tphone: 510-548-5525",
+    "chocolate fudge brownie (double)\nwith walnuts",
+    "caf\u{e9} cr\u{e8}me br\u{fb}l\u{e9}e \u{2014} 12\u{20ac}",
+    "M. Stonebraker, \"The Design of POSTGRES\", SIGMOD 1986 \\ reprint",
+    "Hayes Street Grill, 320 Hayes St., seafood\r\n",
+];
+
+const THRESHOLD: f32 = 0.3;
+
+fn temp_path(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!(
+        "crowdprompt-store-golden-{}-{tag}.log",
+        std::process::id()
+    ))
+}
+
+fn cleanup(path: &Path) {
+    std::fs::remove_file(path).ok();
+    let mut lock = path.as_os_str().to_os_string();
+    lock.push(".lock");
+    std::fs::remove_file(PathBuf::from(lock)).ok();
+}
+
+fn world() -> Arc<WorldModel> {
+    let mut w = WorldModel::new();
+    for (i, text) in TEXTS.iter().enumerate() {
+        let id = w.add_item(*text);
+        w.set_flag(id, "p", i % 2 == 0);
+    }
+    Arc::new(w)
+}
+
+fn check(item: u64, question: &str) -> CompletionRequest {
+    CompletionRequest::new(
+        format!(
+            "{question}\nItem: {}\nAnswer Yes or No.",
+            TEXTS[item as usize]
+        ),
+        TaskDescriptor::CheckPredicate {
+            item: ItemId(item),
+            predicate: "p".into(),
+        },
+    )
+}
+
+/// The paid temperature-0 requests of the first session, in order.
+fn paid() -> Vec<CompletionRequest> {
+    vec![
+        check(0, "Is this a restaurant in Berkeley?"),
+        check(1, "Would a pastry chef list this dessert?"),
+        check(2, "Does this menu line name a price in euros?"),
+        check(3, "Is this a database systems paper?"),
+    ]
+}
+
+/// One letter away from `paid()[3]`: a semantic hit, never an exact one.
+fn near_duplicate() -> CompletionRequest {
+    check(3, "Is this a database system paper?")
+}
+
+fn sampled() -> CompletionRequest {
+    check(1, "Would a pastry chef list this dessert?")
+        .with_temperature(0.7)
+        .with_sample_index(2)
+}
+
+/// A response no backend produced, with every field off its default.
+fn external() -> (CompletionRequest, CompletionResponse) {
+    let request = check(4, "Is this\ta seafood place?\r\nSay\\so.");
+    let response = CompletionResponse {
+        text: "Yes\tit is\nline two \\ backslash\rcarriage".into(),
+        usage: Usage {
+            prompt_tokens: 17,
+            completion_tokens: 5,
+        },
+        finish_reason: FinishReason::Length,
+        model: "external-model".into(),
+        cached: false,
+        pricing: Pricing::new(0.0005, 0.0015),
+        confidence: Some(0.875),
+    };
+    (request, response)
+}
+
+/// Every key the sequence touched, admitted or not.
+fn keys() -> Vec<u64> {
+    let mut keys: Vec<u64> = paid().iter().map(CompletionRequest::fingerprint).collect();
+    keys.push(sampled().fingerprint());
+    keys.push(near_duplicate().fingerprint());
+    keys.push(external().0.fingerprint());
+    keys.push(check(4, "Is this a seafood place?").fingerprint());
+    keys
+}
+
+fn client(store: Option<Arc<ResponseStore>>, journal: Option<Arc<ResponseStore>>) -> LlmClient {
+    let llm = SimulatedLlm::new(ModelProfile::gpt35_like(), world(), 7);
+    let client = LlmClient::new(Arc::new(llm));
+    if let Some(store) = store {
+        assert!(client.attach_store(store));
+    }
+    if let Some(journal) = journal {
+        assert!(client.attach_journal(journal));
+    }
+    client
+}
+
+fn semantic() -> StoreConfig {
+    let mut config = StoreConfig::default();
+    config.semantic.replace(SemanticConfig::new(THRESHOLD));
+    config
+}
+
+fn file_digest(path: &Path) -> (usize, u64) {
+    let bytes = std::fs::read(path).unwrap();
+    (bytes.len(), fnv1a(&bytes))
+}
+
+/// `(len, FNV-1a over every key's lookup and containment)`.
+fn serves(store: &ResponseStore) -> (usize, u64) {
+    let mut text = String::new();
+    for key in keys() {
+        let found = store.lookup(key);
+        assert_eq!(found.is_some(), store.contains(key), "{key:016x}");
+        text.push_str(&format!("{key:016x} {found:?}\n"));
+    }
+    (store.len(), fnv1a(text.as_bytes()))
+}
+
+#[test]
+fn store_and_journal_bytes_and_reopens_are_pinned() {
+    let (store_path, journal_path) = (temp_path("store"), temp_path("journal"));
+    cleanup(&store_path);
+    cleanup(&journal_path);
+
+    // First session: four paid misses, a repeat, a sampled call, a
+    // near-duplicate, then direct admits beside the client.
+    {
+        let store = Arc::new(ResponseStore::open(&store_path, semantic()).unwrap());
+        let journal = Arc::new(ResponseStore::open(&journal_path, StoreConfig::default()).unwrap());
+        let client = client(Some(Arc::clone(&store)), Some(Arc::clone(&journal)));
+        for request in paid() {
+            assert!(!client.complete(&request).unwrap().cached);
+        }
+        assert!(client.complete(&paid()[0]).unwrap().cached, "a shard hit");
+        assert!(!client.complete(&sampled()).unwrap().cached);
+        let near = client.complete(&near_duplicate()).unwrap();
+        assert!(near.cached, "a semantic hit");
+        let stats = client.stats();
+        assert_eq!(
+            (stats.calls(), stats.cache_hits(), stats.semantic_hits()),
+            (5, 1, 1)
+        );
+
+        let (request, response) = external();
+        assert!(store.admit(&request, &response));
+        assert!(!store.admit(&request, &response), "first write wins");
+        let hit = CompletionResponse {
+            cached: true,
+            ..response.clone()
+        };
+        assert!(!store.admit(&check(4, "Is this a seafood place?"), &hit));
+        assert!(!store.admit(&request.clone().with_temperature(0.3), &response));
+        assert_eq!((store.len(), journal.len()), (5, 5));
+    }
+    assert_eq!(file_digest(&store_path), STORE_BYTES, "store file");
+    assert_eq!(file_digest(&journal_path), JOURNAL_BYTES, "journal file");
+
+    // A writer reopen serves what was written, answers the near-duplicate
+    // from the rebuilt semantic index, and appends in the same format.
+    {
+        let store = Arc::new(ResponseStore::open(&store_path, semantic()).unwrap());
+        assert_eq!(serves(&store), STORE_WRITER_SERVES, "store writer reopen");
+        let client = client(Some(Arc::clone(&store)), None);
+        assert!(client.complete(&near_duplicate()).unwrap().cached);
+        assert!(
+            !client
+                .complete(&check(4, "Is this a seafood place?"))
+                .unwrap()
+                .cached
+        );
+        let stats = client.stats();
+        assert_eq!(
+            (stats.calls(), stats.store_hits(), stats.semantic_hits()),
+            (1, 0, 1)
+        );
+        assert_eq!(store.len(), 6);
+    }
+    assert_eq!(file_digest(&store_path), STORE_BYTES_REOPENED, "appended");
+
+    let reader = ResponseStore::open_read_only(&store_path, semantic()).unwrap();
+    assert_eq!(serves(&reader), STORE_READER_SERVES, "store reader reopen");
+    let (request, response) = external();
+    assert!(
+        !reader.admit(&check(0, "unseen"), &response),
+        "readers admit nothing"
+    );
+    assert_eq!(*reader.lookup(request.fingerprint()).unwrap(), response);
+    drop(reader);
+
+    // The journal replays every paid call, the sampled one included, and
+    // charges what the first session paid.
+    {
+        let journal = Arc::new(ResponseStore::open(&journal_path, StoreConfig::default()).unwrap());
+        assert_eq!(serves(&journal), JOURNAL_SERVES, "journal writer");
+        let client = client(None, Some(journal));
+        for request in paid().iter().chain([&sampled()]) {
+            assert!(!client.complete(request).unwrap().cached, "a replay");
+        }
+        assert_eq!((client.stats().calls(), client.ledger().calls()), (0, 5));
+    }
+    let reader = ResponseStore::open_read_only(&journal_path, StoreConfig::default()).unwrap();
+    assert_eq!(serves(&reader), JOURNAL_SERVES, "journal reader");
+    drop(reader);
+    assert_eq!(
+        file_digest(&journal_path),
+        JOURNAL_BYTES,
+        "replays append nothing"
+    );
+
+    cleanup(&store_path);
+    cleanup(&journal_path);
+}

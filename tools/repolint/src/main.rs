@@ -37,6 +37,10 @@
 //! ```
 //!
 //! Exit status: 0 when clean, 1 on any finding, 2 on I/O errors.
+//!
+//! `repolint --counts [root]` lints nothing and prints, per library crate
+//! (the five of `pub-has-caller`), its non-test lines, the code lines among
+//! them and its `pub` declarations — the size numbers a change reports.
 
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -176,8 +180,22 @@ struct Finding {
 }
 
 fn main() {
-    let root = std::env::args().nth(1).unwrap_or_else(|| ".".to_string());
-    let root = PathBuf::from(root);
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let counts = args.first().is_some_and(|a| a == "--counts");
+    if counts {
+        args.remove(0);
+    }
+    let root = PathBuf::from(args.first().map_or(".", String::as_str));
+    if counts {
+        match count_crates(&root) {
+            Ok(table) => print!("{table}"),
+            Err(e) => {
+                eprintln!("repolint: error: {e}");
+                std::process::exit(2);
+            }
+        }
+        return;
+    }
     match run(&root) {
         Ok(findings) if findings.is_empty() => {
             println!("repolint: clean");
@@ -1278,6 +1296,87 @@ fn doc_test_code(src: &str) -> String {
         }
     }
     code
+}
+
+// ---------------------------------------------------------------------------
+// --counts
+// ---------------------------------------------------------------------------
+
+/// The `--counts` table: for each of [`PUB_CALLER_CRATES`], over its library
+/// files' lines outside `#[cfg(test)]` items, how many there are, how many
+/// hold code once comments and string contents are masked, and how many
+/// declare a `pub` item.
+fn count_crates(root: &Path) -> Result<String, String> {
+    let mut rust_files = Vec::new();
+    walk(root, Path::new(""), &mut rust_files, &mut Vec::new())?;
+    let mut rows = [[0usize; 3]; PUB_CALLER_CRATES.len()];
+    for rel in &rust_files {
+        let rel_str = unix_path(rel);
+        let Some(krate) = PUB_CALLER_CRATES
+            .iter()
+            .position(|c| rel_str.starts_with(c))
+        else {
+            continue;
+        };
+        if is_test_path(&rel_str) {
+            continue;
+        }
+        let src = std::fs::read_to_string(root.join(rel)).map_err(|e| format!("{rel_str}: {e}"))?;
+        let masked = mask_source(&src);
+        let regions = test_regions(&masked);
+        let mut start = 0;
+        for line in masked.split(|&c| c == '\n') {
+            let indent = line.iter().take_while(|c| c.is_whitespace()).count();
+            let code: String = line[indent..].iter().collect();
+            let at = start + indent;
+            start += line.len() + 1;
+            if at >= masked.len() || in_regions(&regions, at) {
+                continue;
+            }
+            let row = &mut rows[krate];
+            row[0] += 1;
+            row[1] += usize::from(!code.trim_end().is_empty());
+            row[2] += usize::from(declares_pub(&code));
+        }
+    }
+    let mut table = format!("{:<8} {:>7} {:>7} {:>5}\n", "crate", "lines", "code", "pub");
+    let mut total = [0usize; 3];
+    for (krate, row) in PUB_CALLER_CRATES.iter().zip(&rows) {
+        let name = krate
+            .trim_start_matches("crates/")
+            .trim_end_matches("/src/");
+        table += &format!("{name:<8} {:>7} {:>7} {:>5}\n", row[0], row[1], row[2]);
+        for (sum, n) in total.iter_mut().zip(row) {
+            *sum += n;
+        }
+    }
+    table += &format!(
+        "{:<8} {:>7} {:>7} {:>5}\n",
+        "total", total[0], total[1], total[2]
+    );
+    Ok(table)
+}
+
+/// Whether a masked, indent-stripped line matches
+/// `pub (const |unsafe )*(fn|struct|enum|trait|type|const|static) `.
+fn declares_pub(line: &str) -> bool {
+    const KINDS: &[&str] = &["fn", "struct", "enum", "trait", "type", "const", "static"];
+    let Some(mut rest) = line.strip_prefix("pub ") else {
+        return false;
+    };
+    loop {
+        let word = rest.split(' ').next().unwrap_or_default();
+        if KINDS.contains(&word) && rest[word.len()..].starts_with(' ') {
+            return true;
+        }
+        match rest
+            .strip_prefix("const ")
+            .or_else(|| rest.strip_prefix("unsafe "))
+        {
+            Some(next) => rest = next,
+            None => return false,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

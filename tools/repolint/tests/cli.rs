@@ -41,9 +41,9 @@ fn run_repolint(root: &Path) -> Output {
         .expect("spawn repolint")
 }
 
-#[test]
-fn seeded_violations_of_every_rule_fail_with_positions() {
-    let repo = TempRepo::new("seeded");
+/// A synthetic repo with one violation of every rule.
+fn seeded_repo(tag: &str) -> TempRepo {
+    let repo = TempRepo::new(tag);
     repo.write(
         "crates/core/src/bad_sync.rs",
         "use std::sync::Mutex;\nuse std::sync::{Arc, RwLock, Condvar};\n",
@@ -160,7 +160,10 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         ),
     );
     repo.write("crates/data/src/orphan.rs", "pub fn orphan() {}\n");
-    repo.write("crates/metrics/src/lonely.rs", "pub struct Lonely;\n");
+    repo.write(
+        "crates/metrics/src/lonely.rs",
+        "pub struct Lonely;\n#[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}\n",
+    );
     repo.write(
         "crates/embed/src/mentions.rs",
         "// Lonely\npub fn mentions() -> &'static str { \"Lonely\" }\n",
@@ -181,7 +184,12 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
     );
     repo.write("crates/core/src/frozen.rs", "pub fn frozen_caller() {}\n");
     repo.write("benchmark/src/main.rs", "fn main() { frozen_caller(); }\n");
+    repo
+}
 
+#[test]
+fn seeded_violations_of_every_rule_fail_with_positions() {
+    let repo = seeded_repo("seeded");
     let out = run_repolint(&repo.root);
     assert_eq!(out.status.code(), Some(1), "seeded violations must exit 1");
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -289,6 +297,31 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
     assert!(
         stderr.contains("26 finding(s)"),
         "unexpected total in:\n{stderr}"
+    );
+}
+
+#[test]
+fn counts_report_lines_code_and_pub_items_per_library_crate() {
+    let repo = seeded_repo("counts");
+    let out = Command::new(env!("CARGO_BIN_EXE_repolint"))
+        .arg("--counts")
+        .arg(&repo.root)
+        .output()
+        .expect("spawn repolint");
+    assert_eq!(out.status.code(), Some(0), "--counts lints nothing");
+    // Test files, `#[cfg(test)]` items and the vendored shim are not
+    // counted; comment lines count as lines but not as code.
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        concat!(
+            "crate      lines    code   pub\n",
+            "core          23      20    15\n",
+            "embed          6       4     4\n",
+            "oracle        12      11     9\n",
+            "metrics        1       1     1\n",
+            "data           1       1     1\n",
+            "total         43      37    30\n",
+        )
     );
 }
 
