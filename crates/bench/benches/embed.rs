@@ -6,13 +6,9 @@
 //! ada-like 256-dimension hashed n-gram embedder — the shape every
 //! blocking workload (resolve dedup, blocked join, cluster) actually
 //! queries.
-//!
-//! Run with `CRITERION_JSON=BENCH_embed.json cargo bench --bench embed`
-//! to record a JSON-lines baseline.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
-use std::io::Write;
 use std::time::Instant;
 
 use crowdprompt_embed::{
@@ -128,20 +124,11 @@ fn bench_batch_blocking(c: &mut Criterion) {
 // Million-row tier (PR 6): IVF + SQ8 vs the exact fused scan.
 // ---------------------------------------------------------------------------
 
-/// Append an extra JSON line (same file the criterion shim writes) for
-/// measurements taken outside the shim's timing loop — the 1M tier times
-/// its own queries so the recorded numbers are exactly the ones the
+/// Print a measurement taken outside the shim's timing loop — the 1M tier
+/// times its own queries so the printed numbers are exactly the ones the
 /// in-bench speedup/recall assertions check.
-fn record_ns(name: &str, ns: u64) {
-    println!("bench: {name:<48} {ns:>14} ns (recorded)");
-    if let Ok(path) = std::env::var("CRITERION_JSON") {
-        let line = format!("{{\"name\":\"{name}\",\"ns\":{ns}}}\n");
-        let _ = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .and_then(|mut f| f.write_all(line.as_bytes()));
-    }
+fn report(name: &str, value: u64) {
+    println!("bench: {name:<48} {value:>14}");
 }
 
 /// SplitMix64 — the same deterministic generator the IVF trainer uses.
@@ -187,8 +174,7 @@ fn min_ns(samples: &[u64]) -> u64 {
 /// (at the default 0.95 recall target) vs the exact fused scan, over a
 /// million 256-dim rows, with recall@10 measured against the exact
 /// oracle. Both the speedup and the recall are asserted in-bench so a
-/// quantizer or trainer regression fails the CI smoke run, not just a
-/// number in a JSON file nobody re-reads.
+/// quantizer or trainer regression fails the CI smoke run.
 ///
 /// Fast mode (the CI smoke's tiny measurement window) caps the corpus at
 /// 50k rows so the run stays in CI budget; entry names are identical and
@@ -253,10 +239,10 @@ fn bench_million_row_tier(_c: &mut Criterion) {
     let recall = hit as f64 / total.max(1) as f64;
     let speedup = exact_best as f64 / ivf_best.max(1) as f64;
 
-    record_ns("embed_1m_query/exact_fused", exact_best);
-    record_ns("embed_1m_query/ivf_sq8", ivf_best);
-    record_ns("embed_1m_build/ivf_ns", build_ns);
-    record_ns(
+    report("embed_1m_query/exact_fused", exact_best);
+    report("embed_1m_query/ivf_sq8", ivf_best);
+    report("embed_1m_build/ivf_ns", build_ns);
+    report(
         "embed_1m_recall/at10_x1000",
         (recall * 1000.0).round() as u64,
     );

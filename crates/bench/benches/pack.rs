@@ -7,16 +7,14 @@
 //! wall-clock follows: 4096 calls at 4-way concurrency is ~512 ms of pure
 //! backend time, 256 packed calls is ~32 ms.
 //!
-//! Besides the timed groups, the bench records the measured backend call
-//! counts as extra JSON lines (`backend_calls_*`) and asserts the packed
-//! result is bit-identical to the per-item result — if packing ever changed
-//! answers, the bench fails rather than report a meaningless speedup.
-//!
-//! Run with `CRITERION_JSON=BENCH_pack.json cargo bench --bench pack` to
-//! record the JSON baseline.
+//! Besides the timed groups, the bench prints the measured backend call
+//! counts (`backend_calls_*`), asserts packing cuts them at least 4×, and
+//! asserts the packed result is bit-identical to the per-item result — if
+//! packing ever changed answers, the bench fails rather than report a
+//! meaningless speedup. The end-to-end harness never runs against a
+//! rate-limited backend, so this is the only measurement of that regime.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use std::io::Write as _;
 use std::sync::Arc;
 
 use crowdprompt_core::ops::filter::{filter, FilterStrategy};
@@ -107,20 +105,6 @@ fn engine_over(
     .with_pack_width(pack)
 }
 
-/// Append an extra JSON line (same file the criterion shim writes) for
-/// non-timing measurements like backend call counts.
-fn record_value(name: &str, value: u64) {
-    println!("bench: {name:<48} {value:>14} (recorded)");
-    if let Ok(path) = std::env::var("CRITERION_JSON") {
-        let line = format!("{{\"name\":\"{name}\",\"calls\":{value}}}\n");
-        let _ = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .and_then(|mut f| f.write_all(line.as_bytes()));
-    }
-}
-
 /// Wall-clock of the 4096-item filter burst at each dispatch width, against
 /// the rate-limited backend. Fresh engine (and cache) per iteration.
 fn bench_filter_burst(c: &mut Criterion) {
@@ -169,8 +153,9 @@ fn bench_filter_burst(c: &mut Criterion) {
         packed_calls * 4 <= per_item_calls,
         "packing must cut backend calls at least 4x: {packed_calls} vs {per_item_calls}"
     );
-    record_value("filter_pack_4096/backend_calls_per_item", per_item_calls);
-    record_value("filter_pack_4096/backend_calls_packed_w16", packed_calls);
+    println!(
+        "bench: filter_pack_4096/backend_calls per_item {per_item_calls} packed_w16 {packed_calls}"
+    );
 }
 
 criterion_group!(benches, bench_filter_burst);

@@ -1,4 +1,5 @@
-//! Multi-backend routing benchmarks — the PR-5 tentpole.
+//! Multi-backend routing benchmark: the per-call latency tail a caller sees
+//! with and without hedging.
 //!
 //! Scenario: one model tier served by two heterogeneous backends over the
 //! same simulator (so answers are bit-identical however traffic routes):
@@ -14,23 +15,15 @@
 //! tail-at-scale trade of a few duplicate calls for an order-of-magnitude
 //! p99 win.
 //!
-//! Besides the timed burst group, the bench measures the per-call latency
-//! distribution directly, records p50/p99 as extra JSON lines, and asserts
-//! in-bench that (a) hedged p99 beats unhedged p99 by ≥2×, (b) routed
-//! results — hedged or not — are bit-identical to the one-backend
-//! `LlmClient::new`, and (c) the outcome meter, client ledger, and budget tracker agree
-//! on routed spend (the hedged-loser-never-billed invariant).
-//!
-//! Run with `CRITERION_JSON=BENCH_route.json cargo bench --bench route` to
-//! record the JSON baseline.
+//! The bench measures the per-call latency distribution directly, prints
+//! p50/p99, and asserts in-bench that (a) the hedged tail beats the
+//! unhedged one by ≥2×, and (b) routed results — hedged or not — are
+//! bit-identical to the one-backend `LlmClient::new`.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use std::io::Write as _;
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crowdprompt_core::ops::filter::{filter, FilterStrategy};
-use crowdprompt_core::{Budget, Corpus, Engine};
 use crowdprompt_oracle::backend::{Backend, BackendRegistry, LatencyProfile, SimBackend};
 use crowdprompt_oracle::model::NoiseProfile;
 use crowdprompt_oracle::route::{HedgeConfig, RoutePolicy};
@@ -40,7 +33,6 @@ use crowdprompt_oracle::world::{ItemId, WorldModel};
 use crowdprompt_oracle::{LlmClient, ModelProfile, SimulatedLlm};
 
 const ITEMS: usize = 300;
-const BURST: usize = 96;
 const FAST_BASE_US: u64 = 1_500;
 const FAST_TAIL_PROB: f64 = 0.08;
 const FAST_TAIL_MULT: f64 = 25.0;
@@ -113,20 +105,6 @@ fn check_request(id: ItemId) -> CompletionRequest {
     )
 }
 
-/// Append an extra JSON line (same file the criterion shim writes) for
-/// non-timing measurements like latency percentiles.
-fn record_ns(name: &str, ns: u64) {
-    println!("bench: {name:<48} {ns:>14} ns (recorded)");
-    if let Ok(path) = std::env::var("CRITERION_JSON") {
-        let line = format!("{{\"name\":\"{name}\",\"ns\":{ns}}}\n");
-        let _ = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .and_then(|mut f| f.write_all(line.as_bytes()));
-    }
-}
-
 fn percentile_ns(sorted: &[u64], p: f64) -> u64 {
     let rank = ((sorted.len() - 1) as f64 * p).round() as usize;
     sorted[rank]
@@ -145,7 +123,7 @@ fn tail_median_ns(sorted: &[u64], p: f64) -> u64 {
 /// Per-call latency distribution, measured directly: every item issued once
 /// (all fingerprints distinct, so neither cache nor coalescer can hide the
 /// backend), cold client per configuration.
-fn bench_tail_latency(c: &mut Criterion) {
+fn bench_tail_latency(_c: &mut Criterion) {
     let (world, ids) = burst_world();
     let model = shared_model(&world);
 
@@ -175,8 +153,7 @@ fn bench_tail_latency(c: &mut Criterion) {
         latencies.sort_unstable();
         let p50 = percentile_ns(&latencies, 0.50);
         let p99 = percentile_ns(&latencies, 0.99);
-        record_ns(&format!("route_tail/{label}_p50_ns"), p50);
-        record_ns(&format!("route_tail/{label}_p99_ns"), p99);
+        println!("bench: route_tail/{label:<8} p50 {p50:>12} ns   p99 {p99:>12} ns");
         tails[slot] = tail_median_ns(&latencies, 0.95);
         if *hedged {
             let router = client.router().expect("routed client");
@@ -190,107 +167,14 @@ fn bench_tail_latency(c: &mut Criterion) {
     }
     // The >=2x tail-latency gate, asserted over the median of each run's
     // worst 5% (robust on noisy shared CI runners, where a lone p99
-    // observation can absorb a scheduler spike; the recorded p99 baselines
-    // above show the same >=3x story).
+    // observation can absorb a scheduler spike).
     assert!(
         tails[1] * 2 <= tails[0],
         "hedged tail latency must beat unhedged by >=2x: {} vs {} ns (worst-5% medians)",
         tails[1],
         tails[0]
     );
-
-    // Criterion-timed single-call shape, for the JSON baseline's ns/iter
-    // view of the same story (distinct sample indices defeat the cache).
-    let mut group = c.benchmark_group("route_call");
-    for (label, hedged) in [("unhedged", false), ("hedged", true)] {
-        let model = Arc::clone(&model);
-        let ids = ids.clone();
-        group.bench_function(label, |b| {
-            let client = routed_client(&model, hedged);
-            let mut cursor = 0usize;
-            b.iter(|| {
-                let mut request = check_request(ids[cursor % ids.len()]);
-                request.temperature = 0.7; // sampled: unique fingerprints
-                request.sample_index = (cursor / ids.len()) as u32;
-                cursor += 1;
-                client.complete(&request).unwrap()
-            })
-        });
-    }
-    group.finish();
 }
 
-/// Cold-burst wall clock: a 96-task batch through the engine's pipelined
-/// dispatcher (16 workers) over a fresh routed client per iteration.
-fn bench_cold_burst(c: &mut Criterion) {
-    let (world, ids) = burst_world();
-    let model = shared_model(&world);
-    let burst: Vec<ItemId> = ids[..BURST].to_vec();
-
-    let mut group = c.benchmark_group("route_burst");
-    for (label, hedged) in [("unhedged", false), ("hedged", true)] {
-        let world = Arc::clone(&world);
-        let model = Arc::clone(&model);
-        let burst = burst.clone();
-        group.bench_function(label, |b| {
-            b.iter_batched(
-                || {
-                    Engine::new(
-                        routed_client(&model, hedged),
-                        Corpus::from_world(&world, &burst),
-                    )
-                    .with_parallelism(16)
-                },
-                |engine| {
-                    let tasks: Vec<TaskDescriptor> = burst
-                        .iter()
-                        .map(|id| TaskDescriptor::CheckPredicate {
-                            item: *id,
-                            predicate: "urgent".into(),
-                        })
-                        .collect();
-                    engine.run_many(tasks).unwrap()
-                },
-                BatchSize::SmallInput,
-            )
-        });
-    }
-    group.finish();
-
-    // Accounting invariant, asserted in-bench on a priced model: outcome
-    // meter == client ledger == budget tracker across hedged routing (the
-    // hedged loser is cancelled and never billed anywhere).
-    let priced: Arc<dyn LanguageModel> = Arc::new(SimulatedLlm::new(
-        ModelProfile::gpt35_like(),
-        Arc::clone(&world),
-        7,
-    ));
-    let engine = Engine::new(
-        routed_client(&priced, true),
-        Corpus::from_world(&world, &burst),
-    )
-    .with_parallelism(16)
-    .with_budget(Budget::usd(5.0));
-    let out = filter(&engine, &burst, "urgent", FilterStrategy::Single).unwrap();
-    let ledger = engine.client().ledger();
-    assert_eq!(
-        out.calls,
-        ledger.calls(),
-        "meter and ledger count the same calls"
-    );
-    assert!(
-        (out.cost_usd - ledger.spend_usd()).abs() < 1e-9,
-        "outcome meter must equal the ledger: {} vs {}",
-        out.cost_usd,
-        ledger.spend_usd()
-    );
-    assert!(
-        (out.cost_usd - engine.budget().spent_usd()).abs() < 1e-9,
-        "budget tracker must equal the meter: {} vs {}",
-        engine.budget().spent_usd(),
-        out.cost_usd
-    );
-}
-
-criterion_group!(benches, bench_tail_latency, bench_cold_burst);
+criterion_group!(benches, bench_tail_latency);
 criterion_main!(benches);

@@ -43,47 +43,32 @@ use super::estimate::Estimator;
 use super::ir::{ClusterProbe, LogicalOp, Query};
 use super::{NodeEstimate, PhysicalNode, Plan, PlannedNode};
 
-/// Which rewrites the planner may apply. [`PlanOptions::verbatim`] lowers
-/// the chain exactly as declared (declared step order and pinned strategies
-/// are kept).
+/// Whether the planner rewrites the chain: all rewrites (the default, what
+/// [`Query::plan_on`] uses) or none ([`PlanOptions::verbatim`], which lowers
+/// the chain exactly as declared — declared step order and pinned
+/// strategies are kept).
+///
+/// The rewrites: fuse unpinned `sort` + `take(k)` into a top-k node;
+/// reorder adjacent filters cheapest-per-item first; push embedding
+/// blocking in front of unpinned pairwise stages; downgrade unpinned
+/// strategies until the estimate fits the budget; and resolve unpinned sort
+/// nodes via validation trials when the query carries a
+/// [`super::SortCalibration`] (the trials spend real budget at plan time).
 #[derive(Debug, Clone, Copy)]
 pub struct PlanOptions {
-    /// Fuse unpinned `sort` + `take(k)` into a top-k node.
-    pub fuse_sort_take: bool,
-    /// Reorder adjacent filters cheapest-per-item first.
-    pub reorder_filters: bool,
-    /// Push embedding blocking in front of unpinned pairwise stages.
-    pub push_blocking: bool,
-    /// Downgrade unpinned strategies until the estimate fits the budget.
-    pub fit_budget: bool,
-    /// Resolve unpinned sort nodes via validation trials when the query
-    /// carries a [`super::SortCalibration`] (the trials spend real budget
-    /// at plan time).
-    pub run_calibration: bool,
+    rewrite: bool,
 }
 
 impl PlanOptions {
     /// All rewrites enabled (the default for [`Query::plan_on`]).
     pub(crate) fn optimized() -> Self {
-        PlanOptions {
-            fuse_sort_take: true,
-            reorder_filters: true,
-            push_blocking: true,
-            fit_budget: true,
-            run_calibration: true,
-        }
+        PlanOptions { rewrite: true }
     }
 
     /// No rewrites: lower the declared chain verbatim (calibration
     /// trials are skipped too — verbatim planning spends nothing).
     pub fn verbatim() -> Self {
-        PlanOptions {
-            fuse_sort_take: false,
-            reorder_filters: false,
-            push_blocking: false,
-            fit_budget: false,
-            run_calibration: false,
-        }
+        PlanOptions { rewrite: false }
     }
 }
 
@@ -301,7 +286,7 @@ pub(crate) fn plan(
     let mut fused: Vec<LogicalOp> = Vec::with_capacity(ops.len());
     let mut iter = ops.iter().peekable();
     while let Some(op) = iter.next() {
-        if options.fuse_sort_take {
+        if options.rewrite {
             if let LogicalOp::Sort {
                 criterion,
                 strategy: None,
@@ -311,7 +296,7 @@ pub(crate) fn plan(
                     // A calibration sample pins the *sort* node's choice to
                     // the validation trials; fusing into top-k would
                     // silently discard the sample the user prepared.
-                    if options.run_calibration && calibration.is_some() {
+                    if calibration.is_some() {
                         notes.push(format!(
                             "kept sort+take({k}) unfused: calibration sample supplied"
                         ));
@@ -450,7 +435,7 @@ pub(crate) fn plan(
                     ClusterProbe::Exhaustive => (None, true),
                     ClusterProbe::Cap(cap) => (Some(*cap), true),
                     ClusterProbe::Auto => {
-                        if options.push_blocking {
+                        if options.rewrite {
                             notes.push(
                                 "pushed blocking into cluster assignment (probe cap 4)".to_owned(),
                             );
@@ -473,7 +458,7 @@ pub(crate) fn plan(
                 let (resolved, pinned) = match strategy {
                     Some(s) => (s.clone(), true),
                     None => {
-                        if options.push_blocking {
+                        if options.rewrite {
                             notes
                                 .push("pushed blocking into join (4 candidates/record)".to_owned());
                             (
@@ -517,7 +502,7 @@ pub(crate) fn plan(
     }
 
     // Rewrite 4: reorder maximal runs of adjacent filters cheapest-first.
-    if options.reorder_filters {
+    if options.rewrite {
         let mut i = 0;
         while i < lowered.len() {
             let mut j = i;
@@ -629,7 +614,7 @@ pub(crate) fn plan(
     // Rewrite 2b: validation-trial calibration for unpinned sort nodes.
     // Trials are memoized per candidate set: several unpinned sorts in one
     // chain share one trial run instead of re-spending on the same sample.
-    if let Some(cal) = calibration.as_ref().filter(|_| options.run_calibration) {
+    if let Some(cal) = calibration.as_ref().filter(|_| options.rewrite) {
         let mut trials_cache: std::collections::HashMap<String, Vec<optimize::StrategyTrial>> =
             std::collections::HashMap::new();
         for idx in 0..lowered.len() {
@@ -694,7 +679,7 @@ pub(crate) fn plan(
     // applied when it actually lowers the node's estimate — otherwise the
     // node is frozen (a "cheaper" strategy class can cost more at this
     // row count, e.g. n ratings vs one chunked-merge level).
-    if options.fit_budget {
+    if options.rewrite {
         let remaining = remaining_usd_equivalent(engine, &estimator);
         if remaining.is_finite() {
             let mut frozen = vec![false; lowered.len()];

@@ -78,8 +78,8 @@ const SINGLE_MODEL_POLICY: RoutePolicy = RoutePolicy {
 /// Cache hits are counted *inside* the shard lock the lookup already holds
 /// (a plain `u64` bump on an L1-hot line) rather than on a shared atomic —
 /// a dedicated atomic increment per hit measurably dragged the hot-cache
-/// path below the seed's stats-free global-mutex client (see
-/// `BENCH_exec.json`, `client_hot_cache`). [`LlmClient::stats`] folds the
+/// path below the seed's stats-free global-mutex client (a since-deleted
+/// hot-cache bench; CHANGES.md has its numbers). [`LlmClient::stats`] folds the
 /// shard counters into `cache_hits` before returning, so reads through a
 /// freshly obtained reference are exact.
 #[derive(Debug, Default)]
@@ -174,8 +174,8 @@ impl Flight {
 /// clones inside the lock. An earlier revision stored bodies inline after
 /// the `Arc` measured ~4pp worse on the hot-cache bench; re-measured when
 /// the persistent store landed (which shares `Arc`'d bodies with this
-/// tier), the `Arc` layout is now at parity single-threaded
-/// (`client_hot_cache`, `BENCH_exec.json`) and strictly better under
+/// tier), the `Arc` layout is now at parity single-threaded (CHANGES.md
+/// has the since-deleted hot-cache bench's numbers) and strictly better under
 /// same-key contention, so the trade was re-taken — see the PR 9 notes in
 /// ARCHITECTURE.md.
 #[derive(Default)]

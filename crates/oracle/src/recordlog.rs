@@ -179,13 +179,18 @@ pub(crate) struct LogFile {
     file: File,
 }
 
-/// Read a file's contents as the longest valid UTF-8 prefix. A torn write
-/// can cut a multi-byte character in half; the cut falls inside the torn
-/// tail that prefix recovery drops anyway.
-fn read_valid_utf8_prefix(file: &mut File) -> std::io::Result<String> {
+/// Read a log file's contents: `None` when the whole file is a prefix of
+/// the `header` line's text (empty, or a crash tore the header's write),
+/// otherwise the longest valid UTF-8 prefix. A torn write can cut a
+/// multi-byte character in half; the cut falls inside the torn tail that
+/// prefix recovery drops anyway.
+fn read_contents(file: &mut File, header: &str) -> std::io::Result<Option<String>> {
     let mut bytes = Vec::new();
     file.read_to_end(&mut bytes)?;
-    Ok(match String::from_utf8(bytes) {
+    if header.as_bytes().starts_with(&bytes) {
+        return Ok(None);
+    }
+    Ok(Some(match String::from_utf8(bytes) {
         Ok(s) => s,
         Err(e) => {
             let valid = e.utf8_error().valid_up_to();
@@ -194,7 +199,7 @@ fn read_valid_utf8_prefix(file: &mut File) -> std::io::Result<String> {
             // lint: allow(no-unwrap) — invariant: valid_up_to-checked prefix
             String::from_utf8(bytes).expect("checked prefix")
         }
-    })
+    }))
 }
 
 impl LogFile {
@@ -204,8 +209,10 @@ impl LogFile {
     /// handed to `on_record`; the walk stops — and the file is truncated —
     /// at the first torn or corrupt line, or when `on_record` returns
     /// `false` (structural rejection by the consumer's own field codec).
-    /// A file whose header is present but wrong (another format or version)
-    /// is an error rather than silently clobbered.
+    /// An empty file, or one holding only part of the header line (a crash
+    /// tore the header's write), starts afresh with a whole header. Any
+    /// other file whose first line is not the header (another format or
+    /// version, or not text at all) is an error and is left untouched.
     pub(crate) fn open(
         path: impl AsRef<Path>,
         header: &str,
@@ -218,19 +225,22 @@ impl LogFile {
             .create(true)
             .truncate(false)
             .open(path)?;
-        let contents = read_valid_utf8_prefix(&mut file)?;
-
-        let valid_end = if contents.is_empty() {
-            let line = format!("{header}\n");
-            file.write_all(line.as_bytes())?;
-            file.flush()?;
-            line.len() as u64
-        } else {
-            let end = Self::replay(path, &contents, header, &mut on_record)?;
-            // Drop everything after the last valid record and position the
-            // append cursor there.
-            file.set_len(end)?;
-            end
+        let valid_end = match read_contents(&mut file, header)? {
+            None => {
+                let line = format!("{header}\n");
+                file.set_len(0)?;
+                file.seek(SeekFrom::Start(0))?;
+                file.write_all(line.as_bytes())?;
+                file.flush()?;
+                line.len() as u64
+            }
+            Some(contents) => {
+                let end = Self::replay(path, &contents, header, &mut on_record)?;
+                // Drop everything after the last valid record and position
+                // the append cursor there.
+                file.set_len(end)?;
+                end
+            }
         };
         file.seek(SeekFrom::Start(valid_end))?;
         Ok(LogFile { file })
@@ -238,8 +248,9 @@ impl LogFile {
 
     /// Replay the records of the log at `path` without taking the append
     /// handle and without truncating: the read-only counterpart of
-    /// [`LogFile::open`]. Torn or corrupt tails are simply ignored. Errors
-    /// if the file does not exist or carries a foreign header.
+    /// [`LogFile::open`]. Torn or corrupt tails are simply ignored, and a
+    /// torn header reads as an empty log. Errors if the file does not exist
+    /// or carries a foreign header.
     pub(crate) fn open_read_only(
         path: impl AsRef<Path>,
         header: &str,
@@ -247,10 +258,9 @@ impl LogFile {
     ) -> std::io::Result<()> {
         let path = path.as_ref();
         let mut file = OpenOptions::new().read(true).open(path)?;
-        let contents = read_valid_utf8_prefix(&mut file)?;
-        if contents.is_empty() {
+        let Some(contents) = read_contents(&mut file, header)? else {
             return Ok(());
-        }
+        };
         Self::replay(path, &contents, header, &mut on_record)?;
         Ok(())
     }

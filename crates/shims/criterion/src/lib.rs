@@ -8,26 +8,22 @@
 //! Measurement is deliberately simple: warm up briefly, pick an iteration
 //! count targeting a fixed measurement window, then report the mean
 //! nanoseconds per iteration over three samples (minimum taken). Results are
-//! printed to stdout and, when the `CRITERION_JSON` environment variable
-//! names a file, appended to it as JSON lines — that is how the repo's
-//! `BENCH_*.json` baselines are produced.
+//! printed to stdout.
 //!
-//! Environment knobs: `CRITERION_JSON=<path>` (JSON-lines output file),
-//! `CRITERION_MEASURE_MS=<ms>` (measurement window per sample, default 200),
-//! `CRITERION_WARMUP_MS=<ms>` (warmup window, default 50).
+//! Environment knobs: `CRITERION_MEASURE_MS=<ms>` (measurement window per
+//! sample, default 200), `CRITERION_WARMUP_MS=<ms>` (warmup window, default
+//! 50).
 
 #![warn(missing_docs)]
 
 use std::fmt::Display;
 use std::hint::black_box;
-use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 /// The benchmark harness root.
 pub struct Criterion {
     warmup: Duration,
     measure: Duration,
-    json_path: Option<String>,
 }
 
 fn env_ms(key: &str, default_ms: u64) -> Duration {
@@ -44,7 +40,6 @@ impl Default for Criterion {
         Criterion {
             warmup: env_ms("CRITERION_WARMUP_MS", 50),
             measure: env_ms("CRITERION_MEASURE_MS", 200),
-            json_path: std::env::var("CRITERION_JSON").ok(),
         }
     }
 }
@@ -77,19 +72,6 @@ impl Criterion {
             "bench: {name:<48} {ns:>14.1} ns/iter  ({} iters)",
             bencher.iters
         );
-        if let Some(path) = &self.json_path {
-            let line = format!(
-                "{{\"name\":\"{}\",\"ns_per_iter\":{:.1},\"iters\":{}}}\n",
-                name.replace('"', "'"),
-                ns,
-                bencher.iters
-            );
-            let _ = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .and_then(|mut f| f.write_all(line.as_bytes()));
-        }
     }
 }
 
@@ -139,8 +121,9 @@ impl BenchmarkId {
     }
 }
 
-/// How much setup output to batch per measurement (shim: one per iteration,
-/// the distinction only affects upstream's allocation strategy).
+/// Upstream's hint for how many inputs to batch. The shim accepts it for
+/// API compatibility and treats every size alike: [`Bencher::iter_batched`]
+/// holds one input at a time.
 #[derive(Debug, Clone, Copy)]
 pub enum BatchSize {
     /// Small per-iteration input.
@@ -186,7 +169,9 @@ impl Bencher {
     }
 
     /// Measure `routine` over fresh inputs built by `setup`; setup time is
-    /// excluded from the measurement.
+    /// excluded from the measurement. One input is live at a time: it is
+    /// built, its routine call timed, and it is dropped before the next is
+    /// built, whatever the `size` hint.
     pub fn iter_batched<I, O, S: FnMut() -> I, R: FnMut(I) -> O>(
         &mut self,
         mut setup: S,
@@ -197,27 +182,30 @@ impl Bencher {
         let mut calibration_iters = 0u64;
         let mut spent = Duration::ZERO;
         while start.elapsed() < self.warmup {
-            let input = setup();
-            let t = Instant::now();
-            black_box(routine(input));
-            spent += t.elapsed();
+            spent += time_one(&mut routine, setup());
             calibration_iters += 1;
         }
         let per_iter = (spent.as_secs_f64() / calibration_iters.max(1) as f64).max(1e-9);
         let target = ((self.measure.as_secs_f64() / per_iter) as u64).clamp(1, 10_000_000);
         let mut best = f64::INFINITY;
         for _ in 0..3 {
-            let inputs: Vec<I> = (0..target).map(|_| setup()).collect();
-            let t = Instant::now();
-            for input in inputs {
-                black_box(routine(input));
-            }
-            let ns = t.elapsed().as_nanos() as f64 / target as f64;
+            let elapsed: Duration = (0..target).map(|_| time_one(&mut routine, setup())).sum();
+            let ns = elapsed.as_nanos() as f64 / target as f64;
             best = best.min(ns);
         }
         self.ns_per_iter = Some(best);
         self.iters = target * 3 + calibration_iters;
     }
+}
+
+/// Time one routine call on `input`; its output is dropped after the clock
+/// stops.
+fn time_one<I, O>(routine: &mut impl FnMut(I) -> O, input: I) -> Duration {
+    let t = Instant::now();
+    let out = black_box(routine(input));
+    let elapsed = t.elapsed();
+    drop(out);
+    elapsed
 }
 
 /// Bundle benchmark functions into a runnable group function.
@@ -256,5 +244,44 @@ mod tests {
             b.iter_batched(|| *n, |x| x * 2, BatchSize::SmallInput)
         });
         group.finish();
+    }
+
+    /// An input is built, timed and dropped before the next is built, for
+    /// every size hint.
+    #[test]
+    fn inputs_are_live_one_at_a_time() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static LIVE: AtomicUsize = AtomicUsize::new(0);
+        static PEAK: AtomicUsize = AtomicUsize::new(0);
+        struct Input;
+        impl Input {
+            fn new() -> Self {
+                let live = LIVE.fetch_add(1, Ordering::SeqCst) + 1;
+                PEAK.fetch_max(live, Ordering::SeqCst);
+                Input
+            }
+        }
+        impl Drop for Input {
+            fn drop(&mut self) {
+                LIVE.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        let mut bencher = Bencher {
+            warmup: Duration::from_millis(1),
+            measure: Duration::from_millis(2),
+            ns_per_iter: None,
+            iters: 0,
+        };
+        for size in [
+            BatchSize::SmallInput,
+            BatchSize::LargeInput,
+            BatchSize::PerIteration,
+        ] {
+            PEAK.store(0, Ordering::SeqCst);
+            bencher.iter_batched(Input::new, drop, size);
+            assert_eq!(PEAK.load(Ordering::SeqCst), 1, "{size:?}");
+            assert!(bencher.ns_per_iter.is_some_and(|ns| ns > 0.0));
+        }
+        assert_eq!(LIVE.load(Ordering::SeqCst), 0);
     }
 }

@@ -194,23 +194,30 @@ proptest! {
         prop_assert_eq!(broke_stats.shed, 1);
     }
 
-    /// Sequential batches from random tenants: every paid completion lands
-    /// on exactly the submitting tenant's ledger, and the tenant ledgers
+    /// Sequential batches from random tenants, with unlimited or finite
+    /// budgets: every paid completion lands on exactly the submitting
+    /// tenant's ledger, each tenant's metered responses equal its ledger,
+    /// a finite budget is spend + remaining, and the tenant ledgers
     /// partition the shared client ledger — meter == ledger == budget.
     #[test]
     fn tenant_ledgers_partition_the_client_ledger(
         batches in prop::collection::vec((0usize..3, 1usize..10), 1..8),
         seed in 0u64..1_000_000,
+        finite in any::<bool>(),
     ) {
         let (w, items) = flag_world(12);
         let ids = ["a", "b", "c"];
+        // Far above what eight batches of ten checks cost, so every
+        // tenant admits.
+        let budget = if finite { Budget::usd(1.0) } else { Budget::Unlimited };
         let server = server_over(
             &w,
             &items,
             seed,
-            ids.iter().map(|id| TenantSpec::new(*id)).collect(),
+            ids.iter().map(|id| TenantSpec::new(*id).with_budget(budget)).collect(),
         );
 
+        let mut meters = [0.0f64; 3];
         for (round, &(tenant, len)) in batches.iter().enumerate() {
             // Distinct items per round so the shared cache cannot collapse
             // later batches into free hits (free hits are fine, but paid
@@ -218,10 +225,31 @@ proptest! {
             let slice: Vec<ItemId> = (0..len).map(|k| items[(round + k) % items.len()]).collect();
             let run = server
                 .submit(ids[tenant], check_tasks(&slice))
-                .expect("unlimited tenants admit");
+                .expect("solvent tenants admit");
             prop_assert!(run.is_complete());
+            meters[tenant] += run
+                .results
+                .iter()
+                .flatten()
+                .filter(|r| !r.cached)
+                .map(|r| r.pricing.cost_usd(r.usage))
+                .sum::<f64>();
         }
 
+        for (id, meter) in ids.iter().zip(meters) {
+            let ledger = server.ledger(id).expect("registered");
+            prop_assert!(
+                (meter - ledger.spent_usd()).abs() < 1e-9,
+                "tenant {id}: meter {meter} != ledger {}",
+                ledger.spent_usd()
+            );
+            if finite {
+                prop_assert!(
+                    (ledger.spent_usd() + ledger.remaining_usd() - 1.0).abs() < 1e-9,
+                    "tenant {id}: spend + remaining must reconstruct the $1 budget"
+                );
+            }
+        }
         let client = server.engine().client();
         let tenant_total: f64 = ids
             .iter()

@@ -12,7 +12,8 @@
 //! Also covered: the single-writer/multi-reader process discipline — a
 //! second writer on a live store is refused with `WouldBlock` while
 //! read-only handles snapshot freely, and the writer lock is released on
-//! drop.
+//! drop — and a crash that tore the header line itself: such a file opens
+//! as an empty store.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -99,8 +100,7 @@ proptest! {
         drop(cold); // releases the writer lock, flushed records stay
 
         // Simulate a crash: chop the file at an arbitrary byte past the
-        // header (the header is one flushed write at open, so a real
-        // crash can only tear after it).
+        // header (a torn header has its own test below).
         let bytes = std::fs::read(&clean_path).unwrap();
         let header_len = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
         let cut = header_len + (bytes.len() - header_len) * cut_permille as usize / 1000;
@@ -196,4 +196,58 @@ fn store_is_invisible_to_results() {
     let without_store = run_filter(&bare, &items);
     assert_eq!(with_store, without_store);
     cleanup(&path);
+}
+
+#[test]
+fn torn_header_opens_as_an_empty_store() {
+    let (w, items) = keep_world(6);
+    let clean_path = temp_path("header-clean");
+    let reference = run_filter(&store_session(&w, &items, 29, &clean_path), &items);
+    let bytes = std::fs::read(&clean_path).unwrap();
+    let header_line = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+    assert_eq!(header_line, 21, "`crowdprompt-store v1` and its newline");
+
+    for cut in [5, 20] {
+        let path = temp_path("header-torn");
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+
+        // A reader sees no records and leaves the file alone.
+        let reader = ResponseStore::open_read_only(&path, StoreConfig::default()).unwrap();
+        assert_eq!(reader.len(), 0, "cut at {cut}");
+        drop(reader);
+        assert_eq!(std::fs::read(&path).unwrap(), &bytes[..cut]);
+
+        // A writer starts the log afresh: a whole header, then the records
+        // of the run it serves, which a later reader sees.
+        let session = store_session(&w, &items, 29, &path);
+        assert_eq!(run_filter(&session, &items), reference, "cut at {cut}");
+        assert_eq!(
+            session.engine().client().stats().calls(),
+            items.len() as u64
+        );
+        drop(session);
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "cut at {cut}");
+        let reopened = ResponseStore::open_read_only(&path, StoreConfig::default()).unwrap();
+        assert_eq!(reopened.len(), items.len(), "cut at {cut}");
+        drop(reopened);
+        cleanup(&path);
+    }
+
+    // A file that is not a prefix of our header is still refused and left
+    // as it was: another version, a binary file (PNG's first bytes), and a
+    // prefix of our header followed by bytes that are not text.
+    let foreign_files: [&[u8]; 3] = [
+        b"crowdprompt-store v2\n",
+        b"\x89PNG\r\n\x1a\n",
+        b"crow\xff\xfe",
+    ];
+    for contents in foreign_files {
+        let foreign = temp_path("header-foreign");
+        std::fs::write(&foreign, contents).unwrap();
+        assert!(ResponseStore::open(&foreign, StoreConfig::default()).is_err());
+        assert!(ResponseStore::open_read_only(&foreign, StoreConfig::default()).is_err());
+        assert_eq!(std::fs::read(&foreign).unwrap(), contents);
+        cleanup(&foreign);
+    }
+    cleanup(&clean_path);
 }

@@ -9,7 +9,7 @@
 //! | `no-unwrap`   | no `.unwrap()` / `.expect(..)` in non-test library code          |
 //! | `clock`       | no `Instant::now` / `SystemTime::now` outside approved sites     |
 //! | `money-eq`    | money-valued f64s compare via bit-pattern helpers, never `==`    |
-//! | `bench-keys`  | every `BENCH_*.json` series key is guarded by the baseline script|
+//! | `one-baseline`| no `BENCH_*.json` outside `benchmark/`; no shim knob that writes one|
 //! | `no-deprecated`| no `#[deprecated]` items and no `allow(deprecated)`, tests included|
 //! | `one-pump`    | `crates/core/src` starts threads in `exec.rs`'s pump and nowhere else|
 //! | `one-retry`   | `crates/oracle/src` calls `retry_delay` in `route.rs`'s loop and nowhere else|
@@ -167,7 +167,12 @@ const PUB_CALLER_CRATES: &[&str] = &[
 ];
 const PUB_CALLER_EXPOSED: &str = "exposed by `";
 
-const BASELINE_GUARD: &str = "ci/check_bench_baselines.sh";
+/// `BENCHMARK.json` and `benchmark/` are the repository's one checked-in
+/// measurement. A `BENCH_*.json` anywhere else is a second baseline that
+/// nothing re-records, and the criterion shim's JSON knob (spelled in
+/// pieces here so this file does not name it) is what wrote them.
+const ONE_BASELINE_HOME: &str = "benchmark/";
+const ONE_BASELINE_KNOB: &str = concat!("CRITERION", "_JSON");
 
 #[derive(Debug, Clone)]
 struct Finding {
@@ -235,15 +240,18 @@ fn run(root: &Path) -> Result<Vec<Finding>, String> {
     let mut sources = Vec::new();
     for rel in &rust_files {
         let rel_str = unix_path(rel);
+        let src = std::fs::read_to_string(root.join(rel)).map_err(|e| format!("{rel_str}: {e}"))?;
+        // Vendored shims are held to this one rule only: the knob lived in
+        // the criterion shim.
+        findings.extend(lint_baseline_knob(&rel_str, &src));
         if VENDORED.iter().any(|v| rel_str.starts_with(v)) {
             continue;
         }
-        let src = std::fs::read_to_string(root.join(rel)).map_err(|e| format!("{rel_str}: {e}"))?;
         findings.extend(lint_rust_source(&rel_str, &src));
         sources.push((rel_str, src));
     }
     findings.extend(lint_pub_callers(&sources));
-    findings.extend(lint_bench_keys(root, &bench_jsons)?);
+    findings.extend(lint_baseline_files(&bench_jsons));
     Ok(findings)
 }
 
@@ -1380,71 +1388,45 @@ fn declares_pub(line: &str) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// bench-keys
+// one-baseline
 // ---------------------------------------------------------------------------
 
-/// Every `"name": "<key>"` series in a `BENCH_*.json` baseline must appear in
-/// `ci/check_bench_baselines.sh` — otherwise a renamed or added series
-/// silently escapes the regression guard.
-fn lint_bench_keys(root: &Path, jsons: &[PathBuf]) -> Result<Vec<Finding>, String> {
-    if jsons.is_empty() {
-        return Ok(Vec::new());
-    }
-    let guard = std::fs::read_to_string(root.join(BASELINE_GUARD)).unwrap_or_default();
-    let mut findings = Vec::new();
-    for rel in jsons {
-        let rel_str = unix_path(rel);
-        let text =
-            std::fs::read_to_string(root.join(rel)).map_err(|e| format!("{rel_str}: {e}"))?;
-        for (key, line, col) in bench_series_keys(&text) {
-            if guard.is_empty() {
-                findings.push(Finding {
-                    rule: "bench-keys",
-                    message: format!(
-                        "bench series `{key}` has no baseline guard ({BASELINE_GUARD} missing)"
-                    ),
-                    path: rel_str.clone(),
-                    line,
-                    col,
-                    help: "add the guard script and a `require` line for this series",
-                });
-            } else if !guard.contains(&key) {
-                findings.push(Finding {
-                    rule: "bench-keys",
-                    message: format!("bench series `{key}` is not guarded by {BASELINE_GUARD}"),
-                    path: rel_str.clone(),
-                    line,
-                    col,
-                    help: "add this series to the guard script's `require` list so regressions fail CI",
-                });
-            }
-        }
-    }
-    Ok(findings)
+/// A `BENCH_*.json` outside `benchmark/` is a second checked-in measurement.
+fn lint_baseline_files(baselines: &[PathBuf]) -> Vec<Finding> {
+    baselines
+        .iter()
+        .map(|rel| unix_path(rel))
+        .filter(|rel| !rel.starts_with(ONE_BASELINE_HOME))
+        .map(|rel| Finding {
+            rule: "one-baseline",
+            message: "a bench baseline outside `benchmark/` is a second measurement nothing re-records".to_string(),
+            path: rel,
+            line: 1,
+            col: 1,
+            help: "delete it; report the number from `benchmark/` (gated by `BENCHMARK.json`), or assert it in the bench on a fresh run",
+        })
+        .collect()
 }
 
-/// Extracts `"name": "<key>"` values with their 1-indexed positions.
-fn bench_series_keys(text: &str) -> Vec<(String, usize, usize)> {
-    let mut keys = Vec::new();
-    for (li, line) in text.lines().enumerate() {
-        let mut rest = line;
-        let mut consumed = 0;
-        while let Some(pos) = rest.find("\"name\"") {
-            let after = &rest[pos + "\"name\"".len()..];
-            let trimmed = after.trim_start();
-            if let Some(value) = trimmed.strip_prefix(':') {
-                let value = value.trim_start();
-                if let Some(stripped) = value.strip_prefix('"') {
-                    if let Some(end) = stripped.find('"') {
-                        keys.push((stripped[..end].to_string(), li + 1, consumed + pos + 1));
-                    }
-                }
-            }
-            consumed += pos + 1;
-            rest = &rest[pos + 1..];
+/// Every spelling of the shim's JSON knob, comments and strings included:
+/// it exists only to write the baselines [`lint_baseline_files`] forbids.
+fn lint_baseline_knob(rel: &str, src: &str) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for (li, line) in src.lines().enumerate() {
+        let mut from = 0;
+        while let Some(pos) = line[from..].find(ONE_BASELINE_KNOB) {
+            findings.push(Finding {
+                rule: "one-baseline",
+                message: format!("`{ONE_BASELINE_KNOB}` writes a bench baseline outside `benchmark/`"),
+                path: rel.to_string(),
+                line: li + 1,
+                col: line[..from + pos].chars().count() + 1,
+                help: "delete the knob; benches print their numbers and assert their ratios on a fresh run",
+            });
+            from += pos + ONE_BASELINE_KNOB.len();
         }
     }
-    keys
+    findings
 }
 
 // ---------------------------------------------------------------------------
@@ -1822,15 +1804,33 @@ mod tests {
     }
 
     #[test]
-    fn bench_keys_extracts_series_names() {
-        let json = "[{\"name\":\"exec_cold\",\"ns\":1},\n {\"name\": \"exec_warm\", \"ns\": 2}]\n";
-        let keys = bench_series_keys(json);
-        assert_eq!(
-            keys.iter().map(|(k, _, _)| k.as_str()).collect::<Vec<_>>(),
-            vec!["exec_cold", "exec_warm"]
+    fn one_baseline_flags_baselines_outside_benchmark_and_every_knob_spelling() {
+        let files: Vec<PathBuf> = [
+            "BENCH_exec.json",
+            "crates/bench/BENCH_x.json",
+            "benchmark/BENCH_y.json",
+        ]
+        .iter()
+        .map(PathBuf::from)
+        .collect();
+        let f = lint_baseline_files(&files);
+        assert_eq!(codes(&f), vec!["one-baseline"; 2]);
+        assert_eq!(f[0].path, "BENCH_exec.json");
+        assert_eq!(f[1].path, "crates/bench/BENCH_x.json");
+
+        let knob = ONE_BASELINE_KNOB;
+        let src = format!(
+            "let p = std::env::var(\"{knob}\");\n// run with {knob}=out.json; {knob} again\nlet q = 1;\n"
         );
-        assert_eq!(keys[0].1, 1);
-        assert_eq!(keys[1].1, 2);
+        let f = lint_baseline_knob("crates/shims/criterion/src/lib.rs", &src);
+        assert_eq!(codes(&f), vec!["one-baseline"; 3]);
+        let at: Vec<(usize, usize)> = f.iter().map(|f| (f.line, f.col)).collect();
+        assert_eq!(at, vec![(1, 24), (2, 13), (2, 38)]);
+        assert!(lint_baseline_knob(
+            "crates/shims/criterion/src/lib.rs",
+            "env_ms(\"CRITERION_MEASURE_MS\", 200)\n"
+        )
+        .is_empty());
     }
 
     /// `(path, line, col)` of every `pub-has-caller` finding over `files`.

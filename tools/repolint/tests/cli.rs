@@ -140,11 +140,21 @@ fn seeded_repo(tag: &str) -> TempRepo {
         "crates/shims/vendored/src/lib.rs",
         "#[deprecated]\npub fn upstream_old() {}\n",
     );
+    // A baseline beside the crates, one inside `benchmark/`, and the shim
+    // knob that wrote them, in a vendored shim.
     repo.write(
-        "BENCH_seeded.json",
-        "[{\"name\":\"group/unguarded\",\"ns\":1}]\n",
+        "crates/bench/BENCH_seeded.json",
+        "{\"name\":\"group/series\",\"ns\":1}\n",
     );
-    repo.write("ci/check_bench_baselines.sh", "# no require lines\n");
+    repo.write(
+        "benchmark/BENCH_kept.json",
+        "{\"name\":\"group/series\",\"ns\":1}\n",
+    );
+    let knob = concat!("CRITERION", "_JSON");
+    repo.write(
+        "crates/shims/criterion/src/lib.rs",
+        &format!("pub fn out() -> Option<String> {{ std::env::var(\"{knob}\").ok() }}\n"),
+    );
     // Every public fixture above has a caller; the four below test the
     // caller rule itself: one nothing names, one named only in another
     // crate's comment and string, and an exposed type without and with the
@@ -198,7 +208,7 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         "error[no-unwrap]",
         "error[clock]",
         "error[money-eq]",
-        "error[bench-keys]",
+        "error[one-baseline]",
         "error[no-deprecated]",
         "error[one-pump]",
         "error[one-retry]",
@@ -231,14 +241,18 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         "--> tests/bad_shim.rs:3:1",
         "--> crates/core/src/bad_sync.rs:1:16",
         "--> crates/core/src/bad_clock.rs:1:47",
-        "--> BENCH_seeded.json:1:3",
-        "`group/unguarded` is not guarded",
+        "--> crates/bench/BENCH_seeded.json:1:1",
+        "--> crates/shims/criterion/src/lib.rs:1:49",
     ] {
         assert!(stderr.contains(needle), "missing {needle:?} in:\n{stderr}");
     }
     assert!(
         !stderr.contains("crates/shims/vendored"),
         "shims may mirror upstream deprecations:\n{stderr}"
+    );
+    assert!(
+        !stderr.contains("benchmark/BENCH_kept.json"),
+        "`benchmark/` is where the one measurement lives:\n{stderr}"
     );
     assert!(
         !stderr.contains("crates/core/src/exec.rs:1:"),
@@ -292,10 +306,11 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
     // deprecation attributes, two copies of a bill, a second layout and a
     // second query, a second count, a formatted temporary, a thread per
     // call, a second hashing in the client and one in the dispatcher, three
-    // public items without a caller, one each of the rest:
-    // 3 + 2 + 2 + 2 + 2 + 2 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 3.
+    // public items without a caller, a baseline and a knob, one each of the
+    // rest:
+    // 3 + 2 + 2 + 2 + 2 + 2 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 3 + 2.
     assert!(
-        stderr.contains("26 finding(s)"),
+        stderr.contains("27 finding(s)"),
         "unexpected total in:\n{stderr}"
     );
 }
@@ -357,8 +372,8 @@ fn pragmas_suppress_and_clean_tree_exits_zero() {
 fn this_repository_is_clean() {
     // The repo root is two levels above this crate's manifest dir. This is
     // the deny-by-default contract: adding an unjustified unwrap, raw clock
-    // read, direct std::sync lock, raw money equality, or unguarded bench
-    // series anywhere in the tree fails the test suite, not just the CI
+    // read, direct std::sync lock, raw money equality, or a bench baseline
+    // outside `benchmark/` anywhere in the tree fails the test suite, not just the CI
     // lint job. The same goes for a `#[deprecated]` shim or an
     // `allow(deprecated)`, in tests and examples too, for a thread
     // started in `crates/core/src` outside `exec.rs`'s pump, for a
