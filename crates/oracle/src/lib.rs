@@ -56,5 +56,7 @@ pub use sim::SimulatedLlm;
 pub use store::{ResponseStore, SemanticConfig, StoreConfig};
 pub use task::{CountMode, SortCriterion, TaskDescriptor};
 pub use tokenizer::count_tokens;
-pub use types::{CompletionRequest, CompletionResponse, FinishReason, LanguageModel, Usage};
+pub use types::{
+    CompletionRequest, CompletionResponse, FinishReason, LanguageModel, ModelName, Usage,
+};
 pub use world::{ItemId, WorldModel};

@@ -7,12 +7,16 @@
 //! bit patterns, appends are single flushed `write_all` calls, and opening
 //! verifies the checksummed prefix and truncates a torn tail:
 //!
-//! * [`escape`] / [`unescape`] — single-line framing of arbitrary text,
+//! * [`escape_into`] / [`unescape`] — single-line framing of arbitrary text,
 //! * [`seal_line`] / [`open_line`] — per-line FNV-1a checksum framing,
-//! * [`encode_f64_bits`] / [`decode_f64_bits`] — exact float round-trips,
-//! * [`encode_response_fields`] / [`decode_response_fields`] — the
+//! * [`decode_f64_bits`] — exact float round-trips (floats are written as
+//!   their bit patterns in hex),
+//! * [`push_response_fields`] / [`decode_response_fields`] — the
 //!   fingerprint-keyed [`CompletionResponse`] field codec,
 //! * [`LogFile`] — open-with-recovery, replay, and flushed append.
+//!
+//! A record is built into one `String` — fields appended in place, then
+//! sealed in place — so a writer can build it before it takes any lock.
 //!
 //! # Crash safety
 //!
@@ -22,18 +26,18 @@
 //! first torn, corrupt, or structurally rejected line — a damaged tail never
 //! poisons a reopen, it merely costs re-deriving the lost records.
 
+use std::borrow::Cow;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use crate::hash::{fnv1a_str, hex64, parse_hex64};
+use crate::hash::{fnv1a_str, parse_hex64, push_hex64};
 use crate::pricing::Pricing;
-use crate::types::{CompletionResponse, FinishReason, Usage};
+use crate::types::{CompletionResponse, FinishReason, ModelName, Usage};
 
-/// Escape a string for single-line storage (`\` `\t` `\n` `\r`). Text
+/// Append `s` escaped for single-line storage (`\` `\t` `\n` `\r`). Text
 /// between special bytes is copied as one run, not char by char.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+pub(crate) fn escape_into(out: &mut String, s: &str) {
     let mut rest = s;
     // All four specials are ASCII, so a byte offset is a char boundary.
     while let Some(at) = rest
@@ -50,11 +54,14 @@ pub(crate) fn escape(s: &str) -> String {
         rest = &rest[at + 1..];
     }
     out.push_str(rest);
-    out
 }
 
-/// Invert [`escape`]; `None` on a malformed escape sequence.
-pub(crate) fn unescape(s: &str) -> Option<String> {
+/// Invert [`escape_into`]; `None` on a malformed escape sequence. Text with
+/// no escapes comes back borrowed.
+pub(crate) fn unescape(s: &str) -> Option<Cow<'_, str>> {
+    if !s.contains('\\') {
+        return Some(Cow::Borrowed(s));
+    }
     let mut out = String::with_capacity(s.len());
     let mut rest = s;
     while let Some(at) = rest.find('\\') {
@@ -70,13 +77,16 @@ pub(crate) fn unescape(s: &str) -> Option<String> {
         rest = &rest[at + 2..];
     }
     out.push_str(rest);
-    Some(out)
+    Some(Cow::Owned(out))
 }
 
-/// Frame a payload as one checksummed record line (trailing newline
-/// included): `payload \t fnv1a(payload) \n`.
-pub(crate) fn seal_line(payload: &str) -> String {
-    format!("{payload}\t{}\n", hex64(fnv1a_str(payload)))
+/// Frame the payload held in `line` as one checksummed record line, in
+/// place (trailing newline included): `payload \t fnv1a(payload) \n`.
+pub(crate) fn seal_line(line: &mut String) {
+    let checksum = fnv1a_str(line);
+    line.push('\t');
+    push_hex64(line, checksum);
+    line.push('\n');
 }
 
 /// Verify and strip a record line's checksum (the line must not include its
@@ -89,21 +99,16 @@ pub(crate) fn open_line(line: &str) -> Option<&str> {
     Some(payload)
 }
 
-/// Render an `f64` as its exact bit pattern in hex — decodes bit-identically,
+/// Decode an `f64` written as its exact bit pattern in hex — bit-identical,
 /// so replayed pricing math reproduces the original run's.
-pub(crate) fn encode_f64_bits(v: f64) -> String {
-    hex64(v.to_bits())
-}
-
-/// Invert [`encode_f64_bits`].
 pub(crate) fn decode_f64_bits(s: &str) -> Option<f64> {
     Some(f64::from_bits(parse_hex64(s)?))
 }
 
-/// Number of fields produced by [`encode_response_fields`].
+/// Number of fields produced by [`push_response_fields`].
 pub(crate) const RESPONSE_FIELDS: usize = 9;
 
-/// Encode a fingerprint-keyed [`CompletionResponse`] as the shared
+/// Append a fingerprint-keyed [`CompletionResponse`] as the shared
 /// tab-separated field sequence (no checksum, no newline):
 ///
 /// ```text
@@ -111,38 +116,53 @@ pub(crate) const RESPONSE_FIELDS: usize = 9;
 /// ```
 ///
 /// `finish` is `S`top or `L`ength; rates and confidence are f64 bit patterns
-/// (`-` for an absent confidence). The `cached` flag is deliberately not
-/// stored: a decoded record always starts `cached: false` and the consumer
-/// decides how to charge it.
-pub(crate) fn encode_response_fields(fingerprint: u64, response: &CompletionResponse) -> String {
-    format!(
-        "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-        hex64(fingerprint),
-        escape(&response.text),
-        response.usage.prompt_tokens,
-        response.usage.completion_tokens,
-        match response.finish_reason {
-            FinishReason::Stop => 'S',
-            FinishReason::Length => 'L',
-        },
-        escape(&response.model),
-        encode_f64_bits(response.pricing.usd_per_1k_input),
-        encode_f64_bits(response.pricing.usd_per_1k_output),
-        match response.confidence {
-            Some(c) => encode_f64_bits(c),
-            None => "-".to_string(),
-        },
-    )
+/// (`-` for an absent confidence); the model is its name, as text. The
+/// `cached` flag is deliberately not stored: a decoded record always starts
+/// `cached: false` and the consumer decides how to charge it.
+pub(crate) fn push_response_fields(
+    out: &mut String,
+    fingerprint: u64,
+    response: &CompletionResponse,
+) {
+    use std::fmt::Write as _;
+    push_hex64(out, fingerprint);
+    out.push('\t');
+    escape_into(out, &response.text);
+    let usage = response.usage;
+    let finish = match response.finish_reason {
+        FinishReason::Stop => 'S',
+        FinishReason::Length => 'L',
+    };
+    // Writing to a `String` cannot fail.
+    let _ = write!(
+        out,
+        "\t{}\t{}\t{finish}\t",
+        usage.prompt_tokens, usage.completion_tokens
+    );
+    escape_into(out, &response.model);
+    for rate in [
+        response.pricing.usd_per_1k_input,
+        response.pricing.usd_per_1k_output,
+    ] {
+        out.push('\t');
+        push_hex64(out, rate.to_bits());
+    }
+    out.push('\t');
+    match response.confidence {
+        Some(c) => push_hex64(out, c.to_bits()),
+        None => out.push('-'),
+    }
 }
 
-/// Decode the field sequence produced by [`encode_response_fields`]. Expects
+/// Decode the field sequence produced by [`push_response_fields`]. Expects
 /// exactly [`RESPONSE_FIELDS`] fields; `None` on any structural corruption.
+/// The model's name is interned here, once per record.
 pub(crate) fn decode_response_fields(fields: &[&str]) -> Option<(u64, CompletionResponse)> {
     if fields.len() != RESPONSE_FIELDS {
         return None;
     }
     let fingerprint = parse_hex64(fields[0])?;
-    let text = unescape(fields[1])?;
+    let text = unescape(fields[1])?.into_owned();
     let usage = Usage {
         prompt_tokens: fields[2].parse().ok()?,
         completion_tokens: fields[3].parse().ok()?,
@@ -152,7 +172,7 @@ pub(crate) fn decode_response_fields(fields: &[&str]) -> Option<(u64, Completion
         "L" => FinishReason::Length,
         _ => return None,
     };
-    let model = unescape(fields[5])?;
+    let model = ModelName::from(&*unescape(fields[5])?);
     let pricing = Pricing::new(decode_f64_bits(fields[6])?, decode_f64_bits(fields[7])?);
     let confidence = match fields[8] {
         "-" => None,
@@ -298,10 +318,10 @@ impl LogFile {
         Ok(valid_end)
     }
 
-    /// Append one record payload as a single sealed, flushed line. A crash
-    /// can tear at most this final record.
-    pub(crate) fn append(&mut self, payload: &str) -> std::io::Result<()> {
-        self.file.write_all(seal_line(payload).as_bytes())?;
+    /// Append one record line, already sealed ([`seal_line`]), as a single
+    /// flushed write. A crash can tear at most this final record.
+    pub(crate) fn append(&mut self, line: &str) -> std::io::Result<()> {
+        self.file.write_all(line.as_bytes())?;
         self.file.flush()
     }
 }
@@ -333,6 +353,47 @@ mod tests {
             pricing: Pricing::new(0.0005, 0.0015),
             confidence: conf,
         }
+    }
+
+    fn escape(s: &str) -> String {
+        let mut out = String::new();
+        escape_into(&mut out, s);
+        out
+    }
+
+    fn sealed(payload: &str) -> String {
+        let mut line = payload.to_string();
+        seal_line(&mut line);
+        line
+    }
+
+    fn encode_response_fields(fingerprint: u64, response: &CompletionResponse) -> String {
+        let mut out = String::new();
+        push_response_fields(&mut out, fingerprint, response);
+        out
+    }
+
+    /// The `format!` encoder the in-place one replaced, kept as the
+    /// reference it must agree with byte for byte.
+    fn encode_by_format(fingerprint: u64, response: &CompletionResponse) -> String {
+        format!(
+            "{:016x}\t{}\t{}\t{}\t{}\t{}\t{:016x}\t{:016x}\t{}",
+            fingerprint,
+            escape_by_chars(&response.text),
+            response.usage.prompt_tokens,
+            response.usage.completion_tokens,
+            match response.finish_reason {
+                FinishReason::Stop => 'S',
+                FinishReason::Length => 'L',
+            },
+            escape_by_chars(&response.model),
+            response.pricing.usd_per_1k_input.to_bits(),
+            response.pricing.usd_per_1k_output.to_bits(),
+            match response.confidence {
+                Some(c) => format!("{:016x}", c.to_bits()),
+                None => "-".to_string(),
+            },
+        )
     }
 
     #[test]
@@ -408,16 +469,46 @@ mod tests {
             let s: String = picks.iter().map(|&p| PIECES[p]).collect();
             let escaped = escape(&s);
             prop_assert_eq!(&escaped, &escape_by_chars(&s));
-            prop_assert_eq!(unescape(&escaped), Some(s.clone()));
+            prop_assert_eq!(unescape(&escaped).as_deref(), Some(s.as_str()));
             // As stored text `s` may hold `\x`, `\é` or a trailing backslash.
-            prop_assert_eq!(unescape(&s), unescape_by_chars(&s));
+            prop_assert_eq!(unescape(&s).map(Cow::into_owned), unescape_by_chars(&s));
+        }
+
+        #[test]
+        fn in_place_fields_match_the_format_encoder(
+            text in prop::collection::vec(0usize..PIECES.len(), 0..12),
+            model in prop::collection::vec(0usize..PIECES.len(), 0..4),
+            tokens in (0u32..5_000, 0u32..5_000),
+            fingerprint in 0u64..u64::MAX,
+            confidence in 0u32..3,
+        ) {
+            let mut response = sample_response(
+                &text.iter().map(|&p| PIECES[p]).collect::<String>(),
+                [None, Some(0.875), Some(f64::MIN_POSITIVE)][confidence as usize],
+            );
+            response.model = model.iter().map(|&p| PIECES[p]).collect::<String>().into();
+            response.usage.prompt_tokens = tokens.0;
+            response.usage.completion_tokens = u32::MAX - tokens.1;
+            response.finish_reason = if tokens.0 % 2 == 0 {
+                FinishReason::Stop
+            } else {
+                FinishReason::Length
+            };
+            prop_assert_eq!(
+                encode_response_fields(fingerprint, &response),
+                encode_by_format(fingerprint, &response)
+            );
         }
     }
 
     #[test]
     fn seal_open_roundtrip_and_rejection() {
-        let sealed = seal_line("alpha\tbeta");
-        let body = sealed.strip_suffix('\n').unwrap();
+        let line = sealed("alpha\tbeta");
+        assert_eq!(
+            line,
+            format!("alpha\tbeta\t{:016x}\n", fnv1a_str("alpha\tbeta"))
+        );
+        let body = line.strip_suffix('\n').unwrap();
         assert_eq!(open_line(body), Some("alpha\tbeta"));
         // Any byte flip invalidates the line.
         let corrupt = body.replace("alpha", "alphX");
@@ -428,7 +519,8 @@ mod tests {
     #[test]
     fn f64_bits_roundtrip_exact() {
         for v in [0.0, -0.0, 0.1, f64::MIN_POSITIVE, f64::INFINITY] {
-            let enc = encode_f64_bits(v);
+            let mut enc = String::new();
+            push_hex64(&mut enc, v.to_bits());
             assert_eq!(decode_f64_bits(&enc).map(f64::to_bits), Some(v.to_bits()));
         }
         assert!(decode_f64_bits("not hex").is_none());
@@ -453,12 +545,26 @@ mod tests {
     }
 
     #[test]
+    fn a_model_name_survives_encode_decode_encode_byte_for_byte() {
+        for name in ["sim-gpt-3.5-turbo", "", "tab\tand\\slash", "naïve 🦀 model"] {
+            let mut response = sample_response("Yes.", None);
+            response.model = name.into();
+            let first = encode_response_fields(7, &response);
+            let fields: Vec<&str> = first.split('\t').collect();
+            let (_, decoded) = decode_response_fields(&fields).unwrap();
+            assert_eq!(decoded.model, name);
+            assert_eq!(decoded.model, response.model, "one handle per name");
+            assert_eq!(encode_response_fields(7, &decoded), first);
+        }
+    }
+
+    #[test]
     fn logfile_recovers_prefix_and_appends() {
         let path = temp_path("prefix");
         {
             let mut log = LogFile::open(&path, "test-log v1", |_| true).unwrap();
-            log.append("one").unwrap();
-            log.append("two").unwrap();
+            log.append(&sealed("one")).unwrap();
+            log.append(&sealed("two")).unwrap();
         }
         // Tear the final record mid-line.
         let full = std::fs::read(&path).unwrap();
@@ -470,7 +576,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(seen, vec!["one".to_string()]);
-        log.append("three").unwrap();
+        log.append(&sealed("three")).unwrap();
         drop(log);
 
         let mut seen = Vec::new();
@@ -488,9 +594,9 @@ mod tests {
         let path = temp_path("reject");
         {
             let mut log = LogFile::open(&path, "test-log v1", |_| true).unwrap();
-            log.append("good").unwrap();
-            log.append("BAD").unwrap();
-            log.append("after").unwrap();
+            log.append(&sealed("good")).unwrap();
+            log.append(&sealed("BAD")).unwrap();
+            log.append(&sealed("after")).unwrap();
         }
         // The consumer's field codec refuses "BAD": the suffix is dropped.
         let mut seen = Vec::new();
@@ -521,7 +627,7 @@ mod tests {
         {
             let mut log = LogFile::open(&path, "test-log v1", |_| true).unwrap();
             for payload in ["ok", "will corrupt", "after corruption"] {
-                log.append(payload).unwrap();
+                log.append(&sealed(payload)).unwrap();
             }
         }
         // Flip a byte inside the second record. Recovery is prefix-based:
@@ -536,7 +642,7 @@ mod tests {
         };
         drop(LogFile::open(&path, "test-log v1", on_record).unwrap());
         assert_eq!(seen, ["ok"]);
-        let kept = format!("test-log v1\n{}", seal_line("ok"));
+        let kept = format!("test-log v1\n{}", sealed("ok"));
         assert_eq!(std::fs::read_to_string(&path).unwrap(), kept);
         std::fs::remove_file(&path).ok();
     }

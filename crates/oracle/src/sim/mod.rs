@@ -21,7 +21,9 @@ use crate::hash;
 use crate::model::ModelProfile;
 use crate::task::{CountMode, TaskDescriptor};
 use crate::tokenizer::{count_tokens, truncate_to_tokens};
-use crate::types::{CompletionRequest, CompletionResponse, FinishReason, LanguageModel, Usage};
+use crate::types::{
+    CompletionRequest, CompletionResponse, FinishReason, LanguageModel, ModelName, Usage,
+};
 use crate::world::WorldModel;
 
 /// A deterministic, seeded noisy-oracle language model.
@@ -33,7 +35,11 @@ use crate::world::WorldModel;
 #[derive(Debug, Clone)]
 pub struct SimulatedLlm {
     profile: ModelProfile,
+    /// `profile.name`, interned once: every response carries this handle.
+    name: ModelName,
     world: Arc<WorldModel>,
+    /// `world`'s attribute domains, the answer pools of wrong imputations.
+    domains: impute::Domains,
     seed: u64,
 }
 
@@ -41,8 +47,10 @@ impl SimulatedLlm {
     /// Create a simulator over the given world with the given profile.
     pub fn new(profile: ModelProfile, world: Arc<WorldModel>, seed: u64) -> Self {
         SimulatedLlm {
+            name: ModelName::from(profile.name.as_str()),
             profile,
             world,
+            domains: impute::Domains::default(),
             seed,
         }
     }
@@ -222,6 +230,7 @@ impl SimulatedLlm {
             } => {
                 let v = impute::simulate_impute(
                     world,
+                    &self.domains,
                     noise,
                     *item,
                     attribute,
@@ -295,6 +304,7 @@ impl SimulatedLlm {
                             examples,
                         } => impute::simulate_impute(
                             world,
+                            &self.domains,
                             noise,
                             *item,
                             attribute,
@@ -399,7 +409,7 @@ impl LanguageModel for SimulatedLlm {
             } else {
                 FinishReason::Stop
             },
-            model: self.profile.name.clone(),
+            model: self.name,
             cached: false,
             pricing: self.profile.pricing,
             confidence,

@@ -54,7 +54,8 @@ use crowdprompt_embed::{
 };
 
 use crate::recordlog::{
-    decode_response_fields, encode_response_fields, escape, unescape, LogFile, RESPONSE_FIELDS,
+    decode_response_fields, escape_into, push_response_fields, seal_line, unescape, LogFile,
+    RESPONSE_FIELDS,
 };
 use crate::types::{CompletionRequest, CompletionResponse};
 
@@ -251,7 +252,9 @@ struct StoreInner {
 
 impl StoreInner {
     /// Apply one replayed record payload; `false` rejects (truncating the
-    /// log there on a writer open).
+    /// log there on a writer open). Every prompt's escapes are checked;
+    /// only the semantic tier reads the decoded prompt, and one without an
+    /// escape is borrowed from the payload, not copied.
     fn apply_record(&mut self, payload: &str) -> bool {
         let fields: Vec<&str> = payload.split('\t').collect();
         if fields.len() != 3 + RESPONSE_FIELDS || fields[0] != "R" {
@@ -269,6 +272,22 @@ impl StoreInner {
         self.entries.insert(fingerprint, Arc::new(response));
         true
     }
+}
+
+/// One sealed `R` record line for `response` under `fingerprint`, built in
+/// one buffer.
+fn record_line(fingerprint: u64, prompt: &str, response: &CompletionResponse) -> String {
+    // Fixed fields, tabs and checksum take under 160 bytes.
+    let escaped = prompt.len() + response.text.len() + response.model.len();
+    let mut line = String::with_capacity(160 + escaped + escaped / 8);
+    line.push_str("R\t");
+    line.push_str(GENERATION);
+    line.push('\t');
+    escape_into(&mut line, prompt);
+    line.push('\t');
+    push_response_fields(&mut line, fingerprint, response);
+    seal_line(&mut line);
+    line
 }
 
 /// A crash-safe, content-addressed, disk-backed response cache with an
@@ -407,7 +426,7 @@ impl ResponseStore {
     /// cache hits, and for fingerprints already in the store.
     pub fn admit(&self, request: &CompletionRequest, response: &CompletionResponse) -> bool {
         self.cacheable(request, response)
-            && self.insert(request.fingerprint(), &request.prompt, || {
+            && self.insert(request.fingerprint(), &request.prompt, response, || {
                 Arc::new(response.clone())
             })
     }
@@ -423,7 +442,9 @@ impl ResponseStore {
     ) -> bool {
         debug_assert_eq!(fingerprint, request.fingerprint());
         self.cacheable(request, response)
-            && self.insert(fingerprint, &request.prompt, || Arc::clone(response))
+            && self.insert(fingerprint, &request.prompt, response, || {
+                Arc::clone(response)
+            })
     }
 
     /// Whether [`ResponseStore::admit`]'s policy would cache `response`.
@@ -447,37 +468,36 @@ impl ResponseStore {
         response: &Arc<CompletionResponse>,
     ) -> bool {
         debug_assert!(!response.cached, "a stored body is the paid one");
-        self.insert(fingerprint, prompt, || Arc::clone(response))
+        self.insert(fingerprint, prompt, response, || Arc::clone(response))
     }
 
-    /// Log one record and index it, unless `fingerprint` is already held
-    /// or this handle is a reader. `body` is taken only once the record is
-    /// known to be new.
+    /// Log `response` as one record and index it, unless `fingerprint` is
+    /// already held or this handle is a reader. The record line is built
+    /// before the lock is taken; `body` (the `Arc` to index) only once the
+    /// record is known to be new.
     fn insert(
         &self,
         fingerprint: u64,
         prompt: &str,
+        response: &CompletionResponse,
         body: impl FnOnce() -> Arc<CompletionResponse>,
     ) -> bool {
+        if self.is_read_only() {
+            return false;
+        }
+        let line = record_line(fingerprint, prompt, response);
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
-        // A reader holds no append handle.
         let Some(log) = &mut inner.log else {
             return false;
         };
         if inner.entries.contains_key(&fingerprint) {
             return false; // first write wins
         }
-        let body = body();
-        let payload = format!(
-            "R\t{GENERATION}\t{}\t{}",
-            escape(prompt),
-            encode_response_fields(fingerprint, &body),
-        );
-        if log.append(&payload).is_err() {
+        if log.append(&line).is_err() {
             return false;
         }
-        inner.entries.insert(fingerprint, body);
+        inner.entries.insert(fingerprint, body());
         if let Some(tier) = &mut inner.semantic {
             tier.insert(fingerprint, prompt);
             tier.maybe_reseal();
@@ -720,6 +740,40 @@ mod tests {
             std::fs::read(&path).unwrap().len() < full.len() - 5,
             "writer truncated the torn tail"
         );
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_malformed_prompt_escape_stops_an_exact_only_replay_there() {
+        let path = temp_path("bad-escape");
+        {
+            let store = ResponseStore::open(&path, StoreConfig::default()).unwrap();
+            assert!(store.admit(&request("kept\twith a tab"), &response("k", 1)));
+        }
+        // A checksum-valid record whose prompt holds `\x`, then a good one.
+        let line = record_line(9, "PROMPT", &response("b", 1));
+        let (payload, _) = line.rsplit_once('\t').unwrap();
+        let mut bad = payload.replace("PROMPT", "bad \\x escape");
+        seal_line(&mut bad);
+        let good = record_line(7, "after", &response("a", 1));
+        let mut file = OpenOptions::new().append(true).open(&path).unwrap();
+        file.write_all(format!("{bad}{good}").as_bytes()).unwrap();
+        drop(file);
+        let semantic = StoreConfig {
+            semantic: Some(SemanticConfig::new(0.4)),
+        };
+        for config in [StoreConfig::default(), semantic] {
+            let reader = ResponseStore::open_read_only(&path, config).unwrap();
+            assert_eq!(reader.len(), 1, "the replay stops at the bad escape");
+            assert!(reader.contains(request("kept\twith a tab").fingerprint()));
+            assert!(!reader.contains(9) && !reader.contains(7));
+        }
+        let before = std::fs::metadata(&path).unwrap().len();
+        let writer = ResponseStore::open(&path, StoreConfig::default()).unwrap();
+        assert_eq!(writer.len(), 1);
+        drop(writer);
+        let truncated = before - (bad.len() + good.len()) as u64;
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), truncated);
         cleanup(&path);
     }
 

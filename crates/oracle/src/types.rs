@@ -1,5 +1,10 @@
 //! Request/response types and the [`LanguageModel`] trait.
 
+use std::collections::BTreeMap;
+use std::fmt;
+
+use parking_lot::Mutex;
+
 use crate::error::LlmError;
 use crate::hash::Fingerprint;
 use crate::pricing::Pricing;
@@ -145,6 +150,102 @@ impl CompletionRequest {
     }
 }
 
+/// The name of the model that produced a [`CompletionResponse`]: a 4-byte
+/// handle into a process-wide table of interned names.
+///
+/// A resident cached answer carries one of these instead of its own copy of
+/// the name. Names are interned where a model or a record is built — the
+/// simulator at construction, a store or journal record at decode — never
+/// per call or per hit, and a hit never reads it. The table only grows: an
+/// interned name lives until the process exits, and any number of them fits
+/// short of the `u32` handle space (a store file may carry any number of
+/// names).
+///
+/// `Debug` and `Display` render exactly as the name's `String` would, so a
+/// response formats as it did when this field was a `String`.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+// lint: allow(pub-has-caller) — exposed by `CompletionResponse::model`
+pub struct ModelName(u32);
+
+/// The interned names: a handle indexes `names`, `index` maps a name back
+/// to its handle.
+struct NameTable {
+    names: Vec<&'static str>,
+    index: BTreeMap<&'static str, u32>,
+}
+
+static NAMES: Mutex<NameTable> = Mutex::new(NameTable {
+    names: Vec::new(),
+    index: BTreeMap::new(),
+});
+
+impl ModelName {
+    /// The handle of `name`, interning it on first sight.
+    fn intern(name: &str) -> ModelName {
+        let mut table = NAMES.lock();
+        if let Some(&handle) = table.index.get(name) {
+            return ModelName(handle);
+        }
+        let handle = u32::try_from(table.names.len())
+            .ok()
+            .filter(|&h| h < u32::MAX)
+            // lint: allow(no-unwrap) — invariant: 2^32 - 1 leaked names exceed any address space
+            .expect("fewer than 2^32 - 1 model names");
+        let name: &'static str = Box::leak(name.into());
+        table.names.push(name);
+        table.index.insert(name, handle);
+        ModelName(handle)
+    }
+
+    /// The name, copied out of the table under its lock.
+    fn as_str(self) -> &'static str {
+        NAMES.lock().names[self.0 as usize]
+    }
+}
+
+impl From<&str> for ModelName {
+    fn from(name: &str) -> ModelName {
+        ModelName::intern(name)
+    }
+}
+
+impl From<String> for ModelName {
+    fn from(name: String) -> ModelName {
+        ModelName::intern(&name)
+    }
+}
+
+impl std::ops::Deref for ModelName {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl fmt::Debug for ModelName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for ModelName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.as_str(), f)
+    }
+}
+
+impl PartialEq<str> for ModelName {
+    fn eq(&self, other: &str) -> bool {
+        self.as_str() == other
+    }
+}
+
+impl PartialEq<&str> for ModelName {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
 /// A completion response.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompletionResponse {
@@ -155,7 +256,7 @@ pub struct CompletionResponse {
     /// Why generation stopped.
     pub finish_reason: FinishReason,
     /// Model that produced the response.
-    pub model: String,
+    pub model: ModelName,
     /// Whether this response was served from a client-side cache (cached
     /// responses incur no spend; budget guards skip them).
     pub cached: bool,
@@ -171,6 +272,13 @@ pub struct CompletionResponse {
     /// `None` for task kinds without a single binary answer.
     pub confidence: Option<f64>,
 }
+
+// Every resident cached answer is one `Arc` of this body: with its two
+// counts, 72 bytes fill a 96-byte allocator block (a `String` name made the
+// body 96 bytes, a 128-byte block, plus a block for the name).
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<CompletionResponse>() == 72);
+const _: () = assert!(std::mem::size_of::<ModelName>() == 4);
 
 /// A language model backend: the simulator here, or a network client in a
 /// production deployment. Object safe; engines hold `Arc<dyn LanguageModel>`.
@@ -195,6 +303,53 @@ mod tests {
         TaskDescriptor::CheckPredicate {
             item: ItemId(1),
             predicate: "is_positive".into(),
+        }
+    }
+
+    #[test]
+    fn a_name_interns_to_one_handle() {
+        let a = ModelName::from("interned-twice");
+        let b = ModelName::from(String::from("interned-twice"));
+        assert_eq!(a, b);
+        assert_ne!(a, ModelName::from("interned-once"));
+        assert_eq!(a, "interned-twice");
+        assert_eq!(&*a, "interned-twice");
+    }
+
+    #[test]
+    fn a_name_formats_as_its_string() {
+        for name in ["sim-gpt-3.5-turbo", "", "quote \" tab \t é 🦀"] {
+            let handle = ModelName::from(name);
+            let string = name.to_string();
+            assert_eq!(format!("{handle:?}"), format!("{string:?}"));
+            assert_eq!(format!("{handle}"), format!("{string}"));
+            assert_eq!(format!("[{handle:>24}]"), format!("[{string:>24}]"));
+        }
+    }
+
+    #[test]
+    fn names_interned_from_many_threads_read_back() {
+        // 500 names, interned from four threads at once: every handle reads
+        // back its own name, and a name has one handle.
+        let handles: Vec<Vec<(String, ModelName)>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|t| {
+                    s.spawn(move || {
+                        (0..300)
+                            .map(|i| {
+                                let name = format!("segment-model-{}", (i * 7 + t) % 500);
+                                let handle = ModelName::from(name.as_str());
+                                (name, handle)
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for (name, handle) in handles.iter().flatten() {
+            assert_eq!(handle.as_str(), name);
+            assert_eq!(*handle, ModelName::from(name.as_str()));
         }
     }
 

@@ -132,10 +132,30 @@ impl WorldModel {
         self.flags.get(&(id, predicate.to_owned())).copied()
     }
 
-    /// All distinct registered values of the named attribute, sorted.
+    /// Every attribute's distinct registered values, sorted, in one pass.
     ///
-    /// The simulator uses this as the answer pool when it imputes a value
-    /// incorrectly (a wrong-but-plausible value, like a real model would).
+    /// The simulator keeps these as the answer pools it draws from when it
+    /// imputes a value incorrectly (a wrong-but-plausible value, like a real
+    /// model would).
+    pub(crate) fn attr_domains(&self) -> HashMap<String, Vec<String>> {
+        let mut domains: HashMap<&str, Vec<&str>> = HashMap::new();
+        for ((_, attr), value) in &self.attrs {
+            domains.entry(attr).or_default().push(value);
+        }
+        domains
+            .into_iter()
+            .map(|(attr, mut values)| {
+                values.sort_unstable();
+                values.dedup();
+                let values = values.into_iter().map(str::to_owned).collect();
+                (attr.to_owned(), values)
+            })
+            .collect()
+    }
+
+    /// All distinct registered values of the named attribute, sorted: the
+    /// scan [`WorldModel::attr_domains`] does once for every attribute.
+    #[cfg(test)]
     pub(crate) fn values_of_attr(&self, attr: &str) -> Vec<&str> {
         let mut vals: Vec<&str> = self
             .attrs
