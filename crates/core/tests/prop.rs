@@ -6,6 +6,33 @@ use crowdprompt_core::extract;
 use crowdprompt_core::quality::{calibrate_threshold, dawid_skene};
 use proptest::prelude::*;
 
+/// Pieces of packed responses: enumerations, preambles, line breaks of
+/// every kind, blank and multi-byte text.
+const ANSWER_PIECES: [&str; 22] = [
+    "1",
+    "2.",
+    "10)",
+    "99999999999999999999.",
+    ")",
+    ".",
+    ":",
+    "\n",
+    "\r\n",
+    "\r",
+    " ",
+    "\t",
+    "\u{a0}",
+    "\u{2028}",
+    "Yes",
+    "no",
+    "Answer:",
+    "é",
+    "日本",
+    "🦀",
+    "- ",
+    "",
+];
+
 proptest! {
     // -- consistency ---------------------------------------------------------
 
@@ -143,6 +170,31 @@ proptest! {
             .map(|(i, it)| format!("{}. {}\n", i + 1, it))
             .collect();
         prop_assert_eq!(extract::list_items(&rendered), items);
+    }
+
+    #[test]
+    fn packed_answers_never_panics_and_ok_holds_exactly_expected_entries(
+        picks in prop::collection::vec(0usize..ANSWER_PIECES.len(), 0..32),
+        bytes in prop::collection::vec(any::<u8>(), 0..48),
+        expected in 0usize..6,
+    ) {
+        // A response built from list-shaped pieces, and arbitrary bytes.
+        let shaped: String = picks.iter().map(|&p| ANSWER_PIECES[p]).collect();
+        let raw = String::from_utf8_lossy(&bytes).into_owned();
+        for text in [shaped, raw] {
+            match std::panic::catch_unwind(|| extract::packed_answers(&text, expected)) {
+                Err(_) => panic!("packed_answers({text:?}, {expected}) panicked"),
+                Ok(Ok(answers)) => prop_assert_eq!(
+                    answers.len(),
+                    expected,
+                    "packed_answers({:?}, {}) = {:?}",
+                    text,
+                    expected,
+                    answers
+                ),
+                Ok(Err(_)) => {}
+            }
+        }
     }
 
     // -- quality ------------------------------------------------------------------

@@ -14,6 +14,22 @@
 //! [`crate::ivf::IvfIndex`] with one probe–rescore per query. Neither the
 //! chunking nor the tiling changes a result, only wall-clock time.
 //!
+//! One batch shape takes a third path: a `Rows` batch naming every stored
+//! row exactly once, in any order — what `dedup` sends — is the
+//! *symmetric self-join* on [`BruteForceIndex`]. It walks the upper
+//! triangle in `QUERY_TILE`-row tiles, computes each unordered pair's dot
+//! once, and offers it to both rows; tile `t` goes to worker `t mod W`,
+//! because contiguous halves of a triangle split its work about 75/25.
+//! Each worker ranks into its own top-k per row and the workers' rankings
+//! are merged by re-offering. A ranking keeps the `k` best under the strict
+//! `(key, index)` order, whatever order the offers came in, and each
+//! direction's key is computed with the scan's own argument order from a
+//! dot that is symmetric in its arguments ([the lane
+//! contract](crate::vector#the-lane-contract)), so the self-join returns the
+//! tiled scan's bits at any worker count. It has no switch: partial or
+//! repeated `Rows` batches, `Flat` batches and the IVF tier keep their
+//! paths.
+//!
 //! The scan has one *fused* distance path: every candidate costs exactly
 //! one dot product, because with stored norms both metrics reduce to it
 //! (`‖q − v‖² = ‖q‖² + ‖v‖² − 2⟨q,v⟩`; `1 − cos = 1 − ⟨q,v⟩ / (‖q‖‖v‖)`).
@@ -250,6 +266,16 @@ impl TopK {
         }
     }
 
+    /// Rank every candidate `other` kept. Both rankings keep the `k` best
+    /// of what they were offered under the strict `(key, index)` order,
+    /// which no offer order can change, so absorbing yields the `k` best of
+    /// everything either one saw.
+    pub(crate) fn absorb(&mut self, other: TopK) {
+        for cand in other.heap {
+            self.offer(cand.key, cand.index);
+        }
+    }
+
     /// Drain into `(key, index)` pairs ascending by the ranking order.
     pub(crate) fn into_sorted(self) -> Vec<Candidate> {
         let mut out = self.heap.into_vec();
@@ -324,11 +350,23 @@ impl BruteForceIndex {
         self.search_with_workers(queries, k, workers)
     }
 
-    /// [`BruteForceIndex::search`] with an explicit worker count:
-    /// contiguous query chunks go to `std::thread::scope` workers, and each
-    /// worker runs the tiled scan (`QUERY_TILE` queries per pass over the
-    /// store). Exposed so the partitioned path is testable deterministically
-    /// on any machine; `search` sizes `workers` automatically.
+    /// [`BruteForceIndex::search`] with an explicit worker count. Exposed
+    /// so the partitioned paths are testable deterministically on any
+    /// machine; `search` sizes `workers` automatically.
+    ///
+    /// A [`Queries::Rows`] batch naming every stored row exactly once, in
+    /// any order, is the *self-join*: the upper triangle is walked in
+    /// `QUERY_TILE`-row tiles, each unordered pair's dot is computed once
+    /// and offered to both rows' rankings, and tile `t` goes to worker
+    /// `t mod workers` (contiguous halves of a triangle split its work
+    /// about 75/25). Every other batch is cut into contiguous query chunks,
+    /// one per `std::thread::scope` worker, and each chunk runs the tiled
+    /// scan (`QUERY_TILE` queries per pass over the store). Both give the
+    /// same bits: the self-join's keys are the scan's keys (the lane
+    /// contract's dot is symmetric in its arguments), and every ranking
+    /// keeps the `k` best under the strict `(key, index)` order, which the
+    /// order of offers — and so the merge of the workers' rankings — cannot
+    /// change.
     ///
     /// # Panics
     /// As [`BruteForceIndex::search`].
@@ -338,12 +376,89 @@ impl BruteForceIndex {
         k: usize,
         workers: usize,
     ) -> Vec<Vec<Neighbor>> {
+        if let Queries::Rows(rows) = queries {
+            if self.is_every_row_once(rows) {
+                return self.self_join(rows, k, workers);
+            }
+        }
         let n = queries.count(self.store.dims());
         crate::parallel::partition_chunks(n, workers, |range| {
             let (vectors, skip): (Vec<&[f32]>, Vec<Option<usize>>) =
                 range.map(|i| queries.get(&self.store, i)).unzip();
             self.scan_block(&vectors, &skip, k)
         })
+    }
+
+    /// Whether `rows` names every stored row exactly once, in any order:
+    /// the batch [`BruteForceIndex::self_join`] answers. An out-of-bounds
+    /// row is `false`, so the tiled scan reports it.
+    fn is_every_row_once(&self, rows: &[usize]) -> bool {
+        if rows.len() != self.len() {
+            return false;
+        }
+        let mut seen = vec![false; rows.len()];
+        rows.iter()
+            .all(|&r| r < seen.len() && !std::mem::replace(&mut seen[r], true))
+    }
+
+    /// The answers to a batch naming every stored row once, position-aligned
+    /// with `rows`. Each worker ranks its interleaved share of the triangle
+    /// into a ranking per stored row ([`BruteForceIndex::triangle_share`]);
+    /// the shares are merged by re-offering ([`TopK::absorb`]).
+    fn self_join(&self, rows: &[usize], k: usize, workers: usize) -> Vec<Vec<Neighbor>> {
+        if k == 0 {
+            return vec![Vec::new(); rows.len()];
+        }
+        let workers = workers.clamp(1, rows.len().div_ceil(QUERY_TILE).max(1));
+        let tops = crate::parallel::partition_chunks(workers, workers, |shares| {
+            shares.map(|w| self.triangle_share(w, workers, k)).collect()
+        })
+        .into_iter()
+        .reduce(|mut tops, share| {
+            for (top, other) in tops.iter_mut().zip(share) {
+                top.absorb(other);
+            }
+            tops
+        })
+        .unwrap_or_default();
+        let mut by_row: Vec<Vec<Neighbor>> = tops
+            .into_iter()
+            .map(|top| top.into_neighbors(self.metric))
+            .collect();
+        rows.iter()
+            .map(|&r| std::mem::take(&mut by_row[r]))
+            .collect()
+    }
+
+    /// One worker's share of the self-join: tiles `worker`, `worker +
+    /// workers`, … of `QUERY_TILE` stored rows, each against every later
+    /// row. A pair's one dot is offered to both rows, each direction with
+    /// its own [`Metric::rank_key`] argument order, so both keys are the
+    /// bits the tiled scan would compute.
+    fn triangle_share(&self, worker: usize, workers: usize, k: usize) -> Vec<TopK> {
+        let store = &self.store;
+        let n = store.len();
+        let mut tops: Vec<TopK> = (0..n).map(|_| TopK::new(k, n)).collect();
+        let mut dots = [0.0f32; QUERY_TILE];
+        for tile_start in (worker * QUERY_TILE..n).step_by(workers * QUERY_TILE) {
+            let tile_end = (tile_start + QUERY_TILE).min(n);
+            let tile: Vec<&[f32]> = (tile_start..tile_end).map(|i| store.row(i)).collect();
+            let norms: Vec<f32> = (tile_start..tile_end).map(|i| store.norm_sq(i)).collect();
+            for j in tile_start + 1..n {
+                // Row `j` against the tile's rows before it: inside the
+                // tile the ones below `j`, past it the whole tile.
+                let width = (j - tile_start).min(tile.len());
+                let norm_j = store.norm_sq(j);
+                let dots = &mut dots[..width];
+                dot_unrolled_many(store.row(j), &tile[..width], dots);
+                for (t, (&dot, &norm_i)) in dots.iter().zip(&norms).enumerate() {
+                    let i = tile_start + t;
+                    tops[i].offer(self.metric.rank_key(dot, norm_i, norm_j), j);
+                    tops[j].offer(self.metric.rank_key(dot, norm_j, norm_i), i);
+                }
+            }
+        }
+        tops
     }
 
     /// Tiled multi-query scan: each pass over the store answers up to
@@ -755,6 +870,111 @@ mod tests {
         let wide: Vec<f32> = (0..4097 * 64).map(|i| (i % 97) as f32).collect();
         let built = KnnIndex::build(VectorStore::from_flat(wide, 64), Metric::L2, Some(1.0));
         assert_eq!(built.kind(), "brute_force");
+    }
+
+    /// SplitMix64: the test corpora's only source of randomness.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// `n` rows of `dims` dimensions: some on a coarse grid, so keys tie,
+    /// the rest arbitrary; a duplicate row, an all-zero row and a row
+    /// holding a NaN once there is room.
+    fn self_join_corpus(n: usize, dims: usize, seed: u64) -> VectorStore {
+        let mut state = seed;
+        let mut rows: Vec<Vec<f32>> = (0..n)
+            .map(|_| {
+                let coarse = splitmix(&mut state).is_multiple_of(2);
+                (0..dims)
+                    .map(|_| {
+                        let r = splitmix(&mut state);
+                        if coarse {
+                            (r % 3) as f32 * 0.5 - 0.5
+                        } else {
+                            (r >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        if n >= 2 {
+            rows[n / 2] = rows[0].clone();
+        }
+        if n >= 3 {
+            rows[n - 1][dims / 2] = f32::NAN;
+        }
+        if n >= 4 {
+            rows[1] = vec![0.0; dims];
+        }
+        VectorStore::from_rows(rows)
+    }
+
+    /// Every answer as `(index, distance bits)`.
+    fn bits(answers: &[Vec<Neighbor>]) -> Vec<Vec<(usize, u32)>> {
+        answers
+            .iter()
+            .map(|hits| {
+                hits.iter()
+                    .map(|h| (h.index, h.distance.to_bits()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_self_join_returns_the_tiled_scans_bits() {
+        for n in [0usize, 1, 2, 15, 16, 17, 33, 300] {
+            let mut state = n as u64;
+            // A permuted order, and the identity.
+            let mut permuted: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                permuted.swap(i, splitmix(&mut state) as usize % (i + 1));
+            }
+            let identity: Vec<usize> = (0..n).collect();
+            // One row missing, and one row asked twice.
+            let missing = &permuted[..n.saturating_sub(1)];
+            let mut repeated = permuted.clone();
+            if n >= 2 {
+                repeated[0] = repeated[1];
+            }
+            // A whole 64-lane chunk and a tail; the largest corpus is
+            // narrow so that an unoptimised build stays quick.
+            let dims = if n > 64 { 5 } else { 70 };
+            for metric in [Metric::L2, Metric::Cosine] {
+                let store = self_join_corpus(n, dims, 7 + n as u64);
+                let idx = BruteForceIndex::from_store(store, metric);
+                assert!(idx.is_every_row_once(&permuted) && idx.is_every_row_once(&identity));
+                assert!(n == 0 || !idx.is_every_row_once(missing));
+                assert!(n < 2 || !idx.is_every_row_once(&repeated));
+                for k in [0, 1, 2, n.saturating_sub(1), n, usize::MAX] {
+                    for rows in [&permuted[..], &identity, missing, &repeated] {
+                        let vectors: Vec<&[f32]> =
+                            rows.iter().map(|&r| idx.store().row(r)).collect();
+                        let skip: Vec<Option<usize>> = rows.iter().map(|&r| Some(r)).collect();
+                        let tiled = bits(&idx.scan_block(&vectors, &skip, k));
+                        // The self-join at one worker, two, three, and more
+                        // than there are tiles; the tiled path at two.
+                        let workers: &[usize] = if idx.is_every_row_once(rows) {
+                            &[1, 2, 3, n / QUERY_TILE + 2]
+                        } else {
+                            &[2]
+                        };
+                        for &workers in workers {
+                            let got =
+                                bits(&idx.search_with_workers(Queries::Rows(rows), k, workers));
+                            assert_eq!(
+                                got, tiled,
+                                "{metric:?} n = {n} k = {k} workers = {workers} rows = {rows:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -27,7 +27,12 @@
 //! about twice the cost. A future kernel (wider registers, another ISA) is
 //! correct when the `to_bits` tests in this module pass against
 //! `dot_lanes`; NaN results must be NaN, their payloads are not part of
-//! the contract.
+//! the contract. It must also be symmetric in its two arguments —
+//! `dot(a, b)` and `dot(b, a)` the same bits, which element-wise
+//! multiply-then-add gives because IEEE multiplication commutes — since
+//! the k-NN self-join computes each unordered pair's dot once and ranks
+//! both rows by it, and a kernel that treated `a` and `b` differently
+//! would make that answer differ from the one-directional scan's.
 
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64::*;
@@ -510,6 +515,11 @@ mod tests {
             .collect()
     }
 
+    /// The contract's equality: the same bits, or NaN on both sides.
+    fn same(got: f32, want: f32) -> bool {
+        got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan())
+    }
+
     /// `dot_unrolled` and `dot_unrolled_many` at every tile width in
     /// `widths` against the portable core.
     fn assert_kernels_match_lanes(
@@ -518,9 +528,6 @@ mod tests {
         widths: std::ops::RangeInclusive<usize>,
     ) {
         let want: Vec<f32> = bs.iter().map(|b| dot_lanes(a, b)).collect();
-        let same = |got: f32, want: f32| {
-            got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan())
-        };
         for (b, &w) in bs.iter().zip(&want) {
             let got = dot_unrolled(a, b);
             assert!(same(got, w), "1x1 len {}: {got:e} vs {w:e}", a.len());
@@ -595,6 +602,50 @@ mod tests {
         let neg = vec![-0.0f32; 130];
         let pos = vec![1.0f32; 130];
         assert_kernels_match_lanes(&neg, &[pos.clone(), pos], 0..=2);
+    }
+
+    #[test]
+    fn every_kernel_is_symmetric_in_its_arguments() {
+        let specials = [
+            0.0f32,
+            -0.0,
+            f32::from_bits(1),
+            -f32::MIN_POSITIVE / 8.0,
+            1.25,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        // Without a `len % 64` tail, with one, and tail only. Salt 0 is
+        // arbitrary values; salts 1–3 draw from the first 5, 7 and 8
+        // specials, so signed zeros and subnormals decide some results,
+        // infinities others, and NaN the rest.
+        for n in [0usize, 1, 5, 63, 64, 65, 128, 130, 256, 300] {
+            for salt in 0..4usize {
+                let vector = |t: usize| -> Vec<f32> {
+                    if salt == 0 {
+                        return wobble(n, t as u32);
+                    }
+                    let pool = [0, 5, 7, 8][salt];
+                    (0..n)
+                        .map(|i| specials[(i * 5 + t * 7 + salt + i / 3) % pool])
+                        .collect()
+                };
+                let a = vector(1);
+                let bs: Vec<Vec<f32>> = (0..5).map(|t| vector(40 + t)).collect();
+                let refs: Vec<&[f32]> = bs.iter().map(Vec::as_slice).collect();
+                let mut out = vec![0.0f32; bs.len()];
+                dot_unrolled_many(&a, &refs, &mut out);
+                for (t, b) in bs.iter().enumerate() {
+                    let ab = dot_lanes(&a, b);
+                    let case = format!("len {n} salt {salt} b {t}: {ab:e}");
+                    assert!(same(ab, dot_lanes(b, &a)), "portable {case}");
+                    assert!(same(dot_unrolled(&a, b), dot_unrolled(b, &a)), "1x1 {case}");
+                    assert!(same(out[t], dot_unrolled(b, &a)), "1x2 {case}");
+                    assert!(same(out[t], ab), "1x2 vs portable {case}");
+                }
+            }
+        }
     }
 
     #[test]

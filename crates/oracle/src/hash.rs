@@ -113,6 +113,7 @@ impl Fingerprint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn fnv_known_vectors() {
@@ -159,6 +160,34 @@ mod tests {
         assert_eq!(parse_hex64("+00000000000000ff"), None); // signed
         assert_eq!(parse_hex64("00000000000000fg"), None); // non-hex
         assert_eq!(parse_hex64("00000000000000ff0"), None); // too long
+    }
+
+    /// Characters a hex field may be corrupted into: every hex digit in both
+    /// cases, near misses, a sign, a space and non-ASCII digits.
+    const HEX_PIECES: [&str; 30] = [
+        "0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "a", "b", "c", "d", "e", "f", "A", "F",
+        "g", "G", "x", "+", "-", " ", "\t", "٣", "９", "é", "🦀", "\n",
+    ];
+
+    proptest! {
+        #[test]
+        fn parse_hex64_accepts_exactly_sixteen_hex_digits(
+            picks in prop::collection::vec(0usize..HEX_PIECES.len(), 0..20),
+            hex_only in any::<bool>(),
+        ) {
+            // Half the cases draw only hex digits, so length alone decides.
+            let pool = if hex_only { 18 } else { HEX_PIECES.len() };
+            let s: String = picks.iter().map(|&p| HEX_PIECES[p % pool]).collect();
+            let parsed = match std::panic::catch_unwind(|| parse_hex64(&s)) {
+                Ok(parsed) => parsed,
+                Err(_) => panic!("parse_hex64({s:?}) panicked"),
+            };
+            let sixteen_hex = s.len() == 16 && s.bytes().all(|b| b.is_ascii_hexdigit());
+            prop_assert_eq!(parsed.is_some(), sixteen_hex, "parse_hex64({:?}) = {:?}", s, parsed);
+            if let Some(v) = parsed {
+                prop_assert_eq!(format!("{v:016x}"), s.to_ascii_lowercase(), "parse_hex64({:?})", s);
+            }
+        }
     }
 
     #[test]

@@ -499,7 +499,53 @@ mod tests {
                 encode_by_format(fingerprint, &response)
             );
         }
+
+        #[test]
+        fn decoding_arbitrary_fields_never_panics(
+            len in 0usize..12,
+            picks in prop::collection::vec(0usize..2 * FIELD_PIECES.len(), 12),
+        ) {
+            // Each field is either the well-formed one for its position or
+            // a piece, so decoding gets past the early fields as often as not.
+            let valid = encode_response_fields(0xfeed, &sample_response("Yes.\tno", Some(0.5)));
+            let valid: Vec<&str> = valid.split('\t').collect();
+            let fields: Vec<&str> = picks[..len]
+                .iter()
+                .enumerate()
+                .map(|(i, &p)| FIELD_PIECES.get(p).copied().unwrap_or(valid[i % RESPONSE_FIELDS]))
+                .collect();
+            let decoded = match std::panic::catch_unwind(|| decode_response_fields(&fields)) {
+                Ok(decoded) => decoded,
+                Err(_) => panic!("decode_response_fields({fields:?}) panicked"),
+            };
+            if len != RESPONSE_FIELDS {
+                prop_assert!(decoded.is_none(), "{fields:?} decoded");
+            } else if fields == valid {
+                prop_assert!(decoded.is_some(), "{fields:?} refused");
+            }
+        }
     }
+
+    /// Field values a corrupt record may hold: empty, signs, overflowing
+    /// and non-ASCII digits, truncated hex, bad escapes, multi-byte text.
+    const FIELD_PIECES: [&str; 16] = [
+        "",
+        "-",
+        "S",
+        "L",
+        "X",
+        "12",
+        "-1",
+        "4294967296",
+        "٣",
+        "00000000000000ff",
+        "000000000000ff",
+        "+0000000000000ff",
+        "\\",
+        "\\x",
+        "é🦀",
+        "7ff8000000000000",
+    ];
 
     #[test]
     fn seal_open_roundtrip_and_rejection() {

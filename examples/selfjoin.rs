@@ -1,7 +1,13 @@
 //! What one candidate pair costs in the exact blocking scan — the numbers
 //! behind the `resolve_cold` claim (ROADMAP item 5(i)): the 1×N dot kernel
 //! on an L1-resident query tile, the 1×1 kernel over a 512-row pool (the
-//! imputation shape), and the whole 4 000 × 4 000 × 256 self-join.
+//! imputation shape), and the whole 4 000 × 4 000 × 256 blocking question
+//! asked two ways. "stream" asks every stored row as `Queries::Rows`,
+//! which the index answers with the symmetric self-join (n(n−1)/2 dots);
+//! "scan" asks the same rows as `Queries::Flat`, which runs the
+//! one-directional tiled scan (n² dots). Both report nanoseconds per
+//! ordered (query, stored row) pair, n² of them. The example exits
+//! non-zero if the two answers differ in any bit.
 //!
 //! Run with: `cargo run --release --example selfjoin`
 //!
@@ -14,10 +20,12 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use crowdprompt::embed::vector::dot_unrolled_many;
-use crowdprompt::embed::{dot_unrolled, BruteForceIndex, Metric, Queries, VectorStore};
+use crowdprompt::embed::{dot_unrolled, BruteForceIndex, Metric, Neighbor, Queries, VectorStore};
 
 const DIMS: usize = 256;
 const ROWS: usize = 4_000;
+/// Neighbours per row, as `resolve_cold`'s blocking asks.
+const K: usize = 2;
 const TILE: usize = 16;
 const POOL: usize = 512;
 const REPS: usize = 10;
@@ -73,8 +81,39 @@ fn main() {
     println!("pool   1x1 over {POOL} rows        {pool_ns:6.2} ns/pair");
 
     let every_row: Vec<usize> = (0..ROWS).collect();
+    let mut joined = Vec::new();
     let stream_ns = ns_per_pair(ROWS * ROWS, || {
-        black_box(index.search_with_workers(Queries::Rows(&every_row), 2, 1));
+        joined = index.search_with_workers(Queries::Rows(&every_row), K, 1);
     });
-    println!("stream {ROWS} x {ROWS} self-join, k=2 {stream_ns:6.2} ns/pair");
+    println!("stream {ROWS} x {ROWS} self-join, k={K} {stream_ns:6.2} ns/pair");
+
+    // A free query's answer holds its own row, so ask one more and drop it.
+    let mut scanned = Vec::new();
+    let scan_ns = ns_per_pair(ROWS * ROWS, || {
+        scanned = index.search_with_workers(Queries::Flat(index.store().as_flat()), K + 1, 1);
+    });
+    println!("scan   {ROWS} x {ROWS} tiled,  k={K}+1 {scan_ns:6.2} ns/pair");
+
+    if joined.len() != ROWS || scanned.len() != ROWS {
+        eprintln!(
+            "{} self-join and {} scan answers for {ROWS} rows",
+            joined.len(),
+            scanned.len()
+        );
+        std::process::exit(1);
+    }
+    let bits = |hits: &[Neighbor]| -> Vec<(usize, u32)> {
+        hits.iter()
+            .map(|h| (h.index, h.distance.to_bits()))
+            .collect()
+    };
+    for (row, (join, scan)) in joined.iter().zip(&scanned).enumerate() {
+        let mut scan = scan.clone();
+        scan.retain(|h| h.index != row);
+        scan.truncate(K);
+        if bits(join) != bits(&scan) {
+            eprintln!("row {row}: self-join {join:?} != tiled scan {scan:?}");
+            std::process::exit(1);
+        }
+    }
 }
