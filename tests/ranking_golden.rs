@@ -1,5 +1,5 @@
-//! Golden outcomes for the ranking and matching operators on a *noisy*
-//! seeded simulator, with the input order different from the id order.
+//! Golden outcomes for every operator × strategy on a *noisy* seeded
+//! simulator, with the input order different from the id order.
 //!
 //! The perfect-oracle unit tests cannot see a flipped pair or a reordered
 //! bucket — a noiseless comparator answers the same either way round. The
@@ -13,7 +13,11 @@
 use std::fmt::Debug;
 use std::sync::Arc;
 
+use crowdprompt::core::ops::categorize::categorize;
 use crowdprompt::core::ops::cluster::{cluster, cluster_blocked};
+use crowdprompt::core::ops::count::count;
+use crowdprompt::core::ops::filter::filter;
+use crowdprompt::core::ops::impute::impute;
 use crowdprompt::core::ops::join::fuzzy_join;
 use crowdprompt::core::ops::max::find_max;
 use crowdprompt::core::ops::resolve::{dedup, resolve_pairs};
@@ -25,8 +29,8 @@ use crowdprompt::prelude::*;
 
 const N: usize = 17;
 
-/// Scores, sort keys and near-duplicate clusters of three, so every
-/// operator has something to do on the one world.
+/// Scores, sort keys, near-duplicate clusters of three, a flag, a label
+/// and a city, so every operator has something to do on the one world.
 fn world() -> (WorldModel, Vec<ItemId>) {
     let mut w = WorldModel::new();
     let ids: Vec<ItemId> = (0..N)
@@ -42,10 +46,21 @@ fn world() -> (WorldModel, Vec<ItemId>) {
             w.set_salience(id, 1.0);
             w.set_sort_key(id, text);
             w.set_cluster(id, (i / 3) as u64);
+            w.set_flag(id, "active", i % 2 == 0);
+            w.set_attr(id, "label", if i % 3 == 0 { "bulk" } else { "retail" });
+            w.set_attr(id, "city", city(id));
             id
         })
         .collect();
     (w, ids)
+}
+
+fn city(id: ItemId) -> &'static str {
+    if id.0 % 2 == 0 {
+        "oakland"
+    } else {
+        "fresno"
+    }
 }
 
 /// The presented order: a fixed permutation that is not the id order.
@@ -225,6 +240,68 @@ fn record() -> Vec<Produced> {
         |e, items| cluster_blocked(e, items, 6, 2),
         |g| groups_of(g),
     );
+
+    for strategy in [
+        FilterStrategy::Single,
+        FilterStrategy::MajorityVote {
+            votes: 3,
+            temperature_pct: 80,
+        },
+        FilterStrategy::ConfidenceGated {
+            min_confidence_pct: 65,
+            votes: 3,
+        },
+        FilterStrategy::Sequential {
+            lead: 2,
+            max_votes: 5,
+            temperature_pct: 80,
+        },
+        FilterStrategy::ProxyGated {
+            train: 8,
+            min_confidence_pct: 5,
+        },
+        FilterStrategy::Verified { max_rounds: 3 },
+    ] {
+        r.case(
+            &format!("filter/{}", strategy.name()),
+            |e, items| filter(e, items, "active", strategy),
+            |kept| ids_of(kept),
+        );
+    }
+    for strategy in [
+        CountStrategy::PerItem,
+        CountStrategy::Eyeball { batch_size: 8 },
+    ] {
+        r.case(
+            &format!("count/{}", strategy.name()),
+            |e, items| count(e, items, "active", strategy),
+            |n| *n,
+        );
+    }
+    let labels = vec!["bulk".to_owned(), "retail".to_owned()];
+    r.case(
+        "categorize",
+        |e, items| categorize(e, items, &labels),
+        |l| l.clone(),
+    );
+    // The pool labels every presented record: k-NN answers leave one out.
+    let labeled = |items: &[ItemId]| -> Vec<(ItemId, String)> {
+        items.iter().map(|&id| (id, city(id).to_owned())).collect()
+    };
+    for strategy in [
+        ImputeStrategy::KnnOnly { k: 3 },
+        ImputeStrategy::LlmOnly { shots: 2 },
+        ImputeStrategy::Hybrid { k: 3, shots: 2 },
+    ] {
+        r.case(
+            &format!("impute/{}", strategy.name()),
+            |e, items| {
+                let pool = LabeledPool::build(e, &labeled(items))?;
+                impute(e, items, "city", &pool, &strategy)
+            },
+            |v| v.clone(),
+        );
+    }
     r.rows
 }
 
@@ -300,4 +377,18 @@ const GOLDEN: &[Row] = &[
     ("join/blocked-3-1.5", "([(3, 5), (10, 9), (10, 13), (0, 2), (7, 8), (7, 6), (14, 13), (4, 5), (11, 9), (1, 2), (1, 5)], 24, 48)", 24, 1392, 224, 0.002535999999999999),
     ("cluster", "[[0, 1, 2], [3, 4, 5], [7, 8, 6], [10, 11, 9], [14, 12, 13], [15, 16]]", 16, 977, 229, 0.0019234999999999999),
     ("cluster_blocked", "[[0, 1, 2], [3, 4, 5], [7, 8, 6], [10, 11, 9], [14, 12, 13], [15, 16]]", 13, 803, 199, 0.0016025),
+    // Recorded through the operators' direct entry functions, before `Query`
+    // became the only way to run one.
+    ("filter/single", "[10, 0, 14, 4, 8, 12, 2, 16, 6]", 17, 510, 202, 0.001169),
+    ("filter/majority-vote-3", "[10, 0, 14, 4, 8, 12, 2, 16, 6]", 51, 1530, 504, 0.003302999999999998),
+    ("filter/confidence-gated-65-3", "[10, 0, 14, 4, 8, 12, 2, 16, 6]", 17, 510, 202, 0.001169),
+    ("filter/sequential-2-of-5", "[10, 0, 14, 4, 8, 12, 2, 16, 6]", 40, 1200, 367, 0.002533999999999999),
+    ("filter/proxy-gated-8-5", "[10, 0, 14, 4, 12, 2, 16, 6, 13]", 14, 420, 166, 0.0009619999999999999),
+    ("filter/verified-3", "[10, 0, 14, 4, 8, 12, 2, 16, 6]", 38, 1776, 426, 0.003516),
+    ("count/per-item", "9", 17, 510, 202, 0.001169),
+    ("count/eyeball-8", "10", 3, 246, 16, 0.000401),
+    ("categorize", "[\"bulk\", \"retail\", \"bulk\", \"retail\", \"retail\", \"retail\", \"retail\", \"retail\", \"retail\", \"bulk\", \"retail\", \"bulk\", \"retail\", \"bulk\", \"retail\", \"bulk\", \"retail\"]", 17, 680, 85, 0.00119),
+    ("impute/knn-only-3", "[\"fresno\", \"fresno\", \"oakland\", \"oakland\", \"oakland\", \"fresno\", \"oakland\", \"oakland\", \"oakland\", \"oakland\", \"fresno\", \"oakland\", \"oakland\", \"oakland\", \"fresno\", \"oakland\", \"oakland\"]", 0, 0, 0, 0.0),
+    ("impute/llm-only-2", "[\"fresno\", \"oakland\", \"oakland\", \"oakland\", \"oakland\", \"fresno\", \"fresno\", \"fresno\", \"oakland\", \"fresno\", \"fresno\", \"oakland\", \"oakland\", \"fresno\", \"oakland\", \"fresno\", \"fresno\"]", 17, 972, 113, 0.0016839999999999997),
+    ("impute/hybrid-3-2", "[\"fresno\", \"oakland\", \"oakland\", \"oakland\", \"oakland\", \"fresno\", \"fresno\", \"fresno\", \"oakland\", \"fresno\", \"fresno\", \"oakland\", \"oakland\", \"fresno\", \"oakland\", \"fresno\", \"oakland\"]", 16, 914, 109, 0.0015889999999999997),
 ];
