@@ -17,8 +17,9 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::sync::Arc;
 
-use crowdprompt_core::ops::filter::{filter, FilterStrategy};
-use crowdprompt_core::{Budget, Corpus, Engine};
+use crowdprompt_bench::run;
+use crowdprompt_core::ops::filter::FilterStrategy;
+use crowdprompt_core::{Budget, Corpus, Engine, Query};
 use crowdprompt_oracle::types::{CompletionRequest, CompletionResponse, LanguageModel};
 use crowdprompt_oracle::world::{ItemId, WorldModel};
 use crowdprompt_oracle::{LlmClient, LlmError, ModelProfile, SimulatedLlm};
@@ -105,6 +106,12 @@ fn engine_over(
     .with_pack_width(pack)
 }
 
+/// The items the burst's filter keeps, planned and run on `engine`.
+fn keep_relevant(engine: &Engine, ids: &[ItemId]) -> Vec<ItemId> {
+    let query = Query::over(ids).filter_with("relevant", FilterStrategy::Single);
+    run(engine, query).output.into_items().unwrap()
+}
+
 /// Wall-clock of the 4096-item filter burst at each dispatch width, against
 /// the rate-limited backend. Fresh engine (and cache) per iteration.
 fn bench_filter_burst(c: &mut Criterion) {
@@ -123,7 +130,7 @@ fn bench_filter_burst(c: &mut Criterion) {
         group.bench_function(label, |b| {
             b.iter_batched(
                 || engine_over(&world, &ids, Arc::clone(&llm), pack),
-                |engine| filter(&engine, &ids, "relevant", FilterStrategy::Single).unwrap(),
+                |engine| keep_relevant(&engine, &ids),
                 BatchSize::SmallInput,
             )
         });
@@ -138,15 +145,15 @@ fn bench_filter_burst(c: &mut Criterion) {
         7,
     ));
     let per_item_engine = engine_over(&world, &ids, Arc::clone(&fast), 1);
-    let per_item = filter(&per_item_engine, &ids, "relevant", FilterStrategy::Single).unwrap();
+    let per_item = keep_relevant(&per_item_engine, &ids);
     let per_item_calls = per_item_engine.client().stats().calls();
 
     let packed_engine = engine_over(&world, &ids, fast, PACK);
-    let packed = filter(&packed_engine, &ids, "relevant", FilterStrategy::Single).unwrap();
+    let packed = keep_relevant(&packed_engine, &ids);
     let packed_calls = packed_engine.client().stats().calls();
 
     assert_eq!(
-        per_item.value, packed.value,
+        per_item, packed,
         "packed filter must be bit-identical to the per-item path"
     );
     assert!(

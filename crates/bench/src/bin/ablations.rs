@@ -15,13 +15,13 @@
 
 use std::sync::Arc;
 
-use crowdprompt_bench::{arg_u64, mean, session_over};
+use crowdprompt_bench::{arg_u64, mean, run, session_over};
 use crowdprompt_core::consistency::{repair_ranking, violations};
 use crowdprompt_core::ops::count::CountStrategy;
 use crowdprompt_core::ops::sort::SortStrategy;
 use crowdprompt_core::optimize::{evaluate_sort_strategies, recommend};
 use crowdprompt_core::quality::dawid_skene;
-use crowdprompt_core::{Corpus, Engine};
+use crowdprompt_core::{Corpus, Engine, PlanOutput, Query};
 use crowdprompt_data::FlavorDataset;
 use crowdprompt_metrics::rank::kendall_tau_b_rankings;
 use crowdprompt_metrics::Table;
@@ -100,9 +100,11 @@ fn ablation_chunks(seed: u64) {
         ),
     ];
     for (name, strategy) in strategies {
-        let out = session
-            .sort(&data.items, SortCriterion::Lexicographic, &strategy)
-            .expect("sort runs");
+        let query = Query::over(&data.items).sort_with(SortCriterion::Lexicographic, strategy);
+        let out = run(session.engine(), query).into_outcome(|o| match o {
+            PlanOutput::Sorted(sorted) => sorted,
+            other => panic!("a sort node returns its sort result, got {other:?}"),
+        });
         let tau = kendall_tau_b_rankings(&out.value.order, &data.gold).unwrap_or(0.0);
         table.add_row(&[
             name,
@@ -124,7 +126,7 @@ fn ablation_chunks(seed: u64) {
 // ---------------------------------------------------------------------------
 
 fn ablation_proxy(seed: u64) {
-    use crowdprompt_core::ops::filter::{filter, FilterStrategy};
+    use crowdprompt_core::ops::filter::FilterStrategy;
     use crowdprompt_data::ReviewsDataset;
 
     let data = ReviewsDataset::generate(300, seed);
@@ -163,7 +165,8 @@ fn ablation_proxy(seed: u64) {
             train: TRAIN,
             min_confidence_pct,
         };
-        let out = filter(&engine, &data.items, "positive", strategy).expect("filter runs");
+        let query = Query::over(&data.items).filter_with("positive", strategy);
+        let out = run(&engine, query).into_outcome(|o| o.into_items().unwrap());
         let kept: std::collections::HashSet<ItemId> = out.value.iter().copied().collect();
         let correct = rest
             .iter()
@@ -195,7 +198,7 @@ fn ablation_proxy(seed: u64) {
 // ---------------------------------------------------------------------------
 
 fn ablation_confidence(seed: u64) {
-    use crowdprompt_core::ops::filter::{filter, FilterStrategy};
+    use crowdprompt_core::ops::filter::FilterStrategy;
 
     let n = 200usize;
     let mut world = WorldModel::new();
@@ -260,7 +263,8 @@ fn ablation_confidence(seed: u64) {
         ),
     ];
     for (name, strategy) in strategies {
-        let out = filter(&engine, &items, "flagged", strategy).expect("filter runs");
+        let query = Query::over(&items).filter_with("flagged", strategy);
+        let out = run(&engine, query).into_outcome(|o| o.into_items().unwrap());
         table.add_row(&[
             name,
             format!("{:.3}", accuracy(&out.value)),
@@ -310,13 +314,9 @@ fn ablation_batch(seed: u64) {
         ],
     );
     for batch in [10usize, 25, 50, 100, 200] {
-        let out = session
-            .count(
-                &items,
-                "positive",
-                CountStrategy::Eyeball { batch_size: batch },
-            )
-            .expect("count runs");
+        let query = Query::over(&items)
+            .count_with("positive", CountStrategy::Eyeball { batch_size: batch });
+        let out = run(session.engine(), query).into_outcome(|o| o.count().unwrap());
         table.add_row(&[
             "eyeball".to_owned(),
             batch.to_string(),
@@ -326,9 +326,8 @@ fn ablation_batch(seed: u64) {
             out.usage.total().to_string(),
         ]);
     }
-    let out = session
-        .count(&items, "positive", CountStrategy::PerItem)
-        .expect("count runs");
+    let query = Query::over(&items).count_with("positive", CountStrategy::PerItem);
+    let out = run(session.engine(), query).into_outcome(|o| o.count().unwrap());
     table.add_row(&[
         "per-item".to_owned(),
         "1".to_owned(),
@@ -360,10 +359,9 @@ fn ablation_batch(seed: u64) {
         } else {
             SortStrategy::PairwiseBatched { batch_size: batch }
         };
-        let out = session
-            .sort(&data.items, SortCriterion::LatentScore, &strategy)
-            .expect("sort runs");
-        let tau = kendall_tau_b_rankings(&out.value.order, &data.gold).unwrap_or(0.0);
+        let query = Query::over(&data.items).sort_with(SortCriterion::LatentScore, strategy);
+        let out = run(session.engine(), query).into_outcome(|o| o.into_items().unwrap());
+        let tau = kendall_tau_b_rankings(&out.value, &data.gold).unwrap_or(0.0);
         table.add_row(&[
             batch.to_string(),
             format!("{tau:.3}"),

@@ -9,7 +9,7 @@
 //!
 //! Usage: `table1 [--trials N] [--seed S] [--markdown]`
 
-use crowdprompt_bench::{arg_u64, arg_usize, mean, session_over};
+use crowdprompt_bench::{arg_u64, arg_usize, mean, run, session_over};
 use crowdprompt_core::ops::sort::SortStrategy;
 use crowdprompt_data::FlavorDataset;
 use crowdprompt_metrics::rank::kendall_tau_b_rankings;
@@ -66,10 +66,11 @@ fn main() {
             "by how chocolatey they are",
         );
         for ((_, strategy, _), row) in strategies.iter().zip(rows.iter_mut()) {
-            let out = session
-                .sort(&data.items, SortCriterion::LatentScore, strategy)
-                .expect("sort strategy should run");
-            let tau = kendall_tau_b_rankings(&out.value.order, &data.gold).unwrap_or(0.0);
+            let query = session
+                .query(&data.items)
+                .sort_with(SortCriterion::LatentScore, strategy.clone());
+            let out = run(session.engine(), query).into_outcome(|o| o.into_items().unwrap());
+            let tau = kendall_tau_b_rankings(&out.value, &data.gold).unwrap_or(0.0);
             row.taus.push(tau);
             row.prompt_tokens.push(f64::from(out.usage.prompt_tokens));
             row.completion_tokens

@@ -8,8 +8,9 @@
 //!
 //! Usage: `table2 [--trials N] [--n WORDS] [--seed S] [--markdown]`
 
-use crowdprompt_bench::{arg_u64, arg_usize, session_over};
+use crowdprompt_bench::{arg_u64, arg_usize, run, session_over};
 use crowdprompt_core::ops::sort::SortStrategy;
+use crowdprompt_core::PlanOutput;
 use crowdprompt_data::WordsDataset;
 use crowdprompt_metrics::rank::kendall_tau_b_rankings;
 use crowdprompt_metrics::Table;
@@ -44,9 +45,13 @@ fn main() {
             ("Sorting in one prompt", SortStrategy::SinglePrompt),
             ("Sort then insert", SortStrategy::SortThenInsert),
         ] {
-            let out = session
-                .sort(&data.items, SortCriterion::Lexicographic, &strategy)
-                .expect("sort should run");
+            let query = session
+                .query(&data.items)
+                .sort_with(SortCriterion::Lexicographic, strategy.clone());
+            let out = run(session.engine(), query).into_outcome(|o| match o {
+                PlanOutput::Sorted(sorted) => sorted,
+                other => panic!("a sort node returns its sort result, got {other:?}"),
+            });
             let tau = kendall_tau_b_rankings(&out.value.order, &data.gold).unwrap_or(0.0);
             // For the hybrid, the *final output* has no missing or
             // hallucinated entries by construction (the paper's point);

@@ -15,7 +15,7 @@
 //!
 //! Usage: `table3 [--pairs N] [--entities N] [--seed S] [--markdown]`
 
-use crowdprompt_bench::{arg_u64, arg_usize, session_over};
+use crowdprompt_bench::{arg_u64, arg_usize, run, session_over};
 use crowdprompt_core::ops::resolve::ResolveStrategy;
 use crowdprompt_data::{CitationDataset, CitationParams};
 use crowdprompt_metrics::BinaryConfusion;
@@ -44,9 +44,6 @@ fn main() {
     );
     let questions: Vec<(ItemId, ItemId)> = data.pairs.iter().map(|(a, b, _)| (*a, *b)).collect();
     let gold: Vec<bool> = data.pairs.iter().map(|(_, _, d)| *d).collect();
-    let index = session
-        .blocking_index(&data.mentions)
-        .expect("index builds");
 
     let paper = [
         (0.658, 0.503, 0.952),
@@ -79,9 +76,11 @@ fn main() {
         } else {
             ResolveStrategy::TransitivityAugmented { k }
         };
-        let out = session
-            .resolve_pairs(&questions, &strategy, Some(&index))
-            .expect("resolve runs");
+        // Neighborhoods come from a blocking index over every mention.
+        let query = session
+            .query(&data.mentions)
+            .resolve_pairs(questions.clone(), strategy);
+        let out = run(session.engine(), query).into_outcome(|o| o.verdicts().unwrap().to_vec());
         let confusion = BinaryConfusion::from_pairs(&out.value, &gold);
         let f1 = confusion.f1().unwrap_or(0.0);
         let recall = confusion.recall().unwrap_or(0.0);

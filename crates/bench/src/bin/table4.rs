@@ -16,7 +16,7 @@
 //!
 //! Usage: `table4 [--n RECORDS] [--seed S] [--markdown]`
 
-use crowdprompt_bench::{arg_u64, arg_usize, session_over};
+use crowdprompt_bench::{arg_u64, arg_usize, run, session_over};
 use crowdprompt_core::ops::impute::ImputeStrategy;
 use crowdprompt_core::Session;
 use crowdprompt_data::products::{buy, restaurants, ProductDataset};
@@ -34,10 +34,11 @@ fn run_strategy(session: &Session, data: &ProductDataset, strategy: &ImputeStrat
         .iter()
         .map(|id| (*id, data.gold_value(*id).to_owned()))
         .collect();
-    let pool = session.labeled_pool(&labeled).expect("pool builds");
-    let out = session
-        .impute(&data.records, &data.target, &pool, strategy)
-        .expect("impute runs");
+    let query =
+        session
+            .query(&data.records)
+            .impute_with(data.target.as_str(), labeled, strategy.clone());
+    let out = run(session.engine(), query).into_outcome(|o| o.values().unwrap().to_vec());
     let correct = out
         .value
         .iter()

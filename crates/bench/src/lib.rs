@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use crowdprompt_core::{Budget, Corpus, Session};
+use crowdprompt_core::{Budget, Corpus, Engine, PlanRun, Query, Session};
 use crowdprompt_oracle::world::{ItemId, WorldModel};
 use crowdprompt_oracle::{LlmClient, ModelProfile, SimulatedLlm};
 
@@ -26,6 +26,19 @@ pub fn session_over(
         .seed(seed)
         .criterion(criterion)
         .build()
+}
+
+/// Plan `query` against the engine (a session's: [`Session::engine`]) and
+/// execute it there.
+///
+/// # Panics
+/// Panics if the query fails to plan or to run: a harness has no partial
+/// result to report.
+pub fn run(engine: &Engine, query: Query) -> PlanRun {
+    query
+        .plan_on(engine)
+        .and_then(|plan| plan.execute_on(engine))
+        .unwrap_or_else(|e| panic!("query should run: {e}"))
 }
 
 /// Parse `--key value` style args with a default.

@@ -222,7 +222,9 @@ mod tests {
             votes: 3,
             temperature_pct: 100,
         };
-        let expensive_cost = filter(&pricey, &ids, "valid", all_pricey).unwrap().cost_usd;
+        let expensive_cost = filter(&pricey, &ids, "valid", all_pricey, 1)
+            .unwrap()
+            .cost_usd;
         assert!(
             cascade_out.cost_usd < expensive_cost * 0.6,
             "cascade ${:.4} should undercut all-expensive ${:.4}",

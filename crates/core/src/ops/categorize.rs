@@ -9,25 +9,15 @@ use crate::extract;
 use crate::ops::bill::{Ask, Line};
 use crate::outcome::{CostMeter, Outcome};
 
-/// Assign each item one of `labels`, returning labels in input order.
-/// Classification packs into multi-item prompts at the engine's configured
-/// [`Engine::pack_width`].
-pub fn categorize(
-    engine: &Engine,
-    items: &[ItemId],
-    labels: &[String],
-) -> Result<Outcome<Vec<String>>, EngineError> {
-    categorize_packed(engine, items, labels, engine.pack_width())
-}
-
-/// [`categorize`] at an explicit pack width (`1` = per-item dispatch).
+/// Assign each item one of `labels`, returning labels in input order,
+/// packing `pack` items to a prompt (`1` = per-item dispatch).
 ///
 /// Under a degrade policy, quarantined items get an empty-string label so
 /// the output stays aligned with the input (an empty string can never be a
 /// real label — empty label sets are rejected, and [`extract::choice`] only
 /// returns members of the set); the casualties land in the engine's
 /// salvage note.
-pub(crate) fn categorize_packed(
+pub(crate) fn categorize(
     engine: &Engine,
     items: &[ItemId],
     labels: &[String],
@@ -42,7 +32,7 @@ pub(crate) fn categorize_packed(
 }
 
 /// One label per item under the salvage-note name `op`: the classification
-/// pass shared by [`categorize_packed`] and the plan layer's keep-label
+/// pass shared by [`categorize`] and the plan layer's keep-label
 /// node.
 pub(crate) fn classify(
     engine: &Engine,
@@ -116,7 +106,7 @@ mod tests {
     #[test]
     fn perfect_oracle_recovers_labels() {
         let (engine, ids, labels) = setup(NoiseProfile::perfect());
-        let out = categorize(&engine, &ids, &labels).unwrap();
+        let out = categorize(&engine, &ids, &labels, 1).unwrap();
         for (i, label) in out.value.iter().enumerate() {
             assert_eq!(label, &labels[i % 3]);
         }
@@ -130,7 +120,7 @@ mod tests {
             ..NoiseProfile::default()
         };
         let (engine, ids, labels) = setup(noise);
-        let out = categorize(&engine, &ids, &labels).unwrap();
+        let out = categorize(&engine, &ids, &labels, 1).unwrap();
         for label in &out.value {
             assert!(labels.contains(label));
         }
@@ -140,7 +130,7 @@ mod tests {
     fn empty_labels_rejected() {
         let (engine, ids, _) = setup(NoiseProfile::perfect());
         assert!(matches!(
-            categorize(&engine, &ids, &[]),
+            categorize(&engine, &ids, &[], 1),
             Err(EngineError::InvalidInput(_))
         ));
     }

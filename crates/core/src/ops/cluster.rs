@@ -30,7 +30,7 @@ use crate::outcome::{CostMeter, Outcome};
 /// [`TaskDescriptor::SameEntity`] checks against one representative per
 /// group, probed nearest-first in embedding space (first match wins; no
 /// match starts a new group).
-pub fn cluster(
+pub(crate) fn cluster(
     engine: &Engine,
     items: &[ItemId],
     seed_size: usize,
@@ -44,7 +44,7 @@ pub fn cluster(
 /// starts a new group. Caps stage-2 LLM calls per item at `candidates`
 /// at the cost of recall when the embedding ranks the true group outside
 /// the probe list.
-pub fn cluster_blocked(
+pub(crate) fn cluster_blocked(
     engine: &Engine,
     items: &[ItemId],
     seed_size: usize,

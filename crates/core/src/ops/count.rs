@@ -58,24 +58,14 @@ impl CountStrategy {
     }
 }
 
-/// Count how many of `items` satisfy `predicate`. Per-item checks pack into
-/// multi-item prompts at the engine's configured [`Engine::pack_width`].
-pub fn count(
-    engine: &Engine,
-    items: &[ItemId],
-    predicate: &str,
-    strategy: CountStrategy,
-) -> Result<Outcome<u64>, EngineError> {
-    count_packed(engine, items, predicate, strategy, engine.pack_width())
-}
-
-/// [`count`] at an explicit pack width (`1` = per-item dispatch).
+/// Count how many of `items` satisfy `predicate`, packing per-item checks
+/// `pack` to a prompt (`1` = per-item dispatch).
 ///
 /// Under a degrade policy only items whose checks completed are counted;
 /// the rest are quarantined in the engine's salvage note (an eyeball batch
 /// that stays broken quarantines every item it covered), so the returned
 /// count is a *lower bound* when the note lists casualties.
-pub(crate) fn count_packed(
+pub(crate) fn count(
     engine: &Engine,
     items: &[ItemId],
     predicate: &str,
@@ -162,7 +152,7 @@ mod tests {
     #[test]
     fn per_item_perfect_is_exact() {
         let (engine, ids, truth) = setup(40, NoiseProfile::perfect());
-        let out = count(&engine, &ids, "relevant", CountStrategy::PerItem).unwrap();
+        let out = count(&engine, &ids, "relevant", CountStrategy::PerItem, 1).unwrap();
         assert_eq!(out.value, truth);
         assert_eq!(out.calls as usize, ids.len());
     }
@@ -175,9 +165,10 @@ mod tests {
             &ids,
             "relevant",
             CountStrategy::Eyeball { batch_size: 20 },
+            1,
         )
         .unwrap();
-        let fine = count(&engine, &ids, "relevant", CountStrategy::PerItem).unwrap();
+        let fine = count(&engine, &ids, "relevant", CountStrategy::PerItem, 1).unwrap();
         assert_eq!(coarse.calls, 4);
         assert_eq!(fine.calls, 80);
         assert!(coarse.usage.total() < fine.usage.total());
@@ -199,6 +190,7 @@ mod tests {
             &ids,
             "relevant",
             CountStrategy::Eyeball { batch_size: 10 },
+            1,
         )
         .unwrap();
         assert_eq!(out.value, truth);
@@ -207,7 +199,7 @@ mod tests {
     #[test]
     fn empty_input_is_zero_and_free() {
         let (engine, _, _) = setup(4, NoiseProfile::perfect());
-        let out = count(&engine, &[], "relevant", CountStrategy::PerItem).unwrap();
+        let out = count(&engine, &[], "relevant", CountStrategy::PerItem, 1).unwrap();
         assert_eq!(out.value, 0);
         assert_eq!(out.calls, 0);
     }

@@ -213,24 +213,13 @@ impl FilterStrategy {
 }
 
 /// Filter `items` by `predicate`, returning the ids that pass, in input
-/// order. Packs checks into multi-item prompts at the engine's configured
-/// [`Engine::pack_width`].
-pub fn filter(
-    engine: &Engine,
-    items: &[ItemId],
-    predicate: &str,
-    strategy: FilterStrategy,
-) -> Result<Outcome<Vec<ItemId>>, EngineError> {
-    filter_packed(engine, items, predicate, strategy, engine.pack_width())
-}
-
-/// [`filter`] at an explicit pack width (`1` = per-item dispatch). The plan
-/// executor calls this with the planner's per-node width choice.
+/// order, packing checks `pack` to a prompt (`1` = per-item dispatch; the
+/// plan executor passes the planner's per-node width).
 ///
 /// Under a degrade policy, items whose checks stay broken are quarantined
 /// (dropped from the kept set) and noted for the plan layer instead of
 /// failing the batch; see [`Engine::settle`].
-pub(crate) fn filter_packed(
+pub(crate) fn filter(
     engine: &Engine,
     items: &[ItemId],
     predicate: &str,
@@ -630,7 +619,7 @@ mod tests {
     #[test]
     fn single_perfect_filter_is_exact() {
         let (engine, ids, expected) = setup(30, NoiseProfile::perfect());
-        let out = filter(&engine, &ids, "positive", FilterStrategy::Single).unwrap();
+        let out = filter(&engine, &ids, "positive", FilterStrategy::Single, 1).unwrap();
         assert_eq!(out.value, expected);
         assert_eq!(out.calls as usize, ids.len());
     }
@@ -650,7 +639,7 @@ mod tests {
                 .count() as f64
                 / ids.len() as f64
         };
-        let single = filter(&engine, &ids, "positive", FilterStrategy::Single).unwrap();
+        let single = filter(&engine, &ids, "positive", FilterStrategy::Single, 1).unwrap();
         let voted = filter(
             &engine,
             &ids,
@@ -659,6 +648,7 @@ mod tests {
                 votes: 5,
                 temperature_pct: 100,
             },
+            1,
         )
         .unwrap();
         let a_single = accuracy(&single.value);
@@ -685,7 +675,7 @@ mod tests {
                 .count() as f64
                 / ids.len() as f64
         };
-        let single = filter(&engine, &ids, "positive", FilterStrategy::Single).unwrap();
+        let single = filter(&engine, &ids, "positive", FilterStrategy::Single, 1).unwrap();
         let gated = filter(
             &engine,
             &ids,
@@ -694,6 +684,7 @@ mod tests {
                 min_confidence_pct: 65,
                 votes: 5,
             },
+            1,
         )
         .unwrap();
         let full_vote = filter(
@@ -704,6 +695,7 @@ mod tests {
                 votes: 5,
                 temperature_pct: 100,
             },
+            1,
         )
         .unwrap();
         // Gating should improve on a single pass…
@@ -737,6 +729,7 @@ mod tests {
                 min_confidence_pct: 65,
                 votes: 5,
             },
+            1,
         )
         .unwrap();
         assert_eq!(out.value, expected);
@@ -746,7 +739,7 @@ mod tests {
     #[test]
     fn empty_input() {
         let (engine, _, _) = setup(3, NoiseProfile::perfect());
-        let out = filter(&engine, &[], "positive", FilterStrategy::Single).unwrap();
+        let out = filter(&engine, &[], "positive", FilterStrategy::Single, 1).unwrap();
         assert!(out.value.is_empty());
         assert_eq!(out.calls, 0);
     }
@@ -783,7 +776,7 @@ mod tests {
             (proxy(1), "train"),
             (FilterStrategy::Verified { max_rounds: 0 }, "max_rounds"),
         ] {
-            match filter(&engine, &ids, "positive", strategy) {
+            match filter(&engine, &ids, "positive", strategy, 1) {
                 Err(EngineError::InvalidInput(msg)) => assert!(msg.contains(field), "{msg}"),
                 other => panic!("{strategy:?}: expected InvalidInput, got {other:?}"),
             }
@@ -804,7 +797,7 @@ mod tests {
             max_votes: 25,
             temperature_pct: 100,
         };
-        let out = filter(&engine, &ids[..1], "valid", strategy).unwrap();
+        let out = filter(&engine, &ids[..1], "valid", strategy, 1).unwrap();
         assert_eq!(out.value, ids[..1], "item 0 is valid");
         let votes = out.calls;
         assert!(votes <= 4, "agreement should stop early, used {votes}");
@@ -820,7 +813,7 @@ mod tests {
             max_votes: 15,
             temperature_pct: 100,
         };
-        let total_votes = filter(&engine, &ids, "valid", strategy).unwrap().calls;
+        let total_votes = filter(&engine, &ids, "valid", strategy, 1).unwrap().calls;
         assert!(
             total_votes > 40,
             "disagreement should consume votes: {total_votes}/150"
@@ -837,7 +830,7 @@ mod tests {
             max_votes: 7,
             temperature_pct: 100,
         };
-        let out = filter(&engine, &ids, "valid", strategy).unwrap();
+        let out = filter(&engine, &ids, "valid", strategy, 1).unwrap();
         assert_eq!(out.value, expected);
         assert_eq!(out.calls, 12, "two agreeing votes settle each item");
     }
@@ -856,12 +849,12 @@ mod tests {
             max_votes: 2,
             temperature_pct: 100,
         };
-        let exhausted = filter(&engine, &ids, "valid", sequential).unwrap();
-        let majority = filter(&engine, &ids, "valid", vote(2)).unwrap();
+        let exhausted = filter(&engine, &ids, "valid", sequential, 1).unwrap();
+        let majority = filter(&engine, &ids, "valid", vote(2), 1).unwrap();
         assert_eq!(exhausted.value, majority.value);
         assert_eq!(exhausted.calls, 80);
         // Some item's first vote said yes and its second no: tied, dropped.
-        let first_vote = filter(&engine, &ids, "valid", vote(1)).unwrap();
+        let first_vote = filter(&engine, &ids, "valid", vote(1), 1).unwrap();
         assert!(first_vote
             .value
             .iter()
@@ -877,7 +870,7 @@ mod tests {
             temperature_pct: 100,
         };
         // Item 0's flag is true.
-        let out = filter(&engine, &ids[..1], "p", strategy).unwrap();
+        let out = filter(&engine, &ids[..1], "p", strategy, 1).unwrap();
         assert_eq!(
             out.value,
             ids[..1],
@@ -901,12 +894,13 @@ mod tests {
                 .filter(|id| kept.contains(id) == expected.contains(id))
                 .count()
         };
-        let single = filter(&engine, &ids, "p", FilterStrategy::Single).unwrap();
+        let single = filter(&engine, &ids, "p", FilterStrategy::Single, 1).unwrap();
         let verified = filter(
             &engine,
             &ids,
             "p",
             FilterStrategy::Verified { max_rounds: 4 },
+            1,
         );
         let verified = verified.unwrap();
         let (single_correct, verified_correct) = (correct(&single.value), correct(&verified.value));
@@ -927,6 +921,7 @@ mod tests {
             &ids,
             "p",
             FilterStrategy::Verified { max_rounds: 5 },
+            1,
         )
         .unwrap();
         assert_eq!(out.value, ids);
@@ -940,7 +935,7 @@ mod tests {
             train: 20,
             min_confidence_pct: 0,
         };
-        let out = filter(&engine, &ids, "spam", strategy).unwrap();
+        let out = filter(&engine, &ids, "spam", strategy, 1).unwrap();
         assert!(out.calls == 20, "training pays one call per sample item");
         assert_eq!(
             out.value, expected,
@@ -955,7 +950,7 @@ mod tests {
             train: 20,
             min_confidence_pct: 5,
         };
-        let out = filter(&engine, &ids, "spam", strategy).unwrap();
+        let out = filter(&engine, &ids, "spam", strategy, 1).unwrap();
         // Only the training sample and the uncertain items cost calls.
         let llm_decisions = out.calls as usize - 20;
         let proxy_decisions = 60 - llm_decisions;
@@ -973,7 +968,7 @@ mod tests {
             train: 10,
             min_confidence_pct: 200,
         };
-        let out = filter(&engine, &ids, "spam", strategy).unwrap();
+        let out = filter(&engine, &ids, "spam", strategy, 1).unwrap();
         assert_eq!(out.calls, 30, "no proxy decisions, 20 LLM decisions");
         assert_eq!(out.value, expected);
     }
@@ -987,7 +982,7 @@ mod tests {
             min_confidence_pct: 0,
         };
         // All-positive labels fit no proxy; the filter still answers.
-        let out = filter(&engine, &ids, "spam", strategy).unwrap();
+        let out = filter(&engine, &ids, "spam", strategy, 1).unwrap();
         assert_eq!(out.value, ids);
         assert_eq!(out.calls, 6, "the cost of a single check per item");
     }

@@ -80,14 +80,17 @@ impl ImputeStrategy {
 /// A labeled reference pool: records whose target-attribute values are
 /// known, supporting neighbor lookup by record-text embedding through the
 /// shared (memoized, batched) [`BlockingIndex`].
-pub struct LabeledPool {
+pub(crate) struct LabeledPool {
     labels: HashMap<ItemId, String>,
     inner: BlockingIndex,
 }
 
 impl LabeledPool {
     /// Build a pool from labeled items, embedding their corpus texts.
-    pub fn build(engine: &Engine, labeled: &[(ItemId, String)]) -> Result<Self, EngineError> {
+    pub(crate) fn build(
+        engine: &Engine,
+        labeled: &[(ItemId, String)],
+    ) -> Result<Self, EngineError> {
         let items: Vec<ItemId> = labeled.iter().map(|(id, _)| *id).collect();
         let labels = labeled.iter().map(|(id, l)| (*id, l.clone())).collect();
         Ok(LabeledPool {
@@ -107,47 +110,19 @@ impl LabeledPool {
     }
 
     /// The label of a pool record.
-    pub fn label(&self, id: ItemId) -> Option<&str> {
+    pub(crate) fn label(&self, id: ItemId) -> Option<&str> {
         self.labels.get(&id).map(String::as_str)
-    }
-
-    /// Number of labeled records.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
     }
 }
 
 /// Impute `attribute` for each record in `records`, returning predicted
-/// values in input order. LLM calls pack into multi-item prompts at the
-/// engine's configured [`Engine::pack_width`].
-pub fn impute(
-    engine: &Engine,
-    records: &[ItemId],
-    attribute: &str,
-    pool: &LabeledPool,
-    strategy: &ImputeStrategy,
-) -> Result<Outcome<Vec<String>>, EngineError> {
-    impute_packed(
-        engine,
-        records,
-        attribute,
-        pool,
-        strategy,
-        engine.pack_width(),
-    )
-}
-
-/// [`impute`] at an explicit pack width (`1` = per-record dispatch).
+/// values in input order; LLM calls pack `pack` records to a prompt (`1` =
+/// per-record dispatch).
 ///
 /// Under a degrade policy, quarantined records get the empty-string "no
 /// answer" placeholder (the k-NN convention) so output stays aligned;
 /// casualties land in the engine's salvage note.
-pub(crate) fn impute_packed(
+pub(crate) fn impute(
     engine: &Engine,
     records: &[ItemId],
     attribute: &str,
@@ -310,6 +285,7 @@ mod tests {
             "city",
             &pool,
             &ImputeStrategy::KnnOnly { k: 3 },
+            1,
         )
         .unwrap();
         assert_eq!(out.calls, 0);
@@ -338,6 +314,7 @@ mod tests {
             "city",
             &pool,
             &ImputeStrategy::LlmOnly { shots: 0 },
+            1,
         )
         .unwrap();
         assert_eq!(out.calls as usize, ids.len());
@@ -357,6 +334,7 @@ mod tests {
             "city",
             &pool,
             &ImputeStrategy::Hybrid { k: 3, shots: 0 },
+            1,
         )
         .unwrap();
         assert!(
@@ -382,6 +360,7 @@ mod tests {
             "city",
             &pool,
             &ImputeStrategy::Hybrid { k: 3, shots: 3 },
+            1,
         )
         .unwrap();
         let llm_only = impute(
@@ -390,6 +369,7 @@ mod tests {
             "city",
             &pool,
             &ImputeStrategy::LlmOnly { shots: 3 },
+            1,
         )
         .unwrap();
         assert!(hybrid.usage.total() < llm_only.usage.total());
@@ -406,6 +386,7 @@ mod tests {
             "city",
             &pool,
             &ImputeStrategy::LlmOnly { shots: 0 },
+            1,
         )
         .unwrap();
         let three = impute(
@@ -414,6 +395,7 @@ mod tests {
             "city",
             &pool,
             &ImputeStrategy::LlmOnly { shots: 3 },
+            1,
         )
         .unwrap();
         assert!(three.usage.prompt_tokens > zero.usage.prompt_tokens);
@@ -441,7 +423,7 @@ mod tests {
                 let pool = LabeledPool::build(&engine, &labeled(&pool_ids, &gold)).unwrap();
                 let mut total = Outcome::free(Vec::new());
                 for batch in batches {
-                    let out = impute_packed(&engine, batch, "city", &pool, &strategy, 1).unwrap();
+                    let out = impute(&engine, batch, "city", &pool, &strategy, 1).unwrap();
                     total.value.extend(out.value);
                     total.calls += out.calls;
                     total.usage += out.usage;
@@ -469,13 +451,13 @@ mod tests {
         let (w, ids, _) = impute_world(3, 0);
         let engine = engine_over(w, &ids, NoiseProfile::perfect());
         let pool = LabeledPool::build(&engine, &[]).unwrap();
-        assert!(pool.is_empty());
         let out = impute(
             &engine,
             &ids,
             "city",
             &pool,
             &ImputeStrategy::KnnOnly { k: 3 },
+            1,
         )
         .unwrap();
         assert!(out.value.iter().all(String::is_empty));

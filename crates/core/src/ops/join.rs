@@ -75,7 +75,7 @@ pub struct JoinResult {
 }
 
 /// Join `left` and `right` on entity identity.
-pub fn fuzzy_join(
+pub(crate) fn fuzzy_join(
     engine: &Engine,
     left: &[ItemId],
     right: &[ItemId],

@@ -67,7 +67,7 @@ impl MaxStrategy {
 }
 
 /// Find the item ranking first under the criterion.
-pub fn find_max(
+pub(crate) fn find_max(
     engine: &Engine,
     items: &[ItemId],
     criterion: SortCriterion,

@@ -1,9 +1,11 @@
 //! Declarative operators, each with multiple strategies along the
-//! cost/accuracy trade-off (paper §3).
+//! cost/accuracy trade-off (paper §3). An operator runs through
+//! [`crate::plan::Query`]; its module here exports its strategy and result
+//! types.
 
 pub(crate) mod bill;
-pub mod categorize;
-pub mod cluster;
+pub(crate) mod categorize;
+pub(crate) mod cluster;
 pub mod count;
 pub mod filter;
 pub mod impute;
@@ -12,15 +14,4 @@ pub(crate) mod judge;
 pub mod max;
 pub mod resolve;
 pub mod sort;
-pub mod topk;
-
-pub use categorize::categorize;
-pub use cluster::cluster;
-pub use count::{count, CountStrategy};
-pub use filter::{filter, FilterStrategy};
-pub use impute::{impute, ImputeStrategy, LabeledPool};
-pub use join::{fuzzy_join, JoinResult, JoinStrategy};
-pub use max::{find_max, MaxStrategy};
-pub use resolve::{resolve_pairs, ResolveStrategy};
-pub use sort::{sort, SortResult, SortStrategy};
-pub use topk::top_k;
+pub(crate) mod topk;

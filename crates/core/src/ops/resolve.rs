@@ -8,7 +8,7 @@ use crate::blocking::BlockingIndex;
 use crate::consistency::UnionFind;
 use crate::error::EngineError;
 use crate::exec::Engine;
-use crate::ops::bill::{Ask, Line};
+use crate::ops::bill::{pair_count, Ask, Line};
 use crate::ops::judge;
 use crate::outcome::{CostMeter, Outcome};
 
@@ -27,24 +27,42 @@ pub enum ResolveStrategy {
     },
 }
 
-/// Answer duplicate questions for the given pairs.
-///
-/// Returns one boolean per input pair, in order. `index` is the blocking
-/// index over the mention corpus that `TransitivityAugmented` expands
-/// neighborhoods from (`Pairwise` never reads it).
-pub fn resolve_pairs(
+impl ResolveStrategy {
+    /// Human-readable strategy name (used by `EXPLAIN`).
+    pub(crate) fn name(&self) -> String {
+        match self {
+            ResolveStrategy::Pairwise => "pairwise".to_owned(),
+            ResolveStrategy::TransitivityAugmented { k } => format!("transitivity-{k}"),
+        }
+    }
+
+    /// What answering `pairs` questions asks of the model: one question per
+    /// pair, or — expanding each pair with `k` neighbors per record — at
+    /// most every pair within each expanded set of `2 + 2k` records (shared
+    /// comparisons are asked once, so the run usually asks fewer).
+    pub(crate) fn bill(&self, pairs: usize) -> Vec<Line> {
+        let calls = match *self {
+            ResolveStrategy::Pairwise => pairs,
+            ResolveStrategy::TransitivityAugmented { k } => pairs * pair_count(2 + 2 * k),
+        };
+        vec![Line::new(calls, Ask::SameEntity)]
+    }
+}
+
+/// Answer duplicate questions for the given pairs, one boolean per pair in
+/// order. `TransitivityAugmented` expands neighborhoods from a blocking
+/// index it builds over `items`; `Pairwise` never reads them.
+pub(crate) fn resolve_pairs(
     engine: &Engine,
+    items: &[ItemId],
     pairs: &[(ItemId, ItemId)],
     strategy: &ResolveStrategy,
-    index: Option<&BlockingIndex>,
 ) -> Result<Outcome<Vec<bool>>, EngineError> {
     match strategy {
         ResolveStrategy::Pairwise => pairwise(engine, pairs),
         ResolveStrategy::TransitivityAugmented { k } => {
-            let index = index.ok_or_else(|| {
-                EngineError::InvalidInput("TransitivityAugmented requires a BlockingIndex".into())
-            })?;
-            transitivity_augmented(engine, pairs, *k, index)
+            let index = BlockingIndex::build(engine, items)?;
+            transitivity_augmented(engine, pairs, *k, &index)
         }
     }
 }
@@ -143,7 +161,7 @@ pub(crate) fn dedup_bill(n: usize, candidates: usize) -> Vec<Line> {
 /// `candidates` bounds the per-record neighbor expansion; `max_distance`
 /// prunes candidates farther than that in embedding space (unit-normalized
 /// embeddings put distances in `[0, 2]`).
-pub fn dedup(
+pub(crate) fn dedup(
     engine: &Engine,
     items: &[ItemId],
     index: &BlockingIndex,
@@ -282,7 +300,8 @@ mod tests {
         let (w, mentions, pairs) = er_world(6);
         let engine = engine_over(w, &mentions, NoiseProfile::perfect());
         let questions: Vec<(ItemId, ItemId)> = pairs.iter().map(|(a, b, _)| (*a, *b)).collect();
-        let out = resolve_pairs(&engine, &questions, &ResolveStrategy::Pairwise, None).unwrap();
+        let out =
+            resolve_pairs(&engine, &mentions, &questions, &ResolveStrategy::Pairwise).unwrap();
         for (verdict, (_, _, gold)) in out.value.iter().zip(&pairs) {
             assert_eq!(verdict, gold);
         }
@@ -307,15 +326,14 @@ mod tests {
         let questions: Vec<(ItemId, ItemId)> = pairs.iter().map(|(a, b, _)| (*a, *b)).collect();
 
         let baseline =
-            resolve_pairs(&engine, &questions, &ResolveStrategy::Pairwise, None).unwrap();
+            resolve_pairs(&engine, &mentions, &questions, &ResolveStrategy::Pairwise).unwrap();
         let baseline_recall = recall(&baseline.value, &pairs);
 
-        let index = BlockingIndex::build(&engine, &mentions).unwrap();
         let augmented = resolve_pairs(
             &engine,
+            &mentions,
             &questions,
             &ResolveStrategy::TransitivityAugmented { k: 2 },
-            Some(&index),
         )
         .unwrap();
         let augmented_recall = recall(&augmented.value, &pairs);
@@ -379,20 +397,6 @@ mod tests {
     }
 
     #[test]
-    fn transitivity_requires_index() {
-        let (w, mentions, _) = er_world(3);
-        let engine = engine_over(w, &mentions, NoiseProfile::perfect());
-        let err = resolve_pairs(
-            &engine,
-            &[(mentions[0], mentions[1])],
-            &ResolveStrategy::TransitivityAugmented { k: 1 },
-            None,
-        )
-        .unwrap_err();
-        assert!(matches!(err, EngineError::InvalidInput(_)));
-    }
-
-    #[test]
     fn dedup_recovers_clusters_with_blocking() {
         let (w, mentions, _) = er_world(10);
         let engine = engine_over(w, &mentions, NoiseProfile::perfect());
@@ -425,7 +429,7 @@ mod tests {
     fn empty_pairs_is_free() {
         let (w, mentions, _) = er_world(3);
         let engine = engine_over(w, &mentions, NoiseProfile::perfect());
-        let out = resolve_pairs(&engine, &[], &ResolveStrategy::Pairwise, None).unwrap();
+        let out = resolve_pairs(&engine, &mentions, &[], &ResolveStrategy::Pairwise).unwrap();
         assert!(out.value.is_empty());
         assert_eq!(out.calls, 0);
     }

@@ -161,7 +161,7 @@ pub struct SortResult {
 ///
 /// The ordering convention follows the criterion: `LatentScore` sorts
 /// descending (most-X first), `Lexicographic` ascending.
-pub fn sort(
+pub(crate) fn sort(
     engine: &Engine,
     items: &[ItemId],
     criterion: SortCriterion,

@@ -54,7 +54,7 @@ pub(crate) fn bill(
 /// shortlist is then ranked exactly with pairwise comparisons and
 /// consistency repair. When everything qualifies (`items.len() <= k`) the
 /// items are ranked without a rating pass.
-pub fn top_k(
+pub(crate) fn top_k(
     engine: &Engine,
     items: &[ItemId],
     criterion: SortCriterion,

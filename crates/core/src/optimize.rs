@@ -110,7 +110,7 @@ pub fn evaluate_filter_strategies(
     }
     let mut trials = Vec::with_capacity(candidates.len());
     for strategy in candidates {
-        let out = filter(engine, sample, predicate, *strategy)?;
+        let out = filter(engine, sample, predicate, *strategy, engine.pack_width())?;
         let kept: HashSet<ItemId> = out.value.iter().copied().collect();
         let correct = sample
             .iter()

@@ -297,6 +297,7 @@ pub(crate) fn rows_out(node: &PhysicalNode, n: usize) -> usize {
             (n as f64 / labels.len().max(1) as f64).round() as usize
         }
         PhysicalNode::Count { .. } | PhysicalNode::Max { .. } => 1,
+        PhysicalNode::ResolvePairs { pairs, .. } => pairs.len(),
         PhysicalNode::Sort { .. }
         | PhysicalNode::Categorize { .. }
         | PhysicalNode::Resolve { .. }
@@ -320,10 +321,11 @@ mod tests {
     use crate::exec::Engine;
     use crate::ops::count::CountStrategy;
     use crate::ops::filter::FilterStrategy;
+    use crate::ops::impute::ImputeStrategy;
     use crate::ops::join::JoinStrategy;
     use crate::ops::max::MaxStrategy;
+    use crate::ops::resolve::ResolveStrategy;
     use crate::ops::sort::SortStrategy;
-    use crate::ops::ImputeStrategy;
     use crate::plan::Query;
 
     const LABELS: [&str; 2] = ["spam", "report"];
@@ -368,14 +370,21 @@ mod tests {
             train: 20,
             min_confidence_pct: 0,
         };
-        type Build = Box<dyn Fn(Query, &[(ItemId, String)]) -> Query>;
+        type Build = Box<dyn Fn(Query, &[ItemId], &[(ItemId, String)]) -> Query>;
         let filter =
-            |s: FilterStrategy| -> Build { Box::new(move |q, _| q.filter_with("spam", s)) };
+            |s: FilterStrategy| -> Build { Box::new(move |q, _, _| q.filter_with("spam", s)) };
         let sort =
-            |s: SortStrategy| -> Build { Box::new(move |q, _| q.sort_with(score, s.clone())) };
-        let max = |s: MaxStrategy| -> Build { Box::new(move |q, _| q.max_with(score, s)) };
-        let count = |s: CountStrategy| -> Build { Box::new(move |q, _| q.count_with("spam", s)) };
+            |s: SortStrategy| -> Build { Box::new(move |q, _, _| q.sort_with(score, s.clone())) };
+        let max = |s: MaxStrategy| -> Build { Box::new(move |q, _, _| q.max_with(score, s)) };
+        let count =
+            |s: CountStrategy| -> Build { Box::new(move |q, _, _| q.count_with("spam", s)) };
         let labels = || LABELS.iter().map(|&l| l.to_owned()).collect::<Vec<_>>();
+        // Each source item questioned against the next, the last against
+        // the first (a lone item against itself).
+        let ring = |ids: &[ItemId]| -> Vec<(ItemId, ItemId)> {
+            let n = ids.len();
+            (0..n).map(|i| (ids[i], ids[(i + 1) % n])).collect()
+        };
         // (what, the one-node query, the bill is exact)
         let table: Vec<(&str, Build, bool)> = vec![
             ("filter/single", filter(FilterStrategy::Single), true),
@@ -415,14 +424,14 @@ mod tests {
             ),
             (
                 "impute/llm-only",
-                Box::new(|q, pool| {
+                Box::new(|q, _, pool| {
                     q.impute_with("label", pool.to_vec(), ImputeStrategy::LlmOnly { shots: 3 })
                 }),
                 true,
             ),
             (
                 "join/all-pairs",
-                Box::new(|q, pool| {
+                Box::new(|q, _, pool| {
                     let right: Vec<ItemId> = pool.iter().map(|(id, _)| *id).collect();
                     q.join_with(&right, JoinStrategy::AllPairs)
                 }),
@@ -430,19 +439,33 @@ mod tests {
             ),
             (
                 "top-k/shortlist",
-                Box::new(move |q, _| q.top_k_with(score, 3, 2)),
+                Box::new(move |q, _, _| q.top_k_with(score, 3, 2)),
                 true,
             ),
             // An overflowing factor saturates: everything is shortlisted.
             (
                 "top-k/everything-shortlisted",
-                Box::new(move |q, _| q.top_k_with(score, 2, usize::MAX)),
+                Box::new(move |q, _, _| q.top_k_with(score, 2, usize::MAX)),
                 true,
             ),
             (
                 "categorize",
-                Box::new(move |q, _| q.categorize(labels())),
+                Box::new(move |q, _, _| q.categorize(labels())),
                 true,
+            ),
+            (
+                "resolve-pairs/pairwise",
+                Box::new(move |q, ids, _| q.resolve_pairs(ring(ids), ResolveStrategy::Pairwise)),
+                true,
+            ),
+            // Neighborhoods overlap and a record's neighbors may already be
+            // in its set: the bill bounds the comparisons from above.
+            (
+                "resolve-pairs/transitivity",
+                Box::new(move |q, ids, _| {
+                    q.resolve_pairs(ring(ids), ResolveStrategy::TransitivityAugmented { k: 1 })
+                }),
+                false,
             ),
         ];
         for (what, build, exact) in &table {
@@ -459,7 +482,9 @@ mod tests {
                     let llm = Arc::new(SimulatedLlm::new(profile, Arc::new(w), 5));
                     let engine =
                         Engine::new(Arc::new(LlmClient::new(llm)), corpus).with_pack_width(pack);
-                    let plan = build(Query::over(&ids), &pool).plan_on(&engine).unwrap();
+                    let plan = build(Query::over(&ids), &ids, &pool)
+                        .plan_on(&engine)
+                        .unwrap();
                     let at = format!("{what} pack {pack} n {n}");
                     let node = &plan.nodes()[0].node;
                     let billed: u64 = node.bill(n).iter().map(|line| line.calls).sum();

@@ -34,6 +34,8 @@ pub enum PlanOutput {
     Max(ItemId),
     /// Duplicate groups (dedup / cluster).
     Groups(Vec<Vec<ItemId>>),
+    /// One same-entity verdict per questioned pair, in order.
+    Verdicts(Vec<bool>),
     /// Join matches and pruning statistics.
     Join(JoinResult),
     /// One imputed value per input item, in input order.
@@ -80,6 +82,14 @@ impl PlanOutput {
     pub fn groups(&self) -> Option<&[Vec<ItemId>]> {
         match self {
             PlanOutput::Groups(g) => Some(g),
+            _ => None,
+        }
+    }
+
+    /// The same-entity verdicts, for resolve-pairs plans.
+    pub fn verdicts(&self) -> Option<&[bool]> {
+        match self {
+            PlanOutput::Verdicts(v) => Some(v),
             _ => None,
         }
     }
@@ -160,8 +170,8 @@ impl PlanRun {
         usage
     }
 
-    /// Collapse the run into a cost-annotated [`Outcome`] — the shape the
-    /// eager operator calls report the same work in.
+    /// Collapse the run into one cost-annotated [`Outcome`]: the output,
+    /// with calls, usage and cost summed over the nodes.
     pub fn into_outcome<T>(self, value: impl FnOnce(PlanOutput) -> T) -> Outcome<T> {
         let usage = self.total_usage();
         let calls = self.total_calls();
@@ -199,8 +209,9 @@ fn push_report<T>(
 
 pub(crate) fn execute(engine: &Engine, plan: &Plan) -> Result<PlanRun, EngineError> {
     let mut items: Vec<ItemId> = plan.source.clone();
-    // Discard salvage notes a previous (direct, non-plan) operator call may
-    // have left behind, so they are not attributed to this plan's first node.
+    // Discard salvage notes left on the engine by work outside this plan (a
+    // planner's calibration trials, a cascade tier borrowing the engine), so
+    // they are not attributed to this plan's first node.
     let _ = engine.take_salvage();
     let mut steps: Vec<StepReport> = Vec::with_capacity(plan.nodes.len());
     let mut output: Option<PlanOutput> = None;
@@ -216,7 +227,7 @@ pub(crate) fn execute(engine: &Engine, plan: &Plan) -> Result<PlanRun, EngineErr
                 pack,
                 ..
             } => {
-                let out = ops::filter::filter_packed(engine, &items, predicate, *strategy, *pack)?;
+                let out = ops::filter::filter(engine, &items, predicate, *strategy, *pack)?;
                 push_report(engine, &mut steps, name, items_in, out.value.len(), &out);
                 items = out.value;
             }
@@ -254,7 +265,7 @@ pub(crate) fn execute(engine: &Engine, plan: &Plan) -> Result<PlanRun, EngineErr
                 items = out.value;
             }
             PhysicalNode::Categorize { labels, pack } => {
-                let out = ops::categorize::categorize_packed(engine, &items, labels, *pack)?;
+                let out = ops::categorize::categorize(engine, &items, labels, *pack)?;
                 push_report(engine, &mut steps, name, items_in, items_in, &out);
                 output = Some(PlanOutput::Labels(out.value));
             }
@@ -277,7 +288,7 @@ pub(crate) fn execute(engine: &Engine, plan: &Plan) -> Result<PlanRun, EngineErr
                 strategy,
                 pack,
             } => {
-                let out = ops::count::count_packed(engine, &items, predicate, *strategy, *pack)?;
+                let out = ops::count::count(engine, &items, predicate, *strategy, *pack)?;
                 push_report(engine, &mut steps, name, items_in, 1, &out);
                 output = Some(PlanOutput::Count(out.value));
             }
@@ -297,6 +308,11 @@ pub(crate) fn execute(engine: &Engine, plan: &Plan) -> Result<PlanRun, EngineErr
                 let out = ops::resolve::dedup(engine, &items, &index, *candidates, *max_distance)?;
                 push_report(engine, &mut steps, name, items_in, out.value.len(), &out);
                 output = Some(PlanOutput::Groups(out.value));
+            }
+            PhysicalNode::ResolvePairs { pairs, strategy } => {
+                let out = ops::resolve::resolve_pairs(engine, &items, pairs, strategy)?;
+                push_report(engine, &mut steps, name, items_in, out.value.len(), &out);
+                output = Some(PlanOutput::Verdicts(out.value));
             }
             PhysicalNode::Cluster {
                 seed_size,
@@ -328,8 +344,7 @@ pub(crate) fn execute(engine: &Engine, plan: &Plan) -> Result<PlanRun, EngineErr
                 pack,
             } => {
                 let pool = LabeledPool::build(engine, labeled)?;
-                let out =
-                    ops::impute::impute_packed(engine, &items, attribute, &pool, strategy, *pack)?;
+                let out = ops::impute::impute(engine, &items, attribute, &pool, strategy, *pack)?;
                 push_report(engine, &mut steps, name, items_in, items_in, &out);
                 output = Some(PlanOutput::Values(out.value));
             }

@@ -14,10 +14,11 @@ use crate::error::EngineError;
 use crate::exec::Engine;
 use crate::ops::count::CountStrategy;
 use crate::ops::filter::FilterStrategy;
+use crate::ops::impute::ImputeStrategy;
 use crate::ops::join::JoinStrategy;
 use crate::ops::max::MaxStrategy;
+use crate::ops::resolve::ResolveStrategy;
 use crate::ops::sort::SortStrategy;
-use crate::ops::ImputeStrategy;
 
 use super::planner;
 use super::{Plan, PlanOptions};
@@ -114,6 +115,13 @@ pub enum LogicalOp {
         candidates: usize,
         /// Blocking distance ceiling.
         max_distance: f32,
+    },
+    /// Answer "same entity?" for given record pairs (terminal).
+    ResolvePairs {
+        /// The questions, one verdict each.
+        pairs: Vec<(ItemId, ItemId)>,
+        /// The strategy (always pinned).
+        strategy: ResolveStrategy,
     },
     /// Two-stage clustering into duplicate groups (terminal).
     Cluster {
@@ -221,7 +229,8 @@ impl Query {
     }
 
     /// Attach a selectivity hint (expected kept fraction, in `[0, 1]`) to
-    /// the most recent filter node. No-op if the last node is not a filter.
+    /// the most recent filter node. No-op if the last node is not a filter;
+    /// a NaN hint fails at plan time.
     #[must_use]
     pub fn hint_selectivity(mut self, kept_fraction: f64) -> Self {
         if let Some(LogicalOp::Filter { selectivity, .. }) = self.ops.last_mut() {
@@ -258,14 +267,10 @@ impl Query {
         self
     }
 
-    /// The best `k` items under `criterion` (rating shortlist ×2, then
-    /// exact pairwise ranking).
-    #[must_use]
-    pub fn top_k(self, criterion: SortCriterion, k: usize) -> Self {
-        self.top_k_with(criterion, k, 2)
-    }
-
-    /// [`Query::top_k`] with an explicit shortlist multiplier.
+    /// The best `k` items under `criterion`: a rating pass shortlists
+    /// `k × shortlist_factor` items, then exact pairwise ranking orders the
+    /// shortlist (an unpinned `sort` + `take(k)` fuses into this node with
+    /// a factor of 2).
     #[must_use]
     pub fn top_k_with(
         mut self,
@@ -347,6 +352,20 @@ impl Query {
             candidates,
             max_distance,
         });
+        self
+    }
+
+    /// Answer "are these two records the same entity?" for each of `pairs`
+    /// (terminal: one verdict per pair, in order). A
+    /// [`ResolveStrategy::TransitivityAugmented`] node expands each pair
+    /// with neighbors from a blocking index over the query's items.
+    #[must_use]
+    pub fn resolve_pairs(
+        mut self,
+        pairs: Vec<(ItemId, ItemId)>,
+        strategy: ResolveStrategy,
+    ) -> Self {
+        self.ops.push(LogicalOp::ResolvePairs { pairs, strategy });
         self
     }
 

@@ -43,10 +43,11 @@ use crate::ops;
 use crate::ops::bill::Line;
 use crate::ops::count::CountStrategy;
 use crate::ops::filter::FilterStrategy;
+use crate::ops::impute::ImputeStrategy;
 use crate::ops::join::JoinStrategy;
 use crate::ops::max::MaxStrategy;
+use crate::ops::resolve::ResolveStrategy;
 use crate::ops::sort::SortStrategy;
-use crate::ops::ImputeStrategy;
 
 /// One operator of the physical plan, every choice resolved.
 #[derive(Debug, Clone)]
@@ -124,6 +125,13 @@ pub enum PhysicalNode {
         /// Blocking distance ceiling.
         max_distance: f32,
     },
+    /// Same-entity verdicts for given pairs (terminal).
+    ResolvePairs {
+        /// The questions.
+        pairs: Vec<(ItemId, ItemId)>,
+        /// Resolved strategy.
+        strategy: ResolveStrategy,
+    },
     /// Two-stage clustering (terminal).
     Cluster {
         /// Seed batch size.
@@ -164,6 +172,7 @@ impl PhysicalNode {
             PhysicalNode::Count { predicate, .. } => format!("count[{predicate}]"),
             PhysicalNode::Max { .. } => "max".to_owned(),
             PhysicalNode::Resolve { .. } => "dedup".to_owned(),
+            PhysicalNode::ResolvePairs { pairs, .. } => format!("resolve-pairs[{}]", pairs.len()),
             PhysicalNode::Cluster { .. } => "cluster".to_owned(),
             PhysicalNode::Join { .. } => "join".to_owned(),
             PhysicalNode::Impute { attribute, .. } => format!("impute[{attribute}]"),
@@ -189,6 +198,7 @@ impl PhysicalNode {
                 candidates,
                 max_distance,
             } => format!("blocked-{candidates}-{max_distance}"),
+            PhysicalNode::ResolvePairs { strategy, .. } => strategy.name(),
             PhysicalNode::Cluster { probe_cap, .. } => match probe_cap {
                 Some(cap) => format!("blocked-probe-{cap}"),
                 None => "exhaustive-probe".to_owned(),
@@ -255,6 +265,7 @@ impl PhysicalNode {
                 strategy,
             } => strategy.bill(n, *criterion),
             PhysicalNode::Resolve { candidates, .. } => ops::resolve::dedup_bill(n, *candidates),
+            PhysicalNode::ResolvePairs { pairs, strategy } => strategy.bill(pairs.len()),
             PhysicalNode::Cluster {
                 seed_size,
                 probe_cap,
@@ -585,7 +596,7 @@ mod tests {
         let (engine, ids) = engine(20, budget::Budget::usd(1.0));
         let plan = Query::over(&ids)
             .filter("even")
-            .top_k(SortCriterion::LatentScore, 3)
+            .top_k_with(SortCriterion::LatentScore, 3, 2)
             .plan_on(&engine)
             .unwrap();
         let allocs: Vec<f64> = plan
@@ -630,7 +641,7 @@ mod tests {
         // Eager path, hand-sequenced to the same physical operators.
         let (eager_engine, ids2) = build();
         assert_eq!(ids, ids2);
-        let kept = crate::ops::filter::filter(&eager_engine, &ids2, "even", FS::Single)
+        let kept = crate::ops::filter::filter(&eager_engine, &ids2, "even", FS::Single, 1)
             .unwrap()
             .value;
         let top = crate::ops::topk::top_k(&eager_engine, &kept, SortCriterion::LatentScore, 3, 2)
@@ -811,6 +822,23 @@ mod tests {
     }
 
     #[test]
+    fn nan_selectivity_hint_is_rejected_at_plan_time() {
+        // Unchecked, a NaN hint estimates every later node at zero rows and
+        // allocates it no budget.
+        let (engine, ids) = engine(20, budget::Budget::usd(1.0));
+        let err = Query::over(&ids)
+            .filter("even")
+            .hint_selectivity(f64::NAN)
+            .sort(SortCriterion::LatentScore)
+            .plan_on(&engine)
+            .unwrap_err();
+        match err {
+            EngineError::InvalidInput(msg) => assert!(msg.contains("filter[even]"), "{msg}"),
+            other => panic!("expected an input error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn empty_labels_rejected_at_plan_time() {
         let (engine, ids) = engine(6, budget::Budget::Unlimited);
         let err = Query::over(&ids)
@@ -893,10 +921,11 @@ mod tests {
     }
 
     #[test]
-    fn session_wrapper_packs_like_direct_ops() {
+    fn session_plan_packs_like_the_operator_at_the_knob_width() {
         use crate::session::Session;
-        // Same world, same seed: the session wrapper (plan path) and the
-        // direct operator call must dispatch identical packed requests.
+        // Same world, same seed: a session's filter node and the operator
+        // called at the session's pack width must dispatch identical packed
+        // requests.
         let build = || {
             let mut w = WorldModel::new();
             let ids: Vec<ItemId> = (0..24)
@@ -920,10 +949,16 @@ mod tests {
             .corpus(corpus.clone())
             .pack_width(8)
             .build();
-        let via_session = session.filter(&ids, "even", FS::Single).unwrap();
+        let query = session.query(&ids).filter_with("even", FS::Single);
+        let via_session = session
+            .plan(query)
+            .unwrap()
+            .execute(&session)
+            .unwrap()
+            .into_outcome(|out| out.into_items().unwrap());
         let (client2, corpus2, ids2) = build();
-        let engine = Engine::new(client2, corpus2).with_pack_width(8);
-        let direct = crate::ops::filter::filter(&engine, &ids2, "even", FS::Single).unwrap();
+        let engine = Engine::new(client2, corpus2);
+        let direct = crate::ops::filter::filter(&engine, &ids2, "even", FS::Single, 8).unwrap();
         assert_eq!(via_session.value, direct.value);
         assert_eq!(via_session.calls, direct.calls);
         assert_eq!(via_session.usage, direct.usage);

@@ -33,10 +33,11 @@ use crate::exec::{router_of, Engine, FailurePolicy};
 use crate::ops::bill::Ask;
 use crate::ops::count::CountStrategy;
 use crate::ops::filter::FilterStrategy;
+use crate::ops::impute::ImputeStrategy;
 use crate::ops::join::JoinStrategy;
 use crate::ops::max::MaxStrategy;
+use crate::ops::resolve::ResolveStrategy;
 use crate::ops::sort::SortStrategy;
-use crate::ops::ImputeStrategy;
 use crate::optimize;
 
 use super::estimate::Estimator;
@@ -274,11 +275,22 @@ pub(crate) fn plan(
             }
         }
         if let LogicalOp::Filter {
-            strategy: Some(strategy),
-            ..
+            predicate,
+            strategy,
+            selectivity,
         } = op
         {
-            strategy.validate()?;
+            if let Some(strategy) = strategy {
+                strategy.validate()?;
+            }
+            // A NaN hint would estimate every later node at zero rows.
+            if let Some(hint) = selectivity.filter(|s| !s.is_finite()) {
+                return Err(EngineError::InvalidInput(format!(
+                    "plan node {} (filter[{predicate}]): selectivity hint {hint} is not a \
+                     fraction in [0, 1]",
+                    i + 1
+                )));
+            }
         }
     }
 
@@ -425,6 +437,18 @@ pub(crate) fn plan(
                     PhysicalNode::Resolve {
                         candidates: *candidates,
                         max_distance: *max_distance,
+                    },
+                    true,
+                )
+            }
+            LogicalOp::ResolvePairs { pairs, strategy } => {
+                if let ResolveStrategy::TransitivityAugmented { .. } = strategy {
+                    approx_blocking_note(&mut notes, rows, "resolve-pairs");
+                }
+                (
+                    PhysicalNode::ResolvePairs {
+                        pairs: pairs.clone(),
+                        strategy: strategy.clone(),
                     },
                     true,
                 )

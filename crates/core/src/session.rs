@@ -1,11 +1,14 @@
 //! The user-facing declarative API.
 //!
 //! A [`Session`] bundles a model client, a corpus, a budget, and execution
-//! settings, and exposes the paper's data processing primitives — sort,
-//! resolve, impute, filter, count, categorize, max, top-k, cluster — as
-//! methods returning cost-annotated [`Outcome`]s. Every call runs at
-//! temperature 0, as in the paper's case studies; only a voting
-//! [`ops::filter::FilterStrategy`] samples, at the temperature it names.
+//! settings. The paper's data processing primitives — sort, resolve,
+//! impute, filter, count, categorize, max, top-k, join, cluster — are
+//! [`Query`] nodes: [`Session::plan`] lowers a query against the session's
+//! engine and [`Plan::execute`] runs it, reporting cost per node. A node
+//! given a strategy (`sort_with`, `filter_with`, …) runs that strategy. Every
+//! call runs at temperature 0, as in the paper's case studies; only a voting
+//! [`crate::ops::filter::FilterStrategy`] samples, at the temperature it
+//! names.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -13,7 +16,6 @@ use std::time::Duration;
 use crowdprompt_oracle::backend::{Backend, BackendRegistry};
 use crowdprompt_oracle::route::{HedgeConfig, RoutePolicy};
 use crowdprompt_oracle::store::{ResponseStore, SemanticConfig, StoreConfig};
-use crowdprompt_oracle::task::SortCriterion;
 use crowdprompt_oracle::world::ItemId;
 use crowdprompt_oracle::LlmClient;
 
@@ -21,11 +23,6 @@ use crate::budget::Budget;
 use crate::corpus::Corpus;
 use crate::error::EngineError;
 use crate::exec::{Engine, FailurePolicy};
-use crate::ops;
-use crate::ops::impute::{ImputeStrategy, LabeledPool};
-use crate::ops::resolve::ResolveStrategy;
-use crate::ops::sort::{SortResult, SortStrategy};
-use crate::outcome::Outcome;
 use crate::plan::{Plan, Query};
 use crate::trace::Trace;
 
@@ -494,10 +491,11 @@ impl SessionBuilder {
 ///     .budget(Budget::usd(0.10))
 ///     .criterion("by quality")
 ///     .build();
-/// let out = session
-///     .sort(&items, SortCriterion::LatentScore, &SortStrategy::Pairwise)
-///     .unwrap();
-/// assert_eq!(out.value.order[0], items[2]); // highest score first
+/// let query = session
+///     .query(&items)
+///     .sort_with(SortCriterion::LatentScore, SortStrategy::Pairwise);
+/// let run = session.plan(query).unwrap().execute(&session).unwrap();
+/// assert_eq!(run.output.items().unwrap()[0], items[2]); // highest score first
 /// ```
 pub struct Session {
     engine: Engine,
@@ -567,145 +565,9 @@ impl Session {
         query.plan_on(&self.engine)
     }
 
-    /// Sort items by the session criterion.
-    pub fn sort(
-        &self,
-        items: &[ItemId],
-        criterion: SortCriterion,
-        strategy: &SortStrategy,
-    ) -> Result<Outcome<SortResult>, EngineError> {
-        ops::sort::sort(&self.engine, items, criterion, strategy)
-    }
-
-    /// Answer duplicate questions over record pairs (`index`: a
-    /// [`Session::blocking_index`] over the mentions, for the strategies
-    /// that expand neighborhoods).
-    pub fn resolve_pairs(
-        &self,
-        pairs: &[(ItemId, ItemId)],
-        strategy: &ResolveStrategy,
-        index: Option<&crate::BlockingIndex>,
-    ) -> Result<Outcome<Vec<bool>>, EngineError> {
-        ops::resolve::resolve_pairs(&self.engine, pairs, strategy, index)
-    }
-
-    /// Build a labeled pool for imputation.
-    pub fn labeled_pool(&self, labeled: &[(ItemId, String)]) -> Result<LabeledPool, EngineError> {
-        LabeledPool::build(&self.engine, labeled)
-    }
-
-    /// Impute a missing attribute for each record. The labelled pool is
-    /// caller-owned and reusable across calls; the plan-layer
-    /// [`Query::impute`] node builds its own.
-    pub fn impute(
-        &self,
-        records: &[ItemId],
-        attribute: &str,
-        pool: &LabeledPool,
-        strategy: &ImputeStrategy,
-    ) -> Result<Outcome<Vec<String>>, EngineError> {
-        ops::impute::impute(&self.engine, records, attribute, pool, strategy)
-    }
-
-    /// Keep the items satisfying a predicate.
-    pub fn filter(
-        &self,
-        items: &[ItemId],
-        predicate: &str,
-        strategy: ops::filter::FilterStrategy,
-    ) -> Result<Outcome<Vec<ItemId>>, EngineError> {
-        ops::filter::filter(&self.engine, items, predicate, strategy)
-    }
-
-    /// Count the items satisfying a predicate.
-    pub fn count(
-        &self,
-        items: &[ItemId],
-        predicate: &str,
-        strategy: ops::count::CountStrategy,
-    ) -> Result<Outcome<u64>, EngineError> {
-        ops::count::count(&self.engine, items, predicate, strategy)
-    }
-
-    /// Assign each item one label from a fixed set.
-    pub fn categorize(
-        &self,
-        items: &[ItemId],
-        labels: &[String],
-    ) -> Result<Outcome<Vec<String>>, EngineError> {
-        ops::categorize::categorize(&self.engine, items, labels)
-    }
-
-    /// Find the maximum item under the criterion.
-    pub fn max(
-        &self,
-        items: &[ItemId],
-        criterion: SortCriterion,
-        strategy: ops::max::MaxStrategy,
-    ) -> Result<Outcome<ItemId>, EngineError> {
-        ops::max::find_max(&self.engine, items, criterion, strategy)
-    }
-
-    /// Top-k items under the criterion, best first.
-    pub fn top_k(
-        &self,
-        items: &[ItemId],
-        criterion: SortCriterion,
-        k: usize,
-        shortlist_factor: usize,
-    ) -> Result<Outcome<Vec<ItemId>>, EngineError> {
-        ops::topk::top_k(&self.engine, items, criterion, k, shortlist_factor)
-    }
-
-    /// Fuzzy-join two collections on entity identity.
-    pub fn fuzzy_join(
-        &self,
-        left: &[ItemId],
-        right: &[ItemId],
-        strategy: &ops::join::JoinStrategy,
-    ) -> Result<Outcome<ops::join::JoinResult>, EngineError> {
-        ops::join::fuzzy_join(&self.engine, left, right, strategy)
-    }
-
-    /// Fully deduplicate records: embedding blocking, LLM confirmation,
-    /// transitive closure into clusters (the paper's §1 workload). The
-    /// blocking index is caller-owned and reusable; the plan-layer
-    /// [`Query::resolve`] node builds its own.
-    pub fn dedup(
-        &self,
-        items: &[ItemId],
-        index: &crate::BlockingIndex,
-        candidates: usize,
-        max_distance: f32,
-    ) -> Result<Outcome<Vec<Vec<ItemId>>>, EngineError> {
-        ops::resolve::dedup(&self.engine, items, index, candidates, max_distance)
-    }
-
-    /// Cluster items into duplicate groups (every group representative
-    /// stays a probe candidate).
-    pub fn cluster(
-        &self,
-        items: &[ItemId],
-        seed_size: usize,
-    ) -> Result<Outcome<Vec<Vec<ItemId>>>, EngineError> {
-        ops::cluster::cluster(&self.engine, items, seed_size)
-    }
-
-    /// Cluster with embedding blocking: stage-2 items are only compared
-    /// against their `candidates` nearest group representatives.
-    pub fn cluster_blocked(
-        &self,
-        items: &[ItemId],
-        seed_size: usize,
-        candidates: usize,
-    ) -> Result<Outcome<Vec<Vec<ItemId>>>, EngineError> {
-        ops::cluster::cluster_blocked(&self.engine, items, seed_size, candidates)
-    }
-
-    /// Build the shared embedding-blocking index over items: what
-    /// [`Session::resolve_pairs`] and [`Session::dedup`] expand
-    /// neighborhoods from, and batched neighbor queries for custom
-    /// blocking rules.
+    /// Build the shared embedding-blocking index over items — the index a
+    /// resolve, cluster, join or impute node builds over its own items —
+    /// for batched neighbor queries of custom blocking rules.
     pub fn blocking_index(&self, items: &[ItemId]) -> Result<crate::BlockingIndex, EngineError> {
         crate::BlockingIndex::build(&self.engine, items)
     }
@@ -714,9 +576,24 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::count::CountStrategy;
+    use crate::ops::filter::FilterStrategy;
+    use crate::ops::max::MaxStrategy;
+    use crate::ops::sort::SortStrategy;
+    use crate::outcome::Outcome;
+    use crate::plan::PlanRun;
     use crowdprompt_oracle::model::ModelProfile;
     use crowdprompt_oracle::sim::SimulatedLlm;
+    use crowdprompt_oracle::task::SortCriterion;
     use crowdprompt_oracle::world::WorldModel;
+
+    fn run(s: &Session, query: Query) -> PlanRun {
+        s.plan(query).unwrap().execute(s).unwrap()
+    }
+
+    fn items(s: &Session, query: Query) -> Outcome<Vec<ItemId>> {
+        run(s, query).into_outcome(|out| out.into_items().unwrap())
+    }
 
     fn session() -> (Session, Vec<ItemId>) {
         session_with(Budget::usd(10.0))
@@ -750,14 +627,12 @@ mod tests {
     fn session_sort_and_spend_tracking() {
         let (s, ids) = session();
         assert_eq!(s.spent_usd(), 0.0);
-        let out = s
-            .sort(
-                &ids,
-                SortCriterion::LatentScore,
-                &SortStrategy::SinglePrompt,
-            )
-            .unwrap();
-        assert_eq!(out.value.order[0], ids[9]);
+        let out = items(
+            &s,
+            s.query(&ids)
+                .sort_with(SortCriterion::LatentScore, SortStrategy::SinglePrompt),
+        );
+        assert_eq!(out.value[0], ids[9]);
         // Perfect model is free; spend stays 0 but calls happened.
         assert_eq!(out.calls, 1);
     }
@@ -765,35 +640,33 @@ mod tests {
     #[test]
     fn session_filter_count_roundtrip() {
         let (s, ids) = session();
-        let kept = s
-            .filter(&ids, "big", ops::filter::FilterStrategy::Single)
-            .unwrap();
+        let kept = items(&s, s.query(&ids).filter_with("big", FilterStrategy::Single));
         assert_eq!(kept.value.len(), 5);
-        let n = s
-            .count(&ids, "big", ops::count::CountStrategy::PerItem)
-            .unwrap();
+        let n = run(&s, s.query(&ids).count_with("big", CountStrategy::PerItem))
+            .into_outcome(|out| out.count().unwrap());
         assert_eq!(n.value, 5);
     }
 
     #[test]
     fn session_max_and_topk_agree() {
         let (s, ids) = session();
-        let max = s
-            .max(
-                &ids,
-                SortCriterion::LatentScore,
-                ops::max::MaxStrategy::Tournament,
-            )
-            .unwrap();
-        let top = s.top_k(&ids, SortCriterion::LatentScore, 3, 2).unwrap();
+        let max = run(
+            &s,
+            s.query(&ids)
+                .max_with(SortCriterion::LatentScore, MaxStrategy::Tournament),
+        )
+        .into_outcome(|out| out.max_item().unwrap());
+        let top = items(
+            &s,
+            s.query(&ids).top_k_with(SortCriterion::LatentScore, 3, 2),
+        );
         assert_eq!(max.value, top.value[0]);
     }
 
-    /// The eager API calls its operator directly, so a degraded run's
-    /// salvage note stays on the engine for the caller to read (a one-node
-    /// plan would have drained it into a step report nobody sees).
+    /// A degraded run's salvage note lands in the step report of the node
+    /// whose operator left it.
     #[test]
-    fn degraded_filter_leaves_its_quarantine_note_on_the_engine() {
+    fn degraded_filter_reports_its_quarantine_in_its_step() {
         let mut w = WorldModel::new();
         let ids: Vec<ItemId> = (0..6)
             .map(|i| {
@@ -816,11 +689,13 @@ mod tests {
             .resilience(ResilienceConfig::new().failure_policy(FailurePolicy::degrade()))
             .try_build()
             .unwrap();
-        let kept = s
-            .filter(&ids, "active", ops::filter::FilterStrategy::Single)
-            .unwrap();
+        let mut run = run(
+            &s,
+            s.query(&ids).filter_with("active", FilterStrategy::Single),
+        );
+        let notes = std::mem::take(&mut run.steps[0].salvage);
+        let kept = run.into_outcome(|out| out.into_items().unwrap());
         assert_eq!(kept.value, vec![ids[0], ids[2]], "item 4 is quarantined");
-        let notes = s.engine().take_salvage();
         assert_eq!(notes.len(), 1, "{notes:?}");
         assert_eq!((notes[0].op, notes[0].salvaged), ("filter", 5));
         let lost: Vec<usize> = notes[0].quarantined.iter().map(|(i, _)| *i).collect();
@@ -974,16 +849,18 @@ mod tests {
         };
 
         let (cold, ids) = build();
-        let cold_kept = cold
-            .filter(&ids, "big", ops::filter::FilterStrategy::Single)
-            .unwrap();
+        let cold_kept = items(
+            &cold,
+            Query::over(&ids).filter_with("big", FilterStrategy::Single),
+        );
         assert!(cold.engine().client().stats().calls() > 0);
         drop(cold); // releases the writer lock
 
         let (warm, ids) = build();
-        let warm_kept = warm
-            .filter(&ids, "big", ops::filter::FilterStrategy::Single)
-            .unwrap();
+        let warm_kept = items(
+            &warm,
+            Query::over(&ids).filter_with("big", FilterStrategy::Single),
+        );
         assert_eq!(
             warm.engine().client().stats().calls(),
             0,
@@ -1014,10 +891,12 @@ mod tests {
             .corpus(corpus)
             .tracing(true)
             .build();
-        s.sort(&ids, SortCriterion::LatentScore, &SortStrategy::Pairwise)
-            .unwrap();
-        s.filter(&ids, "f", ops::filter::FilterStrategy::Single)
-            .unwrap();
+        run(
+            &s,
+            s.query(&ids)
+                .sort_with(SortCriterion::LatentScore, SortStrategy::Pairwise),
+        );
+        run(&s, s.query(&ids).filter_with("f", FilterStrategy::Single));
         let summary = s.trace().expect("tracing enabled").summary();
         assert_eq!(summary.by_kind["compare"].calls, 15);
         assert_eq!(summary.by_kind["check_predicate"].calls, 6);

@@ -223,8 +223,8 @@ proptest! {
         width in 2usize..12,
         force_bisection in prop::bool::ANY,
     ) {
-        use crowdprompt_core::ops::filter::{filter, FilterStrategy};
-        use crowdprompt_core::{Budget, Corpus, Engine};
+        use crowdprompt_core::ops::filter::FilterStrategy;
+        use crowdprompt_core::{Budget, Corpus, Engine, Query};
         use crowdprompt_oracle::model::{ModelProfile, NoiseProfile};
         use crowdprompt_oracle::sim::SimulatedLlm;
         use crowdprompt_oracle::world::WorldModel;
@@ -258,13 +258,16 @@ proptest! {
                 .with_pack_width(pack);
             (engine, ids)
         };
+        let filter = |engine: &Engine, ids: &[_]| {
+            let query = Query::over(ids).filter_with("keep", FilterStrategy::Single);
+            let run = query.plan_on(engine).and_then(|plan| plan.execute_on(engine));
+            run.map(|run| run.into_outcome(|out| out.into_items().unwrap()))
+        };
         let (baseline_engine, ids) = build(1, 0.0);
-        let baseline = filter(&baseline_engine, &ids, "keep", FilterStrategy::Single)
-            .expect("per-item path");
+        let baseline = filter(&baseline_engine, &ids).expect("per-item path");
         let dropout = if force_bisection { 1.0 } else { 0.0 };
         let (packed_engine, ids) = build(width, dropout);
-        let packed = filter(&packed_engine, &ids, "keep", FilterStrategy::Single)
-            .expect("packed path");
+        let packed = filter(&packed_engine, &ids).expect("packed path");
         prop_assert_eq!(&packed.value, &baseline.value);
         // Spend attribution stays exact under bisection: the operator's
         // meter, the client ledger, and the budget tracker must agree.

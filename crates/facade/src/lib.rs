@@ -47,13 +47,14 @@
 //! assert_eq!(run.output.items().unwrap().len(), 3);
 //! assert!(run.total_cost_usd() > 0.0);
 //!
-//! // Pinning a strategy: every Session operator method calls its
-//! // operator directly, bit-identical to the one-node plan pinning it.
-//! let result = session
-//!     .sort(&data.items, SortCriterion::LatentScore, &SortStrategy::Pairwise)
-//!     .unwrap();
-//! assert_eq!(result.value.order.len(), 20);
-//! assert!(result.cost_usd > 0.0);
+//! // Pinning a strategy is a node that names it: the planner prices it
+//! // but never rewrites it.
+//! let query = session
+//!     .query(&data.items)
+//!     .sort_with(SortCriterion::LatentScore, SortStrategy::Pairwise);
+//! let result = session.plan(query).unwrap().execute(&session).unwrap();
+//! assert_eq!(result.output.items().unwrap().len(), 20);
+//! assert!(result.total_cost_usd() > 0.0);
 //! ```
 //!
 //! ## Crate map
@@ -93,7 +94,7 @@ pub mod prelude {
     pub use crowdprompt_core::cascade::{run_cascade, CascadeTier, CascadeVerdict};
     pub use crowdprompt_core::ops::count::CountStrategy;
     pub use crowdprompt_core::ops::filter::FilterStrategy;
-    pub use crowdprompt_core::ops::impute::{ImputeStrategy, LabeledPool};
+    pub use crowdprompt_core::ops::impute::ImputeStrategy;
     pub use crowdprompt_core::ops::join::{JoinResult, JoinStrategy};
     pub use crowdprompt_core::ops::max::MaxStrategy;
     pub use crowdprompt_core::ops::resolve::ResolveStrategy;

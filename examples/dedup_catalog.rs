@@ -46,17 +46,21 @@ fn main() {
         data.mentions.len() * (data.mentions.len() - 1) / 2
     );
 
-    let out = session
-        .dedup(&data.mentions, &index, 4, 1.2)
+    // The resolve node blocks through an index of its own over the same
+    // mentions, then confirms each candidate pair with the model.
+    let query = session.query(&data.mentions).resolve(4, 1.2);
+    let run = session
+        .plan(query)
+        .and_then(|plan| plan.execute(&session))
         .expect("dedup runs in budget");
-    let clusters = &out.value;
+    let clusters = run.output.groups().expect("dedup returns groups");
     let multi = clusters.iter().filter(|c| c.len() > 1).count();
     println!(
         "found {} clusters ({} with duplicates) using {} LLM calls (${:.4})",
         clusters.len(),
         multi,
-        out.calls,
-        out.cost_usd,
+        run.total_calls(),
+        run.total_cost_usd(),
     );
 
     // Score against the latent truth (pairwise F1 over mention pairs).

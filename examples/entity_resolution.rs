@@ -38,10 +38,25 @@ fn main() {
     let questions: Vec<(ItemId, ItemId)> = data.pairs.iter().map(|(a, b, _)| (*a, *b)).collect();
     let gold: Vec<bool> = data.pairs.iter().map(|(_, _, d)| *d).collect();
 
-    // The blocking index over all mentions (the ada-002 stand-in).
-    let index = session
-        .blocking_index(&data.mentions)
-        .expect("index builds from corpus texts");
+    // One resolve-pairs node per strategy. A query over all mentions gives
+    // the transitive strategies their blocking index (the ada-002
+    // stand-in) over every mention.
+    let verdicts = |strategy: ResolveStrategy| -> (Vec<bool>, PlanRun) {
+        let query = session
+            .query(&data.mentions)
+            .resolve_pairs(questions.clone(), strategy);
+        let run = session
+            .plan(query)
+            .and_then(|plan| plan.execute(&session))
+            .expect("resolve runs");
+        (
+            run.output
+                .verdicts()
+                .expect("one verdict per pair")
+                .to_vec(),
+            run,
+        )
+    };
 
     println!(
         "{} duplicate questions over {} citation mentions\n",
@@ -61,34 +76,22 @@ fn main() {
             ResolveStrategy::TransitivityAugmented { k: 2 },
         ),
     ] {
-        let out = session
-            .resolve_pairs(&questions, &strategy, Some(&index))
-            .expect("resolve runs");
-        let confusion = BinaryConfusion::from_pairs(&out.value, &gold);
+        let (answers, run) = verdicts(strategy);
+        let confusion = BinaryConfusion::from_pairs(&answers, &gold);
         println!(
             "{name}    {:.3}  {:.3}   {:.3}      {:>6}     ${:.4}",
             confusion.f1().unwrap_or(0.0),
             confusion.recall().unwrap_or(0.0),
             confusion.precision().unwrap_or(0.0),
-            out.calls,
-            out.cost_usd,
+            run.total_calls(),
+            run.total_cost_usd(),
         );
     }
 
     // Show one flipped pair: answered "no" directly but connected by a path.
-    let baseline = session
-        .resolve_pairs(&questions, &ResolveStrategy::Pairwise, None)
-        .unwrap();
-    let augmented = session
-        .resolve_pairs(
-            &questions,
-            &ResolveStrategy::TransitivityAugmented { k: 2 },
-            Some(&index),
-        )
-        .unwrap();
-    if let Some(i) =
-        (0..questions.len()).find(|&i| gold[i] && !baseline.value[i] && augmented.value[i])
-    {
+    let (baseline, _) = verdicts(ResolveStrategy::Pairwise);
+    let (augmented, _) = verdicts(ResolveStrategy::TransitivityAugmented { k: 2 });
+    if let Some(i) = (0..questions.len()).find(|&i| gold[i] && !baseline[i] && augmented[i]) {
         let (a, b) = questions[i];
         println!("\nexample flip (missed directly, recovered by transitivity):");
         println!("  A: {}", data.text(a));

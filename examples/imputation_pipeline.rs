@@ -28,13 +28,22 @@ fn main() {
         .build();
 
     // The labeled pool: records with known city values (leave-one-out when
-    // imputing a record that is itself in the pool).
+    // imputing a record that is itself in the pool). Each impute node
+    // embeds it into a neighbor index of its own.
     let labeled: Vec<(ItemId, String)> = data
         .records
         .iter()
         .map(|id| (*id, data.gold_value(*id).to_owned()))
         .collect();
-    let pool = session.labeled_pool(&labeled).expect("pool builds");
+    let impute = |strategy: ImputeStrategy| -> PlanRun {
+        let query = session
+            .query(&data.records)
+            .impute_with("city", labeled.clone(), strategy);
+        session
+            .plan(query)
+            .and_then(|plan| plan.execute(&session))
+            .expect("impute runs")
+    };
 
     let accuracy = |values: &[String]| {
         100.0
@@ -59,32 +68,23 @@ fn main() {
         ("hybrid, 3-shot", ImputeStrategy::Hybrid { k: 3, shots: 3 }),
         ("LLM-only 3shot", ImputeStrategy::LlmOnly { shots: 3 }),
     ] {
-        let out = session
-            .impute(&data.records, "city", &pool, &strategy)
-            .expect("impute runs");
+        let run = impute(strategy);
         println!(
             "{name}    {:>5.1}%   {:>6}   {:>7}  ${:.4}",
-            accuracy(&out.value),
-            out.calls,
-            out.usage.total(),
-            out.cost_usd,
+            accuracy(run.output.values().expect("one value per record")),
+            run.total_calls(),
+            run.total_usage().total(),
+            run.total_cost_usd(),
         );
     }
 
     // Peek at the gate: which records did the hybrid route to the LLM?
-    let hybrid = session
-        .impute(
-            &data.records,
-            "city",
-            &pool,
-            &ImputeStrategy::Hybrid { k: 3, shots: 0 },
-        )
-        .unwrap();
+    let hybrid = impute(ImputeStrategy::Hybrid { k: 3, shots: 0 }).total_calls();
     println!(
         "\nhybrid routed {} of {} records to the LLM ({:.0}% saved)",
-        hybrid.calls,
+        hybrid,
         data.records.len(),
-        100.0 * (1.0 - hybrid.calls as f64 / data.records.len() as f64)
+        100.0 * (1.0 - hybrid as f64 / data.records.len() as f64)
     );
     println!("\nexample record the k-NN gate answered for free:");
     if let Some(&id) = data.records.iter().find(|id| {

@@ -83,12 +83,14 @@ fn main() {
         votes: 3,
         temperature_pct: 100,
     };
+    let query = strong.query(&items).filter_with("acceptable", all_strong);
     let all_strong = strong
-        .filter(&items, "acceptable", all_strong)
+        .plan(query)
+        .and_then(|plan| plan.execute(&strong))
         .expect("vote runs");
     println!(
         "  (asking the strong model everything: ${:.4})",
-        all_strong.cost_usd
+        all_strong.total_cost_usd()
     );
 
     // --- Sequential stopping rule --------------------------------------------
@@ -100,12 +102,16 @@ fn main() {
         max_votes: 15,
         temperature_pct: 100,
     };
-    let out = cheap
-        .filter(&items[..10], "acceptable", sequential)
+    let query = cheap
+        .query(&items[..10])
+        .filter_with("acceptable", sequential);
+    let run = cheap
+        .plan(query)
+        .and_then(|plan| plan.execute(&cheap))
         .expect("sequential filter runs");
     println!(
         "  10 items resolved with {} votes total \
          (uniform 15-vote polling would use 150)",
-        out.calls
+        run.total_calls()
     );
 }

@@ -71,9 +71,7 @@ fn main() {
 
     // 2. Self-consistency: sample the same task 9 times at temperature 1,
     //    majority vote.
-    let voted = session
-        .filter(&items[..1], PREDICATE, vote)
-        .expect("self-consistency runs");
+    let voted = keep(&session, &items[..1], vote);
     println!(
         "2. self-consistency on one task: verdict={} after {} samples (truth: true)",
         !voted.value.is_empty(),
@@ -129,16 +127,8 @@ fn main() {
             .count();
         correct as f64 / items.len() as f64
     };
-    let single = weak
-        .filter(&items, PREDICATE, FilterStrategy::Single)
-        .expect("single check runs");
-    let verified = weak
-        .filter(
-            &items,
-            PREDICATE,
-            FilterStrategy::Verified { max_rounds: 4 },
-        )
-        .expect("verification runs");
+    let single = keep(&weak, &items, FilterStrategy::Single);
+    let verified = keep(&weak, &items, FilterStrategy::Verified { max_rounds: 4 });
     println!(
         "4. self-verification: accuracy {:.3} in {} calls (a single check: {:.3} in {})",
         accuracy(&verified.value),
@@ -146,4 +136,12 @@ fn main() {
         accuracy(&single.value),
         single.calls
     );
+}
+
+/// The items of `items` a filter node under `strategy` keeps, with its cost.
+fn keep(session: &Session, items: &[ItemId], strategy: FilterStrategy) -> Outcome<Vec<ItemId>> {
+    let query = session.query(items).filter_with(PREDICATE, strategy);
+    let run = session.plan(query).and_then(|plan| plan.execute(session));
+    run.expect("filter runs")
+        .into_outcome(|out| out.into_items().expect("a filter keeps items"))
 }

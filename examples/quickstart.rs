@@ -31,7 +31,8 @@ fn main() {
         .build();
 
     // 4. The same declared operation, three strategies, three
-    //    cost/accuracy trade-offs.
+    //    cost/accuracy trade-offs. `sort_with` pins the strategy; the
+    //    planner prices it before any call is spent.
     println!("Sorting 20 flavors by chocolateyness (budget $1.00)\n");
     for (name, strategy) in [
         ("single prompt ", SortStrategy::SinglePrompt),
@@ -44,28 +45,30 @@ fn main() {
         ),
         ("pairwise      ", SortStrategy::Pairwise),
     ] {
-        let out = session
-            .sort(&data.items, SortCriterion::LatentScore, &strategy)
+        let query = session
+            .query(&data.items)
+            .sort_with(SortCriterion::LatentScore, strategy);
+        let run = session
+            .plan(query)
+            .and_then(|plan| plan.execute(&session))
             .expect("sort runs within budget");
-        let tau = kendall_tau_b_rankings(&out.value.order, &data.gold).unwrap_or(0.0);
+        let order = run.output.items().expect("a sort returns an order");
+        let tau = kendall_tau_b_rankings(order, &data.gold).unwrap_or(0.0);
         println!(
             "{name}  tau={tau:+.3}  calls={:>3}  tokens={:>5}  cost=${:.4}",
-            out.calls,
-            out.usage.total(),
-            out.cost_usd,
+            run.total_calls(),
+            run.total_usage().total(),
+            run.total_cost_usd(),
         );
     }
 
     println!("\ntotal session spend: ${:.4}", session.spent_usd());
     println!("\nTop 5 by the pairwise strategy:");
-    let out = session
-        .sort(
-            &data.items,
-            SortCriterion::LatentScore,
-            &SortStrategy::Pairwise,
-        )
-        .unwrap();
-    for (i, id) in out.value.order.iter().take(5).enumerate() {
+    let query = session
+        .query(&data.items)
+        .sort_with(SortCriterion::LatentScore, SortStrategy::Pairwise);
+    let run = session.plan(query).unwrap().execute(&session).unwrap();
+    for (i, id) in run.output.items().unwrap().iter().take(5).enumerate() {
         println!(
             "  {}. {}",
             i + 1,

@@ -68,9 +68,14 @@ fn main() {
     for hedged in [false, true] {
         let session = build_session(&world, &items, hedged);
         let started = Instant::now();
+        let query = session
+            .query(&items)
+            .filter_with("urgent", FilterStrategy::Single);
         let kept = session
-            .filter(&items, "urgent", FilterStrategy::Single)
-            .expect("routing absorbs transient failures");
+            .plan(query)
+            .and_then(|plan| plan.execute(&session))
+            .expect("routing absorbs transient failures")
+            .into_outcome(|out| out.into_items().expect("a filter keeps items"));
         let wall = started.elapsed();
         if baseline.is_empty() {
             baseline = kept.value.clone();

@@ -37,9 +37,17 @@ fn main() {
         ("one prompt      ", SortStrategy::SinglePrompt),
         ("sort then insert", SortStrategy::SortThenInsert),
     ] {
+        let query = session
+            .query(&data.items)
+            .sort_with(SortCriterion::Lexicographic, strategy);
         let out = session
-            .sort(&data.items, SortCriterion::Lexicographic, &strategy)
-            .expect("sort runs");
+            .plan(query)
+            .and_then(|plan| plan.execute(&session))
+            .expect("sort runs")
+            .into_outcome(|out| match out {
+                PlanOutput::Sorted(sorted) => sorted,
+                other => panic!("a sort node returns its sort result, got {other:?}"),
+            });
         let tau = kendall_tau_b_rankings(&out.value.order, &data.gold).unwrap_or(0.0);
         println!(
             "{name}  tau={tau:.3}  dropped_by_model={}  hallucinated={}  calls={}  tokens={}",

@@ -5,6 +5,7 @@ use std::sync::Arc;
 
 use crowdprompt::core::optimize::{evaluate_sort_strategies, pareto_frontier, recommend};
 use crowdprompt::data::FlavorDataset;
+use crowdprompt::oracle::world::ItemId;
 use crowdprompt::prelude::*;
 
 fn session_with_budget(budget: Budget, seed: u64) -> (Session, FlavorDataset) {
@@ -24,16 +25,24 @@ fn session_with_budget(budget: Budget, seed: u64) -> (Session, FlavorDataset) {
     (session, data)
 }
 
+/// Plan and run a sort of every item under `strategy`.
+fn sort(
+    session: &Session,
+    items: &[ItemId],
+    strategy: SortStrategy,
+) -> Result<PlanRun, EngineError> {
+    let query = session
+        .query(items)
+        .sort_with(SortCriterion::LatentScore, strategy);
+    session.plan(query).and_then(|plan| plan.execute(session))
+}
+
 #[test]
 fn token_budget_is_enforced_end_to_end() {
     let (session, data) = session_with_budget(Budget::tokens(500), 1);
     // A 30-item pairwise sort needs hundreds of calls; 500 tokens cannot
     // cover it.
-    let result = session.sort(
-        &data.items,
-        SortCriterion::LatentScore,
-        &SortStrategy::Pairwise,
-    );
+    let result = sort(&session, &data.items, SortStrategy::Pairwise);
     assert!(matches!(result, Err(EngineError::BudgetExceeded { .. })));
     // The tracker never exceeds the cap.
     assert!(session.engine().budget().spent_tokens() <= 500);
@@ -43,29 +52,22 @@ fn token_budget_is_enforced_end_to_end() {
 fn usd_budget_partial_progress_then_refusal() {
     let (session, data) = session_with_budget(Budget::usd(0.004), 2);
     // Cheap operation fits...
-    session
-        .sort(
-            &data.items,
-            SortCriterion::LatentScore,
-            &SortStrategy::SinglePrompt,
-        )
-        .expect("cheap op fits");
+    sort(&session, &data.items, SortStrategy::SinglePrompt).expect("cheap op fits");
     let spent_after_first = session.spent_usd();
     assert!(spent_after_first > 0.0);
     // ...until the budget runs dry on repeated expensive work.
     let mut refused = false;
     for _ in 0..50 {
         // Different strategies to avoid the response cache making calls free.
-        if session
-            .sort(
-                &data.items,
-                SortCriterion::LatentScore,
-                &SortStrategy::Rating {
-                    scale_min: 1,
-                    scale_max: 7,
-                },
-            )
-            .is_err()
+        if sort(
+            &session,
+            &data.items,
+            SortStrategy::Rating {
+                scale_min: 1,
+                scale_max: 7,
+            },
+        )
+        .is_err()
         {
             refused = true;
             break;

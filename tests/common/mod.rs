@@ -86,13 +86,13 @@ pub struct Fingerprint {
 }
 
 pub fn run_filter(session: &Session, items: &[ItemId], strategy: FilterStrategy) -> Fingerprint {
-    let out = session
-        .filter(items, "keep", strategy)
-        .expect("perfect-noise filter must succeed");
+    let query = session.query(items).filter_with("keep", strategy);
+    let run = session.plan(query).and_then(|plan| plan.execute(session));
+    let kept = run.expect("perfect-noise filter must succeed").output;
     let ledger = session.engine().client().ledger();
     let usage = ledger.usage();
     Fingerprint {
-        kept: out.value,
+        kept: kept.into_items().expect("a filter keeps items"),
         budget_spend_bits: session.spent_usd().to_bits(),
         ledger_spend_bits: ledger.spend_usd().to_bits(),
         ledger_calls: ledger.calls(),

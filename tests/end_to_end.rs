@@ -28,6 +28,31 @@ fn flavor_session(seed: u64) -> (Session, FlavorDataset) {
     (session, data)
 }
 
+/// Plan and run `query`, as one cost-annotated outcome.
+fn run<T>(
+    session: &Session,
+    query: Query,
+    value: impl FnOnce(PlanOutput) -> T,
+) -> Result<Outcome<T>, EngineError> {
+    let run = session.plan(query).and_then(|plan| plan.execute(session))?;
+    Ok(run.into_outcome(value))
+}
+
+/// Sort every item by latent score under `strategy`.
+fn sort(
+    session: &Session,
+    items: &[ItemId],
+    strategy: &SortStrategy,
+) -> Result<Outcome<SortResult>, EngineError> {
+    let query = session
+        .query(items)
+        .sort_with(SortCriterion::LatentScore, strategy.clone());
+    run(session, query, |out| match out {
+        PlanOutput::Sorted(sorted) => sorted,
+        other => panic!("a sort node returns its sort result, got {other:?}"),
+    })
+}
+
 #[test]
 fn sort_all_strategies_return_permutations() {
     let (session, data) = flavor_session(1);
@@ -41,8 +66,7 @@ fn sort_all_strategies_return_permutations() {
         SortStrategy::SortThenInsert,
         SortStrategy::BucketThenCompare { buckets: 4 },
     ] {
-        let out = session
-            .sort(&data.items, SortCriterion::LatentScore, &strategy)
+        let out = sort(&session, &data.items, &strategy)
             .unwrap_or_else(|e| panic!("{strategy:?} failed: {e}"));
         let mut sorted = out.value.order.clone();
         sorted.sort_unstable();
@@ -65,9 +89,7 @@ fn sort_quality_is_positive_for_all_strategies() {
             scale_max: 7,
         },
     ] {
-        let out = session
-            .sort(&data.items, SortCriterion::LatentScore, &strategy)
-            .unwrap();
+        let out = sort(&session, &data.items, &strategy).unwrap();
         let tau = kendall_tau_b_rankings(&out.value.order, &data.gold).unwrap();
         assert!(tau > 0.2, "{strategy:?} tau {tau} too low");
     }
@@ -95,30 +117,51 @@ fn filter_count_categorize_max_topk_cluster_roundtrip() {
         .criterion("by heat")
         .build();
 
-    let kept = session
-        .filter(&items, "spicy", FilterStrategy::Single)
-        .unwrap();
+    let query = session.query(&items);
+    let kept = run(
+        &session,
+        query.clone().filter_with("spicy", FilterStrategy::Single),
+        |o| o.into_items().unwrap(),
+    )
+    .unwrap();
     assert_eq!(kept.value.len(), 8);
 
-    let n = session
-        .count(&items, "spicy", CountStrategy::PerItem)
-        .unwrap();
+    let n = run(
+        &session,
+        query.clone().count_with("spicy", CountStrategy::PerItem),
+        |o| o.count().unwrap(),
+    )
+    .unwrap();
     assert_eq!(n.value, 8);
 
-    let cats = session.categorize(&items, &labels).unwrap();
+    let cats = run(&session, query.clone().categorize(labels), |o| {
+        o.labels().unwrap().to_vec()
+    })
+    .unwrap();
     assert_eq!(cats.value.iter().filter(|l| *l == "hot").count(), 12);
 
-    let max = session
-        .max(&items, SortCriterion::LatentScore, MaxStrategy::Tournament)
-        .unwrap();
+    let max = run(
+        &session,
+        query
+            .clone()
+            .max_with(SortCriterion::LatentScore, MaxStrategy::Tournament),
+        |o| o.max_item().unwrap(),
+    )
+    .unwrap();
     assert_eq!(max.value, items[23]);
 
-    let top = session
-        .top_k(&items, SortCriterion::LatentScore, 3, 3)
-        .unwrap();
+    let top = run(
+        &session,
+        query.clone().top_k_with(SortCriterion::LatentScore, 3, 3),
+        |o| o.into_items().unwrap(),
+    )
+    .unwrap();
     assert_eq!(top.value, vec![items[23], items[22], items[21]]);
 
-    let clusters = session.cluster(&items, 8).unwrap();
+    let clusters = run(&session, query.cluster_exhaustive(8), |o| {
+        o.groups().unwrap().to_vec()
+    })
+    .unwrap();
     let total: usize = clusters.value.iter().map(Vec::len).sum();
     assert_eq!(total, items.len());
     assert_eq!(clusters.value.len(), 2);
@@ -128,25 +171,18 @@ fn filter_count_categorize_max_topk_cluster_roundtrip() {
 fn budget_is_shared_across_operations() {
     let (session, data) = flavor_session(3);
     let before = session.spent_usd();
-    session
-        .sort(
-            &data.items,
-            SortCriterion::LatentScore,
-            &SortStrategy::SinglePrompt,
-        )
-        .unwrap();
+    sort(&session, &data.items, &SortStrategy::SinglePrompt).unwrap();
     let mid = session.spent_usd();
     assert!(mid > before);
-    session
-        .sort(
-            &data.items,
-            SortCriterion::LatentScore,
-            &SortStrategy::Rating {
-                scale_min: 1,
-                scale_max: 7,
-            },
-        )
-        .unwrap();
+    sort(
+        &session,
+        &data.items,
+        &SortStrategy::Rating {
+            scale_min: 1,
+            scale_max: 7,
+        },
+    )
+    .unwrap();
     assert!(session.spent_usd() > mid);
 }
 
@@ -161,17 +197,9 @@ fn tight_budget_rejects_expensive_strategy_but_allows_cheap_one() {
         .budget(Budget::usd(0.001))
         .criterion("by how chocolatey they are")
         .build();
-    let cheap = session.sort(
-        &data.items,
-        SortCriterion::LatentScore,
-        &SortStrategy::SinglePrompt,
-    );
+    let cheap = sort(&session, &data.items, &SortStrategy::SinglePrompt);
     assert!(cheap.is_ok(), "single prompt should fit: {cheap:?}");
-    let expensive = session.sort(
-        &data.items,
-        SortCriterion::LatentScore,
-        &SortStrategy::Pairwise,
-    );
+    let expensive = sort(&session, &data.items, &SortStrategy::Pairwise);
     assert!(
         matches!(expensive, Err(EngineError::BudgetExceeded { .. })),
         "pairwise should exceed the leftover budget: {expensive:?}"
@@ -182,13 +210,7 @@ fn tight_budget_rejects_expensive_strategy_but_allows_cheap_one() {
 fn deterministic_given_seed() {
     let run = || {
         let (session, data) = flavor_session(9);
-        let out = session
-            .sort(
-                &data.items,
-                SortCriterion::LatentScore,
-                &SortStrategy::Pairwise,
-            )
-            .unwrap();
+        let out = sort(&session, &data.items, &SortStrategy::Pairwise).unwrap();
         (out.value.order.clone(), out.usage)
     };
     assert_eq!(run(), run());

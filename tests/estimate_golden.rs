@@ -105,33 +105,23 @@ fn session(
 fn warm(w: &WorldModel, ids: &[ItemId], profile: &ModelProfile, path: &PathBuf) {
     for pack in [1, 8] {
         let s = session(w, ids, profile.clone(), pack, Some(path), Budget::Unlimited);
-        let head = &ids[..40];
-        s.filter(head, "even", FilterStrategy::Single).unwrap();
-        s.categorize(head, &labels()).unwrap();
-        let pool = s.labeled_pool(&labeled(ids)).unwrap();
-        s.impute(head, "label", &pool, &ImputeStrategy::LlmOnly { shots: 3 })
-            .unwrap();
+        let run = |query: Query| s.plan(query).unwrap().execute(&s).unwrap();
+        let head = Query::over(&ids[..40]);
+        run(head.clone().filter_with("even", FilterStrategy::Single));
+        run(head.clone().categorize(labels()));
+        let llm_only = ImputeStrategy::LlmOnly { shots: 3 };
+        run(head.impute_with("label", labeled(ids), llm_only));
         if pack == 1 {
             let criterion = SortCriterion::LatentScore;
-            s.sort(&ids[..7], criterion, &SortStrategy::SinglePrompt)
-                .unwrap();
-            s.sort(&ids[..2], criterion, &SortStrategy::Pairwise)
-                .unwrap();
-            s.sort(
-                &ids[..12],
-                criterion,
-                &SortStrategy::Rating {
-                    scale_min: 1,
-                    scale_max: 7,
-                },
-            )
-            .unwrap();
-            s.count(
-                &ids[..10],
-                "even",
-                CountStrategy::Eyeball { batch_size: 10 },
-            )
-            .unwrap();
+            run(Query::over(&ids[..7]).sort_with(criterion, SortStrategy::SinglePrompt));
+            run(Query::over(&ids[..2]).sort_with(criterion, SortStrategy::Pairwise));
+            let rating = SortStrategy::Rating {
+                scale_min: 1,
+                scale_max: 7,
+            };
+            run(Query::over(&ids[..12]).sort_with(criterion, rating));
+            let eyeball = CountStrategy::Eyeball { batch_size: 10 };
+            run(Query::over(&ids[..10]).count_with("even", eyeball));
         }
     }
 }

@@ -13,6 +13,12 @@ use crowdprompt::oracle::task::TaskDescriptor;
 use crowdprompt::oracle::world::{ItemId, WorldModel};
 use crowdprompt::prelude::*;
 
+/// Plan `query` on the session and run it, as one cost-annotated outcome.
+fn run<T>(session: &Session, query: Query, value: impl FnOnce(PlanOutput) -> T) -> Outcome<T> {
+    let plan = session.plan(query).unwrap();
+    plan.execute(session).unwrap().into_outcome(value)
+}
+
 #[test]
 fn sentiment_workload_sorts_filters_and_counts() {
     let data = ReviewsDataset::generate(60, 5);
@@ -25,24 +31,24 @@ fn sentiment_workload_sorts_filters_and_counts() {
         .build();
 
     // Sorting on sentiment should clearly beat chance.
-    let sorted = session
-        .sort(
-            &data.items,
-            SortCriterion::LatentScore,
-            &SortStrategy::Pairwise,
-        )
-        .unwrap();
-    let tau = kendall_tau_b_rankings(&sorted.value.order, &data.gold).unwrap();
+    let sorted = run(
+        &session,
+        session
+            .query(&data.items)
+            .sort_with(SortCriterion::LatentScore, SortStrategy::Pairwise),
+        |out| out.into_items().unwrap(),
+    );
+    let tau = kendall_tau_b_rankings(&sorted.value, &data.gold).unwrap();
     assert!(tau > 0.5, "tau {tau}");
 
     // Counting positives should land near the truth.
-    let count = session
-        .count(
-            &data.items,
-            "positive",
-            crowdprompt::core::ops::count::CountStrategy::PerItem,
-        )
-        .unwrap();
+    let count = run(
+        &session,
+        session
+            .query(&data.items)
+            .count_with("positive", CountStrategy::PerItem),
+        |out| out.count().unwrap(),
+    );
     let err = (count.value as i64 - data.positive_count as i64).unsigned_abs();
     assert!(
         err <= 8,
@@ -122,19 +128,21 @@ fn fuzzy_join_blocked_vs_all_pairs_through_session() {
         .corpus(Corpus::from_world(&w, &all))
         .build();
 
-    let naive = session
-        .fuzzy_join(&left, &right, &JoinStrategy::AllPairs)
-        .unwrap();
-    let blocked = session
-        .fuzzy_join(
-            &left,
-            &right,
-            &JoinStrategy::Blocked {
-                candidates: 2,
-                max_distance: 1.3,
+    let join = |strategy: JoinStrategy| {
+        run(
+            &session,
+            session.query(&left).join_with(&right, strategy),
+            |out| match out {
+                PlanOutput::Join(join) => join,
+                other => panic!("a join node returns its join result, got {other:?}"),
             },
         )
-        .unwrap();
+    };
+    let naive = join(JoinStrategy::AllPairs);
+    let blocked = join(JoinStrategy::Blocked {
+        candidates: 2,
+        max_distance: 1.3,
+    });
     assert_eq!(naive.value.matches.len(), 10);
     assert_eq!(
         blocked.value.matches, naive.value.matches,

@@ -88,6 +88,16 @@ fn transport_retries(session: &Session) -> u64 {
     session.engine().client().stats().retries()
 }
 
+/// The items a single-check filter on `keep` keeps, planned and run on the
+/// session.
+fn keep(session: &Session, items: &[ItemId]) -> Result<Outcome<Vec<ItemId>>, EngineError> {
+    let query = session
+        .query(items)
+        .filter_with("keep", FilterStrategy::Single);
+    let run = session.plan(query).and_then(|plan| plan.execute(session))?;
+    Ok(run.into_outcome(|out| out.into_items().unwrap()))
+}
+
 fn session_with(noise: NoiseProfile, seed: u64) -> (Session, Vec<ItemId>) {
     fleet_session(noise, 3, seed, Fleet::Single)
 }
@@ -104,9 +114,7 @@ fn flaky_transport_is_absorbed_by_retries() {
         // A 30-item filter fires 30 calls; with 40% failure probability and
         // 8 attempts, every call should eventually succeed — on either
         // roster.
-        let out = session
-            .filter(&items, "keep", FilterStrategy::Single)
-            .expect("retries should absorb transient failures");
+        let out = keep(&session, &items).expect("retries should absorb transient failures");
         assert_eq!(out.value.len(), 15, "{fleet:?}");
         // Retries actually happened somewhere in the stack.
         assert!(transport_retries(&session) > 0, "{fleet:?}");
@@ -121,9 +129,7 @@ fn persistent_transport_failure_surfaces_retries_exhausted() {
     };
     for fleet in ALL_FLEETS {
         let (session, items) = fleet_session(noise.clone(), 3, 6, fleet);
-        let err = session
-            .filter(&items, "keep", FilterStrategy::Single)
-            .unwrap_err();
+        let err = keep(&session, &items).unwrap_err();
         match err {
             EngineError::Llm(LlmError::RetriesExhausted { attempts, .. }) => {
                 assert_eq!(
@@ -147,9 +153,7 @@ fn malformed_contradictory_chatter_is_still_extracted() {
         ..NoiseProfile::perfect()
     };
     let (session, items) = session_with(noise, 7);
-    let out = session
-        .filter(&items, "keep", FilterStrategy::Single)
-        .expect("extraction should survive contradictory chatter");
+    let out = keep(&session, &items).expect("extraction should survive contradictory chatter");
     assert_eq!(out.value.len(), 15, "answers must still be correct");
 }
 
@@ -164,12 +168,12 @@ fn context_overflow_fails_fast_with_diagnostics() {
         .criterion("by index")
         .build();
     // 4000 items in one sort prompt cannot fit into 4096 tokens.
+    let query = session
+        .query(&items)
+        .sort_with(SortCriterion::LatentScore, SortStrategy::SinglePrompt);
     let err = session
-        .sort(
-            &items,
-            SortCriterion::LatentScore,
-            &SortStrategy::SinglePrompt,
-        )
+        .plan(query)
+        .and_then(|plan| plan.execute(&session))
         .unwrap_err();
     match err {
         EngineError::Llm(LlmError::ContextOverflow {
@@ -267,24 +271,18 @@ fn breaker_opens_heals_and_degraded_batch_completes() {
     // ...and genuinely healed: it is closed now, and a fresh operation
     // completes first-try (served from cache or a healthy backend).
     assert!(!stats.per_backend[0].open, "breaker should have re-closed");
-    let again = session
-        .filter(&items, "keep", FilterStrategy::Single)
-        .unwrap();
+    let again = keep(&session, &items).unwrap();
     assert_eq!(again.value.len(), 15);
 }
 
 #[test]
 fn cache_prevents_double_billing_across_repeated_operations() {
     let (session, items) = session_with(NoiseProfile::perfect(), 10);
-    session
-        .filter(&items, "keep", FilterStrategy::Single)
-        .unwrap();
+    keep(&session, &items).unwrap();
     let spent_once = session.spent_usd();
     let calls_once = session.engine().client().stats().calls();
     // Identical operation: every unit task is a cache hit.
-    session
-        .filter(&items, "keep", FilterStrategy::Single)
-        .unwrap();
+    keep(&session, &items).unwrap();
     assert_eq!(session.engine().client().stats().calls(), calls_once);
     assert!(session.engine().client().stats().cache_hits() >= items.len() as u64);
     // Budget spend does not grow on cached responses.

@@ -20,8 +20,6 @@
 
 use std::sync::Arc;
 
-use crowdprompt::core::ops;
-use crowdprompt::core::ops::impute::LabeledPool;
 use crowdprompt::core::{Budget, Corpus, Engine};
 use crowdprompt::oracle::model::NoiseProfile;
 use crowdprompt::oracle::task::TaskDescriptor;
@@ -68,6 +66,54 @@ fn engine(n: usize, dropout: f64, pack: usize) -> (Engine, Vec<ItemId>) {
     (engine, ids)
 }
 
+/// Plan `query` on `engine` (at the engine's pack width) and run it there,
+/// as one cost-annotated outcome.
+fn run<T>(
+    engine: &Engine,
+    query: Query,
+    value: impl FnOnce(PlanOutput) -> T,
+) -> Result<Outcome<T>, EngineError> {
+    let run = query
+        .plan_on(engine)
+        .and_then(|plan| plan.execute_on(engine))?;
+    Ok(run.into_outcome(value))
+}
+
+type Ran<T> = Result<Outcome<T>, EngineError>;
+
+fn filter(
+    e: &Engine,
+    ids: &[ItemId],
+    predicate: &str,
+    strategy: FilterStrategy,
+) -> Ran<Vec<ItemId>> {
+    let query = Query::over(ids).filter_with(predicate, strategy);
+    run(e, query, |out| out.into_items().unwrap())
+}
+
+fn count(e: &Engine, ids: &[ItemId], predicate: &str, strategy: CountStrategy) -> Ran<u64> {
+    run(e, Query::over(ids).count_with(predicate, strategy), |out| {
+        out.count().unwrap()
+    })
+}
+
+fn categorize(e: &Engine, ids: &[ItemId], labels: &[String]) -> Ran<Vec<String>> {
+    run(e, Query::over(ids).categorize(labels.to_vec()), |out| {
+        out.labels().unwrap().to_vec()
+    })
+}
+
+/// Impute `city` from the `labeled` pool.
+fn impute(
+    e: &Engine,
+    ids: &[ItemId],
+    labeled: &[(ItemId, String)],
+    strategy: &ImputeStrategy,
+) -> Ran<Vec<String>> {
+    let query = Query::over(ids).impute_with("city", labeled.to_vec(), strategy.clone());
+    run(e, query, |out| out.values().unwrap().to_vec())
+}
+
 /// The operator's reported accounting must agree exactly with the client
 /// ledger and the budget tracker (no double counting across packed
 /// dispatches, bisection retries, or singleton fallbacks).
@@ -89,13 +135,11 @@ fn assert_spend_attribution<T>(engine: &Engine, out: &crowdprompt::core::Outcome
 #[test]
 fn packed_filter_single_matches_per_item_at_every_width() {
     let (baseline_engine, ids) = engine(53, 0.0, 1);
-    let baseline =
-        ops::filter::filter(&baseline_engine, &ids, "active", FilterStrategy::Single).unwrap();
+    let baseline = filter(&baseline_engine, &ids, "active", FilterStrategy::Single).unwrap();
     assert_spend_attribution(&baseline_engine, &baseline);
     for width in [2, 7, 16, 64] {
         let (packed_engine, ids) = engine(53, 0.0, width);
-        let packed =
-            ops::filter::filter(&packed_engine, &ids, "active", FilterStrategy::Single).unwrap();
+        let packed = filter(&packed_engine, &ids, "active", FilterStrategy::Single).unwrap();
         assert_eq!(packed.value, baseline.value, "width {width}");
         assert_eq!(
             packed.calls,
@@ -113,9 +157,9 @@ fn packed_majority_vote_matches_per_item() {
         temperature_pct: 70,
     };
     let (baseline_engine, ids) = engine(30, 0.0, 1);
-    let baseline = ops::filter::filter(&baseline_engine, &ids, "rare", strategy).unwrap();
+    let baseline = filter(&baseline_engine, &ids, "rare", strategy).unwrap();
     let (packed_engine, ids) = engine(30, 0.0, 8);
-    let packed = ops::filter::filter(&packed_engine, &ids, "rare", strategy).unwrap();
+    let packed = filter(&packed_engine, &ids, "rare", strategy).unwrap();
     assert_eq!(packed.value, baseline.value);
     // 5 vote rounds of ⌈30/8⌉ packs each.
     assert_eq!(packed.calls, 5 * 4);
@@ -129,9 +173,9 @@ fn confidence_gated_filter_ignores_the_pack_knob() {
         votes: 3,
     };
     let (baseline_engine, ids) = engine(24, 0.0, 1);
-    let baseline = ops::filter::filter(&baseline_engine, &ids, "active", strategy).unwrap();
+    let baseline = filter(&baseline_engine, &ids, "active", strategy).unwrap();
     let (packed_engine, ids) = engine(24, 0.0, 8);
-    let gated = ops::filter::filter(&packed_engine, &ids, "active", strategy).unwrap();
+    let gated = filter(&packed_engine, &ids, "active", strategy).unwrap();
     assert_eq!(gated.value, baseline.value);
     assert_eq!(
         gated.calls, baseline.calls,
@@ -144,11 +188,9 @@ fn forced_bisection_degrades_to_exactly_the_per_item_path() {
     // Every multi-item pack comes back unparseable: the dispatcher must
     // bisect down to singletons, whose requests *are* the per-item path's.
     let (baseline_engine, ids) = engine(37, 0.0, 1);
-    let baseline =
-        ops::filter::filter(&baseline_engine, &ids, "active", FilterStrategy::Single).unwrap();
+    let baseline = filter(&baseline_engine, &ids, "active", FilterStrategy::Single).unwrap();
     let (packed_engine, ids) = engine(37, 1.0, 16);
-    let packed =
-        ops::filter::filter(&packed_engine, &ids, "active", FilterStrategy::Single).unwrap();
+    let packed = filter(&packed_engine, &ids, "active", FilterStrategy::Single).unwrap();
     assert_eq!(packed.value, baseline.value);
     assert!(
         packed.calls > 37,
@@ -161,12 +203,10 @@ fn forced_bisection_degrades_to_exactly_the_per_item_path() {
 #[test]
 fn partial_dropout_still_reassembles_identically() {
     let (baseline_engine, ids) = engine(61, 0.0, 1);
-    let baseline =
-        ops::filter::filter(&baseline_engine, &ids, "active", FilterStrategy::Single).unwrap();
+    let baseline = filter(&baseline_engine, &ids, "active", FilterStrategy::Single).unwrap();
     // Half the packs fail and bisect; results must be unchanged.
     let (packed_engine, ids) = engine(61, 0.5, 8);
-    let packed =
-        ops::filter::filter(&packed_engine, &ids, "active", FilterStrategy::Single).unwrap();
+    let packed = filter(&packed_engine, &ids, "active", FilterStrategy::Single).unwrap();
     assert_eq!(packed.value, baseline.value);
     assert_spend_attribution(&packed_engine, &packed);
 }
@@ -174,10 +214,9 @@ fn partial_dropout_still_reassembles_identically() {
 #[test]
 fn packed_count_matches_per_item() {
     let (baseline_engine, ids) = engine(47, 0.0, 1);
-    let baseline =
-        ops::count::count(&baseline_engine, &ids, "rare", CountStrategy::PerItem).unwrap();
+    let baseline = count(&baseline_engine, &ids, "rare", CountStrategy::PerItem).unwrap();
     let (packed_engine, ids) = engine(47, 0.3, 16);
-    let packed = ops::count::count(&packed_engine, &ids, "rare", CountStrategy::PerItem).unwrap();
+    let packed = count(&packed_engine, &ids, "rare", CountStrategy::PerItem).unwrap();
     assert_eq!(packed.value, baseline.value);
     assert_spend_attribution(&packed_engine, &packed);
 
@@ -186,8 +225,8 @@ fn packed_count_matches_per_item() {
     let (b, ids_b) = engine(40, 0.0, 16);
     assert_eq!(ids, ids_b);
     let strategy = CountStrategy::Eyeball { batch_size: 10 };
-    let coarse_a = ops::count::count(&a, &ids, "rare", strategy).unwrap();
-    let coarse_b = ops::count::count(&b, &ids, "rare", strategy).unwrap();
+    let coarse_a = count(&a, &ids, "rare", strategy).unwrap();
+    let coarse_b = count(&b, &ids, "rare", strategy).unwrap();
     assert_eq!(coarse_a.value, coarse_b.value);
     assert_eq!(coarse_a.calls, coarse_b.calls);
 }
@@ -196,9 +235,9 @@ fn packed_count_matches_per_item() {
 fn packed_categorize_matches_per_item() {
     let labels = vec!["bulk".to_owned(), "retail".to_owned()];
     let (baseline_engine, ids) = engine(44, 0.0, 1);
-    let baseline = ops::categorize::categorize(&baseline_engine, &ids, &labels).unwrap();
+    let baseline = categorize(&baseline_engine, &ids, &labels).unwrap();
     let (packed_engine, ids) = engine(44, 0.4, 12);
-    let packed = ops::categorize::categorize(&packed_engine, &ids, &labels).unwrap();
+    let packed = categorize(&packed_engine, &ids, &labels).unwrap();
     assert_eq!(packed.value, baseline.value);
     assert_spend_attribution(&packed_engine, &packed);
 }
@@ -270,13 +309,10 @@ fn packed_impute_matches_per_item_for_llm_and_hybrid() {
         ImputeStrategy::Hybrid { k: 3, shots: 2 },
     ] {
         let (baseline_engine, ids, labeled) = build(1, 0.0);
-        let pool = LabeledPool::build(&baseline_engine, &labeled).unwrap();
-        let baseline =
-            ops::impute::impute(&baseline_engine, &ids, "city", &pool, &strategy).unwrap();
+        let baseline = impute(&baseline_engine, &ids, &labeled, &strategy).unwrap();
 
         let (packed_engine, ids, labeled) = build(8, 0.4);
-        let pool = LabeledPool::build(&packed_engine, &labeled).unwrap();
-        let packed = ops::impute::impute(&packed_engine, &ids, "city", &pool, &strategy).unwrap();
+        let packed = impute(&packed_engine, &ids, &labeled, &strategy).unwrap();
         assert_eq!(packed.value, baseline.value, "{strategy:?}");
         assert!(
             packed.calls <= baseline.calls,
@@ -291,11 +327,9 @@ fn packed_impute_matches_per_item_for_llm_and_hybrid() {
 #[test]
 fn packed_session_spends_less_for_the_same_answer() {
     let (per_item_engine, ids) = engine(64, 0.0, 1);
-    let per_item =
-        ops::filter::filter(&per_item_engine, &ids, "active", FilterStrategy::Single).unwrap();
+    let per_item = filter(&per_item_engine, &ids, "active", FilterStrategy::Single).unwrap();
     let (packed_engine, ids) = engine(64, 0.0, 16);
-    let packed =
-        ops::filter::filter(&packed_engine, &ids, "active", FilterStrategy::Single).unwrap();
+    let packed = filter(&packed_engine, &ids, "active", FilterStrategy::Single).unwrap();
     assert_eq!(packed.value, per_item.value);
     assert!(
         packed.calls * 4 <= per_item.calls,
@@ -352,17 +386,10 @@ fn failure_policy_is_invisible_on_a_healthy_world() {
     };
     let verified = FilterStrategy::Verified { max_rounds: 3 };
     let filter_case = |strategy: FilterStrategy| -> Run {
-        Box::new(move |e, ids| {
-            format!(
-                "{:?}",
-                ops::filter::filter(e, ids, "rare", strategy).unwrap()
-            )
-        })
+        Box::new(move |e, ids| format!("{:?}", filter(e, ids, "rare", strategy).unwrap()))
     };
     let count_case = |strategy: CountStrategy| -> Run {
-        Box::new(move |e, ids| {
-            format!("{:?}", ops::count::count(e, ids, "rare", strategy).unwrap())
-        })
+        Box::new(move |e, ids| format!("{:?}", count(e, ids, "rare", strategy).unwrap()))
     };
     let (categorize_labels, keep_labels) = (labels.clone(), labels);
     let cases: Vec<Case> = vec![
@@ -380,10 +407,7 @@ fn failure_policy_is_invisible_on_a_healthy_world() {
         (
             "categorize",
             Box::new(move |e, ids| {
-                format!(
-                    "{:?}",
-                    ops::categorize::categorize(e, ids, &categorize_labels).unwrap()
-                )
+                format!("{:?}", categorize(e, ids, &categorize_labels).unwrap())
             }),
         ),
         (
@@ -440,8 +464,7 @@ fn failure_policy_is_invisible_on_a_healthy_world() {
                     let engine = Engine::new(Arc::new(LlmClient::new(llm)), corpus)
                         .with_pack_width(pack)
                         .with_failure_policy(policy);
-                    let pool = LabeledPool::build(&engine, &labeled).unwrap();
-                    let out = ops::impute::impute(&engine, &ids, "city", &pool, &strategy).unwrap();
+                    let out = impute(&engine, &ids, &labeled, &strategy).unwrap();
                     let ledger = engine.client().ledger();
                     (out.value, ledger.calls(), ledger.spend_usd().to_bits())
                 })

@@ -28,6 +28,26 @@ fn session_over(
         .build()
 }
 
+/// Plan and run `query`, as one cost-annotated outcome.
+fn run<T>(session: &Session, query: Query, value: impl FnOnce(PlanOutput) -> T) -> Outcome<T> {
+    let plan = session.plan(query).unwrap();
+    plan.execute(session).unwrap().into_outcome(value)
+}
+
+/// Sort every item of `items` under `criterion` and `strategy`.
+fn sort(
+    session: &Session,
+    items: &[ItemId],
+    criterion: SortCriterion,
+    strategy: &SortStrategy,
+) -> Outcome<SortResult> {
+    let query = session.query(items).sort_with(criterion, strategy.clone());
+    run(session, query, |out| match out {
+        PlanOutput::Sorted(sorted) => sorted,
+        other => panic!("a sort node returns its sort result, got {other:?}"),
+    })
+}
+
 #[test]
 fn table1_shape_pairwise_beats_rating_beats_single_on_average() {
     let trials = 4;
@@ -53,9 +73,7 @@ fn table1_shape_pairwise_beats_rating_beats_single_on_average() {
         .iter()
         .enumerate()
         {
-            let out = session
-                .sort(&data.items, SortCriterion::LatentScore, strategy)
-                .unwrap();
+            let out = sort(&session, &data.items, SortCriterion::LatentScore, strategy);
             tau[i] += kendall_tau_b_rankings(&out.value.order, &data.gold).unwrap();
             tokens[i] += u64::from(out.usage.total());
         }
@@ -96,21 +114,19 @@ fn table2_shape_sort_then_insert_repairs_omissions() {
             200 + t,
             "in alphabetical order",
         );
-        let base = session
-            .sort(
-                &data.items,
-                SortCriterion::Lexicographic,
-                &SortStrategy::SinglePrompt,
-            )
-            .unwrap();
+        let base = sort(
+            &session,
+            &data.items,
+            SortCriterion::Lexicographic,
+            &SortStrategy::SinglePrompt,
+        );
         baseline_missing += base.value.missing;
-        let hybrid = session
-            .sort(
-                &data.items,
-                SortCriterion::Lexicographic,
-                &SortStrategy::SortThenInsert,
-            )
-            .unwrap();
+        let hybrid = sort(
+            &session,
+            &data.items,
+            SortCriterion::Lexicographic,
+            &SortStrategy::SortThenInsert,
+        );
         hybrid_tau_sum += kendall_tau_b_rankings(&hybrid.value.order, &data.gold).unwrap();
         // The hybrid's output is complete.
         assert_eq!(hybrid.value.order.len(), data.items.len());
@@ -140,7 +156,6 @@ fn table3_shape_transitivity_raises_recall_and_f1() {
     );
     let questions: Vec<(ItemId, ItemId)> = data.pairs.iter().map(|(a, b, _)| (*a, *b)).collect();
     let gold: Vec<bool> = data.pairs.iter().map(|(_, _, d)| *d).collect();
-    let index = session.blocking_index(&data.mentions).unwrap();
 
     let score = |verdicts: &[bool]| {
         let c = BinaryConfusion::from_pairs(verdicts, &gold);
@@ -150,16 +165,14 @@ fn table3_shape_transitivity_raises_recall_and_f1() {
             c.precision().unwrap_or(0.0),
         )
     };
-    let base = session
-        .resolve_pairs(&questions, &ResolveStrategy::Pairwise, None)
-        .unwrap();
-    let aug = session
-        .resolve_pairs(
-            &questions,
-            &ResolveStrategy::TransitivityAugmented { k: 2 },
-            Some(&index),
-        )
-        .unwrap();
+    let resolve = |strategy: ResolveStrategy| {
+        let query = session
+            .query(&data.mentions)
+            .resolve_pairs(questions.clone(), strategy);
+        run(&session, query, |out| out.verdicts().unwrap().to_vec())
+    };
+    let base = resolve(ResolveStrategy::Pairwise);
+    let aug = resolve(ResolveStrategy::TransitivityAugmented { k: 2 });
     let (f1_b, rec_b, prec_b) = score(&base.value);
     let (f1_a, rec_a, prec_a) = score(&aug.value);
 
@@ -193,7 +206,14 @@ fn table4_shape_hybrid_matches_llm_at_half_cost() {
             .iter()
             .map(|id| (*id, data.gold_value(*id).to_owned()))
             .collect();
-        let pool = session.labeled_pool(&labeled).unwrap();
+        let impute = |strategy: ImputeStrategy| {
+            let query = session.query(&data.records).impute_with(
+                data.target.as_str(),
+                labeled.clone(),
+                strategy,
+            );
+            run(&session, query, |out| out.values().unwrap().to_vec())
+        };
         let accuracy = |values: &[String]| {
             values
                 .iter()
@@ -202,30 +222,9 @@ fn table4_shape_hybrid_matches_llm_at_half_cost() {
                 .count() as f64
                 / data.records.len() as f64
         };
-        let knn = session
-            .impute(
-                &data.records,
-                &data.target,
-                &pool,
-                &ImputeStrategy::KnnOnly { k: 3 },
-            )
-            .unwrap();
-        let hybrid = session
-            .impute(
-                &data.records,
-                &data.target,
-                &pool,
-                &ImputeStrategy::Hybrid { k: 3, shots: 3 },
-            )
-            .unwrap();
-        let llm_only = session
-            .impute(
-                &data.records,
-                &data.target,
-                &pool,
-                &ImputeStrategy::LlmOnly { shots: 3 },
-            )
-            .unwrap();
+        let knn = impute(ImputeStrategy::KnnOnly { k: 3 });
+        let hybrid = impute(ImputeStrategy::Hybrid { k: 3, shots: 3 });
+        let llm_only = impute(ImputeStrategy::LlmOnly { shots: 3 });
 
         assert_eq!(knn.usage.total(), 0, "{tag}: k-NN must be free");
         assert!(

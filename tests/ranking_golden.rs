@@ -13,16 +13,6 @@
 use std::fmt::Debug;
 use std::sync::Arc;
 
-use crowdprompt::core::ops::categorize::categorize;
-use crowdprompt::core::ops::cluster::{cluster, cluster_blocked};
-use crowdprompt::core::ops::count::count;
-use crowdprompt::core::ops::filter::filter;
-use crowdprompt::core::ops::impute::impute;
-use crowdprompt::core::ops::join::fuzzy_join;
-use crowdprompt::core::ops::max::find_max;
-use crowdprompt::core::ops::resolve::{dedup, resolve_pairs};
-use crowdprompt::core::ops::sort::sort;
-use crowdprompt::core::ops::topk::top_k;
 use crowdprompt::core::Engine;
 use crowdprompt::oracle::world::{ItemId, WorldModel};
 use crowdprompt::prelude::*;
@@ -56,7 +46,7 @@ fn world() -> (WorldModel, Vec<ItemId>) {
 }
 
 fn city(id: ItemId) -> &'static str {
-    if id.0 % 2 == 0 {
+    if id.0.is_multiple_of(2) {
         "oakland"
     } else {
         "fresno"
@@ -111,18 +101,25 @@ struct Recorder {
 }
 
 impl Recorder {
-    /// Run `op` on a fresh engine and record its outcome under `name`.
-    fn case<T, V: Debug>(
+    /// Plan and run the query `build` makes over the presented items on a
+    /// fresh engine, and record its outcome under `name`.
+    fn case<V: Debug>(
         &mut self,
         name: &str,
-        op: impl FnOnce(&Engine, &[ItemId]) -> Result<Outcome<T>, EngineError>,
-        show: impl FnOnce(&T) -> V,
+        build: impl FnOnce(&[ItemId]) -> Query,
+        show: impl FnOnce(PlanOutput) -> V,
     ) {
         let engine = engine(&self.world, &self.ids);
-        let out = op(&engine, &presented(&self.ids)).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let query = build(&presented(&self.ids));
+        let run = query
+            .plan_on(&engine)
+            .and_then(|plan| plan.execute_on(&engine));
+        let out = run
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+            .into_outcome(show);
         self.rows.push((
             name.to_owned(),
-            format!("{:?}", show(&out.value)),
+            format!("{:?}", out.value),
             out.calls,
             out.usage.prompt_tokens,
             out.usage.completion_tokens,
@@ -138,7 +135,12 @@ fn record() -> Vec<Produced> {
         ids,
         rows: Vec::new(),
     };
-    let show_sort = |s: &SortResult| (ids_of(&s.order), s.missing, s.hallucinated);
+    let show_sort = |out: PlanOutput| match out {
+        PlanOutput::Sorted(s) => (ids_of(&s.order), s.missing, s.hallucinated),
+        other => panic!("a sort node returns its sort result, got {other:?}"),
+    };
+    let show_items = |out: PlanOutput| ids_of(out.items().unwrap());
+    let show_groups = |out: PlanOutput| groups_of(out.groups().unwrap());
 
     for criterion in [SortCriterion::LatentScore, SortCriterion::Lexicographic] {
         for strategy in [
@@ -155,7 +157,7 @@ fn record() -> Vec<Produced> {
         ] {
             r.case(
                 &format!("sort/{}/{criterion:?}", strategy.name()),
-                |e, items| sort(e, items, criterion, &strategy),
+                |items| Query::over(items).sort_with(criterion, strategy.clone()),
                 show_sort,
             );
         }
@@ -168,59 +170,55 @@ fn record() -> Vec<Produced> {
         ] {
             r.case(
                 &format!("max/{}/{criterion:?}", strategy.name()),
-                |e, items| find_max(e, items, criterion, strategy),
-                |id| id.0,
+                |items| Query::over(items).max_with(criterion, strategy),
+                |out| out.max_item().unwrap().0,
             );
         }
         // Both top-k branches: everything qualifies (n <= k, ranked exactly)
         // and the rated shortlist.
         r.case(
             &format!("top_k/all/{criterion:?}"),
-            |e, items| top_k(e, &items[..6], criterion, 20, 2),
-            |top| ids_of(top),
+            |items| Query::over(&items[..6]).top_k_with(criterion, 20, 2),
+            show_items,
         );
         r.case(
             &format!("top_k/shortlist/{criterion:?}"),
-            |e, items| top_k(e, items, criterion, 3, 2),
-            |top| ids_of(top),
+            |items| Query::over(items).top_k_with(criterion, 3, 2),
+            show_items,
         );
     }
 
     // Question pairs for the resolver: a mix of true duplicates, near
     // misses in the next cluster, and far pairs, each in presented order.
+    // A transitive node expands them from a blocking index over the items.
     let questions = |items: &[ItemId]| -> Vec<(ItemId, ItemId)> {
         (0..items.len())
             .map(|i| (items[i], items[(i * 5 + 1) % items.len()]))
             .filter(|(a, b)| a != b)
             .collect()
     };
-    r.case(
-        "resolve/pairwise",
-        |e, items| resolve_pairs(e, &questions(items), &ResolveStrategy::Pairwise, None),
-        |v| v.clone(),
-    );
-    r.case(
-        "resolve/transitivity-2",
-        |e, items| {
-            let index = BlockingIndex::build(e, items)?;
-            resolve_pairs(
-                e,
-                &questions(items),
-                &ResolveStrategy::TransitivityAugmented { k: 2 },
-                Some(&index),
-            )
-        },
-        |v| v.clone(),
-    );
+    for (name, strategy) in [
+        ("resolve/pairwise", ResolveStrategy::Pairwise),
+        (
+            "resolve/transitivity-2",
+            ResolveStrategy::TransitivityAugmented { k: 2 },
+        ),
+    ] {
+        r.case(
+            name,
+            |items| Query::over(items).resolve_pairs(questions(items), strategy),
+            |out| out.verdicts().unwrap().to_vec(),
+        );
+    }
     r.case(
         "dedup",
-        |e, items| {
-            let index = BlockingIndex::build(e, items)?;
-            dedup(e, items, &index, 3, 1.5)
-        },
-        |g| groups_of(g),
+        |items| Query::over(items).resolve(3, 1.5),
+        show_groups,
     );
-    let show_join = |j: &JoinResult| (pairs_of(&j.matches), j.candidate_pairs, j.pruned_pairs);
+    let show_join = |out: PlanOutput| match out {
+        PlanOutput::Join(j) => (pairs_of(&j.matches), j.candidate_pairs, j.pruned_pairs),
+        other => panic!("a join node returns its join result, got {other:?}"),
+    };
     for strategy in [
         JoinStrategy::AllPairs,
         JoinStrategy::Blocked {
@@ -230,15 +228,19 @@ fn record() -> Vec<Produced> {
     ] {
         r.case(
             &format!("join/{}", strategy.name()),
-            |e, items| fuzzy_join(e, &items[..8], &items[8..], &strategy),
+            |items| Query::over(&items[..8]).join_with(&items[8..], strategy.clone()),
             show_join,
         );
     }
-    r.case("cluster", |e, items| cluster(e, items, 6), |g| groups_of(g));
+    r.case(
+        "cluster",
+        |items| Query::over(items).cluster_exhaustive(6),
+        show_groups,
+    );
     r.case(
         "cluster_blocked",
-        |e, items| cluster_blocked(e, items, 6, 2),
-        |g| groups_of(g),
+        |items| Query::over(items).cluster_blocked(6, 2),
+        show_groups,
     );
 
     for strategy in [
@@ -264,8 +266,8 @@ fn record() -> Vec<Produced> {
     ] {
         r.case(
             &format!("filter/{}", strategy.name()),
-            |e, items| filter(e, items, "active", strategy),
-            |kept| ids_of(kept),
+            |items| Query::over(items).filter_with("active", strategy),
+            show_items,
         );
     }
     for strategy in [
@@ -274,15 +276,15 @@ fn record() -> Vec<Produced> {
     ] {
         r.case(
             &format!("count/{}", strategy.name()),
-            |e, items| count(e, items, "active", strategy),
-            |n| *n,
+            |items| Query::over(items).count_with("active", strategy),
+            |out| out.count().unwrap(),
         );
     }
     let labels = vec!["bulk".to_owned(), "retail".to_owned()];
     r.case(
         "categorize",
-        |e, items| categorize(e, items, &labels),
-        |l| l.clone(),
+        |items| Query::over(items).categorize(labels),
+        |out| out.labels().unwrap().to_vec(),
     );
     // The pool labels every presented record: k-NN answers leave one out.
     let labeled = |items: &[ItemId]| -> Vec<(ItemId, String)> {
@@ -295,11 +297,8 @@ fn record() -> Vec<Produced> {
     ] {
         r.case(
             &format!("impute/{}", strategy.name()),
-            |e, items| {
-                let pool = LabeledPool::build(e, &labeled(items))?;
-                impute(e, items, "city", &pool, &strategy)
-            },
-            |v| v.clone(),
+            |items| Query::over(items).impute_with("city", labeled(items), strategy.clone()),
+            |out| out.values().unwrap().to_vec(),
         );
     }
     r.rows

@@ -11,8 +11,26 @@ use crowdprompt::core::ops::filter::FilterStrategy;
 use crowdprompt::oracle::backend::CancelToken;
 use crowdprompt::oracle::model::NoiseProfile;
 use crowdprompt::oracle::types::CompletionResponse;
-use crowdprompt::oracle::{LlmError, Pricing};
+use crowdprompt::oracle::{ItemId, LlmError, Pricing};
 use crowdprompt::prelude::*;
+
+/// Plan and run `query`, as one cost-annotated outcome.
+fn run<T>(
+    session: &Session,
+    query: Query,
+    value: impl FnOnce(PlanOutput) -> T,
+) -> Result<Outcome<T>, EngineError> {
+    let run = session.plan(query).and_then(|plan| plan.execute(session))?;
+    Ok(run.into_outcome(value))
+}
+
+/// The items a single-check filter on `keep` keeps.
+fn keep(session: &Session, items: &[ItemId]) -> Result<Outcome<Vec<ItemId>>, EngineError> {
+    let query = session
+        .query(items)
+        .filter_with("keep", FilterStrategy::Single);
+    run(session, query, |out| out.into_items().unwrap())
+}
 
 fn flagged_world(
     n: usize,
@@ -62,31 +80,21 @@ fn single_backend_routing_is_bit_identical_to_plain_client() {
         .criterion("by index")
         .build();
 
-    let plain_filter = plain
-        .filter(&items, "keep", FilterStrategy::Single)
-        .unwrap();
-    let routed_filter = routed
-        .filter(&items, "keep", FilterStrategy::Single)
-        .unwrap();
+    let plain_filter = keep(&plain, &items).unwrap();
+    let routed_filter = keep(&routed, &items).unwrap();
     assert_eq!(plain_filter.value, routed_filter.value);
     assert_eq!(plain_filter.usage, routed_filter.usage);
     assert_eq!(plain_filter.cost_usd, routed_filter.cost_usd);
 
-    let plain_sort = plain
-        .sort(
-            &items,
-            SortCriterion::LatentScore,
-            &SortStrategy::SinglePrompt,
-        )
-        .unwrap();
-    let routed_sort = routed
-        .sort(
-            &items,
-            SortCriterion::LatentScore,
-            &SortStrategy::SinglePrompt,
-        )
-        .unwrap();
-    assert_eq!(plain_sort.value.order, routed_sort.value.order);
+    let sort = |session: &Session| {
+        let query = session
+            .query(&items)
+            .sort_with(SortCriterion::LatentScore, SortStrategy::SinglePrompt);
+        run(session, query, |out| out.into_items().unwrap())
+    };
+    let plain_sort = sort(&plain).unwrap();
+    let routed_sort = sort(&routed).unwrap();
+    assert_eq!(plain_sort.value, routed_sort.value);
 
     // Ledger, budget, and client behaviour identical call for call.
     let pc = plain.engine().client();
@@ -168,9 +176,7 @@ fn retried_transient_failure_charges_exactly_one_call() {
         .budget(Budget::usd(1.0))
         .build();
 
-    let out = session
-        .filter(&items, "keep", FilterStrategy::Single)
-        .unwrap();
+    let out = keep(&session, &items).unwrap();
     assert_eq!(out.value, items, "item 0 satisfies keep");
 
     let client = session.engine().client();
@@ -322,9 +328,7 @@ fn hedged_loser_is_cancelled_without_spend() {
         .budget(Budget::usd(1.0))
         .build();
 
-    let out = session
-        .filter(&items, "keep", FilterStrategy::Single)
-        .unwrap();
+    let out = keep(&session, &items).unwrap();
     assert_eq!(out.value, items, "hedged answer matches the model's");
 
     let client = session.engine().client();

@@ -458,8 +458,10 @@ fn a_cascade_over_two_tenants_bills_each_tier_to_its_own_tenant() {
         votes: 3,
         temperature_pct: 100,
     };
-    let alone = session().filter(&items, "hot", tier0_votes).unwrap();
-    assert!((spent("cheap") - alone.cost_usd).abs() < 1e-9);
+    let alone = session();
+    let plan = alone.plan(alone.query(&items).filter_with("hot", tier0_votes));
+    let alone = plan.unwrap().execute(&alone).unwrap();
+    assert!((spent("cheap") - alone.total_cost_usd()).abs() < 1e-9);
     assert!(spent("strong") > 0.0);
     assert!((spent("cheap") + spent("strong") - out.cost_usd).abs() < 1e-9);
     assert!((out.cost_usd - client.ledger().spend_usd()).abs() < 1e-9);

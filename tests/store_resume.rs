@@ -73,10 +73,12 @@ fn store_session(w: &WorldModel, items: &[ItemId], seed: u64, store: &PathBuf) -
 }
 
 fn run_filter(session: &Session, items: &[ItemId]) -> Vec<ItemId> {
-    session
-        .filter(items, "keep", FilterStrategy::Single)
-        .expect("perfect-noise filter must succeed")
-        .value
+    let query = session
+        .query(items)
+        .filter_with("keep", FilterStrategy::Single);
+    let run = session.plan(query).and_then(|plan| plan.execute(session));
+    let kept = run.expect("perfect-noise filter must succeed").output;
+    kept.into_items().expect("a filter keeps items")
 }
 
 proptest! {

@@ -22,6 +22,7 @@
 //! | `no-spawn-per-call`| `crates/oracle/src/route.rs` starts threads in `start_helper` and `launch_twin` and nowhere else|
 //! | `one-fingerprint`| `crates/oracle/src/client.rs` calls `.fingerprint()` in `probe` and nowhere else; `crates/core/src/{exec,serve}.rs` never do|
 //! | `pub-has-caller`| a `pub` item under `crates/{core,embed,oracle,metrics,data}/src` is named by some file outside its crate's `src/`, or by a doc-test|
+//! | `one-door`    | `crates/core/src/session.rs` names no `ops::` function; no file in `crates/core/src/ops` declares a top-level `pub fn`|
 //!
 //! Pure std, no crates.io: scanning is lexical but *mask-accurate* — a small
 //! lexer blanks out comments, strings, and char literals first, so a banned
@@ -150,6 +151,14 @@ const NO_SPAWN_FNS: &[&str] = &["start_helper", "launch_twin"];
 const ONE_FINGERPRINT_HOME: &str = "crates/oracle/src/client.rs";
 const ONE_FINGERPRINT_FN: &str = "probe";
 const ONE_FINGERPRINT_CALLERS: &[&str] = &["crates/core/src/exec.rs", "crates/core/src/serve.rs"];
+
+/// An operator runs through `Query` and nothing else: the session module
+/// ([`ONE_DOOR_SESSION`]) names no function of an operator module, and no
+/// file under [`ONE_DOOR_OPS`] declares a top-level `pub fn` (strategy types
+/// and their methods stay public). `pub-has-caller` cannot see a second
+/// door: a test that calls it is a caller.
+const ONE_DOOR_SESSION: &str = "crates/core/src/session.rs";
+const ONE_DOOR_OPS: &str = "crates/core/src/ops/";
 
 /// The library crates whose public items must each be named by a file
 /// outside the crate's own `src/` (another crate, a test, an example, a
@@ -858,6 +867,32 @@ fn lint_rust_source(rel: &str, src: &str) -> Vec<Finding> {
         }
     }
 
+    if rel == ONE_DOOR_SESSION {
+        for offset in find_ops_functions(&masked) {
+            if library_code(offset) {
+                push(
+                    "one-door",
+                    "the session names an operator's function: a second door beside `Query`".to_string(),
+                    "run the operator as a `Query` node (`session.plan(session.query(..).<op>_with(..))`) instead of a `Session` method",
+                    offset,
+                );
+            }
+        }
+    }
+
+    if rel.starts_with(ONE_DOOR_OPS) {
+        for (offset, kind, name) in pub_items(&masked) {
+            if kind == "fn" && library_code(offset) && brace_depth(&masked, offset) == 0 {
+                push(
+                    "one-door",
+                    format!("top-level `pub fn {name}` runs an operator beside `Query`"),
+                    "write `pub(crate)`: the plan executor is its one caller, and a caller outside the crate builds a `Query` node",
+                    offset,
+                );
+            }
+        }
+    }
+
     for offset in find_money_eq(&masked, &index) {
         if library_code(offset) {
             push(
@@ -1039,6 +1074,75 @@ fn argument_is_format(masked: &[char], offset: usize) -> bool {
         .take("&format!".len())
         .collect();
     argument == "&format!"
+}
+
+/// How many `{` blocks enclose `offset` (strings and comments are masked).
+fn brace_depth(masked: &[char], offset: usize) -> usize {
+    masked[..offset].iter().fold(0, |depth, &c| match c {
+        '{' => depth + 1,
+        '}' => depth.saturating_sub(1),
+        _ => depth,
+    })
+}
+
+/// Offsets of functions named through an `ops::` path: a lowercase segment
+/// past the operator module (`ops::sort::sort`, `ops::filter::{filter, ..}`)
+/// or an operator-level name called directly (`ops::filter(..)`). Module
+/// names (`ops::filter::FilterStrategy`, `ops::{self, sort}`) are not.
+fn find_ops_functions(masked: &[char]) -> Vec<usize> {
+    let mut hits = Vec::new();
+    for at in find_path(masked, "ops") {
+        if masked[at + 3..].starts_with(&[':', ':']) {
+            ops_path(masked, at + 5, 1, &mut hits);
+        }
+    }
+    hits
+}
+
+/// Walk the path or `{..}` group at `i`, `depth` segments past `ops::`.
+fn ops_path(masked: &[char], mut i: usize, depth: usize, hits: &mut Vec<usize>) {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let skip_space = |mut i: usize| {
+        while masked.get(i).is_some_and(|c| c.is_whitespace()) {
+            i += 1;
+        }
+        i
+    };
+    i = skip_space(i);
+    if masked.get(i) == Some(&'{') {
+        let Some(close) = matching(masked, i, '{', '}') else {
+            return;
+        };
+        let (mut member, mut level) = (i + 1, 0usize);
+        for j in i + 1..close {
+            match masked[j] {
+                '{' => level += 1,
+                '}' => level -= 1,
+                ',' if level == 0 => {
+                    ops_path(masked, member, depth, hits);
+                    member = j + 1;
+                }
+                _ => {}
+            }
+        }
+        ops_path(masked, member, depth, hits);
+        return;
+    }
+    let start = i;
+    while masked.get(i).is_some_and(|&c| is_ident(c)) {
+        i += 1;
+    }
+    let word: String = masked[start..i].iter().collect();
+    if word.is_empty() {
+        return;
+    }
+    let next = skip_space(i);
+    let lowercase = word.starts_with(|c: char| c.is_lowercase()) && word != "self";
+    if lowercase && (depth >= 2 || masked.get(next) == Some(&'(')) {
+        hits.push(start);
+    } else if masked[next..].starts_with(&[':', ':']) {
+        ops_path(masked, next + 2, depth + 1, hits);
+    }
 }
 
 /// Offsets of `<Something>Strategy::` paths (the start of the type name).
@@ -1630,6 +1734,36 @@ mod tests {
         assert!(lint_rust_source("crates/core/src/ops/judge.rs", src).is_empty());
         assert!(lint_rust_source("crates/core/src/plan/execute.rs", src).is_empty());
         assert!(lint_rust_source("crates/core/tests/prop.rs", src).is_empty());
+    }
+
+    #[test]
+    fn one_door_flags_operator_functions_in_the_session_and_public_ones_in_ops() {
+        let session = concat!(
+            "use crate::ops::sort::{sort, SortStrategy};\n",
+            "use crate::ops::{self, filter::FilterStrategy};\n",
+            "fn f(e: &Engine) { ops::topk::top_k(e); ops::filter(e); }\n",
+            "fn fine(s: ops::sort::SortStrategy) {} // ops::sort::sort in a comment\n",
+            "#[cfg(test)]\n",
+            "mod tests { fn t() { crate::ops::count::count(); } }\n",
+        );
+        let f = lint_rust_source("crates/core/src/session.rs", session);
+        assert_eq!(codes(&f), vec!["one-door"; 3]);
+        let at: Vec<(usize, usize)> = f.iter().map(|f| (f.line, f.col)).collect();
+        assert_eq!(at, vec![(1, 24), (3, 31), (3, 46)]);
+        // Only the session module is barred from naming them.
+        assert!(lint_rust_source("crates/core/src/plan/execute.rs", session).is_empty());
+
+        let ops = concat!(
+            "pub fn sort(e: &Engine) {}\n",
+            "pub(crate) fn filter(e: &Engine) {}\n",
+            "impl SortStrategy { pub fn name(&self) -> String { String::new() } }\n",
+            "#[cfg(test)]\n",
+            "pub fn helper() {}\n",
+        );
+        let f = lint_rust_source("crates/core/src/ops/sort.rs", ops);
+        assert_eq!(codes(&f), vec!["one-door"]);
+        assert_eq!((f[0].line, f[0].col), (1, 8));
+        assert!(lint_rust_source("crates/core/src/plan/mod.rs", ops).is_empty());
     }
 
     #[test]

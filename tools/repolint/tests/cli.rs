@@ -106,15 +106,22 @@ fn seeded_repo(tag: &str) -> TempRepo {
     );
     repo.write(
         "crates/core/src/session.rs",
-        "pub fn build(c: Client, corpus: Corpus) -> Engine { Engine::new(c, corpus) }\n",
+        concat!(
+            "pub fn build(c: Client, corpus: Corpus) -> Engine { Engine::new(c, corpus) }\n",
+            "fn door(e: &Engine) { crate::ops::sort::sort(e) }\n",
+        ),
     );
     repo.write(
         "crates/core/src/ops/bad_judge.rs",
-        "pub fn playoff(e: &Engine, tasks: Vec<Task>) -> R { e.run_many(tasks) }\n",
+        "pub(crate) fn playoff(e: &Engine, tasks: Vec<Task>) -> R { e.run_many(tasks) }\n",
     );
     repo.write(
         "crates/core/src/ops/judge.rs",
-        "pub fn ask(e: &Engine, tasks: Vec<Task>) -> R { e.run_many(tasks) }\n",
+        "pub(crate) fn ask(e: &Engine, tasks: Vec<Task>) -> R { e.run_many(tasks) }\n",
+    );
+    repo.write(
+        "crates/core/src/ops/bad_door.rs",
+        "pub fn sort(e: &Engine) {}\n",
     );
     repo.write(
         "crates/core/src/plan/estimate.rs",
@@ -122,7 +129,7 @@ fn seeded_repo(tag: &str) -> TempRepo {
     );
     repo.write(
         "crates/core/src/ops/bad_bill.rs",
-        "pub fn estimated_calls(n: usize) -> u64 { n as u64 }\n",
+        "pub(crate) fn estimated_calls(n: usize) -> u64 { n as u64 }\n",
     );
     repo.write(
         "crates/embed/src/bad_layout.rs",
@@ -165,6 +172,7 @@ fn seeded_repo(tag: &str) -> TempRepo {
             "fn call_them() {\n",
             "    (f, g, t, same, drive, pump, probe, complete, line, again, retry_delay);\n",
             "    (tier, build, playoff, ask, cost, estimated_calls, embed_all, nearest, from_rows);\n",
+            "    (sort,);\n",
             "    (mentions, bare, covered, documented);\n",
             "}\n",
         ),
@@ -221,6 +229,9 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         "error[no-spawn-per-call]",
         "error[one-fingerprint]",
         "error[pub-has-caller]",
+        "error[one-door]",
+        "--> crates/core/src/ops/bad_door.rs:1:8",
+        "--> crates/core/src/session.rs:2:41",
         "--> crates/data/src/orphan.rs:1:8",
         "--> crates/metrics/src/lonely.rs:1:12",
         "--> crates/oracle/src/exposed.rs:1:12",
@@ -231,9 +242,9 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         "--> crates/core/src/template.rs:1:46",
         "--> crates/embed/src/bad_layout.rs:1:37",
         "--> crates/embed/src/bad_layout.rs:2:8",
-        "--> crates/core/src/ops/bad_judge.rs:1:55",
+        "--> crates/core/src/ops/bad_judge.rs:1:62",
         "--> crates/core/src/plan/estimate.rs:1:50",
-        "--> crates/core/src/ops/bad_bill.rs:1:8",
+        "--> crates/core/src/ops/bad_bill.rs:1:15",
         "--> crates/core/src/bad_engine.rs:1:52",
         "--> crates/core/src/bad_loop.rs:1:23",
         "--> crates/oracle/src/bad_retry.rs:1:69",
@@ -280,7 +291,7 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         "the probe is where a request is hashed:\n{stderr}"
     );
     assert!(
-        !stderr.contains("crates/core/src/session.rs"),
+        !stderr.contains("crates/core/src/session.rs:1:"),
         "the session builder is where engines are made:\n{stderr}"
     );
     assert!(
@@ -306,11 +317,11 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
     // deprecation attributes, two copies of a bill, a second layout and a
     // second query, a second count, a formatted temporary, a thread per
     // call, a second hashing in the client and one in the dispatcher, three
-    // public items without a caller, a baseline and a knob, one each of the
-    // rest:
-    // 3 + 2 + 2 + 2 + 2 + 2 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 3 + 2.
+    // public items without a caller, a baseline and a knob, a second door
+    // in the session and one in `ops/`, one each of the rest:
+    // 3 + 2 + 2 + 2 + 2 + 2 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 3 + 2 + 2.
     assert!(
-        stderr.contains("27 finding(s)"),
+        stderr.contains("29 finding(s)"),
         "unexpected total in:\n{stderr}"
     );
 }
@@ -330,12 +341,12 @@ fn counts_report_lines_code_and_pub_items_per_library_crate() {
         String::from_utf8_lossy(&out.stdout),
         concat!(
             "crate      lines    code   pub\n",
-            "core          23      20    15\n",
+            "core          25      22    13\n",
             "embed          6       4     4\n",
             "oracle        12      11     9\n",
             "metrics        1       1     1\n",
             "data           1       1     1\n",
-            "total         43      37    30\n",
+            "total         45      39    28\n",
         )
     );
 }
@@ -388,8 +399,9 @@ fn this_repository_is_clean() {
     // `push_str(&format!(..))` in `template.rs`, for a thread started in
     // `route.rs` outside the hedge helper's start and the twin launch, and
     // for a `.fingerprint()` in `client.rs` outside `probe` or anywhere in
-    // `exec.rs` and `serve.rs`, and for a `pub` item of a library crate
-    // that nothing outside the crate names.
+    // `exec.rs` and `serve.rs`, for a `pub` item of a library crate that
+    // nothing outside the crate names, and for an operator function named
+    // in `session.rs` or a top-level `pub fn` in `crates/core/src/ops`.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let out = run_repolint(&root);
     let stderr = String::from_utf8_lossy(&out.stderr);
