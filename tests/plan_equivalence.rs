@@ -1,17 +1,22 @@
-//! Plan/eager equivalence: for every operator, a single-node plan must
-//! produce bit-identical results and identical ledger spend to the
-//! corresponding eager formulation (the `Session` method / direct operator
-//! call) under a fixed seed — the simulator is deterministic, so this is
+//! Plan equivalence: every operator runs through one door, `Query`, and
+//! that door must behave the same however it is entered. For each
+//! operator × strategy a one-node query is planned and executed twice:
+//!
+//! * through a [`Session`] — `session.plan(session.query(..)..)` then
+//!   `Plan::execute` (the "plan" side);
+//! * directly on a bare [`Engine`] built with the same settings —
+//!   `Query::plan_on` then `Plan::execute_on` (the "eager" side, the
+//!   lowest-level way left to run an operator).
+//!
+//! Both sides must produce bit-identical results and identical ledger
+//! spend under a fixed seed — the simulator is deterministic, so this is
 //! checkable exactly.
 //!
-//! Each comparison runs on two *fresh* engines built from the same world
-//! and simulator seed, so neither path can borrow the other's cache.
+//! Each comparison runs on two *fresh* stacks built from the same world
+//! and simulator seed, so neither side can borrow the other's cache.
 
 use std::sync::Arc;
 
-use crowdprompt::core::ops;
-use crowdprompt::core::ops::cluster::{cluster, cluster_blocked};
-use crowdprompt::core::ops::impute::LabeledPool;
 use crowdprompt::core::{Corpus, Engine};
 use crowdprompt::oracle::world::{ItemId, WorldModel};
 use crowdprompt::prelude::*;
@@ -40,16 +45,29 @@ fn world(n: usize) -> (WorldModel, Vec<ItemId>) {
     (w, ids)
 }
 
+fn client(w: &WorldModel) -> Arc<LlmClient> {
+    let llm = SimulatedLlm::new(ModelProfile::gpt35_like(), Arc::new(w.clone()), 29);
+    Arc::new(LlmClient::new(Arc::new(llm)))
+}
+
 /// A fresh engine over a clone of the world — identical simulator stream.
 fn engine(w: &WorldModel, ids: &[ItemId]) -> Engine {
-    let llm = SimulatedLlm::new(ModelProfile::gpt35_like(), Arc::new(w.clone()), 29);
-    Engine::new(
-        Arc::new(LlmClient::new(Arc::new(llm))),
-        Corpus::from_world(w, ids),
-    )
-    .with_budget(Budget::Unlimited)
-    .with_seed(5)
-    .with_criterion_label("by importance")
+    Engine::new(client(w), Corpus::from_world(w, ids))
+        .with_budget(Budget::Unlimited)
+        .with_seed(5)
+        .with_criterion_label("by importance")
+}
+
+/// A fresh session configured like [`engine`].
+fn session(w: &WorldModel, ids: &[ItemId]) -> Session {
+    Session::builder()
+        .client(client(w))
+        .corpus(Corpus::from_world(w, ids))
+        .budget(Budget::Unlimited)
+        .seed(5)
+        .criterion("by importance")
+        .try_build()
+        .expect("client configured")
 }
 
 /// Assert two engines spent identically (token ledger + USD ledger).
@@ -81,6 +99,33 @@ fn assert_accounting_match<T: PartialEq + std::fmt::Debug>(
     );
 }
 
+/// Run `query` through a fresh session and on a fresh bare engine, and
+/// assert both sides agree in values, accounting and ledger spend.
+fn assert_doors_agree<T: PartialEq + std::fmt::Debug>(
+    w: &WorldModel,
+    ids: &[ItemId],
+    query: Query,
+    value: impl Fn(PlanOutput) -> T,
+    what: &str,
+) {
+    let s = session(w, ids);
+    let plan_out = s
+        .plan(query.clone())
+        .unwrap()
+        .execute(&s)
+        .unwrap()
+        .into_outcome(&value);
+    let eager = engine(w, ids);
+    let eager_out = query
+        .plan_on(&eager)
+        .unwrap()
+        .execute_on(&eager)
+        .unwrap()
+        .into_outcome(&value);
+    assert_accounting_match(&plan_out, &eager_out, what);
+    assert_ledgers_match(s.engine(), &eager, what);
+}
+
 #[test]
 fn sort_plan_matches_eager() {
     let (w, ids) = world(18);
@@ -93,23 +138,17 @@ fn sort_plan_matches_eager() {
         },
         SortStrategy::ChunkedMerge { chunk_size: 6 },
     ] {
-        let planned = engine(&w, &ids);
-        let run = Query::over(&ids)
-            .sort_with(SortCriterion::LatentScore, strategy.clone())
-            .plan_on(&planned)
-            .unwrap()
-            .execute_on(&planned)
-            .unwrap();
-        let plan_out = run.into_outcome(|out| match out {
-            PlanOutput::Sorted(s) => s,
-            other => panic!("expected sort output, got {other:?}"),
-        });
-        let eager = engine(&w, &ids);
-        let eager_out =
-            ops::sort::sort(&eager, &ids, SortCriterion::LatentScore, &strategy).unwrap();
         let what = format!("sort/{}", strategy.name());
-        assert_accounting_match(&plan_out, &eager_out, &what);
-        assert_ledgers_match(&planned, &eager, &what);
+        assert_doors_agree(
+            &w,
+            &ids,
+            Query::over(&ids).sort_with(SortCriterion::LatentScore, strategy),
+            |out| match out {
+                PlanOutput::Sorted(s) => s,
+                other => panic!("expected sort output, got {other:?}"),
+            },
+            &what,
+        );
     }
 }
 
@@ -137,19 +176,14 @@ fn filter_plan_matches_eager() {
         },
         FilterStrategy::Verified { max_rounds: 3 },
     ] {
-        let planned = engine(&w, &ids);
-        let run = Query::over(&ids)
-            .filter_with("active", strategy)
-            .plan_on(&planned)
-            .unwrap()
-            .execute_on(&planned)
-            .unwrap();
-        let plan_out = run.into_outcome(|out| out.into_items().unwrap());
-        let eager = engine(&w, &ids);
-        let eager_out = ops::filter::filter(&eager, &ids, "active", strategy).unwrap();
         let what = format!("filter/{}", strategy.name());
-        assert_accounting_match(&plan_out, &eager_out, &what);
-        assert_ledgers_match(&planned, &eager, &what);
+        assert_doors_agree(
+            &w,
+            &ids,
+            Query::over(&ids).filter_with("active", strategy),
+            |out| out.into_items().unwrap(),
+            &what,
+        );
     }
 }
 
@@ -160,19 +194,14 @@ fn count_plan_matches_eager() {
         CountStrategy::PerItem,
         CountStrategy::Eyeball { batch_size: 8 },
     ] {
-        let planned = engine(&w, &ids);
-        let run = Query::over(&ids)
-            .count_with("active", strategy)
-            .plan_on(&planned)
-            .unwrap()
-            .execute_on(&planned)
-            .unwrap();
-        let plan_out = run.into_outcome(|out| out.count().unwrap());
-        let eager = engine(&w, &ids);
-        let eager_out = ops::count::count(&eager, &ids, "active", strategy).unwrap();
         let what = format!("count/{}", strategy.name());
-        assert_accounting_match(&plan_out, &eager_out, &what);
-        assert_ledgers_match(&planned, &eager, &what);
+        assert_doors_agree(
+            &w,
+            &ids,
+            Query::over(&ids).count_with("active", strategy),
+            |out| out.count().unwrap(),
+            &what,
+        );
     }
 }
 
@@ -180,21 +209,16 @@ fn count_plan_matches_eager() {
 fn categorize_plan_matches_eager() {
     let (w, ids) = world(21);
     let labels = vec!["bulk".to_owned(), "retail".to_owned()];
-    let planned = engine(&w, &ids);
-    let run = Query::over(&ids)
-        .categorize(labels.clone())
-        .plan_on(&planned)
-        .unwrap()
-        .execute_on(&planned)
-        .unwrap();
-    let plan_out = run.into_outcome(|out| match out {
-        PlanOutput::Labels(l) => l,
-        other => panic!("expected labels, got {other:?}"),
-    });
-    let eager = engine(&w, &ids);
-    let eager_out = ops::categorize::categorize(&eager, &ids, &labels).unwrap();
-    assert_accounting_match(&plan_out, &eager_out, "categorize");
-    assert_ledgers_match(&planned, &eager, "categorize");
+    assert_doors_agree(
+        &w,
+        &ids,
+        Query::over(&ids).categorize(labels),
+        |out| match out {
+            PlanOutput::Labels(l) => l,
+            other => panic!("expected labels, got {other:?}"),
+        },
+        "categorize",
+    );
 }
 
 #[test]
@@ -207,38 +231,27 @@ fn max_plan_matches_eager() {
             playoff_size: 4,
         },
     ] {
-        let planned = engine(&w, &ids);
-        let run = Query::over(&ids)
-            .max_with(SortCriterion::LatentScore, strategy)
-            .plan_on(&planned)
-            .unwrap()
-            .execute_on(&planned)
-            .unwrap();
-        let plan_out = run.into_outcome(|out| out.max_item().unwrap());
-        let eager = engine(&w, &ids);
-        let eager_out =
-            ops::max::find_max(&eager, &ids, SortCriterion::LatentScore, strategy).unwrap();
         let what = format!("max/{}", strategy.name());
-        assert_accounting_match(&plan_out, &eager_out, &what);
-        assert_ledgers_match(&planned, &eager, &what);
+        assert_doors_agree(
+            &w,
+            &ids,
+            Query::over(&ids).max_with(SortCriterion::LatentScore, strategy),
+            |out| out.max_item().unwrap(),
+            &what,
+        );
     }
 }
 
 #[test]
 fn top_k_plan_matches_eager() {
     let (w, ids) = world(20);
-    let planned = engine(&w, &ids);
-    let run = Query::over(&ids)
-        .top_k_with(SortCriterion::LatentScore, 4, 2)
-        .plan_on(&planned)
-        .unwrap()
-        .execute_on(&planned)
-        .unwrap();
-    let plan_out = run.into_outcome(|out| out.into_items().unwrap());
-    let eager = engine(&w, &ids);
-    let eager_out = ops::topk::top_k(&eager, &ids, SortCriterion::LatentScore, 4, 2).unwrap();
-    assert_accounting_match(&plan_out, &eager_out, "top-k");
-    assert_ledgers_match(&planned, &eager, "top-k");
+    assert_doors_agree(
+        &w,
+        &ids,
+        Query::over(&ids).top_k_with(SortCriterion::LatentScore, 4, 2),
+        |out| out.into_items().unwrap(),
+        "top-k",
+    );
 }
 
 #[test]
@@ -252,82 +265,77 @@ fn join_plan_matches_eager() {
             max_distance: 1.5,
         },
     ] {
-        let planned = engine(&w, &ids);
-        let run = Query::over(left)
-            .join_with(right, strategy.clone())
-            .plan_on(&planned)
-            .unwrap()
-            .execute_on(&planned)
-            .unwrap();
-        let plan_out = run.into_outcome(|out| match out {
-            PlanOutput::Join(j) => j,
-            other => panic!("expected join output, got {other:?}"),
-        });
-        let eager = engine(&w, &ids);
-        let eager_out = ops::join::fuzzy_join(&eager, left, right, &strategy).unwrap();
         let what = format!("join/{}", strategy.name());
-        assert_accounting_match(&plan_out, &eager_out, &what);
-        assert_ledgers_match(&planned, &eager, &what);
+        assert_doors_agree(
+            &w,
+            &ids,
+            Query::over(left).join_with(right, strategy),
+            |out| match out {
+                PlanOutput::Join(j) => j,
+                other => panic!("expected join output, got {other:?}"),
+            },
+            &what,
+        );
     }
 }
 
 #[test]
 fn cluster_plan_matches_eager() {
     let (w, ids) = world(18);
+    let groups = |out: PlanOutput| match out {
+        PlanOutput::Groups(g) => g,
+        other => panic!("expected groups, got {other:?}"),
+    };
     // Exhaustive probing.
-    let planned = engine(&w, &ids);
-    let run = Query::over(&ids)
-        .cluster_exhaustive(6)
-        .plan_on(&planned)
-        .unwrap()
-        .execute_on(&planned)
-        .unwrap();
-    let plan_out = run.into_outcome(|out| match out {
-        PlanOutput::Groups(g) => g,
-        other => panic!("expected groups, got {other:?}"),
-    });
-    let eager = engine(&w, &ids);
-    let eager_out = cluster(&eager, &ids, 6).unwrap();
-    assert_accounting_match(&plan_out, &eager_out, "cluster");
-    assert_ledgers_match(&planned, &eager, "cluster");
-
+    assert_doors_agree(
+        &w,
+        &ids,
+        Query::over(&ids).cluster_exhaustive(6),
+        groups,
+        "cluster",
+    );
     // Blocked probing.
-    let planned = engine(&w, &ids);
-    let run = Query::over(&ids)
-        .cluster_blocked(6, 2)
-        .plan_on(&planned)
-        .unwrap()
-        .execute_on(&planned)
-        .unwrap();
-    let plan_out = run.into_outcome(|out| match out {
-        PlanOutput::Groups(g) => g,
-        other => panic!("expected groups, got {other:?}"),
-    });
-    let eager = engine(&w, &ids);
-    let eager_out = cluster_blocked(&eager, &ids, 6, 2).unwrap();
-    assert_accounting_match(&plan_out, &eager_out, "cluster-blocked");
-    assert_ledgers_match(&planned, &eager, "cluster-blocked");
+    assert_doors_agree(
+        &w,
+        &ids,
+        Query::over(&ids).cluster_blocked(6, 2),
+        groups,
+        "cluster-blocked",
+    );
 }
 
 #[test]
 fn dedup_plan_matches_eager() {
     let (w, ids) = world(18);
-    let planned = engine(&w, &ids);
-    let run = Query::over(&ids)
-        .resolve(3, 1.5)
-        .plan_on(&planned)
-        .unwrap()
-        .execute_on(&planned)
-        .unwrap();
-    let plan_out = run.into_outcome(|out| match out {
-        PlanOutput::Groups(g) => g,
-        other => panic!("expected groups, got {other:?}"),
-    });
-    let eager = engine(&w, &ids);
-    let index = BlockingIndex::build(&eager, &ids).unwrap();
-    let eager_out = ops::resolve::dedup(&eager, &ids, &index, 3, 1.5).unwrap();
-    assert_accounting_match(&plan_out, &eager_out, "dedup");
-    assert_ledgers_match(&planned, &eager, "dedup");
+    assert_doors_agree(
+        &w,
+        &ids,
+        Query::over(&ids).resolve(3, 1.5),
+        |out| match out {
+            PlanOutput::Groups(g) => g,
+            other => panic!("expected groups, got {other:?}"),
+        },
+        "dedup",
+    );
+    // Pairwise questions over the same records, with and without the
+    // blocking index the node builds over its own items.
+    let pairs: Vec<(ItemId, ItemId)> = ids.windows(2).step_by(2).map(|p| (p[0], p[1])).collect();
+    for strategy in [
+        ResolveStrategy::Pairwise,
+        ResolveStrategy::TransitivityAugmented { k: 2 },
+    ] {
+        let what = format!("resolve-pairs/{strategy:?}");
+        assert_doors_agree(
+            &w,
+            &ids,
+            Query::over(&ids).resolve_pairs(pairs.clone(), strategy),
+            |out| match out {
+                PlanOutput::Verdicts(v) => v,
+                other => panic!("expected verdicts, got {other:?}"),
+            },
+            &what,
+        );
+    }
 }
 
 #[test]
@@ -347,54 +355,42 @@ fn impute_plan_matches_eager() {
         ImputeStrategy::LlmOnly { shots: 2 },
         ImputeStrategy::Hybrid { k: 3, shots: 2 },
     ] {
-        let planned = engine(&w, &ids);
-        let run = Query::over(&ids)
-            .impute_with("city", labeled.clone(), strategy.clone())
-            .plan_on(&planned)
-            .unwrap()
-            .execute_on(&planned)
-            .unwrap();
-        let plan_out = run.into_outcome(|out| match out {
-            PlanOutput::Values(v) => v,
-            other => panic!("expected values, got {other:?}"),
-        });
-        let eager = engine(&w, &ids);
-        let pool = LabeledPool::build(&eager, &labeled).unwrap();
-        let eager_out = ops::impute::impute(&eager, &ids, "city", &pool, &strategy).unwrap();
         let what = format!("impute/{}", strategy.name());
-        assert_accounting_match(&plan_out, &eager_out, &what);
-        assert_ledgers_match(&planned, &eager, &what);
+        assert_doors_agree(
+            &w,
+            &ids,
+            Query::over(&ids).impute_with("city", labeled.clone(), strategy),
+            |out| match out {
+                PlanOutput::Values(v) => v,
+                other => panic!("expected values, got {other:?}"),
+            },
+            &what,
+        );
     }
 }
 
 #[test]
 fn session_wrappers_report_plan_identical_outcomes() {
-    // The Session operator methods are themselves single-node plan
-    // wrappers; spot-check that a session call and an explicit plan agree
-    // bit-for-bit on fresh engines.
+    // A session is a thin wrapper over its engine: `Session::query` and
+    // `Session::plan` must lower to the same plan a bare engine gets, and
+    // the session's spend must be the run's reported spend.
     let (w, ids) = world(20);
-    let session = |w: &WorldModel| {
-        Session::builder()
-            .client(Arc::new(LlmClient::new(Arc::new(SimulatedLlm::new(
-                ModelProfile::gpt35_like(),
-                Arc::new(w.clone()),
-                29,
-            )))))
-            .corpus(Corpus::from_world(w, &ids))
-            .budget(Budget::Unlimited)
-            .seed(5)
-            .criterion("by importance")
-            .try_build()
-            .expect("client configured")
-    };
-    let s1 = session(&w);
-    let via_session = s1.filter(&ids, "active", FilterStrategy::Single).unwrap();
-    let s2 = session(&w);
-    let plan = s2
-        .plan(s2.query(&ids).filter_with("active", FilterStrategy::Single))
+    let s1 = session(&w, &ids);
+    let plan1 = s1
+        .plan(s1.query(&ids).filter_with("active", FilterStrategy::Single))
         .unwrap();
-    let via_plan = plan
-        .execute(&s2)
+    let bare = engine(&w, &ids);
+    let plan2 = Query::over(&ids)
+        .filter_with("active", FilterStrategy::Single)
+        .plan_on(&bare)
+        .unwrap();
+    assert_eq!(plan1.explain(), plan2.explain());
+    let via_session = plan1
+        .execute(&s1)
+        .unwrap()
+        .into_outcome(|out| out.into_items().unwrap());
+    let via_plan = plan2
+        .execute_on(&bare)
         .unwrap()
         .into_outcome(|out| out.into_items().unwrap());
     assert_eq!(via_session.value, via_plan.value);
@@ -403,9 +399,15 @@ fn session_wrappers_report_plan_identical_outcomes() {
     // the summation order (and thus the last few ulps) varies per run —
     // compare with an epsilon, not bit equality.
     assert!(
-        (s1.spent_usd() - s2.spent_usd()).abs() < 1e-12,
+        (s1.spent_usd() - bare.budget().spent_usd()).abs() < 1e-12,
         "spend differs: {} vs {}",
         s1.spent_usd(),
-        s2.spent_usd()
+        bare.budget().spent_usd()
+    );
+    assert!(
+        (s1.spent_usd() - via_session.cost_usd).abs() < 1e-12,
+        "session spend {} differs from the run's reported cost {}",
+        s1.spent_usd(),
+        via_session.cost_usd
     );
 }
