@@ -95,6 +95,8 @@ fn levenshtein(a: &[char], b: &[char]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
 
     #[test]
     fn identical_strings_max_similarity() {
@@ -145,5 +147,102 @@ mod tests {
     #[test]
     fn case_insensitive_trigrams() {
         assert_eq!(trigram_jaccard("Chocolate", "chocolate"), 1.0);
+    }
+
+    /// The hash-set kernel `trigram_jaccard` started from: the reference
+    /// every faster kernel must equal bit for bit.
+    fn reference_jaccard(a: &str, b: &str) -> f64 {
+        fn trigrams(s: &str) -> HashSet<[char; 3]> {
+            let lowered: Vec<char> = s.to_lowercase().chars().collect();
+            lowered.windows(3).map(|w| [w[0], w[1], w[2]]).collect()
+        }
+        if a == b {
+            return 1.0;
+        }
+        let (ta, tb) = (trigrams(a), trigrams(b));
+        let union = ta.union(&tb).count();
+        if union == 0 {
+            0.0
+        } else {
+            ta.intersection(&tb).count() as f64 / union as f64
+        }
+    }
+
+    /// Pieces strings are drawn from: ASCII of both cases first, then text
+    /// whose lowercasing is unusual — a fold that changes length (`İ`), a
+    /// context-dependent one (`Σ`), `ß`, a titlecase digraph, a combining
+    /// mark, four-byte text.
+    const PIECES: [&str; 24] = [
+        "a",
+        "b",
+        "c",
+        "A",
+        "B",
+        "C",
+        " ",
+        "ab",
+        "BC",
+        "-",
+        "1",
+        "the ",
+        "\u{130}",
+        "\u{3a3}",
+        "\u{3c3}",
+        "\u{3c2}",
+        "\u{df}",
+        "\u{c9}",
+        "\u{e9}",
+        "\u{1c5}",
+        "\u{307}",
+        "\u{1f980}",
+        "\u{2014}",
+        "\u{20ac}",
+    ];
+    /// `PIECES[..ASCII_PIECES]` are ASCII.
+    const ASCII_PIECES: usize = 12;
+
+    fn draw(picks: &[usize], pool: usize) -> String {
+        picks.iter().map(|&p| PIECES[p % pool]).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn trigram_jaccard_equals_the_hash_set_kernel_bit_for_bit(
+            a in prop::collection::vec(0usize..PIECES.len(), 0..24),
+            b in prop::collection::vec(0usize..PIECES.len(), 0..24),
+            ascii_a in any::<bool>(),
+            ascii_b in any::<bool>(),
+        ) {
+            let a = draw(&a, if ascii_a { ASCII_PIECES } else { PIECES.len() });
+            let b = draw(&b, if ascii_b { ASCII_PIECES } else { PIECES.len() });
+            for (x, y) in [(&a, &b), (&b, &a), (&a, &a)] {
+                prop_assert_eq!(
+                    trigram_jaccard(x, y).to_bits(),
+                    reference_jaccard(x, y).to_bits(),
+                    "trigram_jaccard({:?}, {:?})", x, y
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn citation_length_pairs_equal_the_hash_set_kernel() {
+        let texts = [
+            "indexing the positions of continuously moving objects in databases",
+            "bindexing the position of continuous moving objects in database",
+            "Saltenis S, Jensen CS. Indexing the Positions of Continuously Moving Objects. SIGMOD 2000",
+            "caf\u{e9} cr\u{e8}me br\u{fb}l\u{e9}e \u{2014} 12\u{20ac}",
+            "CAF\u{c9} CR\u{c8}ME BR\u{db}L\u{c9}E \u{2014} 12\u{20ac}",
+            "\u{39f}\u{394}\u{39f}\u{3a3} \u{3a3}\u{3a4}\u{39f}\u{3a3}",
+        ];
+        for a in texts {
+            for b in texts {
+                assert_eq!(
+                    trigram_jaccard(a, b).to_bits(),
+                    reference_jaccard(a, b).to_bits(),
+                    "{a:?} / {b:?}"
+                );
+            }
+        }
     }
 }
