@@ -6,7 +6,7 @@ use std::hint::black_box;
 use crowdprompt_core::consistency::{repair_ranking, UnionFind};
 use crowdprompt_embed::{BruteForceIndex, Embedder, Metric, NgramEmbedder, Queries, VectorStore};
 use crowdprompt_metrics::rank::{kendall_tau_b, kendall_tau_b_reference};
-use crowdprompt_oracle::sim::similarity::{levenshtein_similarity, trigram_jaccard};
+use crowdprompt_oracle::sim::similarity::trigram_jaccard;
 use crowdprompt_oracle::tokenizer::count_tokens;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -60,14 +60,31 @@ fn bench_tokenizer(c: &mut Criterion) {
 }
 
 fn bench_similarity(c: &mut Criterion) {
-    let a = "indexing the positions of continuously moving objects in databases";
-    let b_text = "bindexing the position of continuous moving objects in database";
-    c.bench_function("trigram_jaccard", |b| {
-        b.iter(|| trigram_jaccard(black_box(a), black_box(b_text)))
-    });
-    c.bench_function("levenshtein_similarity", |b| {
-        b.iter(|| levenshtein_similarity(black_box(a), black_box(b_text)))
-    });
+    // `(a, b, trigram_jaccard(a, b))`, the values recorded from the
+    // hash-set kernel: a kernel whose output drifts fails the smoke run.
+    let pairs = [
+        (
+            "citation",
+            "indexing the positions of continuously moving objects in databases",
+            "bindexing the position of continuous moving objects in database",
+            54.0 / 67.0,
+        ),
+        (
+            "multibyte",
+            "caf\u{e9} cr\u{e8}me br\u{fb}l\u{e9}e \u{e0} la carte \u{2014} 12\u{20ac}, Z\u{fc}rich",
+            "CAF\u{c9} CR\u{c8}ME BR\u{db}L\u{c9}E \u{c0} LA CARTE \u{2014} 12 \u{20ac}, Z\u{dc}RICH",
+            38.0 / 43.0,
+        ),
+    ];
+    let mut group = c.benchmark_group("trigram_jaccard");
+    for (name, a, b_text, recorded) in pairs {
+        let got = trigram_jaccard(a, b_text);
+        assert_eq!(got.to_bits(), f64::to_bits(recorded), "{name}: {got}");
+        group.bench_function(name, |b| {
+            b.iter(|| trigram_jaccard(black_box(a), black_box(b_text)))
+        });
+    }
+    group.finish();
 }
 
 fn bench_consistency(c: &mut Criterion) {

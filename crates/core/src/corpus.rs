@@ -7,13 +7,17 @@
 //! and that is all the engine ever sees.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crowdprompt_oracle::world::{ItemId, WorldModel};
 
 /// Item texts addressable by [`ItemId`].
+///
+/// The map is shared: cloning a corpus bumps a reference count, and the
+/// first insert into a shared corpus copies it.
 #[derive(Debug, Clone, Default)]
 pub struct Corpus {
-    texts: HashMap<ItemId, String>,
+    texts: Arc<HashMap<ItemId, String>>,
 }
 
 impl Corpus {
@@ -34,12 +38,14 @@ impl Corpus {
                 .unwrap_or_else(|| panic!("item {id} has no text in the world model"));
             texts.insert(id, text.to_owned());
         }
-        Corpus { texts }
+        Corpus {
+            texts: Arc::new(texts),
+        }
     }
 
     /// Insert (or replace) one item's text.
     pub fn insert(&mut self, id: ItemId, text: impl Into<String>) {
-        self.texts.insert(id, text.into());
+        Arc::make_mut(&mut self.texts).insert(id, text.into());
     }
 
     /// The text of an item, if present.
@@ -69,22 +75,20 @@ impl Corpus {
         ids
     }
 
-    /// Find the item whose text equals `text` exactly, if any.
-    ///
-    /// Used to map list-sort response lines back to items; O(n), but list
-    /// tasks are small by construction (context-window bound).
-    pub(crate) fn find_by_text(&self, text: &str) -> Option<ItemId> {
-        let mut hit: Option<ItemId> = None;
-        for (id, t) in &self.texts {
-            if t == text {
-                // Prefer the smallest id for determinism on duplicate texts.
-                hit = Some(match hit {
-                    Some(existing) if existing < *id => existing,
-                    _ => *id,
-                });
+    /// Each text among `items` mapped to the smallest of them holding it:
+    /// how the lines of a list answer are matched back to the items the
+    /// request named, never to an item outside it.
+    pub(crate) fn by_text(&self, items: &[ItemId]) -> HashMap<&str, ItemId> {
+        let mut by_text: HashMap<&str, ItemId> = HashMap::with_capacity(items.len());
+        for &id in items {
+            if let Some(text) = self.text(id) {
+                by_text
+                    .entry(text)
+                    .and_modify(|held| *held = (*held).min(id))
+                    .or_insert(id);
             }
         }
-        hit
+        by_text
     }
 }
 
@@ -106,13 +110,30 @@ mod tests {
     }
 
     #[test]
-    fn find_by_text_prefers_smallest_id() {
+    fn inserting_into_a_clone_leaves_the_original_untouched() {
+        let mut original = Corpus::new();
+        original.insert(ItemId(1), "alpha");
+        let mut copy = original.clone();
+        copy.insert(ItemId(1), "changed");
+        copy.insert(ItemId(2), "beta");
+        assert_eq!(original.text(ItemId(1)), Some("alpha"));
+        assert!(!original.contains(ItemId(2)));
+        assert_eq!(original.len(), 1);
+        assert_eq!(copy.text(ItemId(1)), Some("changed"));
+        assert_eq!(copy.len(), 2);
+    }
+
+    #[test]
+    fn by_text_keeps_the_smallest_requested_id() {
         let mut c = Corpus::new();
+        c.insert(ItemId(1), "dup");
         c.insert(ItemId(5), "dup");
         c.insert(ItemId(2), "dup");
         c.insert(ItemId(9), "other");
-        assert_eq!(c.find_by_text("dup"), Some(ItemId(2)));
-        assert_eq!(c.find_by_text("missing"), None);
+        let by_text = c.by_text(&[ItemId(5), ItemId(9), ItemId(2), ItemId(7)]);
+        assert_eq!(by_text.len(), 2);
+        assert_eq!(by_text["dup"], ItemId(2));
+        assert_eq!(by_text["other"], ItemId(9));
     }
 
     #[test]

@@ -96,14 +96,14 @@ fn cluster_impl(
     })?;
     meter.add(resp.usage, engine.cost_of_response(&resp));
     let parsed = extract::groups(&resp.text);
+    let requested = engine.corpus().by_text(&seed);
     let mut groups: Vec<Vec<ItemId>> = Vec::new();
     let mut assigned: std::collections::HashSet<ItemId> = std::collections::HashSet::new();
     for member_texts in parsed {
         let mut group = Vec::new();
         for text in member_texts {
-            if let Some(id) = engine.corpus().find_by_text(&text) {
-                if seed.contains(&id) && !assigned.contains(&id) {
-                    assigned.insert(id);
+            if let Some(&id) = requested.get(text.as_str()) {
+                if assigned.insert(id) {
                     group.push(id);
                 }
             }
@@ -199,6 +199,32 @@ mod tests {
         // Every item appears exactly once.
         let total: usize = out.value.iter().map(Vec::len).sum();
         assert_eq!(total, ids.len());
+    }
+
+    #[test]
+    fn grouping_matches_lines_to_the_requested_items_not_their_text_twins() {
+        // Item 0 sits outside the request and shares its text with a
+        // requested item: the grouping names the requested one.
+        let mut w = WorldModel::new();
+        let twin = w.add_item("product listing 01 variant 0");
+        let mut ids = Vec::new();
+        for c in 0..3 {
+            for v in 0..2 {
+                let id = w.add_item(format!("product listing {c:02} variant {v}"));
+                w.set_cluster(id, c);
+                ids.push(id);
+            }
+        }
+        let corpus = Corpus::from_world(&w, &[&[twin], &ids[..]].concat());
+        let llm = Arc::new(SimulatedLlm::new(ModelProfile::perfect(), Arc::new(w), 53));
+        let engine = Engine::new(Arc::new(LlmClient::new(llm)), corpus);
+        let out = cluster(&engine, &ids, ids.len()).unwrap();
+        let mut groups = out.value;
+        groups.sort();
+        assert_eq!(
+            groups,
+            ids.chunks(2).map(<[ItemId]>::to_vec).collect::<Vec<_>>()
+        );
     }
 
     #[test]

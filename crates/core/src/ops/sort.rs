@@ -228,16 +228,13 @@ fn run_list_sort(
     })?;
     meter.add(resp.usage, engine.cost_of_response(&resp));
     let lines = extract::list_items(&resp.text);
-    let requested: HashSet<ItemId> = items.iter().copied().collect();
+    let requested = engine.corpus().by_text(items);
     let mut seen: HashSet<ItemId> = HashSet::with_capacity(items.len());
     let mut order: Vec<ItemId> = Vec::with_capacity(items.len());
     let mut hallucinated = 0usize;
     for line in &lines {
-        match engine.corpus().find_by_text(line) {
-            Some(id) if requested.contains(&id) && !seen.contains(&id) => {
-                seen.insert(id);
-                order.push(id);
-            }
+        match requested.get(line.as_str()) {
+            Some(&id) if seen.insert(id) => order.push(id),
             Some(_) | None => hallucinated += 1,
         }
     }
@@ -557,6 +554,35 @@ mod tests {
         assert_eq!(out.value.hallucinated, 0);
         assert_eq!(out.calls, 1);
         assert!(out.usage.prompt_tokens > 0);
+    }
+
+    #[test]
+    fn single_prompt_matches_lines_to_the_requested_items_not_their_text_twins() {
+        // Item 0 sits outside the request and shares its text with a
+        // requested item: the answer line names the requested one.
+        let mut w = WorldModel::new();
+        let twin = w.add_item("item-03");
+        let ids: Vec<ItemId> = (0..6)
+            .map(|i| {
+                let id = w.add_item(format!("item-{i:02}"));
+                w.set_score(id, 1.0 - f64::from(i) / 6.0);
+                w.set_salience(id, 1.0);
+                id
+            })
+            .collect();
+        let gold = w.gold_ranking_by_score(&ids);
+        let corpus = Corpus::from_world(&w, &[&[twin], &ids[..]].concat());
+        let llm = Arc::new(SimulatedLlm::new(ModelProfile::perfect(), Arc::new(w), 3));
+        let engine = Engine::new(Arc::new(LlmClient::new(llm)), corpus);
+        let out = sort(
+            &engine,
+            &presented(&ids),
+            SortCriterion::LatentScore,
+            &SortStrategy::SinglePrompt,
+        )
+        .unwrap();
+        assert_eq!(out.value.order, gold);
+        assert_eq!((out.value.missing, out.value.hallucinated), (0, 0));
     }
 
     #[test]

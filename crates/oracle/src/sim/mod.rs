@@ -65,11 +65,10 @@ impl SimulatedLlm {
         &self.world
     }
 
-    fn rng_for(&self, request: &CompletionRequest, tag: &str) -> ChaCha8Rng {
-        let key = hash::combine(
-            self.seed,
-            hash::combine(request.fingerprint(), hash::fnv1a_str(tag)),
-        );
+    /// RNG for one decision on a request, keyed by the request's
+    /// `fingerprint` (hashed once per completion) and the decision's tag.
+    fn rng_for(&self, fingerprint: u64, tag: &str) -> ChaCha8Rng {
+        let key = hash::combine(self.seed, hash::combine(fingerprint, hash::fnv1a_str(tag)));
         ChaCha8Rng::seed_from_u64(key)
     }
 
@@ -89,8 +88,8 @@ impl SimulatedLlm {
         ))
     }
 
-    fn chatter_style(&self, request: &CompletionRequest, allow_malformed: bool) -> ChatterStyle {
-        let mut rng = self.rng_for(request, "chatter");
+    fn chatter_style(&self, fingerprint: u64, allow_malformed: bool) -> ChatterStyle {
+        let mut rng = self.rng_for(fingerprint, "chatter");
         let malformed = allow_malformed
             && self.profile.noise.malformed_rate > 0.0
             && rng.random_bool(self.profile.noise.malformed_rate.clamp(0.0, 1.0));
@@ -145,18 +144,19 @@ impl SimulatedLlm {
         }
     }
 
-    /// Generate the raw (pre-truncation) response text for a request, plus
-    /// the answer confidence for binary-answer task kinds.
-    fn generate(&self, request: &CompletionRequest) -> (String, Option<f64>) {
+    /// Generate the raw (pre-truncation) response text for a request whose
+    /// fingerprint is `fingerprint`, plus the answer confidence for
+    /// binary-answer task kinds.
+    fn generate(&self, request: &CompletionRequest, fingerprint: u64) -> (String, Option<f64>) {
         let noise = &self.profile.noise;
         let world = &self.world;
-        let mut rng = self.rng_for(request, "task");
+        let mut rng = self.rng_for(fingerprint, "task");
         match &request.task {
             TaskDescriptor::SortList { items, criterion } => {
                 let out = sorting::simulate_sort_list(world, noise, items, *criterion, &mut rng);
                 let refs: Vec<&str> = out.iter().map(String::as_str).collect();
                 (
-                    chatter::wrap_list(&refs, self.chatter_style(request, false)),
+                    chatter::wrap_list(&refs, self.chatter_style(fingerprint, false)),
                     None,
                 )
             }
@@ -169,7 +169,7 @@ impl SimulatedLlm {
                     world, noise, *left, *right, *criterion, &mut rng,
                 );
                 (
-                    chatter::wrap_yes_no(yes, self.chatter_style(request, true)),
+                    chatter::wrap_yes_no(yes, self.chatter_style(fingerprint, true)),
                     Some(confidence),
                 )
             }
@@ -181,7 +181,7 @@ impl SimulatedLlm {
                     .map(|yes| if *yes { "Yes" } else { "No" })
                     .collect();
                 (
-                    chatter::wrap_list(&rendered, self.chatter_style(request, false)),
+                    chatter::wrap_list(&rendered, self.chatter_style(fingerprint, false)),
                     None,
                 )
             }
@@ -195,7 +195,7 @@ impl SimulatedLlm {
                     world, noise, *item, *scale_min, *scale_max, *criterion, &mut rng,
                 );
                 (
-                    chatter::wrap_rating(r, *scale_max, self.chatter_style(request, false)),
+                    chatter::wrap_rating(r, *scale_max, self.chatter_style(fingerprint, false)),
                     None,
                 )
             }
@@ -204,7 +204,7 @@ impl SimulatedLlm {
                     world, noise, *left, *right, &mut rng,
                 );
                 (
-                    chatter::wrap_yes_no(yes, self.chatter_style(request, true)),
+                    chatter::wrap_yes_no(yes, self.chatter_style(fingerprint, true)),
                     Some(confidence),
                 )
             }
@@ -219,7 +219,7 @@ impl SimulatedLlm {
                     })
                     .collect();
                 (
-                    chatter::wrap_groups(&named, self.chatter_style(request, false)),
+                    chatter::wrap_groups(&named, self.chatter_style(fingerprint, false)),
                     None,
                 )
             }
@@ -238,7 +238,7 @@ impl SimulatedLlm {
                     &mut rng,
                 );
                 (
-                    chatter::wrap_value(&v, self.chatter_style(request, false)),
+                    chatter::wrap_value(&v, self.chatter_style(fingerprint, false)),
                     None,
                 )
             }
@@ -252,7 +252,7 @@ impl SimulatedLlm {
                 let _ = matches!(mode, CountMode::Eyeball);
                 let c = misc::simulate_count_eyeball(world, noise, items, predicate, &mut rng);
                 (
-                    chatter::wrap_count(c, items.len(), self.chatter_style(request, false)),
+                    chatter::wrap_count(c, items.len(), self.chatter_style(fingerprint, false)),
                     None,
                 )
             }
@@ -260,14 +260,14 @@ impl SimulatedLlm {
                 let (yes, confidence) =
                     misc::simulate_check_with_confidence(world, noise, *item, predicate, &mut rng);
                 (
-                    chatter::wrap_yes_no(yes, self.chatter_style(request, true)),
+                    chatter::wrap_yes_no(yes, self.chatter_style(fingerprint, true)),
                     Some(confidence),
                 )
             }
             TaskDescriptor::Classify { item, labels } => {
                 let label = misc::simulate_classify(world, noise, *item, labels, &mut rng);
                 (
-                    chatter::wrap_value(&label, self.chatter_style(request, false)),
+                    chatter::wrap_value(&label, self.chatter_style(fingerprint, false)),
                     None,
                 )
             }
@@ -276,7 +276,7 @@ impl SimulatedLlm {
                 proposed_answer,
             } => match misc::simulate_verify(world, noise, original, proposed_answer, &mut rng) {
                 Some(ok) => (
-                    chatter::wrap_yes_no(ok, self.chatter_style(request, true)),
+                    chatter::wrap_yes_no(ok, self.chatter_style(fingerprint, true)),
                     Some(noise.verify_accuracy.clamp(0.5, 1.0)),
                 ),
                 None => (
@@ -321,7 +321,7 @@ impl SimulatedLlm {
                 // against the expected item count — the failure mode the
                 // dispatcher's bisection handles.
                 if answers.len() > 1 && noise.packed_dropout_rate > 0.0 {
-                    let mut frng = self.rng_for(request, "packed-dropout");
+                    let mut frng = self.rng_for(fingerprint, "packed-dropout");
                     if frng.random_bool(noise.packed_dropout_rate.clamp(0.0, 1.0)) {
                         let victim = frng.random_range(0..answers.len());
                         if frng.random_bool(0.5) {
@@ -334,7 +334,7 @@ impl SimulatedLlm {
                 }
                 let refs: Vec<&str> = answers.iter().map(String::as_str).collect();
                 (
-                    chatter::wrap_list(&refs, self.chatter_style(request, false)),
+                    chatter::wrap_list(&refs, self.chatter_style(fingerprint, false)),
                     None,
                 )
             }
@@ -366,6 +366,9 @@ impl LanguageModel for SimulatedLlm {
             });
         }
 
+        // Every seed below derives from this one hash of the prompt.
+        let fingerprint = request.fingerprint();
+
         // Transport failure injection (retryable errors). Keyed separately
         // from the task RNG so retries of flaky transport do not change the
         // eventual answer: the fingerprint (and with it the answer draw)
@@ -376,7 +379,7 @@ impl LanguageModel for SimulatedLlm {
             let key = hash::combine(
                 self.seed,
                 hash::combine(
-                    request.fingerprint(),
+                    fingerprint,
                     hash::combine(hash::fnv1a_str("transport"), request.transport_draw()),
                 ),
             );
@@ -392,7 +395,7 @@ impl LanguageModel for SimulatedLlm {
             }
         }
 
-        let (raw, confidence) = self.generate(request);
+        let (raw, confidence) = self.generate(request, fingerprint);
         let cap = request
             .max_tokens
             .unwrap_or(self.profile.default_max_tokens);

@@ -5,24 +5,32 @@
 //! comparisons) using surface similarity — mirroring the empirical fact that
 //! LLMs confuse near-identical strings far more than dissimilar ones.
 
-use std::collections::HashSet;
+use std::cmp::Ordering;
 
-/// Jaccard similarity over character trigrams, in `[0, 1]`.
+/// Jaccard similarity over the character trigrams of the two lowercased
+/// strings, in `[0, 1]`.
 ///
-/// Strings shorter than 3 characters are padded conceptually by comparing
-/// their full contents: identical short strings yield 1.0.
+/// Identical strings give 1.0 without looking at trigrams. A string under
+/// three characters has none, so two different short strings give 0.0.
 pub fn trigram_jaccard(a: &str, b: &str) -> f64 {
     if a == b {
         return 1.0;
     }
-    let ta = trigrams(a);
-    let tb = trigrams(b);
-    if ta.is_empty() && tb.is_empty() {
-        // Both too short for trigrams and not equal.
-        return 0.0;
+    let (ta, tb) = (trigrams(a), trigrams(b));
+    // One merge over the two sorted sets counts the intersection.
+    let (mut i, mut j, mut inter) = (0, 0, 0usize);
+    while i < ta.len() && j < tb.len() {
+        match ta[i].cmp(&tb[j]) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                inter += 1;
+                i += 1;
+                j += 1;
+            }
+        }
     }
-    let inter = ta.intersection(&tb).count();
-    let union = ta.union(&tb).count();
+    let union = ta.len() + tb.len() - inter;
     if union == 0 {
         0.0
     } else {
@@ -30,16 +38,39 @@ pub fn trigram_jaccard(a: &str, b: &str) -> f64 {
     }
 }
 
-fn trigrams(s: &str) -> HashSet<[char; 3]> {
-    let lowered: Vec<char> = s.to_lowercase().chars().collect();
-    let mut set = HashSet::new();
-    if lowered.len() < 3 {
-        return set;
+/// The set of `s.to_lowercase()`'s character trigrams, sorted and
+/// deduplicated.
+fn trigrams(s: &str) -> Vec<u64> {
+    let mut codes = if s.is_ascii() {
+        // An ASCII char lowercases to one ASCII char, the same one
+        // `to_lowercase` gives, so the bytes are the chars.
+        packed_windows(
+            s.bytes().map(|b| u64::from(b.to_ascii_lowercase())),
+            s.len(),
+        )
+    } else {
+        // Lowercasing may change the length (`İ` → `i̇`) and depends on
+        // context (a word-final `Σ` → `ς`): take the string's own.
+        packed_windows(s.to_lowercase().chars().map(u64::from), s.len())
+    };
+    codes.sort_unstable();
+    codes.dedup();
+    codes
+}
+
+/// Every window of three consecutive code points, packed as
+/// `c0 << 42 | c1 << 21 | c2` — injective, since a `char` is under 2^21.
+fn packed_windows(chars: impl Iterator<Item = u64>, len_hint: usize) -> Vec<u64> {
+    const THREE_CHARS: u64 = (1 << 63) - 1;
+    let mut codes = Vec::with_capacity(len_hint.saturating_sub(2));
+    let mut window = 0u64;
+    for (n, c) in chars.enumerate() {
+        window = ((window << 21) | c) & THREE_CHARS;
+        if n >= 2 {
+            codes.push(window);
+        }
     }
-    for w in lowered.windows(3) {
-        set.insert([w[0], w[1], w[2]]);
-    }
-    set
+    codes
 }
 
 /// Ratio of the common prefix length to the shorter string's length, in
@@ -55,43 +86,6 @@ pub(crate) fn common_prefix_ratio(a: &str, b: &str) -> f64 {
     common as f64 / min_len as f64
 }
 
-/// Normalized Levenshtein similarity, `1 - distance / max_len`, in `[0, 1]`.
-///
-/// O(len(a) * len(b)); fine for the record-sized strings we simulate.
-pub fn levenshtein_similarity(a: &str, b: &str) -> f64 {
-    if a == b {
-        return 1.0;
-    }
-    let ca: Vec<char> = a.chars().collect();
-    let cb: Vec<char> = b.chars().collect();
-    let max_len = ca.len().max(cb.len());
-    if max_len == 0 {
-        return 1.0;
-    }
-    let dist = levenshtein(&ca, &cb);
-    1.0 - dist as f64 / max_len as f64
-}
-
-fn levenshtein(a: &[char], b: &[char]) -> usize {
-    if a.is_empty() {
-        return b.len();
-    }
-    if b.is_empty() {
-        return a.len();
-    }
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut curr = vec![0usize; b.len() + 1];
-    for (i, &ac) in a.iter().enumerate() {
-        curr[0] = i + 1;
-        for (j, &bc) in b.iter().enumerate() {
-            let cost = usize::from(ac != bc);
-            curr[j + 1] = (prev[j] + cost).min(prev[j + 1] + 1).min(curr[j] + 1);
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-    prev[b.len()]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,14 +95,12 @@ mod tests {
     #[test]
     fn identical_strings_max_similarity() {
         assert_eq!(trigram_jaccard("abcdef", "abcdef"), 1.0);
-        assert_eq!(levenshtein_similarity("abcdef", "abcdef"), 1.0);
         assert_eq!(common_prefix_ratio("same", "same"), 1.0);
     }
 
     #[test]
     fn disjoint_strings_low_similarity() {
         assert_eq!(trigram_jaccard("aaaa", "zzzz"), 0.0);
-        assert!(levenshtein_similarity("aaaa", "zzzz") < 0.01);
         assert_eq!(common_prefix_ratio("aaaa", "zzzz"), 0.0);
     }
 
@@ -117,7 +109,6 @@ mod tests {
         let a = "indexing the positions of continuously moving objects";
         let b = "bindexing the positions of continuous moving objects";
         assert!(trigram_jaccard(a, b) > 0.6);
-        assert!(levenshtein_similarity(a, b) > 0.9);
     }
 
     #[test]
@@ -127,7 +118,6 @@ mod tests {
             "entity resolution crowds",
         );
         assert!((trigram_jaccard(a, b) - trigram_jaccard(b, a)).abs() < 1e-12);
-        assert!((levenshtein_similarity(a, b) - levenshtein_similarity(b, a)).abs() < 1e-12);
     }
 
     #[test]
@@ -141,7 +131,6 @@ mod tests {
     fn short_strings() {
         assert_eq!(trigram_jaccard("ab", "ab"), 1.0);
         assert_eq!(trigram_jaccard("ab", "cd"), 0.0);
-        assert_eq!(levenshtein_similarity("", ""), 1.0);
     }
 
     #[test]
