@@ -6,10 +6,10 @@
 //! are probed nearest-in-embedding-space first, so with a reliable model
 //! an item's true group is usually confirmed on the first LLM call
 //! instead of after wading through unrelated groups in discovery order.
-//! [`cluster`] keeps full recall (every representative remains a
-//! fallback); [`cluster_blocked`] additionally prunes the probe list to
-//! the `candidates` nearest representatives, trading recall for cost the
-//! same way the join and dedup blocking rules do.
+//! Without a probe cap [`cluster`] keeps full recall (every representative
+//! remains a fallback); with one it prunes the probe list to the
+//! `probe_cap` nearest representatives, trading recall for cost the same
+//! way the join and dedup blocking rules do.
 
 use crowdprompt_oracle::task::TaskDescriptor;
 use crowdprompt_oracle::world::ItemId;
@@ -21,37 +21,6 @@ use crate::extract;
 use crate::ops::bill::{Ask, Line};
 use crate::ops::judge;
 use crate::outcome::{CostMeter, Outcome};
-
-/// Cluster `items` into duplicate groups.
-///
-/// Stage 1 sends the first `seed_size` items to a coarse
-/// [`TaskDescriptor::GroupEntities`] task, establishing the grouping scheme.
-/// Stage 2 assigns every remaining item by pairwise
-/// [`TaskDescriptor::SameEntity`] checks against one representative per
-/// group, probed nearest-first in embedding space (first match wins; no
-/// match starts a new group).
-pub(crate) fn cluster(
-    engine: &Engine,
-    items: &[ItemId],
-    seed_size: usize,
-) -> Result<Outcome<Vec<Vec<ItemId>>>, EngineError> {
-    cluster_impl(engine, items, seed_size, None)
-}
-
-/// [`cluster`] with embedding blocking on stage 2: each remaining item is
-/// only compared against its `candidates` nearest group representatives
-/// (by L2 over hashed-n-gram embeddings); an item matching none of them
-/// starts a new group. Caps stage-2 LLM calls per item at `candidates`
-/// at the cost of recall when the embedding ranks the true group outside
-/// the probe list.
-pub(crate) fn cluster_blocked(
-    engine: &Engine,
-    items: &[ItemId],
-    seed_size: usize,
-    candidates: usize,
-) -> Result<Outcome<Vec<Vec<ItemId>>>, EngineError> {
-    cluster_impl(engine, items, seed_size, Some(candidates.max(1)))
-}
 
 /// What clustering `n` items asks of the model: one grouping prompt over
 /// the seed batch, then up to `probe_cap` representative probes (every
@@ -69,7 +38,19 @@ pub(crate) fn bill(n: usize, seed_size: usize, probe_cap: Option<usize>) -> Vec<
     ]
 }
 
-fn cluster_impl(
+/// Cluster `items` into duplicate groups.
+///
+/// Stage 1 sends the first `seed_size` items to a coarse
+/// [`TaskDescriptor::GroupEntities`] task, establishing the grouping scheme.
+/// Stage 2 assigns every remaining item by pairwise
+/// [`TaskDescriptor::SameEntity`] checks against one representative per
+/// group, probed nearest-first in embedding space (first match wins; no
+/// match starts a new group). A `probe_cap` compares each remaining item
+/// against only its `probe_cap` nearest group representatives (by L2 over
+/// hashed-n-gram embeddings), capping stage-2 LLM calls per item at the
+/// cost of recall when the embedding ranks the true group outside the
+/// probe list; `None` probes every representative.
+pub(crate) fn cluster(
     engine: &Engine,
     items: &[ItemId],
     seed_size: usize,
@@ -191,7 +172,7 @@ mod tests {
     #[test]
     fn perfect_oracle_recovers_clusters() {
         let (engine, ids) = setup(4, 3);
-        let out = cluster(&engine, &ids, 6).unwrap();
+        let out = cluster(&engine, &ids, 6, None).unwrap();
         assert_eq!(out.value.len(), 4);
         let mut sizes: Vec<usize> = out.value.iter().map(Vec::len).collect();
         sizes.sort_unstable();
@@ -218,7 +199,7 @@ mod tests {
         let corpus = Corpus::from_world(&w, &[&[twin], &ids[..]].concat());
         let llm = Arc::new(SimulatedLlm::new(ModelProfile::perfect(), Arc::new(w), 53));
         let engine = Engine::new(Arc::new(LlmClient::new(llm)), corpus);
-        let out = cluster(&engine, &ids, ids.len()).unwrap();
+        let out = cluster(&engine, &ids, ids.len(), None).unwrap();
         let mut groups = out.value;
         groups.sort();
         assert_eq!(
@@ -230,7 +211,7 @@ mod tests {
     #[test]
     fn all_items_covered_even_with_small_seed() {
         let (engine, ids) = setup(3, 4);
-        let out = cluster(&engine, &ids, 1).unwrap();
+        let out = cluster(&engine, &ids, 1, None).unwrap();
         let total: usize = out.value.iter().map(Vec::len).sum();
         assert_eq!(total, ids.len());
     }
@@ -238,17 +219,17 @@ mod tests {
     #[test]
     fn empty_input() {
         let (engine, _) = setup(1, 2);
-        let out = cluster(&engine, &[], 5).unwrap();
+        let out = cluster(&engine, &[], 5, None).unwrap();
         assert!(out.value.is_empty());
         assert_eq!(out.calls, 0);
-        let out = cluster_blocked(&engine, &[], 5, 2).unwrap();
+        let out = cluster(&engine, &[], 5, Some(2)).unwrap();
         assert!(out.value.is_empty());
     }
 
     #[test]
     fn nearest_first_probing_confirms_most_items_on_first_call() {
         let (engine, ids) = setup(5, 4);
-        let out = cluster(&engine, &ids, 10).unwrap();
+        let out = cluster(&engine, &ids, 10, None).unwrap();
         assert_eq!(out.value.len(), 5);
         // 10 remaining items after the seed; probing representatives
         // nearest-first, a perfect oracle should place nearly all of them
@@ -264,7 +245,7 @@ mod tests {
     #[test]
     fn blocked_cluster_with_tight_cap_recovers_separated_clusters() {
         let (engine, ids) = setup(4, 3);
-        let out = cluster_blocked(&engine, &ids, 6, 1).unwrap();
+        let out = cluster(&engine, &ids, 6, Some(1)).unwrap();
         assert_eq!(out.value.len(), 4);
         let total: usize = out.value.iter().map(Vec::len).sum();
         assert_eq!(total, ids.len());

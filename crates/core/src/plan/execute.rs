@@ -318,10 +318,7 @@ pub(crate) fn execute(engine: &Engine, plan: &Plan) -> Result<PlanRun, EngineErr
                 seed_size,
                 probe_cap,
             } => {
-                let out = match probe_cap {
-                    Some(cap) => ops::cluster::cluster_blocked(engine, &items, *seed_size, *cap)?,
-                    None => ops::cluster::cluster(engine, &items, *seed_size)?,
-                };
+                let out = ops::cluster::cluster(engine, &items, *seed_size, *probe_cap)?;
                 push_report(engine, &mut steps, name, items_in, out.value.len(), &out);
                 output = Some(PlanOutput::Groups(out.value));
             }

@@ -1,11 +1,15 @@
-//! The logical plan IR: what the user *wants*, with every *how* optional.
+//! The query IR: a chain of physical nodes, each pinned by the caller or
+//! left to the planner.
 //!
-//! A [`Query`] is a linear chain of [`LogicalOp`]s over an item set. Each
-//! operator's strategy is optional: `None` delegates the choice to the
-//! planner (which may rewrite, reorder, push blocking in, or run
-//! validation trials), while an explicit strategy *pins* the node — the
-//! planner lowers it verbatim. This is the paper's declarative split:
-//! state the operation and the budget, let the system pick the plan.
+//! A [`Query`] is a source item set plus a linear chain of steps. Each
+//! step holds the [`PhysicalNode`] the planner starts from and whether it
+//! is pinned. An unpinned method (`filter`, `sort`, `count`, `max`, `join`,
+//! `cluster`, `impute`) writes its default strategy; a `_with` method writes
+//! the caller's and pins the step, as does every method with no strategy
+//! to choose. The planner may re-choose, fuse, downgrade or push blocking
+//! into an unpinned step; a pinned step is lowered as written. This is the
+//! paper's declarative split: state the operation and the budget, let the
+//! system pick the plan.
 
 use crowdprompt_oracle::task::SortCriterion;
 use crowdprompt_oracle::world::ItemId;
@@ -21,19 +25,7 @@ use crate::ops::resolve::ResolveStrategy;
 use crate::ops::sort::SortStrategy;
 
 use super::planner;
-use super::{Plan, PlanOptions};
-
-/// How a cluster node probes group representatives in its assignment stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClusterProbe {
-    /// Planner's choice: blocked probing when the blocking-push-in rewrite
-    /// is enabled, exhaustive otherwise.
-    Auto,
-    /// Every representative stays a fallback (full recall).
-    Exhaustive,
-    /// Probe only the `n` nearest representatives per item.
-    Cap(usize),
-}
+use super::{PhysicalNode, Plan, PlanOptions};
 
 /// A labelled validation sample for optimizer-style sort-strategy trials:
 /// the planner runs every candidate strategy on `sample`, scores each
@@ -47,140 +39,47 @@ pub struct SortCalibration {
     pub gold: Vec<ItemId>,
 }
 
-/// One logical operator. Strategies are `Option`s: `None` means "planner's
-/// choice", `Some` pins the node against rewrites.
+/// One step of a query: a physical node plus whether the caller pinned it
+/// (a pinned step is never fused, re-chosen or downgraded).
 #[derive(Debug, Clone)]
-// lint: allow(pub-has-caller) — exposed by `Query::ops`
-pub enum LogicalOp {
-    /// Keep items satisfying a predicate.
-    Filter {
-        /// Named predicate.
-        predicate: String,
-        /// Pinned strategy, or `None` for planner's choice.
-        strategy: Option<FilterStrategy>,
-        /// Expected fraction of items kept (planner hint; default 0.5).
-        selectivity: Option<f64>,
-    },
-    /// Order the items under a criterion.
-    Sort {
-        /// Ordering criterion.
-        criterion: SortCriterion,
-        /// Pinned strategy, or `None` for planner's choice.
-        strategy: Option<SortStrategy>,
-    },
-    /// Keep the first `k` items.
-    Take {
-        /// Items to keep.
-        k: usize,
-    },
-    /// The best `k` items under a criterion (already fused).
-    TopK {
-        /// Ranking criterion.
-        criterion: SortCriterion,
-        /// Items to return.
-        k: usize,
-        /// Rating shortlist multiplier for the coarse stage.
-        shortlist_factor: usize,
-    },
-    /// Assign each item one label from a fixed set (terminal: labels out).
-    Categorize {
-        /// Candidate labels.
-        labels: Vec<String>,
-    },
-    /// Categorize, then keep only the items labelled `keep`.
-    KeepLabel {
-        /// Candidate labels.
-        labels: Vec<String>,
-        /// The surviving label.
-        keep: String,
-    },
-    /// Count items satisfying a predicate (terminal).
-    Count {
-        /// Named predicate.
-        predicate: String,
-        /// Pinned strategy, or `None` for planner's choice.
-        strategy: Option<CountStrategy>,
-    },
-    /// The maximum item under a criterion (terminal).
-    Max {
-        /// Ranking criterion.
-        criterion: SortCriterion,
-        /// Pinned strategy, or `None` for planner's choice.
-        strategy: Option<MaxStrategy>,
-    },
-    /// Deduplicate into entity clusters via embedding blocking plus LLM
-    /// confirmation (terminal).
-    Resolve {
-        /// Nearest-neighbor candidates per record.
-        candidates: usize,
-        /// Blocking distance ceiling.
-        max_distance: f32,
-    },
-    /// Answer "same entity?" for given record pairs (terminal).
-    ResolvePairs {
-        /// The questions, one verdict each.
-        pairs: Vec<(ItemId, ItemId)>,
-        /// The strategy (always pinned).
-        strategy: ResolveStrategy,
-    },
-    /// Two-stage clustering into duplicate groups (terminal).
-    Cluster {
-        /// Seed batch size for the coarse grouping stage.
-        seed_size: usize,
-        /// Representative probing mode for the assignment stage.
-        probe: ClusterProbe,
-    },
-    /// Fuzzy-join against another collection (terminal).
-    Join {
-        /// The right-hand collection.
-        right: Vec<ItemId>,
-        /// Pinned strategy, or `None` for planner's choice.
-        strategy: Option<JoinStrategy>,
-    },
-    /// Impute a missing attribute from a labelled pool (terminal).
-    Impute {
-        /// Attribute to fill in.
-        attribute: String,
-        /// Labelled reference records.
-        labeled: Vec<(ItemId, String)>,
-        /// Pinned strategy, or `None` for planner's choice.
-        strategy: Option<ImputeStrategy>,
-    },
+pub(crate) struct Step {
+    pub(crate) node: PhysicalNode,
+    pub(crate) pinned: bool,
 }
 
-impl LogicalOp {
-    /// Whether the op consumes an item set and produces an item set (and
-    /// may therefore be followed by further ops).
-    pub(crate) fn produces_items(&self) -> bool {
-        matches!(
-            self,
-            LogicalOp::Filter { .. }
-                | LogicalOp::Sort { .. }
-                | LogicalOp::Take { .. }
-                | LogicalOp::TopK { .. }
-                | LogicalOp::KeepLabel { .. }
-        )
-    }
-}
-
-/// A declarative query: a source item set plus a chain of logical
-/// operators, built fluently and handed to the planner.
+/// A declarative query: a source item set plus a chain of steps, built
+/// fluently and handed to the planner.
 ///
 /// ```
-/// use crowdprompt_core::plan::Query;
+/// use std::sync::Arc;
+/// use crowdprompt_core::{Corpus, Session};
 /// use crowdprompt_oracle::task::SortCriterion;
-/// # use crowdprompt_oracle::world::ItemId;
-/// # let items = vec![ItemId(0), ItemId(1)];
-/// let query = Query::over(&items)
+/// use crowdprompt_oracle::world::WorldModel;
+/// use crowdprompt_oracle::{LlmClient, ModelProfile, SimulatedLlm};
+///
+/// let mut world = WorldModel::new();
+/// let items: Vec<_> = (0..8).map(|i| world.add_item(format!("item {i}"))).collect();
+/// let corpus = Corpus::from_world(&world, &items);
+/// let llm = SimulatedLlm::new(ModelProfile::perfect(), Arc::new(world), 1);
+/// let session = Session::builder()
+///     .client(Arc::new(LlmClient::new(Arc::new(llm))))
+///     .corpus(corpus)
+///     .build();
+///
+/// let query = session
+///     .query(&items)
 ///     .filter("in_policy")
 ///     .sort(SortCriterion::LatentScore)
 ///     .take(5);
-/// assert_eq!(query.ops().len(), 3);
+/// let plan = session.plan(query).unwrap();
+/// // The unpinned sort and the take became one top-k node.
+/// let names: Vec<_> = plan.nodes().iter().map(|n| n.node.name()).collect();
+/// assert_eq!(names, ["filter[in_policy]", "top-k[5]"]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Query {
     source: Vec<ItemId>,
-    ops: Vec<LogicalOp>,
+    steps: Vec<Step>,
     calibration: Option<SortCalibration>,
 }
 
@@ -189,43 +88,34 @@ impl Query {
     pub fn over(items: &[ItemId]) -> Self {
         Query {
             source: items.to_vec(),
-            ops: Vec::new(),
+            steps: Vec::new(),
             calibration: None,
         }
     }
 
-    /// The logical operator chain.
-    pub fn ops(&self) -> &[LogicalOp] {
-        &self.ops
-    }
-
-    /// Decompose into `(source, ops, calibration)` — the planner consumes
+    /// Decompose into `(source, steps, calibration)` — the planner consumes
     /// the query by value so the source vector moves into the plan
     /// instead of being copied.
-    pub(crate) fn into_parts(self) -> (Vec<ItemId>, Vec<LogicalOp>, Option<SortCalibration>) {
-        (self.source, self.ops, self.calibration)
+    pub(crate) fn into_parts(self) -> (Vec<ItemId>, Vec<Step>, Option<SortCalibration>) {
+        (self.source, self.steps, self.calibration)
     }
 
-    /// Keep items satisfying `predicate`; the planner picks the strategy.
-    #[must_use]
-    pub fn filter(mut self, predicate: impl Into<String>) -> Self {
-        self.ops.push(LogicalOp::Filter {
-            predicate: predicate.into(),
-            strategy: None,
-            selectivity: None,
-        });
+    fn push(mut self, node: PhysicalNode, pinned: bool) -> Self {
+        self.steps.push(Step { node, pinned });
         self
+    }
+
+    /// Keep items satisfying `predicate` with the planner's strategy (today
+    /// its default, one check per item).
+    #[must_use]
+    pub fn filter(self, predicate: impl Into<String>) -> Self {
+        self.push(filter_node(predicate.into(), FilterStrategy::Single), false)
     }
 
     /// Keep items satisfying `predicate` with a pinned strategy.
     #[must_use]
-    pub fn filter_with(mut self, predicate: impl Into<String>, strategy: FilterStrategy) -> Self {
-        self.ops.push(LogicalOp::Filter {
-            predicate: predicate.into(),
-            strategy: Some(strategy),
-            selectivity: None,
-        });
-        self
+    pub fn filter_with(self, predicate: impl Into<String>, strategy: FilterStrategy) -> Self {
+        self.push(filter_node(predicate.into(), strategy), true)
     }
 
     /// Attach a selectivity hint (expected kept fraction, in `[0, 1]`) to
@@ -233,38 +123,47 @@ impl Query {
     /// a NaN hint fails at plan time.
     #[must_use]
     pub fn hint_selectivity(mut self, kept_fraction: f64) -> Self {
-        if let Some(LogicalOp::Filter { selectivity, .. }) = self.ops.last_mut() {
-            *selectivity = Some(kept_fraction.clamp(0.0, 1.0));
+        if let Some(Step {
+            node: PhysicalNode::Filter { selectivity, .. },
+            ..
+        }) = self.steps.last_mut()
+        {
+            *selectivity = kept_fraction.clamp(0.0, 1.0);
         }
         self
     }
 
-    /// Sort under `criterion`; the planner picks the strategy (and may fuse
-    /// a following [`Query::take`] into a top-k node).
+    /// Sort under `criterion`; the planner picks the strategy by the rows
+    /// reaching the node (and may fuse a following [`Query::take`] into a
+    /// top-k node).
     #[must_use]
-    pub fn sort(mut self, criterion: SortCriterion) -> Self {
-        self.ops.push(LogicalOp::Sort {
-            criterion,
-            strategy: None,
-        });
-        self
+    pub fn sort(self, criterion: SortCriterion) -> Self {
+        let strategy = SortStrategy::SinglePrompt; // sized by the planner
+        self.push(
+            PhysicalNode::Sort {
+                criterion,
+                strategy,
+            },
+            false,
+        )
     }
 
     /// Sort under `criterion` with a pinned strategy (never fused).
     #[must_use]
-    pub fn sort_with(mut self, criterion: SortCriterion, strategy: SortStrategy) -> Self {
-        self.ops.push(LogicalOp::Sort {
-            criterion,
-            strategy: Some(strategy),
-        });
-        self
+    pub fn sort_with(self, criterion: SortCriterion, strategy: SortStrategy) -> Self {
+        self.push(
+            PhysicalNode::Sort {
+                criterion,
+                strategy,
+            },
+            true,
+        )
     }
 
     /// Keep the first `k` items.
     #[must_use]
-    pub fn take(mut self, k: usize) -> Self {
-        self.ops.push(LogicalOp::Take { k });
-        self
+    pub fn take(self, k: usize) -> Self {
+        self.push(PhysicalNode::Take { k }, true)
     }
 
     /// The best `k` items under `criterion`: a rating pass shortlists
@@ -272,87 +171,85 @@ impl Query {
     /// shortlist (an unpinned `sort` + `take(k)` fuses into this node with
     /// a factor of 2).
     #[must_use]
-    pub fn top_k_with(
-        mut self,
-        criterion: SortCriterion,
-        k: usize,
-        shortlist_factor: usize,
-    ) -> Self {
-        self.ops.push(LogicalOp::TopK {
+    pub fn top_k_with(self, criterion: SortCriterion, k: usize, shortlist_factor: usize) -> Self {
+        let node = PhysicalNode::TopK {
             criterion,
             k,
             shortlist_factor,
-        });
-        self
+        };
+        self.push(node, true)
     }
 
     /// Assign each item one of `labels` (terminal: produces labels).
     #[must_use]
-    pub fn categorize(mut self, labels: Vec<String>) -> Self {
-        self.ops.push(LogicalOp::Categorize { labels });
-        self
+    pub fn categorize(self, labels: Vec<String>) -> Self {
+        self.push(PhysicalNode::Categorize { labels, pack: 1 }, true)
     }
 
     /// Categorize and keep only items labelled `keep`.
     #[must_use]
-    pub fn keep_label(mut self, labels: Vec<String>, keep: impl Into<String>) -> Self {
-        self.ops.push(LogicalOp::KeepLabel {
-            labels,
-            keep: keep.into(),
-        });
-        self
+    pub fn keep_label(self, labels: Vec<String>, keep: impl Into<String>) -> Self {
+        let keep = keep.into();
+        self.push(
+            PhysicalNode::KeepLabel {
+                labels,
+                keep,
+                pack: 1,
+            },
+            true,
+        )
     }
 
     /// Count items satisfying `predicate` (terminal); planner's strategy.
     #[must_use]
-    pub fn count(mut self, predicate: impl Into<String>) -> Self {
-        self.ops.push(LogicalOp::Count {
-            predicate: predicate.into(),
-            strategy: None,
-        });
-        self
+    pub fn count(self, predicate: impl Into<String>) -> Self {
+        self.push(count_node(predicate.into(), CountStrategy::PerItem), false)
     }
 
     /// Count with a pinned strategy (terminal).
     #[must_use]
-    pub fn count_with(mut self, predicate: impl Into<String>, strategy: CountStrategy) -> Self {
-        self.ops.push(LogicalOp::Count {
-            predicate: predicate.into(),
-            strategy: Some(strategy),
-        });
-        self
+    pub fn count_with(self, predicate: impl Into<String>, strategy: CountStrategy) -> Self {
+        self.push(count_node(predicate.into(), strategy), true)
     }
 
     /// The maximum item under `criterion` (terminal); planner's strategy.
     #[must_use]
-    pub fn max(mut self, criterion: SortCriterion) -> Self {
-        self.ops.push(LogicalOp::Max {
-            criterion,
-            strategy: None,
-        });
-        self
+    pub fn max(self, criterion: SortCriterion) -> Self {
+        let strategy = MaxStrategy::RateThenPlayoff {
+            buckets: 7,
+            playoff_size: 4,
+        };
+        self.push(
+            PhysicalNode::Max {
+                criterion,
+                strategy,
+            },
+            false,
+        )
     }
 
     /// The maximum item with a pinned strategy (terminal).
     #[must_use]
-    pub fn max_with(mut self, criterion: SortCriterion, strategy: MaxStrategy) -> Self {
-        self.ops.push(LogicalOp::Max {
-            criterion,
-            strategy: Some(strategy),
-        });
-        self
+    pub fn max_with(self, criterion: SortCriterion, strategy: MaxStrategy) -> Self {
+        self.push(
+            PhysicalNode::Max {
+                criterion,
+                strategy,
+            },
+            true,
+        )
     }
 
     /// Deduplicate into entity clusters: embedding blocking (`candidates`
     /// neighbors within `max_distance`), LLM confirmation, transitive
     /// closure (terminal).
     #[must_use]
-    pub fn resolve(mut self, candidates: usize, max_distance: f32) -> Self {
-        self.ops.push(LogicalOp::Resolve {
+    pub fn resolve(self, candidates: usize, max_distance: f32) -> Self {
+        let node = PhysicalNode::Resolve {
             candidates,
             max_distance,
-        });
-        self
+        };
+        self.push(node, true)
     }
 
     /// Answer "are these two records the same entity?" for each of `pairs`
@@ -360,93 +257,79 @@ impl Query {
     /// [`ResolveStrategy::TransitivityAugmented`] node expands each pair
     /// with neighbors from a blocking index over the query's items.
     #[must_use]
-    pub fn resolve_pairs(
-        mut self,
-        pairs: Vec<(ItemId, ItemId)>,
-        strategy: ResolveStrategy,
-    ) -> Self {
-        self.ops.push(LogicalOp::ResolvePairs { pairs, strategy });
-        self
+    pub fn resolve_pairs(self, pairs: Vec<(ItemId, ItemId)>, strategy: ResolveStrategy) -> Self {
+        self.push(PhysicalNode::ResolvePairs { pairs, strategy }, true)
     }
 
     /// Cluster into duplicate groups (terminal); the planner decides
     /// whether the assignment stage probes blocked or exhaustively.
     #[must_use]
-    pub fn cluster(mut self, seed_size: usize) -> Self {
-        self.ops.push(LogicalOp::Cluster {
+    pub fn cluster(self, seed_size: usize) -> Self {
+        let node = PhysicalNode::Cluster {
             seed_size,
-            probe: ClusterProbe::Auto,
-        });
-        self
+            probe_cap: None,
+        };
+        self.push(node, false)
     }
 
     /// Cluster with exhaustive representative probing (terminal).
     #[must_use]
-    pub fn cluster_exhaustive(mut self, seed_size: usize) -> Self {
-        self.ops.push(LogicalOp::Cluster {
+    pub fn cluster_exhaustive(self, seed_size: usize) -> Self {
+        let node = PhysicalNode::Cluster {
             seed_size,
-            probe: ClusterProbe::Exhaustive,
-        });
-        self
+            probe_cap: None,
+        };
+        self.push(node, true)
     }
 
     /// Cluster probing only the `candidates` nearest representatives
     /// (terminal).
     #[must_use]
-    pub fn cluster_blocked(mut self, seed_size: usize, candidates: usize) -> Self {
-        self.ops.push(LogicalOp::Cluster {
+    pub fn cluster_blocked(self, seed_size: usize, candidates: usize) -> Self {
+        let node = PhysicalNode::Cluster {
             seed_size,
-            probe: ClusterProbe::Cap(candidates.max(1)),
-        });
-        self
+            probe_cap: Some(candidates.max(1)),
+        };
+        self.push(node, true)
     }
 
     /// Fuzzy-join against `right` (terminal); planner's strategy (blocked).
     #[must_use]
-    pub fn join(mut self, right: &[ItemId]) -> Self {
-        self.ops.push(LogicalOp::Join {
-            right: right.to_vec(),
-            strategy: None,
-        });
-        self
+    pub fn join(self, right: &[ItemId]) -> Self {
+        let right = right.to_vec();
+        self.push(
+            PhysicalNode::Join {
+                right,
+                strategy: JoinStrategy::AllPairs,
+            },
+            false,
+        )
     }
 
     /// Fuzzy-join with a pinned strategy (terminal).
     #[must_use]
-    pub fn join_with(mut self, right: &[ItemId], strategy: JoinStrategy) -> Self {
-        self.ops.push(LogicalOp::Join {
-            right: right.to_vec(),
-            strategy: Some(strategy),
-        });
-        self
+    pub fn join_with(self, right: &[ItemId], strategy: JoinStrategy) -> Self {
+        let right = right.to_vec();
+        self.push(PhysicalNode::Join { right, strategy }, true)
     }
 
     /// Impute `attribute` from a labelled pool (terminal); planner's
     /// strategy.
     #[must_use]
-    pub fn impute(mut self, attribute: impl Into<String>, labeled: Vec<(ItemId, String)>) -> Self {
-        self.ops.push(LogicalOp::Impute {
-            attribute: attribute.into(),
-            labeled,
-            strategy: None,
-        });
-        self
+    pub fn impute(self, attribute: impl Into<String>, labeled: Vec<(ItemId, String)>) -> Self {
+        let strategy = ImputeStrategy::LlmOnly { shots: 3 };
+        self.push(impute_node(attribute.into(), labeled, strategy), false)
     }
 
     /// Impute with a pinned strategy (terminal).
     #[must_use]
     pub fn impute_with(
-        mut self,
+        self,
         attribute: impl Into<String>,
         labeled: Vec<(ItemId, String)>,
         strategy: ImputeStrategy,
     ) -> Self {
-        self.ops.push(LogicalOp::Impute {
-            attribute: attribute.into(),
-            labeled,
-            strategy: Some(strategy),
-        });
-        self
+        self.push(impute_node(attribute.into(), labeled, strategy), true)
     }
 
     /// Attach a labelled validation sample: the planner resolves unpinned
@@ -506,5 +389,35 @@ impl Query {
     /// Lower to a physical [`Plan`] with explicit planner options.
     pub fn plan_with(self, engine: &Engine, options: PlanOptions) -> Result<Plan, EngineError> {
         planner::plan(engine, self, options)
+    }
+}
+
+fn filter_node(predicate: String, strategy: FilterStrategy) -> PhysicalNode {
+    PhysicalNode::Filter {
+        predicate,
+        strategy,
+        selectivity: FilterStrategy::DEFAULT_SELECTIVITY,
+        pack: 1,
+    }
+}
+
+fn count_node(predicate: String, strategy: CountStrategy) -> PhysicalNode {
+    PhysicalNode::Count {
+        predicate,
+        strategy,
+        pack: 1,
+    }
+}
+
+fn impute_node(
+    attribute: String,
+    labeled: Vec<(ItemId, String)>,
+    strategy: ImputeStrategy,
+) -> PhysicalNode {
+    PhysicalNode::Impute {
+        attribute,
+        labeled,
+        strategy,
+        pack: 1,
     }
 }

@@ -4,14 +4,15 @@
 //! system should choose *how* — decomposition, proxies, quality control —
 //! under a global budget. This module is that front door:
 //!
-//! * [`ir`] — the [`Query`] builder producing a chain of logical operators
-//!   whose strategies are optional (unpinned = planner's choice).
-//! * [`planner`] — rule-based lowering to a physical plan: `sort+take(k)`
+//! * [`ir`] — the [`Query`] builder producing a chain of steps: each is a
+//!   [`PhysicalNode`] (the one operator enum) plus whether the caller
+//!   pinned it; an unpinned step holds the builder's default strategy.
+//! * [`planner`] — rule-based rewrites of the unpinned steps: `sort+take(k)`
 //!   fuses into top-k, commutative filters reorder cheapest-first,
 //!   embedding blocking is pushed in front of pairwise LLM stages,
-//!   unpinned strategies are resolved (optionally via optimizer-style
-//!   validation trials), and expensive nodes are downgraded until the
-//!   estimate fits the budget.
+//!   unpinned sorts are sized by their rows (optionally chosen via
+//!   optimizer-style validation trials), and expensive nodes are
+//!   downgraded until the estimate fits the budget.
 //! * `estimate` — per-node call/cost estimation: each node's strategy
 //!   states its bill (so many calls of such a prompt shape) beside its run
 //!   code, the estimator prices a shape by *rendering* a representative of
@@ -30,7 +31,7 @@ pub mod ir;
 pub mod planner;
 
 pub use execute::{PlanOutput, PlanRun, StepReport};
-pub use ir::{ClusterProbe, LogicalOp, Query, SortCalibration};
+pub use ir::{Query, SortCalibration};
 pub use planner::PlanOptions;
 
 use crowdprompt_oracle::task::SortCriterion;
@@ -49,7 +50,8 @@ use crate::ops::max::MaxStrategy;
 use crate::ops::resolve::ResolveStrategy;
 use crate::ops::sort::SortStrategy;
 
-/// One operator of the physical plan, every choice resolved.
+/// One operator of a query and of its plan: a query step holds the node the
+/// planner starts from, a plan the node with every choice resolved.
 #[derive(Debug, Clone)]
 // lint: allow(pub-has-caller) — exposed by `PlannedNode::node`
 pub enum PhysicalNode {
@@ -160,6 +162,19 @@ pub enum PhysicalNode {
 }
 
 impl PhysicalNode {
+    /// Whether the node consumes an item set and produces an item set (and
+    /// may therefore be followed by further nodes).
+    pub(crate) fn produces_items(&self) -> bool {
+        matches!(
+            self,
+            PhysicalNode::Filter { .. }
+                | PhysicalNode::Sort { .. }
+                | PhysicalNode::Take { .. }
+                | PhysicalNode::TopK { .. }
+                | PhysicalNode::KeepLabel { .. }
+        )
+    }
+
     /// Step/report display name.
     pub fn name(&self) -> String {
         match self {

@@ -1,15 +1,19 @@
-//! Rule-based lowering of logical queries to physical plans.
+//! Rule-based planning over a query's steps.
 //!
-//! Rewrites, in order:
+//! A [`Query`] already holds [`PhysicalNode`]s: each step is the node its
+//! builder method wrote, pinned or not. Planning validates the chain, then
+//! rewrites unpinned steps in place — a pinned step is never fused,
+//! re-chosen or downgraded. Rewrites, in order:
 //!
 //! 1. **Top-k fusion** — an unpinned `sort` immediately followed by
 //!    `take(k)` becomes one top-k node (rating shortlist + exact ranking
 //!    of the shortlist) instead of a full sort.
-//! 2. **Strategy resolution** — every unpinned strategy is resolved to a
-//!    concrete one: accuracy-preferring defaults, or (for sort nodes with
-//!    a [`super::SortCalibration`]) optimizer-style validation trials
-//!    scored on a labelled sample and recommended under the node's budget
-//!    allocation (§4).
+//! 2. **Strategy resolution** — an unpinned sort is sized by the rows
+//!    reaching it (in both modes), and with a [`super::SortCalibration`]
+//!    re-chosen by optimizer-style validation trials scored on a labelled
+//!    sample and recommended under the node's budget allocation (§4).
+//!    Every other unpinned step keeps its builder's accuracy-preferring
+//!    default.
 //! 3. **Blocking push-in** — unpinned pairwise LLM stages (join, cluster
 //!    assignment) get the shared embedding [`crate::BlockingIndex`] in
 //!    front of them; dedup is blocked by construction.
@@ -32,7 +36,6 @@ use crate::error::EngineError;
 use crate::exec::{router_of, Engine, FailurePolicy};
 use crate::ops::bill::Ask;
 use crate::ops::count::CountStrategy;
-use crate::ops::filter::FilterStrategy;
 use crate::ops::impute::ImputeStrategy;
 use crate::ops::join::JoinStrategy;
 use crate::ops::max::MaxStrategy;
@@ -41,7 +44,7 @@ use crate::ops::sort::SortStrategy;
 use crate::optimize;
 
 use super::estimate::Estimator;
-use super::ir::{ClusterProbe, LogicalOp, Query};
+use super::ir::{Query, Step};
 use super::{NodeEstimate, PhysicalNode, Plan, PlannedNode};
 
 /// Whether the planner rewrites the chain: all rewrites (the default, what
@@ -77,13 +80,6 @@ impl Default for PlanOptions {
     fn default() -> Self {
         PlanOptions::optimized()
     }
-}
-
-/// A lowered node plus whether the user pinned its strategy (pinned nodes
-/// are never downgraded or re-chosen).
-struct Lowered {
-    node: PhysicalNode,
-    pinned: bool,
 }
 
 /// Default sort strategy by input size: one prompt while the list
@@ -254,57 +250,52 @@ pub(crate) fn plan(
     if let Some(ms) = engine.deadline_ms() {
         notes.push(format!("deadline: {ms} ms wall-clock per dispatch batch"));
     }
-    let (source, ops, calibration) = query.into_parts();
-    let ops = &ops;
-    // Terminal ops (labels, counts, clusters, …) end the chain, label-based
-    // nodes need at least one label, and a pinned filter strategy's fields
-    // must be ones a run can honour — caught here, before any budget is
-    // spent.
-    for (i, op) in ops.iter().enumerate() {
-        if i + 1 < ops.len() && !op.produces_items() {
+    let (source, steps, calibration) = query.into_parts();
+    // Terminal nodes (labels, counts, clusters, …) end the chain, label-based
+    // nodes need at least one label, and a filter's strategy fields must be
+    // ones a run can honour — caught here, before any budget is spent.
+    for (i, step) in steps.iter().enumerate() {
+        if i + 1 < steps.len() && !step.node.produces_items() {
             return Err(EngineError::InvalidInput(format!(
                 "plan node {} does not produce an item set and must be last",
                 i + 1
             )));
         }
-        if let LogicalOp::Categorize { labels } | LogicalOp::KeepLabel { labels, .. } = op {
-            if labels.is_empty() {
+        match &step.node {
+            PhysicalNode::Categorize { labels, .. } | PhysicalNode::KeepLabel { labels, .. }
+                if labels.is_empty() =>
+            {
                 return Err(EngineError::InvalidInput(
                     "categorize requires at least one label".into(),
                 ));
             }
-        }
-        if let LogicalOp::Filter {
-            predicate,
-            strategy,
-            selectivity,
-        } = op
-        {
-            if let Some(strategy) = strategy {
+            PhysicalNode::Filter {
+                predicate,
+                strategy,
+                selectivity,
+                ..
+            } => {
                 strategy.validate()?;
+                // A NaN hint would estimate every later node at zero rows.
+                if !selectivity.is_finite() {
+                    return Err(EngineError::InvalidInput(format!(
+                        "plan node {} (filter[{predicate}]): selectivity hint {selectivity} is \
+                         not a fraction in [0, 1]",
+                        i + 1
+                    )));
+                }
             }
-            // A NaN hint would estimate every later node at zero rows.
-            if let Some(hint) = selectivity.filter(|s| !s.is_finite()) {
-                return Err(EngineError::InvalidInput(format!(
-                    "plan node {} (filter[{predicate}]): selectivity hint {hint} is not a \
-                     fraction in [0, 1]",
-                    i + 1
-                )));
-            }
+            _ => {}
         }
     }
 
     // Rewrite 1: fuse unpinned sort + take(k) into top-k.
-    let mut fused: Vec<LogicalOp> = Vec::with_capacity(ops.len());
-    let mut iter = ops.iter().peekable();
-    while let Some(op) = iter.next() {
-        if options.rewrite {
-            if let LogicalOp::Sort {
-                criterion,
-                strategy: None,
-            } = op
-            {
-                if let Some(LogicalOp::Take { k }) = iter.peek() {
+    let mut fused: Vec<Step> = Vec::with_capacity(steps.len());
+    let mut iter = steps.into_iter().peekable();
+    while let Some(step) = iter.next() {
+        if options.rewrite && !step.pinned {
+            if let PhysicalNode::Sort { criterion, .. } = step.node {
+                if let Some(&PhysicalNode::Take { k }) = iter.peek().map(|next| &next.node) {
                     // A calibration sample pins the *sort* node's choice to
                     // the validation trials; fusing into top-k would
                     // silently discard the sample the user prepared.
@@ -314,19 +305,21 @@ pub(crate) fn plan(
                         ));
                     } else {
                         notes.push(format!("fused sort+take({k}) into top-k[{k}]"));
-                        fused.push(LogicalOp::TopK {
-                            criterion: *criterion,
-                            k: *k,
+                        let node = PhysicalNode::TopK {
+                            criterion,
+                            k,
                             shortlist_factor: 2,
-                        });
+                        };
+                        fused.push(Step { node, pinned: true });
                         iter.next();
                         continue;
                     }
                 }
             }
         }
-        fused.push(op.clone());
+        fused.push(step);
     }
+    let mut steps = fused;
 
     let estimator = Estimator::new(engine, &source);
 
@@ -345,202 +338,58 @@ pub(crate) fn plan(
         }
     };
 
-    // Rewrite 2/3: resolve strategies (defaults + blocking push-in),
-    // tracking estimated rows so size-dependent defaults see realistic n.
-    let mut lowered: Vec<Lowered> = Vec::with_capacity(fused.len());
+    // Rewrite 2/3: size unpinned sorts by the rows reaching them, and push
+    // blocking into unpinned pairwise stages.
     let mut rows = source.len();
-    for op in &fused {
-        let (node, pinned) = match op {
-            LogicalOp::Filter {
-                predicate,
-                strategy,
-                selectivity,
-            } => (
-                PhysicalNode::Filter {
-                    predicate: predicate.clone(),
-                    strategy: strategy.unwrap_or(FilterStrategy::Single),
-                    selectivity: selectivity.unwrap_or(FilterStrategy::DEFAULT_SELECTIVITY),
-                    pack: 1,
-                },
-                strategy.is_some(),
-            ),
-            LogicalOp::Sort {
-                criterion,
-                strategy,
-            } => (
-                PhysicalNode::Sort {
-                    criterion: *criterion,
-                    strategy: strategy
-                        .clone()
-                        .unwrap_or_else(|| default_sort_strategy(rows)),
-                },
-                strategy.is_some(),
-            ),
-            LogicalOp::Take { k } => (PhysicalNode::Take { k: *k }, true),
-            LogicalOp::TopK {
-                criterion,
-                k,
-                shortlist_factor,
-            } => (
-                PhysicalNode::TopK {
-                    criterion: *criterion,
-                    k: *k,
-                    shortlist_factor: *shortlist_factor,
-                },
-                true,
-            ),
-            LogicalOp::Categorize { labels } => (
-                PhysicalNode::Categorize {
-                    labels: labels.clone(),
-                    pack: 1,
-                },
-                true,
-            ),
-            LogicalOp::KeepLabel { labels, keep } => (
-                PhysicalNode::KeepLabel {
-                    labels: labels.clone(),
-                    keep: keep.clone(),
-                    pack: 1,
-                },
-                true,
-            ),
-            LogicalOp::Count {
-                predicate,
-                strategy,
-            } => (
-                PhysicalNode::Count {
-                    predicate: predicate.clone(),
-                    strategy: strategy.unwrap_or(CountStrategy::PerItem),
-                    pack: 1,
-                },
-                strategy.is_some(),
-            ),
-            LogicalOp::Max {
-                criterion,
-                strategy,
-            } => (
-                PhysicalNode::Max {
-                    criterion: *criterion,
-                    strategy: strategy.unwrap_or(MaxStrategy::RateThenPlayoff {
-                        buckets: 7,
-                        playoff_size: 4,
-                    }),
-                },
-                strategy.is_some(),
-            ),
-            LogicalOp::Resolve {
-                candidates,
-                max_distance,
-            } => {
-                approx_blocking_note(&mut notes, rows, "resolve");
-                (
-                    PhysicalNode::Resolve {
-                        candidates: *candidates,
-                        max_distance: *max_distance,
-                    },
-                    true,
-                )
+    for step in &mut steps {
+        let unpinned = !step.pinned;
+        match &mut step.node {
+            PhysicalNode::Sort { strategy, .. } if unpinned => {
+                *strategy = default_sort_strategy(rows);
             }
-            LogicalOp::ResolvePairs { pairs, strategy } => {
-                if let ResolveStrategy::TransitivityAugmented { .. } = strategy {
-                    approx_blocking_note(&mut notes, rows, "resolve-pairs");
-                }
-                (
-                    PhysicalNode::ResolvePairs {
-                        pairs: pairs.clone(),
-                        strategy: strategy.clone(),
-                    },
-                    true,
-                )
-            }
-            LogicalOp::Cluster { seed_size, probe } => {
+            PhysicalNode::Resolve { .. } => approx_blocking_note(&mut notes, rows, "resolve"),
+            PhysicalNode::ResolvePairs {
+                strategy: ResolveStrategy::TransitivityAugmented { .. },
+                ..
+            } => approx_blocking_note(&mut notes, rows, "resolve-pairs"),
+            PhysicalNode::Cluster { probe_cap, .. } => {
                 approx_blocking_note(&mut notes, rows, "cluster");
-                let (probe_cap, pinned) = match probe {
-                    ClusterProbe::Exhaustive => (None, true),
-                    ClusterProbe::Cap(cap) => (Some(*cap), true),
-                    ClusterProbe::Auto => {
-                        if options.rewrite {
-                            notes.push(
-                                "pushed blocking into cluster assignment (probe cap 4)".to_owned(),
-                            );
-                            (Some(4), false)
-                        } else {
-                            (None, false)
-                        }
-                    }
-                };
-                (
-                    PhysicalNode::Cluster {
-                        seed_size: *seed_size,
-                        probe_cap,
-                    },
-                    pinned,
-                )
+                if unpinned && options.rewrite {
+                    notes.push("pushed blocking into cluster assignment (probe cap 4)".to_owned());
+                    *probe_cap = Some(4);
+                }
             }
-            LogicalOp::Join { right, strategy } => {
+            PhysicalNode::Join { right, strategy } => {
                 approx_blocking_note(&mut notes, right.len(), "join");
-                let (resolved, pinned) = match strategy {
-                    Some(s) => (s.clone(), true),
-                    None => {
-                        if options.rewrite {
-                            notes
-                                .push("pushed blocking into join (4 candidates/record)".to_owned());
-                            (
-                                JoinStrategy::Blocked {
-                                    candidates: 4,
-                                    max_distance: 2.0,
-                                },
-                                false,
-                            )
-                        } else {
-                            (JoinStrategy::AllPairs, false)
-                        }
-                    }
-                };
-                (
-                    PhysicalNode::Join {
-                        right: right.clone(),
-                        strategy: resolved,
-                    },
-                    pinned,
-                )
+                if unpinned && options.rewrite {
+                    notes.push("pushed blocking into join (4 candidates/record)".to_owned());
+                    *strategy = JoinStrategy::Blocked {
+                        candidates: 4,
+                        max_distance: 2.0,
+                    };
+                }
             }
-            LogicalOp::Impute {
-                attribute,
-                labeled,
-                strategy,
-            } => (
-                PhysicalNode::Impute {
-                    attribute: attribute.clone(),
-                    labeled: labeled.clone(),
-                    strategy: strategy
-                        .clone()
-                        .unwrap_or(ImputeStrategy::LlmOnly { shots: 3 }),
-                    pack: 1,
-                },
-                strategy.is_some(),
-            ),
-        };
-        rows = super::estimate::rows_out(&node, rows);
-        lowered.push(Lowered { node, pinned });
+            _ => {}
+        }
+        rows = super::estimate::rows_out(&step.node, rows);
     }
 
     // Rewrite 4: reorder maximal runs of adjacent filters cheapest-first.
     if options.rewrite {
         let mut i = 0;
-        while i < lowered.len() {
+        while i < steps.len() {
             let mut j = i;
-            while j < lowered.len() && matches!(lowered[j].node, PhysicalNode::Filter { .. }) {
+            while j < steps.len() && matches!(steps[j].node, PhysicalNode::Filter { .. }) {
                 j += 1;
             }
             if j - i >= 2 {
-                let before: Vec<String> = lowered[i..j].iter().map(|l| l.node.name()).collect();
+                let before: Vec<String> = steps[i..j].iter().map(|l| l.node.name()).collect();
                 // Rank = per-item cost / rows removed per dollar-relevant
                 // item, i.e. cost/(1 − selectivity): the classic predicate
                 // ordering. With default (equal) selectivities it reduces
                 // to cheapest-per-item first. Keys are computed once per
                 // filter, not per comparison — each key renders prompts.
-                let mut keyed: Vec<(f64, Lowered)> = lowered
+                let mut keyed: Vec<(f64, Step)> = steps
                     .splice(i..j, std::iter::empty())
                     .map(|l| {
                         let key = match &l.node {
@@ -560,8 +409,8 @@ pub(crate) fn plan(
                     })
                     .collect();
                 keyed.sort_by(|a, b| a.0.total_cmp(&b.0));
-                lowered.splice(i..i, keyed.into_iter().map(|(_, l)| l));
-                let after: Vec<String> = lowered[i..j].iter().map(|l| l.node.name()).collect();
+                steps.splice(i..i, keyed.into_iter().map(|(_, l)| l));
+                let after: Vec<String> = steps[i..j].iter().map(|l| l.node.name()).collect();
                 if before != after {
                     notes.push(format!(
                         "reordered filters cheapest-first: {} -> {}",
@@ -585,7 +434,7 @@ pub(crate) fn plan(
     let knob = engine.pack_width();
     if knob > 1 {
         let mut rows = source.len();
-        for l in &mut lowered {
+        for l in &mut steps {
             let rows_in = rows;
             rows = super::estimate::rows_out(&l.node, rows_in);
             if l.node.pack().is_none() {
@@ -627,9 +476,9 @@ pub(crate) fn plan(
     }
 
     // Estimate pass.
-    let mut estimates: Vec<NodeEstimate> = Vec::with_capacity(lowered.len());
+    let mut estimates: Vec<NodeEstimate> = Vec::with_capacity(steps.len());
     let mut rows = source.len();
-    for l in &lowered {
+    for l in &steps {
         let est = estimator.node(&l.node, rows);
         rows = est.rows_out;
         estimates.push(est);
@@ -641,11 +490,11 @@ pub(crate) fn plan(
     if let Some(cal) = calibration.as_ref().filter(|_| options.rewrite) {
         let mut trials_cache: std::collections::HashMap<String, Vec<optimize::StrategyTrial>> =
             std::collections::HashMap::new();
-        for idx in 0..lowered.len() {
-            if lowered[idx].pinned {
+        for idx in 0..steps.len() {
+            if steps[idx].pinned {
                 continue;
             }
-            let PhysicalNode::Sort { criterion, .. } = lowered[idx].node else {
+            let PhysicalNode::Sort { criterion, .. } = steps[idx].node else {
                 continue;
             };
             let rows_here = estimates[idx].rows_in;
@@ -687,12 +536,12 @@ pub(crate) fn plan(
                         trials.len(),
                         trials.iter().map(|t| t.sample_cost_usd).sum::<f64>(),
                     ));
-                    lowered[idx].node = PhysicalNode::Sort {
+                    steps[idx].node = PhysicalNode::Sort {
                         criterion,
                         strategy: strategy.clone(),
                     };
-                    lowered[idx].pinned = true; // trials considered the budget
-                    estimates[idx] = estimator.node(&lowered[idx].node, rows_here);
+                    steps[idx].pinned = true; // trials considered the budget
+                    estimates[idx] = estimator.node(&steps[idx].node, rows_here);
                 }
             }
         }
@@ -706,13 +555,13 @@ pub(crate) fn plan(
     if options.rewrite {
         let remaining = remaining_usd_equivalent(engine, &estimator);
         if remaining.is_finite() {
-            let mut frozen = vec![false; lowered.len()];
+            let mut frozen = vec![false; steps.len()];
             loop {
                 let total: f64 = estimates.iter().map(|e| e.cost_usd).sum();
                 if total <= remaining {
                     break;
                 }
-                let candidate = lowered
+                let candidate = steps
                     .iter()
                     .enumerate()
                     .filter(|(i, l)| {
@@ -726,7 +575,7 @@ pub(crate) fn plan(
                     })
                     .map(|(i, _)| i);
                 let Some(idx) = candidate else { break };
-                let next = downgrade(&lowered[idx].node).expect("filtered above"); // lint: allow(no-unwrap)
+                let next = downgrade(&steps[idx].node).expect("filtered above"); // lint: allow(no-unwrap)
                 let next_estimate = estimator.node(&next, estimates[idx].rows_in);
                 if next_estimate.cost_usd >= estimates[idx].cost_usd {
                     frozen[idx] = true;
@@ -734,12 +583,12 @@ pub(crate) fn plan(
                 }
                 notes.push(format!(
                     "downgraded {} to {} to fit budget (est ${:.4} > ${:.4} remaining)",
-                    lowered[idx].node.strategy_label(),
+                    steps[idx].node.strategy_label(),
                     next.strategy_label(),
                     total,
                     remaining,
                 ));
-                lowered[idx].node = next;
+                steps[idx].node = next;
                 estimates[idx] = next_estimate;
             }
         }
@@ -762,7 +611,7 @@ pub(crate) fn plan(
 
     Ok(Plan {
         source,
-        nodes: lowered
+        nodes: steps
             .into_iter()
             .zip(estimates)
             .map(|(l, estimate)| PlannedNode {

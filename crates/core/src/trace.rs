@@ -3,8 +3,10 @@
 //! Production LLM workflows live or die by observability — when a 5742-pair
 //! resolve costs real money, you want to know afterwards which task kinds
 //! consumed it, what was cached, and what failed. The engine records one
-//! event per completed call when tracing is enabled; a
-//! [`TraceSummary`] aggregates them by task kind.
+//! event per completed call when tracing is enabled, and the trace adds it
+//! into its task kind's totals on arrival: it holds one [`KindStats`] per
+//! kind however many calls a session makes, and a [`TraceSummary`] is a
+//! copy of those totals.
 
 use std::collections::BTreeMap;
 
@@ -80,7 +82,7 @@ impl TraceSummary {
 #[derive(Debug, Default)]
 // lint: allow(pub-has-caller) — exposed by `Session::trace`
 pub struct Trace {
-    events: Mutex<Vec<TraceEvent>>,
+    by_kind: Mutex<BTreeMap<&'static str, KindStats>>,
 }
 
 impl Trace {
@@ -89,22 +91,21 @@ impl Trace {
         Self::default()
     }
 
-    /// Record one event.
+    /// Add one event into its kind's totals.
     pub(crate) fn record(&self, event: TraceEvent) {
-        self.events.lock().push(event);
+        let mut by_kind = self.by_kind.lock();
+        let s = by_kind.entry(event.kind).or_default();
+        s.calls += 1;
+        s.cached += u64::from(event.cached);
+        s.tokens += u64::from(event.usage.total());
+        s.cost_usd += event.cost_usd;
     }
 
-    /// Aggregate into a summary.
+    /// The per-kind totals so far.
     pub fn summary(&self) -> TraceSummary {
-        let mut by_kind: BTreeMap<&'static str, KindStats> = BTreeMap::new();
-        for e in self.events.lock().iter() {
-            let s = by_kind.entry(e.kind).or_default();
-            s.calls += 1;
-            s.cached += u64::from(e.cached);
-            s.tokens += u64::from(e.usage.total());
-            s.cost_usd += e.cost_usd;
+        TraceSummary {
+            by_kind: self.by_kind.lock().clone(),
         }
-        TraceSummary { by_kind }
     }
 }
 

@@ -100,7 +100,7 @@ pub mod prelude {
     pub use crowdprompt_core::ops::resolve::ResolveStrategy;
     pub use crowdprompt_core::ops::sort::{SortResult, SortStrategy};
     pub use crowdprompt_core::plan::{
-        ClusterProbe, Plan, PlanOptions, PlanOutput, PlanRun, Query, SortCalibration,
+        Plan, PlanOptions, PlanOutput, PlanRun, Query, SortCalibration,
     };
     pub use crowdprompt_core::{
         BatchOutcome, BlockingHit, BlockingIndex, Budget, CacheConfig, Corpus, EngineError,

@@ -23,6 +23,7 @@
 //! | `one-fingerprint`| `crates/oracle/src/client.rs` calls `.fingerprint()` in `probe` and nowhere else; `crates/core/src/{exec,serve}.rs` never do|
 //! | `pub-has-caller`| a `pub` item under `crates/{core,embed,oracle,metrics,data}/src` is named by some file outside its crate's `src/`, or by a doc-test|
 //! | `one-door`    | `crates/core/src/session.rs` names no `ops::` function; no file in `crates/core/src/ops` declares a top-level `pub fn`|
+//! | `one-plan-ir` | `crates/core/src` declares no enum with a `Filter` variant but `PhysicalNode`|
 //!
 //! Pure std, no crates.io: scanning is lexical but *mask-accurate* — a small
 //! lexer blanks out comments, strings, and char literals first, so a banned
@@ -159,6 +160,14 @@ const ONE_FINGERPRINT_CALLERS: &[&str] = &["crates/core/src/exec.rs", "crates/co
 /// door: a test that calls it is a caller.
 const ONE_DOOR_SESSION: &str = "crates/core/src/session.rs";
 const ONE_DOOR_OPS: &str = "crates/core/src/ops/";
+
+/// A query is a chain of physical nodes: `crates/core/src` declares one
+/// operator enum, [`ONE_PLAN_IR_NODE`], and a second enum with a
+/// [`ONE_PLAN_IR_VARIANT`] variant is a second IR the planner would copy
+/// into the first arm by arm.
+const ONE_PLAN_IR_SCOPE: &str = "crates/core/src/";
+const ONE_PLAN_IR_NODE: &str = "PhysicalNode";
+const ONE_PLAN_IR_VARIANT: &str = "Filter";
 
 /// The library crates whose public items must each be named by a file
 /// outside the crate's own `src/` (another crate, a test, an example, a
@@ -893,6 +902,19 @@ fn lint_rust_source(rel: &str, src: &str) -> Vec<Finding> {
         }
     }
 
+    if rel.starts_with(ONE_PLAN_IR_SCOPE) {
+        for (offset, name) in find_enum_variants(&masked, ONE_PLAN_IR_VARIANT) {
+            if name != ONE_PLAN_IR_NODE && library_code(offset) {
+                push(
+                    "one-plan-ir",
+                    format!("`enum {name}` declares operators beside `{ONE_PLAN_IR_NODE}`"),
+                    "build the `PhysicalNode` the planner starts from and mark the step pinned or not, instead of a second operator enum lowered arm by arm",
+                    offset,
+                );
+            }
+        }
+    }
+
     for offset in find_money_eq(&masked, &index) {
         if library_code(offset) {
             push(
@@ -1143,6 +1165,55 @@ fn ops_path(masked: &[char], mut i: usize, depth: usize, hits: &mut Vec<usize>) 
     } else if masked[next..].starts_with(&[':', ':']) {
         ops_path(masked, next + 2, depth + 1, hits);
     }
+}
+
+/// `(offset of the variant, enum name)` for every `enum` declaring a
+/// variant named exactly `variant`: an identifier at the body's top level
+/// that opens the body or follows a `,` or an attribute's `]`.
+fn find_enum_variants(masked: &[char], variant: &str) -> Vec<(usize, String)> {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let idents = identifiers(masked);
+    let mut hits = Vec::new();
+    for pair in idents.windows(2) {
+        let [(_, keyword), (name_at, name)] = pair else {
+            continue;
+        };
+        if keyword != "enum" {
+            continue;
+        }
+        let Some(open) = find_from(masked, "{", *name_at) else {
+            continue;
+        };
+        let Some(close) = matching(masked, open, '{', '}') else {
+            continue;
+        };
+        let (mut level, mut prev, mut i) = (0usize, '{', open + 1);
+        while i < close {
+            let c = masked[i];
+            if level == 0 && is_ident(c) {
+                let start = i;
+                while is_ident(masked[i]) {
+                    i += 1;
+                }
+                let word: String = masked[start..i].iter().collect();
+                if word == variant && matches!(prev, '{' | ',' | ']') {
+                    hits.push((start, name.clone()));
+                }
+                prev = 'a';
+                continue;
+            }
+            match c {
+                '{' | '(' | '[' => level += 1,
+                '}' | ')' | ']' => level = level.saturating_sub(1),
+                _ => {}
+            }
+            if !c.is_whitespace() {
+                prev = c;
+            }
+            i += 1;
+        }
+    }
+    hits
 }
 
 /// Offsets of `<Something>Strategy::` paths (the start of the type name).
@@ -1734,6 +1805,27 @@ mod tests {
         assert!(lint_rust_source("crates/core/src/ops/judge.rs", src).is_empty());
         assert!(lint_rust_source("crates/core/src/plan/execute.rs", src).is_empty());
         assert!(lint_rust_source("crates/core/tests/prop.rs", src).is_empty());
+    }
+
+    #[test]
+    fn one_plan_ir_flags_a_second_enum_with_a_filter_variant() {
+        let src = concat!(
+            "pub enum PhysicalNode { Filter { p: String }, Take { k: usize } }\n",
+            "pub enum LogicalOp {\n",
+            "    Sort { by: [u8; 2] },\n",
+            "    #[doc(hidden)]\n",
+            "    Filter { p: Option<String> },\n",
+            "}\n",
+            "enum Stage { Map(Filter), Reduce { filter: Filter } }\n",
+            "enum Kind { FilterCall, Other } // enum Old { Filter }\n",
+            "#[cfg(test)]\n",
+            "mod tests { enum Fixture { Filter } }\n",
+        );
+        let f = lint_rust_source("crates/core/src/plan/ir.rs", src);
+        assert_eq!(codes(&f), vec!["one-plan-ir"]);
+        assert_eq!((f[0].line, f[0].col), (5, 5));
+        // Other crates may name their own filters.
+        assert!(lint_rust_source("crates/oracle/src/task.rs", src).is_empty());
     }
 
     #[test]
