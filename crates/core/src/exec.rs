@@ -24,7 +24,11 @@
 //!   any call), admitted per call at execution time against actual spend
 //!   (sampled votes and packs, whose retries cannot be known up front), or
 //!   — when the policy degrades — admitted only after a free local hit has
-//!   been ruled out.
+//!   been ruled out. A packed round's prepare runs inside the pump
+//!   instead: its packs are built, rendered, counted and estimated in
+//!   contiguous shares on the caller and the pump's render helpers when the
+//!   round is large enough to pay for them, and the caller then splits the
+//!   oversize packs in input order before anything is queued.
 //! * **pump** is the one worker loop in the crate. It queues the batch on
 //!   the engine's lane of a [`FairFeed`] — its own one-lane feed (one-lane
 //!   deficit round robin *is* FIFO) or, scoped to a tenant by
@@ -36,8 +40,8 @@
 //!   allowance, ledger, trace) and a job is a three-word handle on one of
 //!   its slots, so a worker runs whichever batch's job it drew and a caller
 //!   whose last jobs are in flight elsewhere waits on its batch. The
-//!   requests are freed with the batch, by the caller that rendered them
-//!   once its helpers are joined — not one at a time by whichever worker
+//!   requests are freed with the batch, by the caller, once its helpers are
+//!   joined — not one at a time by whichever worker
 //!   drew each, which had helpers returning memory to the caller's
 //!   allocator arena while the caller allocated from it. Workers *pull*
 //!   small claims, at most `workers × MAX_CLAIM` claimed-but-unfinished;
@@ -117,6 +121,11 @@ const MIN_CLAIM: usize = 1;
 /// the work queue: at most `parallelism × MAX_CLAIM` jobs are claimed ahead
 /// of completion.
 const MAX_CLAIM: usize = 32;
+/// Packs a participant must hold before a packed round's render is shared
+/// out: a share is then hundreds of microseconds of rendering against a
+/// thread start of tens, and bisect rounds and small runs stay on the
+/// caller.
+const PACKS_PER_SHARE: usize = 64;
 /// Per-job mean duration (µs) below which a worker's claim is deemed "fast"
 /// (cache or coalesced hits) and its next claim doubles.
 const FAST_TASK_MICROS: u64 = 200;
@@ -610,7 +619,8 @@ impl Engine {
     ) -> Result<BatchOutcome, EngineError> {
         let work = self.prepare(calls, admit, self.run_deadline(), policy);
         let mut outcome = BatchOutcome::default();
-        for (index, item) in self.pump(work, self.shape(policy))?.into_iter().enumerate() {
+        let results = self.pump(Intake::Rendered(work), self.shape(policy))?;
+        for (index, item) in results.into_iter().enumerate() {
             match item {
                 Ok(response) => {
                     outcome.answers.push(Ok(response.text.clone()));
@@ -667,37 +677,42 @@ impl Engine {
             .step_by(width)
             .map(|start| start..(start + width).min(n))
             .collect();
+        let mode = admission_mode(Admit::PerCall, policy);
         while !pending.is_empty() {
-            let calls = pending
-                .iter()
-                .map(|pack| {
-                    let task = match &tasks[pack.clone()] {
-                        [single] => single.clone(),
-                        many => TaskDescriptor::Packed {
-                            tasks: many.to_vec(),
-                        },
-                    };
-                    (task, temperature, sample_index)
-                })
-                .collect();
-            let prepared = self.prepare(calls, Admit::PerCall, deadline, policy);
+            // Each pack's task — cloned out of `tasks` — its render, count
+            // and estimate, on whichever of the pump's participants holds it.
+            let render = |i: usize| {
+                let task = match &tasks[pending[i].clone()] {
+                    [single] => single.clone(),
+                    many => TaskDescriptor::Packed {
+                        tasks: many.to_vec(),
+                    },
+                };
+                self.render_call((task, temperature, sample_index), mode, deadline)
+            };
             let mut next: Vec<Range<usize>> = Vec::new();
             let mut round: Vec<Range<usize>> = Vec::new();
-            let mut work = Vec::new();
-            for (pack, prepared) in pending.into_iter().zip(prepared) {
-                // Context fitting: a pack whose rendered prompt overflows
-                // the window (by the count its render took) splits without
-                // wasting a call on it.
+            // Context fitting, on the caller in input order: a pack whose
+            // rendered prompt overflows the window (by the count its render
+            // took) splits without wasting a call on it.
+            let mut keep = |i: usize, prepared: &Result<Work, EngineError>| {
+                let pack = pending[i].clone();
                 let oversize =
                     pack.len() > 1 && prepared.as_ref().is_ok_and(|w| w.prompt_tokens > window);
                 if oversize {
                     bisect(&pack, &mut next);
                 } else {
                     round.push(pack);
-                    work.push(prepared);
                 }
-            }
-            for (pack, item) in round.into_iter().zip(self.pump(work, self.shape(policy))?) {
+                !oversize
+            };
+            let intake = Intake::Shares {
+                count: pending.len(),
+                render: &render,
+                keep: &mut keep,
+            };
+            let results = self.pump(intake, self.shape(policy))?;
+            for (pack, item) in round.into_iter().zip(results) {
                 match item {
                     Ok(response) => {
                         if pack.len() == 1 {
@@ -774,13 +789,7 @@ impl Engine {
         deadline: Option<Instant>,
         policy: FailurePolicy,
     ) -> Vec<Result<Work, EngineError>> {
-        // Policy point: a degrading run serves free local hits *before* it
-        // asks for budget or checks the deadline, so its admission moves
-        // behind the probe, whatever the spec's strict timing would be.
-        let mode = match policy {
-            FailurePolicy::FailFast => admit,
-            FailurePolicy::Degrade { .. } => Admit::AfterSalvage,
-        };
+        let mode = admission_mode(admit, policy);
         let (mut pending_usd, mut pending_tokens) = (0.0f64, 0u64);
         calls
             .into_iter()
@@ -826,11 +835,59 @@ impl Engine {
     /// — the failure with the lowest input index among those observed —
     /// only when the shape stops on the first error; then a pre-failed item
     /// fails the batch before anything is queued.
+    ///
+    /// A packed round ([`Intake::Shares`]) is rendered here first: in
+    /// contiguous shares on the caller and up to `shape.workers − 1` render
+    /// helpers when it holds at least [`PACKS_PER_SHARE`] packs a
+    /// participant, on the caller alone otherwise; then the caller keeps or
+    /// drops each item in input order.
     pub(crate) fn pump(
         &self,
-        items: Vec<Result<Work, EngineError>>,
+        intake: Intake<'_>,
         shape: RunShape,
     ) -> Result<Vec<ItemResult>, EngineError> {
+        let items = match intake {
+            Intake::Rendered(items) => items,
+            Intake::Shares {
+                count,
+                render,
+                keep,
+            } => {
+                let mut participants = shape.workers.min(count / PACKS_PER_SHARE);
+                if participants > 1 {
+                    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+                    participants = participants.min(cores);
+                }
+                let rendered: Vec<_> = if participants > 1 {
+                    let share = count.div_ceil(participants);
+                    std::thread::scope(|scope| {
+                        let helpers: Vec<_> = (share..count)
+                            .step_by(share)
+                            .map(|start| {
+                                let end = (start + share).min(count);
+                                scope.spawn(move || (start..end).map(render).collect::<Vec<_>>())
+                            })
+                            .collect();
+                        let mut rendered = Vec::with_capacity(count);
+                        rendered.extend((0..share).map(render));
+                        for helper in helpers {
+                            let part = helper
+                                .join()
+                                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                            rendered.extend(part);
+                        }
+                        rendered
+                    })
+                } else {
+                    (0..count).map(render).collect()
+                };
+                rendered
+                    .into_iter()
+                    .enumerate()
+                    .filter_map(|(i, item)| keep(i, &item).then_some(item))
+                    .collect()
+            }
+        };
         if shape.stop_on_error {
             if let Some(e) = items.iter().find_map(|item| item.as_ref().err()) {
                 return Err(e.clone());
@@ -1117,6 +1174,32 @@ pub(crate) enum Admit {
     /// together with the deadline: work still undispatched when either
     /// runs out is quarantined instead of started.
     AfterSalvage,
+}
+
+/// The admission mode a spec's `admit` runs under `policy`. Policy point: a
+/// degrading run serves free local hits *before* it asks for budget or
+/// checks the deadline, so its admission moves behind the probe, whatever
+/// the spec's strict timing would be.
+fn admission_mode(admit: Admit, policy: FailurePolicy) -> Admit {
+    match policy {
+        FailurePolicy::FailFast => admit,
+        FailurePolicy::Degrade { .. } => Admit::AfterSalvage,
+    }
+}
+
+/// What a pump call queues.
+pub(crate) enum Intake<'a> {
+    /// Work its caller rendered and admitted, in input order.
+    Rendered(Vec<Result<Work, EngineError>>),
+    /// A packed round: `count` calls, call `i` rendered by `render(i)` —
+    /// pure, so the pump's participants run it in shares — and then handed,
+    /// in input order on the caller, to `keep`, which says whether it is
+    /// queued.
+    Shares {
+        count: usize,
+        render: &'a (dyn Fn(usize) -> Result<Work, EngineError> + Sync),
+        keep: &'a mut dyn FnMut(usize, &Result<Work, EngineError>) -> bool,
+    },
 }
 
 /// An admission mode with the estimate it admits.
@@ -2100,7 +2183,7 @@ mod tests {
         // queued, nothing called.
         let (strict, _) = engine_with(3, Budget::Unlimited);
         let shape = strict.shape(FailurePolicy::FailFast);
-        let refused = strict.pump(rendered(&strict, tasks()), shape);
+        let refused = strict.pump(Intake::Rendered(rendered(&strict, tasks())), shape);
         assert!(matches!(refused, Err(EngineError::UnknownItem(_))));
         assert!(strict.lane.feed.is_empty());
         assert_eq!(strict.client().stats().calls(), 0);

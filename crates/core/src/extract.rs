@@ -189,7 +189,7 @@ pub fn value(text: &str) -> Result<String, EngineError> {
         }
     }
     // 2. "Answer: X"
-    if let Some(pos) = trimmed.to_lowercase().find("answer:") {
+    if let Some(pos) = ascii_positions(trimmed, "answer:").next() {
         let tail = trimmed[pos + "answer:".len()..].trim();
         if !tail.is_empty() {
             return Ok(strip_sentence_end(first_line(tail)).to_owned());
@@ -197,7 +197,7 @@ pub fn value(text: &str) -> Result<String, EngineError> {
     }
     // 3. "... most likely X" / 4. "... it is X"
     for marker in ["most likely", "it is "] {
-        if let Some(pos) = trimmed.to_lowercase().rfind(marker) {
+        if let Some(pos) = ascii_positions(trimmed, marker).next_back() {
             let tail = trimmed[pos + marker.len()..].trim();
             if !tail.is_empty() {
                 return Ok(strip_sentence_end(first_line(tail)).to_owned());
@@ -235,6 +235,22 @@ pub fn choice(text: &str, labels: &[String]) -> Result<String, EngineError> {
             expected: "choice",
             response: text.to_owned(),
         })
+}
+
+/// Byte offsets in `text` where the ASCII `marker` occurs, ignoring ASCII
+/// case, in ascending order. Found in `text` itself, not in a lowercase
+/// copy, whose byte offsets drift wherever lowercasing changes a
+/// character's length (U+212A KELVIN SIGN → `k`, `İ` → `i̇`). A match is
+/// all ASCII bytes, so both its ends are char boundaries of `text`.
+fn ascii_positions<'a>(
+    text: &'a str,
+    marker: &'a str,
+) -> impl DoubleEndedIterator<Item = usize> + 'a {
+    text.as_bytes()
+        .windows(marker.len())
+        .enumerate()
+        .filter(move |(_, window)| window.eq_ignore_ascii_case(marker.as_bytes()))
+        .map(|(at, _)| at)
 }
 
 fn first_line(text: &str) -> &str {
@@ -351,6 +367,23 @@ mod tests {
     fn value_preserves_internal_punctuation() {
         assert_eq!(value("Answer: Tom Tom").unwrap(), "Tom Tom");
         assert_eq!(value("510-548-5525.").unwrap(), "510-548-5525");
+    }
+
+    #[test]
+    fn value_slices_at_markers_found_in_the_text_itself() {
+        // Lowercasing shrinks U+212A KELVIN SIGN (3 bytes → `k`) and grows
+        // `İ` (2 bytes → `i̇`, 3): offsets found in a lowercase copy missed
+        // the answer, or fell inside a character.
+        assert_eq!(
+            value("\u{212A}\u{212A} Answer: Berkeley").unwrap(),
+            "Berkeley"
+        );
+        assert_eq!(value("İİİ answer: Oakland").unwrap(), "Oakland");
+        assert_eq!(
+            value("\u{212A}\u{212A}\u{212A}\u{212A} It is cafés").unwrap(),
+            "cafés"
+        );
+        assert_eq!(value("İstanbul, MOST LIKELY Ankara.").unwrap(), "Ankara");
     }
 
     #[test]

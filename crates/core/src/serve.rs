@@ -87,7 +87,9 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::budget::{Budget, BudgetTracker, LedgerSnapshot};
 use crate::error::EngineError;
-use crate::exec::{condemning, router_of, Admit, Engine, FairFeed, Job, Lane, LeaseGate, RunShape};
+use crate::exec::{
+    condemning, router_of, Admit, Engine, FairFeed, Intake, Job, Lane, LeaseGate, RunShape,
+};
 
 /// Default burst capacity of a tenant's token bucket, in requests.
 const DEFAULT_BUCKET_CAPACITY: f64 = 256.0;
@@ -657,7 +659,7 @@ impl Server {
             workers: 1,
         };
         let results: Vec<_> = engine
-            .pump(work, shape)
+            .pump(Intake::Rendered(work), shape)
             // A batch-level `Err` is the stop-on-error outcome, which this
             // shape never asks for.
             .map_err(|e| ServeError::Invalid(e.to_string()))?

@@ -33,6 +33,33 @@ const ANSWER_PIECES: [&str; 22] = [
     "",
 ];
 
+/// Pieces of free-text answers: every marker `extract::value` and `yes_no`
+/// look for, in both cases, and characters whose lowercase form has
+/// another byte length (U+212A KELVIN SIGN → `k`, U+0130 `İ` → `i̇`) or
+/// another shape (U+1E9E `ẞ` → `ß`).
+const VALUE_PIECES: [&str; 20] = [
+    "Answer:",
+    "ANSWER: ",
+    "answer is ",
+    "most likely ",
+    "It is ",
+    "\"",
+    "yes",
+    "No",
+    "Berkeley",
+    "café",
+    ".",
+    " ",
+    "\n",
+    "\u{212A}",
+    "\u{212A}\u{212A}",
+    "\u{130}",
+    "\u{1E9E}",
+    "é",
+    "日本",
+    "",
+];
+
 proptest! {
     // -- consistency ---------------------------------------------------------
 
@@ -194,6 +221,27 @@ proptest! {
                 ),
                 Ok(Err(_)) => {}
             }
+        }
+    }
+
+    #[test]
+    fn answer_parsers_never_panic_on_arbitrary_unicode(
+        picks in prop::collection::vec(0usize..VALUE_PIECES.len(), 0..24),
+        code_points in prop::collection::vec(0u32..0x11_0000, 0..12),
+    ) {
+        // Markers and quotes between characters whose lowercase form has
+        // another byte length, plus arbitrary scalar values.
+        let shaped: String = picks.iter().map(|&p| VALUE_PIECES[p]).collect();
+        let arbitrary: String = code_points.iter().filter_map(|&c| char::from_u32(c)).collect();
+        let mixed: String = shaped.chars().zip(arbitrary.chars().cycle()).flat_map(|(a, b)| [a, b]).collect();
+        let labels = vec!["berkeley".to_owned(), "İstanbul".to_owned(), "\u{212A}".to_owned()];
+        for text in [shaped, arbitrary, mixed] {
+            let parsed = std::panic::catch_unwind(|| {
+                let _ = extract::value(&text);
+                let _ = extract::choice(&text, &labels);
+                let _ = extract::yes_no(&text);
+            });
+            prop_assert!(parsed.is_ok(), "an answer parser panicked on {:?}", text);
         }
     }
 

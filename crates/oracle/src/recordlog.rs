@@ -21,10 +21,11 @@
 //! # Crash safety
 //!
 //! Appends are complete lines flushed per record, so a crash can only lose
-//! or tear the *final* line. [`LogFile::open`] walks the file in order,
-//! hands each checksum-valid payload to the caller, and truncates at the
-//! first torn, corrupt, or structurally rejected line — a damaged tail never
-//! poisons a reopen, it merely costs re-deriving the lost records.
+//! or tear the *final* line. [`LogFile::open`] verifies and decodes the
+//! file's lines in parallel shares, hands the records to the caller in file
+//! order, and truncates at the first torn, corrupt, or structurally rejected
+//! line — a damaged tail never poisons a reopen, it merely costs
+//! re-deriving the lost records.
 
 use std::borrow::Cow;
 use std::fs::{File, OpenOptions};
@@ -222,21 +223,78 @@ fn read_contents(file: &mut File, header: &str) -> std::io::Result<Option<String
     }))
 }
 
+/// Below this many bytes of records a share is not worth a thread.
+pub(crate) const MIN_SHARE_BYTES: usize = 1 << 16;
+
+/// How many shares a replay may use on this machine: one per available
+/// core.
+pub(crate) fn replay_shares() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
+
+/// Cut `records` at line boundaries into `shares` contiguous pieces (the
+/// last ones may be empty); each but the last ends with a newline.
+pub(crate) fn cut_at_lines(records: &str, shares: usize) -> Vec<&str> {
+    let mut pieces = Vec::with_capacity(shares);
+    let mut rest = records;
+    for left in (2..=shares).rev() {
+        let aim = rest.len() / left;
+        let end = rest.as_bytes()[aim..]
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(rest.len(), |at| aim + at + 1);
+        // A newline is ASCII, so `end` is a char boundary.
+        let (piece, tail) = rest.split_at(end);
+        pieces.push(piece);
+        rest = tail;
+    }
+    pieces.push(rest);
+    pieces
+}
+
+/// Walk `share` line by line, handing the decoded record of each whole,
+/// checksum-valid line to `sink`, until the first torn, corrupt or rejected
+/// line. Returns the bytes of the lines taken: `share.len()` when every
+/// line was.
+fn walk<T>(share: &str, decode: &impl Fn(&str) -> Option<T>, mut sink: impl FnMut(T)) -> usize {
+    let mut taken = 0;
+    for line in share.split_inclusive('\n') {
+        let Some(body) = line.strip_suffix('\n') else {
+            break; // partial (torn) final line
+        };
+        let Some(payload) = open_line(body) else {
+            break; // checksum corruption
+        };
+        let Some(record) = decode(payload) else {
+            break; // field-level corruption
+        };
+        sink(record);
+        taken += line.len();
+    }
+    taken
+}
+
 impl LogFile {
     /// Open (creating if absent) the log at `path` for appending.
     ///
-    /// Each existing line is checksum-verified in order and its payload
-    /// handed to `on_record`; the walk stops — and the file is truncated —
-    /// at the first torn or corrupt line, or when `on_record` returns
-    /// `false` (structural rejection by the consumer's own field codec).
-    /// An empty file, or one holding only part of the header line (a crash
-    /// tore the header's write), starts afresh with a whole header. Any
-    /// other file whose first line is not the header (another format or
-    /// version, or not text at all) is an error and is left untouched.
-    pub(crate) fn open(
+    /// Each existing line is checksum-verified and its payload handed to
+    /// `decode`; the records are handed to `apply` in file order. The walk
+    /// stops — and the file is truncated — at the first torn or corrupt
+    /// line, or where `decode` returns `None` (structural rejection by the
+    /// consumer's own field codec). The lines are verified and decoded in
+    /// up to `shares` contiguous pieces at once, so `decode` must be pure;
+    /// what `apply` sees, and where the file is cut, do not depend on
+    /// `shares`. An empty file, or one holding only part of the header line
+    /// (a crash tore the header's write), starts afresh with a whole
+    /// header. Any other file whose first line is not the header (another
+    /// format or version, or not text at all) is an error and is left
+    /// untouched.
+    pub(crate) fn open<T: Send>(
         path: impl AsRef<Path>,
         header: &str,
-        mut on_record: impl FnMut(&str) -> bool,
+        shares: usize,
+        decode: impl Fn(&str) -> Option<T> + Sync,
+        mut apply: impl FnMut(T),
     ) -> std::io::Result<LogFile> {
         let path = path.as_ref();
         let mut file = OpenOptions::new()
@@ -255,7 +313,7 @@ impl LogFile {
                 line.len() as u64
             }
             Some(contents) => {
-                let end = Self::replay(path, &contents, header, &mut on_record)?;
+                let end = Self::replay(path, &contents, header, shares, &decode, &mut apply)?;
                 // Drop everything after the last valid record and position
                 // the append cursor there.
                 file.set_len(end)?;
@@ -271,29 +329,40 @@ impl LogFile {
     /// [`LogFile::open`]. Torn or corrupt tails are simply ignored, and a
     /// torn header reads as an empty log. Errors if the file does not exist
     /// or carries a foreign header.
-    pub(crate) fn open_read_only(
+    pub(crate) fn open_read_only<T: Send>(
         path: impl AsRef<Path>,
         header: &str,
-        mut on_record: impl FnMut(&str) -> bool,
+        shares: usize,
+        decode: impl Fn(&str) -> Option<T> + Sync,
+        mut apply: impl FnMut(T),
     ) -> std::io::Result<()> {
         let path = path.as_ref();
         let mut file = OpenOptions::new().read(true).open(path)?;
         let Some(contents) = read_contents(&mut file, header)? else {
             return Ok(());
         };
-        Self::replay(path, &contents, header, &mut on_record)?;
+        Self::replay(path, &contents, header, shares, &decode, &mut apply)?;
         Ok(())
     }
 
-    /// Walk `contents` record by record, returning the byte offset of the
+    /// Replay `contents` record by record, returning the byte offset of the
     /// end of the valid prefix. Errors on a foreign header.
-    fn replay(
+    ///
+    /// The records are cut at line boundaries into up to `shares` pieces
+    /// (at least [`MIN_SHARE_BYTES`] each); the caller walks the first
+    /// while one scoped thread per other piece walks it into a buffer, each
+    /// up to its own first bad line. The caller then applies the pieces in
+    /// file order and stops at the first bad line overall, so the records
+    /// applied and the offset returned are the one-piece walk's.
+    fn replay<T: Send>(
         path: &Path,
         contents: &str,
         header: &str,
-        on_record: &mut impl FnMut(&str) -> bool,
+        shares: usize,
+        decode: &(impl Fn(&str) -> Option<T> + Sync),
+        apply: &mut impl FnMut(T),
     ) -> std::io::Result<u64> {
-        let Some(rest) = contents
+        let Some(records) = contents
             .strip_prefix(header)
             .and_then(|r| r.strip_prefix('\n'))
         else {
@@ -302,20 +371,40 @@ impl LogFile {
                 format!("'{}' is not a {header} file", path.display()),
             ));
         };
-        let mut valid_end = (header.len() + 1) as u64;
-        for line in rest.split_inclusive('\n') {
-            let Some(body) = line.strip_suffix('\n') else {
-                break; // partial (torn) final line
-            };
-            let Some(payload) = open_line(body) else {
-                break; // checksum corruption
-            };
-            if !on_record(payload) {
-                break; // field-level corruption
-            }
-            valid_end += line.len() as u64;
+        let start = (header.len() + 1) as u64;
+        let shares = shares.min(records.len() / MIN_SHARE_BYTES).max(1);
+        if shares == 1 {
+            return Ok(start + walk(records, decode, apply) as u64);
         }
-        Ok(valid_end)
+        let pieces = cut_at_lines(records, shares);
+        let taken = std::thread::scope(|scope| {
+            let helpers: Vec<_> = pieces[1..]
+                .iter()
+                .map(|piece| {
+                    scope.spawn(move || {
+                        let mut decoded = Vec::new();
+                        let taken = walk(piece, decode, |record| decoded.push(record));
+                        (decoded, taken)
+                    })
+                })
+                .collect();
+            let mut taken = walk(pieces[0], decode, &mut *apply);
+            if taken < pieces[0].len() {
+                return taken;
+            }
+            for (piece, helper) in pieces[1..].iter().zip(helpers) {
+                let (decoded, piece_taken) = helper
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                decoded.into_iter().for_each(&mut *apply);
+                taken += piece_taken;
+                if piece_taken < piece.len() {
+                    break;
+                }
+            }
+            taken
+        });
+        Ok(start + taken as u64)
     }
 
     /// Append one record line, already sealed ([`seal_line`]), as a single
@@ -604,11 +693,16 @@ mod tests {
         }
     }
 
+    /// The identity decode: a payload as an owned record.
+    fn owned(payload: &str) -> Option<String> {
+        Some(payload.to_owned())
+    }
+
     #[test]
     fn logfile_recovers_prefix_and_appends() {
         let path = temp_path("prefix");
         {
-            let mut log = LogFile::open(&path, "test-log v1", |_| true).unwrap();
+            let mut log = LogFile::open(&path, "test-log v1", 1, owned, drop::<String>).unwrap();
             log.append(&sealed("one")).unwrap();
             log.append(&sealed("two")).unwrap();
         }
@@ -616,21 +710,13 @@ mod tests {
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - 3]).unwrap();
         let mut seen = Vec::new();
-        let mut log = LogFile::open(&path, "test-log v1", |p| {
-            seen.push(p.to_string());
-            true
-        })
-        .unwrap();
+        let mut log = LogFile::open(&path, "test-log v1", 1, owned, |p| seen.push(p)).unwrap();
         assert_eq!(seen, vec!["one".to_string()]);
         log.append(&sealed("three")).unwrap();
         drop(log);
 
         let mut seen = Vec::new();
-        LogFile::open_read_only(&path, "test-log v1", |p| {
-            seen.push(p.to_string());
-            true
-        })
-        .unwrap();
+        LogFile::open_read_only(&path, "test-log v1", 1, owned, |p| seen.push(p)).unwrap();
         assert_eq!(seen, vec!["one".to_string(), "three".to_string()]);
         std::fs::remove_file(&path).ok();
     }
@@ -639,7 +725,7 @@ mod tests {
     fn logfile_consumer_rejection_truncates() {
         let path = temp_path("reject");
         {
-            let mut log = LogFile::open(&path, "test-log v1", |_| true).unwrap();
+            let mut log = LogFile::open(&path, "test-log v1", 1, owned, drop::<String>).unwrap();
             log.append(&sealed("good")).unwrap();
             log.append(&sealed("BAD")).unwrap();
             log.append(&sealed("after")).unwrap();
@@ -647,22 +733,18 @@ mod tests {
         // The consumer's field codec refuses "BAD": the suffix is dropped.
         let mut seen = Vec::new();
         drop(
-            LogFile::open(&path, "test-log v1", |p| {
-                if p == "BAD" {
-                    return false;
-                }
-                seen.push(p.to_string());
-                true
-            })
+            LogFile::open(
+                &path,
+                "test-log v1",
+                1,
+                |p| (p != "BAD").then(|| p.to_owned()),
+                |p| seen.push(p),
+            )
             .unwrap(),
         );
         assert_eq!(seen, vec!["good".to_string()]);
         let mut all = Vec::new();
-        LogFile::open_read_only(&path, "test-log v1", |p| {
-            all.push(p.to_string());
-            true
-        })
-        .unwrap();
+        LogFile::open_read_only(&path, "test-log v1", 1, owned, |p| all.push(p)).unwrap();
         assert_eq!(all, vec!["good".to_string()], "rejected suffix truncated");
         std::fs::remove_file(&path).ok();
     }
@@ -671,7 +753,7 @@ mod tests {
     fn corrupt_checksum_drops_the_suffix() {
         let path = temp_path("corrupt");
         {
-            let mut log = LogFile::open(&path, "test-log v1", |_| true).unwrap();
+            let mut log = LogFile::open(&path, "test-log v1", 1, owned, drop::<String>).unwrap();
             for payload in ["ok", "will corrupt", "after corruption"] {
                 log.append(&sealed(payload)).unwrap();
             }
@@ -682,11 +764,8 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, text.replace("will corrupt", "Xill corrupt")).unwrap();
         let mut seen = Vec::new();
-        let on_record = |p: &str| {
-            seen.push(p.to_string());
-            true
-        };
-        drop(LogFile::open(&path, "test-log v1", on_record).unwrap());
+        let on_record = |p| seen.push(p);
+        drop(LogFile::open(&path, "test-log v1", 1, owned, on_record).unwrap());
         assert_eq!(seen, ["ok"]);
         let kept = format!("test-log v1\n{}", sealed("ok"));
         assert_eq!(std::fs::read_to_string(&path).unwrap(), kept);
@@ -697,14 +776,14 @@ mod tests {
     fn foreign_header_is_refused() {
         let path = temp_path("foreign");
         std::fs::write(&path, "not a log\n").unwrap();
-        assert!(LogFile::open(&path, "test-log v1", |_| true).is_err());
-        assert!(LogFile::open_read_only(&path, "test-log v1", |_| true).is_err());
+        assert!(LogFile::open(&path, "test-log v1", 1, owned, drop::<String>).is_err());
+        assert!(LogFile::open_read_only(&path, "test-log v1", 1, owned, drop::<String>).is_err());
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn read_only_missing_file_errors() {
         let path = temp_path("missing");
-        assert!(LogFile::open_read_only(&path, "test-log v1", |_| true).is_err());
+        assert!(LogFile::open_read_only(&path, "test-log v1", 1, owned, drop::<String>).is_err());
     }
 }

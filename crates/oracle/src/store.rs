@@ -54,8 +54,8 @@ use crowdprompt_embed::{
 };
 
 use crate::recordlog::{
-    decode_response_fields, escape_into, push_response_fields, seal_line, unescape, LogFile,
-    RESPONSE_FIELDS,
+    decode_response_fields, escape_into, push_response_fields, replay_shares, seal_line, unescape,
+    LogFile, RESPONSE_FIELDS,
 };
 use crate::types::{CompletionRequest, CompletionResponse};
 
@@ -250,27 +250,35 @@ struct StoreInner {
     semantic: Option<SemanticTier>,
 }
 
+/// One replayed `R` record: its fingerprint, its response, and — when the
+/// semantic tier will index it — its decoded prompt.
+type Replayed = (u64, CompletionResponse, Option<String>);
+
+/// Decode one replayed record payload, or `None` to reject it (truncating
+/// the log there on a writer open). Pure, so the log's shares run it at
+/// once. Every prompt's escapes are checked; the decoded prompt is kept
+/// only when `keep_prompt` (the semantic tier re-embeds it).
+fn parse_record(payload: &str, keep_prompt: bool) -> Option<Replayed> {
+    let fields: Vec<&str> = payload.split('\t').collect();
+    if fields.len() != 3 + RESPONSE_FIELDS || fields[0] != "R" {
+        return None;
+    }
+    let prompt = unescape(fields[2])?;
+    let (fingerprint, response) = decode_response_fields(&fields[3..])?;
+    Some((
+        fingerprint,
+        response,
+        keep_prompt.then(|| prompt.into_owned()),
+    ))
+}
+
 impl StoreInner {
-    /// Apply one replayed record payload; `false` rejects (truncating the
-    /// log there on a writer open). Every prompt's escapes are checked;
-    /// only the semantic tier reads the decoded prompt, and one without an
-    /// escape is borrowed from the payload, not copied.
-    fn apply_record(&mut self, payload: &str) -> bool {
-        let fields: Vec<&str> = payload.split('\t').collect();
-        if fields.len() != 3 + RESPONSE_FIELDS || fields[0] != "R" {
-            return false;
-        }
-        let Some(prompt) = unescape(fields[2]) else {
-            return false;
-        };
-        let Some((fingerprint, response)) = decode_response_fields(&fields[3..]) else {
-            return false;
-        };
-        if let Some(tier) = &mut self.semantic {
+    /// Apply one replayed record, in file order.
+    fn apply_record(&mut self, (fingerprint, response, prompt): Replayed) {
+        if let (Some(tier), Some(prompt)) = (&mut self.semantic, prompt) {
             tier.insert(fingerprint, &prompt);
         }
         self.entries.insert(fingerprint, Arc::new(response));
-        true
     }
 }
 
@@ -311,7 +319,7 @@ impl ResponseStore {
     /// from the valid prefix. Fails if another writer holds the sidecar
     /// lock, or if the file carries a foreign header.
     pub fn open(path: impl AsRef<Path>, config: StoreConfig) -> std::io::Result<ResponseStore> {
-        Self::open_with(path.as_ref(), config, true)
+        Self::open_with(path.as_ref(), config, true, replay_shares())
     }
 
     /// Open the store at `path` as a reader: no writer lock, no truncation
@@ -322,13 +330,19 @@ impl ResponseStore {
         path: impl AsRef<Path>,
         config: StoreConfig,
     ) -> std::io::Result<ResponseStore> {
-        Self::open_with(path.as_ref(), config, false)
+        Self::open_with(path.as_ref(), config, false, replay_shares())
     }
 
     /// The one constructor: a writer takes the sidecar lock and the append
     /// handle (truncating a torn tail); a reader takes neither. The config
     /// is checked first, so a bad one touches neither the lock nor the file.
-    fn open_with(path: &Path, config: StoreConfig, writer: bool) -> std::io::Result<ResponseStore> {
+    /// The log is replayed in up to `shares` pieces at once.
+    fn open_with(
+        path: &Path,
+        config: StoreConfig,
+        writer: bool,
+        shares: usize,
+    ) -> std::io::Result<ResponseStore> {
         config.validate()?;
         let writer_lock = writer.then(|| WriterLock::acquire(path)).transpose()?;
         let mut inner = StoreInner {
@@ -336,11 +350,13 @@ impl ResponseStore {
             entries: HashMap::new(),
             semantic: config.semantic.as_ref().map(SemanticTier::new),
         };
-        let on_record = |payload: &str| inner.apply_record(payload);
+        let keep_prompt = inner.semantic.is_some();
+        let decode = |payload: &str| parse_record(payload, keep_prompt);
+        let apply = |record| inner.apply_record(record);
         inner.log = if writer {
-            Some(LogFile::open(path, HEADER, on_record)?)
+            Some(LogFile::open(path, HEADER, shares, decode, apply)?)
         } else {
-            LogFile::open_read_only(path, HEADER, on_record)?;
+            LogFile::open_read_only(path, HEADER, shares, decode, apply)?;
             None
         };
         if let Some(tier) = &mut inner.semantic {
@@ -775,6 +791,125 @@ mod tests {
         let truncated = before - (bad.len() + good.len()) as u64;
         assert_eq!(std::fs::metadata(&path).unwrap().len(), truncated);
         cleanup(&path);
+    }
+
+    /// What an open rebuilt: every entry by fingerprint, and the semantic
+    /// tier's rows (fingerprints in insertion order, vector bits).
+    fn rebuilt(store: &ResponseStore) -> (Vec<(u64, CompletionResponse)>, Vec<u64>, Vec<u32>) {
+        let inner = store.inner.lock();
+        let mut entries: Vec<_> = inner
+            .entries
+            .iter()
+            .map(|(fp, response)| (*fp, (**response).clone()))
+            .collect();
+        entries.sort_by_key(|(fp, _)| *fp);
+        let (rows, bits) = inner
+            .semantic
+            .as_ref()
+            .map_or_else(Default::default, |tier| {
+                let bits = tier
+                    .sealed
+                    .store()
+                    .as_flat()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                (tier.fingerprints.clone(), bits)
+            });
+        (entries, rows, bits)
+    }
+
+    #[test]
+    fn a_replay_in_shares_rebuilds_and_truncates_as_the_one_share_walk() {
+        // 1 200 records of ≈ 450 bytes: ≈ 540 KB, room for four shares.
+        let records: Vec<String> = (0..1_200u64)
+            .map(|i| {
+                let prompt = format!("record {i}: {}", "lorem ipsum dolor ".repeat(16));
+                record_line(i * 7 + 1, &prompt, &response(&format!("answer {i}"), 2))
+            })
+            .collect();
+        let body = records.concat();
+        assert!(body.len() > 4 * crate::recordlog::MIN_SHARE_BYTES);
+        let offsets: Vec<usize> = records
+            .iter()
+            .scan(0, |at, line| Some(std::mem::replace(at, *at + line.len())))
+            .collect();
+        // The index of the record each piece starts with.
+        let first_records = |shares: usize| -> Vec<usize> {
+            crate::recordlog::cut_at_lines(&body, shares)
+                .iter()
+                .scan(0, |at, piece| {
+                    Some(std::mem::replace(at, *at + piece.len()))
+                })
+                .map(|start| offsets.binary_search(&start).unwrap())
+                .collect()
+        };
+        let semantic = StoreConfig {
+            semantic: Some(SemanticConfig::new(0.4)),
+        };
+        for shares in [2, 4] {
+            let starts = first_records(shares);
+            assert_eq!(starts.len(), shares);
+            assert!(starts.windows(2).all(|w| w[0] < w[1]), "{starts:?}");
+            // A checksum flip in the first share, a checksum-valid record
+            // whose prompt escape does not decode exactly where the second
+            // share starts (at four shares, two more follow it), and a torn
+            // final line in the last share.
+            let (first, boundary, last) = (starts[1] / 2, starts[1], records.len() - 1);
+            for damaged in [
+                vec![],
+                vec![first],
+                vec![boundary],
+                vec![last],
+                vec![first, boundary, last],
+            ] {
+                let mut lines = records.clone();
+                for &i in &damaged {
+                    let line = &mut lines[i];
+                    if i == last {
+                        line.truncate(line.len() - 9);
+                    } else if i == boundary {
+                        let mut bad = line
+                            .rsplit_once('\t')
+                            .unwrap()
+                            .0
+                            .replacen("record", "rec\\xrd", 1);
+                        seal_line(&mut bad);
+                        *line = bad;
+                    } else {
+                        *line = line.replacen("lorem", "Lorem", 1);
+                    }
+                }
+                let file = format!("{HEADER}\n{}", lines.concat());
+                for config in [StoreConfig::default(), semantic.clone()] {
+                    let path = temp_path("shares");
+                    let open = |writer: bool, shares: usize| {
+                        std::fs::write(&path, &file).unwrap();
+                        let store = ResponseStore::open_with(&path, config.clone(), writer, shares)
+                            .unwrap();
+                        let state = rebuilt(&store);
+                        drop(store);
+                        (state, std::fs::read(&path).unwrap())
+                    };
+                    let (walked, walked_file) = open(true, 1);
+                    let (shared, shared_file) = open(true, shares);
+                    let case = format!("{shares} shares, damaged {damaged:?}, {config:?}");
+                    assert!(walked == shared, "writer state differs: {case}");
+                    assert!(
+                        walked_file == shared_file,
+                        "writer truncation differs: {case}"
+                    );
+                    let stop = damaged.iter().min().copied().unwrap_or(records.len());
+                    assert_eq!(walked.0.len(), stop, "{case}");
+                    let kept = HEADER.len() + 1 + records[..stop].concat().len();
+                    assert_eq!(walked_file.len(), kept, "{case}");
+                    let (read, read_file) = open(false, shares);
+                    assert!(read == walked, "reader state differs: {case}");
+                    assert!(read_file == file.as_bytes(), "a reader wrote: {case}");
+                    cleanup(&path);
+                }
+            }
+        }
     }
 
     #[test]

@@ -24,7 +24,15 @@ pub fn count_tokens(text: &str) -> u32 {
         // UTF-8 decoding and no Unicode table lookups. Same classes as the
         // `char` predicates below — note `char::is_whitespace` takes VT
         // (0x0b), which `u8::is_ascii_whitespace` leaves out.
-        for &b in text.as_bytes() {
+        let bytes = text.as_bytes();
+        #[cfg(target_arch = "x86_64")]
+        let bytes = {
+            // SAFETY: SSE2 is part of the x86_64 baseline.
+            let (blocks, w, p, carry) = unsafe { ascii_blocks(bytes) };
+            (words, punct, in_word) = (w, p, carry);
+            &bytes[blocks * 16..]
+        };
+        for &b in bytes {
             if b.is_ascii_alphanumeric() {
                 words += u32::from(!in_word);
                 in_word = true;
@@ -59,6 +67,46 @@ pub fn count_tokens(text: &str) -> u32 {
     blended.max(char_floor).max(1)
 }
 
+/// The ASCII loop of [`count_tokens`] over every whole 16-byte block of
+/// `bytes`, one block a step with SSE2 (the x86_64 baseline, so nothing is
+/// detected at run time): returns how many blocks it took, the word starts
+/// and punctuation bytes among them, and whether the last block ended inside
+/// a word. `bytes` must be ASCII, so signed byte compares order it right.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+fn ascii_blocks(bytes: &[u8]) -> (usize, u32, u32, bool) {
+    use std::arch::x86_64::*;
+    // Lanes whose byte lies in `lo..=hi`.
+    let within = |v: __m128i, lo: u8, hi: u8| {
+        _mm_and_si128(
+            _mm_cmpgt_epi8(v, _mm_set1_epi8(lo as i8 - 1)),
+            _mm_cmplt_epi8(v, _mm_set1_epi8(hi as i8 + 1)),
+        )
+    };
+    let (mut words, mut punct, mut carry) = (0u32, 0u32, 0u32);
+    let blocks = bytes.chunks_exact(16);
+    let taken = blocks.len();
+    for block in blocks {
+        // SAFETY: `block` holds 16 readable bytes; the load is unaligned.
+        let v = unsafe { _mm_loadu_si128(block.as_ptr().cast()) };
+        let digit = within(v, b'0', b'9');
+        // `| 0x20` folds `A..=Z` onto `a..=z` and moves no other ASCII byte
+        // into that range.
+        let letter = within(_mm_or_si128(v, _mm_set1_epi8(0x20)), b'a', b'z');
+        let blank = _mm_or_si128(
+            within(v, b'\t', b'\r'),
+            _mm_cmpeq_epi8(v, _mm_set1_epi8(b' ' as i8)),
+        );
+        // Bit `i` of a mask is byte `i` of the block.
+        let alnum = _mm_movemask_epi8(_mm_or_si128(digit, letter)) as u32;
+        let blank = _mm_movemask_epi8(blank) as u32;
+        words += (alnum & !((alnum << 1) | carry)).count_ones();
+        punct += (!(alnum | blank) & 0xffff).count_ones();
+        carry = alnum >> 15;
+    }
+    (taken, words, punct, carry != 0)
+}
+
 /// Truncate `text` to approximately `max_tokens`, respecting char boundaries.
 ///
 /// Used by the simulator to emulate `max_tokens` cut-offs (finish reason
@@ -88,6 +136,7 @@ pub fn truncate_to_tokens(text: &str, max_tokens: u32) -> (&str, bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn empty_is_zero() {
@@ -121,6 +170,64 @@ mod tests {
         let ab = format!("{a}{b}");
         assert!(count_tokens(&ab) >= count_tokens(a));
         assert!(count_tokens(&ab) >= count_tokens(b));
+    }
+
+    /// The `char` loop, kept as the reference the ASCII paths (bytes and
+    /// SSE2 blocks) must agree with count for count.
+    fn count_by_chars(text: &str) -> u32 {
+        if text.is_empty() {
+            return 0;
+        }
+        let (mut words, mut punct, mut chars, mut in_word) = (0u32, 0u32, 0u32, false);
+        for c in text.chars() {
+            chars += 1;
+            if c.is_alphanumeric() {
+                words += u32::from(!in_word);
+                in_word = true;
+            } else {
+                in_word = false;
+                punct += u32::from(!c.is_whitespace());
+            }
+        }
+        (words + punct).max(chars.div_ceil(4)).max(1)
+    }
+
+    #[test]
+    fn every_ascii_byte_pair_counts_as_the_char_loop_does() {
+        // The pair inside a block, across a block boundary (the word carry),
+        // and from the last block into the scalar tail, between fillers of
+        // each class.
+        for filler in [b'a', b' ', b'.', b'\x0b'] {
+            for at in [3, 15, 31] {
+                for a in 0..128u8 {
+                    for b in 0..128u8 {
+                        let mut bytes = vec![filler; 40];
+                        bytes[at] = a;
+                        bytes[at + 1] = b;
+                        let text = std::str::from_utf8(&bytes).unwrap();
+                        assert_eq!(count_tokens(text), count_by_chars(text), "{bytes:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn random_ascii_counts_as_the_char_loop_does(
+            bytes in prop::collection::vec(0u8..128, 0..=300),
+            pick in prop::collection::vec(0usize..8, 0..=300),
+        ) {
+            // Uniform bytes, and text drawn from a few classes so words and
+            // blank runs of every length cross block boundaries.
+            let texts = [
+                String::from_utf8(bytes).unwrap(),
+                pick.iter().map(|&p| ["a", "Z", "7", " ", "\t", ".", "\x0b", "ab "][p]).collect(),
+            ];
+            for text in texts {
+                prop_assert_eq!(count_tokens(&text), count_by_chars(&text), "{:?}", text);
+            }
+        }
     }
 
     #[test]
