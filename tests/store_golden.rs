@@ -256,3 +256,57 @@ fn store_and_journal_bytes_and_reopens_are_pinned() {
     cleanup(&store_path);
     cleanup(&journal_path);
 }
+
+/// A store file (semantic tier on, so every record carries its escaped
+/// prompt) and a journal file written by this test's sequence at the commit
+/// before the store stopped keeping prompts, checked in byte for byte.
+const STORE_FIXTURE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/store-with-prompts.log"
+);
+const JOURNAL_FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/journal.log");
+/// `(length, FNV-1a)` of each fixture, and `(entries, FNV-1a of every
+/// key's lookup)` that both a writer and a reader open of it serve.
+const STORE_FIXTURE_BYTES: (usize, u64) = (1710, 0xa01aa0efd9a29274);
+const STORE_FIXTURE_SERVES: (usize, u64) = (6, 0x297035ab3dd1b08b);
+const JOURNAL_FIXTURE_BYTES: (usize, u64) = (867, 0xc1d752d53e17ddcb);
+const JOURNAL_FIXTURE_SERVES: (usize, u64) = (5, 0xb4961d64a20b8bbf);
+
+#[test]
+fn checked_in_logs_open_as_writer_and_reader_to_the_same_entries() {
+    for (fixture, bytes, served, tag) in [
+        (
+            STORE_FIXTURE,
+            STORE_FIXTURE_BYTES,
+            STORE_FIXTURE_SERVES,
+            "fixture-store",
+        ),
+        (
+            JOURNAL_FIXTURE,
+            JOURNAL_FIXTURE_BYTES,
+            JOURNAL_FIXTURE_SERVES,
+            "fixture-journal",
+        ),
+    ] {
+        let fixture = Path::new(fixture);
+        assert_eq!(file_digest(fixture), bytes, "{}", fixture.display());
+        let reader = ResponseStore::open_read_only(fixture, StoreConfig::default()).unwrap();
+        assert_eq!(serves(&reader), served, "reader of {}", fixture.display());
+        drop(reader);
+
+        // A writer takes a lock beside its file: open a copy.
+        let copy = temp_path(tag);
+        cleanup(&copy);
+        std::fs::copy(fixture, &copy).unwrap();
+        let writer = ResponseStore::open(&copy, StoreConfig::default()).unwrap();
+        assert_eq!(serves(&writer), served, "writer of {}", fixture.display());
+        drop(writer);
+        assert_eq!(
+            file_digest(&copy),
+            bytes,
+            "an open rewrote {}",
+            fixture.display()
+        );
+        cleanup(&copy);
+    }
+}
