@@ -226,12 +226,8 @@ pub(crate) fn plan(
     // sampled store hits at $0 — EXPLAIN records the store so the
     // discounted numbers are attributable.
     if let Some(store) = engine.client().store() {
-        let semantic = match store.semantic_threshold() {
-            Some(t) => format!(", semantic tier at distance <= {t}"),
-            None => String::new(),
-        };
         notes.push(format!(
-            "persistent response store '{}' ({} entries{semantic}); \
+            "persistent response store '{}' ({} entries); \
              estimates price sampled store hits at $0",
             store.path().display(),
             store.len(),

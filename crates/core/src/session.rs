@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use crowdprompt_oracle::backend::{Backend, BackendRegistry};
 use crowdprompt_oracle::route::{HedgeConfig, RoutePolicy};
-use crowdprompt_oracle::store::{ResponseStore, SemanticConfig, StoreConfig};
+use crowdprompt_oracle::store::{ResponseStore, StoreConfig};
 use crowdprompt_oracle::world::ItemId;
 use crowdprompt_oracle::LlmClient;
 
@@ -175,24 +175,20 @@ impl ResilienceConfig {
     }
 }
 
-/// Cache configuration: the persistent response store and its optional
-/// approximate semantic tier.
+/// Cache configuration: the persistent response store.
 ///
-/// Pass to [`SessionBuilder::cache`]. The semantic tier requires a store
-/// path; `try_build` reports violations under the `cache:` prefix.
+/// Pass to [`SessionBuilder::cache`]; `try_build` reports a store that
+/// cannot be opened under the `cache:` prefix.
 ///
 /// ```
 /// use crowdprompt_core::session::CacheConfig;
 ///
-/// let cache = CacheConfig::new()
-///     .store_path("/tmp/responses.log")
-///     .semantic_cache(0.15);
+/// let cache = CacheConfig::new().store_path("/tmp/responses.log");
 /// # let _ = cache;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CacheConfig {
     store_path: Option<std::path::PathBuf>,
-    semantic_threshold: Option<f32>,
 }
 
 impl CacheConfig {
@@ -218,19 +214,6 @@ impl CacheConfig {
     #[must_use]
     pub fn store_path(mut self, path: impl Into<std::path::PathBuf>) -> Self {
         self.store_path = Some(path.into());
-        self
-    }
-
-    /// Opt in to the store's approximate semantic tier (requires
-    /// [`CacheConfig::store_path`]): temperature-0 prompts within
-    /// `threshold` embedding distance (L2 over unit vectors, `0.0..=2.0`)
-    /// of a stored prompt are answered from that neighbor's response
-    /// without a backend call. Approximate by construction — the accuracy
-    /// cost is visible through the outcome meter and
-    /// [`crowdprompt_oracle::ClientStats::semantic_hits`].
-    #[must_use]
-    pub fn semantic_cache(mut self, threshold: f32) -> Self {
-        self.semantic_threshold = Some(threshold);
         self
     }
 }
@@ -281,7 +264,7 @@ impl SessionBuilder {
         self
     }
 
-    /// Set the cache group: persistent response store and semantic tier.
+    /// Set the cache group: the persistent response store.
     /// Replaces any previously set cache group.
     #[must_use]
     pub fn cache(mut self, config: CacheConfig) -> Self {
@@ -391,29 +374,18 @@ impl SessionBuilder {
                 ))
             }
         };
-        match (&self.cache.store_path, self.cache.semantic_threshold) {
-            (None, Some(_)) => {
+        if let Some(path) = &self.cache.store_path {
+            let store = ResponseStore::open(path, StoreConfig::default()).map_err(|e| {
+                EngineError::InvalidInput(format!(
+                    "cache: cannot open response store at {}: {e}",
+                    path.display()
+                ))
+            })?;
+            if !client.attach_store(Arc::new(store)) {
                 return Err(EngineError::InvalidInput(
-                    "cache: semantic_cache requires store_path(...)".into(),
+                    "cache: client already has a response store attached".into(),
                 ));
             }
-            (Some(path), threshold) => {
-                let config = StoreConfig {
-                    semantic: threshold.map(SemanticConfig::new),
-                };
-                let store = ResponseStore::open(path, config).map_err(|e| {
-                    EngineError::InvalidInput(format!(
-                        "cache: cannot open response store at {}: {e}",
-                        path.display()
-                    ))
-                })?;
-                if !client.attach_store(Arc::new(store)) {
-                    return Err(EngineError::InvalidInput(
-                        "cache: client already has a response store attached".into(),
-                    ));
-                }
-            }
-            (None, None) => {}
         }
         if let Some(path) = self.resilience.journal_path {
             let journal = ResponseStore::open(&path, StoreConfig::default()).map_err(|e| {
@@ -731,36 +703,24 @@ mod tests {
     }
 
     #[test]
-    fn semantic_cache_without_store_path_is_rejected() {
-        let w = WorldModel::new();
-        let llm = Arc::new(SimulatedLlm::new(ModelProfile::perfect(), Arc::new(w), 1));
-        match Session::builder()
-            .client(Arc::new(LlmClient::new(llm)))
-            .cache(CacheConfig::new().semantic_cache(0.5))
-            .try_build()
-        {
-            Err(EngineError::InvalidInput(msg)) => assert!(msg.contains("store_path")),
-            Ok(_) => panic!("semantic_cache without store_path must not build"),
-            Err(other) => panic!("unexpected error {other:?}"),
-        }
-    }
-
-    #[test]
     fn config_group_errors_name_the_group() {
         let mk_client = || {
             let w = WorldModel::new();
             let llm = Arc::new(SimulatedLlm::new(ModelProfile::perfect(), Arc::new(w), 1));
             Arc::new(LlmClient::new(llm))
         };
+        let unopenable = std::env::temp_dir()
+            .join(format!("crowdprompt-no-such-dir-{}", std::process::id()))
+            .join("store.log");
         match Session::builder()
             .client(mk_client())
-            .cache(CacheConfig::new().semantic_cache(0.5))
+            .cache(CacheConfig::new().store_path(&unopenable))
             .try_build()
         {
             Err(EngineError::InvalidInput(msg)) => {
                 assert!(msg.starts_with("cache:"), "group not named in: {msg}");
             }
-            Ok(_) => panic!("semantic tier without a store must not build"),
+            Ok(_) => panic!("a store in a missing directory must not build"),
             Err(other) => panic!("expected cache group error, got {other:?}"),
         }
         match Session::builder()

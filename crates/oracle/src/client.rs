@@ -10,9 +10,8 @@
 //!
 //! Everything that can answer a request without the backend hangs off this
 //! client, in one order (drawn in ARCHITECTURE.md, "Persistent cache"):
-//! shards → store exact tier → flight claim → store semantic tier →
-//! journal → backend. The first four are free and come back
-//! `cached: true`. The store ([`LlmClient::attach_store`]) and the journal
+//! shards → store → flight claim → journal → backend. The first three are
+//! free and come back `cached: true`. The store ([`LlmClient::attach_store`]) and the journal
 //! ([`LlmClient::attach_journal`]) are both [`ResponseStore`]s; the slot
 //! decides the charge. A journal hit *replays* the paid call a previous
 //! process made: it charges the ledger what that call charged and comes
@@ -91,7 +90,6 @@ pub struct ClientStats {
     retries: AtomicU64,
     failures: AtomicU64,
     store_hits: AtomicU64,
-    semantic_hits: AtomicU64,
 }
 
 impl ClientStats {
@@ -118,17 +116,11 @@ impl ClientStats {
     pub fn failures(&self) -> u64 {
         self.failures.load(Ordering::Relaxed)
     }
-    /// Requests served from the persistent store's exact tier (a
+    /// Requests served from the persistent store (a
     /// [`crate::store::ResponseStore`] attached via
     /// [`LlmClient::attach_store`]). Like cache hits, these charge nothing.
     pub fn store_hits(&self) -> u64 {
         self.store_hits.load(Ordering::Relaxed)
-    }
-    /// Requests answered by the store's opt-in semantic tier from a
-    /// near-duplicate prompt's stored response. Free like cache hits, but
-    /// approximate — the accuracy cost is the caller's to meter.
-    pub fn semantic_hits(&self) -> u64 {
-        self.semantic_hits.load(Ordering::Relaxed)
     }
 }
 
@@ -306,10 +298,10 @@ fn served_free(body: &CompletionResponse) -> CompletionResponse {
 /// What [`LlmClient::probe`] found for a request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Probe {
-    /// A free exact tier holds the answer; it comes back marked
+    /// The shards or the store hold the answer; it comes back marked
     /// [`CompletionResponse::cached`] and is already counted.
     Hit(CompletionResponse),
-    /// No exact tier holds it. The fingerprint the request missed under —
+    /// Neither holds it. The fingerprint the request missed under —
     /// hand it to [`LlmClient::complete_keyed`] — or `None` for a request
     /// the cache does not apply to, which was not hashed.
     Miss(Option<u64>),
@@ -395,12 +387,11 @@ impl LlmClient {
     ///
     /// Attach-once: returns `false` (and changes nothing) if a store is
     /// already attached. Once attached, cacheable (temperature-0) misses
-    /// probe the store's exact tier — and, when the store has a semantic
-    /// tier, near-duplicate prompts — before dispatching to the backend;
-    /// hits seed the shard cache, are marked [`CompletionResponse::cached`],
-    /// charge nothing to the ledger (exactly like in-memory cache hits, so
-    /// meter == ledger == budget accounting is unchanged), and are counted
-    /// in [`ClientStats::store_hits`] / [`ClientStats::semantic_hits`].
+    /// look their fingerprint up in the store before dispatching to the
+    /// backend; hits seed the shard cache, are marked
+    /// [`CompletionResponse::cached`], charge nothing to the ledger (exactly
+    /// like in-memory cache hits, so meter == ledger == budget accounting is
+    /// unchanged), and are counted in [`ClientStats::store_hits`].
     /// Freshly paid temperature-0 backend responses are admitted to the
     /// store.
     pub fn attach_store(&self, store: Arc<ResponseStore>) -> bool {
@@ -461,8 +452,8 @@ impl LlmClient {
     }
 
     /// The one place a request in flight is hashed: look it up in the free
-    /// exact tiers — the in-memory shards, then the attached store's exact
-    /// tier — and come back with the hit or with the key it missed under.
+    /// tiers — the in-memory shards, then the attached store — and come
+    /// back with the hit or with the key it missed under.
     ///
     /// A [`Probe::Hit`] is a real hit, counted in
     /// [`ClientStats::cache_hits`] (or [`ClientStats::store_hits`]) and
@@ -472,9 +463,7 @@ impl LlmClient {
     /// it carries `None` for a request the cache does not apply to
     /// (temperature above zero, or caching disabled), which is not hashed.
     /// Dispatchers probe first to skip concurrency gates for requests that
-    /// need no backend call. The semantic tier is *not* probed here
-    /// (embedding a prompt is too heavy for a probe); the miss path
-    /// consults it.
+    /// need no backend call.
     #[inline]
     pub fn probe(&self, request: &CompletionRequest) -> Probe {
         if !(self.cache_enabled && request.temperature == 0.0) {
@@ -492,7 +481,7 @@ impl LlmClient {
     /// that held it a while (queued behind other work) and wants to know
     /// whether someone else's call has answered it since. Whoever did also
     /// filled the shard — a paid response is published there, and so is a
-    /// store or semantic hit — which is why the store is not asked again.
+    /// store hit — which is why the store is not asked again.
     /// A hit counts and is marked exactly as [`LlmClient::probe`]'s.
     #[inline]
     pub fn probe_key(&self, key: u64) -> Option<CompletionResponse> {
@@ -500,7 +489,7 @@ impl LlmClient {
     }
 
     /// The store half of [`LlmClient::probe`], outlined so the shard hit
-    /// stays a handful of instructions: on an exact-tier hit the shared body
+    /// stays a handful of instructions: on a store hit the shared body
     /// is seeded into the owning shard (so repeats stay in memory) and a
     /// copy marked [`CompletionResponse::cached`] is returned.
     #[cold]
@@ -516,20 +505,6 @@ impl LlmClient {
             .insert(key, Arc::clone(&arc));
         self.stats.store_hits.fetch_add(1, Ordering::Relaxed);
         Probe::Hit(served_free(&arc))
-    }
-
-    /// Semantic-tier store probe: the stored body of the nearest
-    /// near-duplicate prompt within the configured distance threshold, for
-    /// a temperature-0 miss. The leader publishes it to the shard under
-    /// *this* request's key, so repeats of the same near-duplicate are
-    /// in-memory hits; the store's exact tier is never polluted with
-    /// approximate answers.
-    fn probe_store_semantic(&self, request: &CompletionRequest) -> Option<Arc<CompletionResponse>> {
-        let store = self.store.get()?;
-        store.semantic_threshold()?;
-        let (_, _, body) = store.lookup_semantic(&request.prompt)?;
-        self.stats.semantic_hits.fetch_add(1, Ordering::Relaxed);
-        Some(body)
     }
 
     /// Seed the temperature-0 response cache with an externally produced
@@ -568,7 +543,7 @@ impl LlmClient {
 
     /// Complete a request [`LlmClient::probe`] missed, under the `key` that
     /// probe returned (`None`: the cache does not apply, go straight to the
-    /// paid path). Nothing is hashed again and the exact tiers the probe
+    /// paid path). Nothing is hashed again and the tiers the probe
     /// already asked are not asked again; a key someone else filled in the
     /// meantime is still served free, by the flight claim's second look at
     /// the shard. On a cache-hot client this function is never entered.
@@ -620,15 +595,6 @@ impl LlmClient {
                     flight: &flight,
                     armed: true,
                 };
-                // Leader-side semantic probe: embedding the prompt is too
-                // heavy to do per-thread, so only the leader pays it, and a
-                // hit is published to joiners like any other result.
-                if let Some(body) = self.probe_store_semantic(request) {
-                    guard.armed = false;
-                    let hit = served_free(&body);
-                    self.cache.publish(key, &flight, Ok(body));
-                    return Ok(hit);
-                }
                 let result = self.call_backend(request, Some(key));
                 guard.armed = false;
                 match result {
@@ -686,8 +652,7 @@ impl LlmClient {
                 self.ledger.record(resp.usage, resp.pricing);
                 let journaled = journal.map(|(journal, key)| {
                     let body = Arc::new(resp.clone());
-                    // Nothing reads a journal's prompts.
-                    journal.record(key, "", &body);
+                    journal.record(key, &body);
                     body
                 });
                 Ok((resp, journaled))
@@ -1238,12 +1203,9 @@ mod tests {
     }
 
     #[test]
-    fn semantic_tier_answers_near_duplicate_prompts() {
-        use crate::store::{ResponseStore, SemanticConfig, StoreConfig};
-        let path = store_temp_path("semantic");
-        let config = StoreConfig {
-            semantic: Some(SemanticConfig::new(0.4)),
-        };
+    fn a_near_duplicate_prompt_is_a_paid_miss() {
+        use crate::store::{ResponseStore, StoreConfig};
+        let path = store_temp_path("near");
         let (world, ids) = world_and_ids(1);
         let base = check_req(ids[0]);
         {
@@ -1253,14 +1215,16 @@ mod tests {
                 1,
             ));
             let client = LlmClient::new(llm).with_store(Arc::new(
-                ResponseStore::open(&path, config.clone()).unwrap(),
+                ResponseStore::open(&path, StoreConfig::default()).unwrap(),
             ));
             client.complete(&base).unwrap();
         }
         let llm = Arc::new(SimulatedLlm::new(ModelProfile::perfect(), world, 1));
-        let client =
-            LlmClient::new(llm).with_store(Arc::new(ResponseStore::open(&path, config).unwrap()));
-        // A near-duplicate prompt: different fingerprint, close embedding.
+        let client = LlmClient::new(llm).with_store(Arc::new(
+            ResponseStore::open(&path, StoreConfig::default()).unwrap(),
+        ));
+        // One character off the stored prompt: another fingerprint, and the
+        // store answers by fingerprint only.
         let near = CompletionRequest::new(
             format!("Does item {} satisfy p??", ids[0].0),
             TaskDescriptor::CheckPredicate {
@@ -1268,39 +1232,11 @@ mod tests {
                 predicate: "p".into(),
             },
         );
-        let expect = {
-            // What the exact tier stored for the base request.
-            client.store().unwrap().lookup(base.fingerprint()).unwrap()
-        };
-        let hit = client.complete(&near).unwrap();
-        assert!(hit.cached, "semantic hits serve as cache hits");
-        assert_eq!(hit.text, expect.text);
-        assert_eq!(client.stats().calls(), 0);
-        assert_eq!(client.stats().semantic_hits(), 1);
-        assert_eq!(client.ledger().calls(), 0);
-        // Repeat of the same near-duplicate is now an in-memory hit.
-        assert!(client.complete(&near).unwrap().cached);
-        assert_eq!(client.stats().semantic_hits(), 1);
-        store_cleanup(&path);
-    }
-
-    #[test]
-    fn semantic_misses_fall_through_to_backend_and_admit() {
-        use crate::store::{ResponseStore, SemanticConfig, StoreConfig};
-        let path = store_temp_path("fallthrough");
-        let config = StoreConfig {
-            semantic: Some(SemanticConfig::new(0.05)),
-        };
-        let (world, ids) = world_and_ids(2);
-        let llm = Arc::new(SimulatedLlm::new(ModelProfile::perfect(), world, 1));
-        let client =
-            LlmClient::new(llm).with_store(Arc::new(ResponseStore::open(&path, config).unwrap()));
-        client.complete(&check_req(ids[0])).unwrap();
-        // A clearly different prompt under a tight threshold: backend call.
-        client.complete(&check_req(ids[1])).unwrap();
-        assert_eq!(client.stats().calls(), 2);
-        assert_eq!(client.stats().semantic_hits(), 0);
-        assert_eq!(client.store().unwrap().len(), 2, "both admitted");
+        assert!(client.complete(&base).unwrap().cached);
+        assert!(!client.complete(&near).unwrap().cached);
+        assert_eq!(client.stats().store_hits(), 1);
+        assert_eq!(client.stats().calls(), 1);
+        assert_eq!(client.store().unwrap().len(), 2, "the miss is admitted");
         store_cleanup(&path);
     }
 

@@ -53,7 +53,7 @@ pub use route::{
     BreakerConfig, HedgeConfig, LeaseTable, RoutePolicy, Router, RouterStats, SlotLease,
 };
 pub use sim::SimulatedLlm;
-pub use store::{ResponseStore, SemanticConfig, StoreConfig};
+pub use store::{ResponseStore, StoreConfig};
 pub use task::{CountMode, SortCriterion, TaskDescriptor};
 pub use tokenizer::count_tokens;
 pub use types::{

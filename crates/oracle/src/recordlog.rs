@@ -7,7 +7,8 @@
 //! bit patterns, appends are single flushed `write_all` calls, and opening
 //! verifies the checksummed prefix and truncates a torn tail:
 //!
-//! * [`escape_into`] / [`unescape`] — single-line framing of arbitrary text,
+//! * [`escape_into`] / [`unescape`] — single-line framing of arbitrary text
+//!   ([`escapes_are_valid`] checks a field a reader skips),
 //! * [`seal_line`] / [`open_line`] — per-line FNV-1a checksum framing,
 //! * [`decode_f64_bits`] — exact float round-trips (floats are written as
 //!   their bit patterns in hex),
@@ -79,6 +80,21 @@ pub(crate) fn unescape(s: &str) -> Option<Cow<'_, str>> {
     }
     out.push_str(rest);
     Some(Cow::Owned(out))
+}
+
+/// Whether [`unescape`] would accept `s`, checked without decoding or
+/// allocating: every `\` starts one of the four escapes.
+pub(crate) fn escapes_are_valid(s: &str) -> bool {
+    let bytes = s.as_bytes();
+    let mut at = 0;
+    while let Some(offset) = bytes[at..].iter().position(|&b| b == b'\\') {
+        let escaped = at + offset + 1;
+        if !matches!(bytes.get(escaped), Some(b'\\' | b't' | b'n' | b'r')) {
+            return false;
+        }
+        at = escaped + 1;
+    }
+    true
 }
 
 /// Frame the payload held in `line` as one checksummed record line, in
@@ -407,6 +423,13 @@ impl LogFile {
         Ok(start + taken as u64)
     }
 
+    /// A log appending through `file`, with no header check or replay: how
+    /// a test hands a store a handle the disk refuses.
+    #[cfg(test)]
+    pub(crate) fn over(file: File) -> LogFile {
+        LogFile { file }
+    }
+
     /// Append one record line, already sealed ([`seal_line`]), as a single
     /// flushed write. A crash can tear at most this final record.
     pub(crate) fn append(&mut self, line: &str) -> std::io::Result<()> {
@@ -492,6 +515,9 @@ mod tests {
         }
         assert!(unescape("bad \\x escape").is_none());
         assert!(unescape("trailing \\").is_none());
+        for bad in ["bad \\x escape", "trailing \\", "\\\\\\"] {
+            assert!(!escapes_are_valid(bad), "{bad}");
+        }
     }
 
     /// The char-by-char codec the run-copying one replaced, kept as the
@@ -561,6 +587,8 @@ mod tests {
             prop_assert_eq!(unescape(&escaped).as_deref(), Some(s.as_str()));
             // As stored text `s` may hold `\x`, `\é` or a trailing backslash.
             prop_assert_eq!(unescape(&s).map(Cow::into_owned), unescape_by_chars(&s));
+            prop_assert_eq!(escapes_are_valid(&s), unescape(&s).is_some());
+            prop_assert!(escapes_are_valid(&escaped));
         }
 
         #[test]

@@ -1,9 +1,13 @@
-//! Golden for the two on-disk logs, recorded at the commit before the
-//! response store lost its generation TTLs, capacity, cost-aware eviction
-//! and compaction, and passing unedited on it: the exact bytes (length +
-//! FNV-1a) a fixed sequence of paid misses, a sampled call, a semantic hit
+//! Golden for the two on-disk logs: the exact bytes (length + FNV-1a) a
+//! fixed sequence of paid misses, a sampled call, a near-duplicate prompt
 //! and direct admits writes to a store file and to a journal file, and what
-//! a writer reopen and a reader reopen of each then serve.
+//! a writer reopen and a reader reopen of each then serve. First recorded
+//! before the store lost its generation TTLs, capacity, cost-aware eviction
+//! and compaction; the store's constants were re-recorded once, when its
+//! records stopped carrying prompts (the emptied prompt column moved the
+//! bytes, and the near-duplicate, once answered by the deleted semantic
+//! tier, became a paid miss). Two files written before that change are
+//! checked in under `tests/fixtures/` and pinned here too.
 //!
 //! The on-disk format is shared with every store and journal a user already
 //! has, so a failure here means a byte of a record or a reopened answer
@@ -13,7 +17,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crowdprompt::oracle::hash::fnv1a;
-use crowdprompt::oracle::store::{ResponseStore, SemanticConfig, StoreConfig};
+use crowdprompt::oracle::store::{ResponseStore, StoreConfig};
 use crowdprompt::oracle::{
     CompletionRequest, CompletionResponse, FinishReason, ItemId, LlmClient, ModelProfile, Pricing,
     SimulatedLlm, TaskDescriptor, Usage, WorldModel,
@@ -30,9 +34,8 @@ const STORE_WRITER_SERVES: (usize, u64) = (5, 0x40428d78b1cb11ea);
 const STORE_READER_SERVES: (usize, u64) = (6, 0x297035ab3dd1b08b);
 const JOURNAL_SERVES: (usize, u64) = (5, 0xb4961d64a20b8bbf);
 
-/// Item texts: distinct enough that no two check prompts are near
-/// duplicates under [`THRESHOLD`], with tabs, newlines and multi-byte text
-/// for the prompt escaping.
+/// Item texts, with tabs, newlines and multi-byte text for the escaping a
+/// prompt-bearing record needed.
 const TEXTS: [&str; 5] = [
     "name: Chez Panisse;\taddress: 1517 Shattuck Ave;\tphone: 510-548-5525",
     "chocolate fudge brownie (double)\nwith walnuts",
@@ -40,8 +43,6 @@ const TEXTS: [&str; 5] = [
     "M. Stonebraker, \"The Design of POSTGRES\", SIGMOD 1986 \\ reprint",
     "Hayes Street Grill, 320 Hayes St., seafood\r\n",
 ];
-
-const THRESHOLD: f32 = 0.3;
 
 fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -89,7 +90,7 @@ fn paid() -> Vec<CompletionRequest> {
     ]
 }
 
-/// One letter away from `paid()[3]`: a semantic hit, never an exact one.
+/// One letter away from `paid()[3]`: another fingerprint, so a paid miss.
 fn near_duplicate() -> CompletionRequest {
     check(3, "Is this a database system paper?")
 }
@@ -140,12 +141,6 @@ fn client(store: Option<Arc<ResponseStore>>, journal: Option<Arc<ResponseStore>>
     client
 }
 
-fn semantic() -> StoreConfig {
-    let mut config = StoreConfig::default();
-    config.semantic.replace(SemanticConfig::new(THRESHOLD));
-    config
-}
-
 fn file_digest(path: &Path) -> (usize, u64) {
     let bytes = std::fs::read(path).unwrap();
     (bytes.len(), fnv1a(&bytes))
@@ -171,7 +166,7 @@ fn store_and_journal_bytes_and_reopens_are_pinned() {
     // First session: four paid misses, a repeat, a sampled call, a
     // near-duplicate, then direct admits beside the client.
     {
-        let store = Arc::new(ResponseStore::open(&store_path, semantic()).unwrap());
+        let store = Arc::new(ResponseStore::open(&store_path, StoreConfig::default()).unwrap());
         let journal = Arc::new(ResponseStore::open(&journal_path, StoreConfig::default()).unwrap());
         let client = client(Some(Arc::clone(&store)), Some(Arc::clone(&journal)));
         for request in paid() {
@@ -182,10 +177,7 @@ fn store_and_journal_bytes_and_reopens_are_pinned() {
         let near = client.complete(&near_duplicate()).unwrap();
         assert!(near.cached, "a semantic hit");
         let stats = client.stats();
-        assert_eq!(
-            (stats.calls(), stats.cache_hits(), stats.semantic_hits()),
-            (5, 1, 1)
-        );
+        assert_eq!((stats.calls(), stats.cache_hits()), (5, 1));
 
         let (request, response) = external();
         assert!(store.admit(&request, &response));
@@ -202,9 +194,9 @@ fn store_and_journal_bytes_and_reopens_are_pinned() {
     assert_eq!(file_digest(&journal_path), JOURNAL_BYTES, "journal file");
 
     // A writer reopen serves what was written, answers the near-duplicate
-    // from the rebuilt semantic index, and appends in the same format.
+    // from the rebuilt index, and appends in the same format.
     {
-        let store = Arc::new(ResponseStore::open(&store_path, semantic()).unwrap());
+        let store = Arc::new(ResponseStore::open(&store_path, StoreConfig::default()).unwrap());
         assert_eq!(serves(&store), STORE_WRITER_SERVES, "store writer reopen");
         let client = client(Some(Arc::clone(&store)), None);
         assert!(client.complete(&near_duplicate()).unwrap().cached);
@@ -215,15 +207,12 @@ fn store_and_journal_bytes_and_reopens_are_pinned() {
                 .cached
         );
         let stats = client.stats();
-        assert_eq!(
-            (stats.calls(), stats.store_hits(), stats.semantic_hits()),
-            (1, 0, 1)
-        );
+        assert_eq!((stats.calls(), stats.store_hits()), (1, 0));
         assert_eq!(store.len(), 6);
     }
     assert_eq!(file_digest(&store_path), STORE_BYTES_REOPENED, "appended");
 
-    let reader = ResponseStore::open_read_only(&store_path, semantic()).unwrap();
+    let reader = ResponseStore::open_read_only(&store_path, StoreConfig::default()).unwrap();
     assert_eq!(serves(&reader), STORE_READER_SERVES, "store reader reopen");
     let (request, response) = external();
     assert!(
@@ -309,4 +298,47 @@ fn checked_in_logs_open_as_writer_and_reader_to_the_same_entries() {
         );
         cleanup(&copy);
     }
+}
+
+#[test]
+fn a_writer_appends_answer_only_records_after_prompt_bearing_ones() {
+    let copy = temp_path("fixture-mixed");
+    cleanup(&copy);
+    std::fs::copy(STORE_FIXTURE, &copy).unwrap();
+    let old = std::fs::read(STORE_FIXTURE).unwrap();
+
+    // The old sequence answered the near-duplicate from the semantic tier,
+    // so its fingerprint is not in the file: a paid miss, admitted.
+    let served = {
+        let store = Arc::new(ResponseStore::open(&copy, StoreConfig::default()).unwrap());
+        let client = client(Some(Arc::clone(&store)), None);
+        assert!(!client.complete(&near_duplicate()).unwrap().cached);
+        assert!(client.complete(&paid()[3]).unwrap().cached, "a store hit");
+        assert_eq!(client.stats().calls(), 1);
+        assert_eq!(store.append_failures(), (0, None));
+        serves(&store)
+    };
+    assert_eq!(served.0, STORE_FIXTURE_SERVES.0 + 1);
+
+    let mixed = std::fs::read(&copy).unwrap();
+    assert_eq!(
+        &mixed[..old.len()],
+        &old[..],
+        "the old records stay as they were"
+    );
+    let appended = std::str::from_utf8(&mixed[old.len()..]).unwrap();
+    assert_eq!(appended.matches('\n').count(), 1, "{appended}");
+    assert!(
+        appended.starts_with("R\t0000000000000000\t\t"),
+        "an empty prompt column: {appended}"
+    );
+
+    let writer = ResponseStore::open(&copy, StoreConfig::default()).unwrap();
+    assert_eq!(serves(&writer), served, "writer reopen of the mixed file");
+    drop(writer);
+    assert_eq!(std::fs::read(&copy).unwrap(), mixed, "a reopen rewrote it");
+    let reader = ResponseStore::open_read_only(&copy, StoreConfig::default()).unwrap();
+    assert_eq!(serves(&reader), served, "reader of the mixed file");
+    drop(reader);
+    cleanup(&copy);
 }

@@ -24,6 +24,7 @@
 //! | `pub-has-caller`| a `pub` item under `crates/{core,embed,oracle,metrics,data}/src` is named by some file outside its crate's `src/`, or by a doc-test|
 //! | `one-door`    | `crates/core/src/session.rs` names no `ops::` function; no file in `crates/core/src/ops` declares a top-level `pub fn`|
 //! | `one-plan-ir` | `crates/core/src` declares no enum with a `Filter` variant but `PhysicalNode`|
+//! | `answers-not-prompts`| `crates/oracle/src/store.rs` names no `.prompt`; `crates/oracle/Cargo.toml` names no `crowdprompt_embed`|
 //!
 //! Pure std, no crates.io: scanning is lexical but *mask-accurate* — a small
 //! lexer blanks out comments, strings, and char literals first, so a banned
@@ -169,6 +170,15 @@ const ONE_PLAN_IR_SCOPE: &str = "crates/core/src/";
 const ONE_PLAN_IR_NODE: &str = "PhysicalNode";
 const ONE_PLAN_IR_VARIANT: &str = "Filter";
 
+/// A stored record is an answer keyed by its request's fingerprint and
+/// nothing else. A `.prompt` read in [`ANSWERS_HOME`] is a prompt about to be
+/// written to disk or embedded again, and [`ANSWERS_MANIFEST`] naming
+/// [`ANSWERS_EMBEDDER`] is the dependency a prompt-similarity tier needs.
+const ANSWERS_HOME: &str = "crates/oracle/src/store.rs";
+const ANSWERS_FIELD: &str = "prompt";
+const ANSWERS_MANIFEST: &str = "crates/oracle/Cargo.toml";
+const ANSWERS_EMBEDDER: &str = "crowdprompt_embed";
+
 /// The library crates whose public items must each be named by a file
 /// outside the crate's own `src/` (another crate, a test, an example, a
 /// bench, `benchmark/`, the facade) or by a doc-test. A `pub` item nothing
@@ -270,6 +280,12 @@ fn run(root: &Path) -> Result<Vec<Finding>, String> {
     }
     findings.extend(lint_pub_callers(&sources));
     findings.extend(lint_baseline_files(&bench_jsons));
+    let manifest = root.join(ANSWERS_MANIFEST);
+    if manifest.is_file() {
+        let src =
+            std::fs::read_to_string(&manifest).map_err(|e| format!("{ANSWERS_MANIFEST}: {e}"))?;
+        findings.extend(lint_answers_manifest(&src));
+    }
     Ok(findings)
 }
 
@@ -915,6 +931,19 @@ fn lint_rust_source(rel: &str, src: &str) -> Vec<Finding> {
         }
     }
 
+    // Tests included: a test that reads a request's prompt in the store is
+    // testing a prompt the store keeps.
+    if rel == ANSWERS_HOME {
+        for offset in find_member(&masked, ANSWERS_FIELD) {
+            push(
+                "answers-not-prompts",
+                format!("the store reads a request's `.{ANSWERS_FIELD}`"),
+                "a record is an answer keyed by `fingerprint()`: key by the fingerprint and keep no part of the prompt",
+                offset,
+            );
+        }
+    }
+
     for offset in find_money_eq(&masked, &index) {
         if library_code(offset) {
             push(
@@ -1008,6 +1037,23 @@ fn find_method_call(masked: &[char], name: &str, require_empty_args: bool) -> Ve
             }
         }
         hits.push(pos);
+    }
+    hits
+}
+
+/// Offsets of `.name` member accesses, fields or methods; `.name_more`
+/// does not match `.name`.
+fn find_member(masked: &[char], name: &str) -> Vec<usize> {
+    let needle: Vec<char> = format!(".{name}").chars().collect();
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut hits = Vec::new();
+    let mut from = 0;
+    while let Some(pos) = find_chars_from(masked, &needle, from) {
+        from = pos + 1;
+        let after = pos + needle.len();
+        if after >= masked.len() || !is_ident(masked[after]) {
+            hits.push(pos);
+        }
     }
     hits
 }
@@ -1563,6 +1609,30 @@ fn declares_pub(line: &str) -> bool {
 }
 
 // ---------------------------------------------------------------------------
+// answers-not-prompts (the manifest half)
+// ---------------------------------------------------------------------------
+
+/// Every line of the oracle crate's manifest naming the embedder, outside
+/// a `#` comment.
+fn lint_answers_manifest(src: &str) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for (li, line) in src.lines().enumerate() {
+        let code = line.split('#').next().unwrap_or_default();
+        if let Some(pos) = code.find(ANSWERS_EMBEDDER) {
+            findings.push(Finding {
+                rule: "answers-not-prompts",
+                message: format!("the oracle crate depends on `{ANSWERS_EMBEDDER}`"),
+                path: ANSWERS_MANIFEST.to_string(),
+                line: li + 1,
+                col: code[..pos].chars().count() + 1,
+                help: "the store answers by fingerprint only: nothing in the oracle crate embeds a prompt",
+            });
+        }
+    }
+    findings
+}
+
+// ---------------------------------------------------------------------------
 // one-baseline
 // ---------------------------------------------------------------------------
 
@@ -1805,6 +1875,31 @@ mod tests {
         assert!(lint_rust_source("crates/core/src/ops/judge.rs", src).is_empty());
         assert!(lint_rust_source("crates/core/src/plan/execute.rs", src).is_empty());
         assert!(lint_rust_source("crates/core/tests/prop.rs", src).is_empty());
+    }
+
+    #[test]
+    fn answers_not_prompts_flags_a_prompt_read_in_the_store_and_the_embedder() {
+        let src = concat!(
+            "fn line(r: &Request) -> &str { &r.prompt }\n",
+            "fn tokens(u: &Usage) -> u32 { u.prompt_tokens } // r.prompt\n",
+            "fn text(r: &Request) -> String { format!(\"{}\", \".prompt\") }\n",
+            "#[cfg(test)]\n",
+            "mod tests { fn t(r: &Request) { let _ = r.prompt.len(); } }\n",
+        );
+        let f = lint_rust_source("crates/oracle/src/store.rs", src);
+        assert_eq!(codes(&f), vec!["answers-not-prompts"; 2]);
+        assert_eq!((f[0].line, f[0].col), (1, 34));
+        assert_eq!((f[1].line, f[1].col), (5, 42));
+        // The client and the renderer read prompts.
+        assert!(lint_rust_source("crates/oracle/src/client.rs", src).is_empty());
+        let manifest = concat!(
+            "[dependencies]\n",
+            "rand = { workspace = true } # not crowdprompt_embed\n",
+            "crowdprompt_embed = { path = \"../embed\" }\n",
+        );
+        let f = lint_answers_manifest(manifest);
+        assert_eq!(codes(&f), vec!["answers-not-prompts"]);
+        assert_eq!((f[0].line, f[0].col), (3, 1));
     }
 
     #[test]

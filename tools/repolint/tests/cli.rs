@@ -181,6 +181,17 @@ fn seeded_repo(tag: &str) -> TempRepo {
             "}\n",
         ),
     );
+    repo.write(
+        "crates/oracle/src/store.rs",
+        concat!(
+            "fn line(u: &Usage, r: &Request) -> u32 { u.prompt_tokens }\n",
+            "fn keep(r: &Request) -> &str { &r.prompt } // not r.prompt\n",
+        ),
+    );
+    repo.write(
+        "crates/oracle/Cargo.toml",
+        "[dependencies]\n# no crowdprompt_embed\ncrowdprompt_embed = { path = \"../embed\" }\n",
+    );
     repo.write("crates/data/src/orphan.rs", "pub fn orphan() {}\n");
     repo.write(
         "crates/metrics/src/lonely.rs",
@@ -235,6 +246,9 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         "error[pub-has-caller]",
         "error[one-door]",
         "error[one-plan-ir]",
+        "error[answers-not-prompts]",
+        "--> crates/oracle/src/store.rs:2:34",
+        "--> crates/oracle/Cargo.toml:3:1",
         "--> crates/core/src/plan/ir.rs:3:5",
         "--> crates/core/src/ops/bad_door.rs:1:8",
         "--> crates/core/src/session.rs:2:41",
@@ -308,6 +322,15 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         !stderr.contains("crates/embed/src/store.rs"),
         "`from_rows` is the one conversion from nested rows:\n{stderr}"
     );
+    for kept in [
+        "crates/oracle/src/store.rs:1:",
+        "crates/oracle/Cargo.toml:2:",
+    ] {
+        assert!(
+            !stderr.contains(kept),
+            "`.prompt_tokens` and a comment name no prompt read or dependency:\n{stderr}"
+        );
+    }
     for called in [
         "crates/oracle/src/exposed.rs:4:",
         "crates/core/src/documented.rs",
@@ -324,10 +347,11 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
     // second query, a second count, a formatted temporary, a thread per
     // call, a second hashing in the client and one in the dispatcher, three
     // public items without a caller, a baseline and a knob, a second door
-    // in the session and one in `ops/`, one each of the rest:
-    // 3 + 2 + 2 + 2 + 2 + 2 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 3 + 2 + 2 + 1.
+    // in the session and one in `ops/`, a prompt read in the store and the
+    // embedder in its crate's manifest, one each of the rest:
+    // 3 + 2 + 2 + 2 + 2 + 2 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 3 + 2 + 2 + 1 + 2.
     assert!(
-        stderr.contains("30 finding(s)"),
+        stderr.contains("32 finding(s)"),
         "unexpected total in:\n{stderr}"
     );
 }
@@ -342,17 +366,18 @@ fn counts_report_lines_code_and_pub_items_per_library_crate() {
         .expect("spawn repolint");
     assert_eq!(out.status.code(), Some(0), "--counts lints nothing");
     // Test files, `#[cfg(test)]` items and the vendored shim are not
-    // counted; comment lines count as lines but not as code.
+    // counted; comment lines count as lines but not as code. The oracle's
+    // two lines of `store.rs` are the `answers-not-prompts` fixture.
     assert_eq!(
         String::from_utf8_lossy(&out.stdout),
         concat!(
             "crate      lines    code   pub\n",
             "core          29      26    13\n",
             "embed          6       4     4\n",
-            "oracle        12      11     9\n",
+            "oracle        14      13     9\n",
             "metrics        1       1     1\n",
             "data           1       1     1\n",
-            "total         49      43    28\n",
+            "total         51      45    28\n",
         )
     );
 }
@@ -409,7 +434,8 @@ fn this_repository_is_clean() {
     // nothing outside the crate names, for an operator function named
     // in `session.rs` or a top-level `pub fn` in `crates/core/src/ops`, and
     // for an enum in `crates/core/src` beside `PhysicalNode` with a
-    // `Filter` variant.
+    // `Filter` variant, and for a `.prompt` read in the store or the
+    // embedder in the oracle crate's manifest.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let out = run_repolint(&root);
     let stderr = String::from_utf8_lossy(&out.stderr);
