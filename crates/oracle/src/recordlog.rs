@@ -7,8 +7,7 @@
 //! bit patterns, appends are single flushed `write_all` calls, and opening
 //! verifies the checksummed prefix and truncates a torn tail:
 //!
-//! * [`escape_into`] / [`unescape`] — single-line framing of arbitrary text
-//!   ([`escapes_are_valid`] checks a field a reader skips),
+//! * [`escape_into`] / [`unescape`] — single-line framing of arbitrary text,
 //! * [`seal_line`] / [`open_line`] — per-line FNV-1a checksum framing,
 //! * [`decode_f64_bits`] — exact float round-trips (floats are written as
 //!   their bit patterns in hex),
@@ -80,21 +79,6 @@ pub(crate) fn unescape(s: &str) -> Option<Cow<'_, str>> {
     }
     out.push_str(rest);
     Some(Cow::Owned(out))
-}
-
-/// Whether [`unescape`] would accept `s`, checked without decoding or
-/// allocating: every `\` starts one of the four escapes.
-pub(crate) fn escapes_are_valid(s: &str) -> bool {
-    let bytes = s.as_bytes();
-    let mut at = 0;
-    while let Some(offset) = bytes[at..].iter().position(|&b| b == b'\\') {
-        let escaped = at + offset + 1;
-        if !matches!(bytes.get(escaped), Some(b'\\' | b't' | b'n' | b'r')) {
-            return false;
-        }
-        at = escaped + 1;
-    }
-    true
 }
 
 /// Frame the payload held in `line` as one checksummed record line, in
@@ -214,6 +198,10 @@ pub(crate) fn decode_response_fields(fields: &[&str]) -> Option<(u64, Completion
 /// the `open` callback and append payloads (sealing is handled here).
 pub(crate) struct LogFile {
     file: File,
+    /// Where the last whole record ends, which a failed append cuts the
+    /// file back to; `None` once such a cut failed, after which the log
+    /// appends nothing.
+    end: Option<u64>,
 }
 
 /// Read a log file's contents: `None` when the whole file is a prefix of
@@ -337,7 +325,10 @@ impl LogFile {
             }
         };
         file.seek(SeekFrom::Start(valid_end))?;
-        Ok(LogFile { file })
+        Ok(LogFile {
+            file,
+            end: Some(valid_end),
+        })
     }
 
     /// Replay the records of the log at `path` without taking the append
@@ -426,15 +417,54 @@ impl LogFile {
     /// A log appending through `file`, with no header check or replay: how
     /// a test hands a store a handle the disk refuses.
     #[cfg(test)]
-    pub(crate) fn over(file: File) -> LogFile {
-        LogFile { file }
+    pub(crate) fn over(mut file: File) -> LogFile {
+        let end = file.seek(SeekFrom::End(0)).ok();
+        LogFile { file, end }
     }
 
     /// Append one record line, already sealed ([`seal_line`]), as a single
     /// flushed write. A crash can tear at most this final record.
+    ///
+    /// A write that fails part-way (a full disk, say) is cut back off the
+    /// file, so the next append follows the last whole record rather than
+    /// torn bytes a reopen would stop at. If the cut fails too, every later
+    /// append is refused.
     pub(crate) fn append(&mut self, line: &str) -> std::io::Result<()> {
-        self.file.write_all(line.as_bytes())?;
-        self.file.flush()
+        self.append_with(line, |file, bytes| {
+            file.write_all(bytes)?;
+            file.flush()
+        })
+    }
+
+    /// [`LogFile::append`] through `write`, which a test swaps for one that
+    /// fails part-way.
+    fn append_with(
+        &mut self,
+        line: &str,
+        write: impl FnOnce(&mut File, &[u8]) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
+        let Some(end) = self.end else {
+            return Err(std::io::Error::other(
+                "the log ends in a torn record it could not cut",
+            ));
+        };
+        if let Err(e) = write(&mut self.file, line.as_bytes()) {
+            if self.cut_to(end).is_err() {
+                self.end = None;
+            }
+            return Err(e);
+        }
+        self.end = Some(end + line.len() as u64);
+        Ok(())
+    }
+
+    /// Drop whatever a failed write left after `end`, and append there.
+    fn cut_to(&mut self, end: u64) -> std::io::Result<()> {
+        if self.file.stream_position()? != end {
+            self.file.set_len(end)?;
+            self.file.seek(SeekFrom::Start(end))?;
+        }
+        Ok(())
     }
 }
 
@@ -515,9 +545,6 @@ mod tests {
         }
         assert!(unescape("bad \\x escape").is_none());
         assert!(unescape("trailing \\").is_none());
-        for bad in ["bad \\x escape", "trailing \\", "\\\\\\"] {
-            assert!(!escapes_are_valid(bad), "{bad}");
-        }
     }
 
     /// The char-by-char codec the run-copying one replaced, kept as the
@@ -587,8 +614,6 @@ mod tests {
             prop_assert_eq!(unescape(&escaped).as_deref(), Some(s.as_str()));
             // As stored text `s` may hold `\x`, `\é` or a trailing backslash.
             prop_assert_eq!(unescape(&s).map(Cow::into_owned), unescape_by_chars(&s));
-            prop_assert_eq!(escapes_are_valid(&s), unescape(&s).is_some());
-            prop_assert!(escapes_are_valid(&escaped));
         }
 
         #[test]
@@ -746,6 +771,38 @@ mod tests {
         let mut seen = Vec::new();
         LogFile::open_read_only(&path, "test-log v1", 1, owned, |p| seen.push(p)).unwrap();
         assert_eq!(seen, vec!["one".to_string(), "three".to_string()]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_failed_append_is_cut_back_so_the_next_follows_the_last_record() {
+        let path = temp_path("failed-append");
+        let mut log = LogFile::open(&path, "test-log v1", 1, owned, drop::<String>).unwrap();
+        log.append(&sealed("one")).unwrap();
+        // A disk that fills half-way through the line.
+        let half = |file: &mut File, bytes: &[u8]| {
+            file.write_all(&bytes[..bytes.len() / 2])?;
+            Err(std::io::ErrorKind::StorageFull.into())
+        };
+        assert!(log.append_with(&sealed("two"), half).is_err());
+        let kept = format!("test-log v1\n{}", sealed("one"));
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), kept);
+        log.append(&sealed("three")).unwrap();
+        drop(log);
+        let mut seen = Vec::new();
+        drop(LogFile::open(&path, "test-log v1", 1, owned, |p| seen.push(p)).unwrap());
+        assert_eq!(seen, ["one", "three"]);
+
+        // A cut the disk refuses as well (a read-only handle cannot shorten
+        // the file): the log appends nothing after the torn bytes.
+        let mut log = LogFile::over(File::open(&path).unwrap());
+        let moved = |file: &mut File, _: &[u8]| {
+            file.seek(SeekFrom::Current(1))?;
+            Err(std::io::ErrorKind::StorageFull.into())
+        };
+        assert!(log.append_with(&sealed("four"), moved).is_err());
+        let refused = log.append(&sealed("five")).unwrap_err();
+        assert!(refused.to_string().contains("torn record"), "{refused}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -46,8 +46,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::recordlog::{
-    decode_response_fields, escapes_are_valid, push_response_fields, replay_shares, seal_line,
-    LogFile, RESPONSE_FIELDS,
+    decode_response_fields, push_response_fields, replay_shares, seal_line, unescape, LogFile,
+    RESPONSE_FIELDS,
 };
 use crate::types::{CompletionRequest, CompletionResponse};
 
@@ -122,12 +122,13 @@ struct StoreInner {
 
 /// Decode one replayed record payload into its fingerprint and response,
 /// or `None` to reject it (truncating the log there on a writer open).
-/// Pure, so the log's shares run it at once. The prompt column's escapes
-/// are checked, not decoded: an older file's prompt-bearing records are
+/// Pure, so the log's shares run it at once. The prompt column is
+/// unescaped only to validate it (an answer-only record's empty column
+/// comes back borrowed): an older file's prompt-bearing records are
 /// accepted and rejected exactly as when the store read them.
 fn parse_record(payload: &str) -> Option<(u64, CompletionResponse)> {
     let fields: Vec<&str> = payload.split('\t').collect();
-    if fields.len() != 3 + RESPONSE_FIELDS || fields[0] != "R" || !escapes_are_valid(fields[2]) {
+    if fields.len() != 3 + RESPONSE_FIELDS || fields[0] != "R" || unescape(fields[2]).is_none() {
         return None;
     }
     decode_response_fields(&fields[3..])
@@ -289,7 +290,8 @@ impl ResponseStore {
     /// one (`cached: false`), which is what a lookup returns. An append the
     /// disk refuses returns `false` and is counted in
     /// [`ResponseStore::append_failures`]; the log is best-effort
-    /// durability, and the index stays consistent with it.
+    /// durability, and the index stays consistent with it: a write that
+    /// fails part-way is cut back off the file before the next append.
     pub fn record(&self, fingerprint: u64, response: &Arc<CompletionResponse>) -> bool {
         debug_assert!(!response.cached, "a stored body is the paid one");
         self.insert(fingerprint, response, || Arc::clone(response))

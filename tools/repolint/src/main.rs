@@ -24,7 +24,7 @@
 //! | `pub-has-caller`| a `pub` item under `crates/{core,embed,oracle,metrics,data}/src` is named by some file outside its crate's `src/`, or by a doc-test|
 //! | `one-door`    | `crates/core/src/session.rs` names no `ops::` function; no file in `crates/core/src/ops` declares a top-level `pub fn`|
 //! | `one-plan-ir` | `crates/core/src` declares no enum with a `Filter` variant but `PhysicalNode`|
-//! | `answers-not-prompts`| `crates/oracle/src/store.rs` names no `.prompt`; `crates/oracle/Cargo.toml` names no `crowdprompt_embed`|
+//! | `answers-not-prompts`| `crates/oracle/src/store.rs` names no `.prompt`; no file under `crates/oracle/src` names `crowdprompt_embed`|
 //!
 //! Pure std, no crates.io: scanning is lexical but *mask-accurate* — a small
 //! lexer blanks out comments, strings, and char literals first, so a banned
@@ -172,11 +172,11 @@ const ONE_PLAN_IR_VARIANT: &str = "Filter";
 
 /// A stored record is an answer keyed by its request's fingerprint and
 /// nothing else. A `.prompt` read in [`ANSWERS_HOME`] is a prompt about to be
-/// written to disk or embedded again, and [`ANSWERS_MANIFEST`] naming
-/// [`ANSWERS_EMBEDDER`] is the dependency a prompt-similarity tier needs.
+/// written to disk or embedded again, and [`ANSWERS_EMBEDDER`] named under
+/// [`ANSWERS_SCOPE`] is the embedder a prompt-similarity tier needs.
 const ANSWERS_HOME: &str = "crates/oracle/src/store.rs";
 const ANSWERS_FIELD: &str = "prompt";
-const ANSWERS_MANIFEST: &str = "crates/oracle/Cargo.toml";
+const ANSWERS_SCOPE: &str = "crates/oracle/src/";
 const ANSWERS_EMBEDDER: &str = "crowdprompt_embed";
 
 /// The library crates whose public items must each be named by a file
@@ -280,12 +280,6 @@ fn run(root: &Path) -> Result<Vec<Finding>, String> {
     }
     findings.extend(lint_pub_callers(&sources));
     findings.extend(lint_baseline_files(&bench_jsons));
-    let manifest = root.join(ANSWERS_MANIFEST);
-    if manifest.is_file() {
-        let src =
-            std::fs::read_to_string(&manifest).map_err(|e| format!("{ANSWERS_MANIFEST}: {e}"))?;
-        findings.extend(lint_answers_manifest(&src));
-    }
     Ok(findings)
 }
 
@@ -939,6 +933,16 @@ fn lint_rust_source(rel: &str, src: &str) -> Vec<Finding> {
                 "answers-not-prompts",
                 format!("the store reads a request's `.{ANSWERS_FIELD}`"),
                 "a record is an answer keyed by `fingerprint()`: key by the fingerprint and keep no part of the prompt",
+                offset,
+            );
+        }
+    }
+    if rel.starts_with(ANSWERS_SCOPE) {
+        for offset in find_path(&masked, ANSWERS_EMBEDDER) {
+            push(
+                "answers-not-prompts",
+                format!("the oracle crate names `{ANSWERS_EMBEDDER}`"),
+                "the store answers by fingerprint only: nothing in the oracle crate embeds a prompt",
                 offset,
             );
         }
@@ -1609,30 +1613,6 @@ fn declares_pub(line: &str) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// answers-not-prompts (the manifest half)
-// ---------------------------------------------------------------------------
-
-/// Every line of the oracle crate's manifest naming the embedder, outside
-/// a `#` comment.
-fn lint_answers_manifest(src: &str) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for (li, line) in src.lines().enumerate() {
-        let code = line.split('#').next().unwrap_or_default();
-        if let Some(pos) = code.find(ANSWERS_EMBEDDER) {
-            findings.push(Finding {
-                rule: "answers-not-prompts",
-                message: format!("the oracle crate depends on `{ANSWERS_EMBEDDER}`"),
-                path: ANSWERS_MANIFEST.to_string(),
-                line: li + 1,
-                col: code[..pos].chars().count() + 1,
-                help: "the store answers by fingerprint only: nothing in the oracle crate embeds a prompt",
-            });
-        }
-    }
-    findings
-}
-
-// ---------------------------------------------------------------------------
 // one-baseline
 // ---------------------------------------------------------------------------
 
@@ -1892,14 +1872,16 @@ mod tests {
         assert_eq!((f[1].line, f[1].col), (5, 42));
         // The client and the renderer read prompts.
         assert!(lint_rust_source("crates/oracle/src/client.rs", src).is_empty());
-        let manifest = concat!(
-            "[dependencies]\n",
-            "rand = { workspace = true } # not crowdprompt_embed\n",
-            "crowdprompt_embed = { path = \"../embed\" }\n",
+        let src = concat!(
+            "use crowdprompt_embed::Embedder; // not crowdprompt_embed\n",
+            "fn f() -> &'static str { \"crowdprompt_embed\" }\n",
+            "fn g(my_crowdprompt_embed: u8) {}\n",
         );
-        let f = lint_answers_manifest(manifest);
+        let f = lint_rust_source("crates/oracle/src/similar.rs", src);
         assert_eq!(codes(&f), vec!["answers-not-prompts"]);
-        assert_eq!((f[0].line, f[0].col), (3, 1));
+        assert_eq!((f[0].line, f[0].col), (1, 5));
+        // The session builds the embedder.
+        assert!(lint_rust_source("crates/core/src/session.rs", src).is_empty());
     }
 
     #[test]

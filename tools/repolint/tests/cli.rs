@@ -189,8 +189,8 @@ fn seeded_repo(tag: &str) -> TempRepo {
         ),
     );
     repo.write(
-        "crates/oracle/Cargo.toml",
-        "[dependencies]\n# no crowdprompt_embed\ncrowdprompt_embed = { path = \"../embed\" }\n",
+        "crates/oracle/src/similar.rs",
+        "// no crowdprompt_embed\nuse crowdprompt_embed::Embedder;\n",
     );
     repo.write("crates/data/src/orphan.rs", "pub fn orphan() {}\n");
     repo.write(
@@ -248,7 +248,7 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         "error[one-plan-ir]",
         "error[answers-not-prompts]",
         "--> crates/oracle/src/store.rs:2:34",
-        "--> crates/oracle/Cargo.toml:3:1",
+        "--> crates/oracle/src/similar.rs:2:5",
         "--> crates/core/src/plan/ir.rs:3:5",
         "--> crates/core/src/ops/bad_door.rs:1:8",
         "--> crates/core/src/session.rs:2:41",
@@ -324,11 +324,11 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
     );
     for kept in [
         "crates/oracle/src/store.rs:1:",
-        "crates/oracle/Cargo.toml:2:",
+        "crates/oracle/src/similar.rs:1:",
     ] {
         assert!(
             !stderr.contains(kept),
-            "`.prompt_tokens` and a comment name no prompt read or dependency:\n{stderr}"
+            "`.prompt_tokens` and a comment name no prompt read or embedder:\n{stderr}"
         );
     }
     for called in [
@@ -348,7 +348,7 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
     // call, a second hashing in the client and one in the dispatcher, three
     // public items without a caller, a baseline and a knob, a second door
     // in the session and one in `ops/`, a prompt read in the store and the
-    // embedder in its crate's manifest, one each of the rest:
+    // embedder named in its crate, one each of the rest:
     // 3 + 2 + 2 + 2 + 2 + 2 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 3 + 2 + 2 + 1 + 2.
     assert!(
         stderr.contains("32 finding(s)"),
@@ -367,17 +367,18 @@ fn counts_report_lines_code_and_pub_items_per_library_crate() {
     assert_eq!(out.status.code(), Some(0), "--counts lints nothing");
     // Test files, `#[cfg(test)]` items and the vendored shim are not
     // counted; comment lines count as lines but not as code. The oracle's
-    // two lines of `store.rs` are the `answers-not-prompts` fixture.
+    // two lines of `store.rs` and two of `similar.rs` are the
+    // `answers-not-prompts` fixture.
     assert_eq!(
         String::from_utf8_lossy(&out.stdout),
         concat!(
             "crate      lines    code   pub\n",
             "core          29      26    13\n",
             "embed          6       4     4\n",
-            "oracle        14      13     9\n",
+            "oracle        16      14     9\n",
             "metrics        1       1     1\n",
             "data           1       1     1\n",
-            "total         51      45    28\n",
+            "total         53      46    28\n",
         )
     );
 }
