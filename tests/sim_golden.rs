@@ -5,6 +5,11 @@
 //! every answer to a fixed set of requests under
 //! `ModelProfile::gpt35_like()`.
 //!
+//! The task-kind and backend-transport rows were recorded later, while the
+//! simulator's seeds were still the request's cache key, before the two
+//! were split: every seed is a function of the whole request, so a row
+//! that passes unedited says the seed did not move for that shape.
+//!
 //! Every accuracy number in the repo is a statement about this simulator,
 //! so a failure here means an answer moved — a similarity bit, a seed
 //! derivation or an RNG draw order. Fix `crates/oracle/src/sim`, do not
@@ -16,8 +21,8 @@ use crowdprompt::data::{CitationDataset, CitationParams};
 use crowdprompt::oracle::hash::fnv1a;
 use crowdprompt::oracle::sim::similarity::trigram_jaccard;
 use crowdprompt::oracle::{
-    CompletionRequest, ItemId, LanguageModel, ModelProfile, NoiseProfile, SimulatedLlm,
-    TaskDescriptor, WorldModel,
+    Backend, CancelToken, CompletionRequest, CountMode, ItemId, LanguageModel, ModelProfile,
+    NoiseProfile, SimBackend, SimulatedLlm, SortCriterion, TaskDescriptor, WorldModel,
 };
 
 /// `(rows, FNV-1a of the rendered rows)` for the 64 citation pairs.
@@ -28,6 +33,11 @@ const HAND_PAIRS: (usize, u64) = (18, 0x40364eb1436f5a23);
 const PACKED: (usize, u64) = (4, 0x745a8f32423a6cf1);
 /// The same for single requests under transport noise, over four attempts.
 const TRANSPORT: (usize, u64) = (32, 0xe35e65fd9929eb8c);
+/// The same for one request of every other task kind, a capped one and a
+/// sampled one.
+const TASK_KINDS: (usize, u64) = (15, 0xd7be12f3498244db);
+/// The same for a noisy `SimBackend`'s transport faults, over four attempts.
+const BACKEND_TRANSPORT: (usize, u64) = (32, 0x27d2f1c121cbf387);
 
 const SEED: u64 = 17;
 
@@ -265,4 +275,175 @@ fn transport_faults_fall_as_recorded() {
         })
         .collect();
     check_digest("transport", &rows, TRANSPORT);
+}
+
+/// Twelve menu items with every fact a task kind reads: a score, a sort
+/// key, a cluster, a flag and two attributes.
+fn menu_world() -> Arc<WorldModel> {
+    const DISHES: [&str; 12] = [
+        "dark chocolate torte",
+        "lemon tart",
+        "caf\u{e9} mocha cake",
+        "vanilla panna cotta",
+        "chocolate chip cookie",
+        "strawberry sorbet",
+        "triple chocolate brownie",
+        "cr\u{e8}me br\u{fb}l\u{e9}e",
+        "mint chocolate gelato",
+        "apple crumble",
+        "chocolate fondant \u{2014} 12\u{20ac}",
+        "rice pudding",
+    ];
+    let mut w = WorldModel::new();
+    for (i, dish) in DISHES.iter().enumerate() {
+        let id = w.add_item(format!("dessert: {dish}; price: {} USD", 4 + i % 5));
+        w.set_score(id, ((i * 7) % 12) as f64 / 11.0);
+        w.set_sort_key(id, *dish);
+        w.set_cluster(id, (i / 2) as u64);
+        w.set_flag(id, "chocolate", dish.contains("chocolate"));
+        w.set_attr(id, "label", ["cake", "frozen", "pastry"][i % 3]);
+        w.set_attr(id, "origin", ["France", "Italy", "USA"][(i * 5) % 3]);
+    }
+    Arc::new(w)
+}
+
+/// A prompt naming `task`'s kind and listing every item it touches.
+fn listing(world: &WorldModel, task: &TaskDescriptor) -> String {
+    let mut p = format!("Task: {}.\n", task.kind());
+    for (i, id) in task.items().iter().enumerate() {
+        p.push_str(&format!("{}. {}\n", i + 1, world.text(*id).unwrap_or("")));
+    }
+    p.push_str("Answer:");
+    p
+}
+
+/// One request of every kind the other goldens leave out, each answered
+/// under its own prompt, plus one capped at eight tokens and a sort drawn
+/// as sample 3 at temperature 0.7.
+fn task_kind_requests(world: &WorldModel) -> Vec<CompletionRequest> {
+    let ids: Vec<ItemId> = (0..12).map(ItemId).collect();
+    let score = SortCriterion::LatentScore;
+    let compare = TaskDescriptor::Compare {
+        left: ids[2],
+        right: ids[6],
+        criterion: score,
+    };
+    let tasks = vec![
+        compare.clone(),
+        TaskDescriptor::Compare {
+            left: ids[9],
+            right: ids[1],
+            criterion: SortCriterion::Lexicographic,
+        },
+        TaskDescriptor::CompareBatch {
+            pairs: vec![(ids[0], ids[3]), (ids[4], ids[8]), (ids[10], ids[5])],
+            criterion: score,
+        },
+        TaskDescriptor::Rate {
+            item: ids[7],
+            scale_min: 1,
+            scale_max: 7,
+            criterion: score,
+        },
+        TaskDescriptor::SortList {
+            items: ids[..8].to_vec(),
+            criterion: score,
+        },
+        TaskDescriptor::SortList {
+            items: ids[4..].to_vec(),
+            criterion: SortCriterion::Lexicographic,
+        },
+        TaskDescriptor::GroupEntities {
+            items: ids[..6].to_vec(),
+        },
+        TaskDescriptor::CountPredicate {
+            items: ids.clone(),
+            predicate: "chocolate".into(),
+            mode: CountMode::Eyeball,
+        },
+        TaskDescriptor::CountPredicate {
+            items: ids[3..9].to_vec(),
+            predicate: "chocolate".into(),
+            mode: CountMode::PerItem,
+        },
+        TaskDescriptor::CheckPredicate {
+            item: ids[8],
+            predicate: "chocolate".into(),
+        },
+        TaskDescriptor::Classify {
+            item: ids[5],
+            labels: vec!["cake".into(), "frozen".into(), "pastry".into()],
+        },
+        TaskDescriptor::Impute {
+            item: ids[11],
+            attribute: "origin".into(),
+            examples: vec![(ids[0], "France".into()), (ids[1], "Italy".into())],
+        },
+        TaskDescriptor::Verify {
+            original: Box::new(compare.clone()),
+            proposed_answer: "Yes".into(),
+        },
+    ];
+    let mut requests: Vec<CompletionRequest> = tasks
+        .into_iter()
+        .map(|task| CompletionRequest::new(listing(world, &task), task))
+        .collect();
+    let sort = TaskDescriptor::SortList {
+        items: ids.clone(),
+        criterion: score,
+    };
+    requests.push(CompletionRequest::new(listing(world, &sort), sort).with_max_tokens(8));
+    let sampled = TaskDescriptor::SortList {
+        items: ids[..8].to_vec(),
+        criterion: score,
+    };
+    requests.push(
+        CompletionRequest::new(listing(world, &sampled), sampled)
+            .with_temperature(0.7)
+            .with_sample_index(3),
+    );
+    requests
+}
+
+#[test]
+fn every_task_kind_answers_as_recorded() {
+    let world = menu_world();
+    let llm = SimulatedLlm::new(ModelProfile::gpt35_like(), Arc::clone(&world), SEED);
+    let rows: Vec<String> = task_kind_requests(&world)
+        .iter()
+        .map(|r| format!("{}\t{}", r.task.kind(), row(&llm, r)))
+        .collect();
+    check_digest("task kinds", &rows, TASK_KINDS);
+}
+
+#[test]
+fn backend_transport_faults_fall_as_recorded() {
+    let world = menu_world();
+    let llm = SimulatedLlm::new(ModelProfile::gpt35_like(), Arc::clone(&world), SEED);
+    let backend = SimBackend::new("noisy", Arc::new(llm))
+        .with_transport_noise(NoiseProfile {
+            rate_limit_prob: 0.3,
+            unavailable_prob: 0.2,
+            timeout_prob: 0.1,
+            ..NoiseProfile::default()
+        })
+        .with_seed(SEED);
+    let cancel = CancelToken::new();
+    let rows: Vec<String> = task_kind_requests(&world)
+        .iter()
+        .take(8)
+        .flat_map(|request| {
+            (0..4)
+                .map(|attempt| {
+                    let mut retry = request.clone();
+                    retry.attempt = attempt;
+                    match backend.complete(&retry, &cancel) {
+                        Ok(r) => format!("{:?}", r.text),
+                        Err(e) => format!("error: {e:?}"),
+                    }
+                })
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    check_digest("backend transport", &rows, BACKEND_TRANSPORT);
 }
