@@ -408,14 +408,14 @@ struct TransportRng<'a> {
 impl TransportRng<'_> {
     fn get(&mut self) -> &mut ChaCha8Rng {
         self.rng.get_or_insert_with(|| {
-            // Folds the sample index in explicitly (temperature-0
-            // fingerprints exclude it) advanced by the attempt (which no
-            // fingerprint includes), so each routing attempt re-rolls its
-            // transport fate and never its answer.
+            // Folds the sample index in explicitly (temperature-0 seeds
+            // exclude it) advanced by the attempt (which no seed includes),
+            // so each routing attempt re-rolls its transport fate and never
+            // its answer.
             let key = hash::combine(
                 self.seed,
                 hash::combine(
-                    self.request.fingerprint(),
+                    crate::sim::seed_of(self.request),
                     hash::combine(hash::fnv1a_str(self.tag), self.request.transport_draw()),
                 ),
             );

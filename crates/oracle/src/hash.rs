@@ -2,8 +2,18 @@
 //!
 //! Experiment reproducibility requires that every pseudo-random decision be a
 //! pure function of (seed, request content). The standard library's `Hasher`
-//! is randomly keyed per process, so we implement FNV-1a and a splitmix-style
-//! mixer here and use them everywhere a stable fingerprint is needed.
+//! is randomly keyed per process, so every stable hash is written here:
+//!
+//! * `prompt_hash` — the prompt's part of a request's cache key
+//!   ([`crate::CompletionRequest::fingerprint`]), 16 bytes a step. The key
+//!   is persisted in every store and journal, so its values are pinned by
+//!   known-answer vectors.
+//! * FNV-1a ([`fnv1a`], [`Fingerprint`]) — one byte a step, for the
+//!   simulator's seeds (`sim::seed_of`), a task's structural fingerprint
+//!   and the record logs' line checksums. Every simulated answer is a
+//!   function of these values, so they never change.
+//! * `mix` / `combine` — a splitmix64 finalizer and an order-sensitive
+//!   fold of two hashes.
 
 /// 64-bit FNV-1a over a byte slice.
 #[inline]
@@ -38,6 +48,69 @@ pub(crate) fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
     z ^ (z >> 31)
+}
+
+/// The odd constants [`prompt_hash`] folds its words against (wyhash's).
+const WIDE: [u64; 3] = [
+    0xa076_1d64_78bd_642f,
+    0xe703_7ed1_a0b4_28db,
+    0x8ebc_6af0_9c88_c6e3,
+];
+
+/// The 64×64→128-bit multiply of `a` and `b`, its halves xor-folded.
+#[inline(always)]
+fn mum(a: u64, b: u64) -> u64 {
+    let product = u128::from(a) * u128::from(b);
+    (product as u64) ^ ((product >> 64) as u64)
+}
+
+/// The little-endian word at the start of `bytes` (at least 8 long).
+#[inline(always)]
+fn word(bytes: &[u8]) -> u64 {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(&bytes[..8]);
+    u64::from_le_bytes(w)
+}
+
+/// The little-endian half-word at the start of `bytes` (at least 4 long).
+#[inline(always)]
+fn half(bytes: &[u8]) -> u64 {
+    let mut w = [0u8; 4];
+    w.copy_from_slice(&bytes[..4]);
+    u64::from(u32::from_le_bytes(w))
+}
+
+/// Hash a prompt for a request's cache key: 16 bytes a step, each step one
+/// multiply-fold ([`mum`], the construction of wyhash) of the two words
+/// against the state, which starts from the length. The last 0–15 bytes
+/// are read as two (possibly overlapping) words whose span covers them all,
+/// and [`mix`] finishes.
+///
+/// Like FNV-1a it is a fast hash, not a keyed one: a prompt built to
+/// collide can. Its values are persisted as store keys, so they are pinned
+/// by known-answer vectors and must never change.
+#[inline]
+pub(crate) fn prompt_hash(bytes: &[u8]) -> u64 {
+    let len = bytes.len();
+    let mut h = (len as u64) ^ WIDE[0];
+    let mut steps = bytes.chunks_exact(16);
+    for step in &mut steps {
+        h = mum(word(step) ^ WIDE[1], word(&step[8..]) ^ h);
+    }
+    let rest = steps.remainder();
+    let n = rest.len();
+    let (a, b) = if n >= 8 {
+        (word(rest), word(&rest[n - 8..]))
+    } else if n >= 4 {
+        (half(rest), half(&rest[n - 4..]))
+    } else if n > 0 {
+        let spread =
+            u64::from(rest[0]) << 16 | u64::from(rest[n / 2]) << 8 | u64::from(rest[n - 1]);
+        (spread, 0)
+    } else {
+        (0, 0)
+    };
+    mix(mum(a ^ WIDE[2], b ^ h))
 }
 
 /// Append a 64-bit value as fixed-width lowercase hex (`{v:016x}`) — the
@@ -188,6 +261,88 @@ mod tests {
                 prop_assert_eq!(format!("{v:016x}"), s.to_ascii_lowercase(), "parse_hex64({:?})", s);
             }
         }
+    }
+
+    /// `len` bytes of a fixed, non-repeating-looking pattern.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u8).wrapping_mul(31).wrapping_add((i >> 8) as u8 ^ 7))
+            .collect()
+    }
+
+    /// The prompt hash is persisted as part of every store key: these
+    /// values may never change. Lengths cover the empty input, each tail
+    /// path (1–3, 4–7, 8–15 bytes), whole steps with and without a tail,
+    /// and a long prompt.
+    const PROMPT_HASH_VECTORS: [(usize, u64); 11] = [
+        (0, 0xc178268d5e1cd9c4),
+        (1, 0x3cbd4b188041032f),
+        (7, 0x3e67380aa756f2e7),
+        (8, 0x3079d1c068073c46),
+        (15, 0x6606498f895ebe45),
+        (16, 0x1b3895238e27da03),
+        (17, 0x948f3b8b01fed967),
+        (31, 0x8ff1b2899fca8737),
+        (32, 0x9dfa5922d52c84fd),
+        (33, 0x44d8bbdf2d79a0f1),
+        (1_300, 0x5ac050647663c691),
+    ];
+
+    #[test]
+    fn prompt_hash_known_vectors() {
+        let got: Vec<(usize, u64)> = PROMPT_HASH_VECTORS
+            .iter()
+            .map(|&(len, _)| (len, prompt_hash(&pattern(len))))
+            .collect();
+        let rows: Vec<String> = got.iter().map(|(l, h)| format!("({l}, {h:#018x}),")).collect();
+        assert_eq!(got, PROMPT_HASH_VECTORS, "\n{}", rows.join("\n"));
+    }
+
+    #[test]
+    fn every_single_bit_flip_moves_the_prompt_hash() {
+        for len in [64, 1_300] {
+            let base = pattern(len);
+            let reference = prompt_hash(&base);
+            let mut flipped = base.clone();
+            for bit in 0..len * 8 {
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(prompt_hash(&flipped), reference, "len {len}, bit {bit}");
+                flipped[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+    }
+
+    #[test]
+    fn prompt_hash_is_seeded_by_the_length() {
+        // Zero bytes of every length up to three steps: only the length
+        // tells them apart.
+        let zeros = [0u8; 48];
+        let mut seen: Vec<u64> = (0..=48).map(|n| prompt_hash(&zeros[..n])).collect();
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), 49);
+    }
+
+    #[test]
+    fn generated_serve_prompts_do_not_collide() {
+        // 200 000 prompts in the shape a serve workload renders: a fixed
+        // instruction around a ticket whose numbers are all that varies.
+        let mut keys: Vec<u64> = (0..200_000u64)
+            .map(|i| {
+                let r = mix(i);
+                let prompt = format!(
+                    "Does the following item satisfy: {}?\nItem: ticket {i}: customer reports \
+                     issue {} in module {}\nStart your response with Yes or No.",
+                    ["urgent", "billing"][(r & 1) as usize],
+                    (r >> 8) % 10_000,
+                    (r >> 32) % 97,
+                );
+                prompt_hash(prompt.as_bytes())
+            })
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), 200_000);
     }
 
     #[test]

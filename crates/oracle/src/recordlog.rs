@@ -373,9 +373,22 @@ impl LogFile {
             .strip_prefix(header)
             .and_then(|r| r.strip_prefix('\n'))
         else {
+            let found: String = contents
+                .lines()
+                .next()
+                .unwrap_or("")
+                .chars()
+                .take(80)
+                .collect();
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
-                format!("'{}' is not a {header} file", path.display()),
+                format!(
+                    "'{}' starts with {found:?}, not {header:?}: it was written in another \
+                     format or version, which this build neither reads nor converts; \
+                     remove the file to start afresh (the answers it held are paid for once \
+                     more)",
+                    path.display()
+                ),
             ));
         };
         let start = (header.len() + 1) as u64;
@@ -862,7 +875,13 @@ mod tests {
         let path = temp_path("foreign");
         std::fs::write(&path, "not a log\n").unwrap();
         assert!(LogFile::open(&path, "test-log v1", 1, owned, drop::<String>).is_err());
-        assert!(LogFile::open_read_only(&path, "test-log v1", 1, owned, drop::<String>).is_err());
+        let err = LogFile::open_read_only(&path, "test-log v1", 1, owned, drop::<String>)
+            .unwrap_err()
+            .to_string();
+        for part in ["\"not a log\"", "\"test-log v1\"", "remove the file"] {
+            assert!(err.contains(part), "{part} in {err}");
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), b"not a log\n");
         std::fs::remove_file(&path).ok();
     }
 

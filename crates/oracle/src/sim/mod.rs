@@ -17,7 +17,7 @@ use rand_chacha::ChaCha8Rng;
 
 use crate::chatter::{self, ChatterStyle};
 use crate::error::LlmError;
-use crate::hash;
+use crate::hash::{self, Fingerprint};
 use crate::model::ModelProfile;
 use crate::task::{CountMode, TaskDescriptor};
 use crate::tokenizer::{count_tokens, truncate_to_tokens};
@@ -26,10 +26,29 @@ use crate::types::{
 };
 use crate::world::WorldModel;
 
+/// The seed every simulated draw on `request` derives from: FNV-1a over the
+/// length-prefixed prompt, the task's [`TaskDescriptor::fingerprint`], the
+/// temperature bits, the max-tokens cap and, at a positive temperature, the
+/// sample index — the fields of the request's cache key, hashed byte by
+/// byte. The key ([`CompletionRequest::fingerprint`]) hashes its prompt
+/// faster; the seed stays this hash so that every answer, chatter style and
+/// transport fault the simulator draws stays what it is.
+pub(crate) fn seed_of(request: &CompletionRequest) -> u64 {
+    let mut f = Fingerprint::new();
+    f.write_str(&request.prompt);
+    f.write_u64(request.task.fingerprint());
+    f.write_f64(request.temperature);
+    f.write_u64(u64::from(request.max_tokens.unwrap_or(0)));
+    if request.temperature > 0.0 {
+        f.write_u64(u64::from(request.sample_index));
+    }
+    f.finish()
+}
+
 /// A deterministic, seeded noisy-oracle language model.
 ///
 /// Thread safe and stateless: every random decision is a pure function of
-/// `(instance seed, request fingerprint, decision tag)`, so the same request
+/// `(instance seed, request seed, decision tag)`, so the same request
 /// at temperature 0 always yields the same response, while distinct
 /// `sample_index` values at temperature > 0 decorrelate repeated samples.
 #[derive(Debug, Clone)]
@@ -66,9 +85,9 @@ impl SimulatedLlm {
     }
 
     /// RNG for one decision on a request, keyed by the request's
-    /// `fingerprint` (hashed once per completion) and the decision's tag.
-    fn rng_for(&self, fingerprint: u64, tag: &str) -> ChaCha8Rng {
-        let key = hash::combine(self.seed, hash::combine(fingerprint, hash::fnv1a_str(tag)));
+    /// seed ([`seed_of`], hashed once per completion) and the decision's tag.
+    fn rng_for(&self, request_seed: u64, tag: &str) -> ChaCha8Rng {
+        let key = hash::combine(self.seed, hash::combine(request_seed, hash::fnv1a_str(tag)));
         ChaCha8Rng::seed_from_u64(key)
     }
 
@@ -88,8 +107,8 @@ impl SimulatedLlm {
         ))
     }
 
-    fn chatter_style(&self, fingerprint: u64, allow_malformed: bool) -> ChatterStyle {
-        let mut rng = self.rng_for(fingerprint, "chatter");
+    fn chatter_style(&self, request_seed: u64, allow_malformed: bool) -> ChatterStyle {
+        let mut rng = self.rng_for(request_seed, "chatter");
         let malformed = allow_malformed
             && self.profile.noise.malformed_rate > 0.0
             && rng.random_bool(self.profile.noise.malformed_rate.clamp(0.0, 1.0));
@@ -145,18 +164,18 @@ impl SimulatedLlm {
     }
 
     /// Generate the raw (pre-truncation) response text for a request whose
-    /// fingerprint is `fingerprint`, plus the answer confidence for
+    /// seed is `request_seed`, plus the answer confidence for
     /// binary-answer task kinds.
-    fn generate(&self, request: &CompletionRequest, fingerprint: u64) -> (String, Option<f64>) {
+    fn generate(&self, request: &CompletionRequest, request_seed: u64) -> (String, Option<f64>) {
         let noise = &self.profile.noise;
         let world = &self.world;
-        let mut rng = self.rng_for(fingerprint, "task");
+        let mut rng = self.rng_for(request_seed, "task");
         match &request.task {
             TaskDescriptor::SortList { items, criterion } => {
                 let out = sorting::simulate_sort_list(world, noise, items, *criterion, &mut rng);
                 let refs: Vec<&str> = out.iter().map(String::as_str).collect();
                 (
-                    chatter::wrap_list(&refs, self.chatter_style(fingerprint, false)),
+                    chatter::wrap_list(&refs, self.chatter_style(request_seed, false)),
                     None,
                 )
             }
@@ -169,7 +188,7 @@ impl SimulatedLlm {
                     world, noise, *left, *right, *criterion, &mut rng,
                 );
                 (
-                    chatter::wrap_yes_no(yes, self.chatter_style(fingerprint, true)),
+                    chatter::wrap_yes_no(yes, self.chatter_style(request_seed, true)),
                     Some(confidence),
                 )
             }
@@ -181,7 +200,7 @@ impl SimulatedLlm {
                     .map(|yes| if *yes { "Yes" } else { "No" })
                     .collect();
                 (
-                    chatter::wrap_list(&rendered, self.chatter_style(fingerprint, false)),
+                    chatter::wrap_list(&rendered, self.chatter_style(request_seed, false)),
                     None,
                 )
             }
@@ -195,7 +214,7 @@ impl SimulatedLlm {
                     world, noise, *item, *scale_min, *scale_max, *criterion, &mut rng,
                 );
                 (
-                    chatter::wrap_rating(r, *scale_max, self.chatter_style(fingerprint, false)),
+                    chatter::wrap_rating(r, *scale_max, self.chatter_style(request_seed, false)),
                     None,
                 )
             }
@@ -204,7 +223,7 @@ impl SimulatedLlm {
                     world, noise, *left, *right, &mut rng,
                 );
                 (
-                    chatter::wrap_yes_no(yes, self.chatter_style(fingerprint, true)),
+                    chatter::wrap_yes_no(yes, self.chatter_style(request_seed, true)),
                     Some(confidence),
                 )
             }
@@ -219,7 +238,7 @@ impl SimulatedLlm {
                     })
                     .collect();
                 (
-                    chatter::wrap_groups(&named, self.chatter_style(fingerprint, false)),
+                    chatter::wrap_groups(&named, self.chatter_style(request_seed, false)),
                     None,
                 )
             }
@@ -238,7 +257,7 @@ impl SimulatedLlm {
                     &mut rng,
                 );
                 (
-                    chatter::wrap_value(&v, self.chatter_style(fingerprint, false)),
+                    chatter::wrap_value(&v, self.chatter_style(request_seed, false)),
                     None,
                 )
             }
@@ -252,7 +271,7 @@ impl SimulatedLlm {
                 let _ = matches!(mode, CountMode::Eyeball);
                 let c = misc::simulate_count_eyeball(world, noise, items, predicate, &mut rng);
                 (
-                    chatter::wrap_count(c, items.len(), self.chatter_style(fingerprint, false)),
+                    chatter::wrap_count(c, items.len(), self.chatter_style(request_seed, false)),
                     None,
                 )
             }
@@ -260,14 +279,14 @@ impl SimulatedLlm {
                 let (yes, confidence) =
                     misc::simulate_check_with_confidence(world, noise, *item, predicate, &mut rng);
                 (
-                    chatter::wrap_yes_no(yes, self.chatter_style(fingerprint, true)),
+                    chatter::wrap_yes_no(yes, self.chatter_style(request_seed, true)),
                     Some(confidence),
                 )
             }
             TaskDescriptor::Classify { item, labels } => {
                 let label = misc::simulate_classify(world, noise, *item, labels, &mut rng);
                 (
-                    chatter::wrap_value(&label, self.chatter_style(fingerprint, false)),
+                    chatter::wrap_value(&label, self.chatter_style(request_seed, false)),
                     None,
                 )
             }
@@ -276,7 +295,7 @@ impl SimulatedLlm {
                 proposed_answer,
             } => match misc::simulate_verify(world, noise, original, proposed_answer, &mut rng) {
                 Some(ok) => (
-                    chatter::wrap_yes_no(ok, self.chatter_style(fingerprint, true)),
+                    chatter::wrap_yes_no(ok, self.chatter_style(request_seed, true)),
                     Some(noise.verify_accuracy.clamp(0.5, 1.0)),
                 ),
                 None => (
@@ -321,7 +340,7 @@ impl SimulatedLlm {
                 // against the expected item count — the failure mode the
                 // dispatcher's bisection handles.
                 if answers.len() > 1 && noise.packed_dropout_rate > 0.0 {
-                    let mut frng = self.rng_for(fingerprint, "packed-dropout");
+                    let mut frng = self.rng_for(request_seed, "packed-dropout");
                     if frng.random_bool(noise.packed_dropout_rate.clamp(0.0, 1.0)) {
                         let victim = frng.random_range(0..answers.len());
                         if frng.random_bool(0.5) {
@@ -334,7 +353,7 @@ impl SimulatedLlm {
                 }
                 let refs: Vec<&str> = answers.iter().map(String::as_str).collect();
                 (
-                    chatter::wrap_list(&refs, self.chatter_style(fingerprint, false)),
+                    chatter::wrap_list(&refs, self.chatter_style(request_seed, false)),
                     None,
                 )
             }
@@ -367,11 +386,11 @@ impl LanguageModel for SimulatedLlm {
         }
 
         // Every seed below derives from this one hash of the prompt.
-        let fingerprint = request.fingerprint();
+        let request_seed = seed_of(request);
 
         // Transport failure injection (retryable errors). Keyed separately
         // from the task RNG so retries of flaky transport do not change the
-        // eventual answer: the fingerprint (and with it the answer draw)
+        // eventual answer: the request's seed (and with it the answer draw)
         // never sees `attempt`, which the router bumps per retry and which
         // is folded in here, beside the sample index, explicitly.
         let noise = &self.profile.noise;
@@ -379,7 +398,7 @@ impl LanguageModel for SimulatedLlm {
             let key = hash::combine(
                 self.seed,
                 hash::combine(
-                    fingerprint,
+                    request_seed,
                     hash::combine(hash::fnv1a_str("transport"), request.transport_draw()),
                 ),
             );
@@ -395,7 +414,7 @@ impl LanguageModel for SimulatedLlm {
             }
         }
 
-        let (raw, confidence) = self.generate(request, fingerprint);
+        let (raw, confidence) = self.generate(request, request_seed);
         let cap = request
             .max_tokens
             .unwrap_or(self.profile.default_max_tokens);

@@ -22,12 +22,14 @@
 //! A record is an answer keyed by its request's fingerprint: nothing about
 //! the request but that fingerprint is kept. Entries never expire and the
 //! first write of a fingerprint wins, so the log only appends and every
-//! record in it is live. There is one record kind, `R`: a generation column
-//! (always zero, and ignored on read), a prompt column (written empty;
-//! files from before prompts left the store carry the escaped prompt
-//! there, which a replay checks for well-formed escapes and never
-//! decodes — both columns keep the bytes of every existing file valid),
-//! then the response fields.
+//! record in it is live. There is one record kind, `R`, followed by the
+//! response fields.
+//!
+//! The header line names the format, `crowdprompt-store v2`. A v1 file (its
+//! keys were FNV-1a request hashes, its records carried a generation and a
+//! prompt column) is refused by both opens with an error naming the header
+//! it found; nothing in it is read, truncated or migrated. Removing it
+//! costs one re-run of the calls it held.
 //!
 //! # Process discipline
 //!
@@ -46,17 +48,15 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::recordlog::{
-    decode_response_fields, push_response_fields, replay_shares, seal_line, unescape, LogFile,
-    RESPONSE_FIELDS,
+    decode_response_fields, push_response_fields, replay_shares, seal_line, LogFile,
 };
 use crate::types::{CompletionRequest, CompletionResponse};
 
 /// The store's header line (also its format version gate).
-const HEADER: &str = "crowdprompt-store v1";
+const HEADER: &str = "crowdprompt-store v2";
 
-/// What every `R` record starts with: the kind, the generation column
-/// (always zero) and the prompt column (always empty).
-const RECORD_PREFIX: &str = "R\t0000000000000000\t\t";
+/// What every record starts with: its kind.
+const RECORD_PREFIX: &str = "R\t";
 
 /// How to open a [`ResponseStore`]. A store has no settings: it maps a
 /// fingerprint to an answer. The parameter stays on
@@ -92,8 +92,17 @@ impl WriterLock {
             .open(&path)?;
         match file.try_lock() {
             Ok(()) => {
-                let _ = file.set_len(0);
-                let _ = writeln!(file, "{}", std::process::id());
+                file.set_len(0)
+                    .and_then(|()| writeln!(file, "{}", std::process::id()))
+                    .map_err(|e| {
+                        std::io::Error::new(
+                            e.kind(),
+                            format!(
+                                "cannot write the writer's pid into lock '{}': {e}",
+                                path.display()
+                            ),
+                        )
+                    })?;
                 Ok(WriterLock { _file: file })
             }
             Err(TryLockError::WouldBlock) => Err(std::io::Error::new(
@@ -122,16 +131,13 @@ struct StoreInner {
 
 /// Decode one replayed record payload into its fingerprint and response,
 /// or `None` to reject it (truncating the log there on a writer open).
-/// Pure, so the log's shares run it at once. The prompt column is
-/// unescaped only to validate it (an answer-only record's empty column
-/// comes back borrowed): an older file's prompt-bearing records are
-/// accepted and rejected exactly as when the store read them.
+/// Pure, so the log's shares run it at once.
 fn parse_record(payload: &str) -> Option<(u64, CompletionResponse)> {
     let fields: Vec<&str> = payload.split('\t').collect();
-    if fields.len() != 3 + RESPONSE_FIELDS || fields[0] != "R" || unescape(fields[2]).is_none() {
-        return None;
+    match fields.split_first() {
+        Some((&"R", response)) => decode_response_fields(response),
+        _ => None,
     }
-    decode_response_fields(&fields[3..])
 }
 
 /// One sealed `R` record line for `response` under `fingerprint`, built in
@@ -333,7 +339,6 @@ impl ResponseStore {
 mod tests {
     use super::*;
     use crate::pricing::Pricing;
-    use crate::recordlog::escape_into;
     use crate::task::TaskDescriptor;
     use crate::types::{FinishReason, Usage};
 
@@ -374,21 +379,6 @@ mod tests {
             pricing: Pricing::new(0.0005, 0.0015),
             confidence: None,
         }
-    }
-
-    /// A sealed `R` record as the store wrote it while it kept prompts:
-    /// `prompt` escaped into the prompt column.
-    fn record_line_with_prompt(
-        fingerprint: u64,
-        prompt: &str,
-        response: &CompletionResponse,
-    ) -> String {
-        let mut line = String::from("R\t0000000000000000\t");
-        escape_into(&mut line, prompt);
-        line.push('\t');
-        push_response_fields(&mut line, fingerprint, response);
-        seal_line(&mut line);
-        line
     }
 
     #[test]
@@ -470,7 +460,11 @@ mod tests {
         assert_eq!(short, long);
         let line = record_line(1, &response("yes", 2));
         assert_eq!(short, line.len() as u64);
-        assert!(line.starts_with("R\t0000000000000000\t\t"), "{line}");
+        assert!(line.starts_with(RECORD_PREFIX), "{line}");
+        assert_eq!(
+            parse_record(line.rsplit_once('\t').unwrap().0).unwrap().0,
+            1
+        );
         drop(store);
         let reopened = ResponseStore::open_read_only(&path, StoreConfig::default()).unwrap();
         assert_eq!(reopened.len(), 2);
@@ -526,6 +520,24 @@ mod tests {
         cleanup(&path);
     }
 
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_lock_the_disk_refuses_fails_the_open_and_names_the_lock() {
+        let path = temp_path("full-lock");
+        let lock = lock_path(&path);
+        cleanup(&path);
+        // Every write to `/dev/full` fails, and so does truncating it.
+        std::os::unix::fs::symlink("/dev/full", &lock).unwrap();
+        let err = match ResponseStore::open(&path, StoreConfig::default()) {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("a writer whose lock takes no pid must not open"),
+        };
+        assert!(err.contains("cannot write"), "{err}");
+        assert!(err.contains(&lock.display().to_string()), "{err}");
+        assert!(!path.exists(), "the store file is not created");
+        cleanup(&path);
+    }
+
     #[test]
     fn torn_tail_recovered_on_writer_ignored_by_reader() {
         let path = temp_path("torn");
@@ -550,35 +562,6 @@ mod tests {
         cleanup(&path);
     }
 
-    #[test]
-    fn a_malformed_prompt_escape_stops_an_exact_only_replay_there() {
-        let path = temp_path("bad-escape");
-        {
-            let store = ResponseStore::open(&path, StoreConfig::default()).unwrap();
-            assert!(store.admit(&request("kept\twith a tab"), &response("k", 1)));
-        }
-        // A checksum-valid record whose prompt holds `\x`, then a good one.
-        let line = record_line_with_prompt(9, "PROMPT", &response("b", 1));
-        let (payload, _) = line.rsplit_once('\t').unwrap();
-        let mut bad = payload.replace("PROMPT", "bad \\x escape");
-        seal_line(&mut bad);
-        let good = record_line_with_prompt(7, "after", &response("a", 1));
-        let mut file = OpenOptions::new().append(true).open(&path).unwrap();
-        file.write_all(format!("{bad}{good}").as_bytes()).unwrap();
-        drop(file);
-        let reader = ResponseStore::open_read_only(&path, StoreConfig::default()).unwrap();
-        assert_eq!(reader.len(), 1, "the replay stops at the bad escape");
-        assert!(reader.contains(request("kept\twith a tab").fingerprint()));
-        assert!(!reader.contains(9) && !reader.contains(7));
-        let before = std::fs::metadata(&path).unwrap().len();
-        let writer = ResponseStore::open(&path, StoreConfig::default()).unwrap();
-        assert_eq!(writer.len(), 1);
-        drop(writer);
-        let truncated = before - (bad.len() + good.len()) as u64;
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), truncated);
-        cleanup(&path);
-    }
-
     /// What an open rebuilt: every entry, by fingerprint.
     fn rebuilt(store: &ResponseStore) -> Vec<(u64, CompletionResponse)> {
         let inner = store.inner.lock();
@@ -593,12 +576,12 @@ mod tests {
 
     #[test]
     fn a_replay_in_shares_rebuilds_and_truncates_as_the_one_share_walk() {
-        // 1 200 prompt-bearing records of ≈ 450 bytes, as the store wrote
-        // them while it kept prompts: ≈ 540 KB, room for four shares.
+        // 1 200 records of ≈ 430 bytes with long answers: ≈ 520 KB, room
+        // for four shares.
         let records: Vec<String> = (0..1_200u64)
             .map(|i| {
-                let prompt = format!("record {i}: {}", "lorem ipsum dolor ".repeat(16));
-                record_line_with_prompt(i * 7 + 1, &prompt, &response(&format!("answer {i}"), 2))
+                let text = format!("answer {i}: {}", "lorem ipsum dolor ".repeat(16));
+                record_line(i * 7 + 1, &response(&text, 2))
             })
             .collect();
         let body = records.concat();
@@ -622,7 +605,7 @@ mod tests {
             assert_eq!(starts.len(), shares);
             assert!(starts.windows(2).all(|w| w[0] < w[1]), "{starts:?}");
             // A checksum flip in the first share, a checksum-valid record
-            // whose prompt escape does not decode exactly where the second
+            // whose answer escape does not decode exactly where the second
             // share starts (at four shares, two more follow it), and a torn
             // final line in the last share.
             let (first, boundary, last) = (starts[1] / 2, starts[1], records.len() - 1);
@@ -639,11 +622,11 @@ mod tests {
                     if i == last {
                         line.truncate(line.len() - 9);
                     } else if i == boundary {
-                        let mut bad = line
-                            .rsplit_once('\t')
-                            .unwrap()
-                            .0
-                            .replacen("record", "rec\\xrd", 1);
+                        let mut bad =
+                            line.rsplit_once('\t')
+                                .unwrap()
+                                .0
+                                .replacen("answer", "ans\\xwer", 1);
                         seal_line(&mut bad);
                         *line = bad;
                     } else {

@@ -6,7 +6,7 @@ use std::fmt;
 use parking_lot::Mutex;
 
 use crate::error::LlmError;
-use crate::hash::Fingerprint;
+use crate::hash;
 use crate::pricing::Pricing;
 use crate::task::TaskDescriptor;
 
@@ -127,26 +127,32 @@ impl CompletionRequest {
     }
 
     /// The coordinate a backend folds into its transport draws beside the
-    /// fingerprint: the sample index (which a temperature-0 fingerprint
-    /// leaves out) advanced by the attempt, so every attempt re-rolls.
+    /// request's seed: the sample index (which a temperature-0 seed leaves
+    /// out) advanced by the attempt, so every attempt re-rolls.
     pub(crate) fn transport_draw(&self) -> u64 {
         u64::from(self.sample_index.wrapping_add(self.attempt))
     }
 
-    /// Stable fingerprint of the request content, suitable as a cache key.
+    /// Stable fingerprint of the request content: the key every cache,
+    /// store and journal holds its answer under.
     ///
-    /// Includes the sample index only when temperature is positive, so that
-    /// deterministic (temperature-0) requests are cached across samples.
+    /// Covers the prompt (`hash::prompt_hash`, 16 bytes a step), the
+    /// task's [`TaskDescriptor::fingerprint`], the temperature, the
+    /// max-tokens cap, and the sample index only when temperature is
+    /// positive, so that deterministic (temperature-0) requests are cached
+    /// across samples. The simulator seeds its draws from its own hash of
+    /// the same fields.
     pub fn fingerprint(&self) -> u64 {
-        let mut f = Fingerprint::new();
-        f.write_str(&self.prompt);
-        f.write_u64(self.task.fingerprint());
-        f.write_f64(self.temperature);
-        f.write_u64(u64::from(self.max_tokens.unwrap_or(0)));
+        let mut key = hash::combine(
+            hash::prompt_hash(self.prompt.as_bytes()),
+            self.task.fingerprint(),
+        );
+        key = hash::combine(key, self.temperature.to_bits());
+        key = hash::combine(key, u64::from(self.max_tokens.unwrap_or(0)));
         if self.temperature > 0.0 {
-            f.write_u64(u64::from(self.sample_index));
+            key = hash::combine(key, u64::from(self.sample_index));
         }
-        f.finish()
+        key
     }
 }
 

@@ -3,11 +3,12 @@
 //! and direct admits writes to a store file and to a journal file, and what
 //! a writer reopen and a reader reopen of each then serve. First recorded
 //! before the store lost its generation TTLs, capacity, cost-aware eviction
-//! and compaction; the store's constants were re-recorded once, when its
-//! records stopped carrying prompts (the emptied prompt column moved the
-//! bytes, and the near-duplicate, once answered by the deleted semantic
-//! tier, became a paid miss). Two files written before that change are
-//! checked in under `tests/fixtures/` and pinned here too.
+//! and compaction. Re-recorded twice since: when records stopped carrying
+//! prompts (the emptied prompt column moved the bytes, and the
+//! near-duplicate, once answered by the deleted semantic tier, became a
+//! paid miss), and when format v2 keyed records by a new request hash and
+//! dropped the empty generation and prompt columns. Two v1 files are
+//! checked in under `tests/fixtures/`: both opens must refuse them.
 //!
 //! The on-disk format is shared with every store and journal a user already
 //! has, so a failure here means a byte of a record or a reopened answer
@@ -35,7 +36,8 @@ const STORE_READER_SERVES: (usize, u64) = (7, 0xff4ce54fb252e998);
 const JOURNAL_SERVES: (usize, u64) = (6, 0x750e2d0c29e45748);
 
 /// Item texts, with tabs, newlines and multi-byte text for the escaping a
-/// prompt-bearing record needed.
+/// prompt-bearing record needed (the fixtures' prompts were built from
+/// them).
 const TEXTS: [&str; 5] = [
     "name: Chez Panisse;\taddress: 1517 Shattuck Ave;\tphone: 510-548-5525",
     "chocolate fudge brownie (double)\nwith walnuts",
@@ -247,100 +249,50 @@ fn store_and_journal_bytes_and_reopens_are_pinned() {
 }
 
 /// A store file (semantic tier on, so every record carries its escaped
-/// prompt) and a journal file written by this test's sequence at the commit
+/// prompt) and a journal file written by this test's sequence in format v1,
 /// before the store stopped keeping prompts, checked in byte for byte.
 const STORE_FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/fixtures/store-with-prompts.log"
 );
 const JOURNAL_FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/journal.log");
-/// `(length, FNV-1a)` of each fixture, and `(entries, FNV-1a of every
-/// key's lookup)` that both a writer and a reader open of it serve.
+/// `(length, FNV-1a)` of each fixture.
 const STORE_FIXTURE_BYTES: (usize, u64) = (1710, 0xa01aa0efd9a29274);
-const STORE_FIXTURE_SERVES: (usize, u64) = (6, 0x297035ab3dd1b08b);
 const JOURNAL_FIXTURE_BYTES: (usize, u64) = (867, 0xc1d752d53e17ddcb);
-const JOURNAL_FIXTURE_SERVES: (usize, u64) = (5, 0xb4961d64a20b8bbf);
 
 #[test]
-fn checked_in_logs_open_as_writer_and_reader_to_the_same_entries() {
-    for (fixture, bytes, served, tag) in [
-        (
-            STORE_FIXTURE,
-            STORE_FIXTURE_BYTES,
-            STORE_FIXTURE_SERVES,
-            "fixture-store",
-        ),
-        (
-            JOURNAL_FIXTURE,
-            JOURNAL_FIXTURE_BYTES,
-            JOURNAL_FIXTURE_SERVES,
-            "fixture-journal",
-        ),
+fn checked_in_v1_logs_are_refused_by_both_opens_and_left_as_they_were() {
+    for (fixture, bytes, tag) in [
+        (STORE_FIXTURE, STORE_FIXTURE_BYTES, "fixture-store"),
+        (JOURNAL_FIXTURE, JOURNAL_FIXTURE_BYTES, "fixture-journal"),
     ] {
         let fixture = Path::new(fixture);
         assert_eq!(file_digest(fixture), bytes, "{}", fixture.display());
-        let reader = ResponseStore::open_read_only(fixture, StoreConfig::default()).unwrap();
-        assert_eq!(serves(&reader), served, "reader of {}", fixture.display());
-        drop(reader);
-
         // A writer takes a lock beside its file: open a copy.
         let copy = temp_path(tag);
         cleanup(&copy);
         std::fs::copy(fixture, &copy).unwrap();
-        let writer = ResponseStore::open(&copy, StoreConfig::default()).unwrap();
-        assert_eq!(serves(&writer), served, "writer of {}", fixture.display());
-        drop(writer);
-        assert_eq!(
-            file_digest(&copy),
-            bytes,
-            "an open rewrote {}",
-            fixture.display()
-        );
+        for (open, path, writer) in [("reader", fixture, false), ("writer", &*copy, true)] {
+            let opened = if writer {
+                ResponseStore::open(path, StoreConfig::default())
+            } else {
+                ResponseStore::open_read_only(path, StoreConfig::default())
+            };
+            let err = match opened {
+                Err(e) => e,
+                Ok(_) => panic!("a {open} opened v1 file {}", path.display()),
+            };
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+            let text = err.to_string();
+            for part in [
+                "\"crowdprompt-store v1\"",
+                "\"crowdprompt-store v2\"",
+                "remove the file",
+            ] {
+                assert!(text.contains(part), "{open}: {part} not in {text}");
+            }
+            assert_eq!(file_digest(path), bytes, "a {open} open touched it");
+        }
         cleanup(&copy);
     }
-}
-
-#[test]
-fn a_writer_appends_answer_only_records_after_prompt_bearing_ones() {
-    let copy = temp_path("fixture-mixed");
-    cleanup(&copy);
-    std::fs::copy(STORE_FIXTURE, &copy).unwrap();
-    let old = std::fs::read(STORE_FIXTURE).unwrap();
-
-    // The old sequence answered the near-duplicate from the semantic tier,
-    // so its fingerprint is not in the file: a paid miss, admitted.
-    let served = {
-        let store = Arc::new(ResponseStore::open(&copy, StoreConfig::default()).unwrap());
-        let client = client(Some(Arc::clone(&store)), None);
-        assert!(!client.complete(&near_duplicate()).unwrap().cached);
-        assert!(client.complete(&paid()[3]).unwrap().cached, "a store hit");
-        assert_eq!(client.stats().calls(), 1);
-        assert_eq!(store.append_failures(), (0, None));
-        serves(&store)
-    };
-    assert_eq!(served.0, STORE_FIXTURE_SERVES.0 + 1);
-    // The same seven answers a store written from scratch now serves.
-    assert_eq!(served, STORE_READER_SERVES);
-
-    let mixed = std::fs::read(&copy).unwrap();
-    assert_eq!(
-        &mixed[..old.len()],
-        &old[..],
-        "the old records stay as they were"
-    );
-    let appended = std::str::from_utf8(&mixed[old.len()..]).unwrap();
-    assert_eq!(appended.matches('\n').count(), 1, "{appended}");
-    assert!(
-        appended.starts_with("R\t0000000000000000\t\t"),
-        "an empty prompt column: {appended}"
-    );
-
-    let writer = ResponseStore::open(&copy, StoreConfig::default()).unwrap();
-    assert_eq!(serves(&writer), served, "writer reopen of the mixed file");
-    drop(writer);
-    assert_eq!(std::fs::read(&copy).unwrap(), mixed, "a reopen rewrote it");
-    let reader = ResponseStore::open_read_only(&copy, StoreConfig::default()).unwrap();
-    assert_eq!(serves(&reader), served, "reader of the mixed file");
-    drop(reader);
-    cleanup(&copy);
 }
