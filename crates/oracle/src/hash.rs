@@ -294,7 +294,10 @@ mod tests {
             .iter()
             .map(|&(len, _)| (len, prompt_hash(&pattern(len))))
             .collect();
-        let rows: Vec<String> = got.iter().map(|(l, h)| format!("({l}, {h:#018x}),")).collect();
+        let rows: Vec<String> = got
+            .iter()
+            .map(|(l, h)| format!("({l}, {h:#018x}),"))
+            .collect();
         assert_eq!(got, PROMPT_HASH_VECTORS, "\n{}", rows.join("\n"));
     }
 

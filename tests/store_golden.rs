@@ -191,6 +191,8 @@ fn store_and_journal_bytes_and_reopens_are_pinned() {
         assert!(!store.admit(&check(4, "Is this a seafood place?"), &hit));
         assert!(!store.admit(&request.clone().with_temperature(0.3), &response));
         assert_eq!((store.len(), journal.len()), (6, 6));
+        assert_eq!(store.append_failures(), (0, None));
+        assert_eq!(journal.append_failures(), (0, None));
     }
     assert_eq!(file_digest(&store_path), STORE_BYTES, "store file");
     assert_eq!(file_digest(&journal_path), JOURNAL_BYTES, "journal file");

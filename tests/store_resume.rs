@@ -207,7 +207,7 @@ fn torn_header_opens_as_an_empty_store() {
     let reference = run_filter(&store_session(&w, &items, 29, &clean_path), &items);
     let bytes = std::fs::read(&clean_path).unwrap();
     let header_line = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
-    assert_eq!(header_line, 21, "`crowdprompt-store v1` and its newline");
+    assert_eq!(header_line, 21, "`crowdprompt-store v2` and its newline");
 
     for cut in [5, 20] {
         let path = temp_path("header-torn");
@@ -236,10 +236,11 @@ fn torn_header_opens_as_an_empty_store() {
     }
 
     // A file that is not a prefix of our header is still refused and left
-    // as it was: another version, a binary file (PNG's first bytes), and a
-    // prefix of our header followed by bytes that are not text.
+    // as it was: another version (the previous one), a binary file (PNG's
+    // first bytes), and a prefix of our header followed by bytes that are
+    // not text.
     let foreign_files: [&[u8]; 3] = [
-        b"crowdprompt-store v2\n",
+        b"crowdprompt-store v1\n",
         b"\x89PNG\r\n\x1a\n",
         b"crow\xff\xfe",
     ];
