@@ -8,7 +8,9 @@
 //! near-duplicate, once answered by the deleted semantic tier, became a
 //! paid miss), and when format v2 keyed records by a new request hash and
 //! dropped the empty generation and prompt columns. Two v1 files are
-//! checked in under `tests/fixtures/`: both opens must refuse them.
+//! checked in under `tests/fixtures/`: both opens must refuse them. Two v2
+//! files, the store and journal this sequence writes, are checked in beside
+//! them and pinned here too.
 //!
 //! The on-disk format is shared with every store and journal a user already
 //! has, so a failure here means a byte of a record or a reopened answer
@@ -297,4 +299,111 @@ fn checked_in_v1_logs_are_refused_by_both_opens_and_left_as_they_were() {
         }
         cleanup(&copy);
     }
+}
+
+/// The store and journal files the first session of
+/// `store_and_journal_bytes_and_reopens_are_pinned` writes in format v2,
+/// checked in byte for byte.
+const STORE_V2_FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/store-v2.log");
+const JOURNAL_V2_FIXTURE: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/journal-v2.log");
+
+#[test]
+fn checked_in_logs_open_as_writer_and_reader_to_the_same_entries() {
+    for (fixture, bytes, served, tag) in [
+        (
+            STORE_V2_FIXTURE,
+            STORE_BYTES,
+            STORE_WRITER_SERVES,
+            "fixture-v2-store",
+        ),
+        (
+            JOURNAL_V2_FIXTURE,
+            JOURNAL_BYTES,
+            JOURNAL_SERVES,
+            "fixture-v2-journal",
+        ),
+    ] {
+        let fixture = Path::new(fixture);
+        assert_eq!(file_digest(fixture), bytes, "{}", fixture.display());
+        let reader = ResponseStore::open_read_only(fixture, StoreConfig::default()).unwrap();
+        assert_eq!(serves(&reader), served, "reader of {}", fixture.display());
+        drop(reader);
+
+        // A writer takes a lock beside its file: open a copy.
+        let copy = temp_path(tag);
+        cleanup(&copy);
+        std::fs::copy(fixture, &copy).unwrap();
+        let writer = ResponseStore::open(&copy, StoreConfig::default()).unwrap();
+        assert_eq!(serves(&writer), served, "writer of {}", fixture.display());
+        drop(writer);
+        assert_eq!(
+            file_digest(&copy),
+            bytes,
+            "an open rewrote {}",
+            fixture.display()
+        );
+        cleanup(&copy);
+    }
+}
+
+/// Named when the checked-in store was v1 and its records bore prompts. A
+/// v2 record never does, so this now pins that a writer appends its
+/// answer-only record after the checked-in v2 ones, leaving them byte for
+/// byte, and ends at the bytes and entries a store written from scratch has.
+#[test]
+fn a_writer_appends_answer_only_records_after_prompt_bearing_ones() {
+    let copy = temp_path("fixture-v2-appended");
+    cleanup(&copy);
+    std::fs::copy(STORE_V2_FIXTURE, &copy).unwrap();
+    let old = std::fs::read(STORE_V2_FIXTURE).unwrap();
+
+    let served = {
+        let store = Arc::new(ResponseStore::open(&copy, StoreConfig::default()).unwrap());
+        let client = client(Some(Arc::clone(&store)), None);
+        assert!(
+            client.complete(&near_duplicate()).unwrap().cached,
+            "a store hit"
+        );
+        let unseen = check(4, "Is this a seafood place?");
+        assert!(!client.complete(&unseen).unwrap().cached);
+        assert_eq!(client.stats().calls(), 1);
+        assert_eq!(store.append_failures(), (0, None));
+        serves(&store)
+    };
+    assert_eq!(served.0, STORE_WRITER_SERVES.0 + 1);
+    // The same seven answers a store written from scratch serves.
+    assert_eq!(served, STORE_READER_SERVES);
+
+    let appended_file = std::fs::read(&copy).unwrap();
+    assert_eq!(
+        &appended_file[..old.len()],
+        &old[..],
+        "the old records stay as they were"
+    );
+    assert_eq!(file_digest(&copy), STORE_BYTES_REOPENED);
+    let appended = std::str::from_utf8(&appended_file[old.len()..]).unwrap();
+    assert_eq!(appended.matches('\n').count(), 1, "{appended}");
+    let key = check(4, "Is this a seafood place?").fingerprint();
+    assert!(
+        appended.starts_with(&format!("R\t{key:016x}\t")),
+        "a v2 record, keyed and with no prompt column: {appended}"
+    );
+
+    let writer = ResponseStore::open(&copy, StoreConfig::default()).unwrap();
+    assert_eq!(
+        serves(&writer),
+        served,
+        "writer reopen of the appended file"
+    );
+    drop(writer);
+    assert_eq!(
+        std::fs::read(&copy).unwrap(),
+        appended_file,
+        "a reopen rewrote it"
+    );
+    let reader = ResponseStore::open_read_only(&copy, StoreConfig::default()).unwrap();
+    assert_eq!(serves(&reader), served, "reader of the appended file");
+    drop(reader);
+    cleanup(&copy);
 }
