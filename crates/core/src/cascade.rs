@@ -12,7 +12,7 @@
 //! one client, and a `Query` plans against one engine. Each tier is
 //! therefore an engine the caller already owns — a session's, or a
 //! tenant's handle from `Server::engine_for` — and its polls run under
-//! that engine's budget, failure policy, deadline, trace and leases.
+//! that engine's budget, failure policy, trace and leases.
 //! Escalating past a tier that is down is that policy at work, not a
 //! cascade feature: under [`FailurePolicy::Degrade`](crate::FailurePolicy)
 //! the tier's lost votes leave their items without a margin, so they

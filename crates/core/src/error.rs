@@ -26,10 +26,6 @@ pub enum EngineError {
     InvalidInput(String),
     /// An item id was not present in the engine's corpus.
     UnknownItem(crowdprompt_oracle::ItemId),
-    /// The run's wall-clock deadline passed before this work could be
-    /// dispatched (degrade mode quarantines the item under this error
-    /// rather than starting a call it is no longer allowed to wait for).
-    DeadlineExceeded,
 }
 
 impl fmt::Display for EngineError {
@@ -49,9 +45,6 @@ impl fmt::Display for EngineError {
             }
             EngineError::InvalidInput(msg) => write!(f, "invalid input: {msg}"),
             EngineError::UnknownItem(id) => write!(f, "item {id} is not in the corpus"),
-            EngineError::DeadlineExceeded => {
-                write!(f, "run deadline passed before this work was dispatched")
-            }
         }
     }
 }

@@ -81,13 +81,13 @@
 //! pumped round per level, down to bare singletons that carry the same
 //! fingerprint the per-item path issues.
 //!
-//! # Deadlines and resume
+//! # Retry pauses and resume
 //!
-//! `Engine::with_deadline_ms` is a wall-clock allowance per run entry,
-//! threaded onto every [`CompletionRequest`] so the client and router clip
-//! retry backoff and hedge waits against it; under
-//! [`FailurePolicy::Degrade`], work not yet dispatched when the deadline
-//! passes is quarantined as [`EngineError::DeadlineExceeded`].
+//! Under [`FailurePolicy::Degrade`] an item whose call fails retryably is
+//! tried again, up to `max_attempts` engine attempts, after a pause that
+//! honours the failure's `Retry-After` hint clamped to [5, 250] ms. This
+//! pause is the one place a hint is read: the router below retries at once,
+//! on another backend.
 //!
 //! Crash resume is not the engine's business: a run journal attached to the
 //! client ([`LlmClient::attach_journal`]) answers a replayed call with
@@ -218,9 +218,6 @@ pub struct Engine {
     render_opts: RenderOptions,
     trace: Option<Arc<Trace>>,
     failure_policy: FailurePolicy,
-    /// Wall-clock allowance per run entry point; threaded onto every
-    /// request so the dispatch stack clips sleeps against it.
-    deadline_ms: Option<u64>,
     /// Degraded-run notes [`Settle::finish`] leaves for the plan layer
     /// (drained by [`Engine::take_salvage`] after each plan node executes).
     salvage: Mutex<Vec<OpSalvage>>,
@@ -256,7 +253,6 @@ impl Engine {
             render_opts: RenderOptions::default(),
             trace: None,
             failure_policy: FailurePolicy::FailFast,
-            deadline_ms: None,
             salvage: Mutex::new(Vec::new()),
         }
     }
@@ -366,18 +362,6 @@ impl Engine {
         self
     }
 
-    /// Set a wall-clock deadline, in milliseconds, granted to each run
-    /// entry point (builder style). The deadline is stamped onto every
-    /// request the run issues, so client retries, router backoff, and
-    /// hedge waits are all clipped against it and stop once it passes; in
-    /// degrade mode, work still undispatched at the deadline is
-    /// quarantined rather than started.
-    #[must_use]
-    pub(crate) fn with_deadline_ms(mut self, deadline_ms: u64) -> Self {
-        self.deadline_ms = Some(deadline_ms);
-        self
-    }
-
     /// The engine's corpus.
     pub fn corpus(&self) -> &Corpus {
         &self.corpus
@@ -419,22 +403,11 @@ impl Engine {
         self.failure_policy
     }
 
-    /// The per-run wall-clock allowance, if any.
-    pub fn deadline_ms(&self) -> Option<u64> {
-        self.deadline_ms
-    }
-
     /// Drain the degraded-run notes accumulated since the last call. The
     /// plan executor drains after each node; direct engine users may
     /// inspect the notes themselves.
     pub(crate) fn take_salvage(&self) -> Vec<OpSalvage> {
         std::mem::take(&mut *self.salvage.lock())
-    }
-
-    /// This run's wall-clock deadline, anchored now.
-    pub(crate) fn run_deadline(&self) -> Option<Instant> {
-        self.deadline_ms
-            .map(|ms| Instant::now() + Duration::from_millis(ms)) // lint: allow(clock) — run deadline anchor
     }
 
     /// Dollar cost of a usage under the engine's *reference* model pricing
@@ -570,8 +543,7 @@ impl Engine {
     /// sampled and packed specs. Under [`FailurePolicy::Degrade`] every item
     /// runs to completion or quarantine and `Err` is reserved for the caller
     /// bug of packing incompatible tasks; cache hits are salvaged even
-    /// after the budget or the deadline is exhausted, since they cost
-    /// nothing to serve.
+    /// after the budget is exhausted, since they cost nothing to serve.
     pub fn run_outcome(&self, spec: RunSpec) -> Result<BatchOutcome, EngineError> {
         let policy = self.failure_policy;
         let (tasks, width, sampling) = match spec {
@@ -617,7 +589,7 @@ impl Engine {
         admit: Admit,
         policy: FailurePolicy,
     ) -> Result<BatchOutcome, EngineError> {
-        let work = self.prepare(calls, admit, self.run_deadline(), policy);
+        let work = self.prepare(calls, admit, policy);
         let mut outcome = BatchOutcome::default();
         let results = self.pump(Intake::Rendered(work), self.shape(policy))?;
         for (index, item) in results.into_iter().enumerate() {
@@ -668,7 +640,6 @@ impl Engine {
             next.push(mid..pack.end);
         }
         let n = tasks.len();
-        let deadline = self.run_deadline();
         let window = self.client.model().context_window();
         let mut answers: Vec<Option<Result<String, EngineError>>> = vec![None; n];
         let mut outcome = BatchOutcome::default();
@@ -688,7 +659,7 @@ impl Engine {
                         tasks: many.to_vec(),
                     },
                 };
-                self.render_call((task, temperature, sample_index), mode, deadline)
+                self.render_call((task, temperature, sample_index), mode)
             };
             let mut next: Vec<Range<usize>> = Vec::new();
             let mut round: Vec<Range<usize>> = Vec::new();
@@ -756,12 +727,10 @@ impl Engine {
         &self,
         (task, temperature, sample_index): Call,
         mode: Admit,
-        deadline: Option<Instant>,
     ) -> Result<Work, EngineError> {
         let (mut request, est_usage, est_usd) = self.render_and_estimate(task)?;
         request.temperature = temperature;
         request.sample_index = sample_index;
-        request.deadline = deadline;
         Ok(Work {
             request,
             prompt_tokens: est_usage.prompt_tokens,
@@ -786,7 +755,6 @@ impl Engine {
         &self,
         calls: Vec<Call>,
         admit: Admit,
-        deadline: Option<Instant>,
         policy: FailurePolicy,
     ) -> Vec<Result<Work, EngineError>> {
         let mode = admission_mode(admit, policy);
@@ -794,7 +762,7 @@ impl Engine {
         calls
             .into_iter()
             .map(|call| {
-                let work = self.render_call(call, mode, deadline)?;
+                let work = self.render_call(call, mode)?;
                 if mode == Admit::Batch {
                     let admit_usd = self.admission_usd(work.admission.est_usd);
                     let est_tokens = work.admission.est_tokens;
@@ -1057,7 +1025,7 @@ impl Engine {
             Ok(hit)
         };
         // A cache hit costs nothing to serve, so a salvaging run takes it
-        // even when the budget or the deadline is already spent.
+        // even when the budget is already spent.
         let salvage = admission.mode == Admit::AfterSalvage;
         let key = match *key {
             // Probed where the batch was rendered, and queued since: someone
@@ -1092,13 +1060,6 @@ impl Engine {
         };
         let mut errors: Vec<EngineError> = Vec::new();
         loop {
-            if let (true, Some(deadline)) = (salvage, request.deadline) {
-                // lint: allow(clock) — deadline check between attempts
-                if Instant::now() >= deadline {
-                    errors.push(EngineError::DeadlineExceeded);
-                    return Err(errors);
-                }
-            }
             let e = match self.dispatch(request, key) {
                 Ok(response) => return served(response),
                 Err(e) => e,
@@ -1114,20 +1075,13 @@ impl Engine {
                 return Err(errors);
             }
             // Honor server/breaker hints between attempts, bounded below
-            // by the spin floor and above by both the pause cap and the
-            // remaining deadline.
-            let mut wait = Duration::from_millis(
+            // by the spin floor and above by the pause cap.
+            let wait = Duration::from_millis(
                 hint.unwrap_or(MIN_ATTEMPT_PAUSE_MS)
                     .clamp(MIN_ATTEMPT_PAUSE_MS, MAX_ATTEMPT_PAUSE_MS),
             );
-            if let Some(deadline) = request.deadline {
-                // lint: allow(clock) — remaining-deadline clamp
-                wait = wait.min(deadline.saturating_duration_since(Instant::now()));
-            }
-            if !wait.is_zero() {
-                parking_lot::blocking_region("engine retry pause");
-                std::thread::sleep(wait);
-            }
+            parking_lot::blocking_region("engine retry pause");
+            std::thread::sleep(wait);
         }
     }
 
@@ -1170,16 +1124,16 @@ pub(crate) enum Admit {
     /// *before* any cache probe — a hit is refused too once the budget is
     /// gone, as the sequential loops these batches replace did.
     PerCall,
-    /// Per call, but only after a free local hit has been ruled out, and
-    /// together with the deadline: work still undispatched when either
-    /// runs out is quarantined instead of started.
+    /// Per call, but only after a free local hit has been ruled out: work
+    /// still undispatched when the budget runs out is quarantined instead
+    /// of started.
     AfterSalvage,
 }
 
 /// The admission mode a spec's `admit` runs under `policy`. Policy point: a
-/// degrading run serves free local hits *before* it asks for budget or
-/// checks the deadline, so its admission moves behind the probe, whatever
-/// the spec's strict timing would be.
+/// degrading run serves free local hits *before* it asks for budget, so
+/// its admission moves behind the probe, whatever the spec's strict timing
+/// would be.
 fn admission_mode(admit: Admit, policy: FailurePolicy) -> Admit {
     match policy {
         FailurePolicy::FailFast => admit,
@@ -1812,7 +1766,7 @@ impl<T> FairFeed<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crowdprompt_oracle::model::ModelProfile;
+    use crowdprompt_oracle::model::{ModelProfile, NoiseProfile};
     use crowdprompt_oracle::sim::SimulatedLlm;
     use crowdprompt_oracle::world::WorldModel;
 
@@ -1891,6 +1845,52 @@ mod tests {
             matches!(result, Err(EngineError::BudgetExceeded { .. })),
             "expected exhaustion, got {result:?}"
         );
+    }
+
+    #[test]
+    fn a_degraded_item_pauses_for_the_rate_limit_hint_between_attempts() {
+        // Every call is a 429 with a 50 ms hint. The router retries it at
+        // once, so the engine's pause between its own attempts is the one
+        // place the hint is honoured.
+        let mut w = WorldModel::new();
+        let id = w.add_item("item");
+        let corpus = Corpus::from_world(&w, &[id]);
+        let profile = ModelProfile::perfect().with_noise(NoiseProfile {
+            rate_limit_prob: 1.0,
+            ..NoiseProfile::perfect()
+        });
+        let llm = Arc::new(SimulatedLlm::new(profile, Arc::new(w), 1));
+        let engine = Engine::new(Arc::new(LlmClient::new(llm)), corpus)
+            .with_failure_policy(FailurePolicy::Degrade { max_attempts: 3 });
+
+        let started = Instant::now();
+        let outcome = engine
+            .run_outcome(RunSpec::tasks(vec![check_task(id)]))
+            .unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(outcome.ok_count(), 0);
+        assert_eq!(outcome.quarantined.len(), 1);
+        assert_eq!(outcome.quarantined[0].errors.len(), 3);
+        assert!(
+            elapsed >= Duration::from_millis(100),
+            "two pauses of the 50 ms hint, elapsed {elapsed:?}"
+        );
+
+        // Fail-fast allows one engine attempt: no pause, a one-entry chain.
+        let shape = RunShape {
+            stop_on_error: false,
+            ..engine.shape(FailurePolicy::FailFast)
+        };
+        let results = engine
+            .pump(
+                Intake::Rendered(rendered(&engine, vec![check_task(id)])),
+                shape,
+            )
+            .unwrap();
+        assert!(matches!(
+            results[0].as_ref().unwrap_err()[..],
+            [EngineError::Llm(LlmError::RetriesExhausted { .. })]
+        ));
     }
 
     /// The responses of a sampled spec on a healthy engine.
@@ -2143,7 +2143,7 @@ mod tests {
     /// pre-failed.
     fn rendered(engine: &Engine, tasks: Vec<TaskDescriptor>) -> Vec<Result<Work, EngineError>> {
         let calls = tasks.into_iter().map(Engine::unsampled).collect();
-        engine.prepare(calls, Admit::PerCall, None, FailurePolicy::FailFast)
+        engine.prepare(calls, Admit::PerCall, FailurePolicy::FailFast)
     }
 
     #[test]

@@ -233,18 +233,15 @@ pub(crate) fn plan(
             store.len(),
         ));
     }
-    // Execution-semantics notes: degrade mode means the plan can complete
+    // Execution-semantics note: degrade mode means the plan can complete
     // with *partial* output (quarantined items land in each step's salvage
-    // notes), and a deadline bounds wall-clock — both worth surfacing in
-    // EXPLAIN before anyone reads the row estimates as guarantees.
+    // notes) — worth surfacing in EXPLAIN before anyone reads the row
+    // estimates as guarantees.
     if let FailurePolicy::Degrade { max_attempts } = engine.failure_policy() {
         notes.push(format!(
             "failure policy: degrade (<= {max_attempts} dispatch attempts/item) — \
              broken items quarantine into step salvage notes instead of failing the plan"
         ));
-    }
-    if let Some(ms) = engine.deadline_ms() {
-        notes.push(format!("deadline: {ms} ms wall-clock per dispatch batch"));
     }
     let (source, steps, calibration) = query.into_parts();
     // Terminal nodes (labels, counts, clusters, …) end the chain, label-based

@@ -596,12 +596,11 @@ impl Server {
 
         // Render and estimate everything first: a batch with an unrenderable
         // task is refused whole, before any quota is consumed.
-        let deadline = engine.run_deadline();
         let mut work = Vec::with_capacity(n);
         let (mut batch_usd, mut batch_tokens) = (0.0f64, 0u64);
         for task in tasks {
             let item = engine
-                .render_call(Engine::unsampled(task), Admit::Batch, deadline)
+                .render_call(Engine::unsampled(task), Admit::Batch)
                 .map_err(|e| refuse(ServeError::Invalid(e.to_string())))?;
             batch_usd += engine.admission_usd(item.admission.est_usd);
             batch_tokens += item.admission.est_tokens;

@@ -26,28 +26,27 @@ use crate::exec::{Engine, FailurePolicy};
 use crate::plan::{Plan, Query};
 use crate::trace::Trace;
 
-/// Routing-layer configuration: which backends serve the session and how
-/// aggressively the router retries and hedges across them.
+/// Routing-layer configuration: which backends serve the session and
+/// whether the router hedges across them.
 ///
 /// Pass to [`SessionBuilder::routing`]. The group is self-consistent by
-/// construction — hedging and retry knobs live next to the backend roster
-/// they require, and `try_build` reports violations under the `routing:`
-/// prefix.
+/// construction — the hedging knob lives next to the backend roster it
+/// requires, and `try_build` reports violations under the `routing:`
+/// prefix. A routed session retries a transient failure up to
+/// [`RoutePolicy::default`]'s three times, each on a backend that has not
+/// failed the request yet.
 ///
 /// ```
 /// use crowdprompt_core::session::RoutingConfig;
 /// use std::time::Duration;
 ///
-/// let routing = RoutingConfig::new()
-///     .hedge_after(Duration::from_millis(5))
-///     .max_retries(3);
+/// let routing = RoutingConfig::new().hedge_after(Duration::from_millis(5));
 /// # let _ = routing;
 /// ```
 #[derive(Clone, Default)]
 pub struct RoutingConfig {
     backends: Vec<Arc<dyn Backend>>,
     hedge_after: Option<Duration>,
-    max_retries: Option<u32>,
 }
 
 impl std::fmt::Debug for RoutingConfig {
@@ -55,13 +54,12 @@ impl std::fmt::Debug for RoutingConfig {
         f.debug_struct("RoutingConfig")
             .field("backends", &self.backends.len())
             .field("hedge_after", &self.hedge_after)
-            .field("max_retries", &self.max_retries)
             .finish()
     }
 }
 
 impl RoutingConfig {
-    /// An empty routing group: no backends, no hedging, default retries.
+    /// An empty routing group: no backends, no hedging.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -70,7 +68,7 @@ impl RoutingConfig {
     /// Route the session across a set of heterogeneous backends serving one
     /// model tier, instead of a single client. The session builds a routed
     /// [`LlmClient`] over them: least-loaded/cheapest-eligible selection,
-    /// retry-with-backoff across backends, a per-backend circuit breaker,
+    /// retry across backends, a per-backend circuit breaker,
     /// and (with [`RoutingConfig::hedge_after`]) hedged requests. A
     /// registry of exactly one transparent backend is result-identical to
     /// passing the model as a plain client.
@@ -92,22 +90,10 @@ impl RoutingConfig {
         self.hedge_after = Some(delay);
         self
     }
-
-    /// Set how many extra attempts the routing layer makes on transient
-    /// failure (each retry prefers a backend that has not failed this
-    /// request yet). Requires [`RoutingConfig::backends`].
-    #[must_use]
-    pub fn max_retries(mut self, retries: u32) -> Self {
-        self.max_retries = Some(retries);
-        self
-    }
-
-    fn is_configured(&self) -> bool {
-        self.hedge_after.is_some() || self.max_retries.is_some()
-    }
 }
 
-/// Resilience configuration: what happens when calls fail or run long.
+/// Resilience configuration: what happens when calls fail, and where a
+/// crashed run resumes from.
 ///
 /// Pass to [`SessionBuilder::resilience`]. Violations surface from
 /// `try_build` under the `resilience:` prefix.
@@ -117,19 +103,17 @@ impl RoutingConfig {
 /// use crowdprompt_core::FailurePolicy;
 ///
 /// let resilience = ResilienceConfig::new()
-///     .failure_policy(FailurePolicy::Degrade { max_attempts: 40 })
-///     .deadline_ms(2_000);
+///     .failure_policy(FailurePolicy::Degrade { max_attempts: 40 });
 /// # let _ = resilience;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ResilienceConfig {
     failure_policy: Option<FailurePolicy>,
-    deadline_ms: Option<u64>,
     journal_path: Option<std::path::PathBuf>,
 }
 
 impl ResilienceConfig {
-    /// An empty resilience group: fail-fast, no deadline, no journal.
+    /// An empty resilience group: fail-fast, no journal.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -143,15 +127,6 @@ impl ResilienceConfig {
     #[must_use]
     pub fn failure_policy(mut self, policy: FailurePolicy) -> Self {
         self.failure_policy = Some(policy);
-        self
-    }
-
-    /// Grant each operation a wall-clock deadline in milliseconds: retries,
-    /// backoff, and hedges are clipped against it, and (in degrade mode)
-    /// work not yet dispatched when it passes is quarantined.
-    #[must_use]
-    pub fn deadline_ms(mut self, ms: u64) -> Self {
-        self.deadline_ms = Some(ms);
         self
     }
 
@@ -248,7 +223,7 @@ impl SessionBuilder {
         self
     }
 
-    /// Set the routing group: backend roster, hedging, retry policy.
+    /// Set the routing group: backend roster and hedging.
     /// Replaces any previously set routing group.
     #[must_use]
     pub fn routing(mut self, config: RoutingConfig) -> Self {
@@ -256,8 +231,8 @@ impl SessionBuilder {
         self
     }
 
-    /// Set the resilience group: failure policy, operation deadline, crash
-    /// journal. Replaces any previously set resilience group.
+    /// Set the resilience group: failure policy and crash journal.
+    /// Replaces any previously set resilience group.
     #[must_use]
     pub fn resilience(mut self, config: ResilienceConfig) -> Self {
         self.resilience = config;
@@ -350,10 +325,10 @@ impl SessionBuilder {
                 ))
             }
             (Some(client), true) => {
-                if self.routing.is_configured() {
+                if self.routing.hedge_after.is_some() {
                     return Err(EngineError::InvalidInput(
-                        "routing: hedge_after/max_retries configure the routing layer; \
-                         they require backends(...)"
+                        "routing: hedge_after configures the routing layer; \
+                         it requires backends(...)"
                             .into(),
                     ));
                 }
@@ -362,7 +337,6 @@ impl SessionBuilder {
             (None, false) => {
                 let registry = BackendRegistry::new(self.routing.backends)?;
                 let policy = RoutePolicy {
-                    max_retries: self.routing.max_retries.unwrap_or(3),
                     hedge: self.routing.hedge_after.map(HedgeConfig::after),
                     ..RoutePolicy::default()
                 };
@@ -411,9 +385,6 @@ impl SessionBuilder {
         }
         if let Some(policy) = self.resilience.failure_policy {
             engine = engine.with_failure_policy(policy);
-        }
-        if let Some(ms) = self.resilience.deadline_ms {
-            engine = engine.with_deadline_ms(ms);
         }
         let trace = if self.trace {
             let trace = Arc::new(Trace::new());
@@ -725,13 +696,13 @@ mod tests {
         }
         match Session::builder()
             .client(mk_client())
-            .routing(RoutingConfig::new().max_retries(2))
+            .routing(RoutingConfig::new().hedge_after(Duration::from_millis(5)))
             .try_build()
         {
             Err(EngineError::InvalidInput(msg)) => {
                 assert!(msg.starts_with("routing:"), "group not named in: {msg}");
             }
-            Ok(_) => panic!("retry knob without backends must not build"),
+            Ok(_) => panic!("hedge knob without backends must not build"),
             Err(other) => panic!("expected routing group error, got {other:?}"),
         }
         match Session::builder().try_build() {

@@ -1,7 +1,7 @@
 //! Client-side wrapper over a [`LanguageModel`]: a sharded response cache
 //! with in-flight request coalescing, cost accounting, and one transport
 //! path — every client dispatches through a [`Router`], which owns retries,
-//! backoff and deadlines.
+//! failover and hedging.
 //!
 //! This is the layer a production deployment would point at a network
 //! backend; the declarative engine only ever talks to an [`LlmClient`].
@@ -59,12 +59,11 @@ const CACHE_SHARDS: usize = 16;
 const _: () = assert!(CACHE_SHARDS.is_power_of_two());
 
 /// The policy behind [`LlmClient::new`]: what a client over one bare model
-/// has always done — three attempts, no sleeping, no hedging. The breaker
-/// never opens: a lone backend has nowhere to fail over to, so an open
-/// circuit could only turn a retryable failure into `CircuitOpen`.
+/// has always done — three attempts, no hedging. The breaker never opens:
+/// a lone backend has nowhere to fail over to, so an open circuit could
+/// only turn a retryable failure into `CircuitOpen`.
 const SINGLE_MODEL_POLICY: RoutePolicy = RoutePolicy {
     max_retries: 2,
-    backoff_ms: 0,
     hedge: None,
     breaker: BreakerConfig {
         failure_threshold: u32::MAX,
@@ -328,8 +327,8 @@ pub struct LlmClient {
 impl LlmClient {
     /// Wrap one model, caching enabled: exactly
     /// [`LlmClient::routed`] over [`BackendRegistry::single`] with a fixed
-    /// policy — three attempts, no sleeping, no hedging, and a breaker that
-    /// never opens (a lone backend has nowhere to fail over to). Responses
+    /// policy — three attempts, no hedging, and a breaker that never opens
+    /// (a lone backend has nowhere to fail over to). Responses
     /// and pricing are bit-identical to calling `model` directly.
     pub fn new(model: Arc<dyn LanguageModel>) -> Self {
         LlmClient::routed(BackendRegistry::single(model), SINGLE_MODEL_POLICY)
@@ -371,15 +370,6 @@ impl LlmClient {
     #[must_use]
     pub fn without_cache(mut self) -> Self {
         self.cache_enabled = false;
-        self
-    }
-
-    /// Layer a persistent [`ResponseStore`] under the in-memory shards
-    /// (builder style). See [`LlmClient::attach_store`] for the layering
-    /// semantics.
-    #[must_use]
-    pub fn with_store(self, store: Arc<ResponseStore>) -> Self {
-        let _ = self.store.set(store);
         self
     }
 
@@ -1128,7 +1118,8 @@ mod tests {
                 Arc::clone(&world),
                 1,
             ));
-            let client = LlmClient::new(llm).with_store(Arc::new(
+            let client = LlmClient::new(llm);
+            client.attach_store(Arc::new(
                 ResponseStore::open(&path, StoreConfig::default()).unwrap(),
             ));
             let out: Vec<CompletionResponse> = requests
@@ -1145,7 +1136,8 @@ mod tests {
         // zero ledger spend, results bit-identical apart from the cached
         // marking.
         let llm = Arc::new(SimulatedLlm::new(ModelProfile::perfect(), world, 1));
-        let client = LlmClient::new(llm).with_store(Arc::new(
+        let client = LlmClient::new(llm);
+        client.attach_store(Arc::new(
             ResponseStore::open(&path, StoreConfig::default()).unwrap(),
         ));
         for (req, cold) in requests.iter().zip(&cold_responses) {
@@ -1181,13 +1173,15 @@ mod tests {
                 Arc::clone(&world),
                 1,
             ));
-            let client = LlmClient::new(llm).with_store(Arc::new(
+            let client = LlmClient::new(llm);
+            client.attach_store(Arc::new(
                 ResponseStore::open(&path, StoreConfig::default()).unwrap(),
             ));
             client.complete(&req).unwrap();
         }
         let llm = Arc::new(SimulatedLlm::new(ModelProfile::perfect(), world, 1));
-        let client = LlmClient::new(llm).with_store(Arc::new(
+        let client = LlmClient::new(llm);
+        client.attach_store(Arc::new(
             ResponseStore::open(&path, StoreConfig::default()).unwrap(),
         ));
         let Probe::Hit(probed) = client.probe(&req) else {
@@ -1214,13 +1208,15 @@ mod tests {
                 Arc::clone(&world),
                 1,
             ));
-            let client = LlmClient::new(llm).with_store(Arc::new(
+            let client = LlmClient::new(llm);
+            client.attach_store(Arc::new(
                 ResponseStore::open(&path, StoreConfig::default()).unwrap(),
             ));
             client.complete(&base).unwrap();
         }
         let llm = Arc::new(SimulatedLlm::new(ModelProfile::perfect(), world, 1));
-        let client = LlmClient::new(llm).with_store(Arc::new(
+        let client = LlmClient::new(llm);
+        client.attach_store(Arc::new(
             ResponseStore::open(&path, StoreConfig::default()).unwrap(),
         ));
         // One character off the stored prompt: another fingerprint, and the
@@ -1299,7 +1295,8 @@ mod tests {
         let (store_path, journal_path) = (store_temp_path("one-body"), store_temp_path("one-j"));
         let (world, ids) = world_and_ids(1);
         let llm = Arc::new(SimulatedLlm::new(ModelProfile::perfect(), world, 1));
-        let client = LlmClient::new(llm).with_store(Arc::new(
+        let client = LlmClient::new(llm);
+        client.attach_store(Arc::new(
             ResponseStore::open(&store_path, StoreConfig::default()).unwrap(),
         ));
         let journal = Arc::new(ResponseStore::open(&journal_path, StoreConfig::default()).unwrap());

@@ -19,7 +19,7 @@
 //! * free-text chatter around answers (exercising downstream extraction).
 //!
 //! Client-side concerns — caching, coalescing, and cost accounting — live in
-//! [`LlmClient`]; transport concerns — backend selection, retries, backoff,
+//! [`LlmClient`]; transport concerns — backend selection, retries, failover,
 //! hedging — live in the [`Router`] every client dispatches through.
 
 #![warn(missing_docs)]
@@ -32,7 +32,6 @@ pub mod hash;
 pub mod model;
 pub mod pricing;
 mod recordlog;
-mod retry;
 pub mod route;
 pub mod sim;
 pub mod store;

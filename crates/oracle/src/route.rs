@@ -29,13 +29,11 @@
 //!    request onto the next-best backend, on a thread of the twin's own;
 //!    first success wins and the loser is cancelled through its
 //!    [`CancelToken`].
-//! 3. **Retry with backoff** — a transient failure (429 / 5xx / timeout)
-//!    marks the backend avoided for this request and retries on the next
-//!    best, up to `max_retries` extra attempts. The sleep between attempts
-//!    comes from `retry::retry_delay`: a linear ramp floored by
-//!    the server's `Retry-After` hint, de-synchronized by deterministic
-//!    seeded jitter, and clipped to the request's deadline (an expired
-//!    deadline stops retrying outright).
+//! 3. **Retry** — a transient failure (429 / 5xx / timeout) marks the
+//!    backend avoided for this request and retries at once on the next
+//!    best, up to `max_retries` extra attempts. The router never sleeps
+//!    between attempts: a 429's `Retry-After` hint is honoured one layer
+//!    up, by the engine's degrade-mode pause between whole engine attempts.
 //! 4. **Circuit breaker** — consecutive transient failures open a
 //!    per-backend breaker for a cooldown; a half-open probe readmits it.
 //!
@@ -102,9 +100,6 @@ pub struct RoutePolicy {
     /// Extra attempts (beyond the first) on transient failure; each retry
     /// prefers a backend that has not yet failed this request.
     pub max_retries: u32,
-    /// Base linear backoff per retry in milliseconds (`0` = no sleeping,
-    /// keeping simulated experiments fast while preserving retry logic).
-    pub backoff_ms: u64,
     /// Hedged-request configuration; `None` disables hedging.
     pub hedge: Option<HedgeConfig>,
     /// Circuit-breaker configuration shared by all backends.
@@ -115,7 +110,6 @@ impl Default for RoutePolicy {
     fn default() -> Self {
         RoutePolicy {
             max_retries: 3,
-            backoff_ms: 0,
             hedge: None,
             breaker: BreakerConfig::default(),
         }
@@ -929,29 +923,6 @@ impl LanguageModel for Router {
                     }
                     self.retries.fetch_add(1, Ordering::Relaxed);
                     avoid[primary] = true;
-                    match crate::retry::retry_delay(
-                        core.policy.backoff_ms,
-                        attempt,
-                        error.retry_hint_ms(),
-                        request.fingerprint(),
-                        request.deadline,
-                        Instant::now(), // lint: allow(clock) — retry backoff anchor
-                    ) {
-                        Some(delay) => {
-                            if !delay.is_zero() {
-                                parking_lot::blocking_region("router retry backoff sleep");
-                                std::thread::sleep(delay);
-                            }
-                        }
-                        // Deadline passed mid-request: stop chasing this
-                        // call and report how far we got.
-                        None => {
-                            return Err(LlmError::RetriesExhausted {
-                                attempts: attempt,
-                                last: Box::new(error),
-                            })
-                        }
-                    }
                 }
                 Err(error) => return Err(error),
             }
@@ -1284,76 +1255,6 @@ mod tests {
                 assert!(matches!(*last, LlmError::RateLimited { .. }));
             }
             other => panic!("expected exhaustion, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn retry_sleep_honors_the_rate_limit_hint() {
-        let (model, ids) = shared_model(1, 21);
-        let backends: Vec<Arc<dyn Backend>> = vec![Arc::new(
-            SimBackend::new("throttled", model)
-                .with_transport_noise(NoiseProfile {
-                    rate_limit_prob: 1.0, // every call is a 429 with retry_after_ms = 50
-                    ..NoiseProfile::perfect()
-                })
-                .with_seed(8),
-        )];
-        let router = Router::new(
-            BackendRegistry::new(backends).unwrap(),
-            RoutePolicy {
-                max_retries: 2,
-                backoff_ms: 1, // linear ramp alone would sleep ~3 ms total
-                breaker: BreakerConfig {
-                    failure_threshold: 100,
-                    cooldown: Duration::from_millis(1),
-                },
-                ..RoutePolicy::default()
-            },
-        );
-        let started = Instant::now();
-        assert!(matches!(
-            router.complete(&check(ids[0])),
-            Err(LlmError::RetriesExhausted { .. })
-        ));
-        // Two retry sleeps, each floored by the 50 ms server hint.
-        assert!(
-            started.elapsed() >= Duration::from_millis(100),
-            "retry sleeps must honor the Retry-After hint, elapsed {:?}",
-            started.elapsed()
-        );
-    }
-
-    #[test]
-    fn expired_deadline_stops_router_retries() {
-        let (model, ids) = shared_model(1, 22);
-        let backends: Vec<Arc<dyn Backend>> = vec![Arc::new(
-            SimBackend::new("down", model)
-                .with_transport_noise(NoiseProfile {
-                    unavailable_prob: 1.0,
-                    ..NoiseProfile::perfect()
-                })
-                .with_seed(9),
-        )];
-        let router = Router::new(
-            BackendRegistry::new(backends).unwrap(),
-            RoutePolicy {
-                max_retries: 5,
-                breaker: BreakerConfig {
-                    failure_threshold: 100,
-                    cooldown: Duration::from_millis(1),
-                },
-                ..RoutePolicy::default()
-            },
-        );
-        let request = CompletionRequest {
-            deadline: Some(Instant::now()),
-            ..check(ids[0])
-        };
-        match router.complete(&request) {
-            Err(LlmError::RetriesExhausted { attempts, .. }) => {
-                assert_eq!(attempts, 1, "an expired deadline permits no retries");
-            }
-            other => panic!("expected deadline-capped exhaustion, got {other:?}"),
         }
     }
 

@@ -71,17 +71,11 @@ pub struct CompletionRequest {
     /// Monotone sequence number used to decorrelate repeated sampling of the
     /// same prompt at temperature > 0 (e.g. self-consistency voting).
     pub sample_index: u32,
-    /// Wall-clock deadline for this call's *run*, if any. Dispatchers clip
-    /// retry backoff and hedge waits against it and stop retrying once it
-    /// passes, so a deadlined batch never overshoots chasing stragglers.
-    /// Excluded from [`CompletionRequest::fingerprint`]: a deadline changes
-    /// scheduling, never the answer, so caching is unaffected.
-    pub deadline: Option<std::time::Instant>,
     /// Which transport attempt of this request a dispatcher is making (`0`
-    /// = the first). Like `deadline` it is excluded from
-    /// [`CompletionRequest::fingerprint`]: only a backend's *transport*
-    /// draws (latency, injected 429 / 5xx / timeout) read it, so a retry
-    /// meets a different server moment and the same answer.
+    /// = the first). Excluded from [`CompletionRequest::fingerprint`]: only
+    /// a backend's *transport* draws (latency, injected 429 / 5xx /
+    /// timeout) read it, so a retry meets a different server moment and
+    /// the same answer.
     pub attempt: u32,
 }
 
@@ -94,7 +88,6 @@ impl CompletionRequest {
             temperature: 0.0,
             max_tokens: None,
             sample_index: 0,
-            deadline: None,
             attempt: 0,
         }
     }
@@ -118,12 +111,6 @@ impl CompletionRequest {
     pub fn with_sample_index(mut self, i: u32) -> Self {
         self.sample_index = i;
         self
-    }
-
-    /// Time remaining until the deadline, if one is set. `Some(ZERO)` when
-    /// the deadline has already passed.
-    pub fn remaining(&self, now: std::time::Instant) -> Option<std::time::Duration> {
-        self.deadline.map(|d| d.saturating_duration_since(now))
     }
 
     /// The coordinate a backend folds into its transport draws beside the
@@ -391,21 +378,6 @@ mod tests {
             .with_temperature(0.7)
             .with_sample_index(1);
         assert_ne!(r1.fingerprint(), r2.fingerprint());
-    }
-
-    #[test]
-    fn fingerprint_ignores_deadline() {
-        let r1 = CompletionRequest::new("p", dummy_task());
-        let r2 = CompletionRequest {
-            deadline: Some(std::time::Instant::now()),
-            ..CompletionRequest::new("p", dummy_task())
-        };
-        assert_eq!(r1.fingerprint(), r2.fingerprint());
-        assert_eq!(
-            r2.remaining(std::time::Instant::now()),
-            Some(std::time::Duration::ZERO)
-        );
-        assert_eq!(r1.remaining(std::time::Instant::now()), None);
     }
 
     #[test]

@@ -39,9 +39,7 @@ fn build_session(
             .with_latency(LatencyProfile::fixed(9_000))
             .with_seed(2),
     );
-    let mut routing = RoutingConfig::new()
-        .backends(vec![fast, slow])
-        .max_retries(3);
+    let mut routing = RoutingConfig::new().backends(vec![fast, slow]);
     if hedged {
         routing = routing.hedge_after(Duration::from_millis(3));
     }

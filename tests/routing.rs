@@ -167,11 +167,7 @@ fn retried_transient_failure_charges_exactly_one_call() {
         price_multiplier: 1.5,
     });
     let session = Session::builder()
-        .routing(
-            RoutingConfig::new()
-                .backends(vec![Arc::clone(&flaky) as Arc<dyn Backend>])
-                .max_retries(3),
-        )
+        .routing(RoutingConfig::new().backends(vec![Arc::clone(&flaky) as Arc<dyn Backend>]))
         .corpus(Corpus::from_world(&w, &items))
         .budget(Budget::usd(1.0))
         .build();

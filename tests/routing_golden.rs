@@ -65,7 +65,6 @@ fn router(model: &Arc<dyn LanguageModel>, faults: Vec<FaultWindow>, cooldown: Du
         BackendRegistry::new(backends).expect("two distinct same-tier backends"),
         RoutePolicy {
             max_retries: 3,
-            backoff_ms: 0,
             hedge: None,
             breaker: BreakerConfig {
                 failure_threshold: 5,

@@ -12,7 +12,7 @@
 //! | `one-baseline`| no `BENCH_*.json` outside `benchmark/`; no shim knob that writes one|
 //! | `no-deprecated`| no `#[deprecated]` items and no `allow(deprecated)`, tests included|
 //! | `one-pump`    | `crates/core/src` starts threads in `exec.rs`'s pump and nowhere else|
-//! | `one-retry`   | `crates/oracle/src` calls `retry_delay` in `route.rs`'s loop and nowhere else|
+//! | `one-retry`   | `crates/oracle/src` reads `.max_retries` in `route.rs`'s loop and nowhere else|
 //! | `one-engine`  | `crates/core/src` calls `Engine::new` in `session.rs` (and `exec.rs`) and nowhere else|
 //! | `one-judge`   | `crates/core/src/ops` calls `run_many` in `judge.rs`'s strict step and nowhere else|
 //! | `one-bill`    | `plan/estimate.rs` names no `*Strategy::` variant; `crates/core/src/ops` defines no `estimated_calls`/`packed_calls`|
@@ -83,11 +83,13 @@ const DEPRECATED_EXEMPT: &str = "crates/shims/";
 const ONE_PUMP_SCOPE: &str = "crates/core/src/";
 const ONE_PUMP_HOME: &str = "crates/core/src/exec.rs";
 
-/// The one file under [`ONE_RETRY_SCOPE`] allowed to schedule a retry
-/// sleep: the router's loop is the crate's only transport retry loop, and
-/// every client dispatches through it.
+/// The one file under [`ONE_RETRY_SCOPE`] allowed to read a retry
+/// allowance ([`ONE_RETRY_FIELD`]): the router's loop is the crate's only
+/// transport retry loop, and every client dispatches through it. Any second
+/// loop has to consume the allowance, so the read is what gives it away.
 const ONE_RETRY_SCOPE: &str = "crates/oracle/src/";
 const ONE_RETRY_HOME: &str = "crates/oracle/src/route.rs";
+const ONE_RETRY_FIELD: &str = "max_retries";
 
 /// The files under [`ONE_ENGINE_SCOPE`] allowed to construct an engine: the
 /// type's own module and the session builder. A strategy that builds a
@@ -722,12 +724,11 @@ fn lint_rust_source(rel: &str, src: &str) -> Vec<Finding> {
     }
 
     if rel.starts_with(ONE_RETRY_SCOPE) && rel != ONE_RETRY_HOME {
-        for offset in find_token(&masked, "retry_delay") {
-            // A call, not the definition in `retry.rs`.
-            if library_code(offset) && !follows_fn(&masked, offset) {
+        for offset in find_member(&masked, ONE_RETRY_FIELD) {
+            if library_code(offset) {
                 push(
                     "one-retry",
-                    "`retry_delay(..)` schedules a second transport retry loop beside the router's".to_string(),
+                    format!("`.{ONE_RETRY_FIELD}` read: a second transport retry loop beside the router's"),
                     "dispatch through `Router::complete` (every `LlmClient` owns a router) instead of retrying here",
                     offset,
                 );
@@ -1751,18 +1752,20 @@ mod tests {
     }
 
     #[test]
-    fn one_retry_flags_retry_delay_calls_in_oracle_outside_route() {
+    fn one_retry_flags_max_retries_reads_in_oracle_outside_route() {
         let src = concat!(
-            "fn again() { let _ = crate::retry::retry_delay(0, 1, None, 7, None, now); }\n",
-            "pub fn retry_delay(backoff_ms: u64) -> u64 { let retry_delay_ms = backoff_ms; retry_delay_ms }\n",
+            "fn again(p: &RoutePolicy) -> u32 { p.max_retries + 1 }\n",
+            "const P: RoutePolicy = RoutePolicy { max_retries: 2 }; // p.max_retries\n",
+            "fn more(p: &Policy) -> u32 { p.max_retries_total }\n",
             "#[cfg(test)]\n",
-            "mod tests { fn t() { let _ = retry_delay(0, 1, None, 7, None, now); } }\n",
+            "mod tests { fn t(p: &RoutePolicy) { let _ = p.max_retries; } }\n",
         );
         let f = lint_rust_source("crates/oracle/src/client.rs", src);
         assert_eq!(codes(&f), vec!["one-retry"]);
-        assert_eq!((f[0].line, f[0].col), (1, 36));
-        // The definition (line 2) is not a call; the loop's home, other
-        // crates, and test trees are out of scope.
+        assert_eq!((f[0].line, f[0].col), (1, 37));
+        // A field initializer (line 2) and a longer name (line 3) are not
+        // reads; the loop's home, other crates, and test trees are out of
+        // scope.
         assert!(lint_rust_source("crates/oracle/src/route.rs", src).is_empty());
         assert!(lint_rust_source("crates/core/src/exec.rs", src).is_empty());
         assert!(lint_rust_source("crates/oracle/tests/prop.rs", src).is_empty());

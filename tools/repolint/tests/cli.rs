@@ -78,6 +78,7 @@ fn seeded_repo(tag: &str) -> TempRepo {
         concat!(
             "pub fn probe(r: &Request) -> u64 { r.fingerprint() }\n",
             "pub fn complete(r: &Request) -> u64 { r.fingerprint() }\n",
+            "pub fn again(policy: &RoutePolicy) -> u32 { policy.max_retries }\n",
         ),
     );
     repo.write(
@@ -85,20 +86,12 @@ fn seeded_repo(tag: &str) -> TempRepo {
         "pub fn line(out: &mut String, n: usize) { out.push_str(&format!(\"{n}.\\n\")); }\n",
     );
     repo.write(
-        "crates/oracle/src/bad_retry.rs",
-        "pub fn again(d: Option<std::time::Instant>) { let _ = crate::retry::retry_delay(0, 1, None, 7, d, d); }\n",
-    );
-    repo.write(
         "crates/oracle/src/route.rs",
         concat!(
-            "pub fn complete(d: Option<std::time::Instant>) { let _ = crate::retry::retry_delay(0, 1, None, 7, d, d); }\n",
+            "pub fn complete(policy: &RoutePolicy) -> u32 { policy.max_retries + 1 }\n",
             "fn start_helper() { let _ = std::thread::spawn(|| ()); }\n",
             "fn spawn_attempt() { let _ = std::thread::spawn(|| ()); }\n",
         ),
-    );
-    repo.write(
-        "crates/oracle/src/retry.rs",
-        "pub fn retry_delay(backoff_ms: u64) -> u64 { backoff_ms }\n",
     );
     repo.write(
         "crates/core/src/bad_engine.rs",
@@ -174,7 +167,7 @@ fn seeded_repo(tag: &str) -> TempRepo {
         "tests/seeded_callers.rs",
         concat!(
             "fn call_them() {\n",
-            "    (f, g, t, same, drive, pump, probe, complete, line, again, retry_delay);\n",
+            "    (f, g, t, same, drive, pump, probe, complete, line, again);\n",
             "    (tier, build, playoff, ask, cost, estimated_calls, embed_all, nearest, from_rows);\n",
             "    (sort,);\n",
             "    (mentions, bare, covered, documented);\n",
@@ -267,7 +260,7 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         "--> crates/core/src/ops/bad_bill.rs:1:15",
         "--> crates/core/src/bad_engine.rs:1:52",
         "--> crates/core/src/bad_loop.rs:1:23",
-        "--> crates/oracle/src/bad_retry.rs:1:69",
+        "--> crates/oracle/src/client.rs:3:51",
         "--> tests/bad_shim.rs:1:1",
         "--> tests/bad_shim.rs:3:1",
         "--> crates/core/src/bad_sync.rs:1:16",
@@ -293,15 +286,10 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         !stderr.contains("crates/core/src/exec.rs:2:"),
         "the render is where a prompt's tokens are counted:\n{stderr}"
     );
-    for home in [
-        "crates/oracle/src/route.rs:1:",
-        "crates/oracle/src/retry.rs",
-    ] {
-        assert!(
-            !stderr.contains(home),
-            "the router's loop and the definition are not findings:\n{stderr}"
-        );
-    }
+    assert!(
+        !stderr.contains("crates/oracle/src/route.rs:1:"),
+        "the router's loop is where the retry allowance is read:\n{stderr}"
+    );
     assert!(
         !stderr.contains("crates/oracle/src/route.rs:2:"),
         "the hedge helper's start is where the router starts a thread:\n{stderr}"
@@ -375,10 +363,10 @@ fn counts_report_lines_code_and_pub_items_per_library_crate() {
             "crate      lines    code   pub\n",
             "core          29      26    13\n",
             "embed          6       4     4\n",
-            "oracle        16      14     9\n",
+            "oracle        15      13     8\n",
             "metrics        1       1     1\n",
             "data           1       1     1\n",
-            "total         53      46    28\n",
+            "total         52      45    27\n",
         )
     );
 }
@@ -420,7 +408,7 @@ fn this_repository_is_clean() {
     // lint job. The same goes for a `#[deprecated]` shim or an
     // `allow(deprecated)`, in tests and examples too, for a thread
     // started in `crates/core/src` outside `exec.rs`'s pump, for a
-    // `retry_delay` call in `crates/oracle/src` outside `route.rs`'s loop,
+    // `.max_retries` read in `crates/oracle/src` outside `route.rs`'s loop,
     // for an `Engine::new` in `crates/core/src` outside `session.rs`, for a
     // `run_many` in `crates/core/src/ops` outside `judge.rs`, and for a
     // `*Strategy::` variant in `plan/estimate.rs` or an `estimated_calls` /
