@@ -179,9 +179,9 @@ impl CacheConfig {
     /// zero backend calls, zero spend (hits charge exactly like in-memory
     /// cache hits) — and fresh completions are admitted for future
     /// processes. The session becomes the store's single writer for the
-    /// lifetime of its client; concurrent sessions on other processes can
-    /// open the same file read-only via
-    /// [`crowdprompt_oracle::store::ResponseStore::open_read_only`].
+    /// lifetime of its client: another
+    /// [`crowdprompt_oracle::store::ResponseStore::open`] of the same file
+    /// is refused until that client drops.
     ///
     /// Unlike [`ResilienceConfig::journal_path`] — which replays *this
     /// run's* paid calls with their original charges for bit-identical

@@ -404,9 +404,9 @@ impl LlmClient {
     /// charged what the original call charged and the response comes back
     /// `cached: false`. A process that reattaches the journal of a crashed
     /// run therefore re-runs only the gap, with results and accounting
-    /// bit-identical to an uninterrupted run. A read-only handle replays
-    /// without recording. The journal and its writer lock stay with the
-    /// client until it drops; sessions sharing the client share it.
+    /// bit-identical to an uninterrupted run. The journal and its writer
+    /// lock stay with the client until it drops; sessions sharing the
+    /// client share it.
     pub fn attach_journal(&self, journal: Arc<ResponseStore>) -> bool {
         self.journal.set(journal).is_ok()
     }

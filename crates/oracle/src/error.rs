@@ -47,15 +47,6 @@ pub enum LlmError {
         /// admissible (e.g. the half-open slot was momentarily claimed).
         retry_in_ms: u64,
     },
-    /// The request referenced an unknown model name.
-    UnknownModel(String),
-    /// A budget guard refused to admit the call.
-    BudgetExhausted {
-        /// Cost the call would have incurred, in USD.
-        needed_usd: f64,
-        /// Budget remaining at refusal time, in USD.
-        remaining_usd: f64,
-    },
     /// The request payload was structurally invalid (e.g. empty item list).
     InvalidRequest(String),
     /// Retries were exhausted without a successful response.
@@ -91,14 +82,6 @@ impl fmt::Display for LlmError {
                     "all backends for model '{model}' are circuit-broken; earliest probe in {retry_in_ms} ms"
                 )
             }
-            LlmError::UnknownModel(name) => write!(f, "unknown model: {name}"),
-            LlmError::BudgetExhausted {
-                needed_usd,
-                remaining_usd,
-            } => write!(
-                f,
-                "budget exhausted: call needs ${needed_usd:.6} but only ${remaining_usd:.6} remains"
-            ),
             LlmError::InvalidRequest(msg) => write!(f, "invalid request: {msg}"),
             LlmError::RetriesExhausted { attempts, last } => {
                 write!(
@@ -155,7 +138,6 @@ mod tests {
             context_window: 5
         }
         .is_retryable());
-        assert!(!LlmError::UnknownModel("x".into()).is_retryable());
         assert!(!LlmError::InvalidRequest("empty".into()).is_retryable());
     }
 
@@ -200,16 +182,5 @@ mod tests {
             Some(20)
         );
         assert_eq!(LlmError::ServiceUnavailable.retry_hint_ms(), None);
-    }
-
-    #[test]
-    fn budget_error_reports_amounts() {
-        let e = LlmError::BudgetExhausted {
-            needed_usd: 0.5,
-            remaining_usd: 0.25,
-        };
-        let s = e.to_string();
-        assert!(s.contains("0.5"));
-        assert!(s.contains("0.25"));
     }
 }

@@ -22,10 +22,10 @@
 //!
 //! Appends are complete lines flushed per record, so a crash can only lose
 //! or tear the *final* line. [`LogFile::open`] verifies and decodes the
-//! file's lines in parallel shares, hands the records to the caller in file
-//! order, and truncates at the first torn, corrupt, or structurally rejected
-//! line — a damaged tail never poisons a reopen, it merely costs
-//! re-deriving the lost records.
+//! file's lines in one walk, hands the records to the caller in file order,
+//! and truncates at the first torn, corrupt, or structurally rejected line
+//! — a damaged tail never poisons a reopen, it merely costs re-deriving the
+//! lost records.
 
 use std::borrow::Cow;
 use std::fs::{File, OpenOptions};
@@ -227,42 +227,13 @@ fn read_contents(file: &mut File, header: &str) -> std::io::Result<Option<String
     }))
 }
 
-/// Below this many bytes of records a share is not worth a thread.
-pub(crate) const MIN_SHARE_BYTES: usize = 1 << 16;
-
-/// How many shares a replay may use on this machine: one per available
-/// core.
-pub(crate) fn replay_shares() -> usize {
-    std::thread::available_parallelism().map_or(1, usize::from)
-}
-
-/// Cut `records` at line boundaries into `shares` contiguous pieces (the
-/// last ones may be empty); each but the last ends with a newline.
-pub(crate) fn cut_at_lines(records: &str, shares: usize) -> Vec<&str> {
-    let mut pieces = Vec::with_capacity(shares);
-    let mut rest = records;
-    for left in (2..=shares).rev() {
-        let aim = rest.len() / left;
-        let end = rest.as_bytes()[aim..]
-            .iter()
-            .position(|&b| b == b'\n')
-            .map_or(rest.len(), |at| aim + at + 1);
-        // A newline is ASCII, so `end` is a char boundary.
-        let (piece, tail) = rest.split_at(end);
-        pieces.push(piece);
-        rest = tail;
-    }
-    pieces.push(rest);
-    pieces
-}
-
-/// Walk `share` line by line, handing the decoded record of each whole,
+/// Walk `records` line by line, handing the decoded record of each whole,
 /// checksum-valid line to `sink`, until the first torn, corrupt or rejected
-/// line. Returns the bytes of the lines taken: `share.len()` when every
+/// line. Returns the bytes of the lines taken: `records.len()` when every
 /// line was.
-fn walk<T>(share: &str, decode: &impl Fn(&str) -> Option<T>, mut sink: impl FnMut(T)) -> usize {
+fn walk<T>(records: &str, decode: impl Fn(&str) -> Option<T>, mut sink: impl FnMut(T)) -> usize {
     let mut taken = 0;
-    for line in share.split_inclusive('\n') {
+    for line in records.split_inclusive('\n') {
         let Some(body) = line.strip_suffix('\n') else {
             break; // partial (torn) final line
         };
@@ -285,20 +256,16 @@ impl LogFile {
     /// `decode`; the records are handed to `apply` in file order. The walk
     /// stops — and the file is truncated — at the first torn or corrupt
     /// line, or where `decode` returns `None` (structural rejection by the
-    /// consumer's own field codec). The lines are verified and decoded in
-    /// up to `shares` contiguous pieces at once, so `decode` must be pure;
-    /// what `apply` sees, and where the file is cut, do not depend on
-    /// `shares`. An empty file, or one holding only part of the header line
-    /// (a crash tore the header's write), starts afresh with a whole
-    /// header. Any other file whose first line is not the header (another
-    /// format or version, or not text at all) is an error and is left
-    /// untouched.
-    pub(crate) fn open<T: Send>(
+    /// consumer's own field codec). An empty file, or one holding only part
+    /// of the header line (a crash tore the header's write), starts afresh
+    /// with a whole header. Any other file whose first line is not the
+    /// header (another format or version, or not text at all) is an error
+    /// and is left untouched.
+    pub(crate) fn open<T>(
         path: impl AsRef<Path>,
         header: &str,
-        shares: usize,
-        decode: impl Fn(&str) -> Option<T> + Sync,
-        mut apply: impl FnMut(T),
+        decode: impl Fn(&str) -> Option<T>,
+        apply: impl FnMut(T),
     ) -> std::io::Result<LogFile> {
         let path = path.as_ref();
         let mut file = OpenOptions::new()
@@ -317,7 +284,7 @@ impl LogFile {
                 line.len() as u64
             }
             Some(contents) => {
-                let end = Self::replay(path, &contents, header, shares, &decode, &mut apply)?;
+                let end = Self::replay(path, &contents, header, decode, apply)?;
                 // Drop everything after the last valid record and position
                 // the append cursor there.
                 file.set_len(end)?;
@@ -331,43 +298,14 @@ impl LogFile {
         })
     }
 
-    /// Replay the records of the log at `path` without taking the append
-    /// handle and without truncating: the read-only counterpart of
-    /// [`LogFile::open`]. Torn or corrupt tails are simply ignored, and a
-    /// torn header reads as an empty log. Errors if the file does not exist
-    /// or carries a foreign header.
-    pub(crate) fn open_read_only<T: Send>(
-        path: impl AsRef<Path>,
-        header: &str,
-        shares: usize,
-        decode: impl Fn(&str) -> Option<T> + Sync,
-        mut apply: impl FnMut(T),
-    ) -> std::io::Result<()> {
-        let path = path.as_ref();
-        let mut file = OpenOptions::new().read(true).open(path)?;
-        let Some(contents) = read_contents(&mut file, header)? else {
-            return Ok(());
-        };
-        Self::replay(path, &contents, header, shares, &decode, &mut apply)?;
-        Ok(())
-    }
-
     /// Replay `contents` record by record, returning the byte offset of the
     /// end of the valid prefix. Errors on a foreign header.
-    ///
-    /// The records are cut at line boundaries into up to `shares` pieces
-    /// (at least [`MIN_SHARE_BYTES`] each); the caller walks the first
-    /// while one scoped thread per other piece walks it into a buffer, each
-    /// up to its own first bad line. The caller then applies the pieces in
-    /// file order and stops at the first bad line overall, so the records
-    /// applied and the offset returned are the one-piece walk's.
-    fn replay<T: Send>(
+    fn replay<T>(
         path: &Path,
         contents: &str,
         header: &str,
-        shares: usize,
-        decode: &(impl Fn(&str) -> Option<T> + Sync),
-        apply: &mut impl FnMut(T),
+        decode: impl Fn(&str) -> Option<T>,
+        apply: impl FnMut(T),
     ) -> std::io::Result<u64> {
         let Some(records) = contents
             .strip_prefix(header)
@@ -391,40 +329,7 @@ impl LogFile {
                 ),
             ));
         };
-        let start = (header.len() + 1) as u64;
-        let shares = shares.min(records.len() / MIN_SHARE_BYTES).max(1);
-        if shares == 1 {
-            return Ok(start + walk(records, decode, apply) as u64);
-        }
-        let pieces = cut_at_lines(records, shares);
-        let taken = std::thread::scope(|scope| {
-            let helpers: Vec<_> = pieces[1..]
-                .iter()
-                .map(|piece| {
-                    scope.spawn(move || {
-                        let mut decoded = Vec::new();
-                        let taken = walk(piece, decode, |record| decoded.push(record));
-                        (decoded, taken)
-                    })
-                })
-                .collect();
-            let mut taken = walk(pieces[0], decode, &mut *apply);
-            if taken < pieces[0].len() {
-                return taken;
-            }
-            for (piece, helper) in pieces[1..].iter().zip(helpers) {
-                let (decoded, piece_taken) = helper
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-                decoded.into_iter().for_each(&mut *apply);
-                taken += piece_taken;
-                if piece_taken < piece.len() {
-                    break;
-                }
-            }
-            taken
-        });
-        Ok(start + taken as u64)
+        Ok((header.len() + 1 + walk(records, decode, apply)) as u64)
     }
 
     /// A log appending through `file`, with no header check or replay: how
@@ -768,7 +673,7 @@ mod tests {
     fn logfile_recovers_prefix_and_appends() {
         let path = temp_path("prefix");
         {
-            let mut log = LogFile::open(&path, "test-log v1", 1, owned, drop::<String>).unwrap();
+            let mut log = LogFile::open(&path, "test-log v1", owned, drop::<String>).unwrap();
             log.append(&sealed("one")).unwrap();
             log.append(&sealed("two")).unwrap();
         }
@@ -776,13 +681,13 @@ mod tests {
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - 3]).unwrap();
         let mut seen = Vec::new();
-        let mut log = LogFile::open(&path, "test-log v1", 1, owned, |p| seen.push(p)).unwrap();
+        let mut log = LogFile::open(&path, "test-log v1", owned, |p| seen.push(p)).unwrap();
         assert_eq!(seen, vec!["one".to_string()]);
         log.append(&sealed("three")).unwrap();
         drop(log);
 
         let mut seen = Vec::new();
-        LogFile::open_read_only(&path, "test-log v1", 1, owned, |p| seen.push(p)).unwrap();
+        drop(LogFile::open(&path, "test-log v1", owned, |p| seen.push(p)).unwrap());
         assert_eq!(seen, vec!["one".to_string(), "three".to_string()]);
         std::fs::remove_file(&path).ok();
     }
@@ -790,7 +695,7 @@ mod tests {
     #[test]
     fn a_failed_append_is_cut_back_so_the_next_follows_the_last_record() {
         let path = temp_path("failed-append");
-        let mut log = LogFile::open(&path, "test-log v1", 1, owned, drop::<String>).unwrap();
+        let mut log = LogFile::open(&path, "test-log v1", owned, drop::<String>).unwrap();
         log.append(&sealed("one")).unwrap();
         // A disk that fills half-way through the line.
         let half = |file: &mut File, bytes: &[u8]| {
@@ -803,7 +708,7 @@ mod tests {
         log.append(&sealed("three")).unwrap();
         drop(log);
         let mut seen = Vec::new();
-        drop(LogFile::open(&path, "test-log v1", 1, owned, |p| seen.push(p)).unwrap());
+        drop(LogFile::open(&path, "test-log v1", owned, |p| seen.push(p)).unwrap());
         assert_eq!(seen, ["one", "three"]);
 
         // A cut the disk refuses as well (a read-only handle cannot shorten
@@ -823,7 +728,7 @@ mod tests {
     fn logfile_consumer_rejection_truncates() {
         let path = temp_path("reject");
         {
-            let mut log = LogFile::open(&path, "test-log v1", 1, owned, drop::<String>).unwrap();
+            let mut log = LogFile::open(&path, "test-log v1", owned, drop::<String>).unwrap();
             log.append(&sealed("good")).unwrap();
             log.append(&sealed("BAD")).unwrap();
             log.append(&sealed("after")).unwrap();
@@ -834,16 +739,18 @@ mod tests {
             LogFile::open(
                 &path,
                 "test-log v1",
-                1,
                 |p| (p != "BAD").then(|| p.to_owned()),
                 |p| seen.push(p),
             )
             .unwrap(),
         );
         assert_eq!(seen, vec!["good".to_string()]);
-        let mut all = Vec::new();
-        LogFile::open_read_only(&path, "test-log v1", 1, owned, |p| all.push(p)).unwrap();
-        assert_eq!(all, vec!["good".to_string()], "rejected suffix truncated");
+        let kept = format!("test-log v1\n{}", sealed("good"));
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            kept,
+            "rejected suffix truncated"
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -851,7 +758,7 @@ mod tests {
     fn corrupt_checksum_drops_the_suffix() {
         let path = temp_path("corrupt");
         {
-            let mut log = LogFile::open(&path, "test-log v1", 1, owned, drop::<String>).unwrap();
+            let mut log = LogFile::open(&path, "test-log v1", owned, drop::<String>).unwrap();
             for payload in ["ok", "will corrupt", "after corruption"] {
                 log.append(&sealed(payload)).unwrap();
             }
@@ -863,7 +770,7 @@ mod tests {
         std::fs::write(&path, text.replace("will corrupt", "Xill corrupt")).unwrap();
         let mut seen = Vec::new();
         let on_record = |p| seen.push(p);
-        drop(LogFile::open(&path, "test-log v1", 1, owned, on_record).unwrap());
+        drop(LogFile::open(&path, "test-log v1", owned, on_record).unwrap());
         assert_eq!(seen, ["ok"]);
         let kept = format!("test-log v1\n{}", sealed("ok"));
         assert_eq!(std::fs::read_to_string(&path).unwrap(), kept);
@@ -874,20 +781,14 @@ mod tests {
     fn foreign_header_is_refused() {
         let path = temp_path("foreign");
         std::fs::write(&path, "not a log\n").unwrap();
-        assert!(LogFile::open(&path, "test-log v1", 1, owned, drop::<String>).is_err());
-        let err = LogFile::open_read_only(&path, "test-log v1", 1, owned, drop::<String>)
-            .unwrap_err()
-            .to_string();
+        let err = match LogFile::open(&path, "test-log v1", owned, drop::<String>) {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("a foreign header opened"),
+        };
         for part in ["\"not a log\"", "\"test-log v1\"", "remove the file"] {
             assert!(err.contains(part), "{part} in {err}");
         }
         assert_eq!(std::fs::read(&path).unwrap(), b"not a log\n");
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn read_only_missing_file_errors() {
-        let path = temp_path("missing");
-        assert!(LogFile::open_read_only(&path, "test-log v1", 1, owned, drop::<String>).is_err());
     }
 }

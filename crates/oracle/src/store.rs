@@ -27,18 +27,16 @@
 //!
 //! The header line names the format, `crowdprompt-store v2`. A v1 file (its
 //! keys were FNV-1a request hashes, its records carried a generation and a
-//! prompt column) is refused by both opens with an error naming the header
-//! it found; nothing in it is read, truncated or migrated. Removing it
-//! costs one re-run of the calls it held.
+//! prompt column) is refused by [`ResponseStore::open`] with an error
+//! naming the header it found; nothing in it is read, truncated or
+//! migrated. Removing it costs one re-run of the calls it held.
 //!
 //! # Process discipline
 //!
-//! Single-writer, multi-reader: [`ResponseStore::open`] takes an advisory
-//! lock on a sidecar `<path>.lock` file and fails if another writer holds
-//! it; the kernel releases it when the handle drops or the process dies,
-//! so a killed writer never blocks the next open (the sidecar file stays).
-//! [`ResponseStore::open_read_only`] takes no lock, never truncates, and
-//! simply ignores a torn tail.
+//! Single writer: [`ResponseStore::open`] takes an advisory lock on a
+//! sidecar `<path>.lock` file and fails if another handle holds it; the
+//! kernel releases it when the handle drops or the process dies, so a
+//! killed writer never blocks the next open (the sidecar file stays).
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -47,9 +45,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use crate::recordlog::{
-    decode_response_fields, push_response_fields, replay_shares, seal_line, LogFile,
-};
+use crate::recordlog::{decode_response_fields, push_response_fields, seal_line, LogFile};
 use crate::types::{CompletionRequest, CompletionResponse};
 
 /// The store's header line (also its format version gate).
@@ -60,9 +56,8 @@ const RECORD_PREFIX: &str = "R\t";
 
 /// How to open a [`ResponseStore`]. A store has no settings: it maps a
 /// fingerprint to an answer. The parameter stays on
-/// [`ResponseStore::open`] and [`ResponseStore::open_read_only`] so that
-/// callers written against them (the `benchmark/` harness among them) keep
-/// compiling.
+/// [`ResponseStore::open`] so that callers written against it (the
+/// `benchmark/` harness among them) keep compiling.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StoreConfig {}
 
@@ -109,7 +104,7 @@ impl WriterLock {
                 std::io::ErrorKind::WouldBlock,
                 format!(
                     "response store '{}' already has a writer (lock '{}' held by pid {}); \
-                     open read-only, or wait for that handle to drop",
+                     wait for that handle to drop",
                     store_path.display(),
                     path.display(),
                     std::fs::read_to_string(&path).unwrap_or_default().trim(),
@@ -122,7 +117,7 @@ impl WriterLock {
 
 /// Lock-protected store internals.
 struct StoreInner {
-    log: Option<LogFile>,
+    log: LogFile,
     entries: HashMap<u64, Arc<CompletionResponse>>,
     /// Appends the disk refused, and the last refusal's error text.
     failed_appends: u64,
@@ -130,8 +125,7 @@ struct StoreInner {
 }
 
 /// Decode one replayed record payload into its fingerprint and response,
-/// or `None` to reject it (truncating the log there on a writer open).
-/// Pure, so the log's shares run it at once.
+/// or `None` to reject it (truncating the log there).
 fn parse_record(payload: &str) -> Option<(u64, CompletionResponse)> {
     let fields: Vec<&str> = payload.split('\t').collect();
     match fields.split_first() {
@@ -158,9 +152,9 @@ fn record_line(fingerprint: u64, response: &CompletionResponse) -> String {
 pub struct ResponseStore {
     path: PathBuf,
     inner: Mutex<StoreInner>,
-    /// `Some` while this handle holds the single-writer lock (declared
-    /// last: the log closes before the lock is released).
-    writer_lock: Option<WriterLock>,
+    /// The single-writer lock (declared last: the log closes before the
+    /// lock is released).
+    _writer_lock: WriterLock,
 }
 
 impl ResponseStore {
@@ -172,38 +166,15 @@ impl ResponseStore {
     /// writer holds the sidecar lock, or if the file carries a foreign
     /// header.
     pub fn open(path: impl AsRef<Path>, _config: StoreConfig) -> std::io::Result<ResponseStore> {
-        Self::open_with(path.as_ref(), true, replay_shares())
-    }
-
-    /// Open the store at `path` as a reader: no writer lock, no truncation
-    /// (a torn tail is ignored, never repaired), and the mutating calls
-    /// ([`ResponseStore::admit`], [`ResponseStore::record`]) become no-ops.
-    /// Errors if the file does not exist.
-    pub fn open_read_only(
-        path: impl AsRef<Path>,
-        _config: StoreConfig,
-    ) -> std::io::Result<ResponseStore> {
-        Self::open_with(path.as_ref(), false, replay_shares())
-    }
-
-    /// The one constructor: a writer takes the sidecar lock and the append
-    /// handle (truncating a torn tail); a reader takes neither. The log is
-    /// replayed in up to `shares` pieces at once.
-    fn open_with(path: &Path, writer: bool, shares: usize) -> std::io::Result<ResponseStore> {
-        let writer_lock = writer.then(|| WriterLock::acquire(path)).transpose()?;
+        let path = path.as_ref();
+        let writer_lock = WriterLock::acquire(path)?;
         let mut entries = HashMap::new();
-        let apply = |(fingerprint, response)| {
+        let log = LogFile::open(path, HEADER, parse_record, |(fingerprint, response)| {
             entries.insert(fingerprint, Arc::new(response));
-        };
-        let log = if writer {
-            Some(LogFile::open(path, HEADER, shares, parse_record, apply)?)
-        } else {
-            LogFile::open_read_only(path, HEADER, shares, parse_record, apply)?;
-            None
-        };
+        })?;
         Ok(ResponseStore {
             path: path.to_path_buf(),
-            writer_lock,
+            _writer_lock: writer_lock,
             inner: Mutex::new(StoreInner {
                 log,
                 entries,
@@ -216,11 +187,6 @@ impl ResponseStore {
     /// The store's file path.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// Whether this handle is a reader (no writer lock; mutations no-op).
-    pub fn is_read_only(&self) -> bool {
-        self.writer_lock.is_none()
     }
 
     /// Number of entries.
@@ -256,12 +222,12 @@ impl ResponseStore {
         (inner.failed_appends, inner.last_append_error.clone())
     }
 
-    /// Admit one freshly paid completion (writer only): the cache policy
-    /// in front of [`ResponseStore::record`].
+    /// Admit one freshly paid completion: the cache policy in front of
+    /// [`ResponseStore::record`].
     ///
-    /// Refused — returning `false` — for readers, for non-deterministic
-    /// requests (`temperature > 0`), for responses that were themselves
-    /// cache hits, and for fingerprints already in the store.
+    /// Refused — returning `false` — for non-deterministic requests
+    /// (`temperature > 0`), for responses that were themselves cache hits,
+    /// and for fingerprints already in the store.
     pub fn admit(&self, request: &CompletionRequest, response: &CompletionResponse) -> bool {
         self.cacheable(request, response)
             && self.insert(request.fingerprint(), response, || {
@@ -285,47 +251,40 @@ impl ResponseStore {
 
     /// Whether [`ResponseStore::admit`]'s policy would cache `response`.
     fn cacheable(&self, request: &CompletionRequest, response: &CompletionResponse) -> bool {
-        !self.is_read_only() && request.temperature == 0.0 && !response.cached
+        request.temperature == 0.0 && !response.cached
     }
 
     /// Keep `response` under `fingerprint` with no cacheability policy
-    /// (writer only; `false` for readers and for fingerprints already held
-    /// — first write wins). This is how the client's replay slot
-    /// ([`crate::LlmClient::attach_journal`]) logs every paid call, sampled
-    /// ones included, sharing the body it returns. `response` is a paid
-    /// one (`cached: false`), which is what a lookup returns. An append the
-    /// disk refuses returns `false` and is counted in
-    /// [`ResponseStore::append_failures`]; the log is best-effort
-    /// durability, and the index stays consistent with it: a write that
-    /// fails part-way is cut back off the file before the next append.
+    /// (`false` for fingerprints already held — first write wins). This is
+    /// how the client's replay slot ([`crate::LlmClient::attach_journal`])
+    /// logs every paid call, sampled ones included, sharing the body it
+    /// returns. `response` is a paid one (`cached: false`), which is what a
+    /// lookup returns. An append the disk refuses returns `false` and is
+    /// counted in [`ResponseStore::append_failures`]; the log is
+    /// best-effort durability, and the index stays consistent with it: a
+    /// write that fails part-way is cut back off the file before the next
+    /// append.
     pub fn record(&self, fingerprint: u64, response: &Arc<CompletionResponse>) -> bool {
         debug_assert!(!response.cached, "a stored body is the paid one");
         self.insert(fingerprint, response, || Arc::clone(response))
     }
 
     /// Log `response` as one record and index it, unless `fingerprint` is
-    /// already held, this handle is a reader, or the append fails. The
-    /// record line is built before the lock is taken; `body` (the `Arc` to
-    /// index) only once the record is written.
+    /// already held or the append fails. The record line is built before
+    /// the lock is taken; `body` (the `Arc` to index) only once the record
+    /// is written.
     fn insert(
         &self,
         fingerprint: u64,
         response: &CompletionResponse,
         body: impl FnOnce() -> Arc<CompletionResponse>,
     ) -> bool {
-        if self.is_read_only() {
-            return false;
-        }
         let line = record_line(fingerprint, response);
         let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        let Some(log) = &mut inner.log else {
-            return false;
-        };
         if inner.entries.contains_key(&fingerprint) {
             return false; // first write wins
         }
-        if let Err(e) = log.append(&line) {
+        if let Err(e) = inner.log.append(&line) {
             inner.failed_appends += 1;
             inner.last_append_error = Some(e.to_string());
             return false;
@@ -436,11 +395,11 @@ mod tests {
             let second = Arc::new(response("second", 1));
             assert!(!store.record(42, &second), "first wins");
         }
-        let reader = ResponseStore::open_read_only(&path, StoreConfig::default()).unwrap();
-        assert_eq!(reader.len(), 2);
-        assert_eq!(*reader.lookup(sampled.fingerprint()).unwrap(), weird);
-        assert_eq!(*reader.lookup(42).unwrap(), response("plain", 1));
-        assert!(!reader.record(7, &shared), "readers record nothing");
+        let reopened = ResponseStore::open(&path, StoreConfig::default()).unwrap();
+        assert_eq!(reopened.len(), 2);
+        assert_eq!(*reopened.lookup(sampled.fingerprint()).unwrap(), weird);
+        assert_eq!(*reopened.lookup(42).unwrap(), response("plain", 1));
+        drop(reopened);
         cleanup(&path);
     }
 
@@ -462,8 +421,9 @@ mod tests {
         assert_eq!(short, line.len() as u64);
         assert!(line.starts_with(RECORD_PREFIX), "{line}");
         drop(store);
-        let reopened = ResponseStore::open_read_only(&path, StoreConfig::default()).unwrap();
+        let reopened = ResponseStore::open(&path, StoreConfig::default()).unwrap();
         assert_eq!(reopened.len(), 2);
+        drop(reopened);
         cleanup(&path);
     }
 
@@ -478,7 +438,7 @@ mod tests {
             .write_all(b"x")
             .unwrap_err()
             .to_string();
-        store.inner.lock().log = Some(LogFile::over(File::open(&path).unwrap()));
+        store.inner.lock().log = LogFile::over(File::open(&path).unwrap());
         let refused = request("refused");
         assert!(!store.admit(&refused, &response("r", 1)));
         assert_eq!(store.append_failures(), (1, Some(expected.clone())));
@@ -495,20 +455,15 @@ mod tests {
     }
 
     #[test]
-    fn single_writer_enforced_readers_allowed() {
+    fn a_second_writer_is_refused_until_the_first_drops() {
         let path = temp_path("writer");
         let writer = ResponseStore::open(&path, StoreConfig::default()).unwrap();
-        assert!(!writer.is_read_only());
         let err = match ResponseStore::open(&path, StoreConfig::default()) {
             Err(e) => e,
             Ok(_) => panic!("second writer must be refused"),
         };
         assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
         writer.admit(&request("p"), &response("v", 1));
-        let reader = ResponseStore::open_read_only(&path, StoreConfig::default()).unwrap();
-        assert!(reader.is_read_only());
-        assert_eq!(reader.len(), 1);
-        assert!(!reader.admit(&request("q"), &response("w", 1)));
         drop(writer);
         // Lock released on drop: a new writer may take over.
         let writer2 = ResponseStore::open(&path, StoreConfig::default()).unwrap();
@@ -535,7 +490,7 @@ mod tests {
     }
 
     #[test]
-    fn torn_tail_recovered_on_writer_ignored_by_reader() {
+    fn a_torn_tail_is_recovered_and_truncated_on_open() {
         let path = temp_path("torn");
         {
             let store = ResponseStore::open(&path, StoreConfig::default()).unwrap();
@@ -544,9 +499,6 @@ mod tests {
         }
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - 5]).unwrap();
-        let reader = ResponseStore::open_read_only(&path, StoreConfig::default()).unwrap();
-        assert_eq!(reader.len(), 1, "reader skips the torn record");
-        assert_eq!(std::fs::read(&path).unwrap().len(), full.len() - 5);
         let writer = ResponseStore::open(&path, StoreConfig::default()).unwrap();
         assert_eq!(writer.len(), 1);
         assert!(writer.contains(request("kept").fingerprint()));
@@ -571,90 +523,58 @@ mod tests {
     }
 
     #[test]
-    fn a_replay_in_shares_rebuilds_and_truncates_as_the_one_share_walk() {
-        // 1 200 records of ≈ 430 bytes with long answers: ≈ 520 KB, room
-        // for four shares.
-        let records: Vec<String> = (0..1_200u64)
+    fn a_replay_stops_and_truncates_at_the_first_damaged_record() {
+        let entry = |i: u64| {
+            let text = format!("answer {i}: {}", "lorem ipsum dolor ".repeat(4));
+            (i * 7 + 1, response(&text, 2))
+        };
+        let records: Vec<String> = (0..40)
             .map(|i| {
-                let text = format!("answer {i}: {}", "lorem ipsum dolor ".repeat(16));
-                record_line(i * 7 + 1, &response(&text, 2))
+                let (fingerprint, response) = entry(i);
+                record_line(fingerprint, &response)
             })
             .collect();
-        let body = records.concat();
-        assert!(body.len() > 4 * crate::recordlog::MIN_SHARE_BYTES);
-        let offsets: Vec<usize> = records
-            .iter()
-            .scan(0, |at, line| Some(std::mem::replace(at, *at + line.len())))
-            .collect();
-        // The index of the record each piece starts with.
-        let first_records = |shares: usize| -> Vec<usize> {
-            crate::recordlog::cut_at_lines(&body, shares)
-                .iter()
-                .scan(0, |at, piece| {
-                    Some(std::mem::replace(at, *at + piece.len()))
-                })
-                .map(|start| offsets.binary_search(&start).unwrap())
-                .collect()
-        };
-        for shares in [2, 4] {
-            let starts = first_records(shares);
-            assert_eq!(starts.len(), shares);
-            assert!(starts.windows(2).all(|w| w[0] < w[1]), "{starts:?}");
-            // A checksum flip in the first share, a checksum-valid record
-            // whose answer escape does not decode exactly where the second
-            // share starts (at four shares, two more follow it), and a torn
-            // final line in the last share.
-            let (first, boundary, last) = (starts[1] / 2, starts[1], records.len() - 1);
-            for damaged in [
-                vec![],
-                vec![first],
-                vec![boundary],
-                vec![last],
-                vec![first, boundary, last],
-            ] {
-                let mut lines = records.clone();
-                for &i in &damaged {
-                    let line = &mut lines[i];
-                    if i == last {
-                        line.truncate(line.len() - 9);
-                    } else if i == boundary {
-                        let mut bad =
-                            line.rsplit_once('\t')
-                                .unwrap()
-                                .0
-                                .replacen("answer", "ans\\xwer", 1);
-                        seal_line(&mut bad);
-                        *line = bad;
-                    } else {
-                        *line = line.replacen("lorem", "Lorem", 1);
-                    }
+        // A checksum flip, a checksum-valid record whose answer escape does
+        // not decode, and a torn final line.
+        let (flipped, unescapable, torn) = (10, 25, records.len() - 1);
+        for damaged in [
+            vec![],
+            vec![flipped],
+            vec![unescapable],
+            vec![torn],
+            vec![flipped, unescapable, torn],
+        ] {
+            let mut lines = records.clone();
+            for &i in &damaged {
+                let line = &mut lines[i];
+                if i == torn {
+                    line.truncate(line.len() - 9);
+                } else if i == unescapable {
+                    let mut bad =
+                        line.rsplit_once('\t')
+                            .unwrap()
+                            .0
+                            .replacen("answer", "ans\\xwer", 1);
+                    seal_line(&mut bad);
+                    *line = bad;
+                } else {
+                    *line = line.replacen("lorem", "Lorem", 1);
                 }
-                let file = format!("{HEADER}\n{}", lines.concat());
-                let path = temp_path("shares");
-                let open = |writer: bool, shares: usize| {
-                    std::fs::write(&path, &file).unwrap();
-                    let store = ResponseStore::open_with(&path, writer, shares).unwrap();
-                    let state = rebuilt(&store);
-                    drop(store);
-                    (state, std::fs::read(&path).unwrap())
-                };
-                let (walked, walked_file) = open(true, 1);
-                let (shared, shared_file) = open(true, shares);
-                let case = format!("{shares} shares, damaged {damaged:?}");
-                assert!(walked == shared, "writer state differs: {case}");
-                assert!(
-                    walked_file == shared_file,
-                    "writer truncation differs: {case}"
-                );
-                let stop = damaged.iter().min().copied().unwrap_or(records.len());
-                assert_eq!(walked.len(), stop, "{case}");
-                let kept = HEADER.len() + 1 + records[..stop].concat().len();
-                assert_eq!(walked_file.len(), kept, "{case}");
-                let (read, read_file) = open(false, shares);
-                assert!(read == walked, "reader state differs: {case}");
-                assert!(read_file == file.as_bytes(), "a reader wrote: {case}");
-                cleanup(&path);
             }
+            let path = temp_path("damaged");
+            std::fs::write(&path, format!("{HEADER}\n{}", lines.concat())).unwrap();
+            let store = ResponseStore::open(&path, StoreConfig::default()).unwrap();
+            let state = rebuilt(&store);
+            drop(store);
+            let stop = damaged.iter().min().copied().unwrap_or(records.len());
+            let kept: Vec<_> = (0..stop as u64).map(entry).collect();
+            assert!(state == kept, "index, damaged {damaged:?}");
+            let file = format!("{HEADER}\n{}", records[..stop].concat());
+            assert!(
+                std::fs::read(&path).unwrap() == file.as_bytes(),
+                "file, damaged {damaged:?}"
+            );
+            cleanup(&path);
         }
     }
 }

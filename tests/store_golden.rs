@@ -1,14 +1,14 @@
 //! Golden for the two on-disk logs: the exact bytes (length + FNV-1a) a
 //! fixed sequence of paid misses, a sampled call, a near-duplicate prompt
 //! and direct admits writes to a store file and to a journal file, and what
-//! a writer reopen and a reader reopen of each then serve. First recorded
-//! before the store lost its generation TTLs, capacity, cost-aware eviction
-//! and compaction. Re-recorded twice since: when records stopped carrying
+//! reopens of each then serve. First recorded before the store lost its
+//! generation TTLs, capacity, cost-aware eviction and compaction.
+//! Re-recorded twice since: when records stopped carrying
 //! prompts (the emptied prompt column moved the bytes, and the
 //! near-duplicate, once answered by the deleted semantic tier, became a
 //! paid miss), and when format v2 keyed records by a new request hash and
 //! dropped the empty generation and prompt columns. Two v1 files are
-//! checked in under `tests/fixtures/`: both opens must refuse them. Two v2
+//! checked in under `tests/fixtures/`: an open must refuse them. Two v2
 //! files, the store and journal this sequence writes, are checked in beside
 //! them and pinned here too.
 //!
@@ -32,9 +32,10 @@ const STORE_BYTES: (usize, u64) = (915, 0x375953e234fdb23f);
 const JOURNAL_BYTES: (usize, u64) = (929, 0xeaeebc1264e24aa4);
 /// `(length, FNV-1a)` of the store file after a writer reopen admits one more.
 const STORE_BYTES_REOPENED: (usize, u64) = (1083, 0x613092bfe14508ab);
-/// `(entries, FNV-1a of every key's lookup)` served by each reopen.
+/// `(entries, FNV-1a of every key's lookup)` served by each reopen: of the
+/// store before and after its appended record, and of the journal.
 const STORE_WRITER_SERVES: (usize, u64) = (6, 0xc74d318182b44d0d);
-const STORE_READER_SERVES: (usize, u64) = (7, 0xfa8bff63629162ee);
+const STORE_REOPENED_SERVES: (usize, u64) = (7, 0xfa8bff63629162ee);
 const JOURNAL_SERVES: (usize, u64) = (6, 0x9f2e30921d5c7252);
 
 /// Item texts, with tabs, newlines and multi-byte text for the escaping a
@@ -218,15 +219,16 @@ fn store_and_journal_bytes_and_reopens_are_pinned() {
     }
     assert_eq!(file_digest(&store_path), STORE_BYTES_REOPENED, "appended");
 
-    let reader = ResponseStore::open_read_only(&store_path, StoreConfig::default()).unwrap();
-    assert_eq!(serves(&reader), STORE_READER_SERVES, "store reader reopen");
+    let reopened = ResponseStore::open(&store_path, StoreConfig::default()).unwrap();
+    assert_eq!(serves(&reopened), STORE_REOPENED_SERVES, "store reopen");
     let (request, response) = external();
-    assert!(
-        !reader.admit(&check(0, "unseen"), &response),
-        "readers admit nothing"
+    assert_eq!(*reopened.lookup(request.fingerprint()).unwrap(), response);
+    drop(reopened);
+    assert_eq!(
+        file_digest(&store_path),
+        STORE_BYTES_REOPENED,
+        "a reopen rewrote the store"
     );
-    assert_eq!(*reader.lookup(request.fingerprint()).unwrap(), response);
-    drop(reader);
 
     // The journal replays every paid call, the sampled one included, and
     // charges what the first session paid.
@@ -239,9 +241,9 @@ fn store_and_journal_bytes_and_reopens_are_pinned() {
         }
         assert_eq!((client.stats().calls(), client.ledger().calls()), (0, 5));
     }
-    let reader = ResponseStore::open_read_only(&journal_path, StoreConfig::default()).unwrap();
-    assert_eq!(serves(&reader), JOURNAL_SERVES, "journal reader");
-    drop(reader);
+    let reopened = ResponseStore::open(&journal_path, StoreConfig::default()).unwrap();
+    assert_eq!(serves(&reopened), JOURNAL_SERVES, "journal reopen");
+    drop(reopened);
     assert_eq!(
         file_digest(&journal_path),
         JOURNAL_BYTES,
@@ -265,38 +267,31 @@ const STORE_FIXTURE_BYTES: (usize, u64) = (1710, 0xa01aa0efd9a29274);
 const JOURNAL_FIXTURE_BYTES: (usize, u64) = (867, 0xc1d752d53e17ddcb);
 
 #[test]
-fn checked_in_v1_logs_are_refused_by_both_opens_and_left_as_they_were() {
+fn checked_in_v1_logs_are_refused_and_left_as_they_were() {
     for (fixture, bytes, tag) in [
         (STORE_FIXTURE, STORE_FIXTURE_BYTES, "fixture-store"),
         (JOURNAL_FIXTURE, JOURNAL_FIXTURE_BYTES, "fixture-journal"),
     ] {
         let fixture = Path::new(fixture);
         assert_eq!(file_digest(fixture), bytes, "{}", fixture.display());
-        // A writer takes a lock beside its file: open a copy.
+        // An open takes a lock beside its file: open a copy.
         let copy = temp_path(tag);
         cleanup(&copy);
         std::fs::copy(fixture, &copy).unwrap();
-        for (open, path, writer) in [("reader", fixture, false), ("writer", &*copy, true)] {
-            let opened = if writer {
-                ResponseStore::open(path, StoreConfig::default())
-            } else {
-                ResponseStore::open_read_only(path, StoreConfig::default())
-            };
-            let err = match opened {
-                Err(e) => e,
-                Ok(_) => panic!("a {open} opened v1 file {}", path.display()),
-            };
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
-            let text = err.to_string();
-            for part in [
-                "\"crowdprompt-store v1\"",
-                "\"crowdprompt-store v2\"",
-                "remove the file",
-            ] {
-                assert!(text.contains(part), "{open}: {part} not in {text}");
-            }
-            assert_eq!(file_digest(path), bytes, "a {open} open touched it");
+        let err = match ResponseStore::open(&copy, StoreConfig::default()) {
+            Err(e) => e,
+            Ok(_) => panic!("opened v1 file {}", fixture.display()),
+        };
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        let text = err.to_string();
+        for part in [
+            "\"crowdprompt-store v1\"",
+            "\"crowdprompt-store v2\"",
+            "remove the file",
+        ] {
+            assert!(text.contains(part), "{part} not in {text}");
         }
+        assert_eq!(file_digest(&copy), bytes, "the open touched it");
         cleanup(&copy);
     }
 }
@@ -309,7 +304,7 @@ const JOURNAL_V2_FIXTURE: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/journal-v2.log");
 
 #[test]
-fn checked_in_logs_open_as_writer_and_reader_to_the_same_entries() {
+fn checked_in_logs_open_to_the_pinned_entries() {
     for (fixture, bytes, served, tag) in [
         (
             STORE_V2_FIXTURE,
@@ -326,17 +321,13 @@ fn checked_in_logs_open_as_writer_and_reader_to_the_same_entries() {
     ] {
         let fixture = Path::new(fixture);
         assert_eq!(file_digest(fixture), bytes, "{}", fixture.display());
-        let reader = ResponseStore::open_read_only(fixture, StoreConfig::default()).unwrap();
-        assert_eq!(serves(&reader), served, "reader of {}", fixture.display());
-        drop(reader);
-
-        // A writer takes a lock beside its file: open a copy.
+        // An open takes a lock beside its file: open a copy.
         let copy = temp_path(tag);
         cleanup(&copy);
         std::fs::copy(fixture, &copy).unwrap();
-        let writer = ResponseStore::open(&copy, StoreConfig::default()).unwrap();
-        assert_eq!(serves(&writer), served, "writer of {}", fixture.display());
-        drop(writer);
+        let store = ResponseStore::open(&copy, StoreConfig::default()).unwrap();
+        assert_eq!(serves(&store), served, "open of {}", fixture.display());
+        drop(store);
         assert_eq!(
             file_digest(&copy),
             bytes,
@@ -373,7 +364,7 @@ fn a_writer_appends_answer_only_records_after_prompt_bearing_ones() {
     };
     assert_eq!(served.0, STORE_WRITER_SERVES.0 + 1);
     // The same seven answers a store written from scratch serves.
-    assert_eq!(served, STORE_READER_SERVES);
+    assert_eq!(served, STORE_REOPENED_SERVES);
 
     let appended_file = std::fs::read(&copy).unwrap();
     assert_eq!(
@@ -402,8 +393,5 @@ fn a_writer_appends_answer_only_records_after_prompt_bearing_ones() {
         appended_file,
         "a reopen rewrote it"
     );
-    let reader = ResponseStore::open_read_only(&copy, StoreConfig::default()).unwrap();
-    assert_eq!(serves(&reader), served, "reader of the appended file");
-    drop(reader);
     cleanup(&copy);
 }

@@ -9,11 +9,10 @@
 //! accounting matches the uninterrupted run), store hits are free: the
 //! recovered prefix costs the resumed run nothing.
 //!
-//! Also covered: the single-writer/multi-reader process discipline — a
-//! second writer on a live store is refused with `WouldBlock` while
-//! read-only handles snapshot freely, and the writer lock is released on
-//! drop — and a crash that tore the header line itself: such a file opens
-//! as an empty store.
+//! Also covered: the single-writer process discipline — a second writer on
+//! a live store is refused with `WouldBlock`, and the writer lock is
+//! released on drop — and a crash that tore the header line itself: such a
+//! file opens as an empty store.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -111,11 +110,8 @@ proptest! {
 
         // The exact complete-record prefix: every record is one flushed
         // line, so the recoverable prefix is precisely the whole lines the
-        // cut spared. A read-only probe (no truncation) must agree.
+        // cut spared.
         let intact = bytes[header_len..cut].iter().filter(|&&b| b == b'\n').count();
-        let probe = ResponseStore::open_read_only(&torn_path, StoreConfig::default()).unwrap();
-        prop_assert_eq!(probe.len(), intact);
-        drop(probe);
 
         // Resume on a completely fresh stack: same results, and only the
         // torn-off gap is re-dispatched.
@@ -146,7 +142,7 @@ proptest! {
 }
 
 #[test]
-fn second_writer_refused_while_readers_snapshot_freely() {
+fn second_writer_refused_until_the_first_session_drops() {
     let (w, items) = keep_world(12);
     let path = temp_path("writers");
     let writer = store_session(&w, &items, 17, &path);
@@ -158,13 +154,6 @@ fn second_writer_refused_while_readers_snapshot_freely() {
         Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::WouldBlock),
         Ok(_) => panic!("second writer must be refused while the lock is held"),
     }
-
-    // ...but read-only handles snapshot concurrently and see every record
-    // the writer has flushed so far.
-    let reader = ResponseStore::open_read_only(&path, StoreConfig::default()).unwrap();
-    assert_eq!(reader.len(), items.len());
-    assert!(reader.is_read_only());
-    drop(reader);
 
     // Dropping the writing session releases the lock; a fresh writer both
     // opens and serves the stored records without re-dispatching.
@@ -213,14 +202,8 @@ fn torn_header_opens_as_an_empty_store() {
         let path = temp_path("header-torn");
         std::fs::write(&path, &bytes[..cut]).unwrap();
 
-        // A reader sees no records and leaves the file alone.
-        let reader = ResponseStore::open_read_only(&path, StoreConfig::default()).unwrap();
-        assert_eq!(reader.len(), 0, "cut at {cut}");
-        drop(reader);
-        assert_eq!(std::fs::read(&path).unwrap(), &bytes[..cut]);
-
         // A writer starts the log afresh: a whole header, then the records
-        // of the run it serves, which a later reader sees.
+        // of the run it serves, which a later reopen sees.
         let session = store_session(&w, &items, 29, &path);
         assert_eq!(run_filter(&session, &items), reference, "cut at {cut}");
         assert_eq!(
@@ -229,7 +212,7 @@ fn torn_header_opens_as_an_empty_store() {
         );
         drop(session);
         assert_eq!(std::fs::read(&path).unwrap(), bytes, "cut at {cut}");
-        let reopened = ResponseStore::open_read_only(&path, StoreConfig::default()).unwrap();
+        let reopened = ResponseStore::open(&path, StoreConfig::default()).unwrap();
         assert_eq!(reopened.len(), items.len(), "cut at {cut}");
         drop(reopened);
         cleanup(&path);
@@ -248,7 +231,6 @@ fn torn_header_opens_as_an_empty_store() {
         let foreign = temp_path("header-foreign");
         std::fs::write(&foreign, contents).unwrap();
         assert!(ResponseStore::open(&foreign, StoreConfig::default()).is_err());
-        assert!(ResponseStore::open_read_only(&foreign, StoreConfig::default()).is_err());
         assert_eq!(std::fs::read(&foreign).unwrap(), contents);
         cleanup(&foreign);
     }
