@@ -82,6 +82,9 @@ impl Metric {
     /// skipping the per-candidate square root. Recover the distance with
     /// [`Metric::key_to_distance`]. Exposed so tests and benchmarks can
     /// replicate the index computation bit-for-bit.
+    ///
+    /// The key is symmetric in the two norms, to the bit: the self-join
+    /// computes one key per unordered pair and ranks both rows by it.
     pub fn rank_key(&self, dot: f32, query_norm_sq: f32, stored_norm_sq: f32) -> f32 {
         match self {
             Metric::L2 => query_norm_sq + stored_norm_sq - 2.0 * dot,
@@ -356,17 +359,19 @@ impl BruteForceIndex {
     ///
     /// A [`Queries::Rows`] batch naming every stored row exactly once, in
     /// any order, is the *self-join*: the upper triangle is walked in
-    /// `QUERY_TILE`-row tiles, each unordered pair's dot is computed once
-    /// and offered to both rows' rankings, and tile `t` goes to worker
-    /// `t mod workers` (contiguous halves of a triangle split its work
-    /// about 75/25). Every other batch is cut into contiguous query chunks,
-    /// one per `std::thread::scope` worker, and each chunk runs the tiled
-    /// scan (`QUERY_TILE` queries per pass over the store). Both give the
-    /// same bits: the self-join's keys are the scan's keys (the lane
-    /// contract's dot is symmetric in its arguments), and every ranking
-    /// keeps the `k` best under the strict `(key, index)` order, which the
-    /// order of offers — and so the merge of the workers' rankings — cannot
-    /// change.
+    /// `QUERY_TILE`-row tiles, each unordered pair's dot and ranking key
+    /// are computed once and the key is offered to both rows' rankings,
+    /// and tile `t` goes to worker `t mod workers` (contiguous halves of a
+    /// triangle split its work about 75/25). Every other batch is cut into
+    /// contiguous query chunks, one per `std::thread::scope` worker, and
+    /// each chunk runs the tiled scan (`QUERY_TILE` queries per pass over
+    /// the store). Both give the same bits: the self-join's keys are the
+    /// scan's keys in both directions — the lane contract's dot is
+    /// symmetric in its arguments, and [`Metric::rank_key`] in its two
+    /// norms (`(a + b) − 2d` and `√a·√b` commute in IEEE arithmetic) — and
+    /// every ranking keeps the `k` best under the strict `(key, index)`
+    /// order, which the order of offers — and so the merge of the workers'
+    /// rankings — cannot change.
     ///
     /// # Panics
     /// As [`BruteForceIndex::search`].
@@ -432,9 +437,9 @@ impl BruteForceIndex {
 
     /// One worker's share of the self-join: tiles `worker`, `worker +
     /// workers`, … of `QUERY_TILE` stored rows, each against every later
-    /// row. A pair's one dot is offered to both rows, each direction with
-    /// its own [`Metric::rank_key`] argument order, so both keys are the
-    /// bits the tiled scan would compute.
+    /// row. A pair's one dot makes one [`Metric::rank_key`], offered to
+    /// both rows: the key is symmetric in its two norms, so it is the bits
+    /// the tiled scan computes in either direction.
     fn triangle_share(&self, worker: usize, workers: usize, k: usize) -> Vec<TopK> {
         let store = &self.store;
         let n = store.len();
@@ -453,8 +458,9 @@ impl BruteForceIndex {
                 dot_unrolled_many(store.row(j), &tile[..width], dots);
                 for (t, (&dot, &norm_i)) in dots.iter().zip(&norms).enumerate() {
                     let i = tile_start + t;
-                    tops[i].offer(self.metric.rank_key(dot, norm_i, norm_j), j);
-                    tops[j].offer(self.metric.rank_key(dot, norm_j, norm_i), i);
+                    let key = self.metric.rank_key(dot, norm_i, norm_j);
+                    tops[i].offer(key, j);
+                    tops[j].offer(key, i);
                 }
             }
         }
@@ -923,6 +929,39 @@ mod tests {
                     .collect()
             })
             .collect()
+    }
+
+    #[test]
+    fn rank_key_is_symmetric_in_its_norms() {
+        let values = [
+            0.0f32,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(3),
+            f32::MIN_POSITIVE / 2.0,
+            f32::MIN_POSITIVE,
+            0.3,
+            1.0,
+            2.5,
+            -4.0,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        for metric in [Metric::L2, Metric::Cosine] {
+            for &dot in &values {
+                for &a in &values {
+                    for &b in &values {
+                        let (ab, ba) = (metric.rank_key(dot, a, b), metric.rank_key(dot, b, a));
+                        assert!(
+                            ab.to_bits() == ba.to_bits() || (ab.is_nan() && ba.is_nan()),
+                            "{metric:?} dot {dot:e} norms {a:e}, {b:e}: {ab:e} vs {ba:e}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

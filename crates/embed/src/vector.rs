@@ -15,24 +15,40 @@
 //! * the `len % 64` trailing elements are multiplied and summed in order
 //!   into a scalar `tail`, and the result is `acc[0] + tail`.
 //!
-//! On `x86_64` with AVX2 the kernels are explicit `core::arch` intrinsics.
-//! Recompiling `dot_lanes` under `#[target_feature(enable = "avx2")]` is
-//! not enough: LLVM vectorizes it but keeps the 64-lane accumulator *on
-//! the stack* — every 8-lane step an add from memory and a store back, a
-//! store-forward round trip per step — which costs 34–40 ns per
-//! 256-dimension pair where the arithmetic allows 15 (64 `ymm` multiplies
-//! and adds on two ports at 2.1 GHz). An explicit kernel must keep its
-//! accumulators in registers *and* keep at least eight independent add
-//! chains in flight: a pass with two chains is bound by add latency at
-//! about twice the cost. A future kernel (wider registers, another ISA) is
-//! correct when the `to_bits` tests in this module pass against
-//! `dot_lanes`; NaN results must be NaN, their payloads are not part of
-//! the contract. It must also be symmetric in its two arguments —
-//! `dot(a, b)` and `dot(b, a)` the same bits, which element-wise
-//! multiply-then-add gives because IEEE multiplication commutes — since
-//! the k-NN self-join computes each unordered pair's dot once and ranks
-//! both rows by it, and a kernel that treated `a` and `b` differently
-//! would make that answer differ from the one-directional scan's.
+//! # Kernel tiers
+//!
+//! On `x86_64` the kernels are explicit `core::arch` intrinsics in two
+//! tiers, chosen by one cached runtime check: AVX-512F where the CPU has
+//! it, else AVX2, else the portable core. Each tier keeps the 64 lanes in
+//! registers — eight `ymm` of eight lanes, or four `zmm` of sixteen (lane
+//! `16g + j` in register `g`) — and folds them with the contract's tree.
+//! Recompiling `dot_lanes` under `#[target_feature]` is not enough: LLVM
+//! vectorizes it but keeps the 64-lane accumulator *on the stack* — every
+//! step an add from memory and a store back, a store-forward round trip
+//! per step — at two to three times the arithmetic's cost.
+//!
+//! Each lane is one serial add chain, so a product keeps as many chains in
+//! flight as it has registers: eight at AVX2 width, four at AVX-512 width.
+//! The many-vector kernels therefore block several products per pass, so
+//! that every load of `a` is shared and enough independent adds cover the
+//! add latency (a pass with two chains ran at about twice the cost):
+//!
+//! * AVX2, 1×2: sixteen lane groups do not fit sixteen `ymm` registers
+//!   beside the loads, so the chunks are walked twice, four groups of each
+//!   product a pass — eight chains;
+//! * AVX-512F, 1×4: four products of four `zmm` groups are sixteen of the
+//!   thirty-two registers, one pass — sixteen chains, with room for the
+//!   loads. A 1×8 block would fill all thirty-two and spill.
+//!
+//! A future kernel (wider registers, another ISA) is correct when the
+//! `to_bits` tests in this module pass against `dot_lanes` for its tier;
+//! NaN results must be NaN, their payloads are not part of the contract.
+//! It must also be symmetric in its two arguments — `dot(a, b)` and
+//! `dot(b, a)` the same bits, which element-wise multiply-then-add gives
+//! because IEEE multiplication commutes — since the k-NN self-join
+//! computes each unordered pair's dot once and ranks both rows by it, and
+//! a kernel that treated `a` and `b` differently would make that answer
+//! differ from the one-directional scan's.
 
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64::*;
@@ -60,8 +76,8 @@ pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// internally consistent.
 ///
 /// The result is identical on every CPU. The portable core is
-/// `dot_lanes`; on `x86_64` with AVX2 (runtime-detected once) explicit
-/// `core::arch` kernels perform *the same* lane arithmetic — see
+/// `dot_lanes`; on `x86_64` with AVX-512F or AVX2 (runtime-detected once)
+/// explicit `core::arch` kernels perform *the same* lane arithmetic — see
 /// [the lane contract](self#the-lane-contract) — so the bits cannot differ
 /// between the paths.
 ///
@@ -69,22 +85,19 @@ pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// Panics if the vectors have different lengths.
 pub fn dot_unrolled(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot_unrolled: dimension mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2 support was verified at runtime.
-        return unsafe { dot_lanes_avx2(a, b) };
-    }
-    dot_lanes(a, b)
+    // SAFETY: `tier()` is the tier this CPU runs.
+    unsafe { dot_on(tier(), a, b) }
 }
 
 /// Dot `a` against many vectors in one call: `out[i] = dot_unrolled(a, bs[i])`.
 ///
 /// Bit-identical to calling [`dot_unrolled`] per pair (same lane
-/// arithmetic), but the AVX2 dispatch happens once per *call* instead of
-/// once per pair and the AVX2 kernel takes the `bs` two at a time, sharing
-/// every load of `a` between the two products — the k-NN scans call this
-/// once per stored row per query tile, keeping the per-candidate cost to
-/// pure arithmetic.
+/// arithmetic), but the tier dispatch happens once per *call* instead of
+/// once per pair, and the kernels block the `bs` — four at a time at
+/// AVX-512 width, two at AVX2 width ([kernel tiers](self#kernel-tiers)) —
+/// sharing every load of `a` between the block's products. The k-NN scans
+/// call this once per stored row per query tile, keeping the
+/// per-candidate cost to pure arithmetic.
 ///
 /// # Panics
 /// Panics if any `bs[i]` length differs from `a`, or if
@@ -98,31 +111,82 @@ pub fn dot_unrolled_many(a: &[f32], bs: &[&[f32]], out: &mut [f32]) {
     for b in bs {
         assert_eq!(a.len(), b.len(), "dot_unrolled_many: dimension mismatch");
     }
+    // SAFETY: `tier()` is the tier this CPU runs.
+    unsafe { dot_many_on(tier(), a, bs, out) }
+}
+
+/// The kernel sets, narrowest first. A CPU that runs a tier runs every
+/// tier before it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Tier {
+    Portable,
     #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2 support was verified at runtime.
-        unsafe { dot_many_avx2(a, bs, out) };
-        return;
+    Avx2,
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+/// The widest tier this CPU runs: one runtime detection, cached in an
+/// atomic.
+fn tier() -> Tier {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::sync::atomic::{AtomicU8, Ordering};
+        // 0 = undetected, else 1 + the tier's position in `Tier`.
+        static TIER: AtomicU8 = AtomicU8::new(0);
+        match TIER.load(Ordering::Relaxed) {
+            1 => return Tier::Portable,
+            2 => return Tier::Avx2,
+            3 => return Tier::Avx512,
+            _ => {}
+        }
+        let tier = if !std::arch::is_x86_feature_detected!("avx2") {
+            Tier::Portable
+        } else if std::arch::is_x86_feature_detected!("avx512f") {
+            Tier::Avx512
+        } else {
+            Tier::Avx2
+        };
+        TIER.store(tier as u8 + 1, Ordering::Relaxed);
+        tier
     }
-    for (slot, b) in out.iter_mut().zip(bs) {
-        *slot = dot_lanes(a, b);
+    #[cfg(not(target_arch = "x86_64"))]
+    Tier::Portable
+}
+
+/// [`dot_unrolled`] on `tier`'s kernel.
+///
+/// # Safety
+/// The CPU runs `tier`: it is [`tier()`] or narrower.
+unsafe fn dot_on(tier: Tier, a: &[f32], b: &[f32]) -> f32 {
+    match tier {
+        Tier::Portable => dot_lanes(a, b),
+        // SAFETY: the caller guarantees the CPU runs the tier.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => unsafe { dot_lanes_avx2(a, b) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => unsafe { dot_block_avx512(a, [b])[0] },
     }
 }
 
-/// One-time runtime AVX2 detection, cached in an atomic.
-#[cfg(target_arch = "x86_64")]
-fn avx2_available() -> bool {
-    use std::sync::atomic::{AtomicU8, Ordering};
-    // 0 = undetected, 1 = avx2, 2 = baseline.
-    static AVX2: AtomicU8 = AtomicU8::new(0);
-    match AVX2.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let detected = std::arch::is_x86_feature_detected!("avx2");
-            AVX2.store(if detected { 1 } else { 2 }, Ordering::Relaxed);
-            detected
+/// [`dot_unrolled_many`] on `tier`'s kernels.
+///
+/// # Safety
+/// As [`dot_on`].
+unsafe fn dot_many_on(tier: Tier, a: &[f32], bs: &[&[f32]], out: &mut [f32]) {
+    match tier {
+        Tier::Portable => {
+            for (slot, b) in out.iter_mut().zip(bs) {
+                *slot = dot_lanes(a, b);
+            }
         }
+        // SAFETY: the caller guarantees the CPU runs the tier.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => unsafe { dot_many_avx2(a, bs, out) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => unsafe { dot_many_avx512(a, bs, out) },
     }
 }
 
@@ -131,8 +195,8 @@ const LANES: usize = 64;
 
 /// The lane-accumulation kernel behind [`dot_unrolled`]: the portable
 /// implementation and the definition of the
-/// [lane contract](self#the-lane-contract) the AVX2 kernels are tested
-/// against (64 independent lanes, pairwise reduction, scalar tail).
+/// [lane contract](self#the-lane-contract) the `core::arch` kernels are
+/// tested against (64 independent lanes, pairwise reduction, scalar tail).
 #[inline(always)]
 fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
     let mut acc = [0.0f32; LANES];
@@ -285,6 +349,67 @@ fn dot_many_avx2(a: &[f32], bs: &[&[f32]], out: &mut [f32]) {
     }
 }
 
+/// The `32 → 16` tree steps at AVX-512 width, `(z0 + z2) + (z1 + z3)`,
+/// and [`lane_finish`] from `w = 8` down on the result's two halves.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn lane_finish_avx512(z: [__m512; 4], tail: f32) -> f32 {
+    let w16 = _mm512_add_ps(_mm512_add_ps(z[0], z[2]), _mm512_add_ps(z[1], z[3]));
+    let high = _mm512_extractf64x4_pd(_mm512_castps_pd(w16), 1);
+    lane_finish(_mm512_castps512_ps256(w16), _mm256_castpd_ps(high), tail)
+}
+
+/// The 1×`N` AVX-512F kernel: `[dot_lanes(a, bs[0]), …]` with each load
+/// of `a` shared by the `N` products. Product `p` keeps its 64 lanes in
+/// four `zmm` registers, lane `16g + j` in register `g`; at `N = 4` that
+/// is sixteen accumulators, sixteen independent add chains, in one pass
+/// over the chunks. `N = 1` is the kernel behind [`dot_unrolled`].
+///
+/// # Panics
+/// Panics if a `bs[p]` is shorter than `a`'s whole chunks.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn dot_block_avx512<const N: usize>(a: &[f32], bs: [&[f32]; N]) -> [f32; N] {
+    let rest = a.len() - a.len() % LANES;
+    let body = &a[..rest];
+    let bodies = bs.map(|b| &b[..rest]);
+    let mut acc = [[_mm512_setzero_ps(); 4]; N];
+    for chunk in (0..rest).step_by(LANES) {
+        for g in 0..4 {
+            let off = chunk + 16 * g;
+            // SAFETY: `off + 16 <= rest`, the length of `body` and of every
+            // slice in `bodies`.
+            let va = unsafe { _mm512_loadu_ps(body.as_ptr().add(off)) };
+            for (acc, b) in acc.iter_mut().zip(bodies) {
+                // SAFETY: as above.
+                let vb = unsafe { _mm512_loadu_ps(b.as_ptr().add(off)) };
+                acc[g] = _mm512_add_ps(acc[g], _mm512_mul_ps(va, vb));
+            }
+        }
+    }
+    let mut out = [0.0; N];
+    for ((slot, z), b) in out.iter_mut().zip(acc).zip(bs) {
+        *slot = lane_finish_avx512(z, dot_tail(&a[rest..], &b[rest..]));
+    }
+    out
+}
+
+/// [`dot_unrolled_many`]'s AVX-512F body: the `bs` four at a time through
+/// [`dot_block_avx512`], the last one to three one at a time.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn dot_many_avx512(a: &[f32], bs: &[&[f32]], out: &mut [f32]) {
+    let mut quads = bs.chunks_exact(4);
+    let mut slots = out.chunks_exact_mut(4);
+    for (quad, slot) in (&mut quads).zip(&mut slots) {
+        slot.copy_from_slice(&dot_block_avx512(a, [quad[0], quad[1], quad[2], quad[3]]));
+    }
+    for (b, slot) in quads.remainder().iter().zip(slots.into_remainder()) {
+        [*slot] = dot_block_avx512(a, [b]);
+    }
+}
+
 /// Integer dot product of two equal-length `u8` code vectors — the fused
 /// kernel behind the IVF quantized-residual scan ([`crate::ivf`]).
 ///
@@ -301,7 +426,7 @@ fn dot_many_avx2(a: &[f32], bs: &[&[f32]], out: &mut [f32]) {
 pub(crate) fn dot_u8(a: &[u8], b: &[u8]) -> u64 {
     assert_eq!(a.len(), b.len(), "dot_u8: dimension mismatch");
     #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
+    if tier() >= Tier::Avx2 {
         // SAFETY: AVX2 support was verified at runtime.
         return unsafe { dot_u8_avx2(a, b) };
     }
@@ -329,7 +454,7 @@ pub(crate) fn dot_u8_many(a: &[u8], flat: &[u8], out: &mut [u64]) {
         return;
     }
     #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
+    if tier() >= Tier::Avx2 {
         // SAFETY: AVX2 support was verified at runtime.
         unsafe { dot_u8_many_avx2(a, flat, out) };
         return;
@@ -520,45 +645,64 @@ mod tests {
         got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan())
     }
 
-    /// `dot_unrolled` and `dot_unrolled_many` at every tile width in
-    /// `widths` against the portable core.
+    /// Every tier this CPU runs, narrowest first.
+    fn tiers() -> Vec<Tier> {
+        let mut all = vec![Tier::Portable];
+        #[cfg(target_arch = "x86_64")]
+        all.extend([Tier::Avx2, Tier::Avx512]);
+        all.retain(|&t| t <= tier());
+        all
+    }
+
+    /// Every tier's 1×1 kernel, and its many-vector kernels at every tile
+    /// width in `widths`, against the portable core.
     fn assert_kernels_match_lanes(
         a: &[f32],
         bs: &[Vec<f32>],
         widths: std::ops::RangeInclusive<usize>,
     ) {
         let want: Vec<f32> = bs.iter().map(|b| dot_lanes(a, b)).collect();
-        for (b, &w) in bs.iter().zip(&want) {
-            let got = dot_unrolled(a, b);
-            assert!(same(got, w), "1x1 len {}: {got:e} vs {w:e}", a.len());
-        }
         let refs: Vec<&[f32]> = bs.iter().map(Vec::as_slice).collect();
-        for width in widths {
-            let mut out = vec![f32::NAN; width];
-            dot_unrolled_many(a, &refs[..width], &mut out);
-            for (t, (&got, &w)) in out.iter().zip(&want).enumerate() {
+        for tier in tiers() {
+            for (b, &w) in bs.iter().zip(&want) {
+                // SAFETY: `tiers()` holds only tiers this CPU runs.
+                let got = unsafe { dot_on(tier, a, b) };
                 assert!(
                     same(got, w),
-                    "len {} width {width} slot {t}: {got:e} vs {w:e}",
+                    "{tier:?} 1x1 len {}: {got:e} vs {w:e}",
                     a.len()
                 );
+            }
+            for width in widths.clone() {
+                let mut out = vec![f32::NAN; width];
+                // SAFETY: as above.
+                unsafe { dot_many_on(tier, a, &refs[..width], &mut out) };
+                for (t, (&got, &w)) in out.iter().zip(&want).enumerate() {
+                    assert!(
+                        same(got, w),
+                        "{tier:?} len {} width {width} slot {t}: {got:e} vs {w:e}",
+                        a.len()
+                    );
+                }
             }
         }
     }
 
     #[test]
     fn kernels_match_the_portable_lanes_at_every_length() {
-        // Every tail length and 0..=16 chunks, at an even and an odd width.
+        // Every tail length and 0..=16 chunks, at every width up to one
+        // 1×4 block and one more.
         for n in 0..=1030 {
             let a = wobble(n, 1);
-            let bs: Vec<Vec<f32>> = (0..3).map(|t| wobble(n, 77 + t)).collect();
-            assert_kernels_match_lanes(&a, &bs, 2..=3);
+            let bs: Vec<Vec<f32>> = (0..5).map(|t| wobble(n, 77 + t)).collect();
+            assert_kernels_match_lanes(&a, &bs, 0..=5);
         }
     }
 
     #[test]
     fn kernels_match_the_portable_lanes_at_every_tile_width() {
-        // Odd and even remainders of the 1×2 blocking, whole chunks and a tail.
+        // Every remainder of the 1×2 and the 1×4 blocking, whole chunks and
+        // a tail.
         for n in [256usize, 64 * 3 + 21] {
             let a = wobble(n, 5);
             let bs: Vec<Vec<f32>> = (0..17).map(|t| wobble(n, 1000 + t)).collect();
@@ -634,15 +778,20 @@ mod tests {
                 let a = vector(1);
                 let bs: Vec<Vec<f32>> = (0..5).map(|t| vector(40 + t)).collect();
                 let refs: Vec<&[f32]> = bs.iter().map(Vec::as_slice).collect();
-                let mut out = vec![0.0f32; bs.len()];
-                dot_unrolled_many(&a, &refs, &mut out);
-                for (t, b) in bs.iter().enumerate() {
-                    let ab = dot_lanes(&a, b);
-                    let case = format!("len {n} salt {salt} b {t}: {ab:e}");
-                    assert!(same(ab, dot_lanes(b, &a)), "portable {case}");
-                    assert!(same(dot_unrolled(&a, b), dot_unrolled(b, &a)), "1x1 {case}");
-                    assert!(same(out[t], dot_unrolled(b, &a)), "1x2 {case}");
-                    assert!(same(out[t], ab), "1x2 vs portable {case}");
+                for tier in tiers() {
+                    let mut out = vec![0.0f32; bs.len()];
+                    // SAFETY: `tiers()` holds only tiers this CPU runs.
+                    unsafe { dot_many_on(tier, &a, &refs, &mut out) };
+                    for (t, b) in bs.iter().enumerate() {
+                        let ab = dot_lanes(&a, b);
+                        // SAFETY: as above.
+                        let (one, other) = unsafe { (dot_on(tier, &a, b), dot_on(tier, b, &a)) };
+                        let case = format!("{tier:?} len {n} salt {salt} b {t}: {ab:e}");
+                        assert!(same(ab, dot_lanes(b, &a)), "portable {case}");
+                        assert!(same(one, other), "1x1 {case}");
+                        assert!(same(out[t], other), "many {case}");
+                        assert!(same(out[t], ab), "many vs portable {case}");
+                    }
                 }
             }
         }

@@ -14,7 +14,9 @@
 //! Each figure is the minimum of ten repetitions on one thread. A shared
 //! host moves the same binary by tens of percent within minutes, so to
 //! compare two builds run them alternately, never one after the other's
-//! numbers were taken.
+//! numbers were taken. The first line names the kernel tier the CPU runs
+//! (AVX-512F, AVX2 or portable), so that figures from two hosts are
+//! compared only tier for tier.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -44,6 +46,20 @@ fn corpus() -> Vec<f32> {
         .collect()
 }
 
+/// The dot-kernel tier `vector.rs` dispatches to on this CPU, by the same
+/// runtime test.
+fn kernel_tier() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return if std::arch::is_x86_feature_detected!("avx512f") {
+            "avx512f"
+        } else {
+            "avx2"
+        };
+    }
+    "portable"
+}
+
 /// Minimum over [`REPS`] runs of `work`, in nanoseconds per pair.
 fn ns_per_pair(pairs: usize, mut work: impl FnMut()) -> f64 {
     (0..REPS)
@@ -56,6 +72,7 @@ fn ns_per_pair(pairs: usize, mut work: impl FnMut()) -> f64 {
 }
 
 fn main() {
+    println!("kernels {}", kernel_tier());
     let index = BruteForceIndex::from_store(VectorStore::from_flat(corpus(), DIMS), Metric::L2);
     let rows: Vec<&[f32]> = (0..ROWS).map(|i| index.store().row(i)).collect();
 
