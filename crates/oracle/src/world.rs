@@ -29,8 +29,11 @@ pub struct WorldModel {
     scores: HashMap<ItemId, f64>,
     sort_keys: HashMap<ItemId, String>,
     clusters: HashMap<ItemId, u64>,
-    attrs: HashMap<(ItemId, String), String>,
-    flags: HashMap<(ItemId, String), bool>,
+    /// Attribute name → item → true value. Keyed by name first so that a
+    /// lookup borrows the caller's `&str` instead of building a key.
+    attrs: HashMap<String, HashMap<ItemId, String>>,
+    /// Predicate name → item → truth, keyed as `attrs`.
+    flags: HashMap<String, HashMap<ItemId, bool>>,
     /// How much surface evidence of the latent score the text carries, in
     /// `[0, 1]`. Items with high salience (e.g. "chocolate" in the flavor
     /// name) are sorted confidently even by a coarse single-prompt task;
@@ -84,12 +87,18 @@ impl WorldModel {
 
     /// Set the true value of a named attribute of an item.
     pub fn set_attr(&mut self, id: ItemId, attr: impl Into<String>, value: impl Into<String>) {
-        self.attrs.insert((id, attr.into()), value.into());
+        self.attrs
+            .entry(attr.into())
+            .or_default()
+            .insert(id, value.into());
     }
 
     /// Set the truth of a named predicate for an item.
     pub fn set_flag(&mut self, id: ItemId, predicate: impl Into<String>, value: bool) {
-        self.flags.insert((id, predicate.into()), value);
+        self.flags
+            .entry(predicate.into())
+            .or_default()
+            .insert(id, value);
     }
 
     /// Set the surface salience of an item's latent score (clamped to
@@ -124,12 +133,12 @@ impl WorldModel {
 
     /// True attribute value, if registered.
     pub fn attr(&self, id: ItemId, attr: &str) -> Option<&str> {
-        self.attrs.get(&(id, attr.to_owned())).map(String::as_str)
+        self.attrs.get(attr)?.get(&id).map(String::as_str)
     }
 
     /// Predicate truth, if registered.
     pub fn flag(&self, id: ItemId, predicate: &str) -> Option<bool> {
-        self.flags.get(&(id, predicate.to_owned())).copied()
+        self.flags.get(predicate)?.get(&id).copied()
     }
 
     /// Every attribute's distinct registered values, sorted, in one pass.
@@ -138,17 +147,14 @@ impl WorldModel {
     /// imputes a value incorrectly (a wrong-but-plausible value, like a real
     /// model would).
     pub(crate) fn attr_domains(&self) -> HashMap<String, Vec<String>> {
-        let mut domains: HashMap<&str, Vec<&str>> = HashMap::new();
-        for ((_, attr), value) in &self.attrs {
-            domains.entry(attr).or_default().push(value);
-        }
-        domains
-            .into_iter()
-            .map(|(attr, mut values)| {
+        self.attrs
+            .iter()
+            .map(|(attr, values)| {
+                let mut values: Vec<&str> = values.values().map(String::as_str).collect();
                 values.sort_unstable();
                 values.dedup();
                 let values = values.into_iter().map(str::to_owned).collect();
-                (attr.to_owned(), values)
+                (attr.clone(), values)
             })
             .collect()
     }
@@ -159,9 +165,10 @@ impl WorldModel {
     pub(crate) fn values_of_attr(&self, attr: &str) -> Vec<&str> {
         let mut vals: Vec<&str> = self
             .attrs
-            .iter()
-            .filter(|((_, a), _)| a == attr)
-            .map(|(_, v)| v.as_str())
+            .get(attr)
+            .into_iter()
+            .flat_map(HashMap::values)
+            .map(String::as_str)
             .collect();
         vals.sort_unstable();
         vals.dedup();

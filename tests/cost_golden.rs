@@ -26,11 +26,15 @@ use crowdprompt::oracle::{
 };
 
 /// `(allocations, bytes)` of a `CheckPredicate` miss through `LlmClient`.
-const CHECK_MISS: (u64, u64) = (13, 424);
+/// Re-recorded from `(13, 424)` when `WorldModel::flag` stopped building
+/// an owned key: one allocation of the 8-byte predicate name fewer.
+const CHECK_MISS: (u64, u64) = (12, 416);
 /// The same request asked again: an in-memory cache hit.
 const CHECK_HIT: (u64, u64) = (1, 3);
 /// `(allocations, bytes)` of an `Impute` miss through `LlmClient`.
-const IMPUTE_MISS: (u64, u64) = (16, 610);
+/// Re-recorded from `(16, 610)` when `WorldModel::attr` stopped building
+/// an owned key: one allocation of the 4-byte attribute name fewer.
+const IMPUTE_MISS: (u64, u64) = (15, 606);
 /// The same request asked again: an in-memory cache hit.
 const IMPUTE_HIT: (u64, u64) = (1, 43);
 /// `(allocations, bytes)` of the 4 000-row self-join, `k = 2`, one worker.
