@@ -456,11 +456,16 @@ impl BruteForceIndex {
                 let norm_j = store.norm_sq(j);
                 let dots = &mut dots[..width];
                 dot_unrolled_many(store.row(j), &tile[..width], dots);
-                for (t, (&dot, &norm_i)) in dots.iter().zip(&norms).enumerate() {
-                    let i = tile_start + t;
+                // Every `i` here is below `j`: split the rankings there, so
+                // that row `j`'s is a borrow of its own and is neither
+                // re-indexed nor reloaded after each offer to a tile row.
+                let (below, from_j) = tops.split_at_mut(j);
+                let top_j = &mut from_j[0];
+                let tile_tops = below[tile_start..].iter_mut().zip(tile_start..);
+                for ((&dot, &norm_i), (top_i, i)) in dots.iter().zip(&norms).zip(tile_tops) {
                     let key = self.metric.rank_key(dot, norm_i, norm_j);
-                    tops[i].offer(key, j);
-                    tops[j].offer(key, i);
+                    top_i.offer(key, j);
+                    top_j.offer(key, i);
                 }
             }
         }
