@@ -40,6 +40,10 @@
 //!   thirty-two registers, one pass — sixteen chains, with room for the
 //!   loads. A 1×8 block would fill all thirty-two and spill.
 //!
+//! A single product has no block to share, so [`dot_unrolled`] and the
+//! last one to three vectors of a 1×4 blocking run the AVX2 1×1 kernel on
+//! both tiers: its eight chains beat four `zmm` chains by about a tenth.
+//!
 //! A future kernel (wider registers, another ISA) is correct when the
 //! `to_bits` tests in this module pass against `dot_lanes` for its tier;
 //! NaN results must be NaN, their payloads are not part of the contract.
@@ -76,8 +80,8 @@ pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// internally consistent.
 ///
 /// The result is identical on every CPU. The portable core is
-/// `dot_lanes`; on `x86_64` with AVX-512F or AVX2 (runtime-detected once)
-/// explicit `core::arch` kernels perform *the same* lane arithmetic — see
+/// `dot_lanes`; on `x86_64` with AVX2 (runtime-detected once) an explicit
+/// `core::arch` kernel performs *the same* lane arithmetic — see
 /// [the lane contract](self#the-lane-contract) — so the bits cannot differ
 /// between the paths.
 ///
@@ -161,12 +165,12 @@ fn tier() -> Tier {
 unsafe fn dot_on(tier: Tier, a: &[f32], b: &[f32]) -> f32 {
     match tier {
         Tier::Portable => dot_lanes(a, b),
-        // SAFETY: the caller guarantees the CPU runs the tier.
+        // SAFETY: the caller guarantees the CPU runs the tier, and a CPU
+        // that runs AVX-512F runs AVX2 (the `Tier::Avx512` detection checks
+        // both). One product runs the AVX2 kernel on both tiers; see
+        // "Kernel tiers" in the module docs.
         #[cfg(target_arch = "x86_64")]
-        Tier::Avx2 => unsafe { dot_lanes_avx2(a, b) },
-        // SAFETY: as above.
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx512 => unsafe { dot_block_avx512(a, [b])[0] },
+        Tier::Avx2 | Tier::Avx512 => unsafe { dot_lanes_avx2(a, b) },
     }
 }
 
@@ -360,21 +364,21 @@ fn lane_finish_avx512(z: [__m512; 4], tail: f32) -> f32 {
     lane_finish(_mm512_castps512_ps256(w16), _mm256_castpd_ps(high), tail)
 }
 
-/// The 1×`N` AVX-512F kernel: `[dot_lanes(a, bs[0]), …]` with each load
-/// of `a` shared by the `N` products. Product `p` keeps its 64 lanes in
-/// four `zmm` registers, lane `16g + j` in register `g`; at `N = 4` that
-/// is sixteen accumulators, sixteen independent add chains, in one pass
-/// over the chunks. `N = 1` is the kernel behind [`dot_unrolled`].
+/// The 1×4 AVX-512F kernel behind [`dot_unrolled_many`]:
+/// `[dot_lanes(a, bs[0]), …, dot_lanes(a, bs[3])]` with each load of `a`
+/// shared by the four products. Product `p` keeps its 64 lanes in four
+/// `zmm` registers, lane `16g + j` in register `g`: sixteen accumulators,
+/// sixteen independent add chains, in one pass over the chunks.
 ///
 /// # Panics
 /// Panics if a `bs[p]` is shorter than `a`'s whole chunks.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn dot_block_avx512<const N: usize>(a: &[f32], bs: [&[f32]; N]) -> [f32; N] {
+fn dot_quad_avx512(a: &[f32], bs: [&[f32]; 4]) -> [f32; 4] {
     let rest = a.len() - a.len() % LANES;
     let body = &a[..rest];
     let bodies = bs.map(|b| &b[..rest]);
-    let mut acc = [[_mm512_setzero_ps(); 4]; N];
+    let mut acc = [[_mm512_setzero_ps(); 4]; 4];
     for chunk in (0..rest).step_by(LANES) {
         for g in 0..4 {
             let off = chunk + 16 * g;
@@ -388,7 +392,7 @@ fn dot_block_avx512<const N: usize>(a: &[f32], bs: [&[f32]; N]) -> [f32; N] {
             }
         }
     }
-    let mut out = [0.0; N];
+    let mut out = [0.0; 4];
     for ((slot, z), b) in out.iter_mut().zip(acc).zip(bs) {
         *slot = lane_finish_avx512(z, dot_tail(&a[rest..], &b[rest..]));
     }
@@ -396,17 +400,17 @@ fn dot_block_avx512<const N: usize>(a: &[f32], bs: [&[f32]; N]) -> [f32; N] {
 }
 
 /// [`dot_unrolled_many`]'s AVX-512F body: the `bs` four at a time through
-/// [`dot_block_avx512`], the last one to three one at a time.
+/// [`dot_quad_avx512`], the last one to three through [`dot_lanes_avx2`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 fn dot_many_avx512(a: &[f32], bs: &[&[f32]], out: &mut [f32]) {
     let mut quads = bs.chunks_exact(4);
     let mut slots = out.chunks_exact_mut(4);
     for (quad, slot) in (&mut quads).zip(&mut slots) {
-        slot.copy_from_slice(&dot_block_avx512(a, [quad[0], quad[1], quad[2], quad[3]]));
+        slot.copy_from_slice(&dot_quad_avx512(a, [quad[0], quad[1], quad[2], quad[3]]));
     }
     for (b, slot) in quads.remainder().iter().zip(slots.into_remainder()) {
-        [*slot] = dot_block_avx512(a, [b]);
+        *slot = dot_lanes_avx2(a, b);
     }
 }
 
