@@ -12,11 +12,13 @@
 //! move it, re-record the constant in the same commit and say why beside
 //! it; otherwise the change costs what it did not claim.
 //!
-//! The counting allocator is this binary's `#[global_allocator]`, so the
-//! binary holds this one test: a second test running beside it would be
-//! counted too.
+//! The counting allocator is this binary's `#[global_allocator]`, and it
+//! counts only what the thread inside [`counted`] allocates: the test
+//! harness's own threads allocate while a test starts, and on a busy host
+//! that overlapped the first step. The binary still holds this one test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -42,29 +44,39 @@ const IMPUTE_HIT: (u64, u64) = (1, 43);
 /// the debug run short and read the same as 256.
 const SELF_JOIN: (u64, u64) = (4_505, 628_008);
 
-/// [`System`], counting every allocation and the bytes it asked for. A
-/// `realloc` counts as one allocation of its new size.
+/// [`System`], counting every allocation a counting thread makes and the
+/// bytes it asked for. A `realloc` counts as one allocation of its new
+/// size.
 struct Counting;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
 
-fn count(layout: Layout) {
-    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+thread_local! {
+    /// Whether this thread's allocations are counted. `const`-initialised
+    /// and without a destructor, so reading it never allocates.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count(bytes: usize) {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters are plain atomics.
+// upholds the `GlobalAlloc` contract; counting touches only atomics and a
+// thread-local that never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout);
+        count(layout.size());
         // SAFETY: the caller's guarantees on `layout` are `System`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout);
+        count(layout.size());
         // SAFETY: as `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -75,8 +87,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size);
         // SAFETY: `ptr` was allocated by `System` with `layout`, and the
         // caller's guarantees on `new_size` are `System`'s.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -86,13 +97,15 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// `(allocations, bytes)` that `step` cost, and its result.
+/// `(allocations, bytes)` that `step` cost on this thread, and its result.
 fn counted<T>(step: impl FnOnce() -> T) -> ((u64, u64), T) {
     let (a0, b0) = (
         ALLOCATIONS.load(Ordering::Relaxed),
         BYTES.load(Ordering::Relaxed),
     );
+    COUNTING.set(true);
     let out = step();
+    COUNTING.set(false);
     let cost = (
         ALLOCATIONS.load(Ordering::Relaxed) - a0,
         BYTES.load(Ordering::Relaxed) - b0,
