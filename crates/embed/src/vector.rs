@@ -644,6 +644,24 @@ mod tests {
             .collect()
     }
 
+    /// Deterministic values in `[-2, 2)` (SplitMix64), a different sequence
+    /// for every salt. `wobble`'s salt shifts an integer near 2³¹ before it
+    /// becomes an `f32`, which rounds most of the shift away, so its vectors
+    /// for nearby salts are nearly equal — and a kernel that confused two
+    /// products' vectors would still match.
+    fn distinct(n: usize, salt: u64) -> Vec<f32> {
+        let mut state = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (0..n)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                ((z ^ (z >> 31)) >> 40) as f32 / (1u64 << 22) as f32 - 2.0
+            })
+            .collect()
+    }
+
     /// The contract's equality: the same bits, or NaN on both sides.
     fn same(got: f32, want: f32) -> bool {
         got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan())
@@ -710,6 +728,17 @@ mod tests {
         for n in [256usize, 64 * 3 + 21] {
             let a = wobble(n, 5);
             let bs: Vec<Vec<f32>> = (0..17).map(|t| wobble(n, 1000 + t)).collect();
+            assert_kernels_match_lanes(&a, &bs, 0..=17);
+        }
+    }
+
+    #[test]
+    fn kernels_match_the_portable_lanes_on_distinct_vectors() {
+        // Every tile slot holds its own vector, so a kernel that fed one
+        // product another's operand fails here.
+        for n in [1usize, 63, 64, 65, 130, 256, 300] {
+            let a = distinct(n, 1);
+            let bs: Vec<Vec<f32>> = (0..17).map(|t| distinct(n, 2 + t)).collect();
             assert_kernels_match_lanes(&a, &bs, 0..=17);
         }
     }
