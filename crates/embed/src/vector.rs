@@ -724,19 +724,12 @@ mod tests {
     #[test]
     fn kernels_match_the_portable_lanes_at_every_tile_width() {
         // Every remainder of the 1×2 and the 1×4 blocking, whole chunks and
-        // a tail.
-        for n in [256usize, 64 * 3 + 21] {
+        // a tail. The `distinct` set gives every tile slot its own vector,
+        // so a kernel that fed one product another's operand fails too.
+        for n in [1usize, 63, 64, 65, 130, 256, 64 * 3 + 21, 300] {
             let a = wobble(n, 5);
             let bs: Vec<Vec<f32>> = (0..17).map(|t| wobble(n, 1000 + t)).collect();
             assert_kernels_match_lanes(&a, &bs, 0..=17);
-        }
-    }
-
-    #[test]
-    fn kernels_match_the_portable_lanes_on_distinct_vectors() {
-        // Every tile slot holds its own vector, so a kernel that fed one
-        // product another's operand fails here.
-        for n in [1usize, 63, 64, 65, 130, 256, 300] {
             let a = distinct(n, 1);
             let bs: Vec<Vec<f32>> = (0..17).map(|t| distinct(n, 2 + t)).collect();
             assert_kernels_match_lanes(&a, &bs, 0..=17);
