@@ -4,7 +4,8 @@
 //! Wall clock on a shared two-core host cannot tell a few percent apart;
 //! an allocation count repeats exactly, in debug and release codegen
 //! alike. Every step runs on this test's thread (the client has no router
-//! threads and the self-join is asked at one worker), after a warm-up that
+//! threads, and the self-join and the packed rounds are asked at one
+//! worker), after a warm-up that
 //! leaves the process-wide one-time state (the model-name table, the
 //! simulator's answer pools) built, so the counts are the step's own.
 //!
@@ -32,10 +33,12 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crowdprompt::core::{Corpus, Engine};
 use crowdprompt::embed::{BruteForceIndex, Metric, Queries, VectorStore};
 use crowdprompt::oracle::{
     CompletionRequest, LlmClient, ModelProfile, SimulatedLlm, TaskDescriptor, WorldModel,
 };
+use crowdprompt::prelude::{FilterStrategy, Query};
 
 /// `(allocations, bytes)` of a `CheckPredicate` miss through `LlmClient`.
 /// Re-recorded from `(13, 424)` when `WorldModel::flag` stopped building
@@ -53,6 +56,12 @@ const IMPUTE_HIT: (u64, u64) = (1, 43);
 /// The count follows the rows and `k`, not the width: 64 dimensions keep
 /// the debug run short and read the same as 256.
 const SELF_JOIN: (u64, u64) = (4_505, 628_008);
+/// `(allocations, bytes)` of a packed filter node over 256 items at width
+/// 8 and one worker, answered from the client's cache by the same node's
+/// cold run before it.
+const FILTER_ROUND: (u64, u64) = (1_537, 126_247);
+/// The same shape as a keep-label node over three labels.
+const KEEP_LABEL_ROUND: (u64, u64) = (3_067, 159_578);
 
 /// [`System`], counting every allocation a counting thread makes and the
 /// bytes it asked for. A `realloc` counts as one allocation of its new
@@ -157,6 +166,26 @@ fn impute(item: crowdprompt::oracle::ItemId) -> CompletionRequest {
     )
 }
 
+/// An engine at pack width 8 and one worker over 256 catalog records, each
+/// with an `in_stock` flag and a `city`; and the records.
+fn round_engine() -> (Engine, Vec<crowdprompt::oracle::ItemId>) {
+    let mut w = WorldModel::new();
+    let items: Vec<_> = (0..256)
+        .map(|i| {
+            let id = w.add_item(format!("catalog record {i:03} vendor {}", i % 7));
+            w.set_flag(id, "in_stock", i % 3 == 0);
+            w.set_attr(id, "city", ["berkeley", "oakland", "alameda"][i % 3]);
+            id
+        })
+        .collect();
+    let corpus = Corpus::from_world(&w, &items);
+    let llm = SimulatedLlm::new(ModelProfile::gpt35_like(), Arc::new(w), 5);
+    let engine = Engine::new(Arc::new(LlmClient::new(Arc::new(llm))), corpus)
+        .with_pack_width(8)
+        .with_parallelism(1);
+    (engine, items)
+}
+
 /// Deterministic rows in `[-1, 1)` (SplitMix64), flat row-major: the
 /// corpus `examples/selfjoin` times.
 fn corpus(rows: usize, dims: usize) -> Vec<f32> {
@@ -201,7 +230,46 @@ fn each_step_allocates_what_it_was_recorded_to() {
     assert_eq!(answers.len(), rows);
     got.push(("self-join".to_owned(), join));
 
-    let want = [CHECK_MISS, CHECK_HIT, IMPUTE_MISS, IMPUTE_HIT, SELF_JOIN];
+    let (engine, items) = round_engine();
+    let labels = ["berkeley", "oakland", "alameda"]
+        .map(str::to_owned)
+        .to_vec();
+    // Each node with the items it keeps (the simulator errs on a few).
+    let nodes = [
+        (
+            "filter round",
+            Query::over(&items).filter_with("in_stock", FilterStrategy::Single),
+            97,
+        ),
+        (
+            "keep-label round",
+            Query::over(&items).keep_label(labels, "berkeley"),
+            96,
+        ),
+    ];
+    for (name, query, kept) in nodes {
+        let plan = query.plan_on(&engine).expect("the node plans");
+        plan.execute_on(&engine).expect("the cold node runs");
+        let calls = engine.client().ledger().calls();
+        let (warm, run) = counted(|| plan.execute_on(&engine).expect("the warm node runs"));
+        assert_eq!(run.output.items().map(<[_]>::len), Some(kept), "{name}");
+        assert_eq!(
+            engine.client().ledger().calls(),
+            calls,
+            "{name}: no paid call"
+        );
+        got.push((name.to_owned(), warm));
+    }
+
+    let want = [
+        CHECK_MISS,
+        CHECK_HIT,
+        IMPUTE_MISS,
+        IMPUTE_HIT,
+        SELF_JOIN,
+        FILTER_ROUND,
+        KEEP_LABEL_ROUND,
+    ];
     let rendered: Vec<String> = got
         .iter()
         .map(|(name, (n, b))| format!("{name}: ({n}, {b})"))
