@@ -445,14 +445,18 @@ impl BruteForceIndex {
         let n = store.len();
         let mut tops: Vec<TopK> = (0..n).map(|_| TopK::new(k, n)).collect();
         let mut dots = [0.0f32; QUERY_TILE];
+        // The tile's rows and squared norms, in its first `len` slots.
+        let mut tile: [&[f32]; QUERY_TILE] = [&[]; QUERY_TILE];
+        let mut norms = [0.0f32; QUERY_TILE];
         for tile_start in (worker * QUERY_TILE..n).step_by(workers * QUERY_TILE) {
-            let tile_end = (tile_start + QUERY_TILE).min(n);
-            let tile: Vec<&[f32]> = (tile_start..tile_end).map(|i| store.row(i)).collect();
-            let norms: Vec<f32> = (tile_start..tile_end).map(|i| store.norm_sq(i)).collect();
+            let len = QUERY_TILE.min(n - tile_start);
+            for (t, i) in (tile_start..tile_start + len).enumerate() {
+                (tile[t], norms[t]) = (store.row(i), store.norm_sq(i));
+            }
             for j in tile_start + 1..n {
                 // Row `j` against the tile's rows before it: inside the
                 // tile the ones below `j`, past it the whole tile.
-                let width = (j - tile_start).min(tile.len());
+                let width = (j - tile_start).min(len);
                 let norm_j = store.norm_sq(j);
                 let dots = &mut dots[..width];
                 dot_unrolled_many(store.row(j), &tile[..width], dots);
