@@ -45,7 +45,9 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use crate::recordlog::{decode_response_fields, push_response_fields, seal_line, LogFile};
+use crate::recordlog::{
+    decode_response_fields, push_response_fields, seal_line, LogFile, RESPONSE_FIELDS,
+};
 use crate::types::{CompletionRequest, CompletionResponse};
 
 /// The store's header line (also its format version gate).
@@ -125,10 +127,21 @@ struct StoreInner {
 }
 
 /// Decode one replayed record payload into its fingerprint and response,
-/// or `None` to reject it (truncating the log there).
+/// or `None` to reject it (truncating the log there). The fields are split
+/// into a fixed array of a record's `1 + RESPONSE_FIELDS` slots, so a line
+/// with more fields than that is rejected here.
 fn parse_record(payload: &str) -> Option<(u64, CompletionResponse)> {
-    let fields: Vec<&str> = payload.split('\t').collect();
-    match fields.split_first() {
+    let mut fields = [""; 1 + RESPONSE_FIELDS];
+    let mut parts = payload.split('\t');
+    let len = fields
+        .iter_mut()
+        .zip(parts.by_ref())
+        .map(|(slot, part)| *slot = part)
+        .count();
+    if parts.next().is_some() {
+        return None;
+    }
+    match fields[..len].split_first() {
         Some((&"R", response)) => decode_response_fields(response),
         _ => None,
     }
@@ -520,6 +533,16 @@ mod tests {
             .collect();
         entries.sort_by_key(|(fp, _)| *fp);
         entries
+    }
+
+    #[test]
+    fn a_record_with_a_field_more_or_fewer_is_rejected() {
+        let line = record_line(0xfeed, &response("yes", 1));
+        let payload = line.rsplit_once('\t').unwrap().0;
+        assert!(parse_record(payload).is_some());
+        assert!(parse_record(&format!("{payload}\textra")).is_none());
+        assert!(parse_record(payload.rsplit_once('\t').unwrap().0).is_none());
+        assert!(parse_record("R").is_none());
     }
 
     #[test]
