@@ -25,10 +25,13 @@
 //!   (sampled votes and packs, whose retries cannot be known up front), or
 //!   — when the policy degrades — admitted only after a free local hit has
 //!   been ruled out. A packed round's prepare runs inside the pump
-//!   instead: its packs are built, rendered, counted and estimated in
-//!   contiguous shares on the caller and the pump's render helpers when the
-//!   round is large enough to pay for them, and the caller then splits the
-//!   oversize packs in input order before anything is queued.
+//!   instead: each pack's tasks are built from the operator's per-index
+//!   builder, checked, rendered, counted and estimated in contiguous shares
+//!   on the caller and the pump's render helpers when the round is large
+//!   enough to pay for them (no per-item task list is held on the caller),
+//!   and the caller then splits the oversize packs in input order before
+//!   anything is queued. Once the round is answered, its packed answers
+//!   are parsed in the same shares.
 //! * **pump** is the one worker loop in the crate. It queues the batch on
 //!   the engine's lane of a [`FairFeed`] — its own one-lane feed (one-lane
 //!   deficit round robin *is* FIFO) or, scoped to a tenant by
@@ -79,7 +82,9 @@
 //! pack whose response cannot be parsed into one answer per item — or, when
 //! the policy degrades, that fails outright — is bisected and retried, one
 //! pumped round per level, down to bare singletons that carry the same
-//! fingerprint the per-item path issues.
+//! fingerprint the per-item path issues. The operators reach the same loop
+//! through the crate-private `Engine::run_built`, handing it a per-index
+//! task builder instead of a task list.
 //!
 //! # Retry pauses and resume
 //!
@@ -121,10 +126,10 @@ const MIN_CLAIM: usize = 1;
 /// the work queue: at most `parallelism × MAX_CLAIM` jobs are claimed ahead
 /// of completion.
 const MAX_CLAIM: usize = 32;
-/// Packs a participant must hold before a packed round's render is shared
-/// out: a share is then hundreds of microseconds of rendering against a
-/// thread start of tens, and bisect rounds and small runs stay on the
-/// caller.
+/// Packs a participant must hold before a packed round's build and render,
+/// or its answers' parse, is shared out: a share is then hundreds of
+/// microseconds of work against a thread start of tens, and bisect rounds
+/// and small runs stay on the caller.
 const PACKS_PER_SHARE: usize = 64;
 /// Per-job mean duration (µs) below which a worker's claim is deemed "fast"
 /// (cache or coalesced hits) and its next claim doubles.
@@ -546,21 +551,53 @@ impl Engine {
     /// after the budget is exhausted, since they cost nothing to serve.
     pub fn run_outcome(&self, spec: RunSpec) -> Result<BatchOutcome, EngineError> {
         let policy = self.failure_policy;
-        let (tasks, width, sampling) = match spec {
-            RunSpec::Many { tasks } => (tasks, 1, None),
-            RunSpec::Packed {
-                tasks,
-                width,
-                sampling,
-            } => (tasks, width, sampling),
-            RunSpec::Sampled { specs } => return self.run_items(specs, Admit::PerCall, policy),
-        };
-        let (temperature, sample_index) = sampling.unwrap_or((0.0, 0));
-        if width > 1 {
-            return self.run_packs(&tasks, width, temperature, sample_index, policy);
+        match spec {
+            RunSpec::Many { tasks } => self.run_per_item(tasks, None, policy),
+            RunSpec::Sampled { specs } => self.run_items(specs, Admit::PerCall, policy),
+            RunSpec::Packed { tasks, width } if width > 1 => {
+                if let Some(first) = tasks.first() {
+                    if !tasks.iter().all(|task| packs_with(first, task)) {
+                        return Err(mixed_packs());
+                    }
+                }
+                let task_of = |i: usize| tasks[i].clone();
+                self.run_packs(tasks.len(), &task_of, width, None, policy)
+            }
+            // Packed at width <= 1 *is* the per-item path (and per-item
+            // tasks need not be packable).
+            RunSpec::Packed { tasks, .. } => self.run_per_item(tasks, None, policy),
         }
-        // Packed at width <= 1 *is* the per-item path (and per-item tasks
-        // need not be packable).
+    }
+
+    /// [`RunSpec::packed`] (or, with `sampling`, one packed vote round) over
+    /// `n` tasks that the caller does not hold: task `i` is `task_of(i)`,
+    /// built where it is needed. Packed, each pack's tasks are built by the
+    /// pump participant that renders the pack; per item (width ≤ 1), they
+    /// are built in input order here.
+    pub(crate) fn run_built(
+        &self,
+        n: usize,
+        task_of: &(dyn Fn(usize) -> TaskDescriptor + Sync),
+        width: usize,
+        sampling: Option<(f64, u32)>,
+    ) -> Result<BatchOutcome, EngineError> {
+        let policy = self.failure_policy;
+        if width > 1 {
+            return self.run_packs(n, task_of, width, sampling, policy);
+        }
+        self.run_per_item((0..n).map(task_of), sampling, policy)
+    }
+
+    /// One call per task at `sampling` (temperature 0, sample 0 when
+    /// `None`): an unsampled batch is admitted whole before any call, a
+    /// sampled one per call.
+    fn run_per_item(
+        &self,
+        tasks: impl IntoIterator<Item = TaskDescriptor>,
+        sampling: Option<(f64, u32)>,
+        policy: FailurePolicy,
+    ) -> Result<BatchOutcome, EngineError> {
+        let (temperature, sample_index) = sampling.unwrap_or((0.0, 0));
         let admit = match sampling {
             None => Admit::Batch,
             Some(_) => Admit::PerCall,
@@ -607,66 +644,88 @@ impl Engine {
         Ok(outcome)
     }
 
-    /// The one pack → context-split → bisect loop. Each level is one pumped
-    /// round, so bisection costs O(log width) rounds, not O(n) sequential
-    /// calls. Render errors, dispatch failures and unparseable responses
-    /// all narrow the same way — a pack splits in half, an irreducible
-    /// single is quarantined — so every healthy item packed next to a broken
-    /// one still completes; a fail-fast pump returns its first error before
-    /// any of that is reached.
+    /// The one pack → context-split → bisect loop over `n` tasks, task `i`
+    /// built by `task_of(i)`. Each level is one pumped round, so bisection
+    /// costs O(log width) rounds, not O(n) sequential calls. A round's
+    /// packs are built and rendered, and its packed answers parsed, in the
+    /// pump's shares ([`in_shares`]); the caller only fits packs to the
+    /// context window, places answer lines and records bisections, in
+    /// input order. Render errors, dispatch failures and unparseable
+    /// responses all narrow the same way — a pack splits in half, an
+    /// irreducible single is quarantined — so every healthy item packed
+    /// next to a broken one still completes; a fail-fast pump returns its
+    /// first error before any of that is reached.
+    ///
+    /// Every pack is checked against the first task as it is rendered, and
+    /// a round's every pack is rendered before any is queued, so a builder
+    /// that mixes instructions is refused with
+    /// [`EngineError::InvalidInput`] before any call, whatever the policy.
     fn run_packs(
         &self,
-        tasks: &[TaskDescriptor],
+        n: usize,
+        task_of: &(dyn Fn(usize) -> TaskDescriptor + Sync),
         width: usize,
-        temperature: f64,
-        sample_index: u32,
+        sampling: Option<(f64, u32)>,
         policy: FailurePolicy,
     ) -> Result<BatchOutcome, EngineError> {
-        if let Some(first) = tasks.first() {
-            if tasks
-                .iter()
-                .any(|t| !t.packable() || !first.pack_compatible(t))
-            {
-                return Err(EngineError::InvalidInput(
-                    "packed dispatch requires point-wise tasks sharing one instruction \
-                     (same predicate / label set / attribute)"
-                        .into(),
-                ));
-            }
-        }
         fn bisect(pack: &Range<usize>, next: &mut Vec<Range<usize>>) {
             let mid = pack.start + pack.len() / 2;
             next.push(pack.start..mid);
             next.push(mid..pack.end);
         }
-        let n = tasks.len();
+        let mut outcome = BatchOutcome::default();
+        if n == 0 {
+            return Ok(outcome);
+        }
+        // What every pack is checked against, built once; where item 0 is
+        // packed, it is cloned from here rather than built again.
+        let first = task_of(0);
+        let build = |i: usize| match i {
+            0 => first.clone(),
+            i => task_of(i),
+        };
+        let (temperature, sample_index) = sampling.unwrap_or((0.0, 0));
         let window = self.client.model().context_window();
         let mut answers: Vec<Option<Result<String, EngineError>>> = vec![None; n];
-        let mut outcome = BatchOutcome::default();
-        // Pending packs, as index ranges into `tasks`.
+        // Pending packs, as index ranges over the tasks.
         let mut pending: Vec<Range<usize>> = (0..n)
             .step_by(width)
             .map(|start| start..(start + width).min(n))
             .collect();
         let mode = admission_mode(Admit::PerCall, policy);
         while !pending.is_empty() {
-            // Each pack's task — cloned out of `tasks` — its render, count
-            // and estimate, on whichever of the pump's participants holds it.
+            // Each pack's tasks — built here — its check, render, count and
+            // estimate, on whichever of the pump's participants holds it.
             let render = |i: usize| {
-                let task = match &tasks[pending[i].clone()] {
-                    [single] => single.clone(),
-                    many => TaskDescriptor::Packed {
-                        tasks: many.to_vec(),
+                let pack = pending[i].clone();
+                let task = match pack.len() {
+                    1 => build(pack.start),
+                    _ => TaskDescriptor::Packed {
+                        tasks: pack.map(build).collect(),
                     },
                 };
+                let fits = match &task {
+                    TaskDescriptor::Packed { tasks } => {
+                        tasks.iter().all(|task| packs_with(&first, task))
+                    }
+                    single => packs_with(&first, single),
+                };
+                if !fits {
+                    return Err(mixed_packs());
+                }
                 self.render_call((task, temperature, sample_index), mode)
             };
             let mut next: Vec<Range<usize>> = Vec::new();
             let mut round: Vec<Range<usize>> = Vec::new();
-            // Context fitting, on the caller in input order: a pack whose
-            // rendered prompt overflows the window (by the count its render
-            // took) splits without wasting a call on it.
-            let mut keep = |i: usize, prepared: &Result<Work, EngineError>| {
+            // On the caller in input order: refuse a mixed round — only the
+            // check above and the packed renderer's own packing contract
+            // raise `InvalidInput` at render — and fit the rest to the
+            // context window: a pack whose rendered prompt overflows it (by
+            // the count its render took) splits without wasting a call.
+            let mut keep = |i: usize, prepared: &Prepared| {
+                if let Err(refused @ EngineError::InvalidInput(_)) = prepared {
+                    return Err(refused.clone());
+                }
                 let pack = pending[i].clone();
                 let oversize =
                     pack.len() > 1 && prepared.as_ref().is_ok_and(|w| w.prompt_tokens > window);
@@ -675,7 +734,7 @@ impl Engine {
                 } else {
                     round.push(pack);
                 }
-                !oversize
+                Ok(!oversize)
             };
             let intake = Intake::Shares {
                 count: pending.len(),
@@ -683,21 +742,28 @@ impl Engine {
                 keep: &mut keep,
             };
             let results = self.pump(intake, self.shape(policy))?;
-            for (pack, item) in round.into_iter().zip(results) {
+            // Each answered pack's lines, parsed in the same shares; `None`
+            // for a single, a failure, or a list that does not parse.
+            let parse = |i: usize| match &results[i] {
+                Ok(response) if round[i].len() > 1 => {
+                    crate::extract::packed_answers(&response.text, round[i].len()).ok()
+                }
+                _ => None,
+            };
+            let parsed = in_shares(round.len(), self.parallelism, &parse);
+            for ((pack, item), lines) in round.into_iter().zip(results).zip(parsed) {
                 match item {
                     Ok(response) => {
-                        if pack.len() == 1 {
-                            answers[pack.start] = Some(Ok(response.text.clone()));
-                        } else {
-                            match crate::extract::packed_answers(&response.text, pack.len()) {
-                                Ok(lines) => {
-                                    for (slot, line) in answers[pack.clone()].iter_mut().zip(lines)
-                                    {
-                                        *slot = Some(Ok(line));
-                                    }
+                        match lines {
+                            Some(lines) => {
+                                for (slot, line) in answers[pack.clone()].iter_mut().zip(lines) {
+                                    *slot = Some(Ok(line));
                                 }
-                                Err(_) => bisect(&pack, &mut next),
                             }
+                            None if pack.len() == 1 => {
+                                answers[pack.start] = Some(Ok(response.text.clone()));
+                            }
+                            None => bisect(&pack, &mut next),
                         }
                         outcome.responses.push(response);
                     }
@@ -804,11 +870,10 @@ impl Engine {
     /// only when the shape stops on the first error; then a pre-failed item
     /// fails the batch before anything is queued.
     ///
-    /// A packed round ([`Intake::Shares`]) is rendered here first: in
-    /// contiguous shares on the caller and up to `shape.workers − 1` render
-    /// helpers when it holds at least [`PACKS_PER_SHARE`] packs a
-    /// participant, on the caller alone otherwise; then the caller keeps or
-    /// drops each item in input order.
+    /// A packed round ([`Intake::Shares`]) is rendered here first, by
+    /// [`in_shares`] on up to `shape.workers` participants; then the caller
+    /// keeps or drops each item in input order, or refuses the round
+    /// before anything is queued.
     pub(crate) fn pump(
         &self,
         intake: Intake<'_>,
@@ -821,39 +886,13 @@ impl Engine {
                 render,
                 keep,
             } => {
-                let mut participants = shape.workers.min(count / PACKS_PER_SHARE);
-                if participants > 1 {
-                    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-                    participants = participants.min(cores);
-                }
-                let rendered: Vec<_> = if participants > 1 {
-                    let share = count.div_ceil(participants);
-                    std::thread::scope(|scope| {
-                        let helpers: Vec<_> = (share..count)
-                            .step_by(share)
-                            .map(|start| {
-                                let end = (start + share).min(count);
-                                scope.spawn(move || (start..end).map(render).collect::<Vec<_>>())
-                            })
-                            .collect();
-                        let mut rendered = Vec::with_capacity(count);
-                        rendered.extend((0..share).map(render));
-                        for helper in helpers {
-                            let part = helper
-                                .join()
-                                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-                            rendered.extend(part);
-                        }
-                        rendered
-                    })
-                } else {
-                    (0..count).map(render).collect()
-                };
+                let rendered = in_shares(count, shape.workers, render);
                 rendered
                     .into_iter()
                     .enumerate()
-                    .filter_map(|(i, item)| keep(i, &item).then_some(item))
-                    .collect()
+                    .map(|(i, item)| Ok(keep(i, &item)?.then_some(item)))
+                    .filter_map(Result::transpose)
+                    .collect::<Result<_, EngineError>>()?
             }
         };
         if shape.stop_on_error {
@@ -1144,16 +1183,68 @@ fn admission_mode(admit: Admit, policy: FailurePolicy) -> Admit {
 /// What a pump call queues.
 pub(crate) enum Intake<'a> {
     /// Work its caller rendered and admitted, in input order.
-    Rendered(Vec<Result<Work, EngineError>>),
+    Rendered(Vec<Prepared>),
     /// A packed round: `count` calls, call `i` rendered by `render(i)` —
     /// pure, so the pump's participants run it in shares — and then handed,
     /// in input order on the caller, to `keep`, which says whether it is
     /// queued.
     Shares {
         count: usize,
-        render: &'a (dyn Fn(usize) -> Result<Work, EngineError> + Sync),
-        keep: &'a mut dyn FnMut(usize, &Result<Work, EngineError>) -> bool,
+        render: &'a (dyn Fn(usize) -> Prepared + Sync),
+        keep: &'a mut dyn FnMut(usize, &Prepared) -> Result<bool, EngineError>,
     },
+}
+
+/// One call rendered into work, or the error that pre-fails it.
+pub(crate) type Prepared = Result<Work, EngineError>;
+
+/// `each(i)` for every `i` in `0..count`, in input order: computed in
+/// contiguous shares on the caller and up to `workers − 1` scoped helpers
+/// (never more participants than the machine has cores) when there are at
+/// least [`PACKS_PER_SHARE`] items a participant, on the caller alone
+/// otherwise. A packed round's render and its answers' parse both run here.
+fn in_shares<T: Send>(count: usize, workers: usize, each: &(dyn Fn(usize) -> T + Sync)) -> Vec<T> {
+    let mut participants = workers.min(count / PACKS_PER_SHARE);
+    if participants > 1 {
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        participants = participants.min(cores);
+    }
+    if participants <= 1 {
+        return (0..count).map(each).collect();
+    }
+    let share = count.div_ceil(participants);
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (share..count)
+            .step_by(share)
+            .map(|start| {
+                let end = (start + share).min(count);
+                scope.spawn(move || (start..end).map(each).collect::<Vec<_>>())
+            })
+            .collect();
+        let mut out = Vec::with_capacity(count);
+        out.extend((0..share).map(each));
+        for helper in helpers {
+            let part = helper
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            out.extend(part);
+        }
+        out
+    })
+}
+
+/// Whether `task` may share a packed prompt with `first`.
+fn packs_with(first: &TaskDescriptor, task: &TaskDescriptor) -> bool {
+    task.packable() && first.pack_compatible(task)
+}
+
+/// The refusal of a packed run whose tasks do not share one instruction.
+fn mixed_packs() -> EngineError {
+    EngineError::InvalidInput(
+        "packed dispatch requires point-wise tasks sharing one instruction \
+         (same predicate / label set / attribute)"
+            .into(),
+    )
 }
 
 /// An admission mode with the estimate it admits.
@@ -1381,9 +1472,6 @@ pub enum RunSpec {
         tasks: Vec<TaskDescriptor>,
         /// Maximum tasks per packed prompt.
         width: usize,
-        /// The `(temperature, sample_index)` every call is issued at —
-        /// one vote round; `None` is temperature 0, sample 0.
-        sampling: Option<(f64, u32)>,
     },
 }
 
@@ -1400,26 +1488,7 @@ impl RunSpec {
 
     /// Packed prompts of up to `width` tasks; per-item when `width <= 1`.
     pub fn packed(tasks: Vec<TaskDescriptor>, width: usize) -> Self {
-        RunSpec::Packed {
-            tasks,
-            width,
-            sampling: None,
-        }
-    }
-
-    /// [`RunSpec::packed`] with every call issued at an explicit
-    /// temperature and sample index (one packed vote round).
-    pub(crate) fn packed_sampled(
-        tasks: Vec<TaskDescriptor>,
-        width: usize,
-        temperature: f64,
-        sample_index: u32,
-    ) -> Self {
-        RunSpec::Packed {
-            tasks,
-            width,
-            sampling: Some((temperature, sample_index)),
-        }
+        RunSpec::Packed { tasks, width }
     }
 }
 
@@ -2082,6 +2151,68 @@ mod tests {
             .unwrap()
             .answers
             .is_empty());
+    }
+
+    #[test]
+    fn a_packed_round_builds_each_task_once_and_again_only_where_it_bisects() {
+        use std::sync::atomic::AtomicUsize;
+        let (engine, ids) = engine_with(16, Budget::Unlimited);
+        let engine = engine.with_failure_policy(FailurePolicy::degrade());
+        let built: Vec<AtomicUsize> = (0..16).map(|_| AtomicUsize::new(0)).collect();
+        // Item 5 is not in the corpus: its pack (4..8) fails to render and
+        // bisects into 4..6 and 6..8, and 4..6 into the two singles.
+        let task_of = |i: usize| {
+            built[i].fetch_add(1, Ordering::Relaxed);
+            check_task(match i {
+                5 => crowdprompt_oracle::ItemId(999_999),
+                i => ids[i],
+            })
+        };
+        let run = engine.run_built(16, &task_of, 4, None).unwrap();
+        let quarantined: Vec<usize> = run.quarantined.iter().map(|q| q.index).collect();
+        assert_eq!(quarantined, vec![5]);
+        let built: Vec<usize> = built.iter().map(|n| n.load(Ordering::Relaxed)).collect();
+        assert_eq!(built, [1, 1, 1, 1, 3, 3, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1]);
+    }
+
+    #[test]
+    fn a_builder_that_mixes_instructions_is_refused_before_any_call() {
+        let (engine, ids) = engine_with(64, Budget::Unlimited);
+        let compare = TaskDescriptor::Compare {
+            left: ids[0],
+            right: ids[1],
+            criterion: crowdprompt_oracle::task::SortCriterion::LatentScore,
+        };
+        // A foreign predicate, and an unpackable task, each in a late pack
+        // (other packs of the round are fine); and an unpackable first task.
+        let other = |i: usize| match i {
+            50 => TaskDescriptor::CheckPredicate {
+                item: ids[i],
+                predicate: "other".into(),
+            },
+            i => check_task(ids[i]),
+        };
+        let unpackable = |i: usize| match i {
+            63 => compare.clone(),
+            i => check_task(ids[i]),
+        };
+        let unpackable_first = |i: usize| match i {
+            0 => compare.clone(),
+            i => check_task(ids[i]),
+        };
+        let builders: [&(dyn Fn(usize) -> TaskDescriptor + Sync); 3] =
+            [&other, &unpackable, &unpackable_first];
+        for policy in [FailurePolicy::FailFast, FailurePolicy::degrade()] {
+            let engine = engine.fork().with_failure_policy(policy);
+            for task_of in builders {
+                assert!(matches!(
+                    engine.run_built(64, task_of, 8, None),
+                    Err(EngineError::InvalidInput(_))
+                ));
+            }
+        }
+        assert_eq!(engine.client().stats().calls(), 0);
+        assert_eq!(engine.client().ledger().calls(), 0);
     }
 
     #[test]

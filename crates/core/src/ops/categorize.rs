@@ -4,7 +4,7 @@ use crowdprompt_oracle::task::TaskDescriptor;
 use crowdprompt_oracle::world::ItemId;
 
 use crate::error::EngineError;
-use crate::exec::{Engine, RunSpec};
+use crate::exec::Engine;
 use crate::extract;
 use crate::ops::bill::{Ask, Line};
 use crate::outcome::{CostMeter, Outcome};
@@ -41,16 +41,13 @@ pub(crate) fn classify(
     labels: &[String],
     pack: usize,
 ) -> Result<Outcome<Vec<String>>, EngineError> {
-    let tasks = items
-        .iter()
-        .map(|id| TaskDescriptor::Classify {
-            item: *id,
-            labels: labels.to_vec(),
-        })
-        .collect();
+    let task_of = |i: usize| TaskDescriptor::Classify {
+        item: items[i],
+        labels: labels.to_vec(),
+    };
     let mut meter = CostMeter::new();
     let mut settle = engine.settle(op);
-    let run = engine.run_outcome(RunSpec::packed(tasks, pack))?;
+    let run = engine.run_built(items.len(), &task_of, pack, None)?;
     run.meter_into(&mut meter);
     let mut out = Vec::with_capacity(items.len());
     for (index, answer) in run.answers.into_iter().enumerate() {

@@ -100,14 +100,11 @@ pub(crate) fn count(
             }
         }
         CountStrategy::PerItem => {
-            let tasks = items
-                .iter()
-                .map(|id| TaskDescriptor::CheckPredicate {
-                    item: *id,
-                    predicate: predicate.to_owned(),
-                })
-                .collect();
-            let run = engine.run_outcome(RunSpec::packed(tasks, pack))?;
+            let task_of = |i: usize| TaskDescriptor::CheckPredicate {
+                item: items[i],
+                predicate: predicate.to_owned(),
+            };
+            let run = engine.run_built(items.len(), &task_of, pack, None)?;
             run.meter_into(&mut meter);
             for (index, answer) in run.answers.into_iter().enumerate() {
                 let verdict = answer.and_then(|text| extract::yes_no(&text));

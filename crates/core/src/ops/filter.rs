@@ -15,7 +15,7 @@ use crowdprompt_oracle::task::TaskDescriptor;
 use crowdprompt_oracle::world::ItemId;
 
 use crate::error::EngineError;
-use crate::exec::{Engine, RunSpec, Settle};
+use crate::exec::{BatchOutcome, Engine, RunSpec, Settle};
 use crate::extract;
 use crate::ops::bill::{Ask, Line};
 use crate::outcome::{CostMeter, Outcome};
@@ -424,15 +424,19 @@ impl<'e> Poll<'e> {
         &mut self,
         ballot: &mut Ballot,
         open: &[usize],
-        task_of: impl Fn(usize) -> TaskDescriptor,
+        task_of: impl Fn(usize) -> TaskDescriptor + Sync,
         draw: Draw,
     ) -> Result<(), EngineError> {
         if open.is_empty() {
             return Ok(());
         }
-        let tasks: Vec<TaskDescriptor> = open.iter().map(|&index| task_of(index)).collect();
+        let engine = self.engine;
+        let task_at = |k: usize| task_of(open[k]);
         let (samples, temperature) = match draw {
-            Draw::Once => return self.tally(ballot, open, RunSpec::packed(tasks, self.pack), 1),
+            Draw::Once => {
+                let run = engine.run_built(open.len(), &task_at, self.pack, None)?;
+                return self.tally(ballot, open, run, 1);
+            }
             Draw::Sampled {
                 votes,
                 temperature_pct,
@@ -441,27 +445,33 @@ impl<'e> Poll<'e> {
         };
         if self.pack > 1 {
             return samples.into_iter().try_for_each(|sample| {
-                let spec = RunSpec::packed_sampled(tasks.clone(), self.pack, temperature, sample);
-                self.tally(ballot, open, spec, 1)
+                let sampling = Some((temperature, sample));
+                let run = engine.run_built(open.len(), &task_at, self.pack, sampling)?;
+                self.tally(ballot, open, run, 1)
             });
         }
         let per_item = samples.len();
-        let specs = tasks
+        let task_of = &task_of;
+        let specs = open
             .iter()
-            .flat_map(|task| samples.clone().map(move |s| (task.clone(), temperature, s)))
+            .flat_map(|&index| {
+                samples
+                    .clone()
+                    .map(move |s| (task_of(index), temperature, s))
+            })
             .collect();
-        self.tally(ballot, open, RunSpec::sampled(specs), per_item)
+        let run = engine.run_outcome(RunSpec::sampled(specs))?;
+        self.tally(ballot, open, run, per_item)
     }
 
-    /// Run one dispatch whose answers come `per_item` to an open item.
+    /// Count one dispatch's answers, which come `per_item` to an open item.
     fn tally(
         &mut self,
         ballot: &mut Ballot,
         open: &[usize],
-        spec: RunSpec,
+        run: BatchOutcome,
         per_item: usize,
     ) -> Result<(), EngineError> {
-        let run = self.engine.run_outcome(spec)?;
         run.meter_into(&mut self.meter);
         for (k, answer) in run.answers.into_iter().enumerate() {
             ballot.cast(&mut self.settle, open[k / per_item], answer)?;

@@ -7,7 +7,7 @@ use crowdprompt_oracle::world::ItemId;
 
 use crate::blocking::BlockingIndex;
 use crate::error::EngineError;
-use crate::exec::{Engine, RunSpec};
+use crate::exec::Engine;
 use crate::extract;
 use crate::ops::bill::{Ask, Line};
 use crate::outcome::{CostMeter, Outcome};
@@ -164,21 +164,17 @@ pub(crate) fn impute(
         0 => vec![Vec::new(); llm_records.len()],
         _ => pool.neighbors_many(engine, &llm_records, shots),
     };
-    let tasks = llm_records
-        .iter()
-        .zip(examples)
-        .map(|(&item, peers)| TaskDescriptor::Impute {
-            item,
-            attribute: attribute.to_owned(),
-            examples: peers
-                .into_iter()
-                .filter_map(|n| pool.label(n).map(|l| (n, l.to_owned())))
-                .collect(),
-        })
-        .collect();
+    let task_of = |k: usize| TaskDescriptor::Impute {
+        item: llm_records[k],
+        attribute: attribute.to_owned(),
+        examples: examples[k]
+            .iter()
+            .filter_map(|&n| pool.label(n).map(|l| (n, l.to_owned())))
+            .collect(),
+    };
     let mut meter = CostMeter::new();
     let mut settle = engine.settle("impute");
-    let run = engine.run_outcome(RunSpec::packed(tasks, pack))?;
+    let run = engine.run_built(llm_records.len(), &task_of, pack, None)?;
     run.meter_into(&mut meter);
     for (answer, &i) in run.answers.into_iter().zip(&llm_indices) {
         let value = answer.and_then(|text| extract::value(&text));

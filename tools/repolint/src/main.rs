@@ -11,7 +11,7 @@
 //! | `money-eq`    | money-valued f64s compare via bit-pattern helpers, never `==`    |
 //! | `one-baseline`| no `BENCH_*.json` outside `benchmark/`; no shim knob that writes one|
 //! | `no-deprecated`| no `#[deprecated]` items and no `allow(deprecated)`, tests included|
-//! | `one-pump`    | `crates/core/src` starts threads in `exec.rs`'s pump and nowhere else|
+//! | `one-pump`    | `crates/core/src` starts threads in `exec.rs` (pump, share helper) and nowhere else|
 //! | `one-retry`   | `crates/oracle/src` reads `.max_retries` in `route.rs`'s loop and nowhere else|
 //! | `one-engine`  | `crates/core/src` calls `Engine::new` in `session.rs` (and `exec.rs`) and nowhere else|
 //! | `one-judge`   | `crates/core/src/ops` calls `run_many` in `judge.rs`'s strict step and nowhere else|
