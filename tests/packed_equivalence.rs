@@ -670,3 +670,76 @@ fn a_packed_round_rendered_in_shares_matches_one_worker() {
     assert_eq!(one.2 .0, 158 + 2 + 3);
     assert_eq!(run(2), one);
 }
+
+/// Every packed operator — filter, keep-label, impute and per-item count
+/// at width 8 — over enough items that its rounds build, render and parse
+/// in shares (1 281 items, 161 packs), with packs whose answer lists come
+/// back short or long and bisect (dropout 0.3) and an item the corpus does
+/// not know, answers, quarantines and spends exactly as on one worker.
+#[test]
+fn packed_operators_run_in_shares_exactly_as_on_one_worker() {
+    const N: usize = 1_280;
+    const UNKNOWN: usize = 700;
+    let cities = ["berkeley", "oakland", "alameda", "albany"];
+    let run = |workers: usize, op: usize| {
+        let mut w = WorldModel::new();
+        let mut ids: Vec<ItemId> = (0..N)
+            .map(|i| {
+                let id = w.add_item(format!("catalog record {i:04} vendor {}", i % 7));
+                w.set_flag(id, "active", i % 3 == 0);
+                w.set_attr(id, "label", if i % 5 == 0 { "bulk" } else { "retail" });
+                w.set_attr(id, "city", cities[i % 4]);
+                id
+            })
+            .collect();
+        let labeled: Vec<(ItemId, String)> = (0..64)
+            .map(|i| (ids[i], cities[i % 4].to_owned()))
+            .collect();
+        let corpus = Corpus::from_world(&w, &ids);
+        ids.insert(UNKNOWN, ItemId(999_999));
+        let profile = ModelProfile::perfect().with_noise(chatty_noise(0.3));
+        let llm = Arc::new(SimulatedLlm::new(profile, Arc::new(w), 42));
+        let engine = Engine::new(Arc::new(LlmClient::new(llm)), corpus)
+            .with_budget(Budget::Unlimited)
+            .with_pack_width(8)
+            .with_parallelism(workers)
+            .with_failure_policy(FailurePolicy::degrade());
+        let query = Query::over(&ids);
+        let query = match op {
+            0 => query.filter_with("active", FilterStrategy::Single),
+            1 => query.keep_label(vec!["bulk".to_owned(), "retail".to_owned()], "bulk"),
+            2 => query.impute_with("city", labeled, ImputeStrategy::LlmOnly { shots: 2 }),
+            _ => query.count_with("active", CountStrategy::PerItem),
+        };
+        let run = query
+            .plan_on(&engine)
+            .and_then(|plan| plan.execute_on(&engine))
+            .unwrap();
+        let quarantined: Vec<usize> = run
+            .steps
+            .iter()
+            .flat_map(|step| &step.salvage)
+            .flat_map(|note| note.quarantined.iter().map(|(index, _)| *index))
+            .collect();
+        let ledger = engine.client().ledger();
+        let spend = (
+            ledger.calls(),
+            ledger.total_tokens(),
+            ledger.spend_usd().to_bits(),
+            engine.budget().spent_usd().to_bits(),
+        );
+        (run.output, quarantined, spend)
+    };
+    for op in 0..4 {
+        let one = run(1, op);
+        assert_eq!(
+            one.1,
+            vec![UNKNOWN],
+            "op {op}: the unknown item alone is lost"
+        );
+        assert!(one.2 .0 > 161 + 3, "op {op}: some packs bisected");
+        for workers in [2, 4] {
+            assert!(run(workers, op) == one, "op {op} at {workers} workers");
+        }
+    }
+}
