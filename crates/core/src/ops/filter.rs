@@ -419,7 +419,8 @@ impl<'e> Poll<'e> {
     /// item's yes/no task — and count every answer that survives the
     /// engine's failure policy on `ballot`. Per-item rounds go out as one
     /// pipelined dispatch; packed rounds as one dispatch per sample index,
-    /// ⌈open/pack⌉ calls each.
+    /// ⌈open/pack⌉ calls each, whose tasks `task_of` builds where the
+    /// engine renders each pack.
     pub(crate) fn round(
         &mut self,
         ballot: &mut Ballot,
@@ -451,14 +452,8 @@ impl<'e> Poll<'e> {
             });
         }
         let per_item = samples.len();
-        let task_of = &task_of;
-        let specs = open
-            .iter()
-            .flat_map(|&index| {
-                samples
-                    .clone()
-                    .map(move |s| (task_of(index), temperature, s))
-            })
+        let specs = (0..open.len())
+            .flat_map(|k| samples.clone().map(move |s| (task_at(k), temperature, s)))
             .collect();
         let run = engine.run_outcome(RunSpec::sampled(specs))?;
         self.tally(ballot, open, run, per_item)
