@@ -89,7 +89,7 @@ impl BudgetTracker {
     }
 
     /// USD remaining (`f64::INFINITY` when unlimited or token-capped).
-    pub fn remaining_usd(&self) -> f64 {
+    pub(crate) fn remaining_usd(&self) -> f64 {
         match self.budget {
             Budget::Usd(cap) => (cap - self.spent_usd()).max(0.0),
             _ => f64::INFINITY,
@@ -97,7 +97,7 @@ impl BudgetTracker {
     }
 
     /// Tokens remaining (`u64::MAX` when unlimited or USD-capped).
-    pub fn remaining_tokens(&self) -> u64 {
+    pub(crate) fn remaining_tokens(&self) -> u64 {
         match self.budget {
             Budget::Tokens(cap) => cap.saturating_sub(self.spent_tokens()),
             _ => u64::MAX,
@@ -121,6 +121,7 @@ pub struct LedgerSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn unlimited_always_admits() {
@@ -175,5 +176,27 @@ mod tests {
         let t = BudgetTracker::new(Budget::tokens(5));
         t.record(0.0, 10);
         assert_eq!(t.remaining_tokens(), 0);
+    }
+
+    proptest! {
+        #[test]
+        fn token_budget_remaining_is_consistent(
+            spends in prop::collection::vec(1u64..200, 1..30)
+        ) {
+            let cap = 1_000u64;
+            let tracker = BudgetTracker::new(Budget::tokens(cap));
+            let mut admitted_total = 0u64;
+            for s in spends {
+                if tracker.admit(0.0, s) {
+                    tracker.record(0.0, s);
+                    admitted_total += s;
+                }
+            }
+            prop_assert_eq!(tracker.spent_tokens(), admitted_total);
+            prop_assert_eq!(
+                tracker.remaining_tokens(),
+                cap.saturating_sub(admitted_total)
+            );
+        }
     }
 }

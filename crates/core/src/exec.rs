@@ -75,16 +75,15 @@
 //!
 //! # Packed dispatch
 //!
-//! [`RunSpec::packed`] is the multi-item prompt path: point-wise tasks
-//! sharing one instruction are packed `width` to a prompt
+//! The crate-private `Engine::run_built` is the one multi-item prompt
+//! door: the operators hand it a per-index task builder, and point-wise
+//! tasks sharing one instruction are packed `width` to a prompt
 //! ([`TaskDescriptor::Packed`]), cutting the call count to ⌈n/width⌉. A pack
 //! whose prompt overflows the context window is split before dispatch; a
 //! pack whose response cannot be parsed into one answer per item — or, when
 //! the policy degrades, that fails outright — is bisected and retried, one
 //! pumped round per level, down to bare singletons that carry the same
-//! fingerprint the per-item path issues. The operators reach the same loop
-//! through the crate-private `Engine::run_built`, handing it a per-index
-//! task builder instead of a task list.
+//! fingerprint the per-item path issues.
 //!
 //! # Retry pauses and resume
 //!
@@ -238,7 +237,7 @@ pub(crate) fn router_of(client: &LlmClient) -> &Router {
 impl Engine {
     /// An engine over the given client and corpus with an unlimited budget
     /// and modest parallelism. Calls run at temperature 0 unless a vote
-    /// round samples ([`RunSpec::sampled`]).
+    /// round samples.
     pub fn new(client: Arc<LlmClient>, corpus: Corpus) -> Self {
         let admission_price_factor = router_of(&client).admission_price_factor();
         Engine {
@@ -399,7 +398,7 @@ impl Engine {
 
     /// The blocking recall target (`None` = exact blocking; see
     /// `Engine::with_blocking_recall_target`).
-    pub fn blocking_recall_target(&self) -> Option<f32> {
+    pub(crate) fn blocking_recall_target(&self) -> Option<f32> {
         self.blocking_recall_target
     }
 
@@ -462,7 +461,7 @@ impl Engine {
     /// prompt over the corpus — no budget admission, no model call. The
     /// planner uses this to cost physical plan nodes from representative
     /// tasks before anything is dispatched.
-    pub fn estimate_task(&self, task: TaskDescriptor) -> Result<(f64, u64), EngineError> {
+    pub(crate) fn estimate_task(&self, task: TaskDescriptor) -> Result<(f64, u64), EngineError> {
         let (_, est_usage, est_usd) = self.render_and_estimate(task)?;
         Ok((est_usd, u64::from(est_usage.total())))
     }
@@ -537,43 +536,33 @@ impl Engine {
             .responses)
     }
 
-    /// Execute `spec` under the engine's [`FailurePolicy`] and normalize to
-    /// a [`BatchOutcome`]: per-item answers in input order, the responses to
-    /// meter, and the quarantined remainder.
+    /// Execute `spec`, one call per task at temperature 0, under the
+    /// engine's [`FailurePolicy`] and normalize to a [`BatchOutcome`]:
+    /// per-item answers in input order, the responses to meter, and the
+    /// quarantined remainder.
     ///
     /// Under [`FailurePolicy::FailFast`] the first hard error (lowest input
-    /// index among the failures observed) is returned as `Err`, with the
-    /// admission timing of the strict entry points: whole-batch cumulative
-    /// pre-admission for [`RunSpec::tasks`], per call at execution for
-    /// sampled and packed specs. Under [`FailurePolicy::Degrade`] every item
-    /// runs to completion or quarantine and `Err` is reserved for the caller
-    /// bug of packing incompatible tasks; cache hits are salvaged even
-    /// after the budget is exhausted, since they cost nothing to serve.
+    /// index among the failures observed) is returned as `Err`, after the
+    /// whole batch was admitted cumulatively before any call, as
+    /// [`Engine::run_many`] admits it. Under [`FailurePolicy::Degrade`]
+    /// every item runs to completion or quarantine; cache hits are salvaged
+    /// even after the budget is exhausted, since they cost nothing to serve.
     pub fn run_outcome(&self, spec: RunSpec) -> Result<BatchOutcome, EngineError> {
-        let policy = self.failure_policy;
-        match spec {
-            RunSpec::Many { tasks } => self.run_per_item(tasks, None, policy),
-            RunSpec::Sampled { specs } => self.run_items(specs, Admit::PerCall, policy),
-            RunSpec::Packed { tasks, width } if width > 1 => {
-                if let Some(first) = tasks.first() {
-                    if !tasks.iter().all(|task| packs_with(first, task)) {
-                        return Err(mixed_packs());
-                    }
-                }
-                let task_of = |i: usize| tasks[i].clone();
-                self.run_packs(tasks.len(), &task_of, width, None, policy)
-            }
-            // Packed at width <= 1 *is* the per-item path (and per-item
-            // tasks need not be packable).
-            RunSpec::Packed { tasks, .. } => self.run_per_item(tasks, None, policy),
-        }
+        self.run_per_item(spec.tasks, None, self.failure_policy)
     }
 
-    /// [`RunSpec::packed`] (or, with `sampling`, one packed vote round) over
-    /// `n` tasks that the caller does not hold: task `i` is `task_of(i)`,
-    /// built where it is needed. Packed, each pack's tasks are built by the
-    /// pump participant that renders the pack; per item (width ≤ 1), they
-    /// are built in input order here.
+    /// One call per `(task, temperature, sample_index)`, each admitted at
+    /// execution, under the engine's policy: a per-item vote round's
+    /// fan-out (`ops::filter`).
+    pub(crate) fn run_sampled(&self, calls: Vec<Call>) -> Result<BatchOutcome, EngineError> {
+        self.run_items(calls, Admit::PerCall, self.failure_policy)
+    }
+
+    /// The one packed door (or, with `sampling`, one packed vote round),
+    /// over `n` tasks that the caller does not hold: task `i` is
+    /// `task_of(i)`, built where it is needed. Packed, each pack's tasks
+    /// are built by the pump participant that renders the pack; per item
+    /// (width ≤ 1), they are built in input order here.
     pub(crate) fn run_built(
         &self,
         n: usize,
@@ -746,7 +735,7 @@ impl Engine {
             // for a single, a failure, or a list that does not parse.
             let parse = |i: usize| match &results[i] {
                 Ok(response) if round[i].len() > 1 => {
-                    crate::extract::packed_answers(&response.text, round[i].len()).ok()
+                    crate::extract::packed_answers(&response.text, round[i].len())
                 }
                 _ => None,
             };
@@ -1427,6 +1416,12 @@ pub enum FailurePolicy {
 
 impl FailurePolicy {
     /// A degrade policy with a modest default attempt allowance.
+    ///
+    /// ```
+    /// use crowdprompt_core::FailurePolicy;
+    ///
+    /// assert_eq!(FailurePolicy::degrade(), FailurePolicy::Degrade { max_attempts: 3 });
+    /// ```
     pub const fn degrade() -> Self {
         FailurePolicy::Degrade { max_attempts: 3 }
     }
@@ -1443,63 +1438,28 @@ pub struct Quarantine {
     pub errors: Vec<EngineError>,
 }
 
-/// A batch execution specification for [`Engine::run_outcome`].
-///
-/// Construct via [`RunSpec::tasks`] (one call per task),
-/// [`RunSpec::sampled`] (explicit temperature / sample index per call), or
-/// [`RunSpec::packed`] (multi-item prompts,
-/// falling back to per-item at width ≤ 1). Operators pass the spec straight
-/// through, so the per-item-vs-packed branch lives in the engine once.
+/// A batch for [`Engine::run_outcome`]: the unit tasks, one call each at
+/// temperature 0, in output order.
 #[derive(Debug, Clone)]
-pub enum RunSpec {
-    /// One call per task at temperature 0 (sample 0).
-    Many {
-        /// The unit tasks, in output order.
-        tasks: Vec<TaskDescriptor>,
-    },
-    /// One call per `(task, temperature, sample_index)` spec — the voting
-    /// fan-out shape of a per-item poll round (`ops::filter`).
-    Sampled {
-        /// The call specs, in output order.
-        specs: Vec<(TaskDescriptor, f64, u32)>,
-    },
-    /// Packed multi-item prompts of up to `width` tasks per call. All
-    /// tasks must be packable and mutually pack-compatible when
-    /// `width > 1`; `width <= 1` runs the plain per-item path (no
-    /// packability requirement).
-    Packed {
-        /// The unit tasks, in output order.
-        tasks: Vec<TaskDescriptor>,
-        /// Maximum tasks per packed prompt.
-        width: usize,
-    },
+pub struct RunSpec {
+    tasks: Vec<TaskDescriptor>,
 }
 
 impl RunSpec {
     /// One call per task at temperature 0.
     pub fn tasks(tasks: Vec<TaskDescriptor>) -> Self {
-        RunSpec::Many { tasks }
-    }
-
-    /// One call per `(task, temperature, sample_index)` spec.
-    pub fn sampled(specs: Vec<(TaskDescriptor, f64, u32)>) -> Self {
-        RunSpec::Sampled { specs }
-    }
-
-    /// Packed prompts of up to `width` tasks; per-item when `width <= 1`.
-    pub fn packed(tasks: Vec<TaskDescriptor>, width: usize) -> Self {
-        RunSpec::Packed { tasks, width }
+        RunSpec { tasks }
     }
 }
 
-/// The result of [`Engine::run_outcome`]: whatever the spec shape, one
-/// answer string (or condemning error) per input item, plus the responses
-/// to meter and the quarantined remainder.
+/// The result of an engine round ([`Engine::run_outcome`] or a packed
+/// one): one answer string (or condemning error) per input item, plus the
+/// responses to meter and the quarantined remainder.
 ///
 /// `responses` carries exactly the completions an operator should meter:
-/// for per-item specs the successful responses in input order, for packed
-/// specs every dispatched completion (packs, bisection retries, singleton
-/// fallbacks) in dispatch order.
+/// for a per-item round the successful responses in input order, for a
+/// packed one every dispatched completion (packs, bisection retries,
+/// singleton fallbacks) in dispatch order.
 #[derive(Debug, Clone, Default)]
 pub struct BatchOutcome {
     /// One answer per input item, in input order; `Err` holds the final
@@ -1525,9 +1485,8 @@ impl BatchOutcome {
 
     /// Each item's own response (or condemning error), in input order —
     /// for callers that need more than the answer text, such as a
-    /// confidence gate. Only a per-item spec ([`RunSpec::tasks`],
-    /// [`RunSpec::sampled`], packed at width ≤ 1) has one response per
-    /// completed item; an item answered out of a shared pack has none.
+    /// confidence gate. Only a per-item round (width ≤ 1) has one response
+    /// per completed item; an item answered out of a shared pack has none.
     pub(crate) fn item_results(
         &self,
     ) -> impl Iterator<Item = Result<&CompletionResponse, &EngineError>> + '_ {
@@ -1859,6 +1818,15 @@ mod tests {
         (Engine::new(client, corpus).with_budget(budget), ids)
     }
 
+    /// A packed round over a task list, through the one packed door.
+    fn packed(
+        engine: &Engine,
+        tasks: &[TaskDescriptor],
+        width: usize,
+    ) -> Result<BatchOutcome, EngineError> {
+        engine.run_built(tasks.len(), &|i| tasks[i].clone(), width, None)
+    }
+
     fn check_task(id: crowdprompt_oracle::ItemId) -> TaskDescriptor {
         TaskDescriptor::CheckPredicate {
             item: id,
@@ -1962,12 +1930,9 @@ mod tests {
         ));
     }
 
-    /// The responses of a sampled spec on a healthy engine.
+    /// The responses of a sampled round on a healthy engine.
     fn sampled(engine: &Engine, specs: Vec<Call>) -> Vec<CompletionResponse> {
-        engine
-            .run_outcome(RunSpec::sampled(specs))
-            .unwrap()
-            .responses
+        engine.run_sampled(specs).unwrap().responses
     }
 
     #[test]
@@ -2043,7 +2008,7 @@ mod tests {
         let engine = Engine::new(Arc::new(LlmClient::new(llm)), corpus);
         let tasks: Vec<_> = ids.iter().map(|id| check_task(*id)).collect();
         let per_item = engine.run_many(tasks.clone()).unwrap();
-        let packed = engine.run_outcome(RunSpec::packed(tasks, 8)).unwrap();
+        let packed = packed(&engine, &tasks, 8).unwrap();
         assert_eq!(packed.answers.len(), 40);
         assert_eq!(packed.responses.len(), 5, "40 items at width 8 = 5 packs");
         for (answer, resp) in packed.answers.iter().zip(per_item.iter()) {
@@ -2058,7 +2023,7 @@ mod tests {
     fn run_packed_slashes_backend_calls() {
         let (engine, ids) = engine_with(64, Budget::Unlimited);
         let tasks: Vec<_> = ids.iter().map(|id| check_task(*id)).collect();
-        engine.run_outcome(RunSpec::packed(tasks, 16)).unwrap();
+        packed(&engine, &tasks, 16).unwrap();
         assert_eq!(engine.client().stats().calls(), 4, "64 items / width 16");
     }
 
@@ -2082,9 +2047,7 @@ mod tests {
         let llm = Arc::new(SimulatedLlm::new(profile, Arc::new(w), 7));
         let engine = Engine::new(Arc::new(LlmClient::new(llm)), corpus);
         let tasks: Vec<_> = ids.iter().map(|id| check_task(*id)).collect();
-        let run = engine
-            .run_outcome(RunSpec::packed(tasks.clone(), 16))
-            .unwrap();
+        let run = packed(&engine, &tasks, 16).unwrap();
         // Final answers come from singleton fallbacks and must match the
         // per-item path exactly (the singletons *are* per-item requests, so
         // they coalesce with a fresh per-item run through the cache).
@@ -2115,42 +2078,12 @@ mod tests {
         let llm = Arc::new(SimulatedLlm::new(profile, Arc::new(w), 7));
         let engine = Engine::new(Arc::new(LlmClient::new(llm)), corpus);
         let tasks: Vec<_> = ids.iter().map(|id| check_task(*id)).collect();
-        let run = engine.run_outcome(RunSpec::packed(tasks, 8)).unwrap();
+        let run = packed(&engine, &tasks, 8).unwrap();
         assert_eq!(run.answers.len(), 8);
         assert!(
             run.responses.len() > 1,
             "the 8-pack cannot fit a 60-token window and must split"
         );
-    }
-
-    #[test]
-    fn run_packed_rejects_incompatible_tasks() {
-        let (engine, ids) = engine_with(4, Budget::Unlimited);
-        let mixed = vec![
-            check_task(ids[0]),
-            TaskDescriptor::CheckPredicate {
-                item: ids[1],
-                predicate: "other".into(),
-            },
-        ];
-        assert!(matches!(
-            engine.run_outcome(RunSpec::packed(mixed, 2)),
-            Err(EngineError::InvalidInput(_))
-        ));
-        let unpackable = vec![TaskDescriptor::Compare {
-            left: ids[0],
-            right: ids[1],
-            criterion: crowdprompt_oracle::task::SortCriterion::LatentScore,
-        }];
-        assert!(matches!(
-            engine.run_outcome(RunSpec::packed(unpackable, 2)),
-            Err(EngineError::InvalidInput(_))
-        ));
-        assert!(engine
-            .run_outcome(RunSpec::packed(Vec::new(), 4))
-            .unwrap()
-            .answers
-            .is_empty());
     }
 
     #[test]
@@ -2211,6 +2144,8 @@ mod tests {
                 ));
             }
         }
+        // An empty round has nothing to refuse.
+        assert!(packed(&engine, &[], 4).unwrap().answers.is_empty());
         assert_eq!(engine.client().stats().calls(), 0);
         assert_eq!(engine.client().ledger().calls(), 0);
     }
@@ -2521,17 +2456,15 @@ mod tests {
             assert_eq!(result.unwrap().text, response.text);
         }
 
-        // Packed spec: one answer per item out of fewer calls.
-        let packed = engine
-            .run_outcome(RunSpec::packed(tasks.clone(), 4))
-            .unwrap();
-        assert_eq!(packed.answers.len(), 12);
-        assert!(packed.is_complete());
-        assert!(packed.responses.len() < 12);
+        // Packed: one answer per item out of fewer calls.
+        let four = packed(&engine, &tasks, 4).unwrap();
+        assert_eq!(four.answers.len(), 12);
+        assert!(four.is_complete());
+        assert!(four.responses.len() < 12);
 
         // Width <= 1 routes through the per-item path even for tasks that
         // could not be packed.
-        let single = engine.run_outcome(RunSpec::packed(tasks, 1)).unwrap();
+        let single = packed(&engine, &tasks, 1).unwrap();
         assert_eq!(single.answers.len(), 12);
         assert!(single.is_complete());
 
@@ -2544,6 +2477,75 @@ mod tests {
                 examples: Vec::new(),
             },
         ];
-        assert!(engine.run_outcome(RunSpec::packed(mixed, 4)).is_err());
+        assert!(packed(&engine, &mixed, 4).is_err());
+    }
+
+    /// A packed run large enough that its first round is rendered in shares
+    /// on two participants (160 packs of 8), holding an item the corpus does
+    /// not know (pack 12, the first share) and a pack of long records that
+    /// overflows the context window whole but fits split (pack 125, the
+    /// second share), answers, quarantines, spends and calls exactly as the
+    /// same run on one worker.
+    #[test]
+    fn a_packed_round_rendered_in_shares_matches_one_worker() {
+        const N: usize = 1_280;
+        let run = |workers: usize| {
+            let mut w = WorldModel::new();
+            let ids: Vec<crowdprompt_oracle::ItemId> = (0..N)
+                .map(|i| {
+                    let text = if (1_000..1_008).contains(&i) {
+                        format!("long record {i} {}", "lorem ipsum dolor ".repeat(40))
+                    } else {
+                        format!("catalog record {i:04} vendor {}", i % 7)
+                    };
+                    let id = w.add_item(text);
+                    w.set_flag(id, "active", i % 3 == 0);
+                    id
+                })
+                .collect();
+            let corpus = Corpus::from_world(&w, &ids);
+            let profile = ModelProfile::perfect()
+                .with_noise(NoiseProfile {
+                    chatter_level: 0.9,
+                    malformed_rate: 0.3,
+                    packed_dropout_rate: 0.0,
+                    ..NoiseProfile::perfect()
+                })
+                .with_context_window(1_000);
+            let llm = Arc::new(SimulatedLlm::new(profile, Arc::new(w), 42));
+            let engine = Engine::new(Arc::new(LlmClient::new(llm)), corpus)
+                .with_budget(Budget::Unlimited)
+                .with_parallelism(workers)
+                .with_failure_policy(FailurePolicy::Degrade { max_attempts: 2 });
+            let mut tasks: Vec<TaskDescriptor> = ids
+                .iter()
+                .map(|&item| TaskDescriptor::CheckPredicate {
+                    item,
+                    predicate: "active".to_owned(),
+                })
+                .collect();
+            tasks[100] = TaskDescriptor::CheckPredicate {
+                item: crowdprompt_oracle::ItemId(999_999),
+                predicate: "active".to_owned(),
+            };
+            let outcome = packed(&engine, &tasks, 8).unwrap();
+            let ledger = engine.client().ledger();
+            let quarantined: Vec<usize> = outcome.quarantined.iter().map(|q| q.index).collect();
+            let spend = (
+                ledger.calls(),
+                ledger.total_tokens(),
+                ledger.spend_usd().to_bits(),
+                engine.budget().spent_usd().to_bits(),
+            );
+            (outcome.answers, quarantined, spend)
+        };
+        let one = run(1);
+        assert_eq!(one.1, vec![100], "the unknown item alone is quarantined");
+        assert!(one.0.iter().filter(|a| a.is_ok()).count() == N - 1);
+        // 158 whole packs; the long pack splits in two before any call; the
+        // unknown item's pack is asked as a 4-, a 2- and a 1-item pack beside
+        // the halves that hold it.
+        assert_eq!(one.2 .0, 158 + 2 + 3);
+        assert_eq!(run(2), one);
     }
 }

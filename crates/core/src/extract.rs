@@ -88,7 +88,7 @@ fn first_integer(text: &str) -> Option<u64> {
 ///
 /// Skips preamble lines (ending with `:`) and blank lines; strips `N.` /
 /// `N)` prefixes.
-pub fn list_items(text: &str) -> Vec<String> {
+pub(crate) fn list_items(text: &str) -> Vec<String> {
     let mut out = Vec::new();
     for line in text.lines() {
         let line = line.trim();
@@ -131,17 +131,11 @@ pub(crate) fn yes_no_list(text: &str, expected: usize) -> Result<Vec<bool>, Engi
 /// `expected` lines required (numbering and preamble stripped).
 ///
 /// A count mismatch — the numbered-list dropout/duplication failure mode of
-/// long packed prompts — is an extraction error; the dispatcher reacts by
-/// bisecting the pack and retrying (see `Engine::run_packed`).
-pub fn packed_answers(text: &str, expected: usize) -> Result<Vec<String>, EngineError> {
+/// long packed prompts — is `None`; the dispatcher reacts by bisecting the
+/// pack and retrying (see `Engine::run_built`).
+pub fn packed_answers(text: &str, expected: usize) -> Option<Vec<String>> {
     let answers = list_items(text);
-    if answers.len() != expected {
-        return Err(EngineError::Extraction {
-            expected: "packed answer list",
-            response: text.to_owned(),
-        });
-    }
-    Ok(answers)
+    (answers.len() == expected).then_some(answers)
 }
 
 /// Parse a grouped-duplicates response (`Group N: a | b | c` per line).
@@ -411,14 +405,8 @@ mod tests {
             packed_answers(text, 3).unwrap(),
             vec!["Yes", "No", "berkeley"]
         );
-        assert!(matches!(
-            packed_answers(text, 4),
-            Err(EngineError::Extraction { .. })
-        ));
-        assert!(matches!(
-            packed_answers(text, 2),
-            Err(EngineError::Extraction { .. })
-        ));
+        assert_eq!(packed_answers(text, 4), None);
+        assert_eq!(packed_answers(text, 2), None);
     }
 
     #[test]

@@ -455,7 +455,7 @@ impl<'e> Poll<'e> {
         let specs = (0..open.len())
             .flat_map(|k| samples.clone().map(move |s| (task_at(k), temperature, s)))
             .collect();
-        let run = engine.run_outcome(RunSpec::sampled(specs))?;
+        let run = engine.run_sampled(specs)?;
         self.tally(ballot, open, run, per_item)
     }
 

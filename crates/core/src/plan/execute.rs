@@ -134,13 +134,6 @@ pub struct StepReport {
     pub salvage: Vec<OpSalvage>,
 }
 
-impl StepReport {
-    /// Total items quarantined across this node's salvage notes.
-    pub fn quarantined_count(&self) -> usize {
-        self.salvage.iter().map(|n| n.quarantined.len()).sum()
-    }
-}
-
 /// An executed plan: the typed output plus per-node cost attribution.
 #[derive(Debug, Clone)]
 pub struct PlanRun {

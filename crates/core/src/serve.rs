@@ -15,7 +15,7 @@
 //! 2. **Weighted fair-share scheduling** — the handle's feed is the
 //!    tenant's lane of one [`FairFeed`], claimed in deficit-round-robin
 //!    order, so tenants complete work in proportion to their
-//!    [`TenantSpec::weight`]s regardless of who submitted first or most.
+//!    [`TenantSpec::with_weight`]s regardless of who submitted first or most.
 //!    The share is over the work that needs a backend slot: a task whose
 //!    answer is already cached is answered by the thread that submitted it,
 //!    before the batch is queued, and never enters the feed.
@@ -201,11 +201,6 @@ impl TenantSpec {
     /// The tenant's id.
     pub fn id(&self) -> &str {
         &self.id
-    }
-
-    /// The tenant's fair-share weight.
-    pub fn weight(&self) -> f64 {
-        self.weight
     }
 
     /// The tenant's admission budget.

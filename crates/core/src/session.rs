@@ -286,6 +286,26 @@ impl SessionBuilder {
     /// index becomes IVF + SQ8 instead of an exact scan, and dedup, join,
     /// cluster, and impute-knn all inherit it. Targets `>= 1.0` keep
     /// blocking exact (the default).
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use crowdprompt_core::{Corpus, Session};
+    /// use crowdprompt_oracle::world::WorldModel;
+    /// use crowdprompt_oracle::{LlmClient, ModelProfile, SimulatedLlm};
+    ///
+    /// // At IVF scale (65 536 rows and up) the planner predicts the
+    /// // approximate index for a blocking consumer.
+    /// let mut world = WorldModel::new();
+    /// let items: Vec<_> = (0..65_536).map(|i| world.add_item(format!("r{i}"))).collect();
+    /// let llm = SimulatedLlm::new(ModelProfile::perfect(), Arc::new(world.clone()), 1);
+    /// let session = Session::builder()
+    ///     .client(Arc::new(LlmClient::new(Arc::new(llm))))
+    ///     .corpus(Corpus::from_world(&world, &items))
+    ///     .blocking_recall_target(0.9)
+    ///     .build();
+    /// let plan = session.plan(session.query(&items).cluster(8)).unwrap();
+    /// assert!(plan.notes().iter().any(|n| n.contains("predicted approximate (ivf_sq8")));
+    /// ```
     #[must_use]
     pub fn blocking_recall_target(mut self, target: f32) -> Self {
         self.blocking_recall_target = Some(target);

@@ -15,6 +15,7 @@ use crate::error::EngineError;
 
 /// Rendering options shared by an operation's tasks.
 #[derive(Debug, Clone)]
+// lint: allow(pub-has-caller) — exposed by `Engine::render_opts`
 pub struct RenderOptions {
     /// Human phrase for the sort criterion, e.g.
     /// `"by how chocolatey they are"` or `"in alphabetical order"`.
@@ -30,7 +31,25 @@ impl Default for RenderOptions {
 }
 
 impl RenderOptions {
-    /// Options with the given criterion label.
+    /// Options with the given criterion label, which a sort prompt names.
+    ///
+    /// ```
+    /// use crowdprompt_core::template::{render, RenderOptions};
+    /// use crowdprompt_core::Corpus;
+    /// use crowdprompt_oracle::task::{SortCriterion, TaskDescriptor};
+    /// use crowdprompt_oracle::world::WorldModel;
+    ///
+    /// let mut world = WorldModel::new();
+    /// let items = vec![world.add_item("mint chip"), world.add_item("rocky road")];
+    /// let corpus = Corpus::from_world(&world, &items);
+    /// let opts = RenderOptions::with_criterion("by how chocolatey they are");
+    /// let task = TaskDescriptor::SortList {
+    ///     items,
+    ///     criterion: SortCriterion::LatentScore,
+    /// };
+    /// let prompt = render(&task, &corpus, &opts).unwrap();
+    /// assert!(prompt.contains("by how chocolatey they are"));
+    /// ```
     pub fn with_criterion(label: impl Into<String>) -> Self {
         RenderOptions {
             criterion_label: label.into(),

@@ -4,7 +4,7 @@
 //! resolve costs real money, you want to know afterwards which task kinds
 //! consumed it, what was cached, and what failed. The engine records one
 //! event per completed call when tracing is enabled, and the trace adds it
-//! into its task kind's totals on arrival: it holds one [`KindStats`] per
+//! into its task kind's totals on arrival: it holds one `KindStats` per
 //! kind however many calls a session makes, and a [`TraceSummary`] is a
 //! copy of those totals.
 
@@ -28,8 +28,7 @@ pub(crate) struct TraceEvent {
 
 /// Aggregated view of a trace, keyed by task kind.
 #[derive(Debug, Clone, Default, PartialEq)]
-// lint: allow(pub-has-caller) — exposed by `TraceSummary::by_kind`
-pub struct KindStats {
+pub(crate) struct KindStats {
     /// Calls of this kind (including cached).
     pub calls: u64,
     /// Cache hits among them.
@@ -45,7 +44,7 @@ pub struct KindStats {
 // lint: allow(pub-has-caller) — exposed by `Trace::summary`
 pub struct TraceSummary {
     /// Per-kind aggregates, sorted by kind name.
-    pub by_kind: BTreeMap<&'static str, KindStats>,
+    pub(crate) by_kind: BTreeMap<&'static str, KindStats>,
 }
 
 impl TraceSummary {

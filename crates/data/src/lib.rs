@@ -18,7 +18,7 @@
 pub mod citations;
 pub mod flavors;
 pub mod products;
-pub mod record;
+mod record;
 pub mod reviews;
 pub mod splits;
 mod wordlist;
@@ -27,6 +27,5 @@ pub mod words;
 pub use citations::{CitationDataset, CitationParams};
 pub use flavors::FlavorDataset;
 pub use products::{buy, restaurants, ProductDataset};
-pub use record::{serialize_record, Record, Value};
 pub use reviews::ReviewsDataset;
 pub use words::WordsDataset;

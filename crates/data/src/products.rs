@@ -31,8 +31,6 @@ pub struct ProductDataset {
     pub target: String,
     /// Gold value per record.
     pub gold: HashMap<ItemId, String>,
-    /// The structured records (target attribute present), for k-NN features.
-    pub structured: HashMap<ItemId, Record>,
 }
 
 impl ProductDataset {
@@ -140,7 +138,6 @@ pub fn restaurants(n: usize, seed: u64) -> ProductDataset {
     let mut world = WorldModel::new();
     let mut records = Vec::with_capacity(n);
     let mut gold = HashMap::with_capacity(n);
-    let mut structured = HashMap::with_capacity(n);
     for i in 0..n {
         let city = &CITIES[rng.random_range(0..CITIES.len())];
         // Ambiguity correlates with the gold value's formatting profile:
@@ -188,7 +185,6 @@ pub fn restaurants(n: usize, seed: u64) -> ProductDataset {
         // Unused by imputation, but lets predicate tasks run on this data.
         world.set_flag(id, "ambiguous", ambiguous);
         gold.insert(id, city.name.to_owned());
-        structured.insert(id, record);
         records.push(id);
         let _ = i;
     }
@@ -197,7 +193,6 @@ pub fn restaurants(n: usize, seed: u64) -> ProductDataset {
         records,
         target: "city".to_owned(),
         gold,
-        structured,
     }
 }
 
@@ -291,7 +286,6 @@ pub fn buy(n: usize, seed: u64) -> ProductDataset {
     let mut world = WorldModel::new();
     let mut records = Vec::with_capacity(n);
     let mut gold = HashMap::with_capacity(n);
-    let mut structured = HashMap::with_capacity(n);
     for _ in 0..n {
         let maker = &MAKERS[rng.random_range(0..MAKERS.len())];
         let category = CATEGORIES[maker.categories[rng.random_range(0..maker.categories.len())]];
@@ -323,7 +317,6 @@ pub fn buy(n: usize, seed: u64) -> ProductDataset {
         world.set_attr(id, "manufacturer", maker.gold);
         world.set_flag(id, "branded", branded);
         gold.insert(id, maker.gold.to_owned());
-        structured.insert(id, record);
         records.push(id);
     }
     ProductDataset {
@@ -331,7 +324,6 @@ pub fn buy(n: usize, seed: u64) -> ProductDataset {
         records,
         target: "manufacturer".to_owned(),
         gold,
-        structured,
     }
 }
 
@@ -449,11 +441,10 @@ mod tests {
     }
 
     #[test]
-    fn structured_records_contain_target() {
+    fn every_record_holds_its_target() {
         let d = restaurants(20, 11);
         for &id in &d.records {
-            let rec = &d.structured[&id];
-            assert!(rec.get("city").is_some());
+            assert_eq!(d.world.attr(id, "city"), Some(d.gold_value(id)));
         }
     }
 }

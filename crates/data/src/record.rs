@@ -6,7 +6,7 @@
 
 /// An attribute value.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Value {
+pub(crate) enum Value {
     /// A text value.
     Str(String),
     /// An integer value.
@@ -17,7 +17,7 @@ pub enum Value {
 
 impl Value {
     /// Render for prompt serialization; `Missing` renders as `"?"`.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         match self {
             Value::Str(s) => s.clone(),
             Value::Int(i) => i.to_string(),
@@ -51,53 +51,43 @@ impl From<i64> for Value {
 
 /// An ordered attribute/value record.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct Record {
+pub(crate) struct Record {
     fields: Vec<(String, Value)>,
 }
 
 impl Record {
     /// An empty record.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Append a field (builder style).
     #[must_use]
-    pub fn with(mut self, attr: impl Into<String>, value: impl Into<Value>) -> Self {
+    pub(crate) fn with(mut self, attr: impl Into<String>, value: impl Into<Value>) -> Self {
         self.fields.push((attr.into(), value.into()));
         self
     }
 
     /// Append a field in place.
-    pub fn push(&mut self, attr: impl Into<String>, value: impl Into<Value>) {
+    pub(crate) fn push(&mut self, attr: impl Into<String>, value: impl Into<Value>) {
         self.fields.push((attr.into(), value.into()));
     }
 
-    /// Look up a field by attribute name.
-    pub fn get(&self, attr: &str) -> Option<&Value> {
-        self.fields.iter().find(|(a, _)| a == attr).map(|(_, v)| v)
-    }
-
     /// All fields in insertion order.
-    pub fn fields(&self) -> &[(String, Value)] {
+    pub(crate) fn fields(&self) -> &[(String, Value)] {
         &self.fields
     }
 
     /// Number of fields.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.fields.len()
-    }
-
-    /// Whether the record has no fields.
-    pub fn is_empty(&self) -> bool {
-        self.fields.is_empty()
     }
 }
 
 /// Serialize a record in the paper's `"a1 is v1; a2 is v2"` format,
 /// omitting the named attribute (the imputation target) and any missing
 /// values.
-pub fn serialize_record(record: &Record, exclude: Option<&str>) -> String {
+pub(crate) fn serialize_record(record: &Record, exclude: Option<&str>) -> String {
     let mut parts: Vec<String> = Vec::with_capacity(record.len());
     for (attr, value) in record.fields() {
         if exclude == Some(attr.as_str()) || value.is_missing() {
@@ -111,6 +101,7 @@ pub fn serialize_record(record: &Record, exclude: Option<&str>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> Record {
         Record::new()
@@ -143,12 +134,13 @@ mod tests {
     }
 
     #[test]
-    fn get_and_len() {
+    fn fields_and_len() {
         let r = sample();
         assert_eq!(r.len(), 3);
-        assert!(!r.is_empty());
-        assert_eq!(r.get("city"), Some(&Value::Str("Berkeley".into())));
-        assert_eq!(r.get("nope"), None);
+        assert_eq!(
+            r.fields()[2],
+            ("city".into(), Value::Str("Berkeley".into()))
+        );
     }
 
     #[test]
@@ -163,5 +155,30 @@ mod tests {
     fn int_values_serialize() {
         let r = Record::new().with("year", 2003i64);
         assert_eq!(serialize_record(&r, None), "year is 2003");
+    }
+
+    proptest! {
+        #[test]
+        fn record_serialization_roundtrips_fields(
+            fields in prop::collection::vec(("[a-z]{1,8}", "[a-zA-Z0-9 ]{1,12}"), 1..6)
+        ) {
+            let mut record = Record::new();
+            for (k, v) in &fields {
+                record.push(k.clone(), v.trim().to_owned());
+            }
+            let s = serialize_record(&record, None);
+            for (k, v) in &fields {
+                prop_assert!(
+                    s.contains(&format!("{k} is {}", v.trim())),
+                    "serialized {s:?} missing {k}"
+                );
+            }
+            // Excluding the first attribute removes exactly its clause.
+            let first_key = &fields[0].0;
+            let without = serialize_record(&record, Some(first_key));
+            let occurrences_with = s.matches(&format!("{first_key} is ")).count();
+            let occurrences_without = without.matches(&format!("{first_key} is ")).count();
+            prop_assert!(occurrences_without < occurrences_with || occurrences_with == 0);
+        }
     }
 }

@@ -2,8 +2,7 @@
 
 use crowdprompt_data::splits::split;
 use crowdprompt_data::{
-    serialize_record, CitationDataset, CitationParams, FlavorDataset, Record, ReviewsDataset,
-    WordsDataset,
+    CitationDataset, CitationParams, FlavorDataset, ReviewsDataset, WordsDataset,
 };
 use proptest::prelude::*;
 
@@ -85,26 +84,4 @@ proptest! {
         prop_assert_eq!(positives, d.positive_count);
     }
 
-    #[test]
-    fn record_serialization_roundtrips_fields(
-        fields in prop::collection::vec(("[a-z]{1,8}", "[a-zA-Z0-9 ]{1,12}"), 1..6)
-    ) {
-        let mut record = Record::new();
-        for (k, v) in &fields {
-            record.push(k.clone(), v.trim().to_owned());
-        }
-        let s = serialize_record(&record, None);
-        for (k, v) in &fields {
-            prop_assert!(
-                s.contains(&format!("{k} is {}", v.trim())),
-                "serialized {s:?} missing {k}"
-            );
-        }
-        // Excluding the first attribute removes exactly its clause.
-        let first_key = &fields[0].0;
-        let without = serialize_record(&record, Some(first_key));
-        let occurrences_with = s.matches(&format!("{first_key} is ")).count();
-        let occurrences_without = without.matches(&format!("{first_key} is ")).count();
-        prop_assert!(occurrences_without < occurrences_with || occurrences_with == 0);
-    }
 }

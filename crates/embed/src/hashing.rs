@@ -51,9 +51,9 @@ pub trait Embedder: Send + Sync {
 /// row-major buffer is allocated up front and split into `workers`
 /// contiguous row ranges, each filled in place on its own
 /// `std::thread::scope` worker through [`Embedder::embed_into`]. Output
-/// is identical to embedding the texts one at a time. Exposed so the
+/// is identical to embedding the texts one at a time. Split out so the
 /// parallel path is testable deterministically on any machine.
-pub fn embed_all_flat_with_workers<E: Embedder + ?Sized>(
+pub(crate) fn embed_all_flat_with_workers<E: Embedder + ?Sized>(
     embedder: &E,
     texts: &[&str],
     workers: usize,
@@ -192,6 +192,21 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 mod tests {
     use super::*;
     use crate::vector::{cosine_similarity, l2_distance};
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn embed_all_flat_matches_sequential_at_any_worker_count(
+            texts in prop::collection::vec("[a-z ]{0,40}", 1..40),
+            workers in 1usize..5
+        ) {
+            let e = NgramEmbedder::ada_like();
+            let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
+            let sequential: Vec<f32> = refs.iter().flat_map(|t| e.embed(t)).collect();
+            let parallel = embed_all_flat_with_workers(&e, &refs, workers);
+            prop_assert_eq!(parallel, sequential);
+        }
+    }
 
     #[test]
     fn deterministic() {

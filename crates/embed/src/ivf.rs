@@ -4,7 +4,7 @@
 //! Layout: a seeded deterministic k-means partitions the finite rows into
 //! `nlist` clusters. Each cluster owns an *inverted list* — a contiguous
 //! range of `(row id, quantized residual)` pairs, residual = `row −
-//! centroid`, quantized per-vector to 8 bits ([`crate::quant`]). A query
+//! centroid`, quantized per-vector to 8 bits (`quant`). A query
 //! ranks the centroids exactly (fused f32 path), probes the `nprobe`
 //! closest lists by scanning their codes with the integer
 //! `vector::dot_u8_many` kernel, keeps the best `rescore`

@@ -541,7 +541,7 @@ pub(crate) const QUERY_TILE: usize = 16;
 /// Corpus size at which [`KnnIndex::build`] starts considering the
 /// approximate IVF tier: below this, one fused exact scan is already
 /// cheap and the k-means build cost cannot pay for itself.
-pub const AUTO_IVF_MIN_LEN: usize = 65_536;
+pub(crate) const AUTO_IVF_MIN_LEN: usize = 65_536;
 
 /// Minimum dimensionality for the IVF tier: on narrow corpora the exact
 /// scan is already cheap per row, so approximation would only give up
@@ -568,7 +568,7 @@ impl KnnIndex {
     /// demands exact results: the fused brute-force scan, whatever the
     /// shape. A sub-1.0 target unlocks the approximate IVF tier where an
     /// exact scan is the bottleneck — [`Metric::L2`], `len >=
-    /// `[`AUTO_IVF_MIN_LEN`], `dims >= AUTO_IVF_MIN_DIMS` (32) — built with
+    /// AUTO_IVF_MIN_LEN` (65 536), `dims >= AUTO_IVF_MIN_DIMS` (32) — built with
     /// parameters tuned for that recall@k
     /// ([`crate::ivf::IvfParams::for_corpus`]); small or narrow corpora
     /// ignore the target and stay exact.

@@ -24,15 +24,12 @@ pub mod hashing;
 pub mod ivf;
 pub mod knn;
 mod parallel;
-pub mod quant;
+mod quant;
 pub mod store;
 pub mod vector;
 
-pub use hashing::{embed_all_flat_with_workers, Embedder, NgramEmbedder};
+pub use hashing::{Embedder, NgramEmbedder};
 pub use ivf::{IvfIndex, IvfParams};
-pub use knn::{
-    predict_auto_kind, BruteForceIndex, KnnIndex, Metric, Neighbor, Queries, AUTO_IVF_MIN_LEN,
-};
-pub use quant::{quantize_into, QuantMeta};
+pub use knn::{predict_auto_kind, BruteForceIndex, KnnIndex, Metric, Neighbor, Queries};
 pub use store::VectorStore;
-pub use vector::{cosine_similarity, dot_unrolled, l2_distance, normalize};
+pub use vector::{cosine_similarity, dot_unrolled};

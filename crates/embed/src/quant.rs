@@ -5,7 +5,7 @@
 //! where `offset = min(x)` and `scale = (max(x) − min(x)) / 255`, so every
 //! coordinate lands exactly in `0..=255` and dequantizes to
 //! `offset + scale · code` with at most half a quantization step of error
-//! per dimension ([`QuantMeta::round_trip_bound`]).
+//! per dimension (`QuantMeta::round_trip_bound`).
 //!
 //! The point of the affine form is that a squared L2 distance between two
 //! quantized vectors decomposes into *integer* sums that are precomputed
@@ -26,8 +26,7 @@
 /// Per-vector dequantization parameters plus the precomputed integer code
 /// sums the fused distance fix-up needs.
 #[derive(Debug, Clone, Copy, PartialEq)]
-// lint: allow(pub-has-caller) — exposed by `quant::quantize_into`
-pub struct QuantMeta {
+pub(crate) struct QuantMeta {
     /// Additive term of the affine dequantization (the vector's minimum).
     pub offset: f32,
     /// Quantization step: `(max − min) / 255` (`0.0` for constant vectors).
@@ -45,7 +44,8 @@ impl QuantMeta {
     /// half-step is the exact-arithmetic bound; each of the handful of
     /// float operations contributes a relative epsilon on quantities no
     /// larger than `|offset| + 255 · scale`).
-    pub fn round_trip_bound(&self) -> f32 {
+    #[cfg(test)]
+    pub(crate) fn round_trip_bound(&self) -> f32 {
         let magnitude = self.offset.abs() + self.scale * 255.0;
         0.5 * self.scale + magnitude * (f32::EPSILON * 8.0) + f32::MIN_POSITIVE
     }
@@ -59,7 +59,7 @@ impl QuantMeta {
 /// # Panics
 /// Panics (debug) if any coordinate is non-finite — the IVF build filters
 /// non-finite rows before quantization.
-pub fn quantize_into(row: &[f32], codes: &mut Vec<u8>) -> QuantMeta {
+pub(crate) fn quantize_into(row: &[f32], codes: &mut Vec<u8>) -> QuantMeta {
     debug_assert!(
         row.iter().all(|x| x.is_finite()),
         "quantize_into requires finite coordinates"
@@ -233,6 +233,29 @@ impl QuantizedBlock {
 mod tests {
     use super::*;
     use crate::vector::dot_u8;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Quantization round-trip error stays within the derived
+        /// per-dimension bound.
+        #[test]
+        fn quantization_round_trip_within_bound(
+            row in prop::collection::vec(-1000.0f32..1000.0, 1..300),
+        ) {
+            let mut codes = Vec::new();
+            let meta = quantize_into(&row, &mut codes);
+            let bound = meta.round_trip_bound();
+            for (&c, &x) in codes.iter().zip(&row) {
+                let back = meta.offset + meta.scale * f32::from(c);
+                prop_assert!(
+                    (back - x).abs() <= bound,
+                    "|{back} - {x}| > {bound} (offset {}, scale {})",
+                    meta.offset,
+                    meta.scale
+                );
+            }
+        }
+    }
 
     /// The module docs' decomposition, written out from both sides'
     /// metadata: the reference the hoisted scan key must match bit for bit.

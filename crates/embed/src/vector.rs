@@ -563,7 +563,7 @@ unsafe fn dot_u8_avx2(a: &[u8], b: &[u8]) -> u64 {
 ///
 /// # Panics
 /// Panics if the vectors have different lengths.
-pub fn l2_distance(a: &[f32], b: &[f32]) -> f32 {
+pub(crate) fn l2_distance(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "l2_distance: dimension mismatch");
     a.iter()
         .zip(b)
@@ -590,7 +590,7 @@ pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// Normalize a vector to unit L2 norm in place; zero vectors are unchanged.
-pub fn normalize(v: &mut [f32]) {
+pub(crate) fn normalize(v: &mut [f32]) {
     let norm = dot(v, v).sqrt();
     if norm > 0.0 {
         for x in v.iter_mut() {

@@ -7,8 +7,8 @@
 //! queries asked one at a time bit-for-bit at any worker count.
 
 use crowdprompt_embed::{
-    cosine_similarity, dot_unrolled, embed_all_flat_with_workers, l2_distance, BruteForceIndex,
-    Embedder, Metric, Neighbor, NgramEmbedder, Queries, VectorStore,
+    cosine_similarity, dot_unrolled, BruteForceIndex, Embedder, Metric, Neighbor, NgramEmbedder,
+    Queries, VectorStore,
 };
 use proptest::prelude::*;
 
@@ -17,7 +17,10 @@ fn vectors(n: usize, dims: usize) -> impl Strategy<Value = Vec<Vec<f32>>> {
 }
 
 fn index(vectors: &[Vec<f32>], metric: Metric) -> BruteForceIndex {
-    BruteForceIndex::from_store(VectorStore::from_rows(vectors.to_vec()), metric)
+    BruteForceIndex::from_store(
+        VectorStore::from_flat(vectors.concat(), vectors[0].len()),
+        metric,
+    )
 }
 
 /// One free vector's answer.
@@ -114,7 +117,10 @@ proptest! {
         // regime explicitly.
         let mut vs = vs;
         for v in &mut vs {
-            crowdprompt_embed::normalize(v);
+            let norm = v.iter().map(|x| x * x).sum::<f32>().sqrt();
+            if norm > 0.0 {
+                v.iter_mut().for_each(|x| *x /= norm);
+            }
         }
         let idx = index(&vs, Metric::L2);
         assert_bit_identical(
@@ -198,18 +204,6 @@ proptest! {
     }
 
     #[test]
-    fn embed_all_flat_matches_sequential_at_any_worker_count(
-        texts in prop::collection::vec("[a-z ]{0,40}", 1..40),
-        workers in 1usize..5
-    ) {
-        let e = NgramEmbedder::ada_like();
-        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        let sequential: Vec<f32> = refs.iter().flat_map(|t| e.embed(t)).collect();
-        let parallel = embed_all_flat_with_workers(&e, &refs, workers);
-        prop_assert_eq!(parallel, sequential);
-    }
-
-    #[test]
     fn fused_distance_tracks_seed_l2(
         a in prop::collection::vec(-10.0f32..10.0, 12..=12),
         b in prop::collection::vec(-10.0f32..10.0, 12..=12)
@@ -222,7 +216,7 @@ proptest! {
             dot_unrolled(&b, &b),
         );
         let fused = Metric::L2.key_to_distance(key);
-        let seed = l2_distance(&a, &b);
+        let seed = Metric::L2.distance(&a, &b);
         prop_assert!(
             (fused - seed).abs() < 1e-2 + seed * 1e-4,
             "fused {fused} vs seed {seed}"
@@ -257,7 +251,7 @@ proptest! {
         c in prop::collection::vec(-10.0f32..10.0, 5..=5)
     ) {
         prop_assert!(
-            l2_distance(&a, &c) <= l2_distance(&a, &b) + l2_distance(&b, &c) + 1e-4
+            Metric::L2.distance(&a, &c) <= Metric::L2.distance(&a, &b) + Metric::L2.distance(&b, &c) + 1e-4
         );
     }
 

@@ -1,7 +1,6 @@
 //! Evaluation metrics and reporting for `crowdprompt` experiments.
 //!
-//! * [`rank`] — Kendall tau-β (the paper's ranking metric), Spearman's rho,
-//!   inversion counts.
+//! * [`rank`] — Kendall tau-β (the paper's ranking metric).
 //! * [`classify`] — precision / recall / F1 / accuracy and confusion counts
 //!   for the entity-resolution and imputation studies.
 //! * [`report`] — plain-text and markdown table rendering for the
@@ -16,5 +15,5 @@ pub mod report;
 pub mod stats;
 
 pub use classify::{accuracy, BinaryConfusion};
-pub use rank::{inversions, kendall_tau_b, kendall_tau_b_rankings, spearman_rho};
+pub use rank::{kendall_tau_b, kendall_tau_b_rankings};
 pub use report::Table;

@@ -73,24 +73,6 @@ pub fn kendall_tau_b_rankings<T: Eq + Hash>(observed: &[T], gold: &[T]) -> Optio
     kendall_tau_b(&obs_ranks, &gold_ranks)
 }
 
-/// Spearman's rho with average ranks for ties. Returns `None` on length
-/// mismatch, `n < 2`, or constant input.
-pub fn spearman_rho(x: &[f64], y: &[f64]) -> Option<f64> {
-    if x.len() != y.len() || x.len() < 2 {
-        return None;
-    }
-    let rx = average_ranks(x);
-    let ry = average_ranks(y);
-    pearson(&rx, &ry)
-}
-
-/// Number of inversions in a sequence (pairs out of ascending order),
-/// counting ties as ordered. O(n log n).
-pub fn inversions(seq: &[f64]) -> u64 {
-    let mut copy = seq.to_vec();
-    count_inversions(&mut copy)
-}
-
 // ---------------------------------------------------------------------------
 
 fn tie_pair_count(sorted: impl Iterator<Item = f64>) -> i64 {
@@ -172,50 +154,6 @@ fn merge_count(seq: &mut [f64], buf: &mut [f64]) -> u64 {
     inv
 }
 
-fn average_ranks(values: &[f64]) -> Vec<f64> {
-    let n = values.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        values[a]
-            .partial_cmp(&values[b])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut ranks = vec![0.0f64; n];
-    let mut i = 0;
-    while i < n {
-        let mut j = i;
-        while j + 1 < n && values[order[j + 1]] == values[order[i]] {
-            j += 1;
-        }
-        let avg = (i + j) as f64 / 2.0 + 1.0;
-        for &idx in &order[i..=j] {
-            ranks[idx] = avg;
-        }
-        i = j + 1;
-    }
-    ranks
-}
-
-fn pearson(x: &[f64], y: &[f64]) -> Option<f64> {
-    let n = x.len() as f64;
-    let mx = x.iter().sum::<f64>() / n;
-    let my = y.iter().sum::<f64>() / n;
-    let mut sxy = 0.0;
-    let mut sxx = 0.0;
-    let mut syy = 0.0;
-    for (a, b) in x.iter().zip(y) {
-        let dx = a - mx;
-        let dy = b - my;
-        sxy += dx * dy;
-        sxx += dx * dx;
-        syy += dy * dy;
-    }
-    if sxx == 0.0 || syy == 0.0 {
-        return None;
-    }
-    Some(sxy / (sxx * syy).sqrt())
-}
-
 /// Quadratic reference implementation of tau-β, kept public for tests and
 /// benchmarks (`#[doc(hidden)]` because it is not part of the stable API).
 #[doc(hidden)]
@@ -252,12 +190,12 @@ pub fn kendall_tau_b_reference(x: &[f64], y: &[f64]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn perfect_agreement() {
         let x = [1.0, 2.0, 3.0, 4.0];
         assert!((kendall_tau_b(&x, &x).unwrap() - 1.0).abs() < 1e-12);
-        assert!((spearman_rho(&x, &x).unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -265,7 +203,6 @@ mod tests {
         let x = [1.0, 2.0, 3.0, 4.0];
         let y = [4.0, 3.0, 2.0, 1.0];
         assert!((kendall_tau_b(&x, &y).unwrap() + 1.0).abs() < 1e-12);
-        assert!((spearman_rho(&x, &y).unwrap() + 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -280,14 +217,12 @@ mod tests {
     #[test]
     fn constant_input_is_undefined() {
         assert_eq!(kendall_tau_b(&[1.0, 1.0, 1.0], &[1.0, 2.0, 3.0]), None);
-        assert_eq!(spearman_rho(&[2.0, 2.0], &[1.0, 3.0]), None);
     }
 
     #[test]
     fn length_mismatch_and_tiny_inputs() {
         assert_eq!(kendall_tau_b(&[1.0], &[1.0]), None);
         assert_eq!(kendall_tau_b(&[1.0, 2.0], &[1.0]), None);
-        assert_eq!(spearman_rho(&[], &[]), None);
     }
 
     #[test]
@@ -307,6 +242,11 @@ mod tests {
         assert!((tau - expected).abs() < 1e-12);
     }
 
+    /// The inversion count of a copy of `seq`.
+    fn inversions(seq: &[f64]) -> u64 {
+        count_inversions(&mut seq.to_vec())
+    }
+
     #[test]
     fn inversion_counts() {
         assert_eq!(inversions(&[1.0, 2.0, 3.0]), 0);
@@ -316,12 +256,22 @@ mod tests {
         assert_eq!(inversions(&[1.0, 1.0, 1.0]), 0, "ties are not inversions");
     }
 
-    #[test]
-    fn spearman_with_ties_uses_average_ranks() {
-        let x = [1.0, 2.0, 2.0, 4.0];
-        let y = [1.0, 3.0, 3.0, 4.0];
-        let rho = spearman_rho(&x, &y).unwrap();
-        assert!((rho - 1.0).abs() < 1e-12);
+    proptest! {
+        #[test]
+        fn inversions_zero_iff_sorted(
+            mut x in prop::collection::vec((-5i32..=5).prop_map(f64::from), 2..50)
+        ) {
+            x.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            prop_assert_eq!(inversions(&x), 0);
+        }
+
+        #[test]
+        fn inversions_bounded_by_pair_count(
+            x in prop::collection::vec((-5i32..=5).prop_map(f64::from), 2..50)
+        ) {
+            let n = x.len() as u64;
+            prop_assert!(inversions(&x) <= n * (n - 1) / 2);
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!   ([`crate::CompletionRequest::fingerprint`]), 16 bytes a step. The key
 //!   is persisted in every store and journal, so its values are pinned by
 //!   known-answer vectors.
-//! * FNV-1a ([`fnv1a`], [`Fingerprint`]) — one byte a step, for the
+//! * FNV-1a ([`fnv1a`], `Fingerprint`) — one byte a step, for the
 //!   simulator's seeds (`sim::seed_of`), a task's structural fingerprint
 //!   and the record logs' line checksums. Every simulated answer is a
 //!   function of these values, so they never change.
@@ -137,7 +137,7 @@ pub(crate) fn parse_hex64(s: &str) -> Option<u64> {
 
 /// An incremental FNV-1a hasher for fingerprinting structured values.
 #[derive(Debug, Clone)]
-pub struct Fingerprint(u64);
+pub(crate) struct Fingerprint(u64);
 
 impl Default for Fingerprint {
     fn default() -> Self {
@@ -147,12 +147,12 @@ impl Default for Fingerprint {
 
 impl Fingerprint {
     /// Start a fresh fingerprint.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Fingerprint(0xcbf29ce484222325)
     }
 
     /// Fold raw bytes into the fingerprint.
-    pub fn write(&mut self, bytes: &[u8]) -> &mut Self {
+    pub(crate) fn write(&mut self, bytes: &[u8]) -> &mut Self {
         const PRIME: u64 = 0x100000001b3;
         for &b in bytes {
             self.0 ^= u64::from(b);
@@ -162,7 +162,7 @@ impl Fingerprint {
     }
 
     /// Fold a string (length-prefixed, so `"ab","c"` differs from `"a","bc"`).
-    pub fn write_str(&mut self, s: &str) -> &mut Self {
+    pub(crate) fn write_str(&mut self, s: &str) -> &mut Self {
         self.write_u64(s.len() as u64);
         self.write(s.as_bytes())
     }
@@ -178,7 +178,7 @@ impl Fingerprint {
     }
 
     /// Finish, returning the mixed 64-bit digest.
-    pub fn finish(&self) -> u64 {
+    pub(crate) fn finish(&self) -> u64 {
         mix(self.0)
     }
 }

@@ -263,7 +263,25 @@ impl ModelProfile {
         self
     }
 
-    /// Replace the context window (builder style).
+    /// Replace the context window (builder style): a prompt longer than it
+    /// is refused.
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use crowdprompt_oracle::{
+    ///     CompletionRequest, ItemId, LanguageModel, LlmError, ModelProfile, SimulatedLlm,
+    ///     TaskDescriptor, WorldModel,
+    /// };
+    ///
+    /// let profile = ModelProfile::perfect().with_context_window(8);
+    /// let llm = SimulatedLlm::new(profile, Arc::new(WorldModel::new()), 1);
+    /// let task = TaskDescriptor::CheckPredicate {
+    ///     item: ItemId(0),
+    ///     predicate: "p".into(),
+    /// };
+    /// let long = CompletionRequest::new("word ".repeat(50), task);
+    /// assert!(matches!(llm.complete(&long), Err(LlmError::ContextOverflow { .. })));
+    /// ```
     #[must_use]
     pub fn with_context_window(mut self, tokens: u32) -> Self {
         self.context_window = tokens;

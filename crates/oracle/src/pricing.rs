@@ -82,6 +82,19 @@ impl CostLedger {
     }
 
     /// Total tokens (prompt + completion).
+    ///
+    /// ```
+    /// use crowdprompt_oracle::{CostLedger, Pricing, Usage};
+    ///
+    /// let ledger = CostLedger::new();
+    /// let usage = Usage {
+    ///     prompt_tokens: 40,
+    ///     completion_tokens: 2,
+    /// };
+    /// ledger.record(usage, Pricing::new(0.0, 0.0));
+    /// ledger.record(usage, Pricing::new(0.0, 0.0));
+    /// assert_eq!(ledger.total_tokens(), 84);
+    /// ```
     pub fn total_tokens(&self) -> u64 {
         self.prompt_tokens() + self.completion_tokens()
     }

@@ -230,6 +230,17 @@ impl ResponseStore {
     /// refusal's error text (`None` until one happens). A refused record
     /// is not indexed either, so the index never serves what the file
     /// lacks; the loss costs a re-run of that call, not a wrong answer.
+    ///
+    /// ```
+    /// use crowdprompt_oracle::{ResponseStore, StoreConfig};
+    ///
+    /// let path = std::env::temp_dir().join(format!("append-failures-{}.log", std::process::id()));
+    /// let store = ResponseStore::open(&path, StoreConfig::default()).unwrap();
+    /// assert_eq!(store.append_failures(), (0, None));
+    /// drop(store);
+    /// std::fs::remove_file(&path).unwrap();
+    /// let _ = std::fs::remove_file(path.with_extension("log.lock"));
+    /// ```
     pub fn append_failures(&self) -> (u64, Option<String>) {
         let inner = self.inner.lock();
         (inner.failed_appends, inner.last_append_error.clone())

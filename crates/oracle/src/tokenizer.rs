@@ -111,7 +111,7 @@ fn ascii_blocks(bytes: &[u8]) -> (usize, u32, u32, bool) {
 ///
 /// Used by the simulator to emulate `max_tokens` cut-offs (finish reason
 /// `Length`). Returns the truncated text and whether truncation occurred.
-pub fn truncate_to_tokens(text: &str, max_tokens: u32) -> (&str, bool) {
+pub(crate) fn truncate_to_tokens(text: &str, max_tokens: u32) -> (&str, bool) {
     if count_tokens(text) <= max_tokens {
         return (text, false);
     }
@@ -213,6 +213,17 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn tokenizer_truncation_respects_budget(text in ".{0,300}", cap in 0u32..64) {
+            let (prefix, truncated) = truncate_to_tokens(&text, cap);
+            prop_assert!(text.starts_with(prefix));
+            if truncated {
+                prop_assert!(count_tokens(prefix) <= cap);
+            } else {
+                prop_assert_eq!(prefix, text.as_str());
+            }
+        }
+
         #[test]
         fn random_ascii_counts_as_the_char_loop_does(
             bytes in prop::collection::vec(0u8..128, 0..=300),

@@ -92,21 +92,72 @@ impl CompletionRequest {
         }
     }
 
-    /// Set the sampling temperature.
+    /// Set the sampling temperature: a sampled request is its own cache
+    /// entry.
+    ///
+    /// ```
+    /// use crowdprompt_oracle::{CompletionRequest, ItemId, TaskDescriptor};
+    ///
+    /// let task = TaskDescriptor::CheckPredicate {
+    ///     item: ItemId(0),
+    ///     predicate: "in_stock".into(),
+    /// };
+    /// let cold = CompletionRequest::new("Is item 0 in stock?", task);
+    /// let warm = cold.clone().with_temperature(0.7);
+    /// assert_eq!(warm.temperature, 0.7);
+    /// assert_ne!(warm.fingerprint(), cold.fingerprint());
+    /// ```
     #[must_use]
     pub fn with_temperature(mut self, t: f64) -> Self {
         self.temperature = t;
         self
     }
 
-    /// Set the max-tokens cap.
+    /// Set the max-tokens cap: an answer cut at the cap finishes with
+    /// [`FinishReason::Length`].
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use crowdprompt_oracle::{
+    ///     CompletionRequest, FinishReason, LanguageModel, ModelProfile, SimulatedLlm,
+    ///     SortCriterion, TaskDescriptor, WorldModel,
+    /// };
+    ///
+    /// let mut world = WorldModel::new();
+    /// let items: Vec<_> = (0..6).map(|i| world.add_item(format!("item {i}"))).collect();
+    /// let llm = SimulatedLlm::new(ModelProfile::perfect(), Arc::new(world), 1);
+    /// let task = TaskDescriptor::SortList {
+    ///     items,
+    ///     criterion: SortCriterion::LatentScore,
+    /// };
+    /// let request = CompletionRequest::new("Sort these items.", task).with_max_tokens(5);
+    /// let response = llm.complete(&request).unwrap();
+    /// assert_eq!(response.finish_reason, FinishReason::Length);
+    /// assert!(response.usage.completion_tokens <= 5);
+    /// ```
     #[must_use]
     pub fn with_max_tokens(mut self, m: u32) -> Self {
         self.max_tokens = Some(m);
         self
     }
 
-    /// Set the sample index (for repeated sampling at temperature > 0).
+    /// Set the sample index (for repeated sampling at temperature > 0): it
+    /// keys only a sampled request.
+    ///
+    /// ```
+    /// use crowdprompt_oracle::{CompletionRequest, ItemId, TaskDescriptor};
+    ///
+    /// let task = TaskDescriptor::CheckPredicate {
+    ///     item: ItemId(0),
+    ///     predicate: "in_stock".into(),
+    /// };
+    /// let cold = CompletionRequest::new("Is item 0 in stock?", task);
+    /// assert_eq!(cold.clone().with_sample_index(3).fingerprint(), cold.fingerprint());
+    /// let warm = cold.with_temperature(0.7);
+    /// let resampled = warm.clone().with_sample_index(3);
+    /// assert_eq!(resampled.sample_index, 3);
+    /// assert_ne!(resampled.fingerprint(), warm.fingerprint());
+    /// ```
     #[must_use]
     pub fn with_sample_index(mut self, i: u32) -> Self {
         self.sample_index = i;

@@ -176,7 +176,7 @@ impl WorldModel {
     }
 
     /// Surface salience in `[0,1]`; defaults to `0.5` when unregistered.
-    pub fn salience_of(&self, id: ItemId) -> f64 {
+    pub(crate) fn salience_of(&self, id: ItemId) -> f64 {
         self.salience.get(&id).copied().unwrap_or(0.5)
     }
 

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use crowdprompt_oracle::model::ModelProfile;
 use crowdprompt_oracle::sim::SimulatedLlm;
 use crowdprompt_oracle::task::{SortCriterion, TaskDescriptor};
-use crowdprompt_oracle::tokenizer::{count_tokens, truncate_to_tokens};
+use crowdprompt_oracle::tokenizer::count_tokens;
 use crowdprompt_oracle::types::{CompletionRequest, LanguageModel};
 use crowdprompt_oracle::world::WorldModel;
 use crowdprompt_oracle::{LlmClient, Pricing, Usage};
@@ -21,17 +21,6 @@ proptest! {
         // And subadditive-ish: concatenation can merge at most one token
         // boundary, never create more than the sum plus one.
         prop_assert!(count_tokens(&ab) <= count_tokens(&a) + count_tokens(&b) + 1);
-    }
-
-    #[test]
-    fn tokenizer_truncation_respects_budget(text in ".{0,300}", cap in 0u32..64) {
-        let (prefix, truncated) = truncate_to_tokens(&text, cap);
-        prop_assert!(text.starts_with(prefix));
-        if truncated {
-            prop_assert!(count_tokens(prefix) <= cap);
-        } else {
-            prop_assert_eq!(prefix, text.as_str());
-        }
     }
 
     #[test]

@@ -9,17 +9,14 @@
 //! (b) returned neighbors exactly obey the ascending-distance /
 //!     tie-by-index contract, with distances bit-identical to the
 //!     oracle's fused computation for every returned row,
-//! (c) quantization round-trip error stays within the derived per-dim
-//!     bound,
-//! (d) `nprobe = centroid_count` degrades to exact results
+//! (c) `nprobe = centroid_count` degrades to exact results
 //!     bit-identically (structurally: the same brute-force code runs).
 //!
 //! The proptest shim is deterministic per (test name, case index), so
 //! these assertions are reproducible, never flaky.
 
 use crowdprompt::embed::{
-    quantize_into, BruteForceIndex, IvfIndex, IvfParams, KnnIndex, Metric, Neighbor, Queries,
-    VectorStore,
+    BruteForceIndex, IvfIndex, IvfParams, KnnIndex, Metric, Neighbor, Queries, VectorStore,
 };
 use proptest::prelude::*;
 
@@ -53,13 +50,19 @@ fn clustered_corpus(n: usize, dims: usize, centers: usize, seed: u64) -> Vec<Vec
         .collect()
 }
 
+/// Equal-length rows packed into one flat store.
+fn store(rows: Vec<Vec<f32>>) -> VectorStore {
+    let dims = rows.first().map_or(0, Vec::len);
+    VectorStore::from_flat(rows.concat(), dims)
+}
+
 fn build_pair(
     vectors: Vec<Vec<f32>>,
     nlist: usize,
     nprobe: usize,
     seed: u64,
 ) -> (BruteForceIndex, IvfIndex) {
-    let store = VectorStore::from_rows(vectors);
+    let store = store(vectors);
     let exact = BruteForceIndex::from_store(store.clone(), Metric::L2);
     let ivf = IvfIndex::build(
         store,
@@ -147,27 +150,7 @@ proptest! {
         }
     }
 
-    /// (c) Quantization round-trip error stays within the derived
-    /// per-dimension bound.
-    #[test]
-    fn quantization_round_trip_within_bound(
-        row in prop::collection::vec(-1000.0f32..1000.0, 1..300),
-    ) {
-        let mut codes = Vec::new();
-        let meta = quantize_into(&row, &mut codes);
-        let bound = meta.round_trip_bound();
-        for (&c, &x) in codes.iter().zip(&row) {
-            let back = meta.offset + meta.scale * f32::from(c);
-            prop_assert!(
-                (back - x).abs() <= bound,
-                "|{back} - {x}| > {bound} (offset {}, scale {})",
-                meta.offset,
-                meta.scale
-            );
-        }
-    }
-
-    /// (d) `nprobe = centroid_count` degrades to exact results
+    /// (c) `nprobe = centroid_count` degrades to exact results
     /// bit-identically — same hits, same order, same distance bits.
     #[test]
     fn full_probe_is_bit_identical_to_exact(
@@ -235,7 +218,7 @@ fn k_zero_and_k_beyond_corpus() {
 #[test]
 fn all_identical_vectors_collapse_to_one_centroid() {
     let ivf = IvfIndex::build(
-        VectorStore::from_rows(vec![vec![3.0, -1.0, 4.0]; 50]),
+        store(vec![vec![3.0, -1.0, 4.0]; 50]),
         Metric::L2,
         small_params(8, 2),
     );
@@ -269,13 +252,9 @@ fn nan_rows_are_filtered_deterministically() {
 #[test]
 fn corpus_smaller_than_centroid_count() {
     let vectors = clustered_corpus(5, 4, 2, 13);
-    let ivf = IvfIndex::build(
-        VectorStore::from_rows(vectors.clone()),
-        Metric::L2,
-        small_params(64, 16),
-    );
+    let ivf = IvfIndex::build(store(vectors.clone()), Metric::L2, small_params(64, 16));
     assert!(ivf.nlist() <= 5, "nlist must clamp to the corpus");
-    let exact = BruteForceIndex::from_store(VectorStore::from_rows(vectors), Metric::L2);
+    let exact = BruteForceIndex::from_store(store(vectors), Metric::L2);
     let query = exact.store().row(2).to_vec();
     assert_eq!(ivf_one(&ivf, &query, 3), exact_one(&exact, &query, 3));
 }
@@ -285,14 +264,14 @@ fn auto_tuned_routes_by_shape_and_target() {
     // Small corpus: recall target is ignored, exact scan chosen.
     let small = clustered_corpus(500, 40, 4, 1);
     assert_eq!(
-        KnnIndex::build(VectorStore::from_rows(small), Metric::L2, Some(0.95)).kind(),
+        KnnIndex::build(store(small), Metric::L2, Some(0.95)).kind(),
         "brute_force"
     );
     // A recall target >= 1.0 demands exact even at scale (narrow corpus
     // here so the build stays cheap; shape routing is covered in-crate).
     let narrow = clustered_corpus(5000, 8, 4, 2);
     assert_eq!(
-        KnnIndex::build(VectorStore::from_rows(narrow), Metric::L2, Some(1.0)).kind(),
+        KnnIndex::build(store(narrow), Metric::L2, Some(1.0)).kind(),
         "brute_force"
     );
 }

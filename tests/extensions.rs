@@ -59,8 +59,15 @@ fn sentiment_workload_sorts_filters_and_counts() {
 
     // Tracing captured both operations.
     let summary = session.trace().unwrap().summary();
-    assert!(summary.by_kind.contains_key("compare"));
-    assert!(summary.by_kind.contains_key("check_predicate"));
+    // One table row per task kind, led by the kind's name.
+    let table = summary.render();
+    let has_row = |kind: &str| {
+        table
+            .lines()
+            .any(|l| l.split_whitespace().next() == Some(kind))
+    };
+    assert!(has_row("compare"));
+    assert!(has_row("check_predicate"));
     assert!(summary.total_calls() >= sorted.calls + count.calls);
 }
 

@@ -257,7 +257,12 @@ fn breaker_opens_heals_and_degraded_batch_completes() {
     // The whole batch was salvaged: the step degraded transparently, with
     // zero casualties recorded in its salvage notes.
     assert_eq!(run.steps.len(), 1);
-    assert_eq!(run.steps[0].quarantined_count(), 0);
+    let quarantined: usize = run.steps[0]
+        .salvage
+        .iter()
+        .map(|n| n.quarantined.len())
+        .sum();
+    assert_eq!(quarantined, 0);
     assert!(
         !run.steps[0].salvage.is_empty(),
         "degrade mode leaves a note"

@@ -607,70 +607,6 @@ fn over_budget_task_batch_is_refused_whole_under_fail_fast() {
     assert_eq!(engine.client().ledger().calls(), outcome.ok_count() as u64);
 }
 
-/// A packed run large enough that its first round is rendered in shares on
-/// two participants (160 packs of 8), holding an item the corpus does not
-/// know (pack 12, the first share) and a pack of long records that
-/// overflows the context window whole but fits split (pack 125, the
-/// second share), answers, quarantines, spends and calls exactly as the
-/// same run on one worker.
-#[test]
-fn a_packed_round_rendered_in_shares_matches_one_worker() {
-    const N: usize = 1_280;
-    let run = |workers: usize| {
-        let mut w = WorldModel::new();
-        let ids: Vec<ItemId> = (0..N)
-            .map(|i| {
-                let text = if (1_000..1_008).contains(&i) {
-                    format!("long record {i} {}", "lorem ipsum dolor ".repeat(40))
-                } else {
-                    format!("catalog record {i:04} vendor {}", i % 7)
-                };
-                let id = w.add_item(text);
-                w.set_flag(id, "active", i % 3 == 0);
-                id
-            })
-            .collect();
-        let corpus = Corpus::from_world(&w, &ids);
-        let profile = ModelProfile::perfect()
-            .with_noise(chatty_noise(0.0))
-            .with_context_window(1_000);
-        let llm = Arc::new(SimulatedLlm::new(profile, Arc::new(w), 42));
-        let engine = Engine::new(Arc::new(LlmClient::new(llm)), corpus)
-            .with_budget(Budget::Unlimited)
-            .with_parallelism(workers)
-            .with_failure_policy(FailurePolicy::Degrade { max_attempts: 2 });
-        let mut tasks: Vec<TaskDescriptor> = ids
-            .iter()
-            .map(|&item| TaskDescriptor::CheckPredicate {
-                item,
-                predicate: "active".to_owned(),
-            })
-            .collect();
-        tasks[100] = TaskDescriptor::CheckPredicate {
-            item: ItemId(999_999),
-            predicate: "active".to_owned(),
-        };
-        let outcome = engine.run_outcome(RunSpec::packed(tasks, 8)).unwrap();
-        let ledger = engine.client().ledger();
-        let quarantined: Vec<usize> = outcome.quarantined.iter().map(|q| q.index).collect();
-        let spend = (
-            ledger.calls(),
-            ledger.total_tokens(),
-            ledger.spend_usd().to_bits(),
-            engine.budget().spent_usd().to_bits(),
-        );
-        (outcome.answers, quarantined, spend)
-    };
-    let one = run(1);
-    assert_eq!(one.1, vec![100], "the unknown item alone is quarantined");
-    assert!(one.0.iter().filter(|a| a.is_ok()).count() == N - 1);
-    // 158 whole packs; the long pack splits in two before any call; the
-    // unknown item's pack is asked as a 4-, a 2- and a 1-item pack beside
-    // the halves that hold it.
-    assert_eq!(one.2 .0, 158 + 2 + 3);
-    assert_eq!(run(2), one);
-}
-
 /// Every packed operator — filter, keep-label, impute and per-item count
 /// at width 8 — over enough items that its rounds build, render and parse
 /// in shares (1 281 items, 161 packs), with packs whose answer lists come

@@ -387,13 +387,21 @@ fn usd_cap_admission_accounts_for_priciest_backend() {
             predicate: "keep".into(),
         })
         .collect();
-    // Price the batch at the reference (cheap) schedule, then grant twice
-    // that: enough for every call at cheap pricing, nowhere near enough if
-    // the 10x backend were to serve them.
-    let probe = Engine::new(Arc::clone(&client), Corpus::from_world(&w, &items));
+    // Price the batch at the reference (cheap) schedule — what an engine
+    // over the cheap backend alone asks to admit, task by task, against a
+    // zero budget — then grant twice that: enough for every call at cheap
+    // pricing, nowhere near enough if the 10x backend were to serve them.
+    let probe = Engine::new(
+        Arc::new(LlmClient::new(Arc::clone(&model))),
+        Corpus::from_world(&w, &items),
+    )
+    .with_budget(Budget::usd(0.0));
     let reference_total: f64 = tasks
         .iter()
-        .map(|t| probe.estimate_task(t.clone()).unwrap().0)
+        .map(|t| match probe.run(t.clone()) {
+            Err(EngineError::BudgetExceeded { needed_usd, .. }) => needed_usd,
+            other => panic!("a zero budget admits no call: {other:?}"),
+        })
         .sum();
     let engine = Engine::new(Arc::clone(&client), Corpus::from_world(&w, &items))
         .with_budget(Budget::usd(reference_total * 2.0));

@@ -18,10 +18,10 @@
 //! | `one-bill`    | `plan/estimate.rs` names no `*Strategy::` variant; `crates/core/src/ops` defines no `estimated_calls`/`packed_calls`|
 //! | `one-count`   | `crates/core/src/exec.rs` calls `count_tokens` in `render_and_estimate` and nowhere else|
 //! | `no-format-push`| no `push_str(&format!(..))` in `crates/core/src/template.rs`: a prompt is written into one buffer|
-//! | `one-layout`  | no nested `Vec<Vec<f32>>` / `[Vec<f32>]` in library code under `crates/{embed,core,oracle}/src` but `VectorStore::from_rows`; `crates/embed/src` defines no `fn nearest*`|
+//! | `one-layout`  | no nested `Vec<Vec<f32>>` / `[Vec<f32>]` in library code under `crates/{embed,core,oracle}/src`; `crates/embed/src` defines no `fn nearest*`|
 //! | `no-spawn-per-call`| `crates/oracle/src/route.rs` starts threads in `start_helper` and `launch_twin` and nowhere else|
 //! | `one-fingerprint`| `crates/oracle/src/client.rs` calls `.fingerprint()` in `probe` and nowhere else; `crates/core/src/{exec,serve}.rs` never do|
-//! | `pub-has-caller`| a `pub` item under `crates/{core,embed,oracle,metrics,data}/src` is named by some file outside its crate's `src/`, or by a doc-test|
+//! | `pub-has-caller`| a `pub` item under `crates/{core,embed,oracle,metrics,data}/src` is named by non-test code outside its crate's `src/` (no `tests/` tree, no `#[cfg(test)]` item), or by a doc-test|
 //! | `one-door`    | `crates/core/src/session.rs` names no `ops::` function; no file in `crates/core/src/ops` declares a top-level `pub fn`|
 //! | `one-plan-ir` | `crates/core/src` declares no enum with a `Filter` variant but `PhysicalNode`|
 //! | `answers-not-prompts`| `crates/oracle/src/store.rs` names no `.prompt`; no file under `crates/oracle/src` names `crowdprompt_embed`|
@@ -117,8 +117,8 @@ const ONE_BILL_COUNTERS: &[&str] = &["estimated_calls", "packed_calls"];
 /// Vectors have one layout — the flat `VectorStore`, row-major `f32`s — and
 /// an index one query method, `search(Queries, k)`. A nested-rows spelling in
 /// a library signature under [`ONE_LAYOUT_SCOPES`] is the second layout
-/// coming back (`VectorStore::from_rows`, the one validated conversion from
-/// nested rows, carries the pragma); a `fn nearest*` under
+/// coming back (the tests' `VectorStore::from_rows` fixture builder is
+/// `#[cfg(test)]`); a `fn nearest*` under
 /// [`ONE_LAYOUT_INDEXES`], tests included, is a second way to ask an index.
 const ONE_LAYOUT_SCOPES: &[&str] = &[
     "crates/embed/src/",
@@ -160,7 +160,7 @@ const ONE_FINGERPRINT_CALLERS: &[&str] = &["crates/core/src/exec.rs", "crates/co
 /// ([`ONE_DOOR_SESSION`]) names no function of an operator module, and no
 /// file under [`ONE_DOOR_OPS`] declares a top-level `pub fn` (strategy types
 /// and their methods stay public). `pub-has-caller` cannot see a second
-/// door: a test that calls it is a caller.
+/// door that non-test code outside the crate calls.
 const ONE_DOOR_SESSION: &str = "crates/core/src/session.rs";
 const ONE_DOOR_OPS: &str = "crates/core/src/ops/";
 
@@ -181,9 +181,10 @@ const ANSWERS_FIELD: &str = "prompt";
 const ANSWERS_SCOPE: &str = "crates/oracle/src/";
 const ANSWERS_EMBEDDER: &str = "crowdprompt_embed";
 
-/// The library crates whose public items must each be named by a file
-/// outside the crate's own `src/` (another crate, a test, an example, a
-/// bench, `benchmark/`, the facade) or by a doc-test. A `pub` item nothing
+/// The library crates whose public items must each be named by non-test
+/// code outside the crate's own `src/` (another crate, an example, a bench,
+/// `benchmark/`, the facade) or by a doc-test; a file under a `tests/` tree
+/// and a `#[cfg(test)]` item are no callers. A `pub` item nothing
 /// outside names is crate-private in all but spelling, and every one is
 /// surface the next reader must account for. A type a kept public signature
 /// exposes cannot be demoted (rustc's `private_interfaces`), so its pragma
@@ -614,6 +615,11 @@ fn in_regions(regions: &[(usize, usize)], offset: usize) -> bool {
     regions.iter().any(|&(s, e)| offset >= s && offset < e)
 }
 
+/// Integration-test trees: the workspace's `tests/` and each crate's.
+fn is_test_tree(rel: &str) -> bool {
+    rel.starts_with("tests/") || rel.contains("/tests/")
+}
+
 /// Whole files outside library scope for the library-only rules: test and
 /// bench trees, examples, and `src/bin/` CLI entrypoints (table-regeneration
 /// binaries fail loudly by design — `main` is the top of the call stack).
@@ -868,7 +874,7 @@ fn lint_rust_source(rel: &str, src: &str) -> Vec<Finding> {
                     push(
                         "one-layout",
                         format!("`{spelling}` is a second vector layout beside the flat `VectorStore`"),
-                        "take or return flat row-major `f32`s (`Embedder::embed_all_flat`, `VectorStore::from_flat`, `Queries::Flat`); `VectorStore::from_rows` is the one conversion from nested rows",
+                        "take or return flat row-major `f32`s (`Embedder::embed_all_flat`, `VectorStore::from_flat`, `Queries::Flat`)",
                         offset,
                     );
                 }
@@ -1371,19 +1377,27 @@ fn find_chars_from(hay: &[char], needle: &[char], from: usize) -> Option<usize> 
 // ---------------------------------------------------------------------------
 
 /// Every `pub` item of a [`PUB_CALLER_CRATES`] crate must be named outside
-/// that crate's `src/`: by code in any other file, or by a doc-test (which
-/// rustdoc compiles as a crate of its own). Matching is by identifier over
-/// masked code, so a name in another crate's comment or string is no caller,
-/// and a name shared with an unrelated item can only hide a finding.
+/// that crate's `src/`: by non-test code in any other file, or by a doc-test
+/// (which rustdoc compiles as a crate of its own). A test is no caller: a
+/// file under a `tests/` tree and a `#[cfg(test)]` item name nothing. Matching
+/// is by identifier over masked code, so a name in another crate's comment or
+/// string is no caller, and a name shared with an unrelated item can only
+/// hide a finding.
 fn lint_pub_callers(sources: &[(String, String)]) -> Vec<Finding> {
     const OUTSIDE: u8 = 1 << PUB_CALLER_CRATES.len();
     let owner = |rel: &str| PUB_CALLER_CRATES.iter().position(|c| rel.starts_with(c));
     let mut mentions: HashMap<String, u8> = HashMap::new();
     let masked: Vec<Vec<char>> = sources.iter().map(|(_, src)| mask_source(src)).collect();
     for ((rel, src), masked) in sources.iter().zip(&masked) {
+        if is_test_tree(rel) {
+            continue;
+        }
         let bit = owner(rel).map_or(OUTSIDE, |i| 1 << i);
-        for (_, ident) in identifiers(masked) {
-            *mentions.entry(ident).or_default() |= bit;
+        let regions = test_regions(masked);
+        for (offset, ident) in identifiers(masked) {
+            if !in_regions(&regions, offset) {
+                *mentions.entry(ident).or_default() |= bit;
+            }
         }
         for (_, ident) in identifiers(&mask_source(&doc_test_code(src))) {
             *mentions.entry(ident).or_default() |= OUTSIDE;
@@ -2180,23 +2194,31 @@ mod tests {
     }
 
     #[test]
-    fn pub_has_caller_counts_tests_benches_benchmark_the_facade_and_doc_tests() {
+    fn pub_has_caller_counts_examples_benches_benchmark_the_facade_and_doc_tests_not_tests() {
         let lib = "pub fn item() {}\n";
+        let use_it = "fn use_it() { crowdprompt_core::x::item(); }\n";
         for caller in [
-            "tests/t.rs",
             "examples/e.rs",
-            "crates/core/tests/prop.rs",
             "crates/core/benches/b.rs",
             "crates/bench/src/bin/table1.rs",
             "benchmark/src/bin/e2e/main.rs",
             "crates/facade/src/lib.rs",
         ] {
-            let f = uncalled(&[
-                ("crates/core/src/x.rs", lib),
-                (caller, "fn use_it() { crowdprompt_core::x::item(); }\n"),
-            ]);
+            let f = uncalled(&[("crates/core/src/x.rs", lib), (caller, use_it)]);
             assert!(f.is_empty(), "{caller} is a caller: {f:?}");
         }
+        // A test is no caller: neither an integration-test tree nor a
+        // `#[cfg(test)]` module in another crate's `src`.
+        for caller in ["tests/t.rs", "crates/core/tests/prop.rs"] {
+            let f = uncalled(&[("crates/core/src/x.rs", lib), (caller, use_it)]);
+            assert_eq!(f, at("crates/core/src/x.rs", 1, 8), "{caller} is a test");
+        }
+        let unit_test = format!("#[cfg(test)]\nmod tests {{\n    {use_it}}}\n");
+        let f = uncalled(&[
+            ("crates/core/src/x.rs", lib),
+            ("crates/oracle/src/y.rs", &unit_test),
+        ]);
+        assert_eq!(f, at("crates/core/src/x.rs", 1, 8), "a unit test is a test");
         let documented = "/// ```\n/// crowdprompt_core::x::item();\n/// ```\npub fn item() {}\n";
         assert!(uncalled(&[("crates/core/src/x.rs", documented)]).is_empty());
         // A block rustdoc does not compile is prose, not a caller.
@@ -2214,14 +2236,14 @@ mod tests {
         let f = uncalled(&[
             ("crates/metrics/src/x.rs", lib),
             ("crates/embed/src/y.rs", prose),
-            ("tests/t.rs", "/* Lonely */ fn t() {}\n"),
+            ("examples/e.rs", "/* Lonely */ fn e() {}\n"),
         ]);
         assert_eq!(f, at("crates/metrics/src/x.rs", 1, 12));
     }
 
     #[test]
     fn pub_has_caller_pragma_names_an_exposing_item_that_has_a_caller() {
-        let caller = ("tests/t.rs", "fn t() { let _ = stats(); }\n");
+        let caller = ("examples/e.rs", "fn e() { let _ = stats(); }\n");
         let bare = "pub struct Stats;\npub fn stats() -> Stats { Stats }\n";
         let f = uncalled(&[("crates/oracle/src/x.rs", bare), caller]);
         assert_eq!(f, at("crates/oracle/src/x.rs", 1, 12));
@@ -2257,7 +2279,10 @@ mod tests {
             "#[cfg(test)]\n",
             "mod tests { pub fn helper() {} }\n",
         );
-        let caller = ("tests/t.rs", "fn t(r: &dyn Render) { let _ = Shown; }\n");
+        let caller = (
+            "crates/data/src/y.rs",
+            "fn y(r: &dyn Render) { let _ = Shown; }\n",
+        );
         assert!(uncalled(&[("crates/core/src/x.rs", lib), caller]).is_empty());
     }
 

@@ -159,12 +159,12 @@ fn seeded_repo(tag: &str) -> TempRepo {
         "crates/shims/criterion/src/lib.rs",
         &format!("pub fn out() -> Option<String> {{ std::env::var(\"{knob}\").ok() }}\n"),
     );
-    // Every public fixture above has a caller; the four below test the
+    // Every public fixture above has a caller; the five below test the
     // caller rule itself: one nothing names, one named only in another
-    // crate's comment and string, and an exposed type without and with the
-    // pragma that names what exposes it.
+    // crate's comment and string, one only a test calls, and an exposed
+    // type without and with the pragma that names what exposes it.
     repo.write(
-        "tests/seeded_callers.rs",
+        "examples/seeded_callers.rs",
         concat!(
             "fn call_them() {\n",
             "    (f, g, t, same, drive, pump, probe, complete, line, again);\n",
@@ -186,6 +186,8 @@ fn seeded_repo(tag: &str) -> TempRepo {
         "// no crowdprompt_embed\nuse crowdprompt_embed::Embedder;\n",
     );
     repo.write("crates/data/src/orphan.rs", "pub fn orphan() {}\n");
+    repo.write("crates/data/src/tested.rs", "pub fn tested_only() {}\n");
+    repo.write("tests/tested.rs", "fn t() { tested_only(); }\n");
     repo.write(
         "crates/metrics/src/lonely.rs",
         "pub struct Lonely;\n#[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}\n",
@@ -246,6 +248,7 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         "--> crates/core/src/ops/bad_door.rs:1:8",
         "--> crates/core/src/session.rs:2:41",
         "--> crates/data/src/orphan.rs:1:8",
+        "--> crates/data/src/tested.rs:1:8",
         "--> crates/metrics/src/lonely.rs:1:12",
         "--> crates/oracle/src/exposed.rs:1:12",
         "--> crates/oracle/src/client.rs:2:40",
@@ -333,13 +336,13 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
     // Three lock names across the two imports, two unwrap forms, two
     // deprecation attributes, two copies of a bill, a second layout and a
     // second query, a second count, a formatted temporary, a thread per
-    // call, a second hashing in the client and one in the dispatcher, three
+    // call, a second hashing in the client and one in the dispatcher, four
     // public items without a caller, a baseline and a knob, a second door
     // in the session and one in `ops/`, a prompt read in the store and the
     // embedder named in its crate, one each of the rest:
-    // 3 + 2 + 2 + 2 + 2 + 2 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 3 + 2 + 2 + 1 + 2.
+    // 3 + 2 + 2 + 2 + 2 + 2 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 4 + 2 + 2 + 1 + 2.
     assert!(
-        stderr.contains("32 finding(s)"),
+        stderr.contains("33 finding(s)"),
         "unexpected total in:\n{stderr}"
     );
 }
@@ -365,8 +368,8 @@ fn counts_report_lines_code_and_pub_items_per_library_crate() {
             "embed          6       4     4\n",
             "oracle        15      13     8\n",
             "metrics        1       1     1\n",
-            "data           1       1     1\n",
-            "total         52      45    27\n",
+            "data           2       2     2\n",
+            "total         53      46    28\n",
         )
     );
 }
@@ -393,6 +396,7 @@ fn pragmas_suppress_and_clean_tree_exits_zero() {
         "crates/core/tests/integration.rs",
         "fn t() { let _ = std::time::Instant::now(); Some(1).unwrap(); f(None); }\n",
     );
+    repo.write("examples/use_them.rs", "fn main() { t(); f(None); }\n");
     let out = run_repolint(&repo.root);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "expected clean, got:\n{stderr}");
