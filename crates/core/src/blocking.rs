@@ -38,6 +38,31 @@ pub struct BlockingHit {
 
 /// An embedding index over a collection of corpus items, serving batched
 /// k-nearest-neighbor blocking queries for every operator.
+///
+/// ```
+/// # use std::sync::Arc;
+/// # use crowdprompt_core::{Corpus, Session};
+/// # use crowdprompt_oracle::world::WorldModel;
+/// # use crowdprompt_oracle::{LlmClient, ModelProfile, SimulatedLlm};
+/// # let mut world = WorldModel::new();
+/// let texts = ["acme widget co", "acme widget company", "zephyr tea house"];
+/// # let items: Vec<_> = texts.iter().map(|t| world.add_item(*t)).collect();
+/// # let llm = SimulatedLlm::new(ModelProfile::perfect(), Arc::new(world.clone()), 1);
+/// # let session = Session::builder()
+/// #     .client(Arc::new(LlmClient::new(Arc::new(llm))))
+/// #     .corpus(Corpus::from_world(&world, &items))
+/// #     .build();
+/// let index = session.blocking_index(&items).unwrap();
+///
+/// let hits = index.nearest_texts(&["acme widget corp"], 2);
+/// assert_eq!(hits[0].len(), 2);
+/// assert!(hits[0].iter().all(|h| h.item != items[2]), "the tea house is farthest");
+///
+/// let near = index.distance_between(items[0], items[1]).unwrap();
+/// let far = index.distance_between(items[0], items[2]).unwrap();
+/// assert!(near < far);
+/// assert!(index.distance_between(items[0], items[0]).unwrap() < 1e-3);
+/// ```
 pub struct BlockingIndex {
     items: Vec<ItemId>,
     /// First insertion position of each item (duplicates keep the first,
@@ -202,25 +227,6 @@ impl BlockingIndex {
     /// [`BlockingIndex::neighbors_many`]): the texts are embedded in
     /// parallel into one flat buffer and asked as one [`Queries::Flat`]
     /// batch. Not memoized (query texts are not indexed items).
-    ///
-    /// ```
-    /// # use std::sync::Arc;
-    /// # use crowdprompt_core::{Corpus, Session};
-    /// # use crowdprompt_oracle::world::WorldModel;
-    /// # use crowdprompt_oracle::{LlmClient, ModelProfile, SimulatedLlm};
-    /// # let mut world = WorldModel::new();
-    /// # let texts = ["acme widget co", "acme widget company", "zephyr tea house"];
-    /// # let items: Vec<_> = texts.iter().map(|t| world.add_item(*t)).collect();
-    /// # let llm = SimulatedLlm::new(ModelProfile::perfect(), Arc::new(world.clone()), 1);
-    /// # let session = Session::builder()
-    /// #     .client(Arc::new(LlmClient::new(Arc::new(llm))))
-    /// #     .corpus(Corpus::from_world(&world, &items))
-    /// #     .build();
-    /// let index = session.blocking_index(&items).unwrap();
-    /// let hits = index.nearest_texts(&["acme widget corp"], 2);
-    /// assert_eq!(hits[0].len(), 2);
-    /// assert!(hits[0].iter().all(|h| h.item != items[2]), "the tea house is farthest");
-    /// ```
     pub fn nearest_texts(&self, texts: &[&str], k: usize) -> Vec<Vec<BlockingHit>> {
         let queries = self.embedder.embed_all_flat(texts);
         self.index
@@ -233,26 +239,6 @@ impl BlockingIndex {
     /// Embedding distance between two indexed items (`None` if either is
     /// not indexed). One fused dot product over the stored rows — no
     /// re-embedding, no scan.
-    ///
-    /// ```
-    /// # use std::sync::Arc;
-    /// # use crowdprompt_core::{Corpus, Session};
-    /// # use crowdprompt_oracle::world::WorldModel;
-    /// # use crowdprompt_oracle::{LlmClient, ModelProfile, SimulatedLlm};
-    /// # let mut world = WorldModel::new();
-    /// # let texts = ["acme widget co", "acme widget company", "zephyr tea house"];
-    /// # let items: Vec<_> = texts.iter().map(|t| world.add_item(*t)).collect();
-    /// # let llm = SimulatedLlm::new(ModelProfile::perfect(), Arc::new(world.clone()), 1);
-    /// # let session = Session::builder()
-    /// #     .client(Arc::new(LlmClient::new(Arc::new(llm))))
-    /// #     .corpus(Corpus::from_world(&world, &items))
-    /// #     .build();
-    /// let index = session.blocking_index(&items).unwrap();
-    /// let near = index.distance_between(items[0], items[1]).unwrap();
-    /// let far = index.distance_between(items[0], items[2]).unwrap();
-    /// assert!(near < far);
-    /// assert!(index.distance_between(items[0], items[0]).unwrap() < 1e-3);
-    /// ```
     pub fn distance_between(&self, a: ItemId, b: ItemId) -> Option<f32> {
         let &i = self.pos.get(&a)?;
         let &j = self.pos.get(&b)?;

@@ -76,6 +76,67 @@ pub(crate) struct Step {
 /// let names: Vec<_> = plan.nodes().iter().map(|n| n.node.name()).collect();
 /// assert_eq!(names, ["filter[in_policy]", "top-k[5]"]);
 /// ```
+///
+/// A `_with` method, and every method with no strategy to choose, pins
+/// its step: the planner lowers it as written.
+///
+/// ```
+/// # use std::sync::Arc;
+/// # use crowdprompt_core::{Corpus, Session};
+/// # use crowdprompt_oracle::world::WorldModel;
+/// # use crowdprompt_oracle::{LlmClient, ModelProfile, SimulatedLlm};
+/// # let mut world = WorldModel::new();
+/// # let items: Vec<_> = (0..8)
+/// #     .map(|i| {
+/// #         let id = world.add_item(format!("item {i}"));
+/// #         world.set_score(id, f64::from(i) / 8.0);
+/// #         world.set_attr(id, "label", if i % 2 == 0 { "even" } else { "odd" });
+/// #         id
+/// #     })
+/// #     .collect();
+/// # let llm = SimulatedLlm::new(ModelProfile::perfect(), Arc::new(world.clone()), 1);
+/// # let session = Session::builder()
+/// #     .client(Arc::new(LlmClient::new(Arc::new(llm))))
+/// #     .corpus(Corpus::from_world(&world, &items))
+/// #     .build();
+/// use crowdprompt_core::ops::join::JoinStrategy;
+/// use crowdprompt_core::ops::max::MaxStrategy;
+/// use crowdprompt_core::plan::NodeEstimate;
+/// use crowdprompt_oracle::task::SortCriterion;
+///
+/// let top_k = session.query(&items).top_k_with(SortCriterion::LatentScore, 3, 2);
+/// let plan = session.plan(top_k).unwrap();
+/// let top = &plan.nodes()[0];
+/// assert_eq!(top.node.name(), "top-k[3]");
+/// assert_eq!(top.node.strategy_label(), "rate-shortlist-x2+pairwise");
+/// let estimate: &NodeEstimate = &top.estimate;
+/// assert_eq!((estimate.rows_in, estimate.rows_out), (8, 3));
+/// assert_eq!(plan.execute(&session).unwrap().output.items().unwrap().len(), 3);
+///
+/// let labels = vec!["even".to_owned(), "odd".to_owned()];
+/// let plan = session.plan(session.query(&items).categorize(labels)).unwrap();
+/// let run = plan.execute(&session).unwrap();
+/// let got = run.output.labels().unwrap();
+/// assert_eq!(got.len(), 8);
+/// assert!(got.iter().all(|l| l == "even" || l == "odd"));
+///
+/// let max = session
+///     .query(&items)
+///     .max_with(SortCriterion::LatentScore, MaxStrategy::Tournament);
+/// let plan = session.plan(max).unwrap();
+/// assert_eq!(plan.nodes()[0].node.strategy_label(), "tournament");
+/// let run = plan.execute(&session).unwrap();
+/// assert!(items.contains(&run.output.max_item().unwrap()));
+///
+/// let (left, right) = items.split_at(4);
+/// for (query, label) in [
+///     (session.query(&items).cluster_exhaustive(4), "exhaustive-probe"),
+///     (session.query(&items).cluster_blocked(4, 3), "blocked-probe-3"),
+///     (session.query(left).join_with(right, JoinStrategy::AllPairs), "all-pairs"),
+/// ] {
+///     assert_eq!(session.plan(query).unwrap().nodes()[0].node.strategy_label(), label);
+/// }
+/// ```
 #[derive(Debug, Clone)]
 pub struct Query {
     source: Vec<ItemId>,
@@ -170,39 +231,6 @@ impl Query {
     /// `k × shortlist_factor` items, then exact pairwise ranking orders the
     /// shortlist (an unpinned `sort` + `take(k)` fuses into this node with
     /// a factor of 2).
-    ///
-    /// ```
-    /// # use std::sync::Arc;
-    /// # use crowdprompt_core::{Corpus, Session};
-    /// # use crowdprompt_oracle::world::WorldModel;
-    /// # use crowdprompt_oracle::{LlmClient, ModelProfile, SimulatedLlm};
-    /// # let mut world = WorldModel::new();
-    /// # let items: Vec<_> = (0..8)
-    /// #     .map(|i| {
-    /// #         let id = world.add_item(format!("item {i}"));
-    /// #         world.set_score(id, f64::from(i) / 8.0);
-    /// #         world.set_attr(id, "label", if i % 2 == 0 { "even" } else { "odd" });
-    /// #         id
-    /// #     })
-    /// #     .collect();
-    /// # let llm = SimulatedLlm::new(ModelProfile::perfect(), Arc::new(world.clone()), 1);
-    /// # let session = Session::builder()
-    /// #     .client(Arc::new(LlmClient::new(Arc::new(llm))))
-    /// #     .corpus(Corpus::from_world(&world, &items))
-    /// #     .build();
-    /// use crowdprompt_oracle::task::SortCriterion;
-    /// use crowdprompt_core::plan::NodeEstimate;
-    ///
-    /// let query = session.query(&items).top_k_with(SortCriterion::LatentScore, 3, 2);
-    /// let plan = session.plan(query).unwrap();
-    /// let top = &plan.nodes()[0];
-    /// assert_eq!(top.node.name(), "top-k[3]");
-    /// assert_eq!(top.node.strategy_label(), "rate-shortlist-x2+pairwise");
-    /// let estimate: &NodeEstimate = &top.estimate;
-    /// assert_eq!((estimate.rows_in, estimate.rows_out), (8, 3));
-    /// let run = plan.execute(&session).unwrap();
-    /// assert_eq!(run.output.items().unwrap().len(), 3);
-    /// ```
     #[must_use]
     pub fn top_k_with(self, criterion: SortCriterion, k: usize, shortlist_factor: usize) -> Self {
         let node = PhysicalNode::TopK {
@@ -214,36 +242,6 @@ impl Query {
     }
 
     /// Assign each item one of `labels` (terminal: produces labels).
-    ///
-    /// ```
-    /// # use std::sync::Arc;
-    /// # use crowdprompt_core::{Corpus, Session};
-    /// # use crowdprompt_oracle::world::WorldModel;
-    /// # use crowdprompt_oracle::{LlmClient, ModelProfile, SimulatedLlm};
-    /// # let mut world = WorldModel::new();
-    /// # let items: Vec<_> = (0..8)
-    /// #     .map(|i| {
-    /// #         let id = world.add_item(format!("item {i}"));
-    /// #         world.set_score(id, f64::from(i) / 8.0);
-    /// #         world.set_attr(id, "label", if i % 2 == 0 { "even" } else { "odd" });
-    /// #         id
-    /// #     })
-    /// #     .collect();
-    /// # let llm = SimulatedLlm::new(ModelProfile::perfect(), Arc::new(world.clone()), 1);
-    /// # let session = Session::builder()
-    /// #     .client(Arc::new(LlmClient::new(Arc::new(llm))))
-    /// #     .corpus(Corpus::from_world(&world, &items))
-    /// #     .build();
-    /// let labels = vec!["even".to_owned(), "odd".to_owned()];
-    /// let run = session
-    ///     .plan(session.query(&items).categorize(labels))
-    ///     .unwrap()
-    ///     .execute(&session)
-    ///     .unwrap();
-    /// let got = run.output.labels().unwrap();
-    /// assert_eq!(got.len(), 8);
-    /// assert!(got.iter().all(|l| l == "even" || l == "odd"));
-    /// ```
     #[must_use]
     pub fn categorize(self, labels: Vec<String>) -> Self {
         self.push(PhysicalNode::Categorize { labels, pack: 1 }, true)
@@ -292,37 +290,6 @@ impl Query {
     }
 
     /// The maximum item with a pinned strategy (terminal).
-    ///
-    /// ```
-    /// # use std::sync::Arc;
-    /// # use crowdprompt_core::{Corpus, Session};
-    /// # use crowdprompt_oracle::world::WorldModel;
-    /// # use crowdprompt_oracle::{LlmClient, ModelProfile, SimulatedLlm};
-    /// # let mut world = WorldModel::new();
-    /// # let items: Vec<_> = (0..8)
-    /// #     .map(|i| {
-    /// #         let id = world.add_item(format!("item {i}"));
-    /// #         world.set_score(id, f64::from(i) / 8.0);
-    /// #         world.set_attr(id, "label", if i % 2 == 0 { "even" } else { "odd" });
-    /// #         id
-    /// #     })
-    /// #     .collect();
-    /// # let llm = SimulatedLlm::new(ModelProfile::perfect(), Arc::new(world.clone()), 1);
-    /// # let session = Session::builder()
-    /// #     .client(Arc::new(LlmClient::new(Arc::new(llm))))
-    /// #     .corpus(Corpus::from_world(&world, &items))
-    /// #     .build();
-    /// use crowdprompt_core::ops::max::MaxStrategy;
-    /// use crowdprompt_oracle::task::SortCriterion;
-    ///
-    /// let query = session
-    ///     .query(&items)
-    ///     .max_with(SortCriterion::LatentScore, MaxStrategy::Tournament);
-    /// let plan = session.plan(query).unwrap();
-    /// assert_eq!(plan.nodes()[0].node.strategy_label(), "tournament");
-    /// let run = plan.execute(&session).unwrap();
-    /// assert!(items.contains(&run.output.max_item().unwrap()));
-    /// ```
     #[must_use]
     pub fn max_with(self, criterion: SortCriterion, strategy: MaxStrategy) -> Self {
         self.push(
@@ -367,29 +334,6 @@ impl Query {
     }
 
     /// Cluster with exhaustive representative probing (terminal).
-    ///
-    /// ```
-    /// # use std::sync::Arc;
-    /// # use crowdprompt_core::{Corpus, Session};
-    /// # use crowdprompt_oracle::world::WorldModel;
-    /// # use crowdprompt_oracle::{LlmClient, ModelProfile, SimulatedLlm};
-    /// # let mut world = WorldModel::new();
-    /// # let items: Vec<_> = (0..8)
-    /// #     .map(|i| {
-    /// #         let id = world.add_item(format!("item {i}"));
-    /// #         world.set_score(id, f64::from(i) / 8.0);
-    /// #         world.set_attr(id, "label", if i % 2 == 0 { "even" } else { "odd" });
-    /// #         id
-    /// #     })
-    /// #     .collect();
-    /// # let llm = SimulatedLlm::new(ModelProfile::perfect(), Arc::new(world.clone()), 1);
-    /// # let session = Session::builder()
-    /// #     .client(Arc::new(LlmClient::new(Arc::new(llm))))
-    /// #     .corpus(Corpus::from_world(&world, &items))
-    /// #     .build();
-    /// let plan = session.plan(session.query(&items).cluster_exhaustive(4)).unwrap();
-    /// assert_eq!(plan.nodes()[0].node.strategy_label(), "exhaustive-probe");
-    /// ```
     #[must_use]
     pub fn cluster_exhaustive(self, seed_size: usize) -> Self {
         let node = PhysicalNode::Cluster {
@@ -401,29 +345,6 @@ impl Query {
 
     /// Cluster probing only the `candidates` nearest representatives
     /// (terminal).
-    ///
-    /// ```
-    /// # use std::sync::Arc;
-    /// # use crowdprompt_core::{Corpus, Session};
-    /// # use crowdprompt_oracle::world::WorldModel;
-    /// # use crowdprompt_oracle::{LlmClient, ModelProfile, SimulatedLlm};
-    /// # let mut world = WorldModel::new();
-    /// # let items: Vec<_> = (0..8)
-    /// #     .map(|i| {
-    /// #         let id = world.add_item(format!("item {i}"));
-    /// #         world.set_score(id, f64::from(i) / 8.0);
-    /// #         world.set_attr(id, "label", if i % 2 == 0 { "even" } else { "odd" });
-    /// #         id
-    /// #     })
-    /// #     .collect();
-    /// # let llm = SimulatedLlm::new(ModelProfile::perfect(), Arc::new(world.clone()), 1);
-    /// # let session = Session::builder()
-    /// #     .client(Arc::new(LlmClient::new(Arc::new(llm))))
-    /// #     .corpus(Corpus::from_world(&world, &items))
-    /// #     .build();
-    /// let plan = session.plan(session.query(&items).cluster_blocked(4, 3)).unwrap();
-    /// assert_eq!(plan.nodes()[0].node.strategy_label(), "blocked-probe-3");
-    /// ```
     #[must_use]
     pub fn cluster_blocked(self, seed_size: usize, candidates: usize) -> Self {
         let node = PhysicalNode::Cluster {
@@ -447,33 +368,6 @@ impl Query {
     }
 
     /// Fuzzy-join with a pinned strategy (terminal).
-    ///
-    /// ```
-    /// # use std::sync::Arc;
-    /// # use crowdprompt_core::{Corpus, Session};
-    /// # use crowdprompt_oracle::world::WorldModel;
-    /// # use crowdprompt_oracle::{LlmClient, ModelProfile, SimulatedLlm};
-    /// # let mut world = WorldModel::new();
-    /// # let items: Vec<_> = (0..8)
-    /// #     .map(|i| {
-    /// #         let id = world.add_item(format!("item {i}"));
-    /// #         world.set_score(id, f64::from(i) / 8.0);
-    /// #         world.set_attr(id, "label", if i % 2 == 0 { "even" } else { "odd" });
-    /// #         id
-    /// #     })
-    /// #     .collect();
-    /// # let llm = SimulatedLlm::new(ModelProfile::perfect(), Arc::new(world.clone()), 1);
-    /// # let session = Session::builder()
-    /// #     .client(Arc::new(LlmClient::new(Arc::new(llm))))
-    /// #     .corpus(Corpus::from_world(&world, &items))
-    /// #     .build();
-    /// use crowdprompt_core::ops::join::JoinStrategy;
-    ///
-    /// let (left, right) = items.split_at(4);
-    /// let query = session.query(left).join_with(right, JoinStrategy::AllPairs);
-    /// let plan = session.plan(query).unwrap();
-    /// assert_eq!(plan.nodes()[0].node.strategy_label(), "all-pairs");
-    /// ```
     #[must_use]
     pub fn join_with(self, right: &[ItemId], strategy: JoinStrategy) -> Self {
         let right = right.to_vec();

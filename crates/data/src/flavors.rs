@@ -149,9 +149,7 @@ mod tests {
         for &id in &d.items {
             let name = d.name(id);
             if name.contains("chocolate") {
-                // The salience `sample` registers is the pool's.
-                let &(_, _, salience) = FLAVOR_POOL.iter().find(|(n, ..)| *n == name).unwrap();
-                assert!(salience >= 0.85, "{name}");
+                assert!(d.world.salience_of(id) >= 0.85, "{name}");
                 assert!(d.world.score(id).unwrap() >= 0.5, "{name}");
             }
         }

@@ -146,16 +146,7 @@ mod tests {
         for &id in &d.items {
             let text = d.text(id);
             if text.contains("absolutely love") || text.contains("can't stand") {
-                // What `generate` registers: the opener's and the detail's
-                // salience contributions over 1.5, clamped.
-                let part = |table: &[(&str, f64, f64)]| {
-                    table
-                        .iter()
-                        .find(|(phrase, ..)| text.contains(phrase))
-                        .map_or(0.0, |&(_, _, salience)| salience)
-                };
-                let salience = ((part(OPENERS) + part(DETAILS)) / 1.5).clamp(0.0, 1.0);
-                assert!(salience > 0.6, "{text}");
+                assert!(d.world.salience_of(id) > 0.6, "{text}");
             }
         }
     }

@@ -176,7 +176,17 @@ impl WorldModel {
     }
 
     /// Surface salience in `[0,1]`; defaults to `0.5` when unregistered.
-    pub(crate) fn salience_of(&self, id: ItemId) -> f64 {
+    ///
+    /// ```
+    /// use crowdprompt_oracle::world::WorldModel;
+    ///
+    /// let mut world = WorldModel::new();
+    /// let (plain, loud) = (world.add_item("vanilla"), world.add_item("triple chocolate"));
+    /// world.set_salience(loud, 0.95);
+    /// assert_eq!(world.salience_of(plain), 0.5);
+    /// assert_eq!(world.salience_of(loud), 0.95);
+    /// ```
+    pub fn salience_of(&self, id: ItemId) -> f64 {
         self.salience.get(&id).copied().unwrap_or(0.5)
     }
 
