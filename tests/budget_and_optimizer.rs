@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use crowdprompt::core::optimize::{evaluate_sort_strategies, pareto_frontier, recommend};
+use crowdprompt::core::optimize::{evaluate_sort_strategies, pareto_frontier};
 use crowdprompt::data::FlavorDataset;
 use crowdprompt::oracle::world::ItemId;
 use crowdprompt::prelude::*;
@@ -80,6 +80,42 @@ fn usd_budget_partial_progress_then_refusal() {
     );
 }
 
+/// Plan `sort().calibrate_sort(..)` of the first `rows` items of seed
+/// `seed`'s data on a fresh session capped at `budget`, calibrated on the
+/// first ten.
+fn calibrated_sort(budget: Budget, seed: u64, rows: usize) -> (Session, Plan) {
+    let (session, data) = session_with_budget(budget, seed);
+    let items = &data.items[..rows];
+    let sample = &items[..10];
+    let gold = data.world.gold_ranking_by_score(sample);
+    let query = session
+        .query(items)
+        .sort(SortCriterion::LatentScore)
+        .calibrate_sort(sample, &gold);
+    let plan = session.plan(query).expect("the trials fit the budget");
+    (session, plan)
+}
+
+/// What `calibrated_sort`'s trials spend: they run alike under every
+/// budget that admits them.
+fn trial_spend(seed: u64, rows: usize) -> f64 {
+    calibrated_sort(Budget::Unlimited, seed, rows).0.spent_usd()
+}
+
+/// The estimate of the plan that pins `strategy` for the same items.
+fn pinned_estimate(strategy: &SortStrategy, seed: u64, rows: usize) -> f64 {
+    let (session, data) = session_with_budget(Budget::Unlimited, seed);
+    let query = session
+        .query(&data.items[..rows])
+        .sort_with(SortCriterion::LatentScore, strategy.clone());
+    session.plan(query).unwrap().estimated_cost_usd()
+}
+
+/// The strategy a one-node plan runs.
+fn chosen(plan: &Plan) -> String {
+    plan.nodes()[0].node.strategy_label()
+}
+
 #[test]
 fn optimizer_trials_reflect_cost_structure() {
     let (session, data) = session_with_budget(Budget::Unlimited, 3);
@@ -105,23 +141,70 @@ fn optimizer_trials_reflect_cost_structure() {
     // Cost ordering on the sample: pairwise > rating > single prompt.
     assert!(trials[2].sample_tokens > trials[1].sample_tokens);
     assert!(trials[1].sample_tokens > trials[0].sample_tokens);
-    // Exponents drive extrapolation.
-    assert_eq!(SortStrategy::Pairwise.cost_exponent(), 2);
-    assert_eq!(SortStrategy::SinglePrompt.cost_exponent(), 1);
-    let pairwise = &trials[2];
-    let at_100 = pairwise.extrapolated_cost(10, 100);
+}
+
+#[test]
+fn calibrated_sort_chooses_by_the_bill_it_runs_under() {
+    let seed = 6;
+    let trials = trial_spend(seed, 12);
+    // $0.0075 left after the trials. Pairwise, the most accurate trial,
+    // bills more than that for twelve rows, though its ten-item sample
+    // cost scaled by (12/10)^2 would fit.
+    let left = 0.0075;
+    assert!(pinned_estimate(&SortStrategy::Pairwise, seed, 12) > left);
+    let (session, plan) = calibrated_sort(Budget::usd(trials + left), seed, 12);
+    assert!((session.spent_usd() - trials).abs() < 1e-12);
     assert!(
-        at_100 > pairwise.sample_cost_usd * 50.0,
-        "quadratic blow-up expected"
+        plan.estimated_cost_usd() <= left,
+        "{} estimated at ${:.5} with ${left} left",
+        chosen(&plan),
+        plan.estimated_cost_usd()
     );
+    plan.execute(&session)
+        .expect("a plan that fits its budget runs");
+
+    // Whenever some candidate's pinned plan fits what the trials leave,
+    // so does the calibrated plan.
+    // The strategies the planner tries on a twelve-row sort.
+    let candidates = [
+        SortStrategy::Pairwise,
+        SortStrategy::SinglePrompt,
+        SortStrategy::Rating {
+            scale_min: 1,
+            scale_max: 7,
+        },
+    ];
+    let pinned: Vec<f64> = candidates
+        .iter()
+        .map(|strategy| pinned_estimate(strategy, seed, 12))
+        .collect();
+    for left in [0.0005, 0.001, 0.002, 0.005, 0.0075, 0.01] {
+        let (_, plan) = calibrated_sort(Budget::usd(trials + left), seed, 12);
+        if pinned.iter().any(|cost| *cost <= left) {
+            assert!(
+                plan.estimated_cost_usd() <= left,
+                "${left} left: {} estimated at ${:.5}",
+                chosen(&plan),
+                plan.estimated_cost_usd()
+            );
+        }
+    }
 }
 
 #[test]
 fn recommendation_degrades_gracefully_with_budget() {
-    let (session, data) = session_with_budget(Budget::Unlimited, 4);
+    let (seed, rows) = (4, 30);
+    let (session, data) = session_with_budget(Budget::Unlimited, seed);
     let sample: Vec<_> = data.items.iter().take(10).copied().collect();
     let gold = data.world.gold_ranking_by_score(&sample);
-    let candidates = vec![SortStrategy::SinglePrompt, SortStrategy::Pairwise];
+    // The strategies the planner tries on a thirty-row sort.
+    let candidates = [
+        SortStrategy::SinglePrompt,
+        SortStrategy::Rating {
+            scale_min: 1,
+            scale_max: 7,
+        },
+    ];
     let trials = evaluate_sort_strategies(
         session.engine(),
         &sample,
@@ -130,17 +213,29 @@ fn recommendation_degrades_gracefully_with_budget() {
         &candidates,
     )
     .unwrap();
-    // Generous budget: the more accurate strategy (pairwise here, given
-    // the gpt35 noise profile) is chosen.
-    let rich = recommend(&trials, 10, 1000, 1e6).unwrap();
+    // Generous budget: the most accurate trial's strategy is chosen.
+    let (_, rich) = calibrated_sort(Budget::usd(1.0), seed, rows);
     let best_tau = trials
         .iter()
         .map(|t| t.accuracy)
         .fold(f64::NEG_INFINITY, f64::max);
-    assert!((rich.accuracy - best_tau).abs() < 1e-9);
-    // Starvation budget: the cheapest extrapolated strategy is returned.
-    let poor = recommend(&trials, 10, 1000, 1e-9).unwrap();
-    assert_eq!(poor.name, "single-prompt");
+    let rich_trial = trials.iter().find(|t| t.name == chosen(&rich)).unwrap();
+    assert!((rich_trial.accuracy - best_tau).abs() < 1e-9);
+    // Starvation budget: the trials are admitted, but no candidate's
+    // pinned plan fits what they leave, and the cheapest is chosen.
+    let left = 0.0005;
+    let pinned: Vec<f64> = candidates
+        .iter()
+        .map(|strategy| pinned_estimate(strategy, seed, rows))
+        .collect();
+    assert!(pinned.iter().all(|cost| *cost > left));
+    let (_, poor) = calibrated_sort(Budget::usd(trial_spend(seed, rows) + left), seed, rows);
+    let cheapest = pinned
+        .iter()
+        .enumerate()
+        .min_by(|a, b| a.1.total_cmp(b.1))
+        .map(|(i, _)| candidates[i].name());
+    assert_eq!(Some(chosen(&poor)), cheapest);
     // The frontier never contains a strictly dominated strategy.
     let frontier = pareto_frontier(&trials);
     for f in &frontier {
