@@ -19,9 +19,8 @@ use crowdprompt_bench::{arg_u64, mean, run, session_over};
 use crowdprompt_core::consistency::{repair_ranking, violations};
 use crowdprompt_core::ops::count::CountStrategy;
 use crowdprompt_core::ops::sort::SortStrategy;
-use crowdprompt_core::optimize::{evaluate_sort_strategies, recommend};
 use crowdprompt_core::quality::dawid_skene;
-use crowdprompt_core::{Corpus, Engine, PlanOutput, Query};
+use crowdprompt_core::{Budget, Corpus, Engine, PlanOutput, Query, Session};
 use crowdprompt_data::FlavorDataset;
 use crowdprompt_metrics::rank::kendall_tau_b_rankings;
 use crowdprompt_metrics::Table;
@@ -514,50 +513,42 @@ fn ablation_consistency(seed: u64) {
 // ---------------------------------------------------------------------------
 
 fn ablation_optimizer(seed: u64) {
-    let data = FlavorDataset::paper(seed);
+    let data = FlavorDataset::sample(40, seed);
     // Validation sample: first 8 flavors.
     let sample: Vec<ItemId> = data.items.iter().take(8).copied().collect();
     let sample_gold = data.world.gold_ranking_by_score(&sample);
-    let session = session_over(
-        ModelProfile::gpt35_like(),
-        &data.world,
-        &data.items,
-        seed,
-        "by how chocolatey they are",
-    );
-    let candidates = vec![
-        SortStrategy::SinglePrompt,
-        SortStrategy::Rating {
-            scale_min: 1,
-            scale_max: 7,
-        },
-        SortStrategy::Pairwise,
-        SortStrategy::BucketThenCompare { buckets: 4 },
-    ];
-    let trials = evaluate_sort_strategies(
-        session.engine(),
-        &sample,
-        &sample_gold,
-        SortCriterion::LatentScore,
-        &candidates,
-    )
-    .expect("trials run");
 
     let mut table = Table::new(
-        "A3 — strategy auto-selection: validation trials on 8 flavors, recommendation for 1000 items",
-        &["Budget (USD)", "Recommended strategy", "Trial tau", "Extrapolated cost"],
+        "A3 — strategy auto-selection: a 40-flavor sort calibrated on 8, one fresh session per budget",
+        &["Budget (USD)", "Left after trials", "Chosen strategy", "Plan estimate"],
     );
-    for budget in [0.005f64, 0.05, 0.5, 5.0, 500.0] {
-        let pick = recommend(&trials, sample.len(), 1000, budget).expect("non-empty trials");
+    for budget in [0.002f64, 0.008, 0.02, 5.0] {
+        let llm = SimulatedLlm::new(
+            ModelProfile::gpt35_like(),
+            Arc::new(data.world.clone()),
+            seed,
+        );
+        let session = Session::builder()
+            .client(Arc::new(LlmClient::new(Arc::new(llm))))
+            .corpus(Corpus::from_world(&data.world, &data.items))
+            .budget(Budget::usd(budget))
+            .seed(seed)
+            .criterion("by how chocolatey they are")
+            .build();
+        let query = session
+            .query(&data.items)
+            .sort(SortCriterion::LatentScore)
+            .calibrate_sort(&sample, &sample_gold);
+        let plan = session.plan(query).expect("the trials fit every budget");
         table.add_row(&[
             format!("{budget}"),
-            pick.name.clone(),
-            format!("{:.3}", pick.accuracy),
-            format!("${:.4}", pick.extrapolated_cost(sample.len(), 1000)),
+            format!("${:.4}", budget - session.spent_usd()),
+            plan.nodes()[0].node.strategy_label(),
+            format!("${:.4}", plan.estimated_cost_usd()),
         ]);
     }
     println!("{}", table.render());
-    println!("(bigger budgets buy the quadratic pairwise strategy; small ones fall back to linear plans)\n");
+    println!("(each candidate is priced by its bill: the most accurate one that fits is chosen, the cheapest when none fits)\n");
 }
 
 // ---------------------------------------------------------------------------

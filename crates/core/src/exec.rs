@@ -466,24 +466,6 @@ impl Engine {
         Ok((est_usd, u64::from(est_usage.total())))
     }
 
-    /// Whether `task` would be answered by the attached persistent
-    /// response store's exact tier: renders the request exactly as
-    /// dispatch would and probes the store's fingerprint index. `false`
-    /// when no store is attached or the task does not render. The
-    /// planner's cost model uses this to price predicted store hits at
-    /// zero — a store hit dispatches no backend call and charges nothing.
-    pub(crate) fn task_served_by_store(&self, task: TaskDescriptor) -> bool {
-        let Some(store) = self.client.store() else {
-            return false;
-        };
-        let Ok(prompt) = render(&task, &self.corpus, &self.render_opts) else {
-            return false;
-        };
-        let request = CompletionRequest::new(prompt, task);
-        // lint: allow(one-fingerprint) — a plan-time estimate, no request in flight
-        store.contains(request.fingerprint())
-    }
-
     /// The USD amount a call is *admitted* at: the reference-priced
     /// estimate scaled by the routing layer's worst-case price factor, so
     /// a `Budget::Usd` cap holds even when the priciest backend serves a

@@ -33,8 +33,9 @@
 //!   decision-threshold calibration (§3.5).
 //! * [`cascade`] — multi-model routing: FrugalGPT-style tiering over
 //!   engines the caller owns (§3.5).
-//! * [`optimize`] — validation-set strategy trials, Pareto frontiers, and
-//!   budget-aware strategy selection (§4).
+//! * [`optimize`] — validation-set strategy trials and Pareto frontiers
+//!   (§4); choosing under a budget is the planner's
+//!   ([`Query::calibrate_sort`]), which prices each candidate by its bill.
 //! * [`plan`] — the declarative front door: a logical-plan IR
 //!   ([`plan::Query`]), a cost-based planner with rule rewrites, EXPLAIN,
 //!   and a per-node-attributed executor. Its cost model is bill → price →

@@ -83,20 +83,6 @@ impl SortStrategy {
         }
     }
 
-    /// How the strategy's cost scales with item count (`1` = linear,
-    /// `2` = quadratic), for extrapolating validation-sample costs.
-    pub fn cost_exponent(&self) -> u32 {
-        match self {
-            SortStrategy::SinglePrompt => 1,
-            SortStrategy::Rating { .. } => 1,
-            SortStrategy::SortThenInsert => 1, // O(kn) with small k in practice
-            SortStrategy::Pairwise => 2,
-            SortStrategy::PairwiseBatched { .. } => 2,
-            SortStrategy::ChunkedMerge { .. } => 1, // n log(n/chunk) comparisons
-            SortStrategy::BucketThenCompare { .. } => 1, // quadratic only within buckets
-        }
-    }
-
     /// What sorting `n` items asks of the model.
     pub(crate) fn bill(&self, n: usize, criterion: SortCriterion) -> Vec<Line> {
         if n < 2 {

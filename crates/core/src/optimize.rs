@@ -2,8 +2,9 @@
 //! Strategies Automatically").
 //!
 //! The toolkit runs every candidate strategy on a small labelled validation
-//! sample, measures accuracy and per-item cost, then recommends the most
-//! accurate strategy whose extrapolated full-dataset cost fits the budget.
+//! sample and measures its accuracy and cost there. Choosing under a budget
+//! is the planner's: `Query::calibrate_sort` prices each candidate at full
+//! scale by its bill and keeps the most accurate one that fits.
 
 use std::collections::HashSet;
 
@@ -31,32 +32,18 @@ pub struct StrategyTrial {
     pub sample_tokens: u64,
     /// Calls on the sample.
     pub sample_calls: u64,
-    /// How the cost scales with item count (`1` = linear, `2` = quadratic),
-    /// used for extrapolation.
-    pub cost_exponent: u32,
 }
 
 impl StrategyTrial {
     /// The trial record of one strategy's run on the sample.
-    fn of<T>(name: String, accuracy: f64, run: &Outcome<T>, cost_exponent: u32) -> Self {
+    fn of<T>(name: String, accuracy: f64, run: &Outcome<T>) -> Self {
         StrategyTrial {
             name,
             accuracy,
             sample_cost_usd: run.cost_usd,
             sample_tokens: u64::from(run.usage.total()),
             sample_calls: run.calls,
-            cost_exponent,
         }
-    }
-
-    /// Extrapolate the dollar cost from `sample_n` items to `full_n` items
-    /// using the strategy's cost exponent.
-    pub fn extrapolated_cost(&self, sample_n: usize, full_n: usize) -> f64 {
-        if sample_n == 0 {
-            return 0.0;
-        }
-        let ratio = full_n as f64 / sample_n as f64;
-        self.sample_cost_usd * ratio.powi(self.cost_exponent as i32)
     }
 }
 
@@ -78,12 +65,7 @@ pub fn evaluate_sort_strategies(
     for strategy in candidates {
         let out = sort(engine, sample, criterion, strategy)?;
         let tau = kendall_tau_b_rankings(&out.value.order, gold).unwrap_or(0.0);
-        trials.push(StrategyTrial::of(
-            strategy.name(),
-            tau,
-            &out,
-            strategy.cost_exponent(),
-        ));
+        trials.push(StrategyTrial::of(strategy.name(), tau, &out));
     }
     Ok(trials)
 }
@@ -118,8 +100,7 @@ pub fn evaluate_filter_strategies(
             .filter(|(id, gold)| kept.contains(id) == **gold)
             .count();
         let accuracy = correct as f64 / sample.len() as f64;
-        // Every filter strategy's cost is linear in the item count.
-        trials.push(StrategyTrial::of(strategy.name(), accuracy, &out, 1));
+        trials.push(StrategyTrial::of(strategy.name(), accuracy, &out));
     }
     Ok(trials)
 }
@@ -145,47 +126,6 @@ pub fn pareto_frontier(trials: &[StrategyTrial]) -> Vec<StrategyTrial> {
     frontier
 }
 
-/// Recommend the most accurate strategy whose extrapolated cost on
-/// `full_n` items fits `budget_usd`. Falls back to the cheapest strategy
-/// when nothing fits.
-pub fn recommend(
-    trials: &[StrategyTrial],
-    sample_n: usize,
-    full_n: usize,
-    budget_usd: f64,
-) -> Option<StrategyTrial> {
-    if trials.is_empty() {
-        return None;
-    }
-    let affordable: Vec<&StrategyTrial> = trials
-        .iter()
-        .filter(|t| t.extrapolated_cost(sample_n, full_n) <= budget_usd)
-        .collect();
-    if affordable.is_empty() {
-        return trials
-            .iter()
-            .min_by(|a, b| {
-                a.extrapolated_cost(sample_n, full_n)
-                    .partial_cmp(&b.extrapolated_cost(sample_n, full_n))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .cloned();
-    }
-    affordable
-        .into_iter()
-        .max_by(|a, b| {
-            a.accuracy
-                .partial_cmp(&b.accuracy)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| {
-                    b.sample_cost_usd
-                        .partial_cmp(&a.sample_cost_usd)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-        })
-        .cloned()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,58 +136,26 @@ mod tests {
     use crowdprompt_oracle::LlmClient;
     use std::sync::Arc;
 
-    fn trial(name: &str, accuracy: f64, cost: f64, exp: u32) -> StrategyTrial {
+    fn trial(name: &str, accuracy: f64, cost: f64) -> StrategyTrial {
         StrategyTrial {
             name: name.into(),
             accuracy,
             sample_cost_usd: cost,
             sample_tokens: 0,
             sample_calls: 0,
-            cost_exponent: exp,
         }
-    }
-
-    #[test]
-    fn extrapolation_respects_exponent() {
-        let linear = trial("lin", 0.5, 1.0, 1);
-        let quad = trial("quad", 0.9, 1.0, 2);
-        assert!((linear.extrapolated_cost(10, 100) - 10.0).abs() < 1e-9);
-        assert!((quad.extrapolated_cost(10, 100) - 100.0).abs() < 1e-9);
     }
 
     #[test]
     fn pareto_removes_dominated() {
         let trials = vec![
-            trial("cheap-bad", 0.4, 1.0, 1),
-            trial("dominated", 0.4, 2.0, 1),
-            trial("expensive-good", 0.9, 5.0, 2),
+            trial("cheap-bad", 0.4, 1.0),
+            trial("dominated", 0.4, 2.0),
+            trial("expensive-good", 0.9, 5.0),
         ];
         let frontier = pareto_frontier(&trials);
         let names: Vec<&str> = frontier.iter().map(|t| t.name.as_str()).collect();
         assert_eq!(names, vec!["cheap-bad", "expensive-good"]);
-    }
-
-    #[test]
-    fn recommend_prefers_accuracy_within_budget() {
-        let trials = vec![
-            trial("cheap", 0.5, 0.01, 1),
-            trial("accurate", 0.9, 0.05, 2),
-        ];
-        // Budget fits both at full scale: pick accurate.
-        let pick = recommend(&trials, 10, 20, 1.0).unwrap();
-        assert_eq!(pick.name, "accurate");
-        // Tight budget: the quadratic strategy extrapolates to 0.05*4=0.2 >
-        // 0.03; only cheap fits (0.01*2=0.02).
-        let pick = recommend(&trials, 10, 20, 0.03).unwrap();
-        assert_eq!(pick.name, "cheap");
-    }
-
-    #[test]
-    fn recommend_falls_back_to_cheapest() {
-        let trials = vec![trial("a", 0.9, 5.0, 1), trial("b", 0.5, 1.0, 1)];
-        let pick = recommend(&trials, 10, 10, 0.0001).unwrap();
-        assert_eq!(pick.name, "b");
-        assert!(recommend(&[], 10, 10, 1.0).is_none());
     }
 
     #[test]

@@ -80,10 +80,15 @@ impl<'a> Estimator<'a> {
     /// store hit dispatches no backend call and charges nothing, so
     /// sampled hits discount the per-item averages they stand in for.
     fn cost_of(&self, task: TaskDescriptor) -> f64 {
-        if self.engine.task_served_by_store(task.clone()) {
+        let Ok((request, _, usd)) = self.engine.render_and_estimate(task) else {
+            return 0.0;
+        };
+        let store = self.engine.client().store();
+        // lint: allow(one-fingerprint) — a plan-time estimate, no request in flight
+        if store.is_some_and(|store| store.contains(request.fingerprint())) {
             return 0.0;
         }
-        self.engine.estimate_task(task).map_or(0.0, |(usd, _)| usd)
+        usd
     }
 
     /// A representative item pair (falls back to a self-pair on singleton

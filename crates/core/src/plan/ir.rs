@@ -29,8 +29,9 @@ use super::{PhysicalNode, Plan, PlanOptions};
 
 /// A labelled validation sample for optimizer-style sort-strategy trials:
 /// the planner runs every candidate strategy on `sample`, scores each
-/// against `gold`, and picks the most accurate one whose extrapolated cost
-/// fits the node's budget allocation (paper §4).
+/// against `gold`, prices each at full scale by its bill, and picks the
+/// most accurate one that fits the node's budget allocation — the
+/// cheapest when none fits (paper §4).
 #[derive(Debug, Clone)]
 pub struct SortCalibration {
     /// The validation items (a small subset of the real workload).
@@ -395,8 +396,8 @@ impl Query {
 
     /// Attach a labelled validation sample: the planner resolves unpinned
     /// sort nodes by running every candidate strategy on the sample and
-    /// recommending under the node's budget allocation (paper §4). The
-    /// trials spend real budget at plan time.
+    /// keeping the most accurate one whose bill fits the node's budget
+    /// allocation (paper §4). The trials spend real budget at plan time.
     ///
     /// ```
     /// use std::sync::Arc;

@@ -11,7 +11,8 @@
 //! 2. **Strategy resolution** — an unpinned sort is sized by the rows
 //!    reaching it (in both modes), and with a [`super::SortCalibration`]
 //!    re-chosen by optimizer-style validation trials scored on a labelled
-//!    sample and recommended under the node's budget allocation (§4).
+//!    sample: the most accurate candidate whose bill fits the node's
+//!    budget allocation, the cheapest when none fits (§4).
 //!    Every other unpinned step keeps its builder's accuracy-preferring
 //!    default.
 //! 3. **Blocking push-in** — unpinned pairwise LLM stages (join, cluster
@@ -518,24 +519,46 @@ pub(crate) fn plan(
                 .map(|(_, e)| e.cost_usd)
                 .sum();
             let node_budget = (remaining_usd_equivalent(engine, &estimator) - others).max(0.0);
-            if let Some(pick) =
-                optimize::recommend(&trials, cal.sample.len(), rows_here, node_budget)
-            {
-                if let Some(strategy) = candidates.iter().find(|c| c.name() == pick.name) {
-                    notes.push(format!(
-                        "sort strategy chosen by validation trial: {} (accuracy {:.2}, {} candidates, ${:.4} spent on trials)",
-                        pick.name,
-                        pick.accuracy,
-                        trials.len(),
-                        trials.iter().map(|t| t.sample_cost_usd).sum::<f64>(),
-                    ));
-                    steps[idx].node = PhysicalNode::Sort {
+            // Price every candidate at full scale by its bill, the model
+            // admission charges at run time. Keep the most accurate one that
+            // fits the node's budget, ties going to the cheaper; when none
+            // fits, the cheapest.
+            let priced: Vec<(PhysicalNode, NodeEstimate, &optimize::StrategyTrial)> = candidates
+                .iter()
+                .zip(&trials)
+                .map(|(strategy, trial)| {
+                    let node = PhysicalNode::Sort {
                         criterion,
                         strategy: strategy.clone(),
                     };
-                    steps[idx].pinned = true; // trials considered the budget
-                    estimates[idx] = estimator.node(&steps[idx].node, rows_here);
-                }
+                    let estimate = estimator.node(&node, rows_here);
+                    (node, estimate, trial)
+                })
+                .collect();
+            let pick = priced
+                .iter()
+                .filter(|(_, estimate, _)| estimate.cost_usd <= node_budget)
+                .max_by(|(_, a, ta), (_, b, tb)| {
+                    ta.accuracy
+                        .total_cmp(&tb.accuracy)
+                        .then(b.cost_usd.total_cmp(&a.cost_usd))
+                })
+                .or_else(|| {
+                    priced
+                        .iter()
+                        .min_by(|(_, a, _), (_, b, _)| a.cost_usd.total_cmp(&b.cost_usd))
+                });
+            if let Some((node, estimate, trial)) = pick {
+                notes.push(format!(
+                    "sort strategy chosen by validation trial: {} (accuracy {:.2}, {} candidates, ${:.4} spent on trials)",
+                    trial.name,
+                    trial.accuracy,
+                    trials.len(),
+                    trials.iter().map(|t| t.sample_cost_usd).sum::<f64>(),
+                ));
+                steps[idx].node = node.clone();
+                steps[idx].pinned = true; // the pick considered the budget
+                estimates[idx] = estimate.clone();
             }
         }
     }

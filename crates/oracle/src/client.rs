@@ -711,7 +711,10 @@ mod tests {
         let (world, ids) = world_and_ids(1);
         let llm = Arc::new(SimulatedLlm::new(ModelProfile::perfect(), world, 1));
         let client = LlmClient::new(llm);
-        let req = check_req(ids[0]).with_temperature(0.7);
+        let req = CompletionRequest {
+            temperature: 0.7,
+            ..check_req(ids[0])
+        };
         client.complete(&req).unwrap();
         client.complete(&req).unwrap();
         assert_eq!(client.stats().calls(), 2);
@@ -736,7 +739,10 @@ mod tests {
         );
         let mut succeeded = 0;
         for i in 0..20 {
-            let req = check_req(ids[0]).with_sample_index(i * 100);
+            let req = CompletionRequest {
+                sample_index: i * 100,
+                ..check_req(ids[0])
+            };
             if client.complete(&req).is_ok() {
                 succeeded += 1;
             }
@@ -1054,7 +1060,10 @@ mod tests {
         assert_eq!(client.stats().calls(), 0, "no backend dispatch");
         assert_eq!(client.ledger().calls(), 0, "seeding charges nothing");
         // Uncacheable requests are ignored.
-        let hot = check_req(ids[0]).with_temperature(0.9);
+        let hot = CompletionRequest {
+            temperature: 0.9,
+            ..check_req(ids[0])
+        };
         client.seed_cache(&hot, &canned);
         assert_eq!(client.probe(&hot), Probe::Miss(None), "not even hashed");
     }
@@ -1259,7 +1268,11 @@ mod tests {
         let path = store_temp_path("journal");
         let (world, ids) = world_and_ids(1);
         // One cacheable call and one sampled call no cache tier keeps.
-        let requests = [check_req(ids[0]), check_req(ids[0]).with_temperature(0.7)];
+        let sampled = CompletionRequest {
+            temperature: 0.7,
+            ..check_req(ids[0])
+        };
+        let requests = [check_req(ids[0]), sampled];
         let run = || {
             let llm = SimulatedLlm::new(ModelProfile::perfect(), Arc::clone(&world), 1);
             let client = LlmClient::new(Arc::new(llm));

@@ -972,13 +972,12 @@ impl SlotLease {
 #[derive(Debug, Clone, Copy)]
 enum SlotState {
     Free,
-    /// Held by the lease with this token; reclaimable once `expires_gen` is
-    /// in the past. `confirmed` only affects accounting (a confirmed lease
-    /// represents real in-flight work, a reservation is merely a promise).
+    /// Held by the lease with this token, reserved or confirmed alike;
+    /// reclaimable once `expires_gen` is in the past. Confirming only
+    /// renews the expiry.
     Held {
         token: u64,
         expires_gen: u64,
-        confirmed: bool,
     },
 }
 
@@ -1028,7 +1027,6 @@ impl LeaseTable {
         slots[index] = SlotState::Held {
             token,
             expires_gen: now_gen.saturating_add(ttl_generations.max(1)),
-            confirmed: false,
         };
         Some(SlotLease { slot: index, token })
     }
@@ -1040,13 +1038,10 @@ impl LeaseTable {
     pub fn confirm(&self, lease: &SlotLease, now_gen: u64, ttl_generations: u64) -> bool {
         let mut slots = self.slots.lock();
         match slots.get_mut(lease.slot) {
-            Some(SlotState::Held {
-                token,
-                expires_gen,
-                confirmed,
-            }) if *token == lease.token && *expires_gen > now_gen => {
+            Some(SlotState::Held { token, expires_gen })
+                if *token == lease.token && *expires_gen > now_gen =>
+            {
                 *expires_gen = now_gen.saturating_add(ttl_generations.max(1));
-                *confirmed = true;
                 true
             }
             _ => false,

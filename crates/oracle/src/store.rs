@@ -387,7 +387,10 @@ mod tests {
     fn refuses_nondeterministic_and_cached_responses() {
         let path = temp_path("refuse");
         let store = ResponseStore::open(&path, StoreConfig::default()).unwrap();
-        let sampled = request("prompt").with_temperature(0.7);
+        let sampled = CompletionRequest {
+            temperature: 0.7,
+            ..request("prompt")
+        };
         assert!(!store.admit(&sampled, &response("x", 1)));
         let mut hit = response("y", 1);
         hit.cached = true;
@@ -400,7 +403,10 @@ mod tests {
     fn record_skips_the_cache_policy_and_roundtrips_every_field() {
         let path = temp_path("record");
         // What `admit` refuses, `record` logs: a sampled call's response.
-        let sampled = request("prompt").with_temperature(0.7);
+        let sampled = CompletionRequest {
+            temperature: 0.7,
+            ..request("prompt")
+        };
         let weird = CompletionResponse {
             finish_reason: FinishReason::Length,
             confidence: Some(0.875),

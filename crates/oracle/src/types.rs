@@ -92,27 +92,6 @@ impl CompletionRequest {
         }
     }
 
-    /// Set the sampling temperature: a sampled request is its own cache
-    /// entry.
-    ///
-    /// ```
-    /// use crowdprompt_oracle::{CompletionRequest, ItemId, TaskDescriptor};
-    ///
-    /// let task = TaskDescriptor::CheckPredicate {
-    ///     item: ItemId(0),
-    ///     predicate: "in_stock".into(),
-    /// };
-    /// let cold = CompletionRequest::new("Is item 0 in stock?", task);
-    /// let warm = cold.clone().with_temperature(0.7);
-    /// assert_eq!(warm.temperature, 0.7);
-    /// assert_ne!(warm.fingerprint(), cold.fingerprint());
-    /// ```
-    #[must_use]
-    pub fn with_temperature(mut self, t: f64) -> Self {
-        self.temperature = t;
-        self
-    }
-
     /// Set the max-tokens cap: an answer cut at the cap finishes with
     /// [`FinishReason::Length`].
     ///
@@ -138,29 +117,6 @@ impl CompletionRequest {
     #[must_use]
     pub fn with_max_tokens(mut self, m: u32) -> Self {
         self.max_tokens = Some(m);
-        self
-    }
-
-    /// Set the sample index (for repeated sampling at temperature > 0): it
-    /// keys only a sampled request.
-    ///
-    /// ```
-    /// use crowdprompt_oracle::{CompletionRequest, ItemId, TaskDescriptor};
-    ///
-    /// let task = TaskDescriptor::CheckPredicate {
-    ///     item: ItemId(0),
-    ///     predicate: "in_stock".into(),
-    /// };
-    /// let cold = CompletionRequest::new("Is item 0 in stock?", task);
-    /// assert_eq!(cold.clone().with_sample_index(3).fingerprint(), cold.fingerprint());
-    /// let warm = cold.with_temperature(0.7);
-    /// let resampled = warm.clone().with_sample_index(3);
-    /// assert_eq!(resampled.sample_index, 3);
-    /// assert_ne!(resampled.fingerprint(), warm.fingerprint());
-    /// ```
-    #[must_use]
-    pub fn with_sample_index(mut self, i: u32) -> Self {
-        self.sample_index = i;
         self
     }
 
@@ -413,29 +369,47 @@ mod tests {
         assert_eq!(c.prompt_tokens, 11);
     }
 
+    /// `base` sampled at `temperature` as sample `sample_index`.
+    fn sampled(base: &CompletionRequest, temperature: f64, sample_index: u32) -> CompletionRequest {
+        CompletionRequest {
+            temperature,
+            sample_index,
+            ..base.clone()
+        }
+    }
+
+    #[test]
+    fn temperature_and_sample_index_each_change_the_fingerprint() {
+        let cold = CompletionRequest::new("Is item 0 in stock?", dummy_task());
+        // A sampled request is its own cache entry.
+        let warm = sampled(&cold, 0.7, 0);
+        assert_ne!(warm.fingerprint(), cold.fingerprint());
+        // The sample index keys only a sampled request.
+        assert_eq!(sampled(&cold, 0.0, 3).fingerprint(), cold.fingerprint());
+        assert_ne!(sampled(&cold, 0.7, 3).fingerprint(), warm.fingerprint());
+    }
+
     #[test]
     fn fingerprint_ignores_sample_index_at_temp_zero() {
-        let r1 = CompletionRequest::new("p", dummy_task()).with_sample_index(0);
-        let r2 = CompletionRequest::new("p", dummy_task()).with_sample_index(5);
-        assert_eq!(r1.fingerprint(), r2.fingerprint());
+        let base = CompletionRequest::new("p", dummy_task());
+        assert_eq!(
+            sampled(&base, 0.0, 0).fingerprint(),
+            sampled(&base, 0.0, 5).fingerprint()
+        );
     }
 
     #[test]
     fn fingerprint_varies_sample_index_at_positive_temp() {
-        let r1 = CompletionRequest::new("p", dummy_task())
-            .with_temperature(0.7)
-            .with_sample_index(0);
-        let r2 = CompletionRequest::new("p", dummy_task())
-            .with_temperature(0.7)
-            .with_sample_index(1);
-        assert_ne!(r1.fingerprint(), r2.fingerprint());
+        let base = CompletionRequest::new("p", dummy_task());
+        assert_ne!(
+            sampled(&base, 0.7, 0).fingerprint(),
+            sampled(&base, 0.7, 1).fingerprint()
+        );
     }
 
     #[test]
     fn fingerprint_ignores_attempt_which_only_moves_the_transport_draw() {
-        let first = CompletionRequest::new("p", dummy_task())
-            .with_temperature(0.7)
-            .with_sample_index(3);
+        let first = sampled(&CompletionRequest::new("p", dummy_task()), 0.7, 3);
         let mut retry = first.clone();
         retry.attempt = 2;
         assert_eq!(first.fingerprint(), retry.fingerprint());

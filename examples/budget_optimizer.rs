@@ -1,27 +1,29 @@
 //! Automatic strategy selection under a budget: the paper's §4 vision.
 //!
 //! The toolkit labels a small validation sample, runs every candidate sort
-//! strategy on it, measures accuracy and cost, extrapolates cost to the
-//! full dataset, and recommends the most accurate strategy the budget can
-//! afford — AutoML for prompting strategies.
+//! strategy on it and measures accuracy and cost. The planner then prices
+//! each candidate at full scale by its bill and keeps the most accurate one
+//! the budget can afford — AutoML for prompting strategies.
 //!
 //! Run with: `cargo run -p crowdprompt --example budget_optimizer`
 
 use std::sync::Arc;
 
-use crowdprompt::core::optimize::{evaluate_sort_strategies, pareto_frontier, recommend};
+use crowdprompt::core::optimize::{evaluate_sort_strategies, pareto_frontier};
 use crowdprompt::data::FlavorDataset;
 use crowdprompt::prelude::*;
 
 fn main() {
     let data = FlavorDataset::sample(40, 9);
-
-    let llm = SimulatedLlm::new(ModelProfile::gpt35_like(), Arc::new(data.world.clone()), 9);
-    let session = Session::builder()
-        .client(Arc::new(LlmClient::new(Arc::new(llm))))
-        .corpus(Corpus::from_world(&data.world, &data.items))
-        .criterion("by how chocolatey they are")
-        .build();
+    let session = |budget: Budget| {
+        let llm = SimulatedLlm::new(ModelProfile::gpt35_like(), Arc::new(data.world.clone()), 9);
+        Session::builder()
+            .client(Arc::new(LlmClient::new(Arc::new(llm))))
+            .corpus(Corpus::from_world(&data.world, &data.items))
+            .budget(budget)
+            .criterion("by how chocolatey they are")
+            .build()
+    };
 
     // A small labelled validation sample (the user supplies gold labels for
     // ~10 items; the optimizer explores on those).
@@ -38,7 +40,7 @@ fn main() {
         SortStrategy::Pairwise,
     ];
     let trials = evaluate_sort_strategies(
-        session.engine(),
+        session(Budget::Unlimited).engine(),
         &sample,
         &sample_gold,
         SortCriterion::LatentScore,
@@ -47,12 +49,12 @@ fn main() {
     .expect("validation trials run");
 
     println!("validation trials on a 10-item sample:");
-    println!("strategy                 tau     sample cost  cost growth");
-    println!("{}", "-".repeat(60));
+    println!("strategy                 tau     sample cost  calls");
+    println!("{}", "-".repeat(54));
     for t in &trials {
         println!(
-            "{:<24} {:+.3}  ${:<10.5} O(n^{})",
-            t.name, t.accuracy, t.sample_cost_usd, t.cost_exponent
+            "{:<24} {:+.3}  ${:<10.5}  {}",
+            t.name, t.accuracy, t.sample_cost_usd, t.sample_calls
         );
     }
 
@@ -64,18 +66,27 @@ fn main() {
         );
     }
 
-    // Recommendations for a 100k-item production run at various budgets.
-    let full_n = 100_000;
-    println!("\nrecommendations for a {full_n}-item production run:");
-    println!("budget      pick                     extrapolated cost");
-    println!("{}", "-".repeat(58));
-    for budget in [1.0f64, 25.0, 500.0, 100_000.0] {
-        let pick =
-            recommend(&trials, sample.len(), full_n, budget).expect("candidates are non-empty");
-        println!(
-            "${budget:<10} {:<24} ${:.2}",
-            pick.name,
-            pick.extrapolated_cost(sample.len(), full_n)
-        );
+    // The planner's choice for sorting all items, on a fresh session per
+    // budget: its trials spend from that budget, then each candidate is
+    // priced by its bill against what is left.
+    let full_n = data.items.len();
+    println!("\nplanned {full_n}-item sort, calibrated on the sample:");
+    println!("budget     left after trials  pick                     plan estimate");
+    println!("{}", "-".repeat(72));
+    for budget in [0.002f64, 0.008, 0.02, 1.0] {
+        let session = session(Budget::usd(budget));
+        let query = session
+            .query(&data.items)
+            .sort(SortCriterion::LatentScore)
+            .calibrate_sort(&sample, &sample_gold);
+        match session.plan(query) {
+            Ok(plan) => println!(
+                "${budget:<9} ${:<17.4} {:<24} ${:.4}",
+                budget - session.spent_usd(),
+                plan.nodes()[0].node.strategy_label(),
+                plan.estimated_cost_usd()
+            ),
+            Err(e) => println!("${budget:<9} {e}"),
+        }
     }
 }

@@ -451,11 +451,7 @@ fn lease_quota_regrants_only_across_expiry_and_strands_nothing() {
     #[derive(Clone, Copy)]
     enum Slot {
         Free,
-        Held {
-            token: u64,
-            expires: u64,
-            confirmed: bool,
-        },
+        Held { token: u64, expires: u64 },
     }
     struct Table {
         slots: Vec<Slot>,
@@ -505,7 +501,6 @@ fn lease_quota_regrants_only_across_expiry_and_strands_nothing() {
                 t.slots[slot] = Slot::Held {
                     token,
                     expires: now + TTL,
-                    confirmed: false,
                 };
                 drop(t);
 
@@ -521,10 +516,8 @@ fn lease_quota_regrants_only_across_expiry_and_strands_nothing() {
                     Slot::Held {
                         token: held,
                         expires,
-                        confirmed,
                     } if *held == token && *expires > now => {
                         *expires = now + TTL;
-                        *confirmed = true;
                     }
                     _ => return, // reclaimed while we dawdled: shed
                 }

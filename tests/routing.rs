@@ -230,15 +230,17 @@ fn a_retried_sample_answers_as_the_sample_it_is() {
     let mut moved = Vec::new();
     for item in &items {
         for sample in 0..3u32 {
-            let request = CompletionRequest::new(
-                format!("Should record {} be kept? Answer Yes or No.", item.0),
-                TaskDescriptor::CheckPredicate {
-                    item: *item,
-                    predicate: "keep".into(),
-                },
-            )
-            .with_temperature(0.9)
-            .with_sample_index(sample);
+            let request = CompletionRequest {
+                temperature: 0.9,
+                sample_index: sample,
+                ..CompletionRequest::new(
+                    format!("Should record {} be kept? Answer Yes or No.", item.0),
+                    TaskDescriptor::CheckPredicate {
+                        item: *item,
+                        predicate: "keep".into(),
+                    },
+                )
+            };
             let direct = model.complete(&request).unwrap();
             let routed = router.complete(&request).unwrap();
             if routed.text != direct.text {

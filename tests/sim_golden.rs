@@ -238,9 +238,11 @@ fn packed_requests_answer_as_recorded() {
     .unwrap();
     let requests = [
         CompletionRequest::new(prompt("check"), check.clone()),
-        CompletionRequest::new(prompt("check"), check)
-            .with_temperature(0.7)
-            .with_sample_index(3),
+        CompletionRequest {
+            temperature: 0.7,
+            sample_index: 3,
+            ..CompletionRequest::new(prompt("check"), check)
+        },
         CompletionRequest::new(prompt("classify"), classify),
         CompletionRequest::new(prompt("impute"), impute),
     ];
@@ -397,11 +399,11 @@ fn task_kind_requests(world: &WorldModel) -> Vec<CompletionRequest> {
         items: ids[..8].to_vec(),
         criterion: score,
     };
-    requests.push(
-        CompletionRequest::new(listing(world, &sampled), sampled)
-            .with_temperature(0.7)
-            .with_sample_index(3),
-    );
+    requests.push(CompletionRequest {
+        temperature: 0.7,
+        sample_index: 3,
+        ..CompletionRequest::new(listing(world, &sampled), sampled)
+    });
     requests
 }
 

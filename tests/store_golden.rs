@@ -101,9 +101,11 @@ fn near_duplicate() -> CompletionRequest {
 }
 
 fn sampled() -> CompletionRequest {
-    check(1, "Would a pastry chef list this dessert?")
-        .with_temperature(0.7)
-        .with_sample_index(2)
+    CompletionRequest {
+        temperature: 0.7,
+        sample_index: 2,
+        ..check(1, "Would a pastry chef list this dessert?")
+    }
 }
 
 /// A response no backend produced, with every field off its default.
@@ -192,7 +194,11 @@ fn store_and_journal_bytes_and_reopens_are_pinned() {
             ..response.clone()
         };
         assert!(!store.admit(&check(4, "Is this a seafood place?"), &hit));
-        assert!(!store.admit(&request.clone().with_temperature(0.3), &response));
+        let warm = CompletionRequest {
+            temperature: 0.3,
+            ..request.clone()
+        };
+        assert!(!store.admit(&warm, &response));
         assert_eq!((store.len(), journal.len()), (6, 6));
         assert_eq!(store.append_failures(), (0, None));
         assert_eq!(journal.append_failures(), (0, None));
