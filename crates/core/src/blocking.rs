@@ -12,8 +12,7 @@
 //! [`Queries::Rows`] (the stored row *is* the query — no re-embedding, no
 //! copy — and is left out of its own answer inside the scan), everything
 //! else as texts embedded into one flat buffer and asked as
-//! [`Queries::Flat`]. Neighbor lookups for items are memoized (`(item, k)`
-//! → hits).
+//! [`Queries::Flat`].
 
 use std::collections::HashMap;
 
@@ -70,7 +69,6 @@ pub struct BlockingIndex {
     pos: HashMap<ItemId, usize>,
     index: KnnIndex,
     embedder: NgramEmbedder,
-    cache: parking_lot::Mutex<HashMap<(ItemId, usize), Vec<BlockingHit>>>,
 }
 
 impl BlockingIndex {
@@ -111,7 +109,6 @@ impl BlockingIndex {
             pos,
             index: KnnIndex::build(store, Metric::L2, engine.blocking_recall_target()),
             embedder,
-            cache: parking_lot::Mutex::new(HashMap::new()),
         })
     }
 
@@ -147,7 +144,7 @@ impl BlockingIndex {
     }
 
     /// The `k` nearest indexed items to each of `ids` with their
-    /// distances, position-aligned with `ids` and memoized per `(id, k)`.
+    /// distances, position-aligned with `ids`.
     ///
     /// An indexed id queries with its stored row, itself left out of the
     /// answer ([`Queries::Rows`]); an unindexed id is embedded from its
@@ -161,72 +158,55 @@ impl BlockingIndex {
         ids: &[ItemId],
         k: usize,
     ) -> Vec<Vec<BlockingHit>> {
-        let mut out: Vec<Option<Vec<BlockingHit>>> = {
-            let cache = self.cache.lock();
-            ids.iter().map(|id| cache.get(&(*id, k)).cloned()).collect()
-        };
-        // Gather the queries that still need answering (deduplicating
-        // repeated ids so each distinct record is scanned once), split
-        // into indexed ids (answered zero-copy off their stored rows)
-        // and stranger ids (embedded from corpus text).
-        let mut pending: Vec<(ItemId, Vec<usize>)> = Vec::new();
+        // Gather the distinct ids (each record is scanned once), split
+        // into indexed ids (answered zero-copy off their stored rows) and
+        // stranger ids (embedded from corpus text). An id in neither
+        // keeps its empty answer.
+        let mut out: Vec<Vec<BlockingHit>> = vec![Vec::new(); ids.len()];
+        let mut pending: Vec<Vec<usize>> = Vec::new();
         let mut slot_of: HashMap<ItemId, usize> = HashMap::new();
-        for (slot, (&id, res)) in ids.iter().zip(&out).enumerate() {
-            if res.is_some() {
-                continue;
-            }
-            match slot_of.get(&id) {
-                Some(&p) => pending[p].1.push(slot),
-                None => {
-                    slot_of.insert(id, pending.len());
-                    pending.push((id, vec![slot]));
-                }
-            }
-        }
         let mut member_rows: Vec<usize> = Vec::new();
         let mut member_pending: Vec<usize> = Vec::new();
         let mut stranger_texts: Vec<&str> = Vec::new();
         let mut stranger_pending: Vec<usize> = Vec::new();
-        for (p, (id, slots)) in pending.iter().enumerate() {
+        for (slot, id) in ids.iter().enumerate() {
+            if let Some(&p) = slot_of.get(id) {
+                pending[p].push(slot);
+                continue;
+            }
+            let p = pending.len();
+            slot_of.insert(*id, p);
+            pending.push(vec![slot]);
             if let Some(&row) = self.pos.get(id) {
                 member_rows.push(row);
                 member_pending.push(p);
             } else if let Some(text) = engine.corpus().text(*id) {
                 stranger_texts.push(text);
                 stranger_pending.push(p);
-            } else {
-                // Unknown item: record the empty result.
-                self.cache.lock().insert((*id, k), Vec::new());
-                for &slot in slots {
-                    out[slot] = Some(Vec::new());
-                }
             }
         }
         let member_raw = self.index.search(Queries::Rows(&member_rows), k);
         let stranger_hits = self.nearest_texts(&stranger_texts, k);
-        let mut cache = self.cache.lock();
         let answered = member_pending
             .iter()
             .zip(member_raw.into_iter().map(|raw| self.to_hits(raw)))
             .chain(stranger_pending.iter().zip(stranger_hits));
         for (&p, hits) in answered {
-            let (id, slots) = &pending[p];
-            cache.insert((*id, k), hits.clone());
-            for &slot in slots {
-                out[slot] = Some(hits.clone());
+            if let Some((&last, rest)) = pending[p].split_last() {
+                for &slot in rest {
+                    out[slot] = hits.clone();
+                }
+                out[last] = hits;
             }
         }
-        drop(cache);
-        out.into_iter()
-            .map(|r| r.expect("every slot answered")) // lint: allow(no-unwrap)
-            .collect()
+        out
     }
 
     /// Batched nearest-indexed-items lookup for arbitrary query texts
     /// (the join operator's probe side, and the unindexed ids of
     /// [`BlockingIndex::neighbors_many`]): the texts are embedded in
     /// parallel into one flat buffer and asked as one [`Queries::Flat`]
-    /// batch. Not memoized (query texts are not indexed items).
+    /// batch.
     pub fn nearest_texts(&self, texts: &[&str], k: usize) -> Vec<Vec<BlockingHit>> {
         let queries = self.embedder.embed_all_flat(texts);
         self.index
@@ -316,17 +296,6 @@ mod tests {
             let single = single_index.neighbors_many(&engine, &[*id], 3).remove(0);
             assert_eq!(hits, &single, "id {id:?}");
         }
-    }
-
-    #[test]
-    fn neighbors_are_memoized() {
-        let (engine, ids) = setup(8);
-        let index = BlockingIndex::build(&engine, &ids).unwrap();
-        let first = index.neighbors_many(&engine, &ids[..1], 4);
-        assert_eq!(index.cache.lock().len(), 1);
-        let second = index.neighbors_many(&engine, &ids[..1], 4);
-        assert_eq!(first, second);
-        assert_eq!(index.cache.lock().len(), 1);
     }
 
     #[test]

@@ -79,7 +79,7 @@ impl ImputeStrategy {
 
 /// A labeled reference pool: records whose target-attribute values are
 /// known, supporting neighbor lookup by record-text embedding through the
-/// shared (memoized, batched) [`BlockingIndex`].
+/// shared (batched) [`BlockingIndex`].
 pub(crate) struct LabeledPool {
     labels: HashMap<ItemId, String>,
     inner: BlockingIndex,
@@ -101,7 +101,7 @@ impl LabeledPool {
 
     /// The `k` nearest labeled records to each of `ids` (excluding the
     /// record itself when it is part of the pool — leave-one-out), as one
-    /// batched, memoized index query.
+    /// batched index query.
     fn neighbors_many(&self, engine: &Engine, ids: &[ItemId], k: usize) -> Vec<Vec<ItemId>> {
         let hits = self.inner.neighbors_many(engine, ids, k);
         hits.into_iter()
@@ -142,13 +142,22 @@ pub(crate) fn impute(
         ImputeStrategy::LlmOnly { shots } => (None, *shots),
         ImputeStrategy::Hybrid { k, shots } => (Some(*k), *shots),
     };
+    // One neighbour query serves the gate and the examples: a ranking
+    // keeps the best under the strict `(key, index)` order, so the `k`
+    // nearest are the first `k` of the `max(k, shots)` nearest. (On the
+    // IVF tier a larger ask rescores a superset of the smaller one's
+    // candidates, so its prefix is never farther from exact.)
+    let asked = gate_k.unwrap_or(0).max(shots);
+    let neighbors = match asked {
+        0 => vec![Vec::new(); records.len()],
+        _ => pool.neighbors_many(engine, records, asked),
+    };
+    let nearest = |i: usize, n: usize| &neighbors[i][..n.min(neighbors[i].len())];
     // Gate: unanimous k-NN answers are free; the rest go to the LLM.
     let mut values: Vec<Option<String>> = match gate_k {
-        Some(k) => pool
-            .neighbors_many(engine, records, k)
-            .iter()
-            .map(|neighbors| {
-                let (mode, unanimous) = knn_mode(pool, neighbors, k);
+        Some(k) => (0..records.len())
+            .map(|i| {
+                let (mode, unanimous) = knn_mode(pool, nearest(i, k), k);
                 (unanimous && !mode.is_empty()).then_some(mode)
             })
             .collect(),
@@ -157,24 +166,18 @@ pub(crate) fn impute(
     let llm_indices: Vec<usize> = (0..records.len())
         .filter(|&i| values[i].is_none())
         .collect();
-    let llm_records: Vec<ItemId> = llm_indices.iter().map(|&i| records[i]).collect();
-    // Few-shot examples: each record's nearest labeled peers (served from
-    // the pool's memo when the gate already asked for the same `k`).
-    let examples = match shots {
-        0 => vec![Vec::new(); llm_records.len()],
-        _ => pool.neighbors_many(engine, &llm_records, shots),
-    };
-    let task_of = |k: usize| TaskDescriptor::Impute {
-        item: llm_records[k],
+    // Few-shot examples: each record's `shots` nearest labeled peers.
+    let task_of = |j: usize| TaskDescriptor::Impute {
+        item: records[llm_indices[j]],
         attribute: attribute.to_owned(),
-        examples: examples[k]
+        examples: nearest(llm_indices[j], shots)
             .iter()
             .filter_map(|&n| pool.label(n).map(|l| (n, l.to_owned())))
             .collect(),
     };
     let mut meter = CostMeter::new();
     let mut settle = engine.settle("impute");
-    let run = engine.run_built(llm_records.len(), &task_of, pack, None)?;
+    let run = engine.run_built(llm_indices.len(), &task_of, pack, None)?;
     run.meter_into(&mut meter);
     for (answer, &i) in run.answers.into_iter().zip(&llm_indices) {
         let value = answer.and_then(|text| extract::value(&text));

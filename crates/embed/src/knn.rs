@@ -41,7 +41,12 @@
 //! on that one comparison (`k·ln(n/k)` of `n` candidates get further). The
 //! test is sufficient, not necessary: an equal key is a tie that the index
 //! decides, and a NaN key compares false, so both go on to the exact
-//! `(key, index)` order.
+//! `(key, index)` order. Both exact scans run it sixteen candidates at a
+//! time: one [`dot_tile`] call per stored row gives a tile's sixteen dots,
+//! the sixteen keys are one array, and one mask of the lanes whose key is
+//! at or below its ranking's bound (`≤`, so ties and — before a ranking
+//! fills — infinite keys get through) decides which reach the ranking.
+//! Nearly every row leaves the mask empty.
 //!
 //! Determinism contract: results ascend by distance, ties broken by
 //! insertion index, and a query containing NaN returns no hits. Candidates
@@ -51,7 +56,7 @@
 //! its results.
 
 use crate::store::VectorStore;
-use crate::vector::{cosine_similarity, dot_unrolled, dot_unrolled_many, l2_distance};
+use crate::vector::{cosine_similarity, dot_tile, dot_unrolled, l2_distance};
 
 /// Distance metric for neighbor search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -85,6 +90,7 @@ impl Metric {
     ///
     /// The key is symmetric in the two norms, to the bit: the self-join
     /// computes one key per unordered pair and ranks both rows by it.
+    #[inline]
     pub fn rank_key(&self, dot: f32, query_norm_sq: f32, stored_norm_sq: f32) -> f32 {
         match self {
             Metric::L2 => query_norm_sq + stored_norm_sq - 2.0 * dot,
@@ -98,6 +104,26 @@ impl Metric {
                 }
             }
         }
+    }
+
+    /// A tile's keys as one array: `keys[t] = self.rank_key(dots[t],
+    /// norms_sq[t], norm_sq)`, the metric matched once for all sixteen.
+    #[inline]
+    fn rank_keys(self, dots: &Lanes, norms_sq: &Lanes, norm_sq: f32) -> Lanes {
+        let mut keys = [0.0; QUERY_TILE];
+        match self {
+            Metric::L2 => {
+                for ((key, &dot), &norm) in keys.iter_mut().zip(dots).zip(norms_sq) {
+                    *key = Metric::L2.rank_key(dot, norm, norm_sq);
+                }
+            }
+            Metric::Cosine => {
+                for ((key, &dot), &norm) in keys.iter_mut().zip(dots).zip(norms_sq) {
+                    *key = Metric::Cosine.rank_key(dot, norm, norm_sq);
+                }
+            }
+        }
+        keys
     }
 
     /// Convert a [`Metric::rank_key`] back into the metric's distance.
@@ -269,6 +295,13 @@ impl TopK {
         }
     }
 
+    /// The worst kept key once the ranking is full, `+∞` before: a key
+    /// above it cannot be kept, a key at or below it may be.
+    #[inline]
+    pub(crate) fn bound(&self) -> f32 {
+        self.bound
+    }
+
     /// Rank every candidate `other` kept. Both rankings keep the `k` best
     /// of what they were offered under the strict `(key, index)` order,
     /// which no offer order can change, so absorbing yields the `k` best of
@@ -365,11 +398,13 @@ impl BruteForceIndex {
     /// triangle split its work about 75/25). Every other batch is cut into
     /// contiguous query chunks, one per `std::thread::scope` worker, and
     /// each chunk runs the tiled scan (`QUERY_TILE` queries per pass over
-    /// the store). Both give the same bits: the self-join's keys are the
-    /// scan's keys in both directions — the lane contract's dot is
-    /// symmetric in its arguments, and [`Metric::rank_key`] in its two
-    /// norms (`(a + b) − 2d` and `√a·√b` commute in IEEE arithmetic) — and
-    /// every ranking keeps the `k` best under the strict `(key, index)`
+    /// the store). Both compute a tile's dots in one [`dot_tile`] call and
+    /// its keys as one array, and offer only the lanes whose key is at or
+    /// below a ranking's bound. Both give the same bits: the self-join's
+    /// keys are the scan's keys in both directions — the lane contract's
+    /// dot is symmetric in its arguments, and [`Metric::rank_key`] in its
+    /// two norms (`(a + b) − 2d` and `√a·√b` commute in IEEE arithmetic) —
+    /// and every ranking keeps the `k` best under the strict `(key, index)`
     /// order, which the order of offers — and so the merge of the workers'
     /// rankings — cannot change.
     ///
@@ -440,36 +475,55 @@ impl BruteForceIndex {
     /// row. A pair's one dot makes one [`Metric::rank_key`], offered to
     /// both rows: the key is symmetric in its two norms, so it is the bits
     /// the tiled scan computes in either direction.
+    ///
+    /// Row `j` against the tile is one [`dot_tile`] call and one array of
+    /// sixteen keys, tested against the tile rows' bounds and against row
+    /// `j`'s ([`at_or_below`]): only a lane that passes reaches
+    /// [`TopK::offer`], which decides ties by index. The bounds only fall,
+    /// so a copy that lags its ranking lets through too much, never too
+    /// little.
     fn triangle_share(&self, worker: usize, workers: usize, k: usize) -> Vec<TopK> {
         let store = &self.store;
         let n = store.len();
         let mut tops: Vec<TopK> = (0..n).map(|_| TopK::new(k, n)).collect();
-        let mut dots = [0.0f32; QUERY_TILE];
-        // The tile's rows and squared norms, in its first `len` slots.
+        // The tile's rows, squared norms and rankings' bounds, in its first
+        // `len` slots.
         let mut tile: [&[f32]; QUERY_TILE] = [&[]; QUERY_TILE];
-        let mut norms = [0.0f32; QUERY_TILE];
+        let mut norms: Lanes = [0.0; QUERY_TILE];
+        let mut bounds: Lanes = [0.0; QUERY_TILE];
         for tile_start in (worker * QUERY_TILE..n).step_by(workers * QUERY_TILE) {
             let len = QUERY_TILE.min(n - tile_start);
             for (t, i) in (tile_start..tile_start + len).enumerate() {
                 (tile[t], norms[t]) = (store.row(i), store.norm_sq(i));
+                bounds[t] = tops[i].bound();
             }
             for j in tile_start + 1..n {
                 // Row `j` against the tile's rows before it: inside the
                 // tile the ones below `j`, past it the whole tile.
                 let width = (j - tile_start).min(len);
-                let norm_j = store.norm_sq(j);
-                let dots = &mut dots[..width];
-                dot_unrolled_many(store.row(j), &tile[..width], dots);
+                let dots = dot_tile(store.row(j), &tile[..width]);
+                let keys = self.metric.rank_keys(&dots, &norms, store.norm_sq(j));
                 // Every `i` here is below `j`: split the rankings there, so
-                // that row `j`'s is a borrow of its own and is neither
-                // re-indexed nor reloaded after each offer to a tile row.
+                // that row `j`'s is a borrow of its own.
                 let (below, from_j) = tops.split_at_mut(j);
                 let top_j = &mut from_j[0];
-                let tile_tops = below[tile_start..].iter_mut().zip(tile_start..);
-                for ((&dot, &norm_i), (top_i, i)) in dots.iter().zip(&norms).zip(tile_tops) {
-                    let key = self.metric.rank_key(dot, norm_i, norm_j);
-                    top_i.offer(key, j);
-                    top_j.offer(key, i);
+                let tile_tops = &mut below[tile_start..];
+                let live = lanes_below(width);
+                let mut to_tile = at_or_below(&keys, &bounds) & live;
+                let mut to_j = at_or_below(&keys, &[top_j.bound(); QUERY_TILE]) & live;
+                while to_tile != 0 {
+                    let t = to_tile.trailing_zeros() as usize;
+                    to_tile &= to_tile - 1;
+                    tile_tops[t].offer(keys[t], j);
+                    bounds[t] = tile_tops[t].bound();
+                }
+                while to_j != 0 {
+                    let t = to_j.trailing_zeros() as usize;
+                    to_j &= to_j - 1;
+                    top_j.offer(keys[t], tile_start + t);
+                }
+                if j < tile_start + len {
+                    bounds[j - tile_start] = top_j.bound();
                 }
             }
         }
@@ -483,6 +537,13 @@ impl BruteForceIndex {
     /// corpus streams 20 MB per query); tiling amortizes that traffic
     /// across the tile and is what makes batch blocking several times
     /// faster than a per-query loop even on one core.
+    ///
+    /// Per stored row the tile costs one [`dot_tile`] call, one array of
+    /// sixteen keys and one mask of the lanes at or below their rankings'
+    /// bounds ([`at_or_below`]); only those lanes reach [`TopK::offer`],
+    /// which decides ties by `(key, index)`. A short last tile is padded
+    /// inside the kernel and its empty lanes masked off, so every tile runs
+    /// the same loop.
     ///
     /// `skip[i]` is the stored row query `i` must not match (skipped without
     /// ranking). The per-candidate computation and the top-k policy do not
@@ -498,28 +559,34 @@ impl BruteForceIndex {
             return vec![Vec::new(); queries.len()];
         }
         let mut out = Vec::with_capacity(queries.len());
-        let mut dots = [0.0f32; QUERY_TILE];
-        for tile_start in (0..queries.len()).step_by(QUERY_TILE) {
-            let tile_end = (tile_start + QUERY_TILE).min(queries.len());
-            let tile = &queries[tile_start..tile_end];
-            // Per-tile state, one slot per query: its squared norm, its
-            // excluded row and its ranking. With these the loop below is
-            // a dot kernel call and, per candidate, a key and a compare.
-            let qqs: Vec<f32> = tile.iter().map(|q| dot_unrolled(q, q)).collect();
-            let skip = &skip[tile_start..tile_end];
+        // Per-tile state, one slot per query: its squared norm and its
+        // ranking's bound (its excluded row is `skip`'s). With these the
+        // loop below is, per stored row, a tile kernel call, an array of
+        // keys and one mask of the lanes that reach a ranking.
+        let mut qqs: Lanes = [0.0; QUERY_TILE];
+        let mut bounds: Lanes = [f32::INFINITY; QUERY_TILE];
+        for (tile, skip) in queries.chunks(QUERY_TILE).zip(skip.chunks(QUERY_TILE)) {
+            for (qq, q) in qqs.iter_mut().zip(tile) {
+                *qq = dot_unrolled(q, q);
+            }
+            bounds.fill(f32::INFINITY);
+            let live = lanes_below(tile.len());
             let mut tops: Vec<TopK> = tile
                 .iter()
                 .map(|_| TopK::new(k, self.store.len()))
                 .collect();
-            let dots = &mut dots[..tile.len()];
             for (index, (row, norm_sq)) in self.store.rows().enumerate() {
-                // One multi-query kernel call per row: the row is loaded
-                // once for the whole tile and the AVX2 dispatch happens
-                // per row, not per candidate.
-                dot_unrolled_many(row, tile, dots);
-                for (t, &dot) in dots.iter().enumerate() {
+                // One tile kernel call per row: the row is loaded once for
+                // the whole tile and the dispatch happens per row, not per
+                // candidate.
+                let keys = self.metric.rank_keys(&dot_tile(row, tile), &qqs, norm_sq);
+                let mut pass = at_or_below(&keys, &bounds) & live;
+                while pass != 0 {
+                    let t = pass.trailing_zeros() as usize;
+                    pass &= pass - 1;
                     if skip[t] != Some(index) {
-                        tops[t].offer(self.metric.rank_key(dot, qqs[t], norm_sq), index);
+                        tops[t].offer(keys[t], index);
+                        bounds[t] = tops[t].bound();
                     }
                 }
             }
@@ -529,10 +596,35 @@ impl BruteForceIndex {
     }
 }
 
+/// One value per lane of a tile: a tile kernel's dots, their keys, the
+/// tile's norms or its rankings' bounds.
+type Lanes = [f32; QUERY_TILE];
+
+/// The lanes of a tile that hold one of its `width` vectors, as a mask:
+/// bit `t` for lane `t`. A short tile's other lanes are padding.
+fn lanes_below(width: usize) -> u32 {
+    debug_assert!(width <= QUERY_TILE);
+    (1u32 << width) - 1
+}
+
+/// Bit `t` set where `keys[t] <= bounds[t]`: the lanes whose candidate a
+/// ranking at that bound may keep. A NaN key is never at or below, and
+/// `≤` rather than `<` lets a tie through to [`TopK::offer`]'s
+/// `(key, index)` order — and an infinite key into a ranking that is not
+/// yet full, whose bound is `+∞`.
+#[inline]
+fn at_or_below(keys: &Lanes, bounds: &Lanes) -> u32 {
+    let mut mask = 0;
+    for (t, (key, bound)) in keys.iter().zip(bounds).enumerate() {
+        mask |= u32::from(key <= bound) << t;
+    }
+    mask
+}
+
 /// Queries answered per pass over the store by the tiled scan: large
 /// enough to amortize memory traffic on out-of-cache corpora, small enough
 /// that the tile's query vectors and heaps stay cache-resident.
-pub(crate) const QUERY_TILE: usize = 16;
+pub(crate) const QUERY_TILE: usize = crate::vector::TILE;
 
 // ---------------------------------------------------------------------------
 // Auto selection
@@ -1018,6 +1110,100 @@ mod tests {
                                 got, tiled,
                                 "{metric:?} n = {n} k = {k} workers = {workers} rows = {rows:?}"
                             );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `n >= 15` rows built to load a tile's lanes: every fifth row one
+    /// duplicate vector (equal keys, decided by index), the rest on a
+    /// coarse grid (more ties), a NaN row, and two rows whose squared norm
+    /// overflows — an L2 key of `+∞`, which a ranking that is not yet full
+    /// keeps.
+    fn tile_corpus(n: usize, dims: usize) -> VectorStore {
+        let rows = (0..n)
+            .map(|i| {
+                let mut row: Vec<f32> = (0..dims)
+                    .map(|d| match i % 5 {
+                        0 => 0.5,
+                        _ => ((i * 7 + d * 3) % 5) as f32 * 0.5 - 1.0,
+                    })
+                    .collect();
+                if i == 3 {
+                    row[dims / 2] = f32::NAN;
+                }
+                if i == 7 || i == n - 2 {
+                    row[0] = 1e20;
+                }
+                row
+            })
+            .collect();
+        VectorStore::from_rows(rows)
+    }
+
+    /// A query's answer by definition: every stored row but `skip` keyed
+    /// one at a time, NaN keys dropped, sorted by `(key, index)`, the
+    /// first `k`.
+    fn by_definition(
+        idx: &BruteForceIndex,
+        query: &[f32],
+        skip: Option<usize>,
+        k: usize,
+    ) -> Vec<(usize, u32)> {
+        let metric = idx.metric();
+        let qq = dot_unrolled(query, query);
+        let mut keyed: Vec<(f32, usize)> = idx
+            .store()
+            .rows()
+            .enumerate()
+            .filter(|&(i, _)| Some(i) != skip)
+            .map(|(i, (row, norm_sq))| (metric.rank_key(dot_unrolled(query, row), qq, norm_sq), i))
+            .filter(|(key, _)| !key.is_nan())
+            .collect();
+        keyed.sort_by(|a, b| key_cmp(*a, *b));
+        keyed
+            .into_iter()
+            .take(k)
+            .map(|(key, i)| (i, metric.key_to_distance(key).to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn scans_at_tile_width_answer_by_definition() {
+        // Short of a tile, one tile, one over and two over; k from one to
+        // past every row. Every query runs through a full tile's lanes, a
+        // short last tile's padding, ties, a NaN row and infinite keys.
+        for n in [15usize, 16, 17, 33] {
+            for dims in [5usize, 70] {
+                for metric in [Metric::L2, Metric::Cosine] {
+                    let idx = BruteForceIndex::from_store(tile_corpus(n, dims), metric);
+                    if metric == Metric::L2 {
+                        let all = by_definition(&idx, idx.store().row(0), None, n);
+                        assert!(all.iter().any(|&(_, d)| f32::from_bits(d) == f32::INFINITY));
+                    }
+                    let flat = idx.store().as_flat().to_vec();
+                    let every: Vec<usize> = (0..n).collect();
+                    let most: Vec<usize> = (1..n).rev().collect();
+                    for k in [1, 2, 5, n - 1, n, n + 1, usize::MAX] {
+                        let case = format!("{metric:?} n = {n} dims = {dims} k = {k}");
+                        let want = |query: &[f32], skip| by_definition(&idx, query, skip, k);
+                        let free = bits(&idx.search_with_workers(Queries::Flat(&flat), k, 1));
+                        for (i, got) in free.iter().enumerate() {
+                            assert_eq!(got, &want(idx.store().row(i), None), "{case} flat {i}");
+                        }
+                        for workers in [1, 2] {
+                            let joined = idx.search_with_workers(Queries::Rows(&every), k, workers);
+                            for (i, got) in bits(&joined).iter().enumerate() {
+                                let row = idx.store().row(i);
+                                assert_eq!(got, &want(row, Some(i)), "{case} self-join {i}");
+                            }
+                        }
+                        let scanned = bits(&idx.search_with_workers(Queries::Rows(&most), k, 1));
+                        for (&r, got) in most.iter().zip(&scanned) {
+                            let row = idx.store().row(r);
+                            assert_eq!(got, &want(row, Some(r)), "{case} row {r}");
                         }
                     }
                 }

@@ -2,9 +2,9 @@
 //!
 //! # The lane contract
 //!
-//! [`dot_unrolled`] and [`dot_unrolled_many`] return the same bits on every
-//! CPU because every kernel behind them performs one arithmetic, defined by
-//! the portable `dot_lanes`:
+//! [`dot_unrolled`], [`dot_unrolled_many`] and [`dot_tile`] return the same
+//! bits on every CPU because every kernel behind them performs one
+//! arithmetic, defined by the portable `dot_lanes`:
 //!
 //! * element `i` of the first `len - len % 64` belongs to lane `i mod 64`;
 //!   each lane starts at `0.0` and, chunk by chunk in order, does
@@ -43,6 +43,28 @@
 //! A single product has no block to share, so [`dot_unrolled`] and the
 //! last one to three vectors of a 1×4 blocking run the AVX2 1×1 kernel on
 //! both tiers: its eight chains beat four `zmm` chains by about a tenth.
+//!
+//! The k-NN scans ask sixteen products at a time, and [`dot_tile`] serves
+//! them. On AVX-512F it is a 1×16: four 1×4 passes — sixteen products of
+//! four `zmm` groups would be sixty-four registers, so each pass keeps the
+//! 1×4's budget of sixteen accumulators beside the loads, folds its four
+//! products to `w = 16` and parks those four registers — then one *joint
+//! fold* finishes all sixteen. Finished alone, a product's `w = 8, 4, 2, 1`
+//! steps are a chain of extracts and narrowing adds, about eleven
+//! instructions of a dot's forty-five, ending in one scalar. The joint
+//! fold pairs registers instead: at each step two shuffles put the halves
+//! being added into matching lanes of two registers, and one add performs
+//! that step for every product the registers hold, so the sixteen
+//! registers become eight, four, two, then one holding the sixteen dots —
+//! forty-five instructions for all of them, under three a product. Every
+//! add is still the contract's `acc[l] + acc[l + w]` of one product. The
+//! other tiers fill the tile's slots with their [`dot_unrolled_many`]
+//! kernels. Timed alone on an L1-resident tile of 256-dimension vectors
+//! (2-vCPU AVX-512F Xeon guest, the two kernels interleaved, best of 40),
+//! the 1×16 ran level with four 1×4 calls — 11.8 against 11.6 ns a pair:
+//! the chunk passes bound both, not the fold. What the scans gain is what
+//! the tile hands them: sixteen dots in one array, so that the keys and
+//! the bound test are array work too ([`crate::knn`]).
 //!
 //! A future kernel (wider registers, another ISA) is correct when the
 //! `to_bits` tests in this module pass against `dot_lanes` for its tier;
@@ -100,8 +122,7 @@ pub fn dot_unrolled(a: &[f32], b: &[f32]) -> f32 {
 /// once per pair, and the kernels block the `bs` — four at a time at
 /// AVX-512 width, two at AVX2 width ([kernel tiers](self#kernel-tiers)) —
 /// sharing every load of `a` between the block's products. The k-NN scans
-/// call this once per stored row per query tile, keeping the
-/// per-candidate cost to pure arithmetic.
+/// call [`dot_tile`] instead, which finishes its sixteen products together.
 ///
 /// # Panics
 /// Panics if any `bs[i]` length differs from `a`, or if
@@ -117,6 +138,35 @@ pub fn dot_unrolled_many(a: &[f32], bs: &[&[f32]], out: &mut [f32]) {
     }
     // SAFETY: `tier()` is the tier this CPU runs.
     unsafe { dot_many_on(tier(), a, bs, out) }
+}
+
+/// Dots per [`dot_tile`] call: the k-NN scans' tile width.
+pub(crate) const TILE: usize = 16;
+
+/// Dot `a` against up to sixteen vectors in one call:
+/// `out[p] = dot_unrolled(a, bs[p])` for `p < bs.len()`.
+///
+/// Bit-identical to [`dot_unrolled`] per pair. On the AVX-512F tier the
+/// sixteen products finish *together* — the lane contract's last four
+/// tree steps run as one transpose-and-add over all of them, so one
+/// register ends up holding the sixteen results ([kernel
+/// tiers](self#kernel-tiers)); the other tiers fill the slots with their
+/// [`dot_unrolled_many`] kernels. The exact k-NN scans call this once per
+/// stored row per tile of sixteen queries.
+///
+/// The slots from `bs.len()` on hold no dot of the caller's (a short
+/// tile is padded inside the kernel); mask them.
+///
+/// # Panics
+/// Panics if `bs` holds more than sixteen vectors or any `bs[p]` length
+/// differs from `a`.
+pub fn dot_tile(a: &[f32], bs: &[&[f32]]) -> [f32; TILE] {
+    assert!(bs.len() <= TILE, "dot_tile: more than {TILE} vectors");
+    for b in bs {
+        assert_eq!(a.len(), b.len(), "dot_tile: dimension mismatch");
+    }
+    // SAFETY: `tier()` is the tier this CPU runs.
+    unsafe { dot_tile_on(tier(), a, bs) }
 }
 
 /// The kernel sets, narrowest first. A CPU that runs a tier runs every
@@ -191,6 +241,24 @@ unsafe fn dot_many_on(tier: Tier, a: &[f32], bs: &[&[f32]], out: &mut [f32]) {
         // SAFETY: as above.
         #[cfg(target_arch = "x86_64")]
         Tier::Avx512 => unsafe { dot_many_avx512(a, bs, out) },
+    }
+}
+
+/// [`dot_tile`] on `tier`'s kernels.
+///
+/// # Safety
+/// As [`dot_on`].
+unsafe fn dot_tile_on(tier: Tier, a: &[f32], bs: &[&[f32]]) -> [f32; TILE] {
+    match tier {
+        // SAFETY: the caller guarantees the CPU runs the tier.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => unsafe { dot_tile_avx512(a, bs) },
+        _ => {
+            let mut out = [0.0; TILE];
+            // SAFETY: as above.
+            unsafe { dot_many_on(tier, a, bs, &mut out[..bs.len()]) };
+            out
+        }
     }
 }
 
@@ -353,22 +421,55 @@ fn dot_many_avx2(a: &[f32], bs: &[&[f32]], out: &mut [f32]) {
     }
 }
 
-/// The `32 → 16` tree steps at AVX-512 width, `(z0 + z2) + (z1 + z3)`,
-/// and [`lane_finish`] from `w = 8` down on the result's two halves.
+/// [`lane_finish`] from `w = 8` down on the two halves of a product's
+/// sixteen `w = 16` lanes, as [`quad_pass_avx512`] leaves them.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "avx512f")]
-fn lane_finish_avx512(z: [__m512; 4], tail: f32) -> f32 {
-    let w16 = _mm512_add_ps(_mm512_add_ps(z[0], z[2]), _mm512_add_ps(z[1], z[3]));
+fn lane_finish_avx512(w16: __m512, tail: f32) -> f32 {
     let high = _mm512_extractf64x4_pd(_mm512_castps_pd(w16), 1);
     lane_finish(_mm512_castps512_ps256(w16), _mm256_castpd_ps(high), tail)
 }
 
+/// The chunk pass shared by the AVX-512F kernels: the whole chunks of
+/// `[a · bs[0], …, a · bs[3]]` with each load of `a` shared by the four
+/// products, and each product's tree down to `w = 16`. Product `p` keeps
+/// its 64 lanes in four `zmm` registers, lane `16g + j` in register `g`:
+/// sixteen accumulators, sixteen independent add chains, in one pass over
+/// the chunks. It returns product `p`'s `(z0 + z2) + (z1 + z3)` in slot
+/// `p`, lane `l` of it the contract's `acc[l]` after the `32 → 16` steps.
+///
+/// # Panics
+/// Panics if a `bs[p]` is shorter than `a`'s whole chunks.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn quad_pass_avx512(a: &[f32], bs: [&[f32]; 4]) -> [__m512; 4] {
+    let rest = a.len() - a.len() % LANES;
+    assert!(
+        bs.iter().all(|b| b.len() >= rest),
+        "quad_pass_avx512: short vector"
+    );
+    let mut acc = [[_mm512_setzero_ps(); 4]; 4];
+    for chunk in (0..rest).step_by(LANES) {
+        for g in 0..4 {
+            let off = chunk + 16 * g;
+            // SAFETY: `off + 16 <= rest`, which is at most the length of
+            // `a` and of every slice in `bs`.
+            let va = unsafe { _mm512_loadu_ps(a.as_ptr().add(off)) };
+            for (acc, b) in acc.iter_mut().zip(bs) {
+                // SAFETY: as above.
+                let vb = unsafe { _mm512_loadu_ps(b.as_ptr().add(off)) };
+                acc[g] = _mm512_add_ps(acc[g], _mm512_mul_ps(va, vb));
+            }
+        }
+    }
+    acc.map(|z| _mm512_add_ps(_mm512_add_ps(z[0], z[2]), _mm512_add_ps(z[1], z[3])))
+}
+
 /// The 1×4 AVX-512F kernel behind [`dot_unrolled_many`]:
-/// `[dot_lanes(a, bs[0]), …, dot_lanes(a, bs[3])]` with each load of `a`
-/// shared by the four products. Product `p` keeps its 64 lanes in four
-/// `zmm` registers, lane `16g + j` in register `g`: sixteen accumulators,
-/// sixteen independent add chains, in one pass over the chunks.
+/// `[dot_lanes(a, bs[0]), …, dot_lanes(a, bs[3])]`, one
+/// [`quad_pass_avx512`] and each product's [`lane_finish_avx512`].
 ///
 /// # Panics
 /// Panics if a `bs[p]` is shorter than `a`'s whole chunks.
@@ -376,25 +477,9 @@ fn lane_finish_avx512(z: [__m512; 4], tail: f32) -> f32 {
 #[target_feature(enable = "avx512f")]
 fn dot_quad_avx512(a: &[f32], bs: [&[f32]; 4]) -> [f32; 4] {
     let rest = a.len() - a.len() % LANES;
-    let body = &a[..rest];
-    let bodies = bs.map(|b| &b[..rest]);
-    let mut acc = [[_mm512_setzero_ps(); 4]; 4];
-    for chunk in (0..rest).step_by(LANES) {
-        for g in 0..4 {
-            let off = chunk + 16 * g;
-            // SAFETY: `off + 16 <= rest`, the length of `body` and of every
-            // slice in `bodies`.
-            let va = unsafe { _mm512_loadu_ps(body.as_ptr().add(off)) };
-            for (acc, b) in acc.iter_mut().zip(bodies) {
-                // SAFETY: as above.
-                let vb = unsafe { _mm512_loadu_ps(b.as_ptr().add(off)) };
-                acc[g] = _mm512_add_ps(acc[g], _mm512_mul_ps(va, vb));
-            }
-        }
-    }
     let mut out = [0.0; 4];
-    for ((slot, z), b) in out.iter_mut().zip(acc).zip(bs) {
-        *slot = lane_finish_avx512(z, dot_tail(&a[rest..], &b[rest..]));
+    for ((slot, w16), b) in out.iter_mut().zip(quad_pass_avx512(a, bs)).zip(bs) {
+        *slot = lane_finish_avx512(w16, dot_tail(&a[rest..], &b[rest..]));
     }
     out
 }
@@ -412,6 +497,100 @@ fn dot_many_avx512(a: &[f32], bs: &[&[f32]], out: &mut [f32]) {
     for (b, slot) in quads.remainder().iter().zip(slots.into_remainder()) {
         *slot = dot_lanes_avx2(a, b);
     }
+}
+
+/// The 1×16 AVX-512F kernel behind [`dot_tile`]: one
+/// [`quad_pass_avx512`] per quad that holds a vector of `bs` — a short
+/// last quad padded with `a` itself, the quads after it left at zero —
+/// then [`fold_tile_avx512`] over the sixteen `w = 16` registers and the
+/// sixteen scalar tails added.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn dot_tile_avx512(a: &[f32], bs: &[&[f32]]) -> [f32; TILE] {
+    let slot = |p: usize| bs.get(p).copied().unwrap_or(a);
+    let mut w16 = [_mm512_setzero_ps(); TILE];
+    for (q, w) in w16
+        .chunks_exact_mut(4)
+        .enumerate()
+        .take(bs.len().div_ceil(4))
+    {
+        let quad = [
+            slot(4 * q),
+            slot(4 * q + 1),
+            slot(4 * q + 2),
+            slot(4 * q + 3),
+        ];
+        w.copy_from_slice(&quad_pass_avx512(a, quad));
+    }
+    // With no tail every product's is the empty sum; the loop that would
+    // find so costs as much as a pass.
+    let rest = a.len() - a.len() % LANES;
+    let mut tails = [dot_tail(&[], &[]); TILE];
+    if rest < a.len() {
+        for (tail, b) in tails.iter_mut().zip(bs) {
+            *tail = dot_tail(&a[rest..], &b[rest..]);
+        }
+    }
+    let dots = fold_tile_avx512(w16);
+    let mut out = [0.0f32; TILE];
+    // SAFETY: `tails` and `out` hold sixteen floats, one `zmm`.
+    unsafe {
+        let tails = _mm512_loadu_ps(tails.as_ptr());
+        _mm512_storeu_ps(out.as_mut_ptr(), _mm512_add_ps(dots, tails));
+    }
+    out
+}
+
+/// The lane contract's `w = 8, 4, 2, 1` steps for sixteen products at
+/// once. `w16[p]` holds product `p`'s sixteen lanes after the `32 → 16`
+/// steps; each step pairs registers and, with two shuffles and one add,
+/// halves every product's lanes while doubling the products a register
+/// holds — `16 × 16 → 8 × (2 × 8) → 4 × (4 × 4) → 2 × (8 × 2) → 1 × 16`.
+/// Every add is the contract's `acc[l] + acc[l + w]` for one product, so
+/// each result has [`dot_lanes`]' bits. The pairing is chosen so that lane
+/// `p` of the result is product `p`: the steps leave product `p` in lane
+/// `4β + j` when it sat in 128-bit block `β` of the `w = 4` step's
+/// register `j`, so that register `j` holds products `j, 4 + j, 8 + j,
+/// 12 + j`, block by block.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn fold_tile_avx512(w16: [__m512; TILE]) -> __m512 {
+    // w = 8, 4: 128-bit blocks `[x₀ x₁ y₀ y₁] + [x₂ x₃ y₂ y₃]`, then
+    // `[x₀ x₂ y₀ y₂] + [x₁ x₃ y₁ y₃]`.
+    let w8 = |x, y| {
+        _mm512_add_ps(
+            _mm512_shuffle_f32x4::<0b01_00_01_00>(x, y),
+            _mm512_shuffle_f32x4::<0b11_10_11_10>(x, y),
+        )
+    };
+    let w4 = |x, y| {
+        _mm512_add_ps(
+            _mm512_shuffle_f32x4::<0b10_00_10_00>(x, y),
+            _mm512_shuffle_f32x4::<0b11_01_11_01>(x, y),
+        )
+    };
+    // w = 2, 1: the same two patterns on the floats inside each block.
+    let w2 = |x, y| {
+        _mm512_add_ps(
+            _mm512_shuffle_ps::<0b01_00_01_00>(x, y),
+            _mm512_shuffle_ps::<0b11_10_11_10>(x, y),
+        )
+    };
+    let w1 = |x, y| {
+        _mm512_add_ps(
+            _mm512_shuffle_ps::<0b10_00_10_00>(x, y),
+            _mm512_shuffle_ps::<0b11_01_11_01>(x, y),
+        )
+    };
+    // Register `2j + h` of the `w = 8` step holds products `8h + j` and
+    // `8h + j + 4`.
+    let pairs: [__m512; 8] = std::array::from_fn(|i| {
+        let p = 8 * (i % 2) + i / 2;
+        w8(w16[p], w16[p + 4])
+    });
+    let quads: [__m512; 4] = std::array::from_fn(|j| w4(pairs[2 * j], pairs[2 * j + 1]));
+    w1(w2(quads[0], quads[1]), w2(quads[2], quads[3]))
 }
 
 /// Integer dot product of two equal-length `u8` code vectors — the fused
@@ -821,6 +1000,83 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every tier's tile kernel at every width up to [`TILE`] against the
+    /// portable core, and with the arguments of each pair swapped.
+    fn assert_tile_matches_lanes(a: &[f32], bs: &[Vec<f32>]) {
+        let refs: Vec<&[f32]> = bs.iter().map(Vec::as_slice).collect();
+        for tier in tiers() {
+            for width in 0..=bs.len().min(TILE) {
+                // SAFETY: `tiers()` holds only tiers this CPU runs.
+                let out = unsafe { dot_tile_on(tier, a, &refs[..width]) };
+                for (p, b) in bs[..width].iter().enumerate() {
+                    let (got, want, n) = (out[p], dot_lanes(a, b), a.len());
+                    assert!(
+                        same(got, want),
+                        "{tier:?} len {n} width {width} slot {p}: {got:e} vs {want:e}"
+                    );
+                }
+            }
+            for b in bs {
+                // SAFETY: as above.
+                let (got, want) = (unsafe { dot_tile_on(tier, b, &[a]) }[0], dot_lanes(a, b));
+                let n = a.len();
+                assert!(
+                    same(got, want),
+                    "{tier:?} len {n} swapped: {got:e} vs {want:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_tile_kernel_matches_the_portable_lanes() {
+        let specials = [
+            0.0f32,
+            -0.0,
+            f32::MIN_POSITIVE / 4.0,
+            -f32::from_bits(3),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        for n in [0usize, 1, 63, 64, 65, 130, 213, 256, 300] {
+            // Sixteen vectors of their own, and one more than a tile holds.
+            let a = distinct(n, 1);
+            let bs: Vec<Vec<f32>> = (0..=TILE as u64).map(|t| distinct(n, 2 + t)).collect();
+            assert_tile_matches_lanes(&a, &bs);
+            // The same with a special value in some lanes: signed zeros and
+            // subnormals in the even salts, infinities and NaN in the odd.
+            for salt in 0..4usize {
+                let pool = if salt % 2 == 0 { 4 } else { specials.len() };
+                let spiced = |v: &[f32], t: usize| -> Vec<f32> {
+                    let mut v = v.to_vec();
+                    for (i, x) in v.iter_mut().enumerate() {
+                        if (i * 7 + t * 5 + salt).is_multiple_of(9) {
+                            *x = specials[(i + t + salt) % pool];
+                        }
+                    }
+                    v
+                };
+                let a = spiced(&a, 0);
+                let bs: Vec<Vec<f32>> = bs
+                    .iter()
+                    .enumerate()
+                    .map(|(t, b)| spiced(b, t + 1))
+                    .collect();
+                assert_tile_matches_lanes(&a, &bs);
+            }
+        }
+        // All products −0.0, and sixteen identical vectors.
+        let neg = vec![-0.0f32; 130];
+        assert_tile_matches_lanes(&neg, &vec![vec![1.0f32; 130]; TILE]);
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 16 vectors")]
+    fn dot_tile_refuses_more_than_a_tile() {
+        dot_tile(&[1.0], &[&[1.0f32][..]; TILE + 1]);
     }
 
     #[test]

@@ -1,41 +1,50 @@
-//! What one candidate pair costs in the exact blocking scan — the numbers
-//! behind the `resolve_cold` claim (ROADMAP item 5(i)): the 1×N dot kernel
-//! on an L1-resident query tile, the 1×1 kernel over a 512-row pool (the
-//! imputation shape), and the whole 4 000 × 4 000 × 256 blocking question
-//! asked two ways. "stream" asks every stored row as `Queries::Rows`,
-//! which the index answers with the symmetric self-join (n(n−1)/2 dots);
-//! "scan" asks the same rows as `Queries::Flat`, which runs the
-//! one-directional tiled scan (n² dots). Both report nanoseconds per
-//! ordered (query, stored row) pair, n² of them. The example exits
-//! non-zero if the two answers differ in any bit.
+//! What one candidate pair costs in the exact k-NN scans — the numbers
+//! behind the `resolve_cold` and `pipeline_warm` claims (ROADMAP item 5):
+//! the 1×16 tile on an L1-resident query tile, through
+//! `dot_unrolled_many` (four 1×4 blocks, each product finished alone) and
+//! through `dot_tile` (the sixteen finished together); the imputation
+//! shape, a `Queries::Flat` batch of 6 000 queries against a 512-row
+//! pool; and the whole 4 000 × 4 000 × 256 blocking question asked two
+//! ways. "stream" asks every stored row as `Queries::Rows`, which the
+//! index answers with the symmetric self-join (n(n−1)/2 dots); "scan"
+//! asks the same rows as `Queries::Flat`, which runs the one-directional
+//! tiled scan (n² dots). Every line reports nanoseconds per ordered
+//! (query, stored row) pair. The example exits non-zero if the pool
+//! batch differs in any bit from its queries asked one at a time, or the
+//! self-join from the tiled scan.
 //!
 //! Run with: `cargo run --release --example selfjoin`
 //!
-//! Each figure is the minimum of ten repetitions on one thread. A shared
-//! host moves the same binary by tens of percent within minutes, so to
-//! compare two builds run them alternately, never one after the other's
-//! numbers were taken. The first line names the kernel tier the CPU runs
+//! Each figure is the minimum of ten repetitions on one thread; the two
+//! kernels take turns within each repetition. A shared host moves the
+//! same binary by tens of percent within minutes, so to compare two
+//! builds run them alternately, never one after the other's numbers were
+//! taken. The first line names the kernel tier the CPU runs
 //! (AVX-512F, AVX2 or portable), so that figures from two hosts are
 //! compared only tier for tier.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use crowdprompt::embed::vector::dot_unrolled_many;
-use crowdprompt::embed::{dot_unrolled, BruteForceIndex, Metric, Neighbor, Queries, VectorStore};
+use crowdprompt::embed::vector::{dot_tile, dot_unrolled_many};
+use crowdprompt::embed::{BruteForceIndex, Metric, Neighbor, Queries, VectorStore};
 
 const DIMS: usize = 256;
 const ROWS: usize = 4_000;
 /// Neighbours per row, as `resolve_cold`'s blocking asks.
 const K: usize = 2;
 const TILE: usize = 16;
+/// The imputation shape: labeled pool rows, records asked against it,
+/// and neighbours per record.
 const POOL: usize = 512;
+const RECORDS: usize = 6_000;
+const POOL_K: usize = 3;
 const REPS: usize = 10;
 
-/// Deterministic rows in `[-1, 1)` (SplitMix64), flat row-major.
-fn corpus() -> Vec<f32> {
-    let mut state = 0x9E37_79B9_7F4A_7C15u64;
-    (0..ROWS * DIMS)
+/// `rows` deterministic rows in `[-1, 1)` (SplitMix64), flat row-major.
+fn corpus(rows: usize, seed: u64) -> Vec<f32> {
+    let mut state = seed;
+    (0..rows * DIMS)
         .map(|_| {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = state;
@@ -62,40 +71,83 @@ fn kernel_tier() -> &'static str {
 
 /// Minimum over [`REPS`] runs of `work`, in nanoseconds per pair.
 fn ns_per_pair(pairs: usize, mut work: impl FnMut()) -> f64 {
-    (0..REPS)
-        .map(|_| {
+    let [ns] = ns_per_pair_each(pairs, [&mut work]);
+    ns
+}
+
+/// [`ns_per_pair`] of each of `works`, taking turns within every one of
+/// the [`REPS`] rounds, so that all of them are timed at the same host
+/// speed.
+fn ns_per_pair_each<const N: usize>(pairs: usize, mut works: [&mut dyn FnMut(); N]) -> [f64; N] {
+    let mut best = [f64::INFINITY; N];
+    for _ in 0..REPS {
+        for (best, work) in best.iter_mut().zip(&mut works) {
             let start = Instant::now();
             work();
-            start.elapsed().as_secs_f64() * 1e9 / pairs as f64
-        })
-        .fold(f64::INFINITY, f64::min)
+            *best = best.min(start.elapsed().as_secs_f64() * 1e9 / pairs as f64);
+        }
+    }
+    best
+}
+
+/// Every answer as `(index, distance bits)`.
+fn bits(hits: &[Neighbor]) -> Vec<(usize, u32)> {
+    hits.iter()
+        .map(|h| (h.index, h.distance.to_bits()))
+        .collect()
 }
 
 fn main() {
     println!("kernels {}", kernel_tier());
-    let index = BruteForceIndex::from_store(VectorStore::from_flat(corpus(), DIMS), Metric::L2);
+    let index = BruteForceIndex::from_store(
+        VectorStore::from_flat(corpus(ROWS, 0x9E37_79B9_7F4A_7C15), DIMS),
+        Metric::L2,
+    );
     let rows: Vec<&[f32]> = (0..ROWS).map(|i| index.store().row(i)).collect();
 
     let (tile, row) = (&rows[..TILE], rows[TILE]);
     let mut dots = [0.0f32; TILE];
     let passes = 20_000;
-    let tile_ns = ns_per_pair(passes * TILE, || {
-        for _ in 0..passes {
-            dot_unrolled_many(black_box(row), black_box(tile), &mut dots);
-            black_box(&mut dots);
-        }
-    });
-    println!("tile   1x{TILE} L1-resident         {tile_ns:6.2} ns/pair");
+    let [many_ns, tile_ns] = ns_per_pair_each(
+        passes * TILE,
+        [
+            &mut || {
+                for _ in 0..passes {
+                    dot_unrolled_many(black_box(row), black_box(tile), &mut dots);
+                    black_box(&mut dots);
+                }
+            },
+            &mut || {
+                for _ in 0..passes {
+                    black_box(dot_tile(black_box(row), black_box(tile)));
+                }
+            },
+        ],
+    );
+    println!("tile   1x{TILE} dot_unrolled_many    {many_ns:6.2} ns/pair");
+    println!("tile   1x{TILE} dot_tile             {tile_ns:6.2} ns/pair");
 
-    let passes = 400;
-    let pool_ns = ns_per_pair(passes * POOL, || {
-        for _ in 0..passes {
-            for r in &rows[..POOL] {
-                black_box(dot_unrolled(black_box(row), r));
-            }
-        }
+    let pool = BruteForceIndex::from_store(
+        VectorStore::from_flat(index.store().as_flat()[..POOL * DIMS].to_vec(), DIMS),
+        Metric::L2,
+    );
+    let records = corpus(RECORDS, 7);
+    let mut imputed = Vec::new();
+    let pool_ns = ns_per_pair(RECORDS * POOL, || {
+        imputed = pool.search_with_workers(Queries::Flat(&records), POOL_K, 1);
     });
-    println!("pool   1x1 over {POOL} rows        {pool_ns:6.2} ns/pair");
+    println!("pool   {RECORDS} x {POOL} flat,     k={POOL_K}   {pool_ns:6.2} ns/pair");
+    if imputed.len() != RECORDS {
+        eprintln!("{} pool answers for {RECORDS} records", imputed.len());
+        std::process::exit(1);
+    }
+    for (r, (record, hits)) in records.chunks(DIMS).zip(&imputed).enumerate() {
+        let alone = pool.search_with_workers(Queries::Flat(record), POOL_K, 1);
+        if bits(hits) != bits(&alone[0]) {
+            eprintln!("record {r}: batch {hits:?} != alone {:?}", alone[0]);
+            std::process::exit(1);
+        }
+    }
 
     let every_row: Vec<usize> = (0..ROWS).collect();
     let mut joined = Vec::new();
@@ -119,11 +171,6 @@ fn main() {
         );
         std::process::exit(1);
     }
-    let bits = |hits: &[Neighbor]| -> Vec<(usize, u32)> {
-        hits.iter()
-            .map(|h| (h.index, h.distance.to_bits()))
-            .collect()
-    };
     for (row, (join, scan)) in joined.iter().zip(&scanned).enumerate() {
         let mut scan = scan.clone();
         scan.retain(|h| h.index != row);
