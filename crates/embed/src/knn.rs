@@ -42,8 +42,8 @@
 //! test is sufficient, not necessary: an equal key is a tie that the index
 //! decides, and a NaN key compares false, so both go on to the exact
 //! `(key, index)` order. Both exact scans run it sixteen candidates at a
-//! time: one [`dot_tile`] call per stored row gives a tile's sixteen dots,
-//! the sixteen keys are one array, and one mask of the lanes whose key is
+//! time: one [`dot_unrolled_many`] call per stored row fills a tile's
+//! sixteen dots, the sixteen keys are one array, and one mask of the lanes whose key is
 //! at or below its ranking's bound (`≤`, so ties and — before a ranking
 //! fills — infinite keys get through) decides which reach the ranking.
 //! Nearly every row leaves the mask empty.
@@ -56,7 +56,7 @@
 //! its results.
 
 use crate::store::VectorStore;
-use crate::vector::{cosine_similarity, dot_tile, dot_unrolled, l2_distance};
+use crate::vector::{cosine_similarity, dot_unrolled, dot_unrolled_many, l2_distance};
 
 /// Distance metric for neighbor search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -107,23 +107,10 @@ impl Metric {
     }
 
     /// A tile's keys as one array: `keys[t] = self.rank_key(dots[t],
-    /// norms_sq[t], norm_sq)`, the metric matched once for all sixteen.
+    /// norms_sq[t], norm_sq)`.
     #[inline]
     fn rank_keys(self, dots: &Lanes, norms_sq: &Lanes, norm_sq: f32) -> Lanes {
-        let mut keys = [0.0; QUERY_TILE];
-        match self {
-            Metric::L2 => {
-                for ((key, &dot), &norm) in keys.iter_mut().zip(dots).zip(norms_sq) {
-                    *key = Metric::L2.rank_key(dot, norm, norm_sq);
-                }
-            }
-            Metric::Cosine => {
-                for ((key, &dot), &norm) in keys.iter_mut().zip(dots).zip(norms_sq) {
-                    *key = Metric::Cosine.rank_key(dot, norm, norm_sq);
-                }
-            }
-        }
-        keys
+        std::array::from_fn(|t| self.rank_key(dots[t], norms_sq[t], norm_sq))
     }
 
     /// Convert a [`Metric::rank_key`] back into the metric's distance.
@@ -398,9 +385,10 @@ impl BruteForceIndex {
     /// triangle split its work about 75/25). Every other batch is cut into
     /// contiguous query chunks, one per `std::thread::scope` worker, and
     /// each chunk runs the tiled scan (`QUERY_TILE` queries per pass over
-    /// the store). Both compute a tile's dots in one [`dot_tile`] call and
-    /// its keys as one array, and offer only the lanes whose key is at or
-    /// below a ranking's bound. Both give the same bits: the self-join's
+    /// the store). Both compute a tile's dots in one [`dot_unrolled_many`]
+    /// call and its keys as one array, and offer only the lanes whose key
+    /// is at or below a ranking's bound. Both give the same bits: the
+    /// self-join's
     /// keys are the scan's keys in both directions — the lane contract's
     /// dot is symmetric in its arguments, and [`Metric::rank_key`] in its
     /// two norms (`(a + b) − 2d` and `√a·√b` commute in IEEE arithmetic) —
@@ -476,9 +464,9 @@ impl BruteForceIndex {
     /// both rows: the key is symmetric in its two norms, so it is the bits
     /// the tiled scan computes in either direction.
     ///
-    /// Row `j` against the tile is one [`dot_tile`] call and one array of
-    /// sixteen keys, tested against the tile rows' bounds and against row
-    /// `j`'s ([`at_or_below`]): only a lane that passes reaches
+    /// Row `j` against the tile is one [`dot_unrolled_many`] call and one
+    /// array of sixteen keys, tested against the tile rows' bounds and
+    /// against row `j`'s ([`at_or_below`]): only a lane that passes reaches
     /// [`TopK::offer`], which decides ties by index. The bounds only fall,
     /// so a copy that lags its ranking lets through too much, never too
     /// little.
@@ -491,6 +479,7 @@ impl BruteForceIndex {
         let mut tile: [&[f32]; QUERY_TILE] = [&[]; QUERY_TILE];
         let mut norms: Lanes = [0.0; QUERY_TILE];
         let mut bounds: Lanes = [0.0; QUERY_TILE];
+        let mut dots: Lanes = [0.0; QUERY_TILE];
         for tile_start in (worker * QUERY_TILE..n).step_by(workers * QUERY_TILE) {
             let len = QUERY_TILE.min(n - tile_start);
             for (t, i) in (tile_start..tile_start + len).enumerate() {
@@ -501,7 +490,7 @@ impl BruteForceIndex {
                 // Row `j` against the tile's rows before it: inside the
                 // tile the ones below `j`, past it the whole tile.
                 let width = (j - tile_start).min(len);
-                let dots = dot_tile(store.row(j), &tile[..width]);
+                dot_unrolled_many(store.row(j), &tile[..width], &mut dots[..width]);
                 let keys = self.metric.rank_keys(&dots, &norms, store.norm_sq(j));
                 // Every `i` here is below `j`: split the rankings there, so
                 // that row `j`'s is a borrow of its own.
@@ -538,12 +527,12 @@ impl BruteForceIndex {
     /// across the tile and is what makes batch blocking several times
     /// faster than a per-query loop even on one core.
     ///
-    /// Per stored row the tile costs one [`dot_tile`] call, one array of
-    /// sixteen keys and one mask of the lanes at or below their rankings'
-    /// bounds ([`at_or_below`]); only those lanes reach [`TopK::offer`],
-    /// which decides ties by `(key, index)`. A short last tile is padded
-    /// inside the kernel and its empty lanes masked off, so every tile runs
-    /// the same loop.
+    /// Per stored row the tile costs one [`dot_unrolled_many`] call, one
+    /// array of sixteen keys and one mask of the lanes at or below their
+    /// rankings' bounds ([`at_or_below`]); only those lanes reach
+    /// [`TopK::offer`], which decides ties by `(key, index)`. A short last
+    /// tile's lanes past its queries are masked off, so every tile runs the
+    /// same loop.
     ///
     /// `skip[i]` is the stored row query `i` must not match (skipped without
     /// ranking). The per-candidate computation and the top-k policy do not
@@ -561,10 +550,11 @@ impl BruteForceIndex {
         let mut out = Vec::with_capacity(queries.len());
         // Per-tile state, one slot per query: its squared norm and its
         // ranking's bound (its excluded row is `skip`'s). With these the
-        // loop below is, per stored row, a tile kernel call, an array of
-        // keys and one mask of the lanes that reach a ranking.
+        // loop below is, per stored row, one kernel call, an array of keys
+        // and one mask of the lanes that reach a ranking.
         let mut qqs: Lanes = [0.0; QUERY_TILE];
         let mut bounds: Lanes = [f32::INFINITY; QUERY_TILE];
+        let mut dots: Lanes = [0.0; QUERY_TILE];
         for (tile, skip) in queries.chunks(QUERY_TILE).zip(skip.chunks(QUERY_TILE)) {
             for (qq, q) in qqs.iter_mut().zip(tile) {
                 *qq = dot_unrolled(q, q);
@@ -576,10 +566,11 @@ impl BruteForceIndex {
                 .map(|_| TopK::new(k, self.store.len()))
                 .collect();
             for (index, (row, norm_sq)) in self.store.rows().enumerate() {
-                // One tile kernel call per row: the row is loaded once for
-                // the whole tile and the dispatch happens per row, not per
-                // candidate.
-                let keys = self.metric.rank_keys(&dot_tile(row, tile), &qqs, norm_sq);
+                // One multi-query kernel call per row: the row is loaded
+                // once for the whole tile and the dispatch happens per row,
+                // not per candidate.
+                dot_unrolled_many(row, tile, &mut dots[..tile.len()]);
+                let keys = self.metric.rank_keys(&dots, &qqs, norm_sq);
                 let mut pass = at_or_below(&keys, &bounds) & live;
                 while pass != 0 {
                     let t = pass.trailing_zeros() as usize;
@@ -596,12 +587,12 @@ impl BruteForceIndex {
     }
 }
 
-/// One value per lane of a tile: a tile kernel's dots, their keys, the
-/// tile's norms or its rankings' bounds.
+/// One value per lane of a tile: its dots against a stored row, their
+/// keys, the tile's norms or its rankings' bounds.
 type Lanes = [f32; QUERY_TILE];
 
 /// The lanes of a tile that hold one of its `width` vectors, as a mask:
-/// bit `t` for lane `t`. A short tile's other lanes are padding.
+/// bit `t` for lane `t`. A short tile's other lanes hold stale values.
 fn lanes_below(width: usize) -> u32 {
     debug_assert!(width <= QUERY_TILE);
     (1u32 << width) - 1
@@ -624,7 +615,7 @@ fn at_or_below(keys: &Lanes, bounds: &Lanes) -> u32 {
 /// Queries answered per pass over the store by the tiled scan: large
 /// enough to amortize memory traffic on out-of-cache corpora, small enough
 /// that the tile's query vectors and heaps stay cache-resident.
-pub(crate) const QUERY_TILE: usize = crate::vector::TILE;
+pub(crate) const QUERY_TILE: usize = 16;
 
 // ---------------------------------------------------------------------------
 // Auto selection
@@ -1174,7 +1165,7 @@ mod tests {
     fn scans_at_tile_width_answer_by_definition() {
         // Short of a tile, one tile, one over and two over; k from one to
         // past every row. Every query runs through a full tile's lanes, a
-        // short last tile's padding, ties, a NaN row and infinite keys.
+        // short last tile's masked lanes, ties, a NaN row and infinite keys.
         for n in [15usize, 16, 17, 33] {
             for dims in [5usize, 70] {
                 for metric in [Metric::L2, Metric::Cosine] {

@@ -2,9 +2,9 @@
 //!
 //! # The lane contract
 //!
-//! [`dot_unrolled`], [`dot_unrolled_many`] and [`dot_tile`] return the same
-//! bits on every CPU because every kernel behind them performs one
-//! arithmetic, defined by the portable `dot_lanes`:
+//! [`dot_unrolled`] and [`dot_unrolled_many`] return the same bits on every
+//! CPU because every kernel behind them performs one arithmetic, defined by
+//! the portable `dot_lanes`:
 //!
 //! * element `i` of the first `len - len % 64` belongs to lane `i mod 64`;
 //!   each lane starts at `0.0` and, chunk by chunk in order, does
@@ -36,35 +36,31 @@
 //! * AVX2, 1×2: sixteen lane groups do not fit sixteen `ymm` registers
 //!   beside the loads, so the chunks are walked twice, four groups of each
 //!   product a pass — eight chains;
-//! * AVX-512F, 1×4: four products of four `zmm` groups are sixteen of the
-//!   thirty-two registers, one pass — sixteen chains, with room for the
-//!   loads. A 1×8 block would fill all thirty-two and spill.
+//! * AVX-512F, 1×16 in 1×4 passes: four products of four `zmm` groups
+//!   are sixteen of the thirty-two registers, one pass — sixteen chains,
+//!   with room for the loads. A 1×8 pass would fill all thirty-two and
+//!   spill. Up to four passes make one call, and its sixteen products
+//!   finish together (below).
 //!
 //! A single product has no block to share, so [`dot_unrolled`] and the
 //! last one to three vectors of a 1×4 blocking run the AVX2 1×1 kernel on
 //! both tiers: its eight chains beat four `zmm` chains by about a tenth.
 //!
-//! The k-NN scans ask sixteen products at a time, and [`dot_tile`] serves
-//! them. On AVX-512F it is a 1×16: four 1×4 passes — sixteen products of
-//! four `zmm` groups would be sixty-four registers, so each pass keeps the
-//! 1×4's budget of sixteen accumulators beside the loads, folds its four
-//! products to `w = 16` and parks those four registers — then one *joint
-//! fold* finishes all sixteen. Finished alone, a product's `w = 8, 4, 2, 1`
-//! steps are a chain of extracts and narrowing adds, about eleven
-//! instructions of a dot's forty-five, ending in one scalar. The joint
-//! fold pairs registers instead: at each step two shuffles put the halves
-//! being added into matching lanes of two registers, and one add performs
-//! that step for every product the registers hold, so the sixteen
-//! registers become eight, four, two, then one holding the sixteen dots —
-//! forty-five instructions for all of them, under three a product. Every
-//! add is still the contract's `acc[l] + acc[l + w]` of one product. The
-//! other tiers fill the tile's slots with their [`dot_unrolled_many`]
-//! kernels. Timed alone on an L1-resident tile of 256-dimension vectors
-//! (2-vCPU AVX-512F Xeon guest, the two kernels interleaved, best of 40),
-//! the 1×16 ran level with four 1×4 calls — 11.8 against 11.6 ns a pair:
-//! the chunk passes bound both, not the fold. What the scans gain is what
-//! the tile hands them: sixteen dots in one array, so that the keys and
-//! the bound test are array work too ([`crate::knn`]).
+//! The AVX-512F 1×16 finishes its products *jointly*. Each pass folds its
+//! four products to `w = 16` and parks those four registers; then the
+//! contract's `w = 8, 4, 2, 1` steps run for all sixteen at once — at
+//! each step two shuffles put the halves being added into matching lanes
+//! of two registers and one add performs that step for every product they
+//! hold, so sixteen registers become eight, four, two, then one holding
+//! the sixteen dots, and the sixteen scalar tails are added in one more.
+//! Finished alone, a product's last four steps are a chain of extracts
+//! and narrowing adds ending in a scalar, about eleven instructions of
+//! its forty-five; jointly they are under three a product, and the dots
+//! leave in one store. Alone on an L1-resident tile the two ran level (the
+//! chunk passes bound both); in the exact k-NN scans, which ask sixteen
+//! products per stored row and key them as one array ([`crate::knn`]),
+//! the joint finish is what made the end-to-end difference (CHANGES.md,
+//! PR 45).
 //!
 //! A future kernel (wider registers, another ISA) is correct when the
 //! `to_bits` tests in this module pass against `dot_lanes` for its tier;
@@ -119,10 +115,11 @@ pub fn dot_unrolled(a: &[f32], b: &[f32]) -> f32 {
 ///
 /// Bit-identical to calling [`dot_unrolled`] per pair (same lane
 /// arithmetic), but the tier dispatch happens once per *call* instead of
-/// once per pair, and the kernels block the `bs` — four at a time at
-/// AVX-512 width, two at AVX2 width ([kernel tiers](self#kernel-tiers)) —
-/// sharing every load of `a` between the block's products. The k-NN scans
-/// call [`dot_tile`] instead, which finishes its sixteen products together.
+/// once per pair, and the kernels block the `bs` — sixteen at a time in
+/// four-product passes at AVX-512 width, two at AVX2 width ([kernel
+/// tiers](self#kernel-tiers)) — sharing every load of `a` between a pass's
+/// products. The k-NN scans call this once per stored row per tile of
+/// sixteen, keeping the per-candidate cost to pure arithmetic.
 ///
 /// # Panics
 /// Panics if any `bs[i]` length differs from `a`, or if
@@ -138,35 +135,6 @@ pub fn dot_unrolled_many(a: &[f32], bs: &[&[f32]], out: &mut [f32]) {
     }
     // SAFETY: `tier()` is the tier this CPU runs.
     unsafe { dot_many_on(tier(), a, bs, out) }
-}
-
-/// Dots per [`dot_tile`] call: the k-NN scans' tile width.
-pub(crate) const TILE: usize = 16;
-
-/// Dot `a` against up to sixteen vectors in one call:
-/// `out[p] = dot_unrolled(a, bs[p])` for `p < bs.len()`.
-///
-/// Bit-identical to [`dot_unrolled`] per pair. On the AVX-512F tier the
-/// sixteen products finish *together* — the lane contract's last four
-/// tree steps run as one transpose-and-add over all of them, so one
-/// register ends up holding the sixteen results ([kernel
-/// tiers](self#kernel-tiers)); the other tiers fill the slots with their
-/// [`dot_unrolled_many`] kernels. The exact k-NN scans call this once per
-/// stored row per tile of sixteen queries.
-///
-/// The slots from `bs.len()` on hold no dot of the caller's (a short
-/// tile is padded inside the kernel); mask them.
-///
-/// # Panics
-/// Panics if `bs` holds more than sixteen vectors or any `bs[p]` length
-/// differs from `a`.
-pub fn dot_tile(a: &[f32], bs: &[&[f32]]) -> [f32; TILE] {
-    assert!(bs.len() <= TILE, "dot_tile: more than {TILE} vectors");
-    for b in bs {
-        assert_eq!(a.len(), b.len(), "dot_tile: dimension mismatch");
-    }
-    // SAFETY: `tier()` is the tier this CPU runs.
-    unsafe { dot_tile_on(tier(), a, bs) }
 }
 
 /// The kernel sets, narrowest first. A CPU that runs a tier runs every
@@ -241,24 +209,6 @@ unsafe fn dot_many_on(tier: Tier, a: &[f32], bs: &[&[f32]], out: &mut [f32]) {
         // SAFETY: as above.
         #[cfg(target_arch = "x86_64")]
         Tier::Avx512 => unsafe { dot_many_avx512(a, bs, out) },
-    }
-}
-
-/// [`dot_tile`] on `tier`'s kernels.
-///
-/// # Safety
-/// As [`dot_on`].
-unsafe fn dot_tile_on(tier: Tier, a: &[f32], bs: &[&[f32]]) -> [f32; TILE] {
-    match tier {
-        // SAFETY: the caller guarantees the CPU runs the tier.
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx512 => unsafe { dot_tile_avx512(a, bs) },
-        _ => {
-            let mut out = [0.0; TILE];
-            // SAFETY: as above.
-            unsafe { dot_many_on(tier, a, bs, &mut out[..bs.len()]) };
-            out
-        }
     }
 }
 
@@ -421,118 +371,76 @@ fn dot_many_avx2(a: &[f32], bs: &[&[f32]], out: &mut [f32]) {
     }
 }
 
-/// [`lane_finish`] from `w = 8` down on the two halves of a product's
-/// sixteen `w = 16` lanes, as [`quad_pass_avx512`] leaves them.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-#[target_feature(enable = "avx512f")]
-fn lane_finish_avx512(w16: __m512, tail: f32) -> f32 {
-    let high = _mm512_extractf64x4_pd(_mm512_castps_pd(w16), 1);
-    lane_finish(_mm512_castps512_ps256(w16), _mm256_castpd_ps(high), tail)
-}
-
-/// The chunk pass shared by the AVX-512F kernels: the whole chunks of
-/// `[a · bs[0], …, a · bs[3]]` with each load of `a` shared by the four
-/// products, and each product's tree down to `w = 16`. Product `p` keeps
-/// its 64 lanes in four `zmm` registers, lane `16g + j` in register `g`:
-/// sixteen accumulators, sixteen independent add chains, in one pass over
-/// the chunks. It returns product `p`'s `(z0 + z2) + (z1 + z3)` in slot
-/// `p`, lane `l` of it the contract's `acc[l]` after the `32 → 16` steps.
-///
-/// # Panics
-/// Panics if a `bs[p]` is shorter than `a`'s whole chunks.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-#[target_feature(enable = "avx512f")]
-fn quad_pass_avx512(a: &[f32], bs: [&[f32]; 4]) -> [__m512; 4] {
-    let rest = a.len() - a.len() % LANES;
-    assert!(
-        bs.iter().all(|b| b.len() >= rest),
-        "quad_pass_avx512: short vector"
-    );
-    let mut acc = [[_mm512_setzero_ps(); 4]; 4];
-    for chunk in (0..rest).step_by(LANES) {
-        for g in 0..4 {
-            let off = chunk + 16 * g;
-            // SAFETY: `off + 16 <= rest`, which is at most the length of
-            // `a` and of every slice in `bs`.
-            let va = unsafe { _mm512_loadu_ps(a.as_ptr().add(off)) };
-            for (acc, b) in acc.iter_mut().zip(bs) {
-                // SAFETY: as above.
-                let vb = unsafe { _mm512_loadu_ps(b.as_ptr().add(off)) };
-                acc[g] = _mm512_add_ps(acc[g], _mm512_mul_ps(va, vb));
-            }
-        }
-    }
-    acc.map(|z| _mm512_add_ps(_mm512_add_ps(z[0], z[2]), _mm512_add_ps(z[1], z[3])))
-}
-
-/// The 1×4 AVX-512F kernel behind [`dot_unrolled_many`]:
-/// `[dot_lanes(a, bs[0]), …, dot_lanes(a, bs[3])]`, one
-/// [`quad_pass_avx512`] and each product's [`lane_finish_avx512`].
-///
-/// # Panics
-/// Panics if a `bs[p]` is shorter than `a`'s whole chunks.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn dot_quad_avx512(a: &[f32], bs: [&[f32]; 4]) -> [f32; 4] {
-    let rest = a.len() - a.len() % LANES;
-    let mut out = [0.0; 4];
-    for ((slot, w16), b) in out.iter_mut().zip(quad_pass_avx512(a, bs)).zip(bs) {
-        *slot = lane_finish_avx512(w16, dot_tail(&a[rest..], &b[rest..]));
-    }
-    out
-}
-
-/// [`dot_unrolled_many`]'s AVX-512F body: the `bs` four at a time through
-/// [`dot_quad_avx512`], the last one to three through [`dot_lanes_avx2`].
+/// [`dot_unrolled_many`]'s AVX-512F body: the `bs` sixteen at a time
+/// through [`dot_tile_avx512`], down to a whole number of quads, the last
+/// one to three through [`dot_lanes_avx2`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 fn dot_many_avx512(a: &[f32], bs: &[&[f32]], out: &mut [f32]) {
-    let mut quads = bs.chunks_exact(4);
-    let mut slots = out.chunks_exact_mut(4);
-    for (quad, slot) in (&mut quads).zip(&mut slots) {
-        slot.copy_from_slice(&dot_quad_avx512(a, [quad[0], quad[1], quad[2], quad[3]]));
+    let quads = bs.len() - bs.len() % 4;
+    for (tile, slots) in bs[..quads].chunks(16).zip(out[..quads].chunks_mut(16)) {
+        slots.copy_from_slice(&dot_tile_avx512(a, tile)[..tile.len()]);
     }
-    for (b, slot) in quads.remainder().iter().zip(slots.into_remainder()) {
+    for (b, slot) in bs[quads..].iter().zip(&mut out[quads..]) {
         *slot = dot_lanes_avx2(a, b);
     }
 }
 
-/// The 1×16 AVX-512F kernel behind [`dot_tile`]: one
-/// [`quad_pass_avx512`] per quad that holds a vector of `bs` — a short
-/// last quad padded with `a` itself, the quads after it left at zero —
-/// then [`fold_tile_avx512`] over the sixteen `w = 16` registers and the
-/// sixteen scalar tails added.
+/// The 1×16 AVX-512F kernel: `dot_lanes(a, bs[p])` in slot `p` for up to
+/// four quads of `bs`, the slots after them zero. Product `p` keeps its 64
+/// lanes in four `zmm` registers, lane `16g + j` in register `g`, so one
+/// quad's sixteen accumulators are half the thirty-two registers: the
+/// chunks are walked once per quad, each load of `a` shared by the quad's
+/// four products, and each product folded `(z0 + z2) + (z1 + z3)` and
+/// parked. [`fold_tile_avx512`] then finishes the sixteen together and the
+/// scalar tails are added in one register.
+///
+/// `bs` holds a whole number of quads, at most four.
+///
+/// # Panics
+/// Panics if a `bs[p]` is shorter than `a`'s whole chunks.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn dot_tile_avx512(a: &[f32], bs: &[&[f32]]) -> [f32; TILE] {
-    let slot = |p: usize| bs.get(p).copied().unwrap_or(a);
-    let mut w16 = [_mm512_setzero_ps(); TILE];
-    for (q, w) in w16
-        .chunks_exact_mut(4)
-        .enumerate()
-        .take(bs.len().div_ceil(4))
-    {
-        let quad = [
-            slot(4 * q),
-            slot(4 * q + 1),
-            slot(4 * q + 2),
-            slot(4 * q + 3),
+fn dot_tile_avx512(a: &[f32], bs: &[&[f32]]) -> [f32; 16] {
+    debug_assert!(bs.len() <= 16 && bs.len().is_multiple_of(4));
+    let rest = a.len() - a.len() % LANES;
+    let body = &a[..rest];
+    let mut w16 = [_mm512_setzero_ps(); 16];
+    for (parked, quad) in w16.chunks_exact_mut(4).zip(bs.chunks_exact(4)) {
+        let bodies = [
+            &quad[0][..rest],
+            &quad[1][..rest],
+            &quad[2][..rest],
+            &quad[3][..rest],
         ];
-        w.copy_from_slice(&quad_pass_avx512(a, quad));
+        let mut acc = [[_mm512_setzero_ps(); 4]; 4];
+        for chunk in (0..rest).step_by(LANES) {
+            for g in 0..4 {
+                let off = chunk + 16 * g;
+                // SAFETY: `off + 16 <= rest`, the length of `body` and of
+                // every slice in `bodies`.
+                let va = unsafe { _mm512_loadu_ps(body.as_ptr().add(off)) };
+                for (acc, b) in acc.iter_mut().zip(bodies) {
+                    // SAFETY: as above.
+                    let vb = unsafe { _mm512_loadu_ps(b.as_ptr().add(off)) };
+                    acc[g] = _mm512_add_ps(acc[g], _mm512_mul_ps(va, vb));
+                }
+            }
+        }
+        for (w, z) in parked.iter_mut().zip(acc) {
+            *w = _mm512_add_ps(_mm512_add_ps(z[0], z[2]), _mm512_add_ps(z[1], z[3]));
+        }
     }
     // With no tail every product's is the empty sum; the loop that would
     // find so costs as much as a pass.
-    let rest = a.len() - a.len() % LANES;
-    let mut tails = [dot_tail(&[], &[]); TILE];
+    let mut tails = [dot_tail(&[], &[]); 16];
     if rest < a.len() {
         for (tail, b) in tails.iter_mut().zip(bs) {
             *tail = dot_tail(&a[rest..], &b[rest..]);
         }
     }
     let dots = fold_tile_avx512(w16);
-    let mut out = [0.0f32; TILE];
+    let mut out = [0.0f32; 16];
     // SAFETY: `tails` and `out` hold sixteen floats, one `zmm`.
     unsafe {
         let tails = _mm512_loadu_ps(tails.as_ptr());
@@ -555,7 +463,7 @@ fn dot_tile_avx512(a: &[f32], bs: &[&[f32]]) -> [f32; TILE] {
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "avx512f")]
-fn fold_tile_avx512(w16: [__m512; TILE]) -> __m512 {
+fn fold_tile_avx512(w16: [__m512; 16]) -> __m512 {
     // w = 8, 4: 128-bit blocks `[x₀ x₁ y₀ y₁] + [x₂ x₃ y₂ y₃]`, then
     // `[x₀ x₂ y₀ y₂] + [x₁ x₃ y₁ y₃]`.
     let w8 = |x, y| {
@@ -937,20 +845,23 @@ mod tests {
                 .map(|i| specials[(i * 7 + salt * 13 + i / 5) % pool])
                 .collect()
         };
-        for n in [0usize, 1, 5, 63, 64, 65, 130, 256, 300] {
+        // Every width up to the k-NN scans' sixteen vectors a call, and one
+        // more.
+        for n in [0usize, 1, 5, 63, 64, 65, 130, 213, 256, 300] {
             for salt in 0..6 {
                 let pool = if salt % 2 == 0 { 5 } else { specials.len() };
                 let a = vector(n, salt, pool);
-                let bs: Vec<Vec<f32>> =
-                    (0..5).map(|t| vector(n, salt * 31 + t + 1, pool)).collect();
-                assert_kernels_match_lanes(&a, &bs, 0..=5);
+                let bs: Vec<Vec<f32>> = (0..17)
+                    .map(|t| vector(n, salt * 31 + t + 1, pool))
+                    .collect();
+                assert_kernels_match_lanes(&a, &bs, 0..=17);
             }
         }
         // All products −0.0: the zero-initialised lanes make the sum +0.0
         // or −0.0 exactly as the portable core does.
         let neg = vec![-0.0f32; 130];
         let pos = vec![1.0f32; 130];
-        assert_kernels_match_lanes(&neg, &[pos.clone(), pos], 0..=2);
+        assert_kernels_match_lanes(&neg, &vec![pos; 16], 0..=16);
     }
 
     #[test]
@@ -1000,83 +911,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Every tier's tile kernel at every width up to [`TILE`] against the
-    /// portable core, and with the arguments of each pair swapped.
-    fn assert_tile_matches_lanes(a: &[f32], bs: &[Vec<f32>]) {
-        let refs: Vec<&[f32]> = bs.iter().map(Vec::as_slice).collect();
-        for tier in tiers() {
-            for width in 0..=bs.len().min(TILE) {
-                // SAFETY: `tiers()` holds only tiers this CPU runs.
-                let out = unsafe { dot_tile_on(tier, a, &refs[..width]) };
-                for (p, b) in bs[..width].iter().enumerate() {
-                    let (got, want, n) = (out[p], dot_lanes(a, b), a.len());
-                    assert!(
-                        same(got, want),
-                        "{tier:?} len {n} width {width} slot {p}: {got:e} vs {want:e}"
-                    );
-                }
-            }
-            for b in bs {
-                // SAFETY: as above.
-                let (got, want) = (unsafe { dot_tile_on(tier, b, &[a]) }[0], dot_lanes(a, b));
-                let n = a.len();
-                assert!(
-                    same(got, want),
-                    "{tier:?} len {n} swapped: {got:e} vs {want:e}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn the_tile_kernel_matches_the_portable_lanes() {
-        let specials = [
-            0.0f32,
-            -0.0,
-            f32::MIN_POSITIVE / 4.0,
-            -f32::from_bits(3),
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-            f32::NAN,
-        ];
-        for n in [0usize, 1, 63, 64, 65, 130, 213, 256, 300] {
-            // Sixteen vectors of their own, and one more than a tile holds.
-            let a = distinct(n, 1);
-            let bs: Vec<Vec<f32>> = (0..=TILE as u64).map(|t| distinct(n, 2 + t)).collect();
-            assert_tile_matches_lanes(&a, &bs);
-            // The same with a special value in some lanes: signed zeros and
-            // subnormals in the even salts, infinities and NaN in the odd.
-            for salt in 0..4usize {
-                let pool = if salt % 2 == 0 { 4 } else { specials.len() };
-                let spiced = |v: &[f32], t: usize| -> Vec<f32> {
-                    let mut v = v.to_vec();
-                    for (i, x) in v.iter_mut().enumerate() {
-                        if (i * 7 + t * 5 + salt).is_multiple_of(9) {
-                            *x = specials[(i + t + salt) % pool];
-                        }
-                    }
-                    v
-                };
-                let a = spiced(&a, 0);
-                let bs: Vec<Vec<f32>> = bs
-                    .iter()
-                    .enumerate()
-                    .map(|(t, b)| spiced(b, t + 1))
-                    .collect();
-                assert_tile_matches_lanes(&a, &bs);
-            }
-        }
-        // All products −0.0, and sixteen identical vectors.
-        let neg = vec![-0.0f32; 130];
-        assert_tile_matches_lanes(&neg, &vec![vec![1.0f32; 130]; TILE]);
-    }
-
-    #[test]
-    #[should_panic(expected = "more than 16 vectors")]
-    fn dot_tile_refuses_more_than_a_tile() {
-        dot_tile(&[1.0], &[&[1.0f32][..]; TILE + 1]);
     }
 
     #[test]

@@ -1,32 +1,29 @@
 //! What one candidate pair costs in the exact k-NN scans — the numbers
 //! behind the `resolve_cold` and `pipeline_warm` claims (ROADMAP item 5):
-//! the 1×16 tile on an L1-resident query tile, through
-//! `dot_unrolled_many` (four 1×4 blocks, each product finished alone) and
-//! through `dot_tile` (the sixteen finished together); the imputation
-//! shape, a `Queries::Flat` batch of 6 000 queries against a 512-row
-//! pool; and the whole 4 000 × 4 000 × 256 blocking question asked two
-//! ways. "stream" asks every stored row as `Queries::Rows`, which the
-//! index answers with the symmetric self-join (n(n−1)/2 dots); "scan"
-//! asks the same rows as `Queries::Flat`, which runs the one-directional
-//! tiled scan (n² dots). Every line reports nanoseconds per ordered
-//! (query, stored row) pair. The example exits non-zero if the pool
+//! `dot_unrolled_many` on an L1-resident tile of sixteen queries, the
+//! kernel call both scans make per stored row; the imputation shape, a
+//! `Queries::Flat` batch of 6 000 queries against a 512-row pool; and the
+//! whole 4 000 × 4 000 × 256 blocking question asked two ways. "stream"
+//! asks every stored row as `Queries::Rows`, which the index answers with
+//! the symmetric self-join (n(n−1)/2 dots); "scan" asks the same rows as
+//! `Queries::Flat`, which runs the one-directional tiled scan (n² dots).
+//! Every line reports nanoseconds per ordered (query, stored row) pair. The example exits non-zero if the pool
 //! batch differs in any bit from its queries asked one at a time, or the
 //! self-join from the tiled scan.
 //!
 //! Run with: `cargo run --release --example selfjoin`
 //!
-//! Each figure is the minimum of ten repetitions on one thread; the two
-//! kernels take turns within each repetition. A shared host moves the
-//! same binary by tens of percent within minutes, so to compare two
-//! builds run them alternately, never one after the other's numbers were
-//! taken. The first line names the kernel tier the CPU runs
+//! Each figure is the minimum of ten repetitions on one thread. A shared
+//! host moves the same binary by tens of percent within minutes, so to
+//! compare two builds run them alternately, never one after the other's
+//! numbers were taken. The first line names the kernel tier the CPU runs
 //! (AVX-512F, AVX2 or portable), so that figures from two hosts are
 //! compared only tier for tier.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use crowdprompt::embed::vector::{dot_tile, dot_unrolled_many};
+use crowdprompt::embed::vector::dot_unrolled_many;
 use crowdprompt::embed::{BruteForceIndex, Metric, Neighbor, Queries, VectorStore};
 
 const DIMS: usize = 256;
@@ -71,23 +68,13 @@ fn kernel_tier() -> &'static str {
 
 /// Minimum over [`REPS`] runs of `work`, in nanoseconds per pair.
 fn ns_per_pair(pairs: usize, mut work: impl FnMut()) -> f64 {
-    let [ns] = ns_per_pair_each(pairs, [&mut work]);
-    ns
-}
-
-/// [`ns_per_pair`] of each of `works`, taking turns within every one of
-/// the [`REPS`] rounds, so that all of them are timed at the same host
-/// speed.
-fn ns_per_pair_each<const N: usize>(pairs: usize, mut works: [&mut dyn FnMut(); N]) -> [f64; N] {
-    let mut best = [f64::INFINITY; N];
-    for _ in 0..REPS {
-        for (best, work) in best.iter_mut().zip(&mut works) {
+    (0..REPS)
+        .map(|_| {
             let start = Instant::now();
             work();
-            *best = best.min(start.elapsed().as_secs_f64() * 1e9 / pairs as f64);
-        }
-    }
-    best
+            start.elapsed().as_secs_f64() * 1e9 / pairs as f64
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// Every answer as `(index, distance bits)`.
@@ -108,24 +95,13 @@ fn main() {
     let (tile, row) = (&rows[..TILE], rows[TILE]);
     let mut dots = [0.0f32; TILE];
     let passes = 20_000;
-    let [many_ns, tile_ns] = ns_per_pair_each(
-        passes * TILE,
-        [
-            &mut || {
-                for _ in 0..passes {
-                    dot_unrolled_many(black_box(row), black_box(tile), &mut dots);
-                    black_box(&mut dots);
-                }
-            },
-            &mut || {
-                for _ in 0..passes {
-                    black_box(dot_tile(black_box(row), black_box(tile)));
-                }
-            },
-        ],
-    );
-    println!("tile   1x{TILE} dot_unrolled_many    {many_ns:6.2} ns/pair");
-    println!("tile   1x{TILE} dot_tile             {tile_ns:6.2} ns/pair");
+    let tile_ns = ns_per_pair(passes * TILE, || {
+        for _ in 0..passes {
+            dot_unrolled_many(black_box(row), black_box(tile), &mut dots);
+            black_box(&mut dots);
+        }
+    });
+    println!("tile   1x{TILE} L1-resident         {tile_ns:6.2} ns/pair");
 
     let pool = BruteForceIndex::from_store(
         VectorStore::from_flat(index.store().as_flat()[..POOL * DIMS].to_vec(), DIMS),
