@@ -5,7 +5,8 @@
 //! an allocation count repeats exactly, in debug and release codegen
 //! alike. Every step runs on this test's thread (the client has no router
 //! threads, and the self-join and the packed rounds are asked at one
-//! worker), after a warm-up that
+//! worker; the impute row nets out the k-NN steps that are not), after a
+//! warm-up that
 //! leaves the process-wide one-time state (the model-name table, the
 //! simulator's answer pools) built, so the counts are the step's own.
 //!
@@ -38,7 +39,7 @@ use crowdprompt::embed::{BruteForceIndex, Metric, Queries, VectorStore};
 use crowdprompt::oracle::{
     CompletionRequest, LlmClient, ModelProfile, SimulatedLlm, TaskDescriptor, WorldModel,
 };
-use crowdprompt::prelude::{FilterStrategy, Query};
+use crowdprompt::prelude::{FilterStrategy, ImputeStrategy, Query};
 
 /// `(allocations, bytes)` of a `CheckPredicate` miss through `LlmClient`.
 /// Re-recorded from `(13, 424)` when `WorldModel::flag` stopped building
@@ -75,6 +76,13 @@ const FILTER_ROUND: (u64, u64) = (1_281, 108_585);
 /// saving is four times the filter's. Re-recorded again from
 /// `(2_048, 120_040)` with it: one unparseable pack's copy, 81 bytes.
 const KEEP_LABEL_ROUND: (u64, u64) = (2_047, 119_959);
+/// The same shape as an impute node, `LlmOnly` with two shots, over the
+/// same 256 records labelled with their cities (each record's examples
+/// are its two nearest other records), less what the node's `KnnOnly`
+/// twin with `k = 2` costs: the pool build and neighbour query both run,
+/// so what is left is the packed round with its examples and settling,
+/// less the twin's per-record vote.
+const IMPUTE_ROUND: (u64, u64) = (1_289, 195_878);
 
 /// [`System`], counting every allocation a counting thread makes and the
 /// bytes it asked for. A `realloc` counts as one allocation of its new
@@ -244,10 +252,16 @@ fn each_step_allocates_what_it_was_recorded_to() {
     got.push(("self-join".to_owned(), join));
 
     let (engine, items) = round_engine();
-    let labels = ["berkeley", "oakland", "alameda"]
-        .map(str::to_owned)
-        .to_vec();
-    // Each node with the items it keeps (the simulator errs on a few).
+    let cities = ["berkeley", "oakland", "alameda"].map(str::to_owned);
+    let labels = cities.to_vec();
+    let pool: Vec<_> = items
+        .iter()
+        .enumerate()
+        .map(|(i, &id)| (id, cities[i % 3].clone()))
+        .collect();
+    let impute = |strategy| Query::over(&items).impute_with("city", pool.clone(), strategy);
+    // Each node with how many items it answers: the items it keeps (the
+    // simulator errs on a few), or one value per record.
     let nodes = [
         (
             "filter round",
@@ -259,20 +273,42 @@ fn each_step_allocates_what_it_was_recorded_to() {
             Query::over(&items).keep_label(labels, "berkeley"),
             96,
         ),
+        (
+            "impute round",
+            impute(ImputeStrategy::LlmOnly { shots: 2 }),
+            256,
+        ),
+        ("impute k-NN", impute(ImputeStrategy::KnnOnly { k: 2 }), 256),
     ];
-    for (name, query, kept) in nodes {
+    let mut warm_costs = Vec::new();
+    for (name, query, answered) in nodes {
         let plan = query.plan_on(&engine).expect("the node plans");
         plan.execute_on(&engine).expect("the cold node runs");
         let calls = engine.client().ledger().calls();
         let (warm, run) = counted(|| plan.execute_on(&engine).expect("the warm node runs"));
-        assert_eq!(run.output.items().map(<[_]>::len), Some(kept), "{name}");
+        let output = &run.output;
+        let len = output
+            .items()
+            .map(<[_]>::len)
+            .or(output.values().map(<[_]>::len));
+        assert_eq!(len, Some(answered), "{name}");
         assert_eq!(
             engine.client().ledger().calls(),
             calls,
             "{name}: no paid call"
         );
-        got.push((name.to_owned(), warm));
+        warm_costs.push((name.to_owned(), warm));
     }
+    // The impute node's pool build and neighbour query split their work
+    // over the machine's cores, so what this thread allocates for them
+    // follows the core count (1 096 allocations on two cores, 1 594 on
+    // one). Its `KnnOnly` twin runs the same two steps on the same shapes:
+    // the difference is the rest of the node, the same on any machine.
+    let (_, knn) = warm_costs.pop().expect("the k-NN twin ran");
+    if let Some((_, (n, b))) = warm_costs.last_mut() {
+        (*n, *b) = (*n - knn.0, *b - knn.1);
+    }
+    got.extend(warm_costs);
 
     let want = [
         CHECK_MISS,
@@ -282,6 +318,7 @@ fn each_step_allocates_what_it_was_recorded_to() {
         SELF_JOIN,
         FILTER_ROUND,
         KEEP_LABEL_ROUND,
+        IMPUTE_ROUND,
     ];
     let rendered: Vec<String> = got
         .iter()
