@@ -30,8 +30,9 @@
 //!   on the caller and the pump's render helpers when the round is large
 //!   enough to pay for them (no per-item task list is held on the caller),
 //!   and the caller then splits the oversize packs in input order before
-//!   anything is queued. Once the round is answered, its packed answers
-//!   are parsed in the same shares.
+//!   anything is queued. Once the round is answered, each pack's response
+//!   is split into borrowed lines and every line read into the operator's
+//!   typed answer in the same shares.
 //! * **pump** is the one worker loop in the crate. It queues the batch on
 //!   the engine's lane of a [`FairFeed`] — its own one-lane feed (one-lane
 //!   deficit round robin *is* FIFO) or, scoped to a tenant by
@@ -43,9 +44,10 @@
 //!   allowance, ledger, trace) and a job is a three-word handle on one of
 //!   its slots, so a worker runs whichever batch's job it drew and a caller
 //!   whose last jobs are in flight elsewhere waits on its batch. The
-//!   requests are freed with the batch, by the caller, once its helpers are
-//!   joined — not one at a time by whichever worker
-//!   drew each, which had helpers returning memory to the caller's
+//!   requests are freed with the batch once its helpers are joined — by
+//!   the caller, in the same contiguous shares a packed round renders in
+//!   when the batch is large enough — not one at a time by whichever
+//!   worker drew each, which had helpers returning memory to the caller's
 //!   allocator arena while the caller allocated from it. Workers *pull*
 //!   small claims, at most `workers × MAX_CLAIM` claimed-but-unfinished;
 //!   claim size doubles after a claim that averaged under
@@ -76,14 +78,17 @@
 //! # Packed dispatch
 //!
 //! The crate-private `Engine::run_built` is the one multi-item prompt
-//! door: the operators hand it a per-index task builder, and point-wise
-//! tasks sharing one instruction are packed `width` to a prompt
+//! door: the operators hand it a per-index task builder and a reader that
+//! turns one answer's text into their typed answer, and point-wise tasks
+//! sharing one instruction are packed `width` to a prompt
 //! ([`TaskDescriptor::Packed`]), cutting the call count to ⌈n/width⌉. A pack
 //! whose prompt overflows the context window is split before dispatch; a
-//! pack whose response cannot be parsed into one answer per item — or, when
+//! pack whose response does not split into one line per item — or, when
 //! the policy degrades, that fails outright — is bisected and retried, one
 //! pumped round per level, down to bare singletons that carry the same
-//! fingerprint the per-item path issues.
+//! fingerprint the per-item path issues. Each line is read where it lies,
+//! borrowed from the pack's response, so the operator settles typed
+//! answers and no line is copied out.
 //!
 //! # Retry pauses and resume
 //!
@@ -512,9 +517,11 @@ impl Engine {
         tasks: Vec<TaskDescriptor>,
     ) -> Result<Vec<CompletionResponse>, EngineError> {
         let calls = tasks.into_iter().map(Engine::unsampled).collect();
-        // A stop-on-error pump returns `Err` before any item can be one.
+        // A stop-on-error pump returns `Err` before any item can be one,
+        // and the responses are all a caller gets: no answer is read.
+        let unread = |_: &str| Ok(());
         Ok(self
-            .run_items(calls, Admit::Batch, FailurePolicy::FailFast)?
+            .run_items(calls, Admit::Batch, FailurePolicy::FailFast, &unread)?
             .responses)
     }
 
@@ -530,44 +537,53 @@ impl Engine {
     /// every item runs to completion or quarantine; cache hits are salvaged
     /// even after the budget is exhausted, since they cost nothing to serve.
     pub fn run_outcome(&self, spec: RunSpec) -> Result<BatchOutcome, EngineError> {
-        self.run_per_item(spec.tasks, None, self.failure_policy)
+        let owned = |text: &str| Ok(text.to_owned());
+        self.run_per_item(spec.tasks, None, self.failure_policy, &owned)
     }
 
     /// One call per `(task, temperature, sample_index)`, each admitted at
-    /// execution, under the engine's policy: a per-item vote round's
-    /// fan-out (`ops::filter`).
-    pub(crate) fn run_sampled(&self, calls: Vec<Call>) -> Result<BatchOutcome, EngineError> {
-        self.run_items(calls, Admit::PerCall, self.failure_policy)
+    /// execution, under the engine's policy, each answer read by `read`: a
+    /// per-item vote round's fan-out (`ops::filter`).
+    pub(crate) fn run_sampled<A>(
+        &self,
+        calls: Vec<Call>,
+        read: &Reader<'_, A>,
+    ) -> Result<BatchOutcome<A>, EngineError> {
+        self.run_items(calls, Admit::PerCall, self.failure_policy, read)
     }
 
     /// The one packed door (or, with `sampling`, one packed vote round),
     /// over `n` tasks that the caller does not hold: task `i` is
-    /// `task_of(i)`, built where it is needed. Packed, each pack's tasks
-    /// are built by the pump participant that renders the pack; per item
-    /// (width ≤ 1), they are built in input order here.
-    pub(crate) fn run_built(
+    /// `task_of(i)`, built where it is needed, and its answer is what
+    /// `read` makes of its text. Packed, each pack's tasks are built by the
+    /// pump participant that renders the pack, and its answers read by the
+    /// one that parses it; per item (width ≤ 1), tasks are built and
+    /// answers read in input order here.
+    pub(crate) fn run_built<A: Send>(
         &self,
         n: usize,
         task_of: &(dyn Fn(usize) -> TaskDescriptor + Sync),
         width: usize,
         sampling: Option<(f64, u32)>,
-    ) -> Result<BatchOutcome, EngineError> {
+        read: &Reader<'_, A>,
+    ) -> Result<BatchOutcome<A>, EngineError> {
         let policy = self.failure_policy;
         if width > 1 {
-            return self.run_packs(n, task_of, width, sampling, policy);
+            return self.run_packs(n, task_of, width, sampling, policy, read);
         }
-        self.run_per_item((0..n).map(task_of), sampling, policy)
+        self.run_per_item((0..n).map(task_of), sampling, policy, read)
     }
 
     /// One call per task at `sampling` (temperature 0, sample 0 when
     /// `None`): an unsampled batch is admitted whole before any call, a
     /// sampled one per call.
-    fn run_per_item(
+    fn run_per_item<A>(
         &self,
         tasks: impl IntoIterator<Item = TaskDescriptor>,
         sampling: Option<(f64, u32)>,
         policy: FailurePolicy,
-    ) -> Result<BatchOutcome, EngineError> {
+        read: &Reader<'_, A>,
+    ) -> Result<BatchOutcome<A>, EngineError> {
         let (temperature, sample_index) = sampling.unwrap_or((0.0, 0));
         let admit = match sampling {
             None => Admit::Batch,
@@ -577,7 +593,7 @@ impl Engine {
             .into_iter()
             .map(|task| (task, temperature, sample_index))
             .collect();
-        self.run_items(calls, admit, policy)
+        self.run_items(calls, admit, policy, read)
     }
 
     /// Begin settling one operator run's per-item parse results under the
@@ -590,20 +606,22 @@ impl Engine {
         }
     }
 
-    /// One call per item: prepare, pump, normalize.
-    fn run_items(
+    /// One call per item: prepare, pump, normalize, each answer read by
+    /// `read`.
+    fn run_items<A>(
         &self,
         calls: Vec<Call>,
         admit: Admit,
         policy: FailurePolicy,
-    ) -> Result<BatchOutcome, EngineError> {
+        read: &Reader<'_, A>,
+    ) -> Result<BatchOutcome<A>, EngineError> {
         let work = self.prepare(calls, admit, policy);
         let mut outcome = BatchOutcome::default();
         let results = self.pump(Intake::Rendered(work), self.shape(policy))?;
         for (index, item) in results.into_iter().enumerate() {
             match item {
                 Ok(response) => {
-                    outcome.answers.push(Ok(response.text.clone()));
+                    outcome.answers.push(read(&response.text));
                     outcome.responses.push(response);
                 }
                 Err(errors) => {
@@ -616,11 +634,12 @@ impl Engine {
     }
 
     /// The one pack → context-split → bisect loop over `n` tasks, task `i`
-    /// built by `task_of(i)`. Each level is one pumped round, so bisection
-    /// costs O(log width) rounds, not O(n) sequential calls. A round's
-    /// packs are built and rendered, and its packed answers parsed, in the
-    /// pump's shares ([`in_shares`]); the caller only fits packs to the
-    /// context window, places answer lines and records bisections, in
+    /// built by `task_of(i)` and its answer read by `read`. Each level is
+    /// one pumped round, so bisection costs O(log width) rounds, not O(n)
+    /// sequential calls. A round's packs are built and rendered, and its
+    /// answers split into lines borrowed from each response and read, in
+    /// the pump's shares ([`in_shares`]); the caller only fits packs to the
+    /// context window, places typed answers and records bisections, in
     /// input order. Render errors, dispatch failures and unparseable
     /// responses all narrow the same way — a pack splits in half, an
     /// irreducible single is quarantined — so every healthy item packed
@@ -631,14 +650,15 @@ impl Engine {
     /// a round's every pack is rendered before any is queued, so a builder
     /// that mixes instructions is refused with
     /// [`EngineError::InvalidInput`] before any call, whatever the policy.
-    fn run_packs(
+    fn run_packs<A: Send>(
         &self,
         n: usize,
         task_of: &(dyn Fn(usize) -> TaskDescriptor + Sync),
         width: usize,
         sampling: Option<(f64, u32)>,
         policy: FailurePolicy,
-    ) -> Result<BatchOutcome, EngineError> {
+        read: &Reader<'_, A>,
+    ) -> Result<BatchOutcome<A>, EngineError> {
         fn bisect(pack: &Range<usize>, next: &mut Vec<Range<usize>>) {
             let mid = pack.start + pack.len() / 2;
             next.push(pack.start..mid);
@@ -657,7 +677,8 @@ impl Engine {
         };
         let (temperature, sample_index) = sampling.unwrap_or((0.0, 0));
         let window = self.client.model().context_window();
-        let mut answers: Vec<Option<Result<String, EngineError>>> = vec![None; n];
+        let mut answers: Vec<Option<Result<A, EngineError>>> =
+            std::iter::repeat_with(|| None).take(n).collect();
         // Pending packs, as index ranges over the tasks.
         let mut pending: Vec<Range<usize>> = (0..n)
             .step_by(width)
@@ -713,26 +734,28 @@ impl Engine {
                 keep: &mut keep,
             };
             let results = self.pump(intake, self.shape(policy))?;
-            // Each answered pack's lines, parsed in the same shares; `None`
-            // for a single, a failure, or a list that does not parse.
-            let parse = |i: usize| match &results[i] {
-                Ok(response) if round[i].len() > 1 => {
-                    crate::extract::packed_answers(&response.text, round[i].len())
+            // Each answered pack's answers, read in the same shares: a
+            // single's whole text, or a pack's lines borrowed from its
+            // response; `None` for a failure or a list of another length.
+            let parse = |i: usize| {
+                let text = &results[i].as_ref().ok()?.text;
+                let width = round[i].len();
+                if width == 1 {
+                    return Some(vec![read(text)]);
                 }
-                _ => None,
+                let mut lines = crate::extract::list_items(text);
+                let answers: Vec<_> = lines.by_ref().take(width).map(read).collect();
+                (answers.len() == width && lines.next().is_none()).then_some(answers)
             };
             let parsed = in_shares(round.len(), self.parallelism, &parse);
-            for ((pack, item), lines) in round.into_iter().zip(results).zip(parsed) {
+            for ((pack, item), read) in round.into_iter().zip(results).zip(parsed) {
                 match item {
                     Ok(response) => {
-                        match lines {
-                            Some(lines) => {
-                                for (slot, line) in answers[pack.clone()].iter_mut().zip(lines) {
-                                    *slot = Some(Ok(line));
+                        match read {
+                            Some(typed) => {
+                                for (slot, answer) in answers[pack.clone()].iter_mut().zip(typed) {
+                                    *slot = Some(answer);
                                 }
-                            }
-                            None if pack.len() == 1 => {
-                                answers[pack.start] = Some(Ok(response.text.clone()));
                             }
                             None => bisect(&pack, &mut next),
                         }
@@ -886,11 +909,15 @@ impl Engine {
                 batch.wait_done();
             });
         }
-        // Every helper has been joined and has dropped its handles: this
-        // thread, which rendered the requests, frees them when `batch` goes
-        // out of scope. (On a shared feed another engine's worker may still
-        // be letting go of the handle it recorded last; then it frees.)
         let results = std::mem::take(&mut batch.slots.lock().results);
+        // Every helper has been joined and has dropped its handles, so the
+        // batch is this thread's alone: its rendered requests are freed in
+        // shares, as a packed round rendered them. (On a shared feed
+        // another engine's worker may still be letting go of the handle it
+        // recorded last; then it frees them.)
+        if let Some(batch) = Arc::into_inner(batch) {
+            free_in_shares(batch.work, shape.workers);
+        }
         if shape.stop_on_error {
             if let Some(errors) = results.iter().find_map(|r| r.as_ref()?.as_ref().err()) {
                 return Err(condemning(errors));
@@ -1169,17 +1196,34 @@ pub(crate) enum Intake<'a> {
 /// One call rendered into work, or the error that pre-fails it.
 pub(crate) type Prepared = Result<Work, EngineError>;
 
+/// What an operator makes of one answer's text: its typed answer, or why
+/// the text holds none.
+pub(crate) type Reader<'r, A> = dyn Fn(&str) -> Result<A, EngineError> + Sync + 'r;
+
+/// The machine's core count, read once per process: the read is a
+/// system call and tens of microseconds on some hosts.
+fn cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
+
+/// How many participants split `count` items of shared work among at
+/// most `workers`: one per [`PACKS_PER_SHARE`] items, never more than the
+/// machine has cores.
+fn participants(count: usize, workers: usize) -> usize {
+    match workers.min(count / PACKS_PER_SHARE) {
+        0 | 1 => 1,
+        wanted => wanted.min(cores()),
+    }
+}
+
 /// `each(i)` for every `i` in `0..count`, in input order: computed in
 /// contiguous shares on the caller and up to `workers − 1` scoped helpers
-/// (never more participants than the machine has cores) when there are at
-/// least [`PACKS_PER_SHARE`] items a participant, on the caller alone
-/// otherwise. A packed round's render and its answers' parse both run here.
+/// ([`participants`]), on the caller alone when the work is too small to
+/// pay for a thread. A packed round's render and its answers' reads both
+/// run here.
 fn in_shares<T: Send>(count: usize, workers: usize, each: &(dyn Fn(usize) -> T + Sync)) -> Vec<T> {
-    let mut participants = workers.min(count / PACKS_PER_SHARE);
-    if participants > 1 {
-        let cores = std::thread::available_parallelism().map_or(1, usize::from);
-        participants = participants.min(cores);
-    }
+    let participants = participants(count, workers);
     if participants <= 1 {
         return (0..count).map(each).collect();
     }
@@ -1202,6 +1246,23 @@ fn in_shares<T: Send>(count: usize, workers: usize, each: &(dyn Fn(usize) -> T +
         }
         out
     })
+}
+
+/// Drop `items` in the contiguous shares [`in_shares`] would compute them
+/// in: a large batch's rendered work is freed by the caller and its
+/// helpers together, a small one by the caller alone.
+fn free_in_shares<T: Send>(mut items: Vec<Option<T>>, workers: usize) {
+    let participants = participants(items.len(), workers);
+    if participants > 1 {
+        let share = items.len().div_ceil(participants);
+        let (own, rest) = items.split_at_mut(share);
+        std::thread::scope(|scope| {
+            for part in rest.chunks_mut(share) {
+                scope.spawn(move || part.fill_with(|| None));
+            }
+            own.fill_with(|| None);
+        });
+    }
 }
 
 /// Whether `task` may share a packed prompt with `first`.
@@ -1295,9 +1356,10 @@ impl Drop for Job {
 
 /// What the jobs of one pump call share: the rendered requests they run
 /// (owned here, so they are freed together by whoever lets go of the batch
-/// last — the pump's caller, who rendered them), the result slots and
-/// outstanding count that caller waits on, the run shape's per-item half,
-/// and the books they bill.
+/// last — the pump's caller, in shares when the batch is large, or a
+/// worker of a shared feed still dropping its last handle), the result
+/// slots and outstanding count that caller waits on, the run shape's
+/// per-item half, and the books they bill.
 struct Batch {
     /// One per item, in input order; `None` where the item was pre-failed.
     /// Read-only once queued: workers borrow `work[slot]`.
@@ -1435,18 +1497,21 @@ impl RunSpec {
 }
 
 /// The result of an engine round ([`Engine::run_outcome`] or a packed
-/// one): one answer string (or condemning error) per input item, plus the
+/// one): one answer per input item — the answer's text from
+/// [`Engine::run_outcome`], what the operator's reader made of it from a
+/// round inside the crate — or the error that condemned it, plus the
 /// responses to meter and the quarantined remainder.
 ///
 /// `responses` carries exactly the completions an operator should meter:
 /// for a per-item round the successful responses in input order, for a
 /// packed one every dispatched completion (packs, bisection retries,
 /// singleton fallbacks) in dispatch order.
-#[derive(Debug, Clone, Default)]
-pub struct BatchOutcome {
+#[derive(Debug, Clone)]
+pub struct BatchOutcome<A = String> {
     /// One answer per input item, in input order; `Err` holds the final
-    /// error that condemned a quarantined item.
-    pub answers: Vec<Result<String, EngineError>>,
+    /// error that condemned a quarantined item, or why a completed item's
+    /// text held no answer.
+    pub answers: Vec<Result<A, EngineError>>,
     /// The completions to meter for cost attribution (see type docs).
     pub responses: Vec<CompletionResponse>,
     /// Quarantined input indices with their full error chains, in index
@@ -1454,7 +1519,17 @@ pub struct BatchOutcome {
     pub quarantined: Vec<Quarantine>,
 }
 
-impl BatchOutcome {
+impl<A> Default for BatchOutcome<A> {
+    fn default() -> Self {
+        BatchOutcome {
+            answers: Vec::new(),
+            responses: Vec::new(),
+            quarantined: Vec::new(),
+        }
+    }
+}
+
+impl<A> BatchOutcome<A> {
     /// Number of items that completed.
     pub fn ok_count(&self) -> usize {
         self.answers.len() - self.quarantined.len()
@@ -1465,6 +1540,15 @@ impl BatchOutcome {
         self.quarantined.is_empty()
     }
 
+    /// Meter every completion this batch dispatched.
+    pub(crate) fn meter_into(&self, meter: &mut CostMeter) {
+        for response in &self.responses {
+            meter.add(response.usage, response.pricing.cost_usd(response.usage));
+        }
+    }
+}
+
+impl BatchOutcome {
     /// Each item's own response (or condemning error), in input order —
     /// for callers that need more than the answer text, such as a
     /// confidence gate. Only a per-item round (width ≤ 1) has one response
@@ -1478,13 +1562,6 @@ impl BatchOutcome {
             Ok(_) => Ok(responses.next().expect("one response per completed item")), // lint: allow(no-unwrap)
             Err(e) => Err(e),
         })
-    }
-
-    /// Meter every completion this batch dispatched.
-    pub(crate) fn meter_into(&self, meter: &mut CostMeter) {
-        for response in &self.responses {
-            meter.add(response.usage, response.pricing.cost_usd(response.usage));
-        }
     }
 }
 
@@ -1800,13 +1877,20 @@ mod tests {
         (Engine::new(client, corpus).with_budget(budget), ids)
     }
 
-    /// A packed round over a task list, through the one packed door.
+    /// A packed round over a task list, through the one packed door, each
+    /// answer read as its text.
     fn packed(
         engine: &Engine,
         tasks: &[TaskDescriptor],
         width: usize,
     ) -> Result<BatchOutcome, EngineError> {
-        engine.run_built(tasks.len(), &|i| tasks[i].clone(), width, None)
+        let owned = |text: &str| Ok(text.to_owned());
+        engine.run_built(tasks.len(), &|i| tasks[i].clone(), width, None, &owned)
+    }
+
+    /// A reader that keeps nothing of an answer.
+    fn unread(_: &str) -> Result<(), EngineError> {
+        Ok(())
     }
 
     fn check_task(id: crowdprompt_oracle::ItemId) -> TaskDescriptor {
@@ -1914,7 +1998,7 @@ mod tests {
 
     /// The responses of a sampled round on a healthy engine.
     fn sampled(engine: &Engine, specs: Vec<Call>) -> Vec<CompletionResponse> {
-        engine.run_sampled(specs).unwrap().responses
+        engine.run_sampled(specs, &unread).unwrap().responses
     }
 
     #[test]
@@ -2083,7 +2167,7 @@ mod tests {
                 i => ids[i],
             })
         };
-        let run = engine.run_built(16, &task_of, 4, None).unwrap();
+        let run = engine.run_built(16, &task_of, 4, None, &unread).unwrap();
         let quarantined: Vec<usize> = run.quarantined.iter().map(|q| q.index).collect();
         assert_eq!(quarantined, vec![5]);
         let built: Vec<usize> = built.iter().map(|n| n.load(Ordering::Relaxed)).collect();
@@ -2121,7 +2205,7 @@ mod tests {
             let engine = engine.fork().with_failure_policy(policy);
             for task_of in builders {
                 assert!(matches!(
-                    engine.run_built(64, task_of, 8, None),
+                    engine.run_built(64, task_of, 8, None, &unread),
                     Err(EngineError::InvalidInput(_))
                 ));
             }

@@ -16,15 +16,32 @@ use crate::error::EngineError;
 /// 2. an explicit `answer is yes/no` phrase;
 /// 3. the *last* standalone `yes`/`no` token (models put conclusions last —
 ///    this resolves the paper's contradictory-chatter pattern).
+///
+/// ASCII text is read in place, other text through a lowercase copy; on
+/// ASCII text the two readers answer alike.
 pub fn yes_no(text: &str) -> Result<bool, EngineError> {
+    let verdict = if text.is_ascii() {
+        yes_no_ascii(text)
+    } else {
+        yes_no_general(text)
+    };
+    verdict.ok_or_else(|| EngineError::Extraction {
+        expected: "yes/no",
+        response: text.to_owned(),
+    })
+}
+
+/// [`yes_no`]'s rule chain on any text, over a lowercase copy split into
+/// Unicode alphanumeric words.
+fn yes_no_general(text: &str) -> Option<bool> {
     let lowered = text.to_lowercase();
     let words: Vec<&str> = lowered
         .split(|ch: char| !ch.is_alphanumeric())
         .filter(|w| !w.is_empty())
         .collect();
     match words.first() {
-        Some(&"yes") => return Ok(true),
-        Some(&"no") => return Ok(false),
+        Some(&"yes") => return Some(true),
+        Some(&"no") => return Some(false),
         _ => {}
     }
     if let Some(pos) = lowered.find("answer is") {
@@ -32,21 +49,40 @@ pub fn yes_no(text: &str) -> Result<bool, EngineError> {
         for w in tail.split(|ch: char| !ch.is_alphanumeric()) {
             match w {
                 "" => continue,
-                "yes" => return Ok(true),
-                "no" => return Ok(false),
+                "yes" => return Some(true),
+                "no" => return Some(false),
                 _ => break,
             }
         }
     }
     let last = words.iter().rev().find(|w| **w == "yes" || **w == "no");
-    match last {
-        Some(&"yes") => Ok(true),
-        Some(&"no") => Ok(false),
-        _ => Err(EngineError::Extraction {
-            expected: "yes/no",
-            response: text.to_owned(),
-        }),
+    last.map(|w| *w == "yes")
+}
+
+/// [`yes_no`]'s rule chain on ASCII text, read in place: ASCII lowercasing
+/// keeps every byte offset and a character is alphanumeric exactly when it
+/// is an ASCII one, so the words, the phrase and the verdict are the
+/// general path's without its copy.
+fn yes_no_ascii(text: &str) -> Option<bool> {
+    fn words(text: &str) -> impl DoubleEndedIterator<Item = &str> {
+        text.split(|ch: char| !ch.is_ascii_alphanumeric())
+            .filter(|w| !w.is_empty())
     }
+    let verdict = |word: &str| match word.len() {
+        3 => word.eq_ignore_ascii_case("yes").then_some(true),
+        2 => word.eq_ignore_ascii_case("no").then_some(false),
+        _ => None,
+    };
+    if let Some(first) = words(text).next().and_then(verdict) {
+        return Some(first);
+    }
+    if let Some(pos) = ascii_positions(text, "answer is").next() {
+        let after = words(&text[pos + "answer is".len()..]).next();
+        if let Some(stated) = after.and_then(verdict) {
+            return Some(stated);
+        }
+    }
+    words(text).rev().find_map(verdict)
 }
 
 /// Extract an integer rating (the first integer in the response).
@@ -84,20 +120,16 @@ fn first_integer(text: &str) -> Option<u64> {
     current
 }
 
-/// Parse a (possibly numbered) list response into item strings.
+/// The items of a (possibly numbered) list response, borrowed from it.
 ///
 /// Skips preamble lines (ending with `:`) and blank lines; strips `N.` /
-/// `N)` prefixes.
-pub(crate) fn list_items(text: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.ends_with(':') {
-            continue;
-        }
-        out.push(strip_enumeration(line).to_owned());
-    }
-    out
+/// `N)` prefixes. The one line reader: the packed round reads each answer
+/// off these lines, and [`packed_answers`] and [`yes_no_list`] wrap it.
+pub(crate) fn list_items(text: &str) -> impl Iterator<Item = &str> {
+    text.lines()
+        .map(str::trim)
+        .filter(|line| !line.is_empty() && !line.ends_with(':'))
+        .map(strip_enumeration)
 }
 
 fn strip_enumeration(line: &str) -> &str {
@@ -113,11 +145,7 @@ fn strip_enumeration(line: &str) -> &str {
 /// line, `expected` answers required.
 pub(crate) fn yes_no_list(text: &str, expected: usize) -> Result<Vec<bool>, EngineError> {
     let mut out = Vec::with_capacity(expected);
-    for line in list_items(text) {
-        if let Ok(answer) = yes_no(&line) {
-            out.push(answer);
-        }
-    }
+    out.extend(list_items(text).filter_map(|line| yes_no(line).ok()));
     if out.len() != expected {
         return Err(EngineError::Extraction {
             expected: "yes/no list",
@@ -134,7 +162,7 @@ pub(crate) fn yes_no_list(text: &str, expected: usize) -> Result<Vec<bool>, Engi
 /// long packed prompts — is `None`; the dispatcher reacts by bisecting the
 /// pack and retrying (see `Engine::run_built`).
 pub fn packed_answers(text: &str, expected: usize) -> Option<Vec<String>> {
-    let answers = list_items(text);
+    let answers: Vec<String> = list_items(text).map(str::to_owned).collect();
     (answers.len() == expected).then_some(answers)
 }
 
@@ -166,19 +194,27 @@ pub fn groups(text: &str) -> Vec<Vec<String>> {
 /// Rule chain: quoted string → `Answer:` prefix → `most likely ...` →
 /// `it is ...` → first non-empty line with trailing punctuation trimmed.
 pub fn value(text: &str) -> Result<String, EngineError> {
-    let trimmed = text.trim();
-    if trimmed.is_empty() {
-        return Err(EngineError::Extraction {
+    value_in(text)
+        .map(str::to_owned)
+        .ok_or_else(|| EngineError::Extraction {
             expected: "value",
             response: text.to_owned(),
-        });
+        })
+}
+
+/// [`value`]'s rule chain, borrowing the value from `text`; `None` for
+/// blank text.
+fn value_in(text: &str) -> Option<&str> {
+    let trimmed = text.trim();
+    if trimmed.is_empty() {
+        return None;
     }
     // 1. A double-quoted span.
     if let Some(start) = trimmed.find('"') {
         if let Some(len) = trimmed[start + 1..].find('"') {
             let inner = &trimmed[start + 1..start + 1 + len];
             if !inner.is_empty() {
-                return Ok(inner.to_owned());
+                return Some(inner);
             }
         }
     }
@@ -186,7 +222,7 @@ pub fn value(text: &str) -> Result<String, EngineError> {
     if let Some(pos) = ascii_positions(trimmed, "answer:").next() {
         let tail = trimmed[pos + "answer:".len()..].trim();
         if !tail.is_empty() {
-            return Ok(strip_sentence_end(first_line(tail)).to_owned());
+            return Some(strip_sentence_end(first_line(tail)));
         }
     }
     // 3. "... most likely X" / 4. "... it is X"
@@ -194,12 +230,12 @@ pub fn value(text: &str) -> Result<String, EngineError> {
         if let Some(pos) = ascii_positions(trimmed, marker).next_back() {
             let tail = trimmed[pos + marker.len()..].trim();
             if !tail.is_empty() {
-                return Ok(strip_sentence_end(first_line(tail)).to_owned());
+                return Some(strip_sentence_end(first_line(tail)));
             }
         }
     }
     // 5. First non-empty line.
-    Ok(strip_sentence_end(first_line(trimmed)).to_owned())
+    Some(strip_sentence_end(first_line(trimmed)))
 }
 
 /// Extract one of the given labels from a classification response.
@@ -208,23 +244,29 @@ pub fn value(text: &str) -> Result<String, EngineError> {
 /// takes the label whose *last* occurrence in the text is latest (models
 /// state conclusions last, per §4's multiple-choice discussion).
 pub fn choice(text: &str, labels: &[String]) -> Result<String, EngineError> {
-    if let Ok(v) = value(text) {
-        for label in labels {
-            if v.eq_ignore_ascii_case(label) {
-                return Ok(label.clone());
-            }
+    choice_index(text, labels).map(|at| labels[at].clone())
+}
+
+/// [`choice`], as the chosen label's index in `labels`.
+pub(crate) fn choice_index(text: &str, labels: &[String]) -> Result<usize, EngineError> {
+    if let Some(v) = value_in(text) {
+        if let Some(at) = labels
+            .iter()
+            .position(|label| v.eq_ignore_ascii_case(label))
+        {
+            return Ok(at);
         }
     }
     let lowered = text.to_lowercase();
-    let mut best: Option<(usize, &String)> = None;
-    for label in labels {
+    let mut best: Option<(usize, usize)> = None;
+    for (at, label) in labels.iter().enumerate() {
         if let Some(pos) = lowered.rfind(&label.to_lowercase()) {
             if best.is_none_or(|(bp, _)| pos > bp) {
-                best = Some((pos, label));
+                best = Some((pos, at));
             }
         }
     }
-    best.map(|(_, l)| l.clone())
+    best.map(|(_, at)| at)
         .ok_or_else(|| EngineError::Extraction {
             expected: "choice",
             response: text.to_owned(),
@@ -258,6 +300,7 @@ fn strip_sentence_end(s: &str) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn yes_no_first_word() {
@@ -325,12 +368,44 @@ mod tests {
     #[test]
     fn list_items_strips_numbering_and_preamble() {
         let text = "Here is the sorted list:\n1. alpha\n2. beta\n3) gamma\n";
-        assert_eq!(list_items(text), vec!["alpha", "beta", "gamma"]);
+        let items: Vec<&str> = list_items(text).collect();
+        assert_eq!(items, vec!["alpha", "beta", "gamma"]);
     }
 
     #[test]
     fn list_items_handles_unnumbered() {
-        assert_eq!(list_items("apple\nbanana\n"), vec!["apple", "banana"]);
+        let items: Vec<&str> = list_items("apple\nbanana\n").collect();
+        assert_eq!(items, vec!["apple", "banana"]);
+    }
+
+    /// The list reader as it was when it returned owned lines.
+    fn owned_list_items(text: &str) -> Vec<String> {
+        let mut out = Vec::new();
+        for line in text.lines() {
+            let line = line.trim();
+            if line.is_empty() || line.ends_with(':') {
+                continue;
+            }
+            out.push(strip_enumeration(line).to_owned());
+        }
+        out
+    }
+
+    #[test]
+    fn borrowed_lines_are_the_owned_readers_lines() {
+        let texts = [
+            "",
+            "\n\n",
+            "Here are the answers:\n1. Yes\n2) no\n\n3.   maybe so\n",
+            "Answers:\r\n1. Yes\r\n\r\n2. No\r\n",
+            "10) ten\n  11.eleven  \n12\n3)\n4.:\nnote: kept?\n",
+            "plain\r\nlines\rwith a bare CR\n\t\n last ",
+            "1. café\n2. 日本:\n3. 🦀 ok",
+        ];
+        for text in texts {
+            let borrowed: Vec<&str> = list_items(text).collect();
+            assert_eq!(borrowed, owned_list_items(text), "{text:?}");
+        }
     }
 
     #[test]
@@ -413,6 +488,120 @@ mod tests {
     fn yes_no_list_skips_preamble() {
         let text = "Here is the sorted list:\n1. Yes\n2. No\n";
         assert_eq!(yes_no_list(text, 2).unwrap(), vec![true, false]);
+    }
+
+    #[test]
+    fn non_ascii_text_is_read_by_the_general_path() {
+        // `é` is a letter to Unicode and a separator to the ASCII reader:
+        // in place, "yes" would be the first word.
+        let text = "é yes, then no";
+        assert_eq!(yes_no_ascii(text), Some(true));
+        assert_eq!(yes_no_general(text), Some(false));
+        assert_eq!(yes_no(text), Ok(false));
+        // U+212A KELVIN SIGN lowercases to `k`, one byte shorter.
+        let text = "\u{212A} the answer is no, not yes";
+        assert_eq!(yes_no(text), Ok(false));
+    }
+
+    /// Words of ASCII answers: every word and phrase [`yes_no`] looks for,
+    /// in mixed case and run together, digits and filler.
+    const ASCII_WORDS: [&str; 20] = [
+        "yes",
+        "YES",
+        "Yes",
+        "yEs",
+        "no",
+        "NO",
+        "nO",
+        "answer is",
+        "ANSWER IS",
+        "Answer",
+        "is",
+        "answeris",
+        "yesno",
+        "noyes",
+        "yes1",
+        "2no",
+        "42",
+        "maybe",
+        "x",
+        "",
+    ];
+
+    /// What separates two [`ASCII_WORDS`]: punctuation, whitespace, or
+    /// nothing, which runs them together.
+    const ASCII_GAPS: [&str; 8] = [" ", "  ", "\n", ". ", ",", "!", ": ", ""];
+
+    /// The ASCII text the `(word, gap)` picks spell.
+    fn spelled(picks: &[(usize, usize)]) -> String {
+        picks
+            .iter()
+            .flat_map(|&(word, gap)| [ASCII_WORDS[word], ASCII_GAPS[gap]])
+            .collect()
+    }
+
+    /// [`choice`] as it was when it read [`value`]'s owned copy.
+    fn owned_choice(text: &str, labels: &[String]) -> Result<String, EngineError> {
+        if let Ok(v) = value(text) {
+            for label in labels {
+                if v.eq_ignore_ascii_case(label) {
+                    return Ok(label.clone());
+                }
+            }
+        }
+        let lowered = text.to_lowercase();
+        let mut best: Option<(usize, &String)> = None;
+        for label in labels {
+            if let Some(pos) = lowered.rfind(&label.to_lowercase()) {
+                if best.is_none_or(|(bp, _)| pos > bp) {
+                    best = Some((pos, label));
+                }
+            }
+        }
+        best.map(|(_, l)| l.clone())
+            .ok_or_else(|| EngineError::Extraction {
+                expected: "choice",
+                response: text.to_owned(),
+            })
+    }
+
+    proptest! {
+        #[test]
+        fn the_ascii_reader_answers_as_the_general_one(
+            picks in prop::collection::vec((0usize..ASCII_WORDS.len(), 0usize..ASCII_GAPS.len()), 0..10),
+            bytes in prop::collection::vec(0u8..128, 0..24),
+            at in 0usize..32,
+        ) {
+            let pieced = spelled(&picks);
+            let raw: String = bytes.iter().map(|&b| char::from(b)).collect();
+            // The raw bytes with a phrase spliced in at any offset.
+            let mut spliced = raw.clone();
+            spliced.insert_str(at.min(raw.len()), " Answer is ");
+            for text in [pieced, raw, spliced, String::new()] {
+                prop_assert!(text.is_ascii());
+                prop_assert_eq!(yes_no_ascii(&text), yes_no_general(&text), "{:?}", text);
+                // And through the public door, errors included.
+                let general = yes_no_general(&text).ok_or_else(|| EngineError::Extraction {
+                    expected: "yes/no",
+                    response: text.clone(),
+                });
+                prop_assert_eq!(yes_no(&text), general);
+            }
+        }
+
+        #[test]
+        fn a_borrowed_choice_is_the_owned_one(
+            picks in prop::collection::vec((0usize..ASCII_WORDS.len(), 0usize..ASCII_GAPS.len()), 0..10),
+            marks in prop::collection::vec(0usize..6, 0..6),
+        ) {
+            const MARKS: [&str; 6] = ["\"", "Answer: ", "most likely ", "it is ", "B", "d."];
+            let labels = ["A", "B", "D", "yes", "maybe"].map(str::to_owned);
+            let mut text = spelled(&picks);
+            for (k, &m) in marks.iter().enumerate() {
+                text.insert_str((k * 7).min(text.len()), MARKS[m]);
+            }
+            prop_assert_eq!(choice(&text, &labels), owned_choice(&text, &labels));
+        }
     }
 
     #[test]

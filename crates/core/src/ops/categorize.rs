@@ -28,31 +28,33 @@ pub(crate) fn categorize(
             "categorize requires at least one label".into(),
         ));
     }
-    classify(engine, "categorize", items, labels, pack)
+    let assigned = classify(engine, "categorize", items, labels, pack)?;
+    let label = |at: Option<usize>| at.map_or_else(String::new, |at| labels[at].clone());
+    Ok(assigned.map(|assigned| assigned.into_iter().map(label).collect()))
 }
 
-/// One label per item under the salvage-note name `op`: the classification
-/// pass shared by [`categorize`] and the plan layer's keep-label
-/// node.
+/// Each item's label, as its index in `labels`, under the salvage-note name
+/// `op` (`None` where the item was lost): the classification pass shared by
+/// [`categorize`] and the plan layer's keep-label node.
 pub(crate) fn classify(
     engine: &Engine,
     op: &'static str,
     items: &[ItemId],
     labels: &[String],
     pack: usize,
-) -> Result<Outcome<Vec<String>>, EngineError> {
+) -> Result<Outcome<Vec<Option<usize>>>, EngineError> {
     let task_of = |i: usize| TaskDescriptor::Classify {
         item: items[i],
         labels: labels.to_vec(),
     };
+    let read = |text: &str| extract::choice_index(text, labels);
     let mut meter = CostMeter::new();
     let mut settle = engine.settle(op);
-    let run = engine.run_built(items.len(), &task_of, pack, None)?;
+    let run = engine.run_built(items.len(), &task_of, pack, None, &read)?;
     run.meter_into(&mut meter);
     let mut out = Vec::with_capacity(items.len());
-    for (index, answer) in run.answers.into_iter().enumerate() {
-        let label = answer.and_then(|text| extract::choice(&text, labels));
-        out.push(settle.item(index, label)?.unwrap_or_default());
+    for (index, label) in run.answers.into_iter().enumerate() {
+        out.push(settle.item(index, label)?);
     }
     settle.finish(items.len());
     Ok(meter.into_outcome(out))

@@ -104,10 +104,9 @@ pub(crate) fn count(
                 item: items[i],
                 predicate: predicate.to_owned(),
             };
-            let run = engine.run_built(items.len(), &task_of, pack, None)?;
+            let run = engine.run_built(items.len(), &task_of, pack, None, &extract::yes_no)?;
             run.meter_into(&mut meter);
-            for (index, answer) in run.answers.into_iter().enumerate() {
-                let verdict = answer.and_then(|text| extract::yes_no(&text));
+            for (index, verdict) in run.answers.into_iter().enumerate() {
                 total += u64::from(settle.item(index, verdict)? == Some(true));
             }
         }

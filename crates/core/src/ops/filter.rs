@@ -435,7 +435,8 @@ impl<'e> Poll<'e> {
         let task_at = |k: usize| task_of(open[k]);
         let (samples, temperature) = match draw {
             Draw::Once => {
-                let run = engine.run_built(open.len(), &task_at, self.pack, None)?;
+                let run =
+                    engine.run_built(open.len(), &task_at, self.pack, None, &extract::yes_no)?;
                 return self.tally(ballot, open, run, 1);
             }
             Draw::Sampled {
@@ -447,7 +448,13 @@ impl<'e> Poll<'e> {
         if self.pack > 1 {
             return samples.into_iter().try_for_each(|sample| {
                 let sampling = Some((temperature, sample));
-                let run = engine.run_built(open.len(), &task_at, self.pack, sampling)?;
+                let run = engine.run_built(
+                    open.len(),
+                    &task_at,
+                    self.pack,
+                    sampling,
+                    &extract::yes_no,
+                )?;
                 self.tally(ballot, open, run, 1)
             });
         }
@@ -455,7 +462,7 @@ impl<'e> Poll<'e> {
         let specs = (0..open.len())
             .flat_map(|k| samples.clone().map(move |s| (task_at(k), temperature, s)))
             .collect();
-        let run = engine.run_sampled(specs)?;
+        let run = engine.run_sampled(specs, &extract::yes_no)?;
         self.tally(ballot, open, run, per_item)
     }
 
@@ -464,12 +471,12 @@ impl<'e> Poll<'e> {
         &mut self,
         ballot: &mut Ballot,
         open: &[usize],
-        run: BatchOutcome,
+        run: BatchOutcome<bool>,
         per_item: usize,
     ) -> Result<(), EngineError> {
         run.meter_into(&mut self.meter);
-        for (k, answer) in run.answers.into_iter().enumerate() {
-            ballot.cast(&mut self.settle, open[k / per_item], answer)?;
+        for (k, vote) in run.answers.into_iter().enumerate() {
+            ballot.cast(&mut self.settle, open[k / per_item], vote)?;
         }
         Ok(())
     }
@@ -512,9 +519,9 @@ impl Ballot {
         &mut self,
         settle: &mut Settle<'_>,
         index: usize,
-        answer: Result<String, EngineError>,
+        vote: Result<bool, EngineError>,
     ) -> Result<(), EngineError> {
-        if let Some(yes) = settle.item(index, answer.and_then(|t| extract::yes_no(&t)))? {
+        if let Some(yes) = settle.item(index, vote)? {
             self.counted[index] += 1;
             self.yes[index] += u32::from(yes);
         }
@@ -755,8 +762,8 @@ mod tests {
         let mut settle = engine.settle("filter");
         let mut ballot = Ballot::new(1);
         assert_eq!(ballot.verdict(0), None, "no vote, no verdict");
-        ballot.cast(&mut settle, 0, Ok("yes".into())).unwrap();
-        ballot.cast(&mut settle, 0, Ok("no".into())).unwrap();
+        ballot.cast(&mut settle, 0, Ok(true)).unwrap();
+        ballot.cast(&mut settle, 0, Ok(false)).unwrap();
         assert_eq!(ballot.votes(0), (1, 2));
         assert_eq!(ballot.lead(0), 0);
         assert_eq!(ballot.verdict(0), Some(false), "a tie is no");

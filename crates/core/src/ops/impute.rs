@@ -177,10 +177,9 @@ pub(crate) fn impute(
     };
     let mut meter = CostMeter::new();
     let mut settle = engine.settle("impute");
-    let run = engine.run_built(llm_indices.len(), &task_of, pack, None)?;
+    let run = engine.run_built(llm_indices.len(), &task_of, pack, None, &extract::value)?;
     run.meter_into(&mut meter);
-    for (answer, &i) in run.answers.into_iter().zip(&llm_indices) {
-        let value = answer.and_then(|text| extract::value(&text));
+    for (value, &i) in run.answers.into_iter().zip(&llm_indices) {
         values[i] = Some(settle.item(i, value)?.unwrap_or_default());
     }
     settle.finish(records.len());

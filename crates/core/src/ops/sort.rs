@@ -213,13 +213,12 @@ fn run_list_sort(
         criterion,
     })?;
     meter.add(resp.usage, engine.cost_of_response(&resp));
-    let lines = extract::list_items(&resp.text);
     let requested = engine.corpus().by_text(items);
     let mut seen: HashSet<ItemId> = HashSet::with_capacity(items.len());
     let mut order: Vec<ItemId> = Vec::with_capacity(items.len());
     let mut hallucinated = 0usize;
-    for line in &lines {
-        match requested.get(line.as_str()) {
+    for line in extract::list_items(&resp.text) {
+        match requested.get(line) {
             Some(&id) if seen.insert(id) => order.push(id),
             Some(_) | None => hallucinated += 1,
         }

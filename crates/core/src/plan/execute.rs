@@ -264,13 +264,14 @@ pub(crate) fn execute(engine: &Engine, plan: &Plan) -> Result<PlanRun, EngineErr
             }
             PhysicalNode::KeepLabel { labels, keep, pack } => {
                 // A quarantined item carries the empty placeholder label,
-                // which is never `keep`, so it is not kept.
+                // as `categorize` labels it.
                 let assigned =
                     ops::categorize::classify(engine, "keep-label", &items, labels, *pack)?;
                 let out = assigned.map(|assigned| -> Vec<ItemId> {
+                    let kept = |at: Option<usize>| at.map_or("", |at| &labels[at]) == keep;
                     let labelled = items.iter().zip(assigned);
                     labelled
-                        .filter_map(|(id, label)| (label == *keep).then_some(*id))
+                        .filter_map(|(id, at)| kept(at).then_some(*id))
                         .collect()
                 });
                 push_report(engine, &mut steps, name, items_in, out.value.len(), &out);

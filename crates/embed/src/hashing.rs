@@ -40,9 +40,12 @@ pub trait Embedder: Send + Sync {
     /// texts one at a time in order; small batches run inline to skip
     /// thread spawn cost.
     fn embed_all_flat(&self, texts: &[&str]) -> Vec<f32> {
-        let workers = std::thread::available_parallelism().map_or(1, usize::from);
         // Below ~16 texts per worker, spawn cost beats the win.
-        embed_all_flat_with_workers(self, texts, workers.min(texts.len() / 16))
+        let workers = match texts.len() / 16 {
+            0 | 1 => 1,
+            wanted => wanted.min(crate::parallel::cores()),
+        };
+        embed_all_flat_with_workers(self, texts, workers)
     }
 }
 

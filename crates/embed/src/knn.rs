@@ -197,7 +197,7 @@ pub(crate) fn auto_workers(queries: usize, corpus: usize) -> usize {
     if queries.saturating_mul(corpus) < 1 << 14 {
         1
     } else {
-        std::thread::available_parallelism().map_or(1, usize::from)
+        crate::parallel::cores()
     }
 }
 

@@ -1,6 +1,15 @@
 //! Crate-internal scoped-thread partitioning shared by the batch k-NN
 //! drivers and the parallel embedder.
 
+use std::sync::OnceLock;
+
+/// The machine's core count, read once per process: the read is a system
+/// call and tens of microseconds on some hosts.
+pub(crate) fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
+
 /// Split `0..n` into `workers` contiguous chunks, run `work` on each
 /// chunk in a `std::thread::scope` worker, and reassemble the per-chunk
 /// outputs in input order (so parallelism never changes results, only

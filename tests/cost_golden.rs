@@ -69,20 +69,31 @@ const SELF_JOIN: (u64, u64) = (4_005, 548_008);
 /// Re-recorded from `(1_283, 108_687)` when a packed answer list that does
 /// not parse stopped being copied into an error nobody reads: the round's
 /// two unparseable packs' response copies, 102 bytes, went.
-const FILTER_ROUND: (u64, u64) = (1_281, 108_585);
+/// Re-recorded from `(1_281, 108_585)` when the round began reading each
+/// answer as a `bool` off a line borrowed from its pack's response: every
+/// item's owned line, its lowercase copy and its list of words went, three
+/// allocations an item.
+const FILTER_ROUND: (u64, u64) = (496, 96_961);
 /// The same shape as a keep-label node over three labels.
 /// Re-recorded from `(3_067, 159_578)` with [`FILTER_ROUND`]: a `Classify`
 /// task is four allocations (its label list and three labels), so the
 /// saving is four times the filter's. Re-recorded again from
 /// `(2_048, 120_040)` with it: one unparseable pack's copy, 81 bytes.
-const KEEP_LABEL_ROUND: (u64, u64) = (2_047, 119_959);
+/// Re-recorded from `(2_047, 119_959)` when the round began reading each
+/// answer as the label's index off a borrowed line: every item's owned
+/// line, the copy of its extracted value and the clone of its label went.
+const KEEP_LABEL_ROUND: (u64, u64) = (1_272, 118_466);
 /// The same shape as an impute node, `LlmOnly` with two shots, over the
 /// same 256 records labelled with their cities (each record's examples
 /// are its two nearest other records), less what the node's `KnnOnly`
 /// twin with `k = 2` costs: the pool build and neighbour query both run,
 /// so what is left is the packed round with its examples and settling,
 /// less the twin's per-record vote.
-const IMPUTE_ROUND: (u64, u64) = (1_289, 195_878);
+/// Re-recorded from `(1_289, 195_878)` when the round began reading each
+/// value off a borrowed line: every item's owned line went. The bytes
+/// rose by 4 264: a pack's answers are now held as
+/// `Result<String, EngineError>`, wider than the `String` lines were.
+const IMPUTE_ROUND: (u64, u64) = (1_033, 200_142);
 
 /// [`System`], counting every allocation a counting thread makes and the
 /// bytes it asked for. A `realloc` counts as one allocation of its new
