@@ -49,10 +49,12 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::backend::BackendRegistry;
 use crate::error::LlmError;
-use crate::pricing::CostLedger;
+use crate::pricing::{CostLedger, Pricing};
 use crate::route::{BreakerConfig, RoutePolicy, Router};
 use crate::store::ResponseStore;
-use crate::types::{CompletionRequest, CompletionResponse, LanguageModel};
+use crate::types::{
+    CompletionRequest, CompletionResponse, FinishReason, LanguageModel, ModelName, Usage,
+};
 
 /// Number of cache shards (a power of two: the key's low bits pick one).
 const CACHE_SHARDS: usize = 16;
@@ -155,27 +157,250 @@ impl Flight {
     }
 }
 
-/// A shard's lock-protected state: the response map plus a plain (non-
-/// atomic) hit counter — bumping it under the already-held lock makes hit
-/// accounting cost one L1-hot increment instead of a contended atomic RMW.
+/// A shard's lock-protected state: its resident answers, packed, plus a
+/// plain (non-atomic) hit counter — bumping it under the already-held lock
+/// makes hit accounting cost one L1-hot increment instead of a contended
+/// atomic RMW.
 ///
-/// Responses are stored behind an `Arc`: a hit clones the `Arc` under the
-/// shard lock (a refcount bump) and materializes the body *outside* the
-/// critical section, so same-key hit storms no longer serialize on body
-/// clones inside the lock. An earlier revision stored bodies inline after
-/// the `Arc` measured ~4pp worse on the hot-cache bench; re-measured when
-/// the persistent store landed (which shares `Arc`'d bodies with this
-/// tier), the `Arc` layout is now at parity single-threaded (CHANGES.md
-/// has the since-deleted hot-cache bench's numbers) and strictly better under
-/// same-key contention, so the trade was re-taken — see the PR 9 notes in
-/// ARCHITECTURE.md.
+/// A resident answer is a fingerprint's slot in `index` and a 32-byte
+/// [`Record`]; its text is copied into the shard's text blocks and its
+/// pricing is an index into the shard's short list of schedules. A hit
+/// builds the caller's own [`CompletionResponse`] from the record under
+/// the lock: a record copy and one text allocation, what cloning a shared
+/// body cost. The store and the journal keep their `Arc`'d bodies; the
+/// shard used to hold a third reference to the same body, which kept a
+/// 96-byte block and a text block resident for every answer.
+///
+/// Records and text live in blocks that are allocated once at their final
+/// size and never moved: each block doubles its predecessor's size up to
+/// [`RECORD_BLOCK`] records or [`TEXT_BLOCK`] bytes, so a growing shard
+/// leaves no freed half-size buffers behind, and a small one allocates
+/// small. An answer a record cannot locate — a text past the 65 536th text
+/// block or longer than `u32::MAX` bytes, a pricing past the shard's
+/// 256th — is kept whole in `spilled`, never truncated.
 #[derive(Default)]
 struct ShardState {
-    map: HashMap<u64, Arc<CompletionResponse>>,
+    /// Fingerprint → record id (`block << RECORD_BITS | place`).
+    index: HashMap<u64, u32>,
+    records: Vec<Vec<Record>>,
+    texts: Vec<String>,
+    pricings: Vec<Pricing>,
+    spilled: Vec<CompletionResponse>,
     hits: u64,
 }
 
-/// One cache shard: the response map plus the in-flight table for keys
+/// Records in a shard's first record block.
+const FIRST_RECORDS: usize = 8;
+/// A record id's bits for the record's place in its block.
+const RECORD_BITS: u32 = 11;
+/// Records in a full record block: 64 KiB.
+const RECORD_BLOCK: usize = 1 << RECORD_BITS;
+/// Bytes in a shard's first text block.
+const FIRST_TEXT: usize = 256;
+/// Bytes in a full text block. A text starts at a 16-bit place in its
+/// block (`text_at` is `block << 16 | place`); a longer text gets a block
+/// of its own.
+const TEXT_BLOCK: usize = 1 << 16;
+
+/// [`Record::flags`]: the answer stopped at `max_tokens`.
+const LENGTH: u8 = 1;
+/// [`Record::flags`]: the answer carries a confidence.
+const CONFIDENT: u8 = 2;
+/// [`Record::flags`]: the answer is whole in [`ShardState::spilled`], at
+/// `text_at`.
+const SPILLED: u8 = 4;
+
+/// One resident answer: every field of its [`CompletionResponse`] but the
+/// text and the pricing inline, those two as places in its shard.
+#[derive(Clone, Copy)]
+struct Record {
+    /// The confidence's bits, so `-0.0` and a NaN's payload come back.
+    confidence: u64,
+    /// Where the text starts (`block << 16 | place`), or a spilled
+    /// answer's index.
+    text_at: u32,
+    text_len: u32,
+    usage: Usage,
+    model: ModelName,
+    /// Index into [`ShardState::pricings`].
+    pricing: u8,
+    flags: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<Record>() == 32);
+
+/// The size of a shard's next block when it holds `blocks`: the first
+/// size, doubled per block held, up to the full size.
+fn block_size(blocks: usize, first: usize, full: usize) -> usize {
+    (first << blocks.min(16)).min(full)
+}
+
+/// A pricing's bits, compared so that `-0.0` and `0.0` stay two schedules.
+fn pricing_bits(pricing: &Pricing) -> (u64, u64) {
+    (
+        pricing.usd_per_1k_input.to_bits(),
+        pricing.usd_per_1k_output.to_bits(),
+    )
+}
+
+impl ShardState {
+    /// The answer under `key`, counted as a hit: a caller's own copy marked
+    /// [`CompletionResponse::cached`].
+    #[inline]
+    fn hit(&mut self, key: u64) -> Option<CompletionResponse> {
+        let &id = self.index.get(&key)?;
+        self.hits += 1;
+        let record = self.record(id);
+        if record.flags & SPILLED != 0 {
+            return Some(served_free(&self.spilled[record.text_at as usize]));
+        }
+        Some(CompletionResponse {
+            text: self.text(&record).to_owned(),
+            usage: record.usage,
+            finish_reason: if record.flags & LENGTH == 0 {
+                FinishReason::Stop
+            } else {
+                FinishReason::Length
+            },
+            model: record.model,
+            cached: true,
+            pricing: self.pricings[usize::from(record.pricing)],
+            confidence: (record.flags & CONFIDENT != 0).then(|| f64::from_bits(record.confidence)),
+        })
+    }
+
+    fn record(&self, id: u32) -> Record {
+        self.records[(id >> RECORD_BITS) as usize][id as usize & (RECORD_BLOCK - 1)]
+    }
+
+    /// An unspilled record's text.
+    fn text(&self, record: &Record) -> &str {
+        let place = (record.text_at & 0xFFFF) as usize;
+        &self.texts[(record.text_at >> 16) as usize][place..place + record.text_len as usize]
+    }
+
+    /// Keep `body` under `key`, replacing what the key held (and reusing
+    /// its text when the text is the same). An answer past the records a
+    /// shard can number (2^32) is not kept.
+    fn insert(&mut self, key: u64, body: &CompletionResponse) {
+        let held = self.index.get(&key).copied();
+        let same_text = held
+            .map(|id| self.record(id))
+            .filter(|old| old.flags & SPILLED == 0 && self.text(old) == body.text);
+        let Some(record) = self.pack(body, same_text).or_else(|| self.spill(body)) else {
+            return;
+        };
+        match held {
+            Some(id) => {
+                self.records[(id >> RECORD_BITS) as usize][id as usize & (RECORD_BLOCK - 1)] =
+                    record;
+            }
+            None => {
+                if let Some(id) = self.push_record(record) {
+                    self.index.insert(key, id);
+                }
+            }
+        }
+    }
+
+    /// `body` as a record, its text at `same_text`'s place or copied into
+    /// the text blocks; `None` when a place does not fit the record's
+    /// fields.
+    fn pack(&mut self, body: &CompletionResponse, same_text: Option<Record>) -> Option<Record> {
+        let text_len = u32::try_from(body.text.len()).ok()?;
+        let pricing = self.pricing_index(&body.pricing)?;
+        let text_at = match same_text {
+            Some(old) => old.text_at,
+            None => self.push_text(&body.text)?,
+        };
+        let mut flags = 0;
+        if body.finish_reason == FinishReason::Length {
+            flags |= LENGTH;
+        }
+        if body.confidence.is_some() {
+            flags |= CONFIDENT;
+        }
+        Some(Record {
+            confidence: body.confidence.map_or(0, f64::to_bits),
+            text_at,
+            text_len,
+            usage: body.usage,
+            model: body.model,
+            pricing,
+            flags,
+        })
+    }
+
+    /// `body` kept whole, and a record pointing at it.
+    fn spill(&mut self, body: &CompletionResponse) -> Option<Record> {
+        let text_at = u32::try_from(self.spilled.len()).ok()?;
+        self.spilled.push(body.clone());
+        Some(Record {
+            confidence: 0,
+            text_at,
+            text_len: 0,
+            usage: body.usage,
+            model: body.model,
+            pricing: 0,
+            flags: SPILLED,
+        })
+    }
+
+    /// The index of `pricing` in the shard's list, added if new.
+    fn pricing_index(&mut self, pricing: &Pricing) -> Option<u8> {
+        let bits = pricing_bits(pricing);
+        match self.pricings.iter().position(|p| pricing_bits(p) == bits) {
+            Some(at) => u8::try_from(at).ok(),
+            None => {
+                let at = u8::try_from(self.pricings.len()).ok()?;
+                self.pricings.push(*pricing);
+                Some(at)
+            }
+        }
+    }
+
+    /// Copy `text` into the last text block, or into a new one when it
+    /// does not fit there: its `text_at`.
+    fn push_text(&mut self, text: &str) -> Option<u32> {
+        let fits = self.texts.last().is_some_and(|block| {
+            block.len() < TEXT_BLOCK && block.capacity() - block.len() >= text.len()
+        });
+        if !fits {
+            if self.texts.len() >= 1 << 16 {
+                return None;
+            }
+            let size = block_size(self.texts.len(), FIRST_TEXT, TEXT_BLOCK).max(text.len());
+            self.texts.push(String::with_capacity(size));
+        }
+        let block = self.texts.len() - 1;
+        let texts = &mut self.texts[block];
+        let place = texts.len();
+        texts.push_str(text);
+        Some(((block as u32) << 16) | place as u32)
+    }
+
+    /// Append `record` to the last record block, or to a new one when it is
+    /// full: its id.
+    fn push_record(&mut self, record: Record) -> Option<u32> {
+        if self
+            .records
+            .last()
+            .is_none_or(|block| block.len() == block.capacity())
+        {
+            if self.records.len() >= 1 << (32 - RECORD_BITS) {
+                return None;
+            }
+            let size = block_size(self.records.len(), FIRST_RECORDS, RECORD_BLOCK);
+            self.records.push(Vec::with_capacity(size));
+        }
+        let block = self.records.len() - 1;
+        let records = &mut self.records[block];
+        records.push(record);
+        Some(((block as u32) << RECORD_BITS) | (records.len() - 1) as u32)
+    }
+}
+
+/// One cache shard: its resident answers plus the in-flight table for keys
 /// that hash into this shard.
 struct Shard {
     responses: Mutex<ShardState>,
@@ -194,7 +419,7 @@ impl Shard {
 /// What a thread should do after consulting the coalescing table.
 enum Claim {
     /// Result was already cached (second-chance hit under the flight lock).
-    Cached(Arc<CompletionResponse>),
+    Cached(CompletionResponse),
     /// Another thread is executing this request; wait on its flight.
     Join(Arc<Flight>),
     /// This thread is the leader and must execute the backend call.
@@ -220,16 +445,16 @@ impl ShardedCache {
         &self.shards[(key as usize) & (CACHE_SHARDS - 1)]
     }
 
-    /// Fast path: one lock acquisition does lookup *and* hit accounting.
-    /// Returns the shared body; the caller clones it outside the lock.
+    /// Fast path: one lock acquisition does lookup *and* hit accounting,
+    /// and builds the caller's copy.
     #[inline]
-    fn get(&self, key: u64) -> Option<Arc<CompletionResponse>> {
-        let mut state = self.shard(key).responses.lock();
-        let hit = state.map.get(&key).map(Arc::clone);
-        if hit.is_some() {
-            state.hits += 1;
-        }
-        hit
+    fn get(&self, key: u64) -> Option<CompletionResponse> {
+        self.shard(key).responses.lock().hit(key)
+    }
+
+    /// Keep `body` under `key` in its shard.
+    fn insert(&self, key: u64, body: &CompletionResponse) {
+        self.shard(key).responses.lock().insert(key, body);
     }
 
     /// Total cache hits across shards (cold path; sums under each lock).
@@ -249,13 +474,8 @@ impl ShardedCache {
     fn claim(&self, key: u64) -> Claim {
         let shard = self.shard(key);
         let mut flights = shard.flights.lock();
-        {
-            let mut state = shard.responses.lock();
-            if let Some(hit) = state.map.get(&key) {
-                let hit = Arc::clone(hit);
-                state.hits += 1;
-                return Claim::Cached(hit);
-            }
+        if let Some(hit) = shard.responses.lock().hit(key) {
+            return Claim::Cached(hit);
         }
         if let Some(flight) = flights.get(&key) {
             return Claim::Join(Arc::clone(flight));
@@ -266,7 +486,8 @@ impl ShardedCache {
     }
 
     /// Leader path: store a successful result, retire the flight, and wake
-    /// all joiners. The shard and the flight hold the leader's one body.
+    /// all joiners. The shard keeps its own record of the body; the flight
+    /// hands joiners the leader's `Arc`.
     ///
     /// The cache insert happens before the flight is removed so that no
     /// window exists in which a new thread misses both the cache and the
@@ -279,15 +500,15 @@ impl ShardedCache {
     ) {
         let shard = self.shard(key);
         if let Ok(body) = &result {
-            shard.responses.lock().map.insert(key, Arc::clone(body));
+            shard.responses.lock().insert(key, body);
         }
         shard.flights.lock().remove(&key);
         flight.publish(result);
     }
 }
 
-/// A caller's own copy of a cached body, marked
-/// [`CompletionResponse::cached`]; made outside any shard lock.
+/// A caller's own copy of a shared body, marked
+/// [`CompletionResponse::cached`].
 fn served_free(body: &CompletionResponse) -> CompletionResponse {
     let mut hit = body.clone();
     hit.cached = true;
@@ -475,24 +696,19 @@ impl LlmClient {
     /// A hit counts and is marked exactly as [`LlmClient::probe`]'s.
     #[inline]
     pub fn probe_key(&self, key: u64) -> Option<CompletionResponse> {
-        self.cache.get(key).map(|body| served_free(&body))
+        self.cache.get(key)
     }
 
     /// The store half of [`LlmClient::probe`], outlined so the shard hit
-    /// stays a handful of instructions: on a store hit the shared body
-    /// is seeded into the owning shard (so repeats stay in memory) and a
-    /// copy marked [`CompletionResponse::cached`] is returned.
+    /// stays a handful of instructions: on a store hit the body is seeded
+    /// into the owning shard (so repeats stay in memory) and a copy marked
+    /// [`CompletionResponse::cached`] is returned.
     #[cold]
     fn probe_store(&self, key: u64) -> Probe {
         let Some(arc) = self.store.get().and_then(|store| store.lookup(key)) else {
             return Probe::Miss(Some(key));
         };
-        self.cache
-            .shard(key)
-            .responses
-            .lock()
-            .map
-            .insert(key, Arc::clone(&arc));
+        self.cache.insert(key, &arc);
         self.stats.store_hits.fetch_add(1, Ordering::Relaxed);
         Probe::Hit(served_free(&arc))
     }
@@ -508,9 +724,7 @@ impl LlmClient {
             return;
         }
         // lint: allow(one-fingerprint) — seeding is not a request in flight
-        let key = request.fingerprint();
-        let body = Arc::new(response.clone());
-        self.cache.shard(key).responses.lock().map.insert(key, body);
+        self.cache.insert(request.fingerprint(), response);
     }
 
     /// Execute one request with caching and coalescing:
@@ -551,7 +765,7 @@ impl LlmClient {
         // lint: allow(one-fingerprint) — debug builds check the key is the request's
         debug_assert_eq!(key, request.fingerprint());
         match self.cache.claim(key) {
-            Claim::Cached(body) => Ok(served_free(&body)),
+            Claim::Cached(hit) => Ok(hit),
             Claim::Join(flight) => {
                 // Registered as a joiner: counted before waiting so tests
                 // (and metrics scrapes) can observe pending joins.
@@ -1303,7 +1517,7 @@ mod tests {
     }
 
     #[test]
-    fn a_paid_miss_is_one_body_in_the_shard_the_store_and_the_journal() {
+    fn a_paid_miss_is_one_body_in_the_store_and_the_journal_and_an_equal_hit_in_the_shard() {
         use crate::store::{ResponseStore, StoreConfig};
         let (store_path, journal_path) = (store_temp_path("one-body"), store_temp_path("one-j"));
         let (world, ids) = world_and_ids(1);
@@ -1319,14 +1533,233 @@ mod tests {
         let paid = client.complete(&req).unwrap();
         assert_eq!(client.stats().calls(), 1);
 
-        let shard = client.cache.get(key).expect("published to its shard");
         let stored = client.store().unwrap().lookup(key).expect("admitted");
         let journaled = journal.lookup(key).expect("recorded");
-        assert!(Arc::ptr_eq(&shard, &stored));
-        assert!(Arc::ptr_eq(&shard, &journaled));
-        assert_eq!(*shard, paid, "the caller's copy is the same response");
+        assert!(Arc::ptr_eq(&stored, &journaled));
+        assert_eq!(*stored, paid, "the caller's copy is the same response");
+        let shard = client.cache.get(key).expect("published to its shard");
+        assert_eq!(
+            shard,
+            CompletionResponse {
+                cached: true,
+                ..paid
+            }
+        );
         drop(client);
         store_cleanup(&store_path);
         store_cleanup(&journal_path);
+    }
+
+    /// A model answering each prompt with its canned response. The backend
+    /// stamps its one schedule on every response, so a client over it bills
+    /// at `pricing`.
+    struct Canned {
+        answers: HashMap<String, CompletionResponse>,
+        pricing: Pricing,
+    }
+
+    impl LanguageModel for Canned {
+        fn name(&self) -> &str {
+            "canned"
+        }
+        fn context_window(&self) -> u32 {
+            u32::MAX
+        }
+        fn pricing(&self) -> Pricing {
+            self.pricing
+        }
+        fn complete(&self, request: &CompletionRequest) -> Result<CompletionResponse, LlmError> {
+            self.answers
+                .get(&request.prompt)
+                .cloned()
+                .ok_or(LlmError::ServiceUnavailable)
+        }
+    }
+
+    fn canned_client(request: &CompletionRequest, answer: &CompletionResponse) -> LlmClient {
+        LlmClient::new(Arc::new(Canned {
+            answers: HashMap::from([(request.prompt.clone(), answer.clone())]),
+            pricing: answer.pricing,
+        }))
+    }
+
+    /// `got` is `want` field for field, the `f64`s by their bits, and
+    /// marked cached.
+    fn assert_resident(got: &CompletionResponse, want: &CompletionResponse, path: &str) {
+        assert_eq!(got.text, want.text, "{path}");
+        assert_eq!(got.usage, want.usage, "{path}");
+        assert_eq!(got.finish_reason, want.finish_reason, "{path}");
+        assert_eq!(got.model, want.model, "{path}");
+        assert!(got.cached, "{path}");
+        assert_eq!(
+            pricing_bits(&got.pricing),
+            pricing_bits(&want.pricing),
+            "{path}"
+        );
+        assert_eq!(
+            got.confidence.map(f64::to_bits),
+            want.confidence.map(f64::to_bits),
+            "{path}"
+        );
+    }
+
+    /// `n` requests whose fingerprints all pick shard 0, so their answers
+    /// share its blocks and its list of schedules.
+    fn shard_zero_requests(n: usize) -> Vec<CompletionRequest> {
+        (0..)
+            .map(|i| {
+                CompletionRequest::new(
+                    format!("resident case {i}"),
+                    TaskDescriptor::CheckPredicate {
+                        item: crate::world::ItemId(i),
+                        predicate: "p".into(),
+                    },
+                )
+            })
+            .filter(|request| request.fingerprint() as usize & (CACHE_SHARDS - 1) == 0)
+            .take(n)
+            .collect()
+    }
+
+    fn answer(
+        text: &str,
+        finish_reason: FinishReason,
+        confidence: Option<f64>,
+        pricing: Pricing,
+        model: &str,
+    ) -> CompletionResponse {
+        CompletionResponse {
+            text: text.into(),
+            usage: Usage {
+                prompt_tokens: 11,
+                completion_tokens: text.len() as u32 / 4,
+            },
+            finish_reason,
+            model: model.into(),
+            cached: false,
+            pricing,
+            confidence,
+        }
+    }
+
+    #[test]
+    fn a_resident_answer_comes_back_field_for_field() {
+        use crate::store::{ResponseStore, StoreConfig};
+        let (cheap, dear) = (Pricing::new(0.0015, 0.002), Pricing::new(0.03, 0.06));
+        let nan = f64::from_bits(0x7FF8_0000_DEAD_BEEF);
+        let long = "a ten-kilobyte answer; ".repeat(446);
+        assert!(long.len() >= 10 * 1024);
+        let cases = [
+            answer("", FinishReason::Stop, None, cheap, "sim-one"),
+            answer("naïve: 東京の寿司 🍣, oui", FinishReason::Length, Some(0.5), dear, "sim-two"),
+            answer(&long, FinishReason::Stop, Some(-0.0), cheap, "sim-two"),
+            answer("Yes.", FinishReason::Length, Some(nan), dear, "sim-one"),
+        ];
+        let requests = shard_zero_requests(cases.len());
+
+        // Seeded: every case in one shard, sharing its blocks and schedules.
+        let seeded = LlmClient::new(Arc::new(Canned {
+            answers: HashMap::new(),
+            pricing: cheap,
+        }));
+        for (request, case) in requests.iter().zip(&cases) {
+            seeded.seed_cache(request, case);
+        }
+        for (request, case) in requests.iter().zip(&cases) {
+            let Probe::Hit(hit) = seeded.probe(request) else {
+                panic!("seeded answers are resident");
+            };
+            assert_resident(&hit, case, "seeded");
+        }
+
+        for (request, case) in requests.iter().zip(&cases) {
+            // A paid miss publishes to the shard; a probed key the fill
+            // answered since is served by the flight claim's second look.
+            let client = canned_client(request, case);
+            let Probe::Miss(key) = client.probe(request) else {
+                panic!("nothing is resident yet");
+            };
+            let paid = client.complete(request).unwrap();
+            assert!(!paid.cached);
+            let paid = CompletionResponse {
+                cached: true,
+                ..paid
+            };
+            assert_resident(&paid, case, "the backend's answer");
+            let filled = client.complete_keyed(request, key).unwrap();
+            assert_resident(&filled, case, "complete_keyed after a fill");
+            assert_resident(&client.probe_key(key.unwrap()).unwrap(), case, "paid miss");
+            assert_eq!(client.stats().calls(), 1);
+
+            // A store hit seeds the shard, which serves the repeat.
+            let path = store_temp_path("resident");
+            let store = || Arc::new(ResponseStore::open(&path, StoreConfig::default()).unwrap());
+            let filler = canned_client(request, case);
+            filler.attach_store(store());
+            filler.complete(request).unwrap();
+            drop(filler);
+            let warm = canned_client(request, case);
+            warm.attach_store(store());
+            assert_resident(&warm.complete(request).unwrap(), case, "store hit");
+            assert_resident(&warm.complete(request).unwrap(), case, "seeded by a store hit");
+            assert_eq!((warm.stats().store_hits(), warm.stats().calls()), (1, 0));
+            drop(warm);
+            store_cleanup(&path);
+        }
+    }
+
+    #[test]
+    fn an_answer_past_a_records_fields_is_kept_whole() {
+        // Three hundred schedules in one shard: from the 257th on, a
+        // record's one-byte pricing index cannot name them.
+        let requests = shard_zero_requests(300);
+        let answers: Vec<CompletionResponse> = (0..requests.len())
+            .map(|i| {
+                let pricing = Pricing::new(i as f64, 0.5);
+                answer(&format!("answer {i}"), FinishReason::Stop, None, pricing, "m")
+            })
+            .collect();
+        let client = LlmClient::new(Arc::new(Canned {
+            answers: HashMap::new(),
+            pricing: Pricing::free(),
+        }));
+        for (request, answer) in requests.iter().zip(&answers) {
+            client.seed_cache(request, answer);
+        }
+        for (request, answer) in requests.iter().zip(&answers) {
+            let Probe::Hit(hit) = client.probe(request) else {
+                panic!("every answer is resident");
+            };
+            assert_resident(&hit, answer, "past the schedules");
+        }
+        assert_eq!(client.cache.shards[0].responses.lock().spilled.len(), 44);
+
+        // A text past the last text block a record can name.
+        let mut state = ShardState::default();
+        state.texts.resize(1 << 16, String::new());
+        state.insert(7, &answers[1]);
+        assert_eq!(state.spilled.len(), 1);
+        assert_resident(&state.hit(7).unwrap(), &answers[1], "past the text blocks");
+    }
+
+    #[test]
+    fn a_replaced_answer_serves_the_replacement_and_reuses_a_same_text() {
+        let mut state = ShardState::default();
+        let first = answer("Yes.", FinishReason::Stop, Some(0.9), Pricing::free(), "m");
+        state.insert(3, &first);
+        let restamped = CompletionResponse {
+            confidence: Some(0.75),
+            ..first.clone()
+        };
+        state.insert(3, &restamped);
+        assert_eq!(state.texts[0].len(), first.text.len(), "the text is reused");
+        assert_resident(&state.hit(3).unwrap(), &restamped, "same text");
+        let reworded = CompletionResponse {
+            text: "No.".into(),
+            ..first
+        };
+        state.insert(3, &reworded);
+        assert_resident(&state.hit(3).unwrap(), &reworded, "new text");
+        assert_eq!((state.index.len(), state.hits), (1, 2));
     }
 }

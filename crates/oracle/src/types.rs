@@ -273,9 +273,10 @@ pub struct CompletionResponse {
     pub confidence: Option<f64>,
 }
 
-// Every resident cached answer is one `Arc` of this body: with its two
-// counts, 72 bytes fill a 96-byte allocator block (a `String` name made the
-// body 96 bytes, a 128-byte block, plus a block for the name).
+// The store and the journal keep every answer they hold as one `Arc` of
+// this body: with its two counts, 72 bytes fill a 96-byte allocator block
+// (a `String` name made the body 96 bytes, a 128-byte block, plus a block
+// for the name). The client's shards keep a 32-byte record instead.
 #[cfg(target_pointer_width = "64")]
 const _: () = assert!(std::mem::size_of::<CompletionResponse>() == 72);
 const _: () = assert!(std::mem::size_of::<ModelName>() == 4);

@@ -18,13 +18,15 @@ use crowdprompt::prelude::*;
 /// table, so the count does not sit on a table doubling.
 const ANSWERS: usize = 256 * 1024;
 
-/// Bytes a resident answer may cost. An entry holds the hash-table slot
-/// (≈ 34 B at this fill), the answer's text block and one `Arc` block for
-/// the body: 174 B with a 4-byte model handle (a 96-byte `Arc` block for a
-/// 72-byte body), 238 B when every entry carried its own copy of the
-/// model's name (a 128-byte block for a 96-byte body, plus a 32-byte block
-/// for the name). glibc on x86-64, debug and release alike.
-const MAX_BYTES_PER_ANSWER: usize = 200;
+/// Bytes a resident answer may cost. An entry holds its hash-table slot
+/// (a fingerprint and a record id, 17 B a slot with its control byte,
+/// ≈ 34 B at this half-full table), its 32-byte record, and its text
+/// (23 B on average here) in the shard's text blocks: 92 B, glibc on
+/// x86-64, debug and release alike. When each entry held an `Arc` of the
+/// whole 72-byte response instead of a record (a 96-byte block) and its
+/// text in a block of its own, an answer cost 174 B; 238 B when each
+/// also carried its own copy of the model's name.
+const MAX_BYTES_PER_ANSWER: usize = 112;
 
 fn resident_bytes() -> usize {
     let status = std::fs::read_to_string("/proc/self/status").expect("procfs is mounted");
