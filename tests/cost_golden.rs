@@ -44,13 +44,20 @@ use crowdprompt::prelude::{FilterStrategy, ImputeStrategy, Query};
 /// `(allocations, bytes)` of a `CheckPredicate` miss through `LlmClient`.
 /// Re-recorded from `(13, 424)` when `WorldModel::flag` stopped building
 /// an owned key: one allocation of the 8-byte predicate name fewer.
-const CHECK_MISS: (u64, u64) = (12, 416);
+/// Re-recorded from `(12, 416)` when the shards began keeping answers as
+/// records in blocks: the miss is the first answer in its shard, which
+/// allocates that shard's block lists, first text block (256 B), first
+/// record block (eight records, 256 B) and list of schedules, five
+/// allocations and 768 bytes once a shard.
+const CHECK_MISS: (u64, u64) = (17, 1_184);
 /// The same request asked again: an in-memory cache hit.
 const CHECK_HIT: (u64, u64) = (1, 3);
 /// `(allocations, bytes)` of an `Impute` miss through `LlmClient`.
 /// Re-recorded from `(16, 610)` when `WorldModel::attr` stopped building
 /// an owned key: one allocation of the 4-byte attribute name fewer.
-const IMPUTE_MISS: (u64, u64) = (15, 606);
+/// Re-recorded from `(15, 606)` with [`CHECK_MISS`], for the same
+/// shard's first blocks.
+const IMPUTE_MISS: (u64, u64) = (20, 1_374);
 /// The same request asked again: an in-memory cache hit.
 const IMPUTE_HIT: (u64, u64) = (1, 43);
 /// `(allocations, bytes)` of the 4 000-row self-join, `k = 2`, one worker.
