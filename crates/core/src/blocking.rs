@@ -4,7 +4,7 @@
 //!
 //! A [`BlockingIndex`] embeds a corpus of items once, straight into the
 //! flat [`crowdprompt_embed::VectorStore`] layout
-//! ([`Embedder::embed_all_flat`]), lets [`KnnIndex::build`] pick the exact
+//! ([`embed_all_flat_with_workers`]), lets [`KnnIndex::build`] pick the exact
 //! scan or the IVF tier per corpus shape, and serves *batched* neighbor
 //! queries — operators hand it whole item collections, never one record at
 //! a time. A batch reaches the index as exactly one of two shapes, both
@@ -12,13 +12,14 @@
 //! [`Queries::Rows`] (the stored row *is* the query — no re-embedding, no
 //! copy — and is left out of its own answer inside the scan), everything
 //! else as texts embedded into one flat buffer and asked as
-//! [`Queries::Flat`].
+//! [`Queries::Flat`]. Embeddings and scans split over the building
+//! engine's threads ([`Engine::threads`]), never more.
 
 use std::collections::HashMap;
 
 use crowdprompt_embed::{
-    dot_unrolled, predict_auto_kind, Embedder, KnnIndex, Metric, Neighbor, NgramEmbedder, Queries,
-    VectorStore,
+    dot_unrolled, embed_all_flat_with_workers, predict_auto_kind, Embedder, KnnIndex, Metric,
+    Neighbor, NgramEmbedder, Queries, VectorStore,
 };
 use crowdprompt_oracle::world::ItemId;
 
@@ -69,14 +70,17 @@ pub struct BlockingIndex {
     pos: HashMap<ItemId, usize>,
     index: KnnIndex,
     embedder: NgramEmbedder,
+    /// Threads an embedding or a scan splits over: the building engine's
+    /// [`Engine::threads`].
+    workers: usize,
 }
 
 impl BlockingIndex {
     /// Build an index over the given items using the engine's corpus texts
     /// and the ada-like n-gram embedder (L2 distance, as in §3.3).
     ///
-    /// Texts are embedded through the parallel
-    /// [`Embedder::embed_all_flat`] (one corpus-sized buffer, no per-row
+    /// Texts are embedded on the engine's threads through
+    /// [`embed_all_flat_with_workers`] (one corpus-sized buffer, no per-row
     /// allocations) and the index implementation is chosen by
     /// [`KnnIndex::build`] under the engine's recall target
     /// ([`crate::SessionBuilder::blocking_recall_target`]), so every blocking consumer —
@@ -99,7 +103,9 @@ impl BlockingIndex {
         }
         // The embedder writes straight into the store's flat row-major
         // layout — no per-row vectors to allocate, repack, and free.
-        let store = VectorStore::from_flat(embedder.embed_all_flat(&texts), embedder.dimensions());
+        let workers = engine.threads();
+        let flat = embed_all_flat_with_workers(&embedder, &texts, workers);
+        let store = VectorStore::from_flat(flat, embedder.dimensions());
         let mut pos = HashMap::with_capacity(items.len());
         for (i, &id) in items.iter().enumerate() {
             pos.entry(id).or_insert(i);
@@ -109,6 +115,7 @@ impl BlockingIndex {
             pos,
             index: KnnIndex::build(store, Metric::L2, engine.blocking_recall_target()),
             embedder,
+            workers,
         })
     }
 
@@ -151,7 +158,7 @@ impl BlockingIndex {
     /// corpus text like any other query text
     /// ([`BlockingIndex::nearest_texts`]); an id in neither yields no hits.
     /// Repeated ids are scanned once, and both kinds of query go to the
-    /// index as one batch each.
+    /// index as one batch each, on the engine's threads.
     pub fn neighbors_many(
         &self,
         engine: &Engine,
@@ -185,7 +192,9 @@ impl BlockingIndex {
                 stranger_pending.push(p);
             }
         }
-        let member_raw = self.index.search(Queries::Rows(&member_rows), k);
+        let member_raw =
+            self.index
+                .search_with_workers(Queries::Rows(&member_rows), k, self.workers);
         let stranger_hits = self.nearest_texts(&stranger_texts, k);
         let answered = member_pending
             .iter()
@@ -204,13 +213,13 @@ impl BlockingIndex {
 
     /// Batched nearest-indexed-items lookup for arbitrary query texts
     /// (the join operator's probe side, and the unindexed ids of
-    /// [`BlockingIndex::neighbors_many`]): the texts are embedded in
-    /// parallel into one flat buffer and asked as one [`Queries::Flat`]
-    /// batch.
+    /// [`BlockingIndex::neighbors_many`]): the texts are embedded on the
+    /// building engine's threads into one flat buffer and asked as one
+    /// [`Queries::Flat`] batch.
     pub fn nearest_texts(&self, texts: &[&str], k: usize) -> Vec<Vec<BlockingHit>> {
-        let queries = self.embedder.embed_all_flat(texts);
+        let queries = embed_all_flat_with_workers(&self.embedder, texts, self.workers);
         self.index
-            .search(Queries::Flat(&queries), k)
+            .search_with_workers(Queries::Flat(&queries), k, self.workers)
             .into_iter()
             .map(|raw| self.to_hits(raw))
             .collect()

@@ -376,6 +376,12 @@ impl Engine {
         &self.corpus
     }
 
+    /// The threads a batch on this engine may split over: its
+    /// parallelism, at most the machine's cores.
+    pub(crate) fn threads(&self) -> usize {
+        self.parallelism.min(cores())
+    }
+
     /// The engine's budget tracker.
     pub fn budget(&self) -> &BudgetTracker {
         &self.budget

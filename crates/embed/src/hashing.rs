@@ -54,9 +54,10 @@ pub trait Embedder: Send + Sync {
 /// row-major buffer is allocated up front and split into `workers`
 /// contiguous row ranges, each filled in place on its own
 /// `std::thread::scope` worker through [`Embedder::embed_into`]. Output
-/// is identical to embedding the texts one at a time. Split out so the
-/// parallel path is testable deterministically on any machine.
-pub(crate) fn embed_all_flat_with_workers<E: Embedder + ?Sized>(
+/// is identical to embedding the texts one at a time, at any count. For a
+/// caller that owns a thread budget, and so the parallel path is testable
+/// deterministically on any machine.
+pub fn embed_all_flat_with_workers<E: Embedder + ?Sized>(
     embedder: &E,
     texts: &[&str],
     workers: usize,

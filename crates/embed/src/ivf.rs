@@ -270,7 +270,7 @@ impl IvfIndex {
     }
 
     /// [`IvfIndex::search`] over `workers` contiguous query chunks.
-    fn search_with_workers(
+    pub(crate) fn search_with_workers(
         &self,
         queries: Queries<'_>,
         k: usize,

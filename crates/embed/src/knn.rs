@@ -673,9 +673,24 @@ impl KnnIndex {
     /// Panics if a row query is out of bounds or a flat buffer is not a
     /// whole number of `dims`-wide rows.
     pub fn search(&self, queries: Queries<'_>, k: usize) -> Vec<Vec<Neighbor>> {
+        let workers = auto_workers(queries.count(self.store().dims()), self.len());
+        self.search_with_workers(queries, k, workers)
+    }
+
+    /// [`KnnIndex::search`] over exactly `workers` threads, for a caller
+    /// that owns a thread budget; the answers are the same at any count.
+    ///
+    /// # Panics
+    /// As [`KnnIndex::search`].
+    pub fn search_with_workers(
+        &self,
+        queries: Queries<'_>,
+        k: usize,
+        workers: usize,
+    ) -> Vec<Vec<Neighbor>> {
         match self {
-            KnnIndex::BruteForce(i) => i.search(queries, k),
-            KnnIndex::Ivf(i) => i.search(queries, k),
+            KnnIndex::BruteForce(i) => i.search_with_workers(queries, k, workers),
+            KnnIndex::Ivf(i) => i.search_with_workers(queries, k, workers),
         }
     }
 

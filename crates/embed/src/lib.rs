@@ -28,7 +28,7 @@ mod quant;
 pub mod store;
 pub mod vector;
 
-pub use hashing::{Embedder, NgramEmbedder};
+pub use hashing::{embed_all_flat_with_workers, Embedder, NgramEmbedder};
 pub use ivf::{IvfIndex, IvfParams};
 pub use knn::{predict_auto_kind, BruteForceIndex, KnnIndex, Metric, Neighbor, Queries};
 pub use store::VectorStore;
