@@ -165,43 +165,43 @@ impl BlockingIndex {
         ids: &[ItemId],
         k: usize,
     ) -> Vec<Vec<BlockingHit>> {
-        // Gather the distinct ids (each record is scanned once), split
-        // into indexed ids (answered zero-copy off their stored rows) and
-        // stranger ids (embedded from corpus text). An id in neither
-        // keeps its empty answer.
-        let mut out: Vec<Vec<BlockingHit>> = vec![Vec::new(); ids.len()];
-        let mut pending: Vec<Vec<usize>> = Vec::new();
-        let mut slot_of: HashMap<ItemId, usize> = HashMap::new();
+        // The slots grouped by id: each distinct id is looked up, and
+        // scanned, once. Indexed ids are answered zero-copy off their
+        // stored rows, the rest are embedded from corpus text, and an id in
+        // neither keeps its empty answer.
+        let mut by_id: Vec<usize> = (0..ids.len()).collect();
+        by_id.sort_unstable_by_key(|&slot| ids[slot]);
+        let groups = || by_id.chunk_by(|&a, &b| ids[a] == ids[b]);
+        let mut answers = Vec::new();
         let mut member_rows: Vec<usize> = Vec::new();
-        let mut member_pending: Vec<usize> = Vec::new();
+        let mut member_answers: Vec<usize> = Vec::new();
         let mut stranger_texts: Vec<&str> = Vec::new();
-        let mut stranger_pending: Vec<usize> = Vec::new();
-        for (slot, id) in ids.iter().enumerate() {
-            if let Some(&p) = slot_of.get(id) {
-                pending[p].push(slot);
-                continue;
-            }
-            let p = pending.len();
-            slot_of.insert(*id, p);
-            pending.push(vec![slot]);
-            if let Some(&row) = self.pos.get(id) {
+        let mut stranger_answers: Vec<usize> = Vec::new();
+        for group in groups() {
+            let id = ids[group[0]];
+            if let Some(&row) = self.pos.get(&id) {
                 member_rows.push(row);
-                member_pending.push(p);
-            } else if let Some(text) = engine.corpus().text(*id) {
+                member_answers.push(answers.len());
+            } else if let Some(text) = engine.corpus().text(id) {
                 stranger_texts.push(text);
-                stranger_pending.push(p);
+                stranger_answers.push(answers.len());
             }
+            answers.push(Vec::new());
         }
         let member_raw =
             self.index
                 .search_with_workers(Queries::Rows(&member_rows), k, self.workers);
         let stranger_hits = self.nearest_texts(&stranger_texts, k);
-        let answered = member_pending
+        let answered = member_answers
             .iter()
             .zip(member_raw.into_iter().map(|raw| self.to_hits(raw)))
-            .chain(stranger_pending.iter().zip(stranger_hits));
-        for (&p, hits) in answered {
-            if let Some((&last, rest)) = pending[p].split_last() {
+            .chain(stranger_answers.iter().zip(stranger_hits));
+        for (&answer, hits) in answered {
+            answers[answer] = hits;
+        }
+        let mut out = vec![Vec::new(); ids.len()];
+        for (group, hits) in groups().zip(answers) {
+            if let Some((&last, rest)) = group.split_last() {
                 for &slot in rest {
                     out[slot] = hits.clone();
                 }
