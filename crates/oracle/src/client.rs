@@ -49,6 +49,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::backend::BackendRegistry;
 use crate::error::LlmError;
+use crate::hash;
 use crate::pricing::{CostLedger, Pricing};
 use crate::route::{BreakerConfig, RoutePolicy, Router};
 use crate::store::ResponseStore;
@@ -163,27 +164,36 @@ impl Flight {
 /// atomic RMW.
 ///
 /// A resident answer is a fingerprint's slot in `index` and a 32-byte
-/// [`Record`]; its text is copied into the shard's text blocks and its
-/// pricing is an index into the shard's short list of schedules. A hit
-/// builds the caller's own [`CompletionResponse`] from the record under
-/// the lock: a record copy and one text allocation, what cloning a shared
-/// body cost. The store and the journal keep their `Arc`'d bodies; the
-/// shard used to hold a third reference to the same body, which kept a
-/// 96-byte block and a text block resident for every answer.
+/// [`Record`]; its text sits in the shard's text blocks and its pricing
+/// is an index into the shard's short list of schedules. A hit builds the
+/// caller's own [`CompletionResponse`] from the record under the lock: a
+/// record copy and one text allocation, what cloning a shared body costs.
+/// The shard holds no reference to the `Arc`'d body the store and the
+/// journal keep: a serving process is bound by its resident bytes, and a
+/// body block per answer would cost more than the record. A key's first
+/// answer stays, as in the store: a temperature-0 answer does not change.
+///
+/// Answers repeat — a yes/no with its chatter, a label — so a text is
+/// copied in only when `recent`, a table of the shard's texts by hash,
+/// does not already point at the same bytes; records then share them.
 ///
 /// Records and text live in blocks that are allocated once at their final
 /// size and never moved: each block doubles its predecessor's size up to
 /// [`RECORD_BLOCK`] records or [`TEXT_BLOCK`] bytes, so a growing shard
 /// leaves no freed half-size buffers behind, and a small one allocates
-/// small. An answer a record cannot locate — a text past the 65 536th text
-/// block or longer than `u32::MAX` bytes, a pricing past the shard's
-/// 256th — is kept whole in `spilled`, never truncated.
+/// small. An answer a record cannot locate — a text past the last text
+/// block a record can name (4 GiB of text a shard) or longer than
+/// `u32::MAX` bytes, a pricing past the shard's 256th — is kept whole in
+/// `spilled`, never truncated.
 #[derive(Default)]
 struct ShardState {
     /// Fingerprint → record id (`block << RECORD_BITS | place`).
     index: HashMap<u64, u32>,
     records: Vec<Vec<Record>>,
     texts: Vec<String>,
+    /// [`RECENT`] slots of `(text_at, len)`, picked by the text's hash;
+    /// `len` 0 is a free slot.
+    recent: Vec<(u32, u32)>,
     pricings: Vec<Pricing>,
     spilled: Vec<CompletionResponse>,
     hits: u64,
@@ -192,15 +202,18 @@ struct ShardState {
 /// Records in a shard's first record block.
 const FIRST_RECORDS: usize = 8;
 /// A record id's bits for the record's place in its block.
-const RECORD_BITS: u32 = 11;
-/// Records in a full record block: 64 KiB.
+const RECORD_BITS: u32 = 9;
+/// Records in a full record block: 16 KiB.
 const RECORD_BLOCK: usize = 1 << RECORD_BITS;
 /// Bytes in a shard's first text block.
 const FIRST_TEXT: usize = 256;
-/// Bytes in a full text block. A text starts at a 16-bit place in its
-/// block (`text_at` is `block << 16 | place`); a longer text gets a block
-/// of its own.
-const TEXT_BLOCK: usize = 1 << 16;
+/// A `text_at`'s bits for the text's place in its block (`text_at` is
+/// `block << TEXT_BITS | place`).
+const TEXT_BITS: u32 = 14;
+/// Bytes in a full text block; a longer text gets a block of its own.
+const TEXT_BLOCK: usize = 1 << TEXT_BITS;
+/// Slots in a shard's table of recent texts.
+const RECENT: usize = 256;
 
 /// [`Record::flags`]: the answer stopped at `max_tokens`.
 const LENGTH: u8 = 1;
@@ -216,7 +229,7 @@ const SPILLED: u8 = 4;
 struct Record {
     /// The confidence's bits, so `-0.0` and a NaN's payload come back.
     confidence: u64,
-    /// Where the text starts (`block << 16 | place`), or a spilled
+    /// Where the text starts (`block << TEXT_BITS | place`), or a spilled
     /// answer's index.
     text_at: u32,
     text_len: u32,
@@ -250,12 +263,12 @@ impl ShardState {
     fn hit(&mut self, key: u64) -> Option<CompletionResponse> {
         let &id = self.index.get(&key)?;
         self.hits += 1;
-        let record = self.record(id);
+        let record = self.records[(id >> RECORD_BITS) as usize][id as usize & (RECORD_BLOCK - 1)];
         if record.flags & SPILLED != 0 {
             return Some(served_free(&self.spilled[record.text_at as usize]));
         }
         Some(CompletionResponse {
-            text: self.text(&record).to_owned(),
+            text: self.text(record.text_at, record.text_len).to_owned(),
             usage: record.usage,
             finish_reason: if record.flags & LENGTH == 0 {
                 FinishReason::Stop
@@ -269,50 +282,33 @@ impl ShardState {
         })
     }
 
-    fn record(&self, id: u32) -> Record {
-        self.records[(id >> RECORD_BITS) as usize][id as usize & (RECORD_BLOCK - 1)]
+    /// The `len` bytes of text at `text_at`.
+    fn text(&self, text_at: u32, len: u32) -> &str {
+        let place = (text_at & ((1 << TEXT_BITS) - 1)) as usize;
+        &self.texts[(text_at >> TEXT_BITS) as usize][place..place + len as usize]
     }
 
-    /// An unspilled record's text.
-    fn text(&self, record: &Record) -> &str {
-        let place = (record.text_at & 0xFFFF) as usize;
-        &self.texts[(record.text_at >> 16) as usize][place..place + record.text_len as usize]
-    }
-
-    /// Keep `body` under `key`, replacing what the key held (and reusing
-    /// its text when the text is the same). An answer past the records a
-    /// shard can number (2^32) is not kept.
+    /// Keep `body` under `key` unless the key holds an answer already. An
+    /// answer past the records a shard can number (2^32) is not kept.
     fn insert(&mut self, key: u64, body: &CompletionResponse) {
-        let held = self.index.get(&key).copied();
-        let same_text = held
-            .map(|id| self.record(id))
-            .filter(|old| old.flags & SPILLED == 0 && self.text(old) == body.text);
-        let Some(record) = self.pack(body, same_text).or_else(|| self.spill(body)) else {
+        if self.index.contains_key(&key) {
             return;
-        };
-        match held {
-            Some(id) => {
-                self.records[(id >> RECORD_BITS) as usize][id as usize & (RECORD_BLOCK - 1)] =
-                    record;
-            }
-            None => {
-                if let Some(id) = self.push_record(record) {
-                    self.index.insert(key, id);
-                }
-            }
+        }
+        if let Some(id) = self
+            .pack(body)
+            .or_else(|| self.spill(body))
+            .and_then(|record| self.push_record(record))
+        {
+            self.index.insert(key, id);
         }
     }
 
-    /// `body` as a record, its text at `same_text`'s place or copied into
-    /// the text blocks; `None` when a place does not fit the record's
-    /// fields.
-    fn pack(&mut self, body: &CompletionResponse, same_text: Option<Record>) -> Option<Record> {
+    /// `body` as a record; `None` when its text or pricing does not fit
+    /// the record's fields.
+    fn pack(&mut self, body: &CompletionResponse) -> Option<Record> {
         let text_len = u32::try_from(body.text.len()).ok()?;
         let pricing = self.pricing_index(&body.pricing)?;
-        let text_at = match same_text {
-            Some(old) => old.text_at,
-            None => self.push_text(&body.text)?,
-        };
+        let text_at = self.keep_text(&body.text, text_len)?;
         let mut flags = 0;
         if body.finish_reason == FinishReason::Length {
             flags |= LENGTH;
@@ -359,14 +355,31 @@ impl ShardState {
         }
     }
 
-    /// Copy `text` into the last text block, or into a new one when it
-    /// does not fit there: its `text_at`.
+    /// Where `text` (`len` bytes) sits: the bytes its [`ShardState::recent`]
+    /// slot points at when they are the same text, else a copy appended to
+    /// the text blocks, which takes the slot.
+    fn keep_text(&mut self, text: &str, len: u32) -> Option<u32> {
+        if self.recent.is_empty() {
+            self.recent = vec![(0, 0); RECENT];
+        }
+        let slot = hash::prompt_hash(text.as_bytes()) as usize & (RECENT - 1);
+        let (at, held) = self.recent[slot];
+        if held == len && len > 0 && self.text(at, len) == text {
+            return Some(at);
+        }
+        let at = self.push_text(text)?;
+        self.recent[slot] = (at, len);
+        Some(at)
+    }
+
+    /// Copy `text` into the last text block, or into a new one when it does
+    /// not fit there: its `text_at`.
     fn push_text(&mut self, text: &str) -> Option<u32> {
         let fits = self.texts.last().is_some_and(|block| {
             block.len() < TEXT_BLOCK && block.capacity() - block.len() >= text.len()
         });
         if !fits {
-            if self.texts.len() >= 1 << 16 {
+            if self.texts.len() >= 1 << (32 - TEXT_BITS) {
                 return None;
             }
             let size = block_size(self.texts.len(), FIRST_TEXT, TEXT_BLOCK).max(text.len());
@@ -376,7 +389,7 @@ impl ShardState {
         let texts = &mut self.texts[block];
         let place = texts.len();
         texts.push_str(text);
-        Some(((block as u32) << 16) | place as u32)
+        Some(((block as u32) << TEXT_BITS) | place as u32)
     }
 
     /// Append `record` to the last record block, or to a new one when it is
@@ -718,7 +731,8 @@ impl LlmClient {
     ///
     /// No ledger or stats effect here; a later lookup returns a copy marked
     /// [`CompletionResponse::cached`] like any other hit. No-op when the
-    /// request is uncacheable (cache disabled, or temperature > 0).
+    /// request is uncacheable (cache disabled, or temperature > 0) or its
+    /// answer is already resident.
     pub fn seed_cache(&self, request: &CompletionRequest, response: &CompletionResponse) {
         if !(self.cache_enabled && request.temperature == 0.0) {
             return;
@@ -1736,30 +1750,36 @@ mod tests {
 
         // A text past the last text block a record can name.
         let mut state = ShardState::default();
-        state.texts.resize(1 << 16, String::new());
+        state.texts.resize(1 << (32 - TEXT_BITS), String::new());
         state.insert(7, &answers[1]);
         assert_eq!(state.spilled.len(), 1);
         assert_resident(&state.hit(7).unwrap(), &answers[1], "past the text blocks");
     }
 
     #[test]
-    fn a_replaced_answer_serves_the_replacement_and_reuses_a_same_text() {
+    fn a_keys_first_answer_stays() {
         let mut state = ShardState::default();
         let first = answer("Yes.", FinishReason::Stop, Some(0.9), Pricing::free(), "m");
         state.insert(3, &first);
-        let restamped = CompletionResponse {
-            confidence: Some(0.75),
-            ..first.clone()
-        };
-        state.insert(3, &restamped);
-        assert_eq!(state.texts[0].len(), first.text.len(), "the text is reused");
-        assert_resident(&state.hit(3).unwrap(), &restamped, "same text");
-        let reworded = CompletionResponse {
-            text: "No.".into(),
-            ..first
-        };
-        state.insert(3, &reworded);
-        assert_resident(&state.hit(3).unwrap(), &reworded, "new text");
-        assert_eq!((state.index.len(), state.hits), (1, 2));
+        let second = answer("No.", FinishReason::Length, None, Pricing::free(), "m");
+        state.insert(3, &second);
+        assert_resident(&state.hit(3).unwrap(), &first, "first write");
+        assert_eq!(state.texts[0].len(), first.text.len(), "nothing appended");
+    }
+
+    #[test]
+    fn answers_with_one_text_share_its_bytes() {
+        let mut state = ShardState::default();
+        let yes = answer("Yes.", FinishReason::Stop, Some(0.9), Pricing::free(), "m");
+        let no = answer("No.", FinishReason::Length, None, Pricing::free(), "m");
+        let pick = |key: u64| if key.is_multiple_of(3) { &no } else { &yes };
+        for key in 0..100 {
+            state.insert(key, pick(key));
+        }
+        let kept: usize = state.texts.iter().map(String::len).sum();
+        assert_eq!(kept, yes.text.len() + no.text.len());
+        for key in 0..100 {
+            assert_resident(&state.hit(key).unwrap(), pick(key), "shared text");
+        }
     }
 }

@@ -20,12 +20,12 @@ const ANSWERS: usize = 256 * 1024;
 
 /// Bytes a resident answer may cost. An entry holds its hash-table slot
 /// (a fingerprint and a record id, 17 B a slot with its control byte,
-/// ≈ 34 B at this half-full table), its 32-byte record, and its text
-/// (23 B on average here) in the shard's text blocks: 92 B, glibc on
-/// x86-64, debug and release alike. When each entry held an `Arc` of the
-/// whole 72-byte response instead of a record (a 96-byte block) and its
-/// text in a block of its own, an answer cost 174 B; 238 B when each
-/// also carried its own copy of the model's name.
+/// ≈ 34 B at this half-full table) and its 32-byte record, 66 B; a shard
+/// keeps each text it has seen once, so an answer whose text repeats adds
+/// nothing more, and one with a text of its own adds that text (32 B on
+/// average in the distinct run), 99 B. glibc on x86-64, debug and release
+/// alike. An `Arc`'d 72-byte body per answer, a 96-byte block beside the
+/// text's own block, read 174 B.
 const MAX_BYTES_PER_ANSWER: usize = 112;
 
 fn resident_bytes() -> usize {
@@ -39,8 +39,9 @@ fn resident_bytes() -> usize {
 }
 
 /// The `i`-th serve-like exchange: a yes/no check or a label, answered
-/// with the simulator's chatter shapes (4 to 52 bytes of text).
-fn exchange(i: usize) -> (CompletionRequest, CompletionResponse) {
+/// with the simulator's chatter shapes (4 to 52 bytes of text), or, when
+/// `distinct`, with that text and the record's number after it.
+fn exchange(i: usize, distinct: bool) -> (CompletionRequest, CompletionResponse) {
     let request = CompletionRequest::new(
         format!("Record {i}: is it a seafood place? Answer Yes or No."),
         TaskDescriptor::CheckPredicate {
@@ -49,13 +50,16 @@ fn exchange(i: usize) -> (CompletionRequest, CompletionResponse) {
         },
     );
     let label = ["seafood", "italian", "thai", "diner"][i % 4];
-    let text = match i % 5 {
+    let mut text = match i % 5 {
         0 => "Yes.".to_string(),
         1 => "No.".to_string(),
         2 => format!("Answer: {label}"),
         3 => "After comparing the two, my answer is Yes. (Not No.)".to_string(),
         _ => format!("Based on the record, I believe it is {label}."),
     };
+    if distinct {
+        text += &format!(" [{i}]");
+    }
     let response = CompletionResponse {
         text,
         usage: Usage {
@@ -71,8 +75,10 @@ fn exchange(i: usize) -> (CompletionRequest, CompletionResponse) {
     (request, response)
 }
 
-#[test]
-fn a_cached_answer_keeps_under_its_byte_bound() {
+/// Resident bytes an answer costs a fresh client over [`ANSWERS`] seeded
+/// exchanges; the client comes back too, so the caller's next measurement
+/// does not reuse its memory.
+fn bytes_per_answer(distinct: bool) -> (usize, LlmClient) {
     let model: Arc<dyn LanguageModel> = Arc::new(SimulatedLlm::new(
         ModelProfile::gpt35_like(),
         Arc::new(WorldModel::new()),
@@ -81,27 +87,37 @@ fn a_cached_answer_keeps_under_its_byte_bound() {
     let client = LlmClient::new(model);
     // Settle the allocator on the loop's own transient blocks first.
     for i in 0..1_024 {
-        let (request, response) = exchange(i);
+        let (request, response) = exchange(i, distinct);
         client.seed_cache(&request, &response);
     }
 
     let before = resident_bytes();
     for i in 1_024..1_024 + ANSWERS {
-        let (request, response) = exchange(i);
+        let (request, response) = exchange(i, distinct);
         client.seed_cache(&request, &response);
     }
     let per_answer = resident_bytes().saturating_sub(before) / ANSWERS;
 
     for i in [0, 1_024, 77_777, ANSWERS + 1_023] {
-        let (request, response) = exchange(i);
+        let (request, response) = exchange(i, distinct);
         match client.probe(&request) {
             Probe::Hit(hit) => assert_eq!(hit.text, response.text),
             miss => panic!("answer {i} is not resident: {miss:?}"),
         }
     }
-    assert!(
-        per_answer < MAX_BYTES_PER_ANSWER,
-        "a resident answer costs {per_answer} B, over the {MAX_BYTES_PER_ANSWER} B bound"
-    );
-    eprintln!("resident bytes per cached answer: {per_answer}");
+    (per_answer, client)
+}
+
+#[test]
+fn a_cached_answer_keeps_under_its_byte_bound() {
+    let (repeated, _kept) = bytes_per_answer(false);
+    let (distinct, _) = bytes_per_answer(true);
+    for (texts, per_answer) in [("repeated", repeated), ("distinct", distinct)] {
+        assert!(
+            per_answer < MAX_BYTES_PER_ANSWER,
+            "a resident answer with {texts} texts costs {per_answer} B, over the \
+             {MAX_BYTES_PER_ANSWER} B bound"
+        );
+        eprintln!("resident bytes per cached answer, {texts} texts: {per_answer}");
+    }
 }
