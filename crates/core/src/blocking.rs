@@ -13,7 +13,7 @@
 //! copy — and is left out of its own answer inside the scan), everything
 //! else as texts embedded into one flat buffer and asked as
 //! [`Queries::Flat`]. Embeddings and scans split over the building
-//! engine's threads ([`Engine::threads`]), never more.
+//! engine's threads (`min(parallelism, cores)`), never more.
 
 use std::collections::HashMap;
 

@@ -1660,14 +1660,22 @@ mod tests {
     fn a_resident_answer_comes_back_field_for_field() {
         use crate::store::{ResponseStore, StoreConfig};
         let (cheap, dear) = (Pricing::new(0.0015, 0.002), Pricing::new(0.03, 0.06));
+        // Two schedules equal as numbers, not as bits: the shard keeps both.
+        let (free, signed) = (Pricing::free(), Pricing::new(-0.0, 0.0));
         let nan = f64::from_bits(0x7FF8_0000_DEAD_BEEF);
         let long = "a ten-kilobyte answer; ".repeat(446);
         assert!(long.len() >= 10 * 1024);
         let cases = [
-            answer("", FinishReason::Stop, None, cheap, "sim-one"),
-            answer("naïve: 東京の寿司 🍣, oui", FinishReason::Length, Some(0.5), dear, "sim-two"),
+            answer("", FinishReason::Stop, None, free, "sim-one"),
+            answer(
+                "naïve: 東京の寿司 🍣, oui",
+                FinishReason::Length,
+                Some(0.5),
+                dear,
+                "sim-two",
+            ),
             answer(&long, FinishReason::Stop, Some(-0.0), cheap, "sim-two"),
-            answer("Yes.", FinishReason::Length, Some(nan), dear, "sim-one"),
+            answer("Yes.", FinishReason::Length, Some(nan), signed, "sim-one"),
         ];
         let requests = shard_zero_requests(cases.len());
 
@@ -1715,7 +1723,11 @@ mod tests {
             let warm = canned_client(request, case);
             warm.attach_store(store());
             assert_resident(&warm.complete(request).unwrap(), case, "store hit");
-            assert_resident(&warm.complete(request).unwrap(), case, "seeded by a store hit");
+            assert_resident(
+                &warm.complete(request).unwrap(),
+                case,
+                "seeded by a store hit",
+            );
             assert_eq!((warm.stats().store_hits(), warm.stats().calls()), (1, 0));
             drop(warm);
             store_cleanup(&path);
@@ -1730,7 +1742,13 @@ mod tests {
         let answers: Vec<CompletionResponse> = (0..requests.len())
             .map(|i| {
                 let pricing = Pricing::new(i as f64, 0.5);
-                answer(&format!("answer {i}"), FinishReason::Stop, None, pricing, "m")
+                answer(
+                    &format!("answer {i}"),
+                    FinishReason::Stop,
+                    None,
+                    pricing,
+                    "m",
+                )
             })
             .collect();
         let client = LlmClient::new(Arc::new(Canned {
