@@ -158,7 +158,9 @@ impl BlockingIndex {
     /// corpus text like any other query text
     /// ([`BlockingIndex::nearest_texts`]); an id in neither yields no hits.
     /// Repeated ids are scanned once, and both kinds of query go to the
-    /// index as one batch each, on the engine's threads.
+    /// index as one batch each, on the engine's threads; a batch of only
+    /// indexed ids (what `dedup` sends) embeds nothing and asks no second
+    /// batch.
     pub fn neighbors_many(
         &self,
         engine: &Engine,
@@ -215,8 +217,12 @@ impl BlockingIndex {
     /// (the join operator's probe side, and the unindexed ids of
     /// [`BlockingIndex::neighbors_many`]): the texts are embedded on the
     /// building engine's threads into one flat buffer and asked as one
-    /// [`Queries::Flat`] batch.
+    /// [`Queries::Flat`] batch. An empty batch returns at once: nothing
+    /// is embedded and the index is not asked.
     pub fn nearest_texts(&self, texts: &[&str], k: usize) -> Vec<Vec<BlockingHit>> {
+        if texts.is_empty() {
+            return Vec::new();
+        }
         let queries = embed_all_flat_with_workers(&self.embedder, texts, self.workers);
         self.index
             .search_with_workers(Queries::Flat(&queries), k, self.workers)
@@ -320,6 +326,22 @@ mod tests {
         assert_eq!(batch[1].len(), 2);
         assert!(batch[1].iter().all(|h| h.item != ids[0]));
         assert!(batch[2].is_empty());
+    }
+
+    #[test]
+    fn an_all_member_batch_is_one_batch() {
+        let (engine, ids) = setup(20);
+        let index = BlockingIndex::build(&engine, &ids).unwrap();
+        // No stranger: the answers are the member batch's alone, and the
+        // empty stranger batch returns before embedding or asking.
+        assert!(index.nearest_texts(&[], 3).is_empty());
+        let members = index.neighbors_many(&engine, &ids, 3);
+        let rows: Vec<usize> = (0..ids.len()).collect();
+        let raw = index
+            .index
+            .search_with_workers(Queries::Rows(&rows), 3, index.workers);
+        let want: Vec<Vec<BlockingHit>> = raw.into_iter().map(|r| index.to_hits(r)).collect();
+        assert_eq!(members, want);
     }
 
     #[test]
