@@ -30,8 +30,8 @@
 //! repeated `Rows` batches, `Flat` batches and the IVF tier keep their
 //! paths.
 //!
-//! The scan has one *fused* distance path: every candidate costs exactly
-//! one dot product, because with stored norms both metrics reduce to it
+//! The scan has one *fused* distance path: a candidate's key needs one dot
+//! product, because with stored norms both metrics reduce to it
 //! (`‖q − v‖² = ‖q‖² + ‖v‖² − 2⟨q,v⟩`; `1 − cos = 1 − ⟨q,v⟩ / (‖q‖‖v‖)`).
 //! Candidates are ranked by a monotone *key* (squared distance for L2) in
 //! a bounded top-k structure, so a query is `O(n·d + n·log k)` with no
@@ -48,6 +48,17 @@
 //! fills — infinite keys get through) decides which reach the ranking.
 //! Nearly every row leaves the mask empty.
 //!
+//! The tiled scan does not pay every candidate's dot. With L2 keys on a CPU
+//! with AVX-512 VNNI it first rules candidates out on 8-bit codes
+//! (`filter.rs`): per stored row one integer kernel call bounds all
+//! sixteen lanes' distances from below, and a lane whose lower bound puts
+//! its key provably above its ranking's bound never reaches the f32
+//! kernel. On `pipeline_warm`'s impute shape (ada-like embeddings, 6 062
+//! queries against 512 rows, `k = 3`) about one candidate in twenty gets
+//! through (`examples/selfjoin` prints the share). A rejected lane is one
+//! the mask above would have dropped, so the filter changes no offer and no
+//! bit of any answer. The self-join does not filter.
+//!
 //! Determinism contract: results ascend by distance, ties broken by
 //! insertion index, and a query containing NaN returns no hits. Candidates
 //! whose distance is NaN are never ranked (the seed fed them to
@@ -55,8 +66,13 @@
 //! [`BruteForceIndex`] deterministically filters NaN *stored* rows out of
 //! its results.
 
+use std::sync::OnceLock;
+
+use crate::filter::{StoreCodes, TileCodes};
 use crate::store::VectorStore;
-use crate::vector::{cosine_similarity, dot_unrolled, dot_unrolled_many, l2_distance};
+use crate::vector::{
+    cosine_similarity, dot_unrolled, dot_unrolled_many, l2_distance, vnni_available,
+};
 
 /// Distance metric for neighbor search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -328,6 +344,10 @@ impl TopK {
 pub struct BruteForceIndex {
     store: VectorStore,
     metric: Metric,
+    /// The store's 8-bit codes for the tiled scan's filter
+    /// ([`crate::filter`]), built by the first tiled scan that has a query;
+    /// `None` inside where the filter does not run.
+    codes: OnceLock<Option<StoreCodes>>,
 }
 
 impl BruteForceIndex {
@@ -335,7 +355,25 @@ impl BruteForceIndex {
     /// index shares one store between its exact fallback path and its
     /// quantized lists.
     pub fn from_store(store: VectorStore, metric: Metric) -> Self {
-        BruteForceIndex { store, metric }
+        BruteForceIndex {
+            store,
+            metric,
+            codes: OnceLock::new(),
+        }
+    }
+
+    /// The store's codes, quantized on the first call, if the filter runs
+    /// here: [`Metric::L2`] keys on a CPU with AVX-512 VNNI.
+    fn codes(&self) -> Option<&StoreCodes> {
+        self.codes
+            .get_or_init(|| {
+                if self.metric == Metric::L2 && vnni_available() {
+                    StoreCodes::build(&self.store)
+                } else {
+                    None
+                }
+            })
+            .as_ref()
     }
 
     /// The flat vector storage backing this index.
@@ -387,8 +425,9 @@ impl BruteForceIndex {
     /// each chunk runs the tiled scan (`QUERY_TILE` queries per pass over
     /// the store). Both compute a tile's dots in one [`dot_unrolled_many`]
     /// call and its keys as one array, and offer only the lanes whose key
-    /// is at or below a ranking's bound. Both give the same bits: the
-    /// self-join's
+    /// is at or below a ranking's bound; the tiled scan may first rule
+    /// lanes out on 8-bit codes, never one that would have been offered
+    /// (`filter.rs`). Both give the same bits: the self-join's
     /// keys are the scan's keys in both directions — the lane contract's
     /// dot is symmetric in its arguments, and [`Metric::rank_key`] in its
     /// two norms (`(a + b) − 2d` and `√a·√b` commute in IEEE arithmetic) —
@@ -415,6 +454,22 @@ impl BruteForceIndex {
                 range.map(|i| queries.get(&self.store, i)).unzip();
             self.scan_block(&vectors, &skip, k)
         })
+    }
+
+    /// The tiled scan's answers to `queries` at one worker — never the
+    /// self-join — and how many of the batch's (query, stored row)
+    /// candidates reached the lane-contract kernel: every one where the
+    /// 8-bit filter does not run, the ones it could not rule out where it
+    /// does. The answers are [`BruteForceIndex::search`]'s.
+    ///
+    /// # Panics
+    /// As [`BruteForceIndex::search`].
+    pub fn scan_counting(&self, queries: Queries<'_>, k: usize) -> (Vec<Vec<Neighbor>>, u64) {
+        let (vectors, skip): (Vec<&[f32]>, Vec<Option<usize>>) = (0..queries
+            .count(self.store.dims()))
+            .map(|i| queries.get(&self.store, i))
+            .unzip();
+        self.scan_counted(&vectors, &skip, k)
     }
 
     /// Whether `rows` names every stored row exactly once, in any order:
@@ -527,12 +582,18 @@ impl BruteForceIndex {
     /// across the tile and is what makes batch blocking several times
     /// faster than a per-query loop even on one core.
     ///
-    /// Per stored row the tile costs one [`dot_unrolled_many`] call, one
-    /// array of sixteen keys and one mask of the lanes at or below their
-    /// rankings' bounds ([`at_or_below`]); only those lanes reach
-    /// [`TopK::offer`], which decides ties by `(key, index)`. A short last
-    /// tile's lanes past its queries are masked off, so every tile runs the
-    /// same loop.
+    /// Per stored row the tile costs, where the filter runs (L2 keys, a CPU
+    /// with AVX-512 VNNI), one 8-bit kernel call and one rejection test
+    /// over the sixteen lanes ([`crate::filter`]); the lanes it cannot rule
+    /// out go on, in ascending lane order, to one [`dot_unrolled_many`]
+    /// call and their keys. Elsewhere every lane goes on: one
+    /// [`dot_unrolled_many`] call, one array of sixteen keys. Either way
+    /// only a lane whose key is at or below its ranking's bound
+    /// ([`at_or_below`]) reaches [`TopK::offer`], which decides ties by
+    /// `(key, index)`. The filter rejects only lanes whose key is provably
+    /// above that bound, so both ways make the same offers in the same
+    /// order. A short last tile's lanes past its queries are masked off, so
+    /// it runs the same loop as a full one.
     ///
     /// `skip[i]` is the stored row query `i` must not match (skipped without
     /// ranking). The per-candidate computation and the top-k policy do not
@@ -544,9 +605,27 @@ impl BruteForceIndex {
         skip: &[Option<usize>],
         k: usize,
     ) -> Vec<Vec<Neighbor>> {
+        self.scan_counted(queries, skip, k).0
+    }
+
+    /// [`BruteForceIndex::scan_block`], and how many (query, stored row)
+    /// candidates reached the lane-contract kernel.
+    fn scan_counted(
+        &self,
+        queries: &[&[f32]],
+        skip: &[Option<usize>],
+        k: usize,
+    ) -> (Vec<Vec<Neighbor>>, u64) {
         if k == 0 || self.store.is_empty() {
-            return vec![Vec::new(); queries.len()];
+            return (vec![Vec::new(); queries.len()], 0);
         }
+        let codes = if queries.is_empty() {
+            None
+        } else {
+            self.codes()
+        };
+        let mut filter = codes.map(TileCodes::new);
+        let mut refined = 0u64;
         let mut out = Vec::with_capacity(queries.len());
         // Per-tile state, one slot per query: its squared norm and its
         // ranking's bound (its excluded row is `skip`'s). With these the
@@ -565,25 +644,56 @@ impl BruteForceIndex {
                 .iter()
                 .map(|_| TopK::new(k, self.store.len()))
                 .collect();
-            for (index, (row, norm_sq)) in self.store.rows().enumerate() {
-                // One multi-query kernel call per row: the row is loaded
-                // once for the whole tile and the dispatch happens per row,
-                // not per candidate.
-                dot_unrolled_many(row, tile, &mut dots[..tile.len()]);
-                let keys = self.metric.rank_keys(&dots, &qqs, norm_sq);
-                let mut pass = at_or_below(&keys, &bounds) & live;
-                while pass != 0 {
-                    let t = pass.trailing_zeros() as usize;
-                    pass &= pass - 1;
-                    if skip[t] != Some(index) {
-                        tops[t].offer(keys[t], index);
-                        bounds[t] = tops[t].bound();
+            if let (Some(codes), Some(filter)) = (codes, filter.as_mut()) {
+                filter.load(codes, tile, &qqs[..tile.len()]);
+                // The surviving lanes' queries and lane numbers, in their
+                // first `width` slots.
+                let mut picked: [&[f32]; QUERY_TILE] = [&[]; QUERY_TILE];
+                let mut lanes = [0usize; QUERY_TILE];
+                for (index, (row, norm_sq)) in self.store.rows().enumerate() {
+                    let mut pass = filter.survivors(codes, index, live);
+                    if pass == 0 {
+                        continue;
+                    }
+                    let width = pass.count_ones() as usize;
+                    for (pick, lane) in picked.iter_mut().zip(&mut lanes).take(width) {
+                        *lane = pass.trailing_zeros() as usize;
+                        pass &= pass - 1;
+                        *pick = tile[*lane];
+                    }
+                    refined += width as u64;
+                    dot_unrolled_many(row, &picked[..width], &mut dots[..width]);
+                    for (&dot, &t) in dots.iter().zip(&lanes).take(width) {
+                        let key = self.metric.rank_key(dot, qqs[t], norm_sq);
+                        if key <= bounds[t] && skip[t] != Some(index) {
+                            tops[t].offer(key, index);
+                            bounds[t] = tops[t].bound();
+                            filter.set_bound(t, bounds[t]);
+                        }
+                    }
+                }
+            } else {
+                refined += (tile.len() * self.store.len()) as u64;
+                for (index, (row, norm_sq)) in self.store.rows().enumerate() {
+                    // One multi-query kernel call per row: the row is loaded
+                    // once for the whole tile and the dispatch happens per
+                    // row, not per candidate.
+                    dot_unrolled_many(row, tile, &mut dots[..tile.len()]);
+                    let keys = self.metric.rank_keys(&dots, &qqs, norm_sq);
+                    let mut pass = at_or_below(&keys, &bounds) & live;
+                    while pass != 0 {
+                        let t = pass.trailing_zeros() as usize;
+                        pass &= pass - 1;
+                        if skip[t] != Some(index) {
+                            tops[t].offer(keys[t], index);
+                            bounds[t] = tops[t].bound();
+                        }
                     }
                 }
             }
             out.extend(tops.into_iter().map(|top| top.into_neighbors(self.metric)));
         }
-        out
+        (out, refined)
     }
 }
 
@@ -1212,6 +1322,87 @@ mod tests {
                             assert_eq!(got, &want(row, Some(r)), "{case} row {r}");
                         }
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_tiled_scan_quantizes_nothing() {
+        for metric in [Metric::L2, Metric::Cosine] {
+            let idx = BruteForceIndex::from_store(tile_corpus(40, 12), metric);
+            // A partial `Rows` batch takes the tiled scan, as `Flat` does.
+            assert!(idx.search(Queries::Flat(&[]), 3).is_empty());
+            assert!(idx.search(Queries::Rows(&[]), 3).is_empty());
+            assert!(idx.codes.get().is_none(), "{metric:?}");
+            idx.search(Queries::Rows(&[4]), 3);
+            let built = idx.codes.get().expect("a scan with a query looks");
+            let filtered = metric == Metric::L2 && vnni_available();
+            assert_eq!(built.is_some(), filtered, "{metric:?}");
+        }
+    }
+
+    /// `n` rows of `dims` dimensions in a few tight clusters, so that a
+    /// query's ranking fills with near rows and the 8-bit filter rules
+    /// most of the rest out; one row a NaN, one an exact duplicate.
+    fn clustered(n: usize, dims: usize, seed: u64) -> Vec<f32> {
+        let mut state = seed;
+        let centres: Vec<Vec<f32>> = (0..5)
+            .map(|_| {
+                (0..dims)
+                    .map(|_| (splitmix(&mut state) % 9) as f32)
+                    .collect()
+            })
+            .collect();
+        let mut flat = Vec::with_capacity(n * dims);
+        for i in 0..n {
+            let centre = &centres[splitmix(&mut state) as usize % centres.len()];
+            for &c in centre {
+                let noise = (splitmix(&mut state) >> 40) as f32 / (1u64 << 26) as f32;
+                flat.push(c + noise);
+            }
+            if i == 7 {
+                flat[i * dims] = f32::NAN;
+            }
+        }
+        flat.copy_within(0..dims, dims * (n / 2));
+        flat
+    }
+
+    #[test]
+    fn the_filtered_scan_answers_by_definition() {
+        // Dimensions with and without a padded last code group, free
+        // queries from the clusters and far outside them, and row queries.
+        for dims in [5usize, 70, 256] {
+            let n = 200;
+            let idx = BruteForceIndex::from_store(
+                VectorStore::from_flat(clustered(n, dims, dims as u64), dims),
+                Metric::L2,
+            );
+            let mut queries = clustered(37, dims, 99 + dims as u64);
+            for x in &mut queries[..3 * dims] {
+                *x = *x * 3.0 - 20.0;
+            }
+            let rows: Vec<usize> = (0..n).step_by(7).collect();
+            for k in [1, 3, 10] {
+                let (free, refined) = idx.scan_counting(Queries::Flat(&queries), k);
+                for (i, (query, got)) in queries.chunks(dims).zip(bits(&free)).enumerate() {
+                    assert_eq!(
+                        got,
+                        by_definition(&idx, query, None, k),
+                        "dims {dims} k {k} {i}"
+                    );
+                }
+                if vnni_available() {
+                    assert!(
+                        refined < (37 * n) as u64 / 2,
+                        "dims {dims} k {k}: {refined}"
+                    );
+                }
+                let (asked, _) = idx.scan_counting(Queries::Rows(&rows), k);
+                for (&r, got) in rows.iter().zip(bits(&asked)) {
+                    let want = by_definition(&idx, idx.store().row(r), Some(r), k);
+                    assert_eq!(got, want, "dims {dims} k {k} row {r}");
                 }
             }
         }

@@ -11,8 +11,10 @@
 //! model weights to ship.
 //!
 //! The search side is built for batch blocking workloads: vectors live in
-//! flat contiguous storage ([`VectorStore`]), every candidate costs one
-//! fused dot product ([`knn`] module docs), top-k is a bounded heap, and
+//! flat contiguous storage ([`VectorStore`]), a candidate's key costs one
+//! fused dot product, and the tiled scan rules most candidates out on
+//! 8-bit codes before paying it ([`knn`] module docs), top-k is a bounded
+//! heap, and
 //! every index answers one question — `search(queries, k)` over a batch of
 //! [`Queries`] (rows of its own store, or free vectors in one flat buffer)
 //! — partitioned across threads. [`KnnIndex::build`] picks the exact scan
@@ -20,6 +22,7 @@
 
 #![warn(missing_docs)]
 
+mod filter;
 pub mod hashing;
 pub mod ivf;
 pub mod knn;

@@ -1,7 +1,9 @@
-//! 8-bit scalar quantization for the IVF residual scan.
+//! 8-bit scalar quantization: the IVF residual scan, and the exact scan's
+//! filter.
 //!
-//! Each vector (an IVF *residual*, `row − centroid`) is quantized
-//! independently with an affine map: `code = round((x − offset) / scale)`
+//! Each vector (an IVF *residual*, `row − centroid`, or a row or query of
+//! the exact tiled scan, `filter.rs`) is quantized independently
+//! with an affine map: `code = round((x − offset) / scale)`
 //! where `offset = min(x)` and `scale = (max(x) − min(x)) / 255`, so every
 //! coordinate lands exactly in `0..=255` and dequantizes to
 //! `offset + scale · code` with at most half a quantization step of error
@@ -22,6 +24,13 @@
 //! integer core is a fixed scalar expression evaluated in `f64` and clamped
 //! at zero, so the approximate ranking keys are finite, non-negative and
 //! deterministic everywhere too.
+//!
+//! The exact scan's filter uses the same quantizer and the same expression
+//! ([`ScanLanes`], sixteen queries side by side, unclamped), with the
+//! integer `ΣXY` from `vector::dot_u8_tile_vnni`, and one more quantity per
+//! vector: an upper bound on its residual norm `‖x − x̂‖`
+//! ([`residual_norm`]), which turns `‖x̂ − ŷ‖` into a lower bound on the
+//! true distance.
 
 /// Per-vector dequantization parameters plus the precomputed integer code
 /// sums the fused distance fix-up needs.
@@ -59,31 +68,24 @@ impl QuantMeta {
 /// # Panics
 /// Panics (debug) if any coordinate is non-finite — the IVF build filters
 /// non-finite rows before quantization.
+#[inline(always)]
 pub(crate) fn quantize_into(row: &[f32], codes: &mut Vec<u8>) -> QuantMeta {
     debug_assert!(
         row.iter().all(|x| x.is_finite()),
         "quantize_into requires finite coordinates"
     );
     codes.clear();
-    let mut min = f32::INFINITY;
-    let mut max = f32::NEG_INFINITY;
-    for &x in row {
-        min = min.min(x);
-        max = max.max(x);
-    }
-    if row.is_empty() {
-        min = 0.0;
-        max = 0.0;
-    }
+    codes.resize(row.len(), 0);
+    let (min, max) = min_max(row);
     let scale = if max > min { (max - min) / 255.0 } else { 0.0 };
     let inv = if scale > 0.0 { 1.0 / scale } else { 0.0 };
     let mut code_sum = 0u64;
     let mut code_sq_sum = 0u64;
-    for &x in row {
-        let q = (((x - min) * inv).round()).clamp(0.0, 255.0) as u8;
+    for (slot, &x) in codes.iter_mut().zip(row) {
+        let q = round_code((x - min) * inv);
         code_sum += u64::from(q);
         code_sq_sum += u64::from(q) * u64::from(q);
-        codes.push(q);
+        *slot = q;
     }
     QuantMeta {
         offset: min,
@@ -91,6 +93,44 @@ pub(crate) fn quantize_into(row: &[f32], codes: &mut Vec<u8>) -> QuantMeta {
         code_sum,
         code_sq_sum,
     }
+}
+
+/// The least and greatest coordinate of a finite vector, `(0, 0)` for an
+/// empty one. Eight running minima and maxima, so the passes do not wait
+/// on one another; for finite values the order cannot change the result.
+#[inline(always)]
+fn min_max(row: &[f32]) -> (f32, f32) {
+    if row.is_empty() {
+        return (0.0, 0.0);
+    }
+    let mut lo = [f32::INFINITY; 8];
+    let mut hi = [f32::NEG_INFINITY; 8];
+    let mut chunks = row.chunks_exact(8);
+    for chunk in &mut chunks {
+        for ((lo, hi), &x) in lo.iter_mut().zip(&mut hi).zip(chunk) {
+            *lo = lo.min(x);
+            *hi = hi.max(x);
+        }
+    }
+    for &x in chunks.remainder() {
+        lo[0] = lo[0].min(x);
+        hi[0] = hi[0].max(x);
+    }
+    let min = lo.iter().fold(f32::INFINITY, |a, &b| a.min(b));
+    let max = hi.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+    (min, max)
+}
+
+/// `v.round().clamp(0.0, 255.0) as u8` for the `v ≥ 0` (or NaN) the
+/// quantizer forms, without `round`'s library call: in `0..=255` the
+/// fraction `v − ⌊v⌋` is exact, and rounds up from one half. NaN is 0.
+#[inline(always)]
+fn round_code(v: f32) -> u8 {
+    // `>` is false for NaN.
+    let v = if v > 0.0 { v.min(255.0) } else { 0.0 };
+    // SAFETY: `v` is in `0.0..=255.0`, so its integer part is a `u8`.
+    let whole: u8 = unsafe { v.to_int_unchecked() };
+    whole + u8::from(v - f32::from(whole) >= 0.5)
 }
 
 /// Query-side constants of the distance decomposition, hoisted out of the
@@ -129,12 +169,107 @@ impl ScanQuery {
     /// row's precomputed [`ScanTerms`] and the integer code dot product.
     #[inline(always)]
     pub(crate) fn key(&self, y: &ScanTerms, dot_xy: u64) -> f32 {
-        let delta = self.offset - f64::from(y.offset);
-        let d2 =
-            self.dims * delta * delta + self.sq_s + y.sq_s + 2.0 * delta * (self.sum_s - y.sum_s)
-                - self.two_s * f64::from(y.scale) * dot_xy as f64;
+        let d2 = decomposed(
+            self.dims,
+            [self.offset, self.sq_s, self.sum_s, self.two_s],
+            y,
+            dot_xy as f64,
+        );
         d2.max(0.0) as f32
     }
+}
+
+/// The module docs' formula in f64, unclamped: `q` is a query's
+/// `offset`, `sₓ²·ΣX²`, `sₓ·ΣX` and `2·sₓ` ([`ScanQuery`]'s fields), `y`
+/// the row's terms and `dot_xy` the exact integer `ΣXY`. One evaluation
+/// order for the IVF keys and the exact scan's filter ([`ScanLanes`]).
+#[inline(always)]
+fn decomposed(dims: f64, q: [f64; 4], y: &ScanTerms, dot_xy: f64) -> f64 {
+    let [offset, sq_s, sum_s, two_s] = q;
+    let delta = offset - f64::from(y.offset);
+    dims * delta * delta + sq_s + y.sq_s + 2.0 * delta * (sum_s - y.sum_s)
+        - two_s * f64::from(y.scale) * dot_xy
+}
+
+/// The [`ScanQuery`]s of a k-NN tile's sixteen queries, field by field:
+/// the exact scan's filter evaluates `‖x̂ − ŷ‖²` for all of them against
+/// one stored row as arrays ([`ScanLanes::dists_sq`]).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ScanLanes {
+    dims: f64,
+    offset: [f64; 16],
+    sq_s: [f64; 16],
+    sum_s: [f64; 16],
+    two_s: [f64; 16],
+}
+
+impl ScanLanes {
+    /// Lane `t` answers for query `q`.
+    pub(crate) fn set(&mut self, t: usize, q: &ScanQuery) {
+        self.dims = q.dims;
+        self.offset[t] = q.offset;
+        self.sq_s[t] = q.sq_s;
+        self.sum_s[t] = q.sum_s;
+        self.two_s[t] = q.two_s;
+    }
+
+    /// `‖x̂ − ŷ_t‖²` for every lane `t` against the row with terms `y`,
+    /// from the lanes' exact integer `ΣXY` — [`ScanQuery::key`]'s f64 before
+    /// it is clamped and rounded to f32.
+    #[inline(always)]
+    pub(crate) fn dists_sq(&self, y: &ScanTerms, dots: &[i32; 16]) -> [f64; 16] {
+        let mut out = [0.0; 16];
+        for (t, out) in out.iter_mut().enumerate() {
+            let q = [self.offset[t], self.sq_s[t], self.sum_s[t], self.two_s[t]];
+            *out = decomposed(self.dims, q, y, f64::from(dots[t]));
+        }
+        out
+    }
+}
+
+/// An upper bound on a vector's residual norm `‖row − x̂‖`, where `x̂[d] =
+/// offset + scale · codes[d]` exactly, for the codes and metadata
+/// [`quantize_into`] gave it. The bound holds for any codes, not only
+/// well-chosen ones: it is computed, not derived from the step.
+///
+/// Each residual is taken in f64, where `scale · code` is exact (24 bits
+/// by 8); the sum with the offset and the difference with the row round
+/// by at most `2⁻⁵³` of `|row[d]| + |offset| + scale · code` each, so
+/// `2⁻⁵⁰` of it added to `|e_d|` bounds the true `|e_d|`. The sum of
+/// squares (at most `2¹⁵` terms, so at most `2⁻³⁸` relative error) is
+/// scaled up by `1 + 2⁻³⁶` and its square root by `1 + 2⁻⁵⁰`.
+#[inline(always)]
+pub(crate) fn residual_norm(row: &[f32], codes: &[u8], meta: &QuantMeta) -> f64 {
+    let (offset, scale) = (f64::from(meta.offset), f64::from(meta.scale));
+    let bound = |x: f32, code: u8| {
+        let (x, step) = (f64::from(x), scale * f64::from(code));
+        let e = (x - (offset + step)).abs() + (x.abs() + offset.abs() + step) * ROUNDING;
+        e * e
+    };
+    // Eight running sums, so the adds do not wait on one another.
+    let mut sums = [0.0f64; 8];
+    let whole = row.len().min(codes.len()) / 8 * 8;
+    for (xs, cs) in row[..whole]
+        .chunks_exact(8)
+        .zip(codes[..whole].chunks_exact(8))
+    {
+        for l in 0..8 {
+            sums[l] += bound(xs[l], cs[l]);
+        }
+    }
+    for (&x, &code) in row[whole..].iter().zip(&codes[whole..]) {
+        sums[0] += bound(x, code);
+    }
+    let sum_sq: f64 = sums.iter().sum();
+    (sum_sq * (1.0 + (1u64 << 14) as f64 * ROUNDING)).sqrt() * (1.0 + ROUNDING)
+}
+
+/// `2⁻⁵⁰`: a few f64 roundings' worth of relative error.
+const ROUNDING: f64 = 1.0 / (1u64 << 50) as f64;
+
+/// `|offset| + 255 · scale`: no dequantized coordinate is larger.
+pub(crate) fn magnitude(meta: &QuantMeta) -> f64 {
+    f64::from(meta.offset).abs() + 255.0 * f64::from(meta.scale)
 }
 
 /// Row-side precomputed terms of the distance decomposition, derived once

@@ -62,6 +62,21 @@
 //! the joint finish is what made the end-to-end difference (CHANGES.md,
 //! PR 45).
 //!
+//! One integer kernel sits beside the dot tiers: `dot_u8_tile_vnni`, the
+//! exact k-NN scan's 8-bit filter (`filter.rs`). It needs AVX-512F
+//! and AVX-512 VNNI (one more cached check, `vnni_available`); on any
+//! other CPU the filter does not run and nothing calls it. Per stored row
+//! it computes the exact `Σ XY` of the row's codes against sixteen
+//! queries' at once: the queries' codes are transposed in four-byte groups
+//! (`transpose_codes`), so one `vpdpbusd` multiplies the row's four codes
+//! of a group, broadcast, with every query's four and accumulates query `t`
+//! in 32-bit lane `t` — no horizontal reduction. `vpdpbusd` takes one
+//! unsigned and one signed operand, so the queries' codes are stored as
+//! `code − 128` and `128 · Σ X` is added back; four accumulators cover the
+//! instruction's latency. The arithmetic is integer and exact, so the
+//! kernel's definition is a plain loop, `dot_u8_tile`, which it is tested
+//! against at every tile width and every dimension count to 300.
+//!
 //! A future kernel (wider registers, another ISA) is correct when the
 //! `to_bits` tests in this module pass against `dot_lanes` for its tier;
 //! NaN results must be NaN, their payloads are not part of the contract.
@@ -646,6 +661,137 @@ unsafe fn dot_u8_avx2(a: &[u8], b: &[u8]) -> u64 {
     total
 }
 
+/// Queries in one 8-bit code tile: the exact k-NN scan's tile width.
+pub(crate) const CODE_TILE: usize = 16;
+
+/// Bytes of one four-dimension group of a transposed code tile: four
+/// codes of each of [`CODE_TILE`] queries.
+pub(crate) const CODE_GROUP: usize = 4 * CODE_TILE;
+
+/// Write query `t`'s codes into a transposed code tile: the codes of
+/// dimensions `4g..4g + 4` go to bytes `CODE_GROUP·g + 4t..+ 4`, each as
+/// `code − 128` (a signed byte), so that one 64-byte load of group `g`
+/// holds query `t`'s four codes in 32-bit lane `t`. A code vector shorter
+/// than the tile's groups leaves its padding at `−128`, code `0`.
+///
+/// # Panics
+/// Panics if `t >= CODE_TILE` or the codes do not fit the tile.
+#[inline]
+pub(crate) fn transpose_codes(tile: &mut [i8], t: usize, codes: &[u8]) {
+    assert!(t < CODE_TILE && codes.len() <= tile.len() / CODE_TILE);
+    let mut groups = tile.chunks_exact_mut(CODE_GROUP);
+    let mut quads = codes.chunks_exact(4);
+    // `quads` first: the zip must not take a group it has no quad for.
+    for (quad, group) in (&mut quads).zip(&mut groups) {
+        let word = u32::from_le_bytes([quad[0], quad[1], quad[2], quad[3]]) ^ 0x8080_8080;
+        for (slot, byte) in group[4 * t..4 * t + 4].iter_mut().zip(word.to_le_bytes()) {
+            *slot = byte as i8;
+        }
+    }
+    let mut rest = quads.remainder().iter();
+    for group in groups {
+        for slot in &mut group[4 * t..4 * t + 4] {
+            *slot = (rest.next().copied().unwrap_or(0) ^ 0x80) as i8;
+        }
+    }
+}
+
+/// The exact integer dot of one stored row's codes against each query of a
+/// transposed code tile ([`transpose_codes`]): lane `t` is
+/// `Σ_d row[d] · code_t[d]`. `row` holds `tile.len() / CODE_GROUP` groups
+/// of four codes, zero past the row's dimensions. The portable definition
+/// of [`dot_u8_tile_vnni`], which is tested against it.
+///
+/// Every product is at most `255²`, so a lane cannot overflow below
+/// `2³¹ / 255² ≈ 33 000` dimensions; callers stay under that.
+pub(crate) fn dot_u8_tile(row: &[u8], tile: &[i8]) -> [i32; CODE_TILE] {
+    debug_assert_eq!(row.len() * CODE_TILE, tile.len());
+    let mut out = [0i32; CODE_TILE];
+    for (x, group) in row.chunks_exact(4).zip(tile.chunks_exact(CODE_GROUP)) {
+        for (t, lane) in out.iter_mut().enumerate() {
+            for b in 0..4 {
+                let code = i32::from(group[4 * t + b]) + 128;
+                *lane += i32::from(x[b]) * code;
+            }
+        }
+    }
+    out
+}
+
+/// Whether this CPU runs [`dot_u8_tile_vnni`]: the AVX-512F tier and
+/// AVX-512 VNNI. One runtime detection, cached.
+pub(crate) fn vnni_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::sync::atomic::{AtomicU8, Ordering};
+        // 0 = undetected, 1 = no, 2 = yes.
+        static VNNI: AtomicU8 = AtomicU8::new(0);
+        match VNNI.load(Ordering::Relaxed) {
+            1 => return false,
+            2 => return true,
+            _ => {}
+        }
+        let vnni = tier() == Tier::Avx512 && std::arch::is_x86_feature_detected!("avx512vnni");
+        VNNI.store(1 + u8::from(vnni), Ordering::Relaxed);
+        vnni
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// [`dot_u8_tile`] with `vpdpbusd`: per four-dimension group, the row's
+/// four codes broadcast to every 32-bit lane (the unsigned operand) meet
+/// the group's 64 tile bytes (the signed operand, `code − 128`), and each
+/// lane adds its four products — query `t` accumulates in lane `t`, with
+/// no horizontal reduction. The sum is `Σ row·(code − 128)`, so
+/// `128 · row_sum` is added back once; `row_sum` is `Σ row`, which the
+/// caller keeps per stored row. Four accumulators take the groups in turn,
+/// so four `vpdpbusd` chains cover the instruction's latency.
+///
+/// # Safety
+/// The CPU runs AVX-512F and AVX-512 VNNI ([`vnni_available`]).
+///
+/// # Panics
+/// Panics if `row.len() * CODE_TILE != tile.len()` or `row.len()` is not
+/// a multiple of four.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f,avx512vnni")]
+pub(crate) fn dot_u8_tile_vnni(row: &[u8], row_sum: i32, tile: &[i8]) -> [i32; CODE_TILE] {
+    assert!(row.len().is_multiple_of(4) && row.len() * CODE_TILE == tile.len());
+    // One group: the row's four codes in every lane, and the tile's bytes.
+    let step = |acc: __m512i, x: &[u8], y: &[i8]| {
+        let x = i32::from_le_bytes([x[0], x[1], x[2], x[3]]);
+        // SAFETY: `y` is one group, `CODE_GROUP` = 64 bytes.
+        let y = unsafe { _mm512_loadu_si512(y.as_ptr().cast()) };
+        _mm512_dpbusd_epi32(acc, _mm512_set1_epi32(x), y)
+    };
+    let mut acc = [_mm512_setzero_si512(); 4];
+    let mut rows = row.chunks_exact(16);
+    let mut tiles = tile.chunks_exact(4 * CODE_GROUP);
+    for (x, y) in (&mut rows).zip(&mut tiles) {
+        for (j, acc) in acc.iter_mut().enumerate() {
+            *acc = step(*acc, &x[4 * j..], &y[CODE_GROUP * j..]);
+        }
+    }
+    let rest = rows.remainder().chunks_exact(4);
+    for ((x, y), acc) in rest
+        .zip(tiles.remainder().chunks_exact(CODE_GROUP))
+        .zip(&mut acc)
+    {
+        *acc = step(*acc, x, y);
+    }
+    let sum = _mm512_add_epi32(
+        _mm512_add_epi32(acc[0], acc[1]),
+        _mm512_add_epi32(acc[2], acc[3]),
+    );
+    let sum = _mm512_add_epi32(sum, _mm512_set1_epi32(128 * row_sum));
+    let mut out = [0i32; CODE_TILE];
+    // SAFETY: `out` is sixteen `i32`s, one `zmm`.
+    unsafe { _mm512_storeu_si512(out.as_mut_ptr().cast(), sum) };
+    out
+}
+
 /// Euclidean (L2) distance between two equal-length vectors.
 ///
 /// # Panics
@@ -917,6 +1063,58 @@ mod tests {
     #[should_panic(expected = "dimension mismatch")]
     fn dot_unrolled_many_dimension_mismatch_panics() {
         dot_unrolled_many(&[1.0, 2.0], &[&[1.0, 2.0], &[1.0]], &mut [0.0; 2]);
+    }
+
+    #[test]
+    fn the_vnni_tile_kernel_equals_the_portable_loop() {
+        // Every width of a tile and every dimension count up to 300: whole
+        // groups of four, a padded last group, and runs of the extreme
+        // codes 0 and 255, where a sign or offset slip shows.
+        let mut state = 0x5EED_u64;
+        let mut code = |extreme: bool| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let byte = (state >> 56) as u8;
+            if extreme {
+                [0, 255][usize::from(byte & 1)]
+            } else {
+                byte
+            }
+        };
+        for dims in 0..=300usize {
+            let stride = dims.next_multiple_of(4);
+            let extreme = dims % 3 == 0;
+            let mut row = vec![0u8; stride];
+            for x in &mut row[..dims] {
+                *x = code(extreme);
+            }
+            let row_sum: i32 = row.iter().map(|&x| i32::from(x)).sum();
+            let queries: Vec<Vec<u8>> = (0..CODE_TILE)
+                .map(|_| (0..dims).map(|_| code(extreme)).collect())
+                .collect();
+            for width in 0..=CODE_TILE {
+                let mut tile = vec![0i8; stride / 4 * CODE_GROUP];
+                for (t, query) in queries[..width].iter().enumerate() {
+                    transpose_codes(&mut tile, t, query);
+                }
+                let portable = dot_u8_tile(&row, &tile);
+                for (t, query) in queries[..width].iter().enumerate() {
+                    let want: i32 = row
+                        .iter()
+                        .zip(query)
+                        .map(|(&x, &y)| i32::from(x) * i32::from(y))
+                        .sum();
+                    assert_eq!(portable[t], want, "dims {dims} width {width} lane {t}");
+                }
+                #[cfg(target_arch = "x86_64")]
+                if vnni_available() {
+                    // SAFETY: the CPU runs the kernel.
+                    let vnni = unsafe { dot_u8_tile_vnni(&row, row_sum, &tile) };
+                    assert_eq!(vnni, portable, "dims {dims} width {width}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,14 +2,20 @@
 //! behind the `resolve_cold` and `pipeline_warm` claims (ROADMAP item 5):
 //! `dot_unrolled_many` on an L1-resident tile of sixteen queries, the
 //! kernel call both scans make per stored row; the imputation shape, a
-//! `Queries::Flat` batch of 6 000 queries against a 512-row pool; and the
+//! `Queries::Flat` batch of 6 000 queries against a 512-row pool, on random
+//! rows ("pool") and on ada-like embeddings of restaurant records, 6 062
+//! against 512 as `pipeline_warm`'s impute node asks ("ada"); and the
 //! whole 4 000 × 4 000 × 256 blocking question asked two ways. "stream"
 //! asks every stored row as `Queries::Rows`, which the index answers with
 //! the symmetric self-join (n(n−1)/2 dots); "scan" asks the same rows as
 //! `Queries::Flat`, which runs the one-directional tiled scan (n² dots).
-//! Every line reports nanoseconds per ordered (query, stored row) pair. The example exits non-zero if the pool
-//! batch differs in any bit from its queries asked one at a time, or the
-//! self-join from the tiled scan.
+//! Every line reports nanoseconds per ordered (query, stored row) pair; the
+//! two imputation lines also report the share of pairs that reach the
+//! lane-contract kernel, the rest ruled out by the scan's 8-bit filter
+//! (100 % on a CPU without AVX-512 VNNI, where the filter does not run).
+//! The example exits non-zero if either imputation batch differs in any bit
+//! from its queries asked one at a time, or the self-join from the tiled
+//! scan.
 //!
 //! Run with: `cargo run --release --example selfjoin`
 //!
@@ -23,8 +29,12 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use crowdprompt::data::products;
 use crowdprompt::embed::vector::dot_unrolled_many;
-use crowdprompt::embed::{BruteForceIndex, Metric, Neighbor, Queries, VectorStore};
+use crowdprompt::embed::{
+    embed_all_flat_with_workers, BruteForceIndex, Embedder, Metric, Neighbor, NgramEmbedder,
+    Queries, VectorStore,
+};
 
 const DIMS: usize = 256;
 const ROWS: usize = 4_000;
@@ -36,6 +46,8 @@ const TILE: usize = 16;
 const POOL: usize = 512;
 const RECORDS: usize = 6_000;
 const POOL_K: usize = 3;
+/// Records `pipeline_warm`'s impute node asks against its pool at seed 11.
+const ADA_RECORDS: usize = 6_062;
 const REPS: usize = 10;
 
 /// `rows` deterministic rows in `[-1, 1)` (SplitMix64), flat row-major.
@@ -84,6 +96,34 @@ fn bits(hits: &[Neighbor]) -> Vec<(usize, u32)> {
         .collect()
 }
 
+/// Time the imputation shape, `records` asked as one `Flat` batch against
+/// `pool`; print its cost a pair and the share of pairs that reach the
+/// lane-contract kernel; exit 1 if a record's answer differs in a bit from
+/// the record asked alone.
+fn impute_shape(name: &str, pool: &BruteForceIndex, records: &[f32]) {
+    let dims = pool.store().dims();
+    let count = records.len() / dims;
+    let (mut imputed, mut refined) = (Vec::new(), 0);
+    let ns = ns_per_pair(count * POOL, || {
+        (imputed, refined) = pool.scan_counting(Queries::Flat(records), POOL_K);
+    });
+    let share = 100.0 * refined as f64 / (count * POOL) as f64;
+    println!(
+        "{name} {count} x {POOL} flat,     k={POOL_K}   {ns:6.2} ns/pair, {share:5.1} % of pairs to the f32 kernel"
+    );
+    if imputed.len() != count {
+        eprintln!("{name}: {} answers for {count} records", imputed.len());
+        std::process::exit(1);
+    }
+    for (r, (record, hits)) in records.chunks(dims).zip(&imputed).enumerate() {
+        let alone = pool.search_with_workers(Queries::Flat(record), POOL_K, 1);
+        if bits(hits) != bits(&alone[0]) {
+            eprintln!("{name} record {r}: batch {hits:?} != alone {:?}", alone[0]);
+            std::process::exit(1);
+        }
+    }
+}
+
 fn main() {
     println!("kernels {}", kernel_tier());
     let index = BruteForceIndex::from_store(
@@ -107,23 +147,19 @@ fn main() {
         VectorStore::from_flat(index.store().as_flat()[..POOL * DIMS].to_vec(), DIMS),
         Metric::L2,
     );
-    let records = corpus(RECORDS, 7);
-    let mut imputed = Vec::new();
-    let pool_ns = ns_per_pair(RECORDS * POOL, || {
-        imputed = pool.search_with_workers(Queries::Flat(&records), POOL_K, 1);
-    });
-    println!("pool   {RECORDS} x {POOL} flat,     k={POOL_K}   {pool_ns:6.2} ns/pair");
-    if imputed.len() != RECORDS {
-        eprintln!("{} pool answers for {RECORDS} records", imputed.len());
-        std::process::exit(1);
-    }
-    for (r, (record, hits)) in records.chunks(DIMS).zip(&imputed).enumerate() {
-        let alone = pool.search_with_workers(Queries::Flat(record), POOL_K, 1);
-        if bits(hits) != bits(&alone[0]) {
-            eprintln!("record {r}: batch {hits:?} != alone {:?}", alone[0]);
-            std::process::exit(1);
-        }
-    }
+    impute_shape("pool  ", &pool, &corpus(RECORDS, 7));
+
+    // The pool and records `pipeline_warm` embeds: restaurant records as
+    // ada-like n-gram vectors, the first `POOL` the labelled pool.
+    let data = products::restaurants(POOL + ADA_RECORDS, 11);
+    let texts: Vec<&str> = data.records.iter().map(|&id| data.text(id)).collect();
+    let embedder = NgramEmbedder::ada_like();
+    let dims = embedder.dimensions();
+    let flat = embed_all_flat_with_workers(&embedder, &texts, 1);
+    let (labelled, records) = flat.split_at(POOL * dims);
+    let ada =
+        BruteForceIndex::from_store(VectorStore::from_flat(labelled.to_vec(), dims), Metric::L2);
+    impute_shape("ada   ", &ada, records);
 
     let every_row: Vec<usize> = (0..ROWS).collect();
     let mut joined = Vec::new();
