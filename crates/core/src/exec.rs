@@ -2620,4 +2620,90 @@ mod tests {
         assert_eq!(one.2 .0, 158 + 2 + 3);
         assert_eq!(run(2), one);
     }
+
+    /// What a packed round over 1 024 items at width 4, whose every other
+    /// pack an earlier round answered, bills, meters, counts and traces —
+    /// at one worker and at two (its 256 packs then render in two shares),
+    /// under both policies. Recorded while every pack of a round, hit or
+    /// not, was queued and probed by the worker that drew it.
+    #[test]
+    fn a_half_hit_packed_round_bills_counts_and_traces_as_recorded() {
+        const N: usize = 1_024;
+        /// The client ledger's calls, tokens and dollars, the budget's
+        /// dollars, the meter's calls, tokens and dollars. Dollars are read
+        /// in picodollars: two workers sum the same misses in either order,
+        /// which can move a sum's last bit.
+        const BILLS: (u64, u64, u64, u64, u64, u64, u64) = (
+            136,
+            10_356,
+            16_536_000_000,
+            16_536_000_000,
+            266,
+            20_301,
+            32_406_000_000,
+        );
+        /// The client's calls, cache hits, coalesced joins and store hits.
+        const COUNTS: (u64, u64, u64, u64) = (136, 130, 0, 0);
+        /// The trace's one kind: its name, calls, cached calls, tokens and
+        /// picodollars.
+        const TRACED: (&str, u64, u64, u64, u64) = ("packed", 266, 130, 20_301, 16_536_000_000);
+        let pico = |usd: f64| (usd * 1e12).round() as u64;
+        for workers in [1, 2] {
+            for policy in [FailurePolicy::FailFast, FailurePolicy::degrade()] {
+                let (engine, ids) = engine_with(N, Budget::Unlimited);
+                let engine = engine.with_parallelism(workers).with_failure_policy(policy);
+                let tasks: Vec<_> = ids.iter().map(|id| check_task(*id)).collect();
+                let warm: Vec<_> = tasks.chunks(4).step_by(2).flatten().cloned().collect();
+                packed(&engine, &warm, 4).unwrap();
+                let client = Arc::clone(engine.client());
+                let ledger = client.ledger();
+                let (calls, tokens, usd) =
+                    (ledger.calls(), ledger.total_tokens(), ledger.spend_usd());
+                let stats = |s: &crowdprompt_oracle::ClientStats| {
+                    (s.calls(), s.cache_hits(), s.coalesced(), s.store_hits())
+                };
+                let before = stats(client.stats());
+
+                let trace = Arc::new(Trace::new());
+                let measured = engine
+                    .fork()
+                    .with_budget(Budget::usd(1.0))
+                    .with_trace(Arc::clone(&trace));
+                let outcome = packed(&measured, &tasks, 4).unwrap();
+                assert!(outcome.is_complete());
+                let mut meter = CostMeter::new();
+                outcome.meter_into(&mut meter);
+                let bills = (
+                    ledger.calls() - calls,
+                    ledger.total_tokens() - tokens,
+                    pico(ledger.spend_usd() - usd),
+                    pico(measured.budget().spent_usd()),
+                    meter.calls,
+                    u64::from(meter.usage.total()),
+                    pico(meter.cost_usd),
+                );
+                let after = stats(client.stats());
+                let counts = (
+                    after.0 - before.0,
+                    after.1 - before.1,
+                    after.2 - before.2,
+                    after.3 - before.3,
+                );
+                let summary = trace.summary();
+                assert_eq!(summary.by_kind.len(), 1);
+                let (kind, totals) = summary.by_kind.iter().next().unwrap();
+                let traced = (
+                    *kind,
+                    totals.calls,
+                    totals.cached,
+                    totals.tokens,
+                    pico(totals.cost_usd),
+                );
+                let at = format!("{workers} workers, {policy:?}");
+                assert_eq!(bills, BILLS, "{at}");
+                assert_eq!(counts, COUNTS, "{at}");
+                assert_eq!(traced, TRACED, "{at}");
+            }
+        }
+    }
 }
