@@ -30,9 +30,13 @@
 //!   on the caller and the pump's render helpers when the round is large
 //!   enough to pay for them (no per-item task list is held on the caller),
 //!   and the caller then splits the oversize packs in input order before
-//!   anything is queued. Once the round is answered, each pack's response
-//!   is split into borrowed lines and every line read into the operator's
-//!   typed answer in the same shares.
+//!   anything is queued. The participant that renders a pack also probes
+//!   it once (`Engine::settle_hit`, the one settle rule): a hit is billed,
+//!   traced and placed in its slot there, its request dropped on the
+//!   thread that allocated it, and only a miss is queued, with its key.
+//!   Once the round is answered, each pack's response is split into
+//!   borrowed lines and every line read into the operator's typed answer
+//!   in the same shares.
 //! * **pump** is the one worker loop in the crate. It queues the batch on
 //!   the engine's lane of a [`FairFeed`] — its own one-lane feed (one-lane
 //!   deficit round robin *is* FIFO) or, scoped to a tenant by
@@ -44,26 +48,27 @@
 //!   allowance, ledger, trace) and a job is a three-word handle on one of
 //!   its slots, so a worker runs whichever batch's job it drew and a caller
 //!   whose last jobs are in flight elsewhere waits on its batch. The
-//!   requests are freed with the batch once its helpers are joined — by
-//!   the caller, in the same contiguous shares a packed round renders in
-//!   when the batch is large enough — not one at a time by whichever
-//!   worker drew each, which had helpers returning memory to the caller's
-//!   allocator arena while the caller allocated from it. Workers *pull*
-//!   small claims, at most `workers × MAX_CLAIM` claimed-but-unfinished;
-//!   claim size doubles after a claim that averaged under
-//!   `FAST_TASK_MICROS` per job and halves after a slow one. On a serving
-//!   stack the feed orders only the work that needs a slot: a batch whose
-//!   admission is settled is probed by the thread that rendered it, its
-//!   hits are recorded and billed before it is shared, and only its misses
-//!   are queued, counted as outstanding and used to size the helpers — a
-//!   batch of hits never meets the feed, a job, a lease or the condvar.
+//!   requests are freed with the batch by whoever lets go of it last —
+//!   the caller, once its helpers are joined — not one at a time by
+//!   whichever worker drew each, which had helpers returning memory to the
+//!   caller's allocator arena while the caller allocated from it. Workers
+//!   *pull* small claims, at most `workers × MAX_CLAIM`
+//!   claimed-but-unfinished; claim size doubles after a claim that averaged
+//!   under `FAST_TASK_MICROS` per job and halves after a slow one. On both
+//!   doors the feed orders only the work that needs a slot: a packed
+//!   round's hits are settled where they are rendered, and on a serving
+//!   stack a batch whose admission is settled is probed by the thread that
+//!   rendered it before it is shared. Only misses are queued, counted as
+//!   outstanding and used to size the helpers — a batch of hits never
+//!   meets the feed, a job, a lease or the condvar.
 //! * **execute** is the one worker body: admit, probe the client once
 //!   ([`LlmClient::probe`], the request's one hashing; its key rides into
 //!   the call), dispatch with up to the batch's attempt allowance, account.
-//!   With one attempt it *is* the fail-fast worker. A job probed at
-//!   enqueue carries its key instead and is only re-checked by it. On a
+//!   With one attempt it *is* the fail-fast worker. A job probed before it
+//!   was queued carries its key instead and is only re-checked by it. On a
 //!   serving stack a call that may reach the backend holds a slot lease; a
-//!   hit — at enqueue, at the probe, or at the re-check — takes none.
+//!   hit — at render, at enqueue, at the probe, or at the re-check — takes
+//!   none.
 //!
 //! The policy is read at three points in this file — the attempt
 //! allowance and stop-on-first-error in `RunShape`, and
@@ -691,12 +696,18 @@ impl Engine {
             .map(|start| start..(start + width).min(n))
             .collect();
         let mode = admission_mode(Admit::PerCall, policy);
+        let books = self.books();
+        // A pack whose rendered prompt overflows the window (by the count
+        // its render took) is split, never asked.
+        let oversize = |width: usize, work: &Work| width > 1 && work.prompt_tokens > window;
         while !pending.is_empty() {
             // Each pack's tasks — built here — its check, render, count and
-            // estimate, on whichever of the pump's participants holds it.
+            // estimate, and the probe that settles a hit, on whichever of the
+            // pump's participants holds it.
             let render = |i: usize| {
                 let pack = pending[i].clone();
-                let task = match pack.len() {
+                let width = pack.len();
+                let task = match width {
                     1 => build(pack.start),
                     _ => TaskDescriptor::Packed {
                         tasks: pack.map(build).collect(),
@@ -711,28 +722,32 @@ impl Engine {
                 if !fits {
                     return Err(mixed_packs());
                 }
-                self.render_call((task, temperature, sample_index), mode)
+                let work = self.render_call((task, temperature, sample_index), mode)?;
+                if oversize(width, &work) {
+                    return Ok(Rendered::Work(work));
+                }
+                Ok(self.settle_hit(&books, work))
             };
             let mut next: Vec<Range<usize>> = Vec::new();
             let mut round: Vec<Range<usize>> = Vec::new();
             // On the caller in input order: refuse a mixed round — only the
             // check above and the packed renderer's own packing contract
             // raise `InvalidInput` at render — and fit the rest to the
-            // context window: a pack whose rendered prompt overflows it (by
-            // the count its render took) splits without wasting a call.
+            // context window: an oversize pack splits without wasting a
+            // call.
             let mut keep = |i: usize, prepared: &Prepared| {
                 if let Err(refused @ EngineError::InvalidInput(_)) = prepared {
                     return Err(refused.clone());
                 }
                 let pack = pending[i].clone();
-                let oversize =
-                    pack.len() > 1 && prepared.as_ref().is_ok_and(|w| w.prompt_tokens > window);
-                if oversize {
+                let split =
+                    matches!(prepared, Ok(Rendered::Work(work)) if oversize(pack.len(), work));
+                if split {
                     bisect(&pack, &mut next);
                 } else {
                     round.push(pack);
                 }
-                Ok(!oversize)
+                Ok(!split)
             };
             let intake = Intake::Shares {
                 count: pending.len(),
@@ -817,12 +832,7 @@ impl Engine {
     /// Render each call once into dispatcher work and stamp it with how it
     /// is admitted against the budget. A call that does not render, or that
     /// the cumulative batch check refuses, becomes a pre-failed item.
-    fn prepare(
-        &self,
-        calls: Vec<Call>,
-        admit: Admit,
-        policy: FailurePolicy,
-    ) -> Vec<Result<Work, EngineError>> {
+    fn prepare(&self, calls: Vec<Call>, admit: Admit, policy: FailurePolicy) -> Vec<Prepared> {
         let mode = admission_mode(admit, policy);
         let (mut pending_usd, mut pending_tokens) = (0.0f64, 0u64);
         calls
@@ -844,7 +854,7 @@ impl Engine {
                     pending_usd += admit_usd;
                     pending_tokens += est_tokens;
                 }
-                Ok(work)
+                Ok(Rendered::Work(work))
             })
             .collect()
     }
@@ -916,14 +926,6 @@ impl Engine {
             });
         }
         let results = std::mem::take(&mut batch.slots.lock().results);
-        // Every helper has been joined and has dropped its handles, so the
-        // batch is this thread's alone: its rendered requests are freed in
-        // shares, as a packed round rendered them. (On a shared feed
-        // another engine's worker may still be letting go of the handle it
-        // recorded last; then it frees them.)
-        if let Some(batch) = Arc::into_inner(batch) {
-            free_in_shares(batch.work, shape.workers);
-        }
         if shape.stop_on_error {
             if let Some(errors) = results.iter().find_map(|r| r.as_ref()?.as_ref().err()) {
                 return Err(condemning(errors));
@@ -935,23 +937,56 @@ impl Engine {
             .collect())
     }
 
-    /// Build the batch that owns `items`' requests and queue one handle per
-    /// request that still needs a worker on this engine's lane; returns the
-    /// batch and how many were queued. A pre-failed item is recorded in its
-    /// slot here, and so — on a serving stack, for a request whose admission
-    /// is already settled — is a cache hit: the thread that rendered the
-    /// batch probes each such request once, bills and records the hits
-    /// while the batch is still its own (no lock), and leaves the key on
-    /// the misses for the worker that draws them.
-    fn enqueue(
-        &self,
-        items: Vec<Result<Work, EngineError>>,
-        shape: RunShape,
-    ) -> (Arc<Batch>, usize) {
-        let books = Books {
+    /// Where this engine's served responses are billed.
+    fn books(&self) -> Books {
+        Books {
             ledger: Arc::clone(&self.budget),
             trace: self.trace.clone(),
-        };
+        }
+    }
+
+    /// The one settle rule for a call not yet queued: probe the client once
+    /// (the request's one hashing) and either settle a hit here — billed
+    /// and traced to `books` as a worker would, its request dropped on this
+    /// thread — or leave the key a miss was probed under on its work, for
+    /// the worker that draws it to re-check and dispatch under. A call
+    /// admitted per call ([`Admit::PerCall`]) is probed only if its
+    /// estimate is admitted now; refused, it is left unprobed for the
+    /// worker to refuse.
+    fn settle_hit(&self, books: &Books, mut work: Work) -> Rendered {
+        let Admission {
+            mode,
+            est_usd,
+            est_tokens,
+        } = work.admission;
+        if mode == Admit::PerCall
+            && self
+                .admit_estimate(&books.ledger, est_usd, est_tokens)
+                .is_err()
+        {
+            return Rendered::Work(work);
+        }
+        match self.client.probe(&work.request) {
+            Probe::Hit(hit) => {
+                books.account(&work.request, &hit);
+                Rendered::Settled(hit)
+            }
+            Probe::Miss(key) => {
+                work.key = key;
+                Rendered::Work(work)
+            }
+        }
+    }
+
+    /// Build the batch that owns `items`' requests and queue one handle per
+    /// request that still needs a worker on this engine's lane; returns the
+    /// batch and how many were queued. A pre-failed item, and a hit settled
+    /// where its round was rendered, is recorded in its slot here; so — on
+    /// a serving stack, for a request whose admission is already settled —
+    /// is a cache hit [`Engine::settle_hit`] finds now, while the batch is still
+    /// this thread's (no lock). A miss carries its key to the worker.
+    fn enqueue(&self, items: Vec<Prepared>, shape: RunShape) -> (Arc<Batch>, usize) {
+        let books = self.books();
         let serving = self.gate.is_some();
         let mut results = Vec::with_capacity(items.len());
         let mut queued = Vec::new();
@@ -959,25 +994,18 @@ impl Engine {
             .into_iter()
             .enumerate()
             .map(|(slot, item)| {
-                let (work, result) = match item {
-                    Ok(mut work) => {
-                        let settled = serving && work.admission.mode == Admit::Batch;
-                        let hit = match settled.then(|| self.client.probe(&work.request)) {
-                            Some(Probe::Hit(hit)) => {
-                                books.account(&work.request, &hit);
-                                Some(Ok(hit))
-                            }
-                            Some(Probe::Miss(key)) => {
-                                work.key = key;
-                                None
-                            }
-                            None => None,
-                        };
-                        if hit.is_none() {
-                            queued.push(slot);
-                        }
-                        (Some(work), hit)
+                let item = match item {
+                    Ok(Rendered::Work(work)) if serving && work.admission.mode == Admit::Batch => {
+                        Ok(self.settle_hit(&books, work))
                     }
+                    item => item,
+                };
+                let (work, result) = match item {
+                    Ok(Rendered::Work(work)) => {
+                        queued.push(slot);
+                        (Some(work), None)
+                    }
+                    Ok(Rendered::Settled(hit)) => (None, Some(Ok(hit))),
                     Err(e) => (None, Some(Err(vec![e]))),
                 };
                 results.push(result);
@@ -1041,11 +1069,13 @@ impl Engine {
         }
     }
 
-    /// The one worker body: admit against the job's ledger, probe the
-    /// client once, then dispatch under the probe's key with up to the
-    /// batch's attempt allowance (each attempt still carries the client's
-    /// own retries). Returns the response or the full error chain, one entry
-    /// per failed attempt, that exhausted the item.
+    /// The one worker body: admit against the job's ledger (per call before
+    /// the probe, when salvaging after it), probe the client once — or
+    /// re-check the key a probe before queueing left — then dispatch under
+    /// that key with up to the batch's attempt allowance (each attempt
+    /// still carries the client's own retries). Returns the response or the
+    /// full error chain, one entry per failed attempt, that exhausted the
+    /// item.
     fn execute(&self, job: &Job) -> ItemResult {
         /// Cap on the pause between engine-level attempts, so one poison
         /// item honoring a long server hint cannot stall its worker.
@@ -1067,40 +1097,32 @@ impl Engine {
             batch.books.account(request, &hit);
             Ok(hit)
         };
-        // A cache hit costs nothing to serve, so a salvaging run takes it
-        // even when the budget is already spent.
-        let salvage = admission.mode == Admit::AfterSalvage;
+        let admit = || {
+            self.admit_estimate(&batch.books.ledger, admission.est_usd, admission.est_tokens)
+                .map_err(|e| vec![e])
+        };
+        if admission.mode == Admit::PerCall {
+            admit()?;
+        }
         let key = match *key {
-            // Probed where the batch was rendered, and queued since: someone
-            // else's call may have answered the key meanwhile, and a hit
-            // must not take a lease. Whoever answered it filled the shard,
-            // so the key alone finds it; nothing is hashed again.
+            // Probed where it was rendered, and queued since: someone else's
+            // call may have answered the key meanwhile, and a hit must not
+            // take a lease. Whoever answered it filled the shard, so the key
+            // alone finds it; nothing is hashed again.
             Some(key) => match self.client.probe_key(key) {
                 Some(hit) => return served(hit),
                 None => Some(key),
             },
-            None => {
-                let admit = || {
-                    self.admit_estimate(
-                        &batch.books.ledger,
-                        admission.est_usd,
-                        admission.est_tokens,
-                    )
-                    .map_err(|e| vec![e])
-                };
-                if admission.mode == Admit::PerCall {
-                    admit()?;
-                }
-                let key = match self.client.probe(request) {
-                    Probe::Hit(hit) => return served(hit),
-                    Probe::Miss(key) => key,
-                };
-                if salvage {
-                    admit()?;
-                }
-                key
-            }
+            None => match self.client.probe(request) {
+                Probe::Hit(hit) => return served(hit),
+                Probe::Miss(key) => key,
+            },
         };
+        // A cache hit costs nothing to serve, so a salvaging run takes it
+        // even when the budget is already spent, and asks only for a miss.
+        if admission.mode == Admit::AfterSalvage {
+            admit()?;
+        }
         let mut errors: Vec<EngineError> = Vec::new();
         loop {
             let e = match self.dispatch(request, key) {
@@ -1163,9 +1185,14 @@ pub(crate) enum Admit {
     /// check in [`Engine::prepare`], or the serve door's check of the
     /// tenant's ledger. Nothing left to do in the worker.
     Batch,
-    /// Per call at execution time, against actual spend so far and
-    /// *before* any cache probe — a hit is refused too once the budget is
-    /// gone, as the sequential loops these batches replace did.
+    /// Per call, against actual spend so far and *before* any cache probe
+    /// — a hit is refused too once the budget is gone, as the sequential
+    /// loops these batches replace did. A packed round's call is admitted
+    /// where it is rendered, and probed there only if admitted: a hit is
+    /// then settled against the spend at render, not after the misses ahead
+    /// of it in the round (hits spend nothing, so no cap can be
+    /// overshot). The worker admits a miss again, at execution time, before
+    /// it re-checks and dispatches it, and refuses a call refused at render.
     PerCall,
     /// Per call, but only after a free local hit has been ruled out: work
     /// still undispatched when the budget runs out is quarantined instead
@@ -1188,10 +1215,14 @@ fn admission_mode(admit: Admit, policy: FailurePolicy) -> Admit {
 pub(crate) enum Intake<'a> {
     /// Work its caller rendered and admitted, in input order.
     Rendered(Vec<Prepared>),
-    /// A packed round: `count` calls, call `i` rendered by `render(i)` —
-    /// pure, so the pump's participants run it in shares — and then handed,
-    /// in input order on the caller, to `keep`, which says whether it is
-    /// queued.
+    /// A packed round: `count` calls, call `i` rendered by `render(i)` on
+    /// whichever of the pump's participants holds it in shares — a hit
+    /// settled there ([`Engine::settle_hit`]) comes back as
+    /// [`Rendered::Settled`] — and then handed, in input order on the
+    /// caller, to `keep`, which says whether it is kept. A kept hit goes to
+    /// its slot and only kept work is queued. A round refused after render
+    /// (by `keep`, or a fail-fast pre-failure) has still counted and traced
+    /// its hits, which cost nothing.
     Shares {
         count: usize,
         render: &'a (dyn Fn(usize) -> Prepared + Sync),
@@ -1199,8 +1230,18 @@ pub(crate) enum Intake<'a> {
     },
 }
 
-/// One call rendered into work, or the error that pre-fails it.
-pub(crate) type Prepared = Result<Work, EngineError>;
+/// One call as a pump batch takes it: rendered, or the error that
+/// pre-fails it.
+pub(crate) type Prepared = Result<Rendered, EngineError>;
+
+/// A rendered call.
+pub(crate) enum Rendered {
+    /// Still to be answered: queued for a worker.
+    Work(Work),
+    /// A hit [`Engine::settle_hit`] answered where the call was rendered:
+    /// already billed and traced, its request already dropped.
+    Settled(CompletionResponse),
+}
 
 /// What an operator makes of one answer's text: its typed answer, or why
 /// the text holds none.
@@ -1254,23 +1295,6 @@ fn in_shares<T: Send>(count: usize, workers: usize, each: &(dyn Fn(usize) -> T +
     })
 }
 
-/// Drop `items` in the contiguous shares [`in_shares`] would compute them
-/// in: a large batch's rendered work is freed by the caller and its
-/// helpers together, a small one by the caller alone.
-fn free_in_shares<T: Send>(mut items: Vec<Option<T>>, workers: usize) {
-    let participants = participants(items.len(), workers);
-    if participants > 1 {
-        let share = items.len().div_ceil(participants);
-        let (own, rest) = items.split_at_mut(share);
-        std::thread::scope(|scope| {
-            for part in rest.chunks_mut(share) {
-                scope.spawn(move || part.fill_with(|| None));
-            }
-            own.fill_with(|| None);
-        });
-    }
-}
-
 /// Whether `task` may share a packed prompt with `first`.
 fn packs_with(first: &TaskDescriptor, task: &TaskDescriptor) -> bool {
     task.packable() && first.pack_compatible(task)
@@ -1295,13 +1319,13 @@ pub(crate) struct Admission {
 
 /// One unit of dispatcher work: a request rendered once, its prompt's token
 /// count as that render took it, the key it missed the cache under if it
-/// was probed at enqueue, and how to admit it.
+/// was probed before it was queued, and how to admit it.
 pub(crate) struct Work {
     request: CompletionRequest,
     prompt_tokens: u32,
-    /// `Some` once [`Engine::enqueue`] has probed the request and missed:
-    /// its fingerprint, which the worker re-checks and dispatches under
-    /// without hashing again. `None`: the worker probes.
+    /// `Some` once [`Engine::settle_hit`] has probed the request and
+    /// missed: its fingerprint, which the worker re-checks and dispatches
+    /// under without hashing again. `None`: the worker probes.
     key: Option<u64>,
     pub(crate) admission: Admission,
 }
@@ -1362,10 +1386,9 @@ impl Drop for Job {
 
 /// What the jobs of one pump call share: the rendered requests they run
 /// (owned here, so they are freed together by whoever lets go of the batch
-/// last — the pump's caller, in shares when the batch is large, or a
-/// worker of a shared feed still dropping its last handle), the result
-/// slots and outstanding count that caller waits on, the run shape's
-/// per-item half, and the books they bill.
+/// last — the pump's caller, or a worker of a shared feed still dropping
+/// its last handle), the result slots and outstanding count that caller
+/// waits on, the run shape's per-item half, and the books they bill.
 struct Batch {
     /// One per item, in input order; `None` where the item was pre-failed.
     /// Read-only once queued: workers borrow `work[slot]`.
@@ -2279,7 +2302,7 @@ mod tests {
 
     /// `tasks` rendered for a per-call-admitted batch, unknown items
     /// pre-failed.
-    fn rendered(engine: &Engine, tasks: Vec<TaskDescriptor>) -> Vec<Result<Work, EngineError>> {
+    fn rendered(engine: &Engine, tasks: Vec<TaskDescriptor>) -> Vec<Prepared> {
         let calls = tasks.into_iter().map(Engine::unsampled).collect();
         engine.prepare(calls, Admit::PerCall, FailurePolicy::FailFast)
     }
@@ -2705,5 +2728,100 @@ mod tests {
                 assert_eq!(traced, TRACED, "{at}");
             }
         }
+    }
+
+    /// What a response says, less whether it was cached.
+    fn said(responses: &[CompletionResponse]) -> Vec<(String, u32, u32, Option<u64>)> {
+        responses
+            .iter()
+            .map(|r| {
+                let usage = (r.usage.prompt_tokens, r.usage.completion_tokens);
+                (r.text.clone(), usage.0, usage.1, r.confidence.map(f64::to_bits))
+            })
+            .collect()
+    }
+
+    /// A packed round whose every pack (and every bisected half) an earlier
+    /// round answered queues nothing, so no worker runs: another lane's
+    /// jobs on the same feed, which the first claim of any worker would
+    /// take, stay queued. It answers exactly as its cold run did, at one
+    /// worker and at two (its 128 packs then render in two shares).
+    #[test]
+    fn an_all_hit_packed_round_queues_no_job_and_answers_as_cold() {
+        const N: usize = 1_024;
+        let (base, ids) = engine_with(N, Budget::Unlimited);
+        let tasks: Vec<_> = ids.iter().map(|id| check_task(*id)).collect();
+        let cold = packed(&base, &tasks, 8).unwrap();
+        assert!(cold.is_complete());
+        for workers in [1, 2] {
+            let feed = Arc::new(FairFeed::new());
+            let on_lane = |key: &str| Engine {
+                lane: Lane {
+                    feed: Arc::clone(&feed),
+                    index: feed.register_lane(key, 1.0).unwrap(),
+                },
+                ..base.fork().with_parallelism(workers)
+            };
+            let (other, warm) = (on_lane("other"), on_lane("warm"));
+            let (queued, _) = other.enqueue(rendered(&other, tasks[..4].to_vec()), EVERY_ITEM);
+            let before = base.client().stats().cache_hits();
+            let run = packed(&warm, &tasks, 8).unwrap();
+            assert_eq!(feed.len(), 4, "{workers} workers: nothing was claimed");
+            assert_eq!(queued.slots.lock().outstanding, 4);
+            assert_eq!(run.answers, cold.answers, "{workers} workers");
+            assert_eq!(said(&run.responses), said(&cold.responses));
+            assert!(run.responses.iter().all(|r| r.cached));
+            let hits = base.client().stats().cache_hits() - before;
+            assert_eq!(hits, cold.responses.len() as u64);
+            other.work(&queued);
+        }
+        assert_eq!(
+            base.client().stats().calls(),
+            cold.responses.len() as u64 + 4
+        );
+    }
+
+    /// A warm packed round under a dollar budget with nothing left: failing
+    /// fast, every pack is refused before its probe, as before any call;
+    /// degrading, every pack is a hit and served, since a hit costs
+    /// nothing. And a cold round failing fast is still refused by the
+    /// worker once its misses have spent the budget: the key a miss was
+    /// probed under does not let it skip admission.
+    #[test]
+    fn a_warm_packed_round_with_no_budget_left_is_refused_failing_fast_and_served_degrading() {
+        const N: usize = 1_024;
+        let (base, ids) = engine_with(N, Budget::Unlimited);
+        let tasks: Vec<_> = ids.iter().map(|id| check_task(*id)).collect();
+        let cold = packed(&base, &tasks, 8).unwrap();
+        let spent = base.budget().spent_usd();
+        for workers in [1, 2] {
+            let broke = base
+                .fork()
+                .with_parallelism(workers)
+                .with_budget(Budget::usd(0.0));
+            let refused = packed(&broke, &tasks, 8);
+            assert!(
+                matches!(refused, Err(EngineError::BudgetExceeded { .. })),
+                "{workers} workers: {refused:?}"
+            );
+            let salvaged = packed(
+                &broke.fork().with_failure_policy(FailurePolicy::degrade()),
+                &tasks,
+                8,
+            )
+            .unwrap();
+            assert!(salvaged.is_complete());
+            assert_eq!(salvaged.answers, cold.answers, "{workers} workers");
+            assert_eq!(broke.budget().spent_usd(), 0.0);
+        }
+        assert_eq!(base.client().stats().calls(), cold.responses.len() as u64);
+
+        // Cold, with room for a tenth of the round's spend.
+        let (fresh, _) = engine_with(N, Budget::usd(spent / 10.0));
+        let tight = fresh.with_parallelism(2);
+        let refused = packed(&tight, &tasks, 8);
+        assert!(matches!(refused, Err(EngineError::BudgetExceeded { .. })));
+        let calls = tight.client().ledger().calls();
+        assert!(calls > 0 && calls < N as u64 / 8 / 5, "{calls} calls");
     }
 }

@@ -88,7 +88,8 @@ use parking_lot::{Mutex, RwLock};
 use crate::budget::{Budget, BudgetTracker, LedgerSnapshot};
 use crate::error::EngineError;
 use crate::exec::{
-    condemning, router_of, Admit, Engine, FairFeed, Intake, Job, Lane, LeaseGate, RunShape,
+    condemning, router_of, Admit, Engine, FairFeed, Intake, Job, Lane, LeaseGate, Rendered,
+    RunShape,
 };
 
 /// Default burst capacity of a tenant's token bucket, in requests.
@@ -599,7 +600,7 @@ impl Server {
                 .map_err(|e| refuse(ServeError::Invalid(e.to_string())))?;
             batch_usd += engine.admission_usd(item.admission.est_usd);
             batch_tokens += item.admission.est_tokens;
-            work.push(Ok(item));
+            work.push(Ok(Rendered::Work(item)));
         }
 
         // Backlog bound: saturation sheds load instead of queueing without

@@ -21,6 +21,7 @@
 //! | `one-layout`  | no nested `Vec<Vec<f32>>` / `[Vec<f32>]` in library code under `crates/{embed,core,oracle}/src`; `crates/embed/src` defines no `fn nearest*`|
 //! | `no-spawn-per-call`| `crates/oracle/src/route.rs` starts threads in `start_helper` and `launch_twin` and nowhere else|
 //! | `one-fingerprint`| `crates/oracle/src/client.rs` calls `.fingerprint()` in `probe` and nowhere else; `crates/core/src/{exec,serve}.rs` never do|
+//! | `one-settle`  | `crates/core/src` calls `.probe(..)` / `.probe_key(..)` in `exec.rs`'s `settle_hit` and `execute` and nowhere else|
 //! | `pub-has-caller`| a `pub` item under `crates/{core,embed,oracle,metrics,data}/src` is named by non-test code outside its crate's `src/` (no `tests/` tree, no `#[cfg(test)]` item), or by a doc-test|
 //! | `one-door`    | `crates/core/src/session.rs` names no `ops::` function; no file in `crates/core/src/ops` declares a top-level `pub fn`|
 //! | `one-plan-ir` | `crates/core/src` declares no enum with a `Filter` variant but `PhysicalNode`|
@@ -155,6 +156,16 @@ const NO_SPAWN_FNS: &[&str] = &["start_helper", "launch_twin"];
 const ONE_FINGERPRINT_HOME: &str = "crates/oracle/src/client.rs";
 const ONE_FINGERPRINT_FN: &str = "probe";
 const ONE_FINGERPRINT_CALLERS: &[&str] = &["crates/core/src/exec.rs", "crates/core/src/serve.rs"];
+
+/// A hit found before its call is queued is settled by one rule: the
+/// engine's settle helper probes, then bills and traces the hit or leaves
+/// the key on the miss, and the worker body re-checks or probes what was
+/// queued. A probe anywhere else in the crate is a second settle rule,
+/// whose hits another path would bill, trace or admit differently.
+const ONE_SETTLE_SCOPE: &str = "crates/core/src/";
+const ONE_SETTLE_HOME: &str = "crates/core/src/exec.rs";
+const ONE_SETTLE_FNS: &[&str] = &["settle_hit", "execute"];
+const ONE_SETTLE_CALLS: &[&str] = &["probe", "probe_key"];
 
 /// An operator runs through `Query` and nothing else: the session module
 /// ([`ONE_DOOR_SESSION`]) names no function of an operator module, and no
@@ -860,6 +871,29 @@ fn lint_rust_source(rel: &str, src: &str) -> Vec<Finding> {
                     "probe once (`LlmClient::probe` returns the hit or the key) and carry the key: `Work::key`, `complete_keyed`, `probe_key`",
                     offset,
                 );
+            }
+        }
+    }
+
+    if rel.starts_with(ONE_SETTLE_SCOPE) {
+        let homes: Vec<(usize, usize)> = ONE_SETTLE_FNS
+            .iter()
+            .filter(|_| rel == ONE_SETTLE_HOME)
+            .filter_map(|name| find_fn_body(&masked, name))
+            .collect();
+        for name in ONE_SETTLE_CALLS {
+            for offset in find_method_call(&masked, name, false) {
+                let at_home = homes
+                    .iter()
+                    .any(|&(open, close)| open < offset && offset < close);
+                if library_code(offset) && !at_home {
+                    push(
+                        "one-settle",
+                        format!("`.{name}(..)` probes the client outside the one settle rule"),
+                        "settle a call before it is queued through `Engine::settle_hit` (probe, then settle the hit or leave the key); the worker re-checks in `Engine::execute`",
+                        offset,
+                    );
+                }
             }
         }
     }
@@ -2089,6 +2123,30 @@ mod tests {
         // The store, the simulator and the planner hash what they like.
         assert!(lint_rust_source("crates/oracle/src/store.rs", src).is_empty());
         assert!(lint_rust_source("crates/core/src/plan/planner.rs", src).is_empty());
+    }
+
+    #[test]
+    fn one_settle_flags_a_client_probe_in_core_outside_the_settle_helper_and_the_worker() {
+        let src = concat!(
+            "fn settle_hit(&self, w: Work) -> Rendered { if x { y } match self.client.probe(&w.request) { _ => z } }\n",
+            "fn execute(&self, job: &Job) -> Item { if let Some(k) = key { self.client.probe_key(k) } else { self.client.probe(r) } }\n",
+            "fn enqueue(&self, w: Work) { let hit = self.client.probe(&w.request); }\n",
+            "fn settle_hit_early(&self, k: u64) { self.client.probe_key(k); self.probe_count(); }\n",
+            "fn fine(&self) { self.client.stats(); } // .probe(..) in prose\n",
+            "#[cfg(test)]\n",
+            "mod tests { fn t(c: &Client) { c.probe(&r); c.probe_key(1); } }\n",
+        );
+        let f = lint_rust_source("crates/core/src/exec.rs", src);
+        assert_eq!(codes(&f), vec!["one-settle"; 2]);
+        let mut at: Vec<(usize, usize)> = f.iter().map(|f| (f.line, f.col)).collect();
+        at.sort_unstable();
+        assert_eq!(at, vec![(3, 51), (4, 49)]);
+        // Elsewhere in the crate there is no home: every probe fires.
+        let f = lint_rust_source("crates/core/src/serve.rs", src);
+        assert_eq!(codes(&f), vec!["one-settle"; 5]);
+        // The client and the benchmark probe what they like.
+        assert!(lint_rust_source("crates/oracle/src/client.rs", src).is_empty());
+        assert!(lint_rust_source("benchmark/src/bin/e2e/main.rs", src).is_empty());
     }
 
     #[test]

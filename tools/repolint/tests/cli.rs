@@ -71,6 +71,8 @@ fn seeded_repo(tag: &str) -> TempRepo {
             "fn render_and_estimate(p: &str) -> u32 { count_tokens(p) }\n",
             "fn fits(p: &str, window: u32) -> bool { count_tokens(p) <= window }\n",
             "fn execute(r: &Request) -> u64 { r.fingerprint() }\n",
+            "fn enqueue(c: &Client, r: &Request) { c.probe(r); }\n",
+            "fn settle_hit(c: &Client, r: &Request) { c.probe(r); }\n",
         ),
     );
     repo.write(
@@ -238,6 +240,7 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         "error[no-format-push]",
         "error[no-spawn-per-call]",
         "error[one-fingerprint]",
+        "error[one-settle]",
         "error[pub-has-caller]",
         "error[one-door]",
         "error[one-plan-ir]",
@@ -253,6 +256,7 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
         "--> crates/oracle/src/exposed.rs:1:12",
         "--> crates/oracle/src/client.rs:2:40",
         "--> crates/core/src/exec.rs:4:35",
+        "--> crates/core/src/exec.rs:5:40",
         "--> crates/oracle/src/route.rs:3:35",
         "--> crates/core/src/exec.rs:3:41",
         "--> crates/core/src/template.rs:1:46",
@@ -288,6 +292,10 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
     assert!(
         !stderr.contains("crates/core/src/exec.rs:2:"),
         "the render is where a prompt's tokens are counted:\n{stderr}"
+    );
+    assert!(
+        !stderr.contains("crates/core/src/exec.rs:6:"),
+        "the settle helper is where a call is probed before it is queued:\n{stderr}"
     );
     assert!(
         !stderr.contains("crates/oracle/src/route.rs:1:"),
@@ -340,9 +348,9 @@ fn seeded_violations_of_every_rule_fail_with_positions() {
     // public items without a caller, a baseline and a knob, a second door
     // in the session and one in `ops/`, a prompt read in the store and the
     // embedder named in its crate, one each of the rest:
-    // 3 + 2 + 2 + 2 + 2 + 2 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 4 + 2 + 2 + 1 + 2.
+    // 3 + 2 + 2 + 2 + 2 + 2 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 4 + 2 + 2 + 1 + 2.
     assert!(
-        stderr.contains("33 finding(s)"),
+        stderr.contains("34 finding(s)"),
         "unexpected total in:\n{stderr}"
     );
 }
@@ -359,17 +367,18 @@ fn counts_report_lines_code_and_pub_items_per_library_crate() {
     // Test files, `#[cfg(test)]` items and the vendored shim are not
     // counted; comment lines count as lines but not as code. The oracle's
     // two lines of `store.rs` and two of `similar.rs` are the
-    // `answers-not-prompts` fixture.
+    // `answers-not-prompts` fixture; the core's last two of `exec.rs` are
+    // the `one-settle` fixture.
     assert_eq!(
         String::from_utf8_lossy(&out.stdout),
         concat!(
             "crate      lines    code   pub\n",
-            "core          29      26    13\n",
+            "core          31      28    13\n",
             "embed          6       4     4\n",
             "oracle        15      13     8\n",
             "metrics        1       1     1\n",
             "data           2       2     2\n",
-            "total         53      46    28\n",
+            "total         55      48    28\n",
         )
     );
 }
