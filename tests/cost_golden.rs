@@ -83,7 +83,10 @@ const SELF_JOIN: (u64, u64) = (4_005, 548_008);
 /// answer as a `bool` off a line borrowed from its pack's response: every
 /// item's owned line, its lowercase copy and its list of words went, three
 /// allocations an item.
-const FILTER_ROUND: (u64, u64) = (496, 96_961);
+/// Re-recorded from `(496, 96_961)` when a packed round began settling its
+/// cache hits where it renders them: a warm round queues no job, so each
+/// pump round's list of queued slots and its job handles went.
+const FILTER_ROUND: (u64, u64) = (483, 94_737);
 /// The same shape as a keep-label node over three labels.
 /// Re-recorded from `(3_067, 159_578)` with [`FILTER_ROUND`]: a `Classify`
 /// task is four allocations (its label list and three labels), so the
@@ -92,7 +95,9 @@ const FILTER_ROUND: (u64, u64) = (496, 96_961);
 /// Re-recorded from `(2_047, 119_959)` when the round began reading each
 /// answer as the label's index off a borrowed line: every item's owned
 /// line, the copy of its extracted value and the clone of its label went.
-const KEEP_LABEL_ROUND: (u64, u64) = (1_272, 118_466);
+/// Re-recorded from `(1_272, 118_466)` with [`FILTER_ROUND`], for the same
+/// queueing.
+const KEEP_LABEL_ROUND: (u64, u64) = (1_259, 116_290);
 /// The same shape as an impute node, `LlmOnly` with two shots, over the
 /// same 256 records labelled with their cities (each record's examples
 /// are its two nearest other records): the pool build, the neighbour
@@ -104,7 +109,9 @@ const KEEP_LABEL_ROUND: (u64, u64) = (1_272, 118_466);
 /// machine, so the twin, which read 1 096 allocations on two cores and
 /// 1 594 on one while the blocking layer took every core, is no longer
 /// subtracted.
-const IMPUTE_ROUND: (u64, u64) = (2_352, 609_375);
+/// Re-recorded from `(2_352, 609_375)` with [`FILTER_ROUND`], for the same
+/// queueing.
+const IMPUTE_ROUND: (u64, u64) = (2_343, 607_415);
 
 /// [`System`], counting every allocation a counting thread makes and the
 /// bytes it asked for. A `realloc` counts as one allocation of its new
