@@ -135,7 +135,14 @@ impl NgramEmbedder {
 
     fn bucket(&self, feature: &[u8]) -> (usize, f32) {
         let h = fnv1a(feature);
-        let idx = (h % self.dimensions as u64) as usize;
+        let dims = self.dimensions as u64;
+        // A power of two (every embedder in use) masks: the same index as
+        // the remainder for an unsigned hash, without a division.
+        let idx = if dims.is_power_of_two() {
+            h & (dims - 1)
+        } else {
+            h % dims
+        } as usize;
         // An independent bit decides the sign, which keeps hash collisions
         // from systematically inflating bucket magnitudes.
         let sign = if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };
@@ -161,7 +168,27 @@ impl Embedder for NgramEmbedder {
             "output slice must match the embedder dimensionality"
         );
         v.fill(0.0);
-        let lowered = text.to_lowercase();
+        if text.is_ascii() && text.len() <= STACK_TEXT {
+            let mut buffer = [0u8; STACK_TEXT];
+            let lowered = &mut buffer[..text.len()];
+            lowered.copy_from_slice(text.as_bytes());
+            lowered.make_ascii_lowercase();
+            self.add_ascii_features(lowered, v);
+        } else {
+            self.add_features(&text.to_lowercase(), v);
+        }
+        normalize(v);
+    }
+}
+
+/// Longest text [`NgramEmbedder`] lowercases in a stack buffer when it is
+/// ASCII; longer or other text is lowercased into a `String`.
+const STACK_TEXT: usize = 256;
+
+impl NgramEmbedder {
+    /// Add the n-gram and word features of `lowered`, lowercase text, into
+    /// `v`: the general path, for any text.
+    fn add_features(&self, lowered: &str, v: &mut [f32]) {
         // Each n-gram is the bytes between two character boundaries
         // `ngram` characters apart: `ends` runs that far ahead of `starts`.
         let boundaries = || lowered.char_indices().map(|(at, _)| at);
@@ -179,7 +206,26 @@ impl Embedder for NgramEmbedder {
                 v[idx] += 2.0 * sign; // word features weigh more than char n-grams
             }
         }
-        normalize(v);
+    }
+
+    /// [`NgramEmbedder::add_features`] for lowercase ASCII, where every
+    /// byte is a character: n-grams are byte windows and words split on
+    /// bytes that are not ASCII alphanumerics. Same features, same order,
+    /// so the same bits.
+    fn add_ascii_features(&self, lowered: &[u8], v: &mut [f32]) {
+        for gram in lowered.windows(self.ngram) {
+            let (idx, sign) = self.bucket(gram);
+            v[idx] += sign;
+        }
+        if self.include_words {
+            for word in lowered.split(|b| !b.is_ascii_alphanumeric()) {
+                if word.is_empty() {
+                    continue;
+                }
+                let (idx, sign) = self.bucket(word);
+                v[idx] += 2.0 * sign;
+            }
+        }
     }
 }
 
@@ -198,7 +244,39 @@ mod tests {
     use crate::vector::{cosine_similarity, l2_distance};
     use proptest::prelude::*;
 
+    /// What [`Embedder::embed_into`] writes for `text` through the general
+    /// path alone.
+    fn embed_general(e: &NgramEmbedder, text: &str) -> Vec<u32> {
+        let mut v = vec![0.0f32; e.dimensions];
+        e.add_features(&text.to_lowercase(), &mut v);
+        normalize(&mut v);
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     proptest! {
+        #[test]
+        fn the_ascii_path_writes_the_general_paths_bits(
+            text in "[ -~]{0,40}",
+            ngram in 1usize..6,
+            words in any::<bool>(),
+            dims in 0usize..3,
+        ) {
+            let e = NgramEmbedder::new([8, 100, 256][dims], ngram);
+            let e = if words { e } else { e.without_words() };
+            let fast: Vec<u32> = e.embed(&text).iter().map(|x| x.to_bits()).collect();
+            prop_assert_eq!(fast, embed_general(&e, &text));
+        }
+
+        #[test]
+        fn a_bucket_is_the_hash_modulo_the_dimensions(
+            feature in prop::collection::vec(any::<u8>(), 0..12),
+            dims in 0usize..5,
+        ) {
+            let dims = [1, 8, 100, 256, 1000][dims];
+            let (idx, _) = NgramEmbedder::new(dims, 3).bucket(&feature);
+            prop_assert_eq!(idx as u64, fnv1a(&feature) % dims as u64);
+        }
+
         #[test]
         fn embed_all_flat_matches_sequential_at_any_worker_count(
             texts in prop::collection::vec("[a-z ]{0,40}", 1..40),
@@ -209,6 +287,32 @@ mod tests {
             let sequential: Vec<f32> = refs.iter().flat_map(|t| e.embed(t)).collect();
             let parallel = embed_all_flat_with_workers(&e, &refs, workers);
             prop_assert_eq!(parallel, sequential);
+        }
+    }
+
+    #[test]
+    fn the_ascii_path_writes_the_general_paths_bits_at_its_edges() {
+        let at_limit: String = "Ab1, ".chars().cycle().take(STACK_TEXT).collect();
+        let cases = [
+            "",
+            "a",
+            "ab",
+            "AB",
+            "Chocolate Fudge, 2 scoops!",
+            "  --  ",
+            "MiXeD cAsE 42nd St. (NYC) #7",
+            "a1b2c3",
+            at_limit.as_str(),
+        ];
+        for ngram in 1..=5 {
+            for words in [true, false] {
+                let e = NgramEmbedder::new(256, ngram);
+                let e = if words { e } else { e.without_words() };
+                for text in cases {
+                    let fast: Vec<u32> = e.embed(text).iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(fast, embed_general(&e, text), "{ngram} {words} {text:?}");
+                }
+            }
         }
     }
 

@@ -110,8 +110,10 @@ const KEEP_LABEL_ROUND: (u64, u64) = (1_259, 116_290);
 /// 1 594 on one while the blocking layer took every core, is no longer
 /// subtracted.
 /// Re-recorded from `(2_352, 609_375)` with [`FILTER_ROUND`], for the same
-/// queueing.
-const IMPUTE_ROUND: (u64, u64) = (2_343, 607_415);
+/// queueing, and from `(2_343, 607_415)` when the embedder began
+/// lowercasing short ASCII text in a stack buffer: the pool build's 256
+/// lowercase copies of the records went.
+const IMPUTE_ROUND: (u64, u64) = (2_087, 600_503);
 
 /// [`System`], counting every allocation a counting thread makes and the
 /// bytes it asked for. A `realloc` counts as one allocation of its new
