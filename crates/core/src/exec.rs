@@ -873,17 +873,18 @@ impl Engine {
         }
     }
 
-    /// The one worker loop: queue the batch on this engine's lane, work the
-    /// feed from the calling thread beside `shape.workers − 1` helpers until
-    /// the batch is done, and return per-item results in input order. `Err`
+    /// The one worker loop: queue the batch's misses on this engine's lane,
+    /// work the feed from the calling thread beside up to
+    /// `shape.workers − 1` helpers until the batch is done, and return
+    /// per-item results in input order. `Err`
     /// — the failure with the lowest input index among those observed —
     /// only when the shape stops on the first error; then a pre-failed item
     /// fails the batch before anything is queued.
     ///
     /// A packed round ([`Intake::Shares`]) is rendered here first, by
-    /// [`in_shares`] on up to `shape.workers` participants; then the caller
-    /// keeps or drops each item in input order, or refuses the round
-    /// before anything is queued.
+    /// [`in_shares`] on up to `shape.workers` participants, which settle
+    /// its hits as they go; then the caller keeps or drops each item in
+    /// input order, or refuses the round before anything is queued.
     pub(crate) fn pump(
         &self,
         intake: Intake<'_>,
@@ -983,8 +984,8 @@ impl Engine {
     /// batch and how many were queued. A pre-failed item, and a hit settled
     /// where its round was rendered, is recorded in its slot here; so — on
     /// a serving stack, for a request whose admission is already settled —
-    /// is a cache hit [`Engine::settle_hit`] finds now, while the batch is still
-    /// this thread's (no lock). A miss carries its key to the worker.
+    /// is a cache hit [`Engine::settle_hit`] finds now, while the batch is
+    /// still this thread's (no lock). A miss carries its key to the worker.
     fn enqueue(&self, items: Vec<Prepared>, shape: RunShape) -> (Arc<Batch>, usize) {
         let books = self.books();
         let serving = self.gate.is_some();
@@ -1390,7 +1391,8 @@ impl Drop for Job {
 /// its last handle), the result slots and outstanding count that caller
 /// waits on, the run shape's per-item half, and the books they bill.
 struct Batch {
-    /// One per item, in input order; `None` where the item was pre-failed.
+    /// One per item, in input order; `None` where the item was pre-failed
+    /// or settled as a hit before it was queued.
     /// Read-only once queued: workers borrow `work[slot]`.
     work: Vec<Option<Work>>,
     slots: Mutex<Slots>,
@@ -1405,7 +1407,8 @@ struct Batch {
 struct Slots {
     /// One per item, in input order; `None` until recorded, and for good
     /// when the job was skipped because its batch had stopped. Pre-failed
-    /// items and hits found at enqueue are recorded before any job exists.
+    /// items and hits settled before queueing are recorded before any job
+    /// exists.
     results: Vec<Option<ItemResult>>,
     /// Queued jobs not yet recorded.
     outstanding: usize,
@@ -2736,7 +2739,12 @@ mod tests {
             .iter()
             .map(|r| {
                 let usage = (r.usage.prompt_tokens, r.usage.completion_tokens);
-                (r.text.clone(), usage.0, usage.1, r.confidence.map(f64::to_bits))
+                (
+                    r.text.clone(),
+                    usage.0,
+                    usage.1,
+                    r.confidence.map(f64::to_bits),
+                )
             })
             .collect()
     }
