@@ -30,13 +30,15 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crowdprompt::core::{Corpus, Engine};
 use crowdprompt::embed::{BruteForceIndex, Metric, Queries, VectorStore};
 use crowdprompt::oracle::{
-    CompletionRequest, LlmClient, ModelProfile, SimulatedLlm, TaskDescriptor, WorldModel,
+    CompletionRequest, CompletionResponse, FinishReason, LlmClient, ModelProfile, Pricing,
+    ResponseStore, SimulatedLlm, StoreConfig, TaskDescriptor, Usage, WorldModel,
 };
 use crowdprompt::prelude::{FilterStrategy, ImputeStrategy, Query};
 
@@ -114,6 +116,14 @@ const KEEP_LABEL_ROUND: (u64, u64) = (1_259, 116_290);
 /// lowercasing short ASCII text in a stack buffer: the pool build's 256
 /// lowercase copies of the records went.
 const IMPUTE_ROUND: (u64, u64) = (2_087, 600_503);
+/// `(allocations, bytes)` of one `ResponseStore::open` of a fresh copy of
+/// `tests/fixtures/store-v2.log` (six records): the lock's path, the
+/// file's contents, each record's text and `Arc`, the index's growth and
+/// the store's path.
+const STORE_OPEN_FIXTURE: (u64, u64) = (18, 2_534);
+/// The same of a 256-record store of packed yes/no answers, eight to a
+/// record with their newlines escaped, the shape `pipeline_warm` reopens.
+const STORE_OPEN_PACKED: (u64, u64) = (524, 99_109);
 
 /// [`System`], counting every allocation a counting thread makes and the
 /// bytes it asked for. A `realloc` counts as one allocation of its new
@@ -253,6 +263,86 @@ fn corpus(rows: usize, dims: usize) -> Vec<f32> {
         .collect()
 }
 
+/// Scratch paths for the store opens, all of one byte length: an open
+/// copies its path (and its lock's), so a longer temp directory or process
+/// id would read as more bytes.
+struct StorePaths {
+    dir: PathBuf,
+    made: usize,
+}
+
+impl StorePaths {
+    /// The length every path has.
+    const LEN: usize = 160;
+
+    fn new() -> StorePaths {
+        let dir = std::env::temp_dir().join(format!("crowdprompt-cost-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("the scratch directory is made");
+        StorePaths { dir, made: 0 }
+    }
+
+    /// A path no store has used, [`StorePaths::LEN`] bytes long.
+    fn fresh(&mut self) -> PathBuf {
+        self.made += 1;
+        let name = format!("store-{:04}-", self.made);
+        let used = self.dir.as_os_str().len() + 1 + name.len() + ".log".len();
+        assert!(used <= Self::LEN, "temp directory {:?} too long", self.dir);
+        let path = self
+            .dir
+            .join(format!("{name}{}.log", "x".repeat(Self::LEN - used)));
+        assert_eq!(path.as_os_str().len(), Self::LEN);
+        path
+    }
+
+    /// A fresh copy of `source`.
+    fn copy_of(&mut self, source: &Path) -> PathBuf {
+        let path = self.fresh();
+        std::fs::copy(source, &path).expect("the store file copies");
+        path
+    }
+}
+
+impl Drop for StorePaths {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// A store of 256 packed yes/no answers, eight to a record, as a run of
+/// packed filter rounds leaves it.
+fn packed_store(path: &Path) {
+    let store = ResponseStore::open(path, StoreConfig::default()).expect("the store opens");
+    for i in 0..256u64 {
+        let text = (1..=8)
+            .map(|k| format!("{k}. {}", if (i * 8 + k) % 3 == 0 { "Yes" } else { "No" }))
+            .collect::<Vec<_>>()
+            .join("\n");
+        let response = CompletionResponse {
+            text,
+            usage: Usage {
+                prompt_tokens: 180 + (i % 40) as u32,
+                completion_tokens: 24,
+            },
+            finish_reason: FinishReason::Stop,
+            model: "sim-gpt-3.5-turbo".into(),
+            cached: false,
+            pricing: Pricing::new(0.0015, 0.002),
+            confidence: Some(0.5 + (i % 50) as f64 / 100.0),
+        };
+        let fingerprint = (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        assert!(store.record(fingerprint, &Arc::new(response)));
+    }
+}
+
+/// `(allocations, bytes)` of opening a fresh copy of `source` as a store,
+/// and how many answers it serves.
+fn open_cost(paths: &mut StorePaths, source: &Path) -> ((u64, u64), usize) {
+    let path = paths.copy_of(source);
+    let (cost, store) =
+        counted(|| ResponseStore::open(&path, StoreConfig::default()).expect("the store opens"));
+    (cost, store.len())
+}
+
 #[test]
 fn each_step_allocates_what_it_was_recorded_to() {
     let (w, items) = world();
@@ -331,6 +421,19 @@ fn each_step_allocates_what_it_was_recorded_to() {
     }
     got.extend(warm_costs);
 
+    // Each open is of a fresh copy, after one warm-up open that interns the
+    // model name.
+    let mut paths = StorePaths::new();
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/store-v2.log");
+    let packed = paths.fresh();
+    packed_store(&packed);
+    open_cost(&mut paths, &fixture);
+    for (name, source, entries) in [("fixture open", &fixture, 6), ("packed open", &packed, 256)] {
+        let (cost, len) = open_cost(&mut paths, source);
+        assert_eq!(len, entries, "{name}");
+        got.push((format!("store {name}"), cost));
+    }
+
     let want = [
         CHECK_MISS,
         CHECK_HIT,
@@ -340,6 +443,8 @@ fn each_step_allocates_what_it_was_recorded_to() {
         FILTER_ROUND,
         KEEP_LABEL_ROUND,
         IMPUTE_ROUND,
+        STORE_OPEN_FIXTURE,
+        STORE_OPEN_PACKED,
     ];
     let rendered: Vec<String> = got
         .iter()
