@@ -10,20 +10,51 @@
 //!   known-answer vectors.
 //! * FNV-1a ([`fnv1a`], `Fingerprint`) — one byte a step, for the
 //!   simulator's seeds (`sim::seed_of`), a task's structural fingerprint
-//!   and the record logs' line checksums. Every simulated answer is a
-//!   function of these values, so they never change.
+//!   and the record logs' line checksums ([`fnv1a_x4`] checks four lines'
+//!   at once). Every simulated answer is a function of these values, so
+//!   they never change.
 //! * `mix` / `combine` — a splitmix64 finalizer and an order-sensitive
 //!   fold of two hashes.
+
+/// FNV-1a's starting state.
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+
+/// FNV-1a's multiplier.
+const FNV_PRIME: u64 = 0x100000001b3;
+
+/// Fold `bytes` into the FNV-1a state `h`, one byte a step.
+#[inline(always)]
+fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
 
 /// 64-bit FNV-1a over a byte slice.
 #[inline]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf29ce484222325;
-    const PRIME: u64 = 0x100000001b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
+    fnv1a_fold(FNV_OFFSET, bytes)
+}
+
+/// [`fnv1a`] of four slices at once, lane for lane. One chain waits on its
+/// multiply every byte; here the four chains step together over the bytes
+/// all four slices have, so four multiplies are in flight, and each lane
+/// then folds its own remaining bytes.
+#[inline]
+pub(crate) fn fnv1a_x4(lanes: [&[u8]; 4]) -> [u64; 4] {
+    let [a, b, c, d] = lanes;
+    let mut h = [FNV_OFFSET; 4];
+    for (((&x, &y), &z), &w) in a.iter().zip(b).zip(c).zip(d) {
+        h[0] = (h[0] ^ u64::from(x)).wrapping_mul(FNV_PRIME);
+        h[1] = (h[1] ^ u64::from(y)).wrapping_mul(FNV_PRIME);
+        h[2] = (h[2] ^ u64::from(z)).wrapping_mul(FNV_PRIME);
+        h[3] = (h[3] ^ u64::from(w)).wrapping_mul(FNV_PRIME);
+    }
+    let common = a.len().min(b.len()).min(c.len()).min(d.len());
+    for (h, lane) in h.iter_mut().zip(lanes) {
+        *h = fnv1a_fold(*h, &lane[common..]);
     }
     h
 }
@@ -113,22 +144,60 @@ pub(crate) fn prompt_hash(bytes: &[u8]) -> u64 {
     mix(mum(a ^ WIDE[2], b ^ h))
 }
 
+/// The lowercase hex digits, by value.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Each byte's value as a hex digit, either case; [`NOT_HEX`] for a byte
+/// that is none.
+const HEX_VALUES: [u8; 256] = {
+    let mut values = [NOT_HEX; 256];
+    let mut i = 0;
+    while i < 16 {
+        values[HEX_DIGITS[i] as usize] = i as u8;
+        values[HEX_DIGITS[i].to_ascii_uppercase() as usize] = i as u8;
+        i += 1;
+    }
+    values
+};
+
+/// [`HEX_VALUES`]' mark for a byte that is not a hex digit.
+const NOT_HEX: u8 = 0xff;
+
 /// Append a 64-bit value as fixed-width lowercase hex (`{v:016x}`) — the
 /// canonical on-disk rendering of fingerprints, checksums, and `f64` bit
 /// patterns in the record logs ([`crate::recordlog`], [`crate::store`]).
 #[inline]
 pub(crate) fn push_hex64(out: &mut String, v: u64) {
-    use std::fmt::Write as _;
-    // Writing to a `String` cannot fail.
-    let _ = write!(out, "{v:016x}");
+    out.reserve(16);
+    for shift in (0..16).rev() {
+        out.push(char::from(HEX_DIGITS[(v >> (4 * shift)) as usize & 0xf]));
+    }
 }
 
-/// Parse a [`push_hex64`]-formatted field: exactly 16 hex digits, nothing
-/// else. Stricter than raw `u64::from_str_radix` (no sign, no width
-/// variance), so a corrupted or truncated log field never aliases a
-/// valid one.
+/// Parse a [`push_hex64`]-formatted field: exactly 16 hex digits, either
+/// case, nothing else. Stricter than raw `u64::from_str_radix` (no sign,
+/// no width variance), so a corrupted or truncated log field never
+/// aliases a valid one.
 #[inline]
 pub(crate) fn parse_hex64(s: &str) -> Option<u64> {
+    let digits: &[u8; 16] = s.as_bytes().try_into().ok()?;
+    let mut v = 0u64;
+    let mut bad = 0u8;
+    for &d in digits {
+        let value = HEX_VALUES[usize::from(d)];
+        bad |= value;
+        v = v << 4 | u64::from(value & 0xf);
+    }
+    // Digit values are below 16, so only a byte that is no digit sets the
+    // high bits.
+    (bad & 0xf0 == 0).then_some(v)
+}
+
+/// The `from_str_radix` parser the table one replaced, kept as the
+/// reference it must agree with: `from_str_radix` alone would take a `+`
+/// and 15 digits, so the field's width and digits are checked first.
+#[cfg(test)]
+pub(crate) fn parse_hex64_by_radix(s: &str) -> Option<u64> {
     if s.len() != 16 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
         return None;
     }
@@ -148,16 +217,12 @@ impl Default for Fingerprint {
 impl Fingerprint {
     /// Start a fresh fingerprint.
     pub(crate) fn new() -> Self {
-        Fingerprint(0xcbf29ce484222325)
+        Fingerprint(FNV_OFFSET)
     }
 
     /// Fold raw bytes into the fingerprint.
     pub(crate) fn write(&mut self, bytes: &[u8]) -> &mut Self {
-        const PRIME: u64 = 0x100000001b3;
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(PRIME);
-        }
+        self.0 = fnv1a_fold(self.0, bytes);
         self
     }
 
@@ -217,6 +282,23 @@ mod tests {
     }
 
     #[test]
+    fn four_chains_hash_empty_and_uneven_lanes_as_fnv1a() {
+        let long = [0xa5u8; 300];
+        for lens in [
+            [0, 0, 0, 0],
+            [0, 5, 17, 300],
+            [300, 17, 5, 0],
+            [17, 300, 0, 5],
+            [64, 64, 64, 64],
+            [63, 64, 65, 1],
+        ] {
+            let lanes = lens.map(|len| &long[..len]);
+            assert_eq!(fnv1a_x4(lanes), lanes.map(fnv1a), "lengths {lens:?}");
+        }
+        assert_eq!(fnv1a_x4([b"", b"a", b"foobar", b""])[2], 0x85944171f73967e8);
+    }
+
+    #[test]
     fn combine_order_sensitive() {
         assert_ne!(combine(1, 2), combine(2, 1));
     }
@@ -261,6 +343,61 @@ mod tests {
                 prop_assert_eq!(format!("{v:016x}"), s.to_ascii_lowercase(), "parse_hex64({:?})", s);
             }
         }
+
+        #[test]
+        fn the_table_parse_accepts_what_the_radix_parse_accepts(
+            picks in prop::collection::vec(0usize..HEX_BYTES.len(), 16),
+            hex_only in 0usize..3,
+            e in 0usize..40,
+        ) {
+            // A third of the cases draw only hex digits, so most of those
+            // parse; the rest mix in signs, near misses and an `é`.
+            let pool = [22, 16, HEX_BYTES.len()][hex_only];
+            let picks: Vec<usize> = picks.iter().map(|&p| p % pool).collect();
+            let s = sixteen_bytes(&picks, e);
+            prop_assert_eq!(s.len(), 16);
+            prop_assert_eq!(parse_hex64(&s), parse_hex64_by_radix(&s), "{:?}", s);
+        }
+
+        #[test]
+        fn push_hex64_writes_what_format_writes(v in any::<u64>(), shift in 0u32..64) {
+            for v in [v, v >> shift] {
+                let mut hex = String::new();
+                push_hex64(&mut hex, v);
+                prop_assert_eq!(hex, format!("{v:016x}"));
+            }
+        }
+
+        #[test]
+        fn four_chains_hash_each_lane_as_fnv1a(
+            lens in (0usize..80, 0usize..80, 0usize..80, 0usize..80),
+            seed in any::<u8>(),
+        ) {
+            let lens = [lens.0, lens.1, lens.2, lens.3];
+            let bytes: Vec<Vec<u8>> = lens
+                .iter()
+                .enumerate()
+                .map(|(lane, &len)| {
+                    (0..len).map(|i| seed.wrapping_add((i * 31 + lane * 7) as u8)).collect()
+                })
+                .collect();
+            let lanes = [&bytes[0][..], &bytes[1][..], &bytes[2][..], &bytes[3][..]];
+            prop_assert_eq!(fnv1a_x4(lanes), lanes.map(fnv1a), "lengths {:?}", lens);
+        }
+    }
+
+    /// One-byte characters a 16-byte hex field may hold or be corrupted
+    /// into; [`sixteen_bytes`] may also put an `é` (two bytes) among them.
+    const HEX_BYTES: &[u8] = b"0123456789abcdefABCDEF+-gGxX \t";
+
+    /// A 16-byte string of [`HEX_BYTES`], with an `é` over bytes `e..e + 2`
+    /// when `e` is below 15.
+    fn sixteen_bytes(picks: &[usize], e: usize) -> String {
+        let mut s: String = picks.iter().map(|&p| char::from(HEX_BYTES[p])).collect();
+        if e < 15 {
+            s.replace_range(e..e + 2, "é");
+        }
+        s
     }
 
     /// `len` bytes of a fixed, non-repeating-looking pattern.

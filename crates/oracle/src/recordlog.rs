@@ -8,7 +8,7 @@
 //! verifies the checksummed prefix and truncates a torn tail:
 //!
 //! * [`escape_into`] / [`unescape`] — single-line framing of arbitrary text,
-//! * [`seal_line`] / [`open_line`] — per-line FNV-1a checksum framing,
+//! * [`seal_line`] — per-line FNV-1a checksum framing,
 //! * [`decode_f64_bits`] — exact float round-trips (floats are written as
 //!   their bit patterns in hex),
 //! * [`push_response_fields`] / [`decode_response_fields`] — the
@@ -17,6 +17,8 @@
 //!
 //! A record is built into one `String` — fields appended in place, then
 //! sealed in place — so a writer can build it before it takes any lock.
+//! Hex fields are written by table, not through `core::fmt`; only the two
+//! token counts are formatted.
 //!
 //! # Crash safety
 //!
@@ -26,13 +28,22 @@
 //! and truncates at the first torn, corrupt, or structurally rejected line
 //! — a damaged tail never poisons a reopen, it merely costs re-deriving the
 //! lost records.
+//!
+//! The walk takes the lines four at a time. One FNV-1a chain waits on its
+//! multiply every byte, so the four lines' checksums are computed as four
+//! interleaved chains ([`crate::hash::fnv1a_x4`], each lane equal to
+//! `fnv1a`). The four lines are then checked and decoded in file order, and
+//! the walk stops at the first that is torn, has no checksum field, fails
+//! its checksum or does not decode: no record after a bad line is decoded
+//! or handed on, so the walk takes the same records, and stops at the same
+//! byte, as one that checked a line at a time.
 
 use std::borrow::Cow;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use crate::hash::{fnv1a_str, parse_hex64, push_hex64};
+use crate::hash::{fnv1a_str, fnv1a_x4, parse_hex64, push_hex64};
 use crate::pricing::Pricing;
 use crate::types::{CompletionResponse, FinishReason, ModelName, Usage};
 
@@ -58,27 +69,82 @@ pub(crate) fn escape_into(out: &mut String, s: &str) {
 }
 
 /// Invert [`escape_into`]; `None` on a malformed escape sequence. Text with
-/// no escapes comes back borrowed.
+/// no escapes comes back borrowed. Other text is copied into a buffer the
+/// field's length, eight bytes a step up to each escape: in a packed
+/// answer an escape comes every few bytes, so a branch per byte would
+/// mispredict at each one.
 pub(crate) fn unescape(s: &str) -> Option<Cow<'_, str>> {
-    if !s.contains('\\') {
+    let bytes = s.as_bytes();
+    let Some(first) = find_byte(bytes, b'\\') else {
         return Some(Cow::Borrowed(s));
-    }
-    let mut out = String::with_capacity(s.len());
-    let mut rest = s;
-    while let Some(at) = rest.find('\\') {
-        out.push_str(&rest[..at]);
-        out.push(match rest.as_bytes().get(at + 1)? {
-            b'\\' => '\\',
-            b't' => '\t',
-            b'n' => '\n',
-            b'r' => '\r',
+    };
+    let mut out = vec![0; bytes.len()];
+    out[..first].copy_from_slice(&bytes[..first]);
+    // The write cursor trails the read one by a byte per escape decoded.
+    let (mut read, mut write) = (first, first);
+    while read < bytes.len() {
+        if let Some(chunk) = bytes.get(read..read + 8) {
+            // Copy eight bytes and keep those before the first backslash.
+            out[write..write + 8].copy_from_slice(chunk);
+            let run = first_match(word(chunk), b'\\').unwrap_or(8);
+            read += run;
+            write += run;
+            if run == 8 {
+                continue;
+            }
+        } else if bytes[read] != b'\\' {
+            out[write] = bytes[read];
+            read += 1;
+            write += 1;
+            continue;
+        }
+        out[write] = match bytes.get(read + 1)? {
+            b'\\' => b'\\',
+            b't' => b'\t',
+            b'n' => b'\n',
+            b'r' => b'\r',
             _ => return None,
-        });
-        // Both bytes of a well-formed escape are ASCII.
-        rest = &rest[at + 2..];
+        };
+        read += 2;
+        write += 1;
     }
-    out.push_str(rest);
-    Some(Cow::Owned(out))
+    out.truncate(write);
+    // Each escape is two ASCII bytes turned into one, so the copy is as
+    // much UTF-8 as `s` and always converts.
+    String::from_utf8(out).ok().map(Cow::Owned)
+}
+
+/// Eight bytes read as one little-endian word.
+#[inline(always)]
+fn word(chunk: &[u8]) -> u64 {
+    let mut bytes = [0; 8];
+    bytes.copy_from_slice(chunk);
+    u64::from_le_bytes(bytes)
+}
+
+/// The index of the first byte of `word` (little-endian) that is `needle`.
+#[inline(always)]
+fn first_match(word: u64, needle: u8) -> Option<usize> {
+    const ONES: u64 = u64::from_ne_bytes([1; 8]);
+    // Bytes equal to `needle` are zero in `x`; the lowest zero byte is the
+    // lowest byte whose high bit survives (a borrow only reaches the bytes
+    // above it).
+    let x = word ^ (ONES * u64::from(needle));
+    let zeros = x.wrapping_sub(ONES) & !x & (ONES << 7);
+    (zeros != 0).then(|| zeros.trailing_zeros() as usize / 8)
+}
+
+/// Where `needle` first occurs in `haystack`, read eight bytes a step.
+pub(crate) fn find_byte(haystack: &[u8], needle: u8) -> Option<usize> {
+    let mut words = haystack.chunks_exact(8);
+    for (step, chunk) in (&mut words).enumerate() {
+        if let Some(at) = first_match(word(chunk), needle) {
+            return Some(step * 8 + at);
+        }
+    }
+    let tail = words.remainder();
+    let at = tail.iter().position(|&b| b == needle)?;
+    Some(haystack.len() - tail.len() + at)
 }
 
 /// Frame the payload held in `line` as one checksummed record line, in
@@ -90,14 +156,17 @@ pub(crate) fn seal_line(line: &mut String) {
     line.push('\n');
 }
 
-/// Verify and strip a record line's checksum (the line must not include its
-/// newline); returns the payload, or `None` on any corruption.
-pub(crate) fn open_line(line: &str) -> Option<&str> {
-    let (payload, checksum) = line.rsplit_once('\t')?;
-    if parse_hex64(checksum)? != fnv1a_str(payload) {
+/// Split a record line (without its newline) into its payload and the
+/// checksum its last field states, or `None` when that field is not 16 hex
+/// digits. The checksum field is the last 17 bytes, tab included: a last
+/// field of any other width does not parse.
+fn sealed_parts(line: &str) -> Option<(&str, u64)> {
+    let tab = line.len().checked_sub(17)?;
+    if line.as_bytes()[tab] != b'\t' {
         return None;
     }
-    Some(payload)
+    // The byte at `tab` is ASCII, so both slices start on a char boundary.
+    Some((&line[..tab], parse_hex64(&line[tab + 1..])?))
 }
 
 /// Decode an `f64` written as its exact bit pattern in hex — bit-identical,
@@ -134,12 +203,12 @@ pub(crate) fn push_response_fields(
         FinishReason::Stop => 'S',
         FinishReason::Length => 'L',
     };
+    out.push('\t');
     // Writing to a `String` cannot fail.
-    let _ = write!(
-        out,
-        "\t{}\t{}\t{finish}\t",
-        usage.prompt_tokens, usage.completion_tokens
-    );
+    let _ = write!(out, "{}\t{}", usage.prompt_tokens, usage.completion_tokens);
+    out.push('\t');
+    out.push(finish);
+    out.push('\t');
     escape_into(out, &response.model);
     for rate in [
         response.pricing.usd_per_1k_input,
@@ -155,27 +224,75 @@ pub(crate) fn push_response_fields(
     }
 }
 
-/// Decode the field sequence produced by [`push_response_fields`]. Expects
-/// exactly [`RESPONSE_FIELDS`] fields; `None` on any structural corruption.
-/// The model's name is interned here, once per record.
-pub(crate) fn decode_response_fields(fields: &[&str]) -> Option<(u64, CompletionResponse)> {
-    if fields.len() != RESPONSE_FIELDS {
+/// The model name of the record a replay decoded last. A store's records
+/// nearly all name one model, so a record whose model field reads exactly
+/// as that name reuses its handle; any other field is unescaped and
+/// interned, which takes the name table's lock.
+#[derive(Default)]
+pub(crate) struct LastModel(Option<(&'static str, ModelName)>);
+
+impl LastModel {
+    /// The model a record's model field (escaped, as stored) names.
+    fn name(&mut self, field: &str) -> Option<ModelName> {
+        if let Some((last, name)) = self.0 {
+            if last == field {
+                return Some(name);
+            }
+        }
+        let text = unescape(field)?;
+        let name = ModelName::from(&*text);
+        // A field with an escape in it never reads as its own name, so only
+        // a name stored as itself is kept to compare against.
+        self.0 = matches!(text, Cow::Borrowed(_)).then(|| (name.as_str(), name));
+        Some(name)
+    }
+}
+
+/// Parse a token count exactly as `str::parse::<u32>` does: ASCII digits
+/// after at most one `+`, and no overflow.
+fn decode_u32(s: &str) -> Option<u32> {
+    let digits = s.strip_prefix('+').unwrap_or(s).as_bytes();
+    if digits.is_empty() {
         return None;
     }
-    let fingerprint = parse_hex64(fields[0])?;
-    let text = unescape(fields[1])?.into_owned();
-    let usage = Usage {
-        prompt_tokens: fields[2].parse().ok()?,
-        completion_tokens: fields[3].parse().ok()?,
+    let mut v = 0u32;
+    for &d in digits {
+        let digit = d.wrapping_sub(b'0');
+        if digit > 9 {
+            return None;
+        }
+        v = v.checked_mul(10)?.checked_add(u32::from(digit))?;
+    }
+    Some(v)
+}
+
+/// Decode the field sequence produced by [`push_response_fields`]. Expects
+/// exactly [`RESPONSE_FIELDS`] fields; `None` on any structural corruption.
+/// The model's name is interned here, only when it differs from the one
+/// `last_model` holds from the record before.
+pub(crate) fn decode_response_fields(
+    fields: &[&str],
+    last_model: &mut LastModel,
+) -> Option<(u64, CompletionResponse)> {
+    let &[fingerprint, text, prompt_tokens, completion_tokens, finish, model, input, output, confidence] =
+        fields
+    else {
+        return None;
     };
-    let finish_reason = match fields[4] {
+    let fingerprint = parse_hex64(fingerprint)?;
+    let text = unescape(text)?.into_owned();
+    let usage = Usage {
+        prompt_tokens: decode_u32(prompt_tokens)?,
+        completion_tokens: decode_u32(completion_tokens)?,
+    };
+    let finish_reason = match finish {
         "S" => FinishReason::Stop,
         "L" => FinishReason::Length,
         _ => return None,
     };
-    let model = ModelName::from(&*unescape(fields[5])?);
-    let pricing = Pricing::new(decode_f64_bits(fields[6])?, decode_f64_bits(fields[7])?);
-    let confidence = match fields[8] {
+    let model = last_model.name(model)?;
+    let pricing = Pricing::new(decode_f64_bits(input)?, decode_f64_bits(output)?);
+    let confidence = match confidence {
         "-" => None,
         bits => Some(decode_f64_bits(bits)?),
     };
@@ -227,11 +344,75 @@ fn read_contents(file: &mut File, header: &str) -> std::io::Result<Option<String
     }))
 }
 
-/// Walk `records` line by line, handing the decoded record of each whole,
-/// checksum-valid line to `sink`, until the first torn, corrupt or rejected
-/// line. Returns the bytes of the lines taken: `records.len()` when every
-/// line was.
-fn walk<T>(records: &str, decode: impl Fn(&str) -> Option<T>, mut sink: impl FnMut(T)) -> usize {
+/// Walk `records` in groups of up to four whole lines, handing the decoded
+/// record of each checksum-valid line to `sink` in file order, until the
+/// first torn, corrupt or rejected line. Returns the bytes of the lines
+/// taken: `records.len()` when every line was.
+///
+/// A group's four checksums are computed together ([`fnv1a_x4`]); its
+/// lines are then checked and decoded one after another, so `decode` and
+/// `sink` never see a line after a bad one.
+fn walk<T>(
+    records: &str,
+    mut decode: impl FnMut(&str) -> Option<T>,
+    mut sink: impl FnMut(T),
+) -> usize {
+    let mut taken = 0;
+    loop {
+        // Up to four whole lines from `taken` on; a torn final line (no
+        // newline) is not one.
+        let mut lines = [""; 4];
+        let mut whole = 0;
+        let mut end = taken;
+        for line in &mut lines {
+            let Some(len) = records[end..].find('\n') else {
+                break;
+            };
+            *line = &records[end..end + len];
+            end += len + 1;
+            whole += 1;
+        }
+        let sealed = lines.map(sealed_parts);
+        let sums = fnv1a_x4(sealed.map(|parts| parts.map_or(&[][..], |(p, _)| p.as_bytes())));
+        for ((line, parts), sum) in lines.iter().zip(sealed).zip(sums).take(whole) {
+            let Some((payload, checksum)) = parts else {
+                return taken; // no checksum field
+            };
+            if checksum != sum {
+                return taken; // checksum corruption
+            }
+            let Some(record) = decode(payload) else {
+                return taken; // field-level corruption
+            };
+            sink(record);
+            taken += line.len() + 1;
+        }
+        if whole < lines.len() {
+            return taken; // the end, or a torn final line
+        }
+    }
+}
+
+/// Verify and strip a record line's checksum (the line must not include
+/// its newline); returns the payload, or `None` on any corruption. The
+/// line-at-a-time check [`walk`] replaced, kept as its reference.
+#[cfg(test)]
+fn open_line(line: &str) -> Option<&str> {
+    let (payload, checksum) = line.rsplit_once('\t')?;
+    if crate::hash::parse_hex64_by_radix(checksum)? != fnv1a_str(payload) {
+        return None;
+    }
+    Some(payload)
+}
+
+/// The line-at-a-time walk [`walk`] replaced, kept as its reference: one
+/// [`open_line`] after another.
+#[cfg(test)]
+fn walk_by_line<T>(
+    records: &str,
+    decode: impl Fn(&str) -> Option<T>,
+    mut sink: impl FnMut(T),
+) -> usize {
     let mut taken = 0;
     for line in records.split_inclusive('\n') {
         let Some(body) = line.strip_suffix('\n') else {
@@ -264,7 +445,7 @@ impl LogFile {
     pub(crate) fn open<T>(
         path: impl AsRef<Path>,
         header: &str,
-        decode: impl Fn(&str) -> Option<T>,
+        decode: impl FnMut(&str) -> Option<T>,
         apply: impl FnMut(T),
     ) -> std::io::Result<LogFile> {
         let path = path.as_ref();
@@ -304,7 +485,7 @@ impl LogFile {
         path: &Path,
         contents: &str,
         header: &str,
-        decode: impl Fn(&str) -> Option<T>,
+        decode: impl FnMut(&str) -> Option<T>,
         apply: impl FnMut(T),
     ) -> std::io::Result<u64> {
         let Some(records) = contents
@@ -574,7 +755,7 @@ mod tests {
                 .enumerate()
                 .map(|(i, &p)| FIELD_PIECES.get(p).copied().unwrap_or(valid[i % RESPONSE_FIELDS]))
                 .collect();
-            let decoded = match std::panic::catch_unwind(|| decode_response_fields(&fields)) {
+            let decoded = match std::panic::catch_unwind(|| decode_response_fields(&fields, &mut LastModel::default())) {
                 Ok(decoded) => decoded,
                 Err(_) => panic!("decode_response_fields({fields:?}) panicked"),
             };
@@ -638,7 +819,7 @@ mod tests {
         let response = sample_response(weird, Some(0.875));
         let payload = encode_response_fields(0xdead_beef, &response);
         let fields: Vec<&str> = payload.split('\t').collect();
-        let (fp, decoded) = decode_response_fields(&fields).unwrap();
+        let (fp, decoded) = decode_response_fields(&fields, &mut LastModel::default()).unwrap();
         assert_eq!(fp, 0xdead_beef);
         assert_eq!(decoded.text, weird);
         assert_eq!(decoded.usage.total(), 15);
@@ -657,10 +838,316 @@ mod tests {
             response.model = name.into();
             let first = encode_response_fields(7, &response);
             let fields: Vec<&str> = first.split('\t').collect();
-            let (_, decoded) = decode_response_fields(&fields).unwrap();
+            let (_, decoded) = decode_response_fields(&fields, &mut LastModel::default()).unwrap();
             assert_eq!(decoded.model, name);
             assert_eq!(decoded.model, response.model, "one handle per name");
             assert_eq!(encode_response_fields(7, &decoded), first);
+        }
+    }
+
+    /// A store record's payload as the line-at-a-time replay decoded it:
+    /// `split('\t')`, `str::parse` counts, `from_str_radix` hex, the
+    /// char-loop unescape and a model name interned per record. The
+    /// reference [`crate::store::parse_record`] must agree with.
+    fn decode_by_split(payload: &str) -> Option<(u64, CompletionResponse)> {
+        let fields: Vec<&str> = payload.split('\t').collect();
+        let (&"R", f) = fields.split_first()? else {
+            return None;
+        };
+        if f.len() != RESPONSE_FIELDS {
+            return None;
+        }
+        let hex = crate::hash::parse_hex64_by_radix;
+        let fingerprint = hex(f[0])?;
+        let text = unescape_by_chars(f[1])?;
+        let usage = Usage {
+            prompt_tokens: f[2].parse().ok()?,
+            completion_tokens: f[3].parse().ok()?,
+        };
+        let finish_reason = match f[4] {
+            "S" => FinishReason::Stop,
+            "L" => FinishReason::Length,
+            _ => return None,
+        };
+        let model = ModelName::from(unescape_by_chars(f[5])?);
+        let pricing = Pricing::new(f64::from_bits(hex(f[6])?), f64::from_bits(hex(f[7])?));
+        let confidence = match f[8] {
+            "-" => None,
+            bits => Some(f64::from_bits(hex(bits)?)),
+        };
+        let response = CompletionResponse {
+            text,
+            usage,
+            finish_reason,
+            model,
+            cached: false,
+            pricing,
+            confidence,
+        };
+        Some((fingerprint, response))
+    }
+
+    /// A decoded record with its floats as bits, so a NaN a damaged field
+    /// decodes to compares equal to itself.
+    type RecordBits = (u64, String, Usage, bool, String, [u64; 2], Option<u64>);
+
+    fn bits((fingerprint, r): &(u64, CompletionResponse)) -> RecordBits {
+        (
+            *fingerprint,
+            r.text.clone(),
+            r.usage,
+            r.finish_reason == FinishReason::Stop,
+            r.model.to_string(),
+            [r.pricing.usd_per_1k_input, r.pricing.usd_per_1k_output].map(f64::to_bits),
+            r.confidence.map(f64::to_bits),
+        )
+    }
+
+    /// What the four-line walk and the line-at-a-time one take of
+    /// `records`: the bytes, and the records in order.
+    fn both_walks(records: &str) -> [(usize, Vec<RecordBits>); 2] {
+        let mut last_model = LastModel::default();
+        let mut grouped = Vec::new();
+        let taken = walk(
+            records,
+            |payload| crate::store::parse_record(payload, &mut last_model),
+            |record| grouped.push(bits(&record)),
+        );
+        let mut by_line = Vec::new();
+        let taken_by_line = walk_by_line(records, decode_by_split, |record| {
+            by_line.push(bits(&record))
+        });
+        [(taken, grouped), (taken_by_line, by_line)]
+    }
+
+    /// Model names that escape to one another's text, and ordinary ones.
+    const MODELS: [&str; 5] = [
+        "sim-gpt-3.5-turbo",
+        "a\nb",
+        "a\\nb",
+        "naïve 🦀 model",
+        "sim-gpt-3.5-turbo",
+    ];
+
+    /// The `i`-th record line of a test log: texts of varied lengths, most
+    /// with escapes, models that change and repeat, both finish reasons.
+    fn record_line_at(i: usize) -> String {
+        let text = match i % 4 {
+            0 => format!("1. Yes\n2. No\n{}. Yes\n", i + 3),
+            1 => format!("answer {i}: é🦀 \\ tab\there"),
+            2 => "x".repeat(i),
+            _ => format!(
+                "Here is the sorted list:\n1. No\n2. Yes\n3. {}\n",
+                "No".repeat(i)
+            ),
+        };
+        let mut response = sample_response(&text, [None, Some(0.875)][i % 2]);
+        response.model = MODELS[(i / 2) % MODELS.len()].into();
+        response.usage.prompt_tokens = 200 + i as u32;
+        if i % 5 == 3 {
+            response.finish_reason = FinishReason::Length;
+        }
+        let mut line = String::from("R\t");
+        push_response_fields(&mut line, 0x1000 + i as u64, &response);
+        seal_line(&mut line);
+        line
+    }
+
+    /// How a test damages one line of a log.
+    #[derive(Debug, Clone, Copy)]
+    enum Damage {
+        /// The log ends half-way through the line.
+        Torn,
+        /// One hex digit of the checksum is another digit.
+        Checksum,
+        /// A field does not decode, under a checksum that matches.
+        Field,
+        /// The line has no checksum field.
+        NoChecksum,
+    }
+
+    fn damaged(mut line: String, damage: Damage, i: usize) -> String {
+        let body = line.len() - 1;
+        match damage {
+            Damage::Torn => line.truncate(line.len() / 2),
+            Damage::Checksum => {
+                let at = body - 1 - i % 16;
+                let digit = if &line[at..=at] == "0" { "1" } else { "0" };
+                line.replace_range(at..=at, digit);
+            }
+            Damage::Field => {
+                let mut payload = line[..body - 17].to_owned();
+                if i.is_multiple_of(2) {
+                    payload = payload
+                        .replacen("\tS\t", "\tX\t", 1)
+                        .replacen("\tL\t", "\tX\t", 1);
+                } else {
+                    payload.insert_str(payload.find('\t').unwrap() + 20, "\\x");
+                }
+                seal_line(&mut payload);
+                line = payload;
+            }
+            Damage::NoChecksum => line.replace_range(body - 17..body, ""),
+        }
+        line
+    }
+
+    #[test]
+    fn the_four_line_walk_stops_where_the_line_at_a_time_walk_stops() {
+        // Two whole groups of four and a short final group, or two whole
+        // groups alone: every position of a group, and of a short one.
+        for lines in [8, 11] {
+            let records: Vec<String> = (0..lines).map(record_line_at).collect();
+            let whole = records.concat();
+            for prefix in 0..=lines {
+                let log = records[..prefix].concat();
+                let [grouped, by_line] = both_walks(&log);
+                assert_eq!(grouped, by_line, "{prefix} whole lines");
+                assert_eq!(grouped.0, log.len());
+                assert_eq!(grouped.1.len(), prefix);
+            }
+            assert_eq!(both_walks(&whole)[0].1.len(), lines);
+            for bad in 0..lines {
+                for damage in [
+                    Damage::Torn,
+                    Damage::Checksum,
+                    Damage::Field,
+                    Damage::NoChecksum,
+                ] {
+                    let mut log = records[..bad].concat();
+                    log.push_str(&damaged(records[bad].clone(), damage, bad));
+                    if !matches!(damage, Damage::Torn) {
+                        log.push_str(&records[bad + 1..].concat());
+                    }
+                    let [grouped, by_line] = both_walks(&log);
+                    let case = format!("{lines} lines, line {bad} {damage:?}");
+                    assert_eq!(grouped, by_line, "{case}");
+                    assert_eq!(grouped.0, records[..bad].concat().len(), "{case}");
+                    assert_eq!(grouped.1.len(), bad, "{case}");
+                }
+            }
+        }
+    }
+
+    /// Bytes a damaged log may hold where one of its bytes was.
+    const DAMAGE_BYTES: &[u8] = b"\n\t\\0afFgx-+ R";
+
+    proptest! {
+        #[test]
+        fn a_damaged_log_walks_as_the_line_at_a_time_walk_walks_it(
+            lines in 0usize..14,
+            first in 0usize..40,
+            at in any::<usize>(),
+            byte in 0usize..DAMAGE_BYTES.len(),
+            cut in any::<bool>(),
+        ) {
+            let mut log: Vec<u8> =
+                (first..first + lines).map(record_line_at).collect::<String>().into_bytes();
+            if !log.is_empty() {
+                let at = at % log.len();
+                if cut {
+                    log.truncate(at);
+                } else if log[at].is_ascii() {
+                    log[at] = DAMAGE_BYTES[byte];
+                }
+            }
+            // A cut may split a character; the reader drops that tail too.
+            let log = match String::from_utf8(log) {
+                Ok(log) => log,
+                Err(e) => {
+                    let valid = e.utf8_error().valid_up_to();
+                    String::from_utf8(e.into_bytes()[..valid].to_vec()).unwrap()
+                }
+            };
+            let [grouped, by_line] = both_walks(&log);
+            prop_assert_eq!(grouped, by_line);
+        }
+
+        #[test]
+        fn token_counts_parse_as_str_parse_parses_them(
+            picks in prop::collection::vec(0usize..COUNT_PIECES.len(), 0..6),
+        ) {
+            let s: String = picks.iter().map(|&p| COUNT_PIECES[p]).collect();
+            prop_assert_eq!(decode_u32(&s), s.parse::<u32>().ok(), "{:?}", s);
+        }
+
+        #[test]
+        fn find_byte_finds_what_position_finds(
+            len in 0usize..40,
+            needle_at in prop::collection::vec(0usize..40, 0..3),
+            needle in any::<u8>(),
+        ) {
+            let mut haystack: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(37) | 0x80).collect();
+            for &at in &needle_at {
+                if at < len {
+                    haystack[at] = needle;
+                }
+            }
+            prop_assert_eq!(
+                find_byte(&haystack, needle),
+                haystack.iter().position(|&b| b == needle)
+            );
+        }
+    }
+
+    /// Pieces of a token-count field: digits, signs, a non-ASCII digit, and
+    /// runs that reach past `u32::MAX`.
+    const COUNT_PIECES: [&str; 10] = [
+        "0",
+        "7",
+        "42",
+        "+",
+        "-",
+        "٣",
+        " ",
+        "4294967295",
+        "4294967296",
+        "99999",
+    ];
+
+    #[test]
+    fn a_model_field_names_what_it_unescapes_to_whatever_came_before() {
+        // "a\nb" is stored as the text of the name "a\\nb": a record naming
+        // the second must not reuse the first's handle, nor the reverse.
+        let mut last_model = LastModel::default();
+        let order = [0, 0, 1, 2, 1, 2, 2, 3, 0, 1, 1, 4];
+        for &m in &order {
+            let mut field = String::new();
+            escape_into(&mut field, MODELS[m]);
+            assert_eq!(
+                last_model.name(&field),
+                Some(ModelName::from(MODELS[m])),
+                "{m}"
+            );
+        }
+        assert_eq!(last_model.name("bad \\x escape"), None);
+        assert_eq!(
+            last_model.name("sim-gpt-3.5-turbo"),
+            Some(ModelName::from(MODELS[0]))
+        );
+    }
+
+    #[test]
+    fn unescape_decodes_escapes_at_every_offset_of_an_eight_byte_step() {
+        for len in 0..26 {
+            for at in 0..len {
+                let mut plain = "y".repeat(len);
+                plain.replace_range(at..=at, "\n");
+                let mut stored = String::new();
+                escape_into(&mut stored, &plain);
+                assert_eq!(
+                    unescape(&stored).as_deref(),
+                    Some(plain.as_str()),
+                    "{stored:?}"
+                );
+                let mut bad = "y".repeat(len);
+                bad.replace_range(at..=at, "\\");
+                assert_eq!(
+                    unescape(&bad).map(Cow::into_owned),
+                    unescape_by_chars(&bad),
+                    "{bad:?}"
+                );
+            }
         }
     }
 

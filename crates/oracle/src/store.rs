@@ -46,7 +46,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::recordlog::{
-    decode_response_fields, push_response_fields, seal_line, LogFile, RESPONSE_FIELDS,
+    decode_response_fields, find_byte, push_response_fields, seal_line, LastModel, LogFile,
+    RESPONSE_FIELDS,
 };
 use crate::types::{CompletionRequest, CompletionResponse};
 
@@ -127,24 +128,40 @@ struct StoreInner {
 }
 
 /// Decode one replayed record payload into its fingerprint and response,
-/// or `None` to reject it (truncating the log there). The fields are split
-/// into a fixed array of a record's `1 + RESPONSE_FIELDS` slots, so a line
-/// with more fields than that is rejected here.
-fn parse_record(payload: &str) -> Option<(u64, CompletionResponse)> {
+/// or `None` to reject it (truncating the log there). One byte scan finds
+/// the tabs, into a fixed array of a record's `1 + RESPONSE_FIELDS` slots,
+/// so a line with more fields than that is rejected here. `last_model`
+/// carries the model name from one record to the next.
+pub(crate) fn parse_record(
+    payload: &str,
+    last_model: &mut LastModel,
+) -> Option<(u64, CompletionResponse)> {
     let mut fields = [""; 1 + RESPONSE_FIELDS];
-    let mut parts = payload.split('\t');
-    let len = fields
-        .iter_mut()
-        .zip(parts.by_ref())
-        .map(|(slot, part)| *slot = part)
-        .count();
-    if parts.next().is_some() {
-        return None;
+    let mut len = 0;
+    let mut start = 0;
+    while let Some(at) = find_byte(&payload.as_bytes()[start..], b'\t') {
+        // A tab is ASCII, so both ends of the field are char boundaries.
+        *fields.get_mut(len)? = &payload[start..start + at];
+        len += 1;
+        start += at + 1;
     }
-    match fields[..len].split_first() {
-        Some((&"R", response)) => decode_response_fields(response),
+    *fields.get_mut(len)? = &payload[start..];
+    match fields[..=len].split_first() {
+        Some((&"R", response)) => decode_response_fields(response, last_model),
         _ => None,
     }
+}
+
+/// The bytes a record line is presized at when an open sizes its index
+/// from the file's length. Store records run from about 120 bytes (a short
+/// yes/no answer) to a few hundred (a packed round's); at 192 the index of
+/// a store of packed answers starts at the size growth would end at, and
+/// one of much shorter records grows once.
+const PRESIZE_RECORD_BYTES: u64 = 192;
+
+/// How many entries to presize the index of a `file_len`-byte store for.
+fn index_capacity(file_len: u64) -> usize {
+    usize::try_from(file_len / PRESIZE_RECORD_BYTES).unwrap_or(0)
 }
 
 /// One sealed `R` record line for `response` under `fingerprint`, built in
@@ -181,10 +198,17 @@ impl ResponseStore {
     pub fn open(path: impl AsRef<Path>, _config: StoreConfig) -> std::io::Result<ResponseStore> {
         let path = path.as_ref();
         let writer_lock = WriterLock::acquire(path)?;
-        let mut entries = HashMap::new();
-        let log = LogFile::open(path, HEADER, parse_record, |(fingerprint, response)| {
-            entries.insert(fingerprint, Arc::new(response));
-        })?;
+        let file_len = std::fs::metadata(path).map_or(0, |meta| meta.len());
+        let mut entries = HashMap::with_capacity(index_capacity(file_len));
+        let mut last_model = LastModel::default();
+        let log = LogFile::open(
+            path,
+            HEADER,
+            |payload| parse_record(payload, &mut last_model),
+            |(fingerprint, response)| {
+                entries.insert(fingerprint, Arc::new(response));
+            },
+        )?;
         Ok(ResponseStore {
             path: path.to_path_buf(),
             _writer_lock: writer_lock,
@@ -556,10 +580,44 @@ mod tests {
     fn a_record_with_a_field_more_or_fewer_is_rejected() {
         let line = record_line(0xfeed, &response("yes", 1));
         let payload = line.rsplit_once('\t').unwrap().0;
-        assert!(parse_record(payload).is_some());
-        assert!(parse_record(&format!("{payload}\textra")).is_none());
-        assert!(parse_record(payload.rsplit_once('\t').unwrap().0).is_none());
-        assert!(parse_record("R").is_none());
+        let parse = |payload: &str| parse_record(payload, &mut LastModel::default());
+        assert!(parse(payload).is_some());
+        assert!(parse(&format!("{payload}\textra")).is_none());
+        assert!(parse(payload.rsplit_once('\t').unwrap().0).is_none());
+        assert!(parse("R").is_none());
+        assert!(parse(&payload[1..]).is_none(), "no record kind");
+    }
+
+    #[test]
+    fn an_open_sizes_its_index_no_larger_than_growth_would() {
+        let packed = "1. No\n2. Yes\n3. No\n4. No\n5. Yes\n6. No\n7. No\n8. Yes\n";
+        for (entries, text, exact) in [
+            (6, "No.", true),
+            (256, packed, true),
+            (900, packed, false),
+            (2_000, "Yes, based on the information provided.", false),
+        ] {
+            let path = temp_path("presized");
+            {
+                let store = ResponseStore::open(&path, StoreConfig::default()).unwrap();
+                for fingerprint in 0..entries {
+                    assert!(store.record(fingerprint, &Arc::new(response(text, 24))));
+                }
+            }
+            let store = ResponseStore::open(&path, StoreConfig::default()).unwrap();
+            let presized = store.inner.lock().entries.capacity();
+            let mut grown = HashMap::new();
+            for fingerprint in 0..entries {
+                grown.insert(fingerprint, ());
+            }
+            assert!(presized >= entries as usize);
+            assert!(presized <= grown.capacity(), "{entries} entries: {presized}");
+            if exact {
+                assert_eq!(presized, grown.capacity(), "{entries} entries");
+            }
+            drop(store);
+            cleanup(&path);
+        }
     }
 
     #[test]

@@ -198,7 +198,7 @@ impl ModelName {
     }
 
     /// The name, copied out of the table under its lock.
-    fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         NAMES.lock().names[self.0 as usize]
     }
 }
