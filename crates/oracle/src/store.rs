@@ -22,8 +22,11 @@
 //! A record is an answer keyed by its request's fingerprint: nothing about
 //! the request but that fingerprint is kept. Entries never expire and the
 //! first write of a fingerprint wins, so the log only appends and every
-//! record in it is live. There is one record kind, `R`, followed by the
-//! response fields.
+//! record in it is live. A replay keeps the first record of a fingerprint
+//! too: a log holding a later record under the same fingerprint (two
+//! writers' logs joined, say) serves what the live store served, and the
+//! later record stays in the file. There is one record kind, `R`, followed
+//! by the response fields.
 //!
 //! The header line names the format, `crowdprompt-store v2`. A v1 file (its
 //! keys were FNV-1a request hashes, its records carried a generation and a
@@ -206,7 +209,10 @@ impl ResponseStore {
             HEADER,
             |payload| parse_record(payload, &mut last_model),
             |(fingerprint, response)| {
-                entries.insert(fingerprint, Arc::new(response));
+                // First write wins, on replay as in `insert`.
+                entries
+                    .entry(fingerprint)
+                    .or_insert_with(|| Arc::new(response));
             },
         )?;
         Ok(ResponseStore {
@@ -589,6 +595,47 @@ mod tests {
     }
 
     #[test]
+    fn a_replay_keeps_a_fingerprints_first_record_as_a_store_and_as_a_journal() {
+        use crate::client::LlmClient;
+        use crate::model::ModelProfile;
+        use crate::sim::SimulatedLlm;
+        use crate::world::WorldModel;
+
+        let asked = request("asked twice");
+        let (first, second) = (response("first", 1), response("second", 2));
+        let path = temp_path("first-wins");
+        let file = format!(
+            "{HEADER}\n{}{}",
+            record_line(asked.fingerprint(), &first),
+            record_line(asked.fingerprint(), &second)
+        );
+        std::fs::write(&path, &file).unwrap();
+
+        let store = ResponseStore::open(&path, StoreConfig::default()).unwrap();
+        assert_eq!(store.len(), 1);
+        assert_eq!(*store.lookup(asked.fingerprint()).unwrap(), first);
+        drop(store);
+        assert!(
+            std::fs::read(&path).unwrap() == file.as_bytes(),
+            "store open"
+        );
+
+        // A journal replays the paid answer it holds, without a call.
+        let llm = SimulatedLlm::new(ModelProfile::perfect(), Arc::new(WorldModel::new()), 1);
+        let client = LlmClient::new(Arc::new(llm));
+        let journal = ResponseStore::open(&path, StoreConfig::default()).unwrap();
+        assert!(client.attach_journal(Arc::new(journal)));
+        assert_eq!(client.complete(&asked).unwrap(), first);
+        assert_eq!(client.stats().calls(), 0);
+        drop(client);
+        assert!(
+            std::fs::read(&path).unwrap() == file.as_bytes(),
+            "journal open"
+        );
+        cleanup(&path);
+    }
+
+    #[test]
     fn an_open_sizes_its_index_no_larger_than_growth_would() {
         let packed = "1. No\n2. Yes\n3. No\n4. No\n5. Yes\n6. No\n7. No\n8. Yes\n";
         for (entries, text, exact) in [
@@ -611,7 +658,10 @@ mod tests {
                 grown.insert(fingerprint, ());
             }
             assert!(presized >= entries as usize);
-            assert!(presized <= grown.capacity(), "{entries} entries: {presized}");
+            assert!(
+                presized <= grown.capacity(),
+                "{entries} entries: {presized}"
+            );
             if exact {
                 assert_eq!(presized, grown.capacity(), "{entries} entries");
             }
