@@ -5,8 +5,6 @@
 //! processing operation. Templates are deterministic functions of
 //! `(task, corpus, criterion label)`, so token accounting is reproducible.
 
-use std::fmt::Write;
-
 use crowdprompt_oracle::task::{SortCriterion, TaskDescriptor};
 use crowdprompt_oracle::world::ItemId;
 
@@ -79,8 +77,8 @@ pub fn render(
 
 /// Append `task`'s prompt to `out`: every line is written straight into
 /// the one buffer (a [`TaskDescriptor::Verify`] renders the task it wraps
-/// in place). Writing to a `String` cannot fail, so the `fmt::Result` of
-/// each `write!` is dropped.
+/// in place), text by `push_str` and numbers by [`push_decimal`], without
+/// `core::fmt`.
 fn render_into(
     out: &mut String,
     task: &TaskDescriptor,
@@ -90,31 +88,34 @@ fn render_into(
     let c = &opts.criterion_label;
     match task {
         TaskDescriptor::SortList { items, criterion } => {
-            let _ = write!(
-                out,
-                "Sort the following {} items {}. Return the complete sorted list, \
+            out.push_str("Sort the following ");
+            push_decimal(out, items.len());
+            out.push_str(" items ");
+            out.push_str(criterion_phrase(c, *criterion));
+            out.push_str(
+                ". Return the complete sorted list, \
                  one item per line, and nothing else.\n\n",
-                items.len(),
-                criterion_phrase(c, *criterion),
             );
             numbered_items(out, items, corpus)?;
         }
         TaskDescriptor::CompareBatch { pairs, criterion } => {
-            let _ = write!(
-                out,
+            out.push_str(
                 "For each numbered pair below, answer whether the first item \
-                 should be ranked before the second {}. Respond with one line \
+                 should be ranked before the second ",
+            );
+            out.push_str(criterion_phrase(c, *criterion));
+            out.push_str(
+                ". Respond with one line \
                  per pair, in order: \"N. Yes\" or \"N. No\".\n\n",
-                criterion_phrase(c, *criterion),
             );
             for (i, (l, r)) in pairs.iter().enumerate() {
-                let _ = writeln!(
-                    out,
-                    "{}. First: {} | Second: {}",
-                    i + 1,
-                    text_of(corpus, *l)?,
-                    text_of(corpus, *r)?,
-                );
+                let (l, r) = (text_of(corpus, *l)?, text_of(corpus, *r)?);
+                push_decimal(out, i + 1);
+                out.push_str(". First: ");
+                out.push_str(l);
+                out.push_str(" | Second: ");
+                out.push_str(r);
+                out.push('\n');
             }
         }
         TaskDescriptor::Compare {
@@ -122,15 +123,14 @@ fn render_into(
             right,
             criterion,
         } => {
-            let _ = write!(
-                out,
-                "Consider two items.\nItem A: {}\nItem B: {}\n\
-                 Should Item A be ranked before Item B {}? \
-                 Start your response with Yes or No.",
-                text_of(corpus, *left)?,
-                text_of(corpus, *right)?,
-                criterion_phrase(c, *criterion),
-            );
+            let (left, right) = (text_of(corpus, *left)?, text_of(corpus, *right)?);
+            out.push_str("Consider two items.\nItem A: ");
+            out.push_str(left);
+            out.push_str("\nItem B: ");
+            out.push_str(right);
+            out.push_str("\nShould Item A be ranked before Item B ");
+            out.push_str(criterion_phrase(c, *criterion));
+            out.push_str("? Start your response with Yes or No.");
         }
         TaskDescriptor::Rate {
             item,
@@ -138,32 +138,41 @@ fn render_into(
             scale_max,
             ..
         } => {
-            let _ = write!(
-                out,
-                "On a scale from {scale_min} ({scale_min} = least) to {scale_max} \
-                 ({scale_max} = most), rate the following item {c}.\n\
-                 Item: {}\nRespond with a single number.",
-                text_of(corpus, *item)?,
-            );
+            let item = text_of(corpus, *item)?;
+            let (min, max) = (usize::from(*scale_min), usize::from(*scale_max));
+            out.push_str("On a scale from ");
+            push_decimal(out, min);
+            out.push_str(" (");
+            push_decimal(out, min);
+            out.push_str(" = least) to ");
+            push_decimal(out, max);
+            out.push_str(" (");
+            push_decimal(out, max);
+            out.push_str(" = most), rate the following item ");
+            out.push_str(c);
+            out.push_str(".\nItem: ");
+            out.push_str(item);
+            out.push_str("\nRespond with a single number.");
         }
         TaskDescriptor::SameEntity { left, right } => {
-            let _ = write!(
-                out,
-                // Verbatim structure from §3.3 of the paper.
-                "Are Citation A and Citation B the same? Yes or No? \
-                 Citation A is {}. Citation B is {}. \
-                 Are Citation A and Citation B the same? Start your response with Yes or No.",
-                text_of(corpus, *left)?,
-                text_of(corpus, *right)?,
+            let (left, right) = (text_of(corpus, *left)?, text_of(corpus, *right)?);
+            // Verbatim structure from §3.3 of the paper.
+            out.push_str("Are Citation A and Citation B the same? Yes or No? Citation A is ");
+            out.push_str(left);
+            out.push_str(". Citation B is ");
+            out.push_str(right);
+            out.push_str(
+                ". Are Citation A and Citation B the same? \
+                 Start your response with Yes or No.",
             );
         }
         TaskDescriptor::GroupEntities { items } => {
-            let _ = write!(
-                out,
-                "The following {} records may contain duplicates referring to the \
+            out.push_str("The following ");
+            push_decimal(out, items.len());
+            out.push_str(
+                " records may contain duplicates referring to the \
                  same real-world entity. Group them into duplicate sets. \
                  Output one group per line as: Group N: record | record | ...\n\n",
-                items.len()
             );
             numbered_items(out, items, corpus)?;
         }
@@ -172,46 +181,49 @@ fn render_into(
             attribute,
             examples,
         } => {
-            let _ = write!(
-                out,
-                "Fill in the missing \"{attribute}\" value for the final record.\n\n"
-            );
+            out.push_str("Fill in the missing \"");
+            out.push_str(attribute);
+            out.push_str("\" value for the final record.\n\n");
             for (ex_id, value) in examples {
-                let _ = write!(
-                    out,
-                    "Record: {}\n{attribute}: {value}\n\n",
-                    text_of(corpus, *ex_id)?
-                );
+                out.push_str("Record: ");
+                out.push_str(text_of(corpus, *ex_id)?);
+                out.push('\n');
+                out.push_str(attribute);
+                out.push_str(": ");
+                out.push_str(value);
+                out.push_str("\n\n");
             }
-            let _ = write!(out, "Record: {}\n{attribute}:", text_of(corpus, *item)?);
+            out.push_str("Record: ");
+            out.push_str(text_of(corpus, *item)?);
+            out.push('\n');
+            out.push_str(attribute);
+            out.push(':');
         }
         TaskDescriptor::CountPredicate {
             items, predicate, ..
         } => {
-            let _ = write!(
-                out,
-                "Below are {} items. Estimate how many of them satisfy: {predicate}. \
-                 Respond with a single number.\n\n",
-                items.len()
-            );
+            out.push_str("Below are ");
+            push_decimal(out, items.len());
+            out.push_str(" items. Estimate how many of them satisfy: ");
+            out.push_str(predicate);
+            out.push_str(". Respond with a single number.\n\n");
             numbered_items(out, items, corpus)?;
         }
         TaskDescriptor::CheckPredicate { item, predicate } => {
-            let _ = write!(
-                out,
-                "Does the following item satisfy: {predicate}?\nItem: {}\n\
-                 Start your response with Yes or No.",
-                text_of(corpus, *item)?,
-            );
+            let item = text_of(corpus, *item)?;
+            out.push_str("Does the following item satisfy: ");
+            out.push_str(predicate);
+            out.push_str("?\nItem: ");
+            out.push_str(item);
+            out.push_str("\nStart your response with Yes or No.");
         }
         TaskDescriptor::Classify { item, labels } => {
+            let item = text_of(corpus, *item)?;
             out.push_str("Classify the following item into exactly one of these categories: ");
             comma_separated(out, labels);
-            let _ = write!(
-                out,
-                ".\nItem: {}\nRespond with the category name only.",
-                text_of(corpus, *item)?,
-            );
+            out.push_str(".\nItem: ");
+            out.push_str(item);
+            out.push_str("\nRespond with the category name only.");
         }
         TaskDescriptor::Verify {
             original,
@@ -219,21 +231,42 @@ fn render_into(
         } => {
             out.push_str("A model was given the following task:\n---\n");
             render_into(out, original, corpus, opts)?;
-            let _ = write!(
-                out,
-                "\n---\nThe model answered: \"{proposed_answer}\".\n\
-                 Is that answer correct? Start your response with Yes or No.",
-            );
+            out.push_str("\n---\nThe model answered: \"");
+            out.push_str(proposed_answer);
+            out.push_str("\".\nIs that answer correct? Start your response with Yes or No.");
         }
         TaskDescriptor::Packed { tasks } => render_packed(out, tasks, corpus)?,
     }
     Ok(())
 }
 
+/// Append `n` in decimal, as `{n}` would format it.
+fn push_decimal(out: &mut String, mut n: usize) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
+}
+
+/// One `N. <item text>` line, numbered `i + 1`.
+fn numbered_line(out: &mut String, i: usize, text: &str) {
+    push_decimal(out, i + 1);
+    out.push_str(". ");
+    out.push_str(text);
+    out.push('\n');
+}
+
 /// One `N. <item text>` line per item, numbered from 1.
 fn numbered_items(out: &mut String, items: &[ItemId], corpus: &Corpus) -> Result<(), EngineError> {
     for (i, id) in items.iter().enumerate() {
-        let _ = writeln!(out, "{}. {}", i + 1, text_of(corpus, *id)?);
+        numbered_line(out, i, text_of(corpus, *id)?);
     }
     Ok(())
 }
@@ -266,19 +299,19 @@ fn render_packed(
     };
     match first {
         TaskDescriptor::CheckPredicate { predicate, .. } => {
-            let _ = write!(
-                out,
-                "For each of the {n} numbered items below, answer whether it \
-                 satisfies: {predicate}. Respond with one line per item, in \
+            out.push_str("For each of the ");
+            push_decimal(out, n);
+            out.push_str(" numbered items below, answer whether it satisfies: ");
+            out.push_str(predicate);
+            out.push_str(
+                ". Respond with one line per item, in \
                  order: \"N. Yes\" or \"N. No\", and nothing else.\n\n",
             );
         }
         TaskDescriptor::Classify { labels, .. } => {
-            let _ = write!(
-                out,
-                "Classify each of the {n} numbered items below into exactly one \
-                 of these categories: ",
-            );
+            out.push_str("Classify each of the ");
+            push_decimal(out, n);
+            out.push_str(" numbered items below into exactly one of these categories: ");
             comma_separated(out, labels);
             out.push_str(
                 ". Respond with one line per item, in \
@@ -286,10 +319,12 @@ fn render_packed(
             );
         }
         TaskDescriptor::Impute { attribute, .. } => {
-            let _ = write!(
-                out,
-                "Fill in the missing \"{attribute}\" value for each of the {n} \
-                 numbered records below. Respond with one line per record, in \
+            out.push_str("Fill in the missing \"");
+            out.push_str(attribute);
+            out.push_str("\" value for each of the ");
+            push_decimal(out, n);
+            out.push_str(
+                " numbered records below. Respond with one line per record, in \
                  order: \"N. <value>\", and nothing else.\n\n",
             );
         }
@@ -298,23 +333,29 @@ fn render_packed(
     for (i, task) in tasks.iter().enumerate() {
         match task {
             TaskDescriptor::CheckPredicate { item, .. } | TaskDescriptor::Classify { item, .. } => {
-                let _ = writeln!(out, "{}. {}", i + 1, text_of(corpus, *item)?);
+                numbered_line(out, i, text_of(corpus, *item)?);
             }
             TaskDescriptor::Impute {
                 item,
                 attribute,
                 examples,
             } => {
-                let _ = writeln!(out, "{}. Record: {}", i + 1, text_of(corpus, *item)?);
+                let text = text_of(corpus, *item)?;
+                push_decimal(out, i + 1);
+                out.push_str(". Record: ");
+                out.push_str(text);
+                out.push('\n');
                 // Few-shot examples are per record (each record's nearest
                 // labelled neighbors), so they render inline — packing
                 // amortizes the instruction, not the examples.
                 for (ex_id, value) in examples {
-                    let _ = writeln!(
-                        out,
-                        "   (similar record: {} has {attribute}: {value})",
-                        text_of(corpus, *ex_id)?,
-                    );
+                    out.push_str("   (similar record: ");
+                    out.push_str(text_of(corpus, *ex_id)?);
+                    out.push_str(" has ");
+                    out.push_str(attribute);
+                    out.push_str(": ");
+                    out.push_str(value);
+                    out.push_str(")\n");
                 }
             }
             other => return Err(not_packable(other)),
@@ -443,6 +484,56 @@ mod tests {
         .unwrap();
         assert!(p.contains("Are Citation A and Citation B the same?"));
         assert!(p.contains("\"Yes\""));
+    }
+
+    #[test]
+    fn decimals_are_written_as_format_writes_them() {
+        for n in [0, 1, 9, 10, 11, 99, 100, 255, 1_000, 65_536, usize::MAX] {
+            let mut out = String::from("x");
+            push_decimal(&mut out, n);
+            assert_eq!(out, format!("x{n}"));
+        }
+    }
+
+    #[test]
+    fn lists_past_nine_items_number_every_line() {
+        let mut c = Corpus::new();
+        let items: Vec<ItemId> = (0..12).map(ItemId).collect();
+        for &id in &items {
+            c.insert(id, format!("flavor {}", id.0));
+        }
+        let opts = RenderOptions::default();
+        let listed = render(
+            &TaskDescriptor::SortList {
+                items: items.clone(),
+                criterion: SortCriterion::LatentScore,
+            },
+            &c,
+            &opts,
+        )
+        .unwrap();
+        let packed = render(
+            &TaskDescriptor::Packed {
+                tasks: items
+                    .iter()
+                    .map(|&item| TaskDescriptor::CheckPredicate {
+                        item,
+                        predicate: "is sweet".into(),
+                    })
+                    .collect(),
+            },
+            &c,
+            &opts,
+        )
+        .unwrap();
+        let lines: String = items
+            .iter()
+            .map(|id| format!("{}. flavor {}\n", id.0 + 1, id.0))
+            .collect();
+        assert!(listed.starts_with("Sort the following 12 items by the given criterion."));
+        assert!(listed.ends_with(&lines), "{listed}");
+        assert!(packed.starts_with("For each of the 12 numbered items below"));
+        assert!(packed.ends_with(&lines), "{packed}");
     }
 
     #[test]
