@@ -97,7 +97,7 @@ fn mum(a: u64, b: u64) -> u64 {
 
 /// The little-endian word at the start of `bytes` (at least 8 long).
 #[inline(always)]
-fn word(bytes: &[u8]) -> u64 {
+pub(crate) fn word(bytes: &[u8]) -> u64 {
     let mut w = [0u8; 8];
     w.copy_from_slice(&bytes[..8]);
     u64::from_le_bytes(w)

@@ -43,7 +43,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use crate::hash::{fnv1a_str, fnv1a_x4, parse_hex64, push_hex64};
+use crate::hash::{fnv1a_str, fnv1a_x4, parse_hex64, push_hex64, word};
 use crate::pricing::Pricing;
 use crate::types::{CompletionResponse, FinishReason, ModelName, Usage};
 
@@ -112,14 +112,6 @@ pub(crate) fn unescape(s: &str) -> Option<Cow<'_, str>> {
     // Each escape is two ASCII bytes turned into one, so the copy is as
     // much UTF-8 as `s` and always converts.
     String::from_utf8(out).ok().map(Cow::Owned)
-}
-
-/// Eight bytes read as one little-endian word.
-#[inline(always)]
-fn word(chunk: &[u8]) -> u64 {
-    let mut bytes = [0; 8];
-    bytes.copy_from_slice(chunk);
-    u64::from_le_bytes(bytes)
 }
 
 /// The index of the first byte of `word` (little-endian) that is `needle`.
