@@ -10,7 +10,7 @@
 //!   known-answer vectors.
 //! * FNV-1a ([`fnv1a`], `Fingerprint`) — one byte a step, for the
 //!   simulator's seeds (`sim::seed_of`), a task's structural fingerprint
-//!   and the record logs' line checksums ([`fnv1a_x4`] checks four lines'
+//!   and the record logs' line checksums (`fnv1a_x4` checks four lines'
 //!   at once). Every simulated answer is a function of these values, so
 //!   they never change.
 //! * `mix` / `combine` — a splitmix64 finalizer and an order-sensitive

@@ -156,10 +156,11 @@ pub(crate) fn parse_record(
 }
 
 /// The bytes a record line is presized at when an open sizes its index
-/// from the file's length. Store records run from about 120 bytes (a short
-/// yes/no answer) to a few hundred (a packed round's); at 192 the index of
-/// a store of packed answers starts at the size growth would end at, and
-/// one of much shorter records grows once.
+/// from the file's length. A short yes/no answer's record is about 120
+/// bytes and a packed round's about 185: at 192 the index of a store of
+/// packed answers usually starts at the size growth would end at, one of
+/// shorter records starts below it and grows, and only records longer
+/// than 192 bytes can start it past that size, by one doubling.
 const PRESIZE_RECORD_BYTES: u64 = 192;
 
 /// How many entries to presize the index of a `file_len`-byte store for.
@@ -636,7 +637,7 @@ mod tests {
     }
 
     #[test]
-    fn an_open_sizes_its_index_no_larger_than_growth_would() {
+    fn an_open_of_short_records_sizes_its_index_no_larger_than_growth_would() {
         let packed = "1. No\n2. Yes\n3. No\n4. No\n5. Yes\n6. No\n7. No\n8. Yes\n";
         for (entries, text, exact) in [
             (6, "No.", true),
