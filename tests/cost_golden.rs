@@ -34,7 +34,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crowdprompt::core::{Corpus, Engine};
+use crowdprompt::core::{Corpus, Engine, RunSpec, ServerBuilder, TenantSpec};
 use crowdprompt::embed::{BruteForceIndex, Metric, Queries, VectorStore};
 use crowdprompt::oracle::{
     CompletionRequest, CompletionResponse, FinishReason, LlmClient, ModelProfile, Pricing,
@@ -116,6 +116,13 @@ const KEEP_LABEL_ROUND: (u64, u64) = (1_259, 116_290);
 /// lowercasing short ASCII text in a stack buffer: the pool build's 256
 /// lowercase copies of the records went.
 const IMPUTE_ROUND: (u64, u64) = (2_087, 600_503);
+/// `(allocations, bytes)` of sixteen `CheckPredicate` tasks through
+/// `Engine::run_outcome` at one worker, each answered from the client's
+/// cache by the same run cold before it.
+const RUN_OUTCOME_WARM: (u64, u64) = (65, 18_768);
+/// The same sixteen tasks through `Server::submit` for one tenant of a
+/// server over the same client.
+const SUBMIT_WARM: (u64, u64) = (35, 12_716);
 /// `(allocations, bytes)` of one `ResponseStore::open` of a fresh copy of
 /// `tests/fixtures/store-v2.log` (six records): the lock's path, the
 /// file's contents, each record's text and `Arc`, the index and the
@@ -425,6 +432,36 @@ fn each_step_allocates_what_it_was_recorded_to() {
     }
     got.extend(warm_costs);
 
+    // Sixteen per-item tasks the engine's client answers from its cache:
+    // once through the engine, once through the serve door.
+    let tasks: Vec<TaskDescriptor> = items[..16]
+        .iter()
+        .map(|&item| TaskDescriptor::CheckPredicate {
+            item,
+            predicate: "in_stock".to_owned(),
+        })
+        .collect();
+    let per_item = Engine::new(Arc::clone(engine.client()), engine.corpus().clone())
+        .with_parallelism(1);
+    let outcome = per_item
+        .run_outcome(RunSpec::tasks(tasks.clone()))
+        .expect("the cold run answers");
+    assert!(outcome.is_complete());
+    let calls = engine.client().ledger().calls();
+    let spec = RunSpec::tasks(tasks.clone());
+    let (warm, outcome) = counted(|| per_item.run_outcome(spec).expect("the warm run answers"));
+    assert!(outcome.is_complete() && outcome.responses.iter().all(|r| r.cached));
+    got.push(("run_outcome warm".to_owned(), warm));
+    let server = ServerBuilder::new()
+        .engine(per_item)
+        .tenant(TenantSpec::new("t"))
+        .try_build()
+        .expect("the server builds");
+    let (warm, run) = counted(|| server.submit("t", tasks).expect("the submit is admitted"));
+    assert!(run.is_complete());
+    assert_eq!(engine.client().ledger().calls(), calls, "no paid call");
+    got.push(("submit warm".to_owned(), warm));
+
     // Each open is of a fresh copy, after one warm-up open that interns the
     // model name.
     let mut paths = StorePaths::new();
@@ -447,6 +484,8 @@ fn each_step_allocates_what_it_was_recorded_to() {
         FILTER_ROUND,
         KEEP_LABEL_ROUND,
         IMPUTE_ROUND,
+        RUN_OUTCOME_WARM,
+        SUBMIT_WARM,
         STORE_OPEN_FIXTURE,
         STORE_OPEN_PACKED,
     ];
