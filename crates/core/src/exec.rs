@@ -2789,6 +2789,78 @@ mod tests {
         );
     }
 
+    /// A warm per-item `run_many` under a dollar budget below the summed
+    /// admission estimate of its tasks, every one of which an earlier run
+    /// answered: the whole-batch check counts every call, hits included,
+    /// and refuses the batch before any call.
+    #[test]
+    fn a_warm_per_item_batch_below_its_summed_estimate_is_admitted_as_pinned() {
+        let (engine, ids) = engine_with(8, Budget::Unlimited);
+        let tasks: Vec<_> = ids.iter().map(|id| check_task(*id)).collect();
+        let cold = engine.run_many(tasks.clone()).unwrap();
+        let estimate: f64 = tasks
+            .iter()
+            .map(|task| engine.admission_usd(engine.estimate_task(task.clone()).unwrap().0))
+            .sum();
+        let tight = engine.fork().with_budget(Budget::usd(estimate / 2.0));
+        let hits = engine.client().stats().cache_hits();
+        let refused = tight.run_many(tasks);
+        assert!(
+            matches!(refused, Err(EngineError::BudgetExceeded { .. })),
+            "{refused:?}"
+        );
+        assert_eq!(engine.client().stats().cache_hits(), hits, "nothing probed");
+        assert_eq!(tight.budget().spent_usd(), 0.0);
+        assert_eq!(engine.client().stats().calls(), cold.len() as u64);
+    }
+
+    /// A fail-fast sampled round at one worker whose third call (a long
+    /// record) alone is past a token budget the others fit: the two warm
+    /// calls and the cold short one before it are admitted per call, the
+    /// cold one paid; the long call is refused by the worker, which stops
+    /// the round before the warm call after it.
+    #[test]
+    fn a_fail_fast_sampled_round_with_a_call_refused_at_render_runs_as_pinned() {
+        let mut w = WorldModel::new();
+        let ids: Vec<_> = (0..4)
+            .map(|i| {
+                let text = match i {
+                    2 => format!("long record {}", "lorem ipsum dolor ".repeat(40)),
+                    i => format!("short record {i}"),
+                };
+                let id = w.add_item(text);
+                w.set_flag(id, "p", true);
+                id
+            })
+            .collect();
+        let corpus = Corpus::from_world(&w, &ids);
+        let llm = Arc::new(SimulatedLlm::new(ModelProfile::perfect(), Arc::new(w), 7));
+        let engine = Engine::new(Arc::new(LlmClient::new(llm)), corpus).with_parallelism(1);
+        let call = |i: usize| Engine::unsampled(check_task(ids[i]));
+        engine.run_sampled(vec![call(0), call(3)], &unread).unwrap();
+        let tokens = |i: usize| engine.estimate_task(check_task(ids[i])).unwrap().1;
+        assert!(tokens(1) * 3 < tokens(2), "the long record's call is long");
+        let trace = Arc::new(Trace::new());
+        let tight = engine
+            .fork()
+            .with_budget(Budget::tokens(tokens(2) - 1))
+            .with_trace(Arc::clone(&trace));
+        let calls = engine.client().stats().calls();
+        let paid = engine.client().ledger().total_tokens();
+        let round = tight.run_sampled(vec![call(0), call(1), call(2), call(3)], &unread);
+        assert!(
+            matches!(round, Err(EngineError::BudgetExceeded { .. })),
+            "{round:?}"
+        );
+        assert_eq!(engine.client().stats().calls() - calls, 1, "one paid call");
+        let paid = engine.client().ledger().total_tokens() - paid;
+        assert!(paid > 0);
+        assert_eq!(tight.budget().spent_tokens(), paid);
+        let summary = trace.summary();
+        let totals = &summary.by_kind["check_predicate"];
+        assert_eq!((totals.calls, totals.cached), (2, 1));
+    }
+
     /// A warm packed round under a dollar budget with nothing left: failing
     /// fast, every pack is refused before its probe, as before any call;
     /// degrading, every pack is a hit and served, since a hit costs
