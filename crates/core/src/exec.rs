@@ -7,36 +7,39 @@
 //! [`FailurePolicy`] is a value they consult, not a second implementation:
 //!
 //! ```text
-//!  RunSpec ─► prepare ─► pump ───────────────────────────────► BatchOutcome
-//!             render,    fair feed ───► caller ── execute ─┐
-//!             count,     (jobs point    helper 2 ─ execute ─┼─► the job's
-//!             estimate,   into their     ...                │   batch: slots
-//!             pick the    batch; claims helper W ─ execute ─┘   in input order
-//!             admission   ≤ workers×batch)
-//!             mode
+//!  calls ─► round ─────► pump ───────────────────────────────► BatchOutcome
+//!           build,      fair feed ───► caller ── execute ─┐
+//!           render,     (jobs point    helper 2 ─ execute ─┼─► the job's
+//!           count,       into their     ...                │   batch: slots
+//!           estimate,    batch; claims helper W ─ execute ─┘   in input order
+//!           probe; admit ≤ workers×batch)
+//!           the misses
 //! ```
 //!
-//! * **prepare** renders each call once, counts its prompt's tokens once
+//! * **round** (`Engine::run_packs`, the one round loop) takes every
+//!   `Query`-door run: [`Engine::run_many`], [`Engine::run_outcome`] and
+//!   the sampled vote rounds as rounds of width one (each item its own
+//!   pack), the packed door at its width. Each pack's call is built from a
+//!   per-index builder, rendered once, its prompt's tokens counted once
 //!   (the count rides on the work item for whoever needs it later — the
-//!   estimate here, context fitting in the pack loop) and stamps it with
-//!   how it is admitted against the budget: covered by a whole-batch
-//!   cumulative check (a per-item batch that cannot fit is refused before
-//!   any call), admitted per call at execution time against actual spend
-//!   (sampled votes and packs, whose retries cannot be known up front), or
-//!   — when the policy degrades — admitted only after a free local hit has
-//!   been ruled out. A packed round's prepare runs inside the pump
-//!   instead: each pack's tasks are built from the operator's per-index
-//!   builder, checked, rendered, counted and estimated in contiguous shares
-//!   on the caller and the pump's render helpers when the round is large
-//!   enough to pay for them (no per-item task list is held on the caller),
-//!   and the caller then splits the oversize packs in input order before
-//!   anything is queued. The participant that renders a pack also probes
-//!   it once (`Engine::settle_hit`, the one settle rule): a hit is billed,
-//!   traced and placed in its slot there, its request dropped on the
-//!   thread that allocated it, and only a miss is queued, with its key.
-//!   Once the round is answered, each pack's response is split into
-//!   borrowed lines and every line read into the operator's typed answer
-//!   in the same shares.
+//!   estimate here, context fitting in the pack loop), estimated and
+//!   stamped with how it is admitted against the budget, in contiguous
+//!   shares on the caller and the pump's render helpers when the round is
+//!   large enough to pay for them (no per-item task list is held on the
+//!   caller). The participant that renders a call also probes it once
+//!   (`Engine::settle_hit`, the one settle rule): a hit is billed, traced
+//!   and placed in its slot there, its request dropped on the thread that
+//!   allocated it, and only a miss is queued, with its key. A call
+//!   admitted per call is probed only if its estimate is admitted at
+//!   render, and pre-fails its item if not. The caller then walks the
+//!   round in input order: it admits a round that is admitted whole (a
+//!   per-item run's misses, cumulatively — the i-th miss must fit after
+//!   the estimated spend of the misses before it, hits are free) or
+//!   refuses it before any call, refuses a packed round that mixes
+//!   instructions, and splits the oversize packs, before anything is
+//!   queued. Once the round is answered, each pack's response is split
+//!   into borrowed lines and every line read into the operator's typed
+//!   answer in the same shares; a single's answer is read on the caller.
 //! * **pump** is the one worker loop in the crate. It queues the batch on
 //!   the engine's lane of a [`FairFeed`] — its own one-lane feed (one-lane
 //!   deficit round robin *is* FIFO) or, scoped to a tenant by
@@ -55,25 +58,24 @@
 //!   *pull* small claims, at most `workers × MAX_CLAIM`
 //!   claimed-but-unfinished; claim size doubles after a claim that averaged
 //!   under `FAST_TASK_MICROS` per job and halves after a slow one. On both
-//!   doors the feed orders only the work that needs a slot: a packed
-//!   round's hits are settled where they are rendered, and on a serving
-//!   stack a batch whose admission is settled is probed by the thread that
-//!   rendered it before it is shared. Only misses are queued, counted as
-//!   outstanding and used to size the helpers — a batch of hits never
-//!   meets the feed, a job, a lease or the condvar.
-//! * **execute** is the one worker body: admit, probe the client once
-//!   ([`LlmClient::probe`], the request's one hashing; its key rides into
-//!   the call), dispatch with up to the batch's attempt allowance, account.
-//!   With one attempt it *is* the fail-fast worker. A job probed before it
-//!   was queued carries its key instead and is only re-checked by it. On a
-//!   serving stack a call that may reach the backend holds a slot lease; a
-//!   hit — at render, at enqueue, at the probe, or at the re-check — takes
-//!   none.
+//!   doors the feed orders only the work that needs a slot: a round's hits
+//!   are settled where they are rendered, and the serve door's batch,
+//!   rendered and admitted by [`crate::serve::Server::submit`], is probed
+//!   by the submitting thread before it is shared. Only misses are queued,
+//!   counted as outstanding and used to size the helpers — a batch of hits
+//!   never meets the feed, a job, a lease or the condvar.
+//! * **execute** is the one worker body: admit, re-check the key the probe
+//!   before queueing left ([`LlmClient::probe_key`], no hashing: another
+//!   call may have answered it meanwhile), dispatch under that key with up
+//!   to the batch's attempt allowance, account. With one attempt it *is*
+//!   the fail-fast worker. On a serving stack a call that may reach the
+//!   backend holds a slot lease; a hit — at render, at the serve door's
+//!   probe, or at the re-check — takes none.
 //!
 //! The policy is read at three points in this file — the attempt
 //! allowance and stop-on-first-error in `RunShape`, and
-//! salvage-before-admission in prepare — plus `Settle`, the per-item
-//! helper operators hand their parse results to.
+//! salvage-before-admission in `admission_mode` — plus `Settle`, the
+//! per-item helper operators hand their parse results to.
 //!
 //! [`Engine::run`] and [`Engine::run_many`] are always strict (callers
 //! pattern-match on their `Err`; the ranking and matching operators reach
@@ -91,7 +93,7 @@
 //! pack whose response does not split into one line per item — or, when
 //! the policy degrades, that fails outright — is bisected and retried, one
 //! pumped round per level, down to bare singletons that carry the same
-//! fingerprint the per-item path issues. Each line is read where it lies,
+//! fingerprint a round of width one issues. Each line is read where it lies,
 //! borrowed from the pack's response, so the operator settles typed
 //! answers and no line is copied out.
 //!
@@ -516,60 +518,61 @@ impl Engine {
         Ok(responses.pop().expect("one response per task")) // lint: allow(no-unwrap)
     }
 
-    /// Execute a batch of unit tasks through the pipelined dispatcher,
-    /// preserving order. Always strict, whatever the engine's policy: the
-    /// first hard error fails the batch (transient errors are already
-    /// retried inside the client), and the whole batch is admitted against
-    /// the budget *cumulatively* before any call — the i-th task must fit
-    /// after the estimated spend of tasks 0..i, so a batch that would blow
-    /// through the budget is refused whole.
+    /// Execute a batch of unit tasks as one round of width one, preserving
+    /// order. Always strict, whatever the engine's policy: the first hard
+    /// error fails the batch (transient errors are already retried inside
+    /// the client), and the batch's misses are admitted against the budget
+    /// *cumulatively* before any call — the i-th miss must fit after the
+    /// estimated spend of the misses before it, so a batch whose misses
+    /// would blow through the budget is refused whole. A cache hit is
+    /// settled where it is rendered and costs nothing, so it is not counted.
     pub fn run_many(
         &self,
         tasks: Vec<TaskDescriptor>,
     ) -> Result<Vec<CompletionResponse>, EngineError> {
-        let calls = tasks.into_iter().map(Engine::unsampled).collect();
-        // A stop-on-error pump returns `Err` before any item can be one,
+        let calls = tasks.into_iter().map(Engine::unsampled);
+        // A stop-on-error round returns `Err` before any item can be one,
         // and the responses are all a caller gets: no answer is read.
         let unread = |_: &str| Ok(());
         Ok(self
-            .run_items(calls, Admit::Batch, FailurePolicy::FailFast, &unread)?
+            .run_calls(calls, Admit::Batch, FailurePolicy::FailFast, &unread)?
             .responses)
     }
 
-    /// Execute `spec`, one call per task at temperature 0, under the
-    /// engine's [`FailurePolicy`] and normalize to a [`BatchOutcome`]:
-    /// per-item answers in input order, the responses to meter, and the
-    /// quarantined remainder.
+    /// Execute `spec`, one call per task at temperature 0, as one round of
+    /// width one under the engine's [`FailurePolicy`], and normalize to a
+    /// [`BatchOutcome`]: per-item answers in input order, the responses to
+    /// meter, and the quarantined remainder.
     ///
     /// Under [`FailurePolicy::FailFast`] the first hard error (lowest input
     /// index among the failures observed) is returned as `Err`, after the
-    /// whole batch was admitted cumulatively before any call, as
-    /// [`Engine::run_many`] admits it. Under [`FailurePolicy::Degrade`]
+    /// batch's misses were admitted cumulatively before any call, as
+    /// [`Engine::run_many`] admits them. Under [`FailurePolicy::Degrade`]
     /// every item runs to completion or quarantine; cache hits are salvaged
     /// even after the budget is exhausted, since they cost nothing to serve.
     pub fn run_outcome(&self, spec: RunSpec) -> Result<BatchOutcome, EngineError> {
+        let calls = spec.tasks.into_iter().map(Engine::unsampled);
         let owned = |text: &str| Ok(text.to_owned());
-        self.run_per_item(spec.tasks, None, self.failure_policy, &owned)
+        self.run_calls(calls, Admit::Batch, self.failure_policy, &owned)
     }
 
-    /// One call per `(task, temperature, sample_index)`, each admitted at
-    /// execution, under the engine's policy, each answer read by `read`: a
+    /// One call per `(task, temperature, sample_index)`, each admitted per
+    /// call, under the engine's policy, each answer read by `read`: a
     /// per-item vote round's fan-out (`ops::filter`).
-    pub(crate) fn run_sampled<A>(
+    pub(crate) fn run_sampled<A: Send>(
         &self,
         calls: Vec<Call>,
         read: &Reader<'_, A>,
     ) -> Result<BatchOutcome<A>, EngineError> {
-        self.run_items(calls, Admit::PerCall, self.failure_policy, read)
+        self.run_calls(calls, Admit::PerCall, self.failure_policy, read)
     }
 
     /// The one packed door (or, with `sampling`, one packed vote round),
     /// over `n` tasks that the caller does not hold: task `i` is
-    /// `task_of(i)`, built where it is needed, and its answer is what
-    /// `read` makes of its text. Packed, each pack's tasks are built by the
-    /// pump participant that renders the pack, and its answers read by the
-    /// one that parses it; per item (width ≤ 1), tasks are built and
-    /// answers read in input order here.
+    /// `task_of(i)`, built by the pump participant that renders it (alone,
+    /// or in its pack), and its answer is what `read` makes of its text. At
+    /// width ≤ 1 without `sampling` the round is admitted whole, as
+    /// [`Engine::run_outcome`] admits it; otherwise per call.
     pub(crate) fn run_built<A: Send>(
         &self,
         n: usize,
@@ -578,33 +581,35 @@ impl Engine {
         sampling: Option<(f64, u32)>,
         read: &Reader<'_, A>,
     ) -> Result<BatchOutcome<A>, EngineError> {
-        let policy = self.failure_policy;
-        if width > 1 {
-            return self.run_packs(n, task_of, width, sampling, policy, read);
-        }
-        self.run_per_item((0..n).map(task_of), sampling, policy, read)
+        let (temperature, sample_index) = sampling.unwrap_or((0.0, 0));
+        let width = width.max(1);
+        let admit = match (width, sampling) {
+            (1, None) => Admit::Batch,
+            _ => Admit::PerCall,
+        };
+        let call_of = |i: usize| (task_of(i), temperature, sample_index);
+        self.run_packs(n, &call_of, width, admit, self.failure_policy, read)
     }
 
-    /// One call per task at `sampling` (temperature 0, sample 0 when
-    /// `None`): an unsampled batch is admitted whole before any call, a
-    /// sampled one per call.
-    fn run_per_item<A>(
+    /// `calls` as one round of width one: each call is moved out of its
+    /// slot as the round renders it, never cloned (the round's builder is
+    /// a shared `Fn`, hence a lock per slot, never contended).
+    fn run_calls<A: Send>(
         &self,
-        tasks: impl IntoIterator<Item = TaskDescriptor>,
-        sampling: Option<(f64, u32)>,
+        calls: impl IntoIterator<Item = Call>,
+        admit: Admit,
         policy: FailurePolicy,
         read: &Reader<'_, A>,
     ) -> Result<BatchOutcome<A>, EngineError> {
-        let (temperature, sample_index) = sampling.unwrap_or((0.0, 0));
-        let admit = match sampling {
-            None => Admit::Batch,
-            Some(_) => Admit::PerCall,
-        };
-        let calls = tasks
+        let calls: Vec<Mutex<Option<Call>>> = calls
             .into_iter()
-            .map(|task| (task, temperature, sample_index))
+            .map(|call| Mutex::new(Some(call)))
             .collect();
-        self.run_items(calls, admit, policy, read)
+        let call_of = |i: usize| {
+            let call = calls[i].lock().take();
+            call.expect("a round of width one builds each call once") // lint: allow(no-unwrap)
+        };
+        self.run_packs(calls.len(), &call_of, 1, admit, policy, read)
     }
 
     /// Begin settling one operator run's per-item parse results under the
@@ -617,56 +622,33 @@ impl Engine {
         }
     }
 
-    /// One call per item: prepare, pump, normalize, each answer read by
-    /// `read`.
-    fn run_items<A>(
-        &self,
-        calls: Vec<Call>,
-        admit: Admit,
-        policy: FailurePolicy,
-        read: &Reader<'_, A>,
-    ) -> Result<BatchOutcome<A>, EngineError> {
-        let work = self.prepare(calls, admit, policy);
-        let mut outcome = BatchOutcome::default();
-        let results = self.pump(Intake::Rendered(work), self.shape(policy))?;
-        for (index, item) in results.into_iter().enumerate() {
-            match item {
-                Ok(response) => {
-                    outcome.answers.push(read(&response.text));
-                    outcome.responses.push(response);
-                }
-                Err(errors) => {
-                    outcome.answers.push(Err(condemning(&errors)));
-                    outcome.quarantined.push(Quarantine { index, errors });
-                }
-            }
-        }
-        Ok(outcome)
-    }
-
-    /// The one pack → context-split → bisect loop over `n` tasks, task `i`
-    /// built by `task_of(i)` and its answer read by `read`. Each level is
-    /// one pumped round, so bisection costs O(log width) rounds, not O(n)
-    /// sequential calls. A round's packs are built and rendered, and its
-    /// answers split into lines borrowed from each response and read, in
-    /// the pump's shares ([`in_shares`]); the caller only fits packs to the
-    /// context window, places typed answers and records bisections, in
-    /// input order. Render errors, dispatch failures and unparseable
-    /// responses all narrow the same way — a pack splits in half, an
-    /// irreducible single is quarantined — so every healthy item packed
-    /// next to a broken one still completes; a fail-fast pump returns its
-    /// first error before any of that is reached.
+    /// The one round loop: pack → context-split → bisect over `n` calls,
+    /// call `i` built by `call_of(i)` and its answer read by `read`, `width`
+    /// to a pack. Width one is a per-item run: one call per item, each item
+    /// its own pack. Each level is one pumped round, so bisection costs
+    /// O(log width) rounds, not O(n) sequential calls. A round's packs are
+    /// built, rendered and probed, and its packs' answers split into lines
+    /// borrowed from each response and read, in the pump's shares
+    /// ([`in_shares`]); the caller admits, fits packs to the context window,
+    /// reads a single's answer, places typed answers and records
+    /// bisections, in input order. Render errors, dispatch failures and
+    /// unparseable responses all narrow the same way — a pack splits in
+    /// half, an irreducible single is quarantined — so every healthy item
+    /// packed next to a broken one still completes; a fail-fast pump
+    /// returns its first error before any of that is reached.
     ///
-    /// Every pack is checked against the first task as it is rendered, and
-    /// a round's every pack is rendered before any is queued, so a builder
-    /// that mixes instructions is refused with
-    /// [`EngineError::InvalidInput`] before any call, whatever the policy.
+    /// At width > 1 every pack is checked against the first call as it is
+    /// rendered, and a round's every pack is rendered before any is queued,
+    /// so a builder that mixes instructions is refused with
+    /// [`EngineError::InvalidInput`] before any call, whatever the policy;
+    /// a packed run's calls share one sampling, so a pack is asked at its
+    /// first call's. A run of width one may mix task kinds.
     fn run_packs<A: Send>(
         &self,
         n: usize,
-        task_of: &(dyn Fn(usize) -> TaskDescriptor + Sync),
+        call_of: &(dyn Fn(usize) -> Call + Sync),
         width: usize,
-        sampling: Option<(f64, u32)>,
+        admit: Admit,
         policy: FailurePolicy,
         read: &Reader<'_, A>,
     ) -> Result<BatchOutcome<A>, EngineError> {
@@ -679,106 +661,138 @@ impl Engine {
         if n == 0 {
             return Ok(outcome);
         }
-        // What every pack is checked against, built once; where item 0 is
-        // packed, it is cloned from here rather than built again.
-        let first = task_of(0);
-        let build = |i: usize| match i {
-            0 => first.clone(),
-            i => task_of(i),
+        // What every pack of a packed run is checked against, built once;
+        // where item 0 is packed, it is cloned from here rather than built
+        // again.
+        let first = (width > 1).then(|| call_of(0));
+        let build = |i: usize| match (i, &first) {
+            (0, Some(first)) => first.clone(),
+            _ => call_of(i),
         };
-        let (temperature, sample_index) = sampling.unwrap_or((0.0, 0));
         let window = self.client.model().context_window();
         let mut answers: Vec<Option<Result<A, EngineError>>> =
             std::iter::repeat_with(|| None).take(n).collect();
-        // Pending packs, as index ranges over the tasks.
+        // Pending packs, as index ranges over the calls.
         let mut pending: Vec<Range<usize>> = (0..n)
             .step_by(width)
             .map(|start| start..(start + width).min(n))
             .collect();
-        let mode = admission_mode(Admit::PerCall, policy);
+        let mode = admission_mode(admit, policy);
         let books = self.books();
         // A pack whose rendered prompt overflows the window (by the count
         // its render took) is split, never asked.
         let oversize = |width: usize, work: &Work| width > 1 && work.prompt_tokens > window;
+        // A round of width one is rendered and read on the caller alone:
+        // its calls are small and many, and rendered by helpers they raised
+        // `sort_cold`'s peak RSS (ARCHITECTURE.md).
+        let shares = if width > 1 { self.parallelism } else { 1 };
         while !pending.is_empty() {
-            // Each pack's tasks — built here — its check, render, count and
+            // Each pack's calls — built here — its check, render, count and
             // estimate, and the probe that settles a hit, on whichever of the
             // pump's participants holds it.
             let render = |i: usize| {
                 let pack = pending[i].clone();
                 let width = pack.len();
-                let task = match width {
-                    1 => build(pack.start),
-                    _ => TaskDescriptor::Packed {
-                        tasks: pack.map(build).collect(),
-                    },
+                let call = match &first {
+                    Some((_, temperature, sample_index)) if width > 1 => (
+                        TaskDescriptor::Packed {
+                            tasks: pack.map(|i| build(i).0).collect(),
+                        },
+                        *temperature,
+                        *sample_index,
+                    ),
+                    _ => build(pack.start),
                 };
-                let fits = match &task {
-                    TaskDescriptor::Packed { tasks } => {
-                        tasks.iter().all(|task| packs_with(&first, task))
+                if let Some((first, ..)) = &first {
+                    let fits = match &call.0 {
+                        TaskDescriptor::Packed { tasks } => {
+                            tasks.iter().all(|task| packs_with(first, task))
+                        }
+                        single => packs_with(first, single),
+                    };
+                    if !fits {
+                        return Err(mixed_packs());
                     }
-                    single => packs_with(&first, single),
-                };
-                if !fits {
-                    return Err(mixed_packs());
                 }
-                let work = self.render_call((task, temperature, sample_index), mode)?;
+                let work = self.render_call(call, mode)?;
                 if oversize(width, &work) {
                     return Ok(Rendered::Work(work));
                 }
-                Ok(self.settle_hit(&books, work))
+                self.settle_hit(&books, work)
             };
             let mut next: Vec<Range<usize>> = Vec::new();
             let mut round: Vec<Range<usize>> = Vec::new();
-            // On the caller in input order: refuse a mixed round — only the
-            // check above and the packed renderer's own packing contract
-            // raise `InvalidInput` at render — and fit the rest to the
-            // context window: an oversize pack splits without wasting a
-            // call.
+            // The estimate a round admitted whole has let through so far.
+            let (mut admitted_usd, mut admitted_tokens) = (0.0f64, 0u64);
+            // On the caller in input order: refuse a mixed packed round —
+            // only the check above and the packed renderer's own packing
+            // contract raise `InvalidInput` at render — or, admitted whole,
+            // one with a pre-failed call or more misses than the budget
+            // covers; fit the rest to the context window: an oversize pack
+            // splits without wasting a call.
             let mut keep = |i: usize, prepared: &Prepared| {
-                if let Err(refused @ EngineError::InvalidInput(_)) = prepared {
-                    return Err(refused.clone());
-                }
                 let pack = pending[i].clone();
-                let split =
-                    matches!(prepared, Ok(Rendered::Work(work)) if oversize(pack.len(), work));
-                if split {
-                    bisect(&pack, &mut next);
-                } else {
-                    round.push(pack);
+                match prepared {
+                    Err(refused)
+                        if mode == Admit::Batch
+                            || (width > 1 && matches!(refused, EngineError::InvalidInput(_))) =>
+                    {
+                        return Err(refused.clone());
+                    }
+                    Ok(Rendered::Work(work)) if oversize(pack.len(), work) => {
+                        bisect(&pack, &mut next);
+                        return Ok(false);
+                    }
+                    // The i-th miss must fit after the estimated spend of
+                    // the misses before it; a hit settled at render is free.
+                    Ok(Rendered::Work(work)) if mode == Admit::Batch => {
+                        let admit_usd = self.admission_usd(work.admission.est_usd);
+                        admitted_usd += admit_usd;
+                        admitted_tokens += work.admission.est_tokens;
+                        if !self.budget.admit(admitted_usd, admitted_tokens) {
+                            return Err(EngineError::BudgetExceeded {
+                                needed_usd: admit_usd,
+                                remaining_usd: self.budget.remaining_usd(),
+                            });
+                        }
+                    }
+                    _ => {}
                 }
-                Ok(!split)
+                round.push(pack);
+                Ok(true)
             };
             let intake = Intake::Shares {
                 count: pending.len(),
+                shares,
                 render: &render,
                 keep: &mut keep,
             };
             let results = self.pump(intake, self.shape(policy))?;
-            // Each answered pack's answers, read in the same shares: a
-            // single's whole text, or a pack's lines borrowed from its
-            // response; `None` for a failure or a list of another length.
+            // Each answered pack's answers, read in the same shares: its
+            // lines borrowed from its response; `None` for a single (read
+            // below), a failure or a list of another length.
             let parse = |i: usize| {
-                let text = &results[i].as_ref().ok()?.text;
                 let width = round[i].len();
                 if width == 1 {
-                    return Some(vec![read(text)]);
+                    return None;
                 }
+                let text = &results[i].as_ref().ok()?.text;
                 let mut lines = crate::extract::list_items(text);
                 let answers: Vec<_> = lines.by_ref().take(width).map(read).collect();
                 (answers.len() == width && lines.next().is_none()).then_some(answers)
             };
-            let parsed = in_shares(round.len(), self.parallelism, &parse);
-            for ((pack, item), read) in round.into_iter().zip(results).zip(parsed) {
+            let parsed = in_shares(round.len(), shares, &parse);
+            for ((pack, item), typed) in round.into_iter().zip(results).zip(parsed) {
                 match item {
                     Ok(response) => {
-                        match read {
-                            Some(typed) => {
-                                for (slot, answer) in answers[pack.clone()].iter_mut().zip(typed) {
-                                    *slot = Some(answer);
-                                }
+                        if pack.len() == 1 {
+                            answers[pack.start] = Some(read(&response.text));
+                        } else if let Some(typed) = typed {
+                            for (slot, answer) in answers[pack.clone()].iter_mut().zip(typed) {
+                                *slot = Some(answer);
                             }
-                            None => bisect(&pack, &mut next),
+                        } else {
+                            bisect(&pack, &mut next);
                         }
                         outcome.responses.push(response);
                     }
@@ -829,36 +843,6 @@ impl Engine {
         (task, 0.0, 0)
     }
 
-    /// Render each call once into dispatcher work and stamp it with how it
-    /// is admitted against the budget. A call that does not render, or that
-    /// the cumulative batch check refuses, becomes a pre-failed item.
-    fn prepare(&self, calls: Vec<Call>, admit: Admit, policy: FailurePolicy) -> Vec<Prepared> {
-        let mode = admission_mode(admit, policy);
-        let (mut pending_usd, mut pending_tokens) = (0.0f64, 0u64);
-        calls
-            .into_iter()
-            .map(|call| {
-                let work = self.render_call(call, mode)?;
-                if mode == Admit::Batch {
-                    let admit_usd = self.admission_usd(work.admission.est_usd);
-                    let est_tokens = work.admission.est_tokens;
-                    if !self
-                        .budget
-                        .admit(pending_usd + admit_usd, pending_tokens + est_tokens)
-                    {
-                        return Err(EngineError::BudgetExceeded {
-                            needed_usd: admit_usd,
-                            remaining_usd: self.budget.remaining_usd(),
-                        });
-                    }
-                    pending_usd += admit_usd;
-                    pending_tokens += est_tokens;
-                }
-                Ok(Rendered::Work(work))
-            })
-            .collect()
-    }
-
     /// The run shape a failure policy asks for — policy points: how often
     /// one item is attempted, and whether one item's failure ends the batch.
     fn shape(&self, policy: FailurePolicy) -> RunShape {
@@ -881,23 +865,26 @@ impl Engine {
     /// only when the shape stops on the first error; then a pre-failed item
     /// fails the batch before anything is queued.
     ///
-    /// A packed round ([`Intake::Shares`]) is rendered here first, by
-    /// [`in_shares`] on up to `shape.workers` participants, which settle
+    /// A round ([`Intake::Shares`]) is rendered here first, by
+    /// [`in_shares`] on up to its `shares` participants, which settle
     /// its hits as they go; then the caller keeps or drops each item in
-    /// input order, or refuses the round before anything is queued.
+    /// input order, or refuses the round before anything is queued. The
+    /// serve door's batch ([`Intake::Rendered`]) is settled on the calling
+    /// thread. Either way every queued request has been probed.
     pub(crate) fn pump(
         &self,
         intake: Intake<'_>,
         shape: RunShape,
     ) -> Result<Vec<ItemResult>, EngineError> {
         let items = match intake {
-            Intake::Rendered(items) => items,
+            Intake::Rendered(items) => self.probe_rendered(items),
             Intake::Shares {
                 count,
+                shares,
                 render,
                 keep,
             } => {
-                let rendered = in_shares(count, shape.workers, render);
+                let rendered = in_shares(count, shares, render);
                 rendered
                     .into_iter()
                     .enumerate()
@@ -952,55 +939,55 @@ impl Engine {
     /// thread — or leave the key a miss was probed under on its work, for
     /// the worker that draws it to re-check and dispatch under. A call
     /// admitted per call ([`Admit::PerCall`]) is probed only if its
-    /// estimate is admitted now; refused, it is left unprobed for the
-    /// worker to refuse.
-    fn settle_hit(&self, books: &Books, mut work: Work) -> Rendered {
+    /// estimate is admitted now; refused, it is pre-failed.
+    fn settle_hit(&self, books: &Books, mut work: Work) -> Prepared {
         let Admission {
             mode,
             est_usd,
             est_tokens,
         } = work.admission;
-        if mode == Admit::PerCall
-            && self
-                .admit_estimate(&books.ledger, est_usd, est_tokens)
-                .is_err()
-        {
-            return Rendered::Work(work);
+        if mode == Admit::PerCall {
+            self.admit_estimate(&books.ledger, est_usd, est_tokens)?;
         }
         match self.client.probe(&work.request) {
             Probe::Hit(hit) => {
                 books.account(&work.request, &hit);
-                Rendered::Settled(hit)
+                Ok(Rendered::Settled(hit))
             }
             Probe::Miss(key) => {
                 work.key = key;
-                Rendered::Work(work)
+                Ok(Rendered::Work(work))
             }
         }
+    }
+
+    /// The serve door's work, settled on the submitting thread before it
+    /// is shared ([`Engine::settle_hit`] on each rendered call).
+    fn probe_rendered(&self, items: Vec<Prepared>) -> Vec<Prepared> {
+        let books = self.books();
+        items
+            .into_iter()
+            .map(|item| match item {
+                Ok(Rendered::Work(work)) => self.settle_hit(&books, work),
+                item => item,
+            })
+            .collect()
     }
 
     /// Build the batch that owns `items`' requests and queue one handle per
     /// request that still needs a worker on this engine's lane; returns the
     /// batch and how many were queued. A pre-failed item, and a hit settled
-    /// where its round was rendered, is recorded in its slot here; so — on
-    /// a serving stack, for a request whose admission is already settled —
-    /// is a cache hit [`Engine::settle_hit`] finds now, while the batch is
-    /// still this thread's (no lock). A miss carries its key to the worker.
+    /// before it was queued, is recorded in its slot here, while the batch
+    /// is still this thread's (no lock). A miss carries its key to the
+    /// worker.
     fn enqueue(&self, items: Vec<Prepared>, shape: RunShape) -> (Arc<Batch>, usize) {
         let books = self.books();
-        let serving = self.gate.is_some();
         let mut results = Vec::with_capacity(items.len());
         let mut queued = Vec::new();
         let work: Vec<Option<Work>> = items
             .into_iter()
             .enumerate()
             .map(|(slot, item)| {
-                let item = match item {
-                    Ok(Rendered::Work(work)) if serving && work.admission.mode == Admit::Batch => {
-                        Ok(self.settle_hit(&books, work))
-                    }
-                    item => item,
-                };
                 let (work, result) = match item {
                     Ok(Rendered::Work(work)) => {
                         queued.push(slot);
@@ -1071,12 +1058,11 @@ impl Engine {
     }
 
     /// The one worker body: admit against the job's ledger (per call before
-    /// the probe, when salvaging after it), probe the client once — or
-    /// re-check the key a probe before queueing left — then dispatch under
-    /// that key with up to the batch's attempt allowance (each attempt
-    /// still carries the client's own retries). Returns the response or the
-    /// full error chain, one entry per failed attempt, that exhausted the
-    /// item.
+    /// the re-check, when salvaging after it), re-check the key the probe
+    /// before queueing left, then dispatch under that key with up to the
+    /// batch's attempt allowance (each attempt still carries the client's
+    /// own retries). Returns the response or the full error chain, one entry
+    /// per failed attempt, that exhausted the item.
     fn execute(&self, job: &Job) -> ItemResult {
         /// Cap on the pause between engine-level attempts, so one poison
         /// item honoring a long server hint cannot stall its worker.
@@ -1105,20 +1091,14 @@ impl Engine {
         if admission.mode == Admit::PerCall {
             admit()?;
         }
-        let key = match *key {
-            // Probed where it was rendered, and queued since: someone else's
-            // call may have answered the key meanwhile, and a hit must not
-            // take a lease. Whoever answered it filled the shard, so the key
-            // alone finds it; nothing is hashed again.
-            Some(key) => match self.client.probe_key(key) {
-                Some(hit) => return served(hit),
-                None => Some(key),
-            },
-            None => match self.client.probe(request) {
-                Probe::Hit(hit) => return served(hit),
-                Probe::Miss(key) => key,
-            },
-        };
+        // Probed before it was queued, and queued since: someone else's
+        // call may have answered the key meanwhile, and a hit must not take
+        // a lease. Whoever answered it filled the shard, so the key alone
+        // finds it; nothing is hashed again. A request without a key is one
+        // the cache does not apply to.
+        if let Some(hit) = key.and_then(|key| self.client.probe_key(key)) {
+            return served(hit);
+        }
         // A cache hit costs nothing to serve, so a salvaging run takes it
         // even when the budget is already spent, and asks only for a miss.
         if admission.mode == Admit::AfterSalvage {
@@ -1126,7 +1106,7 @@ impl Engine {
         }
         let mut errors: Vec<EngineError> = Vec::new();
         loop {
-            let e = match self.dispatch(request, key) {
+            let e = match self.dispatch(request, *key) {
                 Ok(response) => return served(response),
                 Err(e) => e,
             };
@@ -1182,18 +1162,29 @@ pub(crate) fn condemning(errors: &[EngineError]) -> EngineError {
 /// carried as data on the work item.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Admit {
-    /// With its whole batch, before anything is queued: the cumulative
-    /// check in [`Engine::prepare`], or the serve door's check of the
-    /// tenant's ledger. Nothing left to do in the worker.
+    /// With its whole batch, before anything is queued. A round of width
+    /// one ([`Engine::run_many`], [`Engine::run_outcome`]) checks its
+    /// misses cumulatively, in input order, as the caller keeps them: the
+    /// i-th miss must fit after the estimated spend of the misses before
+    /// it, and one that does not refuses the round before any call. A hit
+    /// settled where it was rendered is free and not counted, so a warm
+    /// batch is served under a budget its estimate would overrun (until the
+    /// per-item path joined the round loop, every call counted, hits
+    /// included). The serve door checks its whole batch, hits included,
+    /// against the tenant's ledger before any cache is asked. Nothing left
+    /// to do in the worker.
     Batch,
     /// Per call, against actual spend so far and *before* any cache probe
     /// — a hit is refused too once the budget is gone, as the sequential
-    /// loops these batches replace did. A packed round's call is admitted
-    /// where it is rendered, and probed there only if admitted: a hit is
-    /// then settled against the spend at render, not after the misses ahead
-    /// of it in the round (hits spend nothing, so no cap can be
-    /// overshot). The worker admits a miss again, at execution time, before
-    /// it re-checks and dispatches it, and refuses a call refused at render.
+    /// loops these batches replace did. A call is admitted where it is
+    /// rendered, and probed there only if admitted: a hit is then settled
+    /// against the spend at render, not after the misses ahead of it in
+    /// the round (hits spend nothing, so no cap can be overshot). A call
+    /// refused there pre-fails its item, which — since only a fail-fast
+    /// run admits per call — refuses the round before any call (it used
+    /// to be queued unprobed, for the worker to refuse after the calls
+    /// ahead of it had run). The worker admits a miss again, at execution
+    /// time, before it re-checks and dispatches it.
     PerCall,
     /// Per call, but only after a free local hit has been ruled out: work
     /// still undispatched when the budget runs out is quarantined instead
@@ -1214,9 +1205,13 @@ fn admission_mode(admit: Admit, policy: FailurePolicy) -> Admit {
 
 /// What a pump call queues.
 pub(crate) enum Intake<'a> {
-    /// Work its caller rendered and admitted, in input order.
+    /// The serve door's batch ([`crate::serve::Server::submit`], its one
+    /// caller): work it rendered and admitted, in input order, not yet
+    /// probed. The pump settles each call on the calling thread
+    /// ([`Engine::settle_hit`]) before it is shared.
     Rendered(Vec<Prepared>),
-    /// A packed round: `count` calls, call `i` rendered by `render(i)` on
+    /// A round (of packs, or of single calls at width one): `count` calls,
+    /// call `i` rendered by `render(i)` on
     /// whichever of the pump's participants holds it in shares — a hit
     /// settled there ([`Engine::settle_hit`]) comes back as
     /// [`Rendered::Settled`] — and then handed, in input order on the
@@ -1226,6 +1221,8 @@ pub(crate) enum Intake<'a> {
     /// its hits, which cost nothing.
     Shares {
         count: usize,
+        /// The most participants the render may split over.
+        shares: usize,
         render: &'a (dyn Fn(usize) -> Prepared + Sync),
         keep: &'a mut dyn FnMut(usize, &Prepared) -> Result<bool, EngineError>,
     },
@@ -1324,9 +1321,10 @@ pub(crate) struct Admission {
 pub(crate) struct Work {
     request: CompletionRequest,
     prompt_tokens: u32,
-    /// `Some` once [`Engine::settle_hit`] has probed the request and
-    /// missed: its fingerprint, which the worker re-checks and dispatches
-    /// under without hashing again. `None`: the worker probes.
+    /// Set by [`Engine::settle_hit`], which probes every queued request:
+    /// `Some` for a cacheable one, the fingerprint it missed under, which
+    /// the worker re-checks and dispatches under without hashing again;
+    /// `None` for one the cache does not apply to.
     key: Option<u64>,
     pub(crate) admission: Admission,
 }
@@ -2303,11 +2301,19 @@ mod tests {
         workers: 1,
     };
 
-    /// `tasks` rendered for a per-call-admitted batch, unknown items
-    /// pre-failed.
+    /// `tasks` rendered as the serve door renders them, admitted with their
+    /// batch, unknown items pre-failed: what [`Intake::Rendered`] takes.
     fn rendered(engine: &Engine, tasks: Vec<TaskDescriptor>) -> Vec<Prepared> {
-        let calls = tasks.into_iter().map(Engine::unsampled).collect();
-        engine.prepare(calls, Admit::PerCall, FailurePolicy::FailFast)
+        let work = |task| engine.render_call(Engine::unsampled(task), Admit::Batch);
+        tasks
+            .into_iter()
+            .map(|task| work(task).map(Rendered::Work))
+            .collect()
+    }
+
+    /// The same, probed, as the pump hands them to `enqueue`.
+    fn probed(engine: &Engine, tasks: Vec<TaskDescriptor>) -> Vec<Prepared> {
+        engine.probe_rendered(rendered(engine, tasks))
     }
 
     #[test]
@@ -2325,7 +2331,7 @@ mod tests {
                 check_task(ids[2]),
             ]
         };
-        let (batch, queued) = engine.enqueue(rendered(&engine, tasks()), EVERY_ITEM);
+        let (batch, queued) = engine.enqueue(probed(&engine, tasks()), EVERY_ITEM);
         {
             let slots = batch.slots.lock();
             assert!(matches!(
@@ -2375,8 +2381,8 @@ mod tests {
         let (a, b) = (on_lane("a"), on_lane("b"));
         let tasks =
             |ids: &[crowdprompt_oracle::ItemId]| ids.iter().map(|id| check_task(*id)).collect();
-        let (batch_a, _) = a.enqueue(rendered(&a, tasks(&ids[..4])), EVERY_ITEM);
-        let (batch_b, _) = b.enqueue(rendered(&b, tasks(&ids[4..])), EVERY_ITEM);
+        let (batch_a, _) = a.enqueue(probed(&a, tasks(&ids[..4])), EVERY_ITEM);
+        let (batch_b, _) = b.enqueue(probed(&b, tasks(&ids[4..])), EVERY_ITEM);
         // B's worker drains the round-robin feed until B's batch is done,
         // running A's jobs — same slot numbers, other requests — on the way.
         b.work(&batch_b);
@@ -2411,7 +2417,7 @@ mod tests {
     fn a_worker_that_dies_holding_a_job_fails_that_slot_and_the_batch_is_freed_once() {
         let (engine, ids) = engine_with(4, Budget::Unlimited);
         let tasks = ids.iter().map(|id| check_task(*id)).collect();
-        let (batch, _) = engine.enqueue(rendered(&engine, tasks), EVERY_ITEM);
+        let (batch, _) = engine.enqueue(probed(&engine, tasks), EVERY_ITEM);
         let alive = Arc::downgrade(&batch);
         let feed = Arc::clone(&engine.lane.feed);
         let died = std::thread::spawn(move || {
@@ -2771,7 +2777,10 @@ mod tests {
                 ..base.fork().with_parallelism(workers)
             };
             let (other, warm) = (on_lane("other"), on_lane("warm"));
-            let (queued, _) = other.enqueue(rendered(&other, tasks[..4].to_vec()), EVERY_ITEM);
+            // Four per-item misses, new at each width: the queue's jobs
+            // are probed before they are queued.
+            let singles = tasks[4 * workers..4 * workers + 4].to_vec();
+            let (queued, _) = other.enqueue(probed(&other, singles), EVERY_ITEM);
             let before = base.client().stats().cache_hits();
             let run = packed(&warm, &tasks, 8).unwrap();
             assert_eq!(feed.len(), 4, "{workers} workers: nothing was claimed");
@@ -2785,14 +2794,16 @@ mod tests {
         }
         assert_eq!(
             base.client().stats().calls(),
-            cold.responses.len() as u64 + 4
+            cold.responses.len() as u64 + 8
         );
     }
 
     /// A warm per-item `run_many` under a dollar budget below the summed
     /// admission estimate of its tasks, every one of which an earlier run
-    /// answered: the whole-batch check counts every call, hits included,
-    /// and refuses the batch before any call.
+    /// answered: the whole-batch check counts misses only, and a hit
+    /// settled where it is rendered is free, so the batch is admitted and
+    /// served from the cache. (Recorded while the check counted every
+    /// call, hits included, and refused this batch before any probe.)
     #[test]
     fn a_warm_per_item_batch_below_its_summed_estimate_is_admitted_as_pinned() {
         let (engine, ids) = engine_with(8, Budget::Unlimited);
@@ -2804,21 +2815,22 @@ mod tests {
             .sum();
         let tight = engine.fork().with_budget(Budget::usd(estimate / 2.0));
         let hits = engine.client().stats().cache_hits();
-        let refused = tight.run_many(tasks);
-        assert!(
-            matches!(refused, Err(EngineError::BudgetExceeded { .. })),
-            "{refused:?}"
-        );
-        assert_eq!(engine.client().stats().cache_hits(), hits, "nothing probed");
+        let warm = tight.run_many(tasks).unwrap();
+        assert!(warm.iter().all(|r| r.cached));
+        assert_eq!(said(&warm), said(&cold));
+        assert_eq!(engine.client().stats().cache_hits() - hits, 8);
         assert_eq!(tight.budget().spent_usd(), 0.0);
         assert_eq!(engine.client().stats().calls(), cold.len() as u64);
     }
 
     /// A fail-fast sampled round at one worker whose third call (a long
-    /// record) alone is past a token budget the others fit: the two warm
-    /// calls and the cold short one before it are admitted per call, the
-    /// cold one paid; the long call is refused by the worker, which stops
-    /// the round before the warm call after it.
+    /// record) alone is past a token budget the others fit: the long call
+    /// is refused where it is rendered and pre-fails the round before any
+    /// call, and the two warm calls, settled where they were rendered, are
+    /// traced as hits. (Recorded while a call refused at render was queued
+    /// unprobed: the cold short call before it was paid, the worker refused
+    /// the long one and stopped the round before the warm call after it,
+    /// and one hit was traced.)
     #[test]
     fn a_fail_fast_sampled_round_with_a_call_refused_at_render_runs_as_pinned() {
         let mut w = WorldModel::new();
@@ -2852,13 +2864,12 @@ mod tests {
             matches!(round, Err(EngineError::BudgetExceeded { .. })),
             "{round:?}"
         );
-        assert_eq!(engine.client().stats().calls() - calls, 1, "one paid call");
-        let paid = engine.client().ledger().total_tokens() - paid;
-        assert!(paid > 0);
-        assert_eq!(tight.budget().spent_tokens(), paid);
+        assert_eq!(engine.client().stats().calls(), calls, "no call");
+        assert_eq!(engine.client().ledger().total_tokens(), paid);
+        assert_eq!(tight.budget().spent_tokens(), 0);
         let summary = trace.summary();
         let totals = &summary.by_kind["check_predicate"];
-        assert_eq!((totals.calls, totals.cached), (2, 1));
+        assert_eq!((totals.calls, totals.cached), (2, 2));
     }
 
     /// A warm packed round under a dollar budget with nothing left: failing

@@ -621,7 +621,8 @@ impl Server {
         }
 
         // Budget admission against the tenant's private ledger, cumulative
-        // over the batch (same discipline as `Engine::run_many`).
+        // over the whole batch, hits included: no cache has been asked yet
+        // (`Engine::run_many` admits only the misses its render found).
         if !tenant.ledger.admit(batch_usd, batch_tokens) {
             return Err(refuse(ServeError::BudgetExhausted {
                 needed_usd: batch_usd,

@@ -57,14 +57,15 @@ fn usd_budget_partial_progress_then_refusal() {
     assert!(spent_after_first > 0.0);
     // ...until the budget runs dry on repeated expensive work.
     let mut refused = false;
-    for _ in 0..50 {
-        // Different strategies to avoid the response cache making calls free.
+    for scale_max in 7..57 {
+        // A different scale each time, so every run's prompts are new: a
+        // cache hit is free and admitted whatever is left.
         if sort(
             &session,
             &data.items,
             SortStrategy::Rating {
                 scale_min: 1,
-                scale_max: 7,
+                scale_max,
             },
         )
         .is_err()

@@ -21,7 +21,7 @@
 //! | `one-layout`  | no nested `Vec<Vec<f32>>` / `[Vec<f32>]` in library code under `crates/{embed,core,oracle}/src`; `crates/embed/src` defines no `fn nearest*`|
 //! | `no-spawn-per-call`| `crates/oracle/src/route.rs` starts threads in `start_helper` and `launch_twin` and nowhere else|
 //! | `one-fingerprint`| `crates/oracle/src/client.rs` calls `.fingerprint()` in `probe` and nowhere else; `crates/core/src/{exec,serve}.rs` never do|
-//! | `one-settle`  | `crates/core/src` calls `.probe(..)` / `.probe_key(..)` in `exec.rs`'s `settle_hit` and `execute` and nowhere else|
+//! | `one-settle`  | `crates/core/src` calls `.probe(..)` in `exec.rs`'s `settle_hit` and `.probe_key(..)` in its `execute`, and nowhere else|
 //! | `pub-has-caller`| a `pub` item under `crates/{core,embed,oracle,metrics,data}/src` is named by non-test code outside its crate's `src/` (no `tests/` tree, no `#[cfg(test)]` item), or by a doc-test|
 //! | `one-door`    | `crates/core/src/session.rs` names no `ops::` function; no file in `crates/core/src/ops` declares a top-level `pub fn`|
 //! | `one-plan-ir` | `crates/core/src` declares no enum with a `Filter` variant but `PhysicalNode`|
@@ -159,13 +159,14 @@ const ONE_FINGERPRINT_CALLERS: &[&str] = &["crates/core/src/exec.rs", "crates/co
 
 /// A hit found before its call is queued is settled by one rule: the
 /// engine's settle helper probes, then bills and traces the hit or leaves
-/// the key on the miss, and the worker body re-checks or probes what was
-/// queued. A probe anywhere else in the crate is a second settle rule,
-/// whose hits another path would bill, trace or admit differently.
+/// the key on the miss, and the worker body only re-checks the key a queued
+/// call carries. A probe anywhere else in the crate is a second settle
+/// rule, whose hits another path would bill, trace or admit differently.
 const ONE_SETTLE_SCOPE: &str = "crates/core/src/";
 const ONE_SETTLE_HOME: &str = "crates/core/src/exec.rs";
-const ONE_SETTLE_FNS: &[&str] = &["settle_hit", "execute"];
-const ONE_SETTLE_CALLS: &[&str] = &["probe", "probe_key"];
+/// Each probe with the one function of [`ONE_SETTLE_HOME`] it may be
+/// called in.
+const ONE_SETTLE_CALLS: &[(&str, &str)] = &[("probe", "settle_hit"), ("probe_key", "execute")];
 
 /// An operator runs through `Query` and nothing else: the session module
 /// ([`ONE_DOOR_SESSION`]) names no function of an operator module, and no
@@ -876,21 +877,17 @@ fn lint_rust_source(rel: &str, src: &str) -> Vec<Finding> {
     }
 
     if rel.starts_with(ONE_SETTLE_SCOPE) {
-        let homes: Vec<(usize, usize)> = ONE_SETTLE_FNS
-            .iter()
-            .filter(|_| rel == ONE_SETTLE_HOME)
-            .filter_map(|name| find_fn_body(&masked, name))
-            .collect();
-        for name in ONE_SETTLE_CALLS {
+        for &(name, home) in ONE_SETTLE_CALLS {
+            let home = (rel == ONE_SETTLE_HOME)
+                .then(|| find_fn_body(&masked, home))
+                .flatten();
             for offset in find_method_call(&masked, name, false) {
-                let at_home = homes
-                    .iter()
-                    .any(|&(open, close)| open < offset && offset < close);
+                let at_home = home.is_some_and(|(open, close)| open < offset && offset < close);
                 if library_code(offset) && !at_home {
                     push(
                         "one-settle",
                         format!("`.{name}(..)` probes the client outside the one settle rule"),
-                        "settle a call before it is queued through `Engine::settle_hit` (probe, then settle the hit or leave the key); the worker re-checks in `Engine::execute`",
+                        "settle a call before it is queued through `Engine::settle_hit` (probe, then settle the hit or leave the key); the worker only re-checks that key, with `.probe_key(..)` in `Engine::execute`",
                         offset,
                     );
                 }
@@ -2137,10 +2134,11 @@ mod tests {
             "mod tests { fn t(c: &Client) { c.probe(&r); c.probe_key(1); } }\n",
         );
         let f = lint_rust_source("crates/core/src/exec.rs", src);
-        assert_eq!(codes(&f), vec!["one-settle"; 2]);
+        assert_eq!(codes(&f), vec!["one-settle"; 3]);
         let mut at: Vec<(usize, usize)> = f.iter().map(|f| (f.line, f.col)).collect();
         at.sort_unstable();
-        assert_eq!(at, vec![(3, 51), (4, 49)]);
+        // The worker's `.probe(r)` fires: it only re-checks a key.
+        assert_eq!(at, vec![(2, 108), (3, 51), (4, 49)]);
         // Elsewhere in the crate there is no home: every probe fires.
         let f = lint_rust_source("crates/core/src/serve.rs", src);
         assert_eq!(codes(&f), vec!["one-settle"; 5]);
