@@ -2872,6 +2872,95 @@ mod tests {
         assert_eq!((totals.calls, totals.cached), (2, 2));
     }
 
+    /// A warm packed round, admitted per call, under a dollar budget below
+    /// one pack's admission estimate, every pack of which an earlier round
+    /// answered: each pack's estimate is admitted before its probe, so the
+    /// first hit is pre-failed and the round is refused before any call.
+    #[test]
+    fn a_warm_packed_round_whose_budget_cannot_cover_a_hits_estimate_runs_as_pinned() {
+        let (engine, ids) = engine_with(64, Budget::Unlimited);
+        let tasks: Vec<_> = ids.iter().map(|id| check_task(*id)).collect();
+        let cold = packed(&engine, &tasks, 8).unwrap();
+        assert!(cold.is_complete());
+        let pack = TaskDescriptor::Packed {
+            tasks: tasks[..8].to_vec(),
+        };
+        let one_pack = engine.admission_usd(engine.estimate_task(pack).unwrap().0);
+        let tight = engine.fork().with_budget(Budget::usd(one_pack / 2.0));
+        let (calls, hits) = (
+            engine.client().stats().calls(),
+            engine.client().stats().cache_hits(),
+        );
+        let warm = packed(&tight, &tasks, 8);
+        assert!(
+            matches!(warm, Err(EngineError::BudgetExceeded { .. })),
+            "{warm:?}"
+        );
+        assert_eq!(engine.client().stats().calls(), calls, "no call");
+        assert_eq!(engine.client().stats().cache_hits(), hits, "no probe");
+        assert_eq!(tight.budget().spent_usd(), 0.0);
+    }
+
+    /// A packed round over a store filled by the same round under a larger
+    /// context window: every 8-pack's answer is stored, but its prompt
+    /// overflows this model's window, so each pack is split before it is
+    /// probed and its halves, down to singles, are asked and paid for.
+    #[test]
+    fn a_stored_pack_whose_prompt_overflows_the_window_runs_as_pinned() {
+        use crowdprompt_oracle::store::{ResponseStore, StoreConfig};
+        let path = std::env::temp_dir().join(format!(
+            "crowdprompt-exec-overflow-store-{}.log",
+            std::process::id()
+        ));
+        let mut lock = path.as_os_str().to_os_string();
+        lock.push(".lock");
+        std::fs::remove_file(&path).ok();
+        let store = Arc::new(ResponseStore::open(&path, StoreConfig::default()).unwrap());
+        let mut w = WorldModel::new();
+        let ids: Vec<_> = (0..16)
+            .map(|i| {
+                let id = w.add_item(format!(
+                    "a deliberately long record text number {i} with many words in it"
+                ));
+                w.set_flag(id, "p", i % 2 == 0);
+                id
+            })
+            .collect();
+        let corpus = Corpus::from_world(&w, &ids);
+        let world = Arc::new(w);
+        let engine_at = |window: u32| {
+            let profile = ModelProfile::perfect().with_context_window(window);
+            let llm = Arc::new(SimulatedLlm::new(profile, Arc::clone(&world), 7));
+            let client = Arc::new(LlmClient::new(llm));
+            assert!(client.attach_store(Arc::clone(&store)));
+            Engine::new(client, corpus.clone()).with_parallelism(1)
+        };
+        let tasks: Vec<_> = ids.iter().map(|id| check_task(*id)).collect();
+        // A single says "Yes." where a pack's line says "Yes".
+        let yes = |text: &str| Ok(text.starts_with("Yes"));
+        let packed = |engine: &Engine| {
+            engine
+                .run_built(16, &|i| tasks[i].clone(), 8, None, &yes)
+                .unwrap()
+        };
+        let wide = engine_at(100_000);
+        let filled = packed(&wide);
+        assert_eq!(filled.responses.len(), 2, "two 8-packs fill the store");
+        assert_eq!(store.len(), 2);
+        // A window that fits a single and no 8-pack.
+        let narrow = engine_at(60);
+        let run = packed(&narrow);
+        assert!(run.is_complete());
+        assert_eq!(run.answers, filled.answers);
+        let stats = narrow.client().stats();
+        assert_eq!(stats.store_hits(), 0, "no stored pack is served");
+        assert_eq!(stats.calls(), 16, "every item asked alone");
+        assert_eq!(narrow.client().ledger().calls(), 16, "and paid for");
+        drop((wide, narrow, store));
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&lock).ok();
+    }
+
     /// A warm packed round under a dollar budget with nothing left: failing
     /// fast, every pack is refused before its probe, as before any call;
     /// degrading, every pack is a hit and served, since a hit costs
