@@ -9,15 +9,41 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use crowdprompt_oracle::hash::prompt_hash;
 use crowdprompt_oracle::world::{ItemId, WorldModel};
 
 /// Item texts addressable by [`ItemId`].
 ///
 /// The map is shared: cloning a corpus bumps a reference count, and the
-/// first insert into a shared corpus copies it.
+/// first insert into a shared corpus copies it. Each text is fingerprinted
+/// once, where it enters the corpus, for the task keys an engine probes
+/// its cache by (`Engine::task_key`): a prompt is a function of its task
+/// and the texts it names, so a key made of their fingerprints is known
+/// before the prompt is rendered.
 #[derive(Debug, Clone, Default)]
 pub struct Corpus {
-    texts: Arc<HashMap<ItemId, String>>,
+    texts: Arc<HashMap<ItemId, Text>>,
+}
+
+/// One item's text and its fingerprint (`hash::prompt_hash` of its bytes):
+/// 24 bytes, a `String`'s size, so the map's entries are no larger for the
+/// fingerprint (a large corpus's map is most of its memory).
+#[derive(Debug, Clone)]
+struct Text {
+    text: Box<str>,
+    key: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<Text>() == std::mem::size_of::<String>());
+
+impl Text {
+    fn new(text: String) -> Text {
+        let key = prompt_hash(text.as_bytes());
+        Text {
+            text: text.into_boxed_str(),
+            key,
+        }
+    }
 }
 
 impl Corpus {
@@ -36,7 +62,7 @@ impl Corpus {
             let text = world
                 .text(id)
                 .unwrap_or_else(|| panic!("item {id} has no text in the world model"));
-            texts.insert(id, text.to_owned());
+            texts.insert(id, Text::new(text.to_owned()));
         }
         Corpus {
             texts: Arc::new(texts),
@@ -45,12 +71,18 @@ impl Corpus {
 
     /// Insert (or replace) one item's text.
     pub fn insert(&mut self, id: ItemId, text: impl Into<String>) {
-        Arc::make_mut(&mut self.texts).insert(id, text.into());
+        Arc::make_mut(&mut self.texts).insert(id, Text::new(text.into()));
     }
 
     /// The text of an item, if present.
     pub fn text(&self, id: ItemId) -> Option<&str> {
-        self.texts.get(&id).map(String::as_str)
+        self.texts.get(&id).map(|t| &*t.text)
+    }
+
+    /// The fingerprint of an item's text, if present: `hash::prompt_hash`
+    /// of its bytes, computed when the text entered the corpus.
+    pub(crate) fn text_key(&self, id: ItemId) -> Option<u64> {
+        self.texts.get(&id).map(|t| t.key)
     }
 
     /// Number of items.
@@ -134,6 +166,19 @@ mod tests {
         assert_eq!(by_text.len(), 2);
         assert_eq!(by_text["dup"], ItemId(2));
         assert_eq!(by_text["other"], ItemId(9));
+    }
+
+    #[test]
+    fn a_texts_key_is_its_prompt_hash_however_it_entered() {
+        let mut w = WorldModel::new();
+        let a = w.add_item("alpha");
+        let mut c = Corpus::from_world(&w, &[a]);
+        c.insert(ItemId(7), "beta");
+        assert_eq!(c.text_key(a), Some(prompt_hash(b"alpha")));
+        assert_eq!(c.text_key(ItemId(7)), Some(prompt_hash(b"beta")));
+        c.insert(ItemId(7), "betb");
+        assert_eq!(c.text_key(ItemId(7)), Some(prompt_hash(b"betb")));
+        assert_eq!(c.text_key(ItemId(8)), None);
     }
 
     #[test]

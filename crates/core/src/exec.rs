@@ -8,30 +8,34 @@
 //!
 //! ```text
 //!  calls ─► round ─────► pump ───────────────────────────────► BatchOutcome
-//!           build,      fair feed ───► caller ── execute ─┐
-//!           render,     (jobs point    helper 2 ─ execute ─┼─► the job's
-//!           count,       into their     ...                │   batch: slots
-//!           estimate,    batch; claims helper W ─ execute ─┘   in input order
-//!           probe; admit ≤ workers×batch)
-//!           the misses
+//!           build, key, fair feed ───► caller ── execute ─┐
+//!           probe; then (jobs point    helper 2 ─ execute ─┼─► the job's
+//!           render,      into their     ...                │   batch: slots
+//!           count,       batch; claims helper W ─ execute ─┘   in input order
+//!           estimate,    ≤ workers×batch)
+//!           admit the
+//!           misses
 //! ```
 //!
 //! * **round** (`Engine::run_packs`, the one round loop) takes every
 //!   `Query`-door run: [`Engine::run_many`], [`Engine::run_outcome`] and
 //!   the sampled vote rounds as rounds of width one (each item its own
 //!   pack), the packed door at its width. Each pack's call is built from a
-//!   per-index builder, rendered once, its prompt's tokens counted once
-//!   (the count rides on the work item for whoever needs it later — the
-//!   estimate here, context fitting in the pack loop), estimated and
-//!   stamped with how it is admitted against the budget, in contiguous
-//!   shares on the caller and the pump's render helpers when the round is
-//!   large enough to pay for them (no per-item task list is held on the
-//!   caller). The participant that renders a call also probes it once
-//!   (`Engine::settle_hit`, the one settle rule): a hit is billed, traced
-//!   and placed in its slot there, its request dropped on the thread that
-//!   allocated it, and only a miss is queued, with its key. A call
-//!   admitted per call is probed only if its estimate is admitted at
-//!   render, and pre-fails its item if not. The caller then walks the
+//!   per-index builder and keyed by its *task key* (`Engine::task_key`:
+//!   the task's fingerprint, the fingerprints of the item texts its prompt
+//!   names, the render options and a digest of the templates — never the
+//!   prompt), in contiguous shares on the caller and the pump's render
+//!   helpers when the round is large enough to pay for them (no per-item
+//!   task list is held on the caller). The participant that keys a call
+//!   probes it once, by that key (`Engine::settle_hit`, the one settle
+//!   rule): a hit is billed, traced and placed in its slot there, free and
+//!   never rendered, its request dropped on the thread that allocated it.
+//!   Only a miss is rendered, its prompt's tokens counted once (the count
+//!   rides on the work item for whoever needs it later — the estimate
+//!   here, context fitting in the pack loop), estimated and stamped with
+//!   how it is admitted against the budget; it is queued with its key. A
+//!   miss admitted per call is admitted there, at its estimate, and
+//!   pre-fails its item if refused. The caller then walks the
 //!   round in input order: it admits a round that is admitted whole (a
 //!   per-item run's misses, cumulatively — the i-th miss must fit after
 //!   the estimated spend of the misses before it, hits are free) or
@@ -59,7 +63,7 @@
 //!   claimed-but-unfinished; claim size doubles after a claim that averaged
 //!   under `FAST_TASK_MICROS` per job and halves after a slow one. On both
 //!   doors the feed orders only the work that needs a slot: a round's hits
-//!   are settled where they are rendered, and the serve door's batch,
+//!   are settled where they are keyed, before any render, and the serve door's batch,
 //!   rendered and admitted by [`crate::serve::Server::submit`], is probed
 //!   by the submitting thread before it is shared. Only misses are queued,
 //!   counted as outstanding and used to size the helpers — a batch of hits
@@ -116,6 +120,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crowdprompt_oracle::error::LlmError;
+use crowdprompt_oracle::hash;
 use crowdprompt_oracle::route::{LeaseTable, Router, SlotLease};
 use crowdprompt_oracle::task::TaskDescriptor;
 use crowdprompt_oracle::tokenizer::count_tokens;
@@ -128,7 +133,7 @@ use crate::budget::{Budget, BudgetTracker};
 use crate::corpus::Corpus;
 use crate::error::EngineError;
 use crate::outcome::CostMeter;
-use crate::template::{render, RenderOptions};
+use crate::template::{render, template_digest, walk_items, RenderOptions};
 use crate::trace::{Trace, TraceEvent};
 
 /// Smallest number of jobs a worker claims from the feed at once.
@@ -232,6 +237,9 @@ pub struct Engine {
     blocking_recall_target: Option<f32>,
     seed: u64,
     render_opts: RenderOptions,
+    /// The render options' and the templates' part of every task key
+    /// ([`Engine::task_key`]), fixed with the options.
+    render_key: u64,
     trace: Option<Arc<Trace>>,
     failure_policy: FailurePolicy,
     /// Degraded-run notes [`Settle::finish`] leaves for the plan layer
@@ -266,6 +274,7 @@ impl Engine {
             pack_width: 1,
             blocking_recall_target: None,
             seed: 0,
+            render_key: render_key(&RenderOptions::default()),
             render_opts: RenderOptions::default(),
             trace: None,
             failure_policy: FailurePolicy::FailFast,
@@ -356,6 +365,7 @@ impl Engine {
     #[must_use]
     pub fn with_criterion_label(mut self, label: impl Into<String>) -> Self {
         self.render_opts = RenderOptions::with_criterion(label);
+        self.render_key = render_key(&self.render_opts);
         self
     }
 
@@ -459,20 +469,62 @@ impl Engine {
         }
     }
 
-    /// Render a task and estimate its usage — the prompt's token count, the
-    /// one place this file counts tokens, and a completion allowance — and
-    /// its cost, without budget admission.
+    /// The task key of `task`: the content half of the key its request is
+    /// cached, stored and journaled under
+    /// ([`CompletionRequest::task_key`]), computed from what its prompt is
+    /// rendered from and never from the prompt, so a cache hit is settled
+    /// before its prompt exists. It folds the task's
+    /// [`TaskDescriptor::fingerprint`], the render options' and the
+    /// templates' digest ([`Engine::render_key`]), and the fingerprint of
+    /// each item text the prompt holds, taken when the text entered the
+    /// corpus, in the order the renderer reads them ([`walk_items`]). It
+    /// fails exactly where [`render`] fails, with the same error: the
+    /// first item the corpus lacks, or the packed renderer's refusal. The
+    /// one place this crate computes a key.
+    fn task_key(&self, task: &TaskDescriptor) -> Result<u64, EngineError> {
+        let mut key = hash::combine(task.fingerprint(), self.render_key);
+        walk_items(task, &mut |id| {
+            let text = self
+                .corpus
+                .text_key(id)
+                .ok_or(EngineError::UnknownItem(id))?;
+            key = hash::combine(key, text);
+            Ok(())
+        })?;
+        Ok(key)
+    }
+
+    /// `call` as a request keyed by its task key ([`Engine::task_key`]),
+    /// its prompt not yet rendered (empty, no allocation): all a probe
+    /// reads. Only a miss is then rendered ([`Engine::render_work`]).
+    pub(crate) fn keyed(
+        &self,
+        (task, temperature, sample_index): Call,
+    ) -> Result<CompletionRequest, EngineError> {
+        let task_key = Some(self.task_key(&task)?);
+        Ok(CompletionRequest {
+            temperature,
+            sample_index,
+            task_key,
+            ..CompletionRequest::new(String::new(), task)
+        })
+    }
+
+    /// Render a keyed request's prompt and estimate its usage — the
+    /// prompt's token count, the one place this file counts tokens, and a
+    /// completion allowance — and its cost, without budget admission.
     pub(crate) fn render_and_estimate(
         &self,
-        task: TaskDescriptor,
-    ) -> Result<(CompletionRequest, crowdprompt_oracle::Usage, f64), EngineError> {
-        let prompt = render(&task, &self.corpus, &self.render_opts)?;
+        request: &mut CompletionRequest,
+    ) -> Result<(crowdprompt_oracle::Usage, f64), EngineError> {
+        request.prompt = render(&request.task, &self.corpus, &self.render_opts)?;
+        #[cfg(debug_assertions)]
+        one_prompt_per_task_key(request);
         let est_usage = crowdprompt_oracle::Usage {
-            prompt_tokens: count_tokens(&prompt),
-            completion_tokens: Self::estimate_completion_tokens(&task),
+            prompt_tokens: count_tokens(&request.prompt),
+            completion_tokens: Self::estimate_completion_tokens(&request.task),
         };
-        let est_usd = self.cost_of(est_usage);
-        Ok((CompletionRequest::new(prompt, task), est_usage, est_usd))
+        Ok((est_usage, self.cost_of(est_usage)))
     }
 
     /// Estimate one task's `(usd, total tokens)` cost by rendering its
@@ -480,7 +532,8 @@ impl Engine {
     /// planner uses this to cost physical plan nodes from representative
     /// tasks before anything is dispatched.
     pub(crate) fn estimate_task(&self, task: TaskDescriptor) -> Result<(f64, u64), EngineError> {
-        let (_, est_usage, est_usd) = self.render_and_estimate(task)?;
+        let mut request = self.keyed(Engine::unsampled(task))?;
+        let (est_usage, est_usd) = self.render_and_estimate(&mut request)?;
         Ok((est_usd, u64::from(est_usage.total())))
     }
 
@@ -525,7 +578,8 @@ impl Engine {
     /// *cumulatively* before any call — the i-th miss must fit after the
     /// estimated spend of the misses before it, so a batch whose misses
     /// would blow through the budget is refused whole. A cache hit is
-    /// settled where it is rendered and costs nothing, so it is not counted.
+    /// settled where it is keyed, never rendered, and costs nothing, so it
+    /// is not counted.
     pub fn run_many(
         &self,
         tasks: Vec<TaskDescriptor>,
@@ -638,11 +692,22 @@ impl Engine {
     /// returns its first error before any of that is reached.
     ///
     /// At width > 1 every pack is checked against the first call as it is
-    /// rendered, and a round's every pack is rendered before any is queued,
-    /// so a builder that mixes instructions is refused with
+    /// built, and a round's every pack is keyed before any is queued, so a
+    /// builder that mixes instructions is refused with
     /// [`EngineError::InvalidInput`] before any call, whatever the policy;
     /// a packed run's calls share one sampling, so a pack is asked at its
     /// first call's. A run of width one may mix task kinds.
+    ///
+    /// A pack is probed by its task key before it is rendered, so a hit is
+    /// settled before its prompt exists, with two consequences that held
+    /// otherwise while the render came first. A hit is free under
+    /// [`Admit::PerCall`] too: a packed or sampled round whose budget cannot
+    /// cover a hit's estimate is served that hit (the estimate used to be
+    /// admitted first, the hit pre-failed and the round refused). And a
+    /// stored answer is served for a pack whose prompt now overflows the
+    /// model's context window, as from a store filled under a larger
+    /// window: only a miss is fitted to the window (the pack used to be
+    /// split and its halves paid for again).
     fn run_packs<A: Send>(
         &self,
         n: usize,
@@ -714,11 +779,27 @@ impl Engine {
                         return Err(mixed_packs());
                     }
                 }
-                let work = self.render_call(call, mode)?;
-                if oversize(width, &work) {
-                    return Ok(Rendered::Work(work));
+                // Probed by its task key before its prompt exists: a hit
+                // is settled and never rendered.
+                let request = self.keyed(call)?;
+                let key = match self.settle_hit(&books, &request) {
+                    Probe::Hit(hit) => return Ok(Rendered::Settled(hit)),
+                    Probe::Miss(key) => key,
+                };
+                let mut work = self.render_work(request, mode)?;
+                work.key = key;
+                // An oversize pack is split by `keep`, never asked, so it is
+                // not admitted; a call admitted per call is admitted here,
+                // at its estimate, and pre-fails its item if refused.
+                if mode == Admit::PerCall && !oversize(width, &work) {
+                    let Admission {
+                        est_usd,
+                        est_tokens,
+                        ..
+                    } = work.admission;
+                    self.admit_estimate(&books.ledger, est_usd, est_tokens)?;
                 }
-                self.settle_hit(&books, work)
+                Ok(Rendered::Work(work))
             };
             let mut next: Vec<Range<usize>> = Vec::new();
             let mut round: Vec<Range<usize>> = Vec::new();
@@ -770,7 +851,8 @@ impl Engine {
             let results = self.pump(intake, self.shape(policy))?;
             // Each answered pack's answers, read in the same shares: its
             // lines borrowed from its response; `None` for a single (read
-            // below), a failure or a list of another length.
+            // below), a failure or a list of another length. A round of
+            // width one holds only singles, so it builds no parse list.
             let parse = |i: usize| {
                 let width = round[i].len();
                 if width == 1 {
@@ -781,8 +863,14 @@ impl Engine {
                 let answers: Vec<_> = lines.by_ref().take(width).map(read).collect();
                 (answers.len() == width && lines.next().is_none()).then_some(answers)
             };
-            let parsed = in_shares(round.len(), shares, &parse);
-            for ((pack, item), typed) in round.into_iter().zip(results).zip(parsed) {
+            let parsed = if width > 1 {
+                in_shares(round.len(), shares, &parse)
+            } else {
+                Vec::new()
+            };
+            let mut parsed = parsed.into_iter();
+            for (pack, item) in round.into_iter().zip(results) {
+                let typed = parsed.next().flatten();
                 match item {
                     Ok(response) => {
                         if pack.len() == 1 {
@@ -817,15 +905,20 @@ impl Engine {
     }
 
     /// Render one call into dispatcher work stamped with its admission
-    /// mode; nothing is checked against a budget here.
-    pub(crate) fn render_call(
+    /// mode, not yet probed: the serve door's render, of every task before
+    /// any cache is asked. Nothing is checked against a budget here.
+    pub(crate) fn render_call(&self, call: Call, mode: Admit) -> Result<Work, EngineError> {
+        self.render_work(self.keyed(call)?, mode)
+    }
+
+    /// Render a keyed request into dispatcher work stamped with its
+    /// admission mode; nothing is checked against a budget here.
+    fn render_work(
         &self,
-        (task, temperature, sample_index): Call,
+        mut request: CompletionRequest,
         mode: Admit,
     ) -> Result<Work, EngineError> {
-        let (mut request, est_usage, est_usd) = self.render_and_estimate(task)?;
-        request.temperature = temperature;
-        request.sample_index = sample_index;
+        let (est_usage, est_usd) = self.render_and_estimate(&mut request)?;
         Ok(Work {
             request,
             prompt_tokens: est_usage.prompt_tokens,
@@ -865,9 +958,9 @@ impl Engine {
     /// only when the shape stops on the first error; then a pre-failed item
     /// fails the batch before anything is queued.
     ///
-    /// A round ([`Intake::Shares`]) is rendered here first, by
-    /// [`in_shares`] on up to its `shares` participants, which settle
-    /// its hits as they go; then the caller keeps or drops each item in
+    /// A round ([`Intake::Shares`]) is keyed, probed and its misses
+    /// rendered here first, by [`in_shares`] on up to its `shares`
+    /// participants, which settle its hits as they go; then the caller keeps or drops each item in
     /// input order, or refuses the round before anything is queued. The
     /// serve door's batch ([`Intake::Rendered`]) is settled on the calling
     /// thread. Either way every queued request has been probed.
@@ -933,32 +1026,22 @@ impl Engine {
         }
     }
 
-    /// The one settle rule for a call not yet queued: probe the client once
-    /// (the request's one hashing) and either settle a hit here — billed
-    /// and traced to `books` as a worker would, its request dropped on this
-    /// thread — or leave the key a miss was probed under on its work, for
-    /// the worker that draws it to re-check and dispatch under. A call
-    /// admitted per call ([`Admit::PerCall`]) is probed only if its
-    /// estimate is admitted now; refused, it is pre-failed.
-    fn settle_hit(&self, books: &Books, mut work: Work) -> Prepared {
-        let Admission {
-            mode,
-            est_usd,
-            est_tokens,
-        } = work.admission;
-        if mode == Admit::PerCall {
-            self.admit_estimate(&books.ledger, est_usd, est_tokens)?;
+    /// The one settle rule for a call not yet queued: probe the client
+    /// once, by the key its request carries (its task key, so a request
+    /// whose prompt is not rendered yet is probed as well as one whose
+    /// prompt is), and settle a hit here — billed and traced to `books` as
+    /// a worker would. The hit comes back as [`Probe::Hit`], its request
+    /// left for the caller to drop on this thread; a [`Probe::Miss`]
+    /// carries the key the call missed under, for the worker that draws it
+    /// to re-check and dispatch under. A hit is free, so nothing is
+    /// admitted here: a round admits a miss once it is rendered and
+    /// estimated, the serve door its whole batch before any probe.
+    fn settle_hit(&self, books: &Books, request: &CompletionRequest) -> Probe {
+        let probe = self.client.probe(request);
+        if let Probe::Hit(hit) = &probe {
+            books.account(request, hit);
         }
-        match self.client.probe(&work.request) {
-            Probe::Hit(hit) => {
-                books.account(&work.request, &hit);
-                Ok(Rendered::Settled(hit))
-            }
-            Probe::Miss(key) => {
-                work.key = key;
-                Ok(Rendered::Work(work))
-            }
-        }
+        probe
     }
 
     /// The serve door's work, settled on the submitting thread before it
@@ -968,7 +1051,13 @@ impl Engine {
         items
             .into_iter()
             .map(|item| match item {
-                Ok(Rendered::Work(work)) => self.settle_hit(&books, work),
+                Ok(Rendered::Work(mut work)) => match self.settle_hit(&books, &work.request) {
+                    Probe::Hit(hit) => Ok(Rendered::Settled(hit)),
+                    Probe::Miss(key) => {
+                        work.key = key;
+                        Ok(Rendered::Work(work))
+                    }
+                },
                 item => item,
             })
             .collect()
@@ -1167,24 +1256,25 @@ pub(crate) enum Admit {
     /// misses cumulatively, in input order, as the caller keeps them: the
     /// i-th miss must fit after the estimated spend of the misses before
     /// it, and one that does not refuses the round before any call. A hit
-    /// settled where it was rendered is free and not counted, so a warm
+    /// settled where it was keyed is free and not counted, so a warm
     /// batch is served under a budget its estimate would overrun (until the
     /// per-item path joined the round loop, every call counted, hits
     /// included). The serve door checks its whole batch, hits included,
     /// against the tenant's ledger before any cache is asked. Nothing left
     /// to do in the worker.
     Batch,
-    /// Per call, against actual spend so far and *before* any cache probe
-    /// — a hit is refused too once the budget is gone, as the sequential
-    /// loops these batches replace did. A call is admitted where it is
-    /// rendered, and probed there only if admitted: a hit is then settled
-    /// against the spend at render, not after the misses ahead of it in
-    /// the round (hits spend nothing, so no cap can be overshot). A call
-    /// refused there pre-fails its item, which — since only a fail-fast
-    /// run admits per call — refuses the round before any call (it used
-    /// to be queued unprobed, for the worker to refuse after the calls
-    /// ahead of it had run). The worker admits a miss again, at execution
-    /// time, before it re-checks and dispatches it.
+    /// Per call, against actual spend so far. A round probes each call by
+    /// its task key before it renders it, and a hit is settled free
+    /// without admission: a round whose budget cannot cover a hit's
+    /// estimate is served that hit. (Until the probe moved ahead of the
+    /// render, the estimate was admitted first, so a hit was refused once
+    /// the budget was gone, the item pre-failed and the round refused.) A
+    /// miss is admitted where it is rendered, at its estimate, against the
+    /// spend at render, not after the misses ahead of it in the round. A
+    /// miss refused there pre-fails its item, which — since only a
+    /// fail-fast run admits per call — refuses the round before any call.
+    /// The worker admits a miss again, at execution time, before it
+    /// re-checks and dispatches it.
     PerCall,
     /// Per call, but only after a free local hit has been ruled out: work
     /// still undispatched when the budget runs out is quarantined instead
@@ -1211,7 +1301,7 @@ pub(crate) enum Intake<'a> {
     /// ([`Engine::settle_hit`]) before it is shared.
     Rendered(Vec<Prepared>),
     /// A round (of packs, or of single calls at width one): `count` calls,
-    /// call `i` rendered by `render(i)` on
+    /// call `i` keyed, probed and, on a miss, rendered by `render(i)` on
     /// whichever of the pump's participants holds it in shares — a hit
     /// settled there ([`Engine::settle_hit`]) comes back as
     /// [`Rendered::Settled`] — and then handed, in input order on the
@@ -1228,15 +1318,15 @@ pub(crate) enum Intake<'a> {
     },
 }
 
-/// One call as a pump batch takes it: rendered, or the error that
-/// pre-fails it.
+/// One call as a pump batch takes it: rendered, or settled, or the error
+/// that pre-fails it.
 pub(crate) type Prepared = Result<Rendered, EngineError>;
 
-/// A rendered call.
+/// A call through the render step: its work, or the hit it settled.
 pub(crate) enum Rendered {
     /// Still to be answered: queued for a worker.
     Work(Work),
-    /// A hit [`Engine::settle_hit`] answered where the call was rendered:
+    /// A hit [`Engine::settle_hit`] answered where the call was keyed:
     /// already billed and traced, its request already dropped.
     Settled(CompletionResponse),
 }
@@ -1293,6 +1383,37 @@ fn in_shares<T: Send>(count: usize, workers: usize, each: &(dyn Fn(usize) -> T +
     })
 }
 
+/// The render options' and the templates' part of a task key: fixed with
+/// the options, so computed once per engine.
+fn render_key(opts: &RenderOptions) -> u64 {
+    hash::combine(template_digest(), opts.key())
+}
+
+/// Debug builds: a task key names one prompt. Every render of a keyed
+/// request records its prompt's hash under its task key for the rest of
+/// the process, and a key met again with another prompt — a key that
+/// misses an input the prompt is rendered from, which would serve one
+/// prompt's stored answer for another — panics.
+#[cfg(debug_assertions)]
+fn one_prompt_per_task_key(request: &CompletionRequest) {
+    static SEEN: Mutex<BTreeMap<u64, u64>> = Mutex::new(BTreeMap::new());
+    let Some(task_key) = request.task_key else {
+        return;
+    };
+    let prompt = hash::prompt_hash(request.prompt.as_bytes());
+    let mut seen = SEEN.lock();
+    match seen.get(&task_key) {
+        Some(&first) => assert_eq!(
+            first, prompt,
+            "task key {task_key:#x} names two prompts; this one:\n{}",
+            request.prompt
+        ),
+        None => {
+            seen.insert(task_key, prompt);
+        }
+    }
+}
+
 /// Whether `task` may share a packed prompt with `first`.
 fn packs_with(first: &TaskDescriptor, task: &TaskDescriptor) -> bool {
     task.packable() && first.pack_compatible(task)
@@ -1315,14 +1436,14 @@ pub(crate) struct Admission {
     pub(crate) est_tokens: u64,
 }
 
-/// One unit of dispatcher work: a request rendered once, its prompt's token
-/// count as that render took it, the key it missed the cache under if it
-/// was probed before it was queued, and how to admit it.
+/// One unit of dispatcher work: a request keyed by its task key and
+/// rendered once, its prompt's token count as that render took it, the key
+/// it missed the cache under once it was probed, and how to admit it.
 pub(crate) struct Work {
     request: CompletionRequest,
     prompt_tokens: u32,
-    /// Set by [`Engine::settle_hit`], which probes every queued request:
-    /// `Some` for a cacheable one, the fingerprint it missed under, which
+    /// What [`Engine::settle_hit`], which probes every queued request,
+    /// missed under: `Some` for a cacheable one, its request key, which
     /// the worker re-checks and dispatches under without hashing again;
     /// `None` for one the cache does not apply to.
     key: Option<u64>,
@@ -2874,8 +2995,11 @@ mod tests {
 
     /// A warm packed round, admitted per call, under a dollar budget below
     /// one pack's admission estimate, every pack of which an earlier round
-    /// answered: each pack's estimate is admitted before its probe, so the
-    /// first hit is pre-failed and the round is refused before any call.
+    /// answered: each pack is probed by its task key before it is rendered
+    /// or admitted, and a hit is free, so the round is served from the
+    /// cache and spends nothing. (Recorded while each pack's estimate was
+    /// admitted before its probe: the first hit was pre-failed and the
+    /// round refused before any call or probe.)
     #[test]
     fn a_warm_packed_round_whose_budget_cannot_cover_a_hits_estimate_runs_as_pinned() {
         let (engine, ids) = engine_with(64, Budget::Unlimited);
@@ -2891,20 +3015,21 @@ mod tests {
             engine.client().stats().calls(),
             engine.client().stats().cache_hits(),
         );
-        let warm = packed(&tight, &tasks, 8);
-        assert!(
-            matches!(warm, Err(EngineError::BudgetExceeded { .. })),
-            "{warm:?}"
-        );
+        let warm = packed(&tight, &tasks, 8).unwrap();
+        assert_eq!(warm.answers, cold.answers);
+        assert!(warm.responses.iter().all(|r| r.cached));
         assert_eq!(engine.client().stats().calls(), calls, "no call");
-        assert_eq!(engine.client().stats().cache_hits(), hits, "no probe");
+        assert_eq!(engine.client().stats().cache_hits(), hits + 8, "8 hits");
         assert_eq!(tight.budget().spent_usd(), 0.0);
     }
 
     /// A packed round over a store filled by the same round under a larger
-    /// context window: every 8-pack's answer is stored, but its prompt
-    /// overflows this model's window, so each pack is split before it is
-    /// probed and its halves, down to singles, are asked and paid for.
+    /// context window: every 8-pack's answer is stored, and although its
+    /// prompt overflows this model's window, a pack is probed before it is
+    /// rendered or fitted to the window, so the stored answers are served
+    /// and nothing is asked. (Recorded while a pack was fitted to the
+    /// window before its probe: each was split, and its halves, down to
+    /// singles, were asked and paid for, 16 calls.)
     #[test]
     fn a_stored_pack_whose_prompt_overflows_the_window_runs_as_pinned() {
         use crowdprompt_oracle::store::{ResponseStore, StoreConfig};
@@ -2953,22 +3078,23 @@ mod tests {
         assert!(run.is_complete());
         assert_eq!(run.answers, filled.answers);
         let stats = narrow.client().stats();
-        assert_eq!(stats.store_hits(), 0, "no stored pack is served");
-        assert_eq!(stats.calls(), 16, "every item asked alone");
-        assert_eq!(narrow.client().ledger().calls(), 16, "and paid for");
+        assert_eq!(stats.store_hits(), 2, "both stored packs are served");
+        assert_eq!(stats.calls(), 0, "nothing is asked");
+        assert_eq!(narrow.client().ledger().calls(), 0, "or paid for");
         drop((wide, narrow, store));
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&lock).ok();
     }
 
-    /// A warm packed round under a dollar budget with nothing left: failing
-    /// fast, every pack is refused before its probe, as before any call;
-    /// degrading, every pack is a hit and served, since a hit costs
-    /// nothing. And a cold round failing fast is still refused by the
-    /// worker once its misses have spent the budget: the key a miss was
-    /// probed under does not let it skip admission.
+    /// A warm packed round under a dollar budget with nothing left, at one
+    /// worker and at two: every pack is a hit, probed before it is
+    /// admitted, and served free, failing fast as degrading. (Failing fast
+    /// it was refused while a pack was admitted before its probe.) And a
+    /// cold round failing fast is still refused by the worker once its
+    /// misses have spent the budget: the key a miss was probed under does
+    /// not let it skip admission.
     #[test]
-    fn a_warm_packed_round_with_no_budget_left_is_refused_failing_fast_and_served_degrading() {
+    fn a_warm_packed_round_with_no_budget_left_is_served_and_a_cold_one_is_refused() {
         const N: usize = 1_024;
         let (base, ids) = engine_with(N, Budget::Unlimited);
         let tasks: Vec<_> = ids.iter().map(|id| check_task(*id)).collect();
@@ -2979,19 +3105,12 @@ mod tests {
                 .fork()
                 .with_parallelism(workers)
                 .with_budget(Budget::usd(0.0));
-            let refused = packed(&broke, &tasks, 8);
-            assert!(
-                matches!(refused, Err(EngineError::BudgetExceeded { .. })),
-                "{workers} workers: {refused:?}"
-            );
-            let salvaged = packed(
-                &broke.fork().with_failure_policy(FailurePolicy::degrade()),
-                &tasks,
-                8,
-            )
-            .unwrap();
-            assert!(salvaged.is_complete());
-            assert_eq!(salvaged.answers, cold.answers, "{workers} workers");
+            let degrading = broke.fork().with_failure_policy(FailurePolicy::degrade());
+            for engine in [&broke, &degrading] {
+                let served = packed(engine, &tasks, 8).unwrap();
+                assert!(served.is_complete());
+                assert_eq!(served.answers, cold.answers, "{workers} workers");
+            }
             assert_eq!(broke.budget().spent_usd(), 0.0);
         }
         assert_eq!(base.client().stats().calls(), cold.responses.len() as u64);

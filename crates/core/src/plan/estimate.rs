@@ -78,9 +78,11 @@ impl<'a> Estimator<'a> {
     /// Estimated USD for one task; render failures cost zero, and so do
     /// tasks the attached persistent response store would answer — a
     /// store hit dispatches no backend call and charges nothing, so
-    /// sampled hits discount the per-item averages they stand in for.
+    /// sampled hits discount the per-item averages they stand in for. The
+    /// store is asked by the task's key before its prompt is rendered, so
+    /// a stored task is never rendered.
     fn cost_of(&self, task: TaskDescriptor) -> f64 {
-        let Ok((request, _, usd)) = self.engine.render_and_estimate(task) else {
+        let Ok(mut request) = self.engine.keyed(Engine::unsampled(task)) else {
             return 0.0;
         };
         let store = self.engine.client().store();
@@ -88,7 +90,9 @@ impl<'a> Estimator<'a> {
         if store.is_some_and(|store| store.contains(request.fingerprint())) {
             return 0.0;
         }
-        usd
+        self.engine
+            .render_and_estimate(&mut request)
+            .map_or(0.0, |(_, usd)| usd)
     }
 
     /// A representative item pair (falls back to a self-pair on singleton

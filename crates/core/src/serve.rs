@@ -1088,7 +1088,9 @@ mod tests {
             .try_build()
             .unwrap();
         // Item 1's request, as `submit` renders it.
-        let (filled, _, _) = server.engine().render_and_estimate(check(ids[1])).unwrap();
+        let engine = server.engine();
+        let mut filled = engine.keyed(Engine::unsampled(check(ids[1]))).unwrap();
+        engine.render_and_estimate(&mut filled).unwrap();
         std::thread::scope(|scope| {
             let run = scope.spawn(|| server.submit("a", distinct_checks(&ids)));
             // Item 0 is parked under the only lease; item 1 was probed, missed

@@ -5,7 +5,10 @@
 //! processing operation. Templates are deterministic functions of
 //! `(task, corpus, criterion label)`, so token accounting is reproducible.
 
-use crowdprompt_oracle::task::{SortCriterion, TaskDescriptor};
+use std::sync::OnceLock;
+
+use crowdprompt_oracle::hash::{combine, prompt_hash};
+use crowdprompt_oracle::task::{CountMode, SortCriterion, TaskDescriptor};
 use crowdprompt_oracle::world::ItemId;
 
 use crate::corpus::Corpus;
@@ -29,6 +32,12 @@ impl Default for RenderOptions {
 }
 
 impl RenderOptions {
+    /// The options' part of a task key: `hash::prompt_hash` of the
+    /// criterion label, the one option a prompt reads.
+    pub(crate) fn key(&self) -> u64 {
+        prompt_hash(self.criterion_label.as_bytes())
+    }
+
     /// Options with the given criterion label, which a sort prompt names.
     ///
     /// ```
@@ -281,6 +290,16 @@ fn comma_separated(out: &mut String, labels: &[String]) {
     }
 }
 
+/// The packed renderer's refusal of a pack with no sub-tasks.
+fn empty_pack() -> EngineError {
+    EngineError::InvalidInput("packed task with no sub-tasks".into())
+}
+
+/// The packed renderer's refusal of a sub-task it cannot state on one line.
+fn not_packable(task: &TaskDescriptor) -> EngineError {
+    EngineError::InvalidInput(format!("task kind {:?} is not packable", task.kind()))
+}
+
 /// Render a packed multi-item prompt: the shared instruction (hoisted from
 /// the first sub-task) stated once, then one numbered line per item, with a
 /// numbered-answer output contract. This is where packing's token saving
@@ -290,13 +309,8 @@ fn render_packed(
     tasks: &[TaskDescriptor],
     corpus: &Corpus,
 ) -> Result<(), EngineError> {
-    let first = tasks
-        .first()
-        .ok_or_else(|| EngineError::InvalidInput("packed task with no sub-tasks".into()))?;
+    let first = tasks.first().ok_or_else(empty_pack)?;
     let n = tasks.len();
-    let not_packable = |task: &TaskDescriptor| {
-        EngineError::InvalidInput(format!("task kind {:?} is not packable", task.kind()))
-    };
     match first {
         TaskDescriptor::CheckPredicate { predicate, .. } => {
             out.push_str("For each of the ");
@@ -369,6 +383,163 @@ fn criterion_phrase(label: &str, criterion: SortCriterion) -> &str {
         SortCriterion::Lexicographic => "in alphabetical order",
         SortCriterion::LatentScore => label,
     }
+}
+
+/// `visit` each item whose text `task`'s prompt holds, in the order
+/// [`render`] reads them, and fail exactly where [`render`] fails: at the
+/// first item `visit` refuses (an engine's task key refuses an item its
+/// corpus lacks, as [`render`] does), or with the packed renderer's
+/// [`EngineError::InvalidInput`] at the sub-task it would refuse. The
+/// order is the renderer's, not [`TaskDescriptor::items`]': an impute
+/// prompt states its examples before its record.
+pub(crate) fn walk_items(
+    task: &TaskDescriptor,
+    visit: &mut dyn FnMut(ItemId) -> Result<(), EngineError>,
+) -> Result<(), EngineError> {
+    match task {
+        TaskDescriptor::SortList { items, .. }
+        | TaskDescriptor::GroupEntities { items }
+        | TaskDescriptor::CountPredicate { items, .. } => {
+            items.iter().try_for_each(|&id| visit(id))
+        }
+        TaskDescriptor::CompareBatch { pairs, .. } => pairs.iter().try_for_each(|&(l, r)| {
+            visit(l)?;
+            visit(r)
+        }),
+        TaskDescriptor::Compare { left, right, .. }
+        | TaskDescriptor::SameEntity { left, right } => {
+            visit(*left)?;
+            visit(*right)
+        }
+        TaskDescriptor::Rate { item, .. }
+        | TaskDescriptor::CheckPredicate { item, .. }
+        | TaskDescriptor::Classify { item, .. } => visit(*item),
+        TaskDescriptor::Impute { item, examples, .. } => {
+            examples.iter().try_for_each(|(id, _)| visit(*id))?;
+            visit(*item)
+        }
+        TaskDescriptor::Verify { original, .. } => walk_items(original, visit),
+        TaskDescriptor::Packed { tasks } => {
+            let first = tasks.first().ok_or_else(empty_pack)?;
+            if !first.packable() {
+                return Err(not_packable(first));
+            }
+            for task in tasks {
+                match task {
+                    TaskDescriptor::CheckPredicate { item, .. }
+                    | TaskDescriptor::Classify { item, .. } => visit(*item)?,
+                    TaskDescriptor::Impute { item, examples, .. } => {
+                        visit(*item)?;
+                        examples.iter().try_for_each(|(id, _)| visit(*id))?;
+                    }
+                    other => return Err(not_packable(other)),
+                }
+            }
+            Ok(())
+        }
+    }
+}
+
+/// A digest of the templates, the part of every task key no task or corpus
+/// states: the prompts of [`canonical_tasks`], each hashed with
+/// `hash::prompt_hash`, folded in order. Computed once per process. A
+/// template edit moves one of those prompts, and so every key, and no
+/// answer stored under the old wording is served; there is no version
+/// constant to forget.
+pub(crate) fn template_digest() -> u64 {
+    static DIGEST: OnceLock<u64> = OnceLock::new();
+    *DIGEST.get_or_init(|| {
+        let mut corpus = Corpus::new();
+        for i in 0..12 {
+            corpus.insert(ItemId(i), format!("record {i}"));
+        }
+        let opts = RenderOptions::default();
+        canonical_tasks().iter().fold(0, |digest, task| {
+            // Every canonical task renders (a test pins it); one that
+            // stopped rendering still moves the digest.
+            let prompt = render(task, &corpus, &opts).unwrap_or_default();
+            combine(digest, prompt_hash(prompt.as_bytes()))
+        })
+    })
+}
+
+/// One task of every kind `tests/template_golden.rs` pins, over items
+/// `0..12`, in each shape the renderer writes differently: both sort
+/// criteria, an impute with examples, a verification, each packed
+/// instruction with a record's examples inline, and a pack numbered past
+/// nine.
+fn canonical_tasks() -> Vec<TaskDescriptor> {
+    let ids = |n: u64| (0..n).map(ItemId).collect::<Vec<_>>();
+    let check = |item: u64| TaskDescriptor::CheckPredicate {
+        item: ItemId(item),
+        predicate: "is sweet".into(),
+    };
+    let classify = |item: u64| TaskDescriptor::Classify {
+        item: ItemId(item),
+        labels: vec!["casual".into(), "fine dining".into()],
+    };
+    let impute = |item: u64, shots: u64| TaskDescriptor::Impute {
+        item: ItemId(item),
+        attribute: "city".into(),
+        examples: (0..shots)
+            .map(|i| (ItemId(i), format!("city {i}")))
+            .collect(),
+    };
+    let compare = |criterion| TaskDescriptor::Compare {
+        left: ItemId(0),
+        right: ItemId(1),
+        criterion,
+    };
+    vec![
+        TaskDescriptor::SortList {
+            items: ids(3),
+            criterion: SortCriterion::LatentScore,
+        },
+        TaskDescriptor::SortList {
+            items: ids(3),
+            criterion: SortCriterion::Lexicographic,
+        },
+        TaskDescriptor::CompareBatch {
+            pairs: vec![(ItemId(0), ItemId(1)), (ItemId(2), ItemId(0))],
+            criterion: SortCriterion::LatentScore,
+        },
+        compare(SortCriterion::LatentScore),
+        TaskDescriptor::Rate {
+            item: ItemId(0),
+            scale_min: 1,
+            scale_max: 7,
+            criterion: SortCriterion::LatentScore,
+        },
+        TaskDescriptor::SameEntity {
+            left: ItemId(0),
+            right: ItemId(1),
+        },
+        TaskDescriptor::GroupEntities { items: ids(3) },
+        impute(3, 2),
+        TaskDescriptor::CountPredicate {
+            items: ids(3),
+            predicate: "serves dessert".into(),
+            mode: CountMode::Eyeball,
+        },
+        check(0),
+        classify(0),
+        TaskDescriptor::Verify {
+            original: Box::new(compare(SortCriterion::Lexicographic)),
+            proposed_answer: "Yes".into(),
+        },
+        TaskDescriptor::Packed {
+            tasks: vec![check(0), check(1)],
+        },
+        TaskDescriptor::Packed {
+            tasks: vec![classify(0), classify(1)],
+        },
+        TaskDescriptor::Packed {
+            tasks: vec![impute(2, 0), impute(3, 2)],
+        },
+        TaskDescriptor::Packed {
+            tasks: (0..12).map(check).collect(),
+        },
+    ]
 }
 
 #[cfg(test)]
@@ -534,6 +705,31 @@ mod tests {
         assert!(listed.ends_with(&lines), "{listed}");
         assert!(packed.starts_with("For each of the 12 numbered items below"));
         assert!(packed.ends_with(&lines), "{packed}");
+    }
+
+    #[test]
+    fn every_canonical_task_renders_and_moves_the_digest() {
+        let mut corpus = Corpus::new();
+        for i in 0..12 {
+            corpus.insert(ItemId(i), format!("record {i}"));
+        }
+        let opts = RenderOptions::default();
+        let prompts: Vec<String> = canonical_tasks()
+            .iter()
+            .map(|task| render(task, &corpus, &opts).unwrap())
+            .collect();
+        let mut distinct = prompts.clone();
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(
+            distinct.len(),
+            prompts.len(),
+            "no two canonical prompts alike"
+        );
+        let digest = prompts
+            .iter()
+            .fold(0, |d, p| combine(d, prompt_hash(p.as_bytes())));
+        assert_eq!(template_digest(), digest);
     }
 
     #[test]

@@ -4,17 +4,18 @@
 //! pure function of (seed, request content). The standard library's `Hasher`
 //! is randomly keyed per process, so every stable hash is written here:
 //!
-//! * `prompt_hash` — the prompt's part of a request's cache key
-//!   ([`crate::CompletionRequest::fingerprint`]), 16 bytes a step. The key
-//!   is persisted in every store and journal, so its values are pinned by
-//!   known-answer vectors.
+//! * [`prompt_hash`] — the prompt's part of a request's cache key
+//!   ([`crate::CompletionRequest::fingerprint`]), 16 bytes a step, and the
+//!   engine's fingerprint of each item text and of its render options,
+//!   the parts of a task key. The key is persisted in every store and
+//!   journal, so its values are pinned by known-answer vectors.
 //! * FNV-1a ([`fnv1a`], `Fingerprint`) — one byte a step, for the
 //!   simulator's seeds (`sim::seed_of`), a task's structural fingerprint
 //!   and the record logs' line checksums (`fnv1a_x4` checks four lines'
 //!   at once). Every simulated answer is a function of these values, so
 //!   they never change.
-//! * `mix` / `combine` — a splitmix64 finalizer and an order-sensitive
-//!   fold of two hashes.
+//! * `mix` / [`combine`] — a splitmix64 finalizer and an order-sensitive
+//!   fold of two hashes (a request key's parts, a task key's parts).
 
 /// FNV-1a's starting state.
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
@@ -67,7 +68,7 @@ pub(crate) fn fnv1a_str(s: &str) -> u64 {
 
 /// Combine two hashes into one (order-sensitive).
 #[inline]
-pub(crate) fn combine(a: u64, b: u64) -> u64 {
+pub fn combine(a: u64, b: u64) -> u64 {
     // splitmix64 finalizer over the xor-rotated pair; cheap and well mixed.
     mix(a ^ b.rotate_left(32))
 }
@@ -112,16 +113,17 @@ fn half(bytes: &[u8]) -> u64 {
 }
 
 /// Hash a prompt for a request's cache key: 16 bytes a step, each step one
-/// multiply-fold ([`mum`], the construction of wyhash) of the two words
+/// multiply-fold (`mum`, the construction of wyhash) of the two words
 /// against the state, which starts from the length. The last 0–15 bytes
 /// are read as two (possibly overlapping) words whose span covers them all,
-/// and [`mix`] finishes.
+/// and a splitmix64 finalizer (`mix`) finishes. The engine hashes each item
+/// text and its render options with it too, for its task keys.
 ///
 /// Like FNV-1a it is a fast hash, not a keyed one: a prompt built to
 /// collide can. Its values are persisted as store keys, so they are pinned
 /// by known-answer vectors and must never change.
 #[inline]
-pub(crate) fn prompt_hash(bytes: &[u8]) -> u64 {
+pub fn prompt_hash(bytes: &[u8]) -> u64 {
     let len = bytes.len();
     let mut h = (len as u64) ^ WIDE[0];
     let mut steps = bytes.chunks_exact(16);

@@ -77,6 +77,17 @@ pub struct CompletionRequest {
     /// timeout) read it, so a retry meets a different server moment and
     /// the same answer.
     pub attempt: u32,
+    /// The content half of the request's key when its producer computed it
+    /// from the task rather than the prompt: the engine's *task key*
+    /// (`crowdprompt_core`'s `Engine::task_key`), which folds the task's
+    /// fingerprint with a fingerprint of every item text its prompt names,
+    /// the render options and a digest of the templates — everything the
+    /// prompt is rendered from — so a probe can be asked before the prompt
+    /// exists. `None` (what [`CompletionRequest::new`] builds): the content
+    /// half is the prompt's hash with the task's fingerprint. Set it only
+    /// to a key that fixes the prompt; [`CompletionRequest::fingerprint`]
+    /// trusts it.
+    pub task_key: Option<u64>,
 }
 
 impl CompletionRequest {
@@ -89,6 +100,7 @@ impl CompletionRequest {
             max_tokens: None,
             sample_index: 0,
             attempt: 0,
+            task_key: None,
         }
     }
 
@@ -127,20 +139,29 @@ impl CompletionRequest {
         u64::from(self.sample_index.wrapping_add(self.attempt))
     }
 
-    /// Stable fingerprint of the request content: the key every cache,
-    /// store and journal holds its answer under.
+    /// Stable fingerprint of the request: the key every cache, store and
+    /// journal holds its answer under, the one key function they share.
     ///
-    /// Covers the prompt (`hash::prompt_hash`, 16 bytes a step), the
-    /// task's [`TaskDescriptor::fingerprint`], the temperature, the
-    /// max-tokens cap, and the sample index only when temperature is
-    /// positive, so that deterministic (temperature-0) requests are cached
-    /// across samples. The simulator seeds its draws from its own hash of
-    /// the same fields.
+    /// Its content half has two producers. A request built by
+    /// [`CompletionRequest::new`] is keyed by its prompt
+    /// (`hash::prompt_hash`, 16 bytes a step) with the task's
+    /// [`TaskDescriptor::fingerprint`]; one the engine built carries its
+    /// [`CompletionRequest::task_key`] instead, so its key is known before
+    /// its prompt is rendered and a cache hit never renders one. Either
+    /// way the content is folded with the temperature, the max-tokens cap,
+    /// and the sample index only when temperature is positive, so that
+    /// deterministic (temperature-0) requests are cached across samples.
+    /// The two producers' keys never meet: an answer stored under one is a
+    /// miss under the other, paid for again, never served wrong. The
+    /// simulator seeds its draws from its own hash of the prompt and task,
+    /// whichever key the request carries.
     pub fn fingerprint(&self) -> u64 {
-        let mut key = hash::combine(
-            hash::prompt_hash(self.prompt.as_bytes()),
-            self.task.fingerprint(),
-        );
+        let mut key = self.task_key.unwrap_or_else(|| {
+            hash::combine(
+                hash::prompt_hash(self.prompt.as_bytes()),
+                self.task.fingerprint(),
+            )
+        });
         key = hash::combine(key, self.temperature.to_bits());
         key = hash::combine(key, u64::from(self.max_tokens.unwrap_or(0)));
         if self.temperature > 0.0 {
