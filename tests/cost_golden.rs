@@ -88,7 +88,11 @@ const SELF_JOIN: (u64, u64) = (4_005, 548_008);
 /// Re-recorded from `(496, 96_961)` when a packed round began settling its
 /// cache hits where it renders them: a warm round queues no job, so each
 /// pump round's list of queued slots and its job handles went.
-const FILTER_ROUND: (u64, u64) = (483, 94_737);
+/// Re-recorded from `(483, 94_737)` when a round began probing each pack by
+/// its task key before rendering it: a hit's prompt is never rendered, so
+/// each settled pack's prompt went, one allocation a pack at every
+/// bisection level.
+const FILTER_ROUND: (u64, u64) = (447, 76_881);
 /// The same shape as a keep-label node over three labels.
 /// Re-recorded from `(3_067, 159_578)` with [`FILTER_ROUND`]: a `Classify`
 /// task is four allocations (its label list and three labels), so the
@@ -98,8 +102,9 @@ const FILTER_ROUND: (u64, u64) = (483, 94_737);
 /// answer as the label's index off a borrowed line: every item's owned
 /// line, the copy of its extracted value and the clone of its label went.
 /// Re-recorded from `(1_272, 118_466)` with [`FILTER_ROUND`], for the same
-/// queueing.
-const KEEP_LABEL_ROUND: (u64, u64) = (1_259, 116_290);
+/// queueing. Re-recorded from `(1_259, 116_290)` with [`FILTER_ROUND`],
+/// for the same prompts.
+const KEEP_LABEL_ROUND: (u64, u64) = (1_225, 99_426);
 /// The same shape as an impute node, `LlmOnly` with two shots, over the
 /// same 256 records labelled with their cities (each record's examples
 /// are its two nearest other records): the pool build, the neighbour
@@ -115,7 +120,10 @@ const KEEP_LABEL_ROUND: (u64, u64) = (1_259, 116_290);
 /// queueing, and from `(2_343, 607_415)` when the embedder began
 /// lowercasing short ASCII text in a stack buffer: the pool build's 256
 /// lowercase copies of the records went.
-const IMPUTE_ROUND: (u64, u64) = (2_087, 600_503);
+/// Re-recorded from `(2_087, 600_503)` with [`FILTER_ROUND`], for the same
+/// prompts (an impute pack's, with its examples, grows past its first
+/// block, so most are two allocations).
+const IMPUTE_ROUND: (u64, u64) = (1_991, 486_327);
 /// `(allocations, bytes)` of sixteen `CheckPredicate` tasks through
 /// `Engine::run_outcome` at one worker, each answered from the client's
 /// cache by the same run cold before it.
@@ -125,10 +133,18 @@ const IMPUTE_ROUND: (u64, u64) = (2_087, 600_503);
 /// worker's claim list went, less the round's own lists (its packs as
 /// ranges, the packs it keeps, their parsed answers); the calls are
 /// collected once, straight into the slots the round takes them from.
-const RUN_OUTCOME_WARM: (u64, u64) = (61, 18_568);
+/// Re-recorded from `(61, 18_568)` when a round began probing each call by
+/// its task key before rendering it: the sixteen prompts went, and so did
+/// the round's list of parsed answers, which a round of width one no
+/// longer builds (one `None` a call, 384 bytes); the round's list of
+/// settled calls grew by the request's task key, 16 bytes a call.
+const RUN_OUTCOME_WARM: (u64, u64) = (44, 10_248);
 /// The same sixteen tasks through `Server::submit` for one tenant of a
 /// server over the same client.
-const SUBMIT_WARM: (u64, u64) = (35, 12_716);
+/// Re-recorded from `(35, 12_716)` when a request began carrying its task
+/// key: the submit still renders every task before any cache is asked, and
+/// its list of rendered calls is 16 bytes a call larger.
+const SUBMIT_WARM: (u64, u64) = (35, 12_972);
 /// `(allocations, bytes)` of one `ResponseStore::open` of a fresh copy of
 /// `tests/fixtures/store-v2.log` (six records): the lock's path, the
 /// file's contents, each record's text and `Arc`, the index and the
