@@ -16,11 +16,11 @@
 //! | `one-engine`  | `crates/core/src` calls `Engine::new` in `session.rs` (and `exec.rs`) and nowhere else|
 //! | `one-judge`   | `crates/core/src/ops` calls `run_many` in `judge.rs`'s strict step and nowhere else|
 //! | `one-bill`    | `plan/estimate.rs` names no `*Strategy::` variant; `crates/core/src/ops` defines no `estimated_calls`/`packed_calls`|
-//! | `one-count`   | `crates/core/src/exec.rs` calls `count_tokens` in `render_and_estimate` and nowhere else|
+//! | `one-count`   | `crates/core/src/exec.rs` calls `count_tokens` in `render_and_estimate` and nowhere else; its `run_packs` renders no call before it probes one|
 //! | `no-format-push`| no `push_str(&format!(..))` in `crates/core/src/template.rs`: a prompt is written into one buffer|
 //! | `one-layout`  | no nested `Vec<Vec<f32>>` / `[Vec<f32>]` in library code under `crates/{embed,core,oracle}/src`; `crates/embed/src` defines no `fn nearest*`|
 //! | `no-spawn-per-call`| `crates/oracle/src/route.rs` starts threads in `start_helper` and `launch_twin` and nowhere else|
-//! | `one-fingerprint`| `crates/oracle/src/client.rs` calls `.fingerprint()` in `probe` and nowhere else; `crates/core/src/{exec,serve}.rs` never do|
+//! | `one-fingerprint`| `crates/oracle/src/client.rs` calls `.fingerprint()` in `probe` and nowhere else; `crates/core/src/{exec,serve}.rs` call it only in `exec.rs`'s `task_key` (the task's), which is also the one place `crates/core/src` reads a text's fingerprint (`.text_key(..)`)|
 //! | `one-settle`  | `crates/core/src` calls `.probe(..)` in `exec.rs`'s `settle_hit` and `.probe_key(..)` in its `execute`, and nowhere else|
 //! | `pub-has-caller`| a `pub` item under `crates/{core,embed,oracle,metrics,data}/src` is named by non-test code outside its crate's `src/` (no `tests/` tree, no `#[cfg(test)]` item), or by a doc-test|
 //! | `one-door`    | `crates/core/src/session.rs` names no `ops::` function; no file in `crates/core/src/ops` declares a top-level `pub fn`|
@@ -132,9 +132,14 @@ const ONE_LAYOUT_NESTED: &[&str] = &["Vec<Vec<f32>>", "[Vec<f32>]"];
 /// A prompt's tokens are counted once, where it is rendered: the one
 /// function in [`ONE_COUNT_HOME`] allowed to call `count_tokens` carries the
 /// count on the work item, and whoever needs it later (context fitting)
-/// reads it there instead of tokenizing the prompt again.
+/// reads it there instead of tokenizing the prompt again. And only a miss
+/// is rendered: in the round loop ([`ONE_COUNT_ROUND`]) every call of a
+/// render ([`ONE_COUNT_RENDERS`]) follows the round's probe
+/// (`.settle_hit(..)`), so a hit is settled before any prompt exists.
 const ONE_COUNT_HOME: &str = "crates/core/src/exec.rs";
 const ONE_COUNT_FN: &str = "render_and_estimate";
+const ONE_COUNT_ROUND: &str = "run_packs";
+const ONE_COUNT_RENDERS: &[&str] = &["render_and_estimate", "render_work", "render_call"];
 
 /// A prompt is written line by line into one `String` with `write!`; a
 /// `push_str(&format!(..))` in the renderer allocates a temporary per line.
@@ -152,15 +157,26 @@ const NO_SPAWN_FNS: &[&str] = &["start_helper", "launch_twin"];
 /// in [`ONE_FINGERPRINT_HOME`] allowed to call `.fingerprint()`, returns the
 /// hit or the key, and the key rides with the work into the call. A second
 /// call in the client, or any in the dispatcher and the serve door
-/// ([`ONE_FINGERPRINT_CALLERS`]), hashes the same prompt again.
+/// ([`ONE_FINGERPRINT_CALLERS`]) but the task's own fingerprint in the one
+/// key site ([`ONE_KEY_FN`]), hashes the same request again.
 const ONE_FINGERPRINT_HOME: &str = "crates/oracle/src/client.rs";
 const ONE_FINGERPRINT_FN: &str = "probe";
 const ONE_FINGERPRINT_CALLERS: &[&str] = &["crates/core/src/exec.rs", "crates/core/src/serve.rs"];
+/// The content half of an engine's request key, its task key, is computed
+/// in one function ([`ONE_KEY_FN`] in [`ONE_KEY_HOME`]): only a task key
+/// reads an item text's fingerprint, so a `.text_key(..)` anywhere else in
+/// the crate ([`ONE_KEY_SCOPE`]) is a second key site, whose keys could
+/// miss an input the first folds in and serve one prompt's answer for
+/// another.
+const ONE_KEY_SCOPE: &str = "crates/core/src/";
+const ONE_KEY_HOME: &str = "crates/core/src/exec.rs";
+const ONE_KEY_FN: &str = "task_key";
 
 /// A hit found before its call is queued is settled by one rule: the
-/// engine's settle helper probes, then bills and traces the hit or leaves
-/// the key on the miss, and the worker body only re-checks the key a queued
-/// call carries. A probe anywhere else in the crate is a second settle
+/// engine's settle helper probes by the call's task key — on the round
+/// loop, before its prompt is rendered — then bills and traces the hit or
+/// hands back the key a miss is dispatched under, and the worker body only
+/// re-checks the key a queued call carries. A probe anywhere else in the crate is a second settle
 /// rule, whose hits another path would bill, trace or admit differently.
 const ONE_SETTLE_SCOPE: &str = "crates/core/src/";
 const ONE_SETTLE_HOME: &str = "crates/core/src/exec.rs";
@@ -821,6 +837,25 @@ fn lint_rust_source(rel: &str, src: &str) -> Vec<Finding> {
                 );
             }
         }
+        if let Some((open, close)) = find_fn_body(&masked, ONE_COUNT_ROUND) {
+            let probed = find_method_call(&masked, "settle_hit", false)
+                .into_iter()
+                .find(|&offset| open < offset && offset < close);
+            for name in ONE_COUNT_RENDERS {
+                for offset in find_method_call(&masked, name, false) {
+                    let in_round = open < offset && offset < close;
+                    let after_probe = probed.is_some_and(|probe| probe < offset);
+                    if library_code(offset) && in_round && !after_probe {
+                        push(
+                            "one-count",
+                            format!("`.{name}(..)` renders a call in `{ONE_COUNT_ROUND}` before the round probes it"),
+                            "key the call (`Engine::keyed`), settle it with `.settle_hit(..)`, and render only a miss",
+                            offset,
+                        );
+                    }
+                }
+            }
+        }
     }
 
     if rel == NO_FORMAT_PUSH_HOME {
@@ -860,9 +895,13 @@ fn lint_rust_source(rel: &str, src: &str) -> Vec<Finding> {
     }
 
     if rel == ONE_FINGERPRINT_HOME || ONE_FINGERPRINT_CALLERS.contains(&rel) {
-        let home = (rel == ONE_FINGERPRINT_HOME)
-            .then(|| find_fn_body(&masked, ONE_FINGERPRINT_FN))
-            .flatten();
+        // The client's probe hashes a request; the engine's key site takes
+        // its task's structural fingerprint, one part of the task key.
+        let home = match rel {
+            ONE_FINGERPRINT_HOME => find_fn_body(&masked, ONE_FINGERPRINT_FN),
+            ONE_KEY_HOME => find_fn_body(&masked, ONE_KEY_FN),
+            _ => None,
+        };
         for offset in find_method_call(&masked, "fingerprint", true) {
             let at_home = home.is_some_and(|(open, close)| open < offset && offset < close);
             if library_code(offset) && !at_home {
@@ -870,6 +909,23 @@ fn lint_rust_source(rel: &str, src: &str) -> Vec<Finding> {
                     "one-fingerprint",
                     format!("`.fingerprint()` hashes a request again outside `LlmClient::{ONE_FINGERPRINT_FN}`"),
                     "probe once (`LlmClient::probe` returns the hit or the key) and carry the key: `Work::key`, `complete_keyed`, `probe_key`",
+                    offset,
+                );
+            }
+        }
+    }
+
+    if rel.starts_with(ONE_KEY_SCOPE) {
+        let home = (rel == ONE_KEY_HOME)
+            .then(|| find_fn_body(&masked, ONE_KEY_FN))
+            .flatten();
+        for offset in find_method_call(&masked, "text_key", false) {
+            let at_home = home.is_some_and(|(open, close)| open < offset && offset < close);
+            if library_code(offset) && !at_home {
+                push(
+                    "one-fingerprint",
+                    format!("`.text_key(..)` computes a task key outside `Engine::{ONE_KEY_FN}`"),
+                    "key a call with `Engine::keyed`, which folds every input a prompt is rendered from in one place",
                     offset,
                 );
             }
@@ -2074,6 +2130,26 @@ mod tests {
     }
 
     #[test]
+    fn one_count_flags_a_render_in_the_round_loop_before_its_probe() {
+        let src = concat!(
+            "fn run_packs(&self) -> Out {\n",
+            "    let early = |c: Call| { let w = self.render_call(c, mode)?; self.settle_hit(&b, &w.request) };\n",
+            "    let render = |c: Call| { let r = self.keyed(c)?; if x { y }\n",
+            "        match self.settle_hit(&b, &r) { Probe::Hit(h) => h, Probe::Miss(k) => self.render_work(r, mode) } };\n",
+            "}\n",
+            "fn render_call(&self, c: Call) -> Work { self.render_work(self.keyed(c), m) } // .render_work(..) in prose\n",
+            "fn estimate_task(&self) { self.render_and_estimate(&mut r); }\n",
+            "#[cfg(test)]\n",
+            "mod tests { fn run_packs() { e.render_call(c, m); e.settle_hit(b, r); } }\n",
+        );
+        let f = lint_rust_source("crates/core/src/exec.rs", src);
+        assert_eq!(codes(&f), vec!["one-count"]);
+        assert_eq!((f[0].line, f[0].col), (2, 41));
+        // Only the engine's round loop is held to probe-then-render.
+        assert!(lint_rust_source("crates/core/src/serve.rs", src).is_empty());
+    }
+
+    #[test]
     fn no_spawn_per_call_flags_thread_starts_in_the_router_outside_its_two_homes() {
         let src = concat!(
             "fn spawn_attempt(&self, tx: Sender) { std::thread::spawn(move || { let _ = tx.send(1); }); }\n",
@@ -2120,6 +2196,32 @@ mod tests {
         // The store, the simulator and the planner hash what they like.
         assert!(lint_rust_source("crates/oracle/src/store.rs", src).is_empty());
         assert!(lint_rust_source("crates/core/src/plan/planner.rs", src).is_empty());
+    }
+
+    #[test]
+    fn one_fingerprint_flags_a_second_task_key_site() {
+        let src = concat!(
+            "fn task_key(&self, t: &Task) -> Result<u64, E> { if x { y } let k = self.corpus.text_key(id); k }\n",
+            "fn quick_key(&self, id: ItemId) -> u64 { combine(self.render_key, self.corpus.text_key(id)) }\n",
+            "fn keyed(&self, c: Call) -> Req { Req { task_key: Some(self.task_key(&c.0)) } } // .text_key(..) in prose\n",
+            "fn task_key_again(&self, t: &Task) -> u64 { t.fingerprint() }\n",
+            "#[cfg(test)]\n",
+            "mod tests { fn t(c: &Corpus) { c.text_key(ItemId(1)); } }\n",
+        );
+        let f = lint_rust_source("crates/core/src/exec.rs", src);
+        assert_eq!(codes(&f), vec!["one-fingerprint"; 2]);
+        let mut at: Vec<(usize, usize)> = f.iter().map(|f| (f.line, f.col)).collect();
+        at.sort_unstable();
+        // The second key site's text fingerprint, and a task fingerprint
+        // outside the one key site.
+        assert_eq!(at, vec![(2, 78), (4, 46)]);
+        // Elsewhere in the crate there is no key site: every text
+        // fingerprint fires (and the planner hashes what it likes).
+        let f = lint_rust_source("crates/core/src/plan/estimate.rs", src);
+        assert_eq!(codes(&f), vec!["one-fingerprint"; 2]);
+        // The store and the tests read what they like.
+        assert!(lint_rust_source("crates/oracle/src/store.rs", src).is_empty());
+        assert!(lint_rust_source("tests/task_key.rs", src).is_empty());
     }
 
     #[test]
