@@ -34,7 +34,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crowdprompt::core::{Corpus, Engine, RunSpec, ServerBuilder, TenantSpec};
+use crowdprompt::core::{Corpus, Engine, RunSpec, ServerBuilder, Session, TenantSpec};
 use crowdprompt::embed::{BruteForceIndex, Metric, Queries, VectorStore};
 use crowdprompt::oracle::{
     CompletionRequest, CompletionResponse, FinishReason, LlmClient, ModelProfile, Pricing,
@@ -124,6 +124,10 @@ const KEEP_LABEL_ROUND: (u64, u64) = (1_225, 99_426);
 /// prompts (an impute pack's, with its examples, grows past its first
 /// block, so most are two allocations).
 const IMPUTE_ROUND: (u64, u64) = (1_991, 486_327);
+/// `(allocations, bytes)` of `Session::blocking_index` over the same 256
+/// records at parallelism 1: their texts embedded into one flat store and
+/// the exact index over it.
+const BLOCKING_BUILD: (u64, u64) = (5, 278_032);
 /// `(allocations, bytes)` of sixteen `CheckPredicate` tasks through
 /// `Engine::run_outcome` at one worker, each answered from the client's
 /// cache by the same run cold before it.
@@ -454,6 +458,15 @@ fn each_step_allocates_what_it_was_recorded_to() {
     }
     got.extend(warm_costs);
 
+    let session = Session::builder()
+        .client(Arc::clone(engine.client()))
+        .corpus(engine.corpus().clone())
+        .parallelism(1)
+        .build();
+    let (build, index) = counted(|| session.blocking_index(&items).expect("the index builds"));
+    assert_eq!(index.len(), items.len());
+    got.push(("blocking build".to_owned(), build));
+
     // Sixteen per-item tasks the engine's client answers from its cache:
     // once through the engine, once through the serve door.
     let tasks: Vec<TaskDescriptor> = items[..16]
@@ -506,6 +519,7 @@ fn each_step_allocates_what_it_was_recorded_to() {
         FILTER_ROUND,
         KEEP_LABEL_ROUND,
         IMPUTE_ROUND,
+        BLOCKING_BUILD,
         RUN_OUTCOME_WARM,
         SUBMIT_WARM,
         STORE_OPEN_FIXTURE,
