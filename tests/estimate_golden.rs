@@ -6,7 +6,7 @@
 //! input rows: each row pins `(calls, cost_usd.to_bits(), rows_out)` of the
 //! node's `NodeEstimate`. Further sections pin the same nodes *behind* a
 //! filter (so the rows reaching the node differ from the source the
-//! estimator samples), the blocking-recall discount at IVF scale, the
+//! estimator samples), blocking consumers at scale (70 000 rows), the
 //! budget split and downgrade chain under a tight `Budget::usd`, and the
 //! full EXPLAIN text of two pipelines.
 //!
@@ -356,8 +356,7 @@ fn record() -> String {
         }
     }
 
-    // Section C: the blocking-recall discount, which only applies where the
-    // shared index would route to the approximate tier (>= 65 536 rows).
+    // Section C: blocking consumers at scale (70 000 rows), billed exact.
     {
         let mut big = WorldModel::new();
         let many: Vec<ItemId> = (0..70_000).map(|i| big.add_item(format!("r{i}"))).collect();
@@ -365,7 +364,6 @@ fn record() -> String {
         let s = Session::builder()
             .client(Arc::new(LlmClient::new(Arc::new(llm))))
             .corpus(Corpus::from_world(&big, &many))
-            .blocking_recall_target(0.9)
             .try_build()
             .unwrap();
         let right = many[..66_000].to_vec();
@@ -401,11 +399,7 @@ fn record() -> String {
                 let plan = build(Query::over(&many[..rows]))
                     .plan_with(s.engine(), PlanOptions::verbatim())
                     .unwrap();
-                plan_lines(
-                    &mut out,
-                    &format!("approx-blocking | {name} at {rows}"),
-                    &plan,
-                );
+                plan_lines(&mut out, &format!("at-scale | {name} at {rows}"), &plan);
             }
         }
     }

@@ -8,9 +8,8 @@
 //! plan records its `explain()` text, the `{:?}` of every physical node and
 //! the tokens planning spent (calibration trials spend for real), or the
 //! planning error. A last section plans unpinned cluster and join nodes and
-//! a transitivity resolve-pairs node at IVF scale, where the shared
-//! blocking index is predicted approximate, pinning the order of the
-//! approximate-blocking and blocking push-in notes.
+//! a transitivity resolve-pairs node at scale (70 000 rows), pinning their
+//! blocking push-in notes and exact bills.
 //!
 //! Recorded in `tests/golden/plan.txt` before the logical IR was folded
 //! into the physical one; a refactor of the planner must leave every line as
@@ -355,9 +354,8 @@ fn record() -> String {
         }
     }
 
-    // Section B: at IVF scale (>= 65 536 rows) with a sub-1.0 recall target
-    // the blocking index is predicted approximate; every blocking consumer
-    // notes that before any push-in note of its own.
+    // Section B: blocking consumers at scale (70 000 rows): the bills
+    // stay exact, and each notes only its own push-in.
     {
         let mut big = WorldModel::new();
         let many: Vec<ItemId> = (0..70_000).map(|i| big.add_item(format!("r{i}"))).collect();
@@ -365,7 +363,6 @@ fn record() -> String {
         let s = Session::builder()
             .client(Arc::new(LlmClient::new(Arc::new(llm))))
             .corpus(Corpus::from_world(&big, &many))
-            .blocking_recall_target(0.9)
             .try_build()
             .unwrap();
         let right = many[..66_000].to_vec();
@@ -384,7 +381,7 @@ fn record() -> String {
             let spent = s.engine().budget().spent_tokens();
             plan_lines(
                 &mut out,
-                &format!("ivf | {name} | optimized"),
+                &format!("at-scale | {name} | optimized"),
                 planned,
                 spent,
             );
