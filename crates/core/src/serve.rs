@@ -693,12 +693,64 @@ mod tests {
     use crowdprompt_oracle::types::{CompletionRequest, LanguageModel};
     use crowdprompt_oracle::world::WorldModel;
     use crowdprompt_oracle::{ItemId, LlmClient};
+    use parking_lot::Condvar;
     use proptest::prelude::*;
-    use std::sync::Barrier;
+    use std::time::Duration;
 
     fn engine(n: usize) -> (Engine, Vec<ItemId>) {
         let (engine, ids, _) = probed_engine(n, None);
         (engine, ids)
+    }
+
+    /// How long one side of a [`Rendezvous`] waits for the other.
+    const RENDEZVOUS_DEADLINE: Duration = Duration::from_secs(30);
+
+    /// A reusable meeting point of two threads, like a `Barrier` of two,
+    /// that panics, naming itself, when the other side has not come within
+    /// [`RENDEZVOUS_DEADLINE`]: a test whose submit panicked before its call
+    /// reached the backend, or whose assertion failed while the backend was
+    /// parked, fails instead of waiting forever.
+    struct Rendezvous {
+        name: &'static str,
+        /// Meetings completed, and whether one side is waiting for the next.
+        state: Mutex<(u64, bool)>,
+        met: Condvar,
+    }
+
+    impl Rendezvous {
+        fn new(name: &'static str) -> Self {
+            Rendezvous {
+                name,
+                state: Mutex::new((0, false)),
+                met: Condvar::new(),
+            }
+        }
+
+        fn wait(&self) {
+            let mut state = self.state.lock();
+            let meeting = state.0;
+            if state.1 {
+                *state = (meeting + 1, false);
+                self.met.notify_all();
+                return;
+            }
+            state.1 = true;
+            while state.0 == meeting {
+                if self
+                    .met
+                    .wait_for(&mut state, RENDEZVOUS_DEADLINE)
+                    .timed_out()
+                    && state.0 == meeting
+                {
+                    state.1 = false;
+                    drop(state);
+                    panic!(
+                        "rendezvous `{}`: the other side did not come within {RENDEZVOUS_DEADLINE:?}",
+                        self.name
+                    );
+                }
+            }
+        }
     }
 
     /// What a [`Probe`] does to the calls for item 0.
@@ -717,8 +769,8 @@ mod tests {
         current: AtomicU64,
         peak: AtomicU64,
         on_item0: Option<OnItem0>,
-        entered: Barrier,
-        release: Barrier,
+        entered: Rendezvous,
+        release: Rendezvous,
         /// The item whose calls panic; none while `u64::MAX`.
         mined: AtomicU64,
     }
@@ -778,8 +830,8 @@ mod tests {
             current: AtomicU64::new(0),
             peak: AtomicU64::new(0),
             on_item0,
-            entered: Barrier::new(2),
-            release: Barrier::new(2),
+            entered: Rendezvous::new("entered"),
+            release: Rendezvous::new("release"),
             mined: AtomicU64::new(u64::MAX),
         });
         let client = Arc::new(LlmClient::new(Arc::clone(&probe) as Arc<dyn LanguageModel>));
