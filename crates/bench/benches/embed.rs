@@ -1,6 +1,5 @@
 //! Micro-benchmarks for the blocking layer: index build, one query, and
-//! the batch-blocking shape through the one `search` entry point, plus the
-//! million-row IVF tier.
+//! the batch-blocking shape through the one `search` entry point.
 //!
 //! The corpus is ~20k synthetic product records embedded with the
 //! ada-like 256-dimension hashed n-gram embedder — the shape every
@@ -9,11 +8,8 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
-use std::time::Instant;
 
-use crowdprompt_embed::{
-    BruteForceIndex, Embedder, IvfIndex, IvfParams, Metric, NgramEmbedder, Queries, VectorStore,
-};
+use crowdprompt_embed::{BruteForceIndex, Embedder, Metric, NgramEmbedder, Queries, VectorStore};
 
 const CORPUS: usize = 20_000;
 const QUERIES: usize = 256;
@@ -120,150 +116,10 @@ fn bench_batch_blocking(c: &mut Criterion) {
     group.finish();
 }
 
-// ---------------------------------------------------------------------------
-// Million-row tier (PR 6): IVF + SQ8 vs the exact fused scan.
-// ---------------------------------------------------------------------------
-
-/// Print a measurement taken outside the shim's timing loop — the 1M tier
-/// times its own queries so the printed numbers are exactly the ones the
-/// in-bench speedup/recall assertions check.
-fn report(name: &str, value: u64) {
-    println!("bench: {name:<48} {value:>14}");
-}
-
-/// SplitMix64 — the same deterministic generator the IVF trainer uses.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// `n` rows around `centers` random anchors with small per-dim noise,
-/// written straight into a flat buffer. The embedder is far too slow to
-/// produce a million rows, and what the index cares about is the *shape*
-/// of the space: well-separated clusters of near-duplicates, which is
-/// exactly what blocking corpora look like after embedding.
-fn clustered_flat(n: usize, dims: usize, centers: usize, seed: u64) -> Vec<f32> {
-    let mut state = seed;
-    let anchors: Vec<f32> = (0..centers * dims)
-        .map(|_| (splitmix(&mut state) % 8000) as f32 / 1000.0)
-        .collect();
-    let mut data = Vec::with_capacity(n * dims);
-    for _ in 0..n {
-        let c = (splitmix(&mut state) as usize) % centers;
-        let anchor = &anchors[c * dims..(c + 1) * dims];
-        for &a in anchor {
-            let noise = (splitmix(&mut state) & 0xFFFF) as f32 / 65_536.0 - 0.5;
-            data.push(a + noise * 0.25);
-        }
-    }
-    data
-}
-
-/// Best observed sample. The container's host scheduling is bursty
-/// (identical deterministic queries spread 5–23 ms within one process),
-/// so the minimum — not the median — is the interference-free estimate;
-/// both sides of every ratio use it, so no side is flattered.
-fn min_ns(samples: &[u64]) -> u64 {
-    samples.iter().copied().min().unwrap_or(0)
-}
-
-/// The headline PR-6 number: per-query latency of the IVF + SQ8 probe
-/// (at the default 0.95 recall target) vs the exact fused scan, over a
-/// million 256-dim rows, with recall@10 measured against the exact
-/// oracle. Both the speedup and the recall are asserted in-bench so a
-/// quantizer or trainer regression fails the CI smoke run.
-///
-/// Fast mode (the CI smoke's tiny measurement window) caps the corpus at
-/// 50k rows so the run stays in CI budget; entry names are identical and
-/// the assertions use proportionally relaxed floors.
-fn bench_million_row_tier(_c: &mut Criterion) {
-    let fast = std::env::var("CRITERION_MEASURE_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .is_some_and(|ms| ms < 50);
-    let (n, centers, ivf_reps, recall_floor, speedup_floor) = if fast {
-        (50_000, 64, 8, 0.80, 2.0)
-    } else {
-        (1_000_000, 1024, 16, 0.95, 10.0)
-    };
-    const DIMS: usize = 256; // the ada-like embedder's output width
-    const K: usize = 10;
-    const QUERY_COUNT: usize = 32;
-
-    let store = VectorStore::from_flat(clustered_flat(n, DIMS, centers, 0x1AB5_EED6), DIMS);
-    let queries: Vec<Vec<f32>> = (0..QUERY_COUNT)
-        .map(|i| store.row(i * (n / QUERY_COUNT) + i).to_vec())
-        .collect();
-    let exact = BruteForceIndex::from_store(store.clone(), Metric::L2);
-
-    let build_start = Instant::now();
-    let ivf = IvfIndex::build(store, Metric::L2, IvfParams::for_corpus(n, 0.95));
-    let build_ns = build_start.elapsed().as_nanos() as u64;
-    println!(
-        "bench: embed_1m tier n={n} dims={DIMS} nlist={} nprobe={}",
-        ivf.nlist(),
-        ivf.params().nprobe
-    );
-
-    // Exact oracle + exact per-query timing in one pass (the oracle IS
-    // the thing being timed, so no separate warm-up scan is wasted).
-    let mut exact_ns: Vec<u64> = Vec::with_capacity(QUERY_COUNT);
-    let mut truth: Vec<Vec<usize>> = Vec::with_capacity(QUERY_COUNT);
-    for q in &queries {
-        let t = Instant::now();
-        let hits = exact.search(Queries::Flat(black_box(q)), K).remove(0);
-        exact_ns.push(t.elapsed().as_nanos() as u64);
-        truth.push(hits.into_iter().map(|h| h.index).collect());
-    }
-
-    let mut ivf_ns: Vec<u64> = Vec::with_capacity(QUERY_COUNT * ivf_reps);
-    let mut hit = 0usize;
-    let mut total = 0usize;
-    for (q, t_ids) in queries.iter().zip(&truth) {
-        let mut got: Vec<usize> = Vec::new();
-        for _ in 0..ivf_reps {
-            let t = Instant::now();
-            let hits = ivf.search(Queries::Flat(black_box(q)), K).remove(0);
-            ivf_ns.push(t.elapsed().as_nanos() as u64);
-            got = hits.into_iter().map(|h| h.index).collect();
-        }
-        total += t_ids.len();
-        hit += t_ids.iter().filter(|i| got.contains(i)).count();
-    }
-
-    let exact_best = min_ns(&exact_ns);
-    let ivf_best = min_ns(&ivf_ns);
-    let recall = hit as f64 / total.max(1) as f64;
-    let speedup = exact_best as f64 / ivf_best.max(1) as f64;
-
-    report("embed_1m_query/exact_fused", exact_best);
-    report("embed_1m_query/ivf_sq8", ivf_best);
-    report("embed_1m_build/ivf_ns", build_ns);
-    report(
-        "embed_1m_recall/at10_x1000",
-        (recall * 1000.0).round() as u64,
-    );
-    println!("bench: embed_1m recall@{K} = {recall:.4}, speedup = {speedup:.1}x");
-
-    assert!(
-        recall >= recall_floor,
-        "1M-tier recall@{K} regressed: {recall:.4} < {recall_floor}"
-    );
-    assert!(
-        speedup >= speedup_floor,
-        "1M-tier IVF speedup regressed: {speedup:.1}x < {speedup_floor}x \
-         (exact {exact_best} ns vs ivf {ivf_best} ns)"
-    );
-}
-
 criterion_group!(
     benches,
     bench_index_build,
     bench_single_query,
-    bench_batch_blocking,
-    bench_million_row_tier
+    bench_batch_blocking
 );
 criterion_main!(benches);

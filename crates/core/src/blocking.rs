@@ -4,8 +4,8 @@
 //!
 //! A [`BlockingIndex`] embeds a corpus of items once, straight into the
 //! flat [`crowdprompt_embed::VectorStore`] layout
-//! ([`embed_all_flat_with_workers`]), lets [`KnnIndex::build`] pick the exact
-//! scan or the IVF tier per corpus shape, and serves *batched* neighbor
+//! ([`embed_all_flat_with_workers`]), indexes it with the exact
+//! [`BruteForceIndex`], and serves *batched* neighbor
 //! queries — operators hand it whole item collections, never one record at
 //! a time. A batch reaches the index as exactly one of two shapes, both
 //! through the one `search(queries, k)`: indexed items as
@@ -18,8 +18,8 @@
 use std::collections::HashMap;
 
 use crowdprompt_embed::{
-    dot_unrolled, embed_all_flat_with_workers, predict_auto_kind, Embedder, KnnIndex, Metric,
-    Neighbor, NgramEmbedder, Queries, VectorStore,
+    dot_unrolled, embed_all_flat_with_workers, BruteForceIndex, Embedder, Metric, Neighbor,
+    NgramEmbedder, Queries, VectorStore,
 };
 use crowdprompt_oracle::world::ItemId;
 
@@ -68,7 +68,7 @@ pub struct BlockingIndex {
     /// First insertion position of each item (duplicates keep the first,
     /// matching the seed's `Vec::position` lookups).
     pos: HashMap<ItemId, usize>,
-    index: KnnIndex,
+    index: BruteForceIndex,
     embedder: NgramEmbedder,
     /// Threads an embedding or a scan splits over: the building engine's
     /// [`Engine::threads`].
@@ -81,15 +81,8 @@ impl BlockingIndex {
     ///
     /// Texts are embedded on the engine's threads through
     /// [`embed_all_flat_with_workers`] (one corpus-sized buffer, no per-row
-    /// allocations) and the index implementation is chosen by
-    /// [`KnnIndex::build`] under the engine's recall target
-    /// ([`crate::SessionBuilder::blocking_recall_target`]), so every blocking consumer —
-    /// dedup, join, cluster, impute-knn — picks up approximate blocking
-    /// from one engine knob: small or low-dimensional corpora get the exact
-    /// brute-force scan regardless of the target, and a target of `None`
-    /// (or `>= 1.0`) keeps even million-row corpora exact. A sub-1.0 target
-    /// on a large high-dimensional corpus builds the approximate IVF + SQ8
-    /// tier tuned for that recall@k.
+    /// allocations) and indexed by the exact [`BruteForceIndex`], which
+    /// every blocking consumer — dedup, join, cluster, impute-knn — asks.
     pub fn build(engine: &Engine, items: &[ItemId]) -> Result<Self, EngineError> {
         let embedder = NgramEmbedder::ada_like();
         let mut texts = Vec::with_capacity(items.len());
@@ -113,20 +106,10 @@ impl BlockingIndex {
         Ok(BlockingIndex {
             items: items.to_vec(),
             pos,
-            index: KnnIndex::build(store, Metric::L2, engine.blocking_recall_target()),
+            index: BruteForceIndex::from_store(store, Metric::L2),
             embedder,
             workers,
         })
-    }
-
-    /// Which k-NN implementation [`BlockingIndex::build`] would pick
-    /// for a corpus of `len` items at the given recall target, without
-    /// embedding or building anything — the planner's cost model uses
-    /// this to annotate plans and adjust neighbor-call economics. Mirrors
-    /// the ada-like embedder shape (256 dims, L2).
-    pub(crate) fn predicted_index_kind(len: usize, recall_target: Option<f32>) -> &'static str {
-        let dims = NgramEmbedder::ada_like().dimensions();
-        predict_auto_kind(len, dims, Metric::L2, recall_target.unwrap_or(1.0))
     }
 
     /// Number of indexed items.
@@ -142,12 +125,6 @@ impl BlockingIndex {
     /// The indexed items, in insertion order.
     pub fn items(&self) -> &[ItemId] {
         &self.items
-    }
-
-    /// Which k-NN implementation backs this index (`"brute_force"` /
-    /// `"ivf_sq8"`).
-    pub fn index_kind(&self) -> &'static str {
-        self.index.kind()
     }
 
     /// The `k` nearest indexed items to each of `ids` with their
@@ -289,7 +266,6 @@ mod tests {
         let (engine, ids) = setup(12);
         let index = BlockingIndex::build(&engine, &ids).unwrap();
         assert_eq!(index.len(), 12);
-        assert_eq!(index.index_kind(), "brute_force");
         let hits = index.neighbors_many(&engine, &[ids[4]], 5).remove(0);
         assert_eq!(hits.len(), 5);
         assert!(hits.iter().all(|h| h.item != ids[4]));
@@ -363,38 +339,6 @@ mod tests {
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0][0].item, ids[3]);
         assert!(hits[0][0].distance < 0.2);
-    }
-
-    #[test]
-    fn small_corpora_stay_exact_under_a_recall_target() {
-        let (engine, ids) = setup(10);
-        let engine = engine.with_blocking_recall_target(0.95);
-        let index = BlockingIndex::build(&engine, &ids).unwrap();
-        assert_eq!(index.index_kind(), "brute_force");
-    }
-
-    #[test]
-    fn predicted_index_kind_matches_auto_routing() {
-        // The embed crate's IVF floor (its crate-private `AUTO_IVF_MIN_LEN`).
-        const AUTO_IVF_MIN_LEN: usize = 65_536;
-        // Below the IVF floor (or without a sub-1.0 target): exact.
-        assert_eq!(
-            BlockingIndex::predicted_index_kind(100, Some(0.9)),
-            "brute_force"
-        );
-        assert_eq!(
-            BlockingIndex::predicted_index_kind(AUTO_IVF_MIN_LEN, None),
-            "brute_force"
-        );
-        assert_eq!(
-            BlockingIndex::predicted_index_kind(AUTO_IVF_MIN_LEN, Some(1.0)),
-            "brute_force"
-        );
-        // At scale with a sub-1.0 target: the approximate tier.
-        assert_eq!(
-            BlockingIndex::predicted_index_kind(AUTO_IVF_MIN_LEN, Some(0.95)),
-            "ivf_sq8"
-        );
     }
 
     #[test]

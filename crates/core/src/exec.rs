@@ -234,7 +234,6 @@ pub struct Engine {
     gate: Option<Arc<LeaseGate>>,
     parallelism: usize,
     pack_width: usize,
-    blocking_recall_target: Option<f32>,
     seed: u64,
     render_opts: RenderOptions,
     /// The render options' and the templates' part of every task key
@@ -272,7 +271,6 @@ impl Engine {
             gate: None,
             parallelism: 8,
             pack_width: 1,
-            blocking_recall_target: None,
             seed: 0,
             render_key: render_key(&RenderOptions::default()),
             render_opts: RenderOptions::default(),
@@ -337,20 +335,6 @@ impl Engine {
     #[must_use]
     pub fn with_pack_width(mut self, width: usize) -> Self {
         self.pack_width = width.max(1);
-        self
-    }
-
-    /// Opt blocking into approximate nearest-neighbor search (builder
-    /// style): on large high-dimensional corpora, [`BlockingIndex`]
-    /// builds an IVF + SQ8 index tuned for this recall@k target instead
-    /// of an exact scan. Every blocking consumer (dedup, join, cluster,
-    /// impute-knn) inherits the setting. A target `>= 1.0` (and the
-    /// `None` default) keeps blocking exact.
-    ///
-    /// [`BlockingIndex`]: crate::blocking::BlockingIndex
-    #[must_use]
-    pub(crate) fn with_blocking_recall_target(mut self, target: f32) -> Self {
-        self.blocking_recall_target = Some(target);
         self
     }
 
@@ -422,12 +406,6 @@ impl Engine {
     /// The configured prompt pack width (`1` = packing disabled).
     pub fn pack_width(&self) -> usize {
         self.pack_width
-    }
-
-    /// The blocking recall target (`None` = exact blocking; see
-    /// `Engine::with_blocking_recall_target`).
-    pub(crate) fn blocking_recall_target(&self) -> Option<f32> {
-        self.blocking_recall_target
     }
 
     /// The engine's failure policy.

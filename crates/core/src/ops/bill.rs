@@ -63,10 +63,6 @@ pub(crate) struct Line {
     /// `Some(width)`: each call packs `width` point-wise asks into one
     /// multi-item prompt.
     pub(crate) packed: Option<usize>,
-    /// `Some(len)`: the calls verify candidates drawn from a blocking index
-    /// over `len` items, so an approximate index thins them (the estimator
-    /// applies the recall discount).
-    pub(crate) blocked_on: Option<usize>,
 }
 
 impl Line {
@@ -75,7 +71,6 @@ impl Line {
             calls: calls as u64,
             ask,
             packed: None,
-            blocked_on: None,
         }
     }
 
@@ -85,11 +80,6 @@ impl Line {
         if pack > 1 {
             self.packed = Some(pack.min(rows.max(1)));
         }
-        self
-    }
-
-    pub(crate) fn blocked_on(mut self, indexed: usize) -> Self {
-        self.blocked_on = Some(indexed);
         self
     }
 }

@@ -34,7 +34,7 @@ pub(crate) fn bill(n: usize, seed_size: usize, probe_cap: Option<usize>) -> Vec<
     let probes = probe_cap.unwrap_or_else(|| (seed / 2).max(1));
     vec![
         Line::new(1, Ask::Group { len: seed }),
-        Line::new((n - seed) * probes, Ask::SameEntity).blocked_on(n),
+        Line::new((n - seed) * probes, Ask::SameEntity),
     ]
 }
 

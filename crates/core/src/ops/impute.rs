@@ -144,9 +144,7 @@ pub(crate) fn impute(
     };
     // One neighbour query serves the gate and the examples: a ranking
     // keeps the best under the strict `(key, index)` order, so the `k`
-    // nearest are the first `k` of the `max(k, shots)` nearest. (On the
-    // IVF tier a larger ask rescores a superset of the smaller one's
-    // candidates, so its prefix is never farther from exact.)
+    // nearest are the first `k` of the `max(k, shots)` nearest.
     let asked = gate_k.unwrap_or(0).max(shots);
     let neighbors = match asked {
         0 => vec![Vec::new(); records.len()],

@@ -54,7 +54,7 @@ impl JoinStrategy {
         vec![match self {
             JoinStrategy::AllPairs => Line::new(left * right, Ask::SameEntity),
             JoinStrategy::Blocked { candidates, .. } => {
-                Line::new(left * (*candidates).max(1).min(right), Ask::SameEntity).blocked_on(right)
+                Line::new(left * (*candidates).max(1).min(right), Ask::SameEntity)
             }
         }]
     }

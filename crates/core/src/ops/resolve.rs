@@ -150,7 +150,7 @@ fn transitivity_augmented(
 /// `n × candidates` slots.
 pub(crate) fn dedup_bill(n: usize, candidates: usize) -> Vec<Line> {
     let pairs = (n * candidates.max(1)).div_ceil(2);
-    vec![Line::new(pairs, Ask::SameEntity).blocked_on(n)]
+    vec![Line::new(pairs, Ask::SameEntity)]
 }
 
 /// Fully deduplicate a record collection (the paper's §1 motivating

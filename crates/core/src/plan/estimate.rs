@@ -111,28 +111,6 @@ impl<'a> Estimator<'a> {
         (take >= at_least).then(|| self.source[..take].to_vec())
     }
 
-    /// Scale on blocking-driven candidate-verification call counts. Exact
-    /// blocking sends every candidate slot to the oracle; approximate
-    /// (IVF) blocking at recall `r` fills roughly `1 − r` of the slots
-    /// with farther rows instead of true neighbors, and those land beyond
-    /// the operators' distance cap and are pruned before any LLM call —
-    /// so expected verification calls scale by `r` when the corpus shape
-    /// predicts the approximate tier.
-    fn blocking_call_factor(&self, indexed_len: usize) -> f64 {
-        match self.engine.blocking_recall_target() {
-            Some(target)
-                if target < 1.0
-                    && crate::blocking::BlockingIndex::predicted_index_kind(
-                        indexed_len,
-                        Some(target),
-                    ) == "ivf_sq8" =>
-            {
-                f64::from(target)
-            }
-            _ => 1.0,
-        }
-    }
-
     /// The task asking a point-wise shape of one item; `None` for the pair
     /// and list shapes, which no single item stands for.
     fn point_task(ask: &Ask, item: ItemId) -> Option<TaskDescriptor> {
@@ -260,20 +238,13 @@ impl<'a> Estimator<'a> {
     }
 
     /// Estimate one physical node at an assumed input row count: the fold
-    /// of its bill, blocked lines thinned by the blocking-recall discount.
-    /// Allocation is filled in later by the planner.
+    /// of its bill. Allocation is filled in later by the planner.
     pub(crate) fn node(&self, node: &PhysicalNode, rows_in: usize) -> NodeEstimate {
         let (mut calls, mut cost_usd) = (0u64, 0.0f64);
         for line in node.bill(rows_in) {
-            let line_calls = match line.blocked_on {
-                Some(indexed) => {
-                    (line.calls as f64 * self.blocking_call_factor(indexed)).round() as u64
-                }
-                None => line.calls,
-            };
-            if line_calls > 0 {
-                calls += line_calls;
-                cost_usd += line_calls as f64 * self.price(&line.ask, line.packed);
+            if line.calls > 0 {
+                calls += line.calls;
+                cost_usd += line.calls as f64 * self.price(&line.ask, line.packed);
             }
         }
         NodeEstimate {

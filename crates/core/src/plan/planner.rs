@@ -40,7 +40,6 @@ use crate::ops::count::CountStrategy;
 use crate::ops::impute::ImputeStrategy;
 use crate::ops::join::JoinStrategy;
 use crate::ops::max::MaxStrategy;
-use crate::ops::resolve::ResolveStrategy;
 use crate::ops::sort::SortStrategy;
 use crate::optimize;
 
@@ -317,21 +316,6 @@ pub(crate) fn plan(
 
     let estimator = Estimator::new(engine, &source);
 
-    // Blocking-consumer annotation: when the engine carries a sub-1.0
-    // recall target and the corpus shape would route the shared blocking
-    // index to the approximate IVF tier, record it — the estimator scales
-    // candidate-verification calls by the same prediction.
-    let approx_blocking_note = |notes: &mut Vec<String>, len: usize, what: &str| {
-        if let Some(target) = engine.blocking_recall_target() {
-            if crate::blocking::BlockingIndex::predicted_index_kind(len, Some(target)) == "ivf_sq8"
-            {
-                notes.push(format!(
-                    "{what} blocking predicted approximate (ivf_sq8, recall target {target})"
-                ));
-            }
-        }
-    };
-
     // Rewrite 2/3: size unpinned sorts by the rows reaching them, and push
     // blocking into unpinned pairwise stages.
     let mut rows = source.len();
@@ -341,27 +325,16 @@ pub(crate) fn plan(
             PhysicalNode::Sort { strategy, .. } if unpinned => {
                 *strategy = default_sort_strategy(rows);
             }
-            PhysicalNode::Resolve { .. } => approx_blocking_note(&mut notes, rows, "resolve"),
-            PhysicalNode::ResolvePairs {
-                strategy: ResolveStrategy::TransitivityAugmented { .. },
-                ..
-            } => approx_blocking_note(&mut notes, rows, "resolve-pairs"),
-            PhysicalNode::Cluster { probe_cap, .. } => {
-                approx_blocking_note(&mut notes, rows, "cluster");
-                if unpinned && options.rewrite {
-                    notes.push("pushed blocking into cluster assignment (probe cap 4)".to_owned());
-                    *probe_cap = Some(4);
-                }
+            PhysicalNode::Cluster { probe_cap, .. } if unpinned && options.rewrite => {
+                notes.push("pushed blocking into cluster assignment (probe cap 4)".to_owned());
+                *probe_cap = Some(4);
             }
-            PhysicalNode::Join { right, strategy } => {
-                approx_blocking_note(&mut notes, right.len(), "join");
-                if unpinned && options.rewrite {
-                    notes.push("pushed blocking into join (4 candidates/record)".to_owned());
-                    *strategy = JoinStrategy::Blocked {
-                        candidates: 4,
-                        max_distance: 2.0,
-                    };
-                }
+            PhysicalNode::Join { strategy, .. } if unpinned && options.rewrite => {
+                notes.push("pushed blocking into join (4 candidates/record)".to_owned());
+                *strategy = JoinStrategy::Blocked {
+                    candidates: 4,
+                    max_distance: 2.0,
+                };
             }
             _ => {}
         }

@@ -206,7 +206,6 @@ pub struct SessionBuilder {
     budget: Budget,
     parallelism: usize,
     pack_width: usize,
-    blocking_recall_target: Option<f32>,
     seed: u64,
     criterion_label: String,
     trace: bool,
@@ -278,37 +277,6 @@ impl SessionBuilder {
     #[must_use]
     pub fn pack_width(mut self, width: usize) -> Self {
         self.pack_width = width;
-        self
-    }
-
-    /// Opt blocking into approximate nearest-neighbor search at this
-    /// recall@k target: on large high-dimensional corpora the blocking
-    /// index becomes IVF + SQ8 instead of an exact scan, and dedup, join,
-    /// cluster, and impute-knn all inherit it. Targets `>= 1.0` keep
-    /// blocking exact (the default).
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    /// use crowdprompt_core::{Corpus, Session};
-    /// use crowdprompt_oracle::world::WorldModel;
-    /// use crowdprompt_oracle::{LlmClient, ModelProfile, SimulatedLlm};
-    ///
-    /// // At IVF scale (65 536 rows and up) the planner predicts the
-    /// // approximate index for a blocking consumer.
-    /// let mut world = WorldModel::new();
-    /// let items: Vec<_> = (0..65_536).map(|i| world.add_item(format!("r{i}"))).collect();
-    /// let llm = SimulatedLlm::new(ModelProfile::perfect(), Arc::new(world.clone()), 1);
-    /// let session = Session::builder()
-    ///     .client(Arc::new(LlmClient::new(Arc::new(llm))))
-    ///     .corpus(Corpus::from_world(&world, &items))
-    ///     .blocking_recall_target(0.9)
-    ///     .build();
-    /// let plan = session.plan(session.query(&items).cluster(8)).unwrap();
-    /// assert!(plan.notes().iter().any(|n| n.contains("predicted approximate (ivf_sq8")));
-    /// ```
-    #[must_use]
-    pub fn blocking_recall_target(mut self, target: f32) -> Self {
-        self.blocking_recall_target = Some(target);
         self
     }
 
@@ -400,9 +368,6 @@ impl SessionBuilder {
             .with_pack_width(self.pack_width)
             .with_seed(self.seed)
             .with_criterion_label(self.criterion_label);
-        if let Some(target) = self.blocking_recall_target {
-            engine = engine.with_blocking_recall_target(target);
-        }
         if let Some(policy) = self.resilience.failure_policy {
             engine = engine.with_failure_policy(policy);
         }
@@ -475,7 +440,6 @@ impl Session {
             budget: Budget::Unlimited,
             parallelism: 8,
             pack_width: 1,
-            blocking_recall_target: None,
             seed: 0,
             criterion_label: "by the given criterion".to_owned(),
             trace: false,

@@ -1,5 +1,5 @@
-//! Exact k-nearest-neighbor search: the brute-force index and the
-//! auto-selecting [`KnnIndex`].
+//! Exact k-nearest-neighbor search: the brute-force index, the one index
+//! every blocking operator uses.
 //!
 //! One layout in, one question asked. Vectors live in a flat
 //! [`VectorStore`] (one `Vec<f32>` plus stride, with precomputed squared
@@ -10,9 +10,8 @@
 //! floats per query in one row-major buffer, so a single vector is a
 //! one-row batch. The batch is cut into one contiguous chunk per worker;
 //! [`BruteForceIndex`] answers a chunk with the *tiled scan* (up to
-//! `QUERY_TILE` queries per pass over the store) and
-//! [`crate::ivf::IvfIndex`] with one probe–rescore per query. Neither the
-//! chunking nor the tiling changes a result, only wall-clock time.
+//! `QUERY_TILE` queries per pass over the store). Neither the chunking nor
+//! the tiling changes a result, only wall-clock time.
 //!
 //! One batch shape takes a third path: a `Rows` batch naming every stored
 //! row exactly once, in any order — what `dedup` sends — is the
@@ -27,8 +26,7 @@
 //! dot that is symmetric in its arguments ([the lane
 //! contract](crate::vector#the-lane-contract)), so the self-join returns the
 //! tiled scan's bits at any worker count. It has no switch: partial or
-//! repeated `Rows` batches, `Flat` batches and the IVF tier keep their
-//! paths.
+//! repeated `Rows` batches and `Flat` batches keep the tiled scan.
 //!
 //! The scan has one *fused* distance path: a candidate's key needs one dot
 //! product, because with stored norms both metrics reduce to it
@@ -86,7 +84,7 @@ pub enum Metric {
 
 impl Metric {
     /// Distance between two vectors under this metric (reference path; the
-    /// indexes use the fused [`Metric::rank_key`] path instead).
+    /// index uses the fused [`Metric::rank_key`] path instead).
     pub fn distance(&self, a: &[f32], b: &[f32]) -> f32 {
         match self {
             Metric::L2 => l2_distance(a, b),
@@ -351,9 +349,7 @@ pub struct BruteForceIndex {
 }
 
 impl BruteForceIndex {
-    /// Index an already-built [`VectorStore`] without copying — the IVF
-    /// index shares one store between its exact fallback path and its
-    /// quantized lists.
+    /// Index an already-built [`VectorStore`] without copying.
     pub fn from_store(store: VectorStore, metric: Metric) -> Self {
         BruteForceIndex {
             store,
@@ -727,140 +723,6 @@ fn at_or_below(keys: &Lanes, bounds: &Lanes) -> u32 {
 /// that the tile's query vectors and heaps stay cache-resident.
 pub(crate) const QUERY_TILE: usize = 16;
 
-// ---------------------------------------------------------------------------
-// Auto selection
-// ---------------------------------------------------------------------------
-
-/// Corpus size at which [`KnnIndex::build`] starts considering the
-/// approximate IVF tier: below this, one fused exact scan is already
-/// cheap and the k-means build cost cannot pay for itself.
-pub(crate) const AUTO_IVF_MIN_LEN: usize = 65_536;
-
-/// Minimum dimensionality for the IVF tier: on narrow corpora the exact
-/// scan is already cheap per row, so approximation would only give up
-/// recall without buying speed.
-pub(crate) const AUTO_IVF_MIN_DIMS: usize = 32;
-
-/// An index that picks its implementation per corpus
-/// ([`KnnIndex::build`]), or wraps an explicit choice.
-// One index is built per corpus and held singly, never stored in bulk, so
-// the IVF variant's inline size costs nothing worth a pointer chase per query.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-pub enum KnnIndex {
-    /// Fused linear scan (every exact corpus).
-    BruteForce(BruteForceIndex),
-    /// Approximate IVF + SQ8 tier (very large, high-dimensional corpora
-    /// with a sub-1.0 recall target).
-    Ivf(crate::ivf::IvfIndex),
-}
-
-impl KnnIndex {
-    /// Index a store, choosing the implementation by corpus shape and
-    /// recall target ([`predict_auto_kind`]). `None` (or a target `>= 1.0`)
-    /// demands exact results: the fused brute-force scan, whatever the
-    /// shape. A sub-1.0 target unlocks the approximate IVF tier where an
-    /// exact scan is the bottleneck — [`Metric::L2`], `len >=
-    /// AUTO_IVF_MIN_LEN` (65 536), `dims >= AUTO_IVF_MIN_DIMS` (32) — built with
-    /// parameters tuned for that recall@k
-    /// ([`crate::ivf::IvfParams::for_corpus`]); small or narrow corpora
-    /// ignore the target and stay exact.
-    pub fn build(store: VectorStore, metric: Metric, recall_target: Option<f32>) -> Self {
-        let target = recall_target.unwrap_or(1.0);
-        if predict_auto_kind(store.len(), store.dims(), metric, target) == "ivf_sq8" {
-            let params = crate::ivf::IvfParams::for_corpus(store.len(), target);
-            KnnIndex::Ivf(crate::ivf::IvfIndex::build(store, metric, params))
-        } else {
-            KnnIndex::BruteForce(BruteForceIndex::from_store(store, metric))
-        }
-    }
-
-    /// The `k` nearest stored vectors to each query (see
-    /// [`BruteForceIndex::search`] for the contract; the IVF tier's answers
-    /// are approximate in *which* rows they hold, exact in every distance).
-    ///
-    /// # Panics
-    /// Panics if a row query is out of bounds or a flat buffer is not a
-    /// whole number of `dims`-wide rows.
-    pub fn search(&self, queries: Queries<'_>, k: usize) -> Vec<Vec<Neighbor>> {
-        let workers = auto_workers(queries.count(self.store().dims()), self.len());
-        self.search_with_workers(queries, k, workers)
-    }
-
-    /// [`KnnIndex::search`] over exactly `workers` threads, for a caller
-    /// that owns a thread budget; the answers are the same at any count.
-    ///
-    /// # Panics
-    /// As [`KnnIndex::search`].
-    pub fn search_with_workers(
-        &self,
-        queries: Queries<'_>,
-        k: usize,
-        workers: usize,
-    ) -> Vec<Vec<Neighbor>> {
-        match self {
-            KnnIndex::BruteForce(i) => i.search_with_workers(queries, k, workers),
-            KnnIndex::Ivf(i) => i.search_with_workers(queries, k, workers),
-        }
-    }
-
-    /// Number of indexed vectors.
-    pub fn len(&self) -> usize {
-        self.store().len()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.store().is_empty()
-    }
-
-    /// Which implementation backs this index (`"brute_force"` /
-    /// `"ivf_sq8"`).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            KnnIndex::BruteForce(_) => "brute_force",
-            KnnIndex::Ivf(_) => "ivf_sq8",
-        }
-    }
-
-    /// The flat vector storage backing this index.
-    pub fn store(&self) -> &VectorStore {
-        match self {
-            KnnIndex::BruteForce(i) => i.store(),
-            KnnIndex::Ivf(i) => i.store(),
-        }
-    }
-
-    /// The metric this index ranks by.
-    pub fn metric(&self) -> Metric {
-        match self {
-            KnnIndex::BruteForce(i) => i.metric(),
-            KnnIndex::Ivf(i) => i.metric(),
-        }
-    }
-}
-
-/// Which implementation [`KnnIndex::build`] would pick for a corpus of
-/// this shape, without building anything (`"brute_force"` / `"ivf_sq8"`).
-/// The planner uses this to annotate plans and adjust call estimates for
-/// approximate blocking before any index exists.
-pub fn predict_auto_kind(
-    len: usize,
-    dims: usize,
-    metric: Metric,
-    recall_target: f32,
-) -> &'static str {
-    if metric == Metric::L2
-        && recall_target < 1.0
-        && len >= AUTO_IVF_MIN_LEN
-        && dims >= AUTO_IVF_MIN_DIMS
-    {
-        "ivf_sq8"
-    } else {
-        "brute_force"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -912,15 +774,6 @@ mod tests {
         // allocation (`1 << 60` candidates is "capacity overflow").
         let n = 40;
         let brute = index(grid(n), Metric::L2);
-        let ivf = crate::ivf::IvfIndex::build(
-            VectorStore::from_rows(grid(n)),
-            Metric::L2,
-            crate::ivf::IvfParams {
-                nlist: 4,
-                nprobe: 1,
-                ..crate::ivf::IvfParams::for_corpus(n, 0.9)
-            },
-        );
         let query = [7.3, 2.0];
         let everything = one(&brute, &query, n);
         assert_eq!(everything.len(), n);
@@ -933,27 +786,17 @@ mod tests {
         }
         for k in [n, n + 1, 1 << 60, usize::MAX] {
             assert_eq!(one(&brute, &query, k), everything, "k = {k}");
-            assert_eq!(
-                ivf.search(Queries::Flat(&query), k),
-                vec![everything.clone()],
-                "ivf, k = {k}"
-            );
             // A tile and a half of queries through the batched scan.
             let batch = query.repeat(QUERY_TILE + 8);
             for hits in brute.search(Queries::Flat(&batch), k) {
                 assert_eq!(hits, everything, "batched, k = {k}");
             }
-            // A row query sees every row but itself, on both indexes.
+            // A row query sees every row but itself.
             let rows = brute.search(Queries::Rows(&[2]), k).remove(0);
             let mut with_self = one(&brute, brute.store().row(2), k);
             with_self.retain(|h| h.index != 2);
             assert_eq!(rows, with_self, "k = {k}");
             assert_eq!(rows.len(), n - 1);
-            assert_eq!(
-                ivf.search(Queries::Rows(&[2]), k),
-                vec![rows],
-                "ivf, k = {k}"
-            );
         }
     }
 
@@ -1061,38 +904,6 @@ mod tests {
             free.retain(|h| h.index != r);
             assert_eq!(hits, &free, "row {r}");
         }
-        // The enum forwards to the same answers.
-        assert_eq!(
-            KnnIndex::BruteForce(idx).search(Queries::Rows(&rows), 4),
-            batch
-        );
-    }
-
-    #[test]
-    fn build_stays_exact_for_small_narrow_or_exact_target_corpora() {
-        let flat = |n: usize| -> Vec<f32> { grid(n).into_iter().flatten().collect() };
-        for (n, metric, target) in [
-            (100, Metric::L2, None),
-            (100, Metric::L2, Some(0.9)),
-            (100, Metric::Cosine, Some(0.9)),
-            // Past the length floor, but two dimensions wide.
-            (AUTO_IVF_MIN_LEN, Metric::L2, Some(0.9)),
-        ] {
-            let built = KnnIndex::build(VectorStore::from_flat(flat(n), 2), metric, target);
-            assert_eq!(built.kind(), "brute_force", "n = {n}, target {target:?}");
-            assert_eq!(built.len(), n);
-            assert_eq!(built.metric(), metric);
-            let exact = index(grid(n), metric);
-            let query = [17.3, 4.0];
-            assert_eq!(
-                built.search(Queries::Flat(&query), 5),
-                vec![one(&exact, &query, 5)]
-            );
-        }
-        // Wide and long enough, but exactness demanded.
-        let wide: Vec<f32> = (0..4097 * 64).map(|i| (i % 97) as f32).collect();
-        let built = KnnIndex::build(VectorStore::from_flat(wide, 64), Metric::L2, Some(1.0));
-        assert_eq!(built.kind(), "brute_force");
     }
 
     /// SplitMix64: the test corpora's only source of randomness.

@@ -10,21 +10,19 @@
 //! *surface-similar strings land close together*, deterministically, with no
 //! model weights to ship.
 //!
-//! The search side is built for batch blocking workloads: vectors live in
-//! flat contiguous storage ([`VectorStore`]), a candidate's key costs one
-//! fused dot product, and the tiled scan rules most candidates out on
-//! 8-bit codes before paying it ([`knn`] module docs), top-k is a bounded
-//! heap, and
-//! every index answers one question — `search(queries, k)` over a batch of
-//! [`Queries`] (rows of its own store, or free vectors in one flat buffer)
-//! — partitioned across threads. [`KnnIndex::build`] picks the exact scan
-//! or the approximate IVF tier per corpus shape and recall target.
+//! The search side is built for batch blocking workloads and has one
+//! index, the exact [`BruteForceIndex`]: vectors live in flat contiguous
+//! storage ([`VectorStore`]), a candidate's key costs one fused dot
+//! product, the tiled scan rules most candidates out on 8-bit codes before
+//! paying it ([`knn`] module docs), and top-k is a bounded heap. The index
+//! answers one question — `search(queries, k)` over a batch of [`Queries`]
+//! (rows of its own store, or free vectors in one flat buffer) —
+//! partitioned across threads.
 
 #![warn(missing_docs)]
 
 mod filter;
 pub mod hashing;
-pub mod ivf;
 pub mod knn;
 mod parallel;
 mod quant;
@@ -32,7 +30,6 @@ pub mod store;
 pub mod vector;
 
 pub use hashing::{embed_all_flat_with_workers, Embedder, NgramEmbedder};
-pub use ivf::{IvfIndex, IvfParams};
-pub use knn::{predict_auto_kind, BruteForceIndex, KnnIndex, Metric, Neighbor, Queries};
+pub use knn::{BruteForceIndex, Metric, Neighbor, Queries};
 pub use store::VectorStore;
 pub use vector::{cosine_similarity, dot_unrolled};

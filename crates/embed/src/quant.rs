@@ -1,19 +1,16 @@
-//! 8-bit scalar quantization: the IVF residual scan, and the exact scan's
-//! filter.
+//! 8-bit scalar quantization for the exact scan's filter (`filter.rs`).
 //!
-//! Each vector (an IVF *residual*, `row − centroid`, or a row or query of
-//! the exact tiled scan, `filter.rs`) is quantized independently
-//! with an affine map: `code = round((x − offset) / scale)`
-//! where `offset = min(x)` and `scale = (max(x) − min(x)) / 255`, so every
-//! coordinate lands exactly in `0..=255` and dequantizes to
-//! `offset + scale · code` with at most half a quantization step of error
-//! per dimension (`QuantMeta::round_trip_bound`).
+//! Each vector (a stored row or a query of the exact tiled scan) is
+//! quantized independently with an affine map: `code = round((x −
+//! offset) / scale)` where `offset = min(x)` and `scale = (max(x) −
+//! min(x)) / 255`, so every coordinate lands exactly in `0..=255` and
+//! dequantizes to `offset + scale · code` with at most half a quantization
+//! step of error per dimension (`QuantMeta::round_trip_bound`).
 //!
 //! The point of the affine form is that a squared L2 distance between two
 //! quantized vectors decomposes into *integer* sums that are precomputed
-//! per vector plus one `u8 × u8` dot product per pair — which is the fused
-//! `vector::dot_u8_many` kernel, exact and bit-identical on every
-//! ISA. With `x̂[d] = oₓ + sₓ·X[d]` and `ŷ[d] = o_y + s_y·Y[d]`,
+//! per vector plus one `u8 × u8` dot product per pair. With `x̂[d] = oₓ +
+//! sₓ·X[d]` and `ŷ[d] = o_y + s_y·Y[d]`,
 //!
 //! ```text
 //! ‖x̂ − ŷ‖² = dims·Δo² + sₓ²·ΣX² + s_y²·ΣY²
@@ -21,16 +18,13 @@
 //! ```
 //!
 //! where every `Σ` is an exact integer. The float fix-up around the
-//! integer core is a fixed scalar expression evaluated in `f64` and clamped
-//! at zero, so the approximate ranking keys are finite, non-negative and
-//! deterministic everywhere too.
+//! integer core is a fixed scalar expression evaluated in `f64`.
 //!
-//! The exact scan's filter uses the same quantizer and the same expression
-//! ([`ScanLanes`], sixteen queries side by side, unclamped), with the
-//! integer `ΣXY` from `vector::dot_u8_tile_vnni`, and one more quantity per
-//! vector: an upper bound on its residual norm `‖x − x̂‖`
-//! ([`residual_norm`]), which turns `‖x̂ − ŷ‖` into a lower bound on the
-//! true distance.
+//! The filter evaluates it for sixteen queries side by side ([`ScanLanes`])
+//! with the integer `ΣXY` from `vector::dot_u8_tile_vnni`, and keeps one
+//! more quantity per vector: an upper bound on its residual norm `‖x −
+//! x̂‖` ([`residual_norm`]), which turns `‖x̂ − ŷ‖` into a lower bound on
+//! the true distance.
 
 /// Per-vector dequantization parameters plus the precomputed integer code
 /// sums the fused distance fix-up needs.
@@ -62,12 +56,11 @@ impl QuantMeta {
 
 /// Quantize one finite vector into `codes`, returning its [`QuantMeta`].
 ///
-/// `codes` is cleared and refilled (callers reuse one scratch buffer or
-/// append into a flat store via the IVF index's quantized block).
+/// `codes` is cleared and refilled (callers reuse one scratch buffer).
 ///
 /// # Panics
-/// Panics (debug) if any coordinate is non-finite — the IVF build filters
-/// non-finite rows before quantization.
+/// Panics (debug) if any coordinate is non-finite — the filter quantizes
+/// only finite rows and queries.
 #[inline(always)]
 pub(crate) fn quantize_into(row: &[f32], codes: &mut Vec<u8>) -> QuantMeta {
     debug_assert!(
@@ -134,11 +127,10 @@ fn round_code(v: f32) -> u8 {
 }
 
 /// Query-side constants of the distance decomposition, hoisted out of the
-/// per-row scan loop ([`ScanQuery::new`] once per probed list,
-/// [`ScanQuery::key`] per row). The expression is evaluated in the exact
-/// f64 operation order of the module docs' formula, so the keys are
-/// bit-identical to it — only the per-row `u64 → f64` conversions and
-/// query-side multiplies are amortized.
+/// per-row scan loop: built once per query ([`ScanQuery::new`]) and set
+/// into a lane of [`ScanLanes`]. The expression is evaluated in the exact
+/// f64 operation order of the module docs' formula, so only the query-side
+/// multiplies are amortized.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ScanQuery {
     dims: f64,
@@ -164,31 +156,6 @@ impl ScanQuery {
             two_s: 2.0 * sx,
         }
     }
-
-    /// The approximate squared L2 key against one stored row, from the
-    /// row's precomputed [`ScanTerms`] and the integer code dot product.
-    #[inline(always)]
-    pub(crate) fn key(&self, y: &ScanTerms, dot_xy: u64) -> f32 {
-        let d2 = decomposed(
-            self.dims,
-            [self.offset, self.sq_s, self.sum_s, self.two_s],
-            y,
-            dot_xy as f64,
-        );
-        d2.max(0.0) as f32
-    }
-}
-
-/// The module docs' formula in f64, unclamped: `q` is a query's
-/// `offset`, `sₓ²·ΣX²`, `sₓ·ΣX` and `2·sₓ` ([`ScanQuery`]'s fields), `y`
-/// the row's terms and `dot_xy` the exact integer `ΣXY`. One evaluation
-/// order for the IVF keys and the exact scan's filter ([`ScanLanes`]).
-#[inline(always)]
-fn decomposed(dims: f64, q: [f64; 4], y: &ScanTerms, dot_xy: f64) -> f64 {
-    let [offset, sq_s, sum_s, two_s] = q;
-    let delta = offset - f64::from(y.offset);
-    dims * delta * delta + sq_s + y.sq_s + 2.0 * delta * (sum_s - y.sum_s)
-        - two_s * f64::from(y.scale) * dot_xy
 }
 
 /// The [`ScanQuery`]s of a k-NN tile's sixteen queries, field by field:
@@ -214,14 +181,18 @@ impl ScanLanes {
     }
 
     /// `‖x̂ − ŷ_t‖²` for every lane `t` against the row with terms `y`,
-    /// from the lanes' exact integer `ΣXY` — [`ScanQuery::key`]'s f64 before
-    /// it is clamped and rounded to f32.
+    /// from the lanes' exact integer `ΣXY`: the module docs' formula in
+    /// f64, unclamped.
     #[inline(always)]
     pub(crate) fn dists_sq(&self, y: &ScanTerms, dots: &[i32; 16]) -> [f64; 16] {
         let mut out = [0.0; 16];
         for (t, out) in out.iter_mut().enumerate() {
-            let q = [self.offset[t], self.sq_s[t], self.sum_s[t], self.two_s[t]];
-            *out = decomposed(self.dims, q, y, f64::from(dots[t]));
+            let delta = self.offset[t] - f64::from(y.offset);
+            *out = self.dims * delta * delta
+                + self.sq_s[t]
+                + y.sq_s
+                + 2.0 * delta * (self.sum_s[t] - y.sum_s)
+                - self.two_s[t] * f64::from(y.scale) * f64::from(dots[t]);
         }
         out
     }
@@ -273,8 +244,8 @@ pub(crate) fn magnitude(meta: &QuantMeta) -> f64 {
 }
 
 /// Row-side precomputed terms of the distance decomposition, derived once
-/// at build time ([`QuantizedBlock`] stores one per row, same 24 bytes as
-/// the [`QuantMeta`] it is derived from).
+/// per stored row when the filter quantizes the store (24 bytes, as the
+/// [`QuantMeta`] it is derived from).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct ScanTerms {
     /// `s_y·ΣY` in f64 (the exact product the decomposition forms).
@@ -300,75 +271,18 @@ impl ScanTerms {
     }
 }
 
-/// Flat storage for a set of equal-dimension quantized vectors: one
-/// contiguous `Vec<u8>` of codes (row-major) plus per-row [`ScanTerms`].
-/// The IVF index keeps one block for the whole corpus, rows appended in
-/// inverted-list order so each probed list is a contiguous code range.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct QuantizedBlock {
-    dims: usize,
-    codes: Vec<u8>,
-    scan: Vec<ScanTerms>,
-}
-
-impl QuantizedBlock {
-    /// An empty block for `dims`-dimensional vectors.
-    pub(crate) fn new(dims: usize) -> Self {
-        QuantizedBlock {
-            dims,
-            codes: Vec::new(),
-            scan: Vec::new(),
-        }
-    }
-
-    /// Reserve capacity for `rows` additional vectors.
-    pub(crate) fn reserve(&mut self, rows: usize) {
-        self.codes.reserve(rows * self.dims);
-        self.scan.reserve(rows);
-    }
-
-    /// Quantize `row` and append it.
-    ///
-    /// # Panics
-    /// Panics if `row.len() != dims`.
-    pub(crate) fn push(&mut self, row: &[f32]) {
-        assert_eq!(row.len(), self.dims, "quantized row dimension mismatch");
-        let start = self.codes.len();
-        // quantize_into clears its buffer, so stage through a scratch that
-        // reuses the tail of the flat buffer without aliasing.
-        let mut scratch = std::mem::take(&mut self.codes);
-        scratch.truncate(start);
-        let mut tail = Vec::new();
-        let meta = quantize_into(row, &mut tail);
-        scratch.extend_from_slice(&tail);
-        self.codes = scratch;
-        self.scan.push(ScanTerms::from_meta(&meta));
-    }
-
-    /// Codes for the contiguous row range `[start, end)` — the shape one
-    /// probed inverted list hands to `vector::dot_u8_many`.
-    ///
-    /// # Panics
-    /// Panics if the range is out of bounds or reversed.
-    pub(crate) fn codes_range(&self, start: usize, end: usize) -> &[u8] {
-        &self.codes[start * self.dims..end * self.dims]
-    }
-
-    /// Precomputed [`ScanTerms`] for the contiguous row range
-    /// `[start, end)` — the row-side constants of one probed list's scan.
-    ///
-    /// # Panics
-    /// Panics if the range is out of bounds or reversed.
-    pub(crate) fn scan_range(&self, start: usize, end: usize) -> &[ScanTerms] {
-        &self.scan[start..end]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vector::dot_u8;
     use proptest::prelude::*;
+
+    /// The exact integer `ΣXY` of two code vectors.
+    fn dot_codes(a: &[u8], b: &[u8]) -> u64 {
+        a.iter()
+            .zip(b)
+            .map(|(&x, &y)| u64::from(x) * u64::from(y))
+            .sum()
+    }
 
     proptest! {
         /// Quantization round-trip error stays within the derived
@@ -393,7 +307,7 @@ mod tests {
     }
 
     /// The module docs' decomposition, written out from both sides'
-    /// metadata: the reference the hoisted scan key must match bit for bit.
+    /// metadata: the reference the hoisted lanes must match bit for bit.
     fn approx_l2_sq(dims: usize, x: &QuantMeta, y: &QuantMeta, dot_xy: u64) -> f32 {
         let (sx, sy) = (f64::from(x.scale), f64::from(y.scale));
         let delta = f64::from(x.offset) - f64::from(y.offset);
@@ -460,7 +374,7 @@ mod tests {
             .map(|&c| mb.offset + mb.scale * f32::from(c))
             .collect();
         let direct: f32 = ahat.iter().zip(&bhat).map(|(x, y)| (x - y) * (x - y)).sum();
-        let fused = approx_l2_sq(32, &ma, &mb, dot_u8(&ca, &cb));
+        let fused = approx_l2_sq(32, &ma, &mb, dot_codes(&ca, &cb));
         assert!(
             (fused - direct).abs() <= 1e-4 * (1.0 + direct),
             "fused {fused} vs direct {direct}"
@@ -468,7 +382,7 @@ mod tests {
     }
 
     #[test]
-    fn hoisted_scan_key_is_bit_identical_to_approx_l2_sq() {
+    fn hoisted_lanes_are_bit_identical_to_approx_l2_sq() {
         let rows: Vec<Vec<f32>> = (0..20)
             .map(|r| {
                 (0..48)
@@ -476,35 +390,24 @@ mod tests {
                     .collect()
             })
             .collect();
-        let mut q_codes = Vec::new();
-        let qmeta = quantize_into(&rows[0], &mut q_codes);
-        let scan_query = ScanQuery::new(48, &qmeta);
-        let mut y_codes = Vec::new();
-        for row in &rows[1..] {
-            let ymeta = quantize_into(row, &mut y_codes);
-            let dot = dot_u8(&q_codes, &y_codes);
-            let reference = approx_l2_sq(48, &qmeta, &ymeta, dot);
-            let hoisted = scan_query.key(&ScanTerms::from_meta(&ymeta), dot);
-            assert_eq!(hoisted.to_bits(), reference.to_bits());
+        // Lane `t` holds query `t`; each row is asked against all sixteen.
+        let mut lanes = ScanLanes::default();
+        let mut queries = Vec::new();
+        for (t, row) in rows[..16].iter().enumerate() {
+            let mut codes = Vec::new();
+            let meta = quantize_into(row, &mut codes);
+            lanes.set(t, &ScanQuery::new(48, &meta));
+            queries.push((codes, meta));
         }
-    }
-
-    #[test]
-    fn block_stores_rows_contiguously() {
-        let mut block = QuantizedBlock::new(4);
-        block.push(&[0.0, 1.0, 2.0, 3.0]);
-        block.push(&[5.0, 5.0, 5.0, 5.0]);
-        assert_eq!(block.codes_range(0, 2).len(), 8);
-        assert_eq!(block.codes_range(0, 1), &[0, 85, 170, 255]);
-        assert_eq!(block.codes_range(1, 2), &[0; 4]);
-        let terms = block.scan_range(0, 2);
-        assert_eq!(terms.len(), 2);
-        assert_eq!((terms[1].offset, terms[1].scale), (5.0, 0.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn block_rejects_wrong_dims() {
-        QuantizedBlock::new(3).push(&[1.0]);
+        let mut y_codes = Vec::new();
+        for row in &rows[16..] {
+            let ymeta = quantize_into(row, &mut y_codes);
+            let dots = std::array::from_fn(|t| dot_codes(&queries[t].0, &y_codes) as i32);
+            let hoisted = lanes.dists_sq(&ScanTerms::from_meta(&ymeta), &dots);
+            for (t, (codes, qmeta)) in queries.iter().enumerate() {
+                let reference = approx_l2_sq(48, qmeta, &ymeta, dot_codes(codes, &y_codes));
+                assert_eq!((hoisted[t].max(0.0) as f32).to_bits(), reference.to_bits());
+            }
+        }
     }
 }

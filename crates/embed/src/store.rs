@@ -1,4 +1,4 @@
-//! Flat contiguous vector storage for the k-NN indexes.
+//! Flat contiguous vector storage for the k-NN index.
 //!
 //! The seed indexes held `Vec<Vec<f32>>` — one heap allocation per vector,
 //! scattered across the allocator, a pointer dereference per distance. A
@@ -57,8 +57,7 @@ impl VectorStore {
     /// Build from an already-flat row-major buffer (`data.len()` must be a
     /// multiple of `dims`), computing norms in one streaming pass. This is
     /// the zero-copy entry point for callers that assemble vectors
-    /// directly in flat form (the IVF trainer, synthetic benchmark
-    /// corpora).
+    /// directly in flat form (the embedder, synthetic benchmark corpora).
     ///
     /// # Panics
     /// Panics if `dims == 0` with a non-empty buffer, or if `data.len()`

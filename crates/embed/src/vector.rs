@@ -516,151 +516,6 @@ fn fold_tile_avx512(w16: [__m512; 16]) -> __m512 {
     w1(w2(quads[0], quads[1]), w2(quads[2], quads[3]))
 }
 
-/// Integer dot product of two equal-length `u8` code vectors — the fused
-/// kernel behind the IVF quantized-residual scan ([`crate::ivf`]).
-///
-/// Follows the same runtime-AVX2 kernel discipline as [`dot_unrolled`]:
-/// one ISA-independent lane-accumulation core, compiled a second time with
-/// AVX2 enabled and dispatched once per call via the cached CPU probe. The
-/// arithmetic is pure integer (`u8 × u8` widened to `u32`, flushed to
-/// `u64` block-wise), so the result is *exactly* identical on every CPU —
-/// there is no floating-point reassociation to reason about at all.
-///
-/// # Panics
-/// Panics if the vectors have different lengths.
-#[cfg(test)]
-pub(crate) fn dot_u8(a: &[u8], b: &[u8]) -> u64 {
-    assert_eq!(a.len(), b.len(), "dot_u8: dimension mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if tier() >= Tier::Avx2 {
-        // SAFETY: AVX2 support was verified at runtime.
-        return unsafe { dot_u8_avx2(a, b) };
-    }
-    dot_u8_core(a, b)
-}
-
-/// Dot one `u8` code vector against many contiguous rows in one call:
-/// `out[i] = dot_u8(a, flat[i*d..(i+1)*d])` where `d = a.len()`.
-///
-/// Bit-identical to calling [`dot_u8`] per row (same integer arithmetic);
-/// the AVX2 dispatch happens once per *call* instead of once per row, so
-/// the IVF scan pays one dispatch per probed inverted list.
-///
-/// # Panics
-/// Panics if `flat.len() != a.len() * out.len()`.
-pub(crate) fn dot_u8_many(a: &[u8], flat: &[u8], out: &mut [u64]) {
-    let dims = a.len();
-    assert_eq!(
-        flat.len(),
-        dims * out.len(),
-        "dot_u8_many: flat buffer length mismatch"
-    );
-    if dims == 0 {
-        out.fill(0);
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if tier() >= Tier::Avx2 {
-        // SAFETY: AVX2 support was verified at runtime.
-        unsafe { dot_u8_many_avx2(a, flat, out) };
-        return;
-    }
-    dot_u8_many_core(a, flat, out);
-}
-
-#[inline(always)]
-fn dot_u8_many_core(a: &[u8], flat: &[u8], out: &mut [u64]) {
-    let dims = a.len();
-    for (i, slot) in out.iter_mut().enumerate() {
-        *slot = dot_u8_core(a, &flat[i * dims..(i + 1) * dims]);
-    }
-}
-
-/// [`dot_u8_many_core`] with the explicit AVX2 row kernel.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dot_u8_many_avx2(a: &[u8], flat: &[u8], out: &mut [u64]) {
-    let dims = a.len();
-    for (i, slot) in out.iter_mut().enumerate() {
-        *slot = unsafe { dot_u8_avx2(a, &flat[i * dims..(i + 1) * dims]) };
-    }
-}
-
-/// The lane-accumulation kernel behind [`dot_u8`]: 16 independent `u32`
-/// lanes of widened `u8` products, flushed into a `u64` total every
-/// [`U8_BLOCK`] elements so the `u32` lanes can never overflow regardless
-/// of dimensionality (each product is at most `255² = 65 025`, and a lane
-/// absorbs at most `U8_BLOCK / 16` of them between flushes).
-#[inline(always)]
-fn dot_u8_core(a: &[u8], b: &[u8]) -> u64 {
-    const LANES: usize = 16;
-    let mut total = 0u64;
-    let mut blocks_a = a.chunks(U8_BLOCK);
-    let mut blocks_b = b.chunks(U8_BLOCK);
-    for (ba, bb) in (&mut blocks_a).zip(&mut blocks_b) {
-        let mut acc = [0u32; LANES];
-        let mut chunks_a = ba.chunks_exact(LANES);
-        let mut chunks_b = bb.chunks_exact(LANES);
-        for (ca, cb) in (&mut chunks_a).zip(&mut chunks_b) {
-            for lane in 0..LANES {
-                acc[lane] += u32::from(ca[lane]) * u32::from(cb[lane]);
-            }
-        }
-        let tail: u64 = chunks_a
-            .remainder()
-            .iter()
-            .zip(chunks_b.remainder())
-            .map(|(x, y)| u64::from(*x) * u64::from(*y))
-            .sum();
-        total += acc.iter().map(|&x| u64::from(x)).sum::<u64>() + tail;
-    }
-    total
-}
-
-/// Flush interval for [`dot_u8_core`]'s `u32` lanes: `16 384 / 16` lane
-/// entries × `65 025` max product ≈ `6.7 × 10⁷`, comfortably inside `u32`.
-const U8_BLOCK: usize = 16 * 1024;
-
-/// Explicit AVX2 kernel behind [`dot_u8`]: zero-extend 16 `u8`s of each
-/// operand into `i16` lanes and let `vpmaddwd` multiply and pair-sum them
-/// into `i32` lanes. Both operands are ≤ 255, so the signed 16-bit
-/// multiply is exact (max product `65 025`) and each pair-sum is at most
-/// `130 050`; lanes flush into the `u64` total every [`U8_BLOCK`]
-/// elements (≤ 1024 pair-sums per lane per block, far below `u32`
-/// overflow). Pure integer arithmetic: the result equals
-/// [`dot_u8_core`]'s exactly on every input — recompiling the widening
-/// `u8 → u32` core under AVX2 left LLVM with scalar widening multiplies
-/// at ~3.5 GB/s, while this form runs at memory bandwidth.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dot_u8_avx2(a: &[u8], b: &[u8]) -> u64 {
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len();
-    let mut total = 0u64;
-    let mut i = 0usize;
-    while i + 16 <= n {
-        let block_end = n.min(i + U8_BLOCK);
-        let mut acc = _mm256_setzero_si256();
-        while i + 16 <= block_end {
-            // SAFETY: `i + 16 <= n` holds for both equal-length slices.
-            let va = unsafe { _mm_loadu_si128(a.as_ptr().add(i).cast()) };
-            let vb = unsafe { _mm_loadu_si128(b.as_ptr().add(i).cast()) };
-            let wa = _mm256_cvtepu8_epi16(va);
-            let wb = _mm256_cvtepu8_epi16(vb);
-            acc = _mm256_add_epi32(acc, _mm256_madd_epi16(wa, wb));
-            i += 16;
-        }
-        let mut lanes = [0u32; 8];
-        // SAFETY: `lanes` is exactly 32 bytes.
-        unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc) };
-        total += lanes.iter().map(|&x| u64::from(x)).sum::<u64>();
-    }
-    for (&x, &y) in a[i..].iter().zip(&b[i..]) {
-        total += u64::from(x) * u64::from(y);
-    }
-    total
-}
-
 /// Queries in one 8-bit code tile: the exact k-NN scan's tile width.
 pub(crate) const CODE_TILE: usize = 16;
 
@@ -1115,50 +970,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn dot_u8_matches_naive_sum() {
-        for n in [0usize, 1, 15, 16, 17, 255, 256, 1000] {
-            let a: Vec<u8> = (0..n).map(|i| (i * 37 % 256) as u8).collect();
-            let b: Vec<u8> = (0..n).map(|i| (i * 91 + 13) as u8).collect();
-            let naive: u64 = a
-                .iter()
-                .zip(&b)
-                .map(|(x, y)| u64::from(*x) * u64::from(*y))
-                .sum();
-            assert_eq!(dot_u8(&a, &b), naive, "n = {n}");
-        }
-    }
-
-    #[test]
-    fn dot_u8_saturated_codes_do_not_overflow() {
-        // Worst case: every product is 255² across a block boundary.
-        let n = U8_BLOCK + 17;
-        let a = vec![255u8; n];
-        assert_eq!(dot_u8(&a, &a), 65_025 * n as u64);
-    }
-
-    #[test]
-    fn dot_u8_many_matches_per_row() {
-        let dims = 7;
-        let a: Vec<u8> = (0..dims).map(|i| (i * 31) as u8).collect();
-        let flat: Vec<u8> = (0..dims * 5).map(|i| (i * 3 + 1) as u8).collect();
-        let mut out = vec![0u64; 5];
-        dot_u8_many(&a, &flat, &mut out);
-        for (i, &got) in out.iter().enumerate() {
-            assert_eq!(got, dot_u8(&a, &flat[i * dims..(i + 1) * dims]));
-        }
-        // Zero-dimension codes: every dot is 0.
-        let mut out = vec![7u64; 3];
-        dot_u8_many(&[], &[], &mut out);
-        assert_eq!(out, vec![0, 0, 0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "flat buffer length mismatch")]
-    fn dot_u8_many_length_mismatch_panics() {
-        dot_u8_many(&[1, 2], &[1, 2, 3], &mut [0u64; 2]);
     }
 
     #[test]

@@ -33,10 +33,9 @@ fn main() {
         .blocking_index(&data.mentions)
         .expect("index builds");
     println!(
-        "blocking index over {} mentions: {} backend, built in {:.2?} \
+        "blocking index over {} mentions: exact scan, built in {:.2?} \
          (parallel embed + flat storage)",
         index.len(),
-        index.index_kind(),
         build_start.elapsed(),
     );
 

@@ -7,9 +7,7 @@
 //! noisy simulator. Written only against `BlockingIndex::{build,
 //! neighbors_many, nearest_texts, distance_between}`, `Query` and `Session`.
 //! A failure means a neighbour list changed an index, a distance bit or a
-//! tie order; fix the index, do not re-record the rows. (The IVF arm needs a
-//! 65 536-row build, too slow for a debug-profile test: `tests/ann_recall.rs`
-//! and `ivf`'s unit tests pin it.)
+//! tie order; fix the index, do not re-record the rows.
 
 use std::sync::Arc;
 
